@@ -30,8 +30,8 @@
 //! [`ShardedEngine`] composes the three inline (per-shard worker threads
 //! when `SIMSPATIAL_THREADS > 1`), and [`ShardedEngine::into_parts`] hands
 //! the planner and executors to callers — such as
-//! `simspatial_service::ShardedBackend` — that want to pin each executor to
-//! a persistent worker thread.
+//! `simspatial_service::ShardedBackend` — that schedule the executors on
+//! their own workers (there, a work-stealing pool).
 //!
 //! **The write path** mirrors the query path lane for lane: a coalesced
 //! `(id, new geometry)` batch routes through
@@ -995,7 +995,7 @@ fn size_lanes<L: Default>(lanes: &mut Vec<L>, n: usize) {
 ///
 /// A planner never touches shard indexes, so callers are free to run the
 /// lanes wherever they like — inline, via [`ShardedEngine`]'s scoped
-/// threads, or on the service layer's persistent per-shard workers.
+/// threads, or on the service layer's work-stealing shard pool.
 pub struct ShardPlanner {
     router: ShardRouter,
     /// Per-shard kNN fan-out pruning regions, hoisted out of the hot loops.
@@ -1723,9 +1723,9 @@ impl<I> ShardedEngine<I> {
     }
 
     /// Splits the engine into its planner and per-shard executors, for
-    /// callers that pin each executor to its own worker thread (the service
-    /// layer's per-shard workers). The planner routes and merges; executors
-    /// run lanes wherever the caller puts them.
+    /// callers that schedule the executors themselves (the service layer's
+    /// work-stealing pool). The planner routes and merges; executors run
+    /// lanes wherever the caller puts them.
     pub fn into_parts(self) -> (ShardPlanner, Vec<ShardExecutor<I>>) {
         (self.planner, self.executors)
     }
@@ -1801,20 +1801,10 @@ impl<I: SpatialIndex + Send> ShardedEngine<I> {
     /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
     /// panics on an engine without one.
     pub fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateStats {
-        assert!(
-            self.is_updatable(),
-            "write batch on a read-only sharded engine — attach a rebuild function with with_rebuild"
-        );
-        let start = Instant::now();
-        let mut stats = self.planner.route_updates(updates, &mut self.update_lanes);
-        run_pairs(&mut self.executors, &mut self.update_lanes, |exec, lane| {
-            if !lane.is_empty() {
-                lane.run(exec);
-            }
-        });
-        fold_lane_reports(&mut stats, &self.update_lanes);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        stats
+        self.apply_routed("write batch", |planner, lanes| {
+            ((), planner.route_updates(updates, lanes))
+        })
+        .1
     }
 
     /// Inserts new elements: the planner allocates fresh global ids
@@ -1826,20 +1816,9 @@ impl<I: SpatialIndex + Send> ShardedEngine<I> {
     /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
     /// panics on an engine without one.
     pub fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateStats) {
-        assert!(
-            self.is_updatable(),
-            "insert on a read-only sharded engine — attach a rebuild function with with_rebuild"
-        );
-        let start = Instant::now();
-        let (ids, mut stats) = self.planner.route_inserts(shapes, &mut self.update_lanes);
-        run_pairs(&mut self.executors, &mut self.update_lanes, |exec, lane| {
-            if !lane.is_empty() {
-                lane.run(exec);
-            }
-        });
-        fold_lane_reports(&mut stats, &self.update_lanes);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        (ids, stats)
+        self.apply_routed("insert", |planner, lanes| {
+            planner.route_inserts(shapes, lanes)
+        })
     }
 
     /// Removes elements by global id: each live id leaves every shard its
@@ -1851,29 +1830,39 @@ impl<I: SpatialIndex + Send> ShardedEngine<I> {
     /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
     /// panics on an engine without one.
     pub fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateStats {
+        self.apply_routed("remove", |planner, lanes| {
+            ((), planner.route_removals(ids, lanes))
+        })
+        .1
+    }
+
+    /// The shared body of the three write methods: `route` advances the
+    /// planner and fills the update lanes, every non-empty lane runs on its
+    /// shard (threaded when `SIMSPATIAL_THREADS > 1`), and the executed
+    /// lanes' [`UpdateLaneReport`]s fold into the batch-level
+    /// [`UpdateStats`] — the write-amplification counters travel up exactly
+    /// once per batch.
+    fn apply_routed<T>(
+        &mut self,
+        what: &str,
+        route: impl FnOnce(&mut ShardPlanner, &mut Vec<UpdateLane>) -> (T, UpdateStats),
+    ) -> (T, UpdateStats) {
         assert!(
             self.is_updatable(),
-            "remove on a read-only sharded engine — attach a rebuild function with with_rebuild"
+            "{what} on a read-only sharded engine — attach a rebuild function with with_rebuild"
         );
         let start = Instant::now();
-        let mut stats = self.planner.route_removals(ids, &mut self.update_lanes);
+        let (value, mut stats) = route(&mut self.planner, &mut self.update_lanes);
         run_pairs(&mut self.executors, &mut self.update_lanes, |exec, lane| {
             if !lane.is_empty() {
                 lane.run(exec);
             }
         });
-        fold_lane_reports(&mut stats, &self.update_lanes);
+        for lane in &self.update_lanes {
+            lane.report().fold_into(&mut stats);
+        }
         stats.elapsed_s = start.elapsed().as_secs_f64();
-        stats
-    }
-}
-
-/// Folds executed lanes' [`UpdateLaneReport`]s into batch-level
-/// [`UpdateStats`] — the write-amplification counters travel up exactly
-/// once per batch.
-fn fold_lane_reports(stats: &mut UpdateStats, lanes: &[UpdateLane]) {
-    for lane in lanes {
-        lane.report().fold_into(stats);
+        (value, stats)
     }
 }
 

@@ -1,7 +1,11 @@
 //! Execution backends the scheduler dispatches coalesced batches to.
 //!
-//! The scheduler is backend-agnostic: anything that can run one range
-//! batch and one per-`k` kNN batch fits. Two implementations ship:
+//! The scheduler is backend-agnostic and has **one read path**: every run
+//! of queries between two write barriers goes to the backend as a single
+//! [`ServiceBackend::query_run`] call (or
+//! [`ServiceBackend::snapshot_query_run`], against the last published
+//! epoch). `range_batch` / `knn_batch` are what a backend must provide; the
+//! trait default builds `query_run` from them. Two implementations ship:
 //!
 //! * [`EngineBackend`] — a single [`QueryEngine`] over one index. The
 //!   dispatcher thread executes inline: one worker total, the degenerate
@@ -9,14 +13,19 @@
 //! * [`ShardedBackend`] — a [`ShardedEngine`] split into its
 //!   [`ShardPlanner`] and per-shard
 //!   [`ShardExecutor`](simspatial_index::ShardExecutor)s, executed on a
-//!   **work-stealing worker pool**. The dispatcher routes each batch into
-//!   per-shard lanes and scatters them as stealable jobs: each pool worker
-//!   owns a local deque (a shard's jobs land on its owner's queue) and
-//!   steals the oldest job from a sibling when its own queue drains, so an
-//!   uneven shard split no longer leaves workers idle. Results stay
-//!   byte-identical to a serial [`ShardedEngine`] run: routing, execution
-//!   plans and the deduplicating merges are the exact same code — only
-//!   *where* each shard's sub-batch runs changes.
+//!   **work-stealing worker pool**. Each executor sits in two slots, a
+//!   *live* one that writes mutate and (after
+//!   [`ShardedBackend::spawn_snapshot`]) a *snapshot* one re-forked at
+//!   every publish. The dispatcher routes a run into per-shard lanes and
+//!   scatters them as stealable jobs: each pool worker owns a local deque
+//!   (a shard's jobs land on its owner's queue) and steals the oldest job
+//!   from a sibling when its own queue drains, so an uneven shard split
+//!   does not leave workers idle. There is one scatter/gather/supervise/
+//!   merge loop: `query_run` overrides the default with it, and
+//!   `range_batch` / `knn_batch` submit a one-sub-batch run to the same
+//!   loop. Results stay byte-identical to a serial [`ShardedEngine`] run:
+//!   routing, execution plans and the deduplicating merges are the exact
+//!   same code — only *where* each shard's sub-batch runs changes.
 //!
 //! The pool is sized `min(parallel::num_threads(), shard count)` at spawn,
 //! so `SIMSPATIAL_THREADS=1` (or a single-core host) degrades to one
@@ -672,22 +681,14 @@ struct PoolJob {
     snap: bool,
 }
 
-/// A shard's scheduled worker-level faults, shared between the backend
-/// (installation) and the pool workers (lookup). Survives shard restarts,
-/// as does the job sequence counter, so a fault schedule spans executor
-/// incarnations deterministically.
-type WorkerFaults = Arc<Mutex<Vec<(u64, FaultKind)>>>;
-
-/// The type-erased per-shard execution core a pool worker calls: owns the
-/// shard's [`ShardExecutor`] and runs any lane variant against it. The
-/// `fork` hook is what snapshot publication is built on — it freezes a
-/// copy of the executor without the backend knowing the index type.
+/// The type-erased per-shard execution core a pool worker calls: runs any
+/// lane variant against the shard's executor without the backend knowing
+/// the index type.
 trait RunnerCore: Send {
     /// Runs one routed lane against the owned executor.
     fn run(&mut self, job: &mut Job);
     /// A frozen copy of the owned executor for snapshot serving, or `None`
-    /// when the index type is not `Clone` (backend spawned without
-    /// snapshot support).
+    /// when the backend was spawned without snapshot support.
     fn fork(&self) -> Option<ShardRunner>;
     /// Bytes held by the owned executor (snapshot-clone accounting).
     fn memory_bytes(&self) -> usize;
@@ -696,46 +697,37 @@ trait RunnerCore: Send {
 /// A boxed [`RunnerCore`] — what executor slots hold.
 type ShardRunner = Box<dyn RunnerCore>;
 
-/// The plain runner: executes lanes, cannot fork (no `Clone` bound).
-struct ExecRunner<I>(ShardExecutor<I>);
+/// How a [`Runner`] copies its executor at publish time
+/// ([`ShardExecutor::fork`], which needs a `Clone` index).
+type ForkFn<I> = fn(&ShardExecutor<I>) -> ShardExecutor<I>;
 
-impl<I: SpatialIndex + KnnIndex + Send + 'static> RunnerCore for ExecRunner<I> {
-    fn run(&mut self, job: &mut Job) {
-        match job {
-            Job::Range(lane) => lane.run(&mut self.0),
-            Job::Knn(lane) => lane.run(&mut self.0),
-            Job::Update(lane) => lane.run(&mut self.0),
-        }
-    }
-
-    fn fork(&self) -> Option<ShardRunner> {
-        None
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.0.memory_bytes()
-    }
+/// The one [`RunnerCore`]: a shard executor plus the fork hook
+/// [`ShardedBackend::spawn_snapshot`] sets (`None` = no snapshot support,
+/// so the index type needs no `Clone` bound).
+struct Runner<I> {
+    exec: ShardExecutor<I>,
+    fork: Option<ForkFn<I>>,
 }
 
-/// The snapshot-capable runner: identical execution, plus
-/// [`ShardExecutor::fork`] at publish time.
-struct ForkableRunner<I>(ShardExecutor<I>);
-
-impl<I: SpatialIndex + KnnIndex + Clone + Send + 'static> RunnerCore for ForkableRunner<I> {
+impl<I: SpatialIndex + KnnIndex + Send + 'static> RunnerCore for Runner<I> {
     fn run(&mut self, job: &mut Job) {
         match job {
-            Job::Range(lane) => lane.run(&mut self.0),
-            Job::Knn(lane) => lane.run(&mut self.0),
-            Job::Update(lane) => lane.run(&mut self.0),
+            Job::Range(lane) => lane.run(&mut self.exec),
+            Job::Knn(lane) => lane.run(&mut self.exec),
+            Job::Update(lane) => lane.run(&mut self.exec),
         }
     }
 
     fn fork(&self) -> Option<ShardRunner> {
-        Some(Box::new(ForkableRunner(self.0.fork())))
+        let fork = self.fork?;
+        Some(Box::new(Runner {
+            exec: fork(&self.exec),
+            fork: self.fork,
+        }))
     }
 
     fn memory_bytes(&self) -> usize {
-        self.0.memory_bytes()
+        self.exec.memory_bytes()
     }
 }
 
@@ -751,18 +743,6 @@ fn lock_slot(slot: &Mutex<Option<ShardRunner>>) -> std::sync::MutexGuard<'_, Opt
     // A panic can never unwind while the guard is held (job panics are
     // caught inside), but stay robust against poisoning anyway.
     slot.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Wraps one shard executor into its type-erased pool runner.
-fn make_runner<I: SpatialIndex + KnnIndex + Send + 'static>(exec: ShardExecutor<I>) -> ShardRunner {
-    Box::new(ExecRunner(exec))
-}
-
-/// Wraps one shard executor into a snapshot-capable pool runner.
-fn make_forkable_runner<I: SpatialIndex + KnnIndex + Clone + Send + 'static>(
-    exec: ShardExecutor<I>,
-) -> ShardRunner {
-    Box::new(ForkableRunner(exec))
 }
 
 /// The deque state of the worker pool, under one mutex: cheap to lock
@@ -785,6 +765,12 @@ struct PoolShared {
     steals: AtomicU64,
     /// Per-worker cumulative busy nanoseconds (time executing jobs).
     busy_ns: Vec<AtomicU64>,
+    /// Per-shard job sequence counters and scheduled worker-level faults
+    /// `(job sequence, kind)` — installed by the backend, looked up by the
+    /// workers. Both live outside the executor slots, so a fault schedule
+    /// spans executor incarnations deterministically.
+    seqs: Vec<AtomicU64>,
+    faults: Vec<Mutex<Vec<(u64, FaultKind)>>>,
 }
 
 impl PoolShared {
@@ -804,15 +790,8 @@ struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns the pool: `min(parallel::num_threads(), shards)` workers
-    /// (at least one), each holding clones of the executor slots, fault
-    /// schedules and sequence counters.
-    fn spawn(
-        shards: usize,
-        slots: &RunnerSlots,
-        snap_slots: &RunnerSlots,
-        fault_lists: &[WorkerFaults],
-        seqs: &[Arc<AtomicU64>],
-    ) -> Self {
+    /// (at least one), each holding clones of the executor slots.
+    fn spawn(shards: usize, slots: &RunnerSlots, snap_slots: &RunnerSlots) -> Self {
         let workers = parallel::num_threads().min(shards.max(1)).max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -822,6 +801,8 @@ impl WorkerPool {
             work_available: Condvar::new(),
             steals: AtomicU64::new(0),
             busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            seqs: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            faults: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         });
         let (done_tx, done_rx) = mpsc::channel::<WorkerDone>();
         let threads = (0..workers)
@@ -829,14 +810,10 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 let slots = Arc::clone(slots);
                 let snap_slots = Arc::clone(snap_slots);
-                let faults: Vec<WorkerFaults> = fault_lists.iter().map(Arc::clone).collect();
-                let seqs: Vec<Arc<AtomicU64>> = seqs.iter().map(Arc::clone).collect();
                 let done_tx = done_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("simspatial-pool-{w}"))
-                    .spawn(move || {
-                        pool_worker_loop(w, &shared, &slots, &snap_slots, &faults, &seqs, &done_tx)
-                    })
+                    .spawn(move || pool_worker_loop(w, &shared, &slots, &snap_slots, &done_tx))
                     .expect("spawn pool worker thread")
             })
             .collect();
@@ -894,17 +871,12 @@ impl WorkerPool {
 /// — the executor never crosses the boundary again after a panic): a
 /// panicking job clears the shard's executor slot (the executor may be
 /// torn mid-update, so the only safe continuation is a supervisor rebuild)
-/// and still produces a `WorkerDone { panicked: true }` report. Fault
-/// lookup and the per-shard job sequence counter live here — outside the
-/// executor slot's runner — so a schedule keyed by sequence number spans
-/// executor incarnations deterministically.
+/// and still produces a `WorkerDone { panicked: true }` report.
 fn pool_worker_loop(
     worker: usize,
     shared: &PoolShared,
     slots: &RunnerSlots,
     snap_slots: &RunnerSlots,
-    faults: &[WorkerFaults],
-    seqs: &[Arc<AtomicU64>],
     done_tx: &mpsc::Sender<WorkerDone>,
 ) {
     loop {
@@ -945,8 +917,8 @@ fn pool_worker_loop(
         // so one schedule covers both paths deterministically (runs that
         // never submit snapshot jobs consume exactly the pre-snapshot
         // sequence, keeping existing fault plans stable).
-        let seq = seqs[shard].fetch_add(1, Ordering::Relaxed);
-        let fault = faults[shard]
+        let seq = shared.seqs[shard].fetch_add(1, Ordering::Relaxed);
+        let fault = shared.faults[shard]
             .lock()
             .ok()
             .and_then(|f| f.iter().find(|&&(at, _)| at == seq).map(|&(_, k)| k));
@@ -990,10 +962,9 @@ fn pool_worker_loop(
 /// The type-erased shard-restart recipe a [`ShardedBackend`] stores at
 /// spawn: rebuilds shard `i`'s executor from the planner's element store
 /// and wraps it into a fresh pool runner, returning the runner plus the
-/// rebuilt shard's `(len, memory_bytes)` gauges. `Err` when the rebuild
-/// itself panicked (the supervisor backs off and retries).
-type RespawnFn =
-    Box<dyn Fn(&ShardPlanner, usize) -> Result<(ShardRunner, usize, usize), ()> + Send>;
+/// rebuilt shard's element count. `Err` when the rebuild itself panicked
+/// (the supervisor backs off and retries).
+type RespawnFn = Box<dyn Fn(&ShardPlanner, usize) -> Result<(ShardRunner, usize), ()> + Send>;
 
 /// A region-sharded backend executing on a **work-stealing worker pool**.
 /// Built by splitting a [`ShardedEngine`] into planner + executors
@@ -1032,10 +1003,6 @@ pub struct ShardedBackend {
     /// wraps it into a fresh pool runner. `None` when the engine was built
     /// without a rebuild function — then any panic kills its shard.
     factory: Option<RespawnFn>,
-    /// Per-shard fault schedules, shared with the pool workers (the
-    /// matching per-shard job sequence counters live in the workers'
-    /// cloned `Arc`s and survive executor rebuilds).
-    fault_lists: Vec<WorkerFaults>,
     /// Per-shard **published snapshot** executor slots, shared with the
     /// pool workers (snapshot jobs run against these). `None` for shards
     /// with no published snapshot (pre-first-publish, dead, or torn by a
@@ -1052,10 +1019,8 @@ pub struct ShardedBackend {
     /// ([`ShardedBackend::spawn_snapshot`]).
     snapshots: bool,
     range_lanes: Vec<RangeLane>,
-    knn_home: Vec<KnnLane>,
-    knn_fan: Vec<KnnLane>,
-    /// Per-kNN-group lane scratch for [`ServiceBackend::query_run`]'s
-    /// combined scatter (indexed `[group][shard]`).
+    /// Per-kNN-group lane scratch of the read path's combined scatter
+    /// (indexed `[group][shard]`).
     knn_home_groups: Vec<Vec<KnnLane>>,
     knn_fan_groups: Vec<Vec<KnnLane>>,
     update_lanes: Vec<UpdateLane>,
@@ -1076,7 +1041,7 @@ impl ShardedBackend {
         engine: ShardedEngine<I>,
         policy: SupervisorPolicy,
     ) -> Self {
-        Self::spawn_inner(engine, policy, make_runner::<I>, false)
+        Self::spawn_inner(engine, policy, None)
     }
 
     /// [`ShardedBackend::spawn`] with **published snapshot reads**
@@ -1089,24 +1054,19 @@ impl ShardedBackend {
     pub fn spawn_snapshot<I: SpatialIndex + KnnIndex + Clone + Send + 'static>(
         engine: ShardedEngine<I>,
     ) -> Self {
-        Self::spawn_snapshot_with(engine, SupervisorPolicy::default())
-    }
-
-    /// [`ShardedBackend::spawn_snapshot`] with an explicit restart
-    /// discipline.
-    pub fn spawn_snapshot_with<I: SpatialIndex + KnnIndex + Clone + Send + 'static>(
-        engine: ShardedEngine<I>,
-        policy: SupervisorPolicy,
-    ) -> Self {
-        Self::spawn_inner(engine, policy, make_forkable_runner::<I>, true)
+        Self::spawn_inner(
+            engine,
+            SupervisorPolicy::default(),
+            Some(ShardExecutor::fork),
+        )
     }
 
     fn spawn_inner<I: SpatialIndex + KnnIndex + Send + 'static>(
         engine: ShardedEngine<I>,
         policy: SupervisorPolicy,
-        wrap: fn(ShardExecutor<I>) -> ShardRunner,
-        snapshots: bool,
+        fork: Option<ForkFn<I>>,
     ) -> Self {
+        let wrap = move |exec| Box::new(Runner { exec, fork }) as ShardRunner;
         let sizes = engine.shard_sizes();
         let updatable = engine.is_updatable();
         let (planner, executors) = engine.into_parts();
@@ -1119,9 +1079,6 @@ impl ShardedBackend {
         let rebuild = executors.first().and_then(ShardExecutor::rebuild_fn);
         let apply = executors.first().and_then(ShardExecutor::apply_fn);
         let n = executors.len();
-        let fault_lists: Vec<WorkerFaults> =
-            (0..n).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-        let seqs: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
         let slots: RunnerSlots = Arc::new(
             executors
                 .into_iter()
@@ -1131,7 +1088,7 @@ impl ShardedBackend {
         // Snapshot slots start empty; the scheduler's startup publish
         // (epoch 0) forks the initial copies when snapshots are enabled.
         let snap_slots: RunnerSlots = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let pool = WorkerPool::spawn(n, &slots, &snap_slots, &fault_lists, &seqs);
+        let pool = WorkerPool::spawn(n, &slots, &snap_slots);
         let factory: Option<RespawnFn> = rebuild.map(|rb| {
             Box::new(move |planner: &ShardPlanner, shard: usize| {
                 let rb = rb.clone();
@@ -1145,8 +1102,7 @@ impl ShardedBackend {
                     let mut exec = ShardExecutor::from_planner(planner, shard, rb);
                     exec.set_apply(ap);
                     let len = exec.len();
-                    let mem = exec.memory_bytes();
-                    (wrap(exec), len, mem)
+                    (wrap(exec), len)
                 }))
                 .map_err(|_| ())
             }) as RespawnFn
@@ -1163,14 +1119,11 @@ impl ShardedBackend {
             dead: vec![false; n],
             telemetry: BackendTelemetry::default(),
             factory,
-            fault_lists,
             snap_slots,
             snap_dirty: vec![true; n],
             snap_bytes: vec![0; n],
-            snapshots,
+            snapshots: fork.is_some(),
             range_lanes: Vec::new(),
-            knn_home: Vec::new(),
-            knn_fan: Vec::new(),
             knn_home_groups: Vec::new(),
             knn_fan_groups: Vec::new(),
             update_lanes: Vec::new(),
@@ -1205,13 +1158,9 @@ impl ShardedBackend {
     /// all) is declared dead. Runs strictly after a gather completed, so
     /// no job of these shards is in flight while the slot is rebuilt.
     fn handle_panics(&mut self, panicked: &[usize]) {
-        // A combined scatter can have several jobs of one shard in flight;
-        // all of them report panicked once the slot tears. One supervision
-        // verdict per shard.
-        let mut list = panicked.to_vec();
-        list.sort_unstable();
-        list.dedup();
-        for i in list {
+        // One supervision verdict per shard: `panicked` arrives deduplicated
+        // (`gather` folds the several in-flight jobs of one torn shard).
+        for &i in panicked {
             if self.dead[i] {
                 continue;
             }
@@ -1237,10 +1186,10 @@ impl ShardedBackend {
                     break;
                 };
                 match factory(&self.planner, i) {
-                    Ok((runner, len, mem)) => {
+                    Ok((runner, len)) => {
+                        self.shard_memory[i] = runner.memory_bytes();
                         *lock_slot(&self.slots[i]) = Some(runner);
                         self.sizes[i] = len;
-                        self.shard_memory[i] = mem;
                         self.telemetry.shard_restarts += 1;
                         restarted = true;
                         break;
@@ -1266,11 +1215,10 @@ impl ShardedBackend {
     /// Gathers `in_flight` completions from the pool, routing each lane
     /// back to its scratch slot: range lanes to `range_lanes`, update
     /// lanes to `update_lanes` (refreshing the size/memory gauges of
-    /// shards that succeeded), kNN lanes to the single-batch scratch
-    /// (`grouped == false`, `tag` 0 = home, 1 = fanout) or the per-group
-    /// scratch (`grouped == true`, `tag` = group; `fan_phase` picks home
-    /// vs fanout). Returns the panicked shards, deduplicated.
-    fn gather(&mut self, in_flight: usize, grouped: bool, fan_phase: bool) -> Vec<usize> {
+    /// shards that succeeded), kNN lanes to the per-group scratch (`tag` =
+    /// group; `fan_phase` picks home vs fanout). Returns the panicked
+    /// shards, sorted and deduplicated.
+    fn gather(&mut self, in_flight: usize, fan_phase: bool) -> Vec<usize> {
         let mut panicked = Vec::new();
         for _ in 0..in_flight {
             let done = self.pool.recv_done();
@@ -1290,13 +1238,12 @@ impl ShardedBackend {
                     self.update_lanes[shard] = lane;
                 }
                 Job::Knn(lane) => {
-                    let lanes = match (grouped, fan_phase, tag) {
-                        (true, false, g) => &mut self.knn_home_groups[g],
-                        (true, true, g) => &mut self.knn_fan_groups[g],
-                        (false, _, 0) => &mut self.knn_home,
-                        (false, _, _) => &mut self.knn_fan,
+                    let groups = if fan_phase {
+                        &mut self.knn_fan_groups
+                    } else {
+                        &mut self.knn_home_groups
                     };
-                    lanes[shard] = lane;
+                    groups[tag][shard] = lane;
                 }
             }
             if p {
@@ -1308,92 +1255,59 @@ impl ShardedBackend {
         panicked
     }
 
-    /// Scatters every non-empty range lane onto the pool and waits for all
-    /// of them to come back (empty lanes skip the round trip). Returns the
-    /// shards whose job panicked — their lanes carry torn results and the
-    /// batch must be re-run after supervision.
-    fn run_range_lanes(&mut self) -> Vec<usize> {
+    /// The one write path (updates, inserts, removals): `route` advances
+    /// the planner and fills the update lanes, which then scatter, are
+    /// supervised, and fold their write-amplification counters into the
+    /// report. [`UpdateReport::failed`] names the first shard that ended
+    /// **dead**, if any — the typed write failure.
+    fn apply_routed<T>(
+        &mut self,
+        what: &str,
+        route: impl FnOnce(&mut ShardPlanner, &mut Vec<UpdateLane>) -> (T, UpdateStats),
+    ) -> (T, UpdateReport) {
+        // Fail on the calling thread with a clear message (the service
+        // never routes writes here when read-only, but the trait is
+        // public): without this, the panic would surface on a detached
+        // worker thread after the planner already advanced its envelopes.
+        assert!(
+            self.updatable,
+            "{what} on a read-only sharded backend — build the engine with_rebuild"
+        );
+        let start = Instant::now();
+        // Single pass, no retry: routing advances the planner's element
+        // store (new geometry, allocated ids, tombstones), which is
+        // authoritative. A shard that panics mid-write and restarts is
+        // rebuilt *from that advanced store*, so the write is fully applied
+        // on it — only a shard that ends dead loses data, and that is
+        // surfaced as a typed failure.
+        let (value, mut stats) = route(&mut self.planner, &mut self.update_lanes);
         let mut in_flight = 0usize;
-        for i in 0..self.range_lanes.len() {
-            if self.range_lanes[i].is_empty() {
-                continue;
+        for (i, lane) in self.update_lanes.iter_mut().enumerate() {
+            if self.dead[i] {
+                // Coverage is already degraded and the planner store stays
+                // authoritative, so the batch does not fail.
+                lane.clear();
             }
-            let lane = std::mem::take(&mut self.range_lanes[i]);
-            self.pool.submit(i, 0, Job::Range(lane), false);
-            in_flight += 1;
-        }
-        self.gather(in_flight, false, false)
-    }
-
-    /// Scatters every non-empty update lane, waits for all to come back,
-    /// and refreshes the per-shard size/memory gauges from the lane
-    /// reports of the shards that succeeded. Returns panicked shards.
-    fn run_update_lanes(&mut self) -> Vec<usize> {
-        let mut in_flight = 0usize;
-        for i in 0..self.update_lanes.len() {
-            if self.update_lanes[i].is_empty() {
-                continue;
-            }
-            let lane = std::mem::take(&mut self.update_lanes[i]);
-            self.pool.submit(i, 0, Job::Update(lane), false);
-            in_flight += 1;
-        }
-        self.gather(in_flight, false, false)
-    }
-
-    /// The shared tail of every write-path call (updates, inserts,
-    /// removals): drops lanes aimed at already-dead shards (coverage is
-    /// already degraded and the planner store stays authoritative, so the
-    /// batch does not fail), scatters the rest, supervises panicked
-    /// shards, and folds the executed lanes' write-amplification counters
-    /// into `stats`. Returns the first shard that ended **dead**, if any —
-    /// the typed write failure.
-    fn finish_write(&mut self, stats: &mut UpdateStats) -> Option<usize> {
-        for (i, &dead) in self.dead.iter().enumerate() {
-            if dead {
-                self.update_lanes[i].clear();
-            }
-        }
-        // Shards receiving any write work are dirty for the next publish —
-        // a restart mid-write is covered too (it rebuilds from the
-        // already-advanced planner store, and the lane that provoked it
-        // was non-empty by definition).
-        for (i, lane) in self.update_lanes.iter().enumerate() {
-            if !lane.is_empty() {
-                self.snap_dirty[i] = true;
-            }
-        }
-        let panicked = self.run_update_lanes();
-        let mut failed = None;
-        if !panicked.is_empty() {
-            self.handle_panics(&panicked);
-            failed = panicked.iter().copied().find(|&i| self.dead[i]);
-        }
-        for lane in &self.update_lanes {
-            lane.report().fold_into(stats);
-        }
-        failed
-    }
-
-    /// Scatters every non-empty kNN lane of the given single-batch phase
-    /// and waits for completion. Returns panicked shards.
-    fn run_knn_lanes(&mut self, fan_phase: bool) -> Vec<usize> {
-        let mut in_flight = 0usize;
-        let tag = usize::from(fan_phase);
-        let lanes = if fan_phase {
-            &mut self.knn_fan
-        } else {
-            &mut self.knn_home
-        };
-        for (i, lane) in lanes.iter_mut().enumerate() {
             if lane.is_empty() {
                 continue;
             }
+            // Shards receiving any write work are dirty for the next
+            // publish — a restart mid-write is covered too (it rebuilds
+            // from the already-advanced planner store, and the lane that
+            // provoked it was non-empty by definition).
+            self.snap_dirty[i] = true;
             self.pool
-                .submit(i, tag, Job::Knn(std::mem::take(lane)), false);
+                .submit(i, 0, Job::Update(std::mem::take(lane)), false);
             in_flight += 1;
         }
-        self.gather(in_flight, false, fan_phase)
+        let panicked = self.gather(in_flight, false);
+        self.handle_panics(&panicked);
+        let failed = panicked.iter().copied().find(|&i| self.dead[i]);
+        for lane in &self.update_lanes {
+            lane.report().fold_into(&mut stats);
+        }
+        stats.elapsed_s = start.elapsed().as_secs_f64();
+        (value, UpdateReport { stats, failed })
     }
 
     /// Shards a query run must route around. For a live run that is the
@@ -1413,11 +1327,9 @@ impl ShardedBackend {
     /// live executor. That is exact, not approximate: the scheduler
     /// publishes after every write barrier, so whenever a snapshot run is
     /// on the pool the live state *is* the published epoch's state.
+    /// `panicked` arrives deduplicated from `gather`.
     fn repair_snapshots(&mut self, panicked: &[usize]) {
-        let mut shards: Vec<usize> = panicked.to_vec();
-        shards.sort_unstable();
-        shards.dedup();
-        for i in shards {
+        for &i in panicked {
             self.telemetry.panics_caught += 1;
             let forked = if self.dead[i] {
                 None
@@ -1433,143 +1345,135 @@ impl ShardedBackend {
         }
     }
 
-    /// Shared body of `query_run` / `snapshot_query_run`: the whole query
-    /// run — range batch plus every per-`k` kNN batch — scatters onto the
-    /// worker pool as **one wave** of shard jobs, so independent
-    /// sub-batches overlap across cores instead of executing back-to-back.
-    /// kNN fan-out (which needs each group's home results as seeds) forms
-    /// a second wave. The per-sub-batch merges run on the backend thread
-    /// afterwards and are the exact same deterministic code as the
-    /// sequential path, so results are byte-identical to executing the
-    /// sub-batches one by one. With `snap` set, jobs execute against the
-    /// published snapshot executors instead of the live ones; routing
-    /// still uses the planner, which is exact because the planner's
-    /// region/envelope state only gates *which shards are visited*, and
-    /// snapshot runs only execute when live and published state agree on
-    /// membership (the scheduler publishes after every write barrier).
-    fn run_query_run(
+    /// Scatters one wave of the routed run onto the pool — wave 1
+    /// (`fan_phase == false`): every non-empty range lane, then each of
+    /// the `groups` kNN groups' home lanes; wave 2: each group's fan-out
+    /// lanes — and waits for all of it to come back (empty lanes skip the
+    /// round trip). One shard's jobs serialise on its executor slot;
+    /// independent shards (and stolen jobs) overlap. Returns `true` when a
+    /// job panicked: the shard was quarantined/restarted (live run) or its
+    /// snapshot re-forked (snapshot run), its lanes carry torn results, and
+    /// the run must be re-routed against the post-supervision shard set.
+    fn scatter_wave(&mut self, snap: bool, fan_phase: bool, groups: usize) -> bool {
+        let mut in_flight = 0usize;
+        if !fan_phase {
+            for (i, lane) in self.range_lanes.iter_mut().enumerate() {
+                if !lane.is_empty() {
+                    self.pool
+                        .submit(i, 0, Job::Range(std::mem::take(lane)), snap);
+                    in_flight += 1;
+                }
+            }
+        }
+        let knn = if fan_phase {
+            &mut self.knn_fan_groups
+        } else {
+            &mut self.knn_home_groups
+        };
+        for (g, lanes) in knn[..groups].iter_mut().enumerate() {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                if !lane.is_empty() {
+                    self.pool.submit(i, g, Job::Knn(std::mem::take(lane)), snap);
+                    in_flight += 1;
+                }
+            }
+        }
+        let panicked = self.gather(in_flight, fan_phase);
+        if panicked.is_empty() {
+            return false;
+        }
+        if snap {
+            self.repair_snapshots(&panicked);
+        } else {
+            self.handle_panics(&panicked);
+        }
+        true
+    }
+
+    /// The one read path — every `range_batch`, `knn_batch`, `query_run`
+    /// and `snapshot_query_run` lands here. The whole run — range batch
+    /// plus every per-`k` kNN batch — scatters onto the worker pool as
+    /// **one wave** of shard jobs, so independent sub-batches overlap
+    /// across cores instead of executing back-to-back. kNN fan-out (which
+    /// needs each group's home results as seeds) forms a second wave. The
+    /// per-sub-batch merges run on the backend thread afterwards and are
+    /// the same deterministic code a serial [`ShardedEngine`] runs, so
+    /// results are byte-identical to executing the sub-batches one by one.
+    /// With `snap` set, jobs execute against the published snapshot
+    /// executors instead of the live ones; routing still uses the planner,
+    /// which is exact because the planner's region/envelope state only
+    /// gates *which shards are visited*, and snapshot runs only execute
+    /// when live and published state agree on membership (the scheduler
+    /// publishes after every write barrier).
+    ///
+    /// The input is borrowed as the caller holds it (`P` is `Vec<Point3>`
+    /// for a [`QueryRun`], `&[Point3]` for a lone `knn_batch`); `knn_out`
+    /// is index-aligned with `knn`, and `range_out` is left untouched when
+    /// `range` is empty.
+    fn run_query_run<P: AsRef<[Point3]>>(
         &mut self,
-        run: &QueryRun,
-        out: &mut QueryRunResults,
+        range: &[Aabb],
+        knn: &[(usize, P)],
+        range_out: &mut BatchResults,
+        knn_out: &mut [KnnBatchResults],
         snap: bool,
     ) -> QueryRunReport {
         let start = Instant::now();
-        out.ensure_knn(run.knn.len());
-        while self.knn_home_groups.len() < run.knn.len() {
+        while self.knn_home_groups.len() < knn.len() {
             self.knn_home_groups.push(Vec::new());
             self.knn_fan_groups.push(Vec::new());
         }
-        // Reads are idempotent, so supervision is the same retry loop as
-        // the per-batch paths, over the whole run: any panic quarantines/
-        // restarts the shard (live run) or re-forks its snapshot (snapshot
-        // run) and re-runs the run against the post-supervision shard set.
-        let mut partial = vec![0u32; run.range.len()];
-        let mut failed: Vec<Vec<(u32, usize)>> = vec![Vec::new(); run.knn.len()];
+        // Reads are idempotent, so supervision is a retry loop over the
+        // whole run: any panic is supervised inside `scatter_wave` and the
+        // run re-routes from scratch.
+        let mut partial = vec![0u32; range.len()];
+        let mut failed: Vec<Vec<(u32, usize)>> = vec![Vec::new(); knn.len()];
         loop {
-            // ---- Route wave-1 work: the coalesced range batch plus each
-            // kNN group's home lanes, dropping lanes aimed at blocked
-            // shards (partial coverage for range, typed failure for kNN).
+            // ---- Wave 1: the coalesced range batch plus each kNN group's
+            // home lanes, minus lanes aimed at blocked shards — partial
+            // coverage for range; typed failure for kNN, where partial
+            // neighbours would be silently wrong.
             let blocked = self.blocked_shards(snap);
-            self.planner.route_range(&run.range, &mut self.range_lanes);
+            self.planner.route_range(range, &mut self.range_lanes);
             partial.iter_mut().for_each(|n| *n = 0);
-            for (i, &blk) in blocked.iter().enumerate() {
-                if blk {
-                    for &qi in self.range_lanes[i].routed() {
+            for (i, lane) in self.range_lanes.iter_mut().enumerate() {
+                if blocked[i] {
+                    for &qi in lane.routed() {
                         partial[qi as usize] += 1;
                     }
-                    self.range_lanes[i].clear();
+                    lane.clear();
                 }
             }
-            for (g, (k, points)) in run.knn.iter().enumerate() {
+            for (g, (k, points)) in knn.iter().enumerate() {
                 failed[g].clear();
-                self.planner
-                    .route_knn_home(points, *k, &mut self.knn_home_groups[g]);
-                for (i, &blk) in blocked.iter().enumerate() {
-                    if blk {
-                        for &qi in self.knn_home_groups[g][i].routed() {
-                            failed[g].push((qi, i));
-                        }
-                        self.knn_home_groups[g][i].clear();
-                    }
-                }
+                let home = &mut self.knn_home_groups[g];
+                self.planner.route_knn_home(points.as_ref(), *k, home);
+                fail_blocked(&blocked, home, &mut failed[g]);
             }
-            // ---- Wave 1: every range lane and every group's home lanes
-            // scatter together. One shard's jobs serialise on its executor
-            // slot; independent shards (and stolen jobs) overlap.
-            let mut in_flight = 0usize;
-            for i in 0..self.range_lanes.len() {
-                if self.range_lanes[i].is_empty() {
-                    continue;
-                }
-                let lane = std::mem::take(&mut self.range_lanes[i]);
-                self.pool.submit(i, 0, Job::Range(lane), snap);
-                in_flight += 1;
-            }
-            for g in 0..run.knn.len() {
-                for i in 0..self.knn_home_groups[g].len() {
-                    if self.knn_home_groups[g][i].is_empty() {
-                        continue;
-                    }
-                    let lane = std::mem::take(&mut self.knn_home_groups[g][i]);
-                    self.pool.submit(i, g, Job::Knn(lane), snap);
-                    in_flight += 1;
-                }
-            }
-            let panicked = self.gather(in_flight, true, false);
-            if !panicked.is_empty() {
-                if snap {
-                    self.repair_snapshots(&panicked);
-                } else {
-                    self.handle_panics(&panicked);
-                }
+            if self.scatter_wave(snap, false, knn.len()) {
                 continue;
             }
-            // ---- Wave 2: each group's fan-out lanes (seeded by its home
-            // results), again as one combined scatter.
-            let blocked = self.blocked_shards(snap);
-            let mut in_flight = 0usize;
-            for (g, (k, points)) in run.knn.iter().enumerate() {
-                self.planner.route_knn_fanout(
-                    points,
-                    *k,
-                    &self.knn_home_groups[g],
-                    &mut self.knn_fan_groups[g],
-                );
-                for (i, &blk) in blocked.iter().enumerate() {
-                    if blk {
-                        for &qi in self.knn_fan_groups[g][i].routed() {
-                            failed[g].push((qi, i));
-                        }
-                        self.knn_fan_groups[g][i].clear();
-                    }
-                }
-                for i in 0..self.knn_fan_groups[g].len() {
-                    if self.knn_fan_groups[g][i].is_empty() {
-                        continue;
-                    }
-                    let lane = std::mem::take(&mut self.knn_fan_groups[g][i]);
-                    self.pool.submit(i, g, Job::Knn(lane), snap);
-                    in_flight += 1;
-                }
+            // ---- Wave 2: each group's fan-out lanes, seeded by its home
+            // results (a clean wave 1 supervised nothing, so `blocked`
+            // still holds).
+            for (g, (k, points)) in knn.iter().enumerate() {
+                let fan = &mut self.knn_fan_groups[g];
+                self.planner
+                    .route_knn_fanout(points.as_ref(), *k, &self.knn_home_groups[g], fan);
+                fail_blocked(&blocked, fan, &mut failed[g]);
             }
-            let panicked = self.gather(in_flight, true, true);
-            if !panicked.is_empty() {
-                if snap {
-                    self.repair_snapshots(&panicked);
-                } else {
-                    self.handle_panics(&panicked);
-                }
+            if self.scatter_wave(snap, true, knn.len()) {
                 continue;
             }
             break;
         }
         // ---- Deterministic merges, sub-batch by sub-batch.
         let mut report = QueryRunReport::default();
-        if !run.range.is_empty() {
-            out.range.reset();
-            let stats =
-                self.planner
-                    .merge_range(run.range.len(), &mut self.range_lanes, &mut out.range);
+        if !range.is_empty() {
+            range_out.reset();
+            let stats = self
+                .planner
+                .merge_range(range.len(), &mut self.range_lanes, range_out);
             report.range = Some(SubBatchOutcome::Ran(BatchReport {
                 stats,
                 failed: Vec::new(),
@@ -1581,14 +1485,14 @@ impl ShardedBackend {
                     .collect(),
             }));
         }
-        for (g, (k, points)) in run.knn.iter().enumerate() {
-            out.knn[g].reset();
+        for (g, (k, points)) in knn.iter().enumerate() {
+            knn_out[g].reset();
             let stats = self.planner.merge_knn(
-                points.len(),
+                points.as_ref().len(),
                 *k,
                 &mut self.knn_home_groups[g],
                 &mut self.knn_fan_groups[g],
-                &mut out.knn[g],
+                &mut knn_out[g],
             );
             let mut f = std::mem::take(&mut failed[g]);
             f.sort_unstable();
@@ -1601,130 +1505,62 @@ impl ShardedBackend {
         }
         // The run executed as one combined scatter, so per-sub-batch wall
         // time is not attributable: the whole run's elapsed lands on the
-        // first sub-batch and the rest report zero, keeping the *summed*
-        // execution time honest.
-        let elapsed = start.elapsed().as_secs_f64();
-        let mut assigned = false;
-        if let Some(SubBatchOutcome::Ran(r)) = report.range.as_mut() {
-            r.stats.elapsed_s = elapsed;
-            assigned = true;
-        }
-        for o in report.knn.iter_mut() {
-            if let SubBatchOutcome::Ran(r) = o {
-                r.stats.elapsed_s = if assigned { 0.0 } else { elapsed };
-                assigned = true;
-            }
+        // first sub-batch and the rest keep the merges' zero, keeping the
+        // *summed* execution time honest.
+        let first = report.range.iter_mut().chain(report.knn.iter_mut()).next();
+        if let Some(SubBatchOutcome::Ran(r)) = first {
+            r.stats.elapsed_s = start.elapsed().as_secs_f64();
         }
         report
     }
 }
 
+/// Drops the kNN lanes aimed at blocked shards, recording every probe they
+/// carried as failed on that shard.
+fn fail_blocked(blocked: &[bool], lanes: &mut [KnnLane], failed: &mut Vec<(u32, usize)>) {
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        if blocked[i] {
+            failed.extend(lane.routed().iter().map(|&qi| (qi, i)));
+            lane.clear();
+        }
+    }
+}
+
+/// The report of a sub-batch `run_query_run` executed: shard-worker panics
+/// are supervised inside it, so the outcome is always `Ran`.
+fn ran(outcome: Option<SubBatchOutcome>) -> BatchReport {
+    match outcome {
+        Some(SubBatchOutcome::Ran(report)) => report,
+        _ => unreachable!("the sharded read path reports every sub-batch it was given"),
+    }
+}
+
 impl ServiceBackend for ShardedBackend {
     fn range_batch(&mut self, queries: &[Aabb], out: &mut BatchResults) -> BatchReport {
-        let start = Instant::now();
-        // Reads are idempotent, so supervision is a retry loop: route,
-        // drop lanes aimed at dead shards (recording partial coverage),
-        // run; if any worker panicked, quarantine/restart it and re-run
-        // the whole batch against the post-supervision shard set.
-        let mut partial = vec![0u32; queries.len()];
-        loop {
-            self.planner.route_range(queries, &mut self.range_lanes);
-            partial.iter_mut().for_each(|n| *n = 0);
-            for (i, &dead) in self.dead.iter().enumerate() {
-                if dead {
-                    for &qi in self.range_lanes[i].routed() {
-                        partial[qi as usize] += 1;
-                    }
-                    self.range_lanes[i].clear();
-                }
-            }
-            let panicked = self.run_range_lanes();
-            if panicked.is_empty() {
-                break;
-            }
-            self.handle_panics(&panicked);
+        if queries.is_empty() {
+            out.reset();
+            return BatchReport::default();
         }
-        out.reset();
-        let mut stats = self
-            .planner
-            .merge_range(queries.len(), &mut self.range_lanes, out);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        BatchReport {
-            stats,
-            failed: Vec::new(),
-            partial: partial
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(q, &n)| (q as u32, n))
-                .collect(),
-        }
+        let report = self.run_query_run::<&[Point3]>(queries, &[], out, &mut [], false);
+        ran(report.range)
     }
 
     fn knn_batch(&mut self, points: &[Point3], k: usize, out: &mut KnnBatchResults) -> BatchReport {
-        let start = Instant::now();
-        // Same retry-loop discipline as `range_batch`, over both kNN
-        // phases. A query touching a dead shard (home or fanout) cannot be
-        // answered correctly — partial neighbours would be silently wrong
-        // — so it is reported failed instead of degraded.
-        let mut failed: Vec<(u32, usize)> = Vec::new();
-        loop {
-            failed.clear();
-            self.planner.route_knn_home(points, k, &mut self.knn_home);
-            for (i, &dead) in self.dead.iter().enumerate() {
-                if dead {
-                    for &qi in self.knn_home[i].routed() {
-                        failed.push((qi, i));
-                    }
-                    self.knn_home[i].clear();
-                }
-            }
-            let panicked = self.run_knn_lanes(false);
-            if !panicked.is_empty() {
-                self.handle_panics(&panicked);
-                continue;
-            }
-            self.planner
-                .route_knn_fanout(points, k, &self.knn_home, &mut self.knn_fan);
-            for (i, &dead) in self.dead.iter().enumerate() {
-                if dead {
-                    for &qi in self.knn_fan[i].routed() {
-                        failed.push((qi, i));
-                    }
-                    self.knn_fan[i].clear();
-                }
-            }
-            let panicked = self.run_knn_lanes(true);
-            if !panicked.is_empty() {
-                self.handle_panics(&panicked);
-                continue;
-            }
-            break;
-        }
-        out.reset();
-        let mut stats =
-            self.planner
-                .merge_knn(points.len(), k, &mut self.knn_home, &mut self.knn_fan, out);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        failed.sort_unstable();
-        failed.dedup_by_key(|&mut (q, _)| q);
-        BatchReport {
-            stats,
-            failed,
-            partial: Vec::new(),
-        }
+        let mut report = self.run_query_run(
+            &[],
+            &[(k, points)],
+            &mut BatchResults::new(),
+            std::slice::from_mut(out),
+            false,
+        );
+        ran(report.knn.pop())
     }
 
-    /// The multicore override: the whole query run — range batch plus
-    /// every per-`k` kNN batch — scatters onto the worker pool as **one
-    /// wave** of shard jobs, so independent sub-batches overlap across
-    /// cores instead of executing back-to-back. kNN fan-out (which needs
-    /// each group's home results as seeds) forms a second wave. The
-    /// per-sub-batch merges run on the backend thread afterwards and are
-    /// the exact same deterministic code as the sequential path, so
-    /// results are byte-identical to executing the sub-batches one by one.
+    /// The multicore override: the whole run goes through the one sharded
+    /// read path (`run_query_run`) in a single combined scatter.
     fn query_run(&mut self, run: &QueryRun, out: &mut QueryRunResults) -> QueryRunReport {
-        self.run_query_run(run, out, false)
+        out.ensure_knn(run.knn.len());
+        self.run_query_run(&run.range, &run.knn, &mut out.range, &mut out.knn, false)
     }
 
     /// The snapshot override: identical routing, scatter and merge to
@@ -1733,10 +1569,9 @@ impl ServiceBackend for ShardedBackend {
     /// answer at the last published epoch while live executors are free to
     /// apply the write barriers queued behind them.
     fn snapshot_query_run(&mut self, run: &QueryRun, out: &mut QueryRunResults) -> QueryRunReport {
-        if !self.snapshots {
-            return self.run_query_run(run, out, false);
-        }
-        self.run_query_run(run, out, true)
+        out.ensure_knn(run.knn.len());
+        let snap = self.snapshots;
+        self.run_query_run(&run.range, &run.knn, &mut out.range, &mut out.knn, snap)
     }
 
     fn supports_snapshots(&self) -> bool {
@@ -1790,24 +1625,10 @@ impl ServiceBackend for ShardedBackend {
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
-        // Fail on the calling thread with a clear message (the service
-        // never routes writes here when read-only, but the trait is
-        // public): without this, the panic would surface on a detached
-        // worker thread after the planner already advanced its envelopes.
-        assert!(
-            self.updatable,
-            "write batch on a read-only sharded backend — build the engine with_rebuild"
-        );
-        let start = Instant::now();
-        // Single pass, no retry: routing advances the planner's element
-        // store, which is authoritative. A shard that panics mid-write and
-        // restarts is rebuilt *from that advanced store*, so the write is
-        // fully applied on it — only a shard that ends dead loses data,
-        // and that is surfaced as a typed failure.
-        let mut stats = self.planner.route_updates(updates, &mut self.update_lanes);
-        let failed = self.finish_write(&mut stats);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        UpdateReport { stats, failed }
+        self.apply_routed("write batch", |planner, lanes| {
+            ((), planner.route_updates(updates, lanes))
+        })
+        .1
     }
 
     fn supports_updates(&self) -> bool {
@@ -1815,32 +1636,16 @@ impl ServiceBackend for ShardedBackend {
     }
 
     fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
-        assert!(
-            self.updatable,
-            "insert batch on a read-only sharded backend — build the engine with_rebuild"
-        );
-        let start = Instant::now();
-        // Same single-pass discipline as `update_batch`: the planner
-        // allocates the ids and grows its element store first, so a shard
-        // that panics mid-insert is restarted *with* the new elements.
-        let (ids, mut stats) = self.planner.route_inserts(shapes, &mut self.update_lanes);
-        let failed = self.finish_write(&mut stats);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        (ids, UpdateReport { stats, failed })
+        self.apply_routed("insert batch", |planner, lanes| {
+            planner.route_inserts(shapes, lanes)
+        })
     }
 
     fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
-        assert!(
-            self.updatable,
-            "remove batch on a read-only sharded backend — build the engine with_rebuild"
-        );
-        let start = Instant::now();
-        // The planner tombstones removed ids up front: a restarted shard
-        // excludes them, and later updates to them are skipped.
-        let mut stats = self.planner.route_removals(ids, &mut self.update_lanes);
-        let failed = self.finish_write(&mut stats);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        UpdateReport { stats, failed }
+        self.apply_routed("remove batch", |planner, lanes| {
+            ((), planner.route_removals(ids, lanes))
+        })
+        .1
     }
 
     fn supports_membership(&self) -> bool {
@@ -1872,7 +1677,7 @@ impl ServiceBackend for ShardedBackend {
 
     fn install_worker_faults(&mut self, faults: &[(usize, u64, FaultKind)]) {
         for &(shard, op, kind) in faults {
-            if let Some(list) = self.fault_lists.get(shard) {
+            if let Some(list) = self.pool.shared.faults.get(shard) {
                 if let Ok(mut l) = list.lock() {
                     l.push((op, kind));
                 }
@@ -1887,12 +1692,6 @@ impl ServiceBackend for ShardedBackend {
                 .range_lanes
                 .iter()
                 .map(RangeLane::memory_bytes)
-                .sum::<usize>()
-            + self
-                .knn_home
-                .iter()
-                .chain(self.knn_fan.iter())
-                .map(KnnLane::memory_bytes)
                 .sum::<usize>()
             + self
                 .knn_home_groups

@@ -39,12 +39,13 @@
 //!   inline on the dispatcher (single worker over any
 //!   `SpatialIndex + KnnIndex`; writable via a pluggable [`IndexUpdater`]
 //!   — [`RebuildUpdater`] or a `simspatial_moving` strategy adapter);
-//!   [`ShardedBackend`] pins each shard of a `ShardedEngine` to a
-//!   persistent worker thread and scatters routed lanes over channels,
-//!   merging through the engine layer's deduplicating sinks —
-//!   byte-identical results to serial execution, with per-shard
-//!   parallelism across dispatches. Its write path routes update lanes to
-//!   the same workers, **migrating** elements whose new envelope crosses
+//!   [`ShardedBackend`] parks each shard of a `ShardedEngine` in an
+//!   executor slot and scatters routed lanes onto a work-stealing pool of
+//!   `min(SIMSPATIAL_THREADS, shards)` workers, merging through the
+//!   engine layer's deduplicating sinks — byte-identical results to
+//!   serial execution, with per-shard parallelism inside a dispatch. Reads
+//!   have one path (`query_run`); the write path routes update lanes to
+//!   the same pool, **migrating** elements whose new envelope crosses
 //!   shard boundaries (replicas and id maps stay consistent).
 //! * **[`ServiceStats`]** — queue depth and high-water mark, admission /
 //!   rejection counters, batch-size histogram (is coalescing working?),

@@ -23,11 +23,9 @@
 //! dropped. (Only a submission that races the flag *and* loses its
 //! dispatcher sees its ticket error with `RecvError::ShutDown`.)
 
-use crate::backend::{
-    BackendTelemetry, QueryRun, QueryRunResults, ServiceBackend, SubBatchOutcome,
-};
+use crate::backend::{QueryRun, QueryRunResults, ServiceBackend, SubBatchOutcome, UpdateReport};
 use crate::request::{Completion, Consistency, RecvError, Request, Response, SubmitError, Ticket};
-use crate::stats::{LatencyHistogram, ServiceStats, BATCH_BUCKETS};
+use crate::stats::{ServiceStats, BATCH_BUCKETS};
 use simspatial_geom::stats::PredicateCounts;
 use simspatial_geom::{ElementId, Point3, Shape};
 use simspatial_index::UpdateStats;
@@ -200,9 +198,9 @@ impl Drop for Envelope {
             shards_skipped: 0,
             epoch: 0,
         });
-        if let Ok(mut stats) = self.shared.stats.lock() {
-            stats.completed += 1;
-            stats.failed_requests += 1;
+        if let Ok(mut inner) = self.shared.stats.lock() {
+            inner.stats.completed += 1;
+            inner.stats.failed_requests += 1;
         }
     }
 }
@@ -211,54 +209,16 @@ impl Drop for Envelope {
 /// dispatcher thread (briefly, once per dispatch) and by stats snapshots —
 /// the submit hot path uses the lock-free atomics on [`Shared`] instead.
 #[derive(Default)]
-struct StatsInner {
-    completed: u64,
-    dispatches: u64,
-    coalesced_requests: u64,
-    batch_hist: [u64; BATCH_BUCKETS],
-    exec_elapsed_s: f64,
-    results: u64,
-    counts: PredicateCounts,
-    latency: LatencyHistogram,
-    updates_applied: u64,
-    migrations: u64,
-    updates_skipped: u64,
-    // Write-amplification counters (see `UpdateStats` for semantics).
-    updates_shipped: u64,
-    structural_touches: u64,
-    updates_absorbed: u64,
-    shard_rebuilds: u64,
-    rebuilds_avoided: u64,
-    elements_inserted: u64,
-    elements_removed: u64,
-    update_dispatches: u64,
-    coalesced_updates: u64,
-    update_hist: [u64; BATCH_BUCKETS],
-    /// Backend memory/shard gauges: captured at spawn, refreshed by the
-    /// dispatcher after every update application (migrations move elements
-    /// and shrink/grow shards).
-    memory_bytes: usize,
-    shard_sizes: Vec<usize>,
+struct Counters {
+    /// The counters as the dispatcher last flushed them. The five
+    /// admission fields stay zero here (they live in [`Shared`]'s atomics)
+    /// and `panics_caught` holds only the backend-supervised share;
+    /// [`Shared::snapshot`] overlays both.
+    stats: ServiceStats,
     /// Backend panics that unwound to the dispatcher thread and were
     /// caught there (distinct from the panics the backend supervises
-    /// internally, which arrive via `telemetry`).
+    /// internally, which arrive via its telemetry).
     sched_panics: u64,
-    /// Requests completed with [`RecvError::DeadlineExceeded`].
-    deadline_expired: u64,
-    /// Successful range/count responses with partial shard coverage.
-    partial_responses: u64,
-    /// Requests completed with [`RecvError::WorkerFailed`].
-    failed_requests: u64,
-    /// Epoch gauges/counters, refreshed every dispatch (see
-    /// [`ServiceStats`] for semantics). All zero on a backend without
-    /// snapshot support.
-    current_epoch: u64,
-    epochs_published: u64,
-    snapshot_reads: u64,
-    stale_reads: u64,
-    snapshot_clone_bytes: u64,
-    /// Latest backend failure counters, refreshed every dispatch.
-    telemetry: BackendTelemetry,
 }
 
 /// State shared by every handle, the service, and the scheduler thread.
@@ -288,61 +248,21 @@ struct Shared {
     max_queue_depth: AtomicUsize,
     /// Client-side `submit_with_retry` backoff sleeps taken, fleet-wide.
     retries_attempted: AtomicU64,
-    stats: Mutex<StatsInner>,
+    stats: Mutex<Counters>,
 }
 
 impl Shared {
-    fn note_admitted(&self, depth: usize) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-    }
-
     fn snapshot(&self) -> ServiceStats {
         let inner = self.stats.lock().expect("stats lock");
-        ServiceStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: inner.completed,
-            rejected: self.rejected.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Acquire),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            dispatches: inner.dispatches,
-            coalesced_requests: inner.coalesced_requests,
-            batch_hist: inner.batch_hist,
-            exec_elapsed_s: inner.exec_elapsed_s,
-            results: inner.results,
-            counts: inner.counts,
-            latency: inner.latency,
-            updates_applied: inner.updates_applied,
-            migrations: inner.migrations,
-            updates_skipped: inner.updates_skipped,
-            updates_shipped: inner.updates_shipped,
-            structural_touches: inner.structural_touches,
-            updates_absorbed: inner.updates_absorbed,
-            shard_rebuilds: inner.shard_rebuilds,
-            rebuilds_avoided: inner.rebuilds_avoided,
-            elements_inserted: inner.elements_inserted,
-            elements_removed: inner.elements_removed,
-            update_dispatches: inner.update_dispatches,
-            coalesced_updates: inner.coalesced_updates,
-            update_hist: inner.update_hist,
-            memory_bytes: inner.memory_bytes,
-            shard_sizes: inner.shard_sizes.clone(),
-            panics_caught: inner.sched_panics + inner.telemetry.panics_caught,
-            shard_restarts: inner.telemetry.shard_restarts,
-            shards_dead: inner.telemetry.shards_dead,
-            worker_steals: inner.telemetry.worker_steals,
-            worker_busy_ns: inner.telemetry.worker_busy_ns.clone(),
-            deadline_expired: inner.deadline_expired,
-            retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
-            partial_responses: inner.partial_responses,
-            failed_requests: inner.failed_requests,
-            current_epoch: inner.current_epoch,
-            epochs_published: inner.epochs_published,
-            snapshot_reads: inner.snapshot_reads,
-            stale_reads: inner.stale_reads,
-            snapshot_clone_bytes: inner.snapshot_clone_bytes,
-            tenants: Vec::new(),
-        }
+        let mut stats = inner.stats.clone();
+        stats.panics_caught += inner.sched_panics;
+        drop(inner);
+        stats.submitted = self.submitted.load(Ordering::Relaxed);
+        stats.rejected = self.rejected.load(Ordering::Relaxed);
+        stats.queue_depth = self.queue_depth.load(Ordering::Acquire);
+        stats.max_queue_depth = self.max_queue_depth.load(Ordering::Relaxed);
+        stats.retries_attempted = self.retries_attempted.load(Ordering::Relaxed);
+        stats
     }
 }
 
@@ -522,56 +442,52 @@ impl ServiceHandle {
             shared: Arc::clone(&self.shared),
         };
         let depth = self.shared.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
-        if blocking {
-            match self.tx.send(env) {
-                Ok(()) => {
-                    self.shared.note_admitted(depth);
-                    Ok(Ticket { rx, submitted })
-                }
-                Err(mpsc::SendError(mut env)) => {
-                    self.shared.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                    // Hand the request back un-completed: dropping the
-                    // reply sender here must not fire the straggler guard.
-                    env.reply = None;
-                    Err(SubmitError::ShutDown(std::mem::replace(
-                        &mut env.request,
-                        Request::Range(Vec::new()),
-                    )))
-                }
-            }
+        let sent = if blocking {
+            self.tx
+                .send(env)
+                .map_err(|mpsc::SendError(env)| (env, false))
         } else {
-            match self.tx.try_send(env) {
-                Ok(()) => {
-                    self.shared.note_admitted(depth);
-                    Ok(Ticket { rx, submitted })
-                }
-                Err(mpsc::TrySendError::Full(mut env)) => {
-                    // Undo our own provisional increment; what remains is
-                    // the congestion the rejected client should back off
-                    // against.
-                    let depth = self
-                        .shared
-                        .queue_depth
-                        .fetch_sub(1, Ordering::AcqRel)
-                        .saturating_sub(1);
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    env.reply = None;
-                    Err(SubmitError::Full {
-                        request: std::mem::replace(&mut env.request, Request::Range(Vec::new())),
-                        depth,
-                        capacity: self.shared.queue_cap,
-                        high_water: self.shared.max_queue_depth.load(Ordering::Relaxed),
-                    })
-                }
-                Err(mpsc::TrySendError::Disconnected(mut env)) => {
-                    self.shared.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                    env.reply = None;
-                    Err(SubmitError::ShutDown(std::mem::replace(
-                        &mut env.request,
-                        Request::Range(Vec::new()),
-                    )))
-                }
+            self.tx.try_send(env).map_err(|e| match e {
+                mpsc::TrySendError::Full(env) => (env, true),
+                mpsc::TrySendError::Disconnected(env) => (env, false),
+            })
+        };
+        match sent {
+            Ok(()) => {
+                self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .max_queue_depth
+                    .fetch_max(depth, Ordering::Relaxed);
+                Ok(Ticket { rx, submitted })
             }
+            Err((env, full)) => Err(self.reject(env, full)),
+        }
+    }
+
+    /// Hands a request the intake queue refused back to its submitter:
+    /// [`SubmitError::Full`] when the queue was at capacity, `ShutDown`
+    /// when the scheduler is gone.
+    fn reject(&self, mut env: Envelope, full: bool) -> SubmitError {
+        // Undo our own provisional increment; what remains is the
+        // congestion a rejected client should back off against.
+        let depth = self
+            .shared
+            .queue_depth
+            .fetch_sub(1, Ordering::AcqRel)
+            .saturating_sub(1);
+        // The request goes back un-completed: dropping the reply sender
+        // here must not fire the straggler guard.
+        env.reply = None;
+        let request = std::mem::replace(&mut env.request, Request::Range(Vec::new()));
+        if !full {
+            return SubmitError::ShutDown(request);
+        }
+        self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+        SubmitError::Full {
+            request,
+            depth,
+            capacity: self.shared.queue_cap,
+            high_water: self.shared.max_queue_depth.load(Ordering::Relaxed),
         }
     }
 
@@ -674,7 +590,7 @@ struct Scheduler<B: ServiceBackend> {
 }
 
 /// Accounting accumulated across the runs of one dispatch, folded into
-/// [`StatsInner`] in a single critical section at the end.
+/// [`Counters`] in a single critical section at the end.
 #[derive(Default)]
 struct DispatchTotals {
     exec_elapsed_s: f64,
@@ -709,8 +625,8 @@ impl Drop for DeadGuard {
         if self.armed {
             self.shared.dead.store(true, Ordering::Release);
             self.shared.open.store(false, Ordering::Release);
-            if let Ok(mut stats) = self.shared.stats.lock() {
-                stats.sched_panics += 1;
+            if let Ok(mut inner) = self.shared.stats.lock() {
+                inner.sched_panics += 1;
             }
         }
     }
@@ -897,11 +813,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             if self.poisoned {
                 // Backend state is unknown after an unrecovered write-path
                 // panic: fail everything not yet served, fast.
-                for &i in &barrier_idx[lo..] {
-                    if self.failures[i].is_none() {
-                        self.failures[i] = Some(RecvError::WorkerFailed { shard: 0 });
-                    }
-                }
+                self.fail_rest(&barrier_idx[lo..], 0);
                 break;
             }
             let write = self.pending[barrier_idx[lo]].request.is_write();
@@ -951,7 +863,9 @@ impl<B: ServiceBackend> Scheduler<B> {
         // happens after the lock is released, so producer submits never
         // wait behind the reply sends).
         {
-            let mut stats = self.shared.stats.lock().expect("stats lock");
+            let mut inner = self.shared.stats.lock().expect("stats lock");
+            inner.sched_panics += totals.sched_panics + std::mem::take(&mut self.publish_panics);
+            let stats = &mut inner.stats;
             stats.dispatches += 1;
             stats.coalesced_requests += n as u64;
             let bucket = (usize::BITS - 1 - n.leading_zeros()) as usize;
@@ -981,7 +895,6 @@ impl<B: ServiceBackend> Scheduler<B> {
                 stats.memory_bytes = self.backend.memory_bytes();
                 stats.shard_sizes = self.backend.shard_sizes();
             }
-            stats.sched_panics += totals.sched_panics + std::mem::take(&mut self.publish_panics);
             stats.deadline_expired += deadline_expired;
             stats.failed_requests += failed_requests;
             stats.partial_responses += partial_responses;
@@ -992,7 +905,11 @@ impl<B: ServiceBackend> Scheduler<B> {
             if self.snapshots {
                 stats.snapshot_clone_bytes = self.backend.snapshot_clone_bytes();
             }
-            stats.telemetry = telemetry;
+            stats.panics_caught = telemetry.panics_caught;
+            stats.shard_restarts = telemetry.shard_restarts;
+            stats.shards_dead = telemetry.shards_dead;
+            stats.worker_steals = telemetry.worker_steals;
+            stats.worker_busy_ns = telemetry.worker_busy_ns;
             stats.completed += n as u64;
             for env in &self.pending {
                 stats.latency.record(env.submitted.elapsed());
@@ -1117,11 +1034,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             Ok(report) => report,
             Err(_) => {
                 totals.sched_panics += 1;
-                self.fail_requests(&self.range_req.clone(), 0);
-                for idx in 0..self.knn_flat.len() {
-                    let (_, i, _, _) = self.knn_flat[idx];
-                    self.failures[i] = Some(RecvError::WorkerFailed { shard: 0 });
-                }
+                self.fail_rest(idxs, 0);
                 if !self.backend.recover(false) {
                     self.poison();
                 }
@@ -1140,27 +1053,30 @@ impl<B: ServiceBackend> Scheduler<B> {
                 totals.exec_elapsed_s += r.stats.elapsed_s;
                 totals.results += r.stats.results;
                 totals.counts.add(&r.stats.counts);
+                // The request owning coalesced box `q`.
+                let owner = |q: u32| {
+                    let q = q as usize;
+                    let mut reqs = self.range_req.iter();
+                    reqs.find(|&&(_, s, l)| (s..s + l).contains(&q))
+                        .map(|&(i, ..)| i)
+                };
                 for &(q, shard) in &r.failed {
-                    if let Some(&(i, ..)) = self
-                        .range_req
-                        .iter()
-                        .find(|&&(_, s, l)| (q as usize) >= s && (q as usize) < s + l)
-                    {
+                    if let Some(i) = owner(q) {
                         self.failures[i] = Some(RecvError::WorkerFailed { shard });
                     }
                 }
                 for &(q, n_skipped) in &r.partial {
-                    if let Some(&(i, ..)) = self
-                        .range_req
-                        .iter()
-                        .find(|&&(_, s, l)| (q as usize) >= s && (q as usize) < s + l)
-                    {
+                    if let Some(i) = owner(q) {
                         self.skipped[i] += n_skipped;
                     }
                 }
                 range_ok = true;
             }
-            Some(_) => self.fail_requests(&self.range_req.clone(), 0),
+            Some(_) => {
+                for &(i, ..) in &self.range_req {
+                    self.failures[i] = Some(RecvError::WorkerFailed { shard: 0 });
+                }
+            }
         }
         if range_ok {
             for &(i, start, len) in &self.range_req {
@@ -1225,14 +1141,6 @@ impl<B: ServiceBackend> Scheduler<B> {
         }
     }
 
-    /// Marks every request of `reqs` (range-request bookkeeping triples)
-    /// failed with [`RecvError::WorkerFailed`] on `shard`.
-    fn fail_requests(&mut self, reqs: &[(usize, usize, usize)], shard: usize) {
-        for &(i, ..) in reqs {
-            self.failures[i] = Some(RecvError::WorkerFailed { shard });
-        }
-    }
-
     /// Transitions the service into the poisoned terminal state: the
     /// backend could not vouch for its dataset after a write-path panic,
     /// so admission closes and everything still in flight or queued fails
@@ -1259,16 +1167,7 @@ impl<B: ServiceBackend> Scheduler<B> {
         // admission order.
         self.updates.clear();
         let mut seg = 0usize;
-        for pos in 0..idxs.len() {
-            let i = idxs[pos];
-            if self.poisoned {
-                for &j in &idxs[pos..] {
-                    if self.failures[j].is_none() {
-                        self.failures[j] = Some(RecvError::WorkerFailed { shard: 0 });
-                    }
-                }
-                return;
-            }
+        for (pos, &i) in idxs.iter().enumerate() {
             if self.failures[i].is_some() {
                 continue; // shed at admission: the write never happens, so
                           // later queries correctly see state without it
@@ -1302,123 +1201,117 @@ impl<B: ServiceBackend> Scheduler<B> {
             // Membership barrier: flush the geometry segment admitted
             // before it, then run the membership call itself.
             self.flush_geometry(&idxs[seg..pos], totals);
+            if !self.poisoned {
+                self.run_membership(i, totals);
+            }
             if self.poisoned {
-                for &j in &idxs[pos..] {
-                    if self.failures[j].is_none() {
-                        self.failures[j] = Some(RecvError::WorkerFailed { shard: 0 });
-                    }
-                }
+                self.fail_rest(&idxs[pos..], 0);
                 return;
             }
-            self.run_membership(i, totals);
             seg = pos + 1;
         }
         self.flush_geometry(&idxs[seg..], totals);
     }
 
-    /// Applies the flattened geometry writes of the requests in `seg`
-    /// as one coalesced backend application. On a shard death the
-    /// segment's surviving write requests fail with the typed error — the
-    /// write *may* be partially applied (it is applied on every surviving
-    /// shard); which requests' entries landed on the dead shard is not
-    /// attributable after coalescing, so the whole segment fails. On an
-    /// unrecovered dispatcher-level write panic the service poisons.
-    /// Every applied (even partially applied) segment **publishes the
-    /// next epoch** and stamps it on the segment's surviving requests —
-    /// the ack a client receives carries the epoch that made its write
-    /// visible to snapshot readers.
-    fn flush_geometry(&mut self, seg: &[usize], totals: &mut DispatchTotals) {
-        if self.updates.is_empty() {
-            return;
+    /// Fails every request of `idxs` not already failed with
+    /// [`RecvError::WorkerFailed`] on `shard` — the backend state is
+    /// unknown after an unrecovered write-path panic (or a shard died under
+    /// the write), so everything not yet served fails fast.
+    fn fail_rest(&mut self, idxs: &[usize], shard: usize) {
+        for &i in idxs {
+            if self.failures[i].is_none() {
+                self.failures[i] = Some(RecvError::WorkerFailed { shard });
+            }
         }
-        let call = catch_unwind(AssertUnwindSafe(|| {
-            self.backend.update_batch(&self.updates)
-        }));
-        match call {
-            Ok(report) => {
+    }
+
+    /// The shared tail of every backend write application: runs `call`
+    /// (carrying `size` element updates on behalf of the write requests
+    /// `seg`) under `catch_unwind` and accounts it. On a shard death the
+    /// segment's surviving requests fail with the typed error — the write
+    /// *may* be partially applied (it is applied on every surviving
+    /// shard); which requests' entries landed on the dead shard is not
+    /// attributable after coalescing, so the whole segment fails. A panic
+    /// that unwound out of the write is only survivable if the backend can
+    /// restore index–data consistency (recovery restores consistency, not
+    /// the write's atomicity); otherwise the service poisons. Every applied
+    /// (even partially applied) write **publishes the next epoch** and
+    /// stamps it on the segment's surviving requests — the ack a client
+    /// receives carries the epoch that made its write visible to snapshot
+    /// readers. Returns `call`'s value when the write fully succeeded.
+    fn apply_write<R>(
+        &mut self,
+        seg: &[usize],
+        size: usize,
+        totals: &mut DispatchTotals,
+        call: impl FnOnce(&mut B) -> (R, UpdateReport),
+    ) -> Option<R> {
+        let backend = &mut self.backend;
+        let value = match catch_unwind(AssertUnwindSafe(|| call(backend))) {
+            Ok((value, report)) => {
                 totals.exec_elapsed_s += report.stats.elapsed_s;
                 totals.update.add(&report.stats);
-                totals.update_runs.push(self.updates.len());
-                if let Some(shard) = report.failed {
-                    for &i in seg {
-                        if self.failures[i].is_none() && self.pending[i].request.is_write() {
-                            self.failures[i] = Some(RecvError::WorkerFailed { shard });
-                        }
+                totals.update_runs.push(size);
+                match report.failed {
+                    Some(shard) => {
+                        self.fail_rest(seg, shard);
+                        None
                     }
+                    None => Some(value),
                 }
             }
             Err(_) => {
                 totals.sched_panics += 1;
-                for &i in seg {
-                    if self.failures[i].is_none() && self.pending[i].request.is_write() {
-                        self.failures[i] = Some(RecvError::WorkerFailed { shard: 0 });
-                    }
-                }
-                // A panic that unwound out of a *write* is only survivable
-                // if the backend can restore index–data consistency
-                // (recovery restores consistency, not the write's
-                // atomicity — the batch may be partially applied).
+                self.fail_rest(seg, 0);
                 if !self.backend.recover(true) {
                     self.poison();
                 }
+                None
             }
-        }
-        self.updates.clear();
-        // The live dataset advanced (wholly or, on a shard death,
-        // partially): publish the barrier's epoch so snapshot readers see
-        // it, then stamp it on the acked writes.
+        };
         self.publish_epoch(self.epoch + 1);
         for &i in seg {
             if self.failures[i].is_none() {
                 self.epochs[i] = self.epoch;
             }
         }
+        value
+    }
+
+    /// Applies the flattened geometry writes of the requests in `seg` as
+    /// one coalesced backend application (see [`Scheduler::apply_write`]).
+    fn flush_geometry(&mut self, seg: &[usize], totals: &mut DispatchTotals) {
+        if self.updates.is_empty() {
+            return;
+        }
+        let updates = std::mem::take(&mut self.updates);
+        self.apply_write(seg, updates.len(), totals, |backend| {
+            ((), backend.update_batch(&updates))
+        });
+        self.updates = updates;
+        self.updates.clear();
     }
 
     /// Runs the membership request at pending index `i` (`Insert` or
-    /// `Remove`) as its own backend call, with the same failure discipline
-    /// as a geometry segment — scoped to this single request, since the
-    /// backend call carries nothing else.
+    /// `Remove`) as its own backend call — a write barrier like any other,
+    /// with [`Scheduler::apply_write`]'s failure discipline scoped to this
+    /// single request, since the backend call carries nothing else.
     fn run_membership(&mut self, i: usize, totals: &mut DispatchTotals) {
-        let call = match &self.pending[i].request {
+        let request = std::mem::replace(&mut self.pending[i].request, Request::Range(Vec::new()));
+        let response = self.apply_write(&[i], request.len(), totals, |backend| match &request {
             Request::Insert(envelopes) => {
                 let shapes: Vec<Shape> = envelopes.iter().map(|&bb| Shape::Box(bb)).collect();
-                catch_unwind(AssertUnwindSafe(|| {
-                    let (ids, report) = self.backend.insert_batch(&shapes);
-                    (Response::Insert(ids), report)
-                }))
+                let (ids, report) = backend.insert_batch(&shapes);
+                (Response::Insert(ids), report)
             }
-            Request::Remove(ids) => catch_unwind(AssertUnwindSafe(|| {
-                let report = self.backend.remove_batch(ids);
-                (Response::Remove(ids.len() as u64), report)
-            })),
+            Request::Remove(ids) => (
+                Response::Remove(ids.len() as u64),
+                backend.remove_batch(ids),
+            ),
             _ => unreachable!("run_membership called on a non-membership request"),
-        };
-        match call {
-            Ok((response, report)) => {
-                totals.exec_elapsed_s += report.stats.elapsed_s;
-                totals.update.add(&report.stats);
-                totals.update_runs.push(self.pending[i].request.len());
-                if let Some(shard) = report.failed {
-                    self.failures[i] = Some(RecvError::WorkerFailed { shard });
-                } else {
-                    self.responses[i] = Some(response);
-                }
-            }
-            Err(_) => {
-                totals.sched_panics += 1;
-                self.failures[i] = Some(RecvError::WorkerFailed { shard: 0 });
-                if !self.backend.recover(true) {
-                    self.poison();
-                }
-            }
-        }
-        // Membership is a write barrier like any other: publish its epoch
-        // and stamp the ack (see `flush_geometry`).
-        self.publish_epoch(self.epoch + 1);
-        if self.failures[i].is_none() {
-            self.epochs[i] = self.epoch;
-        }
+        });
+        self.pending[i].request = request;
+        self.responses[i] = response;
     }
 }
 
@@ -1469,10 +1362,13 @@ impl SpatialService {
             rejected: AtomicU64::new(0),
             max_queue_depth: AtomicUsize::new(0),
             retries_attempted: AtomicU64::new(0),
-            stats: Mutex::new(StatsInner {
-                memory_bytes: backend.memory_bytes(),
-                shard_sizes: backend.shard_sizes(),
-                ..StatsInner::default()
+            stats: Mutex::new(Counters {
+                stats: ServiceStats {
+                    memory_bytes: backend.memory_bytes(),
+                    shard_sizes: backend.shard_sizes(),
+                    ..ServiceStats::default()
+                },
+                sched_panics: 0,
             }),
         });
         let (tx, rx) = mpsc::sync_channel(config.queue_cap.max(1));

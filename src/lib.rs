@@ -60,7 +60,7 @@
 //! | [`join`] | `simspatial-join` | nested-loop, sweep, PBSM, TOUCH-style, small-cell joins |
 //! | [`moving`] | `simspatial-moving` | update/rebuild/scan strategies & crossover analysis |
 //! | [`sim`] | `simspatial-sim` | time-stepped simulation engine + workloads |
-//! | [`service`] | `simspatial-service` | concurrent query service: micro-batching scheduler + per-shard workers |
+//! | [`service`] | `simspatial-service` | concurrent query service: micro-batching scheduler + work-stealing shard pool |
 //! | [`net`] | `simspatial-net` | TCP front end: binary wire protocol, multiplexed connections, multi-tenant fair admission |
 //!
 //! See `ARCHITECTURE.md` at the repository root for how the layers (SoA

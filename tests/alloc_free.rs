@@ -6,21 +6,34 @@
 //! lower-bound buffers all live in the reused scratch).
 //!
 //! A counting global allocator (this test binary only) tallies every
-//! allocation. After warm-up batches grow the scratch and sink buffers to
-//! their high-water marks, further batches over the same workload must not
-//! allocate at all.
+//! allocation **per thread**. After warm-up batches grow the scratch and
+//! sink buffers to their high-water marks, further batches over the same
+//! workload must not allocate at all on the measuring thread — sibling
+//! tests warming up concurrently under the default harness do not count.
 
 use simspatial::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count. `const`-initialised and without a
+    /// destructor, so touching it from inside the allocator never
+    /// allocates and never registers a TLS dtor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counter bump touches only a thread-local `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -29,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,8 +50,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// The count after warm-up. Building the dataset and growing the buffers
+/// allocated on this thread, so zero here means the counter is blind and
+/// the steady-state assertion would pass vacuously.
+fn allocations_after_warm_up() -> u64 {
+    let n = allocations();
+    assert!(n > 0, "the counting allocator saw no warm-up allocation");
+    n
 }
 
 fn soup(n: u32) -> Vec<Element> {
@@ -71,7 +94,7 @@ fn assert_steady_state_alloc_free(name: &str, index: &dyn SpatialIndex, data: &[
         engine.range_collect(index, data, &queries, &mut results);
     }
     let total = results.total();
-    let before = allocations();
+    let before = allocations_after_warm_up();
     for _ in 0..10 {
         engine.range_collect(index, data, &queries, &mut results);
         assert_eq!(results.total(), total, "{name}: results changed");
@@ -99,7 +122,7 @@ fn assert_knn_steady_state_alloc_free(name: &str, index: &dyn KnnIndex, data: &[
         engine.knn_collect(index, data, &points, 10, &mut results);
     }
     let total = results.total();
-    let before = allocations();
+    let before = allocations_after_warm_up();
     for _ in 0..10 {
         engine.knn_collect(index, data, &points, 10, &mut results);
         assert_eq!(results.total(), total, "{name}: results changed");
@@ -151,7 +174,7 @@ fn soa_simd_kernels_are_allocation_free() {
     soa.contains_mask(&queries[0], &mut mask);
     soa.min_dist2_into(&points[0], &mut dists);
     soa.min_dist2_gather_into(&points[0], &gather, &mut dists);
-    let before = allocations();
+    let before = allocations_after_warm_up();
     for _ in 0..10 {
         for q in &queries {
             soa.intersect_mask(q, &mut mask);

@@ -6,14 +6,18 @@
 //!   still returns complete results.
 //! * **Thread-count differential**: a coalesced mixed range/kNN run
 //!   through `ShardedBackend::query_run` returns byte-identical results
-//!   at 1, 2 and 4 pool workers, and matches the sequential per-sub-batch
-//!   `range_batch`/`knn_batch` path.
+//!   at 1, 2 and 4 pool workers, and matches a serial `ShardedEngine`
+//!   over the same data. With a shard dead, `range_batch`/`knn_batch`
+//!   and the equivalent one-sub-batch `query_run` agree on results and
+//!   on their `partial`/`failed` reports.
 //! * **Observability**: the pool gauges (`worker_busy_ns`,
 //!   `worker_steals`) flow through `ServiceStats` and its `summary()`.
 
 use simspatial::prelude::*;
 use simspatial_geom::parallel;
-use simspatial_service::{QueryRun, QueryRunResults, SubBatchOutcome};
+use simspatial_service::{
+    BatchReport, QueryRun, QueryRunResults, SubBatchOutcome, SupervisorPolicy,
+};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -34,12 +38,83 @@ fn soup(n: u32, seed: u32) -> Vec<Element> {
         .collect()
 }
 
-fn sharded_backend(shards: usize) -> ShardedBackend {
+fn sharded_engine(shards: usize) -> ShardedEngine<UniformGrid> {
     let data = soup(4000, 7);
-    let engine = ShardedEngine::build(&data, shards, |part| {
+    ShardedEngine::build(&data, shards, |part| {
         UniformGrid::build(part, GridConfig::auto(part))
-    });
-    ShardedBackend::spawn(engine)
+    })
+}
+
+fn sharded_backend(shards: usize) -> ShardedBackend {
+    ShardedBackend::spawn(sharded_engine(shards))
+}
+
+/// A 4-shard backend whose shard 1 dies on its first job: no restart
+/// budget, and a panic installed at job sequence 0.
+fn dying_shard_backend() -> ShardedBackend {
+    let policy = SupervisorPolicy {
+        max_restarts: 0,
+        ..SupervisorPolicy::default()
+    };
+    let mut backend = ShardedBackend::spawn_with(sharded_engine(4), policy);
+    backend.install_worker_faults(&[(1, 0, FaultKind::Panic)]);
+    backend
+}
+
+fn ran(outcome: Option<&SubBatchOutcome>) -> &BatchReport {
+    match outcome {
+        Some(SubBatchOutcome::Ran(report)) => report,
+        other => panic!("sub-batch did not run: {other:?}"),
+    }
+}
+
+/// Dead-shard input: the per-batch entry points and a one-sub-batch
+/// `query_run` must degrade identically — same surviving results, same
+/// `partial` (range) and `failed` (kNN) reports.
+fn assert_batch_calls_match_one_sub_batch_runs(run: &QueryRun) {
+    let mut batch = dying_shard_backend();
+    let mut runs = dying_shard_backend();
+
+    let mut batch_out = BatchResults::new();
+    let batch_report = batch.range_batch(&run.range, &mut batch_out);
+    let range_only = QueryRun {
+        range: run.range.clone(),
+        knn: Vec::new(),
+    };
+    let mut runs_out = QueryRunResults::default();
+    let report = runs.query_run(&range_only, &mut runs_out);
+    assert_eq!(batch.dead_shards(), vec![1]);
+    assert_eq!(runs.dead_shards(), vec![1]);
+    let run_report = ran(report.range.as_ref());
+    assert!(!batch_report.partial.is_empty(), "no box reached shard 1");
+    assert_eq!(batch_report.partial, run_report.partial);
+    assert_eq!(batch_report.failed, run_report.failed);
+    for q in 0..run.range.len() {
+        assert_eq!(batch_out.query_results(q), runs_out.range.query_results(q));
+    }
+
+    let mut failed_probes = 0;
+    for (k, pts) in &run.knn {
+        let mut batch_out = KnnBatchResults::new();
+        let batch_report = batch.knn_batch(pts, *k, &mut batch_out);
+        let knn_only = QueryRun {
+            range: Vec::new(),
+            knn: vec![(*k, pts.clone())],
+        };
+        let report = runs.query_run(&knn_only, &mut runs_out);
+        let run_report = ran(report.knn.first());
+        assert_eq!(batch_report.failed, run_report.failed, "k={k}");
+        assert_eq!(batch_report.partial, run_report.partial, "k={k}");
+        failed_probes += batch_report.failed.len();
+        for p in 0..pts.len() {
+            assert_eq!(
+                batch_out.query_results(p),
+                runs_out.knn[0].query_results(p),
+                "k={k} probe {p}"
+            );
+        }
+    }
+    assert!(failed_probes > 0, "no probe needed shard 1");
 }
 
 fn mix(h: u32) -> u32 {
@@ -109,18 +184,20 @@ fn query_run_matches_sequential_at_every_thread_count() {
     let old = parallel::num_threads();
     let run = mixed_run();
 
-    // Oracle: the per-sub-batch sequential path at one worker.
+    // Oracle: a serial `ShardedEngine` over the same data — the backend's
+    // `range_batch`/`knn_batch` run the executor under test, so they
+    // cannot serve as its reference.
     parallel::set_num_threads(1);
-    let mut oracle = sharded_backend(4);
+    let mut oracle = sharded_engine(4);
     let mut range_out = BatchResults::new();
-    oracle.range_batch(&run.range, &mut range_out);
+    oracle.range_collect(&run.range, &mut range_out);
     let oracle_range: Vec<Vec<ElementId>> = (0..run.range.len())
         .map(|q| range_out.query_results(q).to_vec())
         .collect();
     let mut oracle_knn = Vec::new();
     for (k, pts) in &run.knn {
         let mut out = KnnBatchResults::new();
-        oracle.knn_batch(pts, *k, &mut out);
+        oracle.knn_collect(pts, *k, &mut out);
         oracle_knn.push(
             (0..pts.len())
                 .map(|p| out.query_results(p).to_vec())
@@ -156,6 +233,7 @@ fn query_run_matches_sequential_at_every_thread_count() {
                 );
             }
         }
+        assert_batch_calls_match_one_sub_batch_runs(&run);
     }
     parallel::set_num_threads(old);
 }
