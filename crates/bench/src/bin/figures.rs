@@ -7,6 +7,8 @@
 //! Prints a paper-vs-measured report per experiment (see DESIGN.md §3 for
 //! the experiment index and EXPERIMENTS.md for recorded outcomes).
 
+#![forbid(unsafe_code)]
+
 use simspatial_bench::{experiments, Scale};
 
 fn main() {

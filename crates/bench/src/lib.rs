@@ -27,6 +27,8 @@
 //! 200 M-element runs; the *shapes* (ratios, percentages, crossovers) are
 //! the reproduction target — see DESIGN.md.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod experiments;
 pub mod report;

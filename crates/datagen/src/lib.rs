@@ -25,6 +25,7 @@
 //!
 //! All generators are seeded and fully deterministic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dataset;

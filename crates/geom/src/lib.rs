@@ -30,9 +30,8 @@
 //! * [`scratch`] — reusable per-thread query buffers ([`QueryScratch`]) and
 //!   the generation-stamped [`scratch::VisitedTable`], making the repeat
 //!   query path allocation-free.
-//! * [`simd`] — explicit `std::arch` backends for the batch kernels
-//!   (x86_64 SSE2/AVX2 behind the `simd` cargo feature, runtime-detected,
-//!   bit-identical to the scalar paths).
+//! * [`simd`] — the name of the one kernel path (`SimdLevel::Scalar`),
+//!   kept only for the benchmark's `host` line.
 //! * [`parallel`] — slice-parallel build helpers over scoped threads.
 //! * [`stats`] — thread-local instrumentation counters.
 //!
@@ -49,6 +48,7 @@
 //! assert_eq!(stats::snapshot().tree_tests, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aabb;

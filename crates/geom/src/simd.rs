@@ -1,572 +1,17 @@
-//! Explicit SIMD backends for the SoA batch kernels.
-//!
-//! The autovectorized scalar kernels in [`crate::soa`] leave two things on
-//! the table: the compiler will not emit `movmskps`-style lane compaction
-//! for the mask kernels (the per-lane byte fold in the scalar path is ~40%
-//! of its cost on pure intersection), and it targets the baseline
-//! `x86-64` feature set (SSE2, 4 lanes) even on AVX2 hardware. This module
-//! provides hand-written `std::arch` implementations — 8-lane AVX2 and
-//! 4-lane SSE2 — selected **at runtime** behind the `simd` cargo feature.
-//!
-//! ## Dispatch contract
-//!
-//! * Compiled only with `--features simd` on `x86_64`; every other build
-//!   (or a CPU without SSE2/AVX2) transparently uses the scalar kernels.
-//! * [`level`] probes CPU features once and caches the verdict; the
-//!   `SIMSPATIAL_SIMD` environment variable (`scalar` / `sse2` / `avx2`)
-//!   caps the level below the detected one — forcing `scalar` turns the
-//!   feature into a no-op, and differential tests use it to compare paths
-//!   inside one binary.
-//! * Results are **bit-identical** to the scalar kernels, including NaN
-//!   and infinite coordinates: the comparisons use ordered (`_CMP_*_OQ`)
-//!   predicates, which agree with Rust's `<=`/`>=` on NaN, and the
-//!   `MINDIST` max-chain places each possibly-NaN operand in the first
-//!   `maxps` slot so the IEEE "return the second operand on NaN" rule
-//!   reproduces `f32::max`'s "return the non-NaN operand" semantics. No
-//!   FMA contraction is used (it would change rounding).
-//!
-//! The kernels take raw coordinate slices rather than [`crate::SoaAabbs`]
-//! so the CR-Tree's quantized slab (or any other SoA layout) can reuse the
-//! dispatch machinery.
+//! The name of the one kernel path: [`crate::soa`]'s autovectorised loops
+//! are the only batch kernels. This module exists **solely** because the
+//! frozen `benchmark/src/main.rs` prints `simd::level()` on its `host` line
+//! (`"simd":"Scalar"`); the benchmark PR that drops that field deletes
+//! this module with it.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// The SIMD instruction level the kernels run at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// The instruction level the batch kernels run at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Autovectorized scalar kernels (always available).
+    /// The autovectorised loops in [`crate::soa`].
     Scalar,
-    /// 4-lane SSE2 (baseline on every `x86_64`).
-    Sse2,
-    /// 8-lane AVX2.
-    Avx2,
 }
 
-const LEVEL_UNKNOWN: u8 = 0;
-const LEVEL_SCALAR: u8 = 1;
-const LEVEL_SSE2: u8 = 2;
-const LEVEL_AVX2: u8 = 3;
-
-static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNKNOWN);
-
-/// The active SIMD level: the best the CPU supports, capped by the
-/// `SIMSPATIAL_SIMD` environment variable (`scalar`/`sse2`/`avx2`).
-/// Probed once and cached. Without the `simd` feature (or off `x86_64`)
-/// this is always [`SimdLevel::Scalar`].
+/// Always [`SimdLevel::Scalar`].
 pub fn level() -> SimdLevel {
-    match LEVEL.load(Ordering::Relaxed) {
-        LEVEL_UNKNOWN => {
-            let l = detect();
-            LEVEL.store(
-                match l {
-                    SimdLevel::Scalar => LEVEL_SCALAR,
-                    SimdLevel::Sse2 => LEVEL_SSE2,
-                    SimdLevel::Avx2 => LEVEL_AVX2,
-                },
-                Ordering::Relaxed,
-            );
-            l
-        }
-        LEVEL_SCALAR => SimdLevel::Scalar,
-        LEVEL_SSE2 => SimdLevel::Sse2,
-        _ => SimdLevel::Avx2,
-    }
-}
-
-fn detect() -> SimdLevel {
-    let cap = match std::env::var("SIMSPATIAL_SIMD").as_deref() {
-        Ok("scalar") => SimdLevel::Scalar,
-        Ok("sse2") => SimdLevel::Sse2,
-        _ => SimdLevel::Avx2,
-    };
-    let hw = hw_level();
-    hw.min(cap)
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn hw_level() -> SimdLevel {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        SimdLevel::Avx2
-    } else if std::arch::is_x86_feature_detected!("sse2") {
-        SimdLevel::Sse2
-    } else {
-        SimdLevel::Scalar
-    }
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-fn hw_level() -> SimdLevel {
     SimdLevel::Scalar
-}
-
-/// The six coordinate slices of an SoA box store, equal lengths, in
-/// `min_x, min_y, min_z, max_x, max_y, max_z` order.
-pub type CoordSlices<'a> = [&'a [f32]; 6];
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub use x86::*;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod x86 {
-    use super::{level, CoordSlices, SimdLevel};
-    use crate::{Aabb, Point3};
-    #[allow(clippy::wildcard_imports)]
-    use std::arch::x86_64::*;
-
-    /// Fills `mask` (one bit per entry, `ceil(n/64)` words) with the
-    /// intersection verdicts of every box against `query`. Returns `false`
-    /// when the active level is scalar (caller falls back).
-    #[inline]
-    pub fn intersect_mask(coords: &CoordSlices, query: &Aabb, mask: &mut [u64]) -> bool {
-        intersect_mask_at(level(), coords, query, mask)
-    }
-
-    /// [`intersect_mask`] at an explicit level — the differential tests use
-    /// this to exercise the SSE2 lanes on AVX2 hosts. Callers must not pass
-    /// a level above what the CPU supports.
-    #[doc(hidden)]
-    pub fn intersect_mask_at(
-        level: SimdLevel,
-        coords: &CoordSlices,
-        query: &Aabb,
-        mask: &mut [u64],
-    ) -> bool {
-        match level {
-            SimdLevel::Avx2 => unsafe {
-                intersect_mask_avx2(coords, query, mask);
-                true
-            },
-            SimdLevel::Sse2 => unsafe {
-                intersect_mask_sse2(coords, query, mask);
-                true
-            },
-            SimdLevel::Scalar => false,
-        }
-    }
-
-    /// Fills `mask` with containment verdicts (`query` contains box).
-    /// Returns `false` on scalar fallback.
-    #[inline]
-    pub fn contains_mask(coords: &CoordSlices, query: &Aabb, mask: &mut [u64]) -> bool {
-        contains_mask_at(level(), coords, query, mask)
-    }
-
-    /// [`contains_mask`] at an explicit level.
-    #[doc(hidden)]
-    pub fn contains_mask_at(
-        level: SimdLevel,
-        coords: &CoordSlices,
-        query: &Aabb,
-        mask: &mut [u64],
-    ) -> bool {
-        match level {
-            SimdLevel::Avx2 => unsafe {
-                contains_mask_avx2(coords, query, mask);
-                true
-            },
-            SimdLevel::Sse2 => unsafe {
-                contains_mask_sse2(coords, query, mask);
-                true
-            },
-            SimdLevel::Scalar => false,
-        }
-    }
-
-    /// Writes the squared `MINDIST` from `p` to every box into `out`
-    /// (pre-sized to the entry count). Returns `false` on scalar fallback.
-    #[inline]
-    pub fn min_dist2(coords: &CoordSlices, p: &Point3, out: &mut [f32]) -> bool {
-        min_dist2_at(level(), coords, p, out)
-    }
-
-    /// [`min_dist2`] at an explicit level.
-    #[doc(hidden)]
-    pub fn min_dist2_at(
-        level: SimdLevel,
-        coords: &CoordSlices,
-        p: &Point3,
-        out: &mut [f32],
-    ) -> bool {
-        match level {
-            SimdLevel::Avx2 => unsafe {
-                min_dist2_avx2(coords, p, out);
-                true
-            },
-            SimdLevel::Sse2 => unsafe {
-                min_dist2_sse2(coords, p, out);
-                true
-            },
-            SimdLevel::Scalar => false,
-        }
-    }
-
-    /// Gather-addressed `MINDIST`: `out[i]` is the squared distance from
-    /// `p` to the box at row `indices[i]`. AVX2 only (`vgatherdps`); SSE2
-    /// gathers scalar-by-lane, which loses to the plain scalar loop, so it
-    /// falls back. Returns `false` on fallback.
-    #[inline]
-    pub fn min_dist2_gather(
-        coords: &CoordSlices,
-        p: &Point3,
-        indices: &[u32],
-        out: &mut [f32],
-    ) -> bool {
-        min_dist2_gather_at(level(), coords, p, indices, out)
-    }
-
-    /// [`min_dist2_gather`] at an explicit level.
-    #[doc(hidden)]
-    pub fn min_dist2_gather_at(
-        level: SimdLevel,
-        coords: &CoordSlices,
-        p: &Point3,
-        indices: &[u32],
-        out: &mut [f32],
-    ) -> bool {
-        match level {
-            SimdLevel::Avx2 => unsafe {
-                min_dist2_gather_avx2(coords, p, indices, out);
-                true
-            },
-            _ => false,
-        }
-    }
-
-    /// The shared 8-lane mask loop: `cmp` turns six coordinate vectors plus
-    /// the query into one lane mask; full 8-lane chunks use `movmskps`,
-    /// the ragged tail falls back to per-lane scalar tests via `cmp1`.
-    macro_rules! mask_kernel_avx2 {
-        ($name:ident, $cmp:expr, $cmp1:expr) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name(coords: &CoordSlices, query: &Aabb, mask: &mut [u64]) {
-                let [nx, ny, nz, xx, xy, xz] = *coords;
-                let n = nx.len();
-                let q = *query;
-                for word in mask.iter_mut() {
-                    *word = 0;
-                }
-                let mut i = 0usize;
-                while i + 8 <= n {
-                    let bits = {
-                        let vnx = _mm256_loadu_ps(nx.as_ptr().add(i));
-                        let vny = _mm256_loadu_ps(ny.as_ptr().add(i));
-                        let vnz = _mm256_loadu_ps(nz.as_ptr().add(i));
-                        let vxx = _mm256_loadu_ps(xx.as_ptr().add(i));
-                        let vxy = _mm256_loadu_ps(xy.as_ptr().add(i));
-                        let vxz = _mm256_loadu_ps(xz.as_ptr().add(i));
-                        #[allow(clippy::redundant_closure_call)]
-                        let m = ($cmp)(vnx, vny, vnz, vxx, vxy, vxz, &q);
-                        _mm256_movemask_ps(m) as u32 as u64
-                    };
-                    mask[i / 64] |= bits << (i % 64);
-                    i += 8;
-                }
-                while i < n {
-                    #[allow(clippy::redundant_closure_call)]
-                    let hit = ($cmp1)(nx[i], ny[i], nz[i], xx[i], xy[i], xz[i], &q);
-                    mask[i / 64] |= (hit as u64) << (i % 64);
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    mask_kernel_avx2!(
-        intersect_mask_avx2,
-        |vnx, vny, vnz, vxx, vxy, vxz, q: &Aabb| {
-            let and = |a, b| _mm256_and_ps(a, b);
-            and(
-                and(
-                    and(
-                        _mm256_cmp_ps::<_CMP_LE_OQ>(vnx, _mm256_set1_ps(q.max.x)),
-                        _mm256_cmp_ps::<_CMP_GE_OQ>(vxx, _mm256_set1_ps(q.min.x)),
-                    ),
-                    and(
-                        _mm256_cmp_ps::<_CMP_LE_OQ>(vny, _mm256_set1_ps(q.max.y)),
-                        _mm256_cmp_ps::<_CMP_GE_OQ>(vxy, _mm256_set1_ps(q.min.y)),
-                    ),
-                ),
-                and(
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(vnz, _mm256_set1_ps(q.max.z)),
-                    _mm256_cmp_ps::<_CMP_GE_OQ>(vxz, _mm256_set1_ps(q.min.z)),
-                ),
-            )
-        },
-        |nx: f32, ny: f32, nz: f32, xx: f32, xy: f32, xz: f32, q: &Aabb| {
-            nx <= q.max.x
-                && xx >= q.min.x
-                && ny <= q.max.y
-                && xy >= q.min.y
-                && nz <= q.max.z
-                && xz >= q.min.z
-        }
-    );
-
-    mask_kernel_avx2!(
-        contains_mask_avx2,
-        |vnx, vny, vnz, vxx, vxy, vxz, q: &Aabb| {
-            let and = |a, b| _mm256_and_ps(a, b);
-            and(
-                and(
-                    and(
-                        _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_set1_ps(q.min.x), vnx),
-                        _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_set1_ps(q.max.x), vxx),
-                    ),
-                    and(
-                        _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_set1_ps(q.min.y), vny),
-                        _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_set1_ps(q.max.y), vxy),
-                    ),
-                ),
-                and(
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_set1_ps(q.min.z), vnz),
-                    _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_set1_ps(q.max.z), vxz),
-                ),
-            )
-        },
-        |nx: f32, ny: f32, nz: f32, xx: f32, xy: f32, xz: f32, q: &Aabb| {
-            q.min.x <= nx
-                && q.min.y <= ny
-                && q.min.z <= nz
-                && q.max.x >= xx
-                && q.max.y >= xy
-                && q.max.z >= xz
-        }
-    );
-
-    /// The same two kernels at 4 SSE2 lanes (`cmpleps`/`movmskps`).
-    macro_rules! mask_kernel_sse2 {
-        ($name:ident, $cmp:expr, $cmp1:expr) => {
-            #[target_feature(enable = "sse2")]
-            unsafe fn $name(coords: &CoordSlices, query: &Aabb, mask: &mut [u64]) {
-                let [nx, ny, nz, xx, xy, xz] = *coords;
-                let n = nx.len();
-                let q = *query;
-                for word in mask.iter_mut() {
-                    *word = 0;
-                }
-                let mut i = 0usize;
-                while i + 4 <= n {
-                    let bits = {
-                        let vnx = _mm_loadu_ps(nx.as_ptr().add(i));
-                        let vny = _mm_loadu_ps(ny.as_ptr().add(i));
-                        let vnz = _mm_loadu_ps(nz.as_ptr().add(i));
-                        let vxx = _mm_loadu_ps(xx.as_ptr().add(i));
-                        let vxy = _mm_loadu_ps(xy.as_ptr().add(i));
-                        let vxz = _mm_loadu_ps(xz.as_ptr().add(i));
-                        #[allow(clippy::redundant_closure_call)]
-                        let m = ($cmp)(vnx, vny, vnz, vxx, vxy, vxz, &q);
-                        _mm_movemask_ps(m) as u32 as u64
-                    };
-                    mask[i / 64] |= bits << (i % 64);
-                    i += 4;
-                }
-                while i < n {
-                    #[allow(clippy::redundant_closure_call)]
-                    let hit = ($cmp1)(nx[i], ny[i], nz[i], xx[i], xy[i], xz[i], &q);
-                    mask[i / 64] |= (hit as u64) << (i % 64);
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    mask_kernel_sse2!(
-        intersect_mask_sse2,
-        |vnx, vny, vnz, vxx, vxy, vxz, q: &Aabb| {
-            let and = |a, b| _mm_and_ps(a, b);
-            and(
-                and(
-                    and(
-                        _mm_cmple_ps(vnx, _mm_set1_ps(q.max.x)),
-                        _mm_cmpge_ps(vxx, _mm_set1_ps(q.min.x)),
-                    ),
-                    and(
-                        _mm_cmple_ps(vny, _mm_set1_ps(q.max.y)),
-                        _mm_cmpge_ps(vxy, _mm_set1_ps(q.min.y)),
-                    ),
-                ),
-                and(
-                    _mm_cmple_ps(vnz, _mm_set1_ps(q.max.z)),
-                    _mm_cmpge_ps(vxz, _mm_set1_ps(q.min.z)),
-                ),
-            )
-        },
-        |nx: f32, ny: f32, nz: f32, xx: f32, xy: f32, xz: f32, q: &Aabb| {
-            nx <= q.max.x
-                && xx >= q.min.x
-                && ny <= q.max.y
-                && xy >= q.min.y
-                && nz <= q.max.z
-                && xz >= q.min.z
-        }
-    );
-
-    mask_kernel_sse2!(
-        contains_mask_sse2,
-        |vnx, vny, vnz, vxx, vxy, vxz, q: &Aabb| {
-            let and = |a, b| _mm_and_ps(a, b);
-            and(
-                and(
-                    and(
-                        _mm_cmple_ps(_mm_set1_ps(q.min.x), vnx),
-                        _mm_cmpge_ps(_mm_set1_ps(q.max.x), vxx),
-                    ),
-                    and(
-                        _mm_cmple_ps(_mm_set1_ps(q.min.y), vny),
-                        _mm_cmpge_ps(_mm_set1_ps(q.max.y), vxy),
-                    ),
-                ),
-                and(
-                    _mm_cmple_ps(_mm_set1_ps(q.min.z), vnz),
-                    _mm_cmpge_ps(_mm_set1_ps(q.max.z), vxz),
-                ),
-            )
-        },
-        |nx: f32, ny: f32, nz: f32, xx: f32, xy: f32, xz: f32, q: &Aabb| {
-            q.min.x <= nx
-                && q.min.y <= ny
-                && q.min.z <= nz
-                && q.max.x >= xx
-                && q.max.y >= xy
-                && q.max.z >= xz
-        }
-    );
-
-    /// The scalar `MINDIST` chain is `(lo - p).max(0.0).max(p - hi)` per
-    /// axis. `f32::max` returns the **other** operand when one side is NaN
-    /// while `maxps` returns the **second** operand, so each max places
-    /// the possibly-NaN difference first: `maxps(lo - p, 0)` and
-    /// `maxps(p - hi, acc)` reproduce the scalar NaN routing exactly.
-    /// Squares are summed with separate mul/add (no FMA) to keep rounding
-    /// identical to the scalar kernel.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn axis_dist_avx2(lo: *const f32, hi: *const f32, p: f32, i: usize) -> __m256 {
-        let vp = _mm256_set1_ps(p);
-        let zero = _mm256_setzero_ps();
-        let d_lo = _mm256_sub_ps(_mm256_loadu_ps(lo.add(i)), vp);
-        let d_hi = _mm256_sub_ps(vp, _mm256_loadu_ps(hi.add(i)));
-        _mm256_max_ps(d_hi, _mm256_max_ps(d_lo, zero))
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn min_dist2_avx2(coords: &CoordSlices, p: &Point3, out: &mut [f32]) {
-        let [nx, ny, nz, xx, xy, xz] = *coords;
-        let n = nx.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let dx = axis_dist_avx2(nx.as_ptr(), xx.as_ptr(), p.x, i);
-            let dy = axis_dist_avx2(ny.as_ptr(), xy.as_ptr(), p.y, i);
-            let dz = axis_dist_avx2(nz.as_ptr(), xz.as_ptr(), p.z, i);
-            let d2 = _mm256_add_ps(
-                _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-                _mm256_mul_ps(dz, dz),
-            );
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), d2);
-            i += 8;
-        }
-        min_dist2_tail(coords, p, out, i);
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn axis_dist_sse2(lo: *const f32, hi: *const f32, p: f32, i: usize) -> __m128 {
-        let vp = _mm_set1_ps(p);
-        let zero = _mm_setzero_ps();
-        let d_lo = _mm_sub_ps(_mm_loadu_ps(lo.add(i)), vp);
-        let d_hi = _mm_sub_ps(vp, _mm_loadu_ps(hi.add(i)));
-        _mm_max_ps(d_hi, _mm_max_ps(d_lo, zero))
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn min_dist2_sse2(coords: &CoordSlices, p: &Point3, out: &mut [f32]) {
-        let [nx, ny, nz, xx, xy, xz] = *coords;
-        let n = nx.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let dx = axis_dist_sse2(nx.as_ptr(), xx.as_ptr(), p.x, i);
-            let dy = axis_dist_sse2(ny.as_ptr(), xy.as_ptr(), p.y, i);
-            let dz = axis_dist_sse2(nz.as_ptr(), xz.as_ptr(), p.z, i);
-            let d2 = _mm_add_ps(
-                _mm_add_ps(_mm_mul_ps(dx, dx), _mm_mul_ps(dy, dy)),
-                _mm_mul_ps(dz, dz),
-            );
-            _mm_storeu_ps(out.as_mut_ptr().add(i), d2);
-            i += 4;
-        }
-        min_dist2_tail(coords, p, out, i);
-    }
-
-    /// Scalar tail shared by both `MINDIST` widths — the same expression
-    /// as the scalar kernel, so the tail lanes match bit-for-bit too.
-    fn min_dist2_tail(coords: &CoordSlices, p: &Point3, out: &mut [f32], from: usize) {
-        let [nx, ny, nz, xx, xy, xz] = *coords;
-        for i in from..nx.len() {
-            let dx = (nx[i] - p.x).max(0.0).max(p.x - xx[i]);
-            let dy = (ny[i] - p.y).max(0.0).max(p.y - xy[i]);
-            let dz = (nz[i] - p.z).max(0.0).max(p.z - xz[i]);
-            out[i] = dx * dx + dy * dy + dz * dz;
-        }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn axis_dist_gather_avx2(
-        lo: *const f32,
-        hi: *const f32,
-        p: f32,
-        idx: __m256i,
-    ) -> __m256 {
-        let vp = _mm256_set1_ps(p);
-        let zero = _mm256_setzero_ps();
-        let d_lo = _mm256_sub_ps(_mm256_i32gather_ps::<4>(lo, idx), vp);
-        let d_hi = _mm256_sub_ps(vp, _mm256_i32gather_ps::<4>(hi, idx));
-        _mm256_max_ps(d_hi, _mm256_max_ps(d_lo, zero))
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn min_dist2_gather_avx2(
-        coords: &CoordSlices,
-        p: &Point3,
-        indices: &[u32],
-        out: &mut [f32],
-    ) {
-        let [nx, ny, nz, xx, xy, xz] = *coords;
-        let m = indices.len();
-        let mut i = 0usize;
-        while i + 8 <= m {
-            let idx = _mm256_loadu_si256(indices.as_ptr().add(i) as *const __m256i);
-            let dx = axis_dist_gather_avx2(nx.as_ptr(), xx.as_ptr(), p.x, idx);
-            let dy = axis_dist_gather_avx2(ny.as_ptr(), xy.as_ptr(), p.y, idx);
-            let dz = axis_dist_gather_avx2(nz.as_ptr(), xz.as_ptr(), p.z, idx);
-            let d2 = _mm256_add_ps(
-                _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-                _mm256_mul_ps(dz, dz),
-            );
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), d2);
-            i += 8;
-        }
-        for (slot, &row) in out[i..].iter_mut().zip(&indices[i..]) {
-            let r = row as usize;
-            let dx = (nx[r] - p.x).max(0.0).max(p.x - xx[r]);
-            let dy = (ny[r] - p.y).max(0.0).max(p.y - xy[r]);
-            let dz = (nz[r] - p.z).max(0.0).max(p.z - xz[r]);
-            *slot = dx * dx + dy * dy + dz * dz;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn level_is_cached_and_consistent() {
-        let a = level();
-        let b = level();
-        assert_eq!(a, b);
-        if cfg!(not(all(feature = "simd", target_arch = "x86_64"))) {
-            assert_eq!(a, SimdLevel::Scalar);
-        }
-    }
 }

@@ -284,46 +284,14 @@ impl SoaAabbs {
 
     // ---- batched kernels -------------------------------------------------
 
-    /// The six coordinate arrays in the order the SIMD kernels expect.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn coord_slices(&self) -> crate::simd::CoordSlices<'_> {
-        [
-            &self.min_x,
-            &self.min_y,
-            &self.min_z,
-            &self.max_x,
-            &self.max_y,
-            &self.max_z,
-        ]
-    }
-
     /// Writes one bit per entry into `mask`: bit `i` set iff box `i`
     /// intersects `query`. `mask` is resized to `ceil(len / 64)` words.
-    ///
-    /// With the `simd` feature on `x86_64` this dispatches to the
-    /// runtime-detected AVX2/SSE2 kernel in [`crate::simd`] (bit-identical
-    /// results, `movmskps` lane compaction); otherwise it runs
-    /// [`SoaAabbs::intersect_mask_scalar`].
-    pub fn intersect_mask(&self, query: &Aabb, mask: &mut Vec<u64>) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            mask.clear();
-            mask.resize(self.len().div_ceil(MASK_LANES), 0);
-            if crate::simd::intersect_mask(&self.coord_slices(), query, mask) {
-                return;
-            }
-        }
-        self.intersect_mask_scalar(query, mask);
-    }
-
-    /// Scalar reference path of [`SoaAabbs::intersect_mask`].
     ///
     /// Per 64-lane chunk the six comparisons run as one branch-free pass
     /// over pre-sliced coordinate arrays (independent iterations, no bounds
     /// checks — the shape the compiler autovectorizes), and a separate
     /// scalar fold packs the lane bytes into the bitmask word.
-    pub fn intersect_mask_scalar(&self, query: &Aabb, mask: &mut Vec<u64>) {
+    pub fn intersect_mask(&self, query: &Aabb, mask: &mut Vec<u64>) {
         let q = *query;
         self.mask_chunks(mask, |i, lanes, s| {
             let (nx, xx) = (&s.min_x[i.clone()], &s.max_x[i.clone()]);
@@ -341,21 +309,8 @@ impl SoaAabbs {
     }
 
     /// Writes one bit per entry into `mask`: bit `i` set iff box `i` lies
-    /// entirely inside `query`. Dispatches like [`SoaAabbs::intersect_mask`].
+    /// entirely inside `query`.
     pub fn contains_mask(&self, query: &Aabb, mask: &mut Vec<u64>) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            mask.clear();
-            mask.resize(self.len().div_ceil(MASK_LANES), 0);
-            if crate::simd::contains_mask(&self.coord_slices(), query, mask) {
-                return;
-            }
-        }
-        self.contains_mask_scalar(query, mask);
-    }
-
-    /// Scalar reference path of [`SoaAabbs::contains_mask`].
-    pub fn contains_mask_scalar(&self, query: &Aabb, mask: &mut Vec<u64>) {
         let q = *query;
         self.mask_chunks(mask, |i, lanes, s| {
             let (nx, xx) = (&s.min_x[i.clone()], &s.max_x[i.clone()]);
@@ -443,21 +398,7 @@ impl SoaAabbs {
 
     /// Writes the squared `MINDIST` from `p` to every box into `out`
     /// (resized to `len`). The batched distance bound for kNN search.
-    /// Dispatches like [`SoaAabbs::intersect_mask`].
     pub fn min_dist2_into(&self, p: &Point3, out: &mut Vec<f32>) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            out.clear();
-            out.resize(self.len(), 0.0);
-            if crate::simd::min_dist2(&self.coord_slices(), p, out) {
-                return;
-            }
-        }
-        self.min_dist2_into_scalar(p, out);
-    }
-
-    /// Scalar reference path of [`SoaAabbs::min_dist2_into`].
-    pub fn min_dist2_into_scalar(&self, p: &Point3, out: &mut Vec<f32>) {
         let n = self.len();
         out.clear();
         out.resize(n, 0.0);
@@ -480,27 +421,8 @@ impl SoaAabbs {
     /// intermediate copy of the gathered boxes.
     ///
     /// Rows must be in range; indices are row positions, which for stores
-    /// built in dense-id order coincide with element ids. Dispatches to the
-    /// AVX2 `vgatherdps` kernel like [`SoaAabbs::intersect_mask`].
+    /// built in dense-id order coincide with element ids.
     pub fn min_dist2_gather_into(&self, p: &Point3, indices: &[ElementId], out: &mut Vec<f32>) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            out.clear();
-            out.resize(indices.len(), 0.0);
-            if crate::simd::min_dist2_gather(&self.coord_slices(), p, indices, out) {
-                return;
-            }
-        }
-        self.min_dist2_gather_into_scalar(p, indices, out);
-    }
-
-    /// Scalar reference path of [`SoaAabbs::min_dist2_gather_into`].
-    pub fn min_dist2_gather_into_scalar(
-        &self,
-        p: &Point3,
-        indices: &[ElementId],
-        out: &mut Vec<f32>,
-    ) {
         out.clear();
         out.resize(indices.len(), 0.0);
         for (slot, &idx) in out.iter_mut().zip(indices) {
@@ -672,131 +594,6 @@ mod tests {
         assert_eq!(kept.len() + given.len(), soa.len());
         assert_eq!(given.len(), give.len());
         assert_eq!(given.get(0), soa.get(0));
-    }
-
-    /// Property test for the SIMD backends: every kernel must be
-    /// **bit-identical** to its scalar reference on random boxes, degenerate
-    /// boxes (empty/inverted/point) and NaN-containing boxes, at every
-    /// store length that exercises full chunks, ragged tails and the
-    /// 64-lane word boundary — at each SIMD level the host supports.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn simd_kernels_match_scalar_reference() {
-        use crate::simd::{self, SimdLevel};
-
-        // xorshift-ish hash stream → f32s spanning negatives, zeros and
-        // magnitudes around the query scale.
-        let coord = |h: u64| ((h % 2001) as f32 - 1000.0) * 0.173;
-        let hash = |i: u64| {
-            let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD1B5);
-            x ^= x >> 29;
-            x.wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        };
-        let make_store = |n: usize, seed: u64| {
-            let mut soa = SoaAabbs::with_capacity(n);
-            for i in 0..n as u64 {
-                let h = hash(seed.wrapping_add(i * 7));
-                let b = match h % 11 {
-                    0 => Aabb::empty(), // ±INFINITY extremes
-                    1 => {
-                        // Inverted box: min > max on every axis.
-                        let c = coord(h >> 8);
-                        Aabb {
-                            min: Point3::new(c + 5.0, c + 5.0, c + 5.0),
-                            max: Point3::new(c, c, c),
-                        }
-                    }
-                    2 => {
-                        Aabb::from_point(Point3::new(coord(h >> 8), coord(h >> 16), coord(h >> 24)))
-                    }
-                    3 => {
-                        // NaN-contaminated coordinates.
-                        let mut b = Aabb::from_point(Point3::new(coord(h >> 8), 0.0, 1.0));
-                        b.min.x = f32::NAN;
-                        b.max.z = f32::NAN;
-                        b
-                    }
-                    _ => {
-                        let (x, y, z) = (coord(h >> 8), coord(h >> 16), coord(h >> 24));
-                        let e = (h % 13) as f32 * 1.7;
-                        Aabb::new(Point3::new(x, y, z), Point3::new(x + e, y + e, z + e))
-                    }
-                };
-                soa.push(b, i as u32);
-            }
-            soa
-        };
-
-        let mut levels = vec![SimdLevel::Sse2];
-        if std::arch::is_x86_feature_detected!("avx2") {
-            levels.push(SimdLevel::Avx2);
-        }
-        let queries = [
-            Aabb::new(
-                Point3::new(-40.0, -40.0, -40.0),
-                Point3::new(60.0, 60.0, 60.0),
-            ),
-            Aabb::empty(),
-            Aabb::from_point(Point3::new(3.0, -7.0, 12.0)),
-        ];
-        let points = [
-            Point3::new(0.0, 0.0, 0.0),
-            Point3::new(-173.0, 44.0, 9.5),
-            Point3::new(f32::INFINITY, 0.0, 0.0),
-        ];
-        // Lengths: empty, sub-width, exact widths, tails, word boundary.
-        for &n in &[0usize, 1, 3, 4, 7, 8, 9, 63, 64, 65, 130, 257] {
-            let soa = make_store(n, n as u64 * 0x51D);
-            let coords = [
-                &soa.min_x[..],
-                &soa.min_y[..],
-                &soa.min_z[..],
-                &soa.max_x[..],
-                &soa.max_y[..],
-                &soa.max_z[..],
-            ];
-            for &level in &levels {
-                for q in &queries {
-                    let mut reference = Vec::new();
-                    soa.intersect_mask_scalar(q, &mut reference);
-                    let mut got = vec![0u64; reference.len()];
-                    assert!(simd::intersect_mask_at(level, &coords, q, &mut got));
-                    assert_eq!(got, reference, "intersect n={n} level={level:?}");
-                    soa.contains_mask_scalar(q, &mut reference);
-                    assert!(simd::contains_mask_at(level, &coords, q, &mut got));
-                    assert_eq!(got, reference, "contains n={n} level={level:?}");
-                }
-                for p in &points {
-                    let mut reference = Vec::new();
-                    soa.min_dist2_into_scalar(p, &mut reference);
-                    let mut got = vec![0.0f32; n];
-                    assert!(simd::min_dist2_at(level, &coords, p, &mut got));
-                    for i in 0..n {
-                        assert_eq!(
-                            got[i].to_bits(),
-                            reference[i].to_bits(),
-                            "min_dist2 n={n} i={i} level={level:?}"
-                        );
-                    }
-                    if level == SimdLevel::Avx2 {
-                        let indices: Vec<ElementId> = (0..n as u32)
-                            .map(|i| hash(i as u64) as u32 % n.max(1) as u32)
-                            .collect();
-                        soa.min_dist2_gather_into_scalar(p, &indices, &mut reference);
-                        assert!(simd::min_dist2_gather_at(
-                            level, &coords, p, &indices, &mut got
-                        ));
-                        for i in 0..n {
-                            assert_eq!(
-                                got[i].to_bits(),
-                                reference[i].to_bits(),
-                                "gather n={n} i={i}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!
 //! All children of all nodes live in **one CSR slab**: seven parallel
 //! arrays (six `u8` quantized coordinates + one `u32` payload), each node
-//! holding a `(start, count)` window — no per-node child vectors, no
-//! pointer chase between a node and its children. Queries quantize the
-//! query box **once per node** into the node's reference frame
+//! holding a `(start, count)` window, windows packed back to back — no
+//! per-node child vectors, no pointer chase between a node and its
+//! children. Queries quantize the query box **once per node** into the
+//! node's reference frame
 //! (conservatively: min floored, max ceiled, so the integer overlap test
 //! can only widen) and then run a branch-free `u8` comparison pass over the
 //! child window — 16+ lanes per SIMD register instead of six
@@ -89,11 +90,6 @@ struct ChildSlab {
     payload: Vec<u32>,
 }
 
-/// Child windows are padded to a multiple of this many entries, so every
-/// window starts 16-aligned and a full 16-lane `u8` load never runs off the
-/// slab — the SIMD filter can always load whole chunks and mask the tail.
-const SLAB_ALIGN: usize = 16;
-
 impl ChildSlab {
     fn push(&mut self, c: QChild) {
         self.qmin_x.push(c.qmin[0]);
@@ -103,20 +99,6 @@ impl ChildSlab {
         self.qmax_y.push(c.qmax[1]);
         self.qmax_z.push(c.qmax[2]);
         self.payload.push(c.payload);
-    }
-
-    /// Pads with inert entries (inverted quantized boxes, sentinel payload)
-    /// until the next window start is [`SLAB_ALIGN`]-aligned. Padding lanes
-    /// sit past every node's `child_count`, so the scalar kernels never
-    /// read them and the SIMD kernels mask them off.
-    fn pad_to_alignment(&mut self) {
-        while !self.payload.len().is_multiple_of(SLAB_ALIGN) {
-            self.push(QChild {
-                qmin: [u8::MAX; 3],
-                qmax: [0; 3],
-                payload: u32::MAX,
-            });
-        }
     }
 
     fn len(&self) -> usize {
@@ -140,33 +122,10 @@ impl ChildSlab {
     /// children in `start..start+count` whose quantized box overlaps the
     /// quantized query `(qlo, qhi)`.
     ///
-    /// With the `simd` feature on an SSE2+ host this runs 16 `u8` lanes per
-    /// compare (the [`SLAB_ALIGN`] window padding guarantees whole-chunk
-    /// loads stay inside the slab; tail lanes are masked off the movemask).
-    /// Otherwise: branch-free comparisons over the pre-sliced `u8` arrays —
-    /// the shape the compiler autovectorizes.
+    /// Branch-free comparisons over the pre-sliced `u8` arrays — the shape
+    /// the compiler autovectorizes.
     #[inline]
     fn filter_into(
-        &self,
-        start: usize,
-        count: usize,
-        qlo: [u8; 3],
-        qhi: [u8; 3],
-        out: &mut Vec<u32>,
-    ) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simspatial_geom::simd::level() >= simspatial_geom::simd::SimdLevel::Sse2 {
-            // SAFETY: windows are SLAB_ALIGN-padded, so start..start+count
-            // rounded up to whole 16-lane chunks stays within the slab.
-            unsafe { self.filter_into_sse2(start, count, qlo, qhi, out) };
-            return;
-        }
-        self.filter_into_scalar(start, count, qlo, qhi, out);
-    }
-
-    /// Scalar reference path of [`ChildSlab::filter_into`].
-    #[inline]
-    fn filter_into_scalar(
         &self,
         start: usize,
         count: usize,
@@ -192,67 +151,6 @@ impl ChildSlab {
         }
     }
 
-    /// 16-lane SSE2 quantized filter. SSE2 has no unsigned byte compare, so
-    /// `a <= b` is computed as `min_epu8(a, b) == a`; the six per-axis
-    /// verdicts AND together and `movemask_epi8` compacts them to bits.
-    ///
-    /// # Safety
-    /// Requires SSE2 (runtime-checked by the caller) and a slab whose
-    /// windows are [`SLAB_ALIGN`]-padded so whole-chunk loads at
-    /// `start + 16*i` stay in bounds.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "sse2")]
-    unsafe fn filter_into_sse2(
-        &self,
-        start: usize,
-        count: usize,
-        qlo: [u8; 3],
-        qhi: [u8; 3],
-        out: &mut Vec<u32>,
-    ) {
-        #[allow(clippy::wildcard_imports)]
-        use std::arch::x86_64::*;
-        debug_assert!(start.is_multiple_of(SLAB_ALIGN));
-        debug_assert!((start + count).next_multiple_of(SLAB_ALIGN) <= self.payload.len());
-        // le(a, b) per u8 lane: a <= b  ⟺  min(a, b) == a.
-        #[inline]
-        unsafe fn le(a: __m128i, b: __m128i) -> __m128i {
-            _mm_cmpeq_epi8(_mm_min_epu8(a, b), a)
-        }
-        let load = |v: &Vec<u8>, at: usize| _mm_loadu_si128(v.as_ptr().add(at) as *const __m128i);
-        let mut i = 0usize;
-        while i < count {
-            let at = start + i;
-            let hit = _mm_and_si128(
-                _mm_and_si128(
-                    _mm_and_si128(
-                        le(load(&self.qmin_x, at), _mm_set1_epi8(qhi[0] as i8)),
-                        le(_mm_set1_epi8(qlo[0] as i8), load(&self.qmax_x, at)),
-                    ),
-                    _mm_and_si128(
-                        le(load(&self.qmin_y, at), _mm_set1_epi8(qhi[1] as i8)),
-                        le(_mm_set1_epi8(qlo[1] as i8), load(&self.qmax_y, at)),
-                    ),
-                ),
-                _mm_and_si128(
-                    le(load(&self.qmin_z, at), _mm_set1_epi8(qhi[2] as i8)),
-                    le(_mm_set1_epi8(qlo[2] as i8), load(&self.qmax_z, at)),
-                ),
-            );
-            let mut bits = _mm_movemask_epi8(hit) as u32;
-            let remaining = count - i;
-            if remaining < 16 {
-                bits &= (1u32 << remaining) - 1;
-            }
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                out.push(self.payload[at + j]);
-                bits &= bits - 1;
-            }
-            i += 16;
-        }
-    }
-
     /// The batched quantized `MINDIST` kernel: writes into `out` (resized to
     /// `count`) the squared lower-bound distance from `p` to the
     /// conservatively dequantized box of every child in
@@ -262,103 +160,8 @@ impl ChildSlab {
     /// true box `MINDIST` and therefore the exact element-surface distance —
     /// the bound the CR-Tree kNN search prunes with. One streaming pass over
     /// the `u8` slab arrays; the per-axis scale (`extent/255`) is hoisted
-    /// out of the loop. With the `simd` feature on an AVX2 host the
-    /// dequantize-and-bound pass runs 8 lanes at a time
-    /// (`u8 → i32 → f32` widening loads), bit-identical to the scalar path.
+    /// out of the loop.
     fn min_dist2_into(
-        &self,
-        start: usize,
-        count: usize,
-        reference: &Aabb,
-        p: &Point3,
-        out: &mut Vec<f32>,
-    ) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simspatial_geom::simd::level() >= simspatial_geom::simd::SimdLevel::Avx2 {
-            // SAFETY: AVX2 checked; SLAB_ALIGN padding keeps whole-chunk
-            // loads in bounds (8 divides SLAB_ALIGN).
-            unsafe { self.min_dist2_into_avx2(start, count, reference, p, out) };
-            return;
-        }
-        self.min_dist2_into_scalar(start, count, reference, p, out);
-    }
-
-    /// 8-lane AVX2 path of [`ChildSlab::min_dist2_into`]: widen 8 quantized
-    /// bytes per axis array, dequantize (`lo + q * scale`, same mul/add
-    /// order as scalar, no FMA) and run the NaN-safe `MINDIST` max-chain —
-    /// each possibly-NaN difference sits in the first `maxps` operand so
-    /// x86's "return the second operand on NaN" reproduces `f32::max`.
-    ///
-    /// # Safety
-    /// Requires AVX2 (runtime-checked by the caller) and the
-    /// [`SLAB_ALIGN`]-padded slab for in-bounds whole-chunk loads.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn min_dist2_into_avx2(
-        &self,
-        start: usize,
-        count: usize,
-        reference: &Aabb,
-        p: &Point3,
-        out: &mut Vec<f32>,
-    ) {
-        #[allow(clippy::wildcard_imports)]
-        use std::arch::x86_64::*;
-        debug_assert!((start + count).next_multiple_of(8) <= self.payload.len());
-        let ext = reference.extent();
-        let (sx, sy, sz) = (ext.x / 255.0, ext.y / 255.0, ext.z / 255.0);
-        let (lx, ly, lz) = (reference.min.x, reference.min.y, reference.min.z);
-        // Padded lanes are computed too (their loads are in bounds) and
-        // truncated away below, so every store is a whole 8-lane chunk.
-        let padded = count.next_multiple_of(8);
-        out.clear();
-        out.resize(padded, 0.0);
-        // Widen 8 quantized bytes to 8 f32 lanes and dequantize.
-        let dq = |v: &Vec<u8>, at: usize, lo: f32, scale: f32| {
-            let bytes = _mm_loadl_epi64(v.as_ptr().add(at) as *const __m128i);
-            let lanes = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
-            _mm256_add_ps(
-                _mm256_set1_ps(lo),
-                _mm256_mul_ps(lanes, _mm256_set1_ps(scale)),
-            )
-        };
-        let zero = _mm256_setzero_ps();
-        let axis = |v_lo: __m256, v_hi: __m256, pc: f32| {
-            let vp = _mm256_set1_ps(pc);
-            let d_lo = _mm256_sub_ps(v_lo, vp);
-            let d_hi = _mm256_sub_ps(vp, v_hi);
-            _mm256_max_ps(d_hi, _mm256_max_ps(d_lo, zero))
-        };
-        let mut i = 0usize;
-        while i < padded {
-            let at = start + i;
-            let dx = axis(
-                dq(&self.qmin_x, at, lx, sx),
-                dq(&self.qmax_x, at, lx, sx),
-                p.x,
-            );
-            let dy = axis(
-                dq(&self.qmin_y, at, ly, sy),
-                dq(&self.qmax_y, at, ly, sy),
-                p.y,
-            );
-            let dz = axis(
-                dq(&self.qmin_z, at, lz, sz),
-                dq(&self.qmax_z, at, lz, sz),
-                p.z,
-            );
-            let d2 = _mm256_add_ps(
-                _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-                _mm256_mul_ps(dz, dz),
-            );
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), d2);
-            i += 8;
-        }
-        out.truncate(count);
-    }
-
-    /// Scalar reference path of [`ChildSlab::min_dist2_into`].
-    fn min_dist2_into_scalar(
         &self,
         start: usize,
         count: usize,
@@ -436,7 +239,6 @@ impl CrTree {
                 for &(b, payload) in chunk {
                     slab.push(quantize(&mbr, &b, payload));
                 }
-                slab.pad_to_alignment();
                 nodes.push(CrNode {
                     mbr,
                     level,
@@ -836,52 +638,6 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "query {i}");
-        }
-    }
-
-    /// The SIMD slab kernels must agree exactly with their scalar paths on
-    /// every node window of a real tree (ragged window tails, padding
-    /// lanes, degenerate reference frames) for adversarial queries.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn slab_simd_kernels_match_scalar() {
-        use simspatial_geom::simd::{level, SimdLevel};
-        if level() < SimdLevel::Sse2 {
-            return;
-        }
-        let data = scattered(3000, 0.5);
-        let t = CrTree::build(&data, CrTreeConfig::default());
-        let queries = [
-            ([0u8, 0, 0], [255u8, 255, 255]), // pass-everything
-            ([10, 200, 30], [90, 255, 35]),
-            ([255, 255, 255], [0, 0, 0]), // inverted: pass-nothing
-        ];
-        let points = [
-            Point3::new(50.0, 50.0, 50.0),
-            Point3::new(-10.0, 120.0, 3.0),
-        ];
-        for n in &t.nodes {
-            let (start, count) = (n.child_start as usize, n.child_count as usize);
-            for &(qlo, qhi) in &queries {
-                let (mut fast, mut slow) = (Vec::new(), Vec::new());
-                t.slab.filter_into(start, count, qlo, qhi, &mut fast);
-                t.slab.filter_into_scalar(start, count, qlo, qhi, &mut slow);
-                assert_eq!(fast, slow, "filter window {start}+{count}");
-            }
-            for p in &points {
-                let (mut fast, mut slow) = (Vec::new(), Vec::new());
-                t.slab.min_dist2_into(start, count, &n.mbr, p, &mut fast);
-                t.slab
-                    .min_dist2_into_scalar(start, count, &n.mbr, p, &mut slow);
-                assert_eq!(fast.len(), slow.len());
-                for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "mindist window {start}+{count} lane {i}"
-                    );
-                }
-            }
         }
     }
 

@@ -11,9 +11,7 @@
 //! roadmap's sharding/async direction: anything that can run a batch
 //! against a [`SpatialIndex`] through a [`RangeSink`] — or against a
 //! [`KnnIndex`] through a [`KnnSink`] — composes with every index in the
-//! crate. Batches can also fan out across threads
-//! ([`QueryEngine::range_batch_par`]) via `simspatial_geom::parallel`,
-//! honouring `SIMSPATIAL_THREADS`.
+//! crate.
 //!
 //! Both query families are symmetric:
 //!
@@ -39,8 +37,7 @@
 pub mod sharded;
 
 use crate::traits::{KnnIndex, KnnSink, QueryStats, RangeSink, SpatialIndex};
-use simspatial_geom::scratch::with_scratch;
-use simspatial_geom::{parallel, stats, Aabb, Element, ElementId, Point3, QueryScratch};
+use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, QueryScratch};
 use std::time::Instant;
 
 /// A reusable per-query result collector.
@@ -255,76 +252,6 @@ impl QueryEngine {
             fn push(&mut self, _id: ElementId) {}
         }
         self.range_batch(index, data, queries, &mut Discard)
-    }
-
-    /// Fans the batch across worker threads (chunked by query), honouring
-    /// `SIMSPATIAL_THREADS` via [`parallel::num_threads`]. Each worker runs
-    /// over its own thread-local scratch; per-query result lists come back
-    /// in batch order. Predicate counters are summed across workers.
-    ///
-    /// Unlike [`QueryEngine::range_batch`], the results are **owned
-    /// per-query vectors** (workers cannot share one sink), so this path
-    /// allocates per query by design; on a single thread it runs inline
-    /// over the engine's own scratch, but allocation-sensitive callers
-    /// should prefer `range_batch` with a reused sink.
-    pub fn range_batch_par<I: SpatialIndex + Sync + ?Sized>(
-        &mut self,
-        index: &I,
-        data: &[Element],
-        queries: &[Aabb],
-    ) -> (Vec<Vec<ElementId>>, QueryStats) {
-        if parallel::num_threads() <= 1 {
-            let before = stats::snapshot();
-            let start = Instant::now();
-            let mut lists: Vec<Vec<ElementId>> = Vec::with_capacity(queries.len());
-            let mut results = 0u64;
-            for q in queries {
-                let mut out = Vec::new();
-                index.range_into(data, q, &mut self.scratch, &mut out);
-                results += out.len() as u64;
-                lists.push(out);
-            }
-            return (
-                lists,
-                QueryStats {
-                    elapsed_s: start.elapsed().as_secs_f64(),
-                    results,
-                    counts: stats::snapshot().since(&before),
-                },
-            );
-        }
-        let start = Instant::now();
-        let chunks = parallel::par_map_chunks(queries, 8, |_, chunk| {
-            with_scratch(|scratch| {
-                let before = stats::snapshot();
-                let mut lists: Vec<Vec<ElementId>> = Vec::with_capacity(chunk.len());
-                for q in chunk {
-                    let mut out = Vec::new();
-                    index.range_into(data, q, scratch, &mut out);
-                    lists.push(out);
-                }
-                (lists, stats::snapshot().since(&before))
-            })
-        });
-        let elapsed_s = start.elapsed().as_secs_f64();
-        let mut results_by_query = Vec::with_capacity(queries.len());
-        let mut counts = stats::PredicateCounts::default();
-        let mut results = 0u64;
-        for (lists, delta) in chunks {
-            counts.add(&delta);
-            for list in lists {
-                results += list.len() as u64;
-                results_by_query.push(list);
-            }
-        }
-        (
-            results_by_query,
-            QueryStats {
-                elapsed_s,
-                results,
-                counts,
-            },
-        )
     }
 
     /// Runs a batch of kNN probes through the index's batched sink plan
@@ -572,28 +499,6 @@ mod tests {
         for (qi, &n) in counts.per_query.iter().enumerate() {
             assert_eq!(n as usize, results.query_results(qi).len());
         }
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial() {
-        let data = line_data(120);
-        let grid = UniformGrid::build(&data, GridConfig::auto(&data));
-        let queries = line_queries();
-        let mut engine = QueryEngine::new();
-        let (par, stats) = engine.range_batch_par(&grid, &data, &queries);
-        assert_eq!(par.len(), queries.len());
-        let mut results = BatchResults::new();
-        engine.range_collect(&grid, &data, &queries, &mut results);
-        let mut total = 0u64;
-        for (qi, list) in par.iter().enumerate() {
-            let mut got = list.clone();
-            let mut want = results.query_results(qi).to_vec();
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "query {qi}");
-            total += list.len() as u64;
-        }
-        assert_eq!(stats.results, total);
     }
 
     #[test]

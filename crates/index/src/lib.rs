@@ -87,6 +87,7 @@
 //! thin compatibility wrappers over the sink paths. Nothing above this
 //! crate needs to know how an individual index traverses its structure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod crtree;

@@ -33,6 +33,7 @@
 //! assert_eq!(truth, fast);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod nested;

@@ -25,6 +25,7 @@
 //! Results are the ids of cells whose bounding boxes intersect the query —
 //! the same contract the substrate's scan ground truth uses.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod tet;

@@ -29,6 +29,7 @@
 //! | [`UpdateStrategyKind::GridMigrate`] | §4.3 direction | cell switches only | slight (grid) |
 //! | [`UpdateStrategyKind::NoIndexScan`] | §4.1 bar | zero | O(n) scan |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod buffered;

@@ -68,6 +68,7 @@
 //! assert_eq!(stats.tenants.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -145,6 +145,7 @@
 //! assert_eq!(stats.updates_applied, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;

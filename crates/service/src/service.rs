@@ -45,23 +45,23 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// How often the idle scheduler re-checks the shutdown flag.
+const IDLE_POLL: Duration = Duration::from_millis(20);
+
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bound of the intake queue (requests). `submit` blocks and
     /// `try_submit` rejects once this many requests are pending.
     pub queue_cap: usize,
-    /// Maximum requests coalesced into one dispatch.
+    /// Maximum requests coalesced into one dispatch. `1` = micro-batching
+    /// off: every request dispatches alone (the baseline the `service`
+    /// bench compares against).
     pub max_batch: usize,
     /// How long a **lone** request waits for company before dispatching
     /// alone. A dispatch already holding two or more requests never
     /// waits: the scheduler drains whatever is queued and executes.
     pub max_wait: Duration,
-    /// Micro-batching on/off. Off = every request dispatches alone
-    /// (the baseline the `service` bench compares against).
-    pub coalesce: bool,
-    /// How often the idle scheduler re-checks the shutdown flag.
-    pub idle_poll: Duration,
     /// Deadline applied to every request that does not carry its own
     /// (see [`ServiceHandle::submit_with_deadline`]). `None` = requests
     /// never expire. Expired requests are shed before dispatch when
@@ -76,17 +76,15 @@ impl Default for ServiceConfig {
             queue_cap: 1024,
             max_batch: 64,
             max_wait: Duration::from_micros(200),
-            coalesce: true,
-            idle_poll: Duration::from_millis(20),
             default_deadline: None,
         }
     }
 }
 
 impl ServiceConfig {
-    /// Returns the config with coalescing disabled.
+    /// Returns the config with coalescing disabled (`max_batch = 1`).
     pub fn no_coalesce(mut self) -> Self {
-        self.coalesce = false;
+        self.max_batch = 1;
         self
     }
 
@@ -311,15 +309,6 @@ impl ServiceHandle {
         self.submit_inner(request, Consistency::Barrier, None, false)
     }
 
-    /// [`ServiceHandle::try_submit`] with an explicit per-request deadline.
-    pub fn try_submit_with_deadline(
-        &self,
-        request: Request,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(request, Consistency::Barrier, Some(deadline), false)
-    }
-
     /// [`ServiceHandle::submit`] with an explicit [`Consistency`] mode.
     /// The plain `submit`/`try_submit` family is pinned to
     /// [`Consistency::Barrier`] (the pre-epoch semantics), so existing
@@ -344,26 +333,6 @@ impl ServiceHandle {
         consistency: Consistency,
     ) -> Result<Ticket, SubmitError> {
         self.submit_inner(request, consistency, None, false)
-    }
-
-    /// [`ServiceHandle::submit_at`] with an explicit per-request deadline.
-    pub fn submit_at_with_deadline(
-        &self,
-        request: Request,
-        consistency: Consistency,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(request, consistency, Some(deadline), true)
-    }
-
-    /// Non-blocking [`ServiceHandle::submit_at_with_deadline`].
-    pub fn try_submit_at_with_deadline(
-        &self,
-        request: Request,
-        consistency: Consistency,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(request, consistency, Some(deadline), false)
     }
 
     /// Non-blocking submit that retries [`SubmitError::Full`] rejections
@@ -669,7 +638,7 @@ impl<B: ServiceBackend> Scheduler<B> {
         // before the first write barrier.
         self.publish_epoch(0);
         loop {
-            match rx.recv_timeout(self.cfg.idle_poll) {
+            match rx.recv_timeout(IDLE_POLL) {
                 Ok(env) => self.collect_and_dispatch(env, &rx),
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if !self.shared.open.load(Ordering::Acquire) {
@@ -700,7 +669,7 @@ impl<B: ServiceBackend> Scheduler<B> {
     fn collect_and_dispatch(&mut self, first: Envelope, rx: &mpsc::Receiver<Envelope>) {
         self.pending.clear();
         self.pending.push(first);
-        if self.cfg.coalesce && self.cfg.max_batch > 1 {
+        if self.cfg.max_batch > 1 {
             let deadline = Instant::now() + self.cfg.max_wait;
             while self.pending.len() < self.cfg.max_batch {
                 match rx.try_recv() {

@@ -65,7 +65,8 @@ impl LatencyHistogram {
 
     /// Upper-bound estimate of the `q`-quantile latency in seconds
     /// (`q` in `[0, 1]`): the upper edge of the histogram bucket the
-    /// quantile falls in. 0 when nothing was recorded.
+    /// quantile falls in, never above [`LatencyHistogram::max_s`]. 0 when
+    /// nothing was recorded.
     pub fn quantile_s(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -76,7 +77,7 @@ impl LatencyHistogram {
             seen += n;
             if seen >= target {
                 // Bucket i spans latencies below 2^i µs.
-                return (1u64 << i) as f64 * 1e-6;
+                return ((1u64 << i) as f64 * 1e-6).min(self.max_s);
             }
         }
         self.max_s
@@ -502,9 +503,13 @@ mod tests {
         // p50 falls in the 100µs cluster → upper bound 128µs.
         let p50 = h.quantile_s(0.5);
         assert!((100e-6..=256e-6).contains(&p50), "p50 = {p50}");
-        // p99 falls at the 50ms outlier → upper bound 65.536ms.
+        // p99 falls at the 50ms outlier → bucket edge 65.536ms, clamped to
+        // the recorded maximum.
         let p99 = h.quantile_s(0.99);
         assert!((50e-3..=128e-3).contains(&p99), "p99 = {p99}");
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert!(h.quantile_s(q) <= h.max_s, "q = {q}");
+        }
         assert!(h.quantile_s(0.0) > 0.0);
         assert_eq!(LatencyHistogram::default().quantile_s(0.5), 0.0);
     }

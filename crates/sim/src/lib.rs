@@ -26,6 +26,7 @@
 //! * [`MaterialWorkload`] — neighbourhood spring relaxation (material
 //!   deformation \[2\]); queries the live index during the update phase.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -43,6 +43,7 @@
 //! assert!(pool.stats().disk_time_s > 0.0); // modelled latency was charged
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod buffer_pool;

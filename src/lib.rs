@@ -67,6 +67,8 @@
 //! kernel → index → engine → sharded engine → service) fit together and
 //! when to pick each entry point.
 
+#![forbid(unsafe_code)]
+
 pub use simspatial_datagen as datagen;
 pub use simspatial_geom as geom;
 pub use simspatial_index as index;

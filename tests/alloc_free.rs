@@ -154,13 +154,10 @@ fn grid_rtree_flat_batches_are_allocation_free() {
     assert_steady_state_alloc_free("scan(one-pass)", &scan, &data);
 }
 
-/// The SoA batch kernels themselves — including the explicit SIMD
-/// dispatchers when the `simd` feature is on — must not allocate once the
-/// mask/output buffers reached their high-water marks. Runs identically
-/// (scalar dispatch) without the feature, so the guarantee is pinned on
-/// both paths.
+/// The SoA batch kernels themselves must not allocate once the
+/// mask/output buffers reached their high-water marks.
 #[test]
-fn soa_simd_kernels_are_allocation_free() {
+fn soa_kernels_are_allocation_free() {
     let data = soup(4000);
     let entries: Vec<(Aabb, ElementId)> = data.iter().map(|e| (e.aabb(), e.id)).collect();
     let soa = simspatial_geom::SoaAabbs::from_entries(&entries);
@@ -189,8 +186,7 @@ fn soa_simd_kernels_are_allocation_free() {
     assert_eq!(
         after - before,
         0,
-        "steady-state SoA kernels must not allocate (simd level: {:?})",
-        simspatial_geom::simd::level()
+        "steady-state SoA kernels must not allocate"
     );
 }
 

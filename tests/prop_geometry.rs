@@ -15,9 +15,24 @@ fn arb_aabb() -> impl Strategy<Value = Aabb> {
     (arb_point(), arb_point()).prop_map(|(a, b)| Aabb::new(a, b))
 }
 
+/// Coordinate `k` of a box, in `min.x, min.y, min.z, max.x, max.y, max.z`
+/// order.
+fn coord_mut(b: &mut Aabb, k: usize) -> &mut f32 {
+    match k {
+        0 => &mut b.min.x,
+        1 => &mut b.min.y,
+        2 => &mut b.min.z,
+        3 => &mut b.max.x,
+        4 => &mut b.max.y,
+        _ => &mut b.max.z,
+    }
+}
+
 /// Boxes for the batched-kernel properties: ordinary random boxes plus the
 /// degenerate cases (point boxes, the empty box, flat boxes) that a lane
-/// comparison could plausibly mishandle.
+/// comparison could plausibly mishandle, and the non-finite ones that pin
+/// the kernels' NaN discipline to the predicates' (`<=`/`>=` are false on
+/// NaN, `f32::max` keeps the non-NaN operand).
 fn arb_kernel_box() -> impl Strategy<Value = Aabb> {
     prop_oneof![
         4 => arb_aabb(),
@@ -27,11 +42,31 @@ fn arb_kernel_box() -> impl Strategy<Value = Aabb> {
             Aabb::new(p, Point3::new(p.x + e, p.y, p.z + e))
         }),
         1 => (0u8..1).prop_map(|_| Aabb::empty()),
+        2 => (arb_aabb(), 0usize..6, 0usize..6, 0usize..3, 0usize..3).prop_map(
+            |(mut b, i, j, u, v)| {
+                // One or two non-finite coordinates: NaN lanes, half-spaces,
+                // slabs, boxes inverted at infinity.
+                const NON_FINITE: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                *coord_mut(&mut b, i) = NON_FINITE[u];
+                *coord_mut(&mut b, j) = NON_FINITE[v];
+                b
+            }
+        ),
     ]
 }
 
+/// Stores of random length, and of the lengths around the 64-lane mask
+/// word boundary (empty, one lane, one short of / exactly / one past a
+/// word, two words and a lane).
 fn arb_kernel_boxes() -> impl Strategy<Value = Vec<Aabb>> {
-    prop::collection::vec(arb_kernel_box(), 1..200)
+    let len = prop_oneof![
+        2 => 1usize..200,
+        1 => (0usize..6).prop_map(|i| [0, 1, 63, 64, 65, 129][i]),
+    ];
+    (prop::collection::vec(arb_kernel_box(), 199..200), len).prop_map(|(mut boxes, n)| {
+        boxes.truncate(n);
+        boxes
+    })
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
