@@ -23,6 +23,8 @@ pub struct LoaderRow {
     pub query_s: f64,
     /// Summed leaf MBR volume (tile leakage; smaller is tighter).
     pub leaf_volume: f32,
+    /// Elements the built tree indexes.
+    pub elements: usize,
 }
 
 /// Runs the measurement.
@@ -46,6 +48,7 @@ pub fn measure(scale: Scale) -> Vec<LoaderRow> {
             build_s,
             query_s,
             leaf_volume: tree.leaf_volume_sum(),
+            elements: tree.len(),
         });
     };
 
@@ -101,17 +104,24 @@ pub fn run(scale: Scale) -> String {
 mod tests {
     use super::*;
 
+    /// The build-time ratio is wall clock and lives in the `figures` output;
+    /// what a test can pin is that the four rows describe the same dataset
+    /// and that no bulk loader's tiling is dramatically leakier than the
+    /// loosest curve's.
     #[test]
-    fn bulk_loaders_build_much_faster_than_insertion() {
+    fn every_loader_indexes_the_same_elements_with_bounded_leakage() {
         let rows = measure(Scale::Small);
-        let insert = rows.iter().find(|x| x.name == "insert-one-by-one").unwrap();
-        for name in ["STR", "Hilbert", "Morton"] {
-            let row = rows.iter().find(|x| x.name == name).unwrap();
+        let names: Vec<_> = rows.iter().map(|x| x.name).collect();
+        assert_eq!(names, ["STR", "Hilbert", "Morton", "insert-one-by-one"]);
+        let expected = neuron_dataset(Scale::Small).len();
+        let morton = rows[2].leaf_volume;
+        for row in &rows {
+            assert_eq!(row.elements, expected, "{} lost elements", row.name);
             assert!(
-                row.build_s * 2.0 < insert.build_s,
-                "{name} build {} should be well under insertion {}",
-                row.build_s,
-                insert.build_s
+                row.leaf_volume > 0.0 && row.leaf_volume <= morton * 2.0,
+                "{} leaf volume {} against Morton's {morton}",
+                row.name,
+                row.leaf_volume
             );
         }
     }

@@ -110,6 +110,15 @@ pub struct ShardApplyCost {
 /// attached as the differential oracle and the restart recipe). The
 /// closure must leave `data[id].shape` equal to the new geometry, exactly
 /// as a rebuild-path apply would.
+///
+/// **Determinism contract**: the closure must be a pure function of
+/// `(index, data, updates)` — the same index and element state given the
+/// same lane end in the same state, cell order and all (no clocks, random
+/// numbers or state captured outside its arguments). The service layer
+/// leans on it: a published snapshot executor is a structural copy of the
+/// live one, and replaying the lane the live executor just applied must
+/// leave the copy byte-identical to a fresh clone of the live executor —
+/// range emission order and kNN ties included.
 pub type ShardApply<I> =
     Arc<dyn Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost + Send + Sync>;
 
@@ -470,8 +479,9 @@ impl<I: Clone> ShardExecutor<I> {
     /// A frozen copy of this executor for snapshot reads: same elements,
     /// id map and index, fresh query scratch. The copy shares nothing
     /// mutable with `self`, so the service layer can keep serving queries
-    /// from it while the live executor applies later write barriers —
-    /// the copy-on-publish half of epoch-published snapshot reads.
+    /// from it while the live executor applies later write barriers. It is
+    /// where a shard's published snapshot starts; in-place writes then
+    /// reach the copy by replaying their lane on it ([`ShardApply`]).
     pub fn fork(&self) -> Self {
         Self {
             region: self.region,
@@ -508,7 +518,11 @@ impl<I> ShardExecutor<I> {
     /// resolves to a resident element, the updates are translated to local
     /// dense ids and handed to the apply function, which mutates the index
     /// in place — K updates dirty only the cells/nodes they touch, and the
-    /// full rebuild is skipped.
+    /// full rebuild is skipped. The translation lands in `local`, the
+    /// lane's own scratch, and is reused when it already maps these very
+    /// updates onto this executor's ids — re-running a lane on a structural
+    /// copy of the executor it first ran on (the service's snapshot replay)
+    /// neither repeats the binary searches nor allocates.
     ///
     /// **Rebuild fallback** (also the only mode when no apply function is
     /// attached): upserts (`updates` ∪ `inserts`), then removals, then
@@ -528,6 +542,7 @@ impl<I> ShardExecutor<I> {
         updates: &[(ElementId, Shape)],
         inserts: &[(ElementId, Shape)],
         removals: &[ElementId],
+        local: &mut Vec<(ElementId, Shape)>,
     ) -> ApplyOutcome {
         let rebuild = Arc::clone(
             self.rebuild
@@ -542,16 +557,25 @@ impl<I> ShardExecutor<I> {
             let apply = Arc::clone(apply);
             // Translate to local ids; any miss means the planner's envelope
             // view and this shard's membership disagree (stale planner), so
-            // fall through to the upsert-capable rebuild path.
-            let mut local: Vec<(ElementId, Shape)> = Vec::with_capacity(updates.len());
-            let resident = updates.iter().all(|&(gid, shape)| {
-                self.global.binary_search(&gid).is_ok_and(|li| {
-                    local.push((li as ElementId, shape));
-                    true
+            // fall through to the upsert-capable rebuild path. A translation
+            // left by an earlier run of the same lane is kept only if every
+            // entry still names its update's element here.
+            let translated = local.len() == updates.len()
+                && updates
+                    .iter()
+                    .zip(local.iter())
+                    .all(|(&(gid, _), &(li, _))| self.global.get(li as usize) == Some(&gid));
+            let resident = translated || {
+                local.clear();
+                updates.iter().all(|&(gid, shape)| {
+                    self.global.binary_search(&gid).is_ok_and(|li| {
+                        local.push((li as ElementId, shape));
+                        true
+                    })
                 })
-            });
+            };
             if resident {
-                let cost = apply(&mut self.index, &mut self.data, &local);
+                let cost = apply(&mut self.index, &mut self.data, local);
                 return ApplyOutcome {
                     applied: updates.len() as u64,
                     structural: cost.structural,
@@ -908,6 +932,9 @@ pub struct UpdateLane {
     inserts: Vec<(ElementId, Shape)>,
     /// Global ids leaving this shard.
     removals: Vec<ElementId>,
+    /// `updates` translated to the executor's local ids by the last
+    /// incremental [`UpdateLane::run`] (scratch otherwise).
+    local: Vec<(ElementId, Shape)>,
     /// Accounting of the last [`UpdateLane::run`].
     report: UpdateLaneReport,
 }
@@ -947,6 +974,7 @@ impl UpdateLane {
         self.updates.clear();
         self.inserts.clear();
         self.removals.clear();
+        self.local.clear();
         self.report = UpdateLaneReport::default();
     }
 
@@ -957,7 +985,12 @@ impl UpdateLane {
     /// ([`ShardedEngine::with_rebuild`]).
     pub fn run<I: SpatialIndex>(&mut self, exec: &mut ShardExecutor<I>) {
         let shipped = self.len() as u64;
-        let outcome = exec.apply_updates(&self.updates, &self.inserts, &self.removals);
+        let outcome = exec.apply_updates(
+            &self.updates,
+            &self.inserts,
+            &self.removals,
+            &mut self.local,
+        );
         self.report = UpdateLaneReport {
             applied: outcome.applied,
             migrated_in: outcome.inserted,
@@ -974,7 +1007,7 @@ impl UpdateLane {
 
     /// Heap bytes held by the lane's buffers.
     pub fn memory_bytes(&self) -> usize {
-        (self.updates.capacity() + self.inserts.capacity())
+        (self.updates.capacity() + self.inserts.capacity() + self.local.capacity())
             * std::mem::size_of::<(ElementId, Shape)>()
             + self.removals.capacity() * std::mem::size_of::<ElementId>()
     }
@@ -1669,7 +1702,11 @@ impl<I> ShardedEngine<I> {
     /// element clone, and the lane translated to local dense ids; it must
     /// leave `data[id].shape` equal to the new geometry, exactly as a
     /// rebuild would (that equivalence is what the differential suite
-    /// checks, with rebuild mode as the oracle).
+    /// checks, with rebuild mode as the oracle), and it must be
+    /// deterministic in its arguments (see [`ShardApply`]): a
+    /// snapshot-publishing service brings a shard's published copy up to
+    /// date by running the same lane on it a second time instead of cloning
+    /// the shard.
     pub fn with_apply(
         mut self,
         apply: impl Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost

@@ -15,8 +15,11 @@
 //!   [`ShardExecutor`](simspatial_index::ShardExecutor)s, executed on a
 //!   **work-stealing worker pool**. Each executor sits in two slots, a
 //!   *live* one that writes mutate and (after
-//!   [`ShardedBackend::spawn_snapshot`]) a *snapshot* one re-forked at
-//!   every publish. The dispatcher routes a run into per-shard lanes and
+//!   [`ShardedBackend::spawn_snapshot`]) a *snapshot* one that every
+//!   publish brings up to date — **replay-on-publish**: an in-place write
+//!   reaches the snapshot by running its lane a second time, on the pool;
+//!   the live executor is forked only on startup, structural change,
+//!   restart and repair. The dispatcher routes a run into per-shard lanes and
 //!   scatters them as stealable jobs: each pool worker owns a local deque
 //!   (a shard's jobs land on its owner's queue) and steals the oldest job
 //!   from a sibling when its own queue drains, so an uneven shard split
@@ -120,6 +123,15 @@ pub struct BackendTelemetry {
     /// Per-pool-worker cumulative busy time (nanoseconds spent executing
     /// shard jobs). Empty for backends without a worker pool.
     pub worker_busy_ns: Vec<u64>,
+    /// Shard snapshots published by **forking** the live executor (a deep
+    /// copy): the startup publish, shards a write rebuilt, restarted
+    /// shards, repairs.
+    pub snapshot_forks: u64,
+    /// Shard snapshots published by **replaying** the shard's last write
+    /// lane on the existing copy — what an in-place write costs to publish.
+    pub snapshot_replays: u64,
+    /// Bytes copied by those forks, cumulative.
+    pub snapshot_fork_bytes: u64,
 }
 
 /// Restart discipline for supervised shard workers: how many times a shard
@@ -393,9 +405,16 @@ pub trait ServiceBackend: Send + 'static {
     /// immediately after **every** applied write barrier, strictly between
     /// backend calls (no queries or writes in flight) — which is the
     /// invariant everything else leans on: between two publishes, live
-    /// state is byte-identical to the last published epoch. Must be
+    /// state is byte-identical to the last published epoch, and when
+    /// `publish` runs the published copy is exactly **one write
+    /// application behind** live state. A backend that keeps copies may
+    /// therefore publish by re-applying that one write to its copy instead
+    /// of copying live state ([`ShardedBackend`] does, for writes its
+    /// shards applied in place); one that sees a second write before the
+    /// publish of the first must fall back to copying. Must be
     /// idempotent per epoch: the scheduler retries after a caught panic,
-    /// and a retried publish must not publish the epoch twice. The default
+    /// and a retried publish must not publish the epoch twice — nor
+    /// re-apply a write it already brought to a copy. The default
     /// does nothing — a backend without snapshot copies already satisfies
     /// the contract, because its current state *is* the published state.
     fn publish(&mut self, _epoch: u64) {}
@@ -667,6 +686,7 @@ struct WorkerDone {
     shard: usize,
     tag: usize,
     job: Job,
+    snap: bool,
     panicked: bool,
 }
 
@@ -768,7 +788,13 @@ struct PoolShared {
     /// Per-shard job sequence counters and scheduled worker-level faults
     /// `(job sequence, kind)` — installed by the backend, looked up by the
     /// workers. Both live outside the executor slots, so a fault schedule
-    /// spans executor incarnations deterministically.
+    /// spans executor incarnations deterministically. **Every** pool job
+    /// of a shard draws one number: live lanes, snapshot reads and the
+    /// publish-time replay of a write lane alike — which is what lets a
+    /// plan aim a fault at a replay. A replay happens only on a
+    /// snapshot-publishing backend whose shards write in place, so plans
+    /// written for any other configuration count exactly the jobs they
+    /// always did.
     seqs: Vec<AtomicU64>,
     faults: Vec<Mutex<Vec<(u64, FaultKind)>>>,
 }
@@ -913,10 +939,8 @@ fn pool_worker_loop(
             snap,
         } = pool_job;
         let started = Instant::now();
-        // Snapshot jobs draw from the same per-shard sequence as live jobs,
-        // so one schedule covers both paths deterministically (runs that
-        // never submit snapshot jobs consume exactly the pre-snapshot
-        // sequence, keeping existing fault plans stable).
+        // Snapshot jobs (reads and replays) draw from the same per-shard
+        // sequence as live jobs — see `PoolShared::seqs`.
         let seq = shared.seqs[shard].fetch_add(1, Ordering::Relaxed);
         let fault = shared.faults[shard]
             .lock()
@@ -950,6 +974,7 @@ fn pool_worker_loop(
                 shard,
                 tag,
                 job,
+                snap,
                 panicked,
             })
             .is_err()
@@ -965,6 +990,25 @@ fn pool_worker_loop(
 /// rebuilt shard's element count. `Err` when the rebuild itself panicked
 /// (the supervisor backs off and retries).
 type RespawnFn = Box<dyn Fn(&ShardPlanner, usize) -> Result<(ShardRunner, usize), ()> + Send>;
+
+/// What the next publish owes one shard's snapshot copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SnapDebt {
+    /// Nothing: the copy is a structural clone of the live executor (or
+    /// the shard is dead and publishes nothing).
+    Clean,
+    /// One in-place write: the copy is exactly `update_lanes[shard]` behind
+    /// the live executor, and that lane ran incrementally — replaying it on
+    /// the copy makes the two byte-identical again (the [`ShardApply`]
+    /// determinism contract).
+    ///
+    /// [`ShardApply`]: simspatial_index::ShardApply
+    Replay,
+    /// A fresh fork: no copy yet, the live structure was rebuilt wholesale
+    /// (membership change, migration, restart), or more than one write
+    /// went by unpublished.
+    Fork,
+}
 
 /// A region-sharded backend executing on a **work-stealing worker pool**.
 /// Built by splitting a [`ShardedEngine`] into planner + executors
@@ -1009,11 +1053,12 @@ pub struct ShardedBackend {
     /// panicked snapshot job awaiting repair). Replacing a slot drops the
     /// previous copy — at most one published snapshot per shard, ever.
     snap_slots: RunnerSlots,
-    /// Shards whose live state changed since the last publish (write
-    /// lanes routed to them, or restarts mid-write); only these are forked
-    /// at the next [`ServiceBackend::publish`].
-    snap_dirty: Vec<bool>,
-    /// Per-shard snapshot copy bytes (the clone-bytes gauge input).
+    /// Per shard, how the next [`ServiceBackend::publish`] brings the
+    /// snapshot copy level with the live executor; untouched shards owe
+    /// nothing and cost nothing.
+    snap_debt: Vec<SnapDebt>,
+    /// Per-shard snapshot copy bytes (the clone-bytes gauge input):
+    /// sampled at fork, refreshed by every replay's lane report.
     snap_bytes: Vec<usize>,
     /// Whether executors can fork snapshot copies
     /// ([`ShardedBackend::spawn_snapshot`]).
@@ -1046,8 +1091,14 @@ impl ShardedBackend {
 
     /// [`ShardedBackend::spawn`] with **published snapshot reads**
     /// enabled: requires a `Clone` index type so each shard executor can
-    /// fork a frozen copy at publish time ([`ShardExecutor::fork`] —
-    /// copy-on-publish of the dirtied shards only). The scheduler detects
+    /// fork a frozen copy ([`ShardExecutor::fork`]). Publishing is
+    /// **replay-on-publish**: the copies are forked at startup, and from
+    /// then on a write that a shard applied in place
+    /// ([`ShardedEngine::with_apply`]) is published by replaying its lane
+    /// on the shard's copy, at the cost of the write; a shard forks again
+    /// only after a structural change (a lane that rebuilt it), a restart
+    /// or a repair — so an engine without `with_apply` forks every shard a
+    /// write touched. The scheduler detects
     /// the capability through [`ServiceBackend::supports_snapshots`] and
     /// serves [`Consistency::Snapshot`](crate::Consistency) reads from the
     /// copies while live executors apply later write barriers.
@@ -1120,7 +1171,7 @@ impl ShardedBackend {
             telemetry: BackendTelemetry::default(),
             factory,
             snap_slots,
-            snap_dirty: vec![true; n],
+            snap_debt: vec![SnapDebt::Fork; n],
             snap_bytes: vec![0; n],
             snapshots: fork.is_some(),
             range_lanes: Vec::new(),
@@ -1191,6 +1242,9 @@ impl ShardedBackend {
                         *lock_slot(&self.slots[i]) = Some(runner);
                         self.sizes[i] = len;
                         self.telemetry.shard_restarts += 1;
+                        // Rebuilt from the planner store: same contents,
+                        // not the structure the snapshot copy mirrors.
+                        self.snap_debt[i] = SnapDebt::Fork;
                         restarted = true;
                         break;
                     }
@@ -1207,15 +1261,17 @@ impl ShardedBackend {
                 // as the live path.
                 *lock_slot(&self.snap_slots[i]) = None;
                 self.snap_bytes[i] = 0;
-                self.snap_dirty[i] = false;
+                self.snap_debt[i] = SnapDebt::Clean;
             }
         }
     }
 
     /// Gathers `in_flight` completions from the pool, routing each lane
     /// back to its scratch slot: range lanes to `range_lanes`, update
-    /// lanes to `update_lanes` (refreshing the size/memory gauges of
-    /// shards that succeeded), kNN lanes to the per-group scratch (`tag` =
+    /// lanes to `update_lanes` (a live lane that succeeded refreshes the
+    /// shard's size/memory gauges; a replayed one settles the shard's
+    /// publish debt there and then, so a retried publish cannot replay it
+    /// twice), kNN lanes to the per-group scratch (`tag` =
     /// group; `fan_phase` picks home vs fanout). Returns the panicked
     /// shards, sorted and deduplicated.
     fn gather(&mut self, in_flight: usize, fan_phase: bool) -> Vec<usize> {
@@ -1226,14 +1282,20 @@ impl ShardedBackend {
                 shard,
                 tag,
                 job,
+                snap,
                 panicked: p,
             } = done;
             match job {
                 Job::Range(lane) => self.range_lanes[shard] = lane,
                 Job::Update(lane) => {
-                    if !p {
-                        self.sizes[shard] = lane.report().len_after;
-                        self.shard_memory[shard] = lane.report().memory_bytes;
+                    let report = lane.report();
+                    if !p && snap {
+                        self.snap_bytes[shard] = report.memory_bytes;
+                        self.snap_debt[shard] = SnapDebt::Clean;
+                        self.telemetry.snapshot_replays += 1;
+                    } else if !p {
+                        self.sizes[shard] = report.len_after;
+                        self.shard_memory[shard] = report.memory_bytes;
                     }
                     self.update_lanes[shard] = lane;
                 }
@@ -1280,6 +1342,15 @@ impl ShardedBackend {
         // rebuilt *from that advanced store*, so the write is fully applied
         // on it — only a shard that ends dead loses data, and that is
         // surfaced as a typed failure.
+        //
+        // Routing refills every lane, so a replay still owed from a write
+        // that was never published loses its lane here (and its copy would
+        // be two writes behind anyway): that shard forks.
+        for debt in &mut self.snap_debt {
+            if *debt == SnapDebt::Replay {
+                *debt = SnapDebt::Fork;
+            }
+        }
         let (value, mut stats) = route(&mut self.planner, &mut self.update_lanes);
         let mut in_flight = 0usize;
         for (i, lane) in self.update_lanes.iter_mut().enumerate() {
@@ -1291,11 +1362,12 @@ impl ShardedBackend {
             if lane.is_empty() {
                 continue;
             }
-            // Shards receiving any write work are dirty for the next
-            // publish — a restart mid-write is covered too (it rebuilds
-            // from the already-advanced planner store, and the lane that
-            // provoked it was non-empty by definition).
-            self.snap_dirty[i] = true;
+            // A shard receiving write work owes the next publish: a replay
+            // of this lane if its copy was level — confirmed below, once
+            // the lane's report says it ran in place — else a fork.
+            if self.snap_debt[i] == SnapDebt::Clean {
+                self.snap_debt[i] = SnapDebt::Replay;
+            }
             self.pool
                 .submit(i, 0, Job::Update(std::mem::take(lane)), false);
             in_flight += 1;
@@ -1303,8 +1375,16 @@ impl ShardedBackend {
         let panicked = self.gather(in_flight, false);
         self.handle_panics(&panicked);
         let failed = panicked.iter().copied().find(|&i| self.dead[i]);
-        for lane in &self.update_lanes {
-            lane.report().fold_into(&mut stats);
+        for (i, lane) in self.update_lanes.iter().enumerate() {
+            let report = lane.report();
+            report.fold_into(&mut stats);
+            // Only an incremental run left the shard's structure one lane
+            // ahead of its copy; a rebuilt one (or a torn lane, whose
+            // report stays empty) is a different structure altogether.
+            let in_place = report.rebuilds == 0 && report.rebuilds_avoided == 1;
+            if self.snap_debt[i] == SnapDebt::Replay && !in_place {
+                self.snap_debt[i] = SnapDebt::Fork;
+            }
         }
         stats.elapsed_s = start.elapsed().as_secs_f64();
         (value, UpdateReport { stats, failed })
@@ -1334,15 +1414,33 @@ impl ShardedBackend {
             let forked = if self.dead[i] {
                 None
             } else {
-                catch_unwind(AssertUnwindSafe(|| {
-                    lock_slot(&self.slots[i]).as_ref().and_then(|r| r.fork())
-                }))
-                .ok()
-                .flatten()
+                self.fork_live(i).ok().flatten()
             };
-            self.snap_bytes[i] = forked.as_ref().map_or(0, |r| r.memory_bytes());
-            *lock_slot(&self.snap_slots[i]) = forked;
+            self.install_snapshot(i, forked);
         }
+    }
+
+    /// A deep copy of shard `i`'s live executor (`None` when its slot is
+    /// empty); `Err` when the user index's `Clone` panicked.
+    fn fork_live(&self, i: usize) -> Result<Option<ShardRunner>, ()> {
+        catch_unwind(AssertUnwindSafe(|| {
+            lock_slot(&self.slots[i]).as_ref().and_then(|r| r.fork())
+        }))
+        .map_err(|_| ())
+    }
+
+    /// Parks a fork (or nothing) in shard `i`'s snapshot slot, dropping —
+    /// and thereby freeing — the copy it replaces. A fork is level with
+    /// the live executor by construction, so it settles the shard's debt.
+    fn install_snapshot(&mut self, i: usize, forked: Option<ShardRunner>) {
+        let bytes = forked.as_ref().map_or(0, |r| r.memory_bytes());
+        if forked.is_some() {
+            self.telemetry.snapshot_forks += 1;
+            self.telemetry.snapshot_fork_bytes += bytes as u64;
+            self.snap_debt[i] = SnapDebt::Clean;
+        }
+        self.snap_bytes[i] = bytes;
+        *lock_slot(&self.snap_slots[i]) = forked;
     }
 
     /// Scatters one wave of the routed run onto the pool — wave 1
@@ -1578,23 +1676,45 @@ impl ServiceBackend for ShardedBackend {
         self.snapshots
     }
 
-    /// Copy-on-publish: forks a frozen executor copy for every shard whose
-    /// state changed since the last publish and parks it in the shard's
-    /// snapshot slot, replacing — and thereby freeing — the previous copy.
-    /// Untouched shards keep their existing snapshot (no clone, no
-    /// traffic), so a sparse tick copies only the shards it dirtied. Dead
-    /// shards publish nothing. Idempotent per epoch: a clean pass leaves
-    /// no shard dirty, so a scheduler retry after a caught panic re-forks
-    /// only what the interrupted pass had not finished. A panic inside the
-    /// user index's `Clone` is supervised like a worker panic — the shard
-    /// restarts from the planner store and the fork is retried once
-    /// against the rebuilt executor.
+    /// Replay-on-publish: brings every shard's snapshot copy level with
+    /// its live executor, paying what the write paid. The scheduler
+    /// publishes after every write application, so a copy is exactly one
+    /// routed lane behind; a shard whose lane ran **in place** has that
+    /// lane replayed on its copy — one pool job per shard, in parallel
+    /// across workers — and the deterministic apply function leaves the
+    /// copy byte-identical to a fresh clone. A shard **forks** (deep copy,
+    /// on this thread, replacing — and thereby freeing — the previous
+    /// copy) only when there is no lane to replay: the startup publish, a
+    /// lane that rebuilt the shard, a restart, an empty snapshot slot, or
+    /// a write that went unpublished. Untouched shards keep their copy (no
+    /// job, no clone); dead shards publish nothing. Idempotent per epoch:
+    /// a shard's debt is settled the moment its replay is gathered or its
+    /// fork installed, so a scheduler retry after a caught panic finishes
+    /// what the interrupted pass had not and repeats nothing. A replay
+    /// that panics tears only the copy, which is re-forked from the live
+    /// executor; a panic inside the user index's `Clone` is supervised like
+    /// a worker panic — the shard restarts from the planner store and the
+    /// fork is retried once against the rebuilt executor.
     fn publish(&mut self, _epoch: u64) {
         if !self.snapshots {
             return;
         }
+        let mut in_flight = 0usize;
         for i in 0..self.slots.len() {
-            if !self.snap_dirty[i] {
+            if self.snap_debt[i] != SnapDebt::Replay {
+                continue;
+            }
+            if lock_slot(&self.snap_slots[i]).is_none() {
+                self.snap_debt[i] = SnapDebt::Fork;
+                continue;
+            }
+            let lane = std::mem::take(&mut self.update_lanes[i]);
+            self.pool.submit(i, 0, Job::Update(lane), true);
+            in_flight += 1;
+        }
+        // The forks run here while the pool replays.
+        for i in 0..self.slots.len() {
+            if self.snap_debt[i] != SnapDebt::Fork {
                 continue;
             }
             let mut attempts = 0u32;
@@ -1602,22 +1722,22 @@ impl ServiceBackend for ShardedBackend {
                 if self.dead[i] {
                     break None;
                 }
-                let fork = catch_unwind(AssertUnwindSafe(|| {
-                    lock_slot(&self.slots[i]).as_ref().and_then(|r| r.fork())
-                }));
-                match fork {
+                match self.fork_live(i) {
                     Ok(f) => break f,
-                    Err(_) if attempts == 0 => {
+                    Err(()) if attempts == 0 => {
                         attempts += 1;
                         self.handle_panics(&[i]);
                     }
-                    Err(_) => break None,
+                    Err(()) => break None,
                 }
             };
-            self.snap_bytes[i] = forked.as_ref().map_or(0, |r| r.memory_bytes());
-            *lock_slot(&self.snap_slots[i]) = forked;
-            self.snap_dirty[i] = false;
+            self.install_snapshot(i, forked);
+            // A fork that failed twice is not retried until the shard is
+            // written again; its empty slot blocks snapshot reads meanwhile.
+            self.snap_debt[i] = SnapDebt::Clean;
         }
+        let torn = self.gather(in_flight, false);
+        self.repair_snapshots(&torn);
     }
 
     fn snapshot_clone_bytes(&self) -> u64 {

@@ -879,6 +879,9 @@ impl<B: ServiceBackend> Scheduler<B> {
             stats.shards_dead = telemetry.shards_dead;
             stats.worker_steals = telemetry.worker_steals;
             stats.worker_busy_ns = telemetry.worker_busy_ns;
+            stats.snapshot_forks = telemetry.snapshot_forks;
+            stats.snapshot_replays = telemetry.snapshot_replays;
+            stats.snapshot_fork_bytes = telemetry.snapshot_fork_bytes;
             stats.completed += n as u64;
             for env in &self.pending {
                 stats.latency.record(env.submitted.elapsed());
@@ -904,8 +907,8 @@ impl<B: ServiceBackend> Scheduler<B> {
 
     /// Publishes epoch `next` on the backend, retrying a publish
     /// interrupted by a caught panic. `publish` is idempotent per epoch
-    /// (the backend re-forks only the shards the interrupted pass left
-    /// dirty), so the retry completes the same publication rather than
+    /// (the backend replays or re-forks only the shards the interrupted
+    /// pass left owing), so the retry completes the same publication rather than
     /// doubling it; the epoch counter and `epochs_published` advance only
     /// on success, exactly once per epoch. A publish that keeps failing
     /// leaves the per-shard snapshots potentially spanning two epochs —

@@ -248,6 +248,15 @@ pub struct ServiceStats {
     /// gauge returns to ~one-copy baseline once readers drain — the
     /// epoch-reclamation property test pins this.
     pub snapshot_clone_bytes: u64,
+    /// Shard snapshots published by deep-copying the live shard: startup,
+    /// shards a write rebuilt, restarted shards, repairs.
+    pub snapshot_forks: u64,
+    /// Shard snapshots published by replaying the shard's in-place write
+    /// on the existing copy (no copy made).
+    pub snapshot_replays: u64,
+    /// Bytes copied by `snapshot_forks`, cumulative — the publish traffic,
+    /// where `snapshot_clone_bytes` is what the copies hold.
+    pub snapshot_fork_bytes: u64,
     /// Per-tenant admission accounting, populated by multi-tenant front
     /// ends (empty for in-process services — see [`TenantStats`]).
     pub tenants: Vec<TenantStats>,
@@ -323,12 +332,15 @@ impl ServiceStats {
         );
         let _ = write!(
             s,
-            ",\"current_epoch\":{},\"epochs_published\":{},\"snapshot_reads\":{},\"stale_reads\":{},\"snapshot_clone_bytes\":{}",
+            ",\"current_epoch\":{},\"epochs_published\":{},\"snapshot_reads\":{},\"stale_reads\":{},\"snapshot_clone_bytes\":{},\"snapshot_forks\":{},\"snapshot_replays\":{},\"snapshot_fork_bytes\":{}",
             self.current_epoch,
             self.epochs_published,
             self.snapshot_reads,
             self.stale_reads,
-            self.snapshot_clone_bytes
+            self.snapshot_clone_bytes,
+            self.snapshot_forks,
+            self.snapshot_replays,
+            self.snapshot_fork_bytes
         );
         let _ = write!(s, ",\"memory_bytes\":{}", self.memory_bytes);
         s.push_str(",\"shard_sizes\":[");
@@ -413,12 +425,15 @@ impl ServiceStats {
             self.retries_attempted,
         ));
         s.push_str(&format!(
-            "epochs: current {}, {} published, {} snapshot reads ({} stale), {} snapshot bytes\n",
+            "epochs: current {}, {} published, {} snapshot reads ({} stale), {} snapshot bytes; {} shard replays, {} forks ({} bytes copied)\n",
             self.current_epoch,
             self.epochs_published,
             self.snapshot_reads,
             self.stale_reads,
             self.snapshot_clone_bytes,
+            self.snapshot_replays,
+            self.snapshot_forks,
+            self.snapshot_fork_bytes,
         ));
         if !self.worker_busy_ns.is_empty() {
             let busy_ms: Vec<String> = self

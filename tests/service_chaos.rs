@@ -1103,3 +1103,293 @@ fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
     );
     assert_eq!(stats.failed_requests, 0);
 }
+
+// --------------------------------------------------------------------------
+// Replay-on-publish under faults. A snapshot-publishing backend whose
+// shards write in place publishes a resident write by replaying its lane on
+// each shard's snapshot copy (one pool job per shard, drawing from the same
+// per-shard job sequence as every other job) and forks a shard only when
+// there is no lane to replay. The oracle is the same incremental engine
+// driven serially, so replies are compared byte for byte unless noted.
+// --------------------------------------------------------------------------
+
+/// Per-element cell migration as a shard apply function (what
+/// `GridMigrate::update_batch` does), deterministic in its arguments.
+fn migrate(
+    grid: &mut UniformGrid,
+    data: &mut [Element],
+    updates: &[(ElementId, Shape)],
+) -> ShardApplyCost {
+    let mut cost = ShardApplyCost::default();
+    for &(id, shape) in updates {
+        let old = data[id as usize].clone();
+        data[id as usize].shape = shape;
+        if grid.update(&old, &data[id as usize]) {
+            cost.structural += 1;
+        } else {
+            cost.absorbed += 1;
+        }
+    }
+    cost
+}
+
+fn incremental_grid_engine(data: &[Element], shards: usize) -> ShardedEngine<UniformGrid> {
+    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+    ShardedEngine::build(data, shards, build)
+        .with_rebuild(build)
+        .with_apply(migrate)
+}
+
+/// A **resident** delta tick: small elements nudged without leaving (or
+/// entering) any shard, at least two movers in every shard — so every
+/// shard's lane is non-empty and runs in place. `cur` tracks the envelopes
+/// across ticks.
+fn resident_delta(cur: &mut [Aabb], router: &ShardRouter, h: u32) -> Request {
+    let mut covered = vec![0u32; router.shards()];
+    let mut moves = Vec::new();
+    for id in 0..cur.len() as u32 {
+        if covered.iter().all(|&c| c >= 2) {
+            break;
+        }
+        let g = mix(id ^ h);
+        let c = cur[id as usize].center();
+        let lo = Point3::new(
+            c.x + (g % 5) as f32 * 0.04,
+            c.y + ((g >> 3) % 5) as f32 * 0.04,
+            c.z + ((g >> 6) % 5) as f32 * 0.04,
+        );
+        let dest = Aabb::new(lo, Point3::new(lo.x + 0.6, lo.y + 0.6, lo.z + 0.6));
+        let shards = router.route(&dest);
+        if id % 29 != 0
+            && router.route(&cur[id as usize]) == shards
+            && shards.clone().any(|s| covered[s] < 2)
+        {
+            for s in shards {
+                covered[s] += 1;
+            }
+            cur[id as usize] = dest;
+            moves.push((id, dest));
+        }
+    }
+    assert!(
+        covered.iter().all(|&c| c >= 2),
+        "a shard got no resident mover"
+    );
+    Request::StepDelta(moves)
+}
+
+/// `(snapshot_forks, snapshot_replays)` right now.
+fn publish_paths(handle: &ServiceHandle) -> (u64, u64) {
+    let stats = handle.stats();
+    (stats.snapshot_forks, stats.snapshot_replays)
+}
+
+fn snapshot_read(handle: &ServiceHandle, probe: &Request) -> Reply {
+    handle
+        .submit_at(probe.clone(), Consistency::Snapshot)
+        .unwrap()
+        .recv_reply()
+        .unwrap_or_else(|err| panic!("snapshot read failed: {err}"))
+}
+
+/// A worker panic **on a replay job**: only the snapshot copy is torn, so
+/// the shard's snapshot is re-forked from the (untouched) live executor —
+/// no restart, the epoch publishes exactly once, and the shard goes back to
+/// replaying on the next tick.
+#[test]
+fn replay_job_panic_reforks_the_snapshot_not_the_shard() {
+    quiet_panics();
+    let data = soup(2000, 0x9E91A);
+    let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
+    let router = oracle.0.router().clone();
+    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
+    // Per shard: job 0 = the barrier read, job 1 = the write lane, job 2 =
+    // that lane's replay at publish — where shard 2 panics.
+    let plan = FaultPlan::new().panic_on_shard(2, 2);
+    let backend = ChaosBackend::new(
+        ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
+        plan,
+    );
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let handle = service.handle();
+    let probe = Request::Range(vec![full_cover()]);
+
+    let r0 = handle.submit(probe.clone()).unwrap();
+    assert_eq!(
+        recv_bounded(&r0, "replay-panic", 0).unwrap(),
+        expected(&mut oracle, &probe)
+    );
+    assert_eq!(publish_paths(&handle), (4, 0), "epoch 0 forks every shard");
+
+    let tick = resident_delta(&mut cur, &router, 0xA1);
+    let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(ack.response, expected(&mut oracle, &tick));
+    assert_eq!(
+        ack.epoch, 1,
+        "the torn replay must not skip or repeat the epoch"
+    );
+    assert_eq!(
+        publish_paths(&handle),
+        (5, 3),
+        "three shards replayed, the torn one was re-forked"
+    );
+    let snap = snapshot_read(&handle, &probe);
+    assert_eq!(snap.epoch, 1);
+    assert_eq!(
+        snap.response,
+        expected(&mut oracle, &probe),
+        "the re-forked snapshot serves epoch 1"
+    );
+
+    let tick2 = resident_delta(&mut cur, &router, 0xA2);
+    let ack2 = handle.submit(tick2.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(ack2.response, expected(&mut oracle, &tick2));
+    assert_eq!(ack2.epoch, 2);
+    assert_eq!(publish_paths(&handle), (5, 7), "all four replay again");
+    let snap2 = snapshot_read(&handle, &probe);
+    assert_eq!(snap2.epoch, 2);
+    assert_eq!(snap2.response, expected(&mut oracle, &probe));
+
+    let stats = service.shutdown();
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.shard_restarts, 0, "the live shard never failed");
+    assert_eq!(stats.shards_dead, 0);
+    assert_eq!(stats.epochs_published, 3, "exactly once per epoch");
+    assert_eq!(stats.failed_requests, 0);
+}
+
+/// `panic_at_publish` on an incremental engine: the retried publish
+/// replays each shard's lane exactly once — four replays per epoch, no
+/// fork after startup — and reads at the retried epochs match the oracle.
+#[test]
+fn publish_panic_on_incremental_engine_replays_each_lane_once() {
+    quiet_panics();
+    let data = soup(2000, 0x7B11C);
+    let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
+    let router = oracle.0.router().clone();
+    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
+    // Attempt 0 is the startup publish; 2 and 4 are the first attempts of
+    // writes 2 and 3 (write 2's retry is attempt 3).
+    let plan = FaultPlan::new().panic_at_publish(2).panic_at_publish(4);
+    let backend = ChaosBackend::new(
+        ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
+        plan.clone(),
+    );
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let handle = service.handle();
+    let probes = [
+        Request::Range(vec![full_cover()]),
+        Request::Knn(vec![(Point3::new(50.0, 50.0, 50.0), 7)]),
+    ];
+
+    assert_eq!(snapshot_read(&handle, &probes[0]).epoch, 0);
+    let startup_fork_bytes = handle.stats().snapshot_fork_bytes;
+    assert!(startup_fork_bytes > 0);
+    for e in 1..=4u64 {
+        let tick = resident_delta(&mut cur, &router, 0xB0 + e as u32);
+        let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
+        assert_eq!(ack.response, expected(&mut oracle, &tick));
+        assert_eq!(ack.epoch, e, "write {e} acked under the wrong epoch");
+        assert_eq!(
+            publish_paths(&handle),
+            (4, 4 * e),
+            "epoch {e}: every shard's lane replayed exactly once, none forked"
+        );
+        for probe in &probes {
+            let snap = snapshot_read(&handle, probe);
+            assert_eq!(snap.epoch, e);
+            assert_eq!(
+                snap.response,
+                expected(&mut oracle, probe),
+                "snapshot at retried epoch {e} diverged from the oracle"
+            );
+        }
+    }
+
+    let stats = service.shutdown();
+    assert_eq!(stats.epochs_published, 5);
+    assert_eq!(stats.panics_caught, plan.planned_publish_panics());
+    assert_eq!(
+        stats.snapshot_fork_bytes, startup_fork_bytes,
+        "only the startup forks copied anything"
+    );
+    assert_eq!(stats.shard_restarts, 0);
+    assert_eq!(stats.failed_requests, 0);
+}
+
+/// A mid-write worker panic restarts one **live** shard from the planner
+/// store: its structure no longer mirrors its snapshot copy, so that shard
+/// forks at the publish while its three siblings replay; afterwards it
+/// replays like the rest. The restarted shard was rebuilt, not updated in
+/// place, so its ids come back in a different cell order than the serial
+/// engine's — replies are compared to the oracle as sets, and snapshot
+/// against live byte for byte.
+#[test]
+fn restarted_shard_forks_while_siblings_replay() {
+    quiet_panics();
+    let data = soup(2000, 0x3C0DE);
+    let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
+    let router = oracle.0.router().clone();
+    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
+    // Per shard: job 0 = the barrier read, job 1 = the write lane — where
+    // shard 2 panics mid-write.
+    let plan = FaultPlan::new().panic_on_shard(2, 1);
+    let backend = ChaosBackend::new(
+        ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
+        plan,
+    );
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let handle = service.handle();
+    let probe = Request::Range(vec![full_cover()]);
+    let sorted = |response: Response| {
+        let mut lists = response.into_range().expect("a range response");
+        lists.iter_mut().for_each(|l| l.sort_unstable());
+        lists
+    };
+
+    let r0 = handle.submit(probe.clone()).unwrap();
+    assert_eq!(
+        recv_bounded(&r0, "restart-fork", 0).unwrap(),
+        expected(&mut oracle, &probe)
+    );
+
+    let tick = resident_delta(&mut cur, &router, 0xC1);
+    let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(ack.response, expected(&mut oracle, &tick));
+    assert_eq!(ack.epoch, 1);
+    assert_eq!(
+        publish_paths(&handle),
+        (5, 3),
+        "the restarted shard forked, its siblings replayed"
+    );
+    let snap = snapshot_read(&handle, &probe);
+    assert_eq!(snap.epoch, 1);
+    let live = handle.submit(probe.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(snap.response, live.response, "snapshot differs from live");
+    assert_eq!(
+        sorted(snap.response),
+        sorted(expected(&mut oracle, &probe)),
+        "the write was applied in full on the restarted shard"
+    );
+
+    let tick2 = resident_delta(&mut cur, &router, 0xC2);
+    let ack2 = handle.submit(tick2.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(ack2.response, expected(&mut oracle, &tick2));
+    assert_eq!(ack2.epoch, 2);
+    assert_eq!(publish_paths(&handle), (5, 7), "all four replay again");
+    let snap2 = snapshot_read(&handle, &probe);
+    let live2 = handle.submit(probe.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(snap2.epoch, 2);
+    assert_eq!(snap2.response, live2.response);
+    assert_eq!(
+        sorted(snap2.response),
+        sorted(expected(&mut oracle, &probe))
+    );
+
+    let stats = service.shutdown();
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.shards_dead, 0);
+    assert_eq!(stats.epochs_published, 3);
+    assert_eq!(stats.failed_requests, 0);
+}

@@ -22,6 +22,14 @@
 //!   a constant factor of its post-startup baseline and is stable across
 //!   idle polls, no matter how many write rounds retired snapshots.
 //!
+//! * **Replay ≡ fork** (snapshot × incremental differential): on an engine
+//!   whose shards write in place, a publish replays the write lane on the
+//!   snapshot copy instead of cloning the shard. Under a stream that mixes
+//!   resident ticks (replay), migrations, inserts and removals (fork),
+//!   every snapshot reply must still be the serial incremental engine's
+//!   answer at its epoch — id order and kNN ties included — and the
+//!   counters must say which path each shard took.
+//!
 //! Epoch accounting relies on the scheduler invariant that a healthy
 //! snapshot service has published exactly `current_epoch + 1` epochs (the
 //! startup epoch 0 plus one per write barrier) — checked after every run
@@ -29,6 +37,7 @@
 
 use proptest::prelude::*;
 use simspatial::prelude::*;
+use simspatial_service::{QueryRun, QueryRunResults, ServiceBackend};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -280,6 +289,414 @@ fn snapshot_replies_match_barrier_oracle_at_reported_epoch() {
     assert!(stats.snapshot_clone_bytes > 0);
     assert_eq!(stats.failed_requests, 0);
     assert_eq!(stats.panics_caught, 0);
+}
+
+/// The per-element cell migration `GridMigrate::update_batch` performs, as
+/// a shard apply function: deterministic in `(grid, data, updates)`, which
+/// is what a replayed snapshot relies on.
+fn migrate(
+    grid: &mut UniformGrid,
+    data: &mut [Element],
+    updates: &[(ElementId, Shape)],
+) -> ShardApplyCost {
+    let mut cost = ShardApplyCost::default();
+    for &(id, shape) in updates {
+        let old = data[id as usize].clone();
+        data[id as usize].shape = shape;
+        if grid.update(&old, &data[id as usize]) {
+            cost.structural += 1;
+        } else {
+            cost.absorbed += 1;
+        }
+    }
+    cost
+}
+
+fn incremental_engine(data: &[Element], shards: usize) -> ShardedEngine<UniformGrid> {
+    ShardedEngine::build(data, shards, build)
+        .with_rebuild(build)
+        .with_apply(migrate)
+}
+
+/// The soup with every 40th element duplicated onto its successor: the two
+/// are equidistant from any probe, so kNN over them ties on distance.
+const PAIR_STRIDE: u32 = 40;
+
+fn tied_soup(n: u32, seed: u32) -> Vec<Element> {
+    let mut data = soup(n, seed);
+    for i in (0..n - 1).step_by(PAIR_STRIDE as usize) {
+        data[i as usize + 1].shape = data[i as usize].shape;
+    }
+    data
+}
+
+fn unit_box(c: Point3, half: f32) -> Aabb {
+    Aabb::new(
+        Point3::new(c.x - half, c.y - half, c.z - half),
+        Point3::new(c.x + half, c.y + half, c.z + half),
+    )
+}
+
+/// The replay differential's write stream: `(request, resident)` per
+/// epoch, `resident` marking ticks built to dirty every shard without
+/// changing any shard's membership. Cycle of six: three resident ticks,
+/// resident + one teleport (its two shards rebuild, the rest stay in
+/// place), insert, remove. Id pools are disjoint (`id %
+/// PAIR_STRIDE`: 0/1 jitter in pairs, 7 teleports, 11 is removed), so a
+/// resident mover is never one that migrated or died.
+fn replay_stream(data: &[Element], router: &ShardRouter, epochs: u64) -> Vec<(Request, bool)> {
+    let n = data.len() as u32;
+    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
+    let anchors: Vec<u32> = (0..n - 1).step_by(PAIR_STRIDE as usize).collect();
+    let resident_tick = |e: u64, cur: &mut Vec<Aabb>| -> Vec<(ElementId, Aabb)> {
+        let mut batch = Vec::new();
+        let mut covered = vec![0u32; router.shards()];
+        for (j, &a) in anchors.iter().enumerate() {
+            let h = mix(e as u32 ^ (j as u32).wrapping_mul(0x9E37));
+            let c = data[a as usize].aabb().center();
+            let moved = Point3::new(
+                c.x + (h % 7) as f32 * 0.05,
+                c.y + ((h >> 4) % 7) as f32 * 0.05,
+                c.z + ((h >> 8) % 7) as f32 * 0.05,
+            );
+            let dest = unit_box(moved, 0.5);
+            // Both twins go to the same box; keep the pair only if neither
+            // changes the shard set it lives in.
+            let stays = |id: u32| router.route(&cur[id as usize]) == router.route(&dest);
+            if stays(a) && stays(a + 1) {
+                for s in router.route(&dest) {
+                    covered[s] += 1;
+                }
+                for id in [a, a + 1] {
+                    cur[id as usize] = dest;
+                    batch.push((id, dest));
+                }
+            }
+        }
+        assert!(
+            covered.iter().all(|&c| c > 0),
+            "resident tick {e} left a shard untouched: {covered:?}"
+        );
+        batch
+    };
+    (1..=epochs)
+        .map(|e| {
+            let h = mix(e as u32 ^ 0x7E1E);
+            let far = |g: u32| {
+                Point3::new(
+                    (g % 880) as f32 / 10.0 + 1.0,
+                    ((g >> 8) % 880) as f32 / 10.0 + 1.0,
+                    ((g >> 16) % 880) as f32 / 10.0 + 1.0,
+                )
+            };
+            match e % 6 {
+                4 => {
+                    let mut batch = resident_tick(e, &mut cur);
+                    let id = (e as u32 * PAIR_STRIDE + 7) % n;
+                    let dest = unit_box(far(h), 0.6);
+                    cur[id as usize] = dest;
+                    batch.push((id, dest));
+                    (Request::Update(batch), false)
+                }
+                5 => {
+                    let boxes = (0..3).map(|q| unit_box(far(mix(h ^ q)), 0.7)).collect();
+                    (Request::Insert(boxes), false)
+                }
+                0 => {
+                    let ids = (0..3u32)
+                        .map(|q| ((e as u32 * 3 + q) * PAIR_STRIDE + 11) % n)
+                        .collect();
+                    (Request::Remove(ids), false)
+                }
+                _ => (Request::Update(resident_tick(e, &mut cur)), true),
+            }
+        })
+        .collect()
+}
+
+/// Applies one write of the stream to the serial engine, returning the
+/// acknowledgement the service must produce and the engine's accounting
+/// (`rebuilds` / `rebuilds_avoided` count the shards that took each path).
+fn oracle_write(
+    engine: &mut ShardedEngine<UniformGrid>,
+    write: &Request,
+) -> (Response, UpdateStats) {
+    match write {
+        Request::Update(batch) => {
+            let updates: Vec<(ElementId, Shape)> =
+                batch.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
+            let stats = engine.update_batch(&updates);
+            (Response::Update(batch.len() as u64), stats)
+        }
+        Request::Insert(boxes) => {
+            let shapes: Vec<Shape> = boxes.iter().map(|&bb| Shape::Box(bb)).collect();
+            let (ids, stats) = engine.insert_batch(&shapes);
+            (Response::Insert(ids), stats)
+        }
+        Request::Remove(ids) => {
+            let stats = engine.remove_batch(ids);
+            (Response::Remove(ids.len() as u64), stats)
+        }
+        other => panic!("not a write of the replay stream: {other:?}"),
+    }
+}
+
+/// Snapshot × incremental differential, at one shard count.
+///
+/// The oracle is the **same incremental engine driven serially**: its
+/// shards go through exactly the lanes the service's live shards do, so a
+/// snapshot that was replayed (or forked) correctly answers every probe
+/// with the oracle's bytes — range ids in cell order, tied kNN neighbours
+/// in id order. A replay that diverged from a clone by so much as a cell's
+/// element order fails the comparison.
+fn replay_differential(shards: usize) {
+    const EPOCHS: u64 = 26;
+    const READERS: usize = 2;
+
+    let data = tied_soup(1600, 0x4E91A7);
+    let mut oracle = Oracle(incremental_engine(&data, shards));
+    let stream = replay_stream(&data, oracle.0.router(), EPOCHS);
+
+    // Probes: the shared set plus kNN straddling tied twins.
+    let mut probe_set = probes();
+    probe_set.push(Request::Knn(
+        [0u32, 10, 25]
+            .iter()
+            .map(|&j| (data[(j * PAIR_STRIDE) as usize].aabb().center(), 6))
+            .collect(),
+    ));
+
+    // expected[e][p] as in the rebuild-mode test; paths[e] = the shards
+    // epoch e's write rebuilt / applied in place.
+    let mut expected: Vec<Vec<Response>> = Vec::with_capacity(EPOCHS as usize + 1);
+    let mut acks: Vec<Response> = Vec::new();
+    let mut paths: Vec<(u64, u64)> = Vec::new();
+    expected.push(probe_set.iter().map(|r| oracle.answer(r)).collect());
+    for (write, resident) in &stream {
+        let (ack, stats) = oracle_write(&mut oracle.0, write);
+        if *resident {
+            assert_eq!(
+                (stats.rebuilds, stats.rebuilds_avoided),
+                (0, shards as u64),
+                "a resident tick must run in place on every shard"
+            );
+        }
+        acks.push(ack);
+        paths.push((stats.rebuilds, stats.rebuilds_avoided));
+        expected.push(probe_set.iter().map(|r| oracle.answer(r)).collect());
+    }
+    if shards == 4 {
+        assert!(
+            paths
+                .iter()
+                .any(|&(rebuilt, in_place)| rebuilt > 0 && in_place > 0),
+            "the stream needs a tick on which some shards fork while others replay"
+        );
+    }
+    let expected = Arc::new(expected);
+    let probe_set = Arc::new(probe_set);
+
+    let service = SpatialService::spawn(
+        ShardedBackend::spawn_snapshot(incremental_engine(&data, shards)),
+        ServiceConfig::default().no_coalesce(),
+    );
+    let handle = service.handle();
+
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let handle = handle.clone();
+            let expected = Arc::clone(&expected);
+            let probe_set = Arc::clone(&probe_set);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut reads = 0u64;
+                let mut i = r;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let p = i % probe_set.len();
+                    i += 1;
+                    let reply = handle
+                        .submit_at(probe_set[p].clone(), Consistency::Snapshot)
+                        .expect("snapshot submit")
+                        .recv_reply()
+                        .expect("snapshot read failed");
+                    assert!(reply.epoch <= EPOCHS, "unpublished epoch {}", reply.epoch);
+                    assert_eq!(
+                        reply.response, expected[reply.epoch as usize][p],
+                        "{shards} shards, reader {r}, probe {p}: reply at epoch {} is \
+                         not the serial incremental engine's answer at that epoch",
+                        reply.epoch
+                    );
+                    reads += 1;
+                }
+                reads
+            })
+        })
+        .collect();
+
+    // Epoch 0 forked every shard; from here each write's publish must take,
+    // per shard, the path the oracle's lane took.
+    let snapshot_read = |p: usize| {
+        handle
+            .submit_at(probe_set[p].clone(), Consistency::Snapshot)
+            .expect("submit")
+            .recv_reply()
+            .expect("snapshot read")
+    };
+    assert_eq!(snapshot_read(0).epoch, 0);
+    let mut before = handle.stats();
+    assert_eq!(
+        (before.snapshot_forks, before.snapshot_replays),
+        (shards as u64, 0),
+        "the startup publish forks every shard"
+    );
+    assert!(before.snapshot_fork_bytes >= before.snapshot_clone_bytes);
+    let held_at_startup = before.snapshot_clone_bytes;
+    for (i, (write, resident)) in stream.iter().enumerate() {
+        let e = i as u64 + 1;
+        let ack = handle
+            .submit(write.clone())
+            .expect("write submit")
+            .recv_reply()
+            .expect("write failed");
+        assert_eq!(ack.epoch, e);
+        assert_eq!(ack.response, acks[i], "epoch {e}: write ack diverged");
+        let after = handle.stats();
+        let (rebuilt, in_place) = paths[i];
+        assert_eq!(
+            (
+                after.snapshot_forks - before.snapshot_forks,
+                after.snapshot_replays - before.snapshot_replays
+            ),
+            (rebuilt, in_place),
+            "{shards} shards, epoch {e}: rebuilt shards fork, in-place shards replay"
+        );
+        if *resident {
+            assert_eq!(
+                after.snapshot_fork_bytes, before.snapshot_fork_bytes,
+                "epoch {e}: a resident tick copies nothing"
+            );
+        }
+        before = after;
+        if e.is_multiple_of(4) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let reads: u64 = readers
+        .into_iter()
+        .map(|r| r.join().expect("reader panicked"))
+        .sum();
+    assert!(reads > 0, "readers never completed a snapshot read");
+
+    // Quiesced: the replayed/forked copies and the live shards answer the
+    // whole probe set with the same bytes.
+    for p in 0..probe_set.len() {
+        let snap = snapshot_read(p);
+        let barrier = handle
+            .submit_at(probe_set[p].clone(), Consistency::Barrier)
+            .expect("submit")
+            .recv_reply()
+            .expect("barrier read");
+        assert_eq!((snap.epoch, barrier.epoch), (EPOCHS, EPOCHS));
+        assert_eq!(
+            snap.response, barrier.response,
+            "probe {p}: snapshot differs from live"
+        );
+        assert_eq!(snap.response, expected[EPOCHS as usize][p]);
+    }
+
+    let stats = service.shutdown();
+    assert_eq!(stats.epochs_published, EPOCHS + 1);
+    assert!(stats.snapshot_replays > 0 && stats.snapshot_forks > shards as u64);
+    // The copies served reads since they were forked, and the last ticks
+    // replayed: the gauge now includes their grown query scratch, which a
+    // sample taken at fork time never saw.
+    assert!(
+        stats.snapshot_clone_bytes > held_at_startup,
+        "clone-bytes gauge was not refreshed by the replays: {} -> {}",
+        held_at_startup,
+        stats.snapshot_clone_bytes
+    );
+    assert_eq!(stats.failed_requests, 0);
+    assert_eq!(stats.panics_caught, 0);
+}
+
+#[test]
+fn replayed_snapshots_match_incremental_oracle_1_shard() {
+    replay_differential(1);
+}
+
+#[test]
+fn replayed_snapshots_match_incremental_oracle_2_shards() {
+    replay_differential(2);
+}
+
+#[test]
+fn replayed_snapshots_match_incremental_oracle_4_shards() {
+    replay_differential(4);
+}
+
+/// The `ServiceBackend` trait does not promise a publish after every write.
+/// Driven directly, two in-place writes before one publish leave each
+/// snapshot copy two lanes behind with only the second lane at hand: the
+/// backend must fork those shards rather than replay, and the published
+/// state must still equal live state.
+#[test]
+fn unpublished_write_falls_back_to_fork() {
+    let data = tied_soup(1600, 0xF0F0);
+    let engine = incremental_engine(&data, 2);
+    let router = engine.router().clone();
+    // The stream opens with three resident ticks.
+    let ticks: Vec<Vec<(ElementId, Shape)>> = replay_stream(&data, &router, 3)
+        .into_iter()
+        .map(|(write, resident)| match write {
+            Request::Update(batch) if resident => {
+                batch.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect()
+            }
+            other => panic!("expected a resident update tick, got {other:?}"),
+        })
+        .collect();
+    let mut backend = ShardedBackend::spawn_snapshot(engine);
+    backend.publish(0);
+    for tick in &ticks[..2] {
+        let report = backend.update_batch(tick);
+        assert_eq!(
+            (report.stats.rebuilds, report.stats.rebuilds_avoided),
+            (0, 2)
+        );
+    }
+    backend.publish(1);
+    let telemetry = backend.telemetry();
+    assert_eq!(
+        (telemetry.snapshot_forks, telemetry.snapshot_replays),
+        (4, 0),
+        "two writes behind: both shards fork again, nothing replays"
+    );
+
+    let run = QueryRun {
+        range: vec![Aabb::new(
+            Point3::new(0.0, 0.0, 0.0),
+            Point3::new(99.0, 99.0, 99.0),
+        )],
+        knn: vec![(5, vec![data[0].aabb().center()])],
+    };
+    let (mut live, mut snap) = (QueryRunResults::default(), QueryRunResults::default());
+    backend.query_run(&run, &mut live);
+    backend.snapshot_query_run(&run, &mut snap);
+    assert_eq!(live.range.query_results(0), snap.range.query_results(0));
+    assert_eq!(live.knn[0].query_results(0), snap.knn[0].query_results(0));
+    assert!(!live.range.query_results(0).is_empty());
+
+    // Published and level again: the next write replays.
+    backend.update_batch(&ticks[2]);
+    backend.publish(2);
+    let telemetry = backend.telemetry();
+    assert_eq!(
+        (telemetry.snapshot_forks, telemetry.snapshot_replays),
+        (4, 2)
+    );
+    backend.shutdown();
 }
 
 /// `ReadYourWrites { min_epoch }` always observes the caller's own acked
