@@ -199,6 +199,13 @@ impl SoaAabbs {
         &self.ids
     }
 
+    /// The stored ids, mutably — for renumbering entries in place (boxes
+    /// and entry order untouched).
+    #[inline]
+    pub fn ids_mut(&mut self) -> &mut [ElementId] {
+        &mut self.ids
+    }
+
     /// Index of the first entry equal to `(bbox, id)`, if any.
     pub fn position_of(&self, id: ElementId, bbox: &Aabb) -> Option<usize> {
         (0..self.len()).find(|&i| self.ids[i] == id && self.box_at(i) == *bbox)

@@ -38,9 +38,12 @@
 //! [`ShardPlanner::route_updates`] into per-shard [`UpdateLane`]s (the
 //! planner tracks every element's current envelope, so each write touches
 //! only the shards of the old and new envelope), executors apply their
-//! lane ([`UpdateLane::run`]: upserts, cross-shard **migrations** that keep
-//! replicas and id maps consistent, then an index rebuild via the function
-//! attached with [`ShardedEngine::with_rebuild`]), and the
+//! lane ([`UpdateLane::run`]: upserts and cross-shard **migrations** that
+//! keep replicas and id maps consistent — **in place** when an apply
+//! function is attached ([`ShardedEngine::with_apply`]) and the index can
+//! splice a membership change ([`SpatialIndex::splice`]), so a tick pays
+//! per mover, not per element; otherwise followed by an index rebuild via
+//! the function attached with [`ShardedEngine::with_rebuild`]), and the
 //! [`UpdateLaneReport`]s carry post-migration shard sizes and memory back
 //! for accounting. [`ShardedEngine::update_batch`] composes the round trip
 //! inline; the service layer ships the same lanes to its per-shard
@@ -100,16 +103,18 @@ pub struct ShardApplyCost {
 }
 
 /// The pluggable **incremental** in-shard write mode: an updatable executor
-/// holding one of these applies a geometry-only lane by mutating its index
-/// in place instead of rebuilding it ([`ShardExecutor::apply_updates`]).
+/// holding one of these applies a lane's geometry updates by mutating its
+/// index in place instead of rebuilding it ([`UpdateLane::run`]).
 ///
 /// Called with the shard's index, its re-identified local element clone,
 /// and the lane's updates translated to **local dense ids** — the executor
-/// guarantees every id resolves and that the lane carries no membership
-/// changes (inserts/removals fall back to the rebuild path, which stays
-/// attached as the differential oracle and the restart recipe). The
-/// closure must leave `data[id].shape` equal to the new geometry, exactly
-/// as a rebuild-path apply would.
+/// guarantees every id resolves. The closure only ever moves resident
+/// elements: a lane's arrivals and departures are spliced in by the
+/// executor first ([`SpatialIndex::splice`]), and the ids it is handed are
+/// the post-splice ones; lanes the executor cannot splice take the rebuild
+/// path, which stays attached as the fallback, the differential oracle and
+/// the restart recipe. The closure must leave `data[id].shape` equal to
+/// the new geometry, exactly as a rebuild-path apply would.
 ///
 /// **Determinism contract**: the closure must be a pure function of
 /// `(index, data, updates)` — the same index and element state given the
@@ -508,32 +513,124 @@ struct ApplyOutcome {
     rebuilds_avoided: u64,
 }
 
-impl<I> ShardExecutor<I> {
+/// A lane changes a shard's membership in place only while the arrivals
+/// plus departures stay within this fraction of the shard; a bigger change
+/// rebuilds, which also re-fits the index to where the elements now are.
+const SPLICE_MAX_FRACTION: usize = 4;
+
+/// After an in-place membership change the element clone and the id map
+/// give back spare capacity only beyond this fraction of their length: the
+/// slack a build's push-doubling leaves is dropped at the first change, but
+/// a shard whose membership oscillates (elements crossing a cut and
+/// returning) keeps the few spare slots and stops reallocating — and, when
+/// the allocator cannot grow the block where it lies, copying — its whole
+/// clone every cycle.
+const SPLICE_SLACK_FRACTION: usize = 16;
+
+fn trim_slack<T>(v: &mut Vec<T>) {
+    if (v.capacity() - v.len()) * SPLICE_SLACK_FRACTION > v.len() {
+        v.shrink_to_fit();
+    }
+}
+
+/// Per-lane working set of the in-place write path, kept across runs so a
+/// lane allocates once: the local-id translation of its updates and, for a
+/// lane that changes membership, the arguments of
+/// [`SpatialIndex::splice`].
+#[derive(Default)]
+struct LaneScratch {
+    /// `updates` translated to the executor's local ids by the last
+    /// in-place run.
+    local: Vec<(ElementId, Shape)>,
+    /// Old local id → new local id; a departing id maps to the id its
+    /// successor takes, so the map is monotone over every old id.
+    remap: Vec<ElementId>,
+    /// Departing elements under their old local ids, ascending.
+    removed: Vec<Element>,
+    /// Arriving elements under their new local ids, ascending …
+    inserted: Vec<Element>,
+    /// … and their global ids, parallel to `inserted`.
+    inserted_global: Vec<ElementId>,
+}
+
+impl LaneScratch {
+    fn memory_bytes(&self) -> usize {
+        self.local.capacity() * std::mem::size_of::<(ElementId, Shape)>()
+            + (self.remap.capacity() + self.inserted_global.capacity())
+                * std::mem::size_of::<ElementId>()
+            + (self.removed.capacity() + self.inserted.capacity()) * std::mem::size_of::<Element>()
+    }
+}
+
+/// Applies a sorted membership change to `v` in place: drops the entries at
+/// the positions `removed[..].id`, then opens the positions
+/// `inserted[..].id` (final coordinates) and fills slot `j` of them with
+/// `arrival(j)`. Two shifting passes over the affected tail, and growth
+/// beyond the capacity at hand is exact-fit — a vector that gains a few
+/// entries never doubles.
+fn splice_sorted<T: Clone>(
+    v: &mut Vec<T>,
+    removed: &[Element],
+    inserted: &[Element],
+    arrival: impl Fn(usize) -> T,
+) {
+    if !removed.is_empty() {
+        let (mut at, mut next) = (0usize, 0usize);
+        v.retain(|_| {
+            let dead = removed.get(next).is_some_and(|e| e.id as usize == at);
+            at += 1;
+            next += usize::from(dead);
+            !dead
+        });
+    }
+    let Some(last) = inserted.len().checked_sub(1) else {
+        return;
+    };
+    let mut src = v.len();
+    v.reserve_exact(inserted.len());
+    v.resize(src + inserted.len(), arrival(last));
+    let mut j = inserted.len();
+    for dst in (inserted[0].id as usize..v.len()).rev() {
+        if j > 0 && inserted[j - 1].id as usize == dst {
+            j -= 1;
+            v[dst] = arrival(j);
+        } else {
+            src -= 1;
+            v.swap(dst, src);
+        }
+    }
+}
+
+impl<I: SpatialIndex> ShardExecutor<I> {
+    /// Bytes held by this shard: index structure, replicated element clone,
+    /// id map and engine scratch.
+    pub fn memory_bytes(&self) -> usize {
+        self.index.memory_bytes() + self.base_memory_bytes()
+    }
+
     /// Applies one routed write sub-batch.
     ///
-    /// **Incremental fast path**: when an in-shard apply function is
-    /// attached ([`ShardExecutor::is_incremental`]), the lane carries no
-    /// membership changes (no inserts/removals — the element set and its
-    /// sorted-by-global-id order are untouched), and every update id
-    /// resolves to a resident element, the updates are translated to local
-    /// dense ids and handed to the apply function, which mutates the index
-    /// in place — K updates dirty only the cells/nodes they touch, and the
-    /// full rebuild is skipped. The translation lands in `local`, the
-    /// lane's own scratch, and is reused when it already maps these very
-    /// updates onto this executor's ids — re-running a lane on a structural
-    /// copy of the executor it first ran on (the service's snapshot replay)
-    /// neither repeats the binary searches nor allocates.
+    /// **In place** ([`ShardExecutor::apply_in_place`]): when an in-shard
+    /// apply function is attached ([`ShardExecutor::is_incremental`]) and
+    /// the lane agrees with this shard's membership — every update and
+    /// removal id resident, no insert id resident — geometry updates go to
+    /// the apply function under local dense ids and membership changes are
+    /// spliced into the element clone, the id map and the index
+    /// ([`SpatialIndex::splice`]). K movers cost O(K) plus, when membership
+    /// changed, one renumbering pass; nothing is rebuilt.
     ///
     /// **Rebuild fallback** (also the only mode when no apply function is
     /// attached): upserts (`updates` ∪ `inserts`), then removals, then
     /// restores the sorted-by-global-id element order and rebuilds the
-    /// shard index with the attached rebuild function.
+    /// shard index with the attached rebuild function. Taken when the lane
+    /// disagrees with the shard (a stale planner), when the membership
+    /// change exceeds a quarter of the shard, and when the index declines
+    /// to splice.
     ///
     /// Upsert semantics make the fallback robust to a planner whose
     /// envelope view is stale: an "update" for an id the shard does not
-    /// hold inserts it (which is also why such lanes bypass the fast
-    /// path), an "insert" for an id already present overwrites its
-    /// geometry, and removals of absent ids are no-ops.
+    /// hold inserts it, an "insert" for an id already present overwrites
+    /// its geometry, and removals of absent ids are no-ops.
     ///
     /// Panics when no rebuild function is attached
     /// ([`ShardExecutor::is_updatable`] is false).
@@ -542,48 +639,17 @@ impl<I> ShardExecutor<I> {
         updates: &[(ElementId, Shape)],
         inserts: &[(ElementId, Shape)],
         removals: &[ElementId],
-        local: &mut Vec<(ElementId, Shape)>,
+        scratch: &mut LaneScratch,
     ) -> ApplyOutcome {
         let rebuild = Arc::clone(
             self.rebuild
                 .as_ref()
                 .expect("write batch on a read-only shard — build the engine with_rebuild"),
         );
-        if let Some(apply) = self
-            .apply
-            .as_ref()
-            .filter(|_| inserts.is_empty() && removals.is_empty())
-        {
-            let apply = Arc::clone(apply);
-            // Translate to local ids; any miss means the planner's envelope
-            // view and this shard's membership disagree (stale planner), so
-            // fall through to the upsert-capable rebuild path. A translation
-            // left by an earlier run of the same lane is kept only if every
-            // entry still names its update's element here.
-            let translated = local.len() == updates.len()
-                && updates
-                    .iter()
-                    .zip(local.iter())
-                    .all(|(&(gid, _), &(li, _))| self.global.get(li as usize) == Some(&gid));
-            let resident = translated || {
-                local.clear();
-                updates.iter().all(|&(gid, shape)| {
-                    self.global.binary_search(&gid).is_ok_and(|li| {
-                        local.push((li as ElementId, shape));
-                        true
-                    })
-                })
-            };
-            if resident {
-                let cost = apply(&mut self.index, &mut self.data, local);
-                return ApplyOutcome {
-                    applied: updates.len() as u64,
-                    structural: cost.structural,
-                    absorbed: cost.absorbed,
-                    rebuilds: cost.rebuilds,
-                    rebuilds_avoided: 1,
-                    ..ApplyOutcome::default()
-                };
+        if let Some(apply) = self.apply.clone() {
+            if let Some(outcome) = self.apply_in_place(&apply, updates, inserts, removals, scratch)
+            {
+                return outcome;
             }
         }
         // Phase 1: upserts. Binary searches stay valid because misses are
@@ -652,13 +718,154 @@ impl<I> ShardExecutor<I> {
             rebuilds_avoided: 0,
         }
     }
-}
 
-impl<I: SpatialIndex> ShardExecutor<I> {
-    /// Bytes held by this shard: index structure, replicated element clone,
-    /// id map and engine scratch.
-    pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.base_memory_bytes()
+    /// The in-place write path; `None` — with the executor untouched —
+    /// when the lane has to take the rebuild fallback instead.
+    ///
+    /// Membership first, geometry second: arrivals and departures are
+    /// spliced into the index, the element clone and the id map at their
+    /// sorted positions, so the shard's two invariants (dense local ids,
+    /// sorted by global id) hold exactly as after a rebuild; then the
+    /// apply function moves the resident updates under the new local ids.
+    /// The index is asked before anything else is written, so one that
+    /// declines costs the lane nothing. Every step is a pure function of
+    /// the executor's state and the lane, which is what lets the service
+    /// replay the lane on a snapshot copy.
+    ///
+    /// The update translation lands in `scratch.local` and is reused when
+    /// it already maps these very updates onto this executor's ids —
+    /// re-running a resident lane on a structural copy of the executor it
+    /// first ran on neither repeats the binary searches nor allocates.
+    fn apply_in_place(
+        &mut self,
+        apply: &ShardApply<I>,
+        updates: &[(ElementId, Shape)],
+        inserts: &[(ElementId, Shape)],
+        removals: &[ElementId],
+        scratch: &mut LaneScratch,
+    ) -> Option<ApplyOutcome> {
+        // Any miss means the planner's envelope view and this shard's
+        // membership disagree (stale planner): the upsert-capable rebuild
+        // path sorts that out.
+        let local = &mut scratch.local;
+        let translated = local.len() == updates.len()
+            && updates
+                .iter()
+                .zip(local.iter())
+                .all(|(&(gid, _), &(li, _))| self.global.get(li as usize) == Some(&gid));
+        if !translated {
+            local.clear();
+            for &(gid, shape) in updates {
+                let li = self.global.binary_search(&gid).ok()?;
+                local.push((li as ElementId, shape));
+            }
+        }
+        let changed = inserts.len() + removals.len();
+        if changed > 0 {
+            if changed * SPLICE_MAX_FRACTION > self.data.len() {
+                return None;
+            }
+            self.plan_splice(inserts, removals, scratch)?;
+            if !self
+                .index
+                .splice(&scratch.removed, &scratch.remap, &scratch.inserted)
+            {
+                return None;
+            }
+            let (removed, inserted) = (&scratch.removed, &scratch.inserted);
+            let first = removed
+                .first()
+                .into_iter()
+                .chain(inserted.first())
+                .map(|e| e.id as usize)
+                .min()
+                .unwrap_or(0);
+            splice_sorted(&mut self.global, removed, inserted, |j| {
+                scratch.inserted_global[j]
+            });
+            splice_sorted(&mut self.data, removed, inserted, |j| inserted[j].clone());
+            for (li, e) in self.data.iter_mut().enumerate().skip(first) {
+                e.id = li as ElementId;
+            }
+            trim_slack(&mut self.data);
+            trim_slack(&mut self.global);
+            for entry in scratch.local.iter_mut() {
+                entry.0 = scratch.remap[entry.0 as usize];
+            }
+        }
+        let cost = apply(&mut self.index, &mut self.data, &scratch.local);
+        Some(ApplyOutcome {
+            applied: updates.len() as u64,
+            inserted: inserts.len() as u64,
+            removed: removals.len() as u64,
+            structural: cost.structural + changed as u64,
+            absorbed: cost.absorbed,
+            rebuilds: cost.rebuilds,
+            rebuilds_avoided: 1,
+        })
+    }
+
+    /// Resolves a lane's membership change against this shard into the
+    /// arguments of [`SpatialIndex::splice`] (`scratch.removed`, `.remap`,
+    /// `.inserted`, `.inserted_global`). `None` when the lane disagrees
+    /// with the shard: a removal that is not resident, an insert that is,
+    /// or a repeated id.
+    fn plan_splice(
+        &self,
+        inserts: &[(ElementId, Shape)],
+        removals: &[ElementId],
+        scratch: &mut LaneScratch,
+    ) -> Option<()> {
+        let LaneScratch {
+            remap,
+            removed,
+            inserted,
+            inserted_global,
+            ..
+        } = scratch;
+        removed.clear();
+        for gid in removals {
+            let li = self.global.binary_search(gid).ok()?;
+            removed.push(self.data[li].clone());
+        }
+        removed.sort_unstable_by_key(|e| e.id);
+        // Arrivals carry their global id until the merge below hands out
+        // local ones.
+        inserted.clear();
+        for &(gid, shape) in inserts {
+            if self.global.binary_search(&gid).is_ok() {
+                return None;
+            }
+            inserted.push(Element::new(gid, shape));
+        }
+        inserted.sort_unstable_by_key(|e| e.id);
+        let repeated = |list: &[Element]| list.windows(2).any(|w| w[0].id == w[1].id);
+        if repeated(removed) || repeated(inserted) {
+            return None;
+        }
+        // One merge over the old id map: survivors and arrivals take
+        // consecutive new ids in global-id order.
+        remap.clear();
+        remap.reserve_exact(self.global.len());
+        inserted_global.clear();
+        let mut next = 0 as ElementId;
+        let mut departures = removed.iter().peekable();
+        let mut arrivals = inserted.iter_mut().peekable();
+        for (old, &gid) in self.global.iter().enumerate() {
+            while let Some(e) = arrivals.next_if(|e| e.id < gid) {
+                inserted_global.push(std::mem::replace(&mut e.id, next));
+                next += 1;
+            }
+            remap.push(next);
+            if departures.next_if(|e| e.id as usize == old).is_none() {
+                next += 1;
+            }
+        }
+        for e in arrivals {
+            inserted_global.push(std::mem::replace(&mut e.id, next));
+            next += 1;
+        }
+        Some(())
     }
 
     /// Runs a routed sub-batch of range queries through the shard's engine,
@@ -886,22 +1093,25 @@ pub struct UpdateLaneReport {
     /// Elements resident in the shard after the batch (replicas included).
     pub len_after: usize,
     /// Shard bytes (index + clone + id map + engine scratch) after the
-    /// batch — reflects post-migration sizes, since the executor shrinks
-    /// its buffers on apply.
+    /// batch — reflects post-migration sizes: a rebuild leaves the clone
+    /// and id map exact-fit, an in-place membership change within a
+    /// sixteenth of it (the index keeps whatever capacity its cells grew).
     pub memory_bytes: usize,
     /// Write operations shipped to this shard (updates + inserts +
     /// removals) — the lane's share of the write-amplification numerator.
     pub shipped: u64,
-    /// Structural index work this lane caused: cells/nodes dirtied on the
-    /// incremental path, every surviving element on a rebuild.
+    /// Structural index work this lane caused: cells/nodes dirtied plus
+    /// elements spliced in or out on the in-place path, every surviving
+    /// element on a rebuild.
     pub structural: u64,
     /// Updates absorbed in place with no structural work.
     pub absorbed: u64,
     /// Full index rebuilds this lane performed (the executor fallback, or
     /// a strategy-internal rebuild on the incremental path).
     pub rebuilds: u64,
-    /// 1 when the lane ran incrementally (the mandatory rebuild of rebuild
-    /// mode was skipped), 0 otherwise.
+    /// 1 when the lane ran in place — geometry and, if it carried any,
+    /// membership changes (the mandatory rebuild of rebuild mode was
+    /// skipped), 0 otherwise.
     pub rebuilds_avoided: u64,
 }
 
@@ -915,6 +1125,11 @@ impl UpdateLaneReport {
         stats.absorbed += self.absorbed;
         stats.rebuilds += self.rebuilds;
         stats.rebuilds_avoided += self.rebuilds_avoided;
+        // Only an in-place lane reports membership changes without a
+        // rebuild: those are the ones it spliced.
+        if self.rebuilds_avoided == 1 {
+            stats.spliced += self.migrated_in + self.migrated_out;
+        }
     }
 }
 
@@ -932,9 +1147,8 @@ pub struct UpdateLane {
     inserts: Vec<(ElementId, Shape)>,
     /// Global ids leaving this shard.
     removals: Vec<ElementId>,
-    /// `updates` translated to the executor's local ids by the last
-    /// incremental [`UpdateLane::run`] (scratch otherwise).
-    local: Vec<(ElementId, Shape)>,
+    /// Working set of the last in-place [`UpdateLane::run`].
+    scratch: LaneScratch,
     /// Accounting of the last [`UpdateLane::run`].
     report: UpdateLaneReport,
 }
@@ -974,12 +1188,16 @@ impl UpdateLane {
         self.updates.clear();
         self.inserts.clear();
         self.removals.clear();
-        self.local.clear();
+        self.scratch.local.clear();
         self.report = UpdateLaneReport::default();
     }
 
-    /// Applies the lane's write sub-batch to `exec` (upserts, migrations,
-    /// re-sort, index rebuild) and records the post-apply report.
+    /// Applies the lane's write sub-batch to `exec` — in place where the
+    /// executor can (geometry through its apply function, membership
+    /// spliced), by upsert, re-sort and index rebuild otherwise — and
+    /// records the post-apply report. The report reads the index's memory
+    /// gauge, so the call ends in O(1) for an index that keeps a running
+    /// count ([`crate::UniformGrid`]).
     ///
     /// Panics when `exec` has no rebuild function attached
     /// ([`ShardedEngine::with_rebuild`]).
@@ -989,7 +1207,7 @@ impl UpdateLane {
             &self.updates,
             &self.inserts,
             &self.removals,
-            &mut self.local,
+            &mut self.scratch,
         );
         self.report = UpdateLaneReport {
             applied: outcome.applied,
@@ -1005,11 +1223,13 @@ impl UpdateLane {
         };
     }
 
-    /// Heap bytes held by the lane's buffers.
+    /// Heap bytes held by the lane's buffers, the in-place path's scratch
+    /// (id translation, splice arguments) included.
     pub fn memory_bytes(&self) -> usize {
-        (self.updates.capacity() + self.inserts.capacity() + self.local.capacity())
+        (self.updates.capacity() + self.inserts.capacity())
             * std::mem::size_of::<(ElementId, Shape)>()
             + self.removals.capacity() * std::mem::size_of::<ElementId>()
+            + self.scratch.memory_bytes()
     }
 }
 
@@ -1690,13 +1910,15 @@ impl<I> ShardedEngine<I> {
         self
     }
 
-    /// Switches every shard into the **incremental** write mode: a
-    /// geometry-only update lane whose ids all resolve in the shard is
-    /// applied in place through `apply` (index mutated cell-by-cell /
-    /// node-by-node) instead of rebuilding the shard index. Lanes carrying
-    /// membership changes — migrations in or out, inserts, removals — and
-    /// lanes with unresolved ids still take the rebuild path, so a rebuild
-    /// function must already be attached ([`ShardedEngine::with_rebuild`]).
+    /// Switches every shard into the **incremental** write mode: an update
+    /// lane that agrees with the shard's membership is applied in place —
+    /// geometry through `apply` (index mutated cell-by-cell /
+    /// node-by-node), migrations in or out, inserts and removals through
+    /// the index's [`SpatialIndex::splice`] — instead of rebuilding the
+    /// shard index. Lanes from a stale planner, membership changes past a
+    /// quarter of the shard and indexes that cannot splice still take the
+    /// rebuild path, so a rebuild function must already be attached
+    /// ([`ShardedEngine::with_rebuild`]).
     ///
     /// `apply` receives the shard index, the shard's re-identified local
     /// element clone, and the lane translated to local dense ids; it must
@@ -1830,8 +2052,9 @@ impl<I: SpatialIndex + Send> ShardedEngine<I> {
     /// coalesce last-write-wins). Elements whose new envelope overlaps a
     /// different shard set are **migrated** — removed from departed shards,
     /// inserted into entered ones — keeping replicas and id maps exactly
-    /// consistent with envelope overlap; every touched shard then rebuilds
-    /// its index over its post-batch local elements (threaded when
+    /// consistent with envelope overlap; every touched shard then applies
+    /// its lane in place or rebuilds its index over its post-batch local
+    /// elements (see [`UpdateLane::run`]; threaded when
     /// `SIMSPATIAL_THREADS > 1`). After the batch, query results are
     /// byte-identical to a single engine over the same updated dataset.
     ///
@@ -2383,6 +2606,215 @@ mod tests {
             sizes_after.iter().sum::<usize>() * std::mem::size_of::<Element>(),
             "shrunk clones must be counted at their post-migration size"
         );
+    }
+
+    /// Per-element cell migration as a shard apply function.
+    fn migrate(
+        grid: &mut UniformGrid,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> ShardApplyCost {
+        let mut cost = ShardApplyCost::default();
+        for &(id, shape) in updates {
+            let old = data[id as usize].clone();
+            data[id as usize].shape = shape;
+            if grid.update(&old, &data[id as usize]) {
+                cost.structural += 1;
+            } else {
+                cost.absorbed += 1;
+            }
+        }
+        cost
+    }
+
+    /// Range and kNN answers of `sharded` against a single grid over `data`.
+    fn assert_matches_single(sharded: &mut ShardedEngine<UniformGrid>, data: &[Element]) {
+        let single = UniformGrid::build(data, GridConfig::auto(data));
+        let mut engine = QueryEngine::new();
+        let qs = queries();
+        let (mut want, mut got) = (BatchResults::new(), BatchResults::new());
+        engine.range_collect(&single, data, &qs, &mut want);
+        sharded.range_collect(&qs, &mut got);
+        for qi in 0..qs.len() {
+            let mut a = got.query_results(qi).to_vec();
+            let mut b = want.query_results(qi).to_vec();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "range query {qi}");
+        }
+        let points: Vec<Point3> = (0..8)
+            .map(|i| Point3::new((i * 11) as f32, (i * 9) as f32, (i * 13) as f32))
+            .collect();
+        let (mut want, mut got) = (KnnBatchResults::new(), KnnBatchResults::new());
+        engine.knn_collect(&single, data, &points, 6, &mut want);
+        sharded.knn_collect(&points, 6, &mut got);
+        for qi in 0..points.len() {
+            assert_eq!(got.query_results(qi), want.query_results(qi), "probe {qi}");
+        }
+    }
+
+    #[test]
+    fn membership_lanes_splice_in_place_and_bulk_changes_rebuild() {
+        let mut data = soup(2000);
+        let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+        let mut sharded = ShardedEngine::build(&data, 4, build)
+            .with_rebuild(build)
+            .with_apply(migrate);
+
+        // A few cross-shard moves beside resident jitter: every touched
+        // lane runs in place, membership changes included.
+        let mut updates: Vec<(ElementId, Shape)> = (0..40u32)
+            .map(|i| {
+                let c = data[(i * 13) as usize].aabb().center();
+                (i * 13, box_at(c.x + 0.1, c.y, c.z, 0.3))
+            })
+            .collect();
+        for i in 0..12u32 {
+            updates.push((1000 + i, box_at(8.0 * i as f32 + 2.0, 40.0, 40.0, 0.4)));
+        }
+        let stats = sharded.update_batch(&updates);
+        apply_serially(&mut data, &updates);
+        assert!(stats.migrations > 0);
+        assert_eq!(
+            stats.rebuilds, 0,
+            "small membership changes must not rebuild"
+        );
+        assert_eq!(stats.rebuilds_avoided, 4);
+        let moved: u64 = sharded
+            .update_lanes
+            .iter()
+            .map(|l| l.report().migrated_in + l.report().migrated_out)
+            .sum();
+        assert!(moved > 0);
+        assert_eq!(stats.spliced, moved);
+        for exec in &sharded.executors {
+            assert!(exec.global_ids().windows(2).all(|w| w[0] < w[1]));
+            assert!(exec
+                .data
+                .iter()
+                .enumerate()
+                .all(|(i, e)| e.id as usize == i));
+            assert_eq!(exec.index().len(), exec.len());
+        }
+        assert_matches_single(&mut sharded, &data);
+
+        // Inserts and removals splice too.
+        let (ids, stats) = sharded.insert_batch(&[box_at(30.0, 30.0, 30.0, 0.5)]);
+        data.push(Element::new(ids[0], box_at(30.0, 30.0, 30.0, 0.5)));
+        assert_eq!((stats.rebuilds, stats.spliced), (0, 1));
+        let stats = sharded.remove_batch(&[5, 6]);
+        for id in [5usize, 6] {
+            data[id].shape = Shape::Box(Aabb::empty());
+        }
+        assert_eq!(stats.rebuilds, 0);
+        assert!(stats.spliced >= 2);
+        // Tombstones (empty boxes) intersect nothing, so a scan over the
+        // full-length vector is the oracle.
+        let mut got = BatchResults::new();
+        sharded.range_collect(&queries(), &mut got);
+        let scan = LinearScan::build(&data);
+        for (qi, q) in queries().iter().enumerate() {
+            let mut a = got.query_results(qi).to_vec();
+            let mut b = scan.range(&data, q);
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "after insert/remove, query {qi}");
+        }
+
+        // Past a quarter of the shard the lane rebuilds (and re-fits).
+        let sizes = sharded.shard_sizes();
+        let bulk: Vec<(ElementId, Shape)> = sharded.executors[0]
+            .global_ids()
+            .iter()
+            .take(sizes[0] / 2)
+            .map(|&g| (g, box_at(95.0, 50.0, 50.0, 0.3)))
+            .collect();
+        let stats = sharded.update_batch(&bulk);
+        assert!(stats.rebuilds >= 1, "a bulk membership change rebuilds");
+    }
+
+    #[test]
+    fn oscillating_membership_stops_reallocating() {
+        // An element that joins a shard and leaves again, cycle after
+        // cycle: from the second cycle on the shard's clone and id map sit
+        // in the block they already have (the spare slot is kept), and
+        // what is kept stays within a sixteenth of the length.
+        let data = soup(2000);
+        let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+        let mut sharded = ShardedEngine::build(&data, 4, build)
+            .with_rebuild(build)
+            .with_apply(migrate);
+        let blocks = |sharded: &ShardedEngine<UniformGrid>| -> Vec<_> {
+            sharded
+                .executors
+                .iter()
+                .map(|e| {
+                    (
+                        (e.data.as_ptr(), e.data.capacity()),
+                        (e.global.as_ptr(), e.global.capacity()),
+                    )
+                })
+                .collect()
+        };
+        let built = blocks(&sharded);
+        let mut settled = None;
+        for cycle in 0..6 {
+            let (ids, stats) = sharded.insert_batch(&[box_at(30.0, 30.0, 30.0, 0.5)]);
+            assert_eq!((stats.rebuilds, stats.spliced), (0, 1));
+            let joined = blocks(&sharded);
+            let stats = sharded.remove_batch(&ids);
+            assert_eq!((stats.rebuilds, stats.spliced), (0, 1));
+            if cycle >= 1 {
+                let settled = settled.get_or_insert(joined.clone());
+                assert_eq!(*settled, joined, "cycle {cycle}, joined");
+                assert_eq!(*settled, blocks(&sharded), "cycle {cycle}, left");
+            }
+        }
+        let settled = settled.expect("six cycles ran");
+        let mut touched = 0;
+        for (s, e) in sharded.executors.iter().enumerate() {
+            if settled[s] == built[s] {
+                continue; // the box never reached this shard
+            }
+            touched += 1;
+            assert!((e.data.capacity() - e.data.len()) * SPLICE_SLACK_FRACTION <= e.data.len());
+            assert!(
+                (e.global.capacity() - e.global.len()) * SPLICE_SLACK_FRACTION <= e.global.len()
+            );
+        }
+        assert!(touched > 0);
+    }
+
+    #[test]
+    fn index_that_declines_to_splice_rebuilds_untouched() {
+        // `LinearScan` keeps the default `splice`: a membership lane on an
+        // incremental engine over it takes the rebuild path, and the apply
+        // function never sees the lane.
+        let data = soup(600);
+        let mut sharded = ShardedEngine::build(&data, 2, LinearScan::build)
+            .with_rebuild(LinearScan::build)
+            .with_apply(|_, data, updates| {
+                for &(id, shape) in updates {
+                    data[id as usize].shape = shape;
+                }
+                ShardApplyCost::default()
+            });
+        let resident = sharded.update_batch(&[(3, data[3].shape)]);
+        assert_eq!((resident.rebuilds, resident.rebuilds_avoided), (0, 1));
+        let target = if data[7].aabb().center().x < 50.0 {
+            95.0
+        } else {
+            4.0
+        };
+        let stats = sharded.update_batch(&[(7, box_at(target, 50.0, 50.0, 0.3))]);
+        assert_eq!(stats.migrations, 1);
+        assert_eq!(
+            (stats.rebuilds, stats.rebuilds_avoided, stats.spliced),
+            (2, 0, 0)
+        );
+        let mut out = KnnBatchResults::new();
+        sharded.knn_collect(&[Point3::new(target, 50.0, 50.0)], 1, &mut out);
+        assert_eq!(out.query_results(0)[0].0, 7);
     }
 
     #[test]

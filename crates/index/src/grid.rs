@@ -115,7 +115,7 @@ impl GridConfig {
 /// let hits = grid.range(data.elements(), &q);
 /// assert!(!hits.is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct UniformGrid {
     origin: Point3,
     cell: f32,
@@ -134,6 +134,32 @@ pub struct UniformGrid {
     /// marks an absent id). Replicate placement stores several replicas per
     /// id and locates them by slab scan instead.
     slots: Vec<(u32, u32)>,
+    /// Running [`SpatialIndex::memory_bytes`]: kept current by every
+    /// mutation (`insert`/`remove`/`update`/`splice` account the capacity
+    /// they add; a bulk load and a clone count once at the end), so the
+    /// gauge is O(1) instead of a walk over every cell header.
+    bytes: usize,
+}
+
+/// A clone's vectors are exact-fit, so its byte count is its own walk, not
+/// the original's running figure.
+impl Clone for UniformGrid {
+    fn clone(&self) -> Self {
+        let mut grid = Self {
+            origin: self.origin,
+            cell: self.cell,
+            dims: self.dims,
+            cells: self.cells.clone(),
+            placement: self.placement,
+            len: self.len,
+            max_half_extent: self.max_half_extent,
+            id_bound: self.id_bound,
+            slots: self.slots.clone(),
+            bytes: 0,
+        };
+        grid.bytes = grid.walk_bytes();
+        grid
+    }
 }
 
 /// Absent-entry marker in the center-placement slot directory.
@@ -190,7 +216,7 @@ impl UniformGrid {
             dims = dims_for(cell);
         }
         let total = dims[0] * dims[1] * dims[2];
-        Self {
+        let mut grid = Self {
             origin,
             cell,
             dims,
@@ -200,7 +226,29 @@ impl UniformGrid {
             max_half_extent: 0.0,
             id_bound: expected,
             slots: Vec::new(),
-        }
+            bytes: 0,
+        };
+        grid.bytes = grid.walk_bytes();
+        grid
+    }
+
+    /// The byte count from first principles: inline size, cell headers,
+    /// slot directory and every slab's heap — what `bytes` must equal.
+    fn walk_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.cells.capacity() * std::mem::size_of::<SoaAabbs>()
+            + self.slots.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.cells.iter().map(SoaAabbs::memory_bytes).sum::<usize>()
+    }
+
+    /// Grows (or truncates) the slot directory to exactly `len` entries —
+    /// exact-fit, so a directory that gains a few ids never doubles.
+    fn size_slots(&mut self, len: usize) {
+        let before = self.slots.capacity();
+        self.slots
+            .reserve_exact(len.saturating_sub(self.slots.len()));
+        self.slots.resize(len, NO_SLOT);
+        self.bytes += (self.slots.capacity() - before) * std::mem::size_of::<(u32, u32)>();
     }
 
     /// O(1) locate of `id`'s entry under center placement.
@@ -217,15 +265,21 @@ impl UniformGrid {
     fn note_slot(&mut self, id: ElementId, cell: usize, slot: usize) {
         let idx = id as usize;
         if self.slots.len() <= idx {
+            let before = self.slots.capacity();
             self.slots.resize(idx + 1, NO_SLOT);
+            self.bytes += (self.slots.capacity() - before) * std::mem::size_of::<(u32, u32)>();
         }
         self.slots[idx] = (cell as u32, slot as u32);
     }
 
-    /// Pushes an entry into a cell slab, maintaining the slot directory.
+    /// Pushes an entry into a cell slab, maintaining the slot directory
+    /// and the running byte count.
     #[inline]
     fn cell_push(&mut self, cell: usize, bbox: Aabb, id: ElementId) {
-        self.cells[cell].push(bbox, id);
+        let slab = &mut self.cells[cell];
+        let before = slab.memory_bytes();
+        slab.push(bbox, id);
+        self.bytes += slab.memory_bytes() - before;
         if self.placement == GridPlacement::Center {
             let slot = self.cells[cell].len() - 1;
             self.note_slot(id, cell, slot);
@@ -352,10 +406,17 @@ impl UniformGrid {
             self.max_half_extent = self.max_half_extent.max(chunk.max_half);
             self.id_bound = self.id_bound.max(chunk.max_id as usize + 1);
             for (cell, bbox, id) in chunk.entries {
-                self.cell_push(cell as usize, bbox, id);
+                let slab = &mut self.cells[cell as usize];
+                slab.push(bbox, id);
+                if self.placement == GridPlacement::Center {
+                    let slot = slab.len() - 1;
+                    self.note_slot(id, cell as usize, slot);
+                }
             }
         }
         self.len += elements.len();
+        // One count for the whole load instead of one per push.
+        self.bytes = self.walk_bytes();
     }
 
     /// Inserts an element under the configured placement.
@@ -374,7 +435,7 @@ impl UniformGrid {
                     for y in lo[1]..=hi[1] {
                         for x in lo[0]..=hi[0] {
                             let idx = self.cell_index([x, y, z]);
-                            self.cells[idx].push(bbox, e.id);
+                            self.cell_push(idx, bbox, e.id);
                         }
                     }
                 }
@@ -464,9 +525,9 @@ impl UniformGrid {
                     self.note_element(new.id, &new_bbox);
                     return false;
                 }
+                // `remove` and `insert` keep `len` level between them.
                 self.remove(old.id, old);
                 self.insert(new);
-                self.len -= 1; // insert bumped it; the element is not new
                 true
             }
         }
@@ -634,15 +695,66 @@ impl SpatialIndex for UniformGrid {
         }
     }
 
+    /// O(1): the running count (checked against the cell walk in debug
+    /// builds).
     fn memory_bytes(&self) -> usize {
-        let mut total = std::mem::size_of::<Self>()
-            + self.cells.capacity() * std::mem::size_of::<SoaAabbs>()
-            // The center-placement slot directory added with the SoA slabs.
-            + self.slots.capacity() * std::mem::size_of::<(u32, u32)>();
-        for c in &self.cells {
-            total += c.memory_bytes();
+        debug_assert_eq!(self.bytes, self.walk_bytes(), "running byte count drifted");
+        self.bytes
+    }
+
+    /// Removes the departing entries (center placement finds them through
+    /// the slot directory, replication through their boxes' cell ranges),
+    /// renumbers every stored id — and rebuilds the directory — in one walk
+    /// over the cells, then inserts the arrivals. The grid region and
+    /// resolution stay as built: arrivals outside it clamp into the
+    /// boundary cells (exact, only slower), which is why callers rebuild
+    /// on bulk changes. Always succeeds.
+    fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
+        for e in removed {
+            let found = self.remove(e.id, e);
+            debug_assert!(found, "spliced-out element {} was not indexed", e.id);
         }
-        total
+        let center = self.placement == GridPlacement::Center;
+        // No removal and the last id mapping to itself: a monotone map is
+        // then the identity (arrivals all sort after the survivors — the
+        // shape of a plain insert), and the walk is skipped.
+        let identity =
+            removed.is_empty() && remap.last().is_none_or(|&l| l as usize + 1 == remap.len());
+        let arrivals_end = inserted
+            .iter()
+            .map(|e| e.id as usize + 1)
+            .max()
+            .unwrap_or(0);
+        if center {
+            // The directory ends at the image of the largest surviving old
+            // id (its last occupied entry) or at the last arrival; when ids
+            // move it is rebuilt by the walk below.
+            let survivors_end = if identity {
+                self.slots.len()
+            } else {
+                let last = self.slots.iter().rposition(|&s| s != NO_SLOT);
+                self.slots.clear();
+                last.map_or(0, |old| remap[old] as usize + 1)
+            };
+            self.size_slots(survivors_end.max(arrivals_end));
+        }
+        if !identity {
+            let mut end = 0usize;
+            for (c, slab) in self.cells.iter_mut().enumerate() {
+                for (s, id) in slab.ids_mut().iter_mut().enumerate() {
+                    *id = remap[*id as usize];
+                    end = end.max(*id as usize + 1);
+                    if center {
+                        self.slots[*id as usize] = (c as u32, s as u32);
+                    }
+                }
+            }
+            self.id_bound = end;
+        }
+        for e in inserted {
+            self.insert(e);
+        }
+        true
     }
 }
 
@@ -1090,6 +1202,89 @@ mod tests {
             assert_eq!(g.len(), 299);
             let hits = g.range(&data, &data[7].aabb().inflate(0.1));
             assert!(!hits.contains(&7));
+        }
+    }
+
+    /// A small scattered change for the splice tests: drops every 7th of
+    /// the first 70 elements, lands three arrivals (front, middle, past the
+    /// end). Returns the new dataset and the `splice` arguments.
+    #[allow(clippy::type_complexity)]
+    fn small_change(
+        data: &[Element],
+    ) -> (Vec<Element>, Vec<Element>, Vec<ElementId>, Vec<Element>) {
+        let lands = [0usize, data.len() / 2, data.len()];
+        let (mut new, mut removed, mut inserted) = (Vec::new(), Vec::new(), Vec::new());
+        let mut remap = Vec::new();
+        for i in 0..=data.len() {
+            if lands.contains(&i) {
+                let shape = Shape::Sphere(Sphere::new(Point3::new(i as f32 / 9.0, 40.0, 7.0), 0.3));
+                inserted.push(Element::new(new.len() as ElementId, shape));
+                new.push(inserted.last().unwrap().clone());
+            }
+            let Some(e) = data.get(i) else { break };
+            remap.push(new.len() as ElementId);
+            if i < 70 && i % 7 == 0 {
+                removed.push(e.clone());
+            } else {
+                new.push(Element::new(new.len() as ElementId, e.shape));
+            }
+        }
+        (new, removed, remap, inserted)
+    }
+
+    #[test]
+    fn running_byte_count_tracks_the_cell_walk() {
+        let data = scattered(900, 0.5);
+        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+            let mut g = UniformGrid::build(&data, GridConfig::with_cell_side(6.0, placement));
+            assert_eq!(g.bytes, g.walk_bytes(), "{placement:?}: after build");
+            let mut live = data.clone();
+            for e in live.iter_mut().step_by(5) {
+                let old = e.clone();
+                e.translate(Vec3::new(9.0, 2.0, -4.0));
+                g.update(&old, e);
+            }
+            assert!(g.remove(11, &live[11]));
+            let extra = Element::new(
+                900,
+                Shape::Sphere(Sphere::new(Point3::new(1.0, 2.0, 3.0), 0.4)),
+            );
+            g.insert(&extra);
+            assert_eq!(g.bytes, g.walk_bytes(), "{placement:?}: after point writes");
+            assert_eq!(
+                g.clone().bytes,
+                g.clone().walk_bytes(),
+                "{placement:?}: clone"
+            );
+
+            let mut g = UniformGrid::build(&data, GridConfig::with_cell_side(6.0, placement));
+            let (new, removed, remap, inserted) = small_change(&data);
+            assert!(g.splice(&removed, &remap, &inserted));
+            assert_eq!(g.len(), new.len());
+            assert_eq!(g.bytes, g.walk_bytes(), "{placement:?}: after splice");
+            assert_eq!(g.memory_bytes(), g.bytes);
+        }
+    }
+
+    #[test]
+    fn splice_is_a_pure_function_of_its_arguments() {
+        // The replay contract: equal grids spliced with equal arguments end
+        // up structurally equal — cell order and slot directory included.
+        let data = scattered(900, 0.5);
+        let (_, removed, remap, inserted) = small_change(&data);
+        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+            let start = UniformGrid::build(&data, GridConfig::with_cell_side(6.0, placement));
+            let (mut a, mut b) = (start.clone(), start.clone());
+            assert!(a.splice(&removed, &remap, &inserted));
+            assert!(b.splice(&removed, &remap, &inserted));
+            assert_eq!(a.cells, b.cells, "{placement:?}");
+            assert_eq!(a.slots, b.slots, "{placement:?}");
+            assert_eq!((a.len, a.id_bound), (b.len, b.id_bound));
+            // Dense new ids: the directory is exactly one entry per element.
+            if placement == GridPlacement::Center {
+                assert_eq!(a.slots.len(), a.len);
+                assert!(a.slots.iter().all(|&s| s != NO_SLOT));
+            }
         }
     }
 

@@ -113,6 +113,27 @@ pub trait SpatialIndex {
     /// the element data itself). Used for the index-size comparisons the
     /// paper makes about replication-based schemes.
     fn memory_bytes(&self) -> usize;
+
+    /// Applies a **membership change** in place, renumbering the survivors:
+    /// drop the entries of `removed` (elements under their *old* ids, with
+    /// the geometry the index last saw), rewrite every remaining stored id
+    /// `i` to `remap[i]`, then add `inserted` (elements under their *new*
+    /// ids). `remap` covers every old id and is monotone — survivors keep
+    /// their relative order, a departing id's entry is ignored — so a
+    /// dataset kept sorted by some outer key (a shard's global ids) stays
+    /// dense and sorted without a rebuild.
+    ///
+    /// Returns `false`, **leaving the index untouched**, when the structure
+    /// cannot do this (the default); the caller then rebuilds. An
+    /// implementation that returns `true` must answer every later query
+    /// exactly as a fresh build over the new dataset would, and must be a
+    /// pure function of `(self, removed, remap, inserted)`: equal indexes
+    /// spliced with equal arguments end up equal, entry order included
+    /// (the sharded engine replays the same call on a snapshot copy).
+    fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
+        let _ = (removed, remap, inserted);
+        false
+    }
 }
 
 /// A consumer of k-nearest-neighbour results — the kNN mirror of
@@ -233,6 +254,10 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
     fn memory_bytes(&self) -> usize {
         (**self).memory_bytes()
     }
+
+    fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
+        (**self).splice(removed, remap, inserted)
+    }
 }
 
 impl<T: KnnIndex + ?Sized> KnnIndex for Box<T> {
@@ -325,6 +350,10 @@ pub struct UpdateStats {
     pub inserted: u64,
     /// Elements removed from the dataset (tombstoned ids).
     pub removed: u64,
+    /// Membership changes applied **in place**: elements a shard lane took
+    /// in or gave up (migrations, inserts, removals) by splicing its index
+    /// ([`SpatialIndex::splice`]) instead of rebuilding the shard.
+    pub spliced: u64,
     /// Envelope-table entries rewritten while routing the batch. Resident
     /// updates whose new envelope routes to the same shard set skip the
     /// write-back (the stale envelope routes identically), so under a
@@ -347,6 +376,7 @@ impl UpdateStats {
         self.rebuilds_avoided += other.rebuilds_avoided;
         self.inserted += other.inserted;
         self.removed += other.removed;
+        self.spliced += other.spliced;
         self.envelope_writebacks += other.envelope_writebacks;
     }
 }

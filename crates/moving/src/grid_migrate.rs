@@ -116,6 +116,10 @@ impl UpdateStrategy for GridMigrate {
     fn memory_bytes(&self) -> usize {
         self.grid.memory_bytes()
     }
+
+    fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
+        self.grid.splice(removed, remap, inserted)
+    }
 }
 
 #[cfg(test)]

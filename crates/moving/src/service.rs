@@ -106,6 +106,14 @@ impl SpatialIndex for StrategyIndex {
     fn memory_bytes(&self) -> usize {
         self.strategy.memory_bytes()
     }
+
+    fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
+        let spliced = self.strategy.splice(removed, remap, inserted);
+        if spliced {
+            self.len = self.len - removed.len() + inserted.len();
+        }
+        spliced
+    }
 }
 
 impl KnnIndex for StrategyIndex {
@@ -198,10 +206,13 @@ pub enum ShardWriteMode {
     /// (updated) element clone — the differential oracle, and the only
     /// mode that handles membership changes inside the lane itself.
     Rebuild,
-    /// Geometry-only lanes whose ids all resolve in the shard are pushed
-    /// through [`UpdateStrategy::update_batch`] in place, touching only
-    /// the dirty cells/nodes; lanes carrying migrations, inserts or
-    /// removals — and supervised restarts — fall back to the rebuild path.
+    /// Lanes whose ids agree with the shard are applied in place:
+    /// geometry through [`UpdateStrategy::update_batch`], touching only
+    /// the dirty cells/nodes, and — for a strategy that implements
+    /// [`UpdateStrategy::splice`] (grid migration) — migrations, inserts
+    /// and removals spliced into the structure. Other strategies' membership
+    /// lanes, bulk membership changes and supervised restarts fall back to
+    /// the rebuild path.
     Incremental,
 }
 

@@ -99,6 +99,17 @@ pub trait UpdateStrategy: Send {
 
     /// Approximate bytes held by the strategy's structures.
     fn memory_bytes(&self) -> usize;
+
+    /// Applies a membership change in place — the strategy-side mirror of
+    /// [`SpatialIndex::splice`](simspatial_index::SpatialIndex::splice),
+    /// same arguments and contract: drop `removed` (old ids), renumber the
+    /// rest through the monotone `remap`, add `inserted` (new ids). The
+    /// default declines (`false`, structure untouched), and the caller
+    /// rebuilds the strategy over the new dataset instead.
+    fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
+        let _ = (removed, remap, inserted);
+        false
+    }
 }
 
 /// Factory enumeration of every strategy in the crate.

@@ -17,9 +17,12 @@
 //!   *live* one that writes mutate and (after
 //!   [`ShardedBackend::spawn_snapshot`]) a *snapshot* one that every
 //!   publish brings up to date — **replay-on-publish**: an in-place write
-//!   reaches the snapshot by running its lane a second time, on the pool;
-//!   the live executor is forked only on startup, structural change,
-//!   restart and repair. The dispatcher routes a run into per-shard lanes and
+//!   reaches the snapshot by running its lane a second time, on the pool —
+//!   membership changes included, where the shard index splices them
+//!   ([`SpatialIndex::splice`]); the live executor is forked only on
+//!   startup, after a lane that rebuilt the shard (a bulk membership
+//!   change, an index that cannot splice, an engine without `with_apply`),
+//!   after a restart and on repair. The dispatcher routes a run into per-shard lanes and
 //!   scatters them as stealable jobs: each pool worker owns a local deque
 //!   (a shard's jobs land on its owner's queue) and steals the oldest job
 //!   from a sibling when its own queue drains, so an uneven shard split
@@ -124,8 +127,8 @@ pub struct BackendTelemetry {
     /// shard jobs). Empty for backends without a worker pool.
     pub worker_busy_ns: Vec<u64>,
     /// Shard snapshots published by **forking** the live executor (a deep
-    /// copy): the startup publish, shards a write rebuilt, restarted
-    /// shards, repairs.
+    /// copy): the startup publish, shards a write rebuilt (not merely
+    /// changed the membership of), restarted shards, repairs.
     pub snapshot_forks: u64,
     /// Shard snapshots published by **replaying** the shard's last write
     /// lane on the existing copy — what an in-place write costs to publish.
@@ -1005,8 +1008,9 @@ enum SnapDebt {
     /// [`ShardApply`]: simspatial_index::ShardApply
     Replay,
     /// A fresh fork: no copy yet, the live structure was rebuilt wholesale
-    /// (membership change, migration, restart), or more than one write
-    /// went by unpublished.
+    /// (a lane that fell back to the rebuild path — a membership change
+    /// alone no longer does, the lane splices it — or a restart), or more
+    /// than one write went by unpublished.
     Fork,
 }
 
@@ -1095,9 +1099,10 @@ impl ShardedBackend {
     /// **replay-on-publish**: the copies are forked at startup, and from
     /// then on a write that a shard applied in place
     /// ([`ShardedEngine::with_apply`]) is published by replaying its lane
-    /// on the shard's copy, at the cost of the write; a shard forks again
-    /// only after a structural change (a lane that rebuilt it), a restart
-    /// or a repair — so an engine without `with_apply` forks every shard a
+    /// on the shard's copy, at the cost of the write — migrations, inserts
+    /// and removals too, when the shard index can splice them; a shard
+    /// forks again only after a lane that rebuilt it, a restart or a
+    /// repair — so an engine without `with_apply` forks every shard a
     /// write touched. The scheduler detects
     /// the capability through [`ServiceBackend::supports_snapshots`] and
     /// serves [`Consistency::Snapshot`](crate::Consistency) reads from the
@@ -1378,9 +1383,10 @@ impl ShardedBackend {
         for (i, lane) in self.update_lanes.iter().enumerate() {
             let report = lane.report();
             report.fold_into(&mut stats);
-            // Only an incremental run left the shard's structure one lane
-            // ahead of its copy; a rebuilt one (or a torn lane, whose
-            // report stays empty) is a different structure altogether.
+            // Only an in-place run (spliced membership changes included)
+            // left the shard's structure one lane ahead of its copy; a
+            // rebuilt one (or a torn lane, whose report stays empty) is a
+            // different structure altogether.
             let in_place = report.rebuilds == 0 && report.rebuilds_avoided == 1;
             if self.snap_debt[i] == SnapDebt::Replay && !in_place {
                 self.snap_debt[i] = SnapDebt::Fork;

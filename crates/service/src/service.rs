@@ -850,6 +850,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             stats.updates_absorbed += totals.update.absorbed;
             stats.shard_rebuilds += totals.update.rebuilds;
             stats.rebuilds_avoided += totals.update.rebuilds_avoided;
+            stats.spliced += totals.update.spliced;
             stats.elements_inserted += totals.update.inserted;
             stats.elements_removed += totals.update.removed;
             for &sz in &totals.update_runs {

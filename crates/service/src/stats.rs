@@ -176,6 +176,10 @@ pub struct ServiceStats {
     /// Shard write lanes served incrementally where the rebuild fallback
     /// would otherwise have run.
     pub rebuilds_avoided: u64,
+    /// Membership changes applied in place: elements a shard took in or
+    /// gave up (migrations, inserts, removals) by splicing its index
+    /// instead of rebuilding.
+    pub spliced: u64,
     /// Elements added through `Request::Insert` (planner-allocated ids).
     pub elements_inserted: u64,
     /// Elements tombstoned through `Request::Remove`.
@@ -312,12 +316,13 @@ impl ServiceStats {
         latency_json(&mut s, &self.latency);
         let _ = write!(
             s,
-            ",\"updates_applied\":{},\"migrations\":{},\"updates_skipped\":{},\"elements_inserted\":{},\"elements_removed\":{}",
+            ",\"updates_applied\":{},\"migrations\":{},\"updates_skipped\":{},\"elements_inserted\":{},\"elements_removed\":{},\"spliced\":{}",
             self.updates_applied,
             self.migrations,
             self.updates_skipped,
             self.elements_inserted,
-            self.elements_removed
+            self.elements_removed,
+            self.spliced
         );
         let _ = write!(
             s,
@@ -405,12 +410,13 @@ impl ServiceStats {
             self.mean_update_batch()
         ));
         s.push_str(&format!(
-            "write amp: {} shipped → {} structural + {} absorbed ({} rebuilds, {} avoided); {} inserted, {} removed\n",
+            "write amp: {} shipped → {} structural + {} absorbed ({} rebuilds, {} avoided, {} spliced); {} inserted, {} removed\n",
             self.updates_shipped,
             self.structural_touches,
             self.updates_absorbed,
             self.shard_rebuilds,
             self.rebuilds_avoided,
+            self.spliced,
             self.elements_inserted,
             self.elements_removed,
         ));

@@ -52,6 +52,78 @@ fn sorted(mut v: Vec<ElementId>) -> Vec<ElementId> {
     v
 }
 
+/// One membership change over a dataset of `n` elements, in the six shapes
+/// a shard lane produces: nothing, a run at the head, a run at the tail,
+/// scattered, everything but one element, and arrivals appended past the
+/// end (a plain insert). Returns the dataset after the change plus the
+/// three `SpatialIndex::splice` arguments that describe it.
+type Splice = (Vec<Element>, Vec<Element>, Vec<ElementId>, Vec<Element>);
+
+fn membership_change(old: &[Element], mode: usize, picks: &[u32], arrivals: &[Shape]) -> Splice {
+    let n = old.len();
+    let run = picks.len().min(n / 2);
+    // Which old elements leave, and before which survivor each arrival
+    // lands (`n` = after the last one).
+    let mut leaves = vec![false; n];
+    let mut lands: Vec<usize> = Vec::new();
+    match mode {
+        0 => {}
+        1 => {
+            leaves[..run].fill(true);
+            lands = vec![0; arrivals.len()];
+        }
+        2 => {
+            leaves[n - run..].fill(true);
+            lands = vec![n; arrivals.len()];
+        }
+        3 => {
+            for &p in picks {
+                leaves[p as usize % n] = true;
+            }
+            lands = arrivals
+                .iter()
+                .zip(picks.iter().cycle())
+                .map(|(_, &p)| (p as usize).wrapping_mul(31) % (n + 1))
+                .collect();
+            if picks.is_empty() {
+                lands = vec![n / 2; arrivals.len()];
+            }
+            lands.sort_unstable();
+        }
+        4 => {
+            leaves.fill(true);
+            leaves[picks.first().map_or(0, |&p| p as usize % n)] = false;
+            lands = vec![n / 2; arrivals.len()];
+        }
+        _ => lands = vec![n; arrivals.len()],
+    }
+    let mut new: Vec<Element> = Vec::new();
+    let mut removed = Vec::new();
+    let mut inserted = Vec::new();
+    // A departing id's entry is never read: poison it.
+    let mut remap = vec![ElementId::MAX; n];
+    let mut arrival = 0usize;
+    let mut land = |new: &mut Vec<Element>, inserted: &mut Vec<Element>, upto: usize| {
+        while arrival < lands.len() && lands[arrival] <= upto {
+            let e = Element::new(new.len() as ElementId, arrivals[arrival]);
+            inserted.push(e.clone());
+            new.push(e);
+            arrival += 1;
+        }
+    };
+    for (i, e) in old.iter().enumerate() {
+        land(&mut new, &mut inserted, i);
+        if leaves[i] {
+            removed.push(e.clone());
+        } else {
+            remap[i] = new.len() as ElementId;
+            new.push(Element::new(new.len() as ElementId, e.shape));
+        }
+    }
+    land(&mut new, &mut inserted, n);
+    (new, removed, remap, inserted)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -156,6 +228,93 @@ proptest! {
                              "{}: distance {} vs {}", name, g.1, t.1);
             }
         }
+    }
+
+    // `UniformGrid::splice` ≡ a fresh build over the changed dataset, for
+    // both placements and every shape of change: ranges as id sets, kNN
+    // byte for byte (half the arrivals duplicate an existing element, so
+    // probes at those points tie on distance and must break the tie by
+    // id exactly as the rebuilt grid does), `len()` exact. `memory_bytes`
+    // is the running count, which debug builds check against the cell
+    // walk on every call. Splicing two clones of one grid with the same
+    // arguments must give the same structure — same emission order, same
+    // bytes: the contract the sharded engine's snapshot replay rests on.
+    #[test]
+    fn grid_splice_equals_rebuild(
+        elements in arb_elements(),
+        replicate in any::<bool>(),
+        mode in 0usize..6,
+        picks in prop::collection::vec(any::<u32>(), 0..40),
+        fresh in prop::collection::vec(
+            ((-45.0f32..45.0, -45.0f32..45.0, -45.0f32..45.0), 0.05f32..2.0), 0..12),
+        queries in prop::collection::vec(arb_query(), 1..5),
+        k in 1usize..12,
+    ) {
+        let placement = if replicate { GridPlacement::Replicate } else { GridPlacement::Center };
+        let arrivals: Vec<Shape> = fresh
+            .iter()
+            .enumerate()
+            .map(|(j, &((x, y, z), r))| {
+                if j % 2 == 0 {
+                    elements[j % elements.len()].shape
+                } else {
+                    Shape::Sphere(Sphere::new(Point3::new(x, y, z), r))
+                }
+            })
+            .collect();
+        let (new, removed, remap, inserted) = membership_change(&elements, mode, &picks, &arrivals);
+
+        let mut config = GridConfig::auto(&elements);
+        config.placement = placement;
+        let start = UniformGrid::build(&elements, config);
+        let mut spliced = start.clone();
+        prop_assert!(spliced.splice(&removed, &remap, &inserted));
+        let mut twin = start.clone();
+        prop_assert!(twin.splice(&removed, &remap, &inserted));
+
+        let mut config = GridConfig::auto(&new);
+        config.placement = placement;
+        let rebuilt = UniformGrid::build(&new, config);
+        prop_assert_eq!(spliced.len(), new.len());
+        prop_assert_eq!(spliced.memory_bytes(), twin.memory_bytes());
+
+        for q in queries.iter().chain([&Aabb::new(
+            Point3::new(-60.0, -60.0, -60.0),
+            Point3::new(60.0, 60.0, 60.0),
+        )]) {
+            let got = spliced.range(&new, q);
+            prop_assert_eq!(&got, &twin.range(&new, q), "{:?}: twin order on {:?}", placement, q);
+            prop_assert_eq!(sorted(got), sorted(rebuilt.range(&new, q)),
+                            "{:?} mode {}: range {:?}", placement, mode, q);
+        }
+        let probes = queries
+            .iter()
+            .map(Aabb::center)
+            .chain(inserted.iter().map(|e| e.aabb().center()));
+        for p in probes {
+            let got = spliced.knn(&new, &p, k);
+            prop_assert_eq!(&got, &twin.knn(&new, &p, k));
+            prop_assert_eq!(got, rebuilt.knn(&new, &p, k),
+                            "{:?} mode {}: knn at {:?}", placement, mode, p);
+        }
+
+        // The spliced grid keeps working as a grid: moving elements finds
+        // every entry under its new id (the slot directory was renumbered
+        // with the cells).
+        let mut rebuilt = rebuilt;
+        let mut moved = new.clone();
+        for e in moved.iter_mut().step_by(3) {
+            let before = e.clone();
+            e.translate(Vec3::new(7.5, -3.25, 0.5 + e.id as f32 * 0.125));
+            spliced.update(&before, e);
+            rebuilt.update(&before, e);
+        }
+        for q in &queries {
+            prop_assert_eq!(sorted(spliced.range(&moved, q)), sorted(rebuilt.range(&moved, q)),
+                            "{:?} mode {}: range after moves {:?}", placement, mode, q);
+        }
+        prop_assert_eq!(spliced.len(), moved.len());
+        let _ = spliced.memory_bytes();
     }
 
     #[test]

@@ -1393,3 +1393,210 @@ fn restarted_shard_forks_while_siblings_replay() {
     assert_eq!(stats.epochs_published, 3);
     assert_eq!(stats.failed_requests, 0);
 }
+
+/// A **migrating** delta tick: the resident nudges of [`resident_delta`]
+/// (so every shard's lane is non-empty) plus `CROSSERS` small elements on
+/// each side of the cut between shards 1 and 2 swapping sides — shards 1
+/// and 2 take membership changes and splice, shards 0 and 3 just move.
+/// Returns the request and one crosser's destination (a position-sensitive
+/// probe point).
+fn migrating_delta(cur: &mut [Aabb], router: &ShardRouter, h: u32) -> (Request, Point3) {
+    const CROSSERS: usize = 6;
+    let Request::StepDelta(mut moves) = resident_delta(cur, router, h) else {
+        unreachable!("resident_delta builds a StepDelta");
+    };
+    let axis = router.axis();
+    let cut = router.region(2).min.axis(axis);
+    let mut landed = None;
+    for side in [-1.0f32, 1.0] {
+        let mut crossed = 0;
+        // From the top of the id space: the resident movers come from the
+        // bottom, and one tick must not write an id twice.
+        for id in (0..cur.len() as u32).rev() {
+            if crossed == CROSSERS {
+                break;
+            }
+            let c = cur[id as usize].center();
+            let d = (c.axis(axis) - cut) * side;
+            if id % 29 == 0 || !(3.0..15.0).contains(&d) || moves.iter().any(|m| m.0 == id) {
+                continue;
+            }
+            let mut to = c;
+            *to.axis_mut(axis) = 2.0 * cut - c.axis(axis);
+            let dest = Aabb::new(
+                Point3::new(to.x - 0.3, to.y - 0.3, to.z - 0.3),
+                Point3::new(to.x + 0.3, to.y + 0.3, to.z + 0.3),
+            );
+            assert_ne!(router.route(&cur[id as usize]), router.route(&dest));
+            cur[id as usize] = dest;
+            moves.push((id, dest));
+            landed = Some(to);
+            crossed += 1;
+        }
+        assert_eq!(crossed, CROSSERS, "not enough elements beside the cut");
+    }
+    (
+        Request::StepDelta(moves),
+        landed.expect("crossers were found"),
+    )
+}
+
+/// A worker panic in the middle of a **splicing** lane (a migration tick:
+/// shards 1 and 2 change membership in place): the torn shard restarts from
+/// the planner store exactly once — the store already holds the whole
+/// write, arrivals and departures included, so the write is visible in
+/// full — and forks at the publish, while its three siblings, the other
+/// splicing shard among them, replay their lanes. The next migration tick
+/// splices and replays on all four again.
+#[test]
+fn splicing_lane_panic_restarts_once_and_siblings_replay() {
+    quiet_panics();
+    let data = soup(2000, 0x5B11CE);
+    let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
+    let router = oracle.0.router().clone();
+    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
+    // Per shard: job 0 = the barrier read, job 1 = the write lane — where
+    // shard 2 panics with arrivals and departures in hand.
+    let plan = FaultPlan::new().panic_on_shard(2, 1);
+    let backend = ChaosBackend::new(
+        ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
+        plan,
+    );
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let handle = service.handle();
+    let probe = Request::Range(vec![full_cover()]);
+    let sorted = |response: Response| {
+        let mut lists = response.into_range().expect("a range response");
+        lists.iter_mut().for_each(|l| l.sort_unstable());
+        lists
+    };
+
+    let r0 = handle.submit(probe.clone()).unwrap();
+    assert_eq!(
+        recv_bounded(&r0, "splice-restart", 0).unwrap(),
+        expected(&mut oracle, &probe)
+    );
+
+    let (tick, landed) = migrating_delta(&mut cur, &router, 0xD1);
+    let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(ack.response, expected(&mut oracle, &tick));
+    assert_eq!(ack.epoch, 1);
+    assert_eq!(
+        publish_paths(&handle),
+        (5, 3),
+        "the restarted shard forked; its siblings, one of them splicing, replayed"
+    );
+    // kNN selects under (distance, id), so even the rebuilt shard answers
+    // byte for byte: the crossers are where the write put them.
+    let near = Request::Knn(vec![(landed, 4)]);
+    let snap_near = snapshot_read(&handle, &near);
+    assert_eq!(snap_near.epoch, 1);
+    assert_eq!(snap_near.response, expected(&mut oracle, &near));
+    let snap = snapshot_read(&handle, &probe);
+    let live = handle.submit(probe.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(snap.response, live.response, "snapshot differs from live");
+    assert_eq!(
+        sorted(snap.response),
+        sorted(expected(&mut oracle, &probe)),
+        "the write was applied in full on the restarted shard"
+    );
+
+    let (tick2, landed2) = migrating_delta(&mut cur, &router, 0xD2);
+    let ack2 = handle.submit(tick2.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(ack2.response, expected(&mut oracle, &tick2));
+    assert_eq!(ack2.epoch, 2);
+    assert_eq!(publish_paths(&handle), (5, 7), "all four replay again");
+    let near2 = Request::Knn(vec![(landed2, 4)]);
+    assert_eq!(
+        snapshot_read(&handle, &near2).response,
+        expected(&mut oracle, &near2)
+    );
+    let snap2 = snapshot_read(&handle, &probe);
+    let live2 = handle.submit(probe.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(snap2.epoch, 2);
+    assert_eq!(snap2.response, live2.response);
+    assert_eq!(
+        sorted(snap2.response),
+        sorted(expected(&mut oracle, &probe))
+    );
+
+    let stats = service.shutdown();
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.shard_restarts, 1, "exactly one restart");
+    assert_eq!(stats.shards_dead, 0);
+    assert_eq!(stats.epochs_published, 3);
+    assert_eq!(stats.failed_requests, 0);
+    assert!(
+        stats.spliced > 0,
+        "the surviving lanes changed membership in place"
+    );
+}
+
+/// A worker panic in the **replay** of a splicing lane: the live shard
+/// already spliced, only its snapshot copy is torn — so the copy is
+/// re-forked from the live executor, nothing restarts, the epoch publishes
+/// once, and every reply stays byte-identical to the serial engine.
+#[test]
+fn splicing_replay_panic_reforks_the_copy_without_a_restart() {
+    quiet_panics();
+    let data = soup(2000, 0x5B11CF);
+    let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
+    let router = oracle.0.router().clone();
+    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
+    // Per shard: job 0 = the barrier read, job 1 = the write lane, job 2 =
+    // that lane's replay at publish — where shard 2 panics mid-splice.
+    let plan = FaultPlan::new().panic_on_shard(2, 2);
+    let backend = ChaosBackend::new(
+        ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
+        plan,
+    );
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let handle = service.handle();
+    let probe = Request::Range(vec![full_cover()]);
+
+    let r0 = handle.submit(probe.clone()).unwrap();
+    assert_eq!(
+        recv_bounded(&r0, "splice-replay-panic", 0).unwrap(),
+        expected(&mut oracle, &probe)
+    );
+    assert_eq!(publish_paths(&handle), (4, 0), "epoch 0 forks every shard");
+
+    let (tick, landed) = migrating_delta(&mut cur, &router, 0xE1);
+    let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(ack.response, expected(&mut oracle, &tick));
+    assert_eq!(ack.epoch, 1);
+    assert_eq!(
+        publish_paths(&handle),
+        (5, 3),
+        "three shards replayed, the torn copy was re-forked"
+    );
+    for request in [probe.clone(), Request::Knn(vec![(landed, 4)])] {
+        let snap = snapshot_read(&handle, &request);
+        assert_eq!(snap.epoch, 1);
+        assert_eq!(
+            snap.response,
+            expected(&mut oracle, &request),
+            "the re-forked copy serves the spliced state"
+        );
+    }
+
+    let (tick2, landed2) = migrating_delta(&mut cur, &router, 0xE2);
+    let ack2 = handle.submit(tick2.clone()).unwrap().recv_reply().unwrap();
+    assert_eq!(ack2.response, expected(&mut oracle, &tick2));
+    assert_eq!(ack2.epoch, 2);
+    assert_eq!(publish_paths(&handle), (5, 7), "all four replay again");
+    for request in [probe.clone(), Request::Knn(vec![(landed2, 4)])] {
+        let snap = snapshot_read(&handle, &request);
+        assert_eq!(snap.epoch, 2);
+        assert_eq!(snap.response, expected(&mut oracle, &request));
+    }
+
+    let stats = service.shutdown();
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.shard_restarts, 0, "the live shard never failed");
+    assert_eq!(stats.shard_rebuilds, 0, "every lane ran in place");
+    assert_eq!(stats.shards_dead, 0);
+    assert_eq!(stats.epochs_published, 3, "exactly once per epoch");
+    assert_eq!(stats.failed_requests, 0);
+    assert!(stats.spliced > 0);
+}

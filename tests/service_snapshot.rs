@@ -25,10 +25,14 @@
 //! * **Replay ≡ fork** (snapshot × incremental differential): on an engine
 //!   whose shards write in place, a publish replays the write lane on the
 //!   snapshot copy instead of cloning the shard. Under a stream that mixes
-//!   resident ticks (replay), migrations, inserts and removals (fork),
-//!   every snapshot reply must still be the serial incremental engine's
-//!   answer at its epoch — id order and kNN ties included — and the
-//!   counters must say which path each shard took.
+//!   resident ticks, migrations, inserts and removals (all spliced in
+//!   place, so all replayed) with one bulk membership change (rebuilt, so
+//!   forked), every snapshot reply must still be the serial incremental
+//!   engine's answer at its epoch — id order and kNN ties included — and
+//!   the counters must say which path each shard took.
+//! * **Memory guard**: two hundred rounds of the same elements crossing a
+//!   shard cut and returning leave the live and snapshot gauges where the
+//!   second round left them.
 //!
 //! Epoch accounting relies on the scheduler invariant that a healthy
 //! snapshot service has published exactly `current_epoch + 1` epochs (the
@@ -337,14 +341,32 @@ fn unit_box(c: Point3, half: f32) -> Aabb {
     )
 }
 
-/// The replay differential's write stream: `(request, resident)` per
-/// epoch, `resident` marking ticks built to dirty every shard without
-/// changing any shard's membership. Cycle of six: three resident ticks,
-/// resident + one teleport (its two shards rebuild, the rest stay in
-/// place), insert, remove. Id pools are disjoint (`id %
-/// PAIR_STRIDE`: 0/1 jitter in pairs, 7 teleports, 11 is removed), so a
-/// resident mover is never one that migrated or died.
-fn replay_stream(data: &[Element], router: &ShardRouter, epochs: u64) -> Vec<(Request, bool)> {
+/// What one tick of the replay stream does to shard membership — and so
+/// which publish path its shards must take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tick {
+    /// Dirties every shard, changes no shard's membership.
+    Resident,
+    /// A small membership change (teleport, insert, remove): spliced in
+    /// place, so the touched shards still replay.
+    Spliced,
+    /// A membership change past a quarter of a shard: that shard rebuilds
+    /// and forks.
+    Bulk,
+}
+
+/// The epoch of the stream's one bulk membership change.
+const BULK_EPOCH: u64 = 15;
+
+/// The replay differential's write stream: `(request, kind)` per epoch.
+/// Cycle of six: three resident ticks, resident + one teleport (its two
+/// shards splice, the rest just move), insert, remove — and at
+/// [`BULK_EPOCH`] an insert that lands `0.3 n` boxes in the first shard
+/// (past the quarter-shard limit: it rebuilds) and two in the last (which
+/// splices them). Id pools are disjoint (`id % PAIR_STRIDE`: 0/1 jitter in
+/// pairs, 7 teleports, 11 is removed), so a resident mover is never one
+/// that migrated or died.
+fn replay_stream(data: &[Element], router: &ShardRouter, epochs: u64) -> Vec<(Request, Tick)> {
     let n = data.len() as u32;
     let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
     let anchors: Vec<u32> = (0..n - 1).step_by(PAIR_STRIDE as usize).collect();
@@ -389,6 +411,20 @@ fn replay_stream(data: &[Element], router: &ShardRouter, epochs: u64) -> Vec<(Re
                     ((g >> 16) % 880) as f32 / 10.0 + 1.0,
                 )
             };
+            if e == BULK_EPOCH {
+                let crowd = (0..n * 3 / 10).map(|q| {
+                    let g = mix(h ^ q);
+                    let at = Point3::new(
+                        2.0 + (g % 60) as f32 / 10.0,
+                        ((g >> 8) % 880) as f32 / 10.0 + 1.0,
+                        ((g >> 16) % 880) as f32 / 10.0 + 1.0,
+                    );
+                    unit_box(at, 0.7)
+                });
+                let far_side =
+                    (0..2).map(|q| unit_box(Point3::new(92.0, 30.0 + q as f32 * 20.0, 50.0), 0.7));
+                return (Request::Insert(crowd.chain(far_side).collect()), Tick::Bulk);
+            }
             match e % 6 {
                 4 => {
                     let mut batch = resident_tick(e, &mut cur);
@@ -396,19 +432,19 @@ fn replay_stream(data: &[Element], router: &ShardRouter, epochs: u64) -> Vec<(Re
                     let dest = unit_box(far(h), 0.6);
                     cur[id as usize] = dest;
                     batch.push((id, dest));
-                    (Request::Update(batch), false)
+                    (Request::Update(batch), Tick::Spliced)
                 }
                 5 => {
                     let boxes = (0..3).map(|q| unit_box(far(mix(h ^ q)), 0.7)).collect();
-                    (Request::Insert(boxes), false)
+                    (Request::Insert(boxes), Tick::Spliced)
                 }
                 0 => {
                     let ids = (0..3u32)
                         .map(|q| ((e as u32 * 3 + q) * PAIR_STRIDE + 11) % n)
                         .collect();
-                    (Request::Remove(ids), false)
+                    (Request::Remove(ids), Tick::Spliced)
                 }
-                _ => (Request::Update(resident_tick(e, &mut cur)), true),
+                _ => (Request::Update(resident_tick(e, &mut cur)), Tick::Resident),
             }
         })
         .collect()
@@ -416,7 +452,8 @@ fn replay_stream(data: &[Element], router: &ShardRouter, epochs: u64) -> Vec<(Re
 
 /// Applies one write of the stream to the serial engine, returning the
 /// acknowledgement the service must produce and the engine's accounting
-/// (`rebuilds` / `rebuilds_avoided` count the shards that took each path).
+/// (`rebuilds` / `rebuilds_avoided` count the shards that took each path,
+/// `spliced` the membership changes applied in place).
 fn oracle_write(
     engine: &mut ShardedEngine<UniformGrid>,
     write: &Request,
@@ -471,19 +508,36 @@ fn replay_differential(shards: usize) {
     let mut expected: Vec<Vec<Response>> = Vec::with_capacity(EPOCHS as usize + 1);
     let mut acks: Vec<Response> = Vec::new();
     let mut paths: Vec<(u64, u64)> = Vec::new();
+    let mut spliced = 0u64;
     expected.push(probe_set.iter().map(|r| oracle.answer(r)).collect());
-    for (write, resident) in &stream {
+    for (write, kind) in &stream {
         let (ack, stats) = oracle_write(&mut oracle.0, write);
-        if *resident {
-            assert_eq!(
+        match kind {
+            Tick::Resident => assert_eq!(
                 (stats.rebuilds, stats.rebuilds_avoided),
                 (0, shards as u64),
                 "a resident tick must run in place on every shard"
-            );
+            ),
+            Tick::Spliced => {
+                assert_eq!(stats.rebuilds, 0, "a small membership change must splice");
+                assert!(stats.rebuilds_avoided > 0);
+            }
+            Tick::Bulk => assert!(stats.rebuilds > 0, "the bulk insert must rebuild its shard"),
         }
+        spliced += stats.spliced;
         acks.push(ack);
         paths.push((stats.rebuilds, stats.rebuilds_avoided));
         expected.push(probe_set.iter().map(|r| oracle.answer(r)).collect());
+    }
+    assert!(spliced > 0, "the stream never changed membership in place");
+    if shards > 1 {
+        assert!(
+            stream
+                .iter()
+                .zip(&paths)
+                .any(|((_, kind), &(_, in_place))| *kind == Tick::Spliced && in_place >= 2),
+            "no teleport crossed a shard cut"
+        );
     }
     if shards == 4 {
         assert!(
@@ -552,7 +606,7 @@ fn replay_differential(shards: usize) {
     );
     assert!(before.snapshot_fork_bytes >= before.snapshot_clone_bytes);
     let held_at_startup = before.snapshot_clone_bytes;
-    for (i, (write, resident)) in stream.iter().enumerate() {
+    for (i, (write, kind)) in stream.iter().enumerate() {
         let e = i as u64 + 1;
         let ack = handle
             .submit(write.clone())
@@ -571,10 +625,14 @@ fn replay_differential(shards: usize) {
             (rebuilt, in_place),
             "{shards} shards, epoch {e}: rebuilt shards fork, in-place shards replay"
         );
-        if *resident {
+        if *kind != Tick::Bulk {
             assert_eq!(
-                after.snapshot_fork_bytes, before.snapshot_fork_bytes,
-                "epoch {e}: a resident tick copies nothing"
+                (
+                    after.snapshot_forks - before.snapshot_forks,
+                    after.snapshot_fork_bytes - before.snapshot_fork_bytes
+                ),
+                (0, 0),
+                "epoch {e}: a {kind:?} tick forks nothing and copies nothing"
             );
         }
         before = after;
@@ -608,7 +666,17 @@ fn replay_differential(shards: usize) {
 
     let stats = service.shutdown();
     assert_eq!(stats.epochs_published, EPOCHS + 1);
-    assert!(stats.snapshot_replays > 0 && stats.snapshot_forks > shards as u64);
+    // Past the startup forks, exactly the oracle's rebuilt lanes forked and
+    // exactly its in-place lanes replayed.
+    let (rebuilt, in_place) = paths
+        .iter()
+        .fold((0, 0), |(r, p), &(dr, dp)| (r + dr, p + dp));
+    assert_eq!(
+        (stats.snapshot_forks, stats.snapshot_replays),
+        (shards as u64 + rebuilt, in_place)
+    );
+    assert!(rebuilt > 0 && in_place > 0);
+    assert_eq!(stats.spliced, spliced);
     // The copies served reads since they were forked, and the last ticks
     // replayed: the gauge now includes their grown query scratch, which a
     // sample taken at fork time never saw.
@@ -650,8 +718,8 @@ fn unpublished_write_falls_back_to_fork() {
     // The stream opens with three resident ticks.
     let ticks: Vec<Vec<(ElementId, Shape)>> = replay_stream(&data, &router, 3)
         .into_iter()
-        .map(|(write, resident)| match write {
-            Request::Update(batch) if resident => {
+        .map(|(write, kind)| match write {
+            Request::Update(batch) if kind == Tick::Resident => {
                 batch.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect()
             }
             other => panic!("expected a resident update tick, got {other:?}"),
@@ -695,6 +763,91 @@ fn unpublished_write_falls_back_to_fork() {
     assert_eq!(
         (telemetry.snapshot_forks, telemetry.snapshot_replays),
         (4, 2)
+    );
+    backend.shutdown();
+}
+
+/// Memory guard for the in-place membership path: the same 64 elements
+/// cross the middle cut of a 4-shard grid engine and come back, 200 times
+/// over (the benchmark's `sim_mixed` migration pattern). Every tick splices
+/// — nothing rebuilds, nothing forks after startup — and both gauges end
+/// within 1 % of where the second round left them: no doubling in the
+/// element clones, id maps or slot directories, no scratch that grows with
+/// the number of ticks.
+#[test]
+fn migration_cycles_hold_memory_level() {
+    const ROUNDS: usize = 200;
+    const MOVERS: usize = 64;
+
+    let data = soup(4000, 0x50AC);
+    let engine = incremental_engine(&data, 4);
+    let router = engine.router().clone();
+    let axis = router.axis();
+    let cut = router.region(2).min.axis(axis);
+    // Small elements sitting well inside shard 1 or shard 2; "away" mirrors
+    // a home position across the cut, into the other shard.
+    let movers: Vec<(ElementId, Point3)> = data
+        .iter()
+        .filter(|e| e.id % 29 != 0)
+        .map(|e| (e.id, e.aabb().center()))
+        .filter(|(_, c)| {
+            let d = (c.axis(axis) - cut).abs();
+            (4.0..20.0).contains(&d)
+        })
+        .take(MOVERS)
+        .collect();
+    assert_eq!(movers.len(), MOVERS);
+    let tick = |away: bool| -> Vec<(ElementId, Shape)> {
+        movers
+            .iter()
+            .map(|&(id, home)| {
+                let mut c = home;
+                if away {
+                    *c.axis_mut(axis) = 2.0 * cut - home.axis(axis);
+                }
+                (id, Shape::Box(unit_box(c, 0.4)))
+            })
+            .collect()
+    };
+
+    let mut backend = ShardedBackend::spawn_snapshot(engine);
+    backend.publish(0);
+    let mut epoch = 0u64;
+    let mut after_round_2 = (0usize, 0u64);
+    for round in 1..=ROUNDS {
+        for away in [true, false] {
+            let report = backend.update_batch(&tick(away));
+            assert_eq!(report.failed, None);
+            assert_eq!(
+                report.stats.rebuilds, 0,
+                "round {round}: a migration tick rebuilt"
+            );
+            assert_eq!(report.stats.migrations, MOVERS as u64);
+            assert_eq!(report.stats.spliced, 2 * MOVERS as u64);
+            epoch += 1;
+            backend.publish(epoch);
+        }
+        if round == 2 {
+            after_round_2 = (backend.memory_bytes(), backend.snapshot_clone_bytes());
+        }
+    }
+    let telemetry = backend.telemetry();
+    assert_eq!(
+        telemetry.snapshot_forks, 4,
+        "only the startup publish forks"
+    );
+    assert_eq!(telemetry.snapshot_replays, 2 * 2 * ROUNDS as u64);
+    let level = |now: f64, then: f64| (now - then).abs() <= 0.01 * then;
+    let (live, held) = (backend.memory_bytes(), backend.snapshot_clone_bytes());
+    assert!(
+        level(live as f64, after_round_2.0 as f64),
+        "live bytes drifted: {} after round 2, {live} after round {ROUNDS}",
+        after_round_2.0
+    );
+    assert!(
+        level(held as f64, after_round_2.1 as f64),
+        "snapshot bytes drifted: {} after round 2, {held} after round {ROUNDS}",
+        after_round_2.1
     );
     backend.shutdown();
 }
