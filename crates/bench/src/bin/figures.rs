@@ -4,8 +4,8 @@
 //! figures [--exp e1,e4,...|all] [--scale small|medium|large] [--shards K]
 //! ```
 //!
-//! Prints a paper-vs-measured report per experiment (see DESIGN.md §3 for
-//! the experiment index and EXPERIMENTS.md for recorded outcomes).
+//! Prints a paper-vs-measured report per experiment (`--help` lists them;
+//! the paper artifact each one reproduces is tabulated in the crate docs).
 
 #![forbid(unsafe_code)]
 
@@ -25,11 +25,12 @@ fn main() {
                 let val = args
                     .get(i)
                     .unwrap_or_else(|| usage("missing value for --exp"));
-                if val == "all" {
-                    ids = experiments::ALL.iter().map(|s| s.to_string()).collect();
+                // Empty means all, below.
+                ids = if val == "all" {
+                    Vec::new()
                 } else {
-                    ids = val.split(',').map(|s| s.trim().to_lowercase()).collect();
-                }
+                    val.split(',').map(|s| s.trim().to_lowercase()).collect()
+                };
             }
             "--scale" => {
                 i += 1;
@@ -54,7 +55,15 @@ fn main() {
         i += 1;
     }
     if ids.is_empty() {
-        ids = experiments::ALL.iter().map(|s| s.to_string()).collect();
+        ids = experiments::ALL
+            .iter()
+            .map(|(id, _)| id.to_string())
+            .collect();
+    }
+    // Reject a bad id before spending minutes on the good ones.
+    let known = |id: &str| experiments::ALL.iter().any(|(k, _)| *k == id);
+    if let Some(bad) = ids.iter().find(|id| !known(id)) {
+        usage(&format!("unknown experiment id: {bad}"));
     }
 
     println!(
@@ -64,10 +73,8 @@ fn main() {
         scale.queries()
     );
     for id in &ids {
-        match experiments::run(id, scale, shards) {
-            Some(report) => print!("{report}"),
-            None => eprintln!("unknown experiment id: {id} (expected e1..e13)"),
-        }
+        let report = experiments::run(id, scale, shards).expect("ids were validated above");
+        print!("{report}");
     }
 }
 
@@ -77,13 +84,10 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: figures [--exp e1,e2,...|all] [--scale small|medium|large] [--shards K]\n\
-         experiments:\n  e1  Figure 2 (disk vs memory breakdown)\n  e2  Figure 3 (in-memory breakdown)\n  \
-         e3  Figure 4 (partitioning waste)\n  e4  update vs rebuild crossover\n  e5  plasticity statistics\n  \
-         e6  CR-Tree vs R-Tree\n  e7  grid resolution sweep\n  e8  kNN structures incl. LSH\n  \
-         e9  strategies under massive updates\n  e10 spatial self-join\n  e11 maintenance/query shift\n  \
-         e12 mesh connectivity queries\n  e13 index vs scan amortisation\n  \
-         a1  ablation: bulk loading (STR/Hilbert/Morton)\n  a2  ablation: node size\n  \
-         a3  ablation: small-cell join cell sizing"
+         experiments:"
     );
+    for (id, summary) in &experiments::ALL {
+        eprintln!("  {id:<3} {summary}");
+    }
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

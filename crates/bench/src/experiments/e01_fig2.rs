@@ -27,7 +27,7 @@ const DRAM_BYTES_PER_S: f64 = 50e9;
 /// Bytes touched per intersection test (one 24-byte box + bookkeeping).
 const BYTES_PER_TEST: f64 = 28.0;
 
-/// Structured outcome (consumed by the Criterion bench and tests).
+/// Structured outcome (consumed by the tests).
 #[derive(Debug, Clone, Copy)]
 pub struct Fig2 {
     /// Total seconds for the batch on the simulated SAS disk (modelled + CPU).

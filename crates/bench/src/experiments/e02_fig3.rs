@@ -16,7 +16,7 @@ use crate::datasets::{neuron_dataset, paper_queries};
 use crate::experiments::time;
 use crate::report::{fmt_time, pct, Report};
 use crate::Scale;
-use simspatial_geom::{stats, Aabb, Point3, Vec3};
+use simspatial_geom::{stats, Aabb, Vec3};
 use simspatial_index::{CountSink, QueryEngine, RTree, RTreeConfig, ShardedEngine};
 
 /// Structured outcome.
@@ -148,38 +148,6 @@ pub fn run(scale: Scale, shards: usize) -> String {
     r.finish()
 }
 
-/// Retained for the Criterion bench: unit cost of one instrumented AABB test.
-pub fn calibrate_test_cost() -> f64 {
-    let n = 1 << 14;
-    let boxes: Vec<Aabb> = (0..n)
-        .map(|i| {
-            let h = (i as u32).wrapping_mul(2654435761);
-            let x = (h % 997) as f32;
-            let y = ((h >> 10) % 997) as f32;
-            let z = ((h >> 20) % 997) as f32;
-            Aabb::new(Point3::new(x, y, z), Point3::new(x + 5.0, y + 5.0, z + 5.0))
-        })
-        .collect();
-    let q = Aabb::new(
-        Point3::new(300.0, 300.0, 300.0),
-        Point3::new(600.0, 600.0, 600.0),
-    );
-    let reps = 40;
-    let (hits, t) = time(|| {
-        let mut acc = 0usize;
-        for _ in 0..reps {
-            for b in &boxes {
-                if stats::tree_test(|| b.intersects(&q)) {
-                    acc += 1;
-                }
-            }
-        }
-        acc
-    });
-    std::hint::black_box(hits);
-    t / (n * reps) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,11 +161,5 @@ mod tests {
         );
         assert!(f.read_share < 0.25, "{f:?}");
         assert!(f.counts.tree_tests > 0 && f.counts.element_tests > 0);
-    }
-
-    #[test]
-    fn calibration_is_sane() {
-        let unit = calibrate_test_cost();
-        assert!(unit > 1e-11 && unit < 1e-6, "unit {unit}");
     }
 }

@@ -14,6 +14,7 @@
 use crate::datasets::neuron_dataset;
 use crate::report::{fmt_time, Report};
 use crate::Scale;
+use simspatial_geom::stats;
 use simspatial_moving::UpdateStrategyKind;
 use simspatial_sim::{PlasticityWorkload, Simulation, SimulationConfig};
 
@@ -30,6 +31,9 @@ pub struct StrategyRow {
     pub total_s: f64,
     /// Fraction of elements needing structural work per step.
     pub touch_fraction: f64,
+    /// Mean exact element tests per step, maintenance and monitoring
+    /// together (a scan has no filter, so every query tests everything).
+    pub element_tests: f64,
 }
 
 /// Runs the measurement.
@@ -52,7 +56,9 @@ pub fn measure(scale: Scale) -> Vec<StrategyRow> {
                 seed: 0xE9,
             },
         );
+        stats::reset();
         let reports = sim.run(steps);
+        let element_tests = stats::snapshot().element_tests as f64 / steps as f64;
         let maintain_s = reports.iter().map(|r| r.maintain_s).sum::<f64>() / steps as f64;
         let monitor_s = reports.iter().map(|r| r.monitor_s).sum::<f64>() / steps as f64;
         let touched = reports
@@ -66,6 +72,7 @@ pub fn measure(scale: Scale) -> Vec<StrategyRow> {
             monitor_s,
             total_s: maintain_s + monitor_s,
             touch_fraction: touched / n,
+            element_tests,
         });
     }
     rows
@@ -130,6 +137,11 @@ mod tests {
         let rows = measure(Scale::Small);
         let scan = rows.iter().find(|r| r.name == "LinearScan").unwrap();
         let grid = rows.iter().find(|r| r.name == "Grid/migrate").unwrap();
-        assert!(scan.monitor_s > grid.monitor_s, "scan must pay per query");
+        assert!(
+            scan.element_tests > grid.element_tests,
+            "scan must pay per query: {} element tests a step vs the grid's {}",
+            scan.element_tests,
+            grid.element_tests
+        );
     }
 }

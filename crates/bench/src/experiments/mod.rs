@@ -1,6 +1,6 @@
-//! The thirteen experiments, one module each. Every `run(scale)` returns a
-//! printable [`crate::report::Report`] body comparing the paper's claim to
-//! the measured result.
+//! The thirteen experiments and three ablations, one module each. Every
+//! `run(scale)` returns a printable [`crate::report::Report`] body comparing
+//! the paper's claim to the measured result.
 
 pub mod a01_bulkload;
 pub mod a02_node_size;
@@ -19,6 +19,7 @@ pub mod e11_moving_objects;
 pub mod e12_mesh_queries;
 pub mod e13_scan_crossover;
 
+use crate::Scale;
 use std::time::Instant;
 
 /// Times a closure, returning its result and elapsed seconds.
@@ -28,17 +29,32 @@ pub(crate) fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (r, start.elapsed().as_secs_f64())
 }
 
-/// All experiment ids in order (13 paper experiments + 3 ablations).
-pub const ALL: [&str; 16] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "a1", "a2",
-    "a3",
+/// Every experiment in print order (13 paper experiments + 3 ablations):
+/// its `--exp` id and the one-line summary the `figures` usage text prints.
+pub const ALL: [(&str, &str); 16] = [
+    ("e1", "Figure 2 (disk vs memory breakdown)"),
+    ("e2", "Figure 3 (in-memory breakdown)"),
+    ("e3", "Figure 4 (partitioning waste)"),
+    ("e4", "update vs rebuild crossover"),
+    ("e5", "plasticity statistics"),
+    ("e6", "CR-Tree vs R-Tree"),
+    ("e7", "grid resolution sweep"),
+    ("e8", "kNN structures incl. LSH"),
+    ("e9", "strategies under massive updates"),
+    ("e10", "spatial self-join"),
+    ("e11", "maintenance/query shift"),
+    ("e12", "mesh connectivity queries"),
+    ("e13", "index vs scan amortisation"),
+    ("a1", "ablation: bulk loading (STR/Hilbert/Morton)"),
+    ("a2", "ablation: node size"),
+    ("a3", "ablation: small-cell join cell sizing"),
 ];
 
-/// Runs one experiment by id. `shards` > 1 additionally runs the
-/// engine-driven experiments (e2/e6/e7/e13) through a region-sharded
-/// [`simspatial_index::ShardedEngine`] with that many shards; the other
-/// experiments ignore it.
-pub fn run(id: &str, scale: crate::Scale, shards: usize) -> Option<String> {
+/// Runs one experiment by id; `None` for an id not in [`ALL`]. `shards` > 1
+/// additionally runs the engine-driven experiments (e2/e6/e7/e13) through a
+/// region-sharded [`simspatial_index::ShardedEngine`] with that many
+/// shards; the other experiments ignore it.
+pub fn run(id: &str, scale: Scale, shards: usize) -> Option<String> {
     Some(match id {
         "e1" => e01_fig2::run(scale),
         "e2" => e02_fig3::run(scale, shards),
@@ -58,4 +74,14 @@ pub fn run(id: &str, scale: crate::Scale, shards: usize) -> Option<String> {
         "a3" => a03_join_cells::run(scale),
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_id_is_none() {
+        assert!(run("e99", Scale::Small, 1).is_none());
+    }
 }

@@ -4,8 +4,8 @@
 //! claim** of *"Spatial Data Management Challenges in the Simulation
 //! Sciences"* (EDBT 2014). Each experiment is a function in
 //! [`experiments`]; the `figures` binary runs them and prints paper-vs-
-//! measured tables; the Criterion benches under `benches/` track the same
-//! quantities as regression benchmarks.
+//! measured tables. Performance regressions are not tracked here: that is
+//! the job of the contract benchmark under `benchmark/` (`BENCHMARK.json`).
 //!
 //! | Experiment | Paper artifact |
 //! |-----------|----------------|
@@ -25,7 +25,7 @@
 //!
 //! Scales are laptop-sized (10⁵–10⁶ elements) versions of the paper's
 //! 200 M-element runs; the *shapes* (ratios, percentages, crossovers) are
-//! the reproduction target — see DESIGN.md.
+//! the reproduction target.
 
 #![forbid(unsafe_code)]
 
@@ -36,7 +36,7 @@ pub mod report;
 /// Experiment scale presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds per experiment — used by tests and Criterion benches.
+    /// Seconds per experiment — used by tests and CI.
     Small,
     /// The default for the `figures` binary (a few minutes total).
     Medium,

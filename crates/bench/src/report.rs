@@ -1,8 +1,6 @@
-//! Table formatting for the paper-vs-measured reports, plus the
-//! machine-readable JSON emitter used by the kernel benchmarks.
+//! Table formatting for the paper-vs-measured reports.
 
 use std::fmt::Write;
-use std::path::Path;
 
 /// A plain-text experiment report: header, paper claim, measured rows.
 #[derive(Debug, Default)]
@@ -50,116 +48,6 @@ impl Report {
     }
 }
 
-/// A machine-readable before/after throughput report.
-///
-/// Collects named comparisons (a *before* reference path vs an *after*
-/// optimized path, both measured in the same binary on the same data) and
-/// serializes them as JSON — e.g. `BENCH_batch_kernel.json`, the artifact
-/// the batch-kernel bench emits so speedups are recorded, not asserted.
-/// Serialization is hand-rolled: the offline environment has no serde.
-#[derive(Debug, Default)]
-pub struct BenchJson {
-    name: String,
-    entries: Vec<JsonEntry>,
-}
-
-#[derive(Debug)]
-struct JsonEntry {
-    name: String,
-    unit: String,
-    before: f64,
-    after: f64,
-    /// Worker thread count active when the row was measured (captured
-    /// from `simspatial_geom::parallel::num_threads()` at `add` time, so
-    /// thread-sweep rows are self-describing).
-    threads: usize,
-}
-
-impl BenchJson {
-    /// Starts a report named `name`.
-    pub fn new(name: &str) -> Self {
-        BenchJson {
-            name: name.to_string(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Records one before/after throughput comparison (higher is better;
-    /// `unit` describes the throughput unit, e.g. `"elements/s"`). The
-    /// row stamps the thread count active at the `after` measurement, so
-    /// record the row while any `set_num_threads` override is in effect.
-    pub fn add(&mut self, name: &str, unit: &str, before: f64, after: f64) -> &mut Self {
-        self.entries.push(JsonEntry {
-            name: name.to_string(),
-            unit: unit.to_string(),
-            before,
-            after,
-            threads: simspatial_geom::parallel::num_threads(),
-        });
-        self
-    }
-
-    /// The speedup (`after / before`) of a recorded entry.
-    pub fn speedup(&self, name: &str) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.after / e.before)
-    }
-
-    /// Renders the report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"benchmark\": {},", json_string(&self.name));
-        let _ = writeln!(out, "  \"results\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": {}, \"unit\": {}, \"threads\": {}, \"before\": {}, \"after\": {}, \"speedup\": {}}}{comma}",
-                json_string(&e.name),
-                json_string(&e.unit),
-                e.threads,
-                json_number(e.before),
-                json_number(e.after),
-                json_number(e.after / e.before),
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON to `path`.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Formats seconds adaptively (s / ms / µs).
 pub fn fmt_time(seconds: f64) -> String {
     if seconds >= 1.0 {
@@ -190,23 +78,6 @@ mod tests {
         assert!(s.contains("E0: smoke"));
         assert!(s.contains("paper    | claimed X"));
         assert!(s.contains("measured | got Y"));
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let mut j = BenchJson::new("batch_kernel");
-        j.add("range_query", "queries/s", 100.0, 250.0);
-        j.add("with \"quotes\"", "elements/s", 1.0, 2.0);
-        let s = j.to_json();
-        assert!(s.contains("\"benchmark\": \"batch_kernel\""));
-        assert!(s.contains("\"speedup\": 2.500"));
-        assert!(s.contains(&format!(
-            "\"threads\": {}",
-            simspatial_geom::parallel::num_threads()
-        )));
-        assert!(s.contains("\\\"quotes\\\""));
-        assert_eq!(j.speedup("range_query"), Some(2.5));
-        assert_eq!(j.speedup("missing"), None);
     }
 
     #[test]

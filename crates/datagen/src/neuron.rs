@@ -40,7 +40,7 @@ impl Default for NeuronDatasetBuilder {
             segments_per_neuron: 1000,
             // Side chosen so the default 100k-element build matches the
             // paper's density regime (its 285 µm³ microcircuit volume scaled
-            // to the element count; see DESIGN.md scaling note).
+            // to the element count; see `simspatial_bench::datasets`).
             universe_side: 100.0,
             segment_length: 1.0,
             segment_radius: 0.1,

@@ -26,8 +26,8 @@
 //! over flat `f32` arrays instead of a per-candidate gather through
 //! `data[id]` — and only the survivors are refined against exact geometry.
 //! This is §3.3's scan-friendly-grid argument applied at the memory-layout
-//! level; the measured before/after of exactly this change is
-//! `BENCH_batch_kernel.json` (see `crates/bench/benches/batch_kernel.rs`).
+//! level; `tests/prop_grid_and_storage.rs` diffs it against the retained
+//! scalar path, `geom.scan_ns_per_elem` in `BENCHMARK.json` prices it.
 //! Replication dedupe uses the generation-stamped
 //! [`simspatial_geom::scratch::VisitedTable`] from the thread-local
 //! [`simspatial_geom::QueryScratch`], so the repeat query path is

@@ -12,8 +12,7 @@
 //! leaf packing run data-parallel over scoped threads (see
 //! [`simspatial_geom::parallel`]), and packed leaves land directly in
 //! structure-of-arrays form. [`RTree::bulk_load_entries_reference`] keeps
-//! the seed implementation alive for differential tests and the
-//! before/after numbers in `BENCH_batch_kernel.json`.
+//! the seed implementation alive for differential tests.
 
 use super::{Node, RTree, RTreeConfig, NIL};
 use simspatial_geom::parallel::{
@@ -113,8 +112,7 @@ impl RTree {
 
     /// The seed implementation's bulk load (comparator-closure sorts, AoS
     /// leaves filled sequentially), kept verbatim as the reference for
-    /// differential tests and the bulk-load before/after measurement in
-    /// `BENCH_batch_kernel.json`. Produces an identical tree shape.
+    /// differential tests. Produces an identical tree shape.
     ///
     /// Compiled only for tests and under the `reference` feature.
     #[cfg(any(test, feature = "reference"))]
