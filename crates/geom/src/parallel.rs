@@ -37,8 +37,8 @@ pub fn num_threads() -> usize {
 
 /// Overrides the thread count for every subsequent parallel helper call
 /// (and the sharded-backend worker pool), bypassing `SIMSPATIAL_THREADS`.
-/// The bench thread sweeps use this to measure 1/2/4-thread rows inside
-/// one process; `n` is clamped to at least 1.
+/// `benchmark/` pins its worker count with this and `tests/service_pool.rs`
+/// sweeps 1/2/4 threads inside one process; `n` is clamped to at least 1.
 pub fn set_num_threads(n: usize) {
     CACHED.store(n.max(1), Ordering::Relaxed);
 }

@@ -25,8 +25,8 @@
 //! child window — 16+ lanes per SIMD register instead of six
 //! int→float conversions plus six multiplies *per child* for scalar
 //! dequantisation. The seed's dequantise-per-child path is kept as
-//! [`CrTree::range_scalar_reference`] for differential tests and the
-//! `query_engine` before/after bench.
+//! `CrTree::range_scalar_reference` (tests and the `reference` feature
+//! only) for differential tests.
 //!
 //! The structure is built by STR packing and is static: the paper's §3.2
 //! verdict is that memory optimisation buys the CR-Tree only ≈ 2× because
@@ -285,9 +285,9 @@ impl CrTree {
     }
 
     /// The seed implementation's query path over the same structure, kept
-    /// as the reference for differential tests and the `query_engine`
-    /// bench: every child box is dequantized to full precision and tested
-    /// scalar, one at a time.
+    /// as the reference for differential tests
+    /// (`tests/differential_batch.rs`): every child box is dequantized to
+    /// full precision and tested scalar, one at a time.
     ///
     /// Compiled only for tests and under the `reference` feature.
     #[cfg(any(test, feature = "reference"))]
@@ -467,7 +467,7 @@ impl SpatialIndex for CrTree {
 impl KnnIndex for CrTree {
     /// Best-first kNN over the quantized CSR slab: nodes pop from a
     /// min-queue in ascending lower-bound order; each popped node runs the
-    /// batched quantized `MINDIST` kernel ([`ChildSlab::min_dist2_into`])
+    /// batched quantized `MINDIST` kernel (`ChildSlab::min_dist2_into`)
     /// over its child window — dequantization is conservative, so the
     /// resulting bounds never exceed the true distances. Internal children
     /// enqueue on their bound; leaf children pay the exact element-surface

@@ -428,30 +428,20 @@ impl<I> ShardExecutor<I> {
         self.apply.clone()
     }
 
-    /// Attaches (or clears) the incremental apply function on this
-    /// executor — the restart path uses this to restore the write mode
-    /// after [`ShardExecutor::from_planner`] rebuilt the shard.
-    pub fn set_apply(&mut self, apply: Option<ShardApply<I>>) {
-        self.apply = apply;
-    }
-
-    /// Reconstructs shard `shard`'s executor from the planner's retained
-    /// element store ([`ShardPlanner::with_elements`]): the exact element
-    /// clone [`ShardPlanner::shard_elements`] reproduces, re-identified
-    /// with dense local ids, indexed by `rebuild`, and updatable (the
-    /// rebuild function stays attached). Because the store advances in
+    /// Reconstructs shard `shard`'s executor from the planner's element
+    /// store: the exact element clone [`ShardPlanner::shard_elements`]
+    /// reproduces, re-identified with dense local ids, indexed by
+    /// `rebuild`, with both write hooks attached (`apply` restores the
+    /// write mode the lost executor ran in). Because the store advances in
     /// lockstep with routed updates, the reconstruction is byte-identical
     /// to the executor the shard would hold had it never been lost — the
     /// supervisor's shard-restart path.
-    ///
-    /// Panics when the planner has no element store
-    /// ([`ShardPlanner::has_element_store`] is false).
-    pub fn from_planner(planner: &ShardPlanner, shard: usize, rebuild: ShardRebuild<I>) -> Self {
-        assert!(
-            planner.has_element_store(),
-            "shard rebuild requires a planner with a retained element store \
-             (ShardPlanner::with_elements)"
-        );
+    pub fn from_planner(
+        planner: &ShardPlanner,
+        shard: usize,
+        rebuild: ShardRebuild<I>,
+        apply: Option<ShardApply<I>>,
+    ) -> Self {
         let pairs = planner.shard_elements(shard);
         let mut data = Vec::with_capacity(pairs.len());
         let mut global = Vec::with_capacity(pairs.len());
@@ -467,7 +457,7 @@ impl<I> ShardExecutor<I> {
             index,
             engine: QueryEngine::new(),
             rebuild: Some(rebuild),
-            apply: None,
+            apply,
         }
     }
 
@@ -498,19 +488,6 @@ impl<I: Clone> ShardExecutor<I> {
             apply: self.apply.clone(),
         }
     }
-}
-
-/// Executor-level accounting of one applied write sub-batch — what
-/// [`UpdateLane::run`] folds into the lane's [`UpdateLaneReport`].
-#[derive(Debug, Clone, Copy, Default)]
-struct ApplyOutcome {
-    applied: u64,
-    inserted: u64,
-    removed: u64,
-    structural: u64,
-    absorbed: u64,
-    rebuilds: u64,
-    rebuilds_avoided: u64,
 }
 
 /// A lane changes a shard's membership in place only while the arrivals
@@ -632,24 +609,25 @@ impl<I: SpatialIndex> ShardExecutor<I> {
     /// hold inserts it, an "insert" for an id already present overwrites
     /// its geometry, and removals of absent ids are no-ops.
     ///
-    /// Panics when no rebuild function is attached
-    /// ([`ShardExecutor::is_updatable`] is false).
+    /// Returns the lane report with the executor-level counters filled
+    /// ([`UpdateLane::run`] adds the post-apply gauges). Panics when no
+    /// rebuild function is attached ([`ShardExecutor::is_updatable`] is
+    /// false).
     fn apply_updates(
         &mut self,
         updates: &[(ElementId, Shape)],
         inserts: &[(ElementId, Shape)],
         removals: &[ElementId],
         scratch: &mut LaneScratch,
-    ) -> ApplyOutcome {
+    ) -> UpdateLaneReport {
         let rebuild = Arc::clone(
             self.rebuild
                 .as_ref()
                 .expect("write batch on a read-only shard — build the engine with_rebuild"),
         );
         if let Some(apply) = self.apply.clone() {
-            if let Some(outcome) = self.apply_in_place(&apply, updates, inserts, removals, scratch)
-            {
-                return outcome;
+            if let Some(report) = self.apply_in_place(&apply, updates, inserts, removals, scratch) {
+                return report;
             }
         }
         // Phase 1: upserts. Binary searches stay valid because misses are
@@ -705,17 +683,16 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         self.data.shrink_to_fit();
         self.global.shrink_to_fit();
         self.index = rebuild(&self.data);
-        ApplyOutcome {
+        UpdateLaneReport {
             applied,
-            inserted,
-            removed,
+            migrated_in: inserted,
+            migrated_out: removed,
             // A rebuild touches every surviving element's index entry —
             // that is exactly the write amplification the incremental
             // path exists to avoid, so charge it as structural work.
             structural: self.data.len() as u64,
-            absorbed: 0,
             rebuilds: 1,
-            rebuilds_avoided: 0,
+            ..UpdateLaneReport::default()
         }
     }
 
@@ -743,7 +720,7 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         inserts: &[(ElementId, Shape)],
         removals: &[ElementId],
         scratch: &mut LaneScratch,
-    ) -> Option<ApplyOutcome> {
+    ) -> Option<UpdateLaneReport> {
         // Any miss means the planner's envelope view and this shard's
         // membership disagree (stale planner): the upsert-capable rebuild
         // path sorts that out.
@@ -794,14 +771,15 @@ impl<I: SpatialIndex> ShardExecutor<I> {
             }
         }
         let cost = apply(&mut self.index, &mut self.data, &scratch.local);
-        Some(ApplyOutcome {
+        Some(UpdateLaneReport {
             applied: updates.len() as u64,
-            inserted: inserts.len() as u64,
-            removed: removals.len() as u64,
+            migrated_in: inserts.len() as u64,
+            migrated_out: removals.len() as u64,
             structural: cost.structural + changed as u64,
             absorbed: cost.absorbed,
             rebuilds: cost.rebuilds,
             rebuilds_avoided: 1,
+            ..UpdateLaneReport::default()
         })
     }
 
@@ -1202,25 +1180,16 @@ impl UpdateLane {
     /// Panics when `exec` has no rebuild function attached
     /// ([`ShardedEngine::with_rebuild`]).
     pub fn run<I: SpatialIndex>(&mut self, exec: &mut ShardExecutor<I>) {
-        let shipped = self.len() as u64;
-        let outcome = exec.apply_updates(
+        let mut report = exec.apply_updates(
             &self.updates,
             &self.inserts,
             &self.removals,
             &mut self.scratch,
         );
-        self.report = UpdateLaneReport {
-            applied: outcome.applied,
-            migrated_in: outcome.inserted,
-            migrated_out: outcome.removed,
-            len_after: exec.len(),
-            memory_bytes: exec.memory_bytes(),
-            shipped,
-            structural: outcome.structural,
-            absorbed: outcome.absorbed,
-            rebuilds: outcome.rebuilds,
-            rebuilds_avoided: outcome.rebuilds_avoided,
-        };
+        report.len_after = exec.len();
+        report.memory_bytes = exec.memory_bytes();
+        report.shipped = self.len() as u64;
+        self.report = report;
     }
 
     /// Heap bytes held by the lane's buffers, the in-place path's scratch
@@ -1260,22 +1229,18 @@ pub struct ShardPlanner {
     fan_regions: Vec<Aabb>,
     /// Upper bound on global ids (sizes the merge-time dedupe table).
     id_bound: usize,
-    /// Global id → current envelope, maintained by
-    /// [`ShardPlanner::route_updates`]. Routes each update's *old* shard
-    /// set without consulting the executors. Empty for planners built via
-    /// [`ShardPlanner::new`], whose update routing then falls back to
-    /// conservative all-shard fan-out (upsert semantics keep executors
-    /// correct either way).
+    /// Global id → current envelope (`id_bound` entries), maintained by
+    /// the three `route_*` write methods. Routes each update's *old* shard
+    /// set without consulting the executors; the empty box is the
+    /// tombstone of a removed (or never-existing) id.
     envelopes: Vec<Aabb>,
-    /// Global id → current exact geometry, captured by
-    /// [`ShardPlanner::with_elements`] and advanced in lockstep with
-    /// `envelopes` by [`ShardPlanner::route_updates`]. This is the
-    /// planner's **retained element store**: together with the router it
-    /// is enough to reconstruct any shard's exact element clone
+    /// Global id → current exact geometry, advanced in lockstep with
+    /// `envelopes`. Together the two are the planner's **element store**,
+    /// the authoritative copy of the dataset: with the router it is enough
+    /// to reconstruct any shard's exact element clone
     /// ([`ShardPlanner::shard_elements`]), which is what lets a
     /// supervisor rebuild a crashed shard executor without reaching the
-    /// (lost) executor state. Empty for planners without an element store
-    /// ([`ShardPlanner::new`]/[`ShardPlanner::with_envelopes`]).
+    /// (lost) executor state.
     shapes: Vec<Shape>,
     /// Merge-phase scratch: the visited table dedupes replicated hits;
     /// `knn_queue` stages kNN merge candidates; `dists` holds the per-probe
@@ -1284,31 +1249,13 @@ pub struct ShardPlanner {
 }
 
 impl ShardPlanner {
-    /// A planner over `router` for a dataset whose global ids are below
-    /// `id_bound`, without envelope tracking (query routing only; update
-    /// routing degrades to all-shard fan-out). Prefer
-    /// [`ShardPlanner::with_envelopes`] when the write path matters.
-    pub fn new(router: ShardRouter, id_bound: usize) -> Self {
-        Self::with_envelopes_inner(router, id_bound, Vec::new())
-    }
-
-    /// A planner over `router` that tracks per-element envelopes
-    /// (`envelopes[id]` = the element's current bounding box), enabling
-    /// precise update routing: each write touches only the shards of the
-    /// element's old and new envelope.
-    pub fn with_envelopes(router: ShardRouter, envelopes: Vec<Aabb>) -> Self {
-        let id_bound = envelopes.len();
-        Self::with_envelopes_inner(router, id_bound, envelopes)
-    }
-
-    /// A planner over `router` that retains the full per-element state —
-    /// envelopes **and** exact geometry — of `data` (dataset convention:
-    /// `element.id == position`). On top of the precise update routing of
-    /// [`ShardPlanner::with_envelopes`], the retained element store makes
-    /// the planner the authoritative copy of the dataset:
-    /// [`ShardPlanner::shard_elements`] can reproduce any shard's exact
-    /// element clone at any time, enabling shard rebuilds after an
-    /// executor is lost ([`ShardExecutor::from_planner`]).
+    /// A planner over `router` holding the per-element state — envelopes
+    /// and exact geometry — of `data` (dataset convention: `element.id ==
+    /// position`). The planner is the authoritative copy of the dataset:
+    /// each write touches only the shards of the element's old and new
+    /// envelope, and [`ShardPlanner::shard_elements`] can reproduce any
+    /// shard's exact element clone at any time, enabling shard rebuilds
+    /// after an executor is lost ([`ShardExecutor::from_planner`]).
     pub fn with_elements(router: ShardRouter, data: &[Element]) -> Self {
         let id_bound = data.iter().map(|e| e.id as usize + 1).max().unwrap_or(0);
         let mut envelopes = vec![Aabb::empty(); id_bound];
@@ -1317,12 +1264,6 @@ impl ShardPlanner {
             envelopes[e.id as usize] = e.aabb();
             shapes[e.id as usize] = e.shape;
         }
-        let mut planner = Self::with_envelopes_inner(router, id_bound, envelopes);
-        planner.shapes = shapes;
-        planner
-    }
-
-    fn with_envelopes_inner(router: ShardRouter, id_bound: usize, envelopes: Vec<Aabb>) -> Self {
         let shards = router.shards();
         let axis = router.axis();
         let all = Aabb::new(
@@ -1349,34 +1290,21 @@ impl ShardPlanner {
             fan_regions,
             id_bound,
             envelopes,
-            shapes: Vec::new(),
+            shapes,
             scratch: QueryScratch::default(),
         }
     }
 
-    /// True when the planner retains the element store
-    /// ([`ShardPlanner::with_elements`]): exact per-element geometry, kept
-    /// current through [`ShardPlanner::route_updates`], from which
-    /// [`ShardPlanner::shard_elements`] can reproduce any shard.
-    pub fn has_element_store(&self) -> bool {
-        !self.shapes.is_empty() && self.shapes.len() == self.envelopes.len()
-    }
-
-    /// Reconstructs shard `shard`'s element membership from the retained
-    /// element store: every live element whose current envelope overlaps
-    /// the shard's region, as `(global id, exact geometry)` pairs in
-    /// ascending global-id order — exactly the clone a freshly built (or
-    /// freshly updated) [`ShardExecutor`] for that shard holds, replicas
-    /// included. Returns an empty list when the planner has no element
-    /// store ([`ShardPlanner::has_element_store`]).
+    /// Reconstructs shard `shard`'s element membership from the element
+    /// store: every live element whose current envelope overlaps the
+    /// shard's region, as `(global id, exact geometry)` pairs in ascending
+    /// global-id order — exactly the clone a freshly built (or freshly
+    /// updated) [`ShardExecutor`] for that shard holds, replicas included.
     pub fn shard_elements(&self, shard: usize) -> Vec<(ElementId, Shape)> {
-        if !self.has_element_store() {
-            return Vec::new();
-        }
         let mut out = Vec::new();
         for (id, (env, &shape)) in self.envelopes.iter().zip(&self.shapes).enumerate() {
-            // An empty envelope marks an id that never existed; routing it
-            // would conservatively fan to every shard.
+            // An empty envelope marks an id that never existed or was
+            // removed; routing it would conservatively fan to every shard.
             if env.is_empty() {
                 continue;
             }
@@ -1487,7 +1415,6 @@ impl ShardPlanner {
             lane.reset();
         }
         let mut stats = UpdateStats::default();
-        let tracked = self.envelopes.len() == self.id_bound;
         // Last-write-wins: iterate in reverse, first sighting of an id wins.
         self.scratch.visited.begin(self.id_bound.max(1));
         for &(id, shape) in updates.iter().rev() {
@@ -1495,38 +1422,28 @@ impl ShardPlanner {
                 stats.skipped += 1;
                 continue;
             }
-            // With envelope tracking, an empty envelope marks an id that
-            // never existed or was removed ([`ShardPlanner::route_removals`]
-            // tombstones) — updates to dead ids are skipped, not
-            // resurrected.
-            if tracked && self.envelopes[id as usize].is_empty() {
+            // An empty envelope marks an id that never existed or was
+            // removed ([`ShardPlanner::route_removals`] tombstones) —
+            // updates to dead ids are skipped, not resurrected.
+            let env = &mut self.envelopes[id as usize];
+            if env.is_empty() {
                 stats.skipped += 1;
                 continue;
             }
             let new_bb = shape.aabb();
-            if let Some(slot) = self.shapes.get_mut(id as usize) {
-                *slot = shape;
-            }
+            self.shapes[id as usize] = shape;
             let new_route = self.router.route(&new_bb);
-            let old_route = match self.envelopes.get(id as usize) {
-                Some(env) => {
-                    let r = self.router.route(env);
-                    // Resident fast path: when the new envelope routes to the
-                    // same shard set and is not a tombstone, the stale entry
-                    // routes identically everywhere the table is consulted
-                    // (routing and emptiness are its only readers), so the
-                    // write-back is skipped. Empty boxes always write back —
-                    // the tombstone check above depends on them.
-                    if r != new_route || new_bb.is_empty() {
-                        self.envelopes[id as usize] = new_bb;
-                        stats.envelope_writebacks += 1;
-                    }
-                    r
-                }
-                // No envelope tracking: conservative all-shard fan-out
-                // (executors upsert/ignore as appropriate).
-                None => 0..self.shard_count(),
-            };
+            let old_route = self.router.route(env);
+            // Resident fast path: when the new envelope routes to the same
+            // shard set and is not a tombstone, the stale entry routes
+            // identically everywhere the table is consulted (routing and
+            // emptiness are its only readers), so the write-back is
+            // skipped. Empty boxes always write back — the tombstone check
+            // above depends on them.
+            if old_route != new_route || new_bb.is_empty() {
+                *env = new_bb;
+                stats.envelope_writebacks += 1;
+            }
             if old_route != new_route {
                 stats.migrations += 1;
             }
@@ -1550,11 +1467,10 @@ impl ShardPlanner {
     /// do on its own. Returns the allocated ids (ascending, contiguous
     /// from the previous id bound) and the plan-level accounting.
     ///
-    /// The id bound and, when present, the envelope table and element
-    /// store grow in lockstep, so shard restarts
-    /// ([`ShardPlanner::shard_elements`]) and the merge-time dedupe tables
-    /// see the new elements immediately. `lanes` is resized to the shard
-    /// count and fully reset (allocations kept).
+    /// The id bound and the element store grow in lockstep, so shard
+    /// restarts ([`ShardPlanner::shard_elements`]) and the merge-time
+    /// dedupe tables see the new elements immediately. `lanes` is resized
+    /// to the shard count and fully reset (allocations kept).
     pub fn route_inserts(
         &mut self,
         shapes: &[Shape],
@@ -1565,27 +1481,14 @@ impl ShardPlanner {
             lane.reset();
         }
         let mut stats = UpdateStats::default();
-        let track_env = self.envelopes.len() == self.id_bound;
-        let track_shape = track_env && self.shapes.len() == self.envelopes.len();
         let mut ids = Vec::with_capacity(shapes.len());
         for &shape in shapes {
             let id = self.id_bound as ElementId;
             self.id_bound += 1;
             let bb = shape.aabb();
-            if track_env {
-                self.envelopes.push(bb);
-            }
-            if track_shape {
-                self.shapes.push(shape);
-            }
-            let route = if track_env {
-                self.router.route(&bb)
-            } else {
-                // No envelope tracking: conservative all-shard fan-out
-                // (executors insert; queries route by region either way).
-                0..self.shard_count()
-            };
-            for lane in &mut lanes[route] {
+            self.envelopes.push(bb);
+            self.shapes.push(shape);
+            for lane in &mut lanes[self.router.route(&bb)] {
                 lane.inserts.push((id, shape));
             }
             ids.push(id);
@@ -1617,29 +1520,16 @@ impl ShardPlanner {
                 stats.skipped += 1;
                 continue;
             }
-            match self.envelopes.get(id as usize) {
-                Some(env) if env.is_empty() => {
-                    stats.skipped += 1;
-                    continue;
-                }
-                Some(env) => {
-                    for s in self.router.route(env) {
-                        lanes[s].removals.push(id);
-                    }
-                    self.envelopes[id as usize] = Aabb::empty();
-                    if let Some(slot) = self.shapes.get_mut(id as usize) {
-                        *slot = Shape::Box(Aabb::empty());
-                    }
-                }
-                // No envelope tracking: conservative all-shard removal;
-                // the id stays routable, so a later update resurrects it
-                // (precise membership needs envelope tracking).
-                None => {
-                    for lane in lanes.iter_mut() {
-                        lane.removals.push(id);
-                    }
-                }
+            let env = &mut self.envelopes[id as usize];
+            if env.is_empty() {
+                stats.skipped += 1;
+                continue;
             }
+            for s in self.router.route(env) {
+                lanes[s].removals.push(id);
+            }
+            *env = Aabb::empty();
+            self.shapes[id as usize] = Shape::Box(Aabb::empty());
             stats.removed += 1;
         }
         stats
@@ -2608,25 +2498,6 @@ mod tests {
         );
     }
 
-    /// Per-element cell migration as a shard apply function.
-    fn migrate(
-        grid: &mut UniformGrid,
-        data: &mut [Element],
-        updates: &[(ElementId, Shape)],
-    ) -> ShardApplyCost {
-        let mut cost = ShardApplyCost::default();
-        for &(id, shape) in updates {
-            let old = data[id as usize].clone();
-            data[id as usize].shape = shape;
-            if grid.update(&old, &data[id as usize]) {
-                cost.structural += 1;
-            } else {
-                cost.absorbed += 1;
-            }
-        }
-        cost
-    }
-
     /// Range and kNN answers of `sharded` against a single grid over `data`.
     fn assert_matches_single(sharded: &mut ShardedEngine<UniformGrid>, data: &[Element]) {
         let single = UniformGrid::build(data, GridConfig::auto(data));
@@ -2659,7 +2530,7 @@ mod tests {
         let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
         let mut sharded = ShardedEngine::build(&data, 4, build)
             .with_rebuild(build)
-            .with_apply(migrate);
+            .with_apply(UniformGrid::update_sparse);
 
         // A few cross-shard moves beside resident jitter: every touched
         // lane runs in place, membership changes included.
@@ -2743,7 +2614,7 @@ mod tests {
         let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
         let mut sharded = ShardedEngine::build(&data, 4, build)
             .with_rebuild(build)
-            .with_apply(migrate);
+            .with_apply(UniformGrid::update_sparse);
         let blocks = |sharded: &ShardedEngine<UniformGrid>| -> Vec<_> {
             sharded
                 .executors
@@ -2845,7 +2716,6 @@ mod tests {
         let data = soup(900);
         let sharded = ShardedEngine::build(&data, 3, LinearScan::build);
         let (planner, executors) = sharded.into_parts();
-        assert!(planner.has_element_store());
         for (s, exec) in executors.iter().enumerate() {
             let pairs = planner.shard_elements(s);
             let gids: Vec<ElementId> = pairs.iter().map(|&(g, _)| g).collect();
@@ -2854,10 +2724,6 @@ mod tests {
                 assert_eq!(shape.aabb(), e.aabb(), "shard {s} element {g}");
             }
         }
-        // Planners without the store answer honestly.
-        let bare = ShardPlanner::new(ShardRouter::new(Aabb::empty(), 2), 10);
-        assert!(!bare.has_element_store());
-        assert!(bare.shard_elements(0).is_empty());
     }
 
     #[test]
@@ -2884,7 +2750,7 @@ mod tests {
         let (planner, mut executors) = sharded.into_parts();
         for (s, exec) in executors.iter_mut().enumerate() {
             let rebuild = exec.rebuild_fn().expect("with_rebuild attached");
-            let mut twin = ShardExecutor::from_planner(&planner, s, rebuild);
+            let mut twin = ShardExecutor::from_planner(&planner, s, rebuild, exec.apply_fn());
             assert_eq!(twin.global_ids(), exec.global_ids(), "shard {s} id map");
             assert_eq!(twin.region(), exec.region());
             assert!(twin.is_updatable());

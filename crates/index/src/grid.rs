@@ -33,10 +33,11 @@
 //! [`simspatial_geom::QueryScratch`], so the repeat query path is
 //! allocation-free (no per-query `HashSet`, no candidate vector churn).
 
+use crate::engine::sharded::ShardApplyCost;
 use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
 use crate::util::KnnHeap;
 use simspatial_geom::scratch::{with_scratch, QueryScratch, VisitedTable};
-use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, SoaAabbs};
+use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, Shape, SoaAabbs};
 
 /// Placement policy for volumetric elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -560,6 +561,35 @@ impl UniformGrid {
         (structural, absorbed)
     }
 
+    /// The sparse sibling of [`UniformGrid::update_batch`]: each
+    /// `(id, shape)` entry replaces `data[id]`'s geometry (`data` follows
+    /// the `id == position` convention; out-of-range ids are skipped) and
+    /// migrates that element, so K updates cost O(K) whatever the dataset
+    /// size. Duplicate ids resolve last-write-wins, because each migration
+    /// starts from the element's current (already updated) cell. A pure
+    /// function of `(self, data, updates)`, with the signature of a shard
+    /// apply function ([`crate::ShardedEngine::with_apply`]).
+    pub fn update_sparse(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> ShardApplyCost {
+        let mut cost = ShardApplyCost::default();
+        for &(id, shape) in updates {
+            let Some(e) = data.get_mut(id as usize) else {
+                continue;
+            };
+            let old = e.clone();
+            e.shape = shape;
+            if self.update(&old, e) {
+                cost.structural += 1;
+            } else {
+                cost.absorbed += 1;
+            }
+        }
+        cost
+    }
+
     /// Candidate ids whose **stored** bounding boxes intersect `probe`
     /// (deduplicated under replication), **without** exact refinement.
     /// Under center placement the cell walk is additionally inflated by the
@@ -635,7 +665,7 @@ impl UniformGrid {
     }
 
     /// The seed implementation's scalar query path, kept as the reference
-    /// for differential tests and the before/after kernel benchmark: dump
+    /// for differential tests (`tests/prop_grid_and_storage.rs`): dump
     /// raw cell candidate lists (sort + dedup under replication), then run
     /// the scalar filter-and-refine predicate per candidate against `data`.
     ///
@@ -852,7 +882,7 @@ impl UniformGrid {
 
 impl KnnIndex for UniformGrid {
     /// Expanding-shell kNN with batched candidate scoring (see
-    /// [`UniformGrid::knn_core`]); the best-k heap, batched distances and
+    /// `UniformGrid::knn_core`); the best-k heap, batched distances and
     /// replication-dedupe table all live in the caller's scratch, so repeat
     /// probes allocate nothing.
     fn knn_into(
@@ -881,7 +911,7 @@ impl KnnIndex for UniformGrid {
 #[cfg(any(test, feature = "reference"))]
 impl UniformGrid {
     /// The seed implementation's expanding-shell kNN, kept as the reference
-    /// for differential tests and the `query_engine` bench: every candidate
+    /// for differential tests (`tests/differential_batch.rs`): every candidate
     /// in every visited cell is scored with the exact element-surface
     /// distance, one at a time, with no batched lower-bound pass. Selects
     /// under the same ascending `(distance, id)` order as the sink path.

@@ -222,7 +222,7 @@ impl Lsh {
     }
 
     /// The seed implementation's scoring path, kept as the reference for
-    /// differential tests and the `query_engine` bench: every surfaced
+    /// differential tests (`tests/differential_batch.rs`): every surfaced
     /// candidate pays the exact element-surface distance; results are the
     /// `k` best by `(distance, id)`.
     ///

@@ -121,7 +121,7 @@ impl MultiGrid {
     }
 
     /// The seed implementation's query path, kept as the reference for
-    /// differential tests and the `query_engine` bench: each level runs the
+    /// differential tests (`tests/differential_batch.rs`): each level runs the
     /// scalar grid path (raw cell dumps, sort + dedup, per-candidate
     /// filter-and-refine) and the per-level vectors are concatenated.
     ///

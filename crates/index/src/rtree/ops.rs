@@ -1,7 +1,7 @@
 //! Dynamic R-Tree operations: insert, delete, update.
 
 use super::{Node, RTree, SplitStrategy, NIL};
-use simspatial_geom::{Aabb, ElementId};
+use simspatial_geom::{stats, Aabb, ElementId};
 
 impl RTree {
     /// Inserts an entry. O(log n) expected; splits propagate upward on
@@ -25,6 +25,7 @@ impl RTree {
     fn choose_leaf(&self, bbox: Aabb) -> usize {
         let mut idx = self.root;
         while !self.nodes[idx].is_leaf() {
+            stats::record_node_visit();
             let mut best = NIL;
             let mut best_enlargement = f32::INFINITY;
             let mut best_volume = f32::INFINITY;
@@ -188,6 +189,7 @@ impl RTree {
             }
             return None;
         }
+        stats::record_node_visit();
         for &c in &n.children {
             if self.nodes[c].mbr.contains(bbox) {
                 if let Some(found) = self.find_leaf(c, id, bbox) {

@@ -65,25 +65,10 @@ impl UpdateStrategy for GridMigrate {
     /// trait default would snapshot and diff the whole slice. This is what
     /// makes grid-backed incremental shard executors cheap on delta ticks.
     fn update_batch(&mut self, data: &mut [Element], updates: &[(ElementId, Shape)]) -> StepCost {
-        let mut structural = 0u64;
-        let mut absorbed = 0u64;
-        for &(id, shape) in updates {
-            let Some(e) = data.get_mut(id as usize) else {
-                continue; // out-of-range ids are skipped, as documented
-            };
-            let old = e.clone();
-            e.shape = shape;
-            // Duplicate ids resolve last-write-wins because each migration
-            // starts from the element's current (already-updated) cell.
-            if self.grid.update(&old, e) {
-                structural += 1;
-            } else {
-                absorbed += 1;
-            }
-        }
+        let cost = self.grid.update_sparse(data, updates);
         StepCost {
-            structural_updates: structural,
-            absorbed,
+            structural_updates: cost.structural,
+            absorbed: cost.absorbed,
             ..Default::default()
         }
     }

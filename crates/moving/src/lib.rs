@@ -48,8 +48,6 @@ pub use grid_migrate::GridMigrate;
 pub use lazy::LazyGraceWindow;
 pub use rtree_strategies::{RTreeBottomUp, RTreeRebuild, RTreeReinsert};
 pub use scan::NoIndexScan;
-pub use service::{
-    sharded_strategy_engine, strategy_backend, ShardWriteMode, StrategyIndex, StrategyWrites,
-};
+pub use service::{sharded_strategy_engine, strategy_backend, ShardWriteMode, StrategyIndex};
 pub use strategy::{StepCost, UpdateStrategy, UpdateStrategyKind};
 pub use throwaway::ThrowawayGrid;

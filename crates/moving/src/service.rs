@@ -1,21 +1,23 @@
 //! Strategy adapters into the concurrent service's write path.
 //!
-//! The service's [`EngineBackend`](simspatial_service::EngineBackend)
-//! executes queries through `SpatialIndex`/`KnnIndex` and applies write
-//! batches through a pluggable
-//! [`IndexUpdater`](simspatial_service::IndexUpdater). An
-//! [`UpdateStrategy`] is *both halves at once* — it answers range/kNN
+//! Every serving layer executes queries through `SpatialIndex`/`KnnIndex`
+//! and absorbs writes through one contract: a rebuild function, optionally
+//! an in-place apply function, and `SpatialIndex::splice`. An
+//! [`UpdateStrategy`] is *all of it at once* — it answers range/kNN
 //! queries against its maintained structure and knows how to absorb
-//! movement — so this module adapts any strategy into that slot:
+//! movement — so this module adapts any strategy into those slots:
 //!
 //! * [`StrategyIndex`] wraps a boxed strategy as a `SpatialIndex +
-//!   KnnIndex`, forwarding the sink-based query paths.
-//! * [`StrategyWrites`] is the [`IndexUpdater`] that routes coalesced
-//!   write batches into [`UpdateStrategy::update_batch`].
-//! * [`strategy_backend`] wires both into a writable `EngineBackend`, so a
-//!   simulation's maintenance strategy (grid migration, bottom-up R-Tree
-//!   updates, buffering, …) serves concurrent clients directly — the
-//!   paper's alternating update/query workload through one admission path.
+//!   KnnIndex`, forwarding the sink-based query paths and `splice`.
+//! * [`strategy_backend`] serves it from a writable
+//!   [`EngineBackend`], [`sharded_strategy_engine`] from a
+//!   [`ShardedEngine`]; both rebuild with [`StrategyIndex::build`] and —
+//!   the sharded engine in [`ShardWriteMode::Incremental`] — apply write
+//!   batches in place with one and the same function, which routes them
+//!   into [`UpdateStrategy::update_batch`]. So a simulation's maintenance
+//!   strategy (grid migration, bottom-up R-Tree updates, buffering, …)
+//!   serves concurrent clients directly — the paper's alternating
+//!   update/query workload through one admission path.
 //!
 //! ```
 //! use simspatial_datagen::ElementSoupBuilder;
@@ -45,11 +47,8 @@
 
 use crate::strategy::{UpdateStrategy, UpdateStrategyKind};
 use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
-use simspatial_index::{
-    KnnIndex, KnnSink, RangeSink, ShardApplyCost, ShardedEngine, SpatialIndex, UpdateStats,
-};
-use simspatial_service::{EngineBackend, IndexUpdater};
-use std::time::Instant;
+use simspatial_index::{KnnIndex, KnnSink, RangeSink, ShardApplyCost, ShardedEngine, SpatialIndex};
+use simspatial_service::EngineBackend;
 
 /// An [`UpdateStrategy`] adapted to the index traits, so strategy-backed
 /// structures run everywhere an index does — in particular inside the
@@ -62,25 +61,12 @@ pub struct StrategyIndex {
 }
 
 impl StrategyIndex {
-    /// Wraps `strategy`, which currently indexes `len` elements.
-    pub fn new(strategy: Box<dyn UpdateStrategy>, len: usize) -> Self {
-        Self { strategy, len }
-    }
-
     /// Builds the strategy `kind` over `elements` and wraps it.
     pub fn build(kind: UpdateStrategyKind, elements: &[Element]) -> Self {
-        Self::new(kind.create(elements), elements.len())
-    }
-
-    /// The wrapped strategy.
-    pub fn strategy(&self) -> &dyn UpdateStrategy {
-        self.strategy.as_ref()
-    }
-
-    /// The wrapped strategy, mutably — the hook incremental shard
-    /// executors use to push write lanes into the maintained structure.
-    pub fn strategy_mut(&mut self) -> &mut dyn UpdateStrategy {
-        self.strategy.as_mut()
+        Self {
+            strategy: kind.create(elements),
+            len: elements.len(),
+        }
     }
 }
 
@@ -129,74 +115,35 @@ impl KnnIndex for StrategyIndex {
     }
 }
 
-/// The [`IndexUpdater`] that applies the service's coalesced write batches
-/// through [`UpdateStrategy::update_batch`] — grid migration absorbs cell
-/// switches, buffered strategies park the moves, rebuild strategies
-/// rebuild, all behind the same service request. Remembers the strategy
-/// kind so a panic mid-write can be recovered by recreating the strategy
-/// over the (partially updated) dataset.
-pub struct StrategyWrites {
-    kind: UpdateStrategyKind,
-}
-
-impl StrategyWrites {
-    /// An updater that recreates strategies of `kind` on recovery.
-    pub fn new(kind: UpdateStrategyKind) -> Self {
-        Self { kind }
-    }
-}
-
-impl IndexUpdater<StrategyIndex> for StrategyWrites {
-    fn apply(
-        &mut self,
-        index: &mut StrategyIndex,
-        data: &mut [Element],
-        updates: &[(ElementId, Shape)],
-    ) -> UpdateStats {
-        let start = Instant::now();
-        // Accounting matches the other write paths: `applied` counts
-        // distinct known ids (last-write-wins), the rest is `skipped`.
-        let mut distinct: std::collections::HashSet<ElementId> = std::collections::HashSet::new();
-        for &(id, _) in updates {
-            if (id as usize) < data.len() {
-                distinct.insert(id);
-            }
-        }
-        let applied = distinct.len() as u64;
-        let cost = index.strategy.update_batch(data, updates);
-        UpdateStats {
-            elapsed_s: start.elapsed().as_secs_f64(),
-            applied,
-            migrations: cost.structural_updates + cost.rebuilds,
-            skipped: updates.len() as u64 - applied,
-            shipped: updates.len() as u64,
-            structural: cost.structural_updates,
-            absorbed: cost.absorbed,
-            rebuilds: cost.rebuilds,
-            ..UpdateStats::default()
-        }
-    }
-
-    fn recover(&mut self, index: &mut StrategyIndex, data: &mut [Element]) -> bool {
-        // A panic mid-`update_batch` may leave the strategy's structure
-        // torn, but the dataset (`data`) is the source of truth: recreate
-        // the strategy over it. This restores index–data consistency, not
-        // the interrupted write's atomicity (see `IndexUpdater::recover`).
-        *index = StrategyIndex::build(self.kind, data);
-        true
+/// The in-place write path of a strategy-backed index — the one apply
+/// function both [`strategy_backend`] and [`sharded_strategy_engine`]
+/// attach: the batch goes through [`UpdateStrategy::update_batch`] — grid
+/// migration absorbs cell switches, buffered strategies park the moves,
+/// rebuild strategies rebuild.
+fn apply_strategy(
+    index: &mut StrategyIndex,
+    data: &mut [Element],
+    updates: &[(ElementId, Shape)],
+) -> ShardApplyCost {
+    let cost = index.strategy.update_batch(data, updates);
+    ShardApplyCost {
+        structural: cost.structural_updates,
+        absorbed: cost.absorbed,
+        rebuilds: cost.rebuilds,
     }
 }
 
 /// A writable service backend over the update strategy `kind`: queries run
 /// through the strategy's structure, write batches through its maintenance
-/// path. `data` must follow the dataset convention (`element.id ==
-/// position`).
+/// path; a panic mid-write is recovered by recreating the strategy over
+/// the (partially updated) dataset, which is the source of truth. `data`
+/// must follow the dataset convention (`element.id == position`).
 pub fn strategy_backend(
     data: Vec<Element>,
     kind: UpdateStrategyKind,
 ) -> EngineBackend<StrategyIndex> {
-    let index = StrategyIndex::build(kind, &data);
-    EngineBackend::with_updater(data, index, StrategyWrites::new(kind))
+    EngineBackend::build_writable(data, move |els| StrategyIndex::build(kind, els))
+        .with_apply(apply_strategy)
 }
 
 /// The in-shard write mode of a strategy-backed sharded engine.
@@ -232,15 +179,7 @@ pub fn sharded_strategy_engine(
         .with_rebuild(move |els| StrategyIndex::build(kind, els));
     match mode {
         ShardWriteMode::Rebuild => engine,
-        ShardWriteMode::Incremental => engine.with_apply(|index, data, updates| {
-            let cost = index.strategy_mut().update_batch(data, updates);
-            index.len = data.len();
-            ShardApplyCost {
-                structural: cost.structural_updates,
-                absorbed: cost.absorbed,
-                rebuilds: cost.rebuilds,
-            }
-        }),
+        ShardWriteMode::Incremental => engine.with_apply(apply_strategy),
     }
 }
 

@@ -14,8 +14,8 @@
 //!
 //! The client is deliberately thread-unaware: one `NetClient` per
 //! connection per thread. Open several connections for concurrency —
-//! that is the server's multiplexing model, and what the bench driver
-//! does.
+//! that is the server's multiplexing model (`benchmark/`'s `net_read`
+//! workload drives one pipelined connection).
 
 use crate::wire::{self, DecodeLimits, ServerMsg};
 use crate::NetError;

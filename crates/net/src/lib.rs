@@ -7,7 +7,8 @@
 //!
 //! Three layers:
 //!
-//! * **[`wire`]** — the versioned frame codec. Every [`Request`] variant
+//! * **[`wire`]** — the versioned frame codec. Every
+//!   [`Request`](simspatial_service::Request) variant
 //!   (`Range`/`RangeCount`/`Knn`/`Update`/`Step`/`StepDelta`/`Insert`/
 //!   `Remove`), every response shape, and every typed failure
 //!   (`ShutDown`, `WorkerFailed`, `DeadlineExceeded`, `ReadOnly`, plus
@@ -32,7 +33,7 @@
 //!   default ([`TenantSpec::with_consistency`]); every reply reports
 //!   the epoch the service answered at.
 //! * **[`NetClient`]** — a minimal blocking client used by the tests,
-//!   the bench driver and the examples: pipelined `enqueue`/`flush`/
+//!   `benchmark/` and the examples: pipelined `enqueue`/`flush`/
 //!   `recv_msg`, or synchronous [`NetClient::call`] /
 //!   [`NetClient::call_with_retry`] that respects server retry hints.
 //!

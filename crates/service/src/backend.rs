@@ -39,10 +39,12 @@
 //! threads than it has shards to run.
 
 use crate::fault::FaultKind;
+use simspatial_geom::scratch::VisitedTable;
 use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3, Shape};
 use simspatial_index::{
     BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryEngine, QueryStats, RangeLane,
-    ShardExecutor, ShardPlanner, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats,
+    ShardApply, ShardApplyCost, ShardExecutor, ShardPlanner, ShardedEngine, SpatialIndex,
+    UpdateLane, UpdateStats,
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -455,116 +457,30 @@ pub trait ServiceBackend: Send + 'static {
     fn shutdown(&mut self) {}
 }
 
-/// A pluggable write path for [`EngineBackend`]: applies a coalesced
-/// update batch to the element data and brings the index in sync.
-///
-/// Two families of implementations ship:
-///
-/// * [`RebuildUpdater`] (this crate) — mutates the data and rebuilds the
-///   index from scratch with a stored build function; works for **any**
-///   index type, and the paper's own measurements show full rebuilds are
-///   competitive under massive movement.
-/// * `simspatial_moving::StrategyWrites` — adapts any
-///   `UpdateStrategy` (grid migration, bottom-up R-Tree updates, buffered
-///   updates, …) so a simulation's maintenance strategy serves the
-///   service's write path directly.
-pub trait IndexUpdater<I>: Send + 'static {
-    /// Applies `updates` (last-write-wins per id) to `data` and brings
-    /// `index` in sync. `data` follows the dataset convention
-    /// (`element.id == position`); entries with out-of-range ids must be
-    /// skipped and counted.
-    fn apply(
-        &mut self,
-        index: &mut I,
-        data: &mut [Element],
-        updates: &[(ElementId, Shape)],
-    ) -> UpdateStats;
-
-    /// Restores index–data consistency after a panic unwound out of
-    /// [`IndexUpdater::apply`], returning `true` on success. Recovery is
-    /// about **consistency, not atomicity**: the interrupted batch may be
-    /// partially applied to `data` (each element holds either its old or
-    /// its new geometry — the affected write requests complete with a
-    /// typed error either way); a successful recovery guarantees the index
-    /// agrees with whatever `data` now holds, so subsequent queries are
-    /// correct over it.
-    ///
-    /// The default returns `false` — an updater that cannot re-derive its
-    /// index from the data cannot make that guarantee, and the service
-    /// poisons itself rather than serve from a possibly-inconsistent
-    /// index.
-    fn recover(&mut self, _index: &mut I, _data: &mut [Element]) -> bool {
-        false
-    }
-}
-
-/// The stored index build function of a [`RebuildUpdater`].
-pub type BuildFn<I> = Box<dyn Fn(&[Element]) -> I + Send>;
-
-/// The rebuild-from-scratch [`IndexUpdater`]: applies the geometry changes
-/// to the element data, then rebuilds the index over the updated slice with
-/// the stored build function. Correct for every index type.
-pub struct RebuildUpdater<I> {
-    build: BuildFn<I>,
-}
-
-impl<I> RebuildUpdater<I> {
-    /// An updater that rebuilds with `build` after every write batch.
-    pub fn new(build: impl Fn(&[Element]) -> I + Send + 'static) -> Self {
-        Self {
-            build: Box::new(build),
-        }
-    }
-}
-
-impl<I: Send + 'static> IndexUpdater<I> for RebuildUpdater<I> {
-    fn apply(
-        &mut self,
-        index: &mut I,
-        data: &mut [Element],
-        updates: &[(ElementId, Shape)],
-    ) -> UpdateStats {
-        let start = Instant::now();
-        let mut stats = UpdateStats::default();
-        // Last-write-wins: reverse iteration, first sighting of an id wins.
-        let mut seen = vec![false; data.len()];
-        for &(id, shape) in updates.iter().rev() {
-            match data.get_mut(id as usize) {
-                Some(e) if !seen[id as usize] => {
-                    seen[id as usize] = true;
-                    e.shape = shape;
-                    stats.applied += 1;
-                }
-                _ => stats.skipped += 1,
-            }
-        }
-        // Every element is (re)placed by the rebuild.
-        stats.migrations = stats.applied;
-        stats.shipped = updates.len() as u64;
-        stats.structural = data.len() as u64;
-        stats.rebuilds = 1;
-        *index = (self.build)(data);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        stats
-    }
-
-    /// A rebuild updater always recovers: rebuilding from the current data
-    /// restores index–data consistency by construction.
-    fn recover(&mut self, index: &mut I, data: &mut [Element]) -> bool {
-        *index = (self.build)(data);
-        true
-    }
-}
+/// The stored index (re)build function of a writable [`EngineBackend`]
+/// ([`simspatial_index::ShardRebuild`] without the sharing: one owner, one
+/// thread).
+type EngineRebuild<I> = Box<dyn Fn(&[Element]) -> I + Send>;
 
 /// A single-engine backend: one index, one [`QueryEngine`], executed inline
 /// on the dispatcher thread (the "single worker" deployment). Read-only by
-/// default; attach an [`IndexUpdater`] ([`EngineBackend::with_updater`] or
-/// [`EngineBackend::build_writable`]) to serve the write path too.
+/// default. It absorbs writes through the same pair of hooks a
+/// [`ShardExecutor`] holds: a rebuild function
+/// ([`EngineBackend::build_writable`]) makes it writable — correct for
+/// **any** index type, and the paper's own measurements show full rebuilds
+/// are competitive under massive movement — and an optional apply function
+/// ([`EngineBackend::with_apply`]) mutates the index in place instead, with
+/// the rebuild kept as the recovery recipe.
 pub struct EngineBackend<I> {
     data: Vec<Element>,
     index: I,
     engine: QueryEngine,
-    updater: Option<Box<dyn IndexUpdater<I>>>,
+    /// Index (re)build function; `None` for a read-only backend.
+    rebuild: Option<EngineRebuild<I>>,
+    /// In-place write mode; `None` means every write batch rebuilds.
+    apply: Option<ShardApply<I>>,
+    /// Last-write-wins accounting of the write path.
+    seen: VisitedTable,
 }
 
 impl<I: SpatialIndex + KnnIndex + Send + 'static> EngineBackend<I> {
@@ -574,7 +490,9 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> EngineBackend<I> {
             data,
             index,
             engine: QueryEngine::new(),
-            updater: None,
+            rebuild: None,
+            apply: None,
+            seen: VisitedTable::default(),
         }
     }
 
@@ -585,22 +503,38 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> EngineBackend<I> {
         Self::new(data, index)
     }
 
-    /// A writable backend: queries as usual, write batches applied through
-    /// `updater` (e.g. a `simspatial_moving` strategy adapter).
-    pub fn with_updater(data: Vec<Element>, index: I, updater: impl IndexUpdater<I>) -> Self {
-        let mut backend = Self::new(data, index);
-        backend.updater = Some(Box::new(updater));
-        backend
-    }
-
-    /// A writable backend whose write path rebuilds the index with `build`
-    /// after every update application ([`RebuildUpdater`]).
+    /// A writable backend: every write batch overwrites the updated
+    /// elements' geometry in the data and rebuilds the index with `build`
+    /// (also the recovery recipe after a panic mid-write).
     pub fn build_writable(
         data: Vec<Element>,
         build: impl Fn(&[Element]) -> I + Send + 'static,
     ) -> Self {
-        let index = build(&data);
-        Self::with_updater(data, index, RebuildUpdater::new(build))
+        let mut backend = Self::build(data, &build);
+        backend.rebuild = Some(Box::new(build));
+        backend
+    }
+
+    /// Switches a writable backend to the **in-place** write mode: write
+    /// batches go to `apply` instead of rebuilding the index — the closure
+    /// shape [`ShardedEngine::with_apply`] takes, so one apply function
+    /// serves behind both backends. `apply` receives the index, the data
+    /// (`element.id == position`) and the batch's known-id updates in
+    /// admission order, duplicates included; it must leave `data[id].shape`
+    /// equal to the id's last update, exactly as the rebuild path would.
+    pub fn with_apply(
+        mut self,
+        apply: impl Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost
+            + Send
+            + Sync
+            + 'static,
+    ) -> Self {
+        assert!(
+            self.rebuild.is_some(),
+            "in-place write mode needs the rebuild function for recovery — use build_writable"
+        );
+        self.apply = Some(Arc::new(apply));
+        self
     }
 
     /// The wrapped index.
@@ -623,18 +557,58 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBacke
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
-        match self.updater.as_mut() {
-            Some(updater) => updater.apply(&mut self.index, &mut self.data, updates),
-            None => UpdateStats {
-                skipped: updates.len() as u64,
+        let shipped = updates.len() as u64;
+        let Some(rebuild) = self.rebuild.as_ref() else {
+            return UpdateStats {
+                skipped: shipped,
                 ..UpdateStats::default()
-            },
+            }
+            .into();
+        };
+        let start = Instant::now();
+        // `applied` counts distinct known ids (last-write-wins), the rest
+        // is `skipped`; the write itself sees every known-id entry, in
+        // admission order.
+        self.seen.begin(self.data.len());
+        let mut applied = 0u64;
+        let mut known = Vec::with_capacity(updates.len());
+        for &(id, shape) in updates {
+            if (id as usize) < self.data.len() {
+                applied += u64::from(self.seen.mark(id));
+                known.push((id, shape));
+            }
         }
-        .into()
+        let mut stats = UpdateStats {
+            applied,
+            skipped: shipped - applied,
+            shipped,
+            ..UpdateStats::default()
+        };
+        match self.apply.as_ref() {
+            Some(apply) => {
+                let cost = apply(&mut self.index, &mut self.data, &known);
+                stats.migrations = cost.structural + cost.rebuilds;
+                stats.structural = cost.structural;
+                stats.absorbed = cost.absorbed;
+                stats.rebuilds = cost.rebuilds;
+            }
+            None => {
+                for &(id, shape) in &known {
+                    self.data[id as usize].shape = shape;
+                }
+                self.index = rebuild(&self.data);
+                // Every element is (re)placed by the rebuild.
+                stats.migrations = applied;
+                stats.structural = self.data.len() as u64;
+                stats.rebuilds = 1;
+            }
+        }
+        stats.elapsed_s = start.elapsed().as_secs_f64();
+        stats.into()
     }
 
     fn supports_updates(&self) -> bool {
-        self.updater.is_some()
+        self.rebuild.is_some()
     }
 
     /// Snapshot reads are free on a single inline engine: the scheduler
@@ -647,21 +621,22 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBacke
         true
     }
 
+    /// Queries only touch per-call engine scratch, which the next call
+    /// resets. After a panic mid-write the index is rebuilt from the data
+    /// — **consistency, not atomicity**: the interrupted batch may be
+    /// partially applied (each element holds either its old or its new
+    /// geometry; the affected write requests complete with a typed error
+    /// either way), and the rebuilt index agrees with whatever the data now
+    /// holds, so subsequent queries are correct over it.
     fn recover(&mut self, after_write: bool) -> bool {
-        if !after_write {
-            // Queries only touch per-call engine scratch, which the next
-            // call resets.
-            return true;
+        if let (true, Some(rebuild)) = (after_write, self.rebuild.as_ref()) {
+            self.index = rebuild(&self.data);
         }
-        match self.updater.as_mut() {
-            Some(updater) => updater.recover(&mut self.index, &mut self.data),
-            // No write path, so nothing could have been mid-mutation.
-            None => true,
-        }
+        true
     }
 
     fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.engine.memory_bytes()
+        self.index.memory_bytes() + self.engine.memory_bytes() + self.seen.memory_bytes()
     }
 
     fn shard_sizes(&self) -> Vec<usize> {
@@ -1153,10 +1128,9 @@ impl ShardedBackend {
                 // must not take down the supervisor.
                 catch_unwind(AssertUnwindSafe(move || {
                     // Restart rebuilds from the planner store (writes
-                    // already folded in), then restores the incremental
-                    // write mode for subsequent lanes.
-                    let mut exec = ShardExecutor::from_planner(planner, shard, rb);
-                    exec.set_apply(ap);
+                    // already folded in), in the write mode the shard
+                    // crashed in.
+                    let exec = ShardExecutor::from_planner(planner, shard, rb, ap);
                     let len = exec.len();
                     (wrap(exec), len)
                 }))
@@ -1235,9 +1209,6 @@ impl ShardedBackend {
                     std::thread::sleep(backoff);
                 }
                 attempt += 1;
-                if !self.planner.has_element_store() {
-                    break;
-                }
                 let Some(factory) = self.factory.as_ref() else {
                     break;
                 };

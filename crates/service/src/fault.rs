@@ -249,8 +249,8 @@ impl FaultPlan {
 /// so the inner state is untouched and [`ChaosBackend::recover`] can
 /// truthfully report the backend consistent — the service keeps serving.
 /// Everything else (stats, telemetry, write support) forwards to the inner
-/// backend unchanged, which is also what the supervision-overhead bench
-/// wraps with an *empty* plan to price the wrapper itself.
+/// backend unchanged, so a wrapper with an *empty* plan serves exactly as
+/// the inner backend does.
 pub struct ChaosBackend<B> {
     inner: B,
     plan: FaultPlan,

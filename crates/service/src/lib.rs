@@ -37,8 +37,11 @@
 //!   reject writes at admission with [`SubmitError::ReadOnly`].
 //! * **Backends** ([`ServiceBackend`]) — [`EngineBackend`] executes
 //!   inline on the dispatcher (single worker over any
-//!   `SpatialIndex + KnnIndex`; writable via a pluggable [`IndexUpdater`]
-//!   — [`RebuildUpdater`] or a `simspatial_moving` strategy adapter);
+//!   `SpatialIndex + KnnIndex`; writable through the write contract every
+//!   layer shares — a rebuild function
+//!   ([`EngineBackend::build_writable`]), optionally an in-place apply
+//!   function ([`EngineBackend::with_apply`], e.g.
+//!   `simspatial_moving::strategy_backend`));
 //!   [`ShardedBackend`] parks each shard of a `ShardedEngine` in an
 //!   executor slot and scatters routed lanes onto a work-stealing pool of
 //!   `min(SIMSPATIAL_THREADS, shards)` workers, merging through the
@@ -157,9 +160,8 @@ mod service;
 mod stats;
 
 pub use backend::{
-    BackendTelemetry, BatchReport, EngineBackend, IndexUpdater, QueryRun, QueryRunReport,
-    QueryRunResults, RebuildUpdater, ServiceBackend, ShardedBackend, SubBatchOutcome,
-    SupervisorPolicy, UpdateReport,
+    BackendTelemetry, BatchReport, EngineBackend, QueryRun, QueryRunReport, QueryRunResults,
+    ServiceBackend, ShardedBackend, SubBatchOutcome, SupervisorPolicy, UpdateReport,
 };
 pub use fault::{ChaosBackend, FaultKind, FaultPlan, ScheduledFault};
 pub use request::{Consistency, RecvError, Reply, Request, Response, SubmitError, Ticket};

@@ -55,8 +55,9 @@ pub struct ServiceConfig {
     /// `try_submit` rejects once this many requests are pending.
     pub queue_cap: usize,
     /// Maximum requests coalesced into one dispatch. `1` = micro-batching
-    /// off: every request dispatches alone (the baseline the `service`
-    /// bench compares against).
+    /// off: every request dispatches alone (the differential suites'
+    /// baseline; `service.coalesce_mean` in `BENCHMARK.json` prices the
+    /// default).
     pub max_batch: usize,
     /// How long a **lone** request waits for company before dispatching
     /// alone. A dispatch already holding two or more requests never

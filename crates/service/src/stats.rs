@@ -288,9 +288,9 @@ impl ServiceStats {
 
     /// Machine-readable JSON snapshot (hand-rolled — the offline build has
     /// no serde). Single line, stable key order; latency histograms are
-    /// summarized as mean/p50/p95/p99/max in microseconds. This is the
-    /// payload a `Stats` wire request returns and the bench drivers embed
-    /// in their reports.
+    /// summarized as mean/p50/p95/p99/max in microseconds; new keys are
+    /// appended, never inserted. This is the payload a `Stats` wire
+    /// request returns.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(1024);
@@ -372,6 +372,25 @@ impl ServiceStats {
             );
             latency_json(&mut s, &t.latency);
             s.push('}');
+        }
+        let _ = write!(
+            s,
+            "],\"updates_shipped\":{},\"structural_touches\":{},\"updates_absorbed\":{},\"shard_rebuilds\":{},\"rebuilds_avoided\":{},\"update_dispatches\":{},\"mean_update_batch\":{:.3},\"worker_steals\":{}",
+            self.updates_shipped,
+            self.structural_touches,
+            self.updates_absorbed,
+            self.shard_rebuilds,
+            self.rebuilds_avoided,
+            self.update_dispatches,
+            self.mean_update_batch(),
+            self.worker_steals
+        );
+        s.push_str(",\"worker_busy_ns\":[");
+        for (i, ns) in self.worker_busy_ns.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            let _ = write!(s, "{ns}");
         }
         s.push_str("]}");
         s
@@ -549,6 +568,8 @@ mod tests {
         };
         stats.latency.record(Duration::from_micros(120));
         stats.shard_sizes = vec![3, 4];
+        stats.updates_shipped = 11;
+        stats.worker_busy_ns = vec![5, 6];
         stats.tenants.push(TenantStats {
             name: "si\"m".into(),
             weight: 9,
@@ -564,6 +585,23 @@ mod tests {
         assert!(json.contains("\"weight\":9"), "{json}");
         assert!(json.contains("\"shed\":2"), "{json}");
         assert!(json.contains("\"p99_us\""), "{json}");
+        // The write-amplification and pool counters `summary()` prints.
+        assert!(json.contains("\"updates_shipped\":11"), "{json}");
+        assert!(json.ends_with("\"worker_busy_ns\":[5,6]}"), "{json}");
+        for key in [
+            "structural_touches",
+            "updates_absorbed",
+            "shard_rebuilds",
+            "rebuilds_avoided",
+            "update_dispatches",
+            "mean_update_batch",
+            "worker_steals",
+        ] {
+            assert!(
+                json.contains(&format!("\"{key}\":")),
+                "{key} missing: {json}"
+            );
+        }
         assert!(!json.contains('\n'), "single line: {json}");
     }
 }

@@ -101,14 +101,13 @@ pub mod prelude {
     pub use simspatial_mesh::{MeshWalker, TetMesh, WalkStrategy};
     pub use simspatial_moving::{
         sharded_strategy_engine, strategy_backend, ShardWriteMode, StepCost, StrategyIndex,
-        StrategyWrites, UpdateStrategy, UpdateStrategyKind,
+        UpdateStrategy, UpdateStrategyKind,
     };
     pub use simspatial_net::{CallOutcome, NetClient, NetConfig, NetServer, TenantSpec};
     pub use simspatial_service::{
-        ChaosBackend, Consistency, EngineBackend, FaultKind, FaultPlan, IndexUpdater,
-        RebuildUpdater, Reply, Request, Response, RetryPolicy, ServiceBackend, ServiceConfig,
-        ServiceHandle, ServiceStats, ShardedBackend, SpatialService, SubmitError, SupervisorPolicy,
-        TenantStats, Ticket,
+        ChaosBackend, Consistency, EngineBackend, FaultKind, FaultPlan, Reply, Request, Response,
+        RetryPolicy, ServiceBackend, ServiceConfig, ServiceHandle, ServiceStats, ShardedBackend,
+        SpatialService, SubmitError, SupervisorPolicy, TenantStats, Ticket,
     };
     pub use simspatial_sim::{
         MaterialWorkload, NBodyWorkload, PlasticityWorkload, ServedSimulation, ServedStepReport,

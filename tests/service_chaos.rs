@@ -25,6 +25,9 @@
 //! * **Poisoning**: a write panic with no recovery path fails fast — every
 //!   queued and subsequent request completes typed, nothing hangs.
 
+mod common;
+
+use common::{expected, mix, soup, RebuildOracle, SerialOracle, ShardedOracle, StrategyOracle};
 use simspatial::prelude::*;
 use simspatial_service::{BatchReport, RecvError, ServiceBackend, UpdateReport};
 use std::sync::Once;
@@ -53,27 +56,6 @@ fn quiet_panics() {
             }
         }));
     });
-}
-
-/// Mixed-size random soup (same recipe as the service stress tests).
-fn soup(n: u32, seed: u32) -> Vec<Element> {
-    (0..n)
-        .map(|i| {
-            let h = (i ^ seed).wrapping_mul(2654435761);
-            let x = (h % 997) as f32 / 10.0;
-            let y = ((h >> 10) % 997) as f32 / 10.0;
-            let z = ((h >> 20) % 997) as f32 / 10.0;
-            let r = if i % 29 == 0 { 4.0 } else { 0.35 };
-            Element::new(i, Shape::Sphere(Sphere::new(Point3::new(x, y, z), r)))
-        })
-        .collect()
-}
-
-fn mix(h: u32) -> u32 {
-    let mut h = h.wrapping_mul(0x9E3779B9) ^ 0xABCD_1234;
-    h ^= h >> 16;
-    h = h.wrapping_mul(0x85EB_CA6B);
-    h ^ (h >> 13)
 }
 
 /// A box covering the whole soup — routes to every shard of a region
@@ -161,128 +143,6 @@ fn chaos_requests(count: u32, data_len: u32, writable: bool, seed: u32) -> Vec<R
         .collect()
 }
 
-/// The serial oracle: one request at a time through a caller-owned engine,
-/// applying exactly the writes the service acknowledged.
-trait SerialOracle {
-    fn range(&mut self, qs: &[Aabb]) -> Vec<Vec<ElementId>>;
-    fn knn(&mut self, p: &Point3, k: usize) -> Vec<(ElementId, f32)>;
-    fn apply(&mut self, updates: &[(ElementId, Shape)]);
-}
-
-/// Serial mirror of a sharded backend: the same `ShardedEngine`, driven one
-/// request at a time.
-struct ShardedOracle<I>(ShardedEngine<I>);
-
-impl<I: SpatialIndex + KnnIndex + Send> SerialOracle for ShardedOracle<I> {
-    fn range(&mut self, qs: &[Aabb]) -> Vec<Vec<ElementId>> {
-        let mut out = BatchResults::new();
-        self.0.range_collect(qs, &mut out);
-        (0..qs.len())
-            .map(|q| out.query_results(q).to_vec())
-            .collect()
-    }
-
-    fn knn(&mut self, p: &Point3, k: usize) -> Vec<(ElementId, f32)> {
-        let mut out = KnnBatchResults::new();
-        self.0.knn_collect(&[*p], k, &mut out);
-        out.query_results(0).to_vec()
-    }
-
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        self.0.update_batch(updates);
-    }
-}
-
-/// Serial mirror of `EngineBackend::build_writable`: owns the data, applies
-/// writes, rebuilds its index.
-struct RebuildOracle<I, F: Fn(&[Element]) -> I> {
-    engine: QueryEngine,
-    data: Vec<Element>,
-    index: I,
-    build: F,
-}
-
-impl<I: SpatialIndex + KnnIndex, F: Fn(&[Element]) -> I> RebuildOracle<I, F> {
-    fn new(data: Vec<Element>, build: F) -> Self {
-        let index = build(&data);
-        Self {
-            engine: QueryEngine::new(),
-            data,
-            index,
-            build,
-        }
-    }
-}
-
-impl<I: SpatialIndex + KnnIndex, F: Fn(&[Element]) -> I> SerialOracle for RebuildOracle<I, F> {
-    fn range(&mut self, qs: &[Aabb]) -> Vec<Vec<ElementId>> {
-        let mut out = BatchResults::new();
-        self.engine
-            .range_collect(&self.index, &self.data, qs, &mut out);
-        (0..qs.len())
-            .map(|q| out.query_results(q).to_vec())
-            .collect()
-    }
-
-    fn knn(&mut self, p: &Point3, k: usize) -> Vec<(ElementId, f32)> {
-        let mut out = KnnBatchResults::new();
-        self.engine
-            .knn_collect(&self.index, &self.data, &[*p], k, &mut out);
-        out.query_results(0).to_vec()
-    }
-
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        for &(id, shape) in updates {
-            if let Some(e) = self.data.get_mut(id as usize) {
-                e.shape = shape;
-            }
-        }
-        self.index = (self.build)(&self.data);
-    }
-}
-
-fn expected(oracle: &mut dyn SerialOracle, request: &Request) -> Response {
-    match request {
-        Request::Range(qs) => Response::Range(oracle.range(qs)),
-        Request::RangeCount(qs) => Response::RangeCount(
-            oracle
-                .range(qs)
-                .into_iter()
-                .map(|l| l.len() as u64)
-                .collect(),
-        ),
-        Request::Knn(probes) => {
-            Response::Knn(probes.iter().map(|(p, k)| oracle.knn(p, *k)).collect())
-        }
-        Request::Update(pairs) => {
-            let updates: Vec<(ElementId, Shape)> =
-                pairs.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
-            oracle.apply(&updates);
-            Response::Update(pairs.len() as u64)
-        }
-        Request::Step(envs) => {
-            let updates: Vec<(ElementId, Shape)> = envs
-                .iter()
-                .enumerate()
-                .map(|(id, &bb)| (id as ElementId, Shape::Box(bb)))
-                .collect();
-            oracle.apply(&updates);
-            Response::Step(envs.len() as u64)
-        }
-        Request::StepDelta(moves) => {
-            let updates: Vec<(ElementId, Shape)> =
-                moves.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
-            oracle.apply(&updates);
-            Response::StepDelta(moves.len() as u64)
-        }
-        Request::Insert(_) | Request::Remove(_) => {
-            unimplemented!(
-                "membership requests are exercised by the incremental differential suite"
-            )
-        }
-    }
-}
-
 /// Redeems a ticket with a generous bound so a lost completion fails loudly
 /// instead of wedging the test binary — the no-hang assertion every chaos
 /// test makes on every single request.
@@ -330,15 +190,16 @@ fn drive_differential(
     service.shutdown()
 }
 
-/// Dispatcher-level faults on the single-engine backend: panic mid-query,
-/// lost write, panic mid-write, slow call, lost query response — the
-/// service keeps serving, failed requests complete typed, their writes are
-/// not applied, and every surviving response matches the serial oracle.
-#[test]
-fn engine_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
+/// The fixed dispatcher-fault plan: panic mid-query, lost write, panic
+/// mid-write, slow call, lost query response — the service keeps serving,
+/// failed requests complete typed, their writes are not applied, and every
+/// surviving response matches the serial oracle.
+fn dispatcher_faults_fail_typed_and_survivors_match(
+    backend: impl ServiceBackend,
+    oracle: &mut dyn SerialOracle,
+    label: &str,
+) {
     quiet_panics();
-    let data = soup(1500, 0xD15E);
-    let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     let t1 = Aabb::new(Point3::new(2.0, 2.0, 2.0), Point3::new(3.5, 3.5, 3.5));
     let t4 = Aabb::new(Point3::new(95.0, 95.0, 95.0), Point3::new(96.5, 96.5, 96.5));
     let requests = vec![
@@ -358,23 +219,108 @@ fn engine_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
         .delay_at(3, Duration::from_millis(2))
         .panic_at(4)
         .drop_at(5);
-    let backend = ChaosBackend::new(
-        EngineBackend::build_writable(data.clone(), build),
-        plan.clone(),
-    );
-    let mut oracle = RebuildOracle::new(data, build);
+    let backend = ChaosBackend::new(backend, plan.clone());
     let stats = drive_differential(
         SpatialService::spawn(backend, ServiceConfig::default().no_coalesce()),
-        &mut oracle,
+        oracle,
         &plan,
         &requests,
-        "engine/fixed-plan",
+        label,
     );
     assert_eq!(stats.panics_caught, 2, "both injected panics were caught");
     assert_eq!(stats.failed_requests, 4, "ops 0, 1, 4, 5 failed typed");
     assert_eq!(stats.completed, requests.len() as u64, "no ticket was lost");
     assert_eq!(stats.deadline_expired, 0);
     assert_eq!(stats.shards_dead, 0);
+}
+
+/// Dispatcher-level faults on the single-engine backend (rebuild writes).
+#[test]
+fn engine_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
+    let data = soup(1500, 0xD15E);
+    let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+    dispatcher_faults_fail_typed_and_survivors_match(
+        EngineBackend::build_writable(data.clone(), build),
+        &mut RebuildOracle::new(data, build),
+        "engine/fixed-plan",
+    );
+}
+
+/// The same on a strategy-served backend (`strategy_backend`, grid
+/// migration in place): the write a dispatcher panic interrupts fails
+/// typed, the service is not poisoned, and later reads match the strategy
+/// oracle over the surviving write stream.
+#[test]
+fn strategy_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
+    let data = soup(1500, 0x57A7);
+    let kind = UpdateStrategyKind::GridMigrate;
+    let backend = strategy_backend(data.clone(), kind);
+    let mut oracle = StrategyOracle {
+        strategy: kind.create(&data),
+        data,
+        scratch: Default::default(),
+    };
+    dispatcher_faults_fail_typed_and_survivors_match(backend, &mut oracle, "strategy/fixed-plan");
+}
+
+/// A panic *inside* the apply function, with the index torn (the data a
+/// step ahead of it): the backend recovers by rebuilding the index from the
+/// data — consistency, not atomicity — so the write fails typed, the
+/// service keeps serving, and later reads match an oracle built over the
+/// surviving data byte for byte.
+#[test]
+fn engine_apply_panic_recovers_by_rebuilding_from_the_data() {
+    quiet_panics();
+    const BOMB: ElementId = 7;
+    let data = soup(1500, 0xB0B);
+    let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+    let t1 = Aabb::new(Point3::new(2.0, 2.0, 2.0), Point3::new(3.5, 3.5, 3.5));
+    let t4 = Aabb::new(Point3::new(95.0, 95.0, 95.0), Point3::new(96.5, 96.5, 96.5));
+    let backend = EngineBackend::build_writable(data.clone(), build).with_apply(
+        |grid: &mut UniformGrid, data: &mut [Element], updates: &[(ElementId, Shape)]| {
+            let mut cost = ShardApplyCost::default();
+            for update in updates {
+                if update.0 == BOMB {
+                    data[BOMB as usize].shape = update.1;
+                    panic!("chaos: apply function torn mid-batch");
+                }
+                cost.structural += grid.update_sparse(data, &[*update]).structural;
+            }
+            cost
+        },
+    );
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let handle = service.handle();
+    let torn = Request::Update(vec![(3, t1), (BOMB, t1), (5, t1)]);
+    match recv_bounded(&handle.submit(torn).unwrap(), "engine/apply-panic", 0) {
+        Err(RecvError::WorkerFailed { .. }) => {}
+        other => panic!("the torn write should fail typed, got {other:?}"),
+    }
+    // What reached the data: element 3 (applied), the bomb's own geometry
+    // (written before the panic), not element 5.
+    let mut oracle = RebuildOracle::new(data, build);
+    oracle.apply(&[(3, Shape::Box(t1)), (BOMB, Shape::Box(t1))]);
+    let later = [
+        Request::Range(vec![t1, full_cover()]),
+        Request::Knn(vec![(Point3::new(2.5, 2.5, 2.5), 5)]),
+        Request::Update(vec![(9, t4)]),
+        Request::Range(vec![t4]),
+    ];
+    for (op, req) in later.iter().enumerate() {
+        let got = recv_bounded(
+            &handle.submit(req.clone()).unwrap(),
+            "engine/apply-panic",
+            op + 1,
+        );
+        assert_eq!(got.ok(), Some(expected(&mut oracle, req)), "op {}", op + 1);
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.failed_requests, 1);
+    assert_eq!(
+        stats.updates_applied, 1,
+        "only the post-recovery write counts"
+    );
 }
 
 /// A panicking shard worker is quarantined, restarted from the planner's
@@ -1113,31 +1059,11 @@ fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
 // driven serially, so replies are compared byte for byte unless noted.
 // --------------------------------------------------------------------------
 
-/// Per-element cell migration as a shard apply function (what
-/// `GridMigrate::update_batch` does), deterministic in its arguments.
-fn migrate(
-    grid: &mut UniformGrid,
-    data: &mut [Element],
-    updates: &[(ElementId, Shape)],
-) -> ShardApplyCost {
-    let mut cost = ShardApplyCost::default();
-    for &(id, shape) in updates {
-        let old = data[id as usize].clone();
-        data[id as usize].shape = shape;
-        if grid.update(&old, &data[id as usize]) {
-            cost.structural += 1;
-        } else {
-            cost.absorbed += 1;
-        }
-    }
-    cost
-}
-
 fn incremental_grid_engine(data: &[Element], shards: usize) -> ShardedEngine<UniformGrid> {
     let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
     ShardedEngine::build(data, shards, build)
         .with_rebuild(build)
-        .with_apply(migrate)
+        .with_apply(UniformGrid::update_sparse)
 }
 
 /// A **resident** delta tick: small elements nudged without leaving (or

@@ -13,6 +13,9 @@
 //! * **Observability**: the pool gauges (`worker_busy_ns`,
 //!   `worker_steals`) flow through `ServiceStats` and its `summary()`.
 
+mod common;
+
+use common::soup;
 use simspatial::prelude::*;
 use simspatial_geom::parallel;
 use simspatial_service::{
@@ -24,19 +27,6 @@ use std::time::Duration;
 /// `parallel::set_num_threads` is process-global, so tests that reconfigure
 /// it serialize on this lock and restore the previous value before exit.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
-
-fn soup(n: u32, seed: u32) -> Vec<Element> {
-    (0..n)
-        .map(|i| {
-            let h = (i ^ seed).wrapping_mul(2654435761);
-            let x = (h % 997) as f32 / 10.0;
-            let y = ((h >> 10) % 997) as f32 / 10.0;
-            let z = ((h >> 20) % 997) as f32 / 10.0;
-            let r = if i % 29 == 0 { 4.0 } else { 0.35 };
-            Element::new(i, Shape::Sphere(Sphere::new(Point3::new(x, y, z), r)))
-        })
-        .collect()
-}
 
 fn sharded_engine(shards: usize) -> ShardedEngine<UniformGrid> {
     let data = soup(4000, 7);

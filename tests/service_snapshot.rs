@@ -39,32 +39,14 @@
 //! startup epoch 0 plus one per write barrier) — checked after every run
 //! here, and under injected publish-path panics by the chaos suite.
 
+mod common;
+
+use common::{mix, soup};
 use proptest::prelude::*;
 use simspatial::prelude::*;
 use simspatial_service::{QueryRun, QueryRunResults, ServiceBackend};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Mixed-size random soup (same recipe as the chaos and stress suites).
-fn soup(n: u32, seed: u32) -> Vec<Element> {
-    (0..n)
-        .map(|i| {
-            let h = (i ^ seed).wrapping_mul(2654435761);
-            let x = (h % 997) as f32 / 10.0;
-            let y = ((h >> 10) % 997) as f32 / 10.0;
-            let z = ((h >> 20) % 997) as f32 / 10.0;
-            let r = if i % 29 == 0 { 4.0 } else { 0.35 };
-            Element::new(i, Shape::Sphere(Sphere::new(Point3::new(x, y, z), r)))
-        })
-        .collect()
-}
-
-fn mix(h: u32) -> u32 {
-    let mut h = h.wrapping_mul(0x9E3779B9) ^ 0xABCD_1234;
-    h ^= h >> 16;
-    h = h.wrapping_mul(0x85EB_CA6B);
-    h ^ (h >> 13)
-}
 
 fn build(d: &[Element]) -> UniformGrid {
     UniformGrid::build(d, GridConfig::auto(d))
@@ -295,31 +277,10 @@ fn snapshot_replies_match_barrier_oracle_at_reported_epoch() {
     assert_eq!(stats.panics_caught, 0);
 }
 
-/// The per-element cell migration `GridMigrate::update_batch` performs, as
-/// a shard apply function: deterministic in `(grid, data, updates)`, which
-/// is what a replayed snapshot relies on.
-fn migrate(
-    grid: &mut UniformGrid,
-    data: &mut [Element],
-    updates: &[(ElementId, Shape)],
-) -> ShardApplyCost {
-    let mut cost = ShardApplyCost::default();
-    for &(id, shape) in updates {
-        let old = data[id as usize].clone();
-        data[id as usize].shape = shape;
-        if grid.update(&old, &data[id as usize]) {
-            cost.structural += 1;
-        } else {
-            cost.absorbed += 1;
-        }
-    }
-    cost
-}
-
 fn incremental_engine(data: &[Element], shards: usize) -> ShardedEngine<UniformGrid> {
     ShardedEngine::build(data, shards, build)
         .with_rebuild(build)
-        .with_apply(migrate)
+        .with_apply(UniformGrid::update_sparse)
 }
 
 /// The soup with every 40th element duplicated onto its successor: the two

@@ -16,32 +16,14 @@
 //!   on the single-engine backend and on sharded backends (uniform and
 //!   median-cut) including cross-shard migrations.
 
+mod common;
+
+use common::{expected, mix, soup, RebuildOracle, SerialOracle, ShardedOracle, StrategyOracle};
 use simspatial::prelude::*;
 use simspatial_geom::QueryScratch;
 use simspatial_service::{BatchReport, RecvError, ServiceBackend, UpdateReport};
 use std::sync::mpsc;
 use std::time::Duration;
-
-/// Mixed-size random soup (same recipe as the engine differential tests).
-fn soup(n: u32, seed: u32) -> Vec<Element> {
-    (0..n)
-        .map(|i| {
-            let h = (i ^ seed).wrapping_mul(2654435761);
-            let x = (h % 997) as f32 / 10.0;
-            let y = ((h >> 10) % 997) as f32 / 10.0;
-            let z = ((h >> 20) % 997) as f32 / 10.0;
-            let r = if i % 29 == 0 { 4.0 } else { 0.35 };
-            Element::new(i, Shape::Sphere(Sphere::new(Point3::new(x, y, z), r)))
-        })
-        .collect()
-}
-
-fn mix(h: u32) -> u32 {
-    let mut h = h.wrapping_mul(0x9E3779B9) ^ 0xABCD_1234;
-    h ^= h >> 16;
-    h = h.wrapping_mul(0x85EB_CA6B);
-    h ^ (h >> 13)
-}
 
 /// Deterministic request stream for producer `tid`: a mix of `Range`,
 /// `RangeCount` and `Knn` (per-probe k varying 1..9, including k=0 and a
@@ -87,18 +69,6 @@ fn requests_for(tid: u32, count: u32) -> Vec<Request> {
         .collect()
 }
 
-/// The serial oracle: one request at a time through a caller-owned engine.
-/// Writable oracles additionally apply write batches with the same
-/// semantics as the service (geometry replaced, last write wins).
-trait SerialOracle {
-    fn range(&mut self, qs: &[Aabb]) -> Vec<Vec<ElementId>>;
-    fn knn(&mut self, p: &Point3, k: usize) -> Vec<(ElementId, f32)>;
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        let _ = updates;
-        panic!("read-only oracle received a write");
-    }
-}
-
 struct EngineOracle<'a, I> {
     engine: QueryEngine,
     index: &'a I,
@@ -120,149 +90,6 @@ impl<I: SpatialIndex + KnnIndex> SerialOracle for EngineOracle<'_, I> {
         self.engine
             .knn_collect(self.index, self.data, &[*p], k, &mut out);
         out.query_results(0).to_vec()
-    }
-}
-
-struct ShardedOracle<I>(ShardedEngine<I>);
-
-impl<I: SpatialIndex + KnnIndex + Send> SerialOracle for ShardedOracle<I> {
-    fn range(&mut self, qs: &[Aabb]) -> Vec<Vec<ElementId>> {
-        let mut out = BatchResults::new();
-        self.0.range_collect(qs, &mut out);
-        (0..qs.len())
-            .map(|q| out.query_results(q).to_vec())
-            .collect()
-    }
-
-    fn knn(&mut self, p: &Point3, k: usize) -> Vec<(ElementId, f32)> {
-        let mut out = KnnBatchResults::new();
-        self.0.knn_collect(&[*p], k, &mut out);
-        out.query_results(0).to_vec()
-    }
-
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        self.0.update_batch(updates);
-    }
-}
-
-/// A writable single-engine oracle: owns the data, applies writes, rebuilds
-/// its index — the serial mirror of `EngineBackend::build_writable`.
-struct RebuildOracle<I, F: Fn(&[Element]) -> I> {
-    engine: QueryEngine,
-    data: Vec<Element>,
-    index: I,
-    build: F,
-}
-
-impl<I: SpatialIndex + KnnIndex, F: Fn(&[Element]) -> I> RebuildOracle<I, F> {
-    fn new(data: Vec<Element>, build: F) -> Self {
-        let index = build(&data);
-        Self {
-            engine: QueryEngine::new(),
-            data,
-            index,
-            build,
-        }
-    }
-}
-
-impl<I: SpatialIndex + KnnIndex, F: Fn(&[Element]) -> I> SerialOracle for RebuildOracle<I, F> {
-    fn range(&mut self, qs: &[Aabb]) -> Vec<Vec<ElementId>> {
-        let mut out = BatchResults::new();
-        self.engine
-            .range_collect(&self.index, &self.data, qs, &mut out);
-        (0..qs.len())
-            .map(|q| out.query_results(q).to_vec())
-            .collect()
-    }
-
-    fn knn(&mut self, p: &Point3, k: usize) -> Vec<(ElementId, f32)> {
-        let mut out = KnnBatchResults::new();
-        self.engine
-            .knn_collect(&self.index, &self.data, &[*p], k, &mut out);
-        out.query_results(0).to_vec()
-    }
-
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        for &(id, shape) in updates {
-            if let Some(e) = self.data.get_mut(id as usize) {
-                e.shape = shape;
-            }
-        }
-        self.index = (self.build)(&self.data);
-    }
-}
-
-/// A strategy-backed oracle: the serial mirror of
-/// `simspatial_moving::strategy_backend` (same structure, same sparse
-/// maintenance path).
-struct StrategyOracle {
-    data: Vec<Element>,
-    strategy: Box<dyn UpdateStrategy>,
-    scratch: QueryScratch,
-}
-
-impl SerialOracle for StrategyOracle {
-    fn range(&mut self, qs: &[Aabb]) -> Vec<Vec<ElementId>> {
-        qs.iter()
-            .map(|q| {
-                let mut out = Vec::new();
-                self.strategy
-                    .range_into(&self.data, q, &mut self.scratch, &mut out);
-                out
-            })
-            .collect()
-    }
-
-    fn knn(&mut self, p: &Point3, k: usize) -> Vec<(ElementId, f32)> {
-        let mut out = Vec::new();
-        self.strategy
-            .knn_into(&self.data, p, k, &mut self.scratch, &mut out);
-        out
-    }
-
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        self.strategy.update_batch(&mut self.data, updates);
-    }
-}
-
-fn expected(oracle: &mut dyn SerialOracle, request: &Request) -> Response {
-    match request {
-        Request::Range(qs) => Response::Range(oracle.range(qs)),
-        Request::RangeCount(qs) => Response::RangeCount(
-            oracle
-                .range(qs)
-                .into_iter()
-                .map(|l| l.len() as u64)
-                .collect(),
-        ),
-        Request::Knn(probes) => {
-            Response::Knn(probes.iter().map(|(p, k)| oracle.knn(p, *k)).collect())
-        }
-        Request::Update(pairs) => {
-            let updates: Vec<(ElementId, Shape)> =
-                pairs.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
-            oracle.apply(&updates);
-            Response::Update(pairs.len() as u64)
-        }
-        Request::Step(envs) => {
-            let updates: Vec<(ElementId, Shape)> = envs
-                .iter()
-                .enumerate()
-                .map(|(id, &bb)| (id as ElementId, Shape::Box(bb)))
-                .collect();
-            oracle.apply(&updates);
-            Response::Step(envs.len() as u64)
-        }
-        Request::StepDelta(moves) => {
-            let updates: Vec<(ElementId, Shape)> =
-                moves.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
-            oracle.apply(&updates);
-            Response::StepDelta(moves.len() as u64)
-        }
-        Request::Insert(_) | Request::Remove(_) => {
-            unimplemented!("membership requests are exercised by tests/incremental_differential.rs")
-        }
     }
 }
 
@@ -733,6 +560,57 @@ fn write_barrier_matches_serial_on_strategy_backend() {
         scratch: QueryScratch::default(),
     };
     drive_barrier_and_verify(service, &mut oracle, false, "engine/grid-migrate strategy");
+}
+
+/// One apply function behind both backends: the same request stream served
+/// by `strategy_backend` and by a one-shard incremental
+/// `sharded_strategy_engine` yields equal range sets, equal kNN lists and
+/// equal write accounting — superseded duplicates and unknown ids included.
+#[test]
+fn strategy_apply_behaves_the_same_behind_both_backends() {
+    let data = soup(WRITE_SOUP, 0xD1CE);
+    let kind = UpdateStrategyKind::GridMigrate;
+    let mut requests = barrier_requests(48);
+    requests.push(Request::Update(vec![
+        (17, beacon_target(900)),             // superseded two entries on
+        (WRITE_SOUP + 5, beacon_target(901)), // unknown id
+        (17, beacon_target(902)),
+        (18, beacon_target(903)),
+    ]));
+    requests.push(Request::Range(vec![beacon_all()]));
+    requests.push(Request::Knn(vec![(Point3::new(160.0, 160.0, 151.0), 6)]));
+    let serve = |service: SpatialService| -> (Vec<Response>, ServiceStats) {
+        let handle = service.handle();
+        let mut responses: Vec<Response> = requests
+            .iter()
+            .map(|r| handle.submit(r.clone()).unwrap().recv().unwrap())
+            .collect();
+        for response in &mut responses {
+            if let Response::Range(lists) = response {
+                lists.iter_mut().for_each(|l| l.sort_unstable());
+            }
+        }
+        (responses, service.shutdown())
+    };
+    let config = || ServiceConfig::default().no_coalesce();
+    let (inline, inline_stats) = serve(SpatialService::spawn(
+        strategy_backend(data.clone(), kind),
+        config(),
+    ));
+    let engine = sharded_strategy_engine(&data, 1, kind, ShardWriteMode::Incremental);
+    let (sharded, sharded_stats) = serve(SpatialService::spawn(
+        ShardedBackend::spawn(engine),
+        config(),
+    ));
+    for (i, (a, b)) in inline.iter().zip(&sharded).enumerate() {
+        assert_eq!(a, b, "request {i} differs between the two backends");
+    }
+    assert!(inline_stats.updates_applied > 0 && inline_stats.updates_skipped >= 2);
+    assert_eq!(inline_stats.updates_applied, sharded_stats.updates_applied);
+    assert_eq!(inline_stats.updates_skipped, sharded_stats.updates_skipped);
+    // Every sparse write ran in place on the shard — the apply function,
+    // not the rebuild fallback, is what the comparison exercised.
+    assert!(sharded_stats.rebuilds_avoided > 0);
 }
 
 #[test]
