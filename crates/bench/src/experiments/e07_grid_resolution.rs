@@ -14,8 +14,8 @@ use crate::datasets::{neuron_dataset, queries_at};
 use crate::report::{fmt_time, Report};
 use crate::Scale;
 use simspatial_index::{
-    CountSink, GridConfig, GridPlacement, MultiGrid, MultiGridConfig, QueryEngine, ShardedEngine,
-    SpatialIndex, UniformGrid,
+    CountSink, GridConfig, GridPlacement, MultiGrid, MultiGridConfig, QueryEngine, QueryStats,
+    ShardedEngine, SpatialIndex, UniformGrid,
 };
 
 /// One sweep row: per-workload batch seconds for a given resolution.
@@ -27,6 +27,8 @@ pub struct ResolutionPoint {
     pub small_q_s: f64,
     /// Batch seconds on the large-query workload.
     pub large_q_s: f64,
+    /// Intersection tests (tree + element) of the small-query batch.
+    pub small_q_tests: u64,
 }
 
 /// Sweep outcome plus the adaptive contenders.
@@ -53,8 +55,8 @@ pub fn measure(scale: Scale, shards: usize) -> ResolutionSweep {
     // The engine owns scratch and timing: one reusable instance drives
     // every contender's batched plan.
     let mut engine = QueryEngine::new();
-    let mut batch = |grid: &dyn SpatialIndex, queries: &[simspatial_geom::Aabb]| -> f64 {
-        engine.range_count(grid, data.elements(), queries).elapsed_s
+    let mut batch = |grid: &dyn SpatialIndex, queries: &[simspatial_geom::Aabb]| -> QueryStats {
+        engine.range_count(grid, data.elements(), queries)
     };
 
     let base = GridConfig::auto(data.elements()).cell_side;
@@ -64,17 +66,25 @@ pub fn measure(scale: Scale, shards: usize) -> ResolutionSweep {
             data.elements(),
             GridConfig::with_cell_side(base * mult, GridPlacement::Center),
         );
+        let small = batch(&grid, &small_q);
         points.push(ResolutionPoint {
             cell_side: grid.cell_side(),
-            small_q_s: batch(&grid, &small_q),
-            large_q_s: batch(&grid, &large_q),
+            small_q_s: small.elapsed_s,
+            large_q_s: batch(&grid, &large_q).elapsed_s,
+            small_q_tests: small.counts.total_tests(),
         });
     }
 
     let auto_grid = UniformGrid::build(data.elements(), GridConfig::auto(data.elements()));
-    let auto = (batch(&auto_grid, &small_q), batch(&auto_grid, &large_q));
+    let auto = (
+        batch(&auto_grid, &small_q).elapsed_s,
+        batch(&auto_grid, &large_q).elapsed_s,
+    );
     let multi = MultiGrid::build(data.elements(), MultiGridConfig::auto(data.elements()));
-    let multi = (batch(&multi, &small_q), batch(&multi, &large_q));
+    let multi = (
+        batch(&multi, &small_q).elapsed_s,
+        batch(&multi, &large_q).elapsed_s,
+    );
 
     let sharded_auto = (shards > 1).then(|| {
         let mut sharded = ShardedEngine::build(data.elements(), shards, |part| {
@@ -169,11 +179,12 @@ mod tests {
         let o = measure(Scale::Small, 1);
         let finest = o.points.first().unwrap();
         let coarsest = o.points.last().unwrap();
+        // §3.3: a too coarse grid means too many elements are tested.
         assert!(
-            coarsest.small_q_s > finest.small_q_s,
-            "coarse {} should lose to fine {} on small queries",
-            coarsest.small_q_s,
-            finest.small_q_s
+            coarsest.small_q_tests > finest.small_q_tests,
+            "coarse grid ran {} intersection tests, fine {}, on small queries",
+            coarsest.small_q_tests,
+            finest.small_q_tests
         );
     }
 }

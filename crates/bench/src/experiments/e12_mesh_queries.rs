@@ -13,7 +13,7 @@
 use crate::experiments::time;
 use crate::report::{fmt_time, Report};
 use crate::Scale;
-use simspatial_geom::{Aabb, ElementId, Point3, Vec3};
+use simspatial_geom::{stats, Aabb, ElementId, Point3, Vec3};
 use simspatial_index::{RTree, RTreeConfig};
 use simspatial_mesh::{MeshWalker, TetMesh, WalkStrategy};
 
@@ -26,6 +26,9 @@ pub struct MeshRow {
     pub maintain_s: f64,
     /// Mean per-step query-batch seconds.
     pub query_s: f64,
+    /// Mean per-step intersection tests of the query batch (from
+    /// `simspatial_geom::stats`; the scan tests every cell box per query).
+    pub tests: u64,
 }
 
 /// Runs the measurement.
@@ -70,9 +73,11 @@ pub fn measure(scale: Scale) -> Vec<MeshRow> {
         let mut mesh = base.clone();
         let mut walker = MeshWalker::build(&mesh, strategy);
         let mut query_acc = 0.0;
+        let mut tests_acc = 0u64;
         for step in 0..steps {
             deform(&mut mesh, step);
             walker.note_drift(drift_bound);
+            stats::reset();
             let (_, tq) = time(|| {
                 let mut acc = 0usize;
                 for q in &queries {
@@ -81,6 +86,7 @@ pub fn measure(scale: Scale) -> Vec<MeshRow> {
                 std::hint::black_box(acc)
             });
             query_acc += tq;
+            tests_acc += stats::snapshot().total_tests();
         }
         rows.push(MeshRow {
             name: match strategy {
@@ -89,6 +95,7 @@ pub fn measure(scale: Scale) -> Vec<MeshRow> {
             },
             maintain_s: 0.0,
             query_s: query_acc / steps as f64,
+            tests: tests_acc / steps as u64,
         });
     }
 
@@ -97,6 +104,7 @@ pub fn measure(scale: Scale) -> Vec<MeshRow> {
         let mut mesh = base.clone();
         let mut maintain_acc = 0.0;
         let mut query_acc = 0.0;
+        let mut tests_acc = 0u64;
         let mut tree = RTree::bulk_load_entries(
             (0..mesh.len() as ElementId)
                 .map(|c| (mesh.cell_bbox(c), c))
@@ -113,6 +121,7 @@ pub fn measure(scale: Scale) -> Vec<MeshRow> {
                 );
             });
             maintain_acc += tm;
+            stats::reset();
             let (_, tq) = time(|| {
                 let mut acc = 0usize;
                 for q in &queries {
@@ -121,11 +130,13 @@ pub fn measure(scale: Scale) -> Vec<MeshRow> {
                 std::hint::black_box(acc)
             });
             query_acc += tq;
+            tests_acc += stats::snapshot().total_tests();
         }
         rows.push(MeshRow {
             name: "R-Tree rebuild",
             maintain_s: maintain_acc / steps as f64,
             query_s: query_acc / steps as f64,
+            tests: tests_acc / steps as u64,
         });
     }
 
@@ -148,6 +159,7 @@ pub fn measure(scale: Scale) -> Vec<MeshRow> {
             name: "LinearScan",
             maintain_s: 0.0,
             query_s: query_acc / steps as f64,
+            tests: (queries.len() * mesh.len()) as u64,
         });
     }
     rows
@@ -194,10 +206,10 @@ mod tests {
         assert_eq!(oct.maintain_s, 0.0);
         assert!(rebuild.maintain_s > 0.0);
         assert!(
-            oct.query_s < scan.query_s,
-            "walk {} should beat scan {}",
-            oct.query_s,
-            scan.query_s
+            oct.tests < scan.tests,
+            "walk ran {} cell tests a step, scan {}",
+            oct.tests,
+            scan.tests
         );
     }
 }

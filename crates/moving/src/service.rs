@@ -212,7 +212,7 @@ mod tests {
                 ServiceConfig::default(),
             );
             let handle = service.handle();
-            assert!(handle.is_writable(), "{kind:?}");
+            assert!(handle.capabilities().updates, "{kind:?}");
             // Move three elements into the probe box, one superseded.
             let updates = vec![
                 (11u32, probe),

@@ -1249,6 +1249,158 @@ mod tests {
         ));
     }
 
+    /// SplitMix64: seeded inputs without a dev-dependency.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn encode_client_msg(msg: &ClientMsg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        match msg {
+            ClientMsg::Hello { tenant, .. } => encode_hello(&mut buf, tenant),
+            ClientMsg::Request {
+                corr,
+                consistency,
+                request,
+            } => encode_request(&mut buf, *corr, *consistency, request),
+            ClientMsg::Stats { corr } => encode_stats(&mut buf, *corr),
+        }
+        buf
+    }
+
+    /// Feeds `bytes` to both decoders under `limits`. Neither may panic
+    /// (every outcome is a message or a typed `WireError`); an accepted
+    /// client frame re-encodes to the same length, and decode→encode is
+    /// byte-stable from the second round (`Aabb::new` may reorder corners
+    /// on the first). Returns the client-side outcome.
+    fn decode_hostile(bytes: &[u8], limits: &DecodeLimits) -> Result<ClientMsg, WireError> {
+        let client = std::panic::catch_unwind(|| decode_client_msg(bytes, limits));
+        let server = std::panic::catch_unwind(|| decode_server_msg(bytes));
+        let (Ok(client), Ok(_)) = (client, server) else {
+            panic!("a decoder panicked on {bytes:02x?}");
+        };
+        if let Ok(msg) = &client {
+            let once = encode_client_msg(msg);
+            assert_eq!(once.len(), bytes.len(), "re-encoded length of {bytes:02x?}");
+            let again = decode_client_msg(&once, limits).expect("a re-encoded frame decodes");
+            assert_eq!(encode_client_msg(&again), once, "unstable round trip");
+        }
+        client
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoders() {
+        let mut valid = Vec::new();
+        let mut buf = Vec::new();
+        let requests = [
+            Request::Range(vec![bb(0.0), bb(9.0), bb(-4.0)]),
+            Request::RangeCount(vec![bb(1.0)]),
+            Request::Knn(vec![
+                (Point3::new(1.0, 2.0, 3.0), 7),
+                (Point3::new(-1.0, 0.5, 8.0), 1),
+            ]),
+            Request::Update(vec![(3, bb(2.0)), (9, bb(4.0)), (11, bb(5.0))]),
+            Request::Step(vec![bb(5.0); 3]),
+            Request::StepDelta(vec![(1, bb(6.0))]),
+            Request::Insert(vec![bb(7.0), bb(8.0)]),
+            Request::Remove(vec![1, 2, 3]),
+        ];
+        for request in &requests {
+            for mode in [
+                None,
+                Some(Consistency::Barrier),
+                Some(Consistency::Snapshot),
+                Some(Consistency::ReadYourWrites { min_epoch: 917 }),
+            ] {
+                encode_request(&mut buf, 42, mode, request);
+                valid.push(buf.clone());
+            }
+        }
+        encode_hello(&mut buf, "tenant-a");
+        valid.push(buf.clone());
+        encode_stats(&mut buf, 5);
+        valid.push(buf.clone());
+        for response in [
+            Response::Range(vec![vec![1, 2, 3], vec![], vec![9]]),
+            Response::RangeCount(vec![0, 5, u64::MAX]),
+            Response::Knn(vec![vec![(4, 1.5), (2, 2.5)], vec![]]),
+            Response::Update(11),
+            Response::Step(12),
+            Response::StepDelta(13),
+            Response::Insert(vec![100, 101]),
+            Response::Remove(2),
+        ] {
+            encode_reply(&mut buf, 7, 1, 33, &response);
+            valid.push(buf.clone());
+        }
+        for error in [
+            RequestError::ShutDown,
+            RequestError::WorkerFailed { shard: 2 },
+            RequestError::DeadlineExceeded,
+            RequestError::ReadOnly,
+        ] {
+            encode_error(&mut buf, 4, error);
+            valid.push(buf.clone());
+        }
+        encode_hello_ack(&mut buf, 1 << 20, 4096);
+        valid.push(buf.clone());
+        encode_retry(&mut buf, 3, Duration::from_micros(450), 8, 8);
+        valid.push(buf.clone());
+        encode_stats_reply(&mut buf, 6, "{\"ok\":true}");
+        valid.push(buf.clone());
+        encode_fatal(&mut buf, FatalCode::Malformed, "bad");
+        valid.push(buf.clone());
+
+        // Every valid encoding, each of its truncations and each of its
+        // single-byte mutations, then random payloads.
+        let mut state = 0x5EED_F0CC;
+        let mut inputs = Vec::new();
+        for frame in &valid {
+            for len in 0..=frame.len() {
+                inputs.push(frame[..len].to_vec());
+            }
+            for at in 0..frame.len() {
+                let random = splitmix64(&mut state) as u8;
+                for byte in [frame[at] ^ 0x01, frame[at] ^ 0x80, 0x00, 0xFF, random] {
+                    let mut mutated = frame.clone();
+                    mutated[at] = byte;
+                    inputs.push(mutated);
+                }
+            }
+        }
+        let opcodes = [op::HELLO, op::REQUEST, op::STATS, op::REPLY, op::ERROR];
+        for _ in 0..4096 {
+            let len = (splitmix64(&mut state) % 80) as usize;
+            let mut bytes: Vec<u8> = (0..len).map(|_| splitmix64(&mut state) as u8).collect();
+            if let Some(first) = bytes.first_mut() {
+                *first = opcodes[(splitmix64(&mut state) % opcodes.len() as u64) as usize];
+            }
+            inputs.push(bytes);
+        }
+
+        let small = DecodeLimits {
+            max_frame: 64,
+            max_items: 2,
+        };
+        let (mut accepted, mut capped) = (0, 0);
+        for bytes in &inputs {
+            accepted += usize::from(decode_hostile(bytes, &DecodeLimits::default()).is_ok());
+            let outcome = decode_hostile(bytes, &small);
+            capped += usize::from(matches!(outcome, Err(WireError::TooManyItems { .. })));
+        }
+        // The round-trip and count-cap arms both actually ran.
+        assert!(
+            accepted > inputs.len() / 100,
+            "{accepted} of {} accepted",
+            inputs.len()
+        );
+        assert!(capped > 0, "small limits never reached a count cap");
+    }
+
     #[test]
     fn oversized_frame_rejected_before_read() {
         let mut wire = Vec::new();

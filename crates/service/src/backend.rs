@@ -2,10 +2,9 @@
 //!
 //! The scheduler is backend-agnostic and has **one read path**: every run
 //! of queries between two write barriers goes to the backend as a single
-//! [`ServiceBackend::query_run`] call (or
-//! [`ServiceBackend::snapshot_query_run`], against the last published
-//! epoch). `range_batch` / `knn_batch` are what a backend must provide; the
-//! trait default builds `query_run` from them. Two implementations ship:
+//! [`ServiceBackend::query_run`] call — live, or against the last published
+//! epoch. What a backend can do beyond reads it states once, as
+//! [`Capabilities`]. Two implementations ship:
 //!
 //! * [`EngineBackend`] — a single [`QueryEngine`] over one index. The
 //!   dispatcher thread executes inline: one worker total, the degenerate
@@ -27,9 +26,9 @@
 //!   (a shard's jobs land on its owner's queue) and steals the oldest job
 //!   from a sibling when its own queue drains, so an uneven shard split
 //!   does not leave workers idle. There is one scatter/gather/supervise/
-//!   merge loop: `query_run` overrides the default with it, and
-//!   `range_batch` / `knn_batch` submit a one-sub-batch run to the same
-//!   loop. Results stay byte-identical to a serial [`ShardedEngine`] run:
+//!   merge loop, and every `query_run` — live or snapshot, a whole run or
+//!   one sub-batch — goes through it. Results stay byte-identical to a
+//!   serial [`ShardedEngine`] run:
 //!   routing, execution plans and the deduplicating merges are the exact
 //!   same code — only *where* each shard's sub-batch runs changes.
 //!
@@ -137,6 +136,25 @@ pub struct BackendTelemetry {
     pub snapshot_replays: u64,
     /// Bytes copied by those forks, cumulative.
     pub snapshot_fork_bytes: u64,
+    /// Bytes currently held by published snapshot copies (0 for backends
+    /// that share state instead of copying). Replaced copies are freed, so
+    /// an idle service holds at most one published snapshot per shard.
+    pub snapshot_clone_bytes: u64,
+}
+
+/// What a backend can do beyond answering queries, read once by the
+/// scheduler at spawn. A request the backend cannot serve is rejected at
+/// admission ([`SubmitError::ReadOnly`](crate::SubmitError)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Capabilities {
+    /// `update_batch` applies geometry writes (`Update`/`Step`/`StepDelta`).
+    pub updates: bool,
+    /// `insert_batch` / `remove_batch` change membership (`Insert`/`Remove`).
+    pub membership: bool,
+    /// Published snapshot reads: the scheduler hoists
+    /// [`Consistency::Snapshot`](crate::Consistency) reads ahead of write
+    /// barriers and calls [`ServiceBackend::publish`] after every write.
+    pub snapshots: bool,
 }
 
 /// Restart discipline for supervised shard workers: how many times a shard
@@ -238,88 +256,38 @@ pub struct QueryRunReport {
 
 /// A batch execution target for the service scheduler.
 ///
-/// Contract mirrors the engine layer: `range_batch` fills one id list per
-/// query (in plan emission order), `knn_batch` one ascending
-/// `(distance, id)` list per probe; both reset `out` first and return the
-/// batch accounting. Writable backends additionally apply coalesced write
-/// batches through [`ServiceBackend::update_batch`] and advertise it via
-/// [`ServiceBackend::supports_updates`] — the service rejects write
-/// requests at admission ([`SubmitError::ReadOnly`](crate::SubmitError))
-/// when the backend does not.
+/// Contract mirrors the engine layer: a [`QueryRun`]'s range sub-batch
+/// fills one id list per query (in plan emission order), each kNN
+/// sub-batch one ascending `(distance, id)` list per probe. What a backend
+/// serves beyond reads it states in [`ServiceBackend::capabilities`].
 pub trait ServiceBackend: Send + 'static {
-    /// Executes one coalesced range batch. The returned
-    /// [`BatchReport::partial`] entries flag queries answered with reduced
-    /// shard coverage; [`BatchReport::failed`] flags queries that must
-    /// complete with a typed error.
-    fn range_batch(&mut self, queries: &[Aabb], out: &mut BatchResults) -> BatchReport;
+    /// What this backend can do beyond reads.
+    fn capabilities(&self) -> Capabilities;
 
-    /// Executes one coalesced kNN batch at a single `k` (same report
-    /// contract as [`ServiceBackend::range_batch`]).
-    fn knn_batch(&mut self, points: &[Point3], k: usize, out: &mut KnnBatchResults) -> BatchReport;
-
-    /// Executes one whole [`QueryRun`] — the independent sub-batches
-    /// (range + one kNN batch per `k`) between two write barriers.
-    ///
-    /// The default runs them **sequentially** in the canonical order
-    /// (range first, then kNN groups ascending by `k`), each under
-    /// `catch_unwind` with the same panic/recover discipline the scheduler
-    /// used to apply per call — so existing backends (and the chaos
-    /// wrapper, whose fault schedule is keyed by backend-call index in
-    /// exactly this order) behave identically. [`ShardedBackend`]
-    /// overrides it to scatter **all** sub-batches' shard lanes onto its
-    /// worker pool at once, overlapping independent sub-batches across
-    /// cores while keeping results byte-identical to the sequential order
-    /// (the per-sub-batch merges are deterministic and unordered between
-    /// independent sub-batches).
-    fn query_run(&mut self, run: &QueryRun, out: &mut QueryRunResults) -> QueryRunReport {
-        out.ensure_knn(run.knn.len());
-        let mut report = QueryRunReport::default();
-        let mut aborted = false;
-        if !run.range.is_empty() {
-            let call = catch_unwind(AssertUnwindSafe(|| {
-                self.range_batch(&run.range, &mut out.range)
-            }));
-            report.range = Some(match call {
-                Ok(r) => SubBatchOutcome::Ran(r),
-                Err(_) => {
-                    report.panics += 1;
-                    if !self.recover(false) {
-                        report.poisoned = true;
-                        aborted = true;
-                    }
-                    SubBatchOutcome::Panicked
-                }
-            });
-        }
-        for (g, (k, points)) in run.knn.iter().enumerate() {
-            if aborted {
-                report.knn.push(SubBatchOutcome::Skipped);
-                continue;
-            }
-            let out_g = &mut out.knn[g];
-            let call = catch_unwind(AssertUnwindSafe(|| self.knn_batch(points, *k, out_g)));
-            report.knn.push(match call {
-                Ok(r) => SubBatchOutcome::Ran(r),
-                Err(_) => {
-                    report.panics += 1;
-                    if !self.recover(false) {
-                        report.poisoned = true;
-                        aborted = true;
-                    }
-                    SubBatchOutcome::Panicked
-                }
-            });
-        }
-        report
-    }
+    /// Executes one whole [`QueryRun`] — range + one kNN batch per `k`,
+    /// between two write barriers — resetting each sub-batch's buffer
+    /// first. [`BatchReport::partial`] flags queries answered with reduced
+    /// shard coverage, [`BatchReport::failed`] queries that must complete
+    /// with a typed error. With `snapshot` set the run answers at the
+    /// **last published snapshot**; a backend without snapshot copies may
+    /// ignore the flag, since its state equals the last published epoch
+    /// whenever a snapshot run executes (see [`ServiceBackend::publish`]).
+    /// Results must be byte-identical to running the sub-batches one by one
+    /// in canonical order (range, then kNN groups ascending by `k`).
+    fn query_run(
+        &mut self,
+        run: &QueryRun,
+        snapshot: bool,
+        out: &mut QueryRunResults,
+    ) -> QueryRunReport;
 
     /// Applies one coalesced write batch: each `(id, shape)` entry replaces
     /// that element's geometry (duplicate ids resolve last-write-wins).
     /// Called by the scheduler between query runs so the write-barrier
     /// ordering holds. The default (read-only backend) applies nothing and
     /// reports every entry skipped — unreachable through the service,
-    /// which rejects writes at admission when
-    /// [`ServiceBackend::supports_updates`] is false.
+    /// which rejects writes at admission unless
+    /// [`Capabilities::updates`] is set.
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
         UpdateStats {
             skipped: updates.len() as u64,
@@ -328,18 +296,13 @@ pub trait ServiceBackend: Send + 'static {
         .into()
     }
 
-    /// True when [`ServiceBackend::update_batch`] actually applies updates.
-    fn supports_updates(&self) -> bool {
-        false
-    }
-
     /// Inserts new elements, allocating fresh element ids (id allocation
     /// is the backend's job — for the sharded backend, the planner's).
     /// Returns the allocated ids in input order. The default (no
     /// membership support) allocates nothing and reports every entry
     /// skipped — unreachable through the service, which rejects
-    /// [`Request::Insert`](crate::Request::Insert) at admission when
-    /// [`ServiceBackend::supports_membership`] is false.
+    /// [`Request::Insert`](crate::Request::Insert) at admission unless
+    /// [`Capabilities::membership`] is set.
     fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
         (
             Vec::new(),
@@ -360,13 +323,6 @@ pub trait ServiceBackend: Send + 'static {
             ..UpdateStats::default()
         }
         .into()
-    }
-
-    /// True when [`ServiceBackend::insert_batch`] /
-    /// [`ServiceBackend::remove_batch`] actually change dataset
-    /// membership.
-    fn supports_membership(&self) -> bool {
-        false
     }
 
     /// Called by the scheduler after a panic unwound out of a backend call
@@ -396,15 +352,6 @@ pub trait ServiceBackend: Send + 'static {
     /// crashes and stalls. Backends without worker threads ignore it.
     fn install_worker_faults(&mut self, _faults: &[(usize, u64, FaultKind)]) {}
 
-    /// True when the backend serves **published snapshot reads**: the
-    /// scheduler then hoists [`Consistency::Snapshot`](crate::Consistency)
-    /// reads ahead of a dispatch's write barriers (executing them through
-    /// [`ServiceBackend::snapshot_query_run`]) and calls
-    /// [`ServiceBackend::publish`] after every applied write.
-    fn supports_snapshots(&self) -> bool {
-        false
-    }
-
     /// Publishes the backend's current state as the read snapshot for
     /// `epoch`. The scheduler calls this once at startup (epoch 0) and
     /// immediately after **every** applied write barrier, strictly between
@@ -424,25 +371,6 @@ pub trait ServiceBackend: Send + 'static {
     /// the contract, because its current state *is* the published state.
     fn publish(&mut self, _epoch: u64) {}
 
-    /// Executes one query run against the **last published snapshot**
-    /// instead of live state. The default forwards to
-    /// [`ServiceBackend::query_run`]: for a backend without snapshot
-    /// copies, current state equals the last published epoch whenever a
-    /// snapshot run executes (see [`ServiceBackend::publish`]), so the
-    /// live path already answers at the published epoch.
-    fn snapshot_query_run(&mut self, run: &QueryRun, out: &mut QueryRunResults) -> QueryRunReport {
-        self.query_run(run, out)
-    }
-
-    /// Bytes currently held by published snapshot copies (0 for backends
-    /// that share state instead of copying). Surfaced through
-    /// [`ServiceStats`](crate::ServiceStats) and guarded by the
-    /// epoch-reclamation property test: replaced copies are freed, so an
-    /// idle service holds at most one published snapshot per shard.
-    fn snapshot_clone_bytes(&self) -> u64 {
-        0
-    }
-
     /// Structure bytes the backend holds (surfaced through `ServiceStats`;
     /// refreshed after every update application, so post-migration shrink
     /// is visible).
@@ -455,6 +383,60 @@ pub trait ServiceBackend: Send + 'static {
     /// Stops any worker threads. Called once by the scheduler on orderly
     /// shutdown; must be idempotent.
     fn shutdown(&mut self) {}
+}
+
+/// One sub-batch of a [`QueryRun`] and its result buffer, as
+/// [`run_sub_batches`] hands them out.
+pub(crate) enum SubBatch<'a> {
+    /// The run's range boxes.
+    Range(&'a [Aabb], &'a mut BatchResults),
+    /// One kNN group: its probes and `k`.
+    Knn(&'a [Point3], usize, &'a mut KnnBatchResults),
+}
+
+/// Runs a [`QueryRun`]'s sub-batches **sequentially** in the canonical
+/// order (range first, then kNN groups ascending by `k`), each through
+/// `exec` under `catch_unwind`: a panicking sub-batch reports `Panicked`
+/// and the backend is asked to [`ServiceBackend::recover`]; when it cannot
+/// vouch for its state, the rest of the run is `Skipped` and the report
+/// poisoned. The [`EngineBackend`] read path, and the order
+/// [`ChaosBackend`](crate::ChaosBackend) keys its fault schedule by — one
+/// op per sub-batch.
+pub(crate) fn run_sub_batches<B: ServiceBackend>(
+    backend: &mut B,
+    run: &QueryRun,
+    out: &mut QueryRunResults,
+    mut exec: impl FnMut(&mut B, SubBatch<'_>) -> BatchReport,
+) -> QueryRunReport {
+    out.ensure_knn(run.knn.len());
+    let range = (!run.range.is_empty()).then_some(SubBatch::Range(&run.range, &mut out.range));
+    let knn = run
+        .knn
+        .iter()
+        .zip(&mut out.knn)
+        .map(|((k, p), o)| SubBatch::Knn(p, *k, o));
+    let mut report = QueryRunReport::default();
+    for sub in range.into_iter().chain(knn) {
+        let is_range = matches!(sub, SubBatch::Range(..));
+        let outcome = if report.poisoned {
+            SubBatchOutcome::Skipped
+        } else {
+            match catch_unwind(AssertUnwindSafe(|| exec(backend, sub))) {
+                Ok(r) => SubBatchOutcome::Ran(r),
+                Err(_) => {
+                    report.panics += 1;
+                    report.poisoned = !backend.recover(false);
+                    SubBatchOutcome::Panicked
+                }
+            }
+        };
+        if is_range {
+            report.range = Some(outcome);
+        } else {
+            report.knn.push(outcome);
+        }
+    }
+    report
 }
 
 /// The stored index (re)build function of a writable [`EngineBackend`]
@@ -544,16 +526,32 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> EngineBackend<I> {
 }
 
 impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBackend<I> {
-    fn range_batch(&mut self, queries: &[Aabb], out: &mut BatchResults) -> BatchReport {
-        self.engine
-            .range_collect(&self.index, &self.data, queries, out)
-            .into()
+    /// Snapshot reads are free on a single inline engine: current state
+    /// always equals the last published epoch, so the default `publish` is
+    /// exact, `query_run` ignores its `snapshot` flag, and hoisted snapshot
+    /// reads still skip the write barriers queued behind them.
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            updates: self.rebuild.is_some(),
+            membership: false,
+            snapshots: true,
+        }
     }
 
-    fn knn_batch(&mut self, points: &[Point3], k: usize, out: &mut KnnBatchResults) -> BatchReport {
-        self.engine
-            .knn_collect(&self.index, &self.data, points, k, out)
+    fn query_run(
+        &mut self,
+        run: &QueryRun,
+        _snapshot: bool,
+        out: &mut QueryRunResults,
+    ) -> QueryRunReport {
+        run_sub_batches(self, run, out, |b, sub| {
+            let (index, data) = (&b.index, &b.data);
+            match sub {
+                SubBatch::Range(queries, out) => b.engine.range_collect(index, data, queries, out),
+                SubBatch::Knn(points, k, out) => b.engine.knn_collect(index, data, points, k, out),
+            }
             .into()
+        })
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
@@ -605,20 +603,6 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBacke
         }
         stats.elapsed_s = start.elapsed().as_secs_f64();
         stats.into()
-    }
-
-    fn supports_updates(&self) -> bool {
-        self.rebuild.is_some()
-    }
-
-    /// Snapshot reads are free on a single inline engine: the scheduler
-    /// publishes after every write application and runs everything on one
-    /// thread, so current state always equals the last published epoch —
-    /// the default `publish`/`snapshot_query_run` (share, don't copy) are
-    /// exact, and hoisted snapshot reads still skip ahead of the write
-    /// barriers queued behind them.
-    fn supports_snapshots(&self) -> bool {
-        true
     }
 
     /// Queries only touch per-call engine scratch, which the next call
@@ -1078,10 +1062,10 @@ impl ShardedBackend {
     /// and removals too, when the shard index can splice them; a shard
     /// forks again only after a lane that rebuilt it, a restart or a
     /// repair — so an engine without `with_apply` forks every shard a
-    /// write touched. The scheduler detects
-    /// the capability through [`ServiceBackend::supports_snapshots`] and
-    /// serves [`Consistency::Snapshot`](crate::Consistency) reads from the
-    /// copies while live executors apply later write barriers.
+    /// write touched. The scheduler detects the capability through
+    /// [`Capabilities::snapshots`] and serves
+    /// [`Consistency::Snapshot`](crate::Consistency) reads from the copies
+    /// while live executors apply later write barriers.
     pub fn spawn_snapshot<I: SpatialIndex + KnnIndex + Clone + Send + 'static>(
         engine: ShardedEngine<I>,
     ) -> Self {
@@ -1464,36 +1448,51 @@ impl ShardedBackend {
         }
         true
     }
+}
 
-    /// The one read path — every `range_batch`, `knn_batch`, `query_run`
-    /// and `snapshot_query_run` lands here. The whole run — range batch
-    /// plus every per-`k` kNN batch — scatters onto the worker pool as
-    /// **one wave** of shard jobs, so independent sub-batches overlap
-    /// across cores instead of executing back-to-back. kNN fan-out (which
-    /// needs each group's home results as seeds) forms a second wave. The
-    /// per-sub-batch merges run on the backend thread afterwards and are
-    /// the same deterministic code a serial [`ShardedEngine`] runs, so
-    /// results are byte-identical to executing the sub-batches one by one.
-    /// With `snap` set, jobs execute against the published snapshot
-    /// executors instead of the live ones; routing still uses the planner,
-    /// which is exact because the planner's region/envelope state only
-    /// gates *which shards are visited*, and snapshot runs only execute
-    /// when live and published state agree on membership (the scheduler
-    /// publishes after every write barrier).
-    ///
-    /// The input is borrowed as the caller holds it (`P` is `Vec<Point3>`
-    /// for a [`QueryRun`], `&[Point3]` for a lone `knn_batch`); `knn_out`
-    /// is index-aligned with `knn`, and `range_out` is left untouched when
-    /// `range` is empty.
-    fn run_query_run<P: AsRef<[Point3]>>(
+/// Drops the kNN lanes aimed at blocked shards, recording every probe they
+/// carried as failed on that shard.
+fn fail_blocked(blocked: &[bool], lanes: &mut [KnnLane], failed: &mut Vec<(u32, usize)>) {
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        if blocked[i] {
+            failed.extend(lane.routed().iter().map(|&qi| (qi, i)));
+            lane.clear();
+        }
+    }
+}
+
+impl ServiceBackend for ShardedBackend {
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            updates: self.updatable,
+            membership: self.updatable,
+            snapshots: self.snapshots,
+        }
+    }
+
+    /// The one read path. The whole run — range batch plus every per-`k`
+    /// kNN batch — scatters onto the worker pool as **one wave** of shard
+    /// jobs, so independent sub-batches overlap across cores instead of
+    /// executing back-to-back. kNN fan-out (which needs each group's home
+    /// results as seeds) forms a second wave. The per-sub-batch merges run
+    /// on the backend thread afterwards and are the same deterministic code
+    /// a serial [`ShardedEngine`] runs, so results are byte-identical to
+    /// executing the sub-batches one by one. A snapshot run executes every
+    /// lane against the shard's **published snapshot** executor (live
+    /// ones are free to apply the write barriers queued behind it); routing
+    /// still uses the planner, which is exact because its region/envelope
+    /// state only gates *which shards are visited*, and snapshot runs only
+    /// execute when live and published state agree on membership.
+    fn query_run(
         &mut self,
-        range: &[Aabb],
-        knn: &[(usize, P)],
-        range_out: &mut BatchResults,
-        knn_out: &mut [KnnBatchResults],
-        snap: bool,
+        run: &QueryRun,
+        snapshot: bool,
+        out: &mut QueryRunResults,
     ) -> QueryRunReport {
+        let snap = snapshot && self.snapshots;
         let start = Instant::now();
+        let (range, knn) = (&run.range, &run.knn);
+        out.ensure_knn(knn.len());
         while self.knn_home_groups.len() < knn.len() {
             self.knn_home_groups.push(Vec::new());
             self.knn_fan_groups.push(Vec::new());
@@ -1522,7 +1521,7 @@ impl ShardedBackend {
             for (g, (k, points)) in knn.iter().enumerate() {
                 failed[g].clear();
                 let home = &mut self.knn_home_groups[g];
-                self.planner.route_knn_home(points.as_ref(), *k, home);
+                self.planner.route_knn_home(points, *k, home);
                 fail_blocked(&blocked, home, &mut failed[g]);
             }
             if self.scatter_wave(snap, false, knn.len()) {
@@ -1534,7 +1533,7 @@ impl ShardedBackend {
             for (g, (k, points)) in knn.iter().enumerate() {
                 let fan = &mut self.knn_fan_groups[g];
                 self.planner
-                    .route_knn_fanout(points.as_ref(), *k, &self.knn_home_groups[g], fan);
+                    .route_knn_fanout(points, *k, &self.knn_home_groups[g], fan);
                 fail_blocked(&blocked, fan, &mut failed[g]);
             }
             if self.scatter_wave(snap, true, knn.len()) {
@@ -1545,10 +1544,10 @@ impl ShardedBackend {
         // ---- Deterministic merges, sub-batch by sub-batch.
         let mut report = QueryRunReport::default();
         if !range.is_empty() {
-            range_out.reset();
-            let stats = self
-                .planner
-                .merge_range(range.len(), &mut self.range_lanes, range_out);
+            out.range.reset();
+            let stats =
+                self.planner
+                    .merge_range(range.len(), &mut self.range_lanes, &mut out.range);
             report.range = Some(SubBatchOutcome::Ran(BatchReport {
                 stats,
                 failed: Vec::new(),
@@ -1561,13 +1560,13 @@ impl ShardedBackend {
             }));
         }
         for (g, (k, points)) in knn.iter().enumerate() {
-            knn_out[g].reset();
+            out.knn[g].reset();
             let stats = self.planner.merge_knn(
-                points.as_ref().len(),
+                points.len(),
                 *k,
                 &mut self.knn_home_groups[g],
                 &mut self.knn_fan_groups[g],
-                &mut knn_out[g],
+                &mut out.knn[g],
             );
             let mut f = std::mem::take(&mut failed[g]);
             f.sort_unstable();
@@ -1587,70 +1586,6 @@ impl ShardedBackend {
             r.stats.elapsed_s = start.elapsed().as_secs_f64();
         }
         report
-    }
-}
-
-/// Drops the kNN lanes aimed at blocked shards, recording every probe they
-/// carried as failed on that shard.
-fn fail_blocked(blocked: &[bool], lanes: &mut [KnnLane], failed: &mut Vec<(u32, usize)>) {
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        if blocked[i] {
-            failed.extend(lane.routed().iter().map(|&qi| (qi, i)));
-            lane.clear();
-        }
-    }
-}
-
-/// The report of a sub-batch `run_query_run` executed: shard-worker panics
-/// are supervised inside it, so the outcome is always `Ran`.
-fn ran(outcome: Option<SubBatchOutcome>) -> BatchReport {
-    match outcome {
-        Some(SubBatchOutcome::Ran(report)) => report,
-        _ => unreachable!("the sharded read path reports every sub-batch it was given"),
-    }
-}
-
-impl ServiceBackend for ShardedBackend {
-    fn range_batch(&mut self, queries: &[Aabb], out: &mut BatchResults) -> BatchReport {
-        if queries.is_empty() {
-            out.reset();
-            return BatchReport::default();
-        }
-        let report = self.run_query_run::<&[Point3]>(queries, &[], out, &mut [], false);
-        ran(report.range)
-    }
-
-    fn knn_batch(&mut self, points: &[Point3], k: usize, out: &mut KnnBatchResults) -> BatchReport {
-        let mut report = self.run_query_run(
-            &[],
-            &[(k, points)],
-            &mut BatchResults::new(),
-            std::slice::from_mut(out),
-            false,
-        );
-        ran(report.knn.pop())
-    }
-
-    /// The multicore override: the whole run goes through the one sharded
-    /// read path (`run_query_run`) in a single combined scatter.
-    fn query_run(&mut self, run: &QueryRun, out: &mut QueryRunResults) -> QueryRunReport {
-        out.ensure_knn(run.knn.len());
-        self.run_query_run(&run.range, &run.knn, &mut out.range, &mut out.knn, false)
-    }
-
-    /// The snapshot override: identical routing, scatter and merge to
-    /// [`ServiceBackend::query_run`], but every lane executes against the
-    /// shard's **published snapshot** executor — so hoisted snapshot reads
-    /// answer at the last published epoch while live executors are free to
-    /// apply the write barriers queued behind them.
-    fn snapshot_query_run(&mut self, run: &QueryRun, out: &mut QueryRunResults) -> QueryRunReport {
-        out.ensure_knn(run.knn.len());
-        let snap = self.snapshots;
-        self.run_query_run(&run.range, &run.knn, &mut out.range, &mut out.knn, snap)
-    }
-
-    fn supports_snapshots(&self) -> bool {
-        self.snapshots
     }
 
     /// Replay-on-publish: brings every shard's snapshot copy level with
@@ -1717,19 +1652,11 @@ impl ServiceBackend for ShardedBackend {
         self.repair_snapshots(&torn);
     }
 
-    fn snapshot_clone_bytes(&self) -> u64 {
-        self.snap_bytes.iter().map(|&b| b as u64).sum()
-    }
-
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
         self.apply_routed("write batch", |planner, lanes| {
             ((), planner.route_updates(updates, lanes))
         })
         .1
-    }
-
-    fn supports_updates(&self) -> bool {
-        self.updatable
     }
 
     fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
@@ -1743,10 +1670,6 @@ impl ServiceBackend for ShardedBackend {
             ((), planner.route_removals(ids, lanes))
         })
         .1
-    }
-
-    fn supports_membership(&self) -> bool {
-        self.updatable
     }
 
     fn recover(&mut self, after_write: bool) -> bool {
@@ -1769,6 +1692,7 @@ impl ServiceBackend for ShardedBackend {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
+        t.snapshot_clone_bytes = self.snap_bytes.iter().map(|&b| b as u64).sum();
         t
     }
 

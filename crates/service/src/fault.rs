@@ -24,11 +24,11 @@
 //!   is a dispatcher-level fault: a response that never arrives).
 
 use crate::backend::{
-    BackendTelemetry, BatchReport, QueryRun, QueryRunReport, QueryRunResults, ServiceBackend,
-    UpdateReport,
+    run_sub_batches, BackendTelemetry, BatchReport, Capabilities, QueryRun, QueryRunReport,
+    QueryRunResults, ServiceBackend, SubBatch, SubBatchOutcome, UpdateReport,
 };
-use simspatial_geom::{Aabb, ElementId, Point3, Shape};
-use simspatial_index::{BatchResults, KnnBatchResults, UpdateStats};
+use simspatial_geom::{ElementId, Shape};
+use simspatial_index::UpdateStats;
 use std::time::Duration;
 
 /// One kind of injected failure.
@@ -254,9 +254,10 @@ impl FaultPlan {
 pub struct ChaosBackend<B> {
     inner: B,
     plan: FaultPlan,
-    /// Backend-call index: every `range_batch`/`knn_batch`/`update_batch`
-    /// consumes one, panicking calls included — the op sequence only
-    /// depends on the request sequence, never on fault outcomes.
+    /// Backend-call index: every sub-batch of a live query run and every
+    /// `update_batch` consumes one, panicking calls included — the op
+    /// sequence only depends on the request sequence, never on fault
+    /// outcomes.
     op: u64,
     /// Set immediately before an injected panic unwinds, so
     /// [`ChaosBackend::recover`] knows the inner backend was never reached.
@@ -302,39 +303,63 @@ impl<B: ServiceBackend> ChaosBackend<B> {
         }
         fault
     }
+
+    /// One sub-batch of a live run, handed to the inner backend as a run of
+    /// its own after consuming one op — so the schedule stays keyed by
+    /// sub-batch, whatever the inner backend does with a whole run.
+    fn sub_batch(&mut self, sub: SubBatch<'_>) -> BatchReport {
+        let fault = self.next_op();
+        if let Some(FaultKind::Delay(d)) = fault {
+            std::thread::sleep(d);
+        }
+        let mut one = QueryRun::default();
+        match &sub {
+            SubBatch::Range(queries, _) => one.range = queries.to_vec(),
+            SubBatch::Knn(points, k, _) => one.knn.push((*k, points.to_vec())),
+        }
+        let mut one_out = QueryRunResults::default();
+        // A dropped response never arrives: the inner backend is not
+        // consulted (queries are side-effect free either way), the out
+        // buffer comes back empty and the scheduler detects the arity
+        // mismatch.
+        let report = if fault == Some(FaultKind::DropResponse) {
+            BatchReport::default()
+        } else {
+            let mut r = self.inner.query_run(&one, false, &mut one_out);
+            match r.range.or_else(|| r.knn.pop()) {
+                Some(SubBatchOutcome::Ran(report)) => report,
+                // The inner backend caught (and recovered from) a panic of
+                // its own: re-raise it so this run accounts it too.
+                _ => panic!("chaos: inner sub-batch did not run"),
+            }
+        };
+        match sub {
+            SubBatch::Range(_, out) => *out = one_out.range,
+            SubBatch::Knn(.., out) => *out = one_out.knn.pop().unwrap_or_default(),
+        }
+        report
+    }
 }
 
 impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
-    fn range_batch(&mut self, queries: &[Aabb], out: &mut BatchResults) -> BatchReport {
-        match self.next_op() {
-            Some(FaultKind::DropResponse) => {
-                // The response never arrives: the out buffer stays empty and
-                // the scheduler detects the arity mismatch. The inner
-                // backend is not consulted (queries are side-effect free
-                // either way).
-                out.reset();
-                BatchReport::default()
-            }
-            Some(FaultKind::Delay(d)) => {
-                std::thread::sleep(d);
-                self.inner.range_batch(queries, out)
-            }
-            _ => self.inner.range_batch(queries, out),
-        }
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
     }
 
-    fn knn_batch(&mut self, points: &[Point3], k: usize, out: &mut KnnBatchResults) -> BatchReport {
-        match self.next_op() {
-            Some(FaultKind::DropResponse) => {
-                out.reset();
-                BatchReport::default()
-            }
-            Some(FaultKind::Delay(d)) => {
-                std::thread::sleep(d);
-                self.inner.knn_batch(points, k, out)
-            }
-            _ => self.inner.knn_batch(points, k, out),
+    /// A live run splits into one-sub-batch runs on the inner backend, one
+    /// op each, in canonical order (range, then kNN groups by `k`). A
+    /// snapshot run forwards whole and consumes no op — like membership,
+    /// epoch machinery joining a plan must not shift an op-keyed schedule.
+    fn query_run(
+        &mut self,
+        run: &QueryRun,
+        snapshot: bool,
+        out: &mut QueryRunResults,
+    ) -> QueryRunReport {
+        if snapshot {
+            return self.inner.query_run(run, true, out);
         }
+        run_sub_batches(self, run, out, Self::sub_batch)
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
@@ -360,10 +385,6 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
         }
     }
 
-    fn supports_updates(&self) -> bool {
-        self.inner.supports_updates()
-    }
-
     // Membership batches forward directly without consuming a fault-plan
     // op: fault schedules are keyed by (dispatcher) backend-call index over
     // the query/update call sequence, and membership ops joining a plan
@@ -377,18 +398,9 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
         self.inner.remove_batch(ids)
     }
 
-    fn supports_membership(&self) -> bool {
-        self.inner.supports_membership()
-    }
-
-    // The snapshot hooks forward without consuming a dispatcher op — like
-    // membership, epoch machinery joining a plan must not shift an
-    // existing op-keyed schedule. Publish panics have their own schedule
-    // (`FaultPlan::panic_at_publish`), keyed by publish attempt index.
-    fn supports_snapshots(&self) -> bool {
-        self.inner.supports_snapshots()
-    }
-
+    // Publish forwards without consuming a dispatcher op; its panics have
+    // their own schedule (`FaultPlan::panic_at_publish`), keyed by publish
+    // attempt index.
     fn publish(&mut self, epoch: u64) {
         let idx = self.publishes;
         self.publishes += 1;
@@ -402,14 +414,6 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
             panic!("chaos: injected panic at publish attempt {idx}");
         }
         self.inner.publish(epoch);
-    }
-
-    fn snapshot_query_run(&mut self, run: &QueryRun, out: &mut QueryRunResults) -> QueryRunReport {
-        self.inner.snapshot_query_run(run, out)
-    }
-
-    fn snapshot_clone_bytes(&self) -> u64 {
-        self.inner.snapshot_clone_bytes()
     }
 
     fn recover(&mut self, after_write: bool) -> bool {

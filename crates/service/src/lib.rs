@@ -22,8 +22,8 @@
 //! * **Micro-batching scheduler** ([`SpatialService`]) — one dispatcher
 //!   thread drains the queue and *coalesces* concurrent requests (up to
 //!   `max_batch`, waiting at most `max_wait` for stragglers) into the wide
-//!   SoA batches the kernels are fastest at: one `range_batch` for every
-//!   range box in the dispatch, one `knn_batch` per distinct `k`. Results
+//!   SoA batches the kernels are fastest at: one range sub-batch for every
+//!   range box in the dispatch, one kNN sub-batch per distinct `k`. Results
 //!   split back per request in the exact order a serial engine run would
 //!   produce.
 //! * **The write path** — the paper's workload is an *alternating* stream
@@ -33,8 +33,9 @@
 //!   **barrier** in the admission order (queries admitted before it see
 //!   pre-write state, queries after it see post-write state — exactly a
 //!   serial interleaving), and consecutive writes coalesce into one
-//!   backend `update_batch` application per dispatch. Read-only backends
-//!   reject writes at admission with [`SubmitError::ReadOnly`].
+//!   backend `update_batch` application per dispatch. Requests a backend's
+//!   [`Capabilities`] exclude are rejected at admission with
+//!   [`SubmitError::ReadOnly`].
 //! * **Backends** ([`ServiceBackend`]) — [`EngineBackend`] executes
 //!   inline on the dispatcher (single worker over any
 //!   `SpatialIndex + KnnIndex`; writable through the write contract every
@@ -47,9 +48,9 @@
 //!   `min(SIMSPATIAL_THREADS, shards)` workers, merging through the
 //!   engine layer's deduplicating sinks — byte-identical results to
 //!   serial execution, with per-shard parallelism inside a dispatch. Reads
-//!   have one path (`query_run`); the write path routes update lanes to
-//!   the same pool, **migrating** elements whose new envelope crosses
-//!   shard boundaries (replicas and id maps stay consistent).
+//!   have one path (`query_run`, live or snapshot); the write path routes
+//!   update lanes to the same pool, **migrating** elements whose new
+//!   envelope crosses shard boundaries (replicas and id maps stay consistent).
 //! * **[`ServiceStats`]** — queue depth and high-water mark, admission /
 //!   rejection counters, batch-size histogram (is coalescing working?),
 //!   per-request latency percentiles, aggregated predicate counters,
@@ -134,7 +135,7 @@
 //! let service = SpatialService::spawn(ShardedBackend::spawn(sharded), ServiceConfig::default());
 //!
 //! let handle = service.handle();
-//! assert!(handle.is_writable());
+//! assert!(handle.capabilities().updates);
 //! // Move element 42 — a write barrier: queries admitted after it see it.
 //! let target = Aabb::new(Point3::new(5.0, 5.0, 5.0), Point3::new(6.0, 6.0, 6.0));
 //! handle.submit(Request::Update(vec![(42, target)])).unwrap().recv().unwrap();
@@ -160,8 +161,9 @@ mod service;
 mod stats;
 
 pub use backend::{
-    BackendTelemetry, BatchReport, EngineBackend, QueryRun, QueryRunReport, QueryRunResults,
-    ServiceBackend, ShardedBackend, SubBatchOutcome, SupervisorPolicy, UpdateReport,
+    BackendTelemetry, BatchReport, Capabilities, EngineBackend, QueryRun, QueryRunReport,
+    QueryRunResults, ServiceBackend, ShardedBackend, SubBatchOutcome, SupervisorPolicy,
+    UpdateReport,
 };
 pub use fault::{ChaosBackend, FaultKind, FaultPlan, ScheduledFault};
 pub use request::{Consistency, RecvError, Reply, Request, Response, SubmitError, Ticket};

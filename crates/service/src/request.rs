@@ -98,7 +98,7 @@ impl Request {
 
     /// True for the membership-changing variants (`Insert`/`Remove`),
     /// which need a backend that can allocate and tombstone ids
-    /// ([`ServiceBackend::supports_membership`](crate::ServiceBackend::supports_membership)).
+    /// ([`Capabilities::membership`](crate::Capabilities::membership)).
     pub fn is_membership(&self) -> bool {
         matches!(self, Request::Insert(_) | Request::Remove(_))
     }

@@ -11,8 +11,8 @@
 //!
 //! Coalescing is what converts independent client traffic into the wide
 //! SoA batches the kernel layer is fastest at: all range boxes of one
-//! dispatch run as **one** `range_batch`, and kNN probes group by `k` into
-//! one `knn_batch` per distinct `k`. Per-request result order is identical
+//! dispatch run as **one** range sub-batch, and kNN probes group by `k`
+//! into one sub-batch per distinct `k`. Per-request result order is identical
 //! to a serial engine run, because the coalesced batch preserves each
 //! request's query order and the batch plans are deterministic.
 //!
@@ -23,7 +23,9 @@
 //! dropped. (Only a submission that races the flag *and* loses its
 //! dispatcher sees its ticket error with `RecvError::ShutDown`.)
 
-use crate::backend::{QueryRun, QueryRunResults, ServiceBackend, SubBatchOutcome, UpdateReport};
+use crate::backend::{
+    Capabilities, QueryRun, QueryRunResults, ServiceBackend, SubBatchOutcome, UpdateReport,
+};
 use crate::request::{Completion, Consistency, RecvError, Request, Response, SubmitError, Ticket};
 use crate::stats::{ServiceStats, BATCH_BUCKETS};
 use simspatial_geom::stats::PredicateCounts;
@@ -227,13 +229,8 @@ struct Shared {
     /// backend was poisoned by a write-path panic — stragglers then
     /// complete with [`RecvError::WorkerFailed`] instead of `ShutDown`.
     dead: AtomicBool,
-    /// Whether the backend applies write batches; write requests are
-    /// rejected at admission otherwise.
-    writable: bool,
-    /// Whether the backend supports membership changes (`Insert`/`Remove`
-    /// with planner-side id allocation); such requests are rejected at
-    /// admission otherwise.
-    membership: bool,
+    /// The backend's capabilities, read once at spawn.
+    caps: Capabilities,
     /// Deadline stamped onto requests that do not carry their own.
     default_deadline: Option<Duration>,
     /// The intake queue bound, surfaced in [`SubmitError::Full`] so
@@ -392,10 +389,8 @@ impl ServiceHandle {
         if !self.shared.open.load(Ordering::Acquire) {
             return Err(SubmitError::ShutDown(request));
         }
-        if request.is_write() && !self.shared.writable {
-            return Err(SubmitError::ReadOnly(request));
-        }
-        if request.is_membership() && !self.shared.membership {
+        let caps = self.shared.caps;
+        if (request.is_write() && !caps.updates) || (request.is_membership() && !caps.membership) {
             return Err(SubmitError::ReadOnly(request));
         }
         let (reply, rx) = mpsc::channel();
@@ -480,17 +475,10 @@ impl ServiceHandle {
         self.shared.queue_cap
     }
 
-    /// True when the backend applies write requests (`Update`/`Step`);
-    /// false means such submissions return [`SubmitError::ReadOnly`].
-    pub fn is_writable(&self) -> bool {
-        self.shared.writable
-    }
-
-    /// True when the backend also supports membership changes
-    /// (`Insert`/`Remove`); false means such submissions return
-    /// [`SubmitError::ReadOnly`] even on a writable service.
-    pub fn supports_membership(&self) -> bool {
-        self.shared.membership
+    /// What the backend behind this service can do; a request it cannot
+    /// serve returns [`SubmitError::ReadOnly`].
+    pub fn capabilities(&self) -> Capabilities {
+        self.shared.caps
     }
 
     /// A point-in-time snapshot of the service counters.
@@ -534,15 +522,12 @@ struct Scheduler<B: ServiceBackend> {
     /// published epoch a read ran against, or the epoch whose publication
     /// made a write visible.
     epochs: Vec<u64>,
-    /// Whether the backend can serve published-snapshot reads
-    /// ([`ServiceBackend::supports_snapshots`], cached at spawn). When
-    /// false the epoch machinery is dormant: no publishes, every request
-    /// runs the barrier path, and all epochs report 0.
-    snapshots: bool,
     /// The last **published** epoch. The scheduler publishes epoch 0
     /// before serving anything and a new epoch after every write
     /// application, so whenever no write is mid-application the live
-    /// dataset equals the published epoch's state.
+    /// dataset equals the published epoch's state. Without
+    /// [`Capabilities::snapshots`] the epoch machinery is dormant: no
+    /// publishes, every request runs the barrier path, all epochs report 0.
     epoch: u64,
     /// Successful `publish` calls over the service lifetime. Exactly
     /// `epoch + 1` while healthy (epoch 0 plus one per write barrier) —
@@ -604,7 +589,6 @@ impl Drop for DeadGuard {
 
 impl<B: ServiceBackend> Scheduler<B> {
     fn new(backend: B, shared: Arc<Shared>, cfg: ServiceConfig) -> Self {
-        let snapshots = backend.supports_snapshots();
         Self {
             backend,
             shared,
@@ -621,7 +605,6 @@ impl<B: ServiceBackend> Scheduler<B> {
             failures: Vec::new(),
             skipped: Vec::new(),
             epochs: Vec::new(),
-            snapshots,
             epoch: 0,
             epochs_published: 0,
             publish_panics: 0,
@@ -742,7 +725,7 @@ impl<B: ServiceBackend> Scheduler<B> {
         // all writes) keeps today's strict admission-order semantics.
         let mut barrier_idx: Vec<usize> = Vec::with_capacity(n);
         let mut snap_idx: Vec<usize> = Vec::new();
-        if self.snapshots && !self.poisoned {
+        if self.shared.caps.snapshots && !self.poisoned {
             let first_write = self
                 .pending
                 .iter()
@@ -873,9 +856,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             stats.stale_reads += totals.stale_reads;
             stats.current_epoch = self.epoch;
             stats.epochs_published = self.epochs_published;
-            if self.snapshots {
-                stats.snapshot_clone_bytes = self.backend.snapshot_clone_bytes();
-            }
+            stats.snapshot_clone_bytes = telemetry.snapshot_clone_bytes;
             stats.panics_caught = telemetry.panics_caught;
             stats.shard_restarts = telemetry.shard_restarts;
             stats.shards_dead = telemetry.shards_dead;
@@ -916,7 +897,7 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// leaves the per-shard snapshots potentially spanning two epochs —
     /// no consistent epoch can be served — so the service poisons.
     fn publish_epoch(&mut self, next: u64) {
-        if !self.snapshots || self.poisoned {
+        if !self.shared.caps.snapshots || self.poisoned {
             return;
         }
         for _ in 0..3 {
@@ -939,9 +920,8 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// by `k` into one sub-batch per distinct `k`, and the whole run goes
     /// to the backend in ONE [`ServiceBackend::query_run`] call — so a
     /// parallel backend can overlap the independent sub-batches — before
-    /// results split back per request. With `snap` set the run executes as
-    /// [`ServiceBackend::snapshot_query_run`] against the last published
-    /// epoch instead of the live dataset.
+    /// results split back per request. With `snap` set the run executes
+    /// against the last published epoch instead of the live dataset.
     fn run_query_batch(&mut self, idxs: &[usize], totals: &mut DispatchTotals, snap: bool) {
         // ---- Build the run: range family.
         self.run.range.clear();
@@ -997,12 +977,7 @@ impl<B: ServiceBackend> Scheduler<B> {
         // panics are caught *inside* `query_run`; a panic that escapes it
         // (routing/merge code) fails the entire run.
         let call = catch_unwind(AssertUnwindSafe(|| {
-            if snap {
-                self.backend
-                    .snapshot_query_run(&self.run, &mut self.run_out)
-            } else {
-                self.backend.query_run(&self.run, &mut self.run_out)
-            }
+            self.backend.query_run(&self.run, snap, &mut self.run_out)
         }));
         let report = match call {
             Ok(report) => report,
@@ -1327,8 +1302,7 @@ impl SpatialService {
         let shared = Arc::new(Shared {
             open: AtomicBool::new(true),
             dead: AtomicBool::new(false),
-            writable: backend.supports_updates(),
-            membership: backend.supports_membership(),
+            caps: backend.capabilities(),
             default_deadline: config.default_deadline,
             queue_cap: config.queue_cap.max(1),
             queue_depth: AtomicUsize::new(0),

@@ -392,7 +392,11 @@ impl ServiceStats {
             }
             let _ = write!(s, "{ns}");
         }
-        s.push_str("]}");
+        let _ = write!(
+            s,
+            "],\"tree_tests\":{},\"element_tests\":{}}}",
+            self.counts.tree_tests, self.counts.element_tests
+        );
         s
     }
 
@@ -570,6 +574,8 @@ mod tests {
         stats.shard_sizes = vec![3, 4];
         stats.updates_shipped = 11;
         stats.worker_busy_ns = vec![5, 6];
+        stats.counts.tree_tests = 12;
+        stats.counts.element_tests = 34;
         stats.tenants.push(TenantStats {
             name: "si\"m".into(),
             weight: 9,
@@ -585,9 +591,14 @@ mod tests {
         assert!(json.contains("\"weight\":9"), "{json}");
         assert!(json.contains("\"shed\":2"), "{json}");
         assert!(json.contains("\"p99_us\""), "{json}");
-        // The write-amplification and pool counters `summary()` prints.
+        // The write-amplification, pool and predicate counters `summary()`
+        // prints.
         assert!(json.contains("\"updates_shipped\":11"), "{json}");
-        assert!(json.ends_with("\"worker_busy_ns\":[5,6]}"), "{json}");
+        assert!(json.contains("\"worker_busy_ns\":[5,6],"), "{json}");
+        assert!(
+            json.ends_with("\"tree_tests\":12,\"element_tests\":34}"),
+            "{json}"
+        );
         for key in [
             "structural_touches",
             "updates_absorbed",

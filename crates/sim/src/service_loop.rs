@@ -95,7 +95,7 @@ impl ServedSimulation {
         config: SimulationConfig,
     ) -> Self {
         assert!(
-            handle.is_writable(),
+            handle.capabilities().updates,
             "ServedSimulation needs a writable service backend"
         );
         let probe = config.strategy.create(data.elements());

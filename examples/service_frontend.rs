@@ -115,7 +115,7 @@ fn tick_request(universe: &Aabb, n_elements: u32, h: u32) -> Request {
 /// When the backend is writable, producer 0 interleaves update bursts.
 fn drive(name: &str, service: SpatialService, universe: Aabb, n_elements: u32) {
     let start = Instant::now();
-    let writable = service.handle().is_writable();
+    let writable = service.handle().capabilities().updates;
     std::thread::scope(|scope| {
         for tid in 0..PRODUCERS {
             let handle = service.handle();

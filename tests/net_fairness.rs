@@ -12,27 +12,31 @@
 //! assertions.
 
 use simspatial::prelude::*;
-use simspatial_service::{BatchReport, ServiceBackend};
+use simspatial_service::{QueryRun, QueryRunReport, QueryRunResults, ServiceBackend};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// A backend that takes a fixed nap per query batch — slow enough that
 /// an open-loop producer saturates admission, deterministic enough for
-/// a test.
+/// a test. Read-only, without snapshots.
 struct SlowBackend<B: ServiceBackend> {
     inner: B,
     nap: Duration,
 }
 
 impl<B: ServiceBackend> ServiceBackend for SlowBackend<B> {
-    fn range_batch(&mut self, queries: &[Aabb], out: &mut BatchResults) -> BatchReport {
-        std::thread::sleep(self.nap);
-        self.inner.range_batch(queries, out)
+    fn capabilities(&self) -> Capabilities {
+        Capabilities::default()
     }
 
-    fn knn_batch(&mut self, points: &[Point3], k: usize, out: &mut KnnBatchResults) -> BatchReport {
+    fn query_run(
+        &mut self,
+        run: &QueryRun,
+        snapshot: bool,
+        out: &mut QueryRunResults,
+    ) -> QueryRunReport {
         std::thread::sleep(self.nap);
-        self.inner.knn_batch(points, k, out)
+        self.inner.query_run(run, snapshot, out)
     }
 
     fn memory_bytes(&self) -> usize {

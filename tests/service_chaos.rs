@@ -29,7 +29,9 @@ mod common;
 
 use common::{expected, mix, soup, RebuildOracle, SerialOracle, ShardedOracle, StrategyOracle};
 use simspatial::prelude::*;
-use simspatial_service::{BatchReport, RecvError, ServiceBackend, UpdateReport};
+use simspatial_service::{
+    QueryRun, QueryRunReport, QueryRunResults, RecvError, ServiceBackend, UpdateReport,
+};
 use std::sync::Once;
 use std::time::Duration;
 
@@ -840,20 +842,24 @@ struct TornWriteBackend {
 }
 
 impl ServiceBackend for TornWriteBackend {
-    fn range_batch(&mut self, queries: &[Aabb], out: &mut BatchResults) -> BatchReport {
-        self.inner.range_batch(queries, out)
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            updates: true,
+            ..Capabilities::default()
+        }
     }
 
-    fn knn_batch(&mut self, points: &[Point3], k: usize, out: &mut KnnBatchResults) -> BatchReport {
-        self.inner.knn_batch(points, k, out)
+    fn query_run(
+        &mut self,
+        run: &QueryRun,
+        snapshot: bool,
+        out: &mut QueryRunResults,
+    ) -> QueryRunReport {
+        self.inner.query_run(run, snapshot, out)
     }
 
     fn update_batch(&mut self, _updates: &[(ElementId, Shape)]) -> UpdateReport {
         panic!("chaos: torn write without a recovery path");
-    }
-
-    fn supports_updates(&self) -> bool {
-        true
     }
 
     // `recover` deliberately left at the trait default: `false` after a

@@ -7,9 +7,10 @@
 //! * **Thread-count differential**: a coalesced mixed range/kNN run
 //!   through `ShardedBackend::query_run` returns byte-identical results
 //!   at 1, 2 and 4 pool workers, and matches a serial `ShardedEngine`
-//!   over the same data. With a shard dead, `range_batch`/`knn_batch`
-//!   and the equivalent one-sub-batch `query_run` agree on results and
-//!   on their `partial`/`failed` reports.
+//!   over the same data. With a shard dead, the two run shapes that occur
+//!   — the combined mixed run the scheduler issues, and the same run as
+//!   one-sub-batch runs (what `ChaosBackend` hands its inner backend) —
+//!   agree on results and on their `partial`/`failed` reports.
 //! * **Observability**: the pool gauges (`worker_busy_ns`,
 //!   `worker_steals`) flow through `ServiceStats` and its `summary()`.
 
@@ -58,48 +59,52 @@ fn ran(outcome: Option<&SubBatchOutcome>) -> &BatchReport {
     }
 }
 
-/// Dead-shard input: the per-batch entry points and a one-sub-batch
-/// `query_run` must degrade identically — same surviving results, same
-/// `partial` (range) and `failed` (kNN) reports.
-fn assert_batch_calls_match_one_sub_batch_runs(run: &QueryRun) {
-    let mut batch = dying_shard_backend();
-    let mut runs = dying_shard_backend();
+/// Dead-shard input: the run as one combined `query_run` (the production
+/// shape) and as one-sub-batch runs (the `ChaosBackend` shape) must
+/// degrade identically — same surviving results, same `partial` (range)
+/// and `failed` (kNN) reports.
+fn assert_combined_run_matches_one_sub_batch_runs(run: &QueryRun) {
+    let mut combined = dying_shard_backend();
+    let mut split = dying_shard_backend();
 
-    let mut batch_out = BatchResults::new();
-    let batch_report = batch.range_batch(&run.range, &mut batch_out);
+    let mut combined_out = QueryRunResults::default();
+    let combined_report = combined.query_run(run, false, &mut combined_out);
     let range_only = QueryRun {
         range: run.range.clone(),
         knn: Vec::new(),
     };
-    let mut runs_out = QueryRunResults::default();
-    let report = runs.query_run(&range_only, &mut runs_out);
-    assert_eq!(batch.dead_shards(), vec![1]);
-    assert_eq!(runs.dead_shards(), vec![1]);
-    let run_report = ran(report.range.as_ref());
-    assert!(!batch_report.partial.is_empty(), "no box reached shard 1");
-    assert_eq!(batch_report.partial, run_report.partial);
-    assert_eq!(batch_report.failed, run_report.failed);
+    let mut split_out = QueryRunResults::default();
+    let report = split.query_run(&range_only, false, &mut split_out);
+    assert_eq!(combined.dead_shards(), vec![1]);
+    assert_eq!(split.dead_shards(), vec![1]);
+    let combined_range = ran(combined_report.range.as_ref());
+    let split_range = ran(report.range.as_ref());
+    assert!(!combined_range.partial.is_empty(), "no box reached shard 1");
+    assert_eq!(combined_range.partial, split_range.partial);
+    assert_eq!(combined_range.failed, split_range.failed);
     for q in 0..run.range.len() {
-        assert_eq!(batch_out.query_results(q), runs_out.range.query_results(q));
+        assert_eq!(
+            combined_out.range.query_results(q),
+            split_out.range.query_results(q)
+        );
     }
 
     let mut failed_probes = 0;
-    for (k, pts) in &run.knn {
-        let mut batch_out = KnnBatchResults::new();
-        let batch_report = batch.knn_batch(pts, *k, &mut batch_out);
+    for (g, (k, pts)) in run.knn.iter().enumerate() {
         let knn_only = QueryRun {
             range: Vec::new(),
             knn: vec![(*k, pts.clone())],
         };
-        let report = runs.query_run(&knn_only, &mut runs_out);
-        let run_report = ran(report.knn.first());
-        assert_eq!(batch_report.failed, run_report.failed, "k={k}");
-        assert_eq!(batch_report.partial, run_report.partial, "k={k}");
-        failed_probes += batch_report.failed.len();
+        let report = split.query_run(&knn_only, false, &mut split_out);
+        let combined_knn = ran(combined_report.knn.get(g));
+        let split_knn = ran(report.knn.first());
+        assert_eq!(combined_knn.failed, split_knn.failed, "k={k}");
+        assert_eq!(combined_knn.partial, split_knn.partial, "k={k}");
+        failed_probes += combined_knn.failed.len();
         for p in 0..pts.len() {
             assert_eq!(
-                batch_out.query_results(p),
-                runs_out.knn[0].query_results(p),
+                combined_out.knn[g].query_results(p),
+                split_out.knn[0].query_results(p),
                 "k={k} probe {p}"
             );
         }
@@ -157,10 +162,15 @@ fn idle_worker_steals_from_wedged_owner_queue() {
     // queue long before the delay elapses) to steal shard 2's job.
     backend.install_worker_faults(&[(0, 0, FaultKind::Delay(Duration::from_millis(80)))]);
     let everything = Aabb::new(Point3::new(-1e6, -1e6, -1e6), Point3::new(1e6, 1e6, 1e6));
-    let mut out = BatchResults::new();
-    let report = backend.range_batch(&[everything], &mut out);
+    let run = QueryRun {
+        range: vec![everything],
+        knn: Vec::new(),
+    };
+    let mut out = QueryRunResults::default();
+    let report = backend.query_run(&run, false, &mut out);
+    let report = ran(report.range.as_ref());
     assert!(report.failed.is_empty() && report.partial.is_empty());
-    assert_eq!(out.query_results(0).len(), 4000);
+    assert_eq!(out.range.query_results(0).len(), 4000);
     let t = backend.telemetry();
     assert!(t.worker_steals >= 1, "expected a steal, telemetry: {t:?}");
     assert_eq!(t.worker_busy_ns.len(), 2);
@@ -174,9 +184,9 @@ fn query_run_matches_sequential_at_every_thread_count() {
     let old = parallel::num_threads();
     let run = mixed_run();
 
-    // Oracle: a serial `ShardedEngine` over the same data — the backend's
-    // `range_batch`/`knn_batch` run the executor under test, so they
-    // cannot serve as its reference.
+    // Oracle: a serial `ShardedEngine` over the same data — every backend
+    // run goes through the executor under test, so none can serve as its
+    // reference.
     parallel::set_num_threads(1);
     let mut oracle = sharded_engine(4);
     let mut range_out = BatchResults::new();
@@ -200,7 +210,7 @@ fn query_run_matches_sequential_at_every_thread_count() {
         let mut backend = sharded_backend(4);
         assert_eq!(backend.pool_workers(), threads);
         let mut out = QueryRunResults::default();
-        let report = backend.query_run(&run, &mut out);
+        let report = backend.query_run(&run, false, &mut out);
         assert_eq!(report.panics, 0);
         assert!(!report.poisoned);
         assert!(matches!(report.range, Some(SubBatchOutcome::Ran(_))));
@@ -223,7 +233,7 @@ fn query_run_matches_sequential_at_every_thread_count() {
                 );
             }
         }
-        assert_batch_calls_match_one_sub_batch_runs(&run);
+        assert_combined_run_matches_one_sub_batch_runs(&run);
     }
     parallel::set_num_threads(old);
 }

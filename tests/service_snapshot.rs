@@ -711,8 +711,8 @@ fn unpublished_write_falls_back_to_fork() {
         knn: vec![(5, vec![data[0].aabb().center()])],
     };
     let (mut live, mut snap) = (QueryRunResults::default(), QueryRunResults::default());
-    backend.query_run(&run, &mut live);
-    backend.snapshot_query_run(&run, &mut snap);
+    backend.query_run(&run, false, &mut live);
+    backend.query_run(&run, true, &mut snap);
     assert_eq!(live.range.query_results(0), snap.range.query_results(0));
     assert_eq!(live.knn[0].query_results(0), snap.knn[0].query_results(0));
     assert!(!live.range.query_results(0).is_empty());
@@ -789,7 +789,10 @@ fn migration_cycles_hold_memory_level() {
             backend.publish(epoch);
         }
         if round == 2 {
-            after_round_2 = (backend.memory_bytes(), backend.snapshot_clone_bytes());
+            after_round_2 = (
+                backend.memory_bytes(),
+                backend.telemetry().snapshot_clone_bytes,
+            );
         }
     }
     let telemetry = backend.telemetry();
@@ -799,7 +802,10 @@ fn migration_cycles_hold_memory_level() {
     );
     assert_eq!(telemetry.snapshot_replays, 2 * 2 * ROUNDS as u64);
     let level = |now: f64, then: f64| (now - then).abs() <= 0.01 * then;
-    let (live, held) = (backend.memory_bytes(), backend.snapshot_clone_bytes());
+    let (live, held) = (
+        backend.memory_bytes(),
+        backend.telemetry().snapshot_clone_bytes,
+    );
     assert!(
         level(live as f64, after_round_2.0 as f64),
         "live bytes drifted: {} after round 2, {live} after round {ROUNDS}",

@@ -21,7 +21,9 @@ mod common;
 use common::{expected, mix, soup, RebuildOracle, SerialOracle, ShardedOracle, StrategyOracle};
 use simspatial::prelude::*;
 use simspatial_geom::QueryScratch;
-use simspatial_service::{BatchReport, RecvError, ServiceBackend, UpdateReport};
+use simspatial_service::{
+    QueryRun, QueryRunReport, QueryRunResults, RecvError, ServiceBackend, UpdateReport,
+};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -227,14 +229,18 @@ impl<B: ServiceBackend> GatedBackend<B> {
 }
 
 impl<B: ServiceBackend> ServiceBackend for GatedBackend<B> {
-    fn range_batch(&mut self, queries: &[Aabb], out: &mut BatchResults) -> BatchReport {
-        self.wait_gate();
-        self.inner.range_batch(queries, out)
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
     }
 
-    fn knn_batch(&mut self, points: &[Point3], k: usize, out: &mut KnnBatchResults) -> BatchReport {
+    fn query_run(
+        &mut self,
+        run: &QueryRun,
+        snapshot: bool,
+        out: &mut QueryRunResults,
+    ) -> QueryRunReport {
         self.wait_gate();
-        self.inner.knn_batch(points, k, out)
+        self.inner.query_run(run, snapshot, out)
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
@@ -242,8 +248,18 @@ impl<B: ServiceBackend> ServiceBackend for GatedBackend<B> {
         self.inner.update_batch(updates)
     }
 
-    fn supports_updates(&self) -> bool {
-        self.inner.supports_updates()
+    fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
+        self.wait_gate();
+        self.inner.insert_batch(shapes)
+    }
+
+    fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
+        self.wait_gate();
+        self.inner.remove_batch(ids)
+    }
+
+    fn publish(&mut self, epoch: u64) {
+        self.inner.publish(epoch);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -509,7 +525,7 @@ fn write_barrier_matches_serial_on_engine_backend() {
     for pipelined in [false, true] {
         let backend = EngineBackend::build_writable(data.clone(), build);
         let service = SpatialService::spawn(backend, ServiceConfig::default());
-        assert!(service.handle().is_writable());
+        assert!(service.handle().capabilities().updates);
         let mut oracle = RebuildOracle::new(data.clone(), build);
         drive_barrier_and_verify(
             service,
@@ -533,7 +549,7 @@ fn write_barrier_matches_serial_on_sharded_backends() {
             }
         };
         let backend = ShardedBackend::spawn(make());
-        assert!(backend.supports_updates());
+        assert!(backend.capabilities().updates);
         let service = SpatialService::spawn(backend, ServiceConfig::default());
         let mut oracle = ShardedOracle(make());
         drive_barrier_and_verify(
@@ -621,7 +637,7 @@ fn read_only_backend_rejects_writes_at_admission() {
         ServiceConfig::default(),
     );
     let handle = service.handle();
-    assert!(!handle.is_writable());
+    assert!(!handle.capabilities().updates);
     match handle.submit(Request::Update(vec![(0, beacon_target(0))])) {
         Err(SubmitError::ReadOnly(req)) => assert_eq!(req.len(), 1),
         other => panic!("write into read-only backend must be rejected, got {other:?}"),
