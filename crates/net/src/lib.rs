@@ -16,17 +16,19 @@
 //!   is strict (max frame size, max items per request, exact-length
 //!   validation) so a malformed or hostile frame fails typed without
 //!   unbounded allocation and terminates only its own connection.
-//! * **[`NetServer`]** — a multiplexed server: one acceptor, a
-//!   reader/writer thread pair per connection, so a client can pipeline
-//!   many in-flight requests per connection under client-chosen
-//!   correlation ids. Responses may return out of order *between*
-//!   connections while the service's write-barrier semantics hold: each
-//!   tenant's requests are admitted in arrival order, and the in-process
+//! * **[`NetServer`]** — a multiplexed server: one acceptor and a
+//!   reader/writer thread pair per connection, no other thread, so a
+//!   client can pipeline many in-flight requests per connection under
+//!   client-chosen correlation ids. Responses may return out of order
+//!   *between* connections while the service's write-barrier semantics
+//!   hold: each tenant's requests are admitted in arrival order, each
+//!   connection's replies leave in admission order, and the in-process
 //!   dispatcher serializes barriers exactly as a serial run would.
 //!   Admission is **multi-tenant**: tenants declare themselves at
-//!   handshake; a deficit-round-robin pump drains per-tenant staging
-//!   queues by weight, per-tenant in-flight caps bound any one tenant's
-//!   queue share, and a full staging queue sheds load as a protocol
+//!   handshake; a deficit-round-robin sweep, run by readers as they stage
+//!   and by writers as they redeem, drains per-tenant staging queues by
+//!   weight, per-tenant in-flight caps bound any one tenant's unredeemed
+//!   tickets, and a full staging queue sheds load as a protocol
 //!   `Retry` frame whose hint scales with observed congestion. Each
 //!   request carries a consistency byte (wire version 2): per-request
 //!   `Barrier`/`Snapshot`/`ReadYourWrites`, or the tenant's configured

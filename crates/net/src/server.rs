@@ -1,45 +1,43 @@
-//! The multiplexed TCP server: acceptor + per-connection reader/writer
-//! threads, a deficit-round-robin admission pump, and a completion
-//! collector.
-//!
-//! ## Thread anatomy
+//! The multiplexed TCP server: one acceptor plus a reader/writer thread
+//! pair per connection, and no other thread.
 //!
 //! ```text
-//!            ┌─────────┐   staged (per tenant)   ┌──────┐  try_submit  ┌─────────┐
-//! conn 1 ──▶ │ reader 1│ ──────────────┐         │ pump │ ───────────▶ │ service │
-//! conn 2 ──▶ │ reader 2│ ──────────────┼──DRR──▶ │      │   tickets    │dispatch │
-//!            └─────────┘               │         └──┬───┘              └────┬────┘
-//!            ┌─────────┐   frames      │            │ in-flight fifo        │
-//! conn 1 ◀── │ writer 1│ ◀── replies ──┴────────────▼───────── completions ─┘
-//! conn 2 ◀── │ writer 2│ ◀───────────────────── collector
-//!            └─────────┘
+//!            ┌──────────┐  stage, then admit (DRR)  try_submit  ┌──────────┐
+//! conn 1 ──▶ │ reader 1 │ ─────────────────────────────────────▶ │ service  │
+//! conn 2 ──▶ │ reader 2 │ ──┐ tickets, in admission order        │ dispatch │
+//!            └──────────┘   │                                    └────┬─────┘
+//!            ┌──────────┐ ◀─┘                                         │
+//! conn 1 ◀── │ writer 1 │  redeem → account → admit → write           │
+//! conn 2 ◀── │ writer 2 │ ◀───────────────────────────── completions ─┘
+//!            └──────────┘
 //! ```
 //!
-//! * Each connection gets a **reader** (decodes frames, stages requests
-//!   under the connection's tenant, answers `Stats` inline) and a
-//!   **writer** (serializes response frames from an unbounded channel, so
-//!   responses to one connection never block another's).
-//! * One **pump** thread is the only caller of
-//!   [`ServiceHandle::try_submit`]: it sweeps the per-tenant staging
-//!   queues in deficit-round-robin order, which makes the service-side
-//!   admission order — and therefore write-barrier placement — a single
-//!   deterministic sequence regardless of how many connections race.
-//! * One **collector** thread redeems tickets in admission order and
-//!   routes each encoded reply to its connection's writer. A connection
-//!   that died mid-request just loses the frame (the send fails
-//!   silently); the ticket is still redeemed, so no completion leaks.
-//!
-//! ## Multi-tenant admission
+//! * A **reader** decodes frames, stages requests under its connection's
+//!   tenant and answers `Stats` inline.
+//! * **Admission is a function, not a thread.** `admit` sweeps the
+//!   per-tenant staging queues in deficit-round-robin order and calls
+//!   [`ServiceHandle::try_submit_at`] under the admission lock, so the
+//!   service-side admission order — and the write barriers in it — is one
+//!   deterministic sequence however many connections race. Readers run it
+//!   after staging, writers after each completion, shutdown until staging
+//!   is empty.
+//! * A **writer** serves its connection's FIFO channel: frames, and the
+//!   tickets of its admitted requests in admission order. It redeems and
+//!   accounts each ticket and runs `admit` *before* writing the reply, so
+//!   a client that has read a reply sees it counted. After a write error
+//!   or a `Fatal` frame it keeps redeeming and accounting but writes
+//!   nothing, so a connection that died mid-request leaks no completion.
 //!
 //! Tenants are declared at handshake. Each has a bounded **staging
-//! queue** (overflow sheds as a protocol `Retry` frame whose hint scales
-//! with service congestion), an **in-flight cap** (bounding its share of
-//! the service queue), and a **weight**. The pump refreshes each
-//! backlogged tenant's deficit by `quantum x weight` once per sweep round
-//! and admits head-of-line requests while the deficit covers their cost
-//! (the item count), so a hot tenant flooding one connection cannot
-//! starve a light one: the light tenant's requests keep flowing at its
-//! weighted share (see `tests/net_fairness.rs`).
+//! queue** (overflow sheds as a `Retry` frame whose hint scales with
+//! service congestion), a **weight**, and an **in-flight cap** on its
+//! admitted-but-unredeemed tickets: its share of the service queue, and
+//! all a connection that stops reading can hold. Requests cost their item
+//! count, so a hot tenant cannot starve a light one, which keeps its
+//! weighted share (see `tests/net_fairness.rs`). A `Full` intake queue
+//! puts the request back at its tenant's head for the next completion to
+//! retry; a queue filled only by in-process handles waits for the next
+//! net event (shutdown's drain polls, so it cannot hang).
 
 use crate::wire::{self, DecodeLimits, FatalCode, FrameReadError, RequestError};
 use simspatial_service::{
@@ -47,8 +45,8 @@ use simspatial_service::{
     SubmitError, TenantStats, Ticket,
 };
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -169,15 +167,29 @@ impl NetConfig {
     }
 }
 
-/// A staged request: decoded, accounted to a tenant, waiting for the
-/// pump to admit it.
+/// A staged request: decoded, accounted to a tenant, waiting for
+/// [`admit`] to submit it.
 struct Staged {
     corr: u64,
     request: Request,
     /// `None` defers to the tenant's configured default consistency.
     consistency: Option<Consistency>,
-    writer: mpsc::Sender<Vec<u8>>,
+    writer: mpsc::Sender<Out>,
     staged_at: Instant,
+}
+
+/// What a connection's writer serves, in channel (FIFO) order.
+enum Out {
+    /// An encoded frame, written as is.
+    Frame(Vec<u8>),
+    /// An admitted request: redeemed, accounted, then written as its
+    /// reply.
+    Reply {
+        ticket: Ticket,
+        corr: u64,
+        tenant: usize,
+        staged_at: Instant,
+    },
 }
 
 /// One tenant's live admission state.
@@ -207,6 +219,15 @@ impl TenantState {
             latency: LatencyHistogram::default(),
         }
     }
+
+    /// The head-of-line request's cost (its item count), or `None` when
+    /// nothing is staged or the tenant sits at its in-flight cap.
+    fn head_cost(&self) -> Option<u64> {
+        if self.in_flight >= self.spec.max_in_flight {
+            return None;
+        }
+        self.staged.front().map(|s| s.request.len().max(1) as u64)
+    }
 }
 
 struct AdmissionInner {
@@ -217,56 +238,52 @@ struct AdmissionInner {
 }
 
 impl AdmissionInner {
-    fn staged_total(&self) -> usize {
-        self.tenants.iter().map(|t| t.staged.len()).sum()
-    }
-
     /// One deficit-round-robin decision: the tenant whose head-of-line
     /// request to admit next, or `None` when nothing is admissible.
     ///
-    /// Pass 1 spends existing deficits in round-robin order from the
-    /// cursor; if nothing admits, every backlogged tenant below its
-    /// in-flight cap is credited `quantum x weight` (classic DRR — an
-    /// idle tenant's deficit resets instead, so it cannot bank credit
-    /// while absent) and pass 2 retries. Costs are request item counts,
-    /// so weights divide *work*, not just request counts.
+    /// Existing deficits are spent first. Otherwise every backlogged,
+    /// uncapped tenant is credited `k x quantum x weight` and the cursor
+    /// advances by `k`, for the fewest rounds `k` that make some head
+    /// affordable: `k` classic DRR refreshes in one step. An idle
+    /// tenant's deficit resets, so it cannot bank credit while absent.
     fn drr_next(&mut self, quantum: u64) -> Option<usize> {
-        let n = self.tenants.len();
-        if n == 0 {
+        if let Some(i) = self.spend() {
+            return Some(i);
+        }
+        let credit = |t: &TenantState| quantum * u64::from(t.spec.weight);
+        let rounds = self
+            .tenants
+            .iter()
+            .filter_map(|t| Some((t.head_cost()? - t.deficit).div_ceil(credit(t))))
+            .min()
+            .unwrap_or(0);
+        for t in &mut self.tenants {
+            if t.staged.is_empty() {
+                t.deficit = 0;
+            } else if t.head_cost().is_some() {
+                t.deficit += rounds * credit(t);
+            }
+        }
+        if rounds == 0 {
             return None;
         }
-        for pass in 0..2 {
-            for off in 0..n {
-                let i = (self.cursor + off) % n;
-                let t = &mut self.tenants[i];
-                if t.in_flight >= t.spec.max_in_flight {
-                    continue;
-                }
-                let Some(head) = t.staged.front() else {
-                    continue;
-                };
-                let cost = head.request.len().max(1) as u64;
-                if t.deficit >= cost {
-                    t.deficit -= cost;
-                    // Stay on this tenant while its deficit lasts.
-                    self.cursor = i;
-                    return Some(i);
-                }
-            }
-            if pass == 0 {
-                let mut any_backlogged = false;
-                for t in &mut self.tenants {
-                    if t.staged.is_empty() {
-                        t.deficit = 0;
-                    } else if t.in_flight < t.spec.max_in_flight {
-                        t.deficit += quantum * u64::from(t.spec.weight);
-                        any_backlogged = true;
-                    }
-                }
-                if !any_backlogged {
-                    return None;
-                }
-                self.cursor = (self.cursor + 1) % n;
+        let n = self.tenants.len();
+        self.cursor = (self.cursor + (rounds % n as u64) as usize) % n;
+        self.spend()
+    }
+
+    /// Spends existing deficits in round-robin order from the cursor: the
+    /// first tenant whose deficit covers its head pays for it.
+    fn spend(&mut self) -> Option<usize> {
+        let n = self.tenants.len();
+        for off in 0..n {
+            let i = (self.cursor + off) % n;
+            let t = &mut self.tenants[i];
+            if let Some(cost) = t.head_cost().filter(|&cost| cost <= t.deficit) {
+                t.deficit -= cost;
+                // Stay on this tenant while its deficit lasts.
+                self.cursor = i;
+                return Some(i);
             }
         }
         None
@@ -288,18 +305,25 @@ impl AdmissionInner {
     }
 }
 
+/// What every server thread shares: the admission state, the service it
+/// admits into, and the configuration.
 struct Admission {
     inner: Mutex<AdmissionInner>,
+    /// Signalled by completions while draining.
     cv: Condvar,
+    handle: ServiceHandle,
+    cfg: NetConfig,
+    /// DRR quantum, items per weight unit per refresh round (≥ 1).
+    quantum: u64,
 }
 
-/// An admitted request awaiting completion, in admission order.
-struct InFlight {
-    ticket: Ticket,
-    corr: u64,
-    writer: mpsc::Sender<Vec<u8>>,
-    tenant: usize,
-    staged_at: Instant,
+impl Admission {
+    /// Service stats with the per-tenant counters attached.
+    fn stats(&self) -> ServiceStats {
+        let mut stats = self.handle.stats();
+        stats.tenants = self.inner.lock().unwrap().tenant_stats();
+        stats
+    }
 }
 
 struct Registry {
@@ -316,14 +340,11 @@ struct Registry {
 /// final [`ServiceStats`] with per-tenant counters attached.
 pub struct NetServer {
     service: Option<SpatialService>,
-    handle: ServiceHandle,
     admission: Arc<Admission>,
     accepting: Arc<AtomicBool>,
     local_addr: SocketAddr,
     registry: Arc<Mutex<Registry>>,
     acceptor: Option<JoinHandle<()>>,
-    pump: Option<JoinHandle<()>>,
-    collector: Option<JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -336,7 +357,6 @@ impl NetServer {
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let handle = service.handle();
 
         let mut tenants = Vec::new();
         let mut index = HashMap::new();
@@ -352,38 +372,20 @@ impl NetServer {
                 draining: false,
             }),
             cv: Condvar::new(),
+            handle: service.handle(),
+            quantum: u64::from(cfg.quantum.max(1)),
+            cfg,
         });
         let accepting = Arc::new(AtomicBool::new(true));
         let registry = Arc::new(Mutex::new(Registry {
             conns: Vec::new(),
             threads: Vec::new(),
         }));
-        let cfg = Arc::new(cfg);
-
-        let (inflight_tx, inflight_rx) = mpsc::channel::<InFlight>();
-
-        let pump = {
-            let admission = Arc::clone(&admission);
-            let handle = service.handle();
-            let quantum = u64::from(cfg.quantum.max(1));
-            std::thread::Builder::new()
-                .name("net-pump".into())
-                .spawn(move || pump_loop(&admission, &handle, quantum, &inflight_tx))?
-        };
-
-        let collector = {
-            let admission = Arc::clone(&admission);
-            std::thread::Builder::new()
-                .name("net-collector".into())
-                .spawn(move || collector_loop(&admission, &inflight_rx))?
-        };
 
         let acceptor = {
             let admission = Arc::clone(&admission);
             let accepting = Arc::clone(&accepting);
             let registry = Arc::clone(&registry);
-            let handle = service.handle();
-            let cfg = Arc::clone(&cfg);
             std::thread::Builder::new()
                 .name("net-accept".into())
                 .spawn(move || {
@@ -393,31 +395,26 @@ impl NetServer {
                         }
                         let Ok(stream) = stream else { continue };
                         let _ = stream.set_nodelay(true);
-                        let Ok(write_half) = stream.try_clone() else {
+                        let (Ok(write_half), Ok(tracked)) =
+                            (stream.try_clone(), stream.try_clone())
+                        else {
                             continue;
                         };
-                        let Ok(tracked) = stream.try_clone() else {
-                            continue;
-                        };
-                        let (frame_tx, frame_rx) = mpsc::channel::<Vec<u8>>();
+                        let (tx, rx) = mpsc::channel::<Out>();
+                        let shared = Arc::clone(&admission);
                         let writer = std::thread::Builder::new()
                             .name("net-writer".into())
-                            .spawn(move || writer_loop(write_half, &frame_rx));
-                        let reader = {
-                            let admission = Arc::clone(&admission);
-                            let handle = handle.clone();
-                            let cfg = Arc::clone(&cfg);
-                            std::thread::Builder::new()
-                                .name("net-reader".into())
-                                .spawn(move || {
-                                    reader_loop(stream, frame_tx, &admission, &handle, &cfg)
-                                })
-                        };
+                            .spawn(move || writer_loop(write_half, &rx, &shared));
+                        // Without a writer nothing could redeem this
+                        // connection's tickets: refuse it.
+                        let Ok(writer) = writer else { continue };
+                        let shared = Arc::clone(&admission);
+                        let reader = std::thread::Builder::new()
+                            .name("net-reader".into())
+                            .spawn(move || reader_loop(stream, tx, &shared));
                         let mut reg = registry.lock().unwrap();
                         reg.conns.push(tracked);
-                        if let Ok(h) = writer {
-                            reg.threads.push(h);
-                        }
+                        reg.threads.push(writer);
                         if let Ok(h) = reader {
                             reg.threads.push(h);
                         }
@@ -427,14 +424,11 @@ impl NetServer {
 
         Ok(NetServer {
             service: Some(service),
-            handle,
             admission,
             accepting,
             local_addr,
             registry,
             acceptor: Some(acceptor),
-            pump: Some(pump),
-            collector: Some(collector),
         })
     }
 
@@ -446,9 +440,7 @@ impl NetServer {
     /// A live stats snapshot with per-tenant counters attached — the
     /// same payload a wire `Stats` request returns.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.handle.stats();
-        stats.tenants = self.admission.inner.lock().unwrap().tenant_stats();
-        stats
+        self.admission.stats()
     }
 
     /// Orderly drain: stop accepting, stop reading, complete everything
@@ -458,7 +450,7 @@ impl NetServer {
         self.drain();
         let mut stats = match self.service.take() {
             Some(service) => service.shutdown(),
-            None => self.handle.stats(),
+            None => self.admission.handle.stats(),
         };
         stats.tenants = self.admission.inner.lock().unwrap().tenant_stats();
         stats
@@ -481,25 +473,29 @@ impl NetServer {
             )
         };
         for conn in &conns {
-            let _ = conn.shutdown(std::net::Shutdown::Read);
+            let _ = conn.shutdown(Shutdown::Read);
         }
-        // 3. Tell the pump to drain: it admits everything staged, then
-        // exits, dropping the collector's intake; the collector redeems
-        // every outstanding ticket and exits.
-        {
-            let mut inner = self.admission.inner.lock().unwrap();
-            inner.draining = true;
+        // 3. Refuse new requests and admit everything staged. Writers'
+        // completions admit too and wake this loop; the timed wait covers
+        // an intake queue held full by in-process handles, which no
+        // completion here would retry.
+        let a = &self.admission;
+        let mut inner = a.inner.lock().unwrap();
+        inner.draining = true;
+        loop {
+            admit(&mut inner, &a.handle, a.quantum);
+            if inner.tenants.iter().all(|t| t.staged.is_empty()) {
+                break;
+            }
+            inner =
+                a.cv.wait_timeout(inner, Duration::from_millis(5))
+                    .unwrap()
+                    .0;
         }
-        self.admission.cv.notify_all();
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.collector.take() {
-            let _ = h.join();
-        }
-        // 4. Readers are gone (EOF), staged queues empty, tickets
-        // redeemed — every frame sender is dropped, so writers flush
-        // their last frames and exit.
+        drop(inner);
+        // 4. Readers exit on EOF and staging is empty, so each writer's
+        // channel holds its last tickets: it redeems, accounts and writes
+        // them, and exits once the channel disconnects.
         for h in threads {
             let _ = h.join();
         }
@@ -521,51 +517,88 @@ impl Drop for NetServer {
 // Connection threads.
 // ---------------------------------------------------------------------
 
-fn send_frame(tx: &mpsc::Sender<Vec<u8>>, buf: &[u8]) {
+fn send_frame(tx: &mpsc::Sender<Out>, buf: &[u8]) {
     // Best effort: a dead connection just loses the frame.
-    let _ = tx.send(buf.to_vec());
+    let _ = tx.send(Out::Frame(buf.to_vec()));
 }
 
-fn writer_loop(stream: TcpStream, rx: &mpsc::Receiver<Vec<u8>>) {
-    let mut w = std::io::BufWriter::new(stream);
-    'conn: while let Ok(frame) = rx.recv() {
-        let mut fatal = frame.first() == Some(&wire::op::FATAL);
-        if wire::write_frame(&mut w, &frame).is_err() {
-            break;
-        }
-        // Opportunistically coalesce queued frames into one flush.
-        while let Ok(next) = rx.try_recv() {
-            fatal |= next.first() == Some(&wire::op::FATAL);
-            if wire::write_frame(&mut w, &next).is_err() {
-                break 'conn;
+/// Per-connection write loop. Serves the channel in FIFO order, so the
+/// connection's replies leave in admission order, and flushes only when
+/// it is about to block: on an empty channel or a ticket not yet ready.
+/// `w` is `None` in discard mode, entered on a write error or after a
+/// `Fatal` frame: tickets are still redeemed and accounted, nothing is
+/// written. Exits when the reader and every staged request of the
+/// connection are gone.
+fn writer_loop(stream: TcpStream, rx: &mpsc::Receiver<Out>, admission: &Admission) {
+    let mut w = Some(BufWriter::new(stream));
+    let mut buf = Vec::new();
+    loop {
+        let next = rx.try_recv().ok().or_else(|| {
+            flush(&mut w);
+            rx.recv().ok()
+        });
+        let Some(out) = next else { return };
+        match out {
+            Out::Frame(frame) => buf = frame,
+            Out::Reply {
+                ticket,
+                corr,
+                tenant,
+                staged_at,
+            } => {
+                let reply = ticket.try_recv_reply().unwrap_or_else(|| {
+                    flush(&mut w);
+                    ticket.recv_reply()
+                });
+                // Account before writing: a client that has read this
+                // reply must find it counted.
+                let mut inner = admission.inner.lock().unwrap();
+                let t = &mut inner.tenants[tenant];
+                t.in_flight -= 1;
+                if reply.is_ok() {
+                    t.completed += 1;
+                    t.latency.record(staged_at.elapsed());
+                } else {
+                    t.failed += 1;
+                }
+                admit(&mut inner, &admission.handle, admission.quantum);
+                if inner.draining {
+                    admission.cv.notify_all();
+                }
+                drop(inner);
+                match reply {
+                    Ok(r) => {
+                        wire::encode_reply(&mut buf, corr, r.shards_skipped, r.epoch, &r.response)
+                    }
+                    Err(e) => wire::encode_error(&mut buf, corr, e.into()),
+                }
             }
         }
-        if w.flush().is_err() {
-            break;
-        }
-        if fatal {
+        let Some(stream) = &mut w else { continue };
+        if wire::write_frame(stream, &buf).is_err() {
+            w = None;
+        } else if buf.first() == Some(&wire::op::FATAL) {
             // A Fatal frame is always terminal: actively close so the
             // peer sees EOF now, not at server shutdown (other clones of
             // this stream — the shutdown registry's — stay open).
-            let _ = w.get_ref().shutdown(std::net::Shutdown::Both);
-            break;
+            let _ = stream.flush();
+            let _ = stream.get_ref().shutdown(Shutdown::Both);
+            w = None;
         }
     }
-    // Drain remaining senders' frames so late completions never block
-    // (they wouldn't anyway — the channel is unbounded — but this keeps
-    // the receiver alive until the last sender drops, silencing sends).
-    while rx.recv().is_ok() {}
+}
+
+/// Flushes a live writer; a failed flush switches to discard mode.
+fn flush(w: &mut Option<BufWriter<TcpStream>>) {
+    if w.as_mut().is_some_and(|s| s.flush().is_err()) {
+        *w = None;
+    }
 }
 
 /// Per-connection read loop: handshake, then decode-and-stage until EOF
 /// or a protocol violation (answered with a `Fatal` frame).
-fn reader_loop(
-    stream: TcpStream,
-    frame_tx: mpsc::Sender<Vec<u8>>,
-    admission: &Admission,
-    handle: &ServiceHandle,
-    cfg: &NetConfig,
-) {
+fn reader_loop(stream: TcpStream, frame_tx: mpsc::Sender<Out>, admission: &Admission) {
+    let (handle, cfg) = (&admission.handle, &admission.cfg);
     let limits = cfg.limits();
     let mut r = BufReader::new(stream);
     let mut frame = Vec::new();
@@ -635,9 +668,7 @@ fn reader_loop(
             wire::ClientMsg::Stats { corr } => {
                 // Telemetry bypasses admission: reads a snapshot, never
                 // queues behind tenant backlogs.
-                let mut stats = handle.stats();
-                stats.tenants = admission.inner.lock().unwrap().tenant_stats();
-                wire::encode_stats_reply(&mut out, corr, &stats.to_json());
+                wire::encode_stats_reply(&mut out, corr, &admission.stats().to_json());
                 send_frame(&frame_tx, &out);
             }
             wire::ClientMsg::Request {
@@ -673,8 +704,7 @@ fn reader_loop(
                     writer: frame_tx.clone(),
                     staged_at: Instant::now(),
                 });
-                drop(inner);
-                admission.cv.notify_all();
+                admit(&mut inner, handle, admission.quantum);
             }
         }
     }
@@ -700,131 +730,52 @@ fn read_client_msg(
 }
 
 // ---------------------------------------------------------------------
-// Admission pump + completion collector.
+// Admission.
 // ---------------------------------------------------------------------
 
-/// The single admission thread: sweeps staging queues in DRR order and
-/// feeds the service. Holding the admission lock across `try_submit`
-/// (non-blocking) makes the service-side admission order — and the write
-/// barriers in it — one deterministic sequence.
-fn pump_loop(
-    admission: &Admission,
-    handle: &ServiceHandle,
-    quantum: u64,
-    inflight_tx: &mpsc::Sender<InFlight>,
-) {
-    let mut inner = admission.inner.lock().unwrap();
-    loop {
-        if let Some(i) = inner.drr_next(quantum) {
-            let Staged {
-                corr,
-                request,
-                consistency,
-                writer,
-                staged_at,
-            } = inner.tenants[i]
-                .staged
-                .pop_front()
-                .expect("drr admitted a head");
-            let cost = request.len().max(1) as u64;
-            // Per-request consistency wins; the tenant-default byte
-            // resolves here, where the tenant's spec is at hand.
-            let resolved = consistency.unwrap_or(inner.tenants[i].spec.default_consistency);
-            match handle.try_submit_at(request, resolved) {
-                Ok(ticket) => {
-                    inner.tenants[i].in_flight += 1;
-                    inner.tenants[i].admitted += 1;
-                    if inflight_tx
-                        .send(InFlight {
-                            ticket,
-                            corr,
-                            writer,
-                            tenant: i,
-                            staged_at,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Err(e @ SubmitError::Full { .. }) => {
-                    // Intake full: put the request back at the head with
-                    // its deficit refunded and wait for a completion to
-                    // free space (the collector notifies).
-                    inner.tenants[i].deficit += cost;
-                    inner.tenants[i].staged.push_front(Staged {
-                        corr,
-                        request: e.into_request(),
-                        consistency,
-                        writer,
-                        staged_at,
-                    });
-                    inner = admission
-                        .cv
-                        .wait_timeout(inner, Duration::from_micros(500))
-                        .unwrap()
-                        .0;
-                }
-                Err(SubmitError::ReadOnly(_)) => {
-                    inner.tenants[i].failed += 1;
-                    let mut out = Vec::new();
-                    wire::encode_error(&mut out, corr, RequestError::ReadOnly);
-                    let _ = writer.send(out);
-                }
-                Err(SubmitError::ShutDown(_)) => {
-                    inner.tenants[i].failed += 1;
-                    let mut out = Vec::new();
-                    wire::encode_error(&mut out, corr, RequestError::ShutDown);
-                    let _ = writer.send(out);
-                }
+/// Admits staged requests in DRR order until nothing is admissible or the
+/// service's intake queue is full. Callers hold the admission lock across
+/// it (`try_submit_at` never blocks), which makes the service-side
+/// admission order — and the write barriers in it — one deterministic
+/// sequence. Each admitted ticket joins its connection's writer channel.
+fn admit(inner: &mut AdmissionInner, handle: &ServiceHandle, quantum: u64) {
+    while let Some(i) = inner.drr_next(quantum) {
+        let t = &mut inner.tenants[i];
+        let s = t.staged.pop_front().expect("drr admitted a head");
+        let cost = s.request.len().max(1) as u64;
+        // Per-request consistency wins; the tenant-default byte resolves
+        // here, where the tenant's spec is at hand.
+        let consistency = s.consistency.unwrap_or(t.spec.default_consistency);
+        let error = match handle.try_submit_at(s.request, consistency) {
+            Ok(ticket) => {
+                t.admitted += 1;
+                t.in_flight += 1;
+                // The writer outlives every sender, so this never fails.
+                let _ = s.writer.send(Out::Reply {
+                    ticket,
+                    corr: s.corr,
+                    tenant: i,
+                    staged_at: s.staged_at,
+                });
+                continue;
             }
-            continue;
-        }
-        if inner.draining && inner.staged_total() == 0 {
-            return; // drops inflight_tx → collector drains and exits
-        }
-        inner = admission
-            .cv
-            .wait_timeout(inner, Duration::from_millis(5))
-            .unwrap()
-            .0;
-    }
-}
-
-/// Redeems tickets in admission order, encodes the outcome, and routes
-/// it to the owning connection's writer. Every admitted ticket is
-/// redeemed exactly once — dead connections just lose the frame.
-fn collector_loop(admission: &Admission, inflight_rx: &mpsc::Receiver<InFlight>) {
-    let mut out = Vec::new();
-    while let Ok(inf) = inflight_rx.recv() {
-        let ok = match inf.ticket.recv_reply() {
-            Ok(reply) => {
-                wire::encode_reply(
-                    &mut out,
-                    inf.corr,
-                    reply.shards_skipped,
-                    reply.epoch,
-                    &reply.response,
-                );
-                true
+            Err(e @ SubmitError::Full { .. }) => {
+                // Intake full: back to the head with its deficit refunded;
+                // the next completion or staging retries it.
+                t.deficit += cost;
+                t.staged.push_front(Staged {
+                    request: e.into_request(),
+                    ..s
+                });
+                return;
             }
-            Err(e) => {
-                wire::encode_error(&mut out, inf.corr, e.into());
-                false
-            }
+            Err(SubmitError::ReadOnly(_)) => RequestError::ReadOnly,
+            Err(SubmitError::ShutDown(_)) => RequestError::ShutDown,
         };
-        send_frame(&inf.writer, &out);
-        let mut inner = admission.inner.lock().unwrap();
-        let t = &mut inner.tenants[inf.tenant];
-        t.in_flight -= 1;
-        if ok {
-            t.completed += 1;
-            t.latency.record(inf.staged_at.elapsed());
-        } else {
-            t.failed += 1;
-        }
-        drop(inner);
-        admission.cv.notify_all();
+        t.failed += 1;
+        let mut out = Vec::new();
+        wire::encode_error(&mut out, s.corr, error);
+        send_frame(&s.writer, &out);
     }
 }
 
@@ -833,16 +784,94 @@ mod tests {
     use super::*;
     use simspatial_geom::{Aabb, Point3};
 
-    fn staged(writer: &mpsc::Sender<Vec<u8>>) -> Staged {
+    fn staged(writer: &mpsc::Sender<Out>) -> Staged {
+        staged_costing(writer, 1)
+    }
+
+    /// A staged `RangeCount` of `cost` boxes.
+    fn staged_costing(writer: &mpsc::Sender<Out>, cost: u64) -> Staged {
+        let unit = Aabb::new(Point3::new(0.0, 0.0, 0.0), Point3::new(1.0, 1.0, 1.0));
         Staged {
             corr: 0,
-            request: Request::RangeCount(vec![Aabb::new(
-                Point3::new(0.0, 0.0, 0.0),
-                Point3::new(1.0, 1.0, 1.0),
-            )]),
+            request: Request::RangeCount(vec![unit; cost as usize]),
             consistency: None,
             writer: writer.clone(),
             staged_at: Instant::now(),
+        }
+    }
+
+    fn admission_of(specs: Vec<TenantSpec>) -> AdmissionInner {
+        AdmissionInner {
+            tenants: specs.into_iter().map(TenantState::new).collect(),
+            index: HashMap::new(),
+            cursor: 0,
+            draining: false,
+        }
+    }
+
+    /// Classic DRR: at most one refresh round per call.
+    fn one_refresh_next(inner: &mut AdmissionInner, quantum: u64) -> Option<usize> {
+        if let Some(i) = inner.spend() {
+            return Some(i);
+        }
+        let mut backlogged = false;
+        for t in &mut inner.tenants {
+            if t.staged.is_empty() {
+                t.deficit = 0;
+            } else if t.head_cost().is_some() {
+                t.deficit += quantum * u64::from(t.spec.weight);
+                backlogged = true;
+            }
+        }
+        if !backlogged {
+            return None;
+        }
+        inner.cursor = (inner.cursor + 1) % inner.tenants.len();
+        inner.spend()
+    }
+
+    /// A lone head costing ten quanta is admitted by the first call, not
+    /// after nine empty refresh rounds.
+    #[test]
+    fn drr_admits_a_lone_large_head_at_once() {
+        let (tx, _rx) = mpsc::channel();
+        let mut inner = admission_of(vec![TenantSpec::new("lone", 1)]);
+        inner.tenants[0].staged.push_back(staged_costing(&tx, 320));
+        assert_eq!(inner.drr_next(32), Some(0));
+        assert_eq!(inner.tenants[0].deficit, 0, "credited exactly ten rounds");
+    }
+
+    /// Crediting `k` rounds at once admits the same sequence as `k`
+    /// one-refresh calls: weights 3:1, head costs mixing 5q and q.
+    #[test]
+    fn drr_multi_round_credit_matches_one_refresh_rounds() {
+        const Q: u64 = 4;
+        let (tx, _rx) = mpsc::channel();
+        let backlog = || {
+            let mut inner = admission_of(vec![
+                TenantSpec::new("heavy", 3),
+                TenantSpec::new("light", 1),
+            ]);
+            for k in 0..300 {
+                let (a, b) = if k % 3 == 0 { (Q, 5 * Q) } else { (5 * Q, Q) };
+                inner.tenants[0].staged.push_back(staged_costing(&tx, a));
+                inner.tenants[1].staged.push_back(staged_costing(&tx, b));
+            }
+            inner
+        };
+        let (mut fast, mut slow) = (backlog(), backlog());
+        for n in 0..200 {
+            let i = fast.drr_next(Q).expect("backlogged queues always admit");
+            let j = (0..100)
+                .find_map(|_| one_refresh_next(&mut slow, Q))
+                .expect("one-refresh rule admits within 100 rounds");
+            assert_eq!(i, j, "admission {n} differs");
+            fast.tenants[i].staged.pop_front();
+            slow.tenants[j].staged.pop_front();
+        }
+        assert_eq!(fast.cursor, slow.cursor);
+        for (f, s) in fast.tenants.iter().zip(&slow.tenants) {
+            assert_eq!(f.deficit, s.deficit, "tenant {}", f.spec.name);
         }
     }
 

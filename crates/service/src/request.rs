@@ -350,6 +350,17 @@ pub(crate) struct Completion {
     pub epoch: u64,
 }
 
+impl Completion {
+    fn into_reply(self) -> Result<Reply, RecvError> {
+        self.result.map(|response| Reply {
+            response,
+            latency: self.latency,
+            shards_skipped: self.shards_skipped,
+            epoch: self.epoch,
+        })
+    }
+}
+
 /// A full completion record: the response, its latency, and degradation
 /// metadata. Returned by [`Ticket::recv_reply`] for callers that need to
 /// know whether a successful range/count response has partial coverage.
@@ -403,12 +414,7 @@ impl Ticket {
     /// metadata (see [`Reply::shards_skipped`]).
     pub fn recv_reply(self) -> Result<Reply, RecvError> {
         match self.rx.recv() {
-            Ok(c) => c.result.map(|response| Reply {
-                response,
-                latency: c.latency,
-                shards_skipped: c.shards_skipped,
-                epoch: c.epoch,
-            }),
+            Ok(c) => c.into_reply(),
             Err(mpsc::RecvError) => Err(RecvError::ShutDown),
         }
     }
@@ -427,8 +433,14 @@ impl Ticket {
 
     /// Non-blocking poll: `None` while the request is still in flight.
     pub fn try_recv(&self) -> Option<Result<Response, RecvError>> {
+        self.try_recv_reply().map(|r| r.map(|r| r.response))
+    }
+
+    /// Non-blocking [`Ticket::recv_reply`]: `None` while the request is
+    /// still in flight; the ticket stays redeemable afterwards.
+    pub fn try_recv_reply(&self) -> Option<Result<Reply, RecvError>> {
         match self.rx.try_recv() {
-            Ok(c) => Some(c.result),
+            Ok(c) => Some(c.into_reply()),
             Err(mpsc::TryRecvError::Empty) => None,
             Err(mpsc::TryRecvError::Disconnected) => Some(Err(RecvError::ShutDown)),
         }

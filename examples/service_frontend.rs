@@ -14,7 +14,7 @@
 //! The final stanza serves the same workload over TCP: a `NetServer`
 //! wraps the service on a loopback socket and the producers become real
 //! `NetClient` connections — one tenant per producer — pipelining frames
-//! through the deficit-round-robin admission pump. The per-tenant lines
+//! through deficit-round-robin admission. The per-tenant lines
 //! of the closing stats show each connection's admitted/shed/completed
 //! split and latency quantiles.
 //!

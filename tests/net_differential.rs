@@ -199,6 +199,7 @@ fn diff_single_connection(
         conn.enqueue(i as u64 + 1, req);
     }
     conn.flush();
+    let mut last = 0;
     for _ in 0..requests.len() {
         let raw = conn.recv_raw();
         let corr = frame_corr(&raw) as usize;
@@ -207,6 +208,9 @@ fn diff_single_connection(
             oracle[corr - 1],
             "{label}: reply for corr {corr} differs from the in-process oracle"
         );
+        // One connection's replies leave in admission order.
+        assert!(corr > last, "{label}: corr {corr} arrived after {last}");
+        last = corr;
     }
     drop(conn);
     let stats = server.shutdown();

@@ -9,7 +9,10 @@
 //! requests — ~5% of demand at 10% weight — is admitted, completes
 //! correctly, and is never shed. A starvation regression either hangs
 //! this test (trickle call never returns) or trips the shed/latency
-//! assertions.
+//! assertions. The hot connections never read: should their socket
+//! buffers fill, their writers block and stop redeeming, the hot
+//! tenant's in-flight cap bounds what it holds server-side, and the
+//! trickle tenant's own reader and writer keep admitting its requests.
 
 use simspatial::prelude::*;
 use simspatial_service::{QueryRun, QueryRunReport, QueryRunResults, ServiceBackend};
@@ -75,8 +78,8 @@ fn hot_tenant_cannot_starve_trickle_tenant() {
         nap: Duration::from_millis(1),
     };
     // Small intake queue + no coalescing: each request costs a full nap,
-    // so backlog forms in the per-tenant staging queues where the DRR
-    // pump and the in-flight caps arbitrate.
+    // so backlog forms in the per-tenant staging queues where DRR
+    // admission and the in-flight caps arbitrate.
     let service = SpatialService::spawn(
         backend,
         ServiceConfig::default().no_coalesce().with_queue_cap(8),

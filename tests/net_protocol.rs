@@ -11,6 +11,10 @@ use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 fn tiny_service() -> SpatialService {
+    tiny_service_with(ServiceConfig::default())
+}
+
+fn tiny_service_with(cfg: ServiceConfig) -> SpatialService {
     let data: Vec<Element> = (0..200)
         .map(|i| {
             let x = (i % 50) as f32;
@@ -21,7 +25,7 @@ fn tiny_service() -> SpatialService {
         })
         .collect();
     let backend = EngineBackend::build(data, |d| UniformGrid::build(d, GridConfig::auto(d)));
-    SpatialService::spawn(backend, ServiceConfig::default())
+    SpatialService::spawn(backend, cfg)
 }
 
 fn writable_service() -> SpatialService {
@@ -319,7 +323,7 @@ fn mid_request_connection_drop_leaks_nothing() {
     drop(client);
 
     // Shutdown drains everything the ghosts staged: if a ticket leaked,
-    // the collector (and therefore this join) would hang.
+    // its connection's writer (and therefore this join) would hang.
     let stats = server.shutdown();
     let ghost = stats
         .tenants
@@ -337,4 +341,126 @@ fn mid_request_connection_drop_leaks_nothing() {
         stats.submitted,
         "service-side: nothing in flight after drain"
     );
+}
+
+/// The `RangeCount` of one box through `service`'s in-process path.
+fn in_process_count(service: &SpatialService, query: Aabb) -> u64 {
+    let response = service.handle().submit(Request::RangeCount(vec![query]));
+    response
+        .unwrap()
+        .recv()
+        .unwrap()
+        .into_range_counts()
+        .unwrap()[0]
+}
+
+/// A lone request costing `max_items` (128 DRR quanta) is admitted by
+/// the request that stages it: nothing retries admission on a timer, so
+/// a rule that credits one quantum round per call hangs this test.
+#[test]
+fn lone_large_request_is_admitted_promptly() {
+    let service = tiny_service();
+    let everything = Aabb::new(Point3::new(0.0, 0.0, 0.0), Point3::new(60.0, 60.0, 60.0));
+    let want = in_process_count(&service, everything);
+    let cfg = NetConfig::default();
+    let max_items = cfg.max_items;
+    let server = NetServer::bind(service, "127.0.0.1:0", cfg).unwrap();
+    let mut client = NetClient::connect(server.local_addr(), "bulk").unwrap();
+    match client
+        .call(&Request::RangeCount(vec![everything; max_items]))
+        .unwrap()
+    {
+        CallOutcome::Reply { response, .. } => {
+            assert_eq!(response.into_range_counts().unwrap(), vec![want; max_items]);
+        }
+        other => panic!("large request not served: {other:?}"),
+    }
+    drop(client);
+    server.shutdown();
+}
+
+/// An intake queue of one rejects admissions as `Full` under three
+/// pipelined connections; each rejected request goes back to its
+/// tenant's head and a later completion admits it. Nothing is lost,
+/// reordered or double-counted.
+#[test]
+fn full_intake_queue_retries_on_completion() {
+    const CALLS: u64 = 40;
+    let service = tiny_service_with(ServiceConfig::default().no_coalesce().with_queue_cap(1));
+    let queries: Vec<Aabb> = (0..CALLS)
+        .map(|i| {
+            let x = (i % 45) as f32;
+            Aabb::new(Point3::new(x, 0.0, 0.0), Point3::new(x + 5.0, 30.0, 2.0))
+        })
+        .collect();
+    let want: Vec<u64> = queries
+        .iter()
+        .map(|&q| in_process_count(&service, q))
+        .collect();
+    let server = NetServer::bind(service, "127.0.0.1:0", NetConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    std::thread::scope(|scope| {
+        for c in 0..3 {
+            let (queries, want) = (&queries, &want);
+            scope.spawn(move || {
+                let mut conn = NetClient::connect(addr, &format!("full-{c}")).unwrap();
+                let corrs: Vec<u64> = queries
+                    .iter()
+                    .map(|&q| conn.enqueue(&Request::RangeCount(vec![q])).unwrap())
+                    .collect();
+                conn.flush().unwrap();
+                for (k, &expect) in corrs.iter().enumerate() {
+                    match conn.recv_msg().unwrap() {
+                        ServerMsg::Reply { corr, response, .. } => {
+                            assert_eq!(corr, expect, "conn {c}: reply out of corr order");
+                            let counts = response.into_range_counts().unwrap();
+                            assert_eq!(counts, vec![want[k]], "conn {c}: corr {corr}");
+                        }
+                        other => panic!("conn {c}: request {k} not served: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = server.shutdown();
+    assert!(stats.rejected > 0, "the intake queue never filled");
+    assert_eq!(stats.tenants.len(), 3);
+    for t in &stats.tenants {
+        assert_eq!(t.admitted, CALLS, "tenant {}", t.name);
+        assert_eq!(t.completed, CALLS, "tenant {}", t.name);
+    }
+}
+
+/// A client that has read its replies finds them counted: the wire
+/// `Stats` snapshot taken right after `CALLS` synchronous calls reports
+/// exactly `CALLS` admitted and completed for the tenant.
+#[test]
+fn stats_over_the_wire_counts_completed_calls() {
+    const CALLS: u64 = 12;
+    let server = NetServer::bind(tiny_service(), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr(), "counted").unwrap();
+    let query = Aabb::new(Point3::new(0.0, 0.0, 0.0), Point3::new(10.0, 10.0, 10.0));
+    for _ in 0..CALLS {
+        assert!(matches!(
+            client.call(&Request::RangeCount(vec![query])),
+            Ok(CallOutcome::Reply { .. })
+        ));
+    }
+    let json = client.request_stats().unwrap();
+    let tenant = format!(
+        "{{\"name\":\"counted\",\"weight\":1,\"admitted\":{CALLS},\"shed\":0,\"completed\":{CALLS},"
+    );
+    assert!(json.contains(&tenant), "tenant counters missing: {json}");
+    let (_, tail) = json
+        .rsplit_once("\"element_tests\":")
+        .expect("element_tests present");
+    assert!(
+        tail.strip_suffix('}')
+            .is_some_and(|n| n.parse::<u64>().is_ok()),
+        "stats JSON must end with element_tests: {json}"
+    );
+    drop(client);
+    server.shutdown();
 }
