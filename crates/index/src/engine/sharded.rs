@@ -36,14 +36,15 @@
 //! **The write path** mirrors the query path lane for lane: a coalesced
 //! `(id, new geometry)` batch routes through
 //! [`ShardPlanner::route_updates`] into per-shard [`UpdateLane`]s (the
-//! planner tracks every element's current envelope, so each write touches
-//! only the shards of the old and new envelope), executors apply their
-//! lane ([`UpdateLane::run`]: upserts and cross-shard **migrations** that
-//! keep replicas and id maps consistent — **in place** when an apply
-//! function is attached ([`ShardedEngine::with_apply`]) and the index can
-//! splice a membership change ([`SpatialIndex::splice`]), so a tick pays
-//! per mover, not per element; otherwise followed by an index rebuild via
-//! the function attached with [`ShardedEngine::with_rebuild`]), and the
+//! planner is the authoritative copy of the dataset, so each write touches
+//! only the shards of the old and new envelope and every lane agrees with
+//! its shard), executors apply their lane ([`UpdateLane::run`]: cross-shard
+//! **migrations** are spliced into the element clone and id map at their
+//! sorted positions, then the index absorbs the lane **in place** when an
+//! apply function is attached ([`ShardedEngine::with_apply`]) and the index
+//! can splice the membership change ([`SpatialIndex::splice`]), so a tick
+//! pays per mover, not per element — otherwise it is rebuilt by the
+//! function attached with [`ShardedEngine::with_rebuild`]), and the
 //! [`UpdateLaneReport`]s carry post-migration shard sizes and memory back
 //! for accounting. [`ShardedEngine::update_batch`] composes the round trip
 //! inline; the service layer ships the same lanes to its per-shard
@@ -495,6 +496,14 @@ impl<I: Clone> ShardExecutor<I> {
 /// rebuilds, which also re-fits the index to where the elements now are.
 const SPLICE_MAX_FRACTION: usize = 4;
 
+/// The invariant every write lane rests on. The planner that routed it is
+/// the authoritative copy of the dataset and advances in lockstep with the
+/// executors, so a lane cannot disagree with its shard; one that does means
+/// the executor is corrupt, and panicking hands it to supervision (the
+/// service restarts the shard from the planner store).
+const LANE_AGREES: &str = "update lane disagrees with its shard: every update and removal id \
+     must be resident, no insert id may be, and no id may repeat";
+
 /// After an in-place membership change the element clone and the id map
 /// give back spare capacity only beyond this fraction of their length: the
 /// slack a build's push-doubling leaves is dropped at the first change, but
@@ -510,14 +519,12 @@ fn trim_slack<T>(v: &mut Vec<T>) {
     }
 }
 
-/// Per-lane working set of the in-place write path, kept across runs so a
-/// lane allocates once: the local-id translation of its updates and, for a
-/// lane that changes membership, the arguments of
-/// [`SpatialIndex::splice`].
+/// Per-lane working set of the write path, kept across runs so a lane
+/// allocates once: the local-id translation of its updates and, for a lane
+/// that changes membership, the arguments of [`SpatialIndex::splice`].
 #[derive(Default)]
 struct LaneScratch {
-    /// `updates` translated to the executor's local ids by the last
-    /// in-place run.
+    /// `updates` translated to the executor's local ids by the last run.
     local: Vec<(ElementId, Shape)>,
     /// Old local id → new local id; a departing id maps to the id its
     /// successor takes, so the map is monotone over every old id.
@@ -585,34 +592,37 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         self.index.memory_bytes() + self.base_memory_bytes()
     }
 
-    /// Applies one routed write sub-batch.
+    /// Applies one routed write sub-batch — one membership path for both
+    /// write modes, which then differ only in how the index absorbs it.
     ///
-    /// **In place** ([`ShardExecutor::apply_in_place`]): when an in-shard
-    /// apply function is attached ([`ShardExecutor::is_incremental`]) and
-    /// the lane agrees with this shard's membership — every update and
-    /// removal id resident, no insert id resident — geometry updates go to
-    /// the apply function under local dense ids and membership changes are
-    /// spliced into the element clone, the id map and the index
-    /// ([`SpatialIndex::splice`]). K movers cost O(K) plus, when membership
-    /// changed, one renumbering pass; nothing is rebuilt.
+    /// The updates are translated to local ids, the membership change is
+    /// resolved into the arguments of [`SpatialIndex::splice`]
+    /// ([`ShardExecutor::plan_splice`]) and arrivals and departures are
+    /// shifted into the element clone and the id map at their sorted
+    /// positions, so the shard's two invariants (dense local ids, sorted by
+    /// global id) hold after every lane. Then:
     ///
-    /// **Rebuild fallback** (also the only mode when no apply function is
-    /// attached): upserts (`updates` ∪ `inserts`), then removals, then
-    /// restores the sorted-by-global-id element order and rebuilds the
-    /// shard index with the attached rebuild function. Taken when the lane
-    /// disagrees with the shard (a stale planner), when the membership
-    /// change exceeds a quarter of the shard, and when the index declines
-    /// to splice.
+    /// * **In place** — when an apply function is attached
+    ///   ([`ShardExecutor::is_incremental`]), the membership change is at
+    ///   most a quarter of the shard and the index accepted it (asked before
+    ///   anything is shifted): the apply function moves the resident updates
+    ///   under their post-splice local ids. K movers cost O(K) plus, when
+    ///   membership changed, one renumbering pass.
+    /// * **Rebuild** — otherwise: the new geometry is written into the clone
+    ///   and the attached rebuild function rebuilds the index over it, which
+    ///   also re-fits the index to where the elements now are.
     ///
-    /// Upsert semantics make the fallback robust to a planner whose
-    /// envelope view is stale: an "update" for an id the shard does not
-    /// hold inserts it, an "insert" for an id already present overwrites
-    /// its geometry, and removals of absent ids are no-ops.
+    /// Every step is a pure function of the executor's state and the lane,
+    /// which is what lets the service replay the lane on a snapshot copy.
+    /// The update translation lands in `scratch.local` and is reused when it
+    /// already maps these very updates onto this executor's ids — re-running
+    /// a resident lane on a structural copy of the executor it first ran on
+    /// neither repeats the binary searches nor allocates.
     ///
     /// Returns the lane report with the executor-level counters filled
     /// ([`UpdateLane::run`] adds the post-apply gauges). Panics when no
     /// rebuild function is attached ([`ShardExecutor::is_updatable`] is
-    /// false).
+    /// false), and when the lane disagrees with the shard ([`LANE_AGREES`]).
     fn apply_updates(
         &mut self,
         updates: &[(ElementId, Shape)],
@@ -625,105 +635,6 @@ impl<I: SpatialIndex> ShardExecutor<I> {
                 .as_ref()
                 .expect("write batch on a read-only shard — build the engine with_rebuild"),
         );
-        if let Some(apply) = self.apply.clone() {
-            if let Some(report) = self.apply_in_place(&apply, updates, inserts, removals, scratch) {
-                return report;
-            }
-        }
-        // Phase 1: upserts. Binary searches stay valid because misses are
-        // parked in `pending` instead of being appended mid-loop. The
-        // accounting follows what actually happened, not which list the
-        // entry arrived in (a stale-envelope planner may route an "update"
-        // for an element the shard does not hold yet): in-place geometry
-        // overwrites count as applied, additions as inserted.
-        let mut pending: Vec<(ElementId, Shape)> = Vec::new();
-        let mut applied = 0u64;
-        let mut inserted = 0u64;
-        for &(gid, shape) in updates.iter().chain(inserts) {
-            match self.global.binary_search(&gid) {
-                Ok(li) => {
-                    self.data[li].shape = shape;
-                    applied += 1;
-                }
-                Err(_) => {
-                    pending.push((gid, shape));
-                    inserted += 1;
-                }
-            }
-        }
-        // Phase 2: removals, as a liveness mask over current local ids.
-        let mut dead = vec![false; self.data.len()];
-        let mut removed = 0u64;
-        for gid in removals {
-            if let Ok(li) = self.global.binary_search(gid) {
-                if !dead[li] {
-                    dead[li] = true;
-                    removed += 1;
-                }
-            }
-        }
-        // Phase 3: re-establish the sorted-by-global-id order with dense
-        // local ids, shrink the clone/id map to the post-migration size,
-        // and rebuild the index over the new local slice.
-        let survivors = self.data.len() - removed as usize + pending.len();
-        let mut pairs: Vec<(ElementId, Shape)> = Vec::with_capacity(survivors);
-        for (li, e) in self.data.iter().enumerate() {
-            if !dead[li] {
-                pairs.push((self.global[li], e.shape));
-            }
-        }
-        pairs.extend_from_slice(&pending);
-        pairs.sort_unstable_by_key(|&(g, _)| g);
-        self.data.clear();
-        self.global.clear();
-        for (li, &(gid, shape)) in pairs.iter().enumerate() {
-            self.data.push(Element::new(li as ElementId, shape));
-            self.global.push(gid);
-        }
-        self.data.shrink_to_fit();
-        self.global.shrink_to_fit();
-        self.index = rebuild(&self.data);
-        UpdateLaneReport {
-            applied,
-            migrated_in: inserted,
-            migrated_out: removed,
-            // A rebuild touches every surviving element's index entry —
-            // that is exactly the write amplification the incremental
-            // path exists to avoid, so charge it as structural work.
-            structural: self.data.len() as u64,
-            rebuilds: 1,
-            ..UpdateLaneReport::default()
-        }
-    }
-
-    /// The in-place write path; `None` — with the executor untouched —
-    /// when the lane has to take the rebuild fallback instead.
-    ///
-    /// Membership first, geometry second: arrivals and departures are
-    /// spliced into the index, the element clone and the id map at their
-    /// sorted positions, so the shard's two invariants (dense local ids,
-    /// sorted by global id) hold exactly as after a rebuild; then the
-    /// apply function moves the resident updates under the new local ids.
-    /// The index is asked before anything else is written, so one that
-    /// declines costs the lane nothing. Every step is a pure function of
-    /// the executor's state and the lane, which is what lets the service
-    /// replay the lane on a snapshot copy.
-    ///
-    /// The update translation lands in `scratch.local` and is reused when
-    /// it already maps these very updates onto this executor's ids —
-    /// re-running a resident lane on a structural copy of the executor it
-    /// first ran on neither repeats the binary searches nor allocates.
-    fn apply_in_place(
-        &mut self,
-        apply: &ShardApply<I>,
-        updates: &[(ElementId, Shape)],
-        inserts: &[(ElementId, Shape)],
-        removals: &[ElementId],
-        scratch: &mut LaneScratch,
-    ) -> Option<UpdateLaneReport> {
-        // Any miss means the planner's envelope view and this shard's
-        // membership disagree (stale planner): the upsert-capable rebuild
-        // path sorts that out.
         let local = &mut scratch.local;
         let translated = local.len() == updates.len()
             && updates
@@ -733,22 +644,19 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         if !translated {
             local.clear();
             for &(gid, shape) in updates {
-                let li = self.global.binary_search(&gid).ok()?;
+                let li = self.global.binary_search(&gid).expect(LANE_AGREES);
                 local.push((li as ElementId, shape));
             }
         }
         let changed = inserts.len() + removals.len();
+        let mut in_place = self.apply.is_some();
         if changed > 0 {
-            if changed * SPLICE_MAX_FRACTION > self.data.len() {
-                return None;
-            }
-            self.plan_splice(inserts, removals, scratch)?;
-            if !self
-                .index
-                .splice(&scratch.removed, &scratch.remap, &scratch.inserted)
-            {
-                return None;
-            }
+            self.plan_splice(inserts, removals, scratch);
+            in_place = in_place
+                && changed * SPLICE_MAX_FRACTION <= self.data.len()
+                && self
+                    .index
+                    .splice(&scratch.removed, &scratch.remap, &scratch.inserted);
             let (removed, inserted) = (&scratch.removed, &scratch.inserted);
             let first = removed
                 .first()
@@ -764,36 +672,58 @@ impl<I: SpatialIndex> ShardExecutor<I> {
             for (li, e) in self.data.iter_mut().enumerate().skip(first) {
                 e.id = li as ElementId;
             }
-            trim_slack(&mut self.data);
-            trim_slack(&mut self.global);
+            if in_place {
+                trim_slack(&mut self.data);
+                trim_slack(&mut self.global);
+            }
             for entry in scratch.local.iter_mut() {
                 entry.0 = scratch.remap[entry.0 as usize];
             }
         }
-        let cost = apply(&mut self.index, &mut self.data, &scratch.local);
-        Some(UpdateLaneReport {
-            applied: updates.len() as u64,
+        let report = UpdateLaneReport {
             migrated_in: inserts.len() as u64,
             migrated_out: removals.len() as u64,
-            structural: cost.structural + changed as u64,
-            absorbed: cost.absorbed,
-            rebuilds: cost.rebuilds,
-            rebuilds_avoided: 1,
             ..UpdateLaneReport::default()
-        })
+        };
+        match &self.apply {
+            Some(apply) if in_place => {
+                let cost = apply(&mut self.index, &mut self.data, &scratch.local);
+                UpdateLaneReport {
+                    structural: cost.structural + changed as u64,
+                    absorbed: cost.absorbed,
+                    rebuilds: cost.rebuilds,
+                    rebuilds_avoided: 1,
+                    ..report
+                }
+            }
+            _ => {
+                for &(li, shape) in &scratch.local {
+                    self.data[li as usize].shape = shape;
+                }
+                self.data.shrink_to_fit();
+                self.global.shrink_to_fit();
+                self.index = rebuild(&self.data);
+                UpdateLaneReport {
+                    // A rebuild touches every element's index entry — the
+                    // write amplification the in-place path exists to avoid.
+                    structural: self.data.len() as u64,
+                    rebuilds: 1,
+                    ..report
+                }
+            }
+        }
     }
 
     /// Resolves a lane's membership change against this shard into the
     /// arguments of [`SpatialIndex::splice`] (`scratch.removed`, `.remap`,
-    /// `.inserted`, `.inserted_global`). `None` when the lane disagrees
-    /// with the shard: a removal that is not resident, an insert that is,
-    /// or a repeated id.
+    /// `.inserted`, `.inserted_global`). Panics when the lane disagrees
+    /// with the shard ([`LANE_AGREES`]).
     fn plan_splice(
         &self,
         inserts: &[(ElementId, Shape)],
         removals: &[ElementId],
         scratch: &mut LaneScratch,
-    ) -> Option<()> {
+    ) {
         let LaneScratch {
             remap,
             removed,
@@ -803,7 +733,7 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         } = scratch;
         removed.clear();
         for gid in removals {
-            let li = self.global.binary_search(gid).ok()?;
+            let li = self.global.binary_search(gid).expect(LANE_AGREES);
             removed.push(self.data[li].clone());
         }
         removed.sort_unstable_by_key(|e| e.id);
@@ -811,16 +741,12 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         // local ones.
         inserted.clear();
         for &(gid, shape) in inserts {
-            if self.global.binary_search(&gid).is_ok() {
-                return None;
-            }
+            assert!(self.global.binary_search(&gid).is_err(), "{LANE_AGREES}");
             inserted.push(Element::new(gid, shape));
         }
         inserted.sort_unstable_by_key(|e| e.id);
-        let repeated = |list: &[Element]| list.windows(2).any(|w| w[0].id == w[1].id);
-        if repeated(removed) || repeated(inserted) {
-            return None;
-        }
+        let distinct = |list: &[Element]| list.windows(2).all(|w| w[0].id < w[1].id);
+        assert!(distinct(removed) && distinct(inserted), "{LANE_AGREES}");
         // One merge over the old id map: survivors and arrivals take
         // consecutive new ids in global-id order.
         remap.clear();
@@ -843,7 +769,6 @@ impl<I: SpatialIndex> ShardExecutor<I> {
             inserted_global.push(std::mem::replace(&mut e.id, next));
             next += 1;
         }
-        Some(())
     }
 
     /// Runs a routed sub-batch of range queries through the shard's engine,
@@ -930,15 +855,11 @@ impl RangeLane {
         &self.stats
     }
 
-    /// Empties the lane (allocations kept): an emptied lane is skipped by
-    /// the scatter and contributes nothing to the merge — how an
-    /// orchestrator drops a routed sub-batch aimed at a dead shard.
+    /// Empties the lane (allocations kept): the planner clears every lane
+    /// before routing into it, and an emptied lane is skipped by the
+    /// scatter and contributes nothing to the merge — how an orchestrator
+    /// drops a routed sub-batch aimed at a dead shard.
     pub fn clear(&mut self) {
-        self.reset();
-    }
-
-    /// Clears the lane for re-routing, keeping allocations.
-    fn reset(&mut self) {
         self.routed.clear();
         self.queries.clear();
         self.results.reset();
@@ -1062,8 +983,6 @@ impl KnnLane {
 /// round trip.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateLaneReport {
-    /// Geometry upserts applied to elements already resident in the shard.
-    pub applied: u64,
     /// Elements migrated *into* the shard by this batch.
     pub migrated_in: u64,
     /// Elements migrated *out of* the shard by this batch.
@@ -1125,7 +1044,7 @@ pub struct UpdateLane {
     inserts: Vec<(ElementId, Shape)>,
     /// Global ids leaving this shard.
     removals: Vec<ElementId>,
-    /// Working set of the last in-place [`UpdateLane::run`].
+    /// Working set of the last [`UpdateLane::run`].
     scratch: LaneScratch,
     /// Accounting of the last [`UpdateLane::run`].
     report: UpdateLaneReport,
@@ -1154,15 +1073,11 @@ impl UpdateLane {
         &self.report
     }
 
-    /// Empties the lane (allocations kept) — how an orchestrator drops a
-    /// routed write sub-batch aimed at a dead shard (the planner's element
+    /// Empties the lane (allocations kept): the planner clears every lane
+    /// before routing into it, and an orchestrator drops a routed write
+    /// sub-batch aimed at a dead shard this way (the planner's element
     /// store already advanced; there is no executor left to apply to).
     pub fn clear(&mut self) {
-        self.reset();
-    }
-
-    /// Clears the lane for re-routing, keeping allocations.
-    fn reset(&mut self) {
         self.updates.clear();
         self.inserts.clear();
         self.removals.clear();
@@ -1170,12 +1085,12 @@ impl UpdateLane {
         self.report = UpdateLaneReport::default();
     }
 
-    /// Applies the lane's write sub-batch to `exec` — in place where the
-    /// executor can (geometry through its apply function, membership
-    /// spliced), by upsert, re-sort and index rebuild otherwise — and
-    /// records the post-apply report. The report reads the index's memory
-    /// gauge, so the call ends in O(1) for an index that keeps a running
-    /// count ([`crate::UniformGrid`]).
+    /// Applies the lane's write sub-batch to `exec` — membership spliced
+    /// into the shard's element clone and id map, then geometry applied in
+    /// place through the executor's apply function where it can, by index
+    /// rebuild otherwise — and records the post-apply report. The report
+    /// reads the index's memory gauge, so the call ends in O(1) for an
+    /// index that keeps a running count ([`crate::UniformGrid`]).
     ///
     /// Panics when `exec` has no rebuild function attached
     /// ([`ShardedEngine::with_rebuild`]).
@@ -1192,7 +1107,7 @@ impl UpdateLane {
         self.report = report;
     }
 
-    /// Heap bytes held by the lane's buffers, the in-place path's scratch
+    /// Heap bytes held by the lane's buffers, the write path's scratch
     /// (id translation, splice arguments) included.
     pub fn memory_bytes(&self) -> usize {
         (self.updates.capacity() + self.inserts.capacity())
@@ -1202,12 +1117,11 @@ impl UpdateLane {
     }
 }
 
-/// Grows or shrinks `lanes` to exactly `n` entries.
-fn size_lanes<L: Default>(lanes: &mut Vec<L>, n: usize) {
-    lanes.truncate(n);
-    while lanes.len() < n {
-        lanes.push(L::default());
-    }
+/// Grows or shrinks `lanes` to exactly `n` entries, each emptied by `clear`
+/// (allocations kept).
+fn size_lanes<L: Default>(lanes: &mut Vec<L>, n: usize, clear: impl FnMut(&mut L)) {
+    lanes.resize_with(n, L::default);
+    lanes.iter_mut().for_each(clear);
 }
 
 /// The routing + merging half of sharded execution: fans query batches out
@@ -1229,24 +1143,30 @@ pub struct ShardPlanner {
     fan_regions: Vec<Aabb>,
     /// Upper bound on global ids (sizes the merge-time dedupe table).
     id_bound: usize,
-    /// Global id → current envelope (`id_bound` entries), maintained by
-    /// the three `route_*` write methods. Routes each update's *old* shard
-    /// set without consulting the executors; the empty box is the
-    /// tombstone of a removed (or never-existing) id.
+    /// Global id → an envelope that routes like the live element's current
+    /// one (`id_bound` entries), maintained by the three `route_*` write
+    /// methods. Routes each update's *old* shard set without consulting the
+    /// executors; meaningless for a dead id.
     envelopes: Vec<Aabb>,
-    /// Global id → current exact geometry, advanced in lockstep with
-    /// `envelopes`. Together the two are the planner's **element store**,
-    /// the authoritative copy of the dataset: with the router it is enough
-    /// to reconstruct any shard's exact element clone
-    /// ([`ShardPlanner::shard_elements`]), which is what lets a
-    /// supervisor rebuild a crashed shard executor without reaching the
-    /// (lost) executor state.
-    shapes: Vec<Shape>,
+    /// Global id → current exact geometry, `None` for a removed (or
+    /// never-existing) id — the **tombstone** lives here, apart from the
+    /// geometry, so an element whose geometry is the empty box is as live
+    /// as any other. Together with `envelopes` this is the planner's
+    /// **element store**, the authoritative copy of the dataset: with the
+    /// router it is enough to reconstruct any shard's exact element clone
+    /// ([`ShardPlanner::shard_elements`]), which is what lets a supervisor
+    /// rebuild a crashed shard executor without reaching the (lost)
+    /// executor state.
+    shapes: Vec<Option<Shape>>,
     /// Merge-phase scratch: the visited table dedupes replicated hits;
     /// `knn_queue` stages kNN merge candidates; `dists` holds the per-probe
     /// phase-2 pruning bounds.
     scratch: QueryScratch,
 }
+
+// The tombstone costs no space: `None` takes a spare tag value of `Shape`,
+// so the element store is exactly as large as a plain shape table.
+const _: () = assert!(std::mem::size_of::<Option<Shape>>() == std::mem::size_of::<Shape>());
 
 impl ShardPlanner {
     /// A planner over `router` holding the per-element state — envelopes
@@ -1259,10 +1179,10 @@ impl ShardPlanner {
     pub fn with_elements(router: ShardRouter, data: &[Element]) -> Self {
         let id_bound = data.iter().map(|e| e.id as usize + 1).max().unwrap_or(0);
         let mut envelopes = vec![Aabb::empty(); id_bound];
-        let mut shapes = vec![Shape::Box(Aabb::empty()); id_bound];
+        let mut shapes = vec![None; id_bound];
         for e in data {
             envelopes[e.id as usize] = e.aabb();
-            shapes[e.id as usize] = e.shape;
+            shapes[e.id as usize] = Some(e.shape);
         }
         let shards = router.shards();
         let axis = router.axis();
@@ -1302,13 +1222,8 @@ impl ShardPlanner {
     /// updated) [`ShardExecutor`] for that shard holds, replicas included.
     pub fn shard_elements(&self, shard: usize) -> Vec<(ElementId, Shape)> {
         let mut out = Vec::new();
-        for (id, (env, &shape)) in self.envelopes.iter().zip(&self.shapes).enumerate() {
-            // An empty envelope marks an id that never existed or was
-            // removed; routing it would conservatively fan to every shard.
-            if env.is_empty() {
-                continue;
-            }
-            if self.router.route(env).contains(&shard) {
+        for (id, (env, shape)) in self.envelopes.iter().zip(&self.shapes).enumerate() {
+            if let Some(shape) = shape.filter(|_| self.router.route(env).contains(&shard)) {
                 out.push((id as ElementId, shape));
             }
         }
@@ -1331,7 +1246,7 @@ impl ShardPlanner {
         self.router.memory_bytes()
             + self.scratch.memory_bytes()
             + self.envelopes.capacity() * std::mem::size_of::<Aabb>()
-            + self.shapes.capacity() * std::mem::size_of::<Shape>()
+            + self.shapes.capacity() * std::mem::size_of::<Option<Shape>>()
             + self.fan_regions.capacity() * std::mem::size_of::<Aabb>()
     }
 
@@ -1339,10 +1254,7 @@ impl ShardPlanner {
     /// region its box overlaps. `lanes` is resized to the shard count and
     /// fully reset (allocations kept).
     pub fn route_range(&self, queries: &[Aabb], lanes: &mut Vec<RangeLane>) {
-        size_lanes(lanes, self.shard_count());
-        for lane in lanes.iter_mut() {
-            lane.reset();
-        }
+        size_lanes(lanes, self.shard_count(), RangeLane::clear);
         for (qi, q) in queries.iter().enumerate() {
             for s in self.router.route(q) {
                 lanes[s].routed.push(qi as u32);
@@ -1410,10 +1322,7 @@ impl ShardPlanner {
         updates: &[(ElementId, Shape)],
         lanes: &mut Vec<UpdateLane>,
     ) -> UpdateStats {
-        size_lanes(lanes, self.shard_count());
-        for lane in lanes.iter_mut() {
-            lane.reset();
-        }
+        size_lanes(lanes, self.shard_count(), UpdateLane::clear);
         let mut stats = UpdateStats::default();
         // Last-write-wins: iterate in reverse, first sighting of an id wins.
         self.scratch.visited.begin(self.id_bound.max(1));
@@ -1422,29 +1331,24 @@ impl ShardPlanner {
                 stats.skipped += 1;
                 continue;
             }
-            // An empty envelope marks an id that never existed or was
-            // removed ([`ShardPlanner::route_removals`] tombstones) —
-            // updates to dead ids are skipped, not resurrected.
-            let env = &mut self.envelopes[id as usize];
-            if env.is_empty() {
+            // Updates to ids that never existed or were removed
+            // ([`ShardPlanner::route_removals`]) are skipped, not
+            // resurrected.
+            let Some(current) = &mut self.shapes[id as usize] else {
                 stats.skipped += 1;
                 continue;
-            }
+            };
+            *current = shape;
+            let env = &mut self.envelopes[id as usize];
             let new_bb = shape.aabb();
-            self.shapes[id as usize] = shape;
             let new_route = self.router.route(&new_bb);
             let old_route = self.router.route(env);
             // Resident fast path: when the new envelope routes to the same
-            // shard set and is not a tombstone, the stale entry routes
-            // identically everywhere the table is consulted (routing and
-            // emptiness are its only readers), so the write-back is
-            // skipped. Empty boxes always write back — the tombstone check
-            // above depends on them.
-            if old_route != new_route || new_bb.is_empty() {
+            // shard set, the stale entry routes identically (routing is the
+            // table's only reader), so the write-back is skipped.
+            if old_route != new_route {
                 *env = new_bb;
                 stats.envelope_writebacks += 1;
-            }
-            if old_route != new_route {
                 stats.migrations += 1;
             }
             let span = old_route.start.min(new_route.start)..old_route.end.max(new_route.end);
@@ -1462,10 +1366,11 @@ impl ShardPlanner {
     }
 
     /// Allocates fresh global ids for `shapes` and routes each new element
-    /// into the lanes of every shard its envelope overlaps — planner-side
-    /// id allocation, the half of insert the executor upsert path cannot
-    /// do on its own. Returns the allocated ids (ascending, contiguous
-    /// from the previous id bound) and the plan-level accounting.
+    /// into the lanes of every shard its envelope overlaps — ids are
+    /// allocated here, by the authoritative copy of the dataset, and the
+    /// executors splice the arrivals in under them. Returns the allocated
+    /// ids (ascending, contiguous from the previous id bound) and the
+    /// plan-level accounting.
     ///
     /// The id bound and the element store grow in lockstep, so shard
     /// restarts ([`ShardPlanner::shard_elements`]) and the merge-time
@@ -1476,10 +1381,7 @@ impl ShardPlanner {
         shapes: &[Shape],
         lanes: &mut Vec<UpdateLane>,
     ) -> (Vec<ElementId>, UpdateStats) {
-        size_lanes(lanes, self.shard_count());
-        for lane in lanes.iter_mut() {
-            lane.reset();
-        }
+        size_lanes(lanes, self.shard_count(), UpdateLane::clear);
         let mut stats = UpdateStats::default();
         let mut ids = Vec::with_capacity(shapes.len());
         for &shape in shapes {
@@ -1487,7 +1389,7 @@ impl ShardPlanner {
             self.id_bound += 1;
             let bb = shape.aabb();
             self.envelopes.push(bb);
-            self.shapes.push(shape);
+            self.shapes.push(Some(shape));
             for lane in &mut lanes[self.router.route(&bb)] {
                 lane.inserts.push((id, shape));
             }
@@ -1498,38 +1400,31 @@ impl ShardPlanner {
     }
 
     /// Routes a removal batch: each live id is removed from every shard
-    /// its current envelope overlaps, and its envelope-table entry becomes
-    /// the empty-box **tombstone** — [`ShardPlanner::shard_elements`]
-    /// skips it (restarted shards exclude it) and
-    /// [`ShardPlanner::route_updates`] refuses to resurrect it. Unknown,
-    /// duplicate and already-removed ids count as `skipped`. `lanes` is
-    /// resized to the shard count and fully reset (allocations kept).
+    /// its current envelope overlaps, and its element-store entry becomes
+    /// dead — the **tombstone**: [`ShardPlanner::shard_elements`] skips it
+    /// (restarted shards exclude it) and [`ShardPlanner::route_updates`]
+    /// refuses to resurrect it. Unknown, duplicate and already-removed ids
+    /// count as `skipped`. `lanes` is resized to the shard count and fully
+    /// reset (allocations kept).
     pub fn route_removals(
         &mut self,
         ids: &[ElementId],
         lanes: &mut Vec<UpdateLane>,
     ) -> UpdateStats {
-        size_lanes(lanes, self.shard_count());
-        for lane in lanes.iter_mut() {
-            lane.reset();
-        }
+        size_lanes(lanes, self.shard_count(), UpdateLane::clear);
         let mut stats = UpdateStats::default();
         self.scratch.visited.begin(self.id_bound.max(1));
         for &id in ids {
-            if id as usize >= self.id_bound || !self.scratch.visited.mark(id) {
+            if id as usize >= self.id_bound
+                || !self.scratch.visited.mark(id)
+                || self.shapes[id as usize].take().is_none()
+            {
                 stats.skipped += 1;
                 continue;
             }
-            let env = &mut self.envelopes[id as usize];
-            if env.is_empty() {
-                stats.skipped += 1;
-                continue;
-            }
-            for s in self.router.route(env) {
+            for s in self.router.route(&self.envelopes[id as usize]) {
                 lanes[s].removals.push(id);
             }
-            *env = Aabb::empty();
-            self.shapes[id as usize] = Shape::Box(Aabb::empty());
             stats.removed += 1;
         }
         stats
@@ -1539,10 +1434,9 @@ impl ShardPlanner {
     /// shard (the slab its point falls in). `lanes` is resized to the shard
     /// count and fully reset.
     pub fn route_knn_home(&self, points: &[Point3], k: usize, lanes: &mut Vec<KnnLane>) {
-        size_lanes(lanes, self.shard_count());
-        for lane in lanes.iter_mut() {
-            lane.reset(k);
-        }
+        size_lanes(lanes, self.shard_count(), |lane: &mut KnnLane| {
+            lane.reset(k)
+        });
         for (qi, p) in points.iter().enumerate() {
             let home = self.router.home(p);
             lanes[home].routed.push(qi as u32);
@@ -1562,10 +1456,7 @@ impl ShardPlanner {
         home: &[KnnLane],
         fan: &mut Vec<KnnLane>,
     ) {
-        size_lanes(fan, self.shard_count());
-        for lane in fan.iter_mut() {
-            lane.reset(k);
-        }
+        size_lanes(fan, self.shard_count(), |lane: &mut KnnLane| lane.reset(k));
         // Per-probe pruning bound: the home shard's k-th best distance
         // (+∞ when the home shard held fewer than k elements).
         let bounds = &mut self.scratch.dists;
@@ -1801,13 +1692,12 @@ impl<I> ShardedEngine<I> {
     }
 
     /// Switches every shard into the **incremental** write mode: an update
-    /// lane that agrees with the shard's membership is applied in place —
-    /// geometry through `apply` (index mutated cell-by-cell /
-    /// node-by-node), migrations in or out, inserts and removals through
-    /// the index's [`SpatialIndex::splice`] — instead of rebuilding the
-    /// shard index. Lanes from a stale planner, membership changes past a
-    /// quarter of the shard and indexes that cannot splice still take the
-    /// rebuild path, so a rebuild function must already be attached
+    /// lane is applied in place — geometry through `apply` (index mutated
+    /// cell-by-cell / node-by-node), migrations in or out, inserts and
+    /// removals through the index's [`SpatialIndex::splice`] — instead of
+    /// rebuilding the shard index. Membership changes past a quarter of the
+    /// shard and indexes that cannot splice still take the rebuild path, so
+    /// a rebuild function must already be attached
     /// ([`ShardedEngine::with_rebuild`]).
     ///
     /// `apply` receives the shard index, the shard's re-identified local
@@ -2688,6 +2578,114 @@ mod tests {
         assert_eq!(out.query_results(0)[0].0, 7);
     }
 
+    /// Every shard's executor holds exactly the ids the planner store
+    /// reproduces for it.
+    fn assert_store_matches_shards(sharded: &ShardedEngine<UniformGrid>) {
+        for (s, exec) in sharded.executors.iter().enumerate() {
+            let pairs = sharded.planner.shard_elements(s);
+            let gids: Vec<ElementId> = pairs.iter().map(|&(g, _)| g).collect();
+            assert_eq!(gids, exec.global_ids(), "shard {s} membership");
+        }
+    }
+
+    #[test]
+    fn empty_box_geometry_is_live_not_a_tombstone() {
+        let mut data = soup(1500);
+        let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+        let mut sharded = ShardedEngine::build(&data, 3, build).with_rebuild(build);
+        let empty = Shape::Box(Aabb::empty());
+        let real = box_at(42.0, 42.0, 42.0, 0.5);
+        for shape in [empty, real] {
+            let stats = sharded.update_batch(&[(7, shape)]);
+            assert_eq!((stats.applied, stats.skipped), (1, 0));
+            apply_serially(&mut data, &[(7, shape)]);
+            assert_matches_single(&mut sharded, &data);
+            assert_store_matches_shards(&sharded);
+        }
+        let mut out = BatchResults::new();
+        sharded.range_collect(&[real.aabb()], &mut out);
+        assert!(out.query_results(0).contains(&7));
+
+        // Back to the empty box (replicated into every shard), then removed:
+        // it leaves every shard.
+        sharded.update_batch(&[(7, empty)]);
+        assert!(sharded
+            .executors
+            .iter()
+            .all(|e| e.global_ids().contains(&7)));
+        let stats = sharded.remove_batch(&[7]);
+        assert_eq!((stats.removed, stats.skipped), (1, 0));
+        assert!(sharded
+            .executors
+            .iter()
+            .all(|e| !e.global_ids().contains(&7)));
+        assert_store_matches_shards(&sharded);
+    }
+
+    #[test]
+    fn both_write_modes_leave_identical_executor_state() {
+        let data = soup(2000);
+        let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+        let mut reb = ShardedEngine::build(&data, 4, build).with_rebuild(build);
+        let mut inc = ShardedEngine::build(&data, 4, build)
+            .with_rebuild(build)
+            .with_apply(UniformGrid::update_sparse);
+        let shapes = |e: &ShardExecutor<UniformGrid>| -> Vec<Shape> {
+            e.data.iter().map(|e| e.shape).collect()
+        };
+        let check = |reb: &ShardedEngine<UniformGrid>, inc: &ShardedEngine<UniformGrid>, step| {
+            for (s, (a, b)) in reb.executors.iter().zip(&inc.executors).enumerate() {
+                assert_eq!(a.global, b.global, "{step}: shard {s} id map");
+                assert_eq!(shapes(a), shapes(b), "{step}: shard {s} shapes");
+                for e in [a, b] {
+                    assert!(
+                        e.data.iter().enumerate().all(|(i, e)| e.id as usize == i),
+                        "{step}: shard {s} dense local ids"
+                    );
+                    assert_eq!(e.index().len(), e.len(), "{step}: shard {s} index size");
+                }
+            }
+        };
+        let jitter: Vec<(ElementId, Shape)> = (0..60u32)
+            .map(|i| {
+                let c = data[(i * 31) as usize].aabb().center();
+                (i * 31, box_at(c.x + 0.1, c.y, c.z, 0.3))
+            })
+            .collect();
+        let migrations: Vec<(ElementId, Shape)> = (0..12u32)
+            .map(|i| (1000 + i, box_at(8.0 * i as f32 + 2.0, 40.0, 40.0, 0.4)))
+            .collect();
+        for (step, batch) in [("jitter", &jitter), ("migrations", &migrations)] {
+            reb.update_batch(batch);
+            let stats = inc.update_batch(batch);
+            assert_eq!(stats.rebuilds, 0, "{step} runs in place");
+            check(&reb, &inc, step);
+        }
+        let shape = box_at(30.0, 30.0, 30.0, 0.5);
+        assert_eq!(reb.insert_batch(&[shape]).0, inc.insert_batch(&[shape]).0);
+        check(&reb, &inc, "insert");
+        reb.remove_batch(&[5, 6]);
+        inc.remove_batch(&[5, 6]);
+        check(&reb, &inc, "remove");
+        let quarter = reb.shard_sizes()[0] / 4 + 1;
+        let bulk: Vec<(ElementId, Shape)> = reb.executors[0]
+            .global_ids()
+            .iter()
+            .take(quarter)
+            .map(|&g| (g, box_at(95.0, 50.0, 50.0, 0.3)))
+            .collect();
+        reb.update_batch(&bulk);
+        assert!(
+            inc.update_batch(&bulk).rebuilds >= 1,
+            "bulk change rebuilds"
+        );
+        check(&reb, &inc, "bulk");
+        let empty = [(11, Shape::Box(Aabb::empty()))];
+        reb.update_batch(&empty);
+        inc.update_batch(&empty);
+        check(&reb, &inc, "empty box");
+    }
+
     #[test]
     #[should_panic(expected = "read-only shard")]
     fn update_batch_without_rebuild_panics() {
@@ -2713,7 +2711,9 @@ mod tests {
 
     #[test]
     fn planner_element_store_reproduces_build_time_shards() {
-        let data = soup(900);
+        let mut data = soup(900);
+        // An empty box routes to every shard and is as live as any shape.
+        data.push(Element::new(900, Shape::Box(Aabb::empty())));
         let sharded = ShardedEngine::build(&data, 3, LinearScan::build);
         let (planner, executors) = sharded.into_parts();
         for (s, exec) in executors.iter().enumerate() {
