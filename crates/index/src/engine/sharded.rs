@@ -1143,20 +1143,16 @@ pub struct ShardPlanner {
     fan_regions: Vec<Aabb>,
     /// Upper bound on global ids (sizes the merge-time dedupe table).
     id_bound: usize,
-    /// Global id → an envelope that routes like the live element's current
-    /// one (`id_bound` entries), maintained by the three `route_*` write
-    /// methods. Routes each update's *old* shard set without consulting the
-    /// executors; meaningless for a dead id.
-    envelopes: Vec<Aabb>,
-    /// Global id → current exact geometry, `None` for a removed (or
-    /// never-existing) id — the **tombstone** lives here, apart from the
-    /// geometry, so an element whose geometry is the empty box is as live
-    /// as any other. Together with `envelopes` this is the planner's
-    /// **element store**, the authoritative copy of the dataset: with the
-    /// router it is enough to reconstruct any shard's exact element clone
-    /// ([`ShardPlanner::shard_elements`]), which is what lets a supervisor
-    /// rebuild a crashed shard executor without reaching the (lost)
-    /// executor state.
+    /// Global id → current exact geometry (`id_bound` entries), `None` for
+    /// a removed (or never-existing) id — the **tombstone** lives here,
+    /// apart from the geometry, so an element whose geometry is the empty
+    /// box is as live as any other. This is the planner's **element
+    /// store**, the authoritative copy of the dataset: a shape's envelope
+    /// routes each write's *old* shard set without consulting the
+    /// executors, and with the router the store is enough to reconstruct
+    /// any shard's exact element clone ([`ShardPlanner::shard_elements`]),
+    /// which is what lets a supervisor rebuild a crashed shard executor
+    /// without reaching the (lost) executor state.
     shapes: Vec<Option<Shape>>,
     /// Merge-phase scratch: the visited table dedupes replicated hits;
     /// `knn_queue` stages kNN merge candidates; `dists` holds the per-probe
@@ -1169,19 +1165,17 @@ pub struct ShardPlanner {
 const _: () = assert!(std::mem::size_of::<Option<Shape>>() == std::mem::size_of::<Shape>());
 
 impl ShardPlanner {
-    /// A planner over `router` holding the per-element state — envelopes
-    /// and exact geometry — of `data` (dataset convention: `element.id ==
-    /// position`). The planner is the authoritative copy of the dataset:
-    /// each write touches only the shards of the element's old and new
-    /// envelope, and [`ShardPlanner::shard_elements`] can reproduce any
-    /// shard's exact element clone at any time, enabling shard rebuilds
-    /// after an executor is lost ([`ShardExecutor::from_planner`]).
+    /// A planner over `router` holding the exact geometry of every element
+    /// of `data` (dataset convention: `element.id == position`). The
+    /// planner is the authoritative copy of the dataset: each write touches
+    /// only the shards of the element's old and new envelope, and
+    /// [`ShardPlanner::shard_elements`] can reproduce any shard's exact
+    /// element clone at any time, enabling shard rebuilds after an
+    /// executor is lost ([`ShardExecutor::from_planner`]).
     pub fn with_elements(router: ShardRouter, data: &[Element]) -> Self {
         let id_bound = data.iter().map(|e| e.id as usize + 1).max().unwrap_or(0);
-        let mut envelopes = vec![Aabb::empty(); id_bound];
         let mut shapes = vec![None; id_bound];
         for e in data {
-            envelopes[e.id as usize] = e.aabb();
             shapes[e.id as usize] = Some(e.shape);
         }
         let shards = router.shards();
@@ -1209,7 +1203,6 @@ impl ShardPlanner {
             router,
             fan_regions,
             id_bound,
-            envelopes,
             shapes,
             scratch: QueryScratch::default(),
         }
@@ -1222,8 +1215,8 @@ impl ShardPlanner {
     /// updated) [`ShardExecutor`] for that shard holds, replicas included.
     pub fn shard_elements(&self, shard: usize) -> Vec<(ElementId, Shape)> {
         let mut out = Vec::new();
-        for (id, (env, shape)) in self.envelopes.iter().zip(&self.shapes).enumerate() {
-            if let Some(shape) = shape.filter(|_| self.router.route(env).contains(&shard)) {
+        for (id, shape) in self.shapes.iter().enumerate() {
+            if let Some(shape) = shape.filter(|s| self.router.route(&s.aabb()).contains(&shard)) {
                 out.push((id as ElementId, shape));
             }
         }
@@ -1240,12 +1233,11 @@ impl ShardPlanner {
         self.router.shards()
     }
 
-    /// Heap bytes held by the router, the envelope table, the fan-out
+    /// Heap bytes held by the router, the element store, the fan-out
     /// regions and the merge scratch.
     pub fn memory_bytes(&self) -> usize {
         self.router.memory_bytes()
             + self.scratch.memory_bytes()
-            + self.envelopes.capacity() * std::mem::size_of::<Aabb>()
             + self.shapes.capacity() * std::mem::size_of::<Option<Shape>>()
             + self.fan_regions.capacity() * std::mem::size_of::<Aabb>()
     }
@@ -1302,7 +1294,7 @@ impl ShardPlanner {
     }
 
     /// Routes a write batch into per-shard [`UpdateLane`]s and advances the
-    /// planner's envelope view. `lanes` is resized to the shard count and
+    /// planner's element store. `lanes` is resized to the shard count and
     /// fully reset (allocations kept); the returned [`UpdateStats`] carries
     /// the plan-level accounting (`elapsed_s` is zero — the orchestrator
     /// owns the wall clock).
@@ -1338,16 +1330,10 @@ impl ShardPlanner {
                 stats.skipped += 1;
                 continue;
             };
+            let old_route = self.router.route(&current.aabb());
             *current = shape;
-            let env = &mut self.envelopes[id as usize];
-            let new_bb = shape.aabb();
-            let new_route = self.router.route(&new_bb);
-            let old_route = self.router.route(env);
-            // Resident fast path: when the new envelope routes to the same
-            // shard set, the stale entry routes identically (routing is the
-            // table's only reader), so the write-back is skipped.
+            let new_route = self.router.route(&shape.aabb());
             if old_route != new_route {
-                *env = new_bb;
                 stats.envelope_writebacks += 1;
                 stats.migrations += 1;
             }
@@ -1387,10 +1373,8 @@ impl ShardPlanner {
         for &shape in shapes {
             let id = self.id_bound as ElementId;
             self.id_bound += 1;
-            let bb = shape.aabb();
-            self.envelopes.push(bb);
             self.shapes.push(Some(shape));
-            for lane in &mut lanes[self.router.route(&bb)] {
+            for lane in &mut lanes[self.router.route(&shape.aabb())] {
                 lane.inserts.push((id, shape));
             }
             ids.push(id);
@@ -1415,14 +1399,16 @@ impl ShardPlanner {
         let mut stats = UpdateStats::default();
         self.scratch.visited.begin(self.id_bound.max(1));
         for &id in ids {
-            if id as usize >= self.id_bound
-                || !self.scratch.visited.mark(id)
-                || self.shapes[id as usize].take().is_none()
-            {
+            let taken = if id as usize >= self.id_bound || !self.scratch.visited.mark(id) {
+                None
+            } else {
+                self.shapes[id as usize].take()
+            };
+            let Some(shape) = taken else {
                 stats.skipped += 1;
                 continue;
-            }
-            for s in self.router.route(&self.envelopes[id as usize]) {
+            };
+            for s in self.router.route(&shape.aabb()) {
                 lanes[s].removals.push(id);
             }
             stats.removed += 1;
@@ -1645,8 +1631,8 @@ impl<I> ShardedEngine<I> {
             })
             .collect();
         Self {
-            // The planner retains the full element store (envelopes +
-            // exact shapes): precise update routing, plus the ability to
+            // The planner retains the full element store (every exact
+            // shape): precise update routing, plus the ability to
             // reconstruct any shard from planner state alone (the
             // service layer's shard-restart path).
             planner: ShardPlanner::with_elements(router, data),

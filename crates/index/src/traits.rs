@@ -354,10 +354,9 @@ pub struct UpdateStats {
     /// in or gave up (migrations, inserts, removals) by splicing its index
     /// ([`SpatialIndex::splice`]) instead of rebuilding the shard.
     pub spliced: u64,
-    /// Envelope-table entries rewritten while routing the batch. Resident
-    /// updates whose new envelope routes to the same shard set skip the
-    /// write-back (the stale envelope routes identically), so under a
-    /// jitter workload this stays at 0 — the work bound
+    /// Updates whose route changed — the new envelope overlaps a different
+    /// shard set than the old one (equals `migrations` on the sharded
+    /// engine). Under a jitter workload this stays at 0 — the work bound
     /// `tests/incremental_differential.rs` asserts.
     pub envelope_writebacks: u64,
 }

@@ -6,8 +6,10 @@
 //! [`ServiceHandle::try_submit`] reports `Full`). A single scheduler
 //! thread drains the queue, **coalesces** up to `max_batch` concurrent
 //! requests (waiting at most `max_wait` for stragglers once the first is
-//! in hand), executes the merged batches against the backend, splits the
-//! results back per request, and completes each request's [`Ticket`].
+//! in hand), executes the merged batches against the backend as ordered
+//! runs, splits the results back per request, and completes each run's
+//! tickets when the run ends — a reply never waits for the runs queued
+//! behind it.
 //!
 //! Coalescing is what converts independent client traffic into the wide
 //! SoA batches the kernel layer is fastest at: all range boxes of one
@@ -151,13 +153,15 @@ impl Default for RetryPolicy {
 ///
 /// The envelope doubles as the **exactly-once completion guard**: a ticket
 /// is completed either explicitly through [`Envelope::complete`] (which
-/// takes the reply sender) or, if the envelope is dropped with the sender
-/// still in place — scheduler unwind, drain abort, any exit path — by the
-/// `Drop` impl, with a typed error. An admitted ticket therefore never
-/// hangs and never receives two completions.
+/// takes the reply sender, so the envelope stays in the dispatch marked
+/// completed) or, if the envelope is dropped with the sender still in
+/// place — scheduler unwind, drain abort, any exit path — by the `Drop`
+/// impl, with a typed error. An admitted ticket therefore never hangs and
+/// never receives two completions.
 struct Envelope {
     request: Request,
     consistency: Consistency,
+    /// The reply sender; `None` once the ticket is completed.
     reply: Option<mpsc::Sender<Completion>>,
     submitted: Instant,
     deadline: Option<Instant>,
@@ -166,7 +170,7 @@ struct Envelope {
 
 impl Envelope {
     /// Completes the ticket exactly once and disarms the drop-guard.
-    fn complete(mut self, result: Result<Response, RecvError>, shards_skipped: u32, epoch: u64) {
+    fn complete(&mut self, result: Result<Response, RecvError>, shards_skipped: u32, epoch: u64) {
         let latency = self.submitted.elapsed();
         if let Some(reply) = self.reply.take() {
             // A dropped ticket (client gave up) is not an error.
@@ -207,7 +211,7 @@ impl Drop for Envelope {
 }
 
 /// Scheduler-side counters, only ever touched under the lock by the
-/// dispatcher thread (briefly, once per dispatch) and by stats snapshots —
+/// dispatcher thread (briefly, once per run) and by stats snapshots —
 /// the submit hot path uses the lock-free atomics on [`Shared`] instead.
 #[derive(Default)]
 struct Counters {
@@ -544,20 +548,27 @@ struct Scheduler<B: ServiceBackend> {
     poisoned: bool,
 }
 
-/// Accounting accumulated across the runs of one dispatch, folded into
-/// [`Counters`] in a single critical section at the end.
+/// Accounting accrued since the dispatcher last flushed [`Counters`]: each
+/// run's completion ([`Scheduler::complete_run`]) folds it in, in the same
+/// critical section that counts the run's replies, and resets it.
 #[derive(Default)]
 struct DispatchTotals {
+    /// Requests coalesced into the dispatch; nonzero only until the
+    /// dispatch's first flush, which counts the dispatch itself.
+    requests: usize,
+    /// A write reached the backend: the flush refreshes the memory/shard
+    /// gauges.
+    wrote: bool,
     exec_elapsed_s: f64,
     results: u64,
     counts: PredicateCounts,
     update: UpdateStats,
-    /// Coalesced update counts per backend application this dispatch
-    /// (feeds the update batch-size histogram).
+    /// Coalesced update counts per backend application (feeds the update
+    /// batch-size histogram).
     update_runs: Vec<usize>,
     /// Backend panics that unwound into the dispatcher and were caught.
     sched_panics: u64,
-    /// Reads served from a published snapshot this dispatch.
+    /// Reads served from a published snapshot.
     snapshot_reads: u64,
     /// Snapshot reads hoisted over at least one pending write barrier.
     stale_reads: u64,
@@ -683,13 +694,16 @@ impl<B: ServiceBackend> Scheduler<B> {
 
     /// Executes one coalesced dispatch. The pending requests are processed
     /// as consecutive **runs** in admission order: maximal runs of query
-    /// requests coalesce into backend query batches exactly as before, and
-    /// maximal runs of write requests coalesce into **one** backend
-    /// `update_batch` application each. Runs execute strictly in order, so
+    /// requests coalesce into one backend query run each, and maximal runs
+    /// of write requests into ordered write segments (see
+    /// [`Scheduler::run_update_batch`]). Runs execute strictly in order, so
     /// every write request is a barrier: queries admitted before it see
     /// pre-write state, queries admitted after it see post-write state —
     /// the dispatch is observationally identical to a serial run of the
-    /// requests in admission order.
+    /// requests in admission order. Each run's requests complete as soon
+    /// as the run ends ([`Scheduler::complete_run`]): a read's reply never
+    /// waits for the writes and publishes behind it, and a write's ack
+    /// leaves right after the publish that stamps its epoch.
     fn dispatch(&mut self) {
         let n = self.pending.len();
         self.responses.clear();
@@ -700,7 +714,10 @@ impl<B: ServiceBackend> Scheduler<B> {
         self.skipped.resize(n, 0);
         self.epochs.clear();
         self.epochs.resize(n, self.epoch);
-        let mut totals = DispatchTotals::default();
+        let mut totals = DispatchTotals {
+            requests: n,
+            ..DispatchTotals::default()
+        };
 
         // ---- Admission-time deadline shed: a request that expired in the
         // queue is excluded from every backend batch below — the backend
@@ -716,8 +733,9 @@ impl<B: ServiceBackend> Scheduler<B> {
         // published epoch do not belong behind this dispatch's write
         // barriers — they are pulled out of admission order and executed
         // first, as ONE snapshot query run against the published per-shard
-        // snapshots. This is what unserializes reads from writes: a
-        // hoisted read's latency never includes the write applications
+        // snapshots, and complete before the first barrier run starts.
+        // This is what unserializes reads from writes: a hoisted read's
+        // latency never includes the write applications and publishes
         // queued behind it. `ReadYourWrites` hoists once its floor is
         // published (acks carry the publishing epoch, so an honest client
         // always hoists) and degrades to the barrier path otherwise —
@@ -758,15 +776,16 @@ impl<B: ServiceBackend> Scheduler<B> {
             // Stamped with the epoch they run against (resize above
             // already stamped `self.epoch`; writes below may advance it).
             self.run_query_batch(&snap_idx, &mut totals, true);
+            self.complete_run(&snap_idx, &mut totals);
         }
 
         let mut lo = 0usize;
-        let mut wrote = false;
         while lo < barrier_idx.len() {
             if self.poisoned {
                 // Backend state is unknown after an unrecovered write-path
                 // panic: fail everything not yet served, fast.
                 self.fail_rest(&barrier_idx[lo..], 0);
+                self.complete_run(&barrier_idx[lo..], &mut totals);
                 break;
             }
             let write = self.pending[barrier_idx[lo]].request.is_write();
@@ -776,27 +795,49 @@ impl<B: ServiceBackend> Scheduler<B> {
             {
                 hi += 1;
             }
-            let idxs: Vec<usize> = barrier_idx[lo..hi].to_vec();
+            let idxs = &barrier_idx[lo..hi];
             if write {
-                self.run_update_batch(&idxs, &mut totals);
-                wrote = true;
+                self.run_update_batch(idxs, &mut totals);
             } else {
                 // Barrier reads run against the live dataset, whose state
                 // is exactly the last published epoch at this point.
-                for &i in &idxs {
+                for &i in idxs {
                     self.epochs[i] = self.epoch;
                 }
-                self.run_query_batch(&idxs, &mut totals, false);
+                self.run_query_batch(idxs, &mut totals, false);
+                self.complete_run(idxs, &mut totals);
             }
             lo = hi;
         }
+        debug_assert!(self.pending.iter().all(|env| env.reply.is_none()));
+        self.pending.clear();
+    }
 
-        // ---- Completion-time deadline check and outcome classification.
+    /// Completes the requests of `idxs` not completed yet — the end of a
+    /// run. Classifies each outcome (deadline at completion, failure,
+    /// partial coverage), then flushes, under ONE stats-lock acquisition,
+    /// everything a client holding one of these replies could observe: the
+    /// request counters and latencies, the accounting `totals` accrued
+    /// since the last flush, the epoch counters and the backend telemetry.
+    /// Tickets complete only after the lock is released, so a reply is
+    /// always counted in `stats()` before its client holds it, and
+    /// producer submits never wait behind the reply sends. The drop-guard
+    /// of every envelope not completed here stays armed.
+    fn complete_run(&mut self, idxs: &[usize], totals: &mut DispatchTotals) {
+        if idxs.is_empty() {
+            return;
+        }
         let now = Instant::now();
+        let mut completed = 0u64;
         let mut deadline_expired = 0u64;
         let mut failed_requests = 0u64;
         let mut partial_responses = 0u64;
-        for (i, env) in self.pending.iter().enumerate() {
+        for &i in idxs {
+            let env = &self.pending[i];
+            if env.reply.is_none() {
+                continue;
+            }
+            completed += 1;
             if self.failures[i].is_none() && env.deadline.is_some_and(|d| now >= d) {
                 self.failures[i] = Some(RecvError::DeadlineExceeded);
             }
@@ -810,19 +851,18 @@ impl<B: ServiceBackend> Scheduler<B> {
                 }
             }
         }
+        let totals = std::mem::take(totals);
         let telemetry = self.backend.telemetry();
-
-        // ---- Record stats (one short critical section — ticket completion
-        // happens after the lock is released, so producer submits never
-        // wait behind the reply sends).
         {
             let mut inner = self.shared.stats.lock().expect("stats lock");
             inner.sched_panics += totals.sched_panics + std::mem::take(&mut self.publish_panics);
             let stats = &mut inner.stats;
-            stats.dispatches += 1;
-            stats.coalesced_requests += n as u64;
-            let bucket = (usize::BITS - 1 - n.leading_zeros()) as usize;
-            stats.batch_hist[bucket.min(BATCH_BUCKETS - 1)] += 1;
+            if totals.requests > 0 {
+                stats.dispatches += 1;
+                stats.coalesced_requests += totals.requests as u64;
+                let bucket = (usize::BITS - 1 - totals.requests.leading_zeros()) as usize;
+                stats.batch_hist[bucket.min(BATCH_BUCKETS - 1)] += 1;
+            }
             stats.exec_elapsed_s += totals.exec_elapsed_s;
             stats.results += totals.results;
             stats.counts.add(&totals.counts);
@@ -843,7 +883,7 @@ impl<B: ServiceBackend> Scheduler<B> {
                 let b = (usize::BITS - 1 - sz.max(1).leading_zeros()) as usize;
                 stats.update_hist[b.min(BATCH_BUCKETS - 1)] += 1;
             }
-            if wrote {
+            if totals.wrote {
                 // Migrations moved elements between shards: refresh the
                 // memory/shard gauges from the backend.
                 stats.memory_bytes = self.backend.memory_bytes();
@@ -865,26 +905,28 @@ impl<B: ServiceBackend> Scheduler<B> {
             stats.snapshot_forks = telemetry.snapshot_forks;
             stats.snapshot_replays = telemetry.snapshot_replays;
             stats.snapshot_fork_bytes = telemetry.snapshot_fork_bytes;
-            stats.completed += n as u64;
-            for env in &self.pending {
-                stats.latency.record(env.submitted.elapsed());
+            stats.completed += completed;
+            for &i in idxs {
+                let env = &self.pending[i];
+                if env.reply.is_some() {
+                    stats.latency.record(env.submitted.elapsed());
+                }
             }
         }
 
-        // ---- Complete tickets (exactly once, on every path — a request
-        // with no failure must have a response; the envelope's drop-guard
-        // covers any path that somehow skips this loop).
-        for (i, (env, resp)) in self
-            .pending
-            .drain(..)
-            .zip(self.responses.drain(..))
-            .enumerate()
-        {
+        // Exactly once: a completed envelope has no reply sender left, and
+        // a request with no failure must have a response.
+        for &i in idxs {
+            if self.pending[i].reply.is_none() {
+                continue;
+            }
             let result = match self.failures[i].take() {
                 Some(err) => Err(err),
-                None => Ok(resp.expect("every surviving request produced a response")),
+                None => Ok(self.responses[i]
+                    .take()
+                    .expect("every surviving request produced a response")),
             };
-            env.complete(result, self.skipped[i], self.epochs[i]);
+            self.pending[i].complete(result, self.skipped[i], self.epochs[i]);
         }
     }
 
@@ -1101,10 +1143,12 @@ impl<B: ServiceBackend> Scheduler<B> {
         self.shared.open.store(false, Ordering::Release);
     }
 
-    /// Executes one write run (`pending[idxs]`, all `Update`/`Step`):
-    /// flattens every request's updates — in admission order, so duplicate
-    /// ids resolve last-write-wins across requests exactly as a serial run
-    /// would — into ONE backend `update_batch` application.
+    /// Executes one write run (`pending[idxs]`, all writes): flattens the
+    /// geometry writes between membership barriers — in admission order,
+    /// so duplicate ids resolve last-write-wins across requests exactly as
+    /// a serial run would — into ONE backend `update_batch` application
+    /// each, and completes every segment right after the publish that
+    /// stamps its epoch.
     fn run_update_batch(&mut self, idxs: &[usize], totals: &mut DispatchTotals) {
         // A write run executes as ordered **segments**: consecutive
         // geometry writes (`Update`/`Step`/`StepDelta`) flatten into one
@@ -1155,6 +1199,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             }
             if self.poisoned {
                 self.fail_rest(&idxs[pos..], 0);
+                self.complete_run(&idxs[pos..], totals);
                 return;
             }
             seg = pos + 1;
@@ -1162,13 +1207,13 @@ impl<B: ServiceBackend> Scheduler<B> {
         self.flush_geometry(&idxs[seg..], totals);
     }
 
-    /// Fails every request of `idxs` not already failed with
-    /// [`RecvError::WorkerFailed`] on `shard` — the backend state is
-    /// unknown after an unrecovered write-path panic (or a shard died under
-    /// the write), so everything not yet served fails fast.
+    /// Fails every request of `idxs` not yet completed and not already
+    /// failed with [`RecvError::WorkerFailed`] on `shard` — the backend
+    /// state is unknown after an unrecovered write-path panic (or a shard
+    /// died under the write), so everything not yet served fails fast.
     fn fail_rest(&mut self, idxs: &[usize], shard: usize) {
         for &i in idxs {
-            if self.failures[i].is_none() {
+            if self.pending[i].reply.is_some() && self.failures[i].is_none() {
                 self.failures[i] = Some(RecvError::WorkerFailed { shard });
             }
         }
@@ -1195,6 +1240,7 @@ impl<B: ServiceBackend> Scheduler<B> {
         totals: &mut DispatchTotals,
         call: impl FnOnce(&mut B) -> (R, UpdateReport),
     ) -> Option<R> {
+        totals.wrote = true;
         let backend = &mut self.backend;
         let value = match catch_unwind(AssertUnwindSafe(|| call(backend))) {
             Ok((value, report)) => {
@@ -1228,23 +1274,25 @@ impl<B: ServiceBackend> Scheduler<B> {
     }
 
     /// Applies the flattened geometry writes of the requests in `seg` as
-    /// one coalesced backend application (see [`Scheduler::apply_write`]).
+    /// one coalesced backend application (see [`Scheduler::apply_write`]),
+    /// then completes the segment.
     fn flush_geometry(&mut self, seg: &[usize], totals: &mut DispatchTotals) {
-        if self.updates.is_empty() {
-            return;
+        if !self.updates.is_empty() {
+            let updates = std::mem::take(&mut self.updates);
+            self.apply_write(seg, updates.len(), totals, |backend| {
+                ((), backend.update_batch(&updates))
+            });
+            self.updates = updates;
+            self.updates.clear();
         }
-        let updates = std::mem::take(&mut self.updates);
-        self.apply_write(seg, updates.len(), totals, |backend| {
-            ((), backend.update_batch(&updates))
-        });
-        self.updates = updates;
-        self.updates.clear();
+        self.complete_run(seg, totals);
     }
 
     /// Runs the membership request at pending index `i` (`Insert` or
     /// `Remove`) as its own backend call — a write barrier like any other,
     /// with [`Scheduler::apply_write`]'s failure discipline scoped to this
-    /// single request, since the backend call carries nothing else.
+    /// single request, since the backend call carries nothing else — and
+    /// completes it.
     fn run_membership(&mut self, i: usize, totals: &mut DispatchTotals) {
         let request = std::mem::replace(&mut self.pending[i].request, Request::Range(Vec::new()));
         let response = self.apply_write(&[i], request.len(), totals, |backend| match &request {
@@ -1261,6 +1309,7 @@ impl<B: ServiceBackend> Scheduler<B> {
         });
         self.pending[i].request = request;
         self.responses[i] = response;
+        self.complete_run(&[i], totals);
     }
 }
 

@@ -33,6 +33,9 @@
 //! * **Memory guard**: two hundred rounds of the same elements crossing a
 //!   shard cut and returning leave the live and snapshot gauges where the
 //!   second round left them.
+//! * **A request completes when its run ends**: a read that runs before a
+//!   write in the same dispatch replies before that write finishes, and
+//!   every reply is already counted in `stats()` when its client holds it.
 //!
 //! Epoch accounting relies on the scheduler invariant that a healthy
 //! snapshot service has published exactly `current_epoch + 1` epochs (the
@@ -900,6 +903,155 @@ fn read_your_writes_observes_own_acked_writes_under_contention() {
     assert_eq!(stats.epochs_published, (WRITERS * ROUNDS) as u64 + 1);
     assert_eq!(stats.failed_requests, 0);
     assert_eq!(stats.panics_caught, 0);
+}
+
+/// A read that runs before a write in the same dispatch replies before that
+/// write finishes: a hoisted snapshot read does not wait for the write
+/// admitted ahead of it, and a barrier read admitted ahead of a write does
+/// not wait for the write behind it.
+///
+/// The write's backend call is delayed by [`WRITE_DELAY`]; a one-second
+/// batching window holds whichever request arrives first until the second
+/// joins it, so both share one dispatch. Snapshot runs consume no fault-plan
+/// op, while a live range run consumes one — hence the write is op 0 in the
+/// first case and op 1 in the second.
+#[test]
+fn hoisted_snapshot_read_replies_before_the_write_behind_it() {
+    const WRITE_DELAY: Duration = Duration::from_millis(300);
+    let data = soup(800, 0x0DE1);
+    let spawn = |write_op: u64| {
+        SpatialService::spawn(
+            ChaosBackend::new(
+                ShardedBackend::spawn_snapshot(incremental_engine(&data, 2)),
+                FaultPlan::new().delay_at(write_op, WRITE_DELAY),
+            ),
+            ServiceConfig::default().with_batching(64, Duration::from_secs(1)),
+        )
+    };
+    let everything = Request::Range(vec![Aabb::new(
+        Point3::new(0.0, 0.0, 0.0),
+        Point3::new(99.0, 99.0, 99.0),
+    )]);
+    let write = || Request::Update(write_batch(1, data.len() as u32));
+
+    // Write first, snapshot read second: the read is hoisted over it.
+    let service = spawn(0);
+    let handle = service.handle();
+    let write_ticket = handle.submit(write()).expect("write submit");
+    let read = handle
+        .submit_at(everything.clone(), Consistency::Snapshot)
+        .expect("read submit")
+        .recv_reply()
+        .expect("snapshot read");
+    assert!(
+        write_ticket.try_recv_reply().is_none(),
+        "the hoisted read waited for the write behind it"
+    );
+    assert!(read.latency < WRITE_DELAY, "read took {:?}", read.latency);
+    assert_eq!(
+        read.epoch, 0,
+        "the read must run before the write publishes"
+    );
+    let ack = write_ticket.recv_reply().expect("write");
+    assert_eq!(ack.epoch, 1);
+    let stats = service.shutdown();
+    assert_eq!((stats.dispatches, stats.stale_reads), (1, 1));
+
+    // Barrier read first, write second: the read runs live, then replies
+    // before the write starts.
+    let service = spawn(1);
+    let handle = service.handle();
+    let read_ticket = handle.submit(everything).expect("read submit");
+    let write_ticket = handle.submit(write()).expect("write submit");
+    let read = read_ticket.recv_reply().expect("barrier read");
+    assert!(
+        write_ticket.try_recv_reply().is_none(),
+        "the barrier read waited for the write behind it"
+    );
+    assert!(read.latency < WRITE_DELAY, "read took {:?}", read.latency);
+    assert_eq!(read.epoch, 0);
+    assert_eq!(write_ticket.recv_reply().expect("write").epoch, 1);
+    let stats = service.shutdown();
+    assert_eq!(stats.dispatches, 1);
+}
+
+/// A client holding a reply finds it counted in `stats()`: the scheduler
+/// flushes a run's counters before it completes the run's tickets. One
+/// thread streams serial writes while another streams snapshot reads, on a
+/// coalescing service, so dispatches mix hoisted reads with write segments
+/// and every reply is checked against a stats sample taken after it
+/// arrived.
+#[test]
+fn replies_are_counted_before_they_are_sent() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const WRITES: u64 = 150;
+
+    let data = soup(1000, 0xC0DE);
+    let service = SpatialService::spawn(
+        ShardedBackend::spawn_snapshot(incremental_engine(&data, 2)),
+        ServiceConfig::default(),
+    );
+    let handle = service.handle();
+    let replies = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let reader = {
+        let (handle, replies, stop) = (handle.clone(), Arc::clone(&replies), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let probe_set = probes();
+            let mut snapshot_replies = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let p = snapshot_replies as usize % probe_set.len();
+                handle
+                    .submit_at(probe_set[p].clone(), Consistency::Snapshot)
+                    .expect("read submit")
+                    .recv_reply()
+                    .expect("snapshot read");
+                snapshot_replies += 1;
+                let received = replies.fetch_add(1, Ordering::SeqCst) + 1;
+                let stats = handle.stats();
+                assert!(
+                    stats.completed >= received,
+                    "{received} replies received, {} counted",
+                    stats.completed
+                );
+                assert!(
+                    stats.snapshot_reads >= snapshot_replies,
+                    "{snapshot_replies} snapshot replies received, {} counted",
+                    stats.snapshot_reads
+                );
+            }
+            snapshot_replies
+        })
+    };
+
+    for e in 1..=WRITES {
+        let ack = handle
+            .submit(Request::Update(write_batch(e, data.len() as u32)))
+            .expect("write submit")
+            .recv_reply()
+            .expect("write");
+        let received = replies.fetch_add(1, Ordering::SeqCst) + 1;
+        let stats = handle.stats();
+        assert_eq!(ack.epoch, e);
+        assert_eq!(
+            stats.epochs_published,
+            ack.epoch + 1,
+            "write {e} acked before its publish was counted"
+        );
+        assert!(
+            stats.completed >= received,
+            "{received} replies received, {} counted",
+            stats.completed
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    let snapshot_replies = reader.join().expect("reader panicked");
+    assert!(snapshot_replies > 0, "the reader never completed a read");
+
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, WRITES + snapshot_replies);
+    assert_eq!(stats.failed_requests, 0);
 }
 
 proptest! {
