@@ -1334,7 +1334,6 @@ impl ShardPlanner {
             *current = shape;
             let new_route = self.router.route(&shape.aabb());
             if old_route != new_route {
-                stats.envelope_writebacks += 1;
                 stats.migrations += 1;
             }
             let span = old_route.start.min(new_route.start)..old_route.end.max(new_route.end);

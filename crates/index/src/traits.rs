@@ -354,11 +354,6 @@ pub struct UpdateStats {
     /// in or gave up (migrations, inserts, removals) by splicing its index
     /// ([`SpatialIndex::splice`]) instead of rebuilding the shard.
     pub spliced: u64,
-    /// Updates whose route changed — the new envelope overlaps a different
-    /// shard set than the old one (equals `migrations` on the sharded
-    /// engine). Under a jitter workload this stays at 0 — the work bound
-    /// `tests/incremental_differential.rs` asserts.
-    pub envelope_writebacks: u64,
 }
 
 impl UpdateStats {
@@ -376,7 +371,6 @@ impl UpdateStats {
         self.inserted += other.inserted;
         self.removed += other.removed;
         self.spliced += other.spliced;
-        self.envelope_writebacks += other.envelope_writebacks;
     }
 }
 

@@ -14,11 +14,12 @@
 //!   [`ShardExecutor`](simspatial_index::ShardExecutor)s, executed on a
 //!   **work-stealing worker pool**. Each executor sits in two slots, a
 //!   *live* one that writes mutate and (after
-//!   [`ShardedBackend::spawn_snapshot`]) a *snapshot* one that every
-//!   publish brings up to date — **replay-on-publish**: an in-place write
-//!   reaches the snapshot by running its lane a second time, on the pool —
-//!   membership changes included, where the shard index splices them
-//!   ([`SpatialIndex::splice`]); the live executor is forked only on
+//!   [`ShardedBackend::spawn_snapshot`]) a *snapshot* one kept level with
+//!   it: a shard's write job applies its lane to the live executor and,
+//!   when that ran in place, **replays the same lane on the snapshot copy**
+//!   before it reports — membership changes included, where the shard
+//!   index splices them ([`SpatialIndex::splice`]). One write wave per
+//!   write; `publish` only forks, and the live executor is forked only on
 //!   startup, after a lane that rebuilt the shard (a bulk membership
 //!   change, an index that cannot splice, an engine without `with_apply`),
 //!   after a restart and on repair. The dispatcher routes a run into per-shard lanes and
@@ -43,7 +44,7 @@ use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3, Shape};
 use simspatial_index::{
     BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryEngine, QueryStats, RangeLane,
     ShardApply, ShardApplyCost, ShardExecutor, ShardPlanner, ShardedEngine, SpatialIndex,
-    UpdateLane, UpdateStats,
+    UpdateLane, UpdateLaneReport, UpdateStats,
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -131,8 +132,10 @@ pub struct BackendTelemetry {
     /// copy): the startup publish, shards a write rebuilt (not merely
     /// changed the membership of), restarted shards, repairs.
     pub snapshot_forks: u64,
-    /// Shard snapshots published by **replaying** the shard's last write
-    /// lane on the existing copy — what an in-place write costs to publish.
+    /// Shard snapshots kept level by **replaying** a write lane on the
+    /// existing copy, in the write's own pool job right after the live
+    /// executor applied it in place — what an in-place write costs to
+    /// publish.
     pub snapshot_replays: u64,
     /// Bytes copied by those forks, cumulative.
     pub snapshot_fork_bytes: u64,
@@ -355,20 +358,18 @@ pub trait ServiceBackend: Send + 'static {
     /// Publishes the backend's current state as the read snapshot for
     /// `epoch`. The scheduler calls this once at startup (epoch 0) and
     /// immediately after **every** applied write barrier, strictly between
-    /// backend calls (no queries or writes in flight) — which is the
-    /// invariant everything else leans on: between two publishes, live
-    /// state is byte-identical to the last published epoch, and when
-    /// `publish` runs the published copy is exactly **one write
-    /// application behind** live state. A backend that keeps copies may
-    /// therefore publish by re-applying that one write to its copy instead
-    /// of copying live state ([`ShardedBackend`] does, for writes its
-    /// shards applied in place); one that sees a second write before the
-    /// publish of the first must fall back to copying. Must be
-    /// idempotent per epoch: the scheduler retries after a caught panic,
-    /// and a retried publish must not publish the epoch twice — nor
-    /// re-apply a write it already brought to a copy. The default
-    /// does nothing — a backend without snapshot copies already satisfies
-    /// the contract, because its current state *is* the published state.
+    /// backend calls (no queries or writes in flight), and runs no snapshot
+    /// read between a write and its publish — which is the invariant
+    /// everything else leans on: between two publishes, live state is
+    /// byte-identical to the last published epoch. A backend that keeps
+    /// copies may therefore bring a copy up to date inside the write itself
+    /// ([`ShardedBackend`] replays each lane its shards applied in place on
+    /// that shard's copy, in the same pool job) and leave `publish` only
+    /// the copies the write could not keep level. Must be idempotent per
+    /// epoch: the scheduler retries after a caught panic, and a retried
+    /// publish must not publish the epoch twice. The default does nothing
+    /// — a backend without snapshot copies already satisfies the contract,
+    /// because its current state *is* the published state.
     fn publish(&mut self, _epoch: u64) {}
 
     /// Structure bytes the backend holds (surfaced through `ServiceStats`;
@@ -634,7 +635,24 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBacke
 enum Job {
     Range(RangeLane),
     Knn(KnnLane),
-    Update(UpdateLane),
+    /// A write lane and its replay half on the shard's snapshot copy.
+    Update(UpdateLane, Replay),
+}
+
+/// The replay half of a write job: asked for by the dispatcher, answered
+/// by the worker in the same field.
+#[derive(Clone, Copy)]
+enum Replay {
+    /// Not run: no level copy, or the live half rebuilt or panicked.
+    Skip,
+    /// Asked for: the copy is level, so replay the lane on it if the live
+    /// half ran in place.
+    Wanted,
+    /// Ran; the copy is level again. The lane now holds the copy's report,
+    /// so the live half's travels here.
+    Level(UpdateLaneReport),
+    /// Panicked: only the copy is torn.
+    Torn,
 }
 
 /// What a pool worker sends back per job: which shard it ran on, the tag
@@ -648,7 +666,6 @@ struct WorkerDone {
     shard: usize,
     tag: usize,
     job: Job,
-    snap: bool,
     panicked: bool,
 }
 
@@ -696,7 +713,7 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> RunnerCore for Runner<I> {
         match job {
             Job::Range(lane) => lane.run(&mut self.exec),
             Job::Knn(lane) => lane.run(&mut self.exec),
-            Job::Update(lane) => lane.run(&mut self.exec),
+            Job::Update(lane, _) => lane.run(&mut self.exec),
         }
     }
 
@@ -751,12 +768,12 @@ struct PoolShared {
     /// `(job sequence, kind)` — installed by the backend, looked up by the
     /// workers. Both live outside the executor slots, so a fault schedule
     /// spans executor incarnations deterministically. **Every** pool job
-    /// of a shard draws one number: live lanes, snapshot reads and the
-    /// publish-time replay of a write lane alike — which is what lets a
-    /// plan aim a fault at a replay. A replay happens only on a
-    /// snapshot-publishing backend whose shards write in place, so plans
-    /// written for any other configuration count exactly the jobs they
-    /// always did.
+    /// of a shard draws one number — live lanes and snapshot reads alike —
+    /// and a write job whose replay half runs draws a second one right
+    /// after its live half, which is what lets a plan aim a fault at a
+    /// replay. A replay happens only on a snapshot-publishing backend whose
+    /// shards write in place, so plans written for any other configuration
+    /// count exactly the jobs they always did.
     seqs: Vec<AtomicU64>,
     faults: Vec<Mutex<Vec<(u64, FaultKind)>>>,
 }
@@ -859,7 +876,8 @@ impl WorkerPool {
 /// — the executor never crosses the boundary again after a panic): a
 /// panicking job clears the shard's executor slot (the executor may be
 /// torn mid-update, so the only safe continuation is a supervisor rebuild)
-/// and still produces a `WorkerDone { panicked: true }` report.
+/// and still produces a `WorkerDone { panicked: true }` report. A write
+/// job then runs its replay half, if it asked for one.
 fn pool_worker_loop(
     worker: usize,
     shared: &PoolShared,
@@ -901,42 +919,15 @@ fn pool_worker_loop(
             snap,
         } = pool_job;
         let started = Instant::now();
-        // Snapshot jobs (reads and replays) draw from the same per-shard
-        // sequence as live jobs — see `PoolShared::seqs`.
-        let seq = shared.seqs[shard].fetch_add(1, Ordering::Relaxed);
-        let fault = shared.faults[shard]
-            .lock()
-            .ok()
-            .and_then(|f| f.iter().find(|&&(at, _)| at == seq).map(|&(_, k)| k));
         let slot_set = if snap { snap_slots } else { slots };
-        let mut slot = lock_slot(&slot_set[shard]);
-        let panicked = match slot.as_mut() {
-            // Torn since the scatter (an earlier in-flight job panicked):
-            // report as panicked without running — the supervisor decides.
-            None => true,
-            Some(runner) => catch_unwind(AssertUnwindSafe(|| {
-                match fault {
-                    Some(FaultKind::Panic) => {
-                        panic!("chaos: injected fault on shard {shard}, job {seq}")
-                    }
-                    Some(FaultKind::Delay(d)) => std::thread::sleep(d),
-                    _ => {}
-                }
-                runner.run(&mut job)
-            }))
-            .is_err(),
-        };
-        if panicked {
-            *slot = None;
-        }
-        drop(slot);
+        let panicked = run_job(shared, shard, &mut lock_slot(&slot_set[shard]), &mut job);
+        replay_half(shared, shard, &snap_slots[shard], &mut job, panicked);
         shared.busy_ns[worker].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if done_tx
             .send(WorkerDone {
                 shard,
                 tag,
                 job,
-                snap,
                 panicked,
             })
             .is_err()
@@ -946,32 +937,78 @@ fn pool_worker_loop(
     }
 }
 
+/// Runs `job` on the runner in `slot` under the shard's next job number
+/// (see `PoolShared::seqs`), firing the fault a plan scheduled there.
+/// Returns whether the job panicked; a panic clears the slot.
+fn run_job(
+    shared: &PoolShared,
+    shard: usize,
+    slot: &mut Option<ShardRunner>,
+    job: &mut Job,
+) -> bool {
+    let seq = shared.seqs[shard].fetch_add(1, Ordering::Relaxed);
+    let fault = shared.faults[shard]
+        .lock()
+        .ok()
+        .and_then(|f| f.iter().find(|&&(at, _)| at == seq).map(|&(_, k)| k));
+    let panicked = match slot.as_mut() {
+        // Torn since the scatter (an earlier in-flight job panicked):
+        // report as panicked without running — the supervisor decides.
+        None => true,
+        Some(runner) => catch_unwind(AssertUnwindSafe(|| {
+            match fault {
+                Some(FaultKind::Panic) => {
+                    panic!("chaos: injected fault on shard {shard}, job {seq}")
+                }
+                Some(FaultKind::Delay(d)) => std::thread::sleep(d),
+                _ => {}
+            }
+            runner.run(job)
+        }))
+        .is_err(),
+    };
+    if panicked {
+        *slot = None;
+    }
+    panicked
+}
+
+/// The replay half of a write job that asked for one ([`Replay::Wanted`]):
+/// when the live half ran in place, the same lane runs on the shard's
+/// snapshot copy, leaving it byte-identical to a fresh fork (the
+/// [`ShardApply`] determinism contract). It draws its own job number, so a
+/// plan can aim a fault at it, and a panic tears only the copy.
+fn replay_half(
+    shared: &PoolShared,
+    shard: usize,
+    copy: &Mutex<Option<ShardRunner>>,
+    job: &mut Job,
+    live_panicked: bool,
+) {
+    let Job::Update(lane, Replay::Wanted) = job else {
+        return;
+    };
+    let live = *lane.report();
+    let mut copy = lock_slot(copy);
+    let in_place = live.rebuilds == 0 && live.rebuilds_avoided == 1;
+    let outcome = if live_panicked || !in_place || copy.is_none() {
+        Replay::Skip
+    } else if run_job(shared, shard, &mut copy, job) {
+        Replay::Torn
+    } else {
+        Replay::Level(live)
+    };
+    if let Job::Update(_, replay) = job {
+        *replay = outcome;
+    }
+}
+
 /// The type-erased shard-restart recipe a [`ShardedBackend`] stores at
 /// spawn: rebuilds shard `i`'s executor from the planner's element store
 /// and wraps it into a fresh pool runner, returning the runner plus the
 /// rebuilt shard's element count. `Err` when the rebuild itself panicked
 /// (the supervisor backs off and retries).
 type RespawnFn = Box<dyn Fn(&ShardPlanner, usize) -> Result<(ShardRunner, usize), ()> + Send>;
-
-/// What the next publish owes one shard's snapshot copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SnapDebt {
-    /// Nothing: the copy is a structural clone of the live executor (or
-    /// the shard is dead and publishes nothing).
-    Clean,
-    /// One in-place write: the copy is exactly `update_lanes[shard]` behind
-    /// the live executor, and that lane ran incrementally — replaying it on
-    /// the copy makes the two byte-identical again (the [`ShardApply`]
-    /// determinism contract).
-    ///
-    /// [`ShardApply`]: simspatial_index::ShardApply
-    Replay,
-    /// A fresh fork: no copy yet, the live structure was rebuilt wholesale
-    /// (a lane that fell back to the rebuild path — a membership change
-    /// alone no longer does, the lane splices it — or a restart), or more
-    /// than one write went by unpublished.
-    Fork,
-}
 
 /// A region-sharded backend executing on a **work-stealing worker pool**.
 /// Built by splitting a [`ShardedEngine`] into planner + executors
@@ -1016,10 +1053,12 @@ pub struct ShardedBackend {
     /// panicked snapshot job awaiting repair). Replacing a slot drops the
     /// previous copy — at most one published snapshot per shard, ever.
     snap_slots: RunnerSlots,
-    /// Per shard, how the next [`ServiceBackend::publish`] brings the
-    /// snapshot copy level with the live executor; untouched shards owe
-    /// nothing and cost nothing.
-    snap_debt: Vec<SnapDebt>,
+    /// Per shard, whether the snapshot copy must be re-forked at the next
+    /// [`ServiceBackend::publish`]: there is no copy yet, or the live
+    /// executor moved without it (a lane that rebuilt the shard or whose
+    /// replay half tore the copy, a restart). A level copy stays level
+    /// through every in-place write, since the write job replays its lane.
+    refork: Vec<bool>,
     /// Per-shard snapshot copy bytes (the clone-bytes gauge input):
     /// sampled at fork, refreshed by every replay's lane report.
     snap_bytes: Vec<usize>,
@@ -1054,14 +1093,13 @@ impl ShardedBackend {
 
     /// [`ShardedBackend::spawn`] with **published snapshot reads**
     /// enabled: requires a `Clone` index type so each shard executor can
-    /// fork a frozen copy ([`ShardExecutor::fork`]). Publishing is
-    /// **replay-on-publish**: the copies are forked at startup, and from
-    /// then on a write that a shard applied in place
-    /// ([`ShardedEngine::with_apply`]) is published by replaying its lane
-    /// on the shard's copy, at the cost of the write — migrations, inserts
+    /// fork a frozen copy ([`ShardExecutor::fork`]). The copies are forked
+    /// at startup, and from then on a write that a shard applied in place
+    /// ([`ShardedEngine::with_apply`]) is replayed on the shard's copy by
+    /// the same pool job, at the cost of the write — migrations, inserts
     /// and removals too, when the shard index can splice them; a shard
-    /// forks again only after a lane that rebuilt it, a restart or a
-    /// repair — so an engine without `with_apply` forks every shard a
+    /// forks again at publish only after a lane that rebuilt it, a restart
+    /// or a repair — so an engine without `with_apply` forks every shard a
     /// write touched. The scheduler detects the capability through
     /// [`Capabilities::snapshots`] and serves
     /// [`Consistency::Snapshot`](crate::Consistency) reads from the copies
@@ -1134,7 +1172,7 @@ impl ShardedBackend {
             telemetry: BackendTelemetry::default(),
             factory,
             snap_slots,
-            snap_debt: vec![SnapDebt::Fork; n],
+            refork: vec![true; n],
             snap_bytes: vec![0; n],
             snapshots: fork.is_some(),
             range_lanes: Vec::new(),
@@ -1204,7 +1242,7 @@ impl ShardedBackend {
                         self.telemetry.shard_restarts += 1;
                         // Rebuilt from the planner store: same contents,
                         // not the structure the snapshot copy mirrors.
-                        self.snap_debt[i] = SnapDebt::Fork;
+                        self.refork[i] = true;
                         restarted = true;
                         break;
                     }
@@ -1219,21 +1257,16 @@ impl ShardedBackend {
                 // A dead shard drops its published snapshot too: snapshot
                 // reads degrade over exactly the surviving shard set, same
                 // as the live path.
-                *lock_slot(&self.snap_slots[i]) = None;
-                self.snap_bytes[i] = 0;
-                self.snap_debt[i] = SnapDebt::Clean;
+                self.install_snapshot(i, None);
             }
         }
     }
 
-    /// Gathers `in_flight` completions from the pool, routing each lane
-    /// back to its scratch slot: range lanes to `range_lanes`, update
-    /// lanes to `update_lanes` (a live lane that succeeded refreshes the
-    /// shard's size/memory gauges; a replayed one settles the shard's
-    /// publish debt there and then, so a retried publish cannot replay it
-    /// twice), kNN lanes to the per-group scratch (`tag` =
-    /// group; `fan_phase` picks home vs fanout). Returns the panicked
-    /// shards, sorted and deduplicated.
+    /// Gathers the `in_flight` completions of a read wave from the pool,
+    /// routing each lane back to its scratch slot: range lanes to
+    /// `range_lanes`, kNN lanes to the per-group scratch (`tag` = group;
+    /// `fan_phase` picks home vs fanout). Returns the panicked shards,
+    /// sorted and deduplicated.
     fn gather(&mut self, in_flight: usize, fan_phase: bool) -> Vec<usize> {
         let mut panicked = Vec::new();
         for _ in 0..in_flight {
@@ -1242,23 +1275,11 @@ impl ShardedBackend {
                 shard,
                 tag,
                 job,
-                snap,
                 panicked: p,
             } = done;
             match job {
                 Job::Range(lane) => self.range_lanes[shard] = lane,
-                Job::Update(lane) => {
-                    let report = lane.report();
-                    if !p && snap {
-                        self.snap_bytes[shard] = report.memory_bytes;
-                        self.snap_debt[shard] = SnapDebt::Clean;
-                        self.telemetry.snapshot_replays += 1;
-                    } else if !p {
-                        self.sizes[shard] = report.len_after;
-                        self.shard_memory[shard] = report.memory_bytes;
-                    }
-                    self.update_lanes[shard] = lane;
-                }
+                Job::Update(..) => unreachable!("the write path gathers its own lanes"),
                 Job::Knn(lane) => {
                     let groups = if fan_phase {
                         &mut self.knn_fan_groups
@@ -1278,10 +1299,12 @@ impl ShardedBackend {
     }
 
     /// The one write path (updates, inserts, removals): `route` advances
-    /// the planner and fills the update lanes, which then scatter, are
-    /// supervised, and fold their write-amplification counters into the
-    /// report. [`UpdateReport::failed`] names the first shard that ended
-    /// **dead**, if any — the typed write failure.
+    /// the planner and fills the update lanes, which then scatter — each
+    /// asking for a replay half when the shard's snapshot copy is level —
+    /// are supervised, and fold their write-amplification counters into the
+    /// report. A copy whose replay half did not run is flagged for the next
+    /// publish to re-fork. [`UpdateReport::failed`] names the first shard
+    /// that ended **dead**, if any — the typed write failure.
     fn apply_routed<T>(
         &mut self,
         what: &str,
@@ -1302,15 +1325,6 @@ impl ShardedBackend {
         // rebuilt *from that advanced store*, so the write is fully applied
         // on it — only a shard that ends dead loses data, and that is
         // surfaced as a typed failure.
-        //
-        // Routing refills every lane, so a replay still owed from a write
-        // that was never published loses its lane here (and its copy would
-        // be two writes behind anyway): that shard forks.
-        for debt in &mut self.snap_debt {
-            if *debt == SnapDebt::Replay {
-                *debt = SnapDebt::Fork;
-            }
-        }
         let (value, mut stats) = route(&mut self.planner, &mut self.update_lanes);
         let mut in_flight = 0usize;
         for (i, lane) in self.update_lanes.iter_mut().enumerate() {
@@ -1322,31 +1336,44 @@ impl ShardedBackend {
             if lane.is_empty() {
                 continue;
             }
-            // A shard receiving write work owes the next publish: a replay
-            // of this lane if its copy was level — confirmed below, once
-            // the lane's report says it ran in place — else a fork.
-            if self.snap_debt[i] == SnapDebt::Clean {
-                self.snap_debt[i] = SnapDebt::Replay;
-            }
+            let replay = if self.snapshots && !self.refork[i] {
+                Replay::Wanted
+            } else {
+                Replay::Skip
+            };
             self.pool
-                .submit(i, 0, Job::Update(std::mem::take(lane)), false);
+                .submit(i, 0, Job::Update(std::mem::take(lane), replay), false);
             in_flight += 1;
         }
-        let panicked = self.gather(in_flight, false);
+        let mut panicked = Vec::new();
+        for _ in 0..in_flight {
+            let done = self.pool.recv_done();
+            let (shard, Job::Update(lane, replay)) = (done.shard, done.job) else {
+                unreachable!("a write wave runs update lanes only");
+            };
+            let mut report = *lane.report();
+            match replay {
+                Replay::Level(live) => {
+                    self.snap_bytes[shard] = report.memory_bytes;
+                    self.telemetry.snapshot_replays += 1;
+                    report = live;
+                }
+                Replay::Torn => self.telemetry.panics_caught += 1,
+                Replay::Skip | Replay::Wanted => {}
+            }
+            self.refork[shard] = !matches!(replay, Replay::Level(_));
+            if done.panicked {
+                panicked.push(shard);
+            } else {
+                self.sizes[shard] = report.len_after;
+                self.shard_memory[shard] = report.memory_bytes;
+                report.fold_into(&mut stats);
+            }
+            self.update_lanes[shard] = lane;
+        }
+        panicked.sort_unstable();
         self.handle_panics(&panicked);
         let failed = panicked.iter().copied().find(|&i| self.dead[i]);
-        for (i, lane) in self.update_lanes.iter().enumerate() {
-            let report = lane.report();
-            report.fold_into(&mut stats);
-            // Only an in-place run (spliced membership changes included)
-            // left the shard's structure one lane ahead of its copy; a
-            // rebuilt one (or a torn lane, whose report stays empty) is a
-            // different structure altogether.
-            let in_place = report.rebuilds == 0 && report.rebuilds_avoided == 1;
-            if self.snap_debt[i] == SnapDebt::Replay && !in_place {
-                self.snap_debt[i] = SnapDebt::Fork;
-            }
-        }
         stats.elapsed_s = start.elapsed().as_secs_f64();
         (value, UpdateReport { stats, failed })
     }
@@ -1391,15 +1418,17 @@ impl ShardedBackend {
     }
 
     /// Parks a fork (or nothing) in shard `i`'s snapshot slot, dropping —
-    /// and thereby freeing — the copy it replaces. A fork is level with
-    /// the live executor by construction, so it settles the shard's debt.
+    /// and thereby freeing — the copy it replaces. Either clears the
+    /// shard's re-fork flag: a fork is level with the live executor by
+    /// construction, and an empty slot is not retried until the shard is
+    /// written again (its write job then finds no copy to replay on).
     fn install_snapshot(&mut self, i: usize, forked: Option<ShardRunner>) {
         let bytes = forked.as_ref().map_or(0, |r| r.memory_bytes());
         if forked.is_some() {
             self.telemetry.snapshot_forks += 1;
             self.telemetry.snapshot_fork_bytes += bytes as u64;
-            self.snap_debt[i] = SnapDebt::Clean;
         }
+        self.refork[i] = false;
         self.snap_bytes[i] = bytes;
         *lock_slot(&self.snap_slots[i]) = forked;
     }
@@ -1588,68 +1617,36 @@ impl ServiceBackend for ShardedBackend {
         report
     }
 
-    /// Replay-on-publish: brings every shard's snapshot copy level with
-    /// its live executor, paying what the write paid. The scheduler
-    /// publishes after every write application, so a copy is exactly one
-    /// routed lane behind; a shard whose lane ran **in place** has that
-    /// lane replayed on its copy — one pool job per shard, in parallel
-    /// across workers — and the deterministic apply function leaves the
-    /// copy byte-identical to a fresh clone. A shard **forks** (deep copy,
-    /// on this thread, replacing — and thereby freeing — the previous
-    /// copy) only when there is no lane to replay: the startup publish, a
-    /// lane that rebuilt the shard, a restart, an empty snapshot slot, or
-    /// a write that went unpublished. Untouched shards keep their copy (no
-    /// job, no clone); dead shards publish nothing. Idempotent per epoch:
-    /// a shard's debt is settled the moment its replay is gathered or its
-    /// fork installed, so a scheduler retry after a caught panic finishes
-    /// what the interrupted pass had not and repeats nothing. A replay
-    /// that panics tears only the copy, which is re-forked from the live
-    /// executor; a panic inside the user index's `Clone` is supervised like
-    /// a worker panic — the shard restarts from the planner store and the
-    /// fork is retried once against the rebuilt executor.
+    /// Forks the copies the writes could not keep level. A write job
+    /// already replayed every lane that ran **in place** on its shard's
+    /// copy, so a shard **forks** (deep copy, on this thread, replacing —
+    /// and thereby freeing — the previous copy) only when it is flagged:
+    /// the startup publish, a lane that rebuilt the shard, a restart, a
+    /// replay half that panicked or found no copy. Other shards keep their
+    /// copy (no clone); dead shards publish nothing. Idempotent per epoch:
+    /// a shard's flag clears the moment its fork is installed, so a
+    /// scheduler retry after a caught panic finishes what the interrupted
+    /// pass had not and repeats nothing. A panic inside the user index's
+    /// `Clone` is supervised like a worker panic — the shard restarts from
+    /// the planner store and the fork is retried once against the rebuilt
+    /// executor.
     fn publish(&mut self, _epoch: u64) {
         if !self.snapshots {
             return;
         }
-        let mut in_flight = 0usize;
         for i in 0..self.slots.len() {
-            if self.snap_debt[i] != SnapDebt::Replay {
+            if !self.refork[i] {
                 continue;
             }
-            if lock_slot(&self.snap_slots[i]).is_none() {
-                self.snap_debt[i] = SnapDebt::Fork;
-                continue;
-            }
-            let lane = std::mem::take(&mut self.update_lanes[i]);
-            self.pool.submit(i, 0, Job::Update(lane), true);
-            in_flight += 1;
+            // A shard that dies in the retry has an empty live slot, which
+            // forks nothing; a fork that fails twice leaves the snapshot
+            // slot empty, which blocks snapshot reads until its next write.
+            let forked = self.fork_live(i).or_else(|()| {
+                self.handle_panics(&[i]);
+                self.fork_live(i)
+            });
+            self.install_snapshot(i, forked.ok().flatten());
         }
-        // The forks run here while the pool replays.
-        for i in 0..self.slots.len() {
-            if self.snap_debt[i] != SnapDebt::Fork {
-                continue;
-            }
-            let mut attempts = 0u32;
-            let forked = loop {
-                if self.dead[i] {
-                    break None;
-                }
-                match self.fork_live(i) {
-                    Ok(f) => break f,
-                    Err(()) if attempts == 0 => {
-                        attempts += 1;
-                        self.handle_panics(&[i]);
-                    }
-                    Err(()) => break None,
-                }
-            };
-            self.install_snapshot(i, forked);
-            // A fork that failed twice is not retried until the shard is
-            // written again; its empty slot blocks snapshot reads meanwhile.
-            self.snap_debt[i] = SnapDebt::Clean;
-        }
-        let torn = self.gather(in_flight, false);
-        self.repair_snapshots(&torn);
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {

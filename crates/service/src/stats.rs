@@ -255,8 +255,9 @@ pub struct ServiceStats {
     /// Shard snapshots published by deep-copying the live shard: startup,
     /// shards a write rebuilt, restarted shards, repairs.
     pub snapshot_forks: u64,
-    /// Shard snapshots published by replaying the shard's in-place write
-    /// on the existing copy (no copy made).
+    /// Shard snapshots kept level by replaying the shard's in-place write
+    /// on the existing copy, inside the write's own pool job (no copy
+    /// made).
     pub snapshot_replays: u64,
     /// Bytes copied by `snapshot_forks`, cumulative — the publish traffic,
     /// where `snapshot_clone_bytes` is what the copies hold.

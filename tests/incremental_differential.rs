@@ -270,23 +270,16 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
         s_reb.rebuilds_avoided, 0,
         "{label}: rebuild mode never avoids"
     );
-    // Work bound: resident updates (same shard route) skip the
-    // envelope-map write-back, so entries are rewritten exactly when the
-    // route changed — never once per applied update.
     assert_eq!(
-        s_inc.envelope_writebacks, s_inc.migrations,
-        "{label}: write-backs track migrations, not applied updates"
-    );
-    assert_eq!(
-        s_reb.envelope_writebacks, s_inc.envelope_writebacks,
-        "{label}: both modes route (and write back) identically"
+        s_reb.migrations, s_inc.migrations,
+        "{label}: both modes route identically"
     );
 
     // 2. Cross-shard teleports: migrations force the rebuild fallback, and
     //    results must not care.
     let updates = teleport(n, seed, 60);
     let s_inc = inc.update_batch(&updates);
-    reb.update_batch(&updates);
+    let s_reb = reb.update_batch(&updates);
     oracle.update(&updates);
     check(
         &mut inc,
@@ -295,8 +288,8 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
         &format!("{label}/teleport"),
     );
     assert_eq!(
-        s_inc.envelope_writebacks, s_inc.migrations,
-        "{label}: teleports write back exactly the migrated entries"
+        s_reb.migrations, s_inc.migrations,
+        "{label}: both modes migrate the same teleports"
     );
     if shards > 1 {
         assert!(
@@ -420,14 +413,9 @@ fn incremental_mode_avoids_rebuilds_on_jitter() {
         s_inc.structural,
         s_reb.structural
     );
-    // One shard means one possible route: every jitter update is resident,
-    // so the envelope map is never rewritten — the write-back skip the
-    // counter exists to prove.
-    assert_eq!(
-        s_inc.envelope_writebacks, 0,
-        "single-shard jitter rewrites no envelope entries"
-    );
-    assert_eq!(s_reb.envelope_writebacks, 0);
+    // One shard means one possible route: every jitter update is resident.
+    assert_eq!(s_inc.migrations, 0, "single-shard jitter migrates nothing");
+    assert_eq!(s_reb.migrations, 0);
 }
 
 /// Shrink-to-empty and regrow: removing every element leaves all three

@@ -1057,12 +1057,13 @@ fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
 }
 
 // --------------------------------------------------------------------------
-// Replay-on-publish under faults. A snapshot-publishing backend whose
-// shards write in place publishes a resident write by replaying its lane on
-// each shard's snapshot copy (one pool job per shard, drawing from the same
-// per-shard job sequence as every other job) and forks a shard only when
-// there is no lane to replay. The oracle is the same incremental engine
-// driven serially, so replies are compared byte for byte unless noted.
+// Snapshot replay under faults. A snapshot-publishing backend whose shards
+// write in place keeps each shard's snapshot copy level by replaying the
+// write lane on it in the replay half of the write job (which draws its own
+// number from the per-shard job sequence, right after the live half), and
+// forks a shard at publish only when the copy could not be replayed. The
+// oracle is the same incremental engine driven serially, so replies are
+// compared byte for byte unless noted.
 // --------------------------------------------------------------------------
 
 fn incremental_grid_engine(data: &[Element], shards: usize) -> ShardedEngine<UniformGrid> {
@@ -1124,7 +1125,7 @@ fn snapshot_read(handle: &ServiceHandle, probe: &Request) -> Reply {
         .unwrap_or_else(|err| panic!("snapshot read failed: {err}"))
 }
 
-/// A worker panic **on a replay job**: only the snapshot copy is torn, so
+/// A worker panic **in a replay half**: only the snapshot copy is torn, so
 /// the shard's snapshot is re-forked from the (untouched) live executor —
 /// no restart, the epoch publishes exactly once, and the shard goes back to
 /// replaying on the next tick.
@@ -1136,7 +1137,7 @@ fn replay_job_panic_reforks_the_snapshot_not_the_shard() {
     let router = oracle.0.router().clone();
     let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
     // Per shard: job 0 = the barrier read, job 1 = the write lane, job 2 =
-    // that lane's replay at publish — where shard 2 panics.
+    // the replay half of the write job — where shard 2 panics.
     let plan = FaultPlan::new().panic_on_shard(2, 2);
     let backend = ChaosBackend::new(
         ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
@@ -1190,9 +1191,10 @@ fn replay_job_panic_reforks_the_snapshot_not_the_shard() {
     assert_eq!(stats.failed_requests, 0);
 }
 
-/// `panic_at_publish` on an incremental engine: the retried publish
-/// replays each shard's lane exactly once — four replays per epoch, no
-/// fork after startup — and reads at the retried epochs match the oracle.
+/// `panic_at_publish` on an incremental engine: each shard's lane is
+/// replayed exactly once across the retried publish — four replays per
+/// epoch, no fork after startup — and reads at the retried epochs match the
+/// oracle.
 #[test]
 fn publish_panic_on_incremental_engine_replays_each_lane_once() {
     quiet_panics();
@@ -1476,7 +1478,7 @@ fn splicing_replay_panic_reforks_the_copy_without_a_restart() {
     let router = oracle.0.router().clone();
     let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
     // Per shard: job 0 = the barrier read, job 1 = the write lane, job 2 =
-    // that lane's replay at publish — where shard 2 panics mid-splice.
+    // the replay half of the write job — where shard 2 panics mid-splice.
     let plan = FaultPlan::new().panic_on_shard(2, 2);
     let backend = ChaosBackend::new(
         ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),

@@ -23,13 +23,13 @@
 //!   idle polls, no matter how many write rounds retired snapshots.
 //!
 //! * **Replay ≡ fork** (snapshot × incremental differential): on an engine
-//!   whose shards write in place, a publish replays the write lane on the
-//!   snapshot copy instead of cloning the shard. Under a stream that mixes
-//!   resident ticks, migrations, inserts and removals (all spliced in
-//!   place, so all replayed) with one bulk membership change (rebuilt, so
-//!   forked), every snapshot reply must still be the serial incremental
-//!   engine's answer at its epoch — id order and kNN ties included — and
-//!   the counters must say which path each shard took.
+//!   whose shards write in place, the write job replays its lane on the
+//!   snapshot copy instead of the publish cloning the shard. Under a
+//!   stream that mixes resident ticks, migrations, inserts and removals
+//!   (all spliced in place, so all replayed) with one bulk membership
+//!   change (rebuilt, so forked), every snapshot reply must still be the
+//!   serial incremental engine's answer at its epoch — id order and kNN
+//!   ties included — and the counters must say which path each shard took.
 //! * **Memory guard**: two hundred rounds of the same elements crossing a
 //!   shard cut and returning leave the live and snapshot gauges where the
 //!   second round left them.
@@ -669,13 +669,12 @@ fn replayed_snapshots_match_incremental_oracle_4_shards() {
     replay_differential(4);
 }
 
-/// The `ServiceBackend` trait does not promise a publish after every write.
-/// Driven directly, two in-place writes before one publish leave each
-/// snapshot copy two lanes behind with only the second lane at hand: the
-/// backend must fork those shards rather than replay, and the published
-/// state must still equal live state.
+/// A shard's write job replays its in-place lane on the snapshot copy
+/// before it reports, so the copies never fall behind. Driven directly, two
+/// in-place writes before one publish replay every lane of both writes and
+/// leave `publish` nothing to fork; the published state equals live state.
 #[test]
-fn unpublished_write_falls_back_to_fork() {
+fn writes_before_a_publish_keep_copies_level() {
     let data = tied_soup(1600, 0xF0F0);
     let engine = incremental_engine(&data, 2);
     let router = engine.router().clone();
@@ -702,8 +701,8 @@ fn unpublished_write_falls_back_to_fork() {
     let telemetry = backend.telemetry();
     assert_eq!(
         (telemetry.snapshot_forks, telemetry.snapshot_replays),
-        (4, 0),
-        "two writes behind: both shards fork again, nothing replays"
+        (2, 4),
+        "both writes replayed on both copies; only the startup publish forked"
     );
 
     let run = QueryRun {
@@ -720,13 +719,13 @@ fn unpublished_write_falls_back_to_fork() {
     assert_eq!(live.knn[0].query_results(0), snap.knn[0].query_results(0));
     assert!(!live.range.query_results(0).is_empty());
 
-    // Published and level again: the next write replays.
+    // Still level: the next write replays too.
     backend.update_batch(&ticks[2]);
     backend.publish(2);
     let telemetry = backend.telemetry();
     assert_eq!(
         (telemetry.snapshot_forks, telemetry.snapshot_replays),
-        (4, 2)
+        (2, 6)
     );
     backend.shutdown();
 }
