@@ -120,11 +120,10 @@ pub struct ShardApplyCost {
 /// **Determinism contract**: the closure must be a pure function of
 /// `(index, data, updates)` — the same index and element state given the
 /// same lane end in the same state, cell order and all (no clocks, random
-/// numbers or state captured outside its arguments). The service layer
-/// leans on it: a published snapshot executor is a structural copy of the
-/// live one, and replaying the lane the live executor just applied must
-/// leave the copy byte-identical to a fresh clone of the live executor —
-/// range emission order and kNN ties included.
+/// numbers or state captured outside its arguments). The incremental
+/// differential suites lean on it: a service's shards and a serial engine
+/// fed the same lanes must answer byte for byte — range emission order and
+/// kNN ties included.
 pub type ShardApply<I> =
     Arc<dyn Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost + Send + Sync>;
 
@@ -471,26 +470,6 @@ impl<I> ShardExecutor<I> {
     }
 }
 
-impl<I: Clone> ShardExecutor<I> {
-    /// A frozen copy of this executor for snapshot reads: same elements,
-    /// id map and index, fresh query scratch. The copy shares nothing
-    /// mutable with `self`, so the service layer can keep serving queries
-    /// from it while the live executor applies later write barriers. It is
-    /// where a shard's published snapshot starts; in-place writes then
-    /// reach the copy by replaying their lane on it ([`ShardApply`]).
-    pub fn fork(&self) -> Self {
-        Self {
-            region: self.region,
-            data: self.data.clone(),
-            global: self.global.clone(),
-            index: self.index.clone(),
-            engine: QueryEngine::new(),
-            rebuild: self.rebuild.clone(),
-            apply: self.apply.clone(),
-        }
-    }
-}
-
 /// A lane changes a shard's membership in place only while the arrivals
 /// plus departures stay within this fraction of the shard; a bigger change
 /// rebuilds, which also re-fits the index to where the elements now are.
@@ -612,12 +591,8 @@ impl<I: SpatialIndex> ShardExecutor<I> {
     ///   and the attached rebuild function rebuilds the index over it, which
     ///   also re-fits the index to where the elements now are.
     ///
-    /// Every step is a pure function of the executor's state and the lane,
-    /// which is what lets the service replay the lane on a snapshot copy.
-    /// The update translation lands in `scratch.local` and is reused when it
-    /// already maps these very updates onto this executor's ids — re-running
-    /// a resident lane on a structural copy of the executor it first ran on
-    /// neither repeats the binary searches nor allocates.
+    /// Every step is a pure function of the executor's state and the lane
+    /// (the [`ShardApply`] determinism contract).
     ///
     /// Returns the lane report with the executor-level counters filled
     /// ([`UpdateLane::run`] adds the post-apply gauges). Panics when no
@@ -635,18 +610,10 @@ impl<I: SpatialIndex> ShardExecutor<I> {
                 .as_ref()
                 .expect("write batch on a read-only shard — build the engine with_rebuild"),
         );
-        let local = &mut scratch.local;
-        let translated = local.len() == updates.len()
-            && updates
-                .iter()
-                .zip(local.iter())
-                .all(|(&(gid, _), &(li, _))| self.global.get(li as usize) == Some(&gid));
-        if !translated {
-            local.clear();
-            for &(gid, shape) in updates {
-                let li = self.global.binary_search(&gid).expect(LANE_AGREES);
-                local.push((li as ElementId, shape));
-            }
+        scratch.local.clear();
+        for &(gid, shape) in updates {
+            let li = self.global.binary_search(&gid).expect(LANE_AGREES);
+            scratch.local.push((li as ElementId, shape));
         }
         let changed = inserts.len() + removals.len();
         let mut in_place = self.apply.is_some();
@@ -1081,7 +1048,6 @@ impl UpdateLane {
         self.updates.clear();
         self.inserts.clear();
         self.removals.clear();
-        self.scratch.local.clear();
         self.report = UpdateLaneReport::default();
     }
 
@@ -1690,10 +1656,7 @@ impl<I> ShardedEngine<I> {
     /// leave `data[id].shape` equal to the new geometry, exactly as a
     /// rebuild would (that equivalence is what the differential suite
     /// checks, with rebuild mode as the oracle), and it must be
-    /// deterministic in its arguments (see [`ShardApply`]): a
-    /// snapshot-publishing service brings a shard's published copy up to
-    /// date by running the same lane on it a second time instead of cloning
-    /// the shard.
+    /// deterministic in its arguments (see [`ShardApply`]).
     pub fn with_apply(
         mut self,
         apply: impl Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost

@@ -1298,7 +1298,7 @@ mod tests {
 
     #[test]
     fn splice_is_a_pure_function_of_its_arguments() {
-        // The replay contract: equal grids spliced with equal arguments end
+        // The determinism contract: equal grids spliced with equal arguments end
         // up structurally equal — cell order and slot directory included.
         let data = scattered(900, 0.5);
         let (_, removed, remap, inserted) = small_change(&data);

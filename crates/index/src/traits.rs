@@ -129,7 +129,8 @@ pub trait SpatialIndex {
     /// exactly as a fresh build over the new dataset would, and must be a
     /// pure function of `(self, removed, remap, inserted)`: equal indexes
     /// spliced with equal arguments end up equal, entry order included
-    /// (the sharded engine replays the same call on a snapshot copy).
+    /// (the incremental differential suites compare two engines fed the
+    /// same lanes byte for byte).
     fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
         let _ = (removed, remap, inserted);
         false

@@ -12,17 +12,11 @@
 //! * [`ShardedBackend`] — a [`ShardedEngine`] split into its
 //!   [`ShardPlanner`] and per-shard
 //!   [`ShardExecutor`](simspatial_index::ShardExecutor)s, executed on a
-//!   **work-stealing worker pool**. Each executor sits in two slots, a
-//!   *live* one that writes mutate and (after
-//!   [`ShardedBackend::spawn_snapshot`]) a *snapshot* one kept level with
-//!   it: a shard's write job applies its lane to the live executor and,
-//!   when that ran in place, **replays the same lane on the snapshot copy**
-//!   before it reports — membership changes included, where the shard
-//!   index splices them ([`SpatialIndex::splice`]). One write wave per
-//!   write; `publish` only forks, and the live executor is forked only on
-//!   startup, after a lane that rebuilt the shard (a bulk membership
-//!   change, an index that cannot splice, an engine without `with_apply`),
-//!   after a restart and on repair. The dispatcher routes a run into per-shard lanes and
+//!   **work-stealing worker pool**. Each executor sits in one slot that
+//!   reads and writes alike run against. Snapshot runs need no copy of
+//!   it: the scheduler runs one only while live state *is* the last
+//!   published epoch, ahead of every write of its dispatch. The dispatcher
+//!   routes a run into per-shard lanes and
 //!   scatters them as stealable jobs: each pool worker owns a local deque
 //!   (a shard's jobs land on its owner's queue) and steals the oldest job
 //!   from a sibling when its own queue drains, so an uneven shard split
@@ -44,7 +38,7 @@ use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3, Shape};
 use simspatial_index::{
     BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryEngine, QueryStats, RangeLane,
     ShardApply, ShardApplyCost, ShardExecutor, ShardPlanner, ShardedEngine, SpatialIndex,
-    UpdateLane, UpdateLaneReport, UpdateStats,
+    UpdateLane, UpdateStats,
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -128,21 +122,6 @@ pub struct BackendTelemetry {
     /// Per-pool-worker cumulative busy time (nanoseconds spent executing
     /// shard jobs). Empty for backends without a worker pool.
     pub worker_busy_ns: Vec<u64>,
-    /// Shard snapshots published by **forking** the live executor (a deep
-    /// copy): the startup publish, shards a write rebuilt (not merely
-    /// changed the membership of), restarted shards, repairs.
-    pub snapshot_forks: u64,
-    /// Shard snapshots kept level by **replaying** a write lane on the
-    /// existing copy, in the write's own pool job right after the live
-    /// executor applied it in place — what an in-place write costs to
-    /// publish.
-    pub snapshot_replays: u64,
-    /// Bytes copied by those forks, cumulative.
-    pub snapshot_fork_bytes: u64,
-    /// Bytes currently held by published snapshot copies (0 for backends
-    /// that share state instead of copying). Replaced copies are freed, so
-    /// an idle service holds at most one published snapshot per shard.
-    pub snapshot_clone_bytes: u64,
 }
 
 /// What a backend can do beyond answering queries, read once by the
@@ -155,8 +134,11 @@ pub struct Capabilities {
     /// `insert_batch` / `remove_batch` change membership (`Insert`/`Remove`).
     pub membership: bool,
     /// Published snapshot reads: the scheduler hoists
-    /// [`Consistency::Snapshot`](crate::Consistency) reads ahead of write
-    /// barriers and calls [`ServiceBackend::publish`] after every write.
+    /// [`Consistency::Snapshot`](crate::Consistency) reads ahead of a
+    /// dispatch's write barriers and advances the epoch after every write.
+    /// The backend keeps no copy for them: a hoisted run executes before
+    /// any write of its dispatch, so live state is the last published
+    /// epoch whenever a snapshot run executes.
     pub snapshots: bool,
 }
 
@@ -272,9 +254,12 @@ pub trait ServiceBackend: Send + 'static {
     /// first. [`BatchReport::partial`] flags queries answered with reduced
     /// shard coverage, [`BatchReport::failed`] queries that must complete
     /// with a typed error. With `snapshot` set the run answers at the
-    /// **last published snapshot**; a backend without snapshot copies may
-    /// ignore the flag, since its state equals the last published epoch
-    /// whenever a snapshot run executes (see [`ServiceBackend::publish`]).
+    /// **last published epoch**. The scheduler runs a snapshot run only
+    /// while live state is that epoch (never between a write and the epoch
+    /// it advances), so a backend answers it exactly like a live run. The
+    /// flag lets a wrapper tell the two apart:
+    /// [`ChaosBackend`](crate::ChaosBackend) keeps snapshot runs out of its
+    /// op-keyed fault schedule.
     /// Results must be byte-identical to running the sub-batches one by one
     /// in canonical order (range, then kNN groups ascending by `k`).
     fn query_run(
@@ -354,23 +339,6 @@ pub trait ServiceBackend: Send + 'static {
     /// hook [`ChaosBackend`](crate::ChaosBackend) uses to schedule shard
     /// crashes and stalls. Backends without worker threads ignore it.
     fn install_worker_faults(&mut self, _faults: &[(usize, u64, FaultKind)]) {}
-
-    /// Publishes the backend's current state as the read snapshot for
-    /// `epoch`. The scheduler calls this once at startup (epoch 0) and
-    /// immediately after **every** applied write barrier, strictly between
-    /// backend calls (no queries or writes in flight), and runs no snapshot
-    /// read between a write and its publish — which is the invariant
-    /// everything else leans on: between two publishes, live state is
-    /// byte-identical to the last published epoch. A backend that keeps
-    /// copies may therefore bring a copy up to date inside the write itself
-    /// ([`ShardedBackend`] replays each lane its shards applied in place on
-    /// that shard's copy, in the same pool job) and leave `publish` only
-    /// the copies the write could not keep level. Must be idempotent per
-    /// epoch: the scheduler retries after a caught panic, and a retried
-    /// publish must not publish the epoch twice. The default does nothing
-    /// — a backend without snapshot copies already satisfies the contract,
-    /// because its current state *is* the published state.
-    fn publish(&mut self, _epoch: u64) {}
 
     /// Structure bytes the backend holds (surfaced through `ServiceStats`;
     /// refreshed after every update application, so post-migration shrink
@@ -527,10 +495,9 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> EngineBackend<I> {
 }
 
 impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBackend<I> {
-    /// Snapshot reads are free on a single inline engine: current state
-    /// always equals the last published epoch, so the default `publish` is
-    /// exact, `query_run` ignores its `snapshot` flag, and hoisted snapshot
-    /// reads still skip the write barriers queued behind them.
+    /// Snapshot reads are free on a single inline engine: `query_run`
+    /// ignores its `snapshot` flag, and hoisted snapshot reads still skip
+    /// the write barriers queued behind them.
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             updates: self.rebuild.is_some(),
@@ -635,24 +602,7 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBacke
 enum Job {
     Range(RangeLane),
     Knn(KnnLane),
-    /// A write lane and its replay half on the shard's snapshot copy.
-    Update(UpdateLane, Replay),
-}
-
-/// The replay half of a write job: asked for by the dispatcher, answered
-/// by the worker in the same field.
-#[derive(Clone, Copy)]
-enum Replay {
-    /// Not run: no level copy, or the live half rebuilt or panicked.
-    Skip,
-    /// Asked for: the copy is level, so replay the lane on it if the live
-    /// half ran in place.
-    Wanted,
-    /// Ran; the copy is level again. The lane now holds the copy's report,
-    /// so the live half's travels here.
-    Level(UpdateLaneReport),
-    /// Panicked: only the copy is torn.
-    Torn,
+    Update(UpdateLane),
 }
 
 /// What a pool worker sends back per job: which shard it ran on, the tag
@@ -670,63 +620,37 @@ struct WorkerDone {
 }
 
 /// A job travelling through the worker pool: the shard whose executor must
-/// run it, the scatter phase's routing tag, the lane itself, and which
-/// slot set it runs against (`snap` = the shard's published snapshot
-/// executor instead of its live one).
+/// run it, the scatter phase's routing tag and the lane itself.
 struct PoolJob {
     shard: usize,
     tag: usize,
     job: Job,
-    snap: bool,
 }
 
 /// The type-erased per-shard execution core a pool worker calls: runs any
 /// lane variant against the shard's executor without the backend knowing
 /// the index type.
 trait RunnerCore: Send {
-    /// Runs one routed lane against the owned executor.
+    /// Runs one routed lane against the executor.
     fn run(&mut self, job: &mut Job);
-    /// A frozen copy of the owned executor for snapshot serving, or `None`
-    /// when the backend was spawned without snapshot support.
-    fn fork(&self) -> Option<ShardRunner>;
-    /// Bytes held by the owned executor (snapshot-clone accounting).
+    /// Bytes held by the executor (the shard-memory gauge after a restart).
     fn memory_bytes(&self) -> usize;
 }
 
 /// A boxed [`RunnerCore`] — what executor slots hold.
 type ShardRunner = Box<dyn RunnerCore>;
 
-/// How a [`Runner`] copies its executor at publish time
-/// ([`ShardExecutor::fork`], which needs a `Clone` index).
-type ForkFn<I> = fn(&ShardExecutor<I>) -> ShardExecutor<I>;
-
-/// The one [`RunnerCore`]: a shard executor plus the fork hook
-/// [`ShardedBackend::spawn_snapshot`] sets (`None` = no snapshot support,
-/// so the index type needs no `Clone` bound).
-struct Runner<I> {
-    exec: ShardExecutor<I>,
-    fork: Option<ForkFn<I>>,
-}
-
-impl<I: SpatialIndex + KnnIndex + Send + 'static> RunnerCore for Runner<I> {
+impl<I: SpatialIndex + KnnIndex + Send + 'static> RunnerCore for ShardExecutor<I> {
     fn run(&mut self, job: &mut Job) {
         match job {
-            Job::Range(lane) => lane.run(&mut self.exec),
-            Job::Knn(lane) => lane.run(&mut self.exec),
-            Job::Update(lane, _) => lane.run(&mut self.exec),
+            Job::Range(lane) => lane.run(self),
+            Job::Knn(lane) => lane.run(self),
+            Job::Update(lane) => lane.run(self),
         }
     }
 
-    fn fork(&self) -> Option<ShardRunner> {
-        let fork = self.fork?;
-        Some(Box::new(Runner {
-            exec: fork(&self.exec),
-            fork: self.fork,
-        }))
-    }
-
     fn memory_bytes(&self) -> usize {
-        self.exec.memory_bytes()
+        ShardExecutor::memory_bytes(self)
     }
 }
 
@@ -768,12 +692,8 @@ struct PoolShared {
     /// `(job sequence, kind)` — installed by the backend, looked up by the
     /// workers. Both live outside the executor slots, so a fault schedule
     /// spans executor incarnations deterministically. **Every** pool job
-    /// of a shard draws one number — live lanes and snapshot reads alike —
-    /// and a write job whose replay half runs draws a second one right
-    /// after its live half, which is what lets a plan aim a fault at a
-    /// replay. A replay happens only on a snapshot-publishing backend whose
-    /// shards write in place, so plans written for any other configuration
-    /// count exactly the jobs they always did.
+    /// of a shard draws one number: write lanes, live reads and snapshot
+    /// reads alike.
     seqs: Vec<AtomicU64>,
     faults: Vec<Mutex<Vec<(u64, FaultKind)>>>,
 }
@@ -795,8 +715,8 @@ struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns the pool: `min(parallel::num_threads(), shards)` workers
-    /// (at least one), each holding clones of the executor slots.
-    fn spawn(shards: usize, slots: &RunnerSlots, snap_slots: &RunnerSlots) -> Self {
+    /// (at least one), each holding a clone of the executor slots.
+    fn spawn(shards: usize, slots: &RunnerSlots) -> Self {
         let workers = parallel::num_threads().min(shards.max(1)).max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -814,11 +734,10 @@ impl WorkerPool {
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 let slots = Arc::clone(slots);
-                let snap_slots = Arc::clone(snap_slots);
                 let done_tx = done_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("simspatial-pool-{w}"))
-                    .spawn(move || pool_worker_loop(w, &shared, &slots, &snap_slots, &done_tx))
+                    .spawn(move || pool_worker_loop(w, &shared, &slots, &done_tx))
                     .expect("spawn pool worker thread")
             })
             .collect();
@@ -835,17 +754,11 @@ impl WorkerPool {
     }
 
     /// Enqueues one job onto its shard's owner queue and wakes a worker.
-    /// `snap` routes it to the shard's published snapshot executor.
-    fn submit(&self, shard: usize, tag: usize, job: Job, snap: bool) {
+    fn submit(&self, shard: usize, tag: usize, job: Job) {
         let mut state = self.shared.lock_state();
         assert!(!state.shutdown, "backend already shut down");
         let owner = shard % state.queues.len();
-        state.queues[owner].push_back(PoolJob {
-            shard,
-            tag,
-            job,
-            snap,
-        });
+        state.queues[owner].push_back(PoolJob { shard, tag, job });
         drop(state);
         self.shared.work_available.notify_one();
     }
@@ -876,13 +789,11 @@ impl WorkerPool {
 /// — the executor never crosses the boundary again after a panic): a
 /// panicking job clears the shard's executor slot (the executor may be
 /// torn mid-update, so the only safe continuation is a supervisor rebuild)
-/// and still produces a `WorkerDone { panicked: true }` report. A write
-/// job then runs its replay half, if it asked for one.
+/// and still produces a `WorkerDone { panicked: true }` report.
 fn pool_worker_loop(
     worker: usize,
     shared: &PoolShared,
     slots: &RunnerSlots,
-    snap_slots: &RunnerSlots,
     done_tx: &mpsc::Sender<WorkerDone>,
 ) {
     loop {
@@ -916,12 +827,9 @@ fn pool_worker_loop(
             shard,
             tag,
             mut job,
-            snap,
         } = pool_job;
         let started = Instant::now();
-        let slot_set = if snap { snap_slots } else { slots };
-        let panicked = run_job(shared, shard, &mut lock_slot(&slot_set[shard]), &mut job);
-        replay_half(shared, shard, &snap_slots[shard], &mut job, panicked);
+        let panicked = run_job(shared, shard, &mut lock_slot(&slots[shard]), &mut job);
         shared.busy_ns[worker].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if done_tx
             .send(WorkerDone {
@@ -973,36 +881,6 @@ fn run_job(
     panicked
 }
 
-/// The replay half of a write job that asked for one ([`Replay::Wanted`]):
-/// when the live half ran in place, the same lane runs on the shard's
-/// snapshot copy, leaving it byte-identical to a fresh fork (the
-/// [`ShardApply`] determinism contract). It draws its own job number, so a
-/// plan can aim a fault at it, and a panic tears only the copy.
-fn replay_half(
-    shared: &PoolShared,
-    shard: usize,
-    copy: &Mutex<Option<ShardRunner>>,
-    job: &mut Job,
-    live_panicked: bool,
-) {
-    let Job::Update(lane, Replay::Wanted) = job else {
-        return;
-    };
-    let live = *lane.report();
-    let mut copy = lock_slot(copy);
-    let in_place = live.rebuilds == 0 && live.rebuilds_avoided == 1;
-    let outcome = if live_panicked || !in_place || copy.is_none() {
-        Replay::Skip
-    } else if run_job(shared, shard, &mut copy, job) {
-        Replay::Torn
-    } else {
-        Replay::Level(live)
-    };
-    if let Job::Update(_, replay) = job {
-        *replay = outcome;
-    }
-}
-
 /// The type-erased shard-restart recipe a [`ShardedBackend`] stores at
 /// spawn: rebuilds shard `i`'s executor from the planner's element store
 /// and wraps it into a fresh pool runner, returning the runner plus the
@@ -1047,23 +925,8 @@ pub struct ShardedBackend {
     /// wraps it into a fresh pool runner. `None` when the engine was built
     /// without a rebuild function — then any panic kills its shard.
     factory: Option<RespawnFn>,
-    /// Per-shard **published snapshot** executor slots, shared with the
-    /// pool workers (snapshot jobs run against these). `None` for shards
-    /// with no published snapshot (pre-first-publish, dead, or torn by a
-    /// panicked snapshot job awaiting repair). Replacing a slot drops the
-    /// previous copy — at most one published snapshot per shard, ever.
-    snap_slots: RunnerSlots,
-    /// Per shard, whether the snapshot copy must be re-forked at the next
-    /// [`ServiceBackend::publish`]: there is no copy yet, or the live
-    /// executor moved without it (a lane that rebuilt the shard or whose
-    /// replay half tore the copy, a restart). A level copy stays level
-    /// through every in-place write, since the write job replays its lane.
-    refork: Vec<bool>,
-    /// Per-shard snapshot copy bytes (the clone-bytes gauge input):
-    /// sampled at fork, refreshed by every replay's lane report.
-    snap_bytes: Vec<usize>,
-    /// Whether executors can fork snapshot copies
-    /// ([`ShardedBackend::spawn_snapshot`]).
+    /// [`Capabilities::snapshots`], set by
+    /// [`ShardedBackend::spawn_snapshot`].
     snapshots: bool,
     range_lanes: Vec<RangeLane>,
     /// Per-kNN-group lane scratch of the read path's combined scatter
@@ -1088,38 +951,27 @@ impl ShardedBackend {
         engine: ShardedEngine<I>,
         policy: SupervisorPolicy,
     ) -> Self {
-        Self::spawn_inner(engine, policy, None)
+        Self::spawn_inner(engine, policy, false)
     }
 
     /// [`ShardedBackend::spawn`] with **published snapshot reads**
-    /// enabled: requires a `Clone` index type so each shard executor can
-    /// fork a frozen copy ([`ShardExecutor::fork`]). The copies are forked
-    /// at startup, and from then on a write that a shard applied in place
-    /// ([`ShardedEngine::with_apply`]) is replayed on the shard's copy by
-    /// the same pool job, at the cost of the write — migrations, inserts
-    /// and removals too, when the shard index can splice them; a shard
-    /// forks again at publish only after a lane that rebuilt it, a restart
-    /// or a repair — so an engine without `with_apply` forks every shard a
-    /// write touched. The scheduler detects the capability through
-    /// [`Capabilities::snapshots`] and serves
-    /// [`Consistency::Snapshot`](crate::Consistency) reads from the copies
-    /// while live executors apply later write barriers.
-    pub fn spawn_snapshot<I: SpatialIndex + KnnIndex + Clone + Send + 'static>(
+    /// enabled. The scheduler detects the capability through
+    /// [`Capabilities::snapshots`] and hoists
+    /// [`Consistency::Snapshot`](crate::Consistency) reads ahead of the
+    /// write barriers of their dispatch. They run against the live
+    /// executors, as [`Capabilities::snapshots`] explains.
+    pub fn spawn_snapshot<I: SpatialIndex + KnnIndex + Send + 'static>(
         engine: ShardedEngine<I>,
     ) -> Self {
-        Self::spawn_inner(
-            engine,
-            SupervisorPolicy::default(),
-            Some(ShardExecutor::fork),
-        )
+        Self::spawn_inner(engine, SupervisorPolicy::default(), true)
     }
 
     fn spawn_inner<I: SpatialIndex + KnnIndex + Send + 'static>(
         engine: ShardedEngine<I>,
         policy: SupervisorPolicy,
-        fork: Option<ForkFn<I>>,
+        snapshots: bool,
     ) -> Self {
-        let wrap = move |exec| Box::new(Runner { exec, fork }) as ShardRunner;
+        let wrap = |exec: ShardExecutor<I>| Box::new(exec) as ShardRunner;
         let sizes = engine.shard_sizes();
         let updatable = engine.is_updatable();
         let (planner, executors) = engine.into_parts();
@@ -1138,10 +990,7 @@ impl ShardedBackend {
                 .map(|exec| Mutex::new(Some(wrap(exec))))
                 .collect(),
         );
-        // Snapshot slots start empty; the scheduler's startup publish
-        // (epoch 0) forks the initial copies when snapshots are enabled.
-        let snap_slots: RunnerSlots = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let pool = WorkerPool::spawn(n, &slots, &snap_slots);
+        let pool = WorkerPool::spawn(n, &slots);
         let factory: Option<RespawnFn> = rebuild.map(|rb| {
             Box::new(move |planner: &ShardPlanner, shard: usize| {
                 let rb = rb.clone();
@@ -1171,10 +1020,7 @@ impl ShardedBackend {
             dead: vec![false; n],
             telemetry: BackendTelemetry::default(),
             factory,
-            snap_slots,
-            refork: vec![true; n],
-            snap_bytes: vec![0; n],
-            snapshots: fork.is_some(),
+            snapshots,
             range_lanes: Vec::new(),
             knn_home_groups: Vec::new(),
             knn_fan_groups: Vec::new(),
@@ -1240,9 +1086,6 @@ impl ShardedBackend {
                         *lock_slot(&self.slots[i]) = Some(runner);
                         self.sizes[i] = len;
                         self.telemetry.shard_restarts += 1;
-                        // Rebuilt from the planner store: same contents,
-                        // not the structure the snapshot copy mirrors.
-                        self.refork[i] = true;
                         restarted = true;
                         break;
                     }
@@ -1254,10 +1097,6 @@ impl ShardedBackend {
                 self.telemetry.shards_dead += 1;
                 self.sizes[i] = 0;
                 self.shard_memory[i] = 0;
-                // A dead shard drops its published snapshot too: snapshot
-                // reads degrade over exactly the surviving shard set, same
-                // as the live path.
-                self.install_snapshot(i, None);
             }
         }
     }
@@ -1299,12 +1138,10 @@ impl ShardedBackend {
     }
 
     /// The one write path (updates, inserts, removals): `route` advances
-    /// the planner and fills the update lanes, which then scatter — each
-    /// asking for a replay half when the shard's snapshot copy is level —
-    /// are supervised, and fold their write-amplification counters into the
-    /// report. A copy whose replay half did not run is flagged for the next
-    /// publish to re-fork. [`UpdateReport::failed`] names the first shard
-    /// that ended **dead**, if any — the typed write failure.
+    /// the planner and fills the update lanes, which then scatter, are
+    /// supervised, and fold their write-amplification counters into the
+    /// report. [`UpdateReport::failed`] names the first shard that ended
+    /// **dead**, if any — the typed write failure.
     fn apply_routed<T>(
         &mut self,
         what: &str,
@@ -1336,35 +1173,19 @@ impl ShardedBackend {
             if lane.is_empty() {
                 continue;
             }
-            let replay = if self.snapshots && !self.refork[i] {
-                Replay::Wanted
-            } else {
-                Replay::Skip
-            };
-            self.pool
-                .submit(i, 0, Job::Update(std::mem::take(lane), replay), false);
+            self.pool.submit(i, 0, Job::Update(std::mem::take(lane)));
             in_flight += 1;
         }
         let mut panicked = Vec::new();
         for _ in 0..in_flight {
             let done = self.pool.recv_done();
-            let (shard, Job::Update(lane, replay)) = (done.shard, done.job) else {
+            let (shard, Job::Update(lane)) = (done.shard, done.job) else {
                 unreachable!("a write wave runs update lanes only");
             };
-            let mut report = *lane.report();
-            match replay {
-                Replay::Level(live) => {
-                    self.snap_bytes[shard] = report.memory_bytes;
-                    self.telemetry.snapshot_replays += 1;
-                    report = live;
-                }
-                Replay::Torn => self.telemetry.panics_caught += 1,
-                Replay::Skip | Replay::Wanted => {}
-            }
-            self.refork[shard] = !matches!(replay, Replay::Level(_));
             if done.panicked {
                 panicked.push(shard);
             } else {
+                let report = lane.report();
                 self.sizes[shard] = report.len_after;
                 self.shard_memory[shard] = report.memory_bytes;
                 report.fold_into(&mut stats);
@@ -1378,77 +1199,21 @@ impl ShardedBackend {
         (value, UpdateReport { stats, failed })
     }
 
-    /// Shards a query run must route around. For a live run that is the
-    /// dead set; a snapshot run additionally avoids live shards whose
-    /// snapshot slot is empty (a fork that failed and could not be
-    /// repaired), which get the same partial/failed treatment as dead
-    /// shards rather than silently answering from the wrong epoch.
-    fn blocked_shards(&self, snap: bool) -> Vec<bool> {
-        (0..self.slots.len())
-            .map(|i| self.dead[i] || (snap && lock_slot(&self.snap_slots[i]).is_none()))
-            .collect()
-    }
-
-    /// Supervision for a panic inside a *snapshot* job: the live shard is
-    /// untouched (the job ran against the frozen copy), so instead of a
-    /// quarantine/restart cycle the snapshot is simply re-forked from the
-    /// live executor. That is exact, not approximate: the scheduler
-    /// publishes after every write barrier, so whenever a snapshot run is
-    /// on the pool the live state *is* the published epoch's state.
-    /// `panicked` arrives deduplicated from `gather`.
-    fn repair_snapshots(&mut self, panicked: &[usize]) {
-        for &i in panicked {
-            self.telemetry.panics_caught += 1;
-            let forked = if self.dead[i] {
-                None
-            } else {
-                self.fork_live(i).ok().flatten()
-            };
-            self.install_snapshot(i, forked);
-        }
-    }
-
-    /// A deep copy of shard `i`'s live executor (`None` when its slot is
-    /// empty); `Err` when the user index's `Clone` panicked.
-    fn fork_live(&self, i: usize) -> Result<Option<ShardRunner>, ()> {
-        catch_unwind(AssertUnwindSafe(|| {
-            lock_slot(&self.slots[i]).as_ref().and_then(|r| r.fork())
-        }))
-        .map_err(|_| ())
-    }
-
-    /// Parks a fork (or nothing) in shard `i`'s snapshot slot, dropping —
-    /// and thereby freeing — the copy it replaces. Either clears the
-    /// shard's re-fork flag: a fork is level with the live executor by
-    /// construction, and an empty slot is not retried until the shard is
-    /// written again (its write job then finds no copy to replay on).
-    fn install_snapshot(&mut self, i: usize, forked: Option<ShardRunner>) {
-        let bytes = forked.as_ref().map_or(0, |r| r.memory_bytes());
-        if forked.is_some() {
-            self.telemetry.snapshot_forks += 1;
-            self.telemetry.snapshot_fork_bytes += bytes as u64;
-        }
-        self.refork[i] = false;
-        self.snap_bytes[i] = bytes;
-        *lock_slot(&self.snap_slots[i]) = forked;
-    }
-
     /// Scatters one wave of the routed run onto the pool — wave 1
     /// (`fan_phase == false`): every non-empty range lane, then each of
     /// the `groups` kNN groups' home lanes; wave 2: each group's fan-out
     /// lanes — and waits for all of it to come back (empty lanes skip the
     /// round trip). One shard's jobs serialise on its executor slot;
     /// independent shards (and stolen jobs) overlap. Returns `true` when a
-    /// job panicked: the shard was quarantined/restarted (live run) or its
-    /// snapshot re-forked (snapshot run), its lanes carry torn results, and
-    /// the run must be re-routed against the post-supervision shard set.
-    fn scatter_wave(&mut self, snap: bool, fan_phase: bool, groups: usize) -> bool {
+    /// job panicked: the shard was quarantined and restarted (or declared
+    /// dead), its lanes carry torn results, and the run must be re-routed
+    /// against the post-supervision shard set.
+    fn scatter_wave(&mut self, fan_phase: bool, groups: usize) -> bool {
         let mut in_flight = 0usize;
         if !fan_phase {
             for (i, lane) in self.range_lanes.iter_mut().enumerate() {
                 if !lane.is_empty() {
-                    self.pool
-                        .submit(i, 0, Job::Range(std::mem::take(lane)), snap);
+                    self.pool.submit(i, 0, Job::Range(std::mem::take(lane)));
                     in_flight += 1;
                 }
             }
@@ -1461,21 +1226,14 @@ impl ShardedBackend {
         for (g, lanes) in knn[..groups].iter_mut().enumerate() {
             for (i, lane) in lanes.iter_mut().enumerate() {
                 if !lane.is_empty() {
-                    self.pool.submit(i, g, Job::Knn(std::mem::take(lane)), snap);
+                    self.pool.submit(i, g, Job::Knn(std::mem::take(lane)));
                     in_flight += 1;
                 }
             }
         }
         let panicked = self.gather(in_flight, fan_phase);
-        if panicked.is_empty() {
-            return false;
-        }
-        if snap {
-            self.repair_snapshots(&panicked);
-        } else {
-            self.handle_panics(&panicked);
-        }
-        true
+        self.handle_panics(&panicked);
+        !panicked.is_empty()
     }
 }
 
@@ -1506,19 +1264,15 @@ impl ServiceBackend for ShardedBackend {
     /// results as seeds) forms a second wave. The per-sub-batch merges run
     /// on the backend thread afterwards and are the same deterministic code
     /// a serial [`ShardedEngine`] runs, so results are byte-identical to
-    /// executing the sub-batches one by one. A snapshot run executes every
-    /// lane against the shard's **published snapshot** executor (live
-    /// ones are free to apply the write barriers queued behind it); routing
-    /// still uses the planner, which is exact because its region/envelope
-    /// state only gates *which shards are visited*, and snapshot runs only
-    /// execute when live and published state agree on membership.
+    /// executing the sub-batches one by one. A snapshot run executes like a
+    /// live one: the scheduler runs it only while live state is the last
+    /// published epoch.
     fn query_run(
         &mut self,
         run: &QueryRun,
-        snapshot: bool,
+        _snapshot: bool,
         out: &mut QueryRunResults,
     ) -> QueryRunReport {
-        let snap = snapshot && self.snapshots;
         let start = Instant::now();
         let (range, knn) = (&run.range, &run.knn);
         out.ensure_knn(knn.len());
@@ -1536,7 +1290,7 @@ impl ServiceBackend for ShardedBackend {
             // home lanes, minus lanes aimed at blocked shards — partial
             // coverage for range; typed failure for kNN, where partial
             // neighbours would be silently wrong.
-            let blocked = self.blocked_shards(snap);
+            let blocked = self.dead.clone();
             self.planner.route_range(range, &mut self.range_lanes);
             partial.iter_mut().for_each(|n| *n = 0);
             for (i, lane) in self.range_lanes.iter_mut().enumerate() {
@@ -1553,7 +1307,7 @@ impl ServiceBackend for ShardedBackend {
                 self.planner.route_knn_home(points, *k, home);
                 fail_blocked(&blocked, home, &mut failed[g]);
             }
-            if self.scatter_wave(snap, false, knn.len()) {
+            if self.scatter_wave(false, knn.len()) {
                 continue;
             }
             // ---- Wave 2: each group's fan-out lanes, seeded by its home
@@ -1565,7 +1319,7 @@ impl ServiceBackend for ShardedBackend {
                     .route_knn_fanout(points, *k, &self.knn_home_groups[g], fan);
                 fail_blocked(&blocked, fan, &mut failed[g]);
             }
-            if self.scatter_wave(snap, true, knn.len()) {
+            if self.scatter_wave(true, knn.len()) {
                 continue;
             }
             break;
@@ -1617,38 +1371,6 @@ impl ServiceBackend for ShardedBackend {
         report
     }
 
-    /// Forks the copies the writes could not keep level. A write job
-    /// already replayed every lane that ran **in place** on its shard's
-    /// copy, so a shard **forks** (deep copy, on this thread, replacing —
-    /// and thereby freeing — the previous copy) only when it is flagged:
-    /// the startup publish, a lane that rebuilt the shard, a restart, a
-    /// replay half that panicked or found no copy. Other shards keep their
-    /// copy (no clone); dead shards publish nothing. Idempotent per epoch:
-    /// a shard's flag clears the moment its fork is installed, so a
-    /// scheduler retry after a caught panic finishes what the interrupted
-    /// pass had not and repeats nothing. A panic inside the user index's
-    /// `Clone` is supervised like a worker panic — the shard restarts from
-    /// the planner store and the fork is retried once against the rebuilt
-    /// executor.
-    fn publish(&mut self, _epoch: u64) {
-        if !self.snapshots {
-            return;
-        }
-        for i in 0..self.slots.len() {
-            if !self.refork[i] {
-                continue;
-            }
-            // A shard that dies in the retry has an empty live slot, which
-            // forks nothing; a fork that fails twice leaves the snapshot
-            // slot empty, which blocks snapshot reads until its next write.
-            let forked = self.fork_live(i).or_else(|()| {
-                self.handle_panics(&[i]);
-                self.fork_live(i)
-            });
-            self.install_snapshot(i, forked.ok().flatten());
-        }
-    }
-
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
         self.apply_routed("write batch", |planner, lanes| {
             ((), planner.route_updates(updates, lanes))
@@ -1689,7 +1411,6 @@ impl ServiceBackend for ShardedBackend {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
-        t.snapshot_clone_bytes = self.snap_bytes.iter().map(|&b| b as u64).sum();
         t
     }
 

@@ -73,11 +73,6 @@ pub struct ScheduledFault {
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<ScheduledFault>,
-    /// Epoch-publication panics, keyed by **publish attempt index** — a
-    /// separate counter from `op`, so publish faults joining a plan never
-    /// shift an existing op-keyed schedule (every `publish` call consumes
-    /// one index, retried attempts included).
-    publish_faults: Vec<u64>,
 }
 
 /// `splitmix64` — the workspace's standard tiny deterministic generator.
@@ -140,30 +135,6 @@ impl FaultPlan {
         self.push(seq, Some(shard), FaultKind::Panic)
     }
 
-    /// Panic the `publish_idx`-th epoch-publication attempt — the fault
-    /// fires **between** barrier application and epoch publication (the
-    /// write is applied, the new epoch is not yet published), the exact
-    /// window the snapshot chaos suite probes. The scheduler must retry
-    /// and publish the epoch exactly once: the retry is the next publish
-    /// attempt, so a lone fault at `publish_idx` lets attempt
-    /// `publish_idx + 1` succeed. Publish faults are keyed by their own
-    /// attempt counter and never shift an op-keyed schedule.
-    pub fn panic_at_publish(mut self, publish_idx: u64) -> Self {
-        self.publish_faults.push(publish_idx);
-        self
-    }
-
-    /// True when the `publish_idx`-th publish attempt is scheduled to
-    /// panic.
-    pub fn publish_panic(&self, publish_idx: u64) -> bool {
-        self.publish_faults.contains(&publish_idx)
-    }
-
-    /// Number of scheduled publish-attempt panics.
-    pub fn planned_publish_panics(&self) -> u64 {
-        self.publish_faults.len() as u64
-    }
-
     /// Delay shard `shard`'s worker by `d` on its `seq`-th job.
     pub fn delay_on_shard(self, shard: usize, seq: u64, d: Duration) -> Self {
         self.push(seq, Some(shard), FaultKind::Delay(d))
@@ -179,7 +150,6 @@ impl FaultPlan {
         let mut plan = Self {
             seed,
             faults: Vec::new(),
-            publish_faults: Vec::new(),
         };
         let n_faults = (ops / 6).clamp(1, 24);
         for _ in 0..n_faults {
@@ -262,9 +232,6 @@ pub struct ChaosBackend<B> {
     /// Set immediately before an injected panic unwinds, so
     /// [`ChaosBackend::recover`] knows the inner backend was never reached.
     injected_panic: bool,
-    /// Publish-attempt index: every `publish` call consumes one (panicking
-    /// attempts included), independent of the `op` counter.
-    publishes: u64,
 }
 
 impl<B: ServiceBackend> ChaosBackend<B> {
@@ -276,7 +243,6 @@ impl<B: ServiceBackend> ChaosBackend<B> {
             plan,
             op: 0,
             injected_panic: false,
-            publishes: 0,
         }
     }
 
@@ -396,24 +362,6 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
 
     fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
         self.inner.remove_batch(ids)
-    }
-
-    // Publish forwards without consuming a dispatcher op; its panics have
-    // their own schedule (`FaultPlan::panic_at_publish`), keyed by publish
-    // attempt index.
-    fn publish(&mut self, epoch: u64) {
-        let idx = self.publishes;
-        self.publishes += 1;
-        if self.plan.publish_panic(idx) {
-            // The barrier is applied, the epoch is not yet published: the
-            // exact window the snapshot chaos suite probes. Inner state is
-            // untouched by the panic, so `recover` reports healthy and the
-            // scheduler's retry (the next attempt index) completes the
-            // publication exactly once.
-            self.injected_panic = true;
-            panic!("chaos: injected panic at publish attempt {idx}");
-        }
-        self.inner.publish(epoch);
     }
 
     fn recover(&mut self, after_write: bool) -> bool {

@@ -79,18 +79,16 @@
 //!   publishes a monotonically increasing **epoch**; reads submitted at
 //!   [`Consistency::Snapshot`] (via [`ServiceHandle::submit_at`]) are
 //!   hoisted in front of a dispatch's pending write barriers and answered
-//!   from the last published per-shard snapshots (a shard that applies a
-//!   write in place replays it on its snapshot copy in the same pool job;
-//!   shards fork at publish on startup, structural change, restart and
-//!   repair; untouched shards do nothing), so one slow `Step` no longer
-//!   stalls the read fleet. `ReadYourWrites { min_epoch }` floors
+//!   at the last published epoch, so one slow `Step` no longer stalls the
+//!   read fleet. No copy is kept for them: a hoisted run executes before
+//!   any write of its dispatch, while live state *is* the last published
+//!   epoch. `ReadYourWrites { min_epoch }` floors
 //!   freshness at the submitter's last acknowledged write (acks carry the
 //!   publishing epoch in [`Reply::epoch`]); `Barrier` keeps the strict
 //!   pre-epoch ordering and doubles as the differential oracle the
 //!   snapshot consistency suite compares against. Snapshot serving is
-//!   opt-in on the sharded backend ([`ShardedBackend::spawn_snapshot`],
-//!   requiring `Clone` indexes) and free on [`EngineBackend`] (serial
-//!   execution already answers at the published epoch).
+//!   opt-in on the sharded backend ([`ShardedBackend::spawn_snapshot`])
+//!   and always on for [`EngineBackend`].
 //!
 //! ## Quick start
 //!

@@ -197,16 +197,17 @@ impl Drop for Envelope {
         } else {
             RecvError::ShutDown
         };
+        // Counted before it is sent, like every other reply.
+        if let Ok(mut inner) = self.shared.stats.lock() {
+            inner.stats.completed += 1;
+            inner.stats.failed_requests += 1;
+        }
         let _ = reply.send(Completion {
             result: Err(err),
             latency: self.submitted.elapsed(),
             shards_skipped: 0,
             epoch: 0,
         });
-        if let Ok(mut inner) = self.shared.stats.lock() {
-            inner.stats.completed += 1;
-            inner.stats.failed_requests += 1;
-        }
     }
 }
 
@@ -526,21 +527,13 @@ struct Scheduler<B: ServiceBackend> {
     /// published epoch a read ran against, or the epoch whose publication
     /// made a write visible.
     epochs: Vec<u64>,
-    /// The last **published** epoch. The scheduler publishes epoch 0
-    /// before serving anything and a new epoch after every write
-    /// application, so whenever no write is mid-application the live
-    /// dataset equals the published epoch's state. Without
-    /// [`Capabilities::snapshots`] the epoch machinery is dormant: no
-    /// publishes, every request runs the barrier path, all epochs report 0.
+    /// The last **published** epoch: 0 at startup, advanced after every
+    /// write application while the service is healthy, so whenever no
+    /// write is mid-application the live dataset *is* the published
+    /// epoch's state — which is why a snapshot run needs no copy. Without
+    /// [`Capabilities::snapshots`] the epoch machinery is dormant: every
+    /// request runs the barrier path and all epochs report 0.
     epoch: u64,
-    /// Successful `publish` calls over the service lifetime. Exactly
-    /// `epoch + 1` while healthy (epoch 0 plus one per write barrier) —
-    /// the chaos suite asserts this to prove a publish interrupted by a
-    /// shard panic is retried exactly once, never skipped or doubled.
-    epochs_published: u64,
-    /// Backend panics caught while publishing (folded into `sched_panics`
-    /// at the next dispatch-stats flush).
-    publish_panics: u64,
     /// Set when a backend panic unwound to the dispatcher on a write path
     /// the backend could not recover: the dataset state is unknown, so
     /// every subsequent request fails fast with
@@ -617,8 +610,6 @@ impl<B: ServiceBackend> Scheduler<B> {
             skipped: Vec::new(),
             epochs: Vec::new(),
             epoch: 0,
-            epochs_published: 0,
-            publish_panics: 0,
             poisoned: false,
         }
     }
@@ -628,10 +619,6 @@ impl<B: ServiceBackend> Scheduler<B> {
             shared: Arc::clone(&self.shared),
             armed: true,
         };
-        // Publish the initial epoch before serving anything: snapshot
-        // readers always have a consistent epoch to answer from, even
-        // before the first write barrier.
-        self.publish_epoch(0);
         loop {
             match rx.recv_timeout(IDLE_POLL) {
                 Ok(env) => self.collect_and_dispatch(env, &rx),
@@ -702,8 +689,8 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// the dispatch is observationally identical to a serial run of the
     /// requests in admission order. Each run's requests complete as soon
     /// as the run ends ([`Scheduler::complete_run`]): a read's reply never
-    /// waits for the writes and publishes behind it, and a write's ack
-    /// leaves right after the publish that stamps its epoch.
+    /// waits for the writes behind it, and a write's ack leaves right after
+    /// the write, stamped with the epoch it advanced to.
     fn dispatch(&mut self) {
         let n = self.pending.len();
         self.responses.clear();
@@ -732,14 +719,15 @@ impl<B: ServiceBackend> Scheduler<B> {
         // ---- Snapshot hoist: reads that asked for (at most) the last
         // published epoch do not belong behind this dispatch's write
         // barriers — they are pulled out of admission order and executed
-        // first, as ONE snapshot query run against the published per-shard
-        // snapshots, and complete before the first barrier run starts.
-        // This is what unserializes reads from writes: a hoisted read's
-        // latency never includes the write applications and publishes
-        // queued behind it. `ReadYourWrites` hoists once its floor is
-        // published (acks carry the publishing epoch, so an honest client
-        // always hoists) and degrades to the barrier path otherwise —
-        // strictly fresher than asked. Everything else (`Barrier` reads,
+        // first, as ONE snapshot query run, and complete before the first
+        // barrier run starts. Running first is what makes them snapshot
+        // reads: no write of this dispatch has applied yet, so live state
+        // is the last published epoch. This is what unserializes reads
+        // from writes: a hoisted read's latency never includes the write
+        // applications queued behind it. `ReadYourWrites` hoists once its
+        // floor is published (acks carry the publishing epoch, so an honest
+        // client always hoists) and degrades to the barrier path otherwise
+        // — strictly fresher than asked. Everything else (`Barrier` reads,
         // all writes) keeps today's strict admission-order semantics.
         let mut barrier_idx: Vec<usize> = Vec::with_capacity(n);
         let mut snap_idx: Vec<usize> = Vec::new();
@@ -855,7 +843,7 @@ impl<B: ServiceBackend> Scheduler<B> {
         let telemetry = self.backend.telemetry();
         {
             let mut inner = self.shared.stats.lock().expect("stats lock");
-            inner.sched_panics += totals.sched_panics + std::mem::take(&mut self.publish_panics);
+            inner.sched_panics += totals.sched_panics;
             let stats = &mut inner.stats;
             if totals.requests > 0 {
                 stats.dispatches += 1;
@@ -895,16 +883,16 @@ impl<B: ServiceBackend> Scheduler<B> {
             stats.snapshot_reads += totals.snapshot_reads;
             stats.stale_reads += totals.stale_reads;
             stats.current_epoch = self.epoch;
-            stats.epochs_published = self.epochs_published;
-            stats.snapshot_clone_bytes = telemetry.snapshot_clone_bytes;
+            stats.epochs_published = if self.shared.caps.snapshots {
+                self.epoch + 1
+            } else {
+                0
+            };
             stats.panics_caught = telemetry.panics_caught;
             stats.shard_restarts = telemetry.shard_restarts;
             stats.shards_dead = telemetry.shards_dead;
             stats.worker_steals = telemetry.worker_steals;
             stats.worker_busy_ns = telemetry.worker_busy_ns;
-            stats.snapshot_forks = telemetry.snapshot_forks;
-            stats.snapshot_replays = telemetry.snapshot_replays;
-            stats.snapshot_fork_bytes = telemetry.snapshot_fork_bytes;
             stats.completed += completed;
             for &i in idxs {
                 let env = &self.pending[i];
@@ -928,33 +916,6 @@ impl<B: ServiceBackend> Scheduler<B> {
             };
             self.pending[i].complete(result, self.skipped[i], self.epochs[i]);
         }
-    }
-
-    /// Publishes epoch `next` on the backend, retrying a publish
-    /// interrupted by a caught panic. `publish` is idempotent per epoch
-    /// (the backend replays or re-forks only the shards the interrupted
-    /// pass left owing), so the retry completes the same publication rather than
-    /// doubling it; the epoch counter and `epochs_published` advance only
-    /// on success, exactly once per epoch. A publish that keeps failing
-    /// leaves the per-shard snapshots potentially spanning two epochs —
-    /// no consistent epoch can be served — so the service poisons.
-    fn publish_epoch(&mut self, next: u64) {
-        if !self.shared.caps.snapshots || self.poisoned {
-            return;
-        }
-        for _ in 0..3 {
-            if catch_unwind(AssertUnwindSafe(|| self.backend.publish(next))).is_ok() {
-                self.epoch = next;
-                self.epochs_published += 1;
-                return;
-            }
-            self.publish_panics += 1;
-            if !self.backend.recover(false) {
-                self.poison();
-                return;
-            }
-        }
-        self.poison();
     }
 
     /// Executes one query run (`pending[idxs]`, all non-write): all range
@@ -1147,8 +1108,8 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// geometry writes between membership barriers — in admission order,
     /// so duplicate ids resolve last-write-wins across requests exactly as
     /// a serial run would — into ONE backend `update_batch` application
-    /// each, and completes every segment right after the publish that
-    /// stamps its epoch.
+    /// each, and completes every segment right after its application,
+    /// stamped with the epoch it advanced to.
     fn run_update_batch(&mut self, idxs: &[usize], totals: &mut DispatchTotals) {
         // A write run executes as ordered **segments**: consecutive
         // geometry writes (`Update`/`Step`/`StepDelta`) flatten into one
@@ -1229,7 +1190,8 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// that unwound out of the write is only survivable if the backend can
     /// restore index–data consistency (recovery restores consistency, not
     /// the write's atomicity); otherwise the service poisons. Every applied
-    /// (even partially applied) write **publishes the next epoch** and
+    /// (even partially applied) write **publishes the next epoch** — a
+    /// counter bump, since the backend's live state now is that epoch — and
     /// stamps it on the segment's surviving requests — the ack a client
     /// receives carries the epoch that made its write visible to snapshot
     /// readers. Returns `call`'s value when the write fully succeeded.
@@ -1264,7 +1226,9 @@ impl<B: ServiceBackend> Scheduler<B> {
                 None
             }
         };
-        self.publish_epoch(self.epoch + 1);
+        if self.shared.caps.snapshots && !self.poisoned {
+            self.epoch += 1;
+        }
         for &i in seg {
             if self.failures[i].is_none() {
                 self.epochs[i] = self.epoch;
@@ -1414,5 +1378,51 @@ impl SpatialService {
 impl Drop for SpatialService {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EngineBackend;
+    use simspatial_index::LinearScan;
+
+    /// A straggler reply is counted before its client holds it: while the
+    /// stats lock is held, the drop-guard cannot send; once it is
+    /// released, the reply arrives with `completed` already counted.
+    #[test]
+    fn straggler_reply_is_counted_before_it_is_sent() {
+        let service = SpatialService::spawn(
+            EngineBackend::build(Vec::new(), LinearScan::build),
+            ServiceConfig::default(),
+        );
+        let shared = Arc::clone(&service.shared);
+        let (reply, rx) = mpsc::channel();
+        let env = Envelope {
+            request: Request::Range(Vec::new()),
+            consistency: Consistency::Barrier,
+            reply: Some(reply),
+            submitted: Instant::now(),
+            deadline: None,
+            shared: Arc::clone(&shared),
+        };
+        let held = shared.stats.lock().expect("stats lock");
+        let dropper = std::thread::spawn(move || drop(env));
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "the straggler reply was sent before it was counted"
+        );
+        drop(held);
+        let completion = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the straggler reply never arrived");
+        assert!(matches!(completion.result, Err(RecvError::ShutDown)));
+        let counted = shared.stats.lock().expect("stats lock");
+        assert_eq!(
+            (counted.stats.completed, counted.stats.failed_requests),
+            (1, 1)
+        );
+        drop(counted);
+        dropper.join().expect("dropper panicked");
     }
 }

@@ -231,14 +231,12 @@ pub struct ServiceStats {
     /// — see [`Consistency`](crate::Consistency)). Epoch 0 publishes at
     /// service start; every applied write barrier publishes the next.
     pub current_epoch: u64,
-    /// Successful epoch publications over the service lifetime. While the
-    /// service is healthy this is exactly `current_epoch + 1` (the startup
-    /// epoch plus one per write barrier): a publish interrupted by a
-    /// caught panic is retried and counted only when it lands, so no epoch
-    /// is ever skipped or published twice.
+    /// Epochs published over the service lifetime: `current_epoch + 1` by
+    /// construction on a snapshot backend (the startup epoch plus one per
+    /// write barrier), 0 on one without snapshot support.
     pub epochs_published: u64,
-    /// Reads served at `Consistency::Snapshot`/`ReadYourWrites` from a
-    /// published snapshot instead of the barrier path.
+    /// Reads served at `Consistency::Snapshot`/`ReadYourWrites` at the last
+    /// published epoch instead of on the barrier path.
     pub snapshot_reads: u64,
     /// Snapshot reads that were hoisted over at least one write barrier
     /// admitted before them in the same dispatch — reads whose (stale but
@@ -246,22 +244,10 @@ pub struct ServiceStats {
     /// skipped waiting on a write application. `snapshot_reads -
     /// stale_reads` ran with no write pending anyway.
     pub stale_reads: u64,
-    /// Bytes currently held by published per-shard snapshot copies
-    /// (refreshed every dispatch). Bounded by one snapshot per shard:
-    /// publishing a shard's next snapshot frees its previous one, so this
-    /// gauge returns to ~one-copy baseline once readers drain — the
-    /// epoch-reclamation property test pins this.
+    /// Bytes held by snapshot copies: always 0, because snapshot reads run
+    /// against live state and no backend keeps a copy. Kept only because
+    /// the benchmark still reads it.
     pub snapshot_clone_bytes: u64,
-    /// Shard snapshots published by deep-copying the live shard: startup,
-    /// shards a write rebuilt, restarted shards, repairs.
-    pub snapshot_forks: u64,
-    /// Shard snapshots kept level by replaying the shard's in-place write
-    /// on the existing copy, inside the write's own pool job (no copy
-    /// made).
-    pub snapshot_replays: u64,
-    /// Bytes copied by `snapshot_forks`, cumulative — the publish traffic,
-    /// where `snapshot_clone_bytes` is what the copies hold.
-    pub snapshot_fork_bytes: u64,
     /// Per-tenant admission accounting, populated by multi-tenant front
     /// ends (empty for in-process services — see [`TenantStats`]).
     pub tenants: Vec<TenantStats>,
@@ -338,15 +324,12 @@ impl ServiceStats {
         );
         let _ = write!(
             s,
-            ",\"current_epoch\":{},\"epochs_published\":{},\"snapshot_reads\":{},\"stale_reads\":{},\"snapshot_clone_bytes\":{},\"snapshot_forks\":{},\"snapshot_replays\":{},\"snapshot_fork_bytes\":{}",
+            ",\"current_epoch\":{},\"epochs_published\":{},\"snapshot_reads\":{},\"stale_reads\":{},\"snapshot_clone_bytes\":{}",
             self.current_epoch,
             self.epochs_published,
             self.snapshot_reads,
             self.stale_reads,
             self.snapshot_clone_bytes,
-            self.snapshot_forks,
-            self.snapshot_replays,
-            self.snapshot_fork_bytes
         );
         let _ = write!(s, ",\"memory_bytes\":{}", self.memory_bytes);
         s.push_str(",\"shard_sizes\":[");
@@ -455,15 +438,8 @@ impl ServiceStats {
             self.retries_attempted,
         ));
         s.push_str(&format!(
-            "epochs: current {}, {} published, {} snapshot reads ({} stale), {} snapshot bytes; {} shard replays, {} forks ({} bytes copied)\n",
-            self.current_epoch,
-            self.epochs_published,
-            self.snapshot_reads,
-            self.stale_reads,
-            self.snapshot_clone_bytes,
-            self.snapshot_replays,
-            self.snapshot_forks,
-            self.snapshot_fork_bytes,
+            "epochs: current {}, {} published, {} snapshot reads ({} stale)\n",
+            self.current_epoch, self.epochs_published, self.snapshot_reads, self.stale_reads,
         ));
         if !self.worker_busy_ns.is_empty() {
             let busy_ms: Vec<String> = self

@@ -238,7 +238,7 @@ proptest! {
     // is the running count, which debug builds check against the cell
     // walk on every call. Splicing two clones of one grid with the same
     // arguments must give the same structure — same emission order, same
-    // bytes: the contract the sharded engine's snapshot replay rests on.
+    // bytes: the contract the incremental differential suites rest on.
     #[test]
     fn grid_splice_equals_rebuild(
         elements in arb_elements(),

@@ -913,88 +913,11 @@ fn unrecovered_write_panic_poisons_the_service() {
     assert!(stats.failed_requests >= 2);
 }
 
-/// An injected panic strictly **between** barrier-apply and epoch-publish
-/// (`FaultPlan::panic_at_publish` fires before the inner backend sees the
-/// publish): the scheduler's retry must publish the epoch **exactly once**
-/// — write acks report consecutive epochs with none skipped or observed
-/// twice, and every surviving snapshot reply is byte-identical to the
-/// serial oracle at the epoch it reports. Redemptions use `recv_reply`
-/// (not the bounded helper) because the epoch assertions need the full
-/// [`Reply`]; a hang still fails via the harness timeout.
-#[test]
-fn publish_panic_republishes_exactly_once() {
-    quiet_panics();
-    let data = soup(1500, 0xE90C);
-    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
-    let engine = ShardedEngine::build(&data, 4, build).with_rebuild(build);
-    let mut oracle = ShardedOracle(ShardedEngine::build(&data, 4, build).with_rebuild(build));
-    // Publish attempts: attempt 0 is the startup epoch 0; each write
-    // barrier consumes the next. Panicking attempts 2 and 4 hits write 2's
-    // first publish attempt and write 3's first attempt (write 2's retry
-    // consumed attempt 3) — two independent apply/publish gaps.
-    let plan = FaultPlan::new().panic_at_publish(2).panic_at_publish(4);
-    let backend = ChaosBackend::new(ShardedBackend::spawn_snapshot(engine), plan.clone());
-    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
-    let handle = service.handle();
-
-    let probe = Request::Range(vec![full_cover()]);
-    for e in 1..=4u64 {
-        let batch: Vec<(ElementId, Aabb)> = (0..5u32)
-            .map(|q| {
-                let h = mix(e as u32 ^ q.wrapping_mul(0x51));
-                let x = (h % 880) as f32 / 10.0;
-                let y = ((h >> 8) % 880) as f32 / 10.0;
-                let z = ((h >> 16) % 880) as f32 / 10.0;
-                (
-                    h % 1500,
-                    Aabb::new(Point3::new(x, y, z), Point3::new(x + 1.5, y + 1.5, z + 1.5)),
-                )
-            })
-            .collect();
-        let req = Request::Update(batch);
-        let ack = handle
-            .submit(req.clone())
-            .unwrap()
-            .recv_reply()
-            .unwrap_or_else(|err| panic!("publish-retry: write {e} failed: {err}"));
-        assert_eq!(ack.response, expected(&mut oracle, &req));
-        assert_eq!(
-            ack.epoch, e,
-            "write {e} acked under a skipped or double-published epoch"
-        );
-        let snap = handle
-            .submit_at(probe.clone(), Consistency::Snapshot)
-            .unwrap()
-            .recv_reply()
-            .unwrap_or_else(|err| panic!("publish-retry: snapshot read {e} failed: {err}"));
-        assert_eq!(snap.epoch, e, "snapshot ran against a stale republish");
-        assert_eq!(
-            snap.response,
-            expected(&mut oracle, &probe),
-            "snapshot reply at epoch {e} diverged from the oracle at epoch {e}"
-        );
-    }
-
-    let stats = service.shutdown();
-    assert_eq!(stats.current_epoch, 4);
-    assert_eq!(
-        stats.epochs_published, 5,
-        "startup + one per barrier: retries must not re-publish"
-    );
-    assert_eq!(stats.panics_caught, plan.planned_publish_panics());
-    assert_eq!(
-        stats.shard_restarts, 0,
-        "publish faults never touch workers"
-    );
-    assert_eq!(stats.failed_requests, 0);
-}
-
 /// A shard worker panic **mid-write** on a snapshot-publishing backend:
 /// the restart rebuilds the shard's live state from the planner's
 /// already-advanced store, the epoch still publishes exactly once, and
-/// the post-restart publish forks a *fresh* snapshot from the rebuilt
-/// shard — snapshot reads at the new epoch are byte-identical to the
-/// oracle, not served from the pre-restart copy.
+/// snapshot reads at the new epoch serve the rebuilt shard — byte-identical
+/// to the oracle.
 #[test]
 fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
     quiet_panics();
@@ -1031,7 +954,7 @@ fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
         "post-restart snapshot serves the rebuilt shard, not the stale fork"
     );
 
-    // Another full round proves the restarted shard keeps re-forking.
+    // Another full round proves the restarted shard keeps serving.
     let step2 = Request::Step(step_envelopes(2000, 0x31AC));
     let ack2 = handle.submit(step2.clone()).unwrap().recv_reply().unwrap();
     assert_eq!(ack2.response, expected(&mut oracle, &step2));
@@ -1057,13 +980,11 @@ fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
 }
 
 // --------------------------------------------------------------------------
-// Snapshot replay under faults. A snapshot-publishing backend whose shards
-// write in place keeps each shard's snapshot copy level by replaying the
-// write lane on it in the replay half of the write job (which draws its own
-// number from the per-shard job sequence, right after the live half), and
-// forks a shard at publish only when the copy could not be replayed. The
-// oracle is the same incremental engine driven serially, so replies are
-// compared byte for byte unless noted.
+// Snapshot reads on incremental shards under faults. A snapshot-publishing
+// backend whose shards write in place answers snapshot runs from the live
+// executors, so a shard that restarts mid-write must serve snapshot reads
+// from its rebuilt state. The oracle is the same incremental engine driven
+// serially, so replies are compared byte for byte unless noted.
 // --------------------------------------------------------------------------
 
 fn incremental_grid_engine(data: &[Element], shards: usize) -> ShardedEngine<UniformGrid> {
@@ -1111,12 +1032,6 @@ fn resident_delta(cur: &mut [Aabb], router: &ShardRouter, h: u32) -> Request {
     Request::StepDelta(moves)
 }
 
-/// `(snapshot_forks, snapshot_replays)` right now.
-fn publish_paths(handle: &ServiceHandle) -> (u64, u64) {
-    let stats = handle.stats();
-    (stats.snapshot_forks, stats.snapshot_replays)
-}
-
 fn snapshot_read(handle: &ServiceHandle, probe: &Request) -> Reply {
     handle
         .submit_at(probe.clone(), Consistency::Snapshot)
@@ -1125,141 +1040,14 @@ fn snapshot_read(handle: &ServiceHandle, probe: &Request) -> Reply {
         .unwrap_or_else(|err| panic!("snapshot read failed: {err}"))
 }
 
-/// A worker panic **in a replay half**: only the snapshot copy is torn, so
-/// the shard's snapshot is re-forked from the (untouched) live executor —
-/// no restart, the epoch publishes exactly once, and the shard goes back to
-/// replaying on the next tick.
+/// A mid-write worker panic restarts one shard of an incremental engine
+/// from the planner store, and snapshot reads at the write's epoch serve
+/// the rebuilt shard, on this tick and the next. The restarted shard was
+/// rebuilt, not updated in place, so its ids come back in a different cell
+/// order than the serial engine's — replies are compared to the oracle as
+/// sets, and snapshot against live byte for byte.
 #[test]
-fn replay_job_panic_reforks_the_snapshot_not_the_shard() {
-    quiet_panics();
-    let data = soup(2000, 0x9E91A);
-    let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
-    let router = oracle.0.router().clone();
-    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
-    // Per shard: job 0 = the barrier read, job 1 = the write lane, job 2 =
-    // the replay half of the write job — where shard 2 panics.
-    let plan = FaultPlan::new().panic_on_shard(2, 2);
-    let backend = ChaosBackend::new(
-        ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
-        plan,
-    );
-    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
-    let handle = service.handle();
-    let probe = Request::Range(vec![full_cover()]);
-
-    let r0 = handle.submit(probe.clone()).unwrap();
-    assert_eq!(
-        recv_bounded(&r0, "replay-panic", 0).unwrap(),
-        expected(&mut oracle, &probe)
-    );
-    assert_eq!(publish_paths(&handle), (4, 0), "epoch 0 forks every shard");
-
-    let tick = resident_delta(&mut cur, &router, 0xA1);
-    let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
-    assert_eq!(ack.response, expected(&mut oracle, &tick));
-    assert_eq!(
-        ack.epoch, 1,
-        "the torn replay must not skip or repeat the epoch"
-    );
-    assert_eq!(
-        publish_paths(&handle),
-        (5, 3),
-        "three shards replayed, the torn one was re-forked"
-    );
-    let snap = snapshot_read(&handle, &probe);
-    assert_eq!(snap.epoch, 1);
-    assert_eq!(
-        snap.response,
-        expected(&mut oracle, &probe),
-        "the re-forked snapshot serves epoch 1"
-    );
-
-    let tick2 = resident_delta(&mut cur, &router, 0xA2);
-    let ack2 = handle.submit(tick2.clone()).unwrap().recv_reply().unwrap();
-    assert_eq!(ack2.response, expected(&mut oracle, &tick2));
-    assert_eq!(ack2.epoch, 2);
-    assert_eq!(publish_paths(&handle), (5, 7), "all four replay again");
-    let snap2 = snapshot_read(&handle, &probe);
-    assert_eq!(snap2.epoch, 2);
-    assert_eq!(snap2.response, expected(&mut oracle, &probe));
-
-    let stats = service.shutdown();
-    assert_eq!(stats.panics_caught, 1);
-    assert_eq!(stats.shard_restarts, 0, "the live shard never failed");
-    assert_eq!(stats.shards_dead, 0);
-    assert_eq!(stats.epochs_published, 3, "exactly once per epoch");
-    assert_eq!(stats.failed_requests, 0);
-}
-
-/// `panic_at_publish` on an incremental engine: each shard's lane is
-/// replayed exactly once across the retried publish — four replays per
-/// epoch, no fork after startup — and reads at the retried epochs match the
-/// oracle.
-#[test]
-fn publish_panic_on_incremental_engine_replays_each_lane_once() {
-    quiet_panics();
-    let data = soup(2000, 0x7B11C);
-    let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
-    let router = oracle.0.router().clone();
-    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
-    // Attempt 0 is the startup publish; 2 and 4 are the first attempts of
-    // writes 2 and 3 (write 2's retry is attempt 3).
-    let plan = FaultPlan::new().panic_at_publish(2).panic_at_publish(4);
-    let backend = ChaosBackend::new(
-        ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
-        plan.clone(),
-    );
-    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
-    let handle = service.handle();
-    let probes = [
-        Request::Range(vec![full_cover()]),
-        Request::Knn(vec![(Point3::new(50.0, 50.0, 50.0), 7)]),
-    ];
-
-    assert_eq!(snapshot_read(&handle, &probes[0]).epoch, 0);
-    let startup_fork_bytes = handle.stats().snapshot_fork_bytes;
-    assert!(startup_fork_bytes > 0);
-    for e in 1..=4u64 {
-        let tick = resident_delta(&mut cur, &router, 0xB0 + e as u32);
-        let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
-        assert_eq!(ack.response, expected(&mut oracle, &tick));
-        assert_eq!(ack.epoch, e, "write {e} acked under the wrong epoch");
-        assert_eq!(
-            publish_paths(&handle),
-            (4, 4 * e),
-            "epoch {e}: every shard's lane replayed exactly once, none forked"
-        );
-        for probe in &probes {
-            let snap = snapshot_read(&handle, probe);
-            assert_eq!(snap.epoch, e);
-            assert_eq!(
-                snap.response,
-                expected(&mut oracle, probe),
-                "snapshot at retried epoch {e} diverged from the oracle"
-            );
-        }
-    }
-
-    let stats = service.shutdown();
-    assert_eq!(stats.epochs_published, 5);
-    assert_eq!(stats.panics_caught, plan.planned_publish_panics());
-    assert_eq!(
-        stats.snapshot_fork_bytes, startup_fork_bytes,
-        "only the startup forks copied anything"
-    );
-    assert_eq!(stats.shard_restarts, 0);
-    assert_eq!(stats.failed_requests, 0);
-}
-
-/// A mid-write worker panic restarts one **live** shard from the planner
-/// store: its structure no longer mirrors its snapshot copy, so that shard
-/// forks at the publish while its three siblings replay; afterwards it
-/// replays like the rest. The restarted shard was rebuilt, not updated in
-/// place, so its ids come back in a different cell order than the serial
-/// engine's — replies are compared to the oracle as sets, and snapshot
-/// against live byte for byte.
-#[test]
-fn restarted_shard_forks_while_siblings_replay() {
+fn restarted_shard_serves_snapshots_that_match_live() {
     quiet_panics();
     let data = soup(2000, 0x3C0DE);
     let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
@@ -1283,7 +1071,7 @@ fn restarted_shard_forks_while_siblings_replay() {
 
     let r0 = handle.submit(probe.clone()).unwrap();
     assert_eq!(
-        recv_bounded(&r0, "restart-fork", 0).unwrap(),
+        recv_bounded(&r0, "restart-snapshot", 0).unwrap(),
         expected(&mut oracle, &probe)
     );
 
@@ -1291,11 +1079,6 @@ fn restarted_shard_forks_while_siblings_replay() {
     let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
     assert_eq!(ack.response, expected(&mut oracle, &tick));
     assert_eq!(ack.epoch, 1);
-    assert_eq!(
-        publish_paths(&handle),
-        (5, 3),
-        "the restarted shard forked, its siblings replayed"
-    );
     let snap = snapshot_read(&handle, &probe);
     assert_eq!(snap.epoch, 1);
     let live = handle.submit(probe.clone()).unwrap().recv_reply().unwrap();
@@ -1310,7 +1093,6 @@ fn restarted_shard_forks_while_siblings_replay() {
     let ack2 = handle.submit(tick2.clone()).unwrap().recv_reply().unwrap();
     assert_eq!(ack2.response, expected(&mut oracle, &tick2));
     assert_eq!(ack2.epoch, 2);
-    assert_eq!(publish_paths(&handle), (5, 7), "all four replay again");
     let snap2 = snapshot_read(&handle, &probe);
     let live2 = handle.submit(probe.clone()).unwrap().recv_reply().unwrap();
     assert_eq!(snap2.epoch, 2);
@@ -1379,11 +1161,11 @@ fn migrating_delta(cur: &mut [Aabb], router: &ShardRouter, h: u32) -> (Request, 
 /// shards 1 and 2 change membership in place): the torn shard restarts from
 /// the planner store exactly once — the store already holds the whole
 /// write, arrivals and departures included, so the write is visible in
-/// full — and forks at the publish, while its three siblings, the other
-/// splicing shard among them, replay their lanes. The next migration tick
-/// splices and replays on all four again.
+/// full to snapshot reads — while its three siblings, the other splicing
+/// shard among them, apply their lanes in place. The next migration tick
+/// splices on all four again.
 #[test]
-fn splicing_lane_panic_restarts_once_and_siblings_replay() {
+fn splicing_lane_panic_restarts_once_and_snapshots_match_live() {
     quiet_panics();
     let data = soup(2000, 0x5B11CE);
     let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
@@ -1415,11 +1197,6 @@ fn splicing_lane_panic_restarts_once_and_siblings_replay() {
     let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
     assert_eq!(ack.response, expected(&mut oracle, &tick));
     assert_eq!(ack.epoch, 1);
-    assert_eq!(
-        publish_paths(&handle),
-        (5, 3),
-        "the restarted shard forked; its siblings, one of them splicing, replayed"
-    );
     // kNN selects under (distance, id), so even the rebuilt shard answers
     // byte for byte: the crossers are where the write put them.
     let near = Request::Knn(vec![(landed, 4)]);
@@ -1439,7 +1216,6 @@ fn splicing_lane_panic_restarts_once_and_siblings_replay() {
     let ack2 = handle.submit(tick2.clone()).unwrap().recv_reply().unwrap();
     assert_eq!(ack2.response, expected(&mut oracle, &tick2));
     assert_eq!(ack2.epoch, 2);
-    assert_eq!(publish_paths(&handle), (5, 7), "all four replay again");
     let near2 = Request::Knn(vec![(landed2, 4)]);
     assert_eq!(
         snapshot_read(&handle, &near2).response,
@@ -1464,73 +1240,4 @@ fn splicing_lane_panic_restarts_once_and_siblings_replay() {
         stats.spliced > 0,
         "the surviving lanes changed membership in place"
     );
-}
-
-/// A worker panic in the **replay** of a splicing lane: the live shard
-/// already spliced, only its snapshot copy is torn — so the copy is
-/// re-forked from the live executor, nothing restarts, the epoch publishes
-/// once, and every reply stays byte-identical to the serial engine.
-#[test]
-fn splicing_replay_panic_reforks_the_copy_without_a_restart() {
-    quiet_panics();
-    let data = soup(2000, 0x5B11CF);
-    let mut oracle = ShardedOracle(incremental_grid_engine(&data, 4));
-    let router = oracle.0.router().clone();
-    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
-    // Per shard: job 0 = the barrier read, job 1 = the write lane, job 2 =
-    // the replay half of the write job — where shard 2 panics mid-splice.
-    let plan = FaultPlan::new().panic_on_shard(2, 2);
-    let backend = ChaosBackend::new(
-        ShardedBackend::spawn_snapshot(incremental_grid_engine(&data, 4)),
-        plan,
-    );
-    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
-    let handle = service.handle();
-    let probe = Request::Range(vec![full_cover()]);
-
-    let r0 = handle.submit(probe.clone()).unwrap();
-    assert_eq!(
-        recv_bounded(&r0, "splice-replay-panic", 0).unwrap(),
-        expected(&mut oracle, &probe)
-    );
-    assert_eq!(publish_paths(&handle), (4, 0), "epoch 0 forks every shard");
-
-    let (tick, landed) = migrating_delta(&mut cur, &router, 0xE1);
-    let ack = handle.submit(tick.clone()).unwrap().recv_reply().unwrap();
-    assert_eq!(ack.response, expected(&mut oracle, &tick));
-    assert_eq!(ack.epoch, 1);
-    assert_eq!(
-        publish_paths(&handle),
-        (5, 3),
-        "three shards replayed, the torn copy was re-forked"
-    );
-    for request in [probe.clone(), Request::Knn(vec![(landed, 4)])] {
-        let snap = snapshot_read(&handle, &request);
-        assert_eq!(snap.epoch, 1);
-        assert_eq!(
-            snap.response,
-            expected(&mut oracle, &request),
-            "the re-forked copy serves the spliced state"
-        );
-    }
-
-    let (tick2, landed2) = migrating_delta(&mut cur, &router, 0xE2);
-    let ack2 = handle.submit(tick2.clone()).unwrap().recv_reply().unwrap();
-    assert_eq!(ack2.response, expected(&mut oracle, &tick2));
-    assert_eq!(ack2.epoch, 2);
-    assert_eq!(publish_paths(&handle), (5, 7), "all four replay again");
-    for request in [probe.clone(), Request::Knn(vec![(landed2, 4)])] {
-        let snap = snapshot_read(&handle, &request);
-        assert_eq!(snap.epoch, 2);
-        assert_eq!(snap.response, expected(&mut oracle, &request));
-    }
-
-    let stats = service.shutdown();
-    assert_eq!(stats.panics_caught, 1);
-    assert_eq!(stats.shard_restarts, 0, "the live shard never failed");
-    assert_eq!(stats.shard_rebuilds, 0, "every lane ran in place");
-    assert_eq!(stats.shards_dead, 0);
-    assert_eq!(stats.epochs_published, 3, "exactly once per epoch");
-    assert_eq!(stats.failed_requests, 0);
-    assert!(stats.spliced > 0);
 }

@@ -16,38 +16,31 @@
 //! * **Read-your-writes**: a writer that feeds an acked write's epoch
 //!   back as `ReadYourWrites { min_epoch }` always observes its own
 //!   write, no matter how many other writers are racing it.
-//! * **Epoch reclamation** (property test): replaced snapshot copies are
-//!   freed once readers drain — an idle service holds at most one
-//!   published snapshot per shard, so the clone-bytes gauge stays within
-//!   a constant factor of its post-startup baseline and is stable across
-//!   idle polls, no matter how many write rounds retired snapshots.
-//!
-//! * **Replay ≡ fork** (snapshot × incremental differential): on an engine
-//!   whose shards write in place, the write job replays its lane on the
-//!   snapshot copy instead of the publish cloning the shard. Under a
-//!   stream that mixes resident ticks, migrations, inserts and removals
-//!   (all spliced in place, so all replayed) with one bulk membership
-//!   change (rebuilt, so forked), every snapshot reply must still be the
-//!   serial incremental engine's answer at its epoch — id order and kNN
-//!   ties included — and the counters must say which path each shard took.
+//! * **Snapshot × incremental differential**: on an engine whose shards
+//!   write in place, under a stream that mixes resident ticks,
+//!   migrations, inserts and removals (all spliced in place) with one bulk
+//!   membership change (rebuilt), every snapshot reply must be the serial
+//!   incremental engine's answer at its epoch — id order and kNN ties
+//!   included — and the counters must say which path each shard took. The
+//!   same holds for every update strategy served through the sharded
+//!   engine.
 //! * **Memory guard**: two hundred rounds of the same elements crossing a
-//!   shard cut and returning leave the live and snapshot gauges where the
-//!   second round left them.
+//!   shard cut and returning leave the live gauge where the second round
+//!   left it.
 //! * **A request completes when its run ends**: a read that runs before a
 //!   write in the same dispatch replies before that write finishes, and
 //!   every reply is already counted in `stats()` when its client holds it.
 //!
-//! Epoch accounting relies on the scheduler invariant that a healthy
-//! snapshot service has published exactly `current_epoch + 1` epochs (the
-//! startup epoch 0 plus one per write barrier) — checked after every run
-//! here, and under injected publish-path panics by the chaos suite.
+//! Snapshot reads run against live state — the scheduler runs them only
+//! while live state is the last published epoch — so no backend holds a
+//! snapshot copy, and a snapshot service has published `current_epoch + 1`
+//! epochs by construction (the startup epoch 0 plus one per write barrier).
 
 mod common;
 
 use common::{mix, soup};
-use proptest::prelude::*;
 use simspatial::prelude::*;
-use simspatial_service::{QueryRun, QueryRunResults, ServiceBackend};
+use simspatial_service::ServiceBackend;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -275,7 +268,7 @@ fn snapshot_replies_match_barrier_oracle_at_reported_epoch() {
         "every epoch must publish exactly once (startup 0 + one per barrier)"
     );
     assert!(stats.snapshot_reads >= observed.len() as u64);
-    assert!(stats.snapshot_clone_bytes > 0);
+    assert_eq!(stats.snapshot_clone_bytes, 0, "snapshot reads need no copy");
     assert_eq!(stats.failed_requests, 0);
     assert_eq!(stats.panics_caught, 0);
 }
@@ -306,16 +299,15 @@ fn unit_box(c: Point3, half: f32) -> Aabb {
 }
 
 /// What one tick of the replay stream does to shard membership — and so
-/// which publish path its shards must take.
+/// which write path its shards must take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tick {
     /// Dirties every shard, changes no shard's membership.
     Resident,
     /// A small membership change (teleport, insert, remove): spliced in
-    /// place, so the touched shards still replay.
+    /// place, so the touched shards still run in place.
     Spliced,
-    /// A membership change past a quarter of a shard: that shard rebuilds
-    /// and forks.
+    /// A membership change past a quarter of a shard: that shard rebuilds.
     Bulk,
 }
 
@@ -445,11 +437,10 @@ fn oracle_write(
 /// Snapshot × incremental differential, at one shard count.
 ///
 /// The oracle is the **same incremental engine driven serially**: its
-/// shards go through exactly the lanes the service's live shards do, so a
-/// snapshot that was replayed (or forked) correctly answers every probe
-/// with the oracle's bytes — range ids in cell order, tied kNN neighbours
-/// in id order. A replay that diverged from a clone by so much as a cell's
-/// element order fails the comparison.
+/// shards go through exactly the lanes the service's shards do, so every
+/// snapshot reply carries the oracle's bytes — range ids in cell order,
+/// tied kNN neighbours in id order. A shard that diverged from the oracle
+/// by so much as a cell's element order fails the comparison.
 fn replay_differential(shards: usize) {
     const EPOCHS: u64 = 26;
     const READERS: usize = 2;
@@ -508,7 +499,7 @@ fn replay_differential(shards: usize) {
             paths
                 .iter()
                 .any(|&(rebuilt, in_place)| rebuilt > 0 && in_place > 0),
-            "the stream needs a tick on which some shards fork while others replay"
+            "the stream needs a tick on which some shards rebuild while others run in place"
         );
     }
     let expected = Arc::new(expected);
@@ -552,8 +543,7 @@ fn replay_differential(shards: usize) {
         })
         .collect();
 
-    // Epoch 0 forked every shard; from here each write's publish must take,
-    // per shard, the path the oracle's lane took.
+    // Each write must take, per shard, the path the oracle's lane took.
     let snapshot_read = |p: usize| {
         handle
             .submit_at(probe_set[p].clone(), Consistency::Snapshot)
@@ -563,14 +553,7 @@ fn replay_differential(shards: usize) {
     };
     assert_eq!(snapshot_read(0).epoch, 0);
     let mut before = handle.stats();
-    assert_eq!(
-        (before.snapshot_forks, before.snapshot_replays),
-        (shards as u64, 0),
-        "the startup publish forks every shard"
-    );
-    assert!(before.snapshot_fork_bytes >= before.snapshot_clone_bytes);
-    let held_at_startup = before.snapshot_clone_bytes;
-    for (i, (write, kind)) in stream.iter().enumerate() {
+    for (i, write) in stream.iter().map(|(write, _)| write).enumerate() {
         let e = i as u64 + 1;
         let ack = handle
             .submit(write.clone())
@@ -580,25 +563,14 @@ fn replay_differential(shards: usize) {
         assert_eq!(ack.epoch, e);
         assert_eq!(ack.response, acks[i], "epoch {e}: write ack diverged");
         let after = handle.stats();
-        let (rebuilt, in_place) = paths[i];
         assert_eq!(
             (
-                after.snapshot_forks - before.snapshot_forks,
-                after.snapshot_replays - before.snapshot_replays
+                after.shard_rebuilds - before.shard_rebuilds,
+                after.rebuilds_avoided - before.rebuilds_avoided
             ),
-            (rebuilt, in_place),
-            "{shards} shards, epoch {e}: rebuilt shards fork, in-place shards replay"
+            paths[i],
+            "{shards} shards, epoch {e}: the shards rebuilt or ran in place as the oracle's did"
         );
-        if *kind != Tick::Bulk {
-            assert_eq!(
-                (
-                    after.snapshot_forks - before.snapshot_forks,
-                    after.snapshot_fork_bytes - before.snapshot_fork_bytes
-                ),
-                (0, 0),
-                "epoch {e}: a {kind:?} tick forks nothing and copies nothing"
-            );
-        }
         before = after;
         if e.is_multiple_of(4) {
             std::thread::sleep(Duration::from_millis(2));
@@ -611,8 +583,8 @@ fn replay_differential(shards: usize) {
         .sum();
     assert!(reads > 0, "readers never completed a snapshot read");
 
-    // Quiesced: the replayed/forked copies and the live shards answer the
-    // whole probe set with the same bytes.
+    // Quiesced: snapshot and barrier reads answer the whole probe set with
+    // the same bytes.
     for p in 0..probe_set.len() {
         let snap = snapshot_read(p);
         let barrier = handle
@@ -630,26 +602,17 @@ fn replay_differential(shards: usize) {
 
     let stats = service.shutdown();
     assert_eq!(stats.epochs_published, EPOCHS + 1);
-    // Past the startup forks, exactly the oracle's rebuilt lanes forked and
-    // exactly its in-place lanes replayed.
+    // Exactly the oracle's rebuilt lanes rebuilt and exactly its in-place
+    // lanes ran in place.
     let (rebuilt, in_place) = paths
         .iter()
         .fold((0, 0), |(r, p), &(dr, dp)| (r + dr, p + dp));
     assert_eq!(
-        (stats.snapshot_forks, stats.snapshot_replays),
-        (shards as u64 + rebuilt, in_place)
+        (stats.shard_rebuilds, stats.rebuilds_avoided),
+        (rebuilt, in_place)
     );
     assert!(rebuilt > 0 && in_place > 0);
     assert_eq!(stats.spliced, spliced);
-    // The copies served reads since they were forked, and the last ticks
-    // replayed: the gauge now includes their grown query scratch, which a
-    // sample taken at fork time never saw.
-    assert!(
-        stats.snapshot_clone_bytes > held_at_startup,
-        "clone-bytes gauge was not refreshed by the replays: {} -> {}",
-        held_at_startup,
-        stats.snapshot_clone_bytes
-    );
     assert_eq!(stats.failed_requests, 0);
     assert_eq!(stats.panics_caught, 0);
 }
@@ -669,74 +632,55 @@ fn replayed_snapshots_match_incremental_oracle_4_shards() {
     replay_differential(4);
 }
 
-/// A shard's write job replays its in-place lane on the snapshot copy
-/// before it reports, so the copies never fall behind. Driven directly, two
-/// in-place writes before one publish replay every lane of both writes and
-/// leave `publish` nothing to fork; the published state equals live state.
+/// Every update strategy serves snapshot reads through the sharded engine:
+/// after each of three `StepDelta` writes, a snapshot read of every probe
+/// equals a barrier read byte for byte, both at the write's epoch.
 #[test]
-fn writes_before_a_publish_keep_copies_level() {
-    let data = tied_soup(1600, 0xF0F0);
-    let engine = incremental_engine(&data, 2);
-    let router = engine.router().clone();
-    // The stream opens with three resident ticks.
-    let ticks: Vec<Vec<(ElementId, Shape)>> = replay_stream(&data, &router, 3)
-        .into_iter()
-        .map(|(write, kind)| match write {
-            Request::Update(batch) if kind == Tick::Resident => {
-                batch.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect()
-            }
-            other => panic!("expected a resident update tick, got {other:?}"),
-        })
-        .collect();
-    let mut backend = ShardedBackend::spawn_snapshot(engine);
-    backend.publish(0);
-    for tick in &ticks[..2] {
-        let report = backend.update_batch(tick);
-        assert_eq!(
-            (report.stats.rebuilds, report.stats.rebuilds_avoided),
-            (0, 2)
+fn every_strategy_serves_snapshots_that_match_barrier_reads() {
+    let data = soup(800, 0x57A7);
+    for kind in UpdateStrategyKind::ALL {
+        let engine = sharded_strategy_engine(&data, 2, kind, ShardWriteMode::Incremental);
+        let service = SpatialService::spawn(
+            ShardedBackend::spawn_snapshot(engine),
+            ServiceConfig::default().no_coalesce(),
         );
+        let handle = service.handle();
+        let read = |probe: &Request, consistency| {
+            handle
+                .submit_at(probe.clone(), consistency)
+                .expect("read submit")
+                .recv_reply()
+                .expect("read failed")
+        };
+        for e in 1..=3u64 {
+            let ack = handle
+                .submit(Request::StepDelta(write_batch(e, data.len() as u32)))
+                .expect("write submit")
+                .recv_reply()
+                .expect("write failed");
+            assert_eq!(ack.epoch, e, "{kind:?}");
+            for (p, probe) in probes().iter().enumerate() {
+                let snap = read(probe, Consistency::Snapshot);
+                let barrier = read(probe, Consistency::Barrier);
+                assert_eq!((snap.epoch, barrier.epoch), (e, e), "{kind:?} probe {p}");
+                assert_eq!(
+                    snap.response, barrier.response,
+                    "{kind:?} probe {p} at epoch {e}: snapshot differs from barrier"
+                );
+            }
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.epochs_published, 4, "{kind:?}");
+        assert_eq!(stats.failed_requests, 0, "{kind:?}");
     }
-    backend.publish(1);
-    let telemetry = backend.telemetry();
-    assert_eq!(
-        (telemetry.snapshot_forks, telemetry.snapshot_replays),
-        (2, 4),
-        "both writes replayed on both copies; only the startup publish forked"
-    );
-
-    let run = QueryRun {
-        range: vec![Aabb::new(
-            Point3::new(0.0, 0.0, 0.0),
-            Point3::new(99.0, 99.0, 99.0),
-        )],
-        knn: vec![(5, vec![data[0].aabb().center()])],
-    };
-    let (mut live, mut snap) = (QueryRunResults::default(), QueryRunResults::default());
-    backend.query_run(&run, false, &mut live);
-    backend.query_run(&run, true, &mut snap);
-    assert_eq!(live.range.query_results(0), snap.range.query_results(0));
-    assert_eq!(live.knn[0].query_results(0), snap.knn[0].query_results(0));
-    assert!(!live.range.query_results(0).is_empty());
-
-    // Still level: the next write replays too.
-    backend.update_batch(&ticks[2]);
-    backend.publish(2);
-    let telemetry = backend.telemetry();
-    assert_eq!(
-        (telemetry.snapshot_forks, telemetry.snapshot_replays),
-        (2, 6)
-    );
-    backend.shutdown();
 }
 
 /// Memory guard for the in-place membership path: the same 64 elements
 /// cross the middle cut of a 4-shard grid engine and come back, 200 times
 /// over (the benchmark's `sim_mixed` migration pattern). Every tick splices
-/// — nothing rebuilds, nothing forks after startup — and both gauges end
-/// within 1 % of where the second round left them: no doubling in the
-/// element clones, id maps or slot directories, no scratch that grows with
-/// the number of ticks.
+/// — nothing rebuilds — and the live gauge ends within 1 % of where the
+/// second round left it: no doubling in the element clones, id maps or
+/// slot directories, no scratch that grows with the number of ticks.
 #[test]
 fn migration_cycles_hold_memory_level() {
     const ROUNDS: usize = 200;
@@ -774,9 +718,7 @@ fn migration_cycles_hold_memory_level() {
     };
 
     let mut backend = ShardedBackend::spawn_snapshot(engine);
-    backend.publish(0);
-    let mut epoch = 0u64;
-    let mut after_round_2 = (0usize, 0u64);
+    let mut after_round_2 = 0usize;
     for round in 1..=ROUNDS {
         for away in [true, false] {
             let report = backend.update_batch(&tick(away));
@@ -787,36 +729,16 @@ fn migration_cycles_hold_memory_level() {
             );
             assert_eq!(report.stats.migrations, MOVERS as u64);
             assert_eq!(report.stats.spliced, 2 * MOVERS as u64);
-            epoch += 1;
-            backend.publish(epoch);
         }
         if round == 2 {
-            after_round_2 = (
-                backend.memory_bytes(),
-                backend.telemetry().snapshot_clone_bytes,
-            );
+            after_round_2 = backend.memory_bytes();
         }
     }
-    let telemetry = backend.telemetry();
-    assert_eq!(
-        telemetry.snapshot_forks, 4,
-        "only the startup publish forks"
-    );
-    assert_eq!(telemetry.snapshot_replays, 2 * 2 * ROUNDS as u64);
     let level = |now: f64, then: f64| (now - then).abs() <= 0.01 * then;
-    let (live, held) = (
-        backend.memory_bytes(),
-        backend.telemetry().snapshot_clone_bytes,
-    );
+    let live = backend.memory_bytes();
     assert!(
-        level(live as f64, after_round_2.0 as f64),
-        "live bytes drifted: {} after round 2, {live} after round {ROUNDS}",
-        after_round_2.0
-    );
-    assert!(
-        level(held as f64, after_round_2.1 as f64),
-        "snapshot bytes drifted: {} after round 2, {held} after round {ROUNDS}",
-        after_round_2.1
+        level(live as f64, after_round_2 as f64),
+        "live bytes drifted: {after_round_2} after round 2, {live} after round {ROUNDS}"
     );
     backend.shutdown();
 }
@@ -1051,75 +973,4 @@ fn replies_are_counted_before_they_are_sent() {
     let stats = service.shutdown();
     assert_eq!(stats.completed, WRITES + snapshot_replies);
     assert_eq!(stats.failed_requests, 0);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    // Epoch reclamation: update-only write rounds retire one snapshot per
-    // touched shard each; once readers drain, only the latest per shard is
-    // retained. The clone-bytes gauge therefore (a) stays within a
-    // constant factor of the post-startup baseline regardless of how many
-    // rounds ran, and (b) is identical across consecutive idle polls — an
-    // idle service holds at most one published snapshot per shard, it
-    // never accretes retired ones.
-    #[test]
-    fn retired_snapshots_are_reclaimed(seed in 0u32..10_000, rounds in 1u64..10) {
-        let data = soup(400, 0xA11C ^ seed);
-        let engine = ShardedEngine::build(&data, 2, build).with_rebuild(build);
-        let service = SpatialService::spawn(
-            ShardedBackend::spawn_snapshot(engine),
-            ServiceConfig::default().no_coalesce(),
-        );
-        let handle = service.handle();
-
-        // One redeemed snapshot read guarantees the startup publish
-        // happened before the baseline sample.
-        let first = handle
-            .submit_at(Request::RangeCount(vec![Aabb::new(
-                Point3::new(0.0, 0.0, 0.0),
-                Point3::new(99.0, 99.0, 99.0),
-            )]), Consistency::Snapshot)
-            .expect("submit")
-            .recv_reply()
-            .expect("snapshot read");
-        prop_assert_eq!(first.epoch, 0);
-        let baseline = handle.stats().snapshot_clone_bytes;
-        prop_assert!(baseline > 0, "startup publish retained no snapshot bytes");
-
-        for e in 1..=rounds {
-            let ack = handle
-                .submit(Request::Update(write_batch(e, data.len() as u32)))
-                .expect("write submit")
-                .recv_reply()
-                .expect("write failed");
-            prop_assert_eq!(ack.epoch, e);
-            let read = handle
-                .submit_at(Request::RangeCount(vec![Aabb::new(
-                    Point3::new(0.0, 0.0, 0.0),
-                    Point3::new(99.0, 99.0, 99.0),
-                )]), Consistency::Snapshot)
-                .expect("submit")
-                .recv_reply()
-                .expect("snapshot read");
-            prop_assert_eq!(read.epoch, e);
-        }
-
-        // Readers drained; the gauge must be stable and baseline-sized.
-        let g1 = handle.stats().snapshot_clone_bytes;
-        let g2 = handle.stats().snapshot_clone_bytes;
-        prop_assert_eq!(g1, g2, "idle clone-bytes gauge drifted with no traffic");
-        prop_assert!(g1 > 0);
-        prop_assert!(
-            g1 <= baseline.saturating_mul(2),
-            "clone bytes grew past 2x baseline after {} update-only rounds: \
-             {} -> {} (retired snapshots not reclaimed?)",
-            rounds, baseline, g1
-        );
-
-        let stats = service.shutdown();
-        prop_assert_eq!(stats.current_epoch, rounds);
-        prop_assert_eq!(stats.epochs_published, rounds + 1);
-        prop_assert_eq!(stats.failed_requests, 0);
-    }
 }

@@ -258,10 +258,6 @@ impl<B: ServiceBackend> ServiceBackend for GatedBackend<B> {
         self.inner.remove_batch(ids)
     }
 
-    fn publish(&mut self, epoch: u64) {
-        self.inner.publish(epoch);
-    }
-
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
     }
