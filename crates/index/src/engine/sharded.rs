@@ -1716,6 +1716,23 @@ impl<I> ShardedEngine<I> {
     pub fn into_parts(self) -> (ShardPlanner, Vec<ShardExecutor<I>>) {
         (self.planner, self.executors)
     }
+
+    /// Rebuilds shard `shard`'s executor from the planner's element store
+    /// ([`ShardExecutor::from_planner`]) in the write mode it ran in — how
+    /// an inline caller recovers a shard a panicking write tore. The store
+    /// advanced before the lanes ran, so the rebuilt shard holds that write
+    /// in full.
+    ///
+    /// Panics when no rebuild function is attached
+    /// ([`ShardedEngine::with_rebuild`]).
+    pub fn restart_shard(&mut self, shard: usize) {
+        let torn = &self.executors[shard];
+        let rebuild = torn
+            .rebuild_fn()
+            .expect("restarting a shard needs its rebuild function — attach one with with_rebuild");
+        let apply = torn.apply_fn();
+        self.executors[shard] = ShardExecutor::from_planner(&self.planner, shard, rebuild, apply);
+    }
 }
 
 impl<I: SpatialIndex> ShardedEngine<I> {

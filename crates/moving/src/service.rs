@@ -10,11 +10,12 @@
 //! * [`StrategyIndex`] wraps a boxed strategy as a `SpatialIndex +
 //!   KnnIndex`, forwarding the sink-based query paths and `splice`.
 //! * [`strategy_backend`] serves it from a writable
-//!   [`EngineBackend`], [`sharded_strategy_engine`] from a
-//!   [`ShardedEngine`]; both rebuild with [`StrategyIndex::build`] and —
-//!   the sharded engine in [`ShardWriteMode::Incremental`] — apply write
-//!   batches in place with one and the same function, which routes them
-//!   into [`UpdateStrategy::update_batch`]. So a simulation's maintenance
+//!   [`EngineBackend`] (a one-shard engine run inline),
+//!   [`sharded_strategy_engine`] from a [`ShardedEngine`]; both rebuild
+//!   with [`StrategyIndex::build`] and — the sharded engine in
+//!   [`ShardWriteMode::Incremental`] — apply write batches in place with
+//!   one and the same function, which routes them into
+//!   [`UpdateStrategy::update_batch`]. So a simulation's maintenance
 //!   strategy (grid migration, bottom-up R-Tree updates, buffering, …)
 //!   serves concurrent clients directly — the paper's alternating
 //!   update/query workload through one admission path.
@@ -135,9 +136,11 @@ fn apply_strategy(
 
 /// A writable service backend over the update strategy `kind`: queries run
 /// through the strategy's structure, write batches through its maintenance
-/// path; a panic mid-write is recovered by recreating the strategy over
-/// the (partially updated) dataset, which is the source of truth. `data`
-/// must follow the dataset convention (`element.id == position`).
+/// path — the inline twin of a one-shard incremental
+/// [`sharded_strategy_engine`]; a panic mid-write is recovered by
+/// recreating the strategy from the planner's element store, which already
+/// holds the write. `data` must follow the dataset convention
+/// (`element.id == position`).
 pub fn strategy_backend(
     data: Vec<Element>,
     kind: UpdateStrategyKind,

@@ -37,8 +37,7 @@ pub enum CallOutcome {
         /// snapshot read ran against, or — for a write — the epoch whose
         /// publication made it visible. Feed it back as
         /// `Consistency::ReadYourWrites { min_epoch }` to guarantee a
-        /// later read observes this request. Zero when the backend does
-        /// not publish snapshots.
+        /// later read observes this request.
         epoch: u64,
     },
     /// The request was admitted but failed typed.

@@ -344,8 +344,7 @@ pub enum ServerMsg {
         shards_skipped: u32,
         /// The epoch the service reported for this request: the
         /// published epoch a snapshot read was answered at, or the epoch
-        /// whose publication made an acknowledged write visible. Zero
-        /// when the backend does not publish snapshots.
+        /// whose publication made an acknowledged write visible.
         epoch: u64,
         /// The response payload.
         response: Response,

@@ -6,9 +6,10 @@
 //! epoch. What a backend can do beyond reads it states once, as
 //! [`Capabilities`]. Two implementations ship:
 //!
-//! * [`EngineBackend`] — a single [`QueryEngine`] over one index. The
-//!   dispatcher thread executes inline: one worker total, the degenerate
-//!   (but often fastest single-core) deployment.
+//! * [`EngineBackend`] — a one-shard [`ShardedEngine`] the dispatcher
+//!   thread executes inline: one worker total, the degenerate (but often
+//!   fastest single-core) deployment. It reads, writes and recovers as a
+//!   one-shard [`ShardedBackend`] does, minus the pool.
 //! * [`ShardedBackend`] — a [`ShardedEngine`] split into its
 //!   [`ShardPlanner`] and per-shard
 //!   [`ShardExecutor`](simspatial_index::ShardExecutor)s, executed on a
@@ -33,13 +34,12 @@
 //! threads than it has shards to run.
 
 use crate::fault::FaultKind;
-use simspatial_geom::scratch::VisitedTable;
 use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3, Shape};
 use simspatial_index::{
-    BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryEngine, QueryStats, RangeLane,
-    ShardApply, ShardApplyCost, ShardExecutor, ShardPlanner, ShardedEngine, SpatialIndex,
-    UpdateLane, UpdateStats,
+    BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryStats, RangeLane, ShardApplyCost,
+    ShardExecutor, ShardPlanner, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats,
 };
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,13 +133,6 @@ pub struct Capabilities {
     pub updates: bool,
     /// `insert_batch` / `remove_batch` change membership (`Insert`/`Remove`).
     pub membership: bool,
-    /// Published snapshot reads: the scheduler hoists
-    /// [`Consistency::Snapshot`](crate::Consistency) reads ahead of a
-    /// dispatch's write barriers and advances the epoch after every write.
-    /// The backend keeps no copy for them: a hoisted run executes before
-    /// any write of its dispatch, so live state is the last published
-    /// epoch whenever a snapshot run executes.
-    pub snapshots: bool,
 }
 
 /// Restart discipline for supervised shard workers: how many times a shard
@@ -215,12 +208,10 @@ pub enum SubBatchOutcome {
     /// arity-mismatched under fault injection — the scheduler validates
     /// result counts before trusting them.)
     Ran(BatchReport),
-    /// The backend call panicked; the panic was caught and the backend
-    /// recovered, so later sub-batches still ran.
+    /// The backend call panicked; the panic was caught and later
+    /// sub-batches still ran (a read mutates no durable state, so there is
+    /// nothing to recover).
     Panicked,
-    /// Not executed: an earlier sub-batch panicked and the backend could
-    /// not vouch for its state ([`QueryRunReport::poisoned`] is set).
-    Skipped,
 }
 
 /// The per-sub-batch outcomes of one [`ServiceBackend::query_run`] call.
@@ -233,10 +224,6 @@ pub struct QueryRunReport {
     /// Panics caught inside the run (the scheduler folds these into its
     /// `panics_caught` accounting).
     pub panics: u64,
-    /// Set when a panic occurred and [`ServiceBackend::recover`] returned
-    /// `false`: the backend state is unknown and the scheduler must poison
-    /// the service.
-    pub poisoned: bool,
 }
 
 /// A batch execution target for the service scheduler.
@@ -313,18 +300,19 @@ pub trait ServiceBackend: Send + 'static {
         .into()
     }
 
-    /// Called by the scheduler after a panic unwound out of a backend call
-    /// on the dispatcher thread. Returns `true` when the backend restored
-    /// (or never lost) a consistent state and can keep serving; `false`
-    /// poisons the service — every subsequent request completes with
+    /// Called by the scheduler after a panic unwound out of a write call
+    /// (`update_batch`, `insert_batch`, `remove_batch`) on the dispatcher
+    /// thread. Returns `true` when the backend restored a consistent state
+    /// and can keep serving; `false` poisons the service — every subsequent
+    /// request completes with
     /// [`RecvError::WorkerFailed`](crate::RecvError::WorkerFailed) instead
-    /// of touching a possibly-corrupt backend.
+    /// of touching a possibly-corrupt backend. A read panic needs no
+    /// recovery: reads mutate no durable state.
     ///
-    /// The default is honest for a generic backend: a query panic is
-    /// recoverable (queries must not mutate durable state), a write panic
-    /// is not (the batch may be half-applied with no way to verify).
-    fn recover(&mut self, after_write: bool) -> bool {
-        !after_write
+    /// The default is honest for a generic backend: the batch may be
+    /// half-applied with no way to verify, so it refuses.
+    fn recover(&mut self) -> bool {
+        false
     }
 
     /// Cumulative supervision counters (panics caught on worker threads,
@@ -366,12 +354,10 @@ pub(crate) enum SubBatch<'a> {
 /// Runs a [`QueryRun`]'s sub-batches **sequentially** in the canonical
 /// order (range first, then kNN groups ascending by `k`), each through
 /// `exec` under `catch_unwind`: a panicking sub-batch reports `Panicked`
-/// and the backend is asked to [`ServiceBackend::recover`]; when it cannot
-/// vouch for its state, the rest of the run is `Skipped` and the report
-/// poisoned. The [`EngineBackend`] read path, and the order
-/// [`ChaosBackend`](crate::ChaosBackend) keys its fault schedule by — one
-/// op per sub-batch.
-pub(crate) fn run_sub_batches<B: ServiceBackend>(
+/// and the rest of the run still executes. The [`EngineBackend`] read
+/// path, and the order [`ChaosBackend`](crate::ChaosBackend) keys its fault
+/// schedule by — one op per sub-batch.
+pub(crate) fn run_sub_batches<B>(
     backend: &mut B,
     run: &QueryRun,
     out: &mut QueryRunResults,
@@ -387,16 +373,11 @@ pub(crate) fn run_sub_batches<B: ServiceBackend>(
     let mut report = QueryRunReport::default();
     for sub in range.into_iter().chain(knn) {
         let is_range = matches!(sub, SubBatch::Range(..));
-        let outcome = if report.poisoned {
-            SubBatchOutcome::Skipped
-        } else {
-            match catch_unwind(AssertUnwindSafe(|| exec(backend, sub))) {
-                Ok(r) => SubBatchOutcome::Ran(r),
-                Err(_) => {
-                    report.panics += 1;
-                    report.poisoned = !backend.recover(false);
-                    SubBatchOutcome::Panicked
-                }
+        let outcome = match catch_unwind(AssertUnwindSafe(|| exec(backend, sub))) {
+            Ok(r) => SubBatchOutcome::Ran(r),
+            Err(_) => {
+                report.panics += 1;
+                SubBatchOutcome::Panicked
             }
         };
         if is_range {
@@ -408,42 +389,29 @@ pub(crate) fn run_sub_batches<B: ServiceBackend>(
     report
 }
 
-/// The stored index (re)build function of a writable [`EngineBackend`]
-/// ([`simspatial_index::ShardRebuild`] without the sharing: one owner, one
-/// thread).
-type EngineRebuild<I> = Box<dyn Fn(&[Element]) -> I + Send>;
-
-/// A single-engine backend: one index, one [`QueryEngine`], executed inline
-/// on the dispatcher thread (the "single worker" deployment). Read-only by
-/// default. It absorbs writes through the same pair of hooks a
-/// [`ShardExecutor`] holds: a rebuild function
-/// ([`EngineBackend::build_writable`]) makes it writable — correct for
-/// **any** index type, and the paper's own measurements show full rebuilds
-/// are competitive under massive movement — and an optional apply function
-/// ([`EngineBackend::with_apply`]) mutates the index in place instead, with
-/// the rebuild kept as the recovery recipe.
+/// A single-engine backend: a **one-shard** [`ShardedEngine`] executed
+/// inline on the dispatcher thread (the "single worker" deployment). It is
+/// the serial engine the differential suites compare the pool against, so
+/// it reads, writes and recovers exactly as a one-shard [`ShardedBackend`]
+/// does: the planner routes and deduplicates, the shard executor applies
+/// each id's last write once, in place through an apply function
+/// ([`EngineBackend::with_apply`]) or by rebuild
+/// ([`EngineBackend::build_writable`]), and a write panic is recovered by
+/// restarting the shard from the planner store. Read-only unless built
+/// with a rebuild function.
 pub struct EngineBackend<I> {
-    data: Vec<Element>,
-    index: I,
-    engine: QueryEngine,
-    /// Index (re)build function; `None` for a read-only backend.
-    rebuild: Option<EngineRebuild<I>>,
-    /// In-place write mode; `None` means every write batch rebuilds.
-    apply: Option<ShardApply<I>>,
-    /// Last-write-wins accounting of the write path.
-    seen: VisitedTable,
+    engine: ShardedEngine<I>,
 }
 
 impl<I: SpatialIndex + KnnIndex + Send + 'static> EngineBackend<I> {
-    /// A read-only backend over `data` served by a pre-built `index`.
+    /// A read-only backend over `data` (`element.id == position`) served by
+    /// a pre-built `index` over it. One shard takes every element, in id
+    /// order, so its clone is `data` and `index` fits it as built.
     pub fn new(data: Vec<Element>, index: I) -> Self {
+        let index = Cell::new(Some(index));
+        let build = |_: &[Element]| index.take().expect("one shard builds one index");
         Self {
-            data,
-            index,
-            engine: QueryEngine::new(),
-            rebuild: None,
-            apply: None,
-            seen: VisitedTable::default(),
+            engine: ShardedEngine::build(&data, 1, build),
         }
     }
 
@@ -454,55 +422,40 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> EngineBackend<I> {
         Self::new(data, index)
     }
 
-    /// A writable backend: every write batch overwrites the updated
-    /// elements' geometry in the data and rebuilds the index with `build`
-    /// (also the recovery recipe after a panic mid-write).
+    /// A writable backend: `build` is the shard's rebuild function — every
+    /// write batch writes the new geometry into the shard and rebuilds its
+    /// index (also the restart recipe after a panic mid-write).
     pub fn build_writable(
         data: Vec<Element>,
-        build: impl Fn(&[Element]) -> I + Send + 'static,
+        build: impl Fn(&[Element]) -> I + Send + Sync + 'static,
     ) -> Self {
-        let mut backend = Self::build(data, &build);
-        backend.rebuild = Some(Box::new(build));
-        backend
+        Self {
+            engine: ShardedEngine::build(&data, 1, &build).with_rebuild(build),
+        }
     }
 
-    /// Switches a writable backend to the **in-place** write mode: write
-    /// batches go to `apply` instead of rebuilding the index — the closure
-    /// shape [`ShardedEngine::with_apply`] takes, so one apply function
-    /// serves behind both backends. `apply` receives the index, the data
-    /// (`element.id == position`) and the batch's known-id updates in
-    /// admission order, duplicates included; it must leave `data[id].shape`
-    /// equal to the id's last update, exactly as the rebuild path would.
+    /// Switches a writable backend to the **in-place** write mode
+    /// ([`ShardedEngine::with_apply`]: the same closure serves behind both
+    /// backends). Membership changes the index cannot splice still rebuild.
     pub fn with_apply(
-        mut self,
+        self,
         apply: impl Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost
             + Send
             + Sync
             + 'static,
     ) -> Self {
-        assert!(
-            self.rebuild.is_some(),
-            "in-place write mode needs the rebuild function for recovery — use build_writable"
-        );
-        self.apply = Some(Arc::new(apply));
-        self
-    }
-
-    /// The wrapped index.
-    pub fn index(&self) -> &I {
-        &self.index
+        Self {
+            engine: self.engine.with_apply(apply),
+        }
     }
 }
 
 impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBackend<I> {
-    /// Snapshot reads are free on a single inline engine: `query_run`
-    /// ignores its `snapshot` flag, and hoisted snapshot reads still skip
-    /// the write barriers queued behind them.
     fn capabilities(&self) -> Capabilities {
+        let writable = self.engine.is_updatable();
         Capabilities {
-            updates: self.rebuild.is_some(),
-            membership: false,
-            snapshots: true,
+            updates: writable,
+            membership: writable,
         }
     }
 
@@ -513,86 +466,44 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBacke
         out: &mut QueryRunResults,
     ) -> QueryRunReport {
         run_sub_batches(self, run, out, |b, sub| {
-            let (index, data) = (&b.index, &b.data);
             match sub {
-                SubBatch::Range(queries, out) => b.engine.range_collect(index, data, queries, out),
-                SubBatch::Knn(points, k, out) => b.engine.knn_collect(index, data, points, k, out),
+                SubBatch::Range(queries, out) => b.engine.range_collect(queries, out),
+                SubBatch::Knn(points, k, out) => b.engine.knn_collect(points, k, out),
             }
             .into()
         })
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
-        let shipped = updates.len() as u64;
-        let Some(rebuild) = self.rebuild.as_ref() else {
-            return UpdateStats {
-                skipped: shipped,
-                ..UpdateStats::default()
-            }
-            .into();
-        };
-        let start = Instant::now();
-        // `applied` counts distinct known ids (last-write-wins), the rest
-        // is `skipped`; the write itself sees every known-id entry, in
-        // admission order.
-        self.seen.begin(self.data.len());
-        let mut applied = 0u64;
-        let mut known = Vec::with_capacity(updates.len());
-        for &(id, shape) in updates {
-            if (id as usize) < self.data.len() {
-                applied += u64::from(self.seen.mark(id));
-                known.push((id, shape));
-            }
-        }
-        let mut stats = UpdateStats {
-            applied,
-            skipped: shipped - applied,
-            shipped,
-            ..UpdateStats::default()
-        };
-        match self.apply.as_ref() {
-            Some(apply) => {
-                let cost = apply(&mut self.index, &mut self.data, &known);
-                stats.migrations = cost.structural + cost.rebuilds;
-                stats.structural = cost.structural;
-                stats.absorbed = cost.absorbed;
-                stats.rebuilds = cost.rebuilds;
-            }
-            None => {
-                for &(id, shape) in &known {
-                    self.data[id as usize].shape = shape;
-                }
-                self.index = rebuild(&self.data);
-                // Every element is (re)placed by the rebuild.
-                stats.migrations = applied;
-                stats.structural = self.data.len() as u64;
-                stats.rebuilds = 1;
-            }
-        }
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        stats.into()
+        self.engine.update_batch(updates).into()
     }
 
-    /// Queries only touch per-call engine scratch, which the next call
-    /// resets. After a panic mid-write the index is rebuilt from the data
-    /// — **consistency, not atomicity**: the interrupted batch may be
-    /// partially applied (each element holds either its old or its new
-    /// geometry; the affected write requests complete with a typed error
-    /// either way), and the rebuilt index agrees with whatever the data now
-    /// holds, so subsequent queries are correct over it.
-    fn recover(&mut self, after_write: bool) -> bool {
-        if let (true, Some(rebuild)) = (after_write, self.rebuild.as_ref()) {
-            self.index = rebuild(&self.data);
+    fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
+        let (ids, stats) = self.engine.insert_batch(shapes);
+        (ids, stats.into())
+    }
+
+    fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
+        self.engine.remove_batch(ids).into()
+    }
+
+    /// The planner store advanced before the shard ran the write, so the
+    /// torn shard restarts from it — as a [`ShardedBackend`] restart does —
+    /// with the write applied in full.
+    fn recover(&mut self) -> bool {
+        let writable = self.engine.is_updatable();
+        if writable {
+            self.engine.restart_shard(0);
         }
-        true
+        writable
     }
 
     fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.engine.memory_bytes() + self.seen.memory_bytes()
+        self.engine.memory_bytes()
     }
 
     fn shard_sizes(&self) -> Vec<usize> {
-        vec![self.data.len()]
+        self.engine.shard_sizes()
     }
 }
 
@@ -925,9 +836,6 @@ pub struct ShardedBackend {
     /// wraps it into a fresh pool runner. `None` when the engine was built
     /// without a rebuild function — then any panic kills its shard.
     factory: Option<RespawnFn>,
-    /// [`Capabilities::snapshots`], set by
-    /// [`ShardedBackend::spawn_snapshot`].
-    snapshots: bool,
     range_lanes: Vec<RangeLane>,
     /// Per-kNN-group lane scratch of the read path's combined scatter
     /// (indexed `[group][shard]`).
@@ -946,30 +854,19 @@ impl ShardedBackend {
         Self::spawn_with(engine, SupervisorPolicy::default())
     }
 
+    /// The same as [`ShardedBackend::spawn`]: every backend serves
+    /// snapshot reads, from the live executors, so there is nothing left to
+    /// opt into. Kept for callers written when snapshots were opt-in.
+    pub fn spawn_snapshot<I: SpatialIndex + KnnIndex + Send + 'static>(
+        engine: ShardedEngine<I>,
+    ) -> Self {
+        Self::spawn(engine)
+    }
+
     /// [`ShardedBackend::spawn`] with an explicit restart discipline.
     pub fn spawn_with<I: SpatialIndex + KnnIndex + Send + 'static>(
         engine: ShardedEngine<I>,
         policy: SupervisorPolicy,
-    ) -> Self {
-        Self::spawn_inner(engine, policy, false)
-    }
-
-    /// [`ShardedBackend::spawn`] with **published snapshot reads**
-    /// enabled. The scheduler detects the capability through
-    /// [`Capabilities::snapshots`] and hoists
-    /// [`Consistency::Snapshot`](crate::Consistency) reads ahead of the
-    /// write barriers of their dispatch. They run against the live
-    /// executors, as [`Capabilities::snapshots`] explains.
-    pub fn spawn_snapshot<I: SpatialIndex + KnnIndex + Send + 'static>(
-        engine: ShardedEngine<I>,
-    ) -> Self {
-        Self::spawn_inner(engine, SupervisorPolicy::default(), true)
-    }
-
-    fn spawn_inner<I: SpatialIndex + KnnIndex + Send + 'static>(
-        engine: ShardedEngine<I>,
-        policy: SupervisorPolicy,
-        snapshots: bool,
     ) -> Self {
         let wrap = |exec: ShardExecutor<I>| Box::new(exec) as ShardRunner;
         let sizes = engine.shard_sizes();
@@ -1020,7 +917,6 @@ impl ShardedBackend {
             dead: vec![false; n],
             telemetry: BackendTelemetry::default(),
             factory,
-            snapshots,
             range_lanes: Vec::new(),
             knn_home_groups: Vec::new(),
             knn_fan_groups: Vec::new(),
@@ -1253,7 +1149,6 @@ impl ServiceBackend for ShardedBackend {
         Capabilities {
             updates: self.updatable,
             membership: self.updatable,
-            snapshots: self.snapshots,
         }
     }
 
@@ -1391,15 +1286,11 @@ impl ServiceBackend for ShardedBackend {
         .1
     }
 
-    fn recover(&mut self, after_write: bool) -> bool {
-        // Shard-worker panics never unwind to the dispatcher — they are
-        // supervised internally. A panic that *does* cross this backend's
-        // boundary happened in routing/merge code on the dispatcher
-        // thread: reads re-route from scratch every batch (nothing torn),
-        // but a write may have torn the planner's element store mid-route,
-        // so the backend must poison.
-        !after_write
-    }
+    // `recover` stays at the trait default. Shard-worker panics never
+    // unwind to the dispatcher — they are supervised internally — so a
+    // write panic that does cross this boundary happened in routing code
+    // on the dispatcher thread and may have torn the planner's element
+    // store mid-route: the backend must poison.
 
     fn telemetry(&self) -> BackendTelemetry {
         let mut t = self.telemetry.clone();

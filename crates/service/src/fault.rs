@@ -229,8 +229,11 @@ pub struct ChaosBackend<B> {
     /// sequence only depends on the request sequence, never on fault
     /// outcomes.
     op: u64,
-    /// Set immediately before an injected panic unwinds, so
+    /// Whether the latest backend call was an injected panic, so
     /// [`ChaosBackend::recover`] knows the inner backend was never reached.
+    /// Every op sets it from its own fault, and membership calls (which
+    /// consume no op) clear it: a stale flag would vouch for a real inner
+    /// write panic.
     injected_panic: bool,
 }
 
@@ -262,9 +265,9 @@ impl<B: ServiceBackend> ChaosBackend<B> {
         let op = self.op;
         self.op += 1;
         let fault = self.plan.dispatcher_fault(op);
-        if fault == Some(FaultKind::Panic) {
-            // Flag first: the unwind leaves `self` behind for `recover`.
-            self.injected_panic = true;
+        // Flag first: the unwind leaves `self` behind for `recover`.
+        self.injected_panic = fault == Some(FaultKind::Panic);
+        if self.injected_panic {
             panic!("chaos: injected dispatcher panic at op {op}");
         }
         fault
@@ -294,8 +297,8 @@ impl<B: ServiceBackend> ChaosBackend<B> {
             let mut r = self.inner.query_run(&one, false, &mut one_out);
             match r.range.or_else(|| r.knn.pop()) {
                 Some(SubBatchOutcome::Ran(report)) => report,
-                // The inner backend caught (and recovered from) a panic of
-                // its own: re-raise it so this run accounts it too.
+                // The inner backend caught a panic of its own: re-raise it
+                // so this run accounts it too.
                 _ => panic!("chaos: inner sub-batch did not run"),
             }
         };
@@ -357,22 +360,20 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
     // must not shift existing schedules. Worker-level faults installed via
     // `install_worker_faults` still fire inside membership lanes.
     fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
+        self.injected_panic = false;
         self.inner.insert_batch(shapes)
     }
 
     fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
+        self.injected_panic = false;
         self.inner.remove_batch(ids)
     }
 
-    fn recover(&mut self, after_write: bool) -> bool {
-        if self.injected_panic {
-            // The panic was ours and fired before the inner backend was
-            // called: the inner state is untouched, keep serving.
-            self.injected_panic = false;
-            true
-        } else {
-            self.inner.recover(after_write)
-        }
+    /// An injected panic fired before the inner backend was called: the
+    /// inner state is untouched, keep serving. Otherwise the inner backend
+    /// decides.
+    fn recover(&mut self) -> bool {
+        self.injected_panic || self.inner.recover()
     }
 
     fn telemetry(&self) -> BackendTelemetry {
@@ -443,5 +444,56 @@ mod tests {
     fn unsharded_random_plans_stay_dispatcher_level() {
         let plan = FaultPlan::random(7, 64, 0);
         assert!(plan.worker_faults().is_empty());
+    }
+
+    /// Reads fine, panics on every write and cannot recover from it.
+    struct TornWrites;
+
+    impl ServiceBackend for TornWrites {
+        fn capabilities(&self) -> Capabilities {
+            Capabilities {
+                updates: true,
+                ..Capabilities::default()
+            }
+        }
+
+        fn query_run(
+            &mut self,
+            run: &QueryRun,
+            _snapshot: bool,
+            out: &mut QueryRunResults,
+        ) -> QueryRunReport {
+            run_sub_batches(self, run, out, |_, _| BatchReport::default())
+        }
+
+        fn update_batch(&mut self, _updates: &[(ElementId, Shape)]) -> UpdateReport {
+            panic!("torn write");
+        }
+
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+
+        fn shard_sizes(&self) -> Vec<usize> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn injected_read_panic_does_not_vouch_for_a_later_write_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut chaos = ChaosBackend::new(TornWrites, FaultPlan::new().panic_at(0));
+        let run = QueryRun {
+            range: vec![simspatial_geom::Aabb::empty()],
+            knn: Vec::new(),
+        };
+        let report = chaos.query_run(&run, false, &mut QueryRunResults::default());
+        assert_eq!(report.panics, 1, "op 0 is the injected read panic");
+        let write = catch_unwind(AssertUnwindSafe(|| chaos.update_batch(&[])));
+        assert!(
+            write.is_err(),
+            "op 1 is the inner backend's own write panic"
+        );
+        assert!(!chaos.recover(), "only the inner backend can vouch for it");
     }
 }

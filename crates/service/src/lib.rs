@@ -36,12 +36,12 @@
 //!   backend `update_batch` application per dispatch. Requests a backend's
 //!   [`Capabilities`] exclude are rejected at admission with
 //!   [`SubmitError::ReadOnly`].
-//! * **Backends** ([`ServiceBackend`]) — [`EngineBackend`] executes
-//!   inline on the dispatcher (single worker over any
-//!   `SpatialIndex + KnnIndex`; writable through the write contract every
-//!   layer shares — a rebuild function
-//!   ([`EngineBackend::build_writable`]), optionally an in-place apply
-//!   function ([`EngineBackend::with_apply`], e.g.
+//! * **Backends** ([`ServiceBackend`]) — one `ShardedEngine`, run two
+//!   ways. [`EngineBackend`] is a one-shard engine executed inline on the
+//!   dispatcher (single worker over any `SpatialIndex + KnnIndex`;
+//!   writable through the write contract every layer shares — a rebuild
+//!   function ([`EngineBackend::build_writable`]), optionally an in-place
+//!   apply function ([`EngineBackend::with_apply`], e.g.
 //!   `simspatial_moving::strategy_backend`));
 //!   [`ShardedBackend`] parks each shard of a `ShardedEngine` in an
 //!   executor slot and scatters routed lanes onto a work-stealing pool of
@@ -86,9 +86,8 @@
 //!   freshness at the submitter's last acknowledged write (acks carry the
 //!   publishing epoch in [`Reply::epoch`]); `Barrier` keeps the strict
 //!   pre-epoch ordering and doubles as the differential oracle the
-//!   snapshot consistency suite compares against. Snapshot serving is
-//!   opt-in on the sharded backend ([`ShardedBackend::spawn_snapshot`])
-//!   and always on for [`EngineBackend`].
+//!   snapshot consistency suite compares against. Every backend serves
+//!   snapshot reads.
 //!
 //! ## Quick start
 //!

@@ -113,8 +113,8 @@ impl Request {
 ///
 /// * [`Consistency::Snapshot`] (the default) answers from the **last
 ///   published epoch**: the scheduler hoists the read in front of any
-///   write barriers queued in the same dispatch and runs it against the
-///   per-shard snapshots published by the previous barrier. The answer
+///   write barriers queued in the same dispatch and runs it before them,
+///   while live state still is that epoch. The answer
 ///   may be stale, but it is never torn — it equals the [`Barrier`]
 ///   answer evaluated at exactly the epoch the reply reports
 ///   (differentially tested in `tests/service_snapshot.rs`).

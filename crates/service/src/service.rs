@@ -319,8 +319,7 @@ impl ServiceHandle {
     /// staleness should pass [`Consistency::Snapshot`] here and stop
     /// paying for write barriers they never asked to observe. Writes
     /// ignore the mode (every write is always a barrier and publishes an
-    /// epoch); on a backend without snapshot support all modes behave as
-    /// `Barrier` and replies report epoch 0.
+    /// epoch).
     pub fn submit_at(
         &self,
         request: Request,
@@ -530,9 +529,7 @@ struct Scheduler<B: ServiceBackend> {
     /// The last **published** epoch: 0 at startup, advanced after every
     /// write application while the service is healthy, so whenever no
     /// write is mid-application the live dataset *is* the published
-    /// epoch's state — which is why a snapshot run needs no copy. Without
-    /// [`Capabilities::snapshots`] the epoch machinery is dormant: every
-    /// request runs the barrier path and all epochs report 0.
+    /// epoch's state — which is why a snapshot run needs no copy.
     epoch: u64,
     /// Set when a backend panic unwound to the dispatcher on a write path
     /// the backend could not recover: the dataset state is unknown, so
@@ -731,7 +728,7 @@ impl<B: ServiceBackend> Scheduler<B> {
         // all writes) keeps today's strict admission-order semantics.
         let mut barrier_idx: Vec<usize> = Vec::with_capacity(n);
         let mut snap_idx: Vec<usize> = Vec::new();
-        if self.shared.caps.snapshots && !self.poisoned {
+        if !self.poisoned {
             let first_write = self
                 .pending
                 .iter()
@@ -883,11 +880,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             stats.snapshot_reads += totals.snapshot_reads;
             stats.stale_reads += totals.stale_reads;
             stats.current_epoch = self.epoch;
-            stats.epochs_published = if self.shared.caps.snapshots {
-                self.epoch + 1
-            } else {
-                0
-            };
+            stats.epochs_published = self.epoch + 1;
             stats.panics_caught = telemetry.panics_caught;
             stats.shard_restarts = telemetry.shard_restarts;
             stats.shards_dead = telemetry.shards_dead;
@@ -978,7 +971,8 @@ impl<B: ServiceBackend> Scheduler<B> {
 
         // ---- Execute the whole run through one backend call. Sub-batch
         // panics are caught *inside* `query_run`; a panic that escapes it
-        // (routing/merge code) fails the entire run.
+        // (routing/merge code) fails the entire run. A read mutates no
+        // durable state, so the backend keeps serving either way.
         let call = catch_unwind(AssertUnwindSafe(|| {
             self.backend.query_run(&self.run, snap, &mut self.run_out)
         }));
@@ -987,9 +981,6 @@ impl<B: ServiceBackend> Scheduler<B> {
             Err(_) => {
                 totals.sched_panics += 1;
                 self.fail_rest(idxs, 0);
-                if !self.backend.recover(false) {
-                    self.poison();
-                }
                 return;
             }
         };
@@ -1087,21 +1078,6 @@ impl<B: ServiceBackend> Scheduler<B> {
                 }
             }
         }
-
-        if report.poisoned {
-            self.poison();
-        }
-    }
-
-    /// Transitions the service into the poisoned terminal state: the
-    /// backend could not vouch for its dataset after a write-path panic,
-    /// so admission closes and everything still in flight or queued fails
-    /// fast. The `dead` flag makes racing stragglers classify as
-    /// [`RecvError::WorkerFailed`] rather than a clean shutdown.
-    fn poison(&mut self) {
-        self.poisoned = true;
-        self.shared.dead.store(true, Ordering::Release);
-        self.shared.open.store(false, Ordering::Release);
     }
 
     /// Executes one write run (`pending[idxs]`, all writes): flattens the
@@ -1187,9 +1163,12 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// *may* be partially applied (it is applied on every surviving
     /// shard); which requests' entries landed on the dead shard is not
     /// attributable after coalescing, so the whole segment fails. A panic
-    /// that unwound out of the write is only survivable if the backend can
-    /// restore index–data consistency (recovery restores consistency, not
-    /// the write's atomicity); otherwise the service poisons. Every applied
+    /// that unwound out of the write fails the segment typed and is only
+    /// survivable if [`ServiceBackend::recover`] restores a consistent
+    /// state; otherwise the service **poisons**: admission closes and
+    /// everything still in flight or queued fails fast (the `dead` flag
+    /// makes racing stragglers classify as [`RecvError::WorkerFailed`]
+    /// rather than a clean shutdown). Every applied
     /// (even partially applied) write **publishes the next epoch** — a
     /// counter bump, since the backend's live state now is that epoch — and
     /// stamps it on the segment's surviving requests — the ack a client
@@ -1220,13 +1199,15 @@ impl<B: ServiceBackend> Scheduler<B> {
             Err(_) => {
                 totals.sched_panics += 1;
                 self.fail_rest(seg, 0);
-                if !self.backend.recover(true) {
-                    self.poison();
+                if !self.backend.recover() {
+                    self.poisoned = true;
+                    self.shared.dead.store(true, Ordering::Release);
+                    self.shared.open.store(false, Ordering::Release);
                 }
                 None
             }
         };
-        if self.shared.caps.snapshots && !self.poisoned {
+        if !self.poisoned {
             self.epoch += 1;
         }
         for &i in seg {

@@ -153,10 +153,8 @@ pub struct ServiceStats {
     /// Element updates applied through the write path (after
     /// last-write-wins coalescing of duplicate ids per application).
     pub updates_applied: u64,
-    /// Elements whose placement changed while applying updates: shard
-    /// migrations on a sharded backend, structural modifications (cell
-    /// switches, reinsertions, rebuild-touched elements) on a single
-    /// engine.
+    /// Elements whose shard set changed while applying updates (shard
+    /// migrations; always 0 on one shard).
     pub migrations: u64,
     /// Updates not applied: unknown ids plus superseded duplicates.
     pub updates_skipped: u64,
@@ -227,13 +225,12 @@ pub struct ServiceStats {
     pub partial_responses: u64,
     /// Requests completed with `RecvError::WorkerFailed`.
     pub failed_requests: u64,
-    /// The last published epoch (0 for backends without snapshot support
-    /// — see [`Consistency`](crate::Consistency)). Epoch 0 publishes at
-    /// service start; every applied write barrier publishes the next.
+    /// The last published epoch (see [`Consistency`](crate::Consistency)).
+    /// Epoch 0 publishes at service start; every applied write barrier
+    /// publishes the next.
     pub current_epoch: u64,
     /// Epochs published over the service lifetime: `current_epoch + 1` by
-    /// construction on a snapshot backend (the startup epoch plus one per
-    /// write barrier), 0 on one without snapshot support.
+    /// construction (the startup epoch plus one per write barrier).
     pub epochs_published: u64,
     /// Reads served at `Consistency::Snapshot`/`ReadYourWrites` at the last
     /// published epoch instead of on the barrier path.

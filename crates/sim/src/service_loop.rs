@@ -50,8 +50,7 @@ pub struct ServedStepReport {
     pub monitor_s: f64,
     /// Total monitoring query results.
     pub monitor_results: u64,
-    /// Epoch whose publication made this step's tick visible (zero when
-    /// the backend does not publish snapshots).
+    /// Epoch whose publication made this step's tick visible.
     pub tick_epoch: u64,
     /// Epoch the monitoring queries were answered at. Under
     /// [`Consistency::Barrier`] this is the live epoch; under snapshot
@@ -143,7 +142,7 @@ impl ServedSimulation {
     }
 
     /// Epoch whose publication made the most recent tick visible (zero
-    /// before the first tick or without snapshot support).
+    /// before the first tick).
     pub fn last_tick_epoch(&self) -> u64 {
         self.last_tick_epoch
     }

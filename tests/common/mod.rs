@@ -65,7 +65,8 @@ impl<I: SpatialIndex + KnnIndex + Send> SerialOracle for ShardedOracle<I> {
 }
 
 /// A writable single-engine oracle: owns the data, applies writes, rebuilds
-/// its index — the serial mirror of `EngineBackend::build_writable`.
+/// its index — one `QueryEngine` over one index, which a rebuild-mode
+/// `EngineBackend::build_writable` (a one-shard engine) answers exactly as.
 pub struct RebuildOracle<I, F: Fn(&[Element]) -> I> {
     engine: QueryEngine,
     data: Vec<Element>,
@@ -112,9 +113,12 @@ impl<I: SpatialIndex + KnnIndex, F: Fn(&[Element]) -> I> SerialOracle for Rebuil
     }
 }
 
-/// A strategy-backed oracle: the serial mirror of
-/// `simspatial_moving::strategy_backend` (same structure, same sparse
-/// maintenance path).
+/// A strategy-backed oracle: one strategy over the whole dataset, fed each
+/// write batch as submitted (duplicates included, in admission order).
+/// `simspatial_moving::strategy_backend` applies each id's last write once,
+/// so it agrees with this oracle only on batches without duplicate ids; its
+/// exact serial mirror is a `ShardedOracle` over a one-shard incremental
+/// `sharded_strategy_engine`.
 pub struct StrategyOracle {
     pub data: Vec<Element>,
     pub strategy: Box<dyn UpdateStrategy>,

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 /// A backend that takes a fixed nap per query batch — slow enough that
 /// an open-loop producer saturates admission, deterministic enough for
-/// a test. Read-only, without snapshots.
+/// a test. Read-only.
 struct SlowBackend<B: ServiceBackend> {
     inner: B,
     nap: Duration,

@@ -266,12 +266,12 @@ fn strategy_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
 }
 
 /// A panic *inside* the apply function, with the index torn (the data a
-/// step ahead of it): the backend recovers by rebuilding the index from the
-/// data — consistency, not atomicity — so the write fails typed, the
-/// service keeps serving, and later reads match an oracle built over the
-/// surviving data byte for byte.
+/// step ahead of it): the backend restarts its shard from the planner
+/// store, which already holds the whole write — so the write fails typed
+/// yet is fully applied, the service keeps serving, and later reads match
+/// an oracle that applied the write byte for byte.
 #[test]
-fn engine_apply_panic_recovers_by_rebuilding_from_the_data() {
+fn engine_apply_panic_recovers_from_the_planner_store() {
     quiet_panics();
     const BOMB: ElementId = 7;
     let data = soup(1500, 0xB0B);
@@ -298,10 +298,14 @@ fn engine_apply_panic_recovers_by_rebuilding_from_the_data() {
         Err(RecvError::WorkerFailed { .. }) => {}
         other => panic!("the torn write should fail typed, got {other:?}"),
     }
-    // What reached the data: element 3 (applied), the bomb's own geometry
-    // (written before the panic), not element 5.
+    // The planner store took the whole write before the shard ran it, so
+    // the restarted shard holds every entry of it.
     let mut oracle = RebuildOracle::new(data, build);
-    oracle.apply(&[(3, Shape::Box(t1)), (BOMB, Shape::Box(t1))]);
+    oracle.apply(&[
+        (3, Shape::Box(t1)),
+        (BOMB, Shape::Box(t1)),
+        (5, Shape::Box(t1)),
+    ]);
     let later = [
         Request::Range(vec![t1, full_cover()]),
         Request::Knn(vec![(Point3::new(2.5, 2.5, 2.5), 5)]),

@@ -33,8 +33,9 @@
 //!
 //! Snapshot reads run against live state — the scheduler runs them only
 //! while live state is the last published epoch — so no backend holds a
-//! snapshot copy, and a snapshot service has published `current_epoch + 1`
-//! epochs by construction (the startup epoch 0 plus one per write barrier).
+//! snapshot copy, every backend serves them, and a service has published
+//! `current_epoch + 1` epochs by construction (the startup epoch 0 plus one
+//! per write barrier).
 
 mod common;
 
@@ -835,65 +836,85 @@ fn read_your_writes_observes_own_acked_writes_under_contention() {
 /// batching window holds whichever request arrives first until the second
 /// joins it, so both share one dispatch. Snapshot runs consume no fault-plan
 /// op, while a live range run consumes one — hence the write is op 0 in the
-/// first case and op 1 in the second.
+/// first case and op 1 in the second. Both spawn flavours serve snapshot
+/// reads, so both hoist.
 #[test]
 fn hoisted_snapshot_read_replies_before_the_write_behind_it() {
     const WRITE_DELAY: Duration = Duration::from_millis(300);
     let data = soup(800, 0x0DE1);
-    let spawn = |write_op: u64| {
-        SpatialService::spawn(
-            ChaosBackend::new(
-                ShardedBackend::spawn_snapshot(incremental_engine(&data, 2)),
-                FaultPlan::new().delay_at(write_op, WRITE_DELAY),
-            ),
-            ServiceConfig::default().with_batching(64, Duration::from_secs(1)),
-        )
-    };
-    let everything = Request::Range(vec![Aabb::new(
-        Point3::new(0.0, 0.0, 0.0),
-        Point3::new(99.0, 99.0, 99.0),
-    )]);
-    let write = || Request::Update(write_batch(1, data.len() as u32));
+    for label in ["spawn_snapshot", "spawn"] {
+        let backend = || {
+            let engine = incremental_engine(&data, 2);
+            if label == "spawn" {
+                ShardedBackend::spawn(engine)
+            } else {
+                ShardedBackend::spawn_snapshot(engine)
+            }
+        };
+        let spawn = |write_op: u64| {
+            SpatialService::spawn(
+                ChaosBackend::new(backend(), FaultPlan::new().delay_at(write_op, WRITE_DELAY)),
+                ServiceConfig::default().with_batching(64, Duration::from_secs(1)),
+            )
+        };
+        let everything = Request::Range(vec![Aabb::new(
+            Point3::new(0.0, 0.0, 0.0),
+            Point3::new(99.0, 99.0, 99.0),
+        )]);
+        let write = || Request::Update(write_batch(1, data.len() as u32));
 
-    // Write first, snapshot read second: the read is hoisted over it.
-    let service = spawn(0);
-    let handle = service.handle();
-    let write_ticket = handle.submit(write()).expect("write submit");
-    let read = handle
-        .submit_at(everything.clone(), Consistency::Snapshot)
-        .expect("read submit")
-        .recv_reply()
-        .expect("snapshot read");
-    assert!(
-        write_ticket.try_recv_reply().is_none(),
-        "the hoisted read waited for the write behind it"
-    );
-    assert!(read.latency < WRITE_DELAY, "read took {:?}", read.latency);
-    assert_eq!(
-        read.epoch, 0,
-        "the read must run before the write publishes"
-    );
-    let ack = write_ticket.recv_reply().expect("write");
-    assert_eq!(ack.epoch, 1);
-    let stats = service.shutdown();
-    assert_eq!((stats.dispatches, stats.stale_reads), (1, 1));
+        // Write first, snapshot read second: the read is hoisted over it.
+        let service = spawn(0);
+        let handle = service.handle();
+        let write_ticket = handle.submit(write()).expect("write submit");
+        let read = handle
+            .submit_at(everything.clone(), Consistency::Snapshot)
+            .expect("read submit")
+            .recv_reply()
+            .expect("snapshot read");
+        assert!(
+            write_ticket.try_recv_reply().is_none(),
+            "{label}: the hoisted read waited for the write behind it"
+        );
+        assert!(
+            read.latency < WRITE_DELAY,
+            "{label}: read took {:?}",
+            read.latency
+        );
+        assert_eq!(
+            read.epoch, 0,
+            "{label}: the read must run before the write publishes"
+        );
+        let ack = write_ticket.recv_reply().expect("write");
+        assert_eq!(ack.epoch, 1, "{label}");
+        let stats = service.shutdown();
+        assert_eq!((stats.dispatches, stats.stale_reads), (1, 1), "{label}");
 
-    // Barrier read first, write second: the read runs live, then replies
-    // before the write starts.
-    let service = spawn(1);
-    let handle = service.handle();
-    let read_ticket = handle.submit(everything).expect("read submit");
-    let write_ticket = handle.submit(write()).expect("write submit");
-    let read = read_ticket.recv_reply().expect("barrier read");
-    assert!(
-        write_ticket.try_recv_reply().is_none(),
-        "the barrier read waited for the write behind it"
-    );
-    assert!(read.latency < WRITE_DELAY, "read took {:?}", read.latency);
-    assert_eq!(read.epoch, 0);
-    assert_eq!(write_ticket.recv_reply().expect("write").epoch, 1);
-    let stats = service.shutdown();
-    assert_eq!(stats.dispatches, 1);
+        // Barrier read first, write second: the read runs live, then
+        // replies before the write starts.
+        let service = spawn(1);
+        let handle = service.handle();
+        let read_ticket = handle.submit(everything).expect("read submit");
+        let write_ticket = handle.submit(write()).expect("write submit");
+        let read = read_ticket.recv_reply().expect("barrier read");
+        assert!(
+            write_ticket.try_recv_reply().is_none(),
+            "{label}: the barrier read waited for the write behind it"
+        );
+        assert!(
+            read.latency < WRITE_DELAY,
+            "{label}: read took {:?}",
+            read.latency
+        );
+        assert_eq!(read.epoch, 0, "{label}");
+        assert_eq!(
+            write_ticket.recv_reply().expect("write").epoch,
+            1,
+            "{label}"
+        );
+        let stats = service.shutdown();
+        assert_eq!(stats.dispatches, 1, "{label}");
+    }
 }
 
 /// A client holding a reply finds it counted in `stats()`: the scheduler

@@ -18,9 +18,8 @@
 
 mod common;
 
-use common::{expected, mix, soup, RebuildOracle, SerialOracle, ShardedOracle, StrategyOracle};
+use common::{expected, mix, soup, RebuildOracle, SerialOracle, ShardedOracle};
 use simspatial::prelude::*;
-use simspatial_geom::QueryScratch;
 use simspatial_service::{
     QueryRun, QueryRunReport, QueryRunResults, RecvError, ServiceBackend, UpdateReport,
 };
@@ -564,20 +563,23 @@ fn write_barrier_matches_serial_on_strategy_backend() {
     // update groupings: disable coalescing and run strictly sequentially —
     // one dispatch, one `update_batch`, per request, both sides.
     let data = soup(WRITE_SOUP, 0xD1CE);
-    let backend = strategy_backend(data.clone(), UpdateStrategyKind::GridMigrate);
+    let kind = UpdateStrategyKind::GridMigrate;
+    let backend = strategy_backend(data.clone(), kind);
     let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
-    let mut oracle = StrategyOracle {
-        strategy: UpdateStrategyKind::GridMigrate.create(&data),
-        data,
-        scratch: QueryScratch::default(),
-    };
+    let mut oracle = ShardedOracle(sharded_strategy_engine(
+        &data,
+        1,
+        kind,
+        ShardWriteMode::Incremental,
+    ));
     drive_barrier_and_verify(service, &mut oracle, false, "engine/grid-migrate strategy");
 }
 
 /// One apply function behind both backends: the same request stream served
 /// by `strategy_backend` and by a one-shard incremental
-/// `sharded_strategy_engine` yields equal range sets, equal kNN lists and
-/// equal write accounting — superseded duplicates and unknown ids included.
+/// `sharded_strategy_engine` yields byte-identical replies and equal write
+/// accounting — superseded duplicates, unknown ids, inserts and removals
+/// included.
 #[test]
 fn strategy_apply_behaves_the_same_behind_both_backends() {
     let data = soup(WRITE_SOUP, 0xD1CE);
@@ -591,17 +593,19 @@ fn strategy_apply_behaves_the_same_behind_both_backends() {
     ]));
     requests.push(Request::Range(vec![beacon_all()]));
     requests.push(Request::Knn(vec![(Point3::new(160.0, 160.0, 151.0), 6)]));
+    requests.push(Request::Insert(vec![
+        beacon_target(904),
+        beacon_target(905),
+    ]));
+    requests.push(Request::Remove(vec![18, WRITE_SOUP]));
+    requests.push(Request::Range(vec![beacon_all()]));
+    requests.push(Request::Knn(vec![(Point3::new(160.0, 160.0, 151.0), 6)]));
     let serve = |service: SpatialService| -> (Vec<Response>, ServiceStats) {
         let handle = service.handle();
-        let mut responses: Vec<Response> = requests
+        let responses: Vec<Response> = requests
             .iter()
             .map(|r| handle.submit(r.clone()).unwrap().recv().unwrap())
             .collect();
-        for response in &mut responses {
-            if let Response::Range(lists) = response {
-                lists.iter_mut().for_each(|l| l.sort_unstable());
-            }
-        }
         (responses, service.shutdown())
     };
     let config = || ServiceConfig::default().no_coalesce();
