@@ -9,13 +9,12 @@
 //!
 //! * [`StrategyIndex`] wraps a boxed strategy as a `SpatialIndex +
 //!   KnnIndex`, forwarding the sink-based query paths and `splice`.
-//! * [`strategy_backend`] serves it from a writable
-//!   [`EngineBackend`] (a one-shard engine run inline),
-//!   [`sharded_strategy_engine`] from a [`ShardedEngine`]; both rebuild
-//!   with [`StrategyIndex::build`] and — the sharded engine in
-//!   [`ShardWriteMode::Incremental`] — apply write batches in place with
-//!   one and the same function, which routes them into
-//!   [`UpdateStrategy::update_batch`]. So a simulation's maintenance
+//! * [`sharded_strategy_engine`] serves it from a [`ShardedEngine`] that
+//!   rebuilds with [`StrategyIndex::build`] and — in
+//!   [`ShardWriteMode::Incremental`] — applies write batches in place
+//!   through [`UpdateStrategy::update_batch`];
+//!   [`strategy_backend`] is its one-shard incremental engine behind a
+//!   writable [`ShardedBackend`]. So a simulation's maintenance
 //!   strategy (grid migration, bottom-up R-Tree updates, buffering, …)
 //!   serves concurrent clients directly — the paper's alternating
 //!   update/query workload through one admission path.
@@ -49,11 +48,11 @@
 use crate::strategy::{UpdateStrategy, UpdateStrategyKind};
 use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use simspatial_index::{KnnIndex, KnnSink, RangeSink, ShardApplyCost, ShardedEngine, SpatialIndex};
-use simspatial_service::EngineBackend;
+use simspatial_service::ShardedBackend;
 
 /// An [`UpdateStrategy`] adapted to the index traits, so strategy-backed
 /// structures run everywhere an index does — in particular inside the
-/// service's `EngineBackend`. Queries forward to the strategy's sink-based
+/// shards of a [`ShardedEngine`]. Queries forward to the strategy's sink-based
 /// paths; the element count is tracked by the wrapper (strategies never own
 /// the dataset).
 pub struct StrategyIndex {
@@ -116,11 +115,11 @@ impl KnnIndex for StrategyIndex {
     }
 }
 
-/// The in-place write path of a strategy-backed index — the one apply
-/// function both [`strategy_backend`] and [`sharded_strategy_engine`]
-/// attach: the batch goes through [`UpdateStrategy::update_batch`] — grid
-/// migration absorbs cell switches, buffered strategies park the moves,
-/// rebuild strategies rebuild.
+/// The in-place write path of a strategy-backed index, the apply function
+/// [`sharded_strategy_engine`] attaches in incremental mode: the batch goes
+/// through [`UpdateStrategy::update_batch`] — grid migration absorbs cell
+/// switches, buffered strategies park the moves, rebuild strategies
+/// rebuild.
 fn apply_strategy(
     index: &mut StrategyIndex,
     data: &mut [Element],
@@ -134,19 +133,20 @@ fn apply_strategy(
     }
 }
 
-/// A writable service backend over the update strategy `kind`: queries run
-/// through the strategy's structure, write batches through its maintenance
-/// path — the inline twin of a one-shard incremental
-/// [`sharded_strategy_engine`]; a panic mid-write is recovered by
+/// A writable service backend over the update strategy `kind`: a one-shard
+/// incremental [`sharded_strategy_engine`], whose lanes run on the
+/// dispatcher. Queries run through the strategy's structure, write batches
+/// through its maintenance path; a panic mid-write restarts the shard by
 /// recreating the strategy from the planner's element store, which already
 /// holds the write. `data` must follow the dataset convention
 /// (`element.id == position`).
-pub fn strategy_backend(
-    data: Vec<Element>,
-    kind: UpdateStrategyKind,
-) -> EngineBackend<StrategyIndex> {
-    EngineBackend::build_writable(data, move |els| StrategyIndex::build(kind, els))
-        .with_apply(apply_strategy)
+pub fn strategy_backend(data: Vec<Element>, kind: UpdateStrategyKind) -> ShardedBackend {
+    ShardedBackend::spawn(sharded_strategy_engine(
+        &data,
+        1,
+        kind,
+        ShardWriteMode::Incremental,
+    ))
 }
 
 /// The in-shard write mode of a strategy-backed sharded engine.

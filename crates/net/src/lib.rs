@@ -44,14 +44,14 @@
 //! ```
 //! use simspatial_datagen::ElementSoupBuilder;
 //! use simspatial_geom::Point3;
-//! use simspatial_index::{GridConfig, UniformGrid};
+//! use simspatial_index::{GridConfig, ShardedEngine, UniformGrid};
 //! use simspatial_net::{CallOutcome, NetClient, NetConfig, NetServer};
-//! use simspatial_service::{EngineBackend, Request, ServiceConfig, SpatialService};
+//! use simspatial_service::{Request, ServiceConfig, ShardedBackend, SpatialService};
 //!
 //! let data = ElementSoupBuilder::new().count(500).seed(3).build();
-//! let backend = EngineBackend::build(data.elements().to_vec(), |d| {
+//! let backend = ShardedBackend::spawn(ShardedEngine::build(data.elements(), 1, |d| {
 //!     UniformGrid::build(d, GridConfig::auto(d))
-//! });
+//! }));
 //! let service = SpatialService::spawn(backend, ServiceConfig::default());
 //! let server = NetServer::bind(service, "127.0.0.1:0", NetConfig::default()).unwrap();
 //!

@@ -4,12 +4,9 @@
 //! of queries between two write barriers goes to the backend as a single
 //! [`ServiceBackend::query_run`] call — live, or against the last published
 //! epoch. What a backend can do beyond reads it states once, as
-//! [`Capabilities`]. Two implementations ship:
+//! [`Capabilities`]. One engine-backed implementation ships, beside the
+//! [`ChaosBackend`](crate::ChaosBackend) fault-injecting wrapper:
 //!
-//! * [`EngineBackend`] — a one-shard [`ShardedEngine`] the dispatcher
-//!   thread executes inline: one worker total, the degenerate (but often
-//!   fastest single-core) deployment. It reads, writes and recovers as a
-//!   one-shard [`ShardedBackend`] does, minus the pool.
 //! * [`ShardedBackend`] — a [`ShardedEngine`] split into its
 //!   [`ShardPlanner`] and per-shard
 //!   [`ShardExecutor`](simspatial_index::ShardExecutor)s, executed on a
@@ -29,15 +26,18 @@
 //!   same code — only *where* each shard's sub-batch runs changes.
 //!
 //! The pool is sized `min(parallel::num_threads(), shard count)` at spawn,
-//! so `SIMSPATIAL_THREADS=1` (or a single-core host) degrades to one
-//! worker without cross-thread ping-pong, and a backend never spawns more
-//! threads than it has shards to run.
+//! so a backend never spawns more threads than it has shards to run. A
+//! one-worker pool — one shard, `SIMSPATIAL_THREADS=1` or a single-core
+//! host — spawns no thread at all: each lane runs inline on the thread
+//! that scatters it (the dispatcher), through the same job, fault and
+//! supervision code, without cross-thread ping-pong. A one-shard backend
+//! is the serial engine the differential suites compare the pool against.
 
 use crate::fault::FaultKind;
 use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3, Shape};
 use simspatial_index::{
-    BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryStats, RangeLane, ShardApplyCost,
-    ShardExecutor, ShardPlanner, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats,
+    BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryStats, RangeLane, ShardExecutor,
+    ShardPlanner, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats,
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -107,7 +107,8 @@ impl From<UpdateStats> for UpdateReport {
 /// worker-pool utilisation gauges that make load imbalance observable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BackendTelemetry {
-    /// Panics caught on backend worker threads (shard-worker jobs).
+    /// Panics caught in shard jobs, on a pool thread or (one-worker pool)
+    /// on the dispatcher.
     pub panics_caught: u64,
     /// Shard executors successfully rebuilt from the planner's retained
     /// element store after a panic.
@@ -120,7 +121,8 @@ pub struct BackendTelemetry {
     /// they were scattered to — the work-stealing rebalance counter.
     pub worker_steals: u64,
     /// Per-pool-worker cumulative busy time (nanoseconds spent executing
-    /// shard jobs). Empty for backends without a worker pool.
+    /// shard jobs). A one-worker pool runs its jobs on the dispatcher and
+    /// charges them to worker 0. Empty for backends that run no shard jobs.
     pub worker_busy_ns: Vec<u64>,
 }
 
@@ -323,9 +325,9 @@ pub trait ServiceBackend: Send + 'static {
     }
 
     /// Installs deterministic worker-level faults (`(shard, job sequence,
-    /// kind)` triples) into the backend's worker threads — the test-only
-    /// hook [`ChaosBackend`](crate::ChaosBackend) uses to schedule shard
-    /// crashes and stalls. Backends without worker threads ignore it.
+    /// kind)` triples) into the backend's shard jobs — the test-only hook
+    /// [`ChaosBackend`](crate::ChaosBackend) uses to schedule shard
+    /// crashes and stalls. Backends that run no shard jobs ignore it.
     fn install_worker_faults(&mut self, _faults: &[(usize, u64, FaultKind)]) {}
 
     /// Structure bytes the backend holds (surfaced through `ServiceStats`;
@@ -333,7 +335,7 @@ pub trait ServiceBackend: Send + 'static {
     /// is visible).
     fn memory_bytes(&self) -> usize;
 
-    /// Elements per shard (one entry for unsharded backends); refreshed
+    /// Elements per shard (one entry for a one-shard backend); refreshed
     /// after every update application.
     fn shard_sizes(&self) -> Vec<usize>;
 
@@ -354,9 +356,9 @@ pub(crate) enum SubBatch<'a> {
 /// Runs a [`QueryRun`]'s sub-batches **sequentially** in the canonical
 /// order (range first, then kNN groups ascending by `k`), each through
 /// `exec` under `catch_unwind`: a panicking sub-batch reports `Panicked`
-/// and the rest of the run still executes. The [`EngineBackend`] read
-/// path, and the order [`ChaosBackend`](crate::ChaosBackend) keys its fault
-/// schedule by — one op per sub-batch.
+/// and the rest of the run still executes. This is how
+/// [`ChaosBackend`](crate::ChaosBackend) splits a live run into one op per
+/// sub-batch, the order its fault schedule is keyed by.
 pub(crate) fn run_sub_batches<B>(
     backend: &mut B,
     run: &QueryRun,
@@ -389,123 +391,10 @@ pub(crate) fn run_sub_batches<B>(
     report
 }
 
-/// A single-engine backend: a **one-shard** [`ShardedEngine`] executed
-/// inline on the dispatcher thread (the "single worker" deployment). It is
-/// the serial engine the differential suites compare the pool against, so
-/// it reads, writes and recovers exactly as a one-shard [`ShardedBackend`]
-/// does: the planner routes and deduplicates, the shard executor applies
-/// each id's last write once, in place through an apply function
-/// ([`EngineBackend::with_apply`]) or by rebuild
-/// ([`EngineBackend::build_writable`]), and a write panic is recovered by
-/// restarting the shard from the planner store. Read-only unless built
-/// with a rebuild function.
-pub struct EngineBackend<I> {
-    engine: ShardedEngine<I>,
-}
-
-impl<I: SpatialIndex + KnnIndex + Send + 'static> EngineBackend<I> {
-    /// A read-only backend over `data` (`element.id == position`) served by
-    /// a pre-built `index` over it. One shard takes every element, in id
-    /// order, so its clone is `data` and `index` fits it as built.
-    pub fn new(data: Vec<Element>, index: I) -> Self {
-        let index = Cell::new(Some(index));
-        let build = |_: &[Element]| index.take().expect("one shard builds one index");
-        Self {
-            engine: ShardedEngine::build(&data, 1, build),
-        }
-    }
-
-    /// Builds the index from `data` with `build`, then wraps both
-    /// (read-only).
-    pub fn build(data: Vec<Element>, build: impl FnOnce(&[Element]) -> I) -> Self {
-        let index = build(&data);
-        Self::new(data, index)
-    }
-
-    /// A writable backend: `build` is the shard's rebuild function — every
-    /// write batch writes the new geometry into the shard and rebuilds its
-    /// index (also the restart recipe after a panic mid-write).
-    pub fn build_writable(
-        data: Vec<Element>,
-        build: impl Fn(&[Element]) -> I + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            engine: ShardedEngine::build(&data, 1, &build).with_rebuild(build),
-        }
-    }
-
-    /// Switches a writable backend to the **in-place** write mode
-    /// ([`ShardedEngine::with_apply`]: the same closure serves behind both
-    /// backends). Membership changes the index cannot splice still rebuild.
-    pub fn with_apply(
-        self,
-        apply: impl Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        Self {
-            engine: self.engine.with_apply(apply),
-        }
-    }
-}
-
-impl<I: SpatialIndex + KnnIndex + Send + 'static> ServiceBackend for EngineBackend<I> {
-    fn capabilities(&self) -> Capabilities {
-        let writable = self.engine.is_updatable();
-        Capabilities {
-            updates: writable,
-            membership: writable,
-        }
-    }
-
-    fn query_run(
-        &mut self,
-        run: &QueryRun,
-        _snapshot: bool,
-        out: &mut QueryRunResults,
-    ) -> QueryRunReport {
-        run_sub_batches(self, run, out, |b, sub| {
-            match sub {
-                SubBatch::Range(queries, out) => b.engine.range_collect(queries, out),
-                SubBatch::Knn(points, k, out) => b.engine.knn_collect(points, k, out),
-            }
-            .into()
-        })
-    }
-
-    fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
-        self.engine.update_batch(updates).into()
-    }
-
-    fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
-        let (ids, stats) = self.engine.insert_batch(shapes);
-        (ids, stats.into())
-    }
-
-    fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
-        self.engine.remove_batch(ids).into()
-    }
-
-    /// The planner store advanced before the shard ran the write, so the
-    /// torn shard restarts from it — as a [`ShardedBackend`] restart does —
-    /// with the write applied in full.
-    fn recover(&mut self) -> bool {
-        let writable = self.engine.is_updatable();
-        if writable {
-            self.engine.restart_shard(0);
-        }
-        writable
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.engine.memory_bytes()
-    }
-
-    fn shard_sizes(&self) -> Vec<usize> {
-        self.engine.shard_sizes()
-    }
-}
+/// The name the benchmark ladder still spells for a one-shard backend over
+/// a prebuilt index ([`ShardedBackend::new`]); new code names
+/// [`ShardedBackend`].
+pub type EngineBackend = ShardedBackend;
 
 /// A routed lane travelling to a shard worker (to execute) and back (with
 /// results filled) — the same type in both directions, so lane allocations
@@ -617,16 +506,34 @@ impl PoolShared {
 
 /// The work-stealing worker pool of a [`ShardedBackend`]: `min(threads,
 /// shards)` persistent workers executing shard jobs from per-worker local
-/// deques, with idle workers stealing across queues.
+/// deques, with idle workers stealing across queues. A one-worker pool
+/// spawns no thread: the caller runs each job as worker 0 when it submits
+/// it.
 struct WorkerPool {
     shared: Arc<PoolShared>,
-    done_rx: mpsc::Receiver<WorkerDone>,
-    threads: Vec<JoinHandle<()>>,
+    workers: Workers,
+}
+
+/// Where a pool's jobs run. Whoever runs them holds a clone of the
+/// executor slots.
+enum Workers {
+    /// Two or more pool threads; completions come back over the channel.
+    Threads {
+        done_rx: mpsc::Receiver<WorkerDone>,
+        handles: Vec<JoinHandle<()>>,
+    },
+    /// No thread: `submit` ran each job on the calling thread, and its
+    /// completion waits here for `recv_done`.
+    Inline {
+        slots: RunnerSlots,
+        done: VecDeque<WorkerDone>,
+    },
 }
 
 impl WorkerPool {
     /// Spawns the pool: `min(parallel::num_threads(), shards)` workers
-    /// (at least one), each holding a clone of the executor slots.
+    /// (at least one), each holding a clone of the executor slots — or no
+    /// thread at all when that is one worker.
     fn spawn(shards: usize, slots: &RunnerSlots) -> Self {
         let workers = parallel::num_threads().min(shards.max(1)).max(1);
         let shared = Arc::new(PoolShared {
@@ -640,67 +547,79 @@ impl WorkerPool {
             seqs: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             faults: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         });
-        let (done_tx, done_rx) = mpsc::channel::<WorkerDone>();
-        let threads = (0..workers)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                let slots = Arc::clone(slots);
-                let done_tx = done_tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("simspatial-pool-{w}"))
-                    .spawn(move || pool_worker_loop(w, &shared, &slots, &done_tx))
-                    .expect("spawn pool worker thread")
-            })
-            .collect();
-        Self {
-            shared,
-            done_rx,
-            threads,
-        }
+        let workers = if workers == 1 {
+            Workers::Inline {
+                slots: Arc::clone(slots),
+                done: VecDeque::new(),
+            }
+        } else {
+            let (done_tx, done_rx) = mpsc::channel::<WorkerDone>();
+            let handles = (0..workers)
+                .map(|w| {
+                    let shared = Arc::clone(&shared);
+                    let slots = Arc::clone(slots);
+                    let done_tx = done_tx.clone();
+                    std::thread::Builder::new()
+                        .name(format!("simspatial-pool-{w}"))
+                        .spawn(move || pool_worker_loop(w, &shared, &slots, &done_tx))
+                        .expect("spawn pool worker thread")
+                })
+                .collect();
+            Workers::Threads { done_rx, handles }
+        };
+        Self { shared, workers }
     }
 
-    /// Number of pool workers.
+    /// Number of pool workers (one per busy-time gauge, so the count
+    /// survives `stop`).
     fn workers(&self) -> usize {
-        self.threads.len().max(1)
+        self.shared.busy_ns.len()
     }
 
-    /// Enqueues one job onto its shard's owner queue and wakes a worker.
-    fn submit(&self, shard: usize, tag: usize, job: Job) {
-        let mut state = self.shared.lock_state();
-        assert!(!state.shutdown, "backend already shut down");
-        let owner = shard % state.queues.len();
-        state.queues[owner].push_back(PoolJob { shard, tag, job });
-        drop(state);
-        self.shared.work_available.notify_one();
+    /// Enqueues one job onto its shard's owner queue and wakes a worker —
+    /// or, in a one-worker pool, runs it right here as worker 0.
+    fn submit(&mut self, shard: usize, tag: usize, job: Job) {
+        let job = PoolJob { shard, tag, job };
+        match &mut self.workers {
+            Workers::Inline { slots, done } => done.push_back(run_job(&self.shared, slots, 0, job)),
+            Workers::Threads { .. } => {
+                let mut state = self.shared.lock_state();
+                assert!(!state.shutdown, "backend already shut down");
+                let owner = shard % state.queues.len();
+                state.queues[owner].push_back(job);
+                drop(state);
+                self.shared.work_available.notify_one();
+            }
+        }
     }
 
     /// Receives one completion. Every scattered job produces exactly one
     /// (panicked jobs included), so a gather of `in_flight` `recv_done`
     /// calls never hangs.
-    fn recv_done(&self) -> WorkerDone {
-        self.done_rx
-            .recv()
-            .expect("pool workers outlive in-flight jobs")
+    fn recv_done(&mut self) -> WorkerDone {
+        match &mut self.workers {
+            Workers::Inline { done, .. } => done.pop_front().expect("one completion per job"),
+            Workers::Threads { done_rx, .. } => {
+                done_rx.recv().expect("pool workers outlive in-flight jobs")
+            }
+        }
     }
 
     /// Stops and joins every worker. Idempotent.
     fn stop(&mut self) {
         self.shared.lock_state().shutdown = true;
         self.shared.work_available.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Workers::Threads { handles, .. } = &mut self.workers {
+            for t in handles.drain(..) {
+                let _ = t.join();
+            }
         }
     }
 }
 
 /// One pool worker: pop the front of the own queue, steal the back of a
-/// sibling's otherwise, sleep on the condvar when everything is empty.
-///
-/// Every job runs under `catch_unwind` (over an `AssertUnwindSafe` closure
-/// — the executor never crosses the boundary again after a panic): a
-/// panicking job clears the shard's executor slot (the executor may be
-/// torn mid-update, so the only safe continuation is a supervisor rebuild)
-/// and still produces a `WorkerDone { panicked: true }` report.
+/// sibling's otherwise, sleep on the condvar when everything is empty, and
+/// run each job through [`run_job`].
 fn pool_worker_loop(
     worker: usize,
     shared: &PoolShared,
@@ -734,21 +653,8 @@ fn pool_worker_loop(
         if stolen {
             shared.steals.fetch_add(1, Ordering::Relaxed);
         }
-        let PoolJob {
-            shard,
-            tag,
-            mut job,
-        } = pool_job;
-        let started = Instant::now();
-        let panicked = run_job(shared, shard, &mut lock_slot(&slots[shard]), &mut job);
-        shared.busy_ns[worker].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if done_tx
-            .send(WorkerDone {
-                shard,
-                tag,
-                job,
-                panicked,
-            })
+            .send(run_job(shared, slots, worker, pool_job))
             .is_err()
         {
             return; // the backend is gone; nothing left to report to
@@ -756,15 +662,24 @@ fn pool_worker_loop(
     }
 }
 
-/// Runs `job` on the runner in `slot` under the shard's next job number
-/// (see `PoolShared::seqs`), firing the fault a plan scheduled there.
-/// Returns whether the job panicked; a panic clears the slot.
-fn run_job(
-    shared: &PoolShared,
-    shard: usize,
-    slot: &mut Option<ShardRunner>,
-    job: &mut Job,
-) -> bool {
+/// Runs one pool job as `worker`, on a pool thread or inline: the lane
+/// runs on its shard's executor slot under the shard's next job number
+/// (see `PoolShared::seqs`), firing the fault a plan scheduled there, and
+/// its time is charged to `worker`.
+///
+/// The lane runs under `catch_unwind` (over an `AssertUnwindSafe` closure
+/// — the executor never crosses the boundary again after a panic): a
+/// panicking job clears the shard's executor slot (the executor may be
+/// torn mid-update, so the only safe continuation is a supervisor rebuild)
+/// and still produces a `WorkerDone { panicked: true }` report.
+fn run_job(shared: &PoolShared, slots: &RunnerSlots, worker: usize, job: PoolJob) -> WorkerDone {
+    let PoolJob {
+        shard,
+        tag,
+        mut job,
+    } = job;
+    let started = Instant::now();
+    let mut slot = lock_slot(&slots[shard]);
     let seq = shared.seqs[shard].fetch_add(1, Ordering::Relaxed);
     let fault = shared.faults[shard]
         .lock()
@@ -782,14 +697,21 @@ fn run_job(
                 Some(FaultKind::Delay(d)) => std::thread::sleep(d),
                 _ => {}
             }
-            runner.run(job)
+            runner.run(&mut job)
         }))
         .is_err(),
     };
     if panicked {
         *slot = None;
     }
-    panicked
+    drop(slot);
+    shared.busy_ns[worker].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    WorkerDone {
+        shard,
+        tag,
+        job,
+        panicked,
+    }
 }
 
 /// The type-erased shard-restart recipe a [`ShardedBackend`] stores at
@@ -803,7 +725,8 @@ type RespawnFn = Box<dyn Fn(&ShardPlanner, usize) -> Result<(ShardRunner, usize)
 /// Built by splitting a [`ShardedEngine`] into planner + executors
 /// ([`ShardedEngine::into_parts`]) and parking each executor in a shared
 /// slot the pool workers run jobs against; the scheduler-side half routes,
-/// scatters lanes as stealable jobs, gathers, and merges.
+/// scatters lanes as stealable jobs, gathers, and merges. A one-worker
+/// pool runs the lanes on the scheduler thread itself.
 ///
 /// Results are byte-identical to running the same `ShardedEngine`
 /// serially: routing, execution plans and the deduplicating merge are the
@@ -819,8 +742,7 @@ pub struct ShardedBackend {
     sizes: Vec<usize>,
     /// Per-shard structure bytes, captured at spawn and refreshed from the
     /// [`UpdateLane`] reports after every write batch — so post-migration
-    /// shrink is reflected even though the executors live on their worker
-    /// threads.
+    /// shrink is reflected even though the executors live in the slots.
     shard_memory: Vec<usize>,
     /// Whether every executor had a rebuild function attached
     /// (`ShardedEngine::with_rebuild`) — the write path needs it.
@@ -924,12 +846,23 @@ impl ShardedBackend {
         }
     }
 
+    /// A read-only one-shard backend over `data` (`element.id ==
+    /// position`) served by a prebuilt `index` over it. The one shard takes
+    /// every element in id order, so its clone is `data` and `index` fits
+    /// it as built.
+    pub fn new<I: SpatialIndex + KnnIndex + Send + 'static>(data: Vec<Element>, index: I) -> Self {
+        let index = Cell::new(Some(index));
+        let build = |_: &[Element]| index.take().expect("one shard builds one index");
+        Self::spawn(ShardedEngine::build(&data, 1, build))
+    }
+
     /// Number of shards (live, quarantined, or dead).
     pub fn shard_count(&self) -> usize {
         self.slots.len()
     }
 
-    /// Number of pool worker threads executing shard jobs.
+    /// Number of pool workers executing shard jobs; a one-worker pool runs
+    /// them on the thread that calls the backend.
     pub fn pool_workers(&self) -> usize {
         self.pool.workers()
     }
@@ -1286,11 +1219,12 @@ impl ServiceBackend for ShardedBackend {
         .1
     }
 
-    // `recover` stays at the trait default. Shard-worker panics never
-    // unwind to the dispatcher — they are supervised internally — so a
-    // write panic that does cross this boundary happened in routing code
-    // on the dispatcher thread and may have torn the planner's element
-    // store mid-route: the backend must poison.
+    // `recover` stays at the trait default. Lane panics never unwind out
+    // of the backend — `run_job` catches them, inline or on a pool thread,
+    // and they are supervised internally — so a write panic that does
+    // cross this boundary happened in routing code on the dispatcher
+    // thread and may have torn the planner's element store mid-route: the
+    // backend must poison.
 
     fn telemetry(&self) -> BackendTelemetry {
         let mut t = self.telemetry.clone();

@@ -16,10 +16,11 @@
 //!   dataset, which is what lets differential chaos tests compare the
 //!   surviving responses byte-for-byte against a serial oracle.
 //! * **Worker-level faults** (`shard: Some(s)`) are installed into a
-//!   [`ShardedBackend`](crate::ShardedBackend)'s shard workers via
-//!   [`ServiceBackend::install_worker_faults`] and fire on the worker
-//!   thread, keyed by that shard's **job sequence number** (which survives
-//!   worker restarts) — a crashing or slow shard. Only [`FaultKind::Panic`]
+//!   [`ShardedBackend`](crate::ShardedBackend)'s shard jobs via
+//!   [`ServiceBackend::install_worker_faults`] and fire on whichever thread
+//!   runs the lane — a pool thread, or the dispatcher in a one-worker pool
+//!   — keyed by that shard's **job sequence number** (which survives
+//!   shard restarts) — a crashing or slow shard. Only [`FaultKind::Panic`]
 //!   and [`FaultKind::Delay`] make sense there ([`FaultKind::DropResponse`]
 //!   is a dispatcher-level fault: a response that never arrives).
 
@@ -144,7 +145,7 @@ impl FaultPlan {
     /// `shards` shard workers, fully determined by `seed`: the same seed
     /// always yields the same plan. Mixes all three fault kinds at the
     /// dispatcher level and panic/delay faults at the worker level
-    /// (`shards == 0` → dispatcher faults only, for unsharded backends).
+    /// (`shards == 0` → dispatcher faults only).
     pub fn random(seed: u64, ops: u64, shards: usize) -> Self {
         let mut state = seed;
         let mut plan = Self {

@@ -36,18 +36,18 @@
 //!   backend `update_batch` application per dispatch. Requests a backend's
 //!   [`Capabilities`] exclude are rejected at admission with
 //!   [`SubmitError::ReadOnly`].
-//! * **Backends** ([`ServiceBackend`]) — one `ShardedEngine`, run two
-//!   ways. [`EngineBackend`] is a one-shard engine executed inline on the
-//!   dispatcher (single worker over any `SpatialIndex + KnnIndex`;
-//!   writable through the write contract every layer shares — a rebuild
-//!   function ([`EngineBackend::build_writable`]), optionally an in-place
-//!   apply function ([`EngineBackend::with_apply`], e.g.
-//!   `simspatial_moving::strategy_backend`));
-//!   [`ShardedBackend`] parks each shard of a `ShardedEngine` in an
-//!   executor slot and scatters routed lanes onto a work-stealing pool of
-//!   `min(SIMSPATIAL_THREADS, shards)` workers, merging through the
-//!   engine layer's deduplicating sinks — byte-identical results to
-//!   serial execution, with per-shard parallelism inside a dispatch. Reads
+//! * **Backends** ([`ServiceBackend`]) — one way to run a `ShardedEngine`
+//!   over any `SpatialIndex + KnnIndex`, writable through the write
+//!   contract every layer shares: a rebuild function
+//!   (`ShardedEngine::with_rebuild`), optionally an in-place apply
+//!   function (`ShardedEngine::with_apply`, e.g.
+//!   `simspatial_moving::strategy_backend`). [`ShardedBackend`] parks each
+//!   shard in an executor slot and scatters routed lanes onto a
+//!   work-stealing pool of `min(SIMSPATIAL_THREADS, shards)` workers,
+//!   merging through the engine layer's deduplicating sinks —
+//!   byte-identical results to serial execution, with per-shard
+//!   parallelism inside a dispatch. A one-worker pool (one shard, or one
+//!   thread) spawns no thread and runs its lanes on the dispatcher. Reads
 //!   have one path (`query_run`, live or snapshot); the write path routes
 //!   update lanes to the same pool, **migrating** elements whose new
 //!   envelope crosses shard boundaries (replicas and id maps stay consistent).

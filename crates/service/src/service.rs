@@ -1264,13 +1264,13 @@ impl<B: ServiceBackend> Scheduler<B> {
 /// ```
 /// use simspatial_datagen::ElementSoupBuilder;
 /// use simspatial_geom::{Aabb, Point3};
-/// use simspatial_index::{GridConfig, UniformGrid};
-/// use simspatial_service::{EngineBackend, Request, ServiceConfig, SpatialService};
+/// use simspatial_index::{GridConfig, ShardedEngine, UniformGrid};
+/// use simspatial_service::{Request, ServiceConfig, ShardedBackend, SpatialService};
 ///
 /// let data = ElementSoupBuilder::new().count(500).seed(7).build();
-/// let backend = EngineBackend::build(data.elements().to_vec(), |d| {
+/// let backend = ShardedBackend::spawn(ShardedEngine::build(data.elements(), 1, |d| {
 ///     UniformGrid::build(d, GridConfig::auto(d))
-/// });
+/// }));
 /// let service = SpatialService::spawn(backend, ServiceConfig::default());
 /// let handle = service.handle();
 /// let ticket = handle
@@ -1365,8 +1365,8 @@ impl Drop for SpatialService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineBackend;
-    use simspatial_index::LinearScan;
+    use crate::ShardedBackend;
+    use simspatial_index::{LinearScan, ShardedEngine};
 
     /// A straggler reply is counted before its client holds it: while the
     /// stats lock is held, the drop-guard cannot send; once it is
@@ -1374,7 +1374,7 @@ mod tests {
     #[test]
     fn straggler_reply_is_counted_before_it_is_sent() {
         let service = SpatialService::spawn(
-            EngineBackend::build(Vec::new(), LinearScan::build),
+            ShardedBackend::spawn(ShardedEngine::build(&[], 1, LinearScan::build)),
             ServiceConfig::default(),
         );
         let shared = Arc::clone(&service.shared);

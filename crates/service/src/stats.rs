@@ -194,7 +194,7 @@ pub struct ServiceStats {
     /// captured at service start and refreshed after every update
     /// application (so post-migration shrink is visible).
     pub memory_bytes: usize,
-    /// Elements per backend shard (one entry for unsharded backends);
+    /// Elements per backend shard (one entry for a one-shard backend);
     /// refreshed after every update application.
     pub shard_sizes: Vec<usize>,
     /// Panics caught anywhere in the serving path: shard-worker jobs
@@ -208,11 +208,13 @@ pub struct ServiceStats {
     pub shards_dead: u64,
     /// Backend pool jobs executed by a worker other than the owner of the
     /// queue they were scattered to — how often work-stealing rebalanced
-    /// an uneven shard split. Zero for unsharded backends.
+    /// an uneven shard split. Zero for a one-worker pool, which has no
+    /// sibling to steal from.
     pub worker_steals: u64,
     /// Per-pool-worker cumulative busy time (nanoseconds executing shard
-    /// jobs). The spread across entries shows load imbalance; empty for
-    /// backends without a worker pool.
+    /// jobs). The spread across entries shows load imbalance; a one-worker
+    /// pool runs its jobs on the dispatcher and reports one entry. Empty
+    /// for backends that run no shard jobs.
     pub worker_busy_ns: Vec<u64>,
     /// Requests completed with `RecvError::DeadlineExceeded` — shed in the
     /// queue or expired by completion time.

@@ -86,7 +86,7 @@ impl ServedSimulation {
     /// Sets up the driver. `handle` must belong to a **writable** service
     /// whose backend was built over the same initial elements as `data`
     /// (same ids, same order) — e.g.
-    /// `EngineBackend::build_writable(data.elements().to_vec(), …)`.
+    /// `ShardedBackend::spawn(ShardedEngine::build(data.elements(), 1, f).with_rebuild(f))`.
     pub fn new(
         data: Dataset,
         workload: Box<dyn Workload>,
@@ -264,9 +264,9 @@ mod tests {
     use crate::PlasticityWorkload;
     use simspatial_datagen::ElementSoupBuilder;
     use simspatial_geom::{Point3, Shape};
-    use simspatial_index::{GridConfig, LinearScan, UniformGrid};
+    use simspatial_index::{GridConfig, LinearScan, ShardedEngine, UniformGrid};
     use simspatial_moving::UpdateStrategyKind;
-    use simspatial_service::{EngineBackend, ServiceConfig, SpatialService};
+    use simspatial_service::{ServiceConfig, ShardedBackend, SpatialService};
 
     #[test]
     fn served_steps_match_local_state() {
@@ -275,9 +275,10 @@ mod tests {
             .universe_side(30.0)
             .seed(42)
             .build();
-        let backend = EngineBackend::build_writable(data.elements().to_vec(), |d| {
-            UniformGrid::build(d, GridConfig::auto(d))
-        });
+        let grid = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+        let backend = ShardedBackend::spawn(
+            ShardedEngine::build(data.elements(), 1, grid).with_rebuild(grid),
+        );
         let service = SpatialService::spawn(backend, ServiceConfig::default());
         let mut sim = ServedSimulation::new(
             data,
@@ -363,9 +364,10 @@ mod tests {
             .universe_side(30.0)
             .seed(7)
             .build();
-        let backend = EngineBackend::build_writable(data.elements().to_vec(), |d| {
-            UniformGrid::build(d, GridConfig::auto(d))
-        });
+        let grid = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+        let backend = ShardedBackend::spawn(
+            ShardedEngine::build(data.elements(), 1, grid).with_rebuild(grid),
+        );
         let service = SpatialService::spawn(backend, ServiceConfig::default());
         let mut sim = ServedSimulation::new(
             data,
@@ -422,7 +424,7 @@ mod tests {
 
     /// Monitors running at read-your-writes consistency observe the tick
     /// they follow, and every reply reports the epoch lifecycle the
-    /// engine backend publishes: one epoch per tick, monitors floored at
+    /// one-shard backend publishes: one epoch per tick, monitors floored at
     /// it.
     #[test]
     fn snapshot_monitors_observe_their_own_tick() {
@@ -431,9 +433,10 @@ mod tests {
             .universe_side(30.0)
             .seed(23)
             .build();
-        let backend = EngineBackend::build_writable(data.elements().to_vec(), |d| {
-            UniformGrid::build(d, GridConfig::auto(d))
-        });
+        let grid = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+        let backend = ShardedBackend::spawn(
+            ShardedEngine::build(data.elements(), 1, grid).with_rebuild(grid),
+        );
         let service = SpatialService::spawn(backend, ServiceConfig::default());
         let mut sim = ServedSimulation::new(
             data,
@@ -489,7 +492,8 @@ mod tests {
             .universe_side(10.0)
             .seed(1)
             .build();
-        let backend = EngineBackend::build(data.elements().to_vec(), LinearScan::build);
+        let backend =
+            ShardedBackend::spawn(ShardedEngine::build(data.elements(), 1, LinearScan::build));
         let service = SpatialService::spawn(backend, ServiceConfig::default());
         let _sim = ServedSimulation::new(
             data,

@@ -3,7 +3,7 @@
 //! Simulates the roadmap's target deployment in miniature: several client
 //! threads generate *open-loop* traffic (requests arrive in bursts on a
 //! schedule, whether or not earlier responses came back) against one
-//! shared spatial dataset, first through a single-engine grid backend,
+//! shared spatial dataset, first through a one-shard grid backend,
 //! then through a 2-shard writable grid backend with per-shard worker
 //! threads where one producer doubles as the *simulation*, interleaving
 //! `Request::Update` write barriers with everyone else's queries — watch
@@ -244,13 +244,13 @@ fn main() {
         "workload: {PRODUCERS} open-loop producers × {BURSTS} bursts × {BURST_SIZE} requests, {BURST_GAP:?} gap\n",
     );
 
-    // 1. Single-engine backend: the dispatcher thread is the worker
+    // 1. One-shard backend: the dispatcher thread runs every lane itself
     // (read-only — writes would be rejected at admission).
-    let grid = EngineBackend::build(dataset.elements().to_vec(), |d| {
+    let grid = ShardedBackend::spawn(ShardedEngine::build(dataset.elements(), 1, |d| {
         UniformGrid::build(d, GridConfig::auto(d))
-    });
+    }));
     drive(
-        "UniformGrid · single engine backend (read-only)",
+        "UniformGrid · one-shard backend (read-only)",
         SpatialService::spawn(grid, ServiceConfig::default()),
         universe,
         dataset.len() as u32,

@@ -105,9 +105,9 @@ pub mod prelude {
     };
     pub use simspatial_net::{CallOutcome, NetClient, NetConfig, NetServer, TenantSpec};
     pub use simspatial_service::{
-        Capabilities, ChaosBackend, Consistency, EngineBackend, FaultKind, FaultPlan, Reply,
-        Request, Response, RetryPolicy, ServiceBackend, ServiceConfig, ServiceHandle, ServiceStats,
-        ShardedBackend, SpatialService, SubmitError, SupervisorPolicy, TenantStats, Ticket,
+        Capabilities, ChaosBackend, Consistency, FaultKind, FaultPlan, Reply, Request, Response,
+        RetryPolicy, ServiceBackend, ServiceConfig, ServiceHandle, ServiceStats, ShardedBackend,
+        SpatialService, SubmitError, SupervisorPolicy, TenantStats, Ticket,
     };
     pub use simspatial_sim::{
         MaterialWorkload, NBodyWorkload, PlasticityWorkload, ServedSimulation, ServedStepReport,

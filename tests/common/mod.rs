@@ -66,7 +66,7 @@ impl<I: SpatialIndex + KnnIndex + Send> SerialOracle for ShardedOracle<I> {
 
 /// A writable single-engine oracle: owns the data, applies writes, rebuilds
 /// its index — one `QueryEngine` over one index, which a rebuild-mode
-/// `EngineBackend::build_writable` (a one-shard engine) answers exactly as.
+/// one-shard rebuild-mode `ShardedBackend` answers exactly as.
 pub struct RebuildOracle<I, F: Fn(&[Element]) -> I> {
     engine: QueryEngine,
     data: Vec<Element>,

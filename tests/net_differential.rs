@@ -223,9 +223,9 @@ fn diff_single_connection(
 }
 
 fn engine_service(data: &[Element]) -> SpatialService {
-    let backend = EngineBackend::build(data.to_vec(), |d| {
+    let backend = ShardedBackend::spawn(ShardedEngine::build(data, 1, |d| {
         UniformGrid::build(d, GridConfig::auto(d))
-    });
+    }));
     SpatialService::spawn(backend, ServiceConfig::default())
 }
 

@@ -74,7 +74,9 @@ fn hot_tenant_cannot_starve_trickle_tenant() {
         })
         .collect();
     let backend = SlowBackend {
-        inner: EngineBackend::build(data, |d| UniformGrid::build(d, GridConfig::auto(d))),
+        inner: ShardedBackend::spawn(ShardedEngine::build(&data, 1, |d| {
+            UniformGrid::build(d, GridConfig::auto(d))
+        })),
         nap: Duration::from_millis(1),
     };
     // Small intake queue + no coalescing: each request costs a full nap,

@@ -24,7 +24,9 @@ fn tiny_service_with(cfg: ServiceConfig) -> SpatialService {
             )
         })
         .collect();
-    let backend = EngineBackend::build(data, |d| UniformGrid::build(d, GridConfig::auto(d)));
+    let backend = ShardedBackend::spawn(ShardedEngine::build(&data, 1, |d| {
+        UniformGrid::build(d, GridConfig::auto(d))
+    }));
     SpatialService::spawn(backend, cfg)
 }
 

@@ -242,7 +242,7 @@ fn engine_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
     let data = soup(1500, 0xD15E);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     dispatcher_faults_fail_typed_and_survivors_match(
-        EngineBackend::build_writable(data.clone(), build),
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build).with_rebuild(build)),
         &mut RebuildOracle::new(data, build),
         "engine/fixed-plan",
     );
@@ -265,39 +265,47 @@ fn strategy_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
     dispatcher_faults_fail_typed_and_survivors_match(backend, &mut oracle, "strategy/fixed-plan");
 }
 
-/// A panic *inside* the apply function, with the index torn (the data a
-/// step ahead of it): the backend restarts its shard from the planner
-/// store, which already holds the whole write — so the write fails typed
-/// yet is fully applied, the service keeps serving, and later reads match
-/// an oracle that applied the write byte for byte.
+/// A panic *inside* the apply function of a one-shard backend, whose lane
+/// runs inline on the dispatcher, with the index torn (the data a step
+/// ahead of it): the lane's panic is caught like any pool job's and the
+/// supervisor restarts shard 0 from the planner store, which already holds
+/// the whole write — so the write is applied in full and acked, the
+/// service keeps serving, and later reads match an oracle that applied
+/// the write byte for byte.
 #[test]
-fn engine_apply_panic_recovers_from_the_planner_store() {
+fn inline_apply_panic_restarts_the_shard_and_acks_the_write() {
     quiet_panics();
     const BOMB: ElementId = 7;
     let data = soup(1500, 0xB0B);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     let t1 = Aabb::new(Point3::new(2.0, 2.0, 2.0), Point3::new(3.5, 3.5, 3.5));
     let t4 = Aabb::new(Point3::new(95.0, 95.0, 95.0), Point3::new(96.5, 96.5, 96.5));
-    let backend = EngineBackend::build_writable(data.clone(), build).with_apply(
-        |grid: &mut UniformGrid, data: &mut [Element], updates: &[(ElementId, Shape)]| {
-            let mut cost = ShardApplyCost::default();
-            for update in updates {
-                if update.0 == BOMB {
-                    data[BOMB as usize].shape = update.1;
-                    panic!("chaos: apply function torn mid-batch");
+    let engine = ShardedEngine::build(&data, 1, build)
+        .with_rebuild(build)
+        .with_apply(
+            |grid: &mut UniformGrid, data: &mut [Element], updates: &[(ElementId, Shape)]| {
+                let mut cost = ShardApplyCost::default();
+                for update in updates {
+                    if update.0 == BOMB {
+                        data[BOMB as usize].shape = update.1;
+                        panic!("chaos: apply function torn mid-batch");
+                    }
+                    cost.structural += grid.update_sparse(data, &[*update]).structural;
                 }
-                cost.structural += grid.update_sparse(data, &[*update]).structural;
-            }
-            cost
-        },
+                cost
+            },
+        );
+    let service = SpatialService::spawn(
+        ShardedBackend::spawn(engine),
+        ServiceConfig::default().no_coalesce(),
     );
-    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
     let handle = service.handle();
     let torn = Request::Update(vec![(3, t1), (BOMB, t1), (5, t1)]);
-    match recv_bounded(&handle.submit(torn).unwrap(), "engine/apply-panic", 0) {
-        Err(RecvError::WorkerFailed { .. }) => {}
-        other => panic!("the torn write should fail typed, got {other:?}"),
-    }
+    assert_eq!(
+        recv_bounded(&handle.submit(torn).unwrap(), "inline/apply-panic", 0).ok(),
+        Some(Response::Update(3)),
+        "the restart applied the torn write in full, so it is acked"
+    );
     // The planner store took the whole write before the shard ran it, so
     // the restarted shard holds every entry of it.
     let mut oracle = RebuildOracle::new(data, build);
@@ -315,17 +323,18 @@ fn engine_apply_panic_recovers_from_the_planner_store() {
     for (op, req) in later.iter().enumerate() {
         let got = recv_bounded(
             &handle.submit(req.clone()).unwrap(),
-            "engine/apply-panic",
+            "inline/apply-panic",
             op + 1,
         );
         assert_eq!(got.ok(), Some(expected(&mut oracle, req)), "op {}", op + 1);
     }
     let stats = service.shutdown();
     assert_eq!(stats.panics_caught, 1);
-    assert_eq!(stats.failed_requests, 1);
+    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.failed_requests, 0);
     assert_eq!(
-        stats.updates_applied, 1,
-        "only the post-recovery write counts"
+        stats.updates_applied, 4,
+        "the acked torn write counts its three entries, the later write one"
     );
 }
 
@@ -613,7 +622,9 @@ fn randomized_chaos_differential_across_backends() {
         let stats = drive_differential(
             SpatialService::spawn(
                 ChaosBackend::new(
-                    EngineBackend::build_writable(data.clone(), build),
+                    ShardedBackend::spawn(
+                        ShardedEngine::build(&data, 1, build).with_rebuild(build),
+                    ),
                     plan.clone(),
                 ),
                 ServiceConfig::default().no_coalesce(),
@@ -694,7 +705,7 @@ fn deadlines_expire_at_admission_and_completion() {
 
     // Completion-time expiry: the first dispatch itself is slow.
     let backend = ChaosBackend::new(
-        EngineBackend::build(data.clone(), build),
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build)),
         FaultPlan::new().delay_at(0, Duration::from_millis(120)),
     );
     let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
@@ -717,7 +728,7 @@ fn deadlines_expire_at_admission_and_completion() {
     // backend ever sees it. The config-level default deadline applies to
     // plain submits.
     let backend = ChaosBackend::new(
-        EngineBackend::build(data, build),
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build)),
         FaultPlan::new().delay_at(0, Duration::from_millis(150)),
     );
     let config = ServiceConfig::default()
@@ -751,7 +762,7 @@ fn recv_flavours_resolve_against_a_stalled_backend() {
     let data = soup(600, 0x51A7);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     let backend = ChaosBackend::new(
-        EngineBackend::build(data, build),
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build)),
         FaultPlan::new().delay_at(0, Duration::from_millis(150)),
     );
     let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
@@ -792,7 +803,7 @@ fn submit_with_retry_waits_out_a_full_queue() {
     let data = soup(600, 0xF011);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     let backend = ChaosBackend::new(
-        EngineBackend::build(data, build),
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build)),
         FaultPlan::new().delay_at(0, Duration::from_millis(120)),
     );
     let config = ServiceConfig::default().no_coalesce().with_queue_cap(1);
@@ -842,7 +853,7 @@ fn submit_with_retry_waits_out_a_full_queue() {
 /// refuses to vouch for a torn write, so the service poisons itself —
 /// every in-flight and subsequent request completes typed, nothing hangs.
 struct TornWriteBackend {
-    inner: EngineBackend<UniformGrid>,
+    inner: ShardedBackend,
 }
 
 impl ServiceBackend for TornWriteBackend {
@@ -884,7 +895,7 @@ fn unrecovered_write_panic_poisons_the_service() {
     let data = soup(600, 0xBAD);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     let backend = TornWriteBackend {
-        inner: EngineBackend::build(data, build),
+        inner: ShardedBackend::spawn(ShardedEngine::build(&data, 1, build)),
     };
     let service = SpatialService::spawn(backend, ServiceConfig::default());
     let handle = service.handle();

@@ -13,6 +13,8 @@
 //!   agree on results and on their `partial`/`failed` reports.
 //! * **Observability**: the pool gauges (`worker_busy_ns`,
 //!   `worker_steals`) flow through `ServiceStats` and its `summary()`.
+//! * **Inline pool**: a one-worker pool (one shard, or one thread) spawns
+//!   no thread, so its lanes run on the thread that calls the backend.
 
 mod common;
 
@@ -22,7 +24,8 @@ use simspatial_geom::parallel;
 use simspatial_service::{
     BatchReport, QueryRun, QueryRunResults, SubBatchOutcome, SupervisorPolicy,
 };
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// `parallel::set_num_threads` is process-global, so tests that reconfigure
@@ -175,6 +178,59 @@ fn idle_worker_steals_from_wedged_owner_queue() {
     assert!(t.worker_steals >= 1, "expected a steal, telemetry: {t:?}");
     assert_eq!(t.worker_busy_ns.len(), 2);
     assert!(t.worker_busy_ns.iter().sum::<u64>() > 0);
+    backend.shutdown();
+    assert_eq!(
+        backend.pool_workers(),
+        2,
+        "the worker count survives shutdown"
+    );
+    parallel::set_num_threads(old);
+}
+
+/// Which threads ran the write lanes of one `update_batch` that moves every
+/// element, called directly from this thread: each lane rebuilds its shard
+/// through the rebuild function, which records its thread (calls made
+/// while the backend is built do not count).
+fn lane_threads(shards: usize) -> Vec<std::thread::ThreadId> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let spawned = Arc::new(AtomicBool::new(false));
+    let build = {
+        let (seen, spawned) = (Arc::clone(&seen), Arc::clone(&spawned));
+        move |part: &[Element]| {
+            if spawned.load(Ordering::SeqCst) {
+                seen.lock().unwrap().push(std::thread::current().id());
+            }
+            UniformGrid::build(part, GridConfig::auto(part))
+        }
+    };
+    let data = soup(4000, 7);
+    let engine = ShardedEngine::build(&data, shards, &build).with_rebuild(build);
+    let mut backend = ShardedBackend::spawn(engine);
+    spawned.store(true, Ordering::SeqCst);
+    let nudge = Vec3::new(0.01, 0.01, 0.01);
+    let updates: Vec<(ElementId, Shape)> = data
+        .iter()
+        .map(|e| (e.id, Shape::Box(e.aabb().translate(nudge))))
+        .collect();
+    assert!(backend.update_batch(&updates).failed.is_none());
+    let seen = seen.lock().unwrap().clone();
+    assert_eq!(seen.len(), shards, "one rebuilding lane per shard");
+    seen
+}
+
+#[test]
+fn lanes_run_on_the_caller_when_one_worker_serves() {
+    let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let old = parallel::num_threads();
+    let caller = std::thread::current().id();
+    for (shards, threads, inline) in [(1, 2, true), (4, 1, true), (4, 2, false)] {
+        parallel::set_num_threads(threads);
+        let seen = lane_threads(shards);
+        assert!(
+            seen.iter().all(|&t| (t == caller) == inline),
+            "{shards} shards at {threads} threads: lanes ran on {seen:?}, caller {caller:?}"
+        );
+    }
     parallel::set_num_threads(old);
 }
 

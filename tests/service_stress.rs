@@ -158,8 +158,9 @@ fn service_matches_serial_engine() {
         data: &data,
     };
     for coalesce in [true, false] {
-        let backend =
-            EngineBackend::build(data.clone(), |d| UniformGrid::build(d, GridConfig::auto(d)));
+        let backend = ShardedBackend::spawn(ShardedEngine::build(&data, 1, |d| {
+            UniformGrid::build(d, GridConfig::auto(d))
+        }));
         let cfg = if coalesce {
             ServiceConfig::default()
         } else {
@@ -270,8 +271,8 @@ impl<B: ServiceBackend> ServiceBackend for GatedBackend<B> {
     }
 }
 
-fn small_backend(data: &[Element]) -> EngineBackend<LinearScan> {
-    EngineBackend::build(data.to_vec(), LinearScan::build)
+fn small_backend(data: &[Element]) -> ShardedBackend {
+    ShardedBackend::spawn(ShardedEngine::build(data, 1, LinearScan::build))
 }
 
 fn one_box() -> Request {
@@ -518,7 +519,8 @@ fn write_barrier_matches_serial_on_engine_backend() {
     let data = soup(WRITE_SOUP, 0xF00D);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     for pipelined in [false, true] {
-        let backend = EngineBackend::build_writable(data.clone(), build);
+        let backend =
+            ShardedBackend::spawn(ShardedEngine::build(&data, 1, build).with_rebuild(build));
         let service = SpatialService::spawn(backend, ServiceConfig::default());
         assert!(service.handle().capabilities().updates);
         let mut oracle = RebuildOracle::new(data.clone(), build);
@@ -575,11 +577,10 @@ fn write_barrier_matches_serial_on_strategy_backend() {
     drive_barrier_and_verify(service, &mut oracle, false, "engine/grid-migrate strategy");
 }
 
-/// One apply function behind both backends: the same request stream served
-/// by `strategy_backend` and by a one-shard incremental
-/// `sharded_strategy_engine` yields byte-identical replies and equal write
-/// accounting — superseded duplicates, unknown ids, inserts and removals
-/// included.
+/// One apply function behind the service and the serial engine: the
+/// request stream served by `strategy_backend` replies byte for byte like a
+/// serial one-shard incremental `sharded_strategy_engine` — superseded
+/// duplicates, unknown ids, inserts and removals included.
 #[test]
 fn strategy_apply_behaves_the_same_behind_both_backends() {
     let data = soup(WRITE_SOUP, 0xD1CE);
@@ -600,40 +601,44 @@ fn strategy_apply_behaves_the_same_behind_both_backends() {
     requests.push(Request::Remove(vec![18, WRITE_SOUP]));
     requests.push(Request::Range(vec![beacon_all()]));
     requests.push(Request::Knn(vec![(Point3::new(160.0, 160.0, 151.0), 6)]));
-    let serve = |service: SpatialService| -> (Vec<Response>, ServiceStats) {
-        let handle = service.handle();
-        let responses: Vec<Response> = requests
-            .iter()
-            .map(|r| handle.submit(r.clone()).unwrap().recv().unwrap())
-            .collect();
-        (responses, service.shutdown())
-    };
-    let config = || ServiceConfig::default().no_coalesce();
-    let (inline, inline_stats) = serve(SpatialService::spawn(
+    let service = SpatialService::spawn(
         strategy_backend(data.clone(), kind),
-        config(),
+        ServiceConfig::default().no_coalesce(),
+    );
+    let handle = service.handle();
+    let mut oracle = ShardedOracle(sharded_strategy_engine(
+        &data,
+        1,
+        kind,
+        ShardWriteMode::Incremental,
     ));
-    let engine = sharded_strategy_engine(&data, 1, kind, ShardWriteMode::Incremental);
-    let (sharded, sharded_stats) = serve(SpatialService::spawn(
-        ShardedBackend::spawn(engine),
-        config(),
-    ));
-    for (i, (a, b)) in inline.iter().zip(&sharded).enumerate() {
-        assert_eq!(a, b, "request {i} differs between the two backends");
+    for (i, request) in requests.iter().enumerate() {
+        let got = handle.submit(request.clone()).unwrap().recv().unwrap();
+        let want = match request {
+            Request::Insert(envelopes) => {
+                let shapes: Vec<Shape> = envelopes.iter().map(|&bb| Shape::Box(bb)).collect();
+                Response::Insert(oracle.0.insert_batch(&shapes).0)
+            }
+            Request::Remove(ids) => {
+                oracle.0.remove_batch(ids);
+                Response::Remove(ids.len() as u64)
+            }
+            _ => expected(&mut oracle, request),
+        };
+        assert_eq!(got, want, "request {i} diverged from the serial engine");
     }
-    assert!(inline_stats.updates_applied > 0 && inline_stats.updates_skipped >= 2);
-    assert_eq!(inline_stats.updates_applied, sharded_stats.updates_applied);
-    assert_eq!(inline_stats.updates_skipped, sharded_stats.updates_skipped);
+    let stats = service.shutdown();
+    assert!(stats.updates_applied > 0 && stats.updates_skipped >= 2);
     // Every sparse write ran in place on the shard — the apply function,
     // not the rebuild fallback, is what the comparison exercised.
-    assert!(sharded_stats.rebuilds_avoided > 0);
+    assert!(stats.rebuilds_avoided > 0);
 }
 
 #[test]
 fn read_only_backend_rejects_writes_at_admission() {
     let data = soup(200, 5);
     let service = SpatialService::spawn(
-        EngineBackend::build(data.clone(), LinearScan::build),
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, LinearScan::build)),
         ServiceConfig::default(),
     );
     let handle = service.handle();
@@ -783,7 +788,7 @@ fn mixed_producers_match_serial_on_engine_backend() {
     let data = soup(WRITE_SOUP, 0xAB1E);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     let service = SpatialService::spawn(
-        EngineBackend::build_writable(data.clone(), build),
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build).with_rebuild(build)),
         ServiceConfig::default(),
     );
     let mut oracle_at = |applied: &[(ElementId, Aabb)]| {
