@@ -2,12 +2,12 @@
 //!
 //! [`NetClient`] supports two styles:
 //!
-//! * **Synchronous** — [`NetClient::call`] sends one request and blocks
-//!   for its outcome; [`NetClient::call_with_retry`] additionally obeys
-//!   server `Retry` hints (sleeping the congestion-scaled backoff the
-//!   server suggested) until the request is admitted or the budget runs
-//!   out.
-//! * **Pipelined** — [`NetClient::enqueue`] stacks any number of
+//! * **Synchronous** — [`NetClient::call`] sends one request at the
+//!   tenant's default consistency and blocks for its outcome: a reply, a
+//!   typed error, or a `Retry` hint carrying the congestion-scaled backoff
+//!   the server suggests before resending.
+//! * **Pipelined** — [`NetClient::enqueue`] (tenant default) and
+//!   [`NetClient::enqueue_at`] (explicit consistency) stack any number of
 //!   requests without flushing, [`NetClient::flush`] ships them in one
 //!   syscall burst, and [`NetClient::recv_msg`] drains responses in
 //!   whatever order the server produced them, matched by correlation id.
@@ -63,7 +63,6 @@ pub struct NetClient {
     max_reply_frame: usize,
     server_max_frame: u32,
     server_max_items: u32,
-    consistency: Option<Consistency>,
 }
 
 impl NetClient {
@@ -82,7 +81,6 @@ impl NetClient {
             max_reply_frame: 64 << 20,
             server_max_frame: 0,
             server_max_items: 0,
-            consistency: None,
         };
         wire::encode_hello(&mut client.buf, tenant);
         wire::write_frame(&mut client.writer, &client.buf)?;
@@ -119,28 +117,17 @@ impl NetClient {
         self.server_max_items
     }
 
-    /// Sets the consistency mode stamped on every subsequent request
-    /// from this client. `None` (the initial state) emits the
-    /// tenant-default byte, letting the server resolve the mode from
-    /// the connection's tenant profile.
-    pub fn set_consistency(&mut self, consistency: Option<Consistency>) {
-        self.consistency = consistency;
-    }
-
-    /// The consistency mode currently stamped on requests.
-    pub fn consistency(&self) -> Option<Consistency> {
-        self.consistency
-    }
-
-    /// Queues one request without flushing; returns its correlation id.
-    /// Pair with [`NetClient::flush`] and [`NetClient::recv_msg`] to
-    /// pipeline many in-flight requests on one connection.
+    /// Queues one request without flushing, at the tenant-default
+    /// consistency; returns its correlation id. Pair with
+    /// [`NetClient::flush`] and [`NetClient::recv_msg`] to pipeline many
+    /// in-flight requests on one connection.
     pub fn enqueue(&mut self, request: &Request) -> Result<u64, NetError> {
-        self.enqueue_at(request, self.consistency)
+        self.enqueue_at(request, None)
     }
 
-    /// Queues one request under an explicit consistency mode,
-    /// overriding the client-level setting for this request only.
+    /// [`NetClient::enqueue`] under an explicit consistency mode (`None`
+    /// sends the tenant-default byte, letting the server resolve the mode
+    /// from the connection's tenant profile).
     pub fn enqueue_at(
         &mut self,
         request: &Request,
@@ -159,13 +146,6 @@ impl NetClient {
         Ok(())
     }
 
-    /// Queues and ships one request; returns its correlation id.
-    pub fn send(&mut self, request: &Request) -> Result<u64, NetError> {
-        let corr = self.enqueue(request)?;
-        self.flush()?;
-        Ok(corr)
-    }
-
     /// Blocks for the next server message (any correlation id). A
     /// `Fatal` frame or a close with responses outstanding surfaces as
     /// an error — the connection is unusable afterwards.
@@ -179,22 +159,12 @@ impl NetClient {
         }
     }
 
-    /// Sends one request and blocks for its outcome. Assumes no other
-    /// requests are outstanding on this connection (use the pipelined
-    /// API otherwise): a response with a different correlation id is a
-    /// protocol error.
+    /// Sends one request at the tenant-default consistency and blocks for
+    /// its outcome. Assumes no other requests are outstanding on this
+    /// connection (use the pipelined API otherwise): a response with a
+    /// different correlation id is a protocol error.
     pub fn call(&mut self, request: &Request) -> Result<CallOutcome, NetError> {
-        self.call_at(request, self.consistency)
-    }
-
-    /// Like [`NetClient::call`], under an explicit consistency mode for
-    /// this request only (`None` defers to the tenant default).
-    pub fn call_at(
-        &mut self,
-        request: &Request,
-        consistency: Option<Consistency>,
-    ) -> Result<CallOutcome, NetError> {
-        let corr = self.enqueue_at(request, consistency)?;
+        let corr = self.enqueue(request)?;
         self.flush()?;
         match self.recv_msg()? {
             ServerMsg::Reply {
@@ -220,27 +190,6 @@ impl NetClient {
             }),
             other => Err(unexpected(other)),
         }
-    }
-
-    /// Like [`NetClient::call`], but obeys up to `max_retries` server
-    /// `Retry` hints, sleeping each suggested backoff before resending.
-    /// Returns the final outcome — still `Retry` if the budget ran out.
-    pub fn call_with_retry(
-        &mut self,
-        request: &Request,
-        max_retries: u32,
-    ) -> Result<CallOutcome, NetError> {
-        let mut outcome = self.call(request)?;
-        for _ in 0..max_retries {
-            match outcome {
-                CallOutcome::Retry { after, .. } => {
-                    std::thread::sleep(after);
-                    outcome = self.call(request)?;
-                }
-                done => return Ok(done),
-            }
-        }
-        Ok(outcome)
     }
 
     /// Requests a stats snapshot; returns the server's JSON payload

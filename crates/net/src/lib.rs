@@ -36,8 +36,8 @@
 //!   the epoch the service answered at.
 //! * **[`NetClient`]** — a minimal blocking client used by the tests,
 //!   `benchmark/` and the examples: pipelined `enqueue`/`flush`/
-//!   `recv_msg`, or synchronous [`NetClient::call`] /
-//!   [`NetClient::call_with_retry`] that respects server retry hints.
+//!   `recv_msg`, or the synchronous [`NetClient::call`], whose outcome
+//!   may be a server `Retry` hint to honour before resending.
 //!
 //! ## Quick start
 //!

@@ -2,7 +2,7 @@
 //! pair per connection, and no other thread.
 //!
 //! ```text
-//!            ┌──────────┐  stage, then admit (DRR)  try_submit  ┌──────────┐
+//!            ┌──────────┐  stage, then admit (DRR)  submit_with ┌──────────┐
 //! conn 1 ──▶ │ reader 1 │ ─────────────────────────────────────▶ │ service  │
 //! conn 2 ──▶ │ reader 2 │ ──┐ tickets, in admission order        │ dispatch │
 //!            └──────────┘   │                                    └────┬─────┘
@@ -16,11 +16,11 @@
 //!   tenant and answers `Stats` inline.
 //! * **Admission is a function, not a thread.** `admit` sweeps the
 //!   per-tenant staging queues in deficit-round-robin order and calls
-//!   [`ServiceHandle::try_submit_at`] under the admission lock, so the
-//!   service-side admission order — and the write barriers in it — is one
-//!   deterministic sequence however many connections race. Readers run it
-//!   after staging, writers after each completion, shutdown until staging
-//!   is empty.
+//!   [`ServiceHandle::submit_with`] (nonblocking) under the admission
+//!   lock, so the service-side admission order — and the write barriers in
+//!   it — is one deterministic sequence however many connections race.
+//!   Readers run it after staging, writers after each completion, shutdown
+//!   until staging is empty.
 //! * A **writer** serves its connection's FIFO channel: frames, and the
 //!   tickets of its admitted requests in admission order. It redeems and
 //!   accounts each ticket and runs `admit` *before* writing the reply, so
@@ -42,7 +42,7 @@
 use crate::wire::{self, DecodeLimits, FatalCode, FrameReadError, RequestError};
 use simspatial_service::{
     Consistency, LatencyHistogram, Request, ServiceHandle, ServiceStats, SpatialService,
-    SubmitError, TenantStats, Ticket,
+    SubmitError, SubmitOptions, TenantStats, Ticket,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
@@ -735,9 +735,10 @@ fn read_client_msg(
 
 /// Admits staged requests in DRR order until nothing is admissible or the
 /// service's intake queue is full. Callers hold the admission lock across
-/// it (`try_submit_at` never blocks), which makes the service-side
-/// admission order — and the write barriers in it — one deterministic
-/// sequence. Each admitted ticket joins its connection's writer channel.
+/// it (a nonblocking `submit_with` never blocks), which makes the
+/// service-side admission order — and the write barriers in it — one
+/// deterministic sequence. Each admitted ticket joins its connection's
+/// writer channel.
 fn admit(inner: &mut AdmissionInner, handle: &ServiceHandle, quantum: u64) {
     while let Some(i) = inner.drr_next(quantum) {
         let t = &mut inner.tenants[i];
@@ -746,7 +747,12 @@ fn admit(inner: &mut AdmissionInner, handle: &ServiceHandle, quantum: u64) {
         // Per-request consistency wins; the tenant-default byte resolves
         // here, where the tenant's spec is at hand.
         let consistency = s.consistency.unwrap_or(t.spec.default_consistency);
-        let error = match handle.try_submit_at(s.request, consistency) {
+        let options = SubmitOptions {
+            consistency,
+            nonblocking: true,
+            ..SubmitOptions::default()
+        };
+        let error = match handle.submit_with(s.request, options) {
             Ok(ticket) => {
                 t.admitted += 1;
                 t.in_flight += 1;

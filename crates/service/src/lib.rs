@@ -14,9 +14,11 @@
 //! * **[`ServiceHandle`]** — cloneable, thread-safe submission: clients
 //!   send [`Request`]s (`Range`, `RangeCount`, `Knn` with per-probe `k`)
 //!   into a **bounded** intake queue and redeem a [`Ticket`] for the
-//!   response. The blocking [`ServiceHandle::submit`] applies
-//!   backpressure; [`ServiceHandle::try_submit`] surfaces `Full` for
-//!   open-loop clients. Implemented entirely on `std` MPSC channels and
+//!   response. One entry point, [`ServiceHandle::submit_with`], takes the
+//!   per-request [`SubmitOptions`] (consistency, deadline, nonblocking —
+//!   the wire header's fields): a blocking submit applies backpressure, a
+//!   nonblocking one surfaces `Full` for open-loop clients. Implemented
+//!   entirely on `std` MPSC channels and
 //!   worker threads — no async runtime, matching the workspace's
 //!   offline/vendored dependency policy.
 //! * **Micro-batching scheduler** ([`SpatialService`]) — one dispatcher
@@ -56,8 +58,8 @@
 //!   per-request latency percentiles, aggregated predicate counters,
 //!   write counters (updates applied, shard migrations, coalesced update
 //!   batch sizes), failure telemetry (panics caught, shard restarts and
-//!   deaths, deadline expiries, partial-coverage responses, client
-//!   retries), and the backend's memory/shard-size accounting (refreshed
+//!   deaths, deadline expiries, partial-coverage responses), and the
+//!   backend's memory/shard-size accounting (refreshed
 //!   after every write, so migrations show up).
 //! * **Fault tolerance** — the serving path survives panics by
 //!   construction: every shard-worker job and every dispatcher-inline
@@ -68,11 +70,10 @@
 //!   range/count queries **degrade** (skip it and report partial coverage
 //!   via [`Reply::shards_skipped`]) while kNN queries touching it **fail
 //!   typed** with [`RecvError::WorkerFailed`]. Requests carry deadlines
-//!   ([`ServiceConfig::default_deadline`],
-//!   [`ServiceHandle::submit_with_deadline`]) checked at admission and
-//!   completion; [`ServiceHandle::submit_with_retry`] retries `Full`
-//!   rejections with jittered backoff ([`RetryPolicy`] — and documents
-//!   why admitted writes are never blindly retried). The whole failure
+//!   ([`ServiceConfig::default_deadline`], [`SubmitOptions::deadline`])
+//!   checked at admission and completion; only a [`SubmitError::Full`]
+//!   rejection is safe to resubmit (its doc says why admitted writes are
+//!   never blindly retried). The whole failure
 //!   matrix is exercised deterministically in ordinary tests through
 //!   [`FaultPlan`] and [`ChaosBackend`].
 //! * **Epoch-published snapshot reads** — every applied write barrier
@@ -84,7 +85,7 @@
 //!   any write of its dispatch, while live state *is* the last published
 //!   epoch. `ReadYourWrites { min_epoch }` floors
 //!   freshness at the submitter's last acknowledged write (acks carry the
-//!   publishing epoch in [`Reply::epoch`]); `Barrier` keeps the strict
+//!   publishing epoch in [`Reply::epoch`]); `Barrier` (the default) keeps the strict
 //!   pre-epoch ordering and doubles as the differential oracle the
 //!   snapshot consistency suite compares against. Every backend serves
 //!   snapshot reads.
@@ -164,5 +165,5 @@ pub use backend::{
 };
 pub use fault::{ChaosBackend, FaultKind, FaultPlan, ScheduledFault};
 pub use request::{Consistency, RecvError, Reply, Request, Response, SubmitError, Ticket};
-pub use service::{RetryPolicy, ServiceConfig, ServiceHandle, SpatialService};
+pub use service::{ServiceConfig, ServiceHandle, SpatialService, SubmitOptions};
 pub use stats::{LatencyHistogram, ServiceStats, TenantStats, BATCH_BUCKETS, LATENCY_BUCKETS};

@@ -2,7 +2,7 @@
 
 use simspatial_geom::{Aabb, ElementId, Point3};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One client request: a small batch of queries of one family, or a batch
 /// of element updates. The scheduler coalesces the queries of many
@@ -111,7 +111,10 @@ impl Request {
 /// admission order and publishes a new epoch when applied. For reads it
 /// selects which dataset version answers:
 ///
-/// * [`Consistency::Snapshot`] (the default) answers from the **last
+/// * [`Consistency::Barrier`] (the default) is the pre-epoch semantics
+///   and the differential oracle: the read runs in strict admission order
+///   against the live dataset, paying for every write barrier ahead of it.
+/// * [`Consistency::Snapshot`] answers from the **last
 ///   published epoch**: the scheduler hoists the read in front of any
 ///   write barriers queued in the same dispatch and runs it before them,
 ///   while live state still is that epoch. The answer
@@ -122,15 +125,11 @@ impl Request {
 ///   does not run until the published epoch reaches `min_epoch`. Pass the
 ///   [`Reply::epoch`] of your last acknowledged write to be guaranteed to
 ///   observe it (write acks carry the epoch that made the write visible).
-/// * [`Consistency::Barrier`] is the pre-epoch semantics and the
-///   differential oracle: the read runs in strict admission order against
-///   the live dataset, paying for every write barrier ahead of it.
 ///
 /// [`Barrier`]: Consistency::Barrier
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Consistency {
     /// Read the last published epoch; never waits on pending writes.
-    #[default]
     Snapshot,
     /// Read a published epoch `>= min_epoch` — snapshot freshness floored
     /// at the submitter's last acknowledged write.
@@ -139,6 +138,7 @@ pub enum Consistency {
         min_epoch: u64,
     },
     /// Strict admission-order serialization behind every write barrier.
+    #[default]
     Barrier,
 }
 
@@ -228,15 +228,21 @@ impl Response {
 pub enum SubmitError {
     /// The service has been shut down (or its dispatcher died).
     ShutDown(Request),
-    /// The bounded intake queue is full (returned by
-    /// [`ServiceHandle::try_submit`](crate::ServiceHandle::try_submit)
-    /// only — the blocking `submit` waits instead). This is the
+    /// The bounded intake queue is full (returned to a
+    /// [`SubmitOptions::nonblocking`](crate::SubmitOptions::nonblocking)
+    /// submit only — a blocking one waits instead). This is the
     /// backpressure signal: the client is producing faster than the
     /// service drains. The rejection carries the congestion gauges
-    /// observed at rejection time, so backoff (client-side
-    /// [`submit_with_retry`](crate::ServiceHandle::submit_with_retry), or
-    /// a protocol-level retry hint in a network front end) can scale to
-    /// actual congestion instead of blind jitter.
+    /// observed at rejection time, so a backoff (such as a network front
+    /// end's retry hint) can scale to actual congestion.
+    ///
+    /// `Full` is the only rejection that is safe to resubmit blindly: the
+    /// request was never admitted, so resubmitting cannot apply it twice.
+    /// **An admitted write is never blindly retried**: every admitted
+    /// write is a barrier in the admission order, and a ticket error (e.g.
+    /// [`RecvError::DeadlineExceeded`] at completion time) does not mean
+    /// the write was not applied — a resubmit could apply it twice,
+    /// interleaved with other clients' writes.
     Full {
         /// The rejected request, handed back for retry.
         request: Request,
@@ -263,18 +269,6 @@ impl SubmitError {
         match self {
             SubmitError::ShutDown(r) | SubmitError::ReadOnly(r) => r,
             SubmitError::Full { request, .. } => request,
-        }
-    }
-
-    /// Queue congestion at rejection time in `[0, 1]` — `depth/capacity`
-    /// for [`SubmitError::Full`], `1.0` for the terminal variants (they
-    /// never clear, so maximal backoff is the honest hint).
-    pub fn congestion(&self) -> f64 {
-        match self {
-            SubmitError::Full {
-                depth, capacity, ..
-            } => (*depth as f64 / (*capacity).max(1) as f64).clamp(0.0, 1.0),
-            _ => 1.0,
         }
     }
 }
@@ -368,7 +362,9 @@ impl Completion {
 pub struct Reply {
     /// The response payload.
     pub response: Response,
-    /// Submit→completion latency as measured by the scheduler.
+    /// Submit→completion latency, measured by the scheduler on the
+    /// monotonic clock: it includes queueing and dispatch, not the
+    /// caller's time-to-redeem.
     pub latency: Duration,
     /// Dead shards skipped while serving this request (range/count only —
     /// nonzero means the result is a lower bound over the surviving
@@ -379,18 +375,18 @@ pub struct Reply {
     /// the live epoch at execution time ([`Consistency::Barrier`]). For
     /// writes: the epoch whose publication made this write visible — feed
     /// it back as `ReadYourWrites { min_epoch }` to observe your own
-    /// write. Backends without snapshot support report 0 throughout.
+    /// write.
     pub epoch: u64,
 }
 
 /// An in-flight request's completion slot. Obtained from
-/// [`ServiceHandle::submit`](crate::ServiceHandle::submit); redeem it with
-/// [`Ticket::recv`]. Tickets are independent of the handle that produced
-/// them, so a client can pipeline: submit several requests, then collect.
+/// [`ServiceHandle::submit_with`](crate::ServiceHandle::submit_with);
+/// redeem it with [`Ticket::recv`]. Tickets are independent of the handle
+/// that produced them, so a client can pipeline: submit several requests,
+/// then collect.
 #[derive(Debug)]
 pub struct Ticket {
     pub(crate) rx: mpsc::Receiver<Completion>,
-    pub(crate) submitted: Instant,
 }
 
 impl Ticket {
@@ -398,19 +394,11 @@ impl Ticket {
     /// down, a worker failure loses the request, or its deadline expires —
     /// never hangs: every admitted ticket is completed exactly once.
     pub fn recv(self) -> Result<Response, RecvError> {
-        self.recv_timed().map(|(response, _)| response)
+        self.recv_reply().map(|r| r.response)
     }
 
-    /// Like [`Ticket::recv`], additionally returning the request's
-    /// submit→completion latency. The latency is measured by the scheduler
-    /// on the monotonic clock ([`Instant`]): from the `submit`/`try_submit`
-    /// call to the moment the completion was delivered into the ticket —
-    /// it includes queueing and dispatch, not the caller's time-to-`recv`.
-    pub fn recv_timed(self) -> Result<(Response, Duration), RecvError> {
-        self.recv_reply().map(|r| (r.response, r.latency))
-    }
-
-    /// Blocks for the full completion record, including partial-coverage
+    /// Blocks for the full completion record: the response, its
+    /// submit→completion latency ([`Reply::latency`]) and partial-coverage
     /// metadata (see [`Reply::shards_skipped`]).
     pub fn recv_reply(self) -> Result<Reply, RecvError> {
         match self.rx.recv() {
@@ -431,11 +419,6 @@ impl Ticket {
         }
     }
 
-    /// Non-blocking poll: `None` while the request is still in flight.
-    pub fn try_recv(&self) -> Option<Result<Response, RecvError>> {
-        self.try_recv_reply().map(|r| r.map(|r| r.response))
-    }
-
     /// Non-blocking [`Ticket::recv_reply`]: `None` while the request is
     /// still in flight; the ticket stays redeemable afterwards.
     pub fn try_recv_reply(&self) -> Option<Result<Reply, RecvError>> {
@@ -444,10 +427,5 @@ impl Ticket {
             Err(mpsc::TryRecvError::Empty) => None,
             Err(mpsc::TryRecvError::Disconnected) => Some(Err(RecvError::ShutDown)),
         }
-    }
-
-    /// When the request was submitted (for caller-side latency accounting).
-    pub fn submitted_at(&self) -> Instant {
-        self.submitted
     }
 }

@@ -1,15 +1,15 @@
 //! The service front door and the micro-batching scheduler.
 //!
 //! Clients clone a [`ServiceHandle`] and submit [`Request`]s into a
-//! **bounded** intake queue (admission control: the blocking
-//! [`ServiceHandle::submit`] applies backpressure, the non-blocking
-//! [`ServiceHandle::try_submit`] reports `Full`). A single scheduler
-//! thread drains the queue, **coalesces** up to `max_batch` concurrent
-//! requests (waiting at most `max_wait` for stragglers once the first is
-//! in hand), executes the merged batches against the backend as ordered
-//! runs, splits the results back per request, and completes each run's
-//! tickets when the run ends — a reply never waits for the runs queued
-//! behind it.
+//! **bounded** intake queue through one entry point,
+//! [`ServiceHandle::submit_with`] (admission control: a blocking submit
+//! applies backpressure, a [`SubmitOptions::nonblocking`] one reports
+//! `Full`). A single scheduler thread drains the queue, **coalesces** up
+//! to `max_batch` concurrent requests (waiting at most `max_wait` for
+//! stragglers once the first is in hand), executes the merged batches
+//! against the backend as ordered runs, splits the results back per
+//! request, and completes each run's tickets when the run ends — a reply
+//! never waits for the runs queued behind it.
 //!
 //! Coalescing is what converts independent client traffic into the wide
 //! SoA batches the kernel layer is fastest at: all range boxes of one
@@ -39,24 +39,15 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// SplitMix64 step — the deterministic jitter source for
-/// [`ServiceHandle::submit_with_retry`] backoff.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// How often the idle scheduler re-checks the shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Bound of the intake queue (requests). `submit` blocks and
-    /// `try_submit` rejects once this many requests are pending.
+    /// Bound of the intake queue (requests). Once this many requests are
+    /// pending, a blocking submit waits and a nonblocking one is rejected
+    /// with [`SubmitError::Full`].
     pub queue_cap: usize,
     /// Maximum requests coalesced into one dispatch. `1` = micro-batching
     /// off: every request dispatches alone (the differential suites'
@@ -68,10 +59,9 @@ pub struct ServiceConfig {
     /// waits: the scheduler drains whatever is queued and executes.
     pub max_wait: Duration,
     /// Deadline applied to every request that does not carry its own
-    /// (see [`ServiceHandle::submit_with_deadline`]). `None` = requests
-    /// never expire. Expired requests are shed before dispatch when
-    /// possible and complete with
-    /// [`RecvError::DeadlineExceeded`] either way.
+    /// ([`SubmitOptions::deadline`]). `None` = requests never expire.
+    /// Expired requests are shed before dispatch when possible and
+    /// complete with [`RecvError::DeadlineExceeded`] either way.
     pub default_deadline: Option<Duration>,
 }
 
@@ -113,39 +103,25 @@ impl ServiceConfig {
     }
 }
 
-/// Backoff discipline for [`ServiceHandle::submit_with_retry`]: how many
-/// times a [`SubmitError::Full`] rejection is retried and how the jittered
-/// exponential backoff between attempts grows.
-///
-/// Only the *pre-admission* `Full` rejection is ever retried — the request
-/// was never accepted, so resubmitting cannot double-apply anything.
-/// **Once admitted, a write is never blindly retried** by the service or
-/// by this helper: every admitted write is a barrier in the admission
-/// order, and a ticket error (e.g. [`RecvError::DeadlineExceeded`] at
-/// completion time) does not mean the write was not applied — a blind
-/// resubmit could apply it twice, interleaved with other clients' writes.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Maximum retry attempts after the initial submission.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub base_backoff: Duration,
-    /// Upper bound on the exponential backoff (before jitter).
-    pub max_backoff: Duration,
-    /// Seed of the deterministic jitter sequence (each sleep is scaled to
-    /// 50–100% of the capped backoff, decorrelating competing clients).
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 8,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(10),
-            jitter_seed: 0x5EED,
-        }
-    }
+/// Per-request submission options for [`ServiceHandle::submit_with`] —
+/// the in-process mirror of the wire request header.
+/// `SubmitOptions::default()` is what [`ServiceHandle::submit`] does:
+/// [`Consistency::Barrier`], the config's default deadline, blocking.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubmitOptions {
+    /// How a read is ordered against the write barriers around it; a read
+    /// that tolerates bounded staleness passes [`Consistency::Snapshot`]
+    /// and stops paying for barriers it never asked to observe. Writes
+    /// ignore it: every write is a barrier and publishes an epoch.
+    pub consistency: Consistency,
+    /// Deadline measured from submission, overriding
+    /// [`ServiceConfig::default_deadline`]; `None` keeps the config's. An
+    /// expired request completes with [`RecvError::DeadlineExceeded`] —
+    /// shed before the backend sees it when it expires in the queue.
+    pub deadline: Option<Duration>,
+    /// Return [`SubmitError::Full`] (with the request) instead of waiting
+    /// when the intake queue is at capacity.
+    pub nonblocking: bool,
 }
 
 /// One queued request plus its completion channel, admission timestamp and
@@ -247,8 +223,6 @@ struct Shared {
     submitted: AtomicU64,
     rejected: AtomicU64,
     max_queue_depth: AtomicUsize,
-    /// Client-side `submit_with_retry` backoff sleeps taken, fleet-wide.
-    retries_attempted: AtomicU64,
     stats: Mutex<Counters>,
 }
 
@@ -262,7 +236,6 @@ impl Shared {
         stats.rejected = self.rejected.load(Ordering::Relaxed);
         stats.queue_depth = self.queue_depth.load(Ordering::Acquire);
         stats.max_queue_depth = self.max_queue_depth.load(Ordering::Relaxed);
-        stats.retries_attempted = self.retries_attempted.load(Ordering::Relaxed);
         stats
     }
 }
@@ -285,110 +258,37 @@ impl Clone for ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// Submits a request, **blocking** while the intake queue is full
-    /// (admission-control backpressure). Returns the completion ticket,
-    /// or the request back if the service is shut down (or the request is
-    /// a write and the backend is read-only). The config's
-    /// `default_deadline` (if any) applies.
+    /// [`ServiceHandle::submit_with`] at the default [`SubmitOptions`]:
+    /// [`Consistency::Barrier`], the config's default deadline, blocking.
     pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        self.submit_inner(request, Consistency::Barrier, None, true)
+        self.submit_with(request, SubmitOptions::default())
     }
 
-    /// [`ServiceHandle::submit`] with an explicit per-request deadline
-    /// (measured from now, overriding the config default). An expired
-    /// request completes with [`RecvError::DeadlineExceeded`] — shed
-    /// before the backend sees it when it expires in the queue.
-    pub fn submit_with_deadline(
-        &self,
-        request: Request,
-        deadline: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(request, Consistency::Barrier, Some(deadline), true)
-    }
-
-    /// Non-blocking submit: returns [`SubmitError::Full`] (with the
-    /// request) instead of waiting when the queue is at capacity.
-    pub fn try_submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        self.submit_inner(request, Consistency::Barrier, None, false)
-    }
-
-    /// [`ServiceHandle::submit`] with an explicit [`Consistency`] mode.
-    /// The plain `submit`/`try_submit` family is pinned to
-    /// [`Consistency::Barrier`] (the pre-epoch semantics), so existing
-    /// callers observe no change; reads that can tolerate bounded
-    /// staleness should pass [`Consistency::Snapshot`] here and stop
-    /// paying for write barriers they never asked to observe. Writes
-    /// ignore the mode (every write is always a barrier and publishes an
-    /// epoch).
+    /// [`ServiceHandle::submit`] at an explicit [`Consistency`].
     pub fn submit_at(
         &self,
         request: Request,
         consistency: Consistency,
     ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(request, consistency, None, true)
+        self.submit_with(
+            request,
+            SubmitOptions {
+                consistency,
+                ..SubmitOptions::default()
+            },
+        )
     }
 
-    /// Non-blocking [`ServiceHandle::submit_at`].
-    pub fn try_submit_at(
+    /// Submits a request under `options`, returning its completion ticket.
+    /// A blocking submit waits while the intake queue is full
+    /// (admission-control backpressure); a nonblocking one returns
+    /// [`SubmitError::Full`]. Either way the request comes back if the
+    /// service is shut down or its backend cannot serve it
+    /// ([`SubmitError::ReadOnly`]).
+    pub fn submit_with(
         &self,
         request: Request,
-        consistency: Consistency,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(request, consistency, None, false)
-    }
-
-    /// Non-blocking submit that retries [`SubmitError::Full`] rejections
-    /// with jittered exponential backoff (see [`RetryPolicy`]). Safe for
-    /// writes too: `Full` means the request was **never admitted**, so
-    /// resubmitting cannot double-apply it. Admitted requests are never
-    /// retried by this helper (see the [`RetryPolicy`] docs for why a
-    /// blind post-admission write retry would be unsafe). `ShutDown` and
-    /// `ReadOnly` rejections are returned immediately.
-    ///
-    /// The backoff scales to the congestion the rejection reported
-    /// ([`SubmitError::congestion`]): a queue rejecting at a transient
-    /// burst peak sleeps roughly half as long as one pinned at sustained
-    /// overload, so recovering services refill quickly while overloaded
-    /// ones are not hammered.
-    pub fn submit_with_retry(
-        &self,
-        request: Request,
-        policy: &RetryPolicy,
-    ) -> Result<Ticket, SubmitError> {
-        let mut state = policy.jitter_seed;
-        let mut attempt = 0u32;
-        let mut request = request;
-        loop {
-            match self.try_submit(request) {
-                Ok(ticket) => return Ok(ticket),
-                Err(e @ SubmitError::Full { .. }) if attempt < policy.max_retries => {
-                    attempt += 1;
-                    self.shared
-                        .retries_attempted
-                        .fetch_add(1, Ordering::Relaxed);
-                    let shift = (attempt - 1).min(10);
-                    let capped = (policy.base_backoff * (1u32 << shift)).min(policy.max_backoff);
-                    // Scale to reported congestion (50% floor: a rejection
-                    // always means *some* pressure), then jitter to
-                    // 50–100% so competing clients decorrelate instead of
-                    // retrying in lockstep.
-                    let scaled = capped.mul_f64(0.5 + 0.5 * e.congestion());
-                    let frac =
-                        0.5 + 0.5 * ((splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64);
-                    std::thread::sleep(scaled.mul_f64(frac));
-                    request = e.into_request();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn submit_inner(
-        &self,
-        request: Request,
-        consistency: Consistency,
-        deadline: Option<Duration>,
-        blocking: bool,
+        options: SubmitOptions,
     ) -> Result<Ticket, SubmitError> {
         if !self.shared.open.load(Ordering::Acquire) {
             return Err(SubmitError::ShutDown(request));
@@ -399,27 +299,28 @@ impl ServiceHandle {
         }
         let (reply, rx) = mpsc::channel();
         let submitted = Instant::now();
-        let deadline = deadline
+        let deadline = options
+            .deadline
             .or(self.shared.default_deadline)
             .map(|d| submitted + d);
         let env = Envelope {
             request,
-            consistency,
+            consistency: options.consistency,
             reply: Some(reply),
             submitted,
             deadline,
             shared: Arc::clone(&self.shared),
         };
         let depth = self.shared.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
-        let sent = if blocking {
-            self.tx
-                .send(env)
-                .map_err(|mpsc::SendError(env)| (env, false))
-        } else {
+        let sent = if options.nonblocking {
             self.tx.try_send(env).map_err(|e| match e {
                 mpsc::TrySendError::Full(env) => (env, true),
                 mpsc::TrySendError::Disconnected(env) => (env, false),
             })
+        } else {
+            self.tx
+                .send(env)
+                .map_err(|mpsc::SendError(env)| (env, false))
         };
         match sent {
             Ok(()) => {
@@ -427,7 +328,7 @@ impl ServiceHandle {
                 self.shared
                     .max_queue_depth
                     .fetch_max(depth, Ordering::Relaxed);
-                Ok(Ticket { rx, submitted })
+                Ok(Ticket { rx })
             }
             Err((env, full)) => Err(self.reject(env, full)),
         }
@@ -1303,7 +1204,6 @@ impl SpatialService {
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             max_queue_depth: AtomicUsize::new(0),
-            retries_attempted: AtomicU64::new(0),
             stats: Mutex::new(Counters {
                 stats: ServiceStats {
                     memory_bytes: backend.memory_bytes(),

@@ -128,7 +128,7 @@ pub struct ServiceStats {
     pub submitted: u64,
     /// Requests completed (responses delivered or abandoned by the client).
     pub completed: u64,
-    /// `try_submit` rejections due to a full queue.
+    /// Nonblocking submissions rejected because the queue was full.
     pub rejected: u64,
     /// Requests currently queued (admission-time gauge).
     pub queue_depth: usize,
@@ -219,9 +219,6 @@ pub struct ServiceStats {
     /// Requests completed with `RecvError::DeadlineExceeded` — shed in the
     /// queue or expired by completion time.
     pub deadline_expired: u64,
-    /// Client-side backoff retries taken by `submit_with_retry` across all
-    /// handles.
-    pub retries_attempted: u64,
     /// Successful range/count responses that skipped dead shards (their
     /// results are lower bounds over the surviving shards).
     pub partial_responses: u64,
@@ -312,12 +309,11 @@ impl ServiceStats {
         );
         let _ = write!(
             s,
-            ",\"panics_caught\":{},\"shard_restarts\":{},\"shards_dead\":{},\"deadline_expired\":{},\"retries_attempted\":{},\"partial_responses\":{},\"failed_requests\":{}",
+            ",\"panics_caught\":{},\"shard_restarts\":{},\"shards_dead\":{},\"deadline_expired\":{},\"partial_responses\":{},\"failed_requests\":{}",
             self.panics_caught,
             self.shard_restarts,
             self.shards_dead,
             self.deadline_expired,
-            self.retries_attempted,
             self.partial_responses,
             self.failed_requests
         );
@@ -427,14 +423,13 @@ impl ServiceStats {
             self.elements_removed,
         ));
         s.push_str(&format!(
-            "failures: {} panics caught, {} shard restarts, {} shards dead, {} deadline-expired, {} failed, {} partial, {} retries\n",
+            "failures: {} panics caught, {} shard restarts, {} shards dead, {} deadline-expired, {} failed, {} partial\n",
             self.panics_caught,
             self.shard_restarts,
             self.shards_dead,
             self.deadline_expired,
             self.failed_requests,
             self.partial_responses,
-            self.retries_attempted,
         ));
         s.push_str(&format!(
             "epochs: current {}, {} published, {} snapshot reads ({} stale)\n",

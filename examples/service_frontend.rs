@@ -7,7 +7,7 @@
 //! then through a 2-shard writable grid backend with per-shard worker
 //! threads where one producer doubles as the *simulation*, interleaving
 //! `Request::Update` write barriers with everyone else's queries — watch
-//! the `writes:` line of the stats. Clients use `try_submit`, so a
+//! the `writes:` line of the stats. Clients submit nonblocking, so a
 //! saturated intake queue sheds load instead of blocking the arrival
 //! process — watch the `rejected` counter.
 //!
@@ -116,6 +116,10 @@ fn tick_request(universe: &Aabb, n_elements: u32, h: u32) -> Request {
 fn drive(name: &str, service: SpatialService, universe: Aabb, n_elements: u32) {
     let start = Instant::now();
     let writable = service.handle().capabilities().updates;
+    let nonblocking = SubmitOptions {
+        nonblocking: true,
+        ..SubmitOptions::default()
+    };
     std::thread::scope(|scope| {
         for tid in 0..PRODUCERS {
             let handle = service.handle();
@@ -132,7 +136,7 @@ fn drive(name: &str, service: SpatialService, universe: Aabb, n_elements: u32) {
                         // Open loop: fire and forget — completion latency is
                         // recorded by the scheduler even if the ticket is
                         // dropped; a full queue sheds the request.
-                        match handle.try_submit(req) {
+                        match handle.submit_with(req, nonblocking) {
                             Ok(_ticket) => {}
                             Err(SubmitError::Full { .. }) => dropped += 1,
                             Err(e) => panic!("service vanished: {e}"),
@@ -158,8 +162,8 @@ fn drive(name: &str, service: SpatialService, universe: Aabb, n_elements: u32) {
 /// Drives the same workload over loopback TCP: each producer is a real
 /// `NetClient` connection with its own tenant name, pipelining up to 8
 /// frames before reaping replies. Server `Retry` frames (per-tenant
-/// staging overflow) count as drops, mirroring `try_submit` shedding in
-/// the in-process stanzas.
+/// staging overflow) count as drops, mirroring the nonblocking shedding
+/// in the in-process stanzas.
 fn drive_tcp(name: &str, service: SpatialService, universe: Aabb, n_elements: u32) {
     let tenants = (0..PRODUCERS)
         .map(|tid| TenantSpec::new(format!("producer{tid}"), if tid == 0 { 2 } else { 1 }))

@@ -19,9 +19,10 @@
 //!   the plan); with the restart budget exhausted the shard dies, after
 //!   which range/count degrade to partial coverage
 //!   ([`Reply::shards_skipped`]) and kNN fails typed.
-//! * **Deadlines & retries**: expiry at admission and at completion, all
-//!   four ticket-redemption flavours against a stalled backend, and
-//!   `submit_with_retry` waiting out a full intake queue.
+//! * **Deadlines & admission**: expiry at admission and at completion, a
+//!   nonblocking deadlined snapshot read bounced `Full` then shed once
+//!   admitted, and all four ticket-redemption flavours against a stalled
+//!   backend.
 //! * **Poisoning**: a write panic with no recovery path fails fast — every
 //!   queued and subsequent request completes typed, nothing hangs.
 
@@ -711,9 +712,12 @@ fn deadlines_expire_at_admission_and_completion() {
     let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
     let handle = service.handle();
     let t = handle
-        .submit_with_deadline(
+        .submit_with(
             Request::Range(vec![full_cover()]),
-            Duration::from_millis(20),
+            SubmitOptions {
+                deadline: Some(Duration::from_millis(20)),
+                ..SubmitOptions::default()
+            },
         )
         .unwrap();
     match recv_bounded(&t, "deadline/completion", 0) {
@@ -737,7 +741,13 @@ fn deadlines_expire_at_admission_and_completion() {
     let service = SpatialService::spawn(backend, config);
     let handle = service.handle();
     let slow = handle
-        .submit_with_deadline(Request::Range(vec![full_cover()]), Duration::from_secs(10))
+        .submit_with(
+            Request::Range(vec![full_cover()]),
+            SubmitOptions {
+                deadline: Some(Duration::from_secs(10)),
+                ..SubmitOptions::default()
+            },
+        )
         .unwrap();
     std::thread::sleep(Duration::from_millis(10)); // let the dispatcher grab `slow`
     let stale = handle.submit(Request::Range(vec![full_cover()])).unwrap();
@@ -749,6 +759,62 @@ fn deadlines_expire_at_admission_and_completion() {
     let stats = service.shutdown();
     assert_eq!(stats.deadline_expired, 1);
     // The shed request never reached the backend: only `slow` consumed an op.
+    assert_eq!(stats.completed, 2);
+}
+
+/// Every per-request option at once through the one entry point: a
+/// nonblocking `Snapshot` read with its own 20 ms deadline. While the
+/// dispatcher is wedged and the one-slot queue is taken, the same options
+/// bounce `Full` with the request handed back; once admitted, the read
+/// goes stale in the queue and is shed with `DeadlineExceeded`.
+#[test]
+fn nonblocking_deadlined_snapshot_read_is_bounced_then_shed() {
+    quiet_panics();
+    let data = soup(600, 0x0B75);
+    let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+    let backend = ChaosBackend::new(
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build)),
+        FaultPlan::new().delay_at(0, Duration::from_millis(150)),
+    );
+    let config = ServiceConfig::default().no_coalesce().with_queue_cap(1);
+    let service = SpatialService::spawn(backend, config);
+    let handle = service.handle();
+
+    // Wedge the dispatcher in the slow op; wait until it has drained the
+    // queue, so the one slot is free again.
+    let slow = handle.submit(Request::Range(vec![full_cover()])).unwrap();
+    for waited in 0.. {
+        assert!(waited < 10_000, "dispatcher never picked up the slow op");
+        if handle.queue_depth() == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let read = Request::Range(vec![full_cover()]);
+    let options = SubmitOptions {
+        consistency: Consistency::Snapshot,
+        deadline: Some(Duration::from_millis(20)),
+        nonblocking: true,
+    };
+    let admitted = handle.submit_with(read.clone(), options).unwrap();
+    match handle.submit_with(read.clone(), options) {
+        Err(SubmitError::Full {
+            request, capacity, ..
+        }) => {
+            assert_eq!(request, read, "Full hands the request back");
+            assert_eq!(capacity, 1);
+        }
+        other => panic!("a taken one-slot queue must bounce, got {other:?}"),
+    }
+    assert_eq!(handle.stats().rejected, 1, "the bounce is counted");
+
+    assert!(recv_bounded(&slow, "options/slow", 0).is_ok());
+    match recv_bounded(&admitted, "options/admitted", 1) {
+        Err(RecvError::DeadlineExceeded) => {}
+        other => panic!("the queued-stale read should be shed, got {other:?}"),
+    }
+    let stats = service.shutdown();
+    assert_eq!((stats.rejected, stats.deadline_expired), (1, 1));
     assert_eq!(stats.completed, 2);
 }
 
@@ -770,7 +836,10 @@ fn recv_flavours_resolve_against_a_stalled_backend() {
 
     // Stalled: the probe flavours observe "pending", the ticket survives.
     let t = handle.submit(Request::Range(vec![full_cover()])).unwrap();
-    assert!(t.try_recv().is_none(), "stalled ticket is still pending");
+    assert!(
+        t.try_recv_reply().is_none(),
+        "stalled ticket is still pending"
+    );
     assert!(
         t.recv_deadline(Duration::from_millis(10)).is_none(),
         "bounded wait times out while the backend stalls"
@@ -782,70 +851,13 @@ fn recv_flavours_resolve_against_a_stalled_backend() {
 
     // Healthy: the consuming flavours deliver the metadata variants.
     let t = handle.submit(Request::Range(vec![full_cover()])).unwrap();
-    let (resp, latency) = t.recv_timed().expect("timed recv completes");
-    assert!(matches!(resp, Response::Range(_)));
-    assert!(latency > Duration::ZERO);
-    let t = handle.submit(Request::Range(vec![full_cover()])).unwrap();
     let reply = t.recv_reply().expect("reply recv completes");
+    assert!(matches!(reply.response, Response::Range(_)));
+    assert!(reply.latency > Duration::ZERO);
     assert_eq!(reply.shards_skipped, 0);
     let t = handle.submit(Request::Range(vec![full_cover()])).unwrap();
     assert!(t.recv().is_ok());
     service.shutdown();
-}
-
-/// `submit_with_retry` waits out a full intake queue with jittered backoff
-/// instead of failing fast, and the attempts are counted. Only the
-/// pre-admission `Full` rejection is retried — which is why this is safe
-/// for writes too.
-#[test]
-fn submit_with_retry_waits_out_a_full_queue() {
-    quiet_panics();
-    let data = soup(600, 0xF011);
-    let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
-    let backend = ChaosBackend::new(
-        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build)),
-        FaultPlan::new().delay_at(0, Duration::from_millis(120)),
-    );
-    let config = ServiceConfig::default().no_coalesce().with_queue_cap(1);
-    let service = SpatialService::spawn(backend, config);
-    let handle = service.handle();
-
-    // Wedge the dispatcher in the slow op, then fill the 1-slot queue.
-    let slow = handle.submit(Request::Range(vec![full_cover()])).unwrap();
-    // Let the dispatcher pick `slow` up before filling the queue, so the
-    // retrying submit below observes `Full` for the rest of the stall (and
-    // the retry counter provably moves).
-    std::thread::sleep(Duration::from_millis(20));
-    let mut queued = Vec::new();
-    for attempt in 0.. {
-        assert!(attempt < 1000, "queue never filled");
-        match handle.try_submit(Request::Range(vec![full_cover()])) {
-            Ok(t) => queued.push(t),
-            Err(SubmitError::Full { .. }) => break,
-            Err(e) => panic!("unexpected rejection: {e:?}"),
-        }
-    }
-
-    // A plain try_submit bounces; the retrying submit rides out the stall.
-    let policy = RetryPolicy {
-        max_retries: 400,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        jitter_seed: 0xFA11,
-    };
-    let t = handle
-        .submit_with_retry(Request::Range(vec![full_cover()]), &policy)
-        .expect("retries outlast the stall");
-    assert!(recv_bounded(&slow, "retry/full", 0).is_ok());
-    for (i, t) in queued.iter().enumerate() {
-        assert!(recv_bounded(t, "retry/full", 1 + i).is_ok());
-    }
-    assert!(recv_bounded(&t, "retry/full", 99).is_ok());
-    let stats = service.shutdown();
-    assert!(
-        stats.retries_attempted >= 1,
-        "the backoff path actually ran"
-    );
 }
 
 /// A backend whose queries work but whose write path panics *inside* the

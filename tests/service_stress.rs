@@ -9,7 +9,8 @@
 //!   already admitted; submissions after shutdown fail cleanly with
 //!   `SubmitError::ShutDown`.
 //! * **Backpressure**: with the dispatcher wedged, the bounded intake
-//!   queue fills and `try_submit` reports `Full` instead of blocking.
+//!   queue fills and a nonblocking `submit_with` reports `Full` instead
+//!   of blocking.
 //! * **Write barrier**: interleaved update/query streams — pipelined from
 //!   one producer and concurrent from 2 query + 2 update producers — are
 //!   byte-identical to a serial interleaving honoring the write barrier,
@@ -316,9 +317,13 @@ fn shutdown_drains_queue_and_rejects_new_submissions() {
         assert_eq!(lists.len(), 1);
     }
     // A ticket for a request that was never admitted errors, not hangs.
-    match handle.try_submit(one_box()) {
+    let nonblocking = SubmitOptions {
+        nonblocking: true,
+        ..SubmitOptions::default()
+    };
+    match handle.submit_with(one_box(), nonblocking) {
         Err(SubmitError::ShutDown(_)) => {}
-        other => panic!("try_submit after shutdown must fail cleanly, got {other:?}"),
+        other => panic!("nonblocking submit after shutdown must fail cleanly, got {other:?}"),
     }
 }
 
@@ -334,8 +339,12 @@ fn bounded_queue_reports_backpressure() {
     // Wedge the dispatcher, then fill the bounded queue without blocking.
     let mut accepted = Vec::new();
     let mut saw_full = false;
+    let nonblocking = SubmitOptions {
+        nonblocking: true,
+        ..SubmitOptions::default()
+    };
     for _ in 0..5 {
-        match handle.try_submit(one_box()) {
+        match handle.submit_with(one_box(), nonblocking) {
             Ok(t) => accepted.push(t),
             Err(SubmitError::Full {
                 request: req,
@@ -387,7 +396,7 @@ fn dropped_service_errors_outstanding_tickets_cleanly() {
         Err(SubmitError::ShutDown(_)) => {}
         other => panic!("submit into dropped service must fail, got {other:?}"),
     }
-    // recv on a never-admitted ticket path: construct via try_submit race is
+    // recv on a never-admitted ticket path: construct via a submit race is
     // not reachable deterministically; instead check RecvError Display.
     assert_eq!(
         RecvError::ShutDown.to_string(),
@@ -647,9 +656,13 @@ fn read_only_backend_rejects_writes_at_admission() {
         Err(SubmitError::ReadOnly(req)) => assert_eq!(req.len(), 1),
         other => panic!("write into read-only backend must be rejected, got {other:?}"),
     }
-    match handle.try_submit(Request::Step(vec![beacon_target(1)])) {
+    let nonblocking = SubmitOptions {
+        nonblocking: true,
+        ..SubmitOptions::default()
+    };
+    match handle.submit_with(Request::Step(vec![beacon_target(1)]), nonblocking) {
         Err(SubmitError::ReadOnly(_)) => {}
-        other => panic!("try_submit write must be rejected, got {other:?}"),
+        other => panic!("nonblocking write must be rejected, got {other:?}"),
     }
     // Reads still flow.
     assert!(handle.submit(one_box()).unwrap().recv().is_ok());
