@@ -112,6 +112,13 @@ impl RangeSink for BatchResults {
         }
         self.lists[self.used - 1].push(id);
     }
+
+    fn push_all(&mut self, ids: &[ElementId]) {
+        if self.used == 0 {
+            self.begin_query(0);
+        }
+        self.lists[self.used - 1].extend_from_slice(ids);
+    }
 }
 
 /// A sink that only counts results (total and per query) — the cheapest

@@ -30,6 +30,15 @@ pub trait RangeSink {
 
     /// Emits one result id for the current query.
     fn push(&mut self, id: ElementId);
+
+    /// Emits a run of result ids for the current query, in order — one
+    /// call for a whole list a shard merge copies through. Defaults to one
+    /// [`RangeSink::push`] per id.
+    fn push_all(&mut self, ids: &[ElementId]) {
+        for &id in ids {
+            self.push(id);
+        }
+    }
 }
 
 /// Collecting sink: appends every result, ignoring query boundaries.

@@ -418,6 +418,96 @@ fn incremental_mode_avoids_rebuilds_on_jitter() {
     assert_eq!(s_reb.migrations, 0);
 }
 
+/// The range merge emits exactly the first-seen order — per query in batch
+/// order, lanes in shard order, each id at its first emission — whether a
+/// query was answered by one shard (copied through) or by several (deduped
+/// over boundary replicas), after a migration tick, and with one lane
+/// cleared the way a dead shard's lane is. Compared unsorted, byte for byte,
+/// against a reference merge written here over the executors' own answers.
+#[test]
+fn range_merge_is_first_seen_order_for_one_and_many_shard_queries() {
+    let n = 1500u32;
+    let seed = 0x3E26;
+    let data = soup(n, seed);
+    let mut engine = sharded_strategy_engine(
+        &data,
+        4,
+        UpdateStrategyKind::GridMigrate,
+        ShardWriteMode::Incremental,
+    );
+    assert!(engine.update_batch(&teleport(n, seed, 120)).migrations > 0);
+    let (mut planner, mut executors) = engine.into_parts();
+
+    // Small cubes along the diagonal (some inside one slab, some across a
+    // cut), slabs spanning several shards, and the probe boxes.
+    let mut queries: Vec<Aabb> = (0..30)
+        .map(|i| {
+            let c = 1.5 + 3.3 * i as f32;
+            Aabb::new(
+                Point3::new(c - 3.0, c - 3.0, c - 3.0),
+                Point3::new(c + 3.0, c + 3.0, c + 3.0),
+            )
+        })
+        .collect();
+    queries.push(Aabb::new(
+        Point3::new(10.0, 10.0, 10.0),
+        Point3::new(90.0, 60.0, 60.0),
+    ));
+    queries.extend(probe_boxes());
+
+    let mut lanes = Vec::new();
+    planner.route_range(&queries, &mut lanes);
+    let dead = 2;
+    lanes[dead].clear();
+    let mut answers: Vec<Vec<Vec<u32>>> = Vec::new();
+    for (exec, lane) in executors.iter_mut().zip(lanes.iter_mut()) {
+        let mut out = BatchResults::new();
+        exec.range_batch(lane.queries(), &mut out);
+        answers.push(
+            (0..lane.len())
+                .map(|j| out.query_results(j).to_vec())
+                .collect(),
+        );
+        lane.run(exec);
+    }
+
+    // Reference first-seen merge.
+    let mut want: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
+    let mut holders = vec![0usize; queries.len()];
+    let mut emitted = 0usize;
+    for (lane, lists) in lanes.iter().zip(&answers) {
+        for (&qi, list) in lane.routed().iter().zip(lists) {
+            let merged = &mut want[qi as usize];
+            holders[qi as usize] += 1;
+            emitted += list.len();
+            for &id in list {
+                if !merged.contains(&id) {
+                    merged.push(id);
+                }
+            }
+        }
+    }
+    let answered_by =
+        |n: fn(usize) -> bool| (0..queries.len()).any(|q| n(holders[q]) && !want[q].is_empty());
+    assert!(answered_by(|h| h == 1), "some query one shard answered");
+    assert!(answered_by(|h| h > 1), "some query several shards answered");
+    let total: usize = want.iter().map(Vec::len).sum();
+    assert!(total < emitted, "replicas were deduplicated");
+
+    let mut got = BatchResults::new();
+    let stats = planner.merge_range(queries.len(), &mut lanes, &mut got);
+    assert_eq!(stats.results as usize, total);
+    assert_eq!(got.len(), queries.len());
+    for (qi, want) in want.iter().enumerate() {
+        assert_eq!(
+            got.query_results(qi),
+            &want[..],
+            "query {qi} ({} lanes)",
+            holders[qi]
+        );
+    }
+}
+
 /// Shrink-to-empty and regrow: removing every element leaves all three
 /// executions serving empty results without panicking, and inserting into
 /// the emptied engine resumes id allocation past the tombstones.
