@@ -18,11 +18,13 @@
 //! * **Range**: [`QueryEngine::range_batch`] drives
 //!   [`SpatialIndex::range_batch`] into a [`RangeSink`]
 //!   ([`BatchResults`] collects, [`CountSink`] counts).
-//! * **kNN**: [`QueryEngine::knn_batch_into`] drives
-//!   [`KnnIndex::knn_batch_into`] into a [`KnnSink`]
-//!   ([`KnnBatchResults`] collects) — one scratch carries the best-k heap,
-//!   traversal queue and batched lower-bound buffers across every probe of
-//!   the batch.
+//! * **kNN**: [`QueryEngine::knn_probes_into`] runs a batch of
+//!   `(point, k)` probes, each with its own `k`, through
+//!   [`KnnIndex::knn_into`] into a [`KnnSink`] ([`KnnBatchResults`]
+//!   collects); [`QueryEngine::knn_batch_into`] is the same loop with one
+//!   `k` for every point. One scratch carries the best-k heap, traversal
+//!   queue and batched lower-bound buffers across every probe of the
+//!   batch.
 //!
 //! Steady-state guarantee: repeat `range_batch`/`knn_batch_into` calls
 //! through one engine (with a reused sink) perform zero per-query heap
@@ -261,11 +263,22 @@ impl QueryEngine {
         self.range_batch(index, data, queries, &mut Discard)
     }
 
-    /// Runs a batch of kNN probes through the index's batched sink plan
-    /// ([`KnnIndex::knn_batch_into`]), streaming results into `sink` and
-    /// returning the batch accounting — wall clock, result totals and the
-    /// kNN predicate counters (lower-bound and exact distance evaluations)
-    /// alongside the classic tree/element test counts.
+    /// Runs a batch of kNN probes, each `(point, k)` with its own `k`,
+    /// streaming results into `sink` and returning the batch accounting —
+    /// wall clock, result totals and the kNN predicate counters
+    /// (lower-bound and exact distance evaluations) alongside the classic
+    /// tree/element test counts.
+    pub fn knn_probes_into<I: KnnIndex + ?Sized>(
+        &mut self,
+        index: &I,
+        data: &[Element],
+        probes: &[(Point3, usize)],
+        sink: &mut dyn KnnSink,
+    ) -> QueryStats {
+        self.knn_loop(index, data, probes.iter().copied(), sink)
+    }
+
+    /// [`QueryEngine::knn_probes_into`] with the same `k` for every point.
     pub fn knn_batch_into<I: KnnIndex + ?Sized>(
         &mut self,
         index: &I,
@@ -274,18 +287,7 @@ impl QueryEngine {
         k: usize,
         sink: &mut dyn KnnSink,
     ) -> QueryStats {
-        let before = stats::snapshot();
-        let mut tally = KnnTallySink {
-            inner: sink,
-            results: 0,
-        };
-        let start = Instant::now();
-        index.knn_batch_into(data, points, k, &mut self.scratch, &mut tally);
-        QueryStats {
-            elapsed_s: start.elapsed().as_secs_f64(),
-            results: tally.results,
-            counts: stats::snapshot().since(&before),
-        }
+        self.knn_loop(index, data, points.iter().map(|&p| (p, k)), sink)
     }
 
     /// Runs the kNN batch and collects per-probe result lists into `out`
@@ -302,53 +304,31 @@ impl QueryEngine {
         self.knn_batch_into(index, data, points, k, out)
     }
 
-    /// Runs the kNN batch for its accounting alone (results are counted,
-    /// not kept).
-    pub fn knn_count<I: KnnIndex + ?Sized>(
+    /// The one kNN loop: announces each probe to the sink and runs
+    /// [`KnnIndex::knn_into`] over the engine's scratch, so heaps and
+    /// candidate buffers are reused across probes.
+    fn knn_loop<I: KnnIndex + ?Sized>(
         &mut self,
         index: &I,
         data: &[Element],
-        points: &[Point3],
-        k: usize,
+        probes: impl Iterator<Item = (Point3, usize)>,
+        sink: &mut dyn KnnSink,
     ) -> QueryStats {
-        struct Discard;
-        impl KnnSink for Discard {
-            #[inline]
-            fn push(&mut self, _id: ElementId, _dist: f32) {}
+        let before = stats::snapshot();
+        let mut tally = KnnTallySink {
+            inner: sink,
+            results: 0,
+        };
+        let start = Instant::now();
+        for (qi, (p, k)) in probes.enumerate() {
+            tally.begin_query(qi as u32);
+            index.knn_into(data, &p, k, &mut self.scratch, &mut tally);
         }
-        self.knn_batch_into(index, data, points, k, &mut Discard)
-    }
-
-    /// Runs a batch of kNN probes, collecting per-point results into `out`
-    /// (cleared first). Compatibility wrapper over
-    /// [`QueryEngine::knn_batch_into`] for callers that want owned
-    /// per-probe vectors.
-    pub fn knn_batch<I: KnnIndex + ?Sized>(
-        &mut self,
-        index: &I,
-        data: &[Element],
-        points: &[Point3],
-        k: usize,
-        out: &mut Vec<Vec<(ElementId, f32)>>,
-    ) -> QueryStats {
-        struct PerProbe<'a>(&'a mut Vec<Vec<(ElementId, f32)>>);
-        impl KnnSink for PerProbe<'_> {
-            fn begin_query(&mut self, qi: u32) {
-                while self.0.len() <= qi as usize {
-                    self.0.push(Vec::new());
-                }
-            }
-
-            #[inline]
-            fn push(&mut self, id: ElementId, dist: f32) {
-                if self.0.is_empty() {
-                    self.0.push(Vec::new());
-                }
-                self.0.last_mut().unwrap().push((id, dist));
-            }
+        QueryStats {
+            elapsed_s: start.elapsed().as_secs_f64(),
+            results: tally.results,
+            counts: stats::snapshot().since(&before),
         }
-        out.clear();
-        self.knn_batch_into(index, data, points, k, &mut PerProbe(out))
     }
 }
 
@@ -516,12 +496,12 @@ mod tests {
             .map(|i| Point3::new(i as f32 * 9.0, 0.0, 0.0))
             .collect();
         let mut engine = QueryEngine::new();
-        let mut out = Vec::new();
-        let s = engine.knn_batch(&idx, &data, &points, 3, &mut out);
+        let mut out = KnnBatchResults::new();
+        let s = engine.knn_collect(&idx, &data, &points, 3, &mut out);
         assert_eq!(out.len(), points.len());
         assert_eq!(s.results, 15);
-        for (p, got) in points.iter().zip(&out) {
-            assert_eq!(got, &idx.knn(&data, p, 3));
+        for (p, got) in points.iter().zip(out.iter()) {
+            assert_eq!(got, idx.knn(&data, p, 3));
         }
     }
 

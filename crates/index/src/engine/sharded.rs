@@ -785,13 +785,12 @@ impl<I: SpatialIndex> ShardExecutor<I> {
 }
 
 impl<I: KnnIndex> ShardExecutor<I> {
-    /// Runs a routed sub-batch of kNN probes through the shard's engine,
-    /// collecting **global** `(id, distance)` lists per probe into `out`
-    /// (reset first).
+    /// Runs a routed sub-batch of `(point, k)` probes through the shard's
+    /// engine, collecting **global** `(id, distance)` lists per probe into
+    /// `out` (reset first).
     pub fn knn_batch(
         &mut self,
-        points: &[Point3],
-        k: usize,
+        probes: &[(Point3, usize)],
         out: &mut KnnBatchResults,
     ) -> QueryStats {
         out.reset();
@@ -800,7 +799,7 @@ impl<I: KnnIndex> ShardExecutor<I> {
             global: &self.global,
         };
         self.engine
-            .knn_batch_into(&self.index, &self.data, points, k, &mut sink)
+            .knn_probes_into(&self.index, &self.data, probes, &mut sink)
     }
 }
 
@@ -893,10 +892,8 @@ impl RangeLane {
 pub struct KnnLane {
     /// Global probe index per routed probe (ascending).
     routed: Vec<u32>,
-    /// The routed probe points, parallel to `routed`.
-    points: Vec<Point3>,
-    /// Neighbours requested per probe.
-    k: usize,
+    /// The routed `(point, k)` probes, parallel to `routed`.
+    probes: Vec<(Point3, usize)>,
     /// Per-routed-probe global `(id, distance)` lists, filled by
     /// [`KnnLane::run`].
     results: KnnBatchResults,
@@ -922,9 +919,9 @@ impl KnnLane {
         self.routed.is_empty()
     }
 
-    /// The routed probe points.
-    pub fn points(&self) -> &[Point3] {
-        &self.points
+    /// The routed `(point, k)` probes.
+    pub fn probes(&self) -> &[(Point3, usize)] {
+        &self.probes
     }
 
     /// Global probe indices routed to this lane (ascending) — lets an
@@ -939,18 +936,10 @@ impl KnnLane {
         &self.stats
     }
 
-    /// Empties the lane, keeping `k` and allocations (see
-    /// [`RangeLane::clear`]).
+    /// Empties the lane, keeping allocations (see [`RangeLane::clear`]).
     pub fn clear(&mut self) {
-        let k = self.k;
-        self.reset(k);
-    }
-
-    /// Clears the lane for re-routing, keeping allocations.
-    fn reset(&mut self, k: usize) {
         self.routed.clear();
-        self.points.clear();
-        self.k = k;
+        self.probes.clear();
         self.results.reset();
         self.stats = QueryStats::default();
         self.cursor = 0;
@@ -960,19 +949,18 @@ impl KnnLane {
     /// and recording the shard's [`QueryStats`].
     pub fn run<I: KnnIndex>(&mut self, exec: &mut ShardExecutor<I>) {
         let Self {
-            points,
-            k,
+            probes,
             results,
             stats,
             ..
         } = self;
-        *stats = exec.knn_batch(points, *k, results);
+        *stats = exec.knn_batch(probes, results);
     }
 
     /// Heap bytes held by the lane's buffers.
     pub fn memory_bytes(&self) -> usize {
         self.routed.capacity() * std::mem::size_of::<u32>()
-            + self.points.capacity() * std::mem::size_of::<Point3>()
+            + self.probes.capacity() * std::mem::size_of::<(Point3, usize)>()
     }
 }
 
@@ -1536,17 +1524,15 @@ impl ShardPlanner {
         stats
     }
 
-    /// Routes kNN phase 1: every probe lands in the lane of its *home*
-    /// shard (the slab its point falls in). `lanes` is resized to the shard
-    /// count and fully reset.
-    pub fn route_knn_home(&self, points: &[Point3], k: usize, lanes: &mut Vec<KnnLane>) {
-        size_lanes(lanes, self.shard_count(), |lane: &mut KnnLane| {
-            lane.reset(k)
-        });
-        for (qi, p) in points.iter().enumerate() {
-            let home = self.router.home(p);
+    /// Routes kNN phase 1: every `(point, k)` probe lands in the lane of
+    /// its *home* shard (the slab its point falls in). `lanes` is resized
+    /// to the shard count and fully reset.
+    pub fn route_knn_home(&self, probes: &[(Point3, usize)], lanes: &mut Vec<KnnLane>) {
+        size_lanes(lanes, self.shard_count(), KnnLane::clear);
+        for (qi, probe) in probes.iter().enumerate() {
+            let home = self.router.home(&probe.0);
             lanes[home].routed.push(qi as u32);
-            lanes[home].points.push(*p);
+            lanes[home].probes.push(*probe);
         }
     }
 
@@ -1557,26 +1543,26 @@ impl ShardPlanner {
     /// region `MINDIST ≤ d`, so the bounded fan-out is exact.
     pub fn route_knn_fanout(
         &mut self,
-        points: &[Point3],
-        k: usize,
+        probes: &[(Point3, usize)],
         home: &[KnnLane],
         fan: &mut Vec<KnnLane>,
     ) {
-        size_lanes(fan, self.shard_count(), |lane: &mut KnnLane| lane.reset(k));
+        size_lanes(fan, self.shard_count(), KnnLane::clear);
         // Per-probe pruning bound: the home shard's k-th best distance
         // (+∞ when the home shard held fewer than k elements).
         let bounds = &mut self.scratch.dists;
         bounds.clear();
-        bounds.resize(points.len(), f32::INFINITY);
+        bounds.resize(probes.len(), f32::INFINITY);
         for lane in home {
-            for (j, &qi) in lane.routed.iter().enumerate() {
+            for (j, (&qi, &(_, k))) in lane.routed.iter().zip(&lane.probes).enumerate() {
                 let list = lane.results.query_results(j);
                 if k > 0 && list.len() >= k {
                     bounds[qi as usize] = list[list.len() - 1].1;
                 }
             }
         }
-        for (qi, p) in points.iter().enumerate() {
+        for (qi, probe) in probes.iter().enumerate() {
+            let p = &probe.0;
             let home_shard = self.router.home(p);
             let b = bounds[qi];
             for (s, lane) in fan.iter_mut().enumerate() {
@@ -1587,20 +1573,20 @@ impl ShardPlanner {
                 // must still be able to displace the home k-th best.
                 if self.fan_regions[s].min_distance2(p) <= b * b {
                     lane.routed.push(qi as u32);
-                    lane.points.push(*p);
+                    lane.probes.push(*probe);
                 }
             }
         }
     }
 
-    /// Merges executed home + fan-out kNN lanes into `sink`: per probe, the
-    /// union of per-shard top-k lists sorted under ascending
-    /// `(distance, global id)`, replicas dropped, and the k best emitted.
-    /// Returns the post-merge result count and summed predicate counters.
+    /// Merges executed home + fan-out kNN lanes of `probes` into `sink`:
+    /// per probe, the union of per-shard top-k lists sorted under ascending
+    /// `(distance, global id)`, replicas dropped, and the probe's k best
+    /// emitted. Returns the post-merge result count and summed predicate
+    /// counters.
     pub fn merge_knn(
         &mut self,
-        n_probes: usize,
-        k: usize,
+        probes: &[(Point3, usize)],
         home: &mut [KnnLane],
         fan: &mut [KnnLane],
         sink: &mut dyn KnnSink,
@@ -1615,7 +1601,7 @@ impl ShardPlanner {
         } = self;
         let mut results = 0u64;
         let merge = &mut scratch.knn_queue;
-        for qi in 0..n_probes {
+        for (qi, &(_, k)) in probes.iter().enumerate() {
             sink.begin_query(qi as u32);
             merge.clear();
             for lane in home.iter_mut().chain(fan.iter_mut()) {
@@ -1692,6 +1678,9 @@ pub struct ShardedEngine<I> {
     range_lanes: Vec<RangeLane>,
     knn_home: Vec<KnnLane>,
     knn_fan: Vec<KnnLane>,
+    /// The `(point, k)` probes of the kNN batch in flight, refilled by
+    /// every [`ShardedEngine::knn_batch_into`].
+    probes: Vec<(Point3, usize)>,
     update_lanes: Vec<UpdateLane>,
 }
 
@@ -1765,6 +1754,7 @@ impl<I> ShardedEngine<I> {
             range_lanes: Vec::new(),
             knn_home: Vec::new(),
             knn_fan: Vec::new(),
+            probes: Vec::new(),
             update_lanes: Vec::new(),
         }
     }
@@ -1901,6 +1891,7 @@ impl<I: SpatialIndex> ShardedEngine<I> {
                 .chain(self.knn_fan.iter())
                 .map(KnnLane::memory_bytes)
                 .sum::<usize>()
+            + self.probes.capacity() * std::mem::size_of::<(Point3, usize)>()
             + self
                 .update_lanes
                 .iter()
@@ -2037,18 +2028,21 @@ impl<I: KnnIndex + Send> ShardedEngine<I> {
         sink: &mut dyn KnnSink,
     ) -> QueryStats {
         let start = Instant::now();
-        self.planner.route_knn_home(points, k, &mut self.knn_home);
+        self.probes.clear();
+        self.probes.extend(points.iter().map(|&p| (p, k)));
+        self.planner
+            .route_knn_home(&self.probes, &mut self.knn_home);
         run_pairs(&mut self.executors, &mut self.knn_home, |exec, lane| {
             lane.run(exec)
         });
         self.planner
-            .route_knn_fanout(points, k, &self.knn_home, &mut self.knn_fan);
+            .route_knn_fanout(&self.probes, &self.knn_home, &mut self.knn_fan);
         run_pairs(&mut self.executors, &mut self.knn_fan, |exec, lane| {
             lane.run(exec)
         });
         let mut stats =
             self.planner
-                .merge_knn(points.len(), k, &mut self.knn_home, &mut self.knn_fan, sink);
+                .merge_knn(&self.probes, &mut self.knn_home, &mut self.knn_fan, sink);
         stats.elapsed_s = start.elapsed().as_secs_f64();
         stats
     }
@@ -2279,17 +2273,18 @@ mod tests {
             .collect();
         let mut want_knn = KnnBatchResults::new();
         composed.knn_collect(&points, 5, &mut want_knn);
+        let probes: Vec<(Point3, usize)> = points.iter().map(|&p| (p, 5)).collect();
         let (mut home, mut fan) = (Vec::new(), Vec::new());
-        planner.route_knn_home(&points, 5, &mut home);
+        planner.route_knn_home(&probes, &mut home);
         for (exec, lane) in executors.iter_mut().zip(home.iter_mut()) {
             lane.run(exec);
         }
-        planner.route_knn_fanout(&points, 5, &home, &mut fan);
+        planner.route_knn_fanout(&probes, &home, &mut fan);
         for (exec, lane) in executors.iter_mut().zip(fan.iter_mut()) {
             lane.run(exec);
         }
         let mut got_knn = KnnBatchResults::new();
-        planner.merge_knn(points.len(), 5, &mut home, &mut fan, &mut got_knn);
+        planner.merge_knn(&probes, &mut home, &mut fan, &mut got_knn);
         for qi in 0..points.len() {
             assert_eq!(
                 got_knn.query_results(qi),
@@ -3004,6 +2999,7 @@ mod tests {
         let points: Vec<Point3> = (0..6)
             .map(|i| Point3::new((i * 17) as f32, (i * 3) as f32, (i * 8) as f32))
             .collect();
+        let probes: Vec<(Point3, usize)> = points.iter().map(|&p| (p, 5)).collect();
         let (planner, mut executors) = sharded.into_parts();
         for (s, exec) in executors.iter_mut().enumerate() {
             let rebuild = exec.rebuild_fn().expect("with_rebuild attached");
@@ -3019,8 +3015,8 @@ mod tests {
                 assert_eq!(a.query_results(qi), b.query_results(qi), "shard {s} q{qi}");
             }
             let (mut ka, mut kb) = (KnnBatchResults::new(), KnnBatchResults::new());
-            exec.knn_batch(&points, 5, &mut ka);
-            twin.knn_batch(&points, 5, &mut kb);
+            exec.knn_batch(&probes, &mut ka);
+            twin.knn_batch(&probes, &mut kb);
             for qi in 0..points.len() {
                 assert_eq!(
                     ka.query_results(qi),

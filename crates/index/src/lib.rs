@@ -65,9 +65,9 @@
 //!    allocations** on the grid/R-Tree/FLAT range paths and the
 //!    grid/R-Tree kNN paths.
 //! 3. **The engine** ([`engine::QueryEngine`]). Owns the scratch, drives
-//!    [`SpatialIndex::range_batch`] / [`KnnIndex::knn_batch_into`] (which
-//!    indexes override with genuinely batched plans, e.g. the linear
-//!    scan's one-pass envelope plan), centralises
+//!    [`SpatialIndex::range_batch`] (which indexes override with genuinely
+//!    batched plans, e.g. the linear scan's one-pass envelope plan) and
+//!    one [`KnnIndex::knn_into`] per `(point, k)` probe, centralises
 //!    wall-clock/result/predicate-counter accounting into [`QueryStats`] —
 //!    including the kNN lower-bound vs exact-distance evaluation split —
 //!    and can fan a batch across threads via `simspatial_geom::parallel`

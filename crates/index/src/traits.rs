@@ -186,7 +186,9 @@ impl KnnSink for Vec<(ElementId, f32)> {
 /// queues, batched lower-bound distances) — no allocation per probe once
 /// the buffers have grown. Results are selected and emitted under the total
 /// order *ascending `(distance, id)`*, which makes ties deterministic and
-/// shard merges byte-identical to single-engine execution.
+/// shard merges byte-identical to single-engine execution. There is no
+/// batched kNN plan: [`crate::engine::QueryEngine`] drives a batch as one
+/// `knn_into` per probe over one shared scratch, each probe with its own `k`.
 pub trait KnnIndex {
     /// Emits into `sink` the `k` elements nearest to `p` by exact
     /// element-surface distance, nearest first (ties broken by ascending
@@ -201,24 +203,6 @@ pub trait KnnIndex {
         scratch: &mut QueryScratch,
         sink: &mut dyn KnnSink,
     );
-
-    /// Executes a whole batch of kNN probes, announcing each probe to the
-    /// sink via [`KnnSink::begin_query`] in ascending order. The default
-    /// loops [`KnnIndex::knn_into`] over one shared scratch, so heaps and
-    /// candidate buffers are reused across probes.
-    fn knn_batch_into(
-        &self,
-        data: &[Element],
-        points: &[Point3],
-        k: usize,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn KnnSink,
-    ) {
-        for (qi, p) in points.iter().enumerate() {
-            sink.begin_query(qi as u32);
-            self.knn_into(data, p, k, scratch, sink);
-        }
-    }
 
     /// Allocating convenience wrapper over [`KnnIndex::knn_into`], kept for
     /// compatibility and one-off probes. Uses the thread-local scratch pool,
@@ -280,17 +264,6 @@ impl<T: KnnIndex + ?Sized> KnnIndex for Box<T> {
         sink: &mut dyn KnnSink,
     ) {
         (**self).knn_into(data, p, k, scratch, sink);
-    }
-
-    fn knn_batch_into(
-        &self,
-        data: &[Element],
-        points: &[Point3],
-        k: usize,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn KnnSink,
-    ) {
-        (**self).knn_batch_into(data, points, k, scratch, sink);
     }
 }
 

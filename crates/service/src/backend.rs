@@ -19,9 +19,8 @@
 //!   (a shard's jobs land on its owner's queue) and steals the oldest job
 //!   from a sibling when its own queue drains, so an uneven shard split
 //!   does not leave workers idle. There is one scatter/gather/supervise/
-//!   merge loop, and every `query_run` — live or snapshot, a whole run or
-//!   one sub-batch — goes through it. Results stay byte-identical to a
-//!   serial [`ShardedEngine`] run:
+//!   merge loop, and every `query_run`, live or snapshot, goes through
+//!   it. Results stay byte-identical to a serial [`ShardedEngine`] run:
 //!   routing, execution plans and the deduplicating merges are the exact
 //!   same code — only *where* each shard's sub-batch runs changes.
 //!
@@ -163,17 +162,17 @@ impl Default for SupervisorPolicy {
 }
 
 /// One coalesced **query run** of a dispatch: the maximal run of query
-/// requests between two write barriers, flattened into the coalesced range
-/// batch plus one kNN batch per distinct `k`. Built by the scheduler,
-/// executed in one call through [`ServiceBackend::query_run`] — which is
-/// what lets a backend run the independent sub-batches concurrently.
+/// requests between two write barriers, flattened into at most two
+/// sub-batches — every range box, and every kNN probe with its own `k`.
+/// Built by the scheduler, executed in one call through
+/// [`ServiceBackend::query_run`], which is what lets a backend run the
+/// two sub-batches concurrently.
 #[derive(Debug, Default)]
 pub struct QueryRun {
     /// Every range/count box of the run, in admission order.
     pub range: Vec<Aabb>,
-    /// Per-`k` probe groups, ascending by `k`, probes in admission order
-    /// within each group.
-    pub knn: Vec<(usize, Vec<Point3>)>,
+    /// Every `(point, k)` kNN probe of the run, in admission order.
+    pub knn: Vec<(Point3, usize)>,
 }
 
 impl QueryRun {
@@ -189,58 +188,35 @@ impl QueryRun {
 pub struct QueryRunResults {
     /// Results of the range sub-batch (one id list per box).
     pub range: BatchResults,
-    /// One result set per kNN group, index-aligned with [`QueryRun::knn`]
-    /// (surplus buffers from wider earlier runs are left in place).
-    pub knn: Vec<KnnBatchResults>,
+    /// Results of the kNN sub-batch (one neighbour list per probe).
+    pub knn: KnnBatchResults,
 }
 
-impl QueryRunResults {
-    /// Grows the per-group kNN buffer list to at least `groups` entries.
-    pub fn ensure_knn(&mut self, groups: usize) {
-        while self.knn.len() < groups {
-            self.knn.push(KnnBatchResults::new());
-        }
-    }
-}
-
-/// What happened to one sub-batch of an executed [`QueryRun`].
-#[derive(Debug, Clone)]
-pub enum SubBatchOutcome {
-    /// The sub-batch executed and reported. (Its results may still be
-    /// arity-mismatched under fault injection — the scheduler validates
-    /// result counts before trusting them.)
-    Ran(BatchReport),
-    /// The backend call panicked; the panic was caught and later
-    /// sub-batches still ran (a read mutates no durable state, so there is
-    /// nothing to recover).
-    Panicked,
-}
-
-/// The per-sub-batch outcomes of one [`ServiceBackend::query_run`] call.
+/// The reports of one [`ServiceBackend::query_run`] call, one per
+/// sub-batch; `None` for a sub-batch the run did not carry or whose
+/// results were lost.
 #[derive(Debug, Clone, Default)]
 pub struct QueryRunReport {
-    /// Outcome of the range sub-batch; `None` when the run had no boxes.
-    pub range: Option<SubBatchOutcome>,
-    /// Outcome per kNN group, index-aligned with [`QueryRun::knn`].
-    pub knn: Vec<SubBatchOutcome>,
-    /// Panics caught inside the run (the scheduler folds these into its
-    /// `panics_caught` accounting).
-    pub panics: u64,
+    /// Report of the range sub-batch.
+    pub range: Option<BatchReport>,
+    /// Report of the kNN sub-batch.
+    pub knn: Option<BatchReport>,
 }
 
 /// A batch execution target for the service scheduler.
 ///
 /// Contract mirrors the engine layer: a [`QueryRun`]'s range sub-batch
-/// fills one id list per query (in plan emission order), each kNN
+/// fills one id list per query (in plan emission order), its kNN
 /// sub-batch one ascending `(distance, id)` list per probe. What a backend
 /// serves beyond reads it states in [`ServiceBackend::capabilities`].
 pub trait ServiceBackend: Send + 'static {
     /// What this backend can do beyond reads.
     fn capabilities(&self) -> Capabilities;
 
-    /// Executes one whole [`QueryRun`] — range + one kNN batch per `k`,
-    /// between two write barriers — resetting each sub-batch's buffer
-    /// first. [`BatchReport::partial`] flags queries answered with reduced
+    /// Executes one whole [`QueryRun`] — its range and its kNN sub-batch,
+    /// between two write barriers — resetting each non-empty sub-batch's
+    /// buffer first and reporting it in [`QueryRunReport`].
+    /// [`BatchReport::partial`] flags queries answered with reduced
     /// shard coverage, [`BatchReport::failed`] queries that must complete
     /// with a typed error. With `snapshot` set the run answers at the
     /// **last published epoch**. The scheduler runs a snapshot run only
@@ -249,8 +225,8 @@ pub trait ServiceBackend: Send + 'static {
     /// flag lets a wrapper tell the two apart:
     /// [`ChaosBackend`](crate::ChaosBackend) keeps snapshot runs out of its
     /// op-keyed fault schedule.
-    /// Results must be byte-identical to running the sub-batches one by one
-    /// in canonical order (range, then kNN groups ascending by `k`).
+    /// Each query's and each probe's answer must be independent of its
+    /// batch-mates: byte-identical to running it alone.
     fn query_run(
         &mut self,
         run: &QueryRun,
@@ -344,53 +320,6 @@ pub trait ServiceBackend: Send + 'static {
     fn shutdown(&mut self) {}
 }
 
-/// One sub-batch of a [`QueryRun`] and its result buffer, as
-/// [`run_sub_batches`] hands them out.
-pub(crate) enum SubBatch<'a> {
-    /// The run's range boxes.
-    Range(&'a [Aabb], &'a mut BatchResults),
-    /// One kNN group: its probes and `k`.
-    Knn(&'a [Point3], usize, &'a mut KnnBatchResults),
-}
-
-/// Runs a [`QueryRun`]'s sub-batches **sequentially** in the canonical
-/// order (range first, then kNN groups ascending by `k`), each through
-/// `exec` under `catch_unwind`: a panicking sub-batch reports `Panicked`
-/// and the rest of the run still executes. This is how
-/// [`ChaosBackend`](crate::ChaosBackend) splits a live run into one op per
-/// sub-batch, the order its fault schedule is keyed by.
-pub(crate) fn run_sub_batches<B>(
-    backend: &mut B,
-    run: &QueryRun,
-    out: &mut QueryRunResults,
-    mut exec: impl FnMut(&mut B, SubBatch<'_>) -> BatchReport,
-) -> QueryRunReport {
-    out.ensure_knn(run.knn.len());
-    let range = (!run.range.is_empty()).then_some(SubBatch::Range(&run.range, &mut out.range));
-    let knn = run
-        .knn
-        .iter()
-        .zip(&mut out.knn)
-        .map(|((k, p), o)| SubBatch::Knn(p, *k, o));
-    let mut report = QueryRunReport::default();
-    for sub in range.into_iter().chain(knn) {
-        let is_range = matches!(sub, SubBatch::Range(..));
-        let outcome = match catch_unwind(AssertUnwindSafe(|| exec(backend, sub))) {
-            Ok(r) => SubBatchOutcome::Ran(r),
-            Err(_) => {
-                report.panics += 1;
-                SubBatchOutcome::Panicked
-            }
-        };
-        if is_range {
-            report.range = Some(outcome);
-        } else {
-            report.knn.push(outcome);
-        }
-    }
-    report
-}
-
 /// The name the benchmark ladder still spells for a one-shard backend over
 /// a prebuilt index ([`ShardedBackend::new`]); new code names
 /// [`ShardedBackend`].
@@ -405,25 +334,22 @@ enum Job {
     Update(UpdateLane),
 }
 
-/// What a pool worker sends back per job: which shard it ran on, the tag
-/// the scatter phase attached (e.g. the kNN group index, so the gather can
-/// route the lane home), the lane (results filled on success, torn on
-/// panic — the gather never uses a panicked lane's contents) and whether
+/// What a pool worker sends back per job: which shard it ran on, the lane
+/// (results filled on success, torn on panic — the gather never uses a
+/// panicked lane's contents) and whether
 /// the job panicked. A worker always reports, even for a job it failed —
 /// that is the no-hang guarantee: the gather's `recv` is matched by
 /// exactly one `WorkerDone` per job scattered.
 struct WorkerDone {
     shard: usize,
-    tag: usize,
     job: Job,
     panicked: bool,
 }
 
 /// A job travelling through the worker pool: the shard whose executor must
-/// run it, the scatter phase's routing tag and the lane itself.
+/// run it and the lane itself.
 struct PoolJob {
     shard: usize,
-    tag: usize,
     job: Job,
 }
 
@@ -459,7 +385,7 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> RunnerCore for ShardExecutor<I
 /// torn executor — a job panicked inside it and only a supervisor rebuild
 /// from the planner's retained element store may bring the shard back.
 /// The slot mutex also serialises same-shard jobs when a scatter put more
-/// than one in flight (independent sub-batches of one query run).
+/// than one in flight (the range and the kNN lane of one query run).
 type RunnerSlots = Arc<Vec<Mutex<Option<ShardRunner>>>>;
 
 fn lock_slot(slot: &Mutex<Option<ShardRunner>>) -> std::sync::MutexGuard<'_, Option<ShardRunner>> {
@@ -578,8 +504,8 @@ impl WorkerPool {
 
     /// Enqueues one job onto its shard's owner queue and wakes a worker —
     /// or, in a one-worker pool, runs it right here as worker 0.
-    fn submit(&mut self, shard: usize, tag: usize, job: Job) {
-        let job = PoolJob { shard, tag, job };
+    fn submit(&mut self, shard: usize, job: Job) {
+        let job = PoolJob { shard, job };
         match &mut self.workers {
             Workers::Inline { slots, done } => done.push_back(run_job(&self.shared, slots, 0, job)),
             Workers::Threads { .. } => {
@@ -673,11 +599,7 @@ fn pool_worker_loop(
 /// torn mid-update, so the only safe continuation is a supervisor rebuild)
 /// and still produces a `WorkerDone { panicked: true }` report.
 fn run_job(shared: &PoolShared, slots: &RunnerSlots, worker: usize, job: PoolJob) -> WorkerDone {
-    let PoolJob {
-        shard,
-        tag,
-        mut job,
-    } = job;
+    let PoolJob { shard, mut job } = job;
     let started = Instant::now();
     let mut slot = lock_slot(&slots[shard]);
     let seq = shared.seqs[shard].fetch_add(1, Ordering::Relaxed);
@@ -708,7 +630,6 @@ fn run_job(shared: &PoolShared, slots: &RunnerSlots, worker: usize, job: PoolJob
     shared.busy_ns[worker].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     WorkerDone {
         shard,
-        tag,
         job,
         panicked,
     }
@@ -759,10 +680,8 @@ pub struct ShardedBackend {
     /// without a rebuild function — then any panic kills its shard.
     factory: Option<RespawnFn>,
     range_lanes: Vec<RangeLane>,
-    /// Per-kNN-group lane scratch of the read path's combined scatter
-    /// (indexed `[group][shard]`).
-    knn_home_groups: Vec<Vec<KnnLane>>,
-    knn_fan_groups: Vec<Vec<KnnLane>>,
+    knn_home: Vec<KnnLane>,
+    knn_fan: Vec<KnnLane>,
     update_lanes: Vec<UpdateLane>,
 }
 
@@ -840,8 +759,8 @@ impl ShardedBackend {
             telemetry: BackendTelemetry::default(),
             factory,
             range_lanes: Vec::new(),
-            knn_home_groups: Vec::new(),
-            knn_fan_groups: Vec::new(),
+            knn_home: Vec::new(),
+            knn_fan: Vec::new(),
             update_lanes: Vec::new(),
         }
     }
@@ -931,31 +850,22 @@ impl ShardedBackend {
     }
 
     /// Gathers the `in_flight` completions of a read wave from the pool,
-    /// routing each lane back to its scratch slot: range lanes to
-    /// `range_lanes`, kNN lanes to the per-group scratch (`tag` = group;
-    /// `fan_phase` picks home vs fanout). Returns the panicked shards,
-    /// sorted and deduplicated.
+    /// routing each lane back to its shard's scratch slot: range lanes to
+    /// `range_lanes`, kNN lanes to `knn_home` or (`fan_phase`) `knn_fan`.
+    /// Returns the panicked shards, sorted and deduplicated.
     fn gather(&mut self, in_flight: usize, fan_phase: bool) -> Vec<usize> {
         let mut panicked = Vec::new();
         for _ in 0..in_flight {
-            let done = self.pool.recv_done();
             let WorkerDone {
                 shard,
-                tag,
                 job,
                 panicked: p,
-            } = done;
+            } = self.pool.recv_done();
             match job {
                 Job::Range(lane) => self.range_lanes[shard] = lane,
                 Job::Update(..) => unreachable!("the write path gathers its own lanes"),
-                Job::Knn(lane) => {
-                    let groups = if fan_phase {
-                        &mut self.knn_fan_groups
-                    } else {
-                        &mut self.knn_home_groups
-                    };
-                    groups[tag][shard] = lane;
-                }
+                Job::Knn(lane) if fan_phase => self.knn_fan[shard] = lane,
+                Job::Knn(lane) => self.knn_home[shard] = lane,
             }
             if p {
                 panicked.push(shard);
@@ -1002,7 +912,7 @@ impl ShardedBackend {
             if lane.is_empty() {
                 continue;
             }
-            self.pool.submit(i, 0, Job::Update(std::mem::take(lane)));
+            self.pool.submit(i, Job::Update(std::mem::take(lane)));
             in_flight += 1;
         }
         let mut panicked = Vec::new();
@@ -1029,35 +939,33 @@ impl ShardedBackend {
     }
 
     /// Scatters one wave of the routed run onto the pool — wave 1
-    /// (`fan_phase == false`): every non-empty range lane, then each of
-    /// the `groups` kNN groups' home lanes; wave 2: each group's fan-out
-    /// lanes — and waits for all of it to come back (empty lanes skip the
-    /// round trip). One shard's jobs serialise on its executor slot;
+    /// (`fan_phase == false`): every non-empty range lane, then the kNN
+    /// home lanes; wave 2: the kNN fan-out lanes — and waits for all of it
+    /// to come back (empty lanes skip the round trip). One shard's jobs
+    /// serialise on its executor slot;
     /// independent shards (and stolen jobs) overlap. Returns `true` when a
     /// job panicked: the shard was quarantined and restarted (or declared
     /// dead), its lanes carry torn results, and the run must be re-routed
     /// against the post-supervision shard set.
-    fn scatter_wave(&mut self, fan_phase: bool, groups: usize) -> bool {
+    fn scatter_wave(&mut self, fan_phase: bool) -> bool {
         let mut in_flight = 0usize;
         if !fan_phase {
             for (i, lane) in self.range_lanes.iter_mut().enumerate() {
                 if !lane.is_empty() {
-                    self.pool.submit(i, 0, Job::Range(std::mem::take(lane)));
+                    self.pool.submit(i, Job::Range(std::mem::take(lane)));
                     in_flight += 1;
                 }
             }
         }
         let knn = if fan_phase {
-            &mut self.knn_fan_groups
+            &mut self.knn_fan
         } else {
-            &mut self.knn_home_groups
+            &mut self.knn_home
         };
-        for (g, lanes) in knn[..groups].iter_mut().enumerate() {
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                if !lane.is_empty() {
-                    self.pool.submit(i, g, Job::Knn(std::mem::take(lane)));
-                    in_flight += 1;
-                }
+        for (i, lane) in knn.iter_mut().enumerate() {
+            if !lane.is_empty() {
+                self.pool.submit(i, Job::Knn(std::mem::take(lane)));
+                in_flight += 1;
             }
         }
         let panicked = self.gather(in_flight, fan_phase);
@@ -1085,16 +993,15 @@ impl ServiceBackend for ShardedBackend {
         }
     }
 
-    /// The one read path. The whole run — range batch plus every per-`k`
-    /// kNN batch — scatters onto the worker pool as **one wave** of shard
-    /// jobs, so independent sub-batches overlap across cores instead of
-    /// executing back-to-back. kNN fan-out (which needs each group's home
-    /// results as seeds) forms a second wave. The per-sub-batch merges run
-    /// on the backend thread afterwards and are the same deterministic code
-    /// a serial [`ShardedEngine`] runs, so results are byte-identical to
-    /// executing the sub-batches one by one. A snapshot run executes like a
-    /// live one: the scheduler runs it only while live state is the last
-    /// published epoch.
+    /// The one read path. The whole run — range batch plus kNN batch —
+    /// scatters onto the worker pool as **one wave** of shard jobs, so the
+    /// two sub-batches overlap across cores instead of executing
+    /// back-to-back. kNN fan-out (which needs the home results as seeds)
+    /// forms a second wave. The merges run on the backend thread
+    /// afterwards and are the same deterministic code a serial
+    /// [`ShardedEngine`] runs, so results are byte-identical to it. A
+    /// snapshot run executes like a live one: the scheduler runs it only
+    /// while live state is the last published epoch.
     fn query_run(
         &mut self,
         run: &QueryRun,
@@ -1103,21 +1010,16 @@ impl ServiceBackend for ShardedBackend {
     ) -> QueryRunReport {
         let start = Instant::now();
         let (range, knn) = (&run.range, &run.knn);
-        out.ensure_knn(knn.len());
-        while self.knn_home_groups.len() < knn.len() {
-            self.knn_home_groups.push(Vec::new());
-            self.knn_fan_groups.push(Vec::new());
-        }
         // Reads are idempotent, so supervision is a retry loop over the
         // whole run: any panic is supervised inside `scatter_wave` and the
         // run re-routes from scratch.
         let mut partial = vec![0u32; range.len()];
-        let mut failed: Vec<Vec<(u32, usize)>> = vec![Vec::new(); knn.len()];
+        let mut failed = Vec::new();
         loop {
-            // ---- Wave 1: the coalesced range batch plus each kNN group's
-            // home lanes, minus lanes aimed at blocked shards — partial
-            // coverage for range; typed failure for kNN, where partial
-            // neighbours would be silently wrong.
+            // ---- Wave 1: the range lanes plus the kNN home lanes, minus
+            // lanes aimed at blocked shards — partial coverage for range;
+            // typed failure for kNN, where partial neighbours would be
+            // silently wrong.
             let blocked = self.dead.clone();
             self.planner.route_range(range, &mut self.range_lanes);
             partial.iter_mut().for_each(|n| *n = 0);
@@ -1129,37 +1031,31 @@ impl ServiceBackend for ShardedBackend {
                     lane.clear();
                 }
             }
-            for (g, (k, points)) in knn.iter().enumerate() {
-                failed[g].clear();
-                let home = &mut self.knn_home_groups[g];
-                self.planner.route_knn_home(points, *k, home);
-                fail_blocked(&blocked, home, &mut failed[g]);
-            }
-            if self.scatter_wave(false, knn.len()) {
+            failed.clear();
+            self.planner.route_knn_home(knn, &mut self.knn_home);
+            fail_blocked(&blocked, &mut self.knn_home, &mut failed);
+            if self.scatter_wave(false) {
                 continue;
             }
-            // ---- Wave 2: each group's fan-out lanes, seeded by its home
+            // ---- Wave 2: the kNN fan-out lanes, seeded by the home
             // results (a clean wave 1 supervised nothing, so `blocked`
             // still holds).
-            for (g, (k, points)) in knn.iter().enumerate() {
-                let fan = &mut self.knn_fan_groups[g];
-                self.planner
-                    .route_knn_fanout(points, *k, &self.knn_home_groups[g], fan);
-                fail_blocked(&blocked, fan, &mut failed[g]);
-            }
-            if self.scatter_wave(true, knn.len()) {
+            self.planner
+                .route_knn_fanout(knn, &self.knn_home, &mut self.knn_fan);
+            fail_blocked(&blocked, &mut self.knn_fan, &mut failed);
+            if self.scatter_wave(true) {
                 continue;
             }
             break;
         }
-        // ---- Deterministic merges, sub-batch by sub-batch.
+        // ---- Deterministic merges, one per non-empty sub-batch.
         let mut report = QueryRunReport::default();
         if !range.is_empty() {
             out.range.reset();
             let stats =
                 self.planner
                     .merge_range(range.len(), &mut self.range_lanes, &mut out.range);
-            report.range = Some(SubBatchOutcome::Ran(BatchReport {
+            report.range = Some(BatchReport {
                 stats,
                 failed: Vec::new(),
                 partial: partial
@@ -1168,32 +1064,26 @@ impl ServiceBackend for ShardedBackend {
                     .filter(|(_, &n)| n > 0)
                     .map(|(q, &n)| (q as u32, n))
                     .collect(),
-            }));
+            });
         }
-        for (g, (k, points)) in knn.iter().enumerate() {
-            out.knn[g].reset();
-            let stats = self.planner.merge_knn(
-                points.len(),
-                *k,
-                &mut self.knn_home_groups[g],
-                &mut self.knn_fan_groups[g],
-                &mut out.knn[g],
-            );
-            let mut f = std::mem::take(&mut failed[g]);
-            f.sort_unstable();
-            f.dedup_by_key(|&mut (q, _)| q);
-            report.knn.push(SubBatchOutcome::Ran(BatchReport {
+        if !knn.is_empty() {
+            out.knn.reset();
+            let stats =
+                self.planner
+                    .merge_knn(knn, &mut self.knn_home, &mut self.knn_fan, &mut out.knn);
+            failed.sort_unstable();
+            failed.dedup_by_key(|&mut (q, _)| q);
+            report.knn = Some(BatchReport {
                 stats,
-                failed: f,
+                failed,
                 partial: Vec::new(),
-            }));
+            });
         }
         // The run executed as one combined scatter, so per-sub-batch wall
         // time is not attributable: the whole run's elapsed lands on the
-        // first sub-batch and the rest keep the merges' zero, keeping the
-        // *summed* execution time honest.
-        let first = report.range.iter_mut().chain(report.knn.iter_mut()).next();
-        if let Some(SubBatchOutcome::Ran(r)) = first {
+        // first sub-batch and the other keeps the merge's zero, keeping
+        // the *summed* execution time honest.
+        if let Some(r) = report.range.as_mut().or(report.knn.as_mut()) {
             r.stats.elapsed_s = start.elapsed().as_secs_f64();
         }
         report
@@ -1258,10 +1148,9 @@ impl ServiceBackend for ShardedBackend {
                 .map(RangeLane::memory_bytes)
                 .sum::<usize>()
             + self
-                .knn_home_groups
+                .knn_home
                 .iter()
-                .chain(self.knn_fan_groups.iter())
-                .flatten()
+                .chain(self.knn_fan.iter())
                 .map(KnnLane::memory_bytes)
                 .sum::<usize>()
             + self

@@ -11,10 +11,13 @@
 //!
 //! * **Dispatcher-level faults** (`shard: None`) fire inside the chaos
 //!   wrapper on the scheduler thread, *before* the inner backend is
-//!   touched — a panicking/unresponsive backend call. Because the inner
-//!   backend is never reached, an injected failure is a clean no-op on the
-//!   dataset, which is what lets differential chaos tests compare the
-//!   surviving responses byte-for-byte against a serial oracle.
+//!   touched — a panicking/unresponsive backend call. Each live
+//!   `query_run` and each `update_batch` is one op, and a fault applies to
+//!   the whole call: every request the call carries fails together, and
+//!   none of another call's. Because the inner backend is never reached,
+//!   an injected failure is a clean no-op on the dataset, which is what
+//!   lets differential chaos tests compare the surviving responses
+//!   byte-for-byte against a serial oracle.
 //! * **Worker-level faults** (`shard: Some(s)`) are installed into a
 //!   [`ShardedBackend`](crate::ShardedBackend)'s shard jobs via
 //!   [`ServiceBackend::install_worker_faults`] and fire on whichever thread
@@ -25,8 +28,8 @@
 //!   is a dispatcher-level fault: a response that never arrives).
 
 use crate::backend::{
-    run_sub_batches, BackendTelemetry, BatchReport, Capabilities, QueryRun, QueryRunReport,
-    QueryRunResults, ServiceBackend, SubBatch, SubBatchOutcome, UpdateReport,
+    BackendTelemetry, Capabilities, QueryRun, QueryRunReport, QueryRunResults, ServiceBackend,
+    UpdateReport,
 };
 use simspatial_geom::{ElementId, Shape};
 use simspatial_index::UpdateStats;
@@ -42,10 +45,10 @@ pub enum FaultKind {
     /// backend call or straggler shard. Exercises deadlines: the work
     /// completes, but possibly after the requests' deadlines expired.
     Delay(Duration),
-    /// The operation's response is lost: queries return empty result
-    /// buffers (the scheduler detects the arity mismatch and fails the
-    /// affected requests), writes are not applied and report failure.
-    /// Dispatcher-level only.
+    /// The operation's response is lost: a query run returns empty result
+    /// buffers and no reports (the scheduler detects the arity mismatch and
+    /// fails every request of the run), a write is not applied and reports
+    /// failure. Dispatcher-level only.
     DropResponse,
 }
 
@@ -63,7 +66,9 @@ pub struct ScheduledFault {
     pub kind: FaultKind,
 }
 
-/// A deterministic, seeded schedule of injected faults.
+/// A deterministic, seeded schedule of injected faults. A dispatcher-level
+/// fault's `op` counts the backend calls that consume one: live query runs
+/// and geometry write batches (see [`ChaosBackend`]).
 ///
 /// Build one explicitly with the `*_at`/`*_on_shard` methods, generate one
 /// pseudo-randomly with [`FaultPlan::random`], or pick the seed up from the
@@ -225,10 +230,10 @@ impl FaultPlan {
 pub struct ChaosBackend<B> {
     inner: B,
     plan: FaultPlan,
-    /// Backend-call index: every sub-batch of a live query run and every
-    /// `update_batch` consumes one, panicking calls included — the op
-    /// sequence only depends on the request sequence, never on fault
-    /// outcomes.
+    /// Backend-call index: every live `query_run` and every
+    /// `update_batch` consumes one, whatever it carries and panicking
+    /// calls included — the op sequence only depends on the call sequence,
+    /// never on fault outcomes.
     op: u64,
     /// Whether the latest backend call was an injected panic, so
     /// [`ChaosBackend::recover`] knows the inner backend was never reached.
@@ -273,42 +278,6 @@ impl<B: ServiceBackend> ChaosBackend<B> {
         }
         fault
     }
-
-    /// One sub-batch of a live run, handed to the inner backend as a run of
-    /// its own after consuming one op — so the schedule stays keyed by
-    /// sub-batch, whatever the inner backend does with a whole run.
-    fn sub_batch(&mut self, sub: SubBatch<'_>) -> BatchReport {
-        let fault = self.next_op();
-        if let Some(FaultKind::Delay(d)) = fault {
-            std::thread::sleep(d);
-        }
-        let mut one = QueryRun::default();
-        match &sub {
-            SubBatch::Range(queries, _) => one.range = queries.to_vec(),
-            SubBatch::Knn(points, k, _) => one.knn.push((*k, points.to_vec())),
-        }
-        let mut one_out = QueryRunResults::default();
-        // A dropped response never arrives: the inner backend is not
-        // consulted (queries are side-effect free either way), the out
-        // buffer comes back empty and the scheduler detects the arity
-        // mismatch.
-        let report = if fault == Some(FaultKind::DropResponse) {
-            BatchReport::default()
-        } else {
-            let mut r = self.inner.query_run(&one, false, &mut one_out);
-            match r.range.or_else(|| r.knn.pop()) {
-                Some(SubBatchOutcome::Ran(report)) => report,
-                // The inner backend caught a panic of its own: re-raise it
-                // so this run accounts it too.
-                _ => panic!("chaos: inner sub-batch did not run"),
-            }
-        };
-        match sub {
-            SubBatch::Range(_, out) => *out = one_out.range,
-            SubBatch::Knn(.., out) => *out = one_out.knn.pop().unwrap_or_default(),
-        }
-        report
-    }
 }
 
 impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
@@ -316,10 +285,14 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
         self.inner.capabilities()
     }
 
-    /// A live run splits into one-sub-batch runs on the inner backend, one
-    /// op each, in canonical order (range, then kNN groups by `k`). A
-    /// snapshot run forwards whole and consumes no op — like membership,
-    /// epoch machinery joining a plan must not shift an op-keyed schedule.
+    /// A live run is one op, whatever sub-batches it carries: an injected
+    /// panic unwinds out of this call before the inner backend is reached,
+    /// a delay sleeps once, and a dropped response never reaches the
+    /// inner backend (queries are side-effect free either way) — the out
+    /// buffers come back empty with no reports, so every non-empty
+    /// sub-batch has an arity mismatch. A snapshot run forwards and
+    /// consumes no op — like membership, epoch machinery joining a plan
+    /// must not shift an op-keyed schedule.
     fn query_run(
         &mut self,
         run: &QueryRun,
@@ -329,7 +302,18 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
         if snapshot {
             return self.inner.query_run(run, true, out);
         }
-        run_sub_batches(self, run, out, Self::sub_batch)
+        match self.next_op() {
+            Some(FaultKind::DropResponse) => {
+                out.range.reset();
+                out.knn.reset();
+                QueryRunReport::default()
+            }
+            Some(FaultKind::Delay(d)) => {
+                std::thread::sleep(d);
+                self.inner.query_run(run, false, out)
+            }
+            _ => self.inner.query_run(run, false, out),
+        }
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
@@ -460,11 +444,11 @@ mod tests {
 
         fn query_run(
             &mut self,
-            run: &QueryRun,
+            _run: &QueryRun,
             _snapshot: bool,
-            out: &mut QueryRunResults,
+            _out: &mut QueryRunResults,
         ) -> QueryRunReport {
-            run_sub_batches(self, run, out, |_, _| BatchReport::default())
+            QueryRunReport::default()
         }
 
         fn update_batch(&mut self, _updates: &[(ElementId, Shape)]) -> UpdateReport {
@@ -488,8 +472,10 @@ mod tests {
             range: vec![simspatial_geom::Aabb::empty()],
             knn: Vec::new(),
         };
-        let report = chaos.query_run(&run, false, &mut QueryRunResults::default());
-        assert_eq!(report.panics, 1, "op 0 is the injected read panic");
+        let read = catch_unwind(AssertUnwindSafe(|| {
+            chaos.query_run(&run, false, &mut QueryRunResults::default())
+        }));
+        assert!(read.is_err(), "op 0 is the injected read panic");
         let write = catch_unwind(AssertUnwindSafe(|| chaos.update_batch(&[])));
         assert!(
             write.is_err(),

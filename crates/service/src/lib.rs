@@ -24,10 +24,10 @@
 //! * **Micro-batching scheduler** ([`SpatialService`]) — one dispatcher
 //!   thread drains the queue and *coalesces* concurrent requests (up to
 //!   `max_batch`, waiting at most `max_wait` for stragglers) into the wide
-//!   SoA batches the kernels are fastest at: one range sub-batch for every
-//!   range box in the dispatch, one kNN sub-batch per distinct `k`. Results
-//!   split back per request in the exact order a serial engine run would
-//!   produce.
+//!   SoA batches the kernels are fastest at: each run of reads between two
+//!   writes is one range sub-batch of all its boxes and one kNN sub-batch
+//!   of all its probes, each probe keeping its own `k`. Results split back
+//!   per request in the exact order a serial engine run would produce.
 //! * **The write path** — the paper's workload is an *alternating* stream
 //!   of position updates and queries, so the service is read–write:
 //!   [`Request::Update`] carries sparse `(id, envelope)` changes,
@@ -160,8 +160,7 @@ mod stats;
 
 pub use backend::{
     BackendTelemetry, BatchReport, Capabilities, EngineBackend, QueryRun, QueryRunReport,
-    QueryRunResults, ServiceBackend, ShardedBackend, SubBatchOutcome, SupervisorPolicy,
-    UpdateReport,
+    QueryRunResults, ServiceBackend, ShardedBackend, SupervisorPolicy, UpdateReport,
 };
 pub use fault::{ChaosBackend, FaultKind, FaultPlan, ScheduledFault};
 pub use request::{Consistency, RecvError, Reply, Request, Response, SubmitError, Ticket};

@@ -13,8 +13,8 @@
 //!
 //! Coalescing is what converts independent client traffic into the wide
 //! SoA batches the kernel layer is fastest at: all range boxes of one
-//! dispatch run as **one** range sub-batch, and kNN probes group by `k`
-//! into one sub-batch per distinct `k`. Per-request result order is identical
+//! dispatch run as **one** range sub-batch, and all kNN probes, each with
+//! its own `k`, as one kNN sub-batch. Per-request result order is identical
 //! to a serial engine run, because the coalesced batch preserves each
 //! request's query order and the batch plans are deterministic.
 //!
@@ -26,12 +26,12 @@
 //! dispatcher sees its ticket error with `RecvError::ShutDown`.)
 
 use crate::backend::{
-    Capabilities, QueryRun, QueryRunResults, ServiceBackend, SubBatchOutcome, UpdateReport,
+    BatchReport, Capabilities, QueryRun, QueryRunResults, ServiceBackend, UpdateReport,
 };
 use crate::request::{Completion, Consistency, RecvError, Request, Response, SubmitError, Ticket};
 use crate::stats::{ServiceStats, BATCH_BUCKETS};
 use simspatial_geom::stats::PredicateCounts;
-use simspatial_geom::{ElementId, Point3, Shape};
+use simspatial_geom::{ElementId, Shape};
 use simspatial_index::UpdateStats;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -401,20 +401,15 @@ struct Scheduler<B: ServiceBackend> {
     pending: Vec<Envelope>,
     responses: Vec<Option<Response>>,
     /// The coalesced query run under construction/execution: every range
-    /// box and every per-`k` kNN probe group of the dispatch, handed to the
-    /// backend in ONE `query_run` call so a parallel backend can overlap
-    /// the independent sub-batches.
+    /// box and every kNN probe of the run, handed to the backend in ONE
+    /// `query_run` call so a parallel backend can overlap the two
+    /// sub-batches.
     run: QueryRun,
     run_out: QueryRunResults,
     /// `(pending idx, first box, box count)` per range-family request.
     range_req: Vec<(usize, usize, usize)>,
-    /// `(k, pending idx, probe idx within request, point)` per kNN probe.
-    knn_flat: Vec<(usize, usize, usize, Point3)>,
-    /// `(flat start, flat end)` per kNN group of the current run, parallel
-    /// to `run.knn`.
-    knn_groups: Vec<(usize, usize)>,
-    /// Retired probe buffers recycled into the next run's groups.
-    knn_spare: Vec<Vec<Point3>>,
+    /// `(pending idx, first probe, probe count)` per kNN request.
+    knn_req: Vec<(usize, usize, usize)>,
     /// Flattened `(id, geometry)` write batch of the current update run.
     updates: Vec<(ElementId, Shape)>,
     /// Per-pending-request failure slot for the current dispatch: a
@@ -489,6 +484,50 @@ impl Drop for DeadGuard {
     }
 }
 
+/// Folds one sub-batch of a query run into the requests it coalesced
+/// (`reqs`: `(pending idx, first query, query count)`). A report accounts
+/// the sub-batch and fails or flags the owners of its failed and partial
+/// queries — a kNN probe over a dead shard fails its whole request, since
+/// partial neighbour lists would be silently wrong. No report fails every
+/// request, unless the sub-batch had no queries and so nothing to lose.
+fn settle(
+    reqs: &[(usize, usize, usize)],
+    report: Option<&BatchReport>,
+    totals: &mut DispatchTotals,
+    failures: &mut [Option<RecvError>],
+    skipped: &mut [u32],
+) {
+    let Some(r) = report else {
+        if reqs.iter().any(|&(.., len)| len > 0) {
+            for &(i, ..) in reqs {
+                failures[i] = Some(RecvError::WorkerFailed { shard: 0 });
+            }
+        }
+        return;
+    };
+    totals.exec_elapsed_s += r.stats.elapsed_s;
+    totals.results += r.stats.results;
+    totals.counts.add(&r.stats.counts);
+    // The request owning coalesced query `q`.
+    let owner = |q: u32| {
+        let q = q as usize;
+        let mut owners = reqs.iter();
+        owners
+            .find(|&&(_, s, l)| (s..s + l).contains(&q))
+            .map(|&(i, ..)| i)
+    };
+    for &(q, shard) in &r.failed {
+        if let Some(i) = owner(q) {
+            failures[i] = Some(RecvError::WorkerFailed { shard });
+        }
+    }
+    for &(q, n_skipped) in &r.partial {
+        if let Some(i) = owner(q) {
+            skipped[i] += n_skipped;
+        }
+    }
+}
+
 impl<B: ServiceBackend> Scheduler<B> {
     fn new(backend: B, shared: Arc<Shared>, cfg: ServiceConfig) -> Self {
         Self {
@@ -500,9 +539,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             run: QueryRun::default(),
             run_out: QueryRunResults::default(),
             range_req: Vec::new(),
-            knn_flat: Vec::new(),
-            knn_groups: Vec::new(),
-            knn_spare: Vec::new(),
+            knn_req: Vec::new(),
             updates: Vec::new(),
             failures: Vec::new(),
             skipped: Vec::new(),
@@ -813,171 +850,88 @@ impl<B: ServiceBackend> Scheduler<B> {
     }
 
     /// Executes one query run (`pending[idxs]`, all non-write): all range
-    /// boxes of the run coalesce into one range sub-batch, kNN probes group
-    /// by `k` into one sub-batch per distinct `k`, and the whole run goes
-    /// to the backend in ONE [`ServiceBackend::query_run`] call — so a
-    /// parallel backend can overlap the independent sub-batches — before
+    /// boxes of the run coalesce into one range sub-batch and all kNN
+    /// probes, each keeping its own `k`, into one kNN sub-batch; the whole
+    /// run goes to the backend in ONE [`ServiceBackend::query_run`] call —
+    /// so a parallel backend can overlap the two sub-batches — before
     /// results split back per request. With `snap` set the run executes
     /// against the last published epoch instead of the live dataset.
     fn run_query_batch(&mut self, idxs: &[usize], totals: &mut DispatchTotals, snap: bool) {
-        // ---- Build the run: range family.
-        self.run.range.clear();
+        // ---- Build the run, in admission order.
+        let run = &mut self.run;
+        run.range.clear();
+        run.knn.clear();
         self.range_req.clear();
+        self.knn_req.clear();
         for &i in idxs {
             if self.failures[i].is_some() {
                 continue; // shed at admission — the backend never sees it
             }
-            if let Request::Range(qs) | Request::RangeCount(qs) = &self.pending[i].request {
-                self.range_req.push((i, self.run.range.len(), qs.len()));
-                self.run.range.extend_from_slice(qs);
+            match &self.pending[i].request {
+                Request::Range(qs) | Request::RangeCount(qs) => {
+                    self.range_req.push((i, run.range.len(), qs.len()));
+                    run.range.extend_from_slice(qs);
+                }
+                Request::Knn(probes) => {
+                    self.knn_req.push((i, run.knn.len(), probes.len()));
+                    run.knn.extend_from_slice(probes);
+                }
+                _ => unreachable!("query runs hold no writes"),
             }
         }
 
-        // ---- Build the run: kNN family.
-        self.knn_flat.clear();
-        for &i in idxs {
+        // ---- Execute the whole run through one backend call. A panic that
+        // unwinds out of it fails the entire run; so does a sub-batch the
+        // backend did not report or whose result count is not its query
+        // count (a lost response). A read mutates no durable state, so the
+        // backend keeps serving either way.
+        let report = if run.is_empty() {
+            Default::default()
+        } else {
+            let call = catch_unwind(AssertUnwindSafe(|| {
+                self.backend.query_run(&self.run, snap, &mut self.run_out)
+            }));
+            match call {
+                Ok(report) => report,
+                Err(_) => {
+                    totals.sched_panics += 1;
+                    self.fail_rest(idxs, 0);
+                    return;
+                }
+            }
+        };
+        let (run, out) = (&self.run, &self.run_out);
+        let range = report.range.filter(|_| out.range.len() == run.range.len());
+        let knn = report.knn.filter(|_| out.knn.len() == run.knn.len());
+        for (reqs, report) in [(&self.range_req, range), (&self.knn_req, knn)] {
+            settle(
+                reqs,
+                report.as_ref(),
+                totals,
+                &mut self.failures,
+                &mut self.skipped,
+            );
+        }
+
+        // ---- Split the results back per request.
+        for &(i, start, len) in self.range_req.iter().chain(&self.knn_req) {
             if self.failures[i].is_some() {
                 continue;
             }
-            if let Request::Knn(probes) = &self.pending[i].request {
-                self.responses[i] = Some(Response::Knn(vec![Vec::new(); probes.len()]));
-                for (j, &(p, k)) in probes.iter().enumerate() {
-                    self.knn_flat.push((k, i, j, p));
+            let span = start..start + len;
+            self.responses[i] = Some(match &self.pending[i].request {
+                Request::Range(_) => {
+                    Response::Range(span.map(|q| out.range.query_results(q).to_vec()).collect())
                 }
-            }
-        }
-        // Stable order inside each k-group (request order, then probe
-        // order) keeps the coalesced batch deterministic.
-        self.knn_flat.sort_by_key(|&(k, i, j, _)| (k, i, j));
-        self.knn_groups.clear();
-        self.knn_spare
-            .extend(self.run.knn.drain(..).map(|(_, points)| points));
-        let mut g = 0usize;
-        while g < self.knn_flat.len() {
-            let k = self.knn_flat[g].0;
-            let mut end = g;
-            while end < self.knn_flat.len() && self.knn_flat[end].0 == k {
-                end += 1;
-            }
-            let mut points = self.knn_spare.pop().unwrap_or_default();
-            points.clear();
-            points.extend(self.knn_flat[g..end].iter().map(|&(.., p)| p));
-            self.knn_groups.push((g, end));
-            self.run.knn.push((k, points));
-            g = end;
-        }
-        if self.run.is_empty() {
-            return;
-        }
-
-        // ---- Execute the whole run through one backend call. Sub-batch
-        // panics are caught *inside* `query_run`; a panic that escapes it
-        // (routing/merge code) fails the entire run. A read mutates no
-        // durable state, so the backend keeps serving either way.
-        let call = catch_unwind(AssertUnwindSafe(|| {
-            self.backend.query_run(&self.run, snap, &mut self.run_out)
-        }));
-        let report = match call {
-            Ok(report) => report,
-            Err(_) => {
-                totals.sched_panics += 1;
-                self.fail_rest(idxs, 0);
-                return;
-            }
-        };
-        totals.sched_panics += report.panics;
-
-        // ---- Range outcome.
-        let mut range_ok = false;
-        match &report.range {
-            None => {}
-            // Arity mismatch = the backend lost the batch (e.g. an
-            // injected dropped response): no per-query results exist.
-            Some(SubBatchOutcome::Ran(r)) if self.run_out.range.len() == self.run.range.len() => {
-                totals.exec_elapsed_s += r.stats.elapsed_s;
-                totals.results += r.stats.results;
-                totals.counts.add(&r.stats.counts);
-                // The request owning coalesced box `q`.
-                let owner = |q: u32| {
-                    let q = q as usize;
-                    let mut reqs = self.range_req.iter();
-                    reqs.find(|&&(_, s, l)| (s..s + l).contains(&q))
-                        .map(|&(i, ..)| i)
-                };
-                for &(q, shard) in &r.failed {
-                    if let Some(i) = owner(q) {
-                        self.failures[i] = Some(RecvError::WorkerFailed { shard });
-                    }
+                Request::RangeCount(_) => Response::RangeCount(
+                    span.map(|q| out.range.query_results(q).len() as u64)
+                        .collect(),
+                ),
+                Request::Knn(_) => {
+                    Response::Knn(span.map(|q| out.knn.query_results(q).to_vec()).collect())
                 }
-                for &(q, n_skipped) in &r.partial {
-                    if let Some(i) = owner(q) {
-                        self.skipped[i] += n_skipped;
-                    }
-                }
-                range_ok = true;
-            }
-            Some(_) => {
-                for &(i, ..) in &self.range_req {
-                    self.failures[i] = Some(RecvError::WorkerFailed { shard: 0 });
-                }
-            }
-        }
-        if range_ok {
-            for &(i, start, len) in &self.range_req {
-                if self.failures[i].is_some() {
-                    continue;
-                }
-                let resp = match &self.pending[i].request {
-                    Request::Range(_) => Response::Range(
-                        (start..start + len)
-                            .map(|q| self.run_out.range.query_results(q).to_vec())
-                            .collect(),
-                    ),
-                    Request::RangeCount(_) => Response::RangeCount(
-                        (start..start + len)
-                            .map(|q| self.run_out.range.query_results(q).len() as u64)
-                            .collect(),
-                    ),
-                    _ => unreachable!("range_req only holds range requests"),
-                };
-                self.responses[i] = Some(resp);
-            }
-        }
-
-        // ---- kNN outcomes, group by group.
-        for (gi, &(start, end)) in self.knn_groups.iter().enumerate() {
-            let outcome = report.knn.get(gi);
-            let ran = match outcome {
-                Some(SubBatchOutcome::Ran(r)) if self.run_out.knn[gi].len() == end - start => {
-                    Some(r)
-                }
-                _ => None,
-            };
-            let Some(r) = ran else {
-                for &(_, i, _, _) in &self.knn_flat[start..end] {
-                    self.failures[i] = Some(RecvError::WorkerFailed { shard: 0 });
-                }
-                continue;
-            };
-            totals.exec_elapsed_s += r.stats.elapsed_s;
-            totals.results += r.stats.results;
-            totals.counts.add(&r.stats.counts);
-            // A probe over a dead shard fails its whole request — partial
-            // neighbour lists would be silently wrong.
-            for &(q, shard) in &r.failed {
-                let (_, i, _, _) = self.knn_flat[start + q as usize];
-                self.failures[i] = Some(RecvError::WorkerFailed { shard });
-            }
-            for (slot, &(_, i, j, _)) in self.knn_flat[start..end].iter().enumerate() {
-                if self.failures[i].is_some() {
-                    continue;
-                }
-                let list = self.run_out.knn[gi].query_results(slot).to_vec();
-                match self.responses[i].as_mut() {
-                    Some(Response::Knn(lists)) => lists[j] = list,
-                    _ => unreachable!("knn_flat only holds knn requests"),
-                }
-            }
+                _ => unreachable!("query runs hold no writes"),
+            });
         }
     }
 

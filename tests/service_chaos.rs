@@ -86,10 +86,10 @@ fn step_envelopes(data_len: u32, h: u32) -> Vec<Aabb> {
         .collect()
 }
 
-/// Deterministic single-op request stream: every request coalesces into
-/// exactly **one** backend call (kNN requests carry a single `k`, families
-/// never mix), so request index `i` is dispatcher op index `i` and a
-/// [`FaultPlan`] keyed on op indices is keyed on request indices.
+/// Deterministic single-op request stream: driven without coalescing,
+/// every request is exactly **one** backend call, so request index `i` is
+/// dispatcher op index `i` and a [`FaultPlan`] keyed on op indices is keyed
+/// on request indices.
 fn chaos_requests(count: u32, data_len: u32, writable: bool, seed: u32) -> Vec<Request> {
     (0..count)
         .map(|i| {
@@ -115,9 +115,6 @@ fn chaos_requests(count: u32, data_len: u32, writable: bool, seed: u32) -> Vec<R
                     Point3::new(cx + 18.0, cy + 18.0, cz + 18.0),
                 )]),
                 2 => {
-                    // One k per request: mixed ks would split into one
-                    // backend call per distinct k and desynchronise the op
-                    // indices the plan keys on.
                     let k = (h >> 20) as usize % 9;
                     Request::Knn(
                         (0..(h % 3 + 1))
@@ -235,6 +232,43 @@ fn dispatcher_faults_fail_typed_and_survivors_match(
     assert_eq!(stats.completed, requests.len() as u64, "no ticket was lost");
     assert_eq!(stats.deadline_expired, 0);
     assert_eq!(stats.shards_dead, 0);
+}
+
+/// One backend call is one fault op, whatever it carries: a kNN request
+/// with three distinct `k`s spends one op, not one per `k`, so op indices
+/// stay request indices. The panic at op 1 and the lost response at op 2
+/// fail exactly requests 1 and 2; requests 0 and 3 match the oracle.
+#[test]
+fn one_backend_call_is_one_fault_op_whatever_its_ks() {
+    quiet_panics();
+    let data = soup(1500, 0x0B0E);
+    let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+    let at = |x: f32, k: usize| (Point3::new(x, 40.0, 40.0), k);
+    let requests = vec![
+        Request::Knn(vec![at(10.0, 1), at(40.0, 5), at(70.0, 9)]), // op 0
+        Request::Range(vec![full_cover()]),                        // op 1: panics
+        Request::Knn(vec![at(25.0, 2), at(55.0, 7)]),              // op 2: response lost
+        Request::RangeCount(vec![full_cover()]),                   // op 3
+    ];
+    let plan = FaultPlan::new().panic_at(1).drop_at(2);
+    let check = |backend: ShardedBackend, oracle: &mut dyn SerialOracle, label: &str| {
+        let backend = ChaosBackend::new(backend, plan.clone());
+        let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+        let stats = drive_differential(service, oracle, &plan, &requests, label);
+        assert_eq!(stats.panics_caught, 1, "{label}: the injected panic");
+        assert_eq!(stats.failed_requests, 2, "{label}: requests 1 and 2");
+        assert_eq!(stats.completed, requests.len() as u64, "{label}");
+    };
+    check(
+        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build)),
+        &mut RebuildOracle::new(data.clone(), build),
+        "1 shard",
+    );
+    check(
+        ShardedBackend::spawn(ShardedEngine::build(&data, 4, build)),
+        &mut ShardedOracle(ShardedEngine::build(&data, 4, build)),
+        "4 shards",
+    );
 }
 
 /// Dispatcher-level faults on the single-engine backend (rebuild writes).

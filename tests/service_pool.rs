@@ -4,13 +4,14 @@
 //!   injected delay, the idle worker must steal shard 2's job from the
 //!   wedged owner's queue — observable in `worker_steals` — and the batch
 //!   still returns complete results.
-//! * **Thread-count differential**: a coalesced mixed range/kNN run
-//!   through `ShardedBackend::query_run` returns byte-identical results
-//!   at 1, 2 and 4 pool workers, and matches a serial `ShardedEngine`
-//!   over the same data. With a shard dead, the two run shapes that occur
-//!   — the combined mixed run the scheduler issues, and the same run as
-//!   one-sub-batch runs (what `ChaosBackend` hands its inner backend) —
-//!   agree on results and on their `partial`/`failed` reports.
+//! * **Thread-count differential**: a coalesced mixed range/kNN run (one
+//!   range batch, one kNN batch of mixed `k`) through
+//!   `ShardedBackend::query_run` returns byte-identical results at 1, 2
+//!   and 4 pool workers, and matches a serial `ShardedEngine` over the
+//!   same data. With a shard dead, the combined run and the same run as a
+//!   range-only plus a kNN-only run agree on results and on their
+//!   `partial`/`failed` reports: a sub-batch's answer does not depend on
+//!   what else its run carries.
 //! * **Observability**: the pool gauges (`worker_busy_ns`,
 //!   `worker_steals`) flow through `ServiceStats` and its `summary()`.
 //! * **Inline pool**: a one-worker pool (one shard, or one thread) spawns
@@ -21,9 +22,7 @@ mod common;
 use common::soup;
 use simspatial::prelude::*;
 use simspatial_geom::parallel;
-use simspatial_service::{
-    BatchReport, QueryRun, QueryRunResults, SubBatchOutcome, SupervisorPolicy,
-};
+use simspatial_service::{BatchReport, QueryRun, QueryRunResults, SupervisorPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -55,17 +54,15 @@ fn dying_shard_backend() -> ShardedBackend {
     backend
 }
 
-fn ran(outcome: Option<&SubBatchOutcome>) -> &BatchReport {
-    match outcome {
-        Some(SubBatchOutcome::Ran(report)) => report,
-        other => panic!("sub-batch did not run: {other:?}"),
-    }
+fn ran(report: Option<&BatchReport>) -> &BatchReport {
+    report.expect("sub-batch did not run")
 }
 
 /// Dead-shard input: the run as one combined `query_run` (the production
-/// shape) and as one-sub-batch runs (the `ChaosBackend` shape) must
-/// degrade identically — same surviving results, same `partial` (range)
-/// and `failed` (kNN) reports.
+/// shape) and as a range-only plus a kNN-only run must degrade
+/// identically — same surviving results, same `partial` (range) and
+/// `failed` (kNN) reports — because a sub-batch's answer is independent of
+/// the other sub-batch of its run.
 fn assert_combined_run_matches_one_sub_batch_runs(run: &QueryRun) {
     let mut combined = dying_shard_backend();
     let mut split = dying_shard_backend();
@@ -92,27 +89,23 @@ fn assert_combined_run_matches_one_sub_batch_runs(run: &QueryRun) {
         );
     }
 
-    let mut failed_probes = 0;
-    for (g, (k, pts)) in run.knn.iter().enumerate() {
-        let knn_only = QueryRun {
-            range: Vec::new(),
-            knn: vec![(*k, pts.clone())],
-        };
-        let report = split.query_run(&knn_only, false, &mut split_out);
-        let combined_knn = ran(combined_report.knn.get(g));
-        let split_knn = ran(report.knn.first());
-        assert_eq!(combined_knn.failed, split_knn.failed, "k={k}");
-        assert_eq!(combined_knn.partial, split_knn.partial, "k={k}");
-        failed_probes += combined_knn.failed.len();
-        for p in 0..pts.len() {
-            assert_eq!(
-                combined_out.knn[g].query_results(p),
-                split_out.knn[0].query_results(p),
-                "k={k} probe {p}"
-            );
-        }
+    let knn_only = QueryRun {
+        range: Vec::new(),
+        knn: run.knn.clone(),
+    };
+    let report = split.query_run(&knn_only, false, &mut split_out);
+    let combined_knn = ran(combined_report.knn.as_ref());
+    let split_knn = ran(report.knn.as_ref());
+    assert_eq!(combined_knn.failed, split_knn.failed);
+    assert_eq!(combined_knn.partial, split_knn.partial);
+    assert!(!combined_knn.failed.is_empty(), "no probe needed shard 1");
+    for (p, (_, k)) in run.knn.iter().enumerate() {
+        assert_eq!(
+            combined_out.knn.query_results(p),
+            split_out.knn.query_results(p),
+            "k={k} probe {p}"
+        );
     }
-    assert!(failed_probes > 0, "no probe needed shard 1");
 }
 
 fn mix(h: u32) -> u32 {
@@ -122,8 +115,8 @@ fn mix(h: u32) -> u32 {
     h ^ (h >> 13)
 }
 
-/// A run with every sub-batch family: 12 range boxes plus three kNN
-/// groups (k = 1, 5, 9) of 8 probes each, spread across all shards.
+/// A run with both sub-batches: 12 range boxes plus one kNN batch of 24
+/// probes, 8 each at k = 1, 5 and 9, spread across all shards.
 fn mixed_run() -> QueryRun {
     let mut run = QueryRun::default();
     for i in 0..12u32 {
@@ -138,17 +131,15 @@ fn mixed_run() -> QueryRun {
             .push(Aabb::new(c, Point3::new(c.x + w, c.y + w, c.z + w)));
     }
     for k in [1usize, 5, 9] {
-        let probes: Vec<Point3> = (0..8u32)
-            .map(|i| {
-                let h = mix(1000 + 31 * k as u32 + i);
-                Point3::new(
-                    (h % 97) as f32,
-                    ((h >> 8) % 97) as f32,
-                    ((h >> 16) % 97) as f32,
-                )
-            })
-            .collect();
-        run.knn.push((k, probes));
+        run.knn.extend((0..8u32).map(|i| {
+            let h = mix(1000 + 31 * k as u32 + i);
+            let p = Point3::new(
+                (h % 97) as f32,
+                ((h >> 8) % 97) as f32,
+                ((h >> 16) % 97) as f32,
+            );
+            (p, k)
+        }));
     }
     run
 }
@@ -251,14 +242,10 @@ fn query_run_matches_sequential_at_every_thread_count() {
         .map(|q| range_out.query_results(q).to_vec())
         .collect();
     let mut oracle_knn = Vec::new();
-    for (k, pts) in &run.knn {
+    for (p, k) in &run.knn {
         let mut out = KnnBatchResults::new();
-        oracle.knn_collect(pts, *k, &mut out);
-        oracle_knn.push(
-            (0..pts.len())
-                .map(|p| out.query_results(p).to_vec())
-                .collect::<Vec<_>>(),
-        );
+        oracle.knn_collect(&[*p], *k, &mut out);
+        oracle_knn.push(out.query_results(0).to_vec());
     }
 
     for threads in [1usize, 2, 4] {
@@ -267,11 +254,8 @@ fn query_run_matches_sequential_at_every_thread_count() {
         assert_eq!(backend.pool_workers(), threads);
         let mut out = QueryRunResults::default();
         let report = backend.query_run(&run, false, &mut out);
-        assert_eq!(report.panics, 0);
-        assert!(matches!(report.range, Some(SubBatchOutcome::Ran(_))));
-        for g in 0..run.knn.len() {
-            assert!(matches!(report.knn[g], SubBatchOutcome::Ran(_)));
-        }
+        assert!(report.range.is_some());
+        assert!(report.knn.is_some());
         for (q, expected) in oracle_range.iter().enumerate() {
             assert_eq!(
                 out.range.query_results(q),
@@ -279,14 +263,12 @@ fn query_run_matches_sequential_at_every_thread_count() {
                 "range query {q} diverged at {threads} threads"
             );
         }
-        for (g, (k, _)) in run.knn.iter().enumerate() {
-            for (p, expected) in oracle_knn[g].iter().enumerate() {
-                assert_eq!(
-                    out.knn[g].query_results(p),
-                    &expected[..],
-                    "kNN k={k} probe {p} diverged at {threads} threads"
-                );
-            }
+        for (p, ((_, k), expected)) in run.knn.iter().zip(&oracle_knn).enumerate() {
+            assert_eq!(
+                out.knn.query_results(p),
+                &expected[..],
+                "kNN k={k} probe {p} diverged at {threads} threads"
+            );
         }
         assert_combined_run_matches_one_sub_batch_runs(&run);
     }
