@@ -41,8 +41,8 @@
 
 use crate::wire::{self, DecodeLimits, FatalCode, FrameReadError, RequestError};
 use simspatial_service::{
-    Consistency, LatencyHistogram, Request, ServiceHandle, ServiceStats, SpatialService,
-    SubmitError, SubmitOptions, TenantStats, Ticket,
+    Consistency, Request, ServiceHandle, ServiceStats, SpatialService, SubmitError, SubmitOptions,
+    TenantStats, Ticket,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
@@ -198,25 +198,22 @@ struct TenantState {
     staged: VecDeque<Staged>,
     in_flight: usize,
     deficit: u64,
-    admitted: u64,
-    shed: u64,
-    completed: u64,
-    failed: u64,
-    latency: LatencyHistogram,
+    /// The counters a `Stats` snapshot reports for this tenant.
+    stats: TenantStats,
 }
 
 impl TenantState {
     fn new(spec: TenantSpec) -> Self {
         TenantState {
+            stats: TenantStats {
+                name: spec.name.clone(),
+                weight: spec.weight,
+                ..TenantStats::default()
+            },
             spec,
             staged: VecDeque::new(),
             in_flight: 0,
             deficit: 0,
-            admitted: 0,
-            shed: 0,
-            completed: 0,
-            failed: 0,
-            latency: LatencyHistogram::default(),
         }
     }
 
@@ -288,21 +285,6 @@ impl AdmissionInner {
         }
         None
     }
-
-    fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.tenants
-            .iter()
-            .map(|t| TenantStats {
-                name: t.spec.name.clone(),
-                weight: t.spec.weight,
-                admitted: t.admitted,
-                shed: t.shed,
-                completed: t.completed,
-                failed: t.failed,
-                latency: t.latency,
-            })
-            .collect()
-    }
 }
 
 /// What every server thread shares: the admission state, the service it
@@ -318,10 +300,10 @@ struct Admission {
 }
 
 impl Admission {
-    /// Service stats with the per-tenant counters attached.
-    fn stats(&self) -> ServiceStats {
-        let mut stats = self.handle.stats();
-        stats.tenants = self.inner.lock().unwrap().tenant_stats();
+    /// `stats` with the per-tenant counters attached.
+    fn with_tenants(&self, mut stats: ServiceStats) -> ServiceStats {
+        let inner = self.inner.lock().unwrap();
+        stats.tenants = inner.tenants.iter().map(|t| t.stats.clone()).collect();
         stats
     }
 }
@@ -440,7 +422,7 @@ impl NetServer {
     /// A live stats snapshot with per-tenant counters attached — the
     /// same payload a wire `Stats` request returns.
     pub fn stats(&self) -> ServiceStats {
-        self.admission.stats()
+        self.admission.with_tenants(self.admission.handle.stats())
     }
 
     /// Orderly drain: stop accepting, stop reading, complete everything
@@ -448,12 +430,11 @@ impl NetServer {
     /// down, and return the final stats (with per-tenant counters).
     pub fn shutdown(mut self) -> ServiceStats {
         self.drain();
-        let mut stats = match self.service.take() {
+        let stats = match self.service.take() {
             Some(service) => service.shutdown(),
             None => self.admission.handle.stats(),
         };
-        stats.tenants = self.admission.inner.lock().unwrap().tenant_stats();
-        stats
+        self.admission.with_tenants(stats)
     }
 
     fn drain(&mut self) {
@@ -556,10 +537,10 @@ fn writer_loop(stream: TcpStream, rx: &mpsc::Receiver<Out>, admission: &Admissio
                 let t = &mut inner.tenants[tenant];
                 t.in_flight -= 1;
                 if reply.is_ok() {
-                    t.completed += 1;
-                    t.latency.record(staged_at.elapsed());
+                    t.stats.completed += 1;
+                    t.stats.latency.record(staged_at.elapsed());
                 } else {
-                    t.failed += 1;
+                    t.stats.failed += 1;
                 }
                 admit(&mut inner, &admission.handle, admission.quantum);
                 if inner.draining {
@@ -668,7 +649,8 @@ fn reader_loop(stream: TcpStream, frame_tx: mpsc::Sender<Out>, admission: &Admis
             wire::ClientMsg::Stats { corr } => {
                 // Telemetry bypasses admission: reads a snapshot, never
                 // queues behind tenant backlogs.
-                wire::encode_stats_reply(&mut out, corr, &admission.stats().to_json());
+                let stats = admission.with_tenants(admission.handle.stats());
+                wire::encode_stats_reply(&mut out, corr, &stats.to_json());
                 send_frame(&frame_tx, &out);
             }
             wire::ClientMsg::Request {
@@ -687,7 +669,7 @@ fn reader_loop(stream: TcpStream, frame_tx: mpsc::Sender<Out>, admission: &Admis
                     // Load shed: hint scales with how congested the
                     // service actually is, so a saturated queue backs
                     // clients off harder than a momentary blip.
-                    t.shed += 1;
+                    t.stats.shed += 1;
                     let depth = handle.queue_depth();
                     let capacity = handle.queue_capacity().max(1);
                     let congestion = (depth as f64 / capacity as f64).clamp(0.0, 1.0);
@@ -754,7 +736,7 @@ fn admit(inner: &mut AdmissionInner, handle: &ServiceHandle, quantum: u64) {
         };
         let error = match handle.submit_with(s.request, options) {
             Ok(ticket) => {
-                t.admitted += 1;
+                t.stats.admitted += 1;
                 t.in_flight += 1;
                 // The writer outlives every sender, so this never fails.
                 let _ = s.writer.send(Out::Reply {
@@ -778,7 +760,7 @@ fn admit(inner: &mut AdmissionInner, handle: &ServiceHandle, quantum: u64) {
             Err(SubmitError::ReadOnly(_)) => RequestError::ReadOnly,
             Err(SubmitError::ShutDown(_)) => RequestError::ShutDown,
         };
-        t.failed += 1;
+        t.stats.failed += 1;
         let mut out = Vec::new();
         wire::encode_error(&mut out, s.corr, error);
         send_frame(&s.writer, &out);

@@ -24,8 +24,8 @@ pub enum Request {
     /// cheapest way to probe selectivity over the wire.
     RangeCount(Vec<Aabb>),
     /// kNN probes, each with its own `k`: the `k` nearest elements per
-    /// probe in ascending `(distance, id)` order. Probes with equal `k`
-    /// across concurrent requests coalesce into one batched kernel pass.
+    /// probe in ascending `(distance, id)` order. Every probe of a query
+    /// run, across concurrent requests, joins one kNN batch with its own `k`.
     Knn(Vec<(Point3, usize)>),
     /// Sparse element updates: each `(id, aabb)` entry replaces that
     /// element's geometry with the box `aabb` (its new envelope — the

@@ -192,7 +192,7 @@ impl Drop for Envelope {
 /// the submit hot path uses the lock-free atomics on [`Shared`] instead.
 #[derive(Default)]
 struct Counters {
-    /// The counters as the dispatcher last flushed them. The five
+    /// The counters as the dispatcher last flushed them. The four
     /// admission fields stay zero here (they live in [`Shared`]'s atomics)
     /// and `panics_caught` holds only the backend-supervised share;
     /// [`Shared::snapshot`] overlays both.

@@ -466,3 +466,71 @@ fn stats_over_the_wire_counts_completed_calls() {
     drop(client);
     server.shutdown();
 }
+
+/// Top-level field names of a struct's derived `Debug` rendering.
+fn debug_field_names(debug: &str) -> Vec<String> {
+    let body = debug.split_once(" { ").expect("a braced struct").1;
+    let body = body.strip_suffix(" }").expect("a braced struct");
+    let (mut names, mut depth, mut field_start) = (Vec::new(), 0, 0);
+    for (i, c) in body.char_indices().chain([(body.len(), ',')]) {
+        match c {
+            '{' | '[' | '(' => depth += 1,
+            '}' | ']' | ')' => depth -= 1,
+            ',' if depth == 0 => {
+                let field = body[field_start..i].trim();
+                names.push(field.split_once(':').expect("name: value").0.to_string());
+                field_start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    names
+}
+
+/// Every `ServiceStats` field reaches the wire `Stats` reply as a key of
+/// its own (the predicate counters as `tree_tests`/`element_tests`), and
+/// every `TenantStats` field as a key of the tenant object.
+#[test]
+fn stats_reply_carries_every_field() {
+    let cfg = NetConfig::default().with_tenants(vec![TenantSpec::new("declared", 2)]);
+    let server = NetServer::bind(tiny_service(), "127.0.0.1:0", cfg).unwrap();
+    let mut client = NetClient::connect(server.local_addr(), "declared").unwrap();
+    let query = Aabb::new(Point3::new(0.0, 0.0, 0.0), Point3::new(10.0, 10.0, 10.0));
+    for request in [
+        Request::Range(vec![query]),
+        Request::RangeCount(vec![query]),
+        Request::Knn(vec![(Point3::new(5.0, 2.5, 1.0), 3)]),
+    ] {
+        assert!(matches!(
+            client.call(&request),
+            Ok(CallOutcome::Reply { .. })
+        ));
+    }
+    let json = client.request_stats().unwrap();
+    // Split the reply into the tenant object and everything around it.
+    let (head, rest) = json.split_once("\"tenants\":[").expect("tenants key");
+    let (tenant, tail) = rest.split_once("}}]").expect("one tenant object");
+    let top = format!("{head}\"tenants\":[]{tail}");
+    assert!(tenant.starts_with("{\"name\":\"declared\""), "{json}");
+
+    for name in debug_field_names(&format!("{:?}", ServiceStats::default())) {
+        let keys = match name.as_str() {
+            "counts" => vec!["tree_tests", "element_tests"],
+            name => vec![name],
+        };
+        for key in keys {
+            assert!(
+                top.contains(&format!("\"{key}\":")),
+                "ServiceStats::{name} missing as {key}: {json}"
+            );
+        }
+    }
+    for name in debug_field_names(&format!("{:?}", TenantStats::default())) {
+        assert!(
+            tenant.contains(&format!("\"{name}\":")),
+            "TenantStats::{name} missing: {json}"
+        );
+    }
+    drop(client);
+    server.shutdown();
+}
