@@ -68,7 +68,7 @@ pub use capsule::Capsule;
 pub use point::{Point3, Vec3};
 pub use scratch::{with_scratch, QueryScratch};
 pub use shape::Shape;
-pub use soa::SoaAabbs;
+pub use soa::{SoaAabbs, SoaView};
 pub use sphere::Sphere;
 
 /// Identifier for a spatial element within a dataset.

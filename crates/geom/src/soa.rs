@@ -12,11 +12,15 @@
 //! which the compiler autovectorizes; results come out as bitmasks or
 //! appended id lists.
 //!
-//! Every index hot path (uniform grid cells, FLAT seed cells, R-Tree and
-//! octree leaves) stores its candidates in this layout, and the spatial
-//! joins run their per-cell pair filters through the same kernel. The
-//! companion [`crate::scratch`] module supplies reusable query buffers so
-//! the repeat query path allocates nothing.
+//! Every index hot path stores its candidates in this layout: R-Tree and
+//! octree leaves own one store each, and a uniform grid (FLAT's seed grid
+//! included) keeps **all** its cells in one store — its arena — that each
+//! cell addresses as a span. The spatial joins run their per-cell pair
+//! filters through the same kernel. Each batched kernel is written once,
+//! on the borrowed [`SoaView`]: a grid cell's span is a view, and an owned
+//! store's kernels run on its whole-store view. The companion
+//! [`crate::scratch`] module supplies reusable query buffers so the repeat
+//! query path allocates nothing.
 //!
 //! Instrumentation: batched tests are attributed to the same counters as
 //! the scalar predicates via [`crate::stats::record_element_tests`] — the
@@ -34,6 +38,11 @@ pub const MASK_LANES: usize = 64;
 /// arrays for scan-friendly batched tests. Order-preserving operations
 /// (`push`, `append`, `split_off`) and `swap_remove` mirror the `Vec` API
 /// so dynamic index maintenance code ports directly.
+///
+/// A store is either one candidate list (a tree leaf, a join cell) or a
+/// uniform grid's arena, where each cell owns a span of entries and is
+/// scanned through [`SoaAabbs::view`]. The batched kernels live on
+/// [`SoaView`]; the ones here run it over the whole store.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SoaAabbs {
     ids: Vec<ElementId>,
@@ -290,6 +299,109 @@ impl SoaAabbs {
     }
 
     // ---- batched kernels -------------------------------------------------
+    //
+    // Each kernel is written once, on [`SoaView`]; the owned store runs it
+    // on its whole-store view.
+
+    /// A borrowed view of entries `range` — the slice the batched kernels
+    /// run on. Indices the kernels report are relative to `range.start`.
+    ///
+    /// # Panics
+    /// If `range` reaches past [`SoaAabbs::len`].
+    #[inline]
+    pub fn view(&self, range: std::ops::Range<usize>) -> SoaView<'_> {
+        SoaView {
+            ids: &self.ids[range.clone()],
+            min_x: &self.min_x[range.clone()],
+            min_y: &self.min_y[range.clone()],
+            min_z: &self.min_z[range.clone()],
+            max_x: &self.max_x[range.clone()],
+            max_y: &self.max_y[range.clone()],
+            max_z: &self.max_z[range],
+        }
+    }
+
+    #[inline]
+    fn whole(&self) -> SoaView<'_> {
+        self.view(0..self.len())
+    }
+
+    /// See [`SoaView::intersect_mask`].
+    pub fn intersect_mask(&self, query: &Aabb, mask: &mut Vec<u64>) {
+        self.whole().intersect_mask(query, mask);
+    }
+
+    /// See [`SoaView::contains_mask`].
+    pub fn contains_mask(&self, query: &Aabb, mask: &mut Vec<u64>) {
+        self.whole().contains_mask(query, mask);
+    }
+
+    /// See [`SoaView::intersect_into`].
+    pub fn intersect_into(&self, query: &Aabb, out: &mut Vec<ElementId>) {
+        self.whole().intersect_into(query, out);
+    }
+
+    /// See [`SoaView::intersect_from_into`].
+    pub fn intersect_from_into(&self, start: usize, query: &Aabb, out: &mut Vec<(u32, ElementId)>) {
+        self.whole().intersect_from_into(start, query, out);
+    }
+
+    /// See [`SoaView::min_dist2_into`].
+    pub fn min_dist2_into(&self, p: &Point3, out: &mut Vec<f32>) {
+        self.whole().min_dist2_into(p, out);
+    }
+
+    /// See [`SoaView::min_dist2_gather_into`].
+    pub fn min_dist2_gather_into(&self, p: &Point3, indices: &[ElementId], out: &mut Vec<f32>) {
+        self.whole().min_dist2_gather_into(p, indices, out);
+    }
+
+    /// Entries the store holds room for without reallocating.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.ids.capacity()
+    }
+
+    /// Approximate heap footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.ids.capacity() * std::mem::size_of::<ElementId>()
+            + 6 * self.min_x.capacity() * std::mem::size_of::<f32>()
+    }
+}
+
+/// A borrowed run of [`SoaAabbs`] entries: a whole store
+/// ([`SoaAabbs`]'s own kernels run on one) or one uniform-grid cell's span
+/// of the grid's arena ([`SoaAabbs::view`]). Holds the only copy of each
+/// batched kernel; entry indices are relative to the run.
+#[derive(Debug, Clone, Copy)]
+pub struct SoaView<'a> {
+    ids: &'a [ElementId],
+    min_x: &'a [f32],
+    min_y: &'a [f32],
+    min_z: &'a [f32],
+    max_x: &'a [f32],
+    max_y: &'a [f32],
+    max_z: &'a [f32],
+}
+
+impl<'a> SoaView<'a> {
+    /// Number of entries in the run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the run is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The run's ids, in entry order.
+    #[inline]
+    pub fn ids(&self) -> &'a [ElementId] {
+        self.ids
+    }
 
     /// Writes one bit per entry into `mask`: bit `i` set iff box `i`
     /// intersects `query`. `mask` is resized to `ceil(len / 64)` words.
@@ -420,7 +532,7 @@ impl SoaAabbs {
         }
     }
 
-    /// Gather-addressed form of [`SoaAabbs::min_dist2_into`]: writes into
+    /// Gather-addressed form of [`SoaView::min_dist2_into`]: writes into
     /// `out` (resized to `indices.len()`) the squared `MINDIST` from `p` to
     /// the box stored at each row of `indices`. The batched lower-bound
     /// kernel for paths that filter ids first and score second (LSH
@@ -439,12 +551,6 @@ impl SoaAabbs {
             let dz = (self.min_z[i] - p.z).max(0.0).max(p.z - self.max_z[i]);
             *slot = dx * dx + dy * dy + dz * dz;
         }
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<ElementId>()
-            + 6 * self.min_x.capacity() * std::mem::size_of::<f32>()
     }
 }
 
@@ -551,6 +657,34 @@ mod tests {
         }
         soa.min_dist2_gather_into(&p, &[], &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_view_scans_like_a_store_of_its_entries() {
+        let entries = boxes();
+        let soa = SoaAabbs::from_entries(&entries);
+        let (q, p) = (
+            Aabb::new(Point3::new(10.0, 0.0, 0.0), Point3::new(50.0, 80.0, 80.0)),
+            Point3::new(31.0, 12.0, 73.0),
+        );
+        for range in [0..0, 0..200, 7..8, 13..150, 64..192] {
+            let view = soa.view(range.clone());
+            let part = SoaAabbs::from_entries(&entries[range.clone()]);
+            assert_eq!(view.len(), part.len());
+            assert_eq!(view.ids(), part.ids());
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            view.intersect_into(&q, &mut a);
+            part.intersect_into(&q, &mut b);
+            assert_eq!(a, b, "{range:?}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            view.intersect_mask(&q, &mut a);
+            part.intersect_mask(&q, &mut b);
+            assert_eq!(a, b, "{range:?}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            view.min_dist2_into(&p, &mut a);
+            part.min_dist2_into(&p, &mut b);
+            assert_eq!(a, b, "{range:?}");
+        }
     }
 
     #[test]

@@ -20,14 +20,39 @@
 //!
 //! ## Cache-conscious layout
 //!
-//! Each cell stores its candidates as a [`SoaAabbs`] slab: ids plus six
-//! contiguous coordinate arrays. A range query walks the overlapped cells
-//! and runs the **batched bbox filter** over each slab — a streaming pass
-//! over flat `f32` arrays instead of a per-candidate gather through
+//! All cells share **one arena**: a single [`SoaAabbs`] (ids plus six
+//! coordinate arrays) holding every cell's `(bbox, id)` entries, and a
+//! span table of three `u32`s per cell — `start`, `len`, `cap` — naming
+//! the arena slots the cell owns and how many are live. This is the
+//! counting-sort "cell list" of particle codes: a bulk build counts the
+//! entries per cell, prefix-sums the counts into exact-fit spans and
+//! scatters the entries in input order, so each cell lists its elements in
+//! insertion order and neighbouring cells sit next to each other in
+//! memory. A range query walks the overlapped cells and runs the **batched
+//! bbox filter** over each cell's span ([`SoaAabbs::view`]) — a streaming
+//! pass over flat `f32` arrays instead of a per-candidate gather through
 //! `data[id]` — and only the survivors are refined against exact geometry.
 //! This is §3.3's scan-friendly-grid argument applied at the memory-layout
 //! level; `tests/prop_grid_and_storage.rs` diffs it against the retained
 //! scalar path, `geom.scan_ns_per_elem` in `BENCHMARK.json` prices it.
+//!
+//! Writes keep each span behaving like a `Vec` of its own: a departure is a
+//! swap-remove inside the span, an arrival fills the span's next spare
+//! slot. An arrival into a full span **relocates** it to the arena's tail
+//! with doubled capacity (at least four slots); the slots it leaves are
+//! dead. When the tail has no room for a relocation, the arena is
+//! **compacted**: every span is copied, in cell order and with its
+//! capacity, into a new arena with room for `live / 8 + 64` more slots,
+//! where `live` is the sum of the span capacities. A built or cloned grid
+//! is exact-fit, so its first relocation compacts. Dead slots are made
+//! only by relocations into that room, so they never exceed
+//! `live / 8 + 64`; and after its first, a compaction comes only once
+//! relocations have filled that room, so its one pass over the arena is
+//! amortised over them. Capacities never shrink, so once a
+//! workload's cells have grown to their peak occupancy — the steady state
+//! of moves that leave and return — no write relocates, compacts or
+//! allocates.
+//!
 //! Replication dedupe uses the generation-stamped
 //! [`simspatial_geom::scratch::VisitedTable`] from the thread-local
 //! [`simspatial_geom::QueryScratch`], so the repeat query path is
@@ -37,7 +62,7 @@ use crate::engine::sharded::ShardApplyCost;
 use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
 use crate::util::KnnHeap;
 use simspatial_geom::scratch::{with_scratch, QueryScratch, VisitedTable};
-use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, Shape, SoaAabbs};
+use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, Shape, SoaAabbs, SoaView};
 
 /// Placement policy for volumetric elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +146,13 @@ pub struct UniformGrid {
     origin: Point3,
     cell: f32,
     dims: [usize; 3],
-    /// Per-cell candidate slabs in structure-of-arrays form.
-    cells: Vec<SoaAabbs>,
+    /// Every cell's entries, in structure-of-arrays form (see the module
+    /// doc's layout section).
+    arena: SoaAabbs,
+    /// `spans[cell]`: the arena slots the cell owns.
+    spans: Vec<Span>,
+    /// Arena slots no span owns, left behind by relocations.
+    dead: usize,
     placement: GridPlacement,
     len: usize,
     /// Largest half-extent over indexed elements (query inflation bound for
@@ -131,15 +161,32 @@ pub struct UniformGrid {
     /// Upper bound on stored ids (sizes the dedupe table).
     id_bound: usize,
     /// Center placement only: `slots[id] = (cell, slot)` directory giving
-    /// O(1) entry lookup for the absorbed-update fast path (`u32::MAX`
-    /// marks an absent id). Replicate placement stores several replicas per
-    /// id and locates them by slab scan instead.
+    /// O(1) entry lookup for the absorbed-update fast path, `slot` counting
+    /// from the cell's span start (`u32::MAX` marks an absent id).
+    /// Replicate placement stores several replicas per id and locates them
+    /// by span scan instead.
     slots: Vec<(u32, u32)>,
     /// Running [`SpatialIndex::memory_bytes`]: kept current by every
     /// mutation (`insert`/`remove`/`update`/`splice` account the capacity
     /// they add; a bulk load and a clone count once at the end), so the
-    /// gauge is O(1) instead of a walk over every cell header.
+    /// gauge is O(1) instead of a walk over the grid's vectors.
     bytes: usize,
+}
+
+/// One cell's share of the arena: slots `start .. start + cap`, of which
+/// the first `len` hold its entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Span {
+    #[inline]
+    fn live(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// A clone's vectors are exact-fit, so its byte count is its own walk, not
@@ -150,7 +197,9 @@ impl Clone for UniformGrid {
             origin: self.origin,
             cell: self.cell,
             dims: self.dims,
-            cells: self.cells.clone(),
+            arena: self.arena.clone(),
+            spans: self.spans.clone(),
+            dead: self.dead,
             placement: self.placement,
             len: self.len,
             max_half_extent: self.max_half_extent,
@@ -166,8 +215,15 @@ impl Clone for UniformGrid {
 /// Absent-entry marker in the center-placement slot directory.
 const NO_SLOT: (u32, u32) = (u32::MAX, u32::MAX);
 
-/// Smallest slab for which the kNN batched lower-bound pass is worthwhile.
+/// Smallest span for which the kNN batched lower-bound pass is worthwhile.
 const MIN_KNN_BATCH: usize = 8;
+
+/// Capacity a span relocates to when its first arrival finds it empty.
+const MIN_SPAN_CAP: u32 = 4;
+
+/// Arena slots a compaction leaves free beyond one eighth of the live span
+/// capacity.
+const MIN_HEADROOM: usize = 64;
 
 /// Hard cap on total cells, to keep pathological configs from exhausting
 /// memory; the resolution is coarsened to fit.
@@ -179,8 +235,8 @@ impl UniformGrid {
     /// elements land inside.
     ///
     /// Cell assignment (bounding boxes, centroids, cell coordinates) runs
-    /// data-parallel over element chunks; the scatter into cell slabs is a
-    /// single sequential pass.
+    /// data-parallel over element chunks; the counting sort into the arena
+    /// is a sequential count, prefix sum and scatter.
     pub fn build(elements: &[Element], config: GridConfig) -> Self {
         let bounds = Aabb::union_all(elements.iter().map(Element::aabb));
         let mut grid = Self::empty_over(bounds, config, elements.len());
@@ -221,7 +277,9 @@ impl UniformGrid {
             origin,
             cell,
             dims,
-            cells: vec![SoaAabbs::new(); total],
+            arena: SoaAabbs::new(),
+            spans: vec![Span::default(); total],
+            dead: 0,
             placement: config.placement,
             len: 0,
             max_half_extent: 0.0,
@@ -233,13 +291,13 @@ impl UniformGrid {
         grid
     }
 
-    /// The byte count from first principles: inline size, cell headers,
-    /// slot directory and every slab's heap — what `bytes` must equal.
+    /// The byte count from first principles: inline size, span table,
+    /// slot directory and the arena — what `bytes` must equal.
     fn walk_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.cells.capacity() * std::mem::size_of::<SoaAabbs>()
+            + self.spans.capacity() * std::mem::size_of::<Span>()
             + self.slots.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.cells.iter().map(SoaAabbs::memory_bytes).sum::<usize>()
+            + self.arena.memory_bytes()
     }
 
     /// Grows (or truncates) the slot directory to exactly `len` entries —
@@ -273,32 +331,107 @@ impl UniformGrid {
         self.slots[idx] = (cell as u32, slot as u32);
     }
 
-    /// Pushes an entry into a cell slab, maintaining the slot directory
-    /// and the running byte count.
+    /// A cell's live entries.
+    #[inline]
+    fn cell_view(&self, cell: usize) -> SoaView<'_> {
+        self.arena.view(self.spans[cell].live())
+    }
+
+    /// Position of `id` among a cell's live entries.
+    #[inline]
+    fn position_in(&self, cell: usize, id: ElementId) -> Option<usize> {
+        self.cell_view(cell).ids().iter().position(|&e| e == id)
+    }
+
+    /// Writes arena slot `at`.
+    #[inline]
+    fn arena_set(&mut self, at: usize, bbox: Aabb, id: ElementId) {
+        self.arena.set_box(at, bbox);
+        self.arena.ids_mut()[at] = id;
+    }
+
+    /// Appends an entry to a cell's span, maintaining the slot directory
+    /// and the running byte count. A full span relocates first.
     #[inline]
     fn cell_push(&mut self, cell: usize, bbox: Aabb, id: ElementId) {
-        let slab = &mut self.cells[cell];
-        let before = slab.memory_bytes();
-        slab.push(bbox, id);
-        self.bytes += slab.memory_bytes() - before;
+        if self.spans[cell].len == self.spans[cell].cap {
+            self.grow_span(cell);
+        }
+        let span = &mut self.spans[cell];
+        let slot = span.len as usize;
+        span.len += 1;
+        let at = span.start as usize + slot;
+        self.arena_set(at, bbox, id);
         if self.placement == GridPlacement::Center {
-            let slot = self.cells[cell].len() - 1;
             self.note_slot(id, cell, slot);
         }
     }
 
-    /// Swap-removes a slab entry, patching the directory entries of both
-    /// the removed id and the entry swapped into its place.
+    /// Swap-removes entry `pos` of a cell's span — `Vec::swap_remove`
+    /// within the span — patching the directory entries of both the
+    /// removed id and the entry swapped into its place.
     #[inline]
     fn cell_swap_remove(&mut self, cell: usize, pos: usize) {
-        let (_, removed) = self.cells[cell].swap_remove(pos);
+        let span = &mut self.spans[cell];
+        span.len -= 1;
+        let (at, last) = (span.start as usize + pos, span.live().end);
+        let removed = self.arena.id_at(at);
+        let moved = (at < last).then(|| self.arena.get(last));
+        if let Some((bbox, id)) = moved {
+            self.arena_set(at, bbox, id);
+        }
         if self.placement == GridPlacement::Center {
             self.slots[removed as usize] = NO_SLOT;
-            if pos < self.cells[cell].len() {
-                let moved = self.cells[cell].id_at(pos);
-                self.note_slot(moved, cell, pos);
+            if let Some((_, id)) = moved {
+                self.note_slot(id, cell, pos);
             }
         }
+    }
+
+    /// Gives a full span room for more entries: relocates it to the arena
+    /// tail with doubled capacity, or compacts the arena when the tail
+    /// has no room left.
+    #[cold]
+    fn grow_span(&mut self, cell: usize) {
+        let span = self.spans[cell];
+        let cap = (span.cap * 2).max(MIN_SPAN_CAP);
+        let start = self.arena.len();
+        if start + cap as usize > self.arena.capacity() {
+            self.compact(cell, cap);
+            return;
+        }
+        for at in span.live() {
+            let (bbox, id) = self.arena.get(at);
+            self.arena.push(bbox, id);
+        }
+        pad(&mut self.arena, (cap - span.len) as usize);
+        self.dead += span.cap as usize;
+        self.spans[cell] = Span {
+            start: arena_index(start),
+            cap,
+            ..span
+        };
+    }
+
+    /// Copies every span, in cell order and with its capacity (`grow`
+    /// taking `grow_cap`), into a new arena with the documented headroom;
+    /// no slot is dead afterwards.
+    fn compact(&mut self, grow: usize, grow_cap: u32) {
+        self.spans[grow].cap = grow_cap;
+        let live: usize = self.spans.iter().map(|s| s.cap as usize).sum();
+        let mut arena = SoaAabbs::with_capacity(live + live / 8 + MIN_HEADROOM);
+        for span in &mut self.spans {
+            let start = arena_index(arena.len());
+            for at in span.live() {
+                let (bbox, id) = self.arena.get(at);
+                arena.push(bbox, id);
+            }
+            pad(&mut arena, (span.cap - span.len) as usize);
+            span.start = start;
+        }
+        self.bytes = self.bytes - self.arena.memory_bytes() + arena.memory_bytes();
+        self.arena = arena;
+        self.dead = 0;
     }
 
     /// The realised cell side (may be coarser than requested if the cap hit).
@@ -318,7 +451,7 @@ impl UniformGrid {
 
     /// Number of non-empty cells (diagnostics for the resolution model).
     pub fn occupied_cells(&self) -> usize {
-        self.cells.iter().filter(|c| !c.is_empty()).count()
+        self.spans.iter().filter(|s| s.len > 0).count()
     }
 
     #[inline]
@@ -353,10 +486,13 @@ impl UniformGrid {
         self.id_bound = self.id_bound.max(id as usize + 1);
     }
 
-    /// Bulk-inserts a dataset: the parallel assignment phase computes each
-    /// element's bounding box and target cell(s); a sequential pass then
-    /// scatters the `(bbox, id)` entries into the cell slabs.
+    /// Bulk-loads a dataset into the empty grid: the parallel assignment
+    /// phase computes each element's bounding box and target cell(s); a
+    /// counting sort then lays the `(bbox, id)` entries out in the arena —
+    /// count per cell, prefix-sum into exact-fit spans, scatter in input
+    /// order.
     fn bulk_insert(&mut self, elements: &[Element]) {
+        debug_assert!(self.arena.is_empty(), "bulk loads fill an empty grid");
         if elements.is_empty() {
             return;
         }
@@ -402,19 +538,35 @@ impl UniformGrid {
             }
             out
         });
-        // Phase 2 (sequential): scatter into slabs.
-        for chunk in chunks {
+        // Phase 2 (sequential): count, prefix-sum, scatter.
+        let mut max_id = 0;
+        for chunk in &chunks {
             self.max_half_extent = self.max_half_extent.max(chunk.max_half);
-            self.id_bound = self.id_bound.max(chunk.max_id as usize + 1);
-            for (cell, bbox, id) in chunk.entries {
-                let slab = &mut self.cells[cell as usize];
-                slab.push(bbox, id);
-                if self.placement == GridPlacement::Center {
-                    let slot = slab.len() - 1;
-                    self.note_slot(id, cell as usize, slot);
-                }
+            max_id = max_id.max(chunk.max_id as usize);
+            for &(cell, ..) in &chunk.entries {
+                self.spans[cell as usize].cap += 1;
             }
         }
+        self.id_bound = self.id_bound.max(max_id + 1);
+        let mut total = 0usize;
+        for span in &mut self.spans {
+            span.start = arena_index(total);
+            total += span.cap as usize;
+        }
+        let center = self.placement == GridPlacement::Center;
+        if center {
+            self.slots = vec![NO_SLOT; max_id + 1];
+        }
+        let mut sorted = vec![(Aabb::empty(), 0); total];
+        for (cell, bbox, id) in chunks.into_iter().flat_map(|c| c.entries) {
+            let span = &mut self.spans[cell as usize];
+            sorted[(span.start + span.len) as usize] = (bbox, id);
+            if center {
+                self.slots[id as usize] = (cell, span.len);
+            }
+            span.len += 1;
+        }
+        self.arena = SoaAabbs::from_entries(&sorted);
         self.len += elements.len();
         // One count for the whole load instead of one per push.
         self.bytes = self.walk_bytes();
@@ -462,8 +614,8 @@ impl UniformGrid {
                     for y in lo[1]..=hi[1] {
                         for x in lo[0]..=hi[0] {
                             let idx = self.cell_index([x, y, z]);
-                            if let Some(pos) = self.cells[idx].position_of_id(id) {
-                                self.cells[idx].swap_remove(pos);
+                            if let Some(pos) = self.position_in(idx, id) {
+                                self.cell_swap_remove(idx, pos);
                                 found = true;
                             }
                         }
@@ -481,7 +633,7 @@ impl UniformGrid {
     /// placement and small displacements this is almost always cell-local —
     /// the §4.3 argument for grids under massive minimal movement. Returns
     /// `true` when the element actually changed cells (the stored bounding
-    /// box is refreshed either way, keeping the slabs exact).
+    /// box is refreshed either way, keeping the stored boxes exact).
     pub fn update(&mut self, old: &Element, new: &Element) -> bool {
         debug_assert_eq!(old.id, new.id);
         let new_bbox = new.aabb();
@@ -494,7 +646,8 @@ impl UniformGrid {
                     // place so the stored-box filter keeps seeing live
                     // geometry.
                     if let Some((cell, pos)) = self.slot_of(old.id) {
-                        self.cells[cell].set_box(pos, new_bbox);
+                        let at = self.spans[cell].start as usize + pos;
+                        self.arena.set_box(at, new_bbox);
                         self.note_element(new.id, &new_bbox);
                     }
                     return false;
@@ -517,8 +670,9 @@ impl UniformGrid {
                         for y in olo[1]..=ohi[1] {
                             for x in olo[0]..=ohi[0] {
                                 let idx = self.cell_index([x, y, z]);
-                                if let Some(pos) = self.cells[idx].position_of_id(old.id) {
-                                    self.cells[idx].set_box(pos, new_bbox);
+                                if let Some(pos) = self.position_in(idx, old.id) {
+                                    let at = self.spans[idx].start as usize + pos;
+                                    self.arena.set_box(at, new_bbox);
                                 }
                             }
                         }
@@ -593,7 +747,7 @@ impl UniformGrid {
     /// Candidate ids whose **stored** bounding boxes intersect `probe`
     /// (deduplicated under replication), **without** exact refinement.
     /// Under center placement the cell walk is additionally inflated by the
-    /// recorded maximum half-extent so every overlapping slab is visited.
+    /// recorded maximum half-extent so every overlapping cell is visited.
     ///
     /// Callers that tolerate staleness (FLAT's seed phase) pass a probe
     /// already inflated by their drift bound; the stored boxes are the
@@ -629,14 +783,14 @@ impl UniformGrid {
         for z in lo[2]..=hi[2] {
             for y in lo[1]..=hi[1] {
                 for x in lo[0]..=hi[0] {
-                    let slab = &self.cells[self.cell_index([x, y, z])];
-                    if slab.is_empty() {
+                    let entries = self.cell_view(self.cell_index([x, y, z]));
+                    if entries.is_empty() {
                         continue;
                     }
-                    scanned += slab.len() as u64;
+                    scanned += entries.len() as u64;
                     if dedupe {
                         let before = scratch.candidates.len();
-                        slab.intersect_into(probe, &mut scratch.candidates);
+                        entries.intersect_into(probe, &mut scratch.candidates);
                         // Drop ids already produced by a previously visited
                         // replica cell (generation-stamped, no hashing).
                         let mut keep = before;
@@ -649,12 +803,12 @@ impl UniformGrid {
                         }
                         scratch.candidates.truncate(keep);
                     } else {
-                        slab.intersect_into(probe, &mut scratch.candidates);
+                        entries.intersect_into(probe, &mut scratch.candidates);
                     }
                 }
             }
         }
-        // Counter semantics: one element-level test per slab *lane* — the
+        // Counter semantics: one element-level test per span *lane* — the
         // physical batched comparisons. Under replication this counts each
         // replica (the seed counted one test per deduplicated candidate
         // after its sort+dedup pass), so replicated grids report ~r x more
@@ -682,7 +836,7 @@ impl UniformGrid {
         for z in lo[2]..=hi[2] {
             for y in lo[1]..=hi[1] {
                 for x in lo[0]..=hi[0] {
-                    out.extend_from_slice(self.cells[self.cell_index([x, y, z])].ids());
+                    out.extend_from_slice(self.cell_view(self.cell_index([x, y, z])).ids());
                 }
             }
         }
@@ -696,6 +850,19 @@ impl UniformGrid {
     }
 }
 
+/// `n` spare slots at the end of `arena`.
+fn pad(arena: &mut SoaAabbs, n: usize) {
+    for _ in 0..n {
+        arena.push(Aabb::empty(), ElementId::MAX);
+    }
+}
+
+/// An arena position as a span field.
+#[inline]
+fn arena_index(at: usize) -> u32 {
+    u32::try_from(at).expect("grid arena outgrew u32 positions")
+}
+
 impl SpatialIndex for UniformGrid {
     fn name(&self) -> &'static str {
         "Grid"
@@ -705,9 +872,10 @@ impl SpatialIndex for UniformGrid {
         self.len
     }
 
-    /// Batched filter + scalar refine: the bbox filter streams over the
-    /// cell slabs' SoA arrays; only survivors touch `data` for the exact
-    /// geometry test, and confirmed hits stream straight into the sink.
+    /// Batched filter + scalar refine: the bbox filter streams over each
+    /// cell's span of the SoA arena; only survivors touch `data` for the
+    /// exact geometry test, and confirmed hits stream straight into the
+    /// sink.
     fn range_into(
         &self,
         data: &[Element],
@@ -770,8 +938,9 @@ impl SpatialIndex for UniformGrid {
         }
         if !identity {
             let mut end = 0usize;
-            for (c, slab) in self.cells.iter_mut().enumerate() {
-                for (s, id) in slab.ids_mut().iter_mut().enumerate() {
+            let ids = self.arena.ids_mut();
+            for (c, span) in self.spans.iter().enumerate() {
+                for (s, id) in ids[span.live()].iter_mut().enumerate() {
                     *id = remap[*id as usize];
                     end = end.max(*id as usize + 1);
                     if center {
@@ -790,8 +959,8 @@ impl SpatialIndex for UniformGrid {
 
 impl UniformGrid {
     /// The expanding-shell kNN search core, filling a caller-owned best-k
-    /// heap: each visited cell slab first runs the batched `MINDIST` kernel
-    /// ([`SoaAabbs::min_dist2_into`]) over its stored boxes; a candidate
+    /// heap: each visited cell first runs the batched `MINDIST` kernel
+    /// ([`SoaView::min_dist2_into`]) over its stored boxes; a candidate
     /// pays the exact element-surface distance only when its box lower
     /// bound can still beat the current k-th best. Rings expand outward in
     /// Chebyshev shells and stop once no unvisited ring can improve.
@@ -834,19 +1003,19 @@ impl UniformGrid {
             let mut any_cell = false;
             self.for_ring(center, ring, |cell_idx| {
                 any_cell = true;
-                let slab = &self.cells[cell_idx];
-                if slab.is_empty() {
+                let entries = self.cell_view(cell_idx);
+                if entries.is_empty() {
                     return;
                 }
                 // Batched lower bounds pay off only once there is a
-                // k-th best to prune against and the slab is big enough
+                // k-th best to prune against and the span is big enough
                 // to amortise the kernel pass; otherwise score direct.
-                let bounded = best.is_full() && slab.len() >= MIN_KNN_BATCH;
+                let bounded = best.is_full() && entries.len() >= MIN_KNN_BATCH;
                 if bounded {
-                    slab.min_dist2_into(p, dists);
-                    stats::record_lower_bound_evals(slab.len() as u64);
+                    entries.min_dist2_into(p, dists);
+                    stats::record_lower_bound_evals(entries.len() as u64);
                 }
-                for (i, &id) in slab.ids().iter().enumerate() {
+                for (i, &id) in entries.ids().iter().enumerate() {
                     if dedupe && !visited.mark(id) {
                         continue;
                     }
@@ -949,7 +1118,7 @@ impl UniformGrid {
                 let mut any_cell = false;
                 self.for_ring(center, ring, |cell_idx| {
                     any_cell = true;
-                    for &id in self.cells[cell_idx].ids() {
+                    for &id in self.cell_view(cell_idx).ids() {
                         if dedupe && !visited.mark(id) {
                             continue;
                         }
@@ -1307,7 +1476,8 @@ mod tests {
             let (mut a, mut b) = (start.clone(), start.clone());
             assert!(a.splice(&removed, &remap, &inserted));
             assert!(b.splice(&removed, &remap, &inserted));
-            assert_eq!(a.cells, b.cells, "{placement:?}");
+            assert_eq!(a.arena, b.arena, "{placement:?}");
+            assert_eq!(a.spans, b.spans, "{placement:?}");
             assert_eq!(a.slots, b.slots, "{placement:?}");
             assert_eq!((a.len, a.id_bound), (b.len, b.id_bound));
             // Dense new ids: the directory is exactly one entry per element.
@@ -1315,6 +1485,313 @@ mod tests {
                 assert_eq!(a.slots.len(), a.len);
                 assert!(a.slots.iter().all(|&s| s != NO_SLOT));
             }
+        }
+    }
+
+    /// Test-only model of a grid's cells: one `Vec` per cell, written with
+    /// `push` and `swap_remove` — the per-cell layout the arena replaced,
+    /// with the cell geometry borrowed from the grid under test.
+    struct CellModel {
+        cells: Vec<Vec<(Aabb, ElementId)>>,
+    }
+
+    impl CellModel {
+        fn of(g: &UniformGrid) -> Self {
+            let mut model = Self {
+                cells: vec![Vec::new(); g.spans.len()],
+            };
+            for (cell, span) in model.cells.iter_mut().zip(&g.spans) {
+                cell.extend(span.live().map(|at| g.arena.get(at)));
+            }
+            model
+        }
+
+        fn cells_of(g: &UniformGrid, e: &Element) -> Vec<usize> {
+            let (lo, hi) = match g.placement {
+                GridPlacement::Center => {
+                    let c = g.clamp_coord(&e.center());
+                    (c, c)
+                }
+                GridPlacement::Replicate => g.cell_range(&e.aabb()),
+            };
+            let mut out = Vec::new();
+            for z in lo[2]..=hi[2] {
+                for y in lo[1]..=hi[1] {
+                    for x in lo[0]..=hi[0] {
+                        out.push(g.cell_index([x, y, z]));
+                    }
+                }
+            }
+            out
+        }
+
+        fn insert(&mut self, g: &UniformGrid, e: &Element) {
+            for c in Self::cells_of(g, e) {
+                self.cells[c].push((e.aabb(), e.id));
+            }
+        }
+
+        fn remove(&mut self, g: &UniformGrid, e: &Element) {
+            for c in Self::cells_of(g, e) {
+                if let Some(pos) = self.cells[c].iter().position(|x| x.1 == e.id) {
+                    self.cells[c].swap_remove(pos);
+                }
+            }
+        }
+
+        fn update(&mut self, g: &UniformGrid, old: &Element, new: &Element) {
+            if Self::cells_of(g, old) != Self::cells_of(g, new) {
+                self.remove(g, old);
+                self.insert(g, new);
+                return;
+            }
+            for c in Self::cells_of(g, old) {
+                if let Some(x) = self.cells[c].iter_mut().find(|x| x.1 == old.id) {
+                    x.0 = new.aabb();
+                }
+            }
+        }
+
+        fn splice(&mut self, g: &UniformGrid, removed: &[Element], remap: &[ElementId]) {
+            for e in removed {
+                self.remove(g, e);
+            }
+            for (_, id) in self.cells.iter_mut().flatten() {
+                *id = remap[*id as usize];
+            }
+        }
+
+        /// Every cell's entries in order, the slot directory and the
+        /// running byte count.
+        fn check(&self, g: &UniformGrid, what: &str) {
+            assert_eq!(self.cells, Self::of(g).cells, "{what}: cell entries");
+            assert_eq!(g.bytes, g.walk_bytes(), "{what}: running byte count");
+            assert!(
+                g.dead <= live_slots(g) / 8 + MIN_HEADROOM,
+                "{what}: dead slots"
+            );
+            if g.placement == GridPlacement::Center {
+                let mut slots = vec![NO_SLOT; g.slots.len()];
+                for (c, cell) in self.cells.iter().enumerate() {
+                    for (s, &(_, id)) in cell.iter().enumerate() {
+                        slots[id as usize] = (c as u32, s as u32);
+                    }
+                }
+                assert_eq!(g.slots, slots, "{what}: slot directory");
+            }
+        }
+    }
+
+    /// Arena slots some span owns.
+    fn live_slots(g: &UniformGrid) -> usize {
+        g.spans.iter().map(|s| s.cap as usize).sum()
+    }
+
+    /// xorshift64*, so the sequences need no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f32 {
+            (self.next() >> 40) as f32 / (1u64 << 24) as f32
+        }
+    }
+
+    fn random_element(rng: &mut Rng, id: ElementId) -> Element {
+        let c = Point3::new(rng.unit() * 40.0, rng.unit() * 40.0, rng.unit() * 40.0);
+        let r = 0.2 + rng.unit();
+        Element::new(id, Shape::Sphere(Sphere::new(c, r)))
+    }
+
+    /// A hop of at most 0.5 per axis, one in eight up to 8.
+    fn hopped(rng: &mut Rng, e: &Element) -> Element {
+        let reach = if rng.below(8) == 0 { 8.0 } else { 0.5 };
+        let mut moved = e.clone();
+        moved.translate(Vec3::new(
+            (rng.unit() * 2.0 - 1.0) * reach,
+            (rng.unit() * 2.0 - 1.0) * reach,
+            (rng.unit() * 2.0 - 1.0) * reach,
+        ));
+        moved
+    }
+
+    #[test]
+    fn arena_writes_match_a_per_cell_vec_model() {
+        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+            for seed in 1..=4u64 {
+                let what =
+                    |step: usize, op: &str| format!("{placement:?} seed {seed} step {step} {op}");
+                let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut data: Vec<Element> =
+                    (0..300).map(|i| random_element(&mut rng, i)).collect();
+                let config = GridConfig::with_cell_side(4.0, placement);
+                let mut g = if seed % 2 == 1 {
+                    UniformGrid::build(&data, config)
+                } else {
+                    let bounds = Aabb::union_all(data.iter().map(Element::aabb));
+                    let mut g = UniformGrid::empty_over(bounds, config, data.len());
+                    for e in &data {
+                        g.insert(e);
+                    }
+                    g
+                };
+                let mut model = CellModel::of(&g);
+                // Ids stay dense: a removed element is inserted again, and
+                // only `splice` lets ids depart, renumbering the survivors.
+                for step in 0..400 {
+                    let id = rng.below(data.len());
+                    let op = match rng.below(10) {
+                        0 => {
+                            let e = random_element(&mut rng, data.len() as ElementId);
+                            g.insert(&e);
+                            model.insert(&g, &e);
+                            data.push(e);
+                            "insert"
+                        }
+                        1..=4 => {
+                            let new = hopped(&mut rng, &data[id]);
+                            g.update(&data[id], &new);
+                            model.update(&g, &data[id], &new);
+                            data[id] = new;
+                            "update"
+                        }
+                        5..=7 => {
+                            // Duplicates included: last write wins.
+                            let updates: Vec<(ElementId, Shape)> = (0..1 + rng.below(12))
+                                .map(|_| {
+                                    let id = rng.below(data.len());
+                                    (id as ElementId, hopped(&mut rng, &data[id]).shape)
+                                })
+                                .collect();
+                            let mut grid_data = data.clone();
+                            g.update_sparse(&mut grid_data, &updates);
+                            for &(id, shape) in &updates {
+                                let new = Element::new(id, shape);
+                                model.update(&g, &data[id as usize], &new);
+                                data[id as usize] = new;
+                            }
+                            assert_eq!(grid_data, data);
+                            "update_sparse"
+                        }
+                        8 => {
+                            assert!(g.remove(id as ElementId, &data[id]));
+                            model.remove(&g, &data[id]);
+                            g.insert(&data[id]);
+                            model.insert(&g, &data[id]);
+                            "remove"
+                        }
+                        _ => {
+                            let (new, removed, remap, inserted) = random_change(&mut rng, &data);
+                            assert!(g.splice(&removed, &remap, &inserted));
+                            model.splice(&g, &removed, &remap);
+                            for e in &inserted {
+                                model.insert(&g, e);
+                            }
+                            data = new;
+                            "splice"
+                        }
+                    };
+                    assert_eq!(g.len(), data.len(), "{}", what(step, op));
+                    model.check(&g, &what(step, op));
+                }
+            }
+        }
+    }
+
+    /// A random splice over dense ids: every survivor keeps its order,
+    /// about one element in twenty departs, and up to four arrivals land
+    /// anywhere, the end included.
+    #[allow(clippy::type_complexity)]
+    fn random_change(
+        rng: &mut Rng,
+        data: &[Element],
+    ) -> (Vec<Element>, Vec<Element>, Vec<ElementId>, Vec<Element>) {
+        let lands: Vec<usize> = (0..rng.below(5))
+            .map(|_| rng.below(data.len() + 1))
+            .collect();
+        let (mut new, mut removed, mut inserted) = (Vec::new(), Vec::new(), Vec::new());
+        let mut remap = Vec::new();
+        for i in 0..=data.len() {
+            for _ in lands.iter().filter(|&&l| l == i) {
+                let e = random_element(rng, new.len() as ElementId);
+                inserted.push(e.clone());
+                new.push(e);
+            }
+            let Some(e) = data.get(i) else { break };
+            remap.push(new.len() as ElementId);
+            if rng.below(20) == 0 {
+                removed.push(e.clone());
+            } else {
+                new.push(Element::new(new.len() as ElementId, e.shape));
+            }
+        }
+        (new, removed, remap, inserted)
+    }
+
+    #[test]
+    fn hop_away_hop_home_cycles_hold_memory_level() {
+        // `sim_mixed`'s shape: 2 % movers hop at most 0.5 per axis away
+        // and back each cycle, on cells about eight times that side.
+        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+            let mut rng = Rng(0xC0FFEE);
+            let home: Vec<Element> = (0..5000)
+                .map(|i| {
+                    let c = Point3::new(rng.unit() * 60.0, rng.unit() * 60.0, rng.unit() * 60.0);
+                    Element::new(i, Shape::Sphere(Sphere::new(c, 0.3)))
+                })
+                .collect();
+            let movers: Vec<ElementId> = (0..home.len() as ElementId).step_by(50).collect();
+            let away: Vec<(ElementId, Shape)> = movers
+                .iter()
+                .map(|&id| {
+                    let mut e = home[id as usize].clone();
+                    e.translate(Vec3::new(
+                        rng.unit() - 0.5,
+                        rng.unit() - 0.5,
+                        rng.unit() - 0.5,
+                    ));
+                    (id, e.shape)
+                })
+                .collect();
+            let back: Vec<(ElementId, Shape)> = movers
+                .iter()
+                .map(|&id| (id, home[id as usize].shape))
+                .collect();
+            let mut data = home.clone();
+            let mut g = UniformGrid::build(&data, GridConfig::with_cell_side(4.0, placement));
+            let mut level = 0;
+            for cycle in 1..=64 {
+                let there = g.update_sparse(&mut data, &away);
+                let again = g.update_sparse(&mut data, &back);
+                if cycle == 1 {
+                    assert!(
+                        there.structural > 0 && again.structural > 0,
+                        "{placement:?}: no cell switch"
+                    );
+                    assert!(there.absorbed > 0, "{placement:?}: no absorbed hop");
+                }
+                assert!(
+                    g.dead <= live_slots(&g) / 8 + MIN_HEADROOM,
+                    "{placement:?} cycle {cycle}: {} dead slots of {}",
+                    g.dead,
+                    live_slots(&g)
+                );
+                if cycle == 2 {
+                    level = g.memory_bytes();
+                }
+            }
+            assert_eq!(g.memory_bytes(), level, "{placement:?}: memory drifted");
+            assert_eq!(data, home);
         }
     }
 

@@ -3,7 +3,9 @@
 //! allocations** on the grid / R-Tree / FLAT hot paths, and repeat
 //! `knn_batch_into` batches are likewise allocation-free on the grid and
 //! R-Tree kNN paths (best-k heaps, traversal queues and batched
-//! lower-bound buffers all live in the reused scratch).
+//! lower-bound buffers all live in the reused scratch). The grid's write
+//! path is allocation-free too, once its cells have grown to their peak
+//! occupancy.
 //!
 //! A counting global allocator (this test binary only) tallies every
 //! allocation **per thread**. After warm-up batches grow the scratch and
@@ -202,4 +204,59 @@ fn grid_rtree_knn_batches_are_allocation_free() {
     assert_knn_steady_state_alloc_free("grid(center) knn", &grid, &data);
     assert_knn_steady_state_alloc_free("grid(replicate) knn", &replicated, &data);
     assert_knn_steady_state_alloc_free("rtree knn", &rtree, &data);
+}
+
+/// The grid's write path: once a warm-up cycle has grown every cell's span
+/// to its peak occupancy, absorbed moves and cell switches back into cells
+/// with spare capacity must not allocate.
+#[test]
+fn grid_write_path_is_allocation_free_in_steady_state() {
+    let home = soup(4000);
+    let cell_side = GridConfig::auto(&home).cell_side;
+    // Every 50th element hops away and back; hops of up to a third of a
+    // cell per axis, so some of them switch cells.
+    let away: Vec<(ElementId, Shape)> = home
+        .iter()
+        .step_by(50)
+        .map(|e| {
+            let h = e.id.wrapping_mul(0x9E37_79B9);
+            let hop = |bits: u32| ((bits % 201) as f32 / 100.0 - 1.0) * cell_side / 3.0;
+            let mut moved = e.clone();
+            moved.translate(Vec3::new(hop(h), hop(h >> 8), hop(h >> 16)));
+            (e.id, moved.shape)
+        })
+        .collect();
+    let back: Vec<(ElementId, Shape)> = away
+        .iter()
+        .map(|&(id, _)| (id, home[id as usize].shape))
+        .collect();
+    for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+        let mut data = home.clone();
+        let mut grid = UniformGrid::build(&data, GridConfig::with_cell_side(cell_side, placement));
+        // Warm-up: the first cycle relocates the spans that overflow.
+        grid.update_sparse(&mut data, &away);
+        grid.update_sparse(&mut data, &back);
+        let level = grid.memory_bytes();
+        let before = allocations_after_warm_up();
+        let (mut switched, mut absorbed) = (0, 0);
+        for _ in 0..10 {
+            for tick in [&away, &back] {
+                let cost = grid.update_sparse(&mut data, tick);
+                switched += cost.structural;
+                absorbed += cost.absorbed;
+            }
+        }
+        let after = allocations();
+        assert!(
+            switched > 0 && absorbed > 0,
+            "{placement:?}: {switched} switched, {absorbed} absorbed"
+        );
+        assert_eq!(
+            after - before,
+            0,
+            "{placement:?}: steady-state grid writes must not allocate"
+        );
+        assert_eq!(grid.memory_bytes(), level, "{placement:?}");
+        assert_eq!(data, home);
+    }
 }

@@ -16,6 +16,9 @@
 //!   `worker_steals`) flow through `ServiceStats` and its `summary()`.
 //! * **Inline pool**: a one-worker pool (one shard, or one thread) spawns
 //!   no thread, so its lanes run on the thread that calls the backend.
+//! * **Zero-length requests**: a `Range`, `RangeCount` or `Knn` request
+//!   with nothing in it gets an empty reply, alone or coalesced, on one
+//!   shard and on four, and fails nothing.
 
 mod common;
 
@@ -302,4 +305,59 @@ fn service_stats_surface_pool_gauges() {
     let summary = stats.summary();
     assert!(summary.contains("pool: 2 workers"), "summary:\n{summary}");
     parallel::set_num_threads(old);
+}
+
+/// A request with no boxes or probes is answered with an empty response
+/// whether it runs alone or coalesced with ordinary requests, on one
+/// shard and on four; it fails nothing and the service keeps answering.
+#[test]
+fn zero_length_requests_get_empty_replies() {
+    let run = mixed_run();
+    let ordinary = [
+        Request::Range(run.range[..4].to_vec()),
+        Request::RangeCount(run.range[4..8].to_vec()),
+        Request::Knn(run.knn[..6].to_vec()),
+    ];
+    let empty = [
+        Request::Range(vec![]),
+        Request::RangeCount(vec![]),
+        Request::Knn(vec![]),
+    ];
+    let is_empty = |response: &Response| match response {
+        Response::Range(r) => r.is_empty(),
+        Response::RangeCount(r) => r.is_empty(),
+        Response::Knn(r) => r.is_empty(),
+        other => panic!("not a query response: {other:?}"),
+    };
+    for shards in [1, 4] {
+        let service = SpatialService::spawn(sharded_backend(shards), ServiceConfig::default());
+        let handle = service.handle();
+        let ask = |request: &Request| handle.submit(request.clone()).unwrap().recv().unwrap();
+        let expected: Vec<Response> = ordinary.iter().map(ask).collect();
+        // Alone: each is its dispatch's only request.
+        for request in &empty {
+            assert!(is_empty(&ask(request)), "{shards} shards: {request:?}");
+        }
+        // Mixed: submitted back to back, so they coalesce with ordinary
+        // requests of every kind.
+        let tickets: Vec<_> = ordinary
+            .iter()
+            .zip(&empty)
+            .flat_map(|(o, e)| [e, o, e])
+            .map(|request| handle.submit(request.clone()).unwrap())
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let response = ticket.recv().unwrap();
+            if i % 3 == 1 {
+                assert_eq!(response, expected[i / 3], "{shards} shards: request {i}");
+            } else {
+                assert!(is_empty(&response), "{shards} shards: request {i}");
+            }
+        }
+        // Still answering afterwards.
+        let again: Vec<Response> = ordinary.iter().map(ask).collect();
+        assert_eq!(again, expected, "{shards} shards");
+        let stats = service.shutdown();
+        assert_eq!(stats.failed_requests, 0, "{shards} shards");
+    }
 }
