@@ -473,25 +473,29 @@ impl<'a> SoaView<'a> {
 
     /// Appends to `out` the ids of all boxes intersecting `query`.
     pub fn intersect_into(&self, query: &Aabb, out: &mut Vec<ElementId>) {
-        self.intersect_range_into(0, query, |_, id, out| out.push(id), out);
+        self.for_each_intersecting(0, query, |_, id, _| out.push(id));
     }
 
     /// Appends to `out` the `(index, id)` of all boxes intersecting `query`
     /// whose index is `>= start` (the partial-range form the joins use for
     /// upper-triangle pair loops).
     pub fn intersect_from_into(&self, start: usize, query: &Aabb, out: &mut Vec<(u32, ElementId)>) {
-        self.intersect_range_into(start, query, |i, id, out| out.push((i, id)), out);
+        self.for_each_intersecting(start, query, |i, id, _| out.push((i, id)));
     }
 
     /// The shared filter loop: branch-free comparisons over pre-sliced
-    /// arrays; the (rare) hit path emits through `emit`.
+    /// arrays; the (rare) hit path calls `emit(index, id, inside)` for each
+    /// box at index `>= start` that intersects `query`, in entry order.
+    /// `inside` says whether the box lies entirely within `query`
+    /// ([`Aabb::contains`]) — for a box that bounds an element's geometry,
+    /// a survivor whose exact test cannot fail. Callers that only filter
+    /// ignore it.
     #[inline]
-    fn intersect_range_into<O>(
+    pub fn for_each_intersecting(
         &self,
         start: usize,
         query: &Aabb,
-        emit: impl Fn(u32, ElementId, &mut O),
-        out: &mut O,
+        mut emit: impl FnMut(u32, ElementId, bool),
     ) {
         let n = self.len();
         if start >= n {
@@ -510,7 +514,13 @@ impl<'a> SoaView<'a> {
                 & (nz[j] <= q.max.z) as u8
                 & (xz[j] >= q.min.z) as u8;
             if hit != 0 {
-                emit((start + j) as u32, ids[j], out);
+                let inside = (q.min.x <= nx[j]) as u8
+                    & (q.min.y <= ny[j]) as u8
+                    & (q.min.z <= nz[j]) as u8
+                    & (xx[j] <= q.max.x) as u8
+                    & (xy[j] <= q.max.y) as u8
+                    & (xz[j] <= q.max.z) as u8;
+                emit((start + j) as u32, ids[j], inside != 0);
             }
         }
     }
@@ -627,6 +637,24 @@ mod tests {
             .map(|i| (i as u32, soa.id_at(i)))
             .collect();
         assert_eq!(partial, expect);
+    }
+
+    #[test]
+    fn survivors_are_flagged_inside_iff_the_query_contains_them() {
+        let entries = boxes();
+        let soa = SoaAabbs::from_entries(&entries);
+        let q = Aabb::new(Point3::new(20.0, 20.0, 20.0), Point3::new(60.0, 60.0, 60.0));
+        let mut seen = Vec::new();
+        soa.view(0..soa.len())
+            .for_each_intersecting(0, &q, |i, id, inside| seen.push((i, id, inside)));
+        let expect: Vec<(u32, ElementId, bool)> = entries
+            .iter()
+            .enumerate()
+            .filter(|(_, (b, _))| b.intersects(&q))
+            .map(|(i, &(b, id))| (i as u32, id, q.contains(&b)))
+            .collect();
+        assert_eq!(seen, expect);
+        assert!(seen.iter().any(|s| s.2) && seen.iter().any(|s| !s.2));
     }
 
     #[test]

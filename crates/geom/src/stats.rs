@@ -32,7 +32,11 @@ pub struct PredicateCounts {
     /// (navigating a tree structure).
     pub tree_tests: u64,
     /// Intersection tests against *element* bounding boxes or exact element
-    /// geometry (the filter/refine step at the leaves).
+    /// geometry (the filter/refine step at the leaves): the box tests of the
+    /// filter plus the exact tests actually run. A uniform grid runs no
+    /// exact test for a survivor whose stored box lies inside the query (a
+    /// sure hit), so it counts its scanned boxes plus its crossing
+    /// survivors only.
     pub element_tests: u64,
     /// Inner nodes visited during traversal.
     pub nodes_visited: u64,

@@ -31,10 +31,19 @@
 //! memory. A range query walks the overlapped cells and runs the **batched
 //! bbox filter** over each cell's span ([`SoaAabbs::view`]) — a streaming
 //! pass over flat `f32` arrays instead of a per-candidate gather through
-//! `data[id]` — and only the survivors are refined against exact geometry.
-//! This is §3.3's scan-friendly-grid argument applied at the memory-layout
-//! level; `tests/prop_grid_and_storage.rs` diffs it against the retained
-//! scalar path, `geom.scan_ns_per_elem` in `BENCHMARK.json` prices it.
+//! `data[id]`. The filter sorts its survivors into **inside** (the stored
+//! box lies within the query) and **crossing** (it straddles the query's
+//! boundary). A stored box bounds its element's geometry, so an inside
+//! survivor is a sure hit and goes to the sink without reading its
+//! element; only crossing survivors touch `data` for the exact test — the
+//! "progressive approximation" step of multi-step filter-and-refine. On
+//! the benchmark's neuron data about three survivors in four are inside.
+//! Hits leave in walk order, so a reply is the filter-then-refine reply,
+//! order included. This is §3.3's scan-friendly-grid argument applied at
+//! the memory-layout level; `tests/prop_grid_and_storage.rs` diffs it
+//! against the retained scalar path and `tests/differential_batch.rs`
+//! against filter-then-refine in order; `geom.scan_ns_per_elem` in
+//! `BENCHMARK.json` prices the filter.
 //!
 //! Writes keep each span behaving like a `Vec` of its own: a departure is a
 //! swap-remove inside the span, an arrival fills the span's next spare
@@ -755,7 +764,7 @@ impl UniformGrid {
     /// probe. Used by structures that layer their own refinement on top.
     pub fn range_bbox_candidates(&self, probe: &Aabb) -> Vec<ElementId> {
         with_scratch(|scratch| {
-            self.collect_candidates(probe, scratch);
+            self.range_bbox_candidates_into(probe, scratch);
             scratch.candidates.clone()
         })
     }
@@ -764,12 +773,25 @@ impl UniformGrid {
     /// appends candidates to `scratch.candidates`. Under replication the
     /// dedupe pass claims `scratch.visited` for a new epoch.
     pub fn range_bbox_candidates_into(&self, probe: &Aabb, scratch: &mut QueryScratch) {
-        self.collect_candidates(probe, scratch);
+        let candidates = &mut scratch.candidates;
+        self.for_each_survivor(probe, &mut scratch.visited, |id, _, _| candidates.push(id));
     }
 
-    /// The batched filter phase: appends to `scratch.candidates` the ids of
-    /// stored boxes intersecting `probe`.
-    fn collect_candidates(&self, probe: &Aabb, scratch: &mut QueryScratch) {
+    /// The grid's one cell walk: runs the batched bbox filter over the span
+    /// of every cell `probe` reaches and calls `emit(id, inside, at)` for
+    /// each stored box that intersects `probe`, in walk order — cells in
+    /// z, y, x order, entries in span order, and under replication only
+    /// the first replica of each id (deduplicated through `visited`, which
+    /// this claims for a new epoch). `inside` says the stored box lies
+    /// within `probe`; `at` is its arena position. Under center placement
+    /// the cell walk is inflated by the recorded maximum half-extent so
+    /// every overlapping cell is visited.
+    fn for_each_survivor(
+        &self,
+        probe: &Aabb,
+        visited: &mut VisitedTable,
+        mut emit: impl FnMut(ElementId, bool, usize),
+    ) {
         let walk = match self.placement {
             GridPlacement::Center => probe.inflate(self.max_half_extent),
             GridPlacement::Replicate => *probe,
@@ -777,34 +799,26 @@ impl UniformGrid {
         let (lo, hi) = self.cell_range(&walk);
         let dedupe = self.placement == GridPlacement::Replicate;
         if dedupe {
-            scratch.visited.begin(self.id_bound);
+            visited.begin(self.id_bound);
         }
         let mut scanned = 0u64;
         for z in lo[2]..=hi[2] {
             for y in lo[1]..=hi[1] {
                 for x in lo[0]..=hi[0] {
-                    let entries = self.cell_view(self.cell_index([x, y, z]));
-                    if entries.is_empty() {
+                    let span = self.spans[self.cell_index([x, y, z])];
+                    if span.len == 0 {
                         continue;
                     }
-                    scanned += entries.len() as u64;
-                    if dedupe {
-                        let before = scratch.candidates.len();
-                        entries.intersect_into(probe, &mut scratch.candidates);
-                        // Drop ids already produced by a previously visited
-                        // replica cell (generation-stamped, no hashing).
-                        let mut keep = before;
-                        for i in before..scratch.candidates.len() {
-                            let id = scratch.candidates[i];
-                            if scratch.visited.mark(id) {
-                                scratch.candidates[keep] = id;
-                                keep += 1;
-                            }
+                    scanned += u64::from(span.len);
+                    let base = span.start as usize;
+                    let entries = self.arena.view(span.live());
+                    entries.for_each_intersecting(0, probe, |i, id, inside| {
+                        // A replica cell visited earlier already produced
+                        // this id (generation-stamped, no hashing).
+                        if !dedupe || visited.mark(id) {
+                            emit(id, inside, base + i as usize);
                         }
-                        scratch.candidates.truncate(keep);
-                    } else {
-                        entries.intersect_into(probe, &mut scratch.candidates);
-                    }
+                    });
                 }
             }
         }
@@ -813,7 +827,8 @@ impl UniformGrid {
         // replica (the seed counted one test per deduplicated candidate
         // after its sort+dedup pass), so replicated grids report ~r x more
         // element tests than the seed methodology for replication factor r;
-        // `elements_scanned` is unchanged (raw lanes, as before).
+        // `elements_scanned` is unchanged (raw lanes, as before). A caller
+        // that refines survivors adds one test per exact test it runs.
         stats::record_elements_scanned(scanned);
         stats::record_element_tests(scanned);
     }
@@ -872,10 +887,20 @@ impl SpatialIndex for UniformGrid {
         self.len
     }
 
-    /// Batched filter + scalar refine: the bbox filter streams over each
-    /// cell's span of the SoA arena; only survivors touch `data` for the
-    /// exact geometry test, and confirmed hits stream straight into the
-    /// sink.
+    /// Batched filter + scalar refine in one walk: the bbox filter streams
+    /// over each cell's span of the SoA arena and sorts its survivors into
+    /// *inside* (stored box within `query`) and *crossing*. An inside
+    /// survivor is a sure hit and goes straight to the sink without reading
+    /// `data`; only a crossing one is refined against its exact geometry.
+    /// Hits arrive in walk order, the order the filter-then-refine reply
+    /// always had.
+    ///
+    /// The skip needs every stored box to contain its element's geometry
+    /// — the same invariant the filter relies on for completeness — and
+    /// debug builds check it on every sure hit. (FLAT's deliberately stale
+    /// seed grid reaches the walk only through
+    /// [`UniformGrid::range_bbox_candidates_into`], which ignores
+    /// `inside`.)
     fn range_into(
         &self,
         data: &[Element],
@@ -883,14 +908,22 @@ impl SpatialIndex for UniformGrid {
         scratch: &mut QueryScratch,
         sink: &mut dyn RangeSink,
     ) {
-        scratch.candidates.clear();
-        self.collect_candidates(query, scratch);
-        stats::record_element_tests(scratch.candidates.len() as u64);
-        for &id in &scratch.candidates {
-            if data[id as usize].shape.intersects_aabb(query) {
+        let mut refined = 0u64;
+        self.for_each_survivor(query, &mut scratch.visited, |id, inside, at| {
+            if inside {
+                debug_assert!(
+                    self.arena.box_at(at).contains(&data[id as usize].aabb()),
+                    "stored box of element {id} no longer bounds its geometry"
+                );
                 sink.push(id);
+            } else {
+                refined += 1;
+                if data[id as usize].shape.intersects_aabb(query) {
+                    sink.push(id);
+                }
             }
-        }
+        });
+        stats::record_element_tests(refined);
     }
 
     /// O(1): the running count (checked against the cell walk in debug

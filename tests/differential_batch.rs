@@ -176,3 +176,170 @@ fn kdtree_and_scan_sink_paths_match_ground_truth() {
         }
     }
 }
+
+/// Every shape kind, degenerate ones included: zero-radius spheres,
+/// zero-length and zero-radius capsules, point boxes and flat boxes.
+fn shaped(n: u32, seed: u32) -> Vec<Element> {
+    (0..n)
+        .map(|i| {
+            let h = (i ^ seed).wrapping_mul(2654435761);
+            let c = Point3::new(
+                (h % 499) as f32 / 10.0,
+                ((h >> 9) % 499) as f32 / 10.0,
+                ((h >> 18) % 499) as f32 / 10.0,
+            );
+            let r = (h >> 27) as f32 * 0.1;
+            let far = Point3::new(c.x + r, c.y - 0.5, c.z + 2.0 * r);
+            let shape = match i % 7 {
+                0 => Shape::Sphere(Sphere::new(c, r)),
+                1 => Shape::Sphere(Sphere::new(c, 0.0)),
+                2 => Shape::Capsule(Capsule::new(c, far, 0.2)),
+                3 => Shape::Capsule(Capsule::new(c, c, 0.4)),
+                4 => Shape::Capsule(Capsule::new(c, far, 0.0)),
+                5 => Shape::Box(Aabb::from_point(c)),
+                _ => Shape::Box(Aabb::new(c, Point3::new(c.x + r, c.y + 1.0, c.z))),
+            };
+            Element::new(i, shape)
+        })
+        .collect()
+}
+
+/// Tiny deterministic generator for the churn below.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) as usize) % n.max(1)
+    }
+
+    fn offset(&mut self) -> Vec3 {
+        let mut step = || (self.below(2001) as f32 - 1000.0) / 100.0;
+        Vec3::new(step(), step(), step())
+    }
+}
+
+/// The filter-then-refine reply, in order: the bbox candidates of the
+/// grid's walk, kept where the exact test passes.
+fn filter_then_refine(grid: &UniformGrid, data: &[Element], q: &Aabb) -> Vec<ElementId> {
+    let mut ids = grid.range_bbox_candidates(q);
+    ids.retain(|&id| data[id as usize].shape.intersects_aabb(q));
+    ids
+}
+
+/// The fixed queries plus, per dataset, a box equal to an element's box, a
+/// box sharing that element's faces, an inverted box and the empty box.
+fn order_queries(data: &[Element], rng: &mut Lcg) -> Vec<Aabb> {
+    let mut qs = queries();
+    qs.push(Aabb {
+        min: Point3::new(9.0, 9.0, 9.0),
+        max: Point3::new(1.0, 1.0, 1.0),
+    });
+    qs.push(Aabb::empty());
+    for _ in 0..4 {
+        if data.is_empty() {
+            break;
+        }
+        let b = data[rng.below(data.len())].aabb();
+        qs.push(b);
+        qs.push(Aabb::new(
+            Point3::new(b.max.x, b.min.y, b.min.z),
+            Point3::new(b.max.x + 3.0, b.max.y, b.max.z),
+        ));
+        qs.push(Aabb::new(
+            Point3::new(b.min.x - 2.0, b.min.y - 2.0, b.max.z),
+            Point3::new(b.max.x + 2.0, b.max.y + 2.0, b.max.z + 1.0),
+        ));
+    }
+    qs
+}
+
+fn assert_range_in_order(grid: &UniformGrid, data: &[Element], rng: &mut Lcg, what: &str) {
+    for q in order_queries(data, rng) {
+        assert_eq!(
+            grid.range(data, &q),
+            filter_then_refine(grid, data, &q),
+            "{what}: {:?} grid reply diverged on {q:?} (n={})",
+            grid.placement(),
+            data.len()
+        );
+    }
+}
+
+/// `range_into` (the sure-hit walk) answers exactly what the bbox filter
+/// followed by the exact refine answers, in the same order — on a built
+/// grid and after seeded update / insert / remove / splice churn.
+#[test]
+fn grid_range_equals_filter_then_refine_in_order() {
+    let mut sets = all_datasets();
+    sets.push(shaped(700, 3));
+    for (s, start) in sets.into_iter().enumerate() {
+        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+            let mut rng = Lcg(s as u64 * 2 + (placement == GridPlacement::Center) as u64);
+            let cfg = GridConfig::with_cell_side(GridConfig::auto(&start).cell_side, placement);
+            let mut grid = UniformGrid::build(&start, cfg);
+            let mut data = start.clone();
+            assert_range_in_order(&grid, &data, &mut rng, "built");
+            let mut gone = vec![false; data.len()];
+            for round in 0..3 {
+                for _ in 0..data.len() / 4 + 4 {
+                    let live: Vec<usize> = (0..data.len()).filter(|&i| !gone[i]).collect();
+                    match rng.below(4) {
+                        0 | 1 if !live.is_empty() => {
+                            let i = live[rng.below(live.len())];
+                            let mut moved = data[i].clone();
+                            moved.shape.translate(rng.offset());
+                            grid.update(&data[i], &moved);
+                            data[i] = moved;
+                        }
+                        2 if !live.is_empty() => {
+                            let i = live[rng.below(live.len())];
+                            assert!(grid.remove(i as ElementId, &data[i]));
+                            gone[i] = true;
+                        }
+                        _ => {
+                            let mut e = shaped(7, rng.below(1 << 20) as u32)[rng.below(7)].clone();
+                            e.id = data.len() as ElementId;
+                            e.shape.translate(rng.offset());
+                            grid.insert(&e);
+                            data.push(e);
+                            gone.push(false);
+                        }
+                    }
+                }
+                assert_range_in_order(&grid, &data, &mut rng, "churned");
+                // Splice: drop the removed ids and a few more, renumber the
+                // survivors densely, append two arrivals.
+                let mut removed = Vec::new();
+                let mut remap = Vec::with_capacity(data.len());
+                let mut kept = Vec::new();
+                for (i, e) in data.iter().enumerate() {
+                    remap.push(kept.len() as ElementId);
+                    if gone[i] {
+                        continue;
+                    }
+                    if rng.below(9) == 0 {
+                        removed.push(e.clone());
+                    } else {
+                        kept.push(Element::new(kept.len() as ElementId, e.shape));
+                    }
+                }
+                let inserted: Vec<Element> = (0..2)
+                    .map(|k| {
+                        let mut e = shaped(7, round as u32)[k * 3 + 1].clone();
+                        e.id = (kept.len() + k) as ElementId;
+                        e
+                    })
+                    .collect();
+                assert!(grid.splice(&removed, &remap, &inserted));
+                kept.extend(inserted);
+                data = kept;
+                gone = vec![false; data.len()];
+                assert_range_in_order(&grid, &data, &mut rng, "spliced");
+            }
+        }
+    }
+}

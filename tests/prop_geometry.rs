@@ -78,6 +78,21 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
     ]
 }
 
+/// Every shape kind plus the degenerate ones a sure-hit skip must still
+/// get right: zero-radius spheres, zero-length and zero-radius capsules,
+/// point boxes and flat boxes.
+fn arb_shape_with_degenerates() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        3 => arb_shape(),
+        1 => arb_point().prop_map(|c| Shape::Sphere(Sphere::new(c, 0.0))),
+        1 => (arb_point(), 0.0f32..2.0).prop_map(|(c, r)| Shape::Capsule(Capsule::new(c, c, r))),
+        1 => (arb_point(), arb_point()).prop_map(|(a, b)| Shape::Capsule(Capsule::new(a, b, 0.0))),
+        1 => arb_point().prop_map(|p| Shape::Box(Aabb::from_point(p))),
+        1 => (arb_point(), 0.0f32..5.0)
+            .prop_map(|(p, e)| Shape::Box(Aabb::new(p, Point3::new(p.x + e, p.y + e, p.z)))),
+    ]
+}
+
 proptest! {
     #[test]
     fn union_contains_both(a in arb_aabb(), b in arb_aabb()) {
@@ -263,6 +278,29 @@ proptest! {
             prop_assert_eq!(cap.distance_to_point(&p), 0.0);
         } else {
             prop_assert!(cap.distance_to_point(&p) > 0.0);
+        }
+    }
+
+    #[test]
+    fn bbox_inside_query_implies_exact_hit(s in arb_shape_with_degenerates(), kind in 0usize..4,
+                                           axis in 0usize..3, grow in 0.0f32..5.0,
+                                           other in arb_aabb()) {
+        let bb = s.aabb();
+        let q = match kind {
+            // Equal to the shape's box.
+            0 => bb,
+            // Grown along one axis only: shares five faces with the box.
+            1 => {
+                let mut q = bb;
+                *coord_mut(&mut q, 3 + axis) += grow;
+                q
+            }
+            // Strictly contains it.
+            2 => bb.inflate(grow + 0.01),
+            _ => other,
+        };
+        if q.contains(&bb) && bb.intersects(&q) {
+            prop_assert!(s.intersects_aabb(&q), "sure hit that is not a hit: {s:?} {q:?}");
         }
     }
 }
