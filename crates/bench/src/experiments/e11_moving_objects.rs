@@ -18,7 +18,9 @@ use crate::Scale;
 use simspatial_datagen::PlasticityModel;
 use simspatial_datagen::QueryWorkload;
 use simspatial_geom::stats;
-use simspatial_moving::{BufferedRTree, LazyGraceWindow, RTreeRebuild, UpdateStrategy};
+use simspatial_moving::{
+    BufferedRTree, LazyGraceWindow, RTreeDiscipline, RTreeStrategy, UpdateStrategy,
+};
 
 /// One contender's per-step averages.
 #[derive(Debug, Clone)]
@@ -67,7 +69,10 @@ pub fn measure(scale: Scale) -> Vec<ShiftRow> {
         ),
         (
             "rebuild".into(),
-            Box::new(RTreeRebuild::build(data.elements())),
+            Box::new(RTreeStrategy::build(
+                data.elements(),
+                RTreeDiscipline::Rebuild,
+            )),
         ),
     ];
 

@@ -24,9 +24,7 @@
 //! can only widen) and then run a branch-free `u8` comparison pass over the
 //! child window — 16+ lanes per SIMD register instead of six
 //! int→float conversions plus six multiplies *per child* for scalar
-//! dequantisation. The seed's dequantise-per-child path is kept as
-//! `CrTree::range_scalar_reference` (tests and the `reference` feature
-//! only) for differential tests.
+//! dequantisation.
 //!
 //! The structure is built by STR packing and is static: the paper's §3.2
 //! verdict is that memory optimisation buys the CR-Tree only ≈ 2× because
@@ -36,8 +34,6 @@
 use crate::rtree::bulk::str_tile;
 use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
 use crate::util::{KnnHeap, MinQueue};
-#[cfg(any(test, feature = "reference"))]
-use simspatial_geom::ElementId;
 use simspatial_geom::{predicates, stats, Aabb, Element, Point3, QueryScratch};
 
 /// Configuration of a [`CrTree`].
@@ -55,8 +51,8 @@ impl Default for CrTreeConfig {
 }
 
 /// A quantized child reference: 6 quantized coordinates + payload. Used as
-/// the staging form during build and by the scalar reference path; the
-/// tree itself stores children decomposed into the SoA slab.
+/// the staging form during build; the tree itself stores children
+/// decomposed into the SoA slab.
 #[derive(Debug, Clone, Copy)]
 struct QChild {
     qmin: [u8; 3],
@@ -103,15 +99,6 @@ impl ChildSlab {
 
     fn len(&self) -> usize {
         self.payload.len()
-    }
-
-    #[cfg(any(test, feature = "reference"))]
-    fn get(&self, i: usize) -> QChild {
-        QChild {
-            qmin: [self.qmin_x[i], self.qmin_y[i], self.qmin_z[i]],
-            qmax: [self.qmax_x[i], self.qmax_y[i], self.qmax_z[i]],
-            payload: self.payload[i],
-        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -283,45 +270,6 @@ impl CrTree {
     pub fn node_bytes(&self) -> usize {
         std::mem::size_of::<CrNode>() + self.config.fanout * (6 + std::mem::size_of::<u32>())
     }
-
-    /// The seed implementation's query path over the same structure, kept
-    /// as the reference for differential tests
-    /// (`tests/differential_batch.rs`): every child box is dequantized to
-    /// full precision and tested scalar, one at a time.
-    ///
-    /// Compiled only for tests and under the `reference` feature.
-    #[cfg(any(test, feature = "reference"))]
-    pub fn range_scalar_reference(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(idx) = stack.pop() {
-            let n = &self.nodes[idx];
-            let (start, count) = (n.child_start as usize, n.child_count as usize);
-            if n.level == 0 {
-                for j in start..start + count {
-                    let qc = self.slab.get(j);
-                    // Quantized filter, then exact refinement: quantization
-                    // only ever widens boxes, so nothing is missed.
-                    if stats::element_test(|| dequantize(&n.mbr, &qc).intersects(query))
-                        && stats::element_test(|| {
-                            data[qc.payload as usize].shape.intersects_aabb(query)
-                        })
-                    {
-                        out.push(qc.payload);
-                    }
-                }
-            } else {
-                stats::record_node_visit();
-                for j in start..start + count {
-                    let qc = self.slab.get(j);
-                    if stats::tree_test(|| dequantize(&n.mbr, &qc).intersects(query)) {
-                        stack.push(qc.payload as usize);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Quantizes `bbox` relative to `reference` at 8-bit resolution, rounding
@@ -355,7 +303,7 @@ fn quantize(reference: &Aabb, bbox: &Aabb, payload: u32) -> QChild {
 }
 
 /// Conservative dequantization: the result contains the original box.
-#[cfg(any(test, feature = "reference"))]
+#[cfg(test)]
 fn dequantize(reference: &Aabb, q: &QChild) -> Aabb {
     let ext = reference.extent();
     let d = |u: u8, lo: f32, extent: f32| lo + f32::from(u) / 255.0 * extent;
@@ -611,33 +559,20 @@ mod tests {
 
     #[test]
     fn range_matches_scan() {
-        let data = scattered(3000, 0.5);
-        let t = CrTree::build(&data, CrTreeConfig::default());
-        assert_eq!(t.len(), 3000);
-        let scan = LinearScan::build(&data);
-        for i in 0..15 {
-            let c = Point3::new((i * 6) as f32, (i * 5) as f32, (i * 4) as f32);
-            let q = Aabb::new(c, Point3::new(c.x + 12.0, c.y + 10.0, c.z + 8.0));
-            let mut a = t.range(&data, &q);
-            let mut b = scan.range(&data, &q);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "query {i}");
-        }
-    }
-
-    #[test]
-    fn batched_path_matches_scalar_reference() {
-        let data = scattered(2500, 0.5);
-        let t = CrTree::build(&data, CrTreeConfig::default());
-        for i in 0..15 {
-            let c = Point3::new((i * 6) as f32, (i * 5) as f32, (i * 4) as f32);
-            let q = Aabb::new(c, Point3::new(c.x + 12.0, c.y + 10.0, c.z + 8.0));
-            let mut a = t.range(&data, &q);
-            let mut b = t.range_scalar_reference(&data, &q);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "query {i}");
+        for n in [3000, 2500] {
+            let data = scattered(n, 0.5);
+            let t = CrTree::build(&data, CrTreeConfig::default());
+            assert_eq!(t.len(), n as usize);
+            let scan = LinearScan::build(&data);
+            for i in 0..15 {
+                let c = Point3::new((i * 6) as f32, (i * 5) as f32, (i * 4) as f32);
+                let q = Aabb::new(c, Point3::new(c.x + 12.0, c.y + 10.0, c.z + 8.0));
+                let mut a = t.range(&data, &q);
+                let mut b = scan.range(&data, &q);
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "{n} query {i}");
+            }
         }
     }
 
@@ -660,9 +595,6 @@ mod tests {
         let t = CrTree::build(&[], CrTreeConfig::default());
         assert!(t.is_empty());
         assert!(t.range(&[], &Aabb::from_point(Point3::ORIGIN)).is_empty());
-        assert!(t
-            .range_scalar_reference(&[], &Aabb::from_point(Point3::ORIGIN))
-            .is_empty());
         assert_eq!(t.height(), 1);
     }
 }

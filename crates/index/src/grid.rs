@@ -832,37 +832,6 @@ impl UniformGrid {
         stats::record_elements_scanned(scanned);
         stats::record_element_tests(scanned);
     }
-
-    /// The seed implementation's scalar query path, kept as the reference
-    /// for differential tests (`tests/prop_grid_and_storage.rs`): dump
-    /// raw cell candidate lists (sort + dedup under replication), then run
-    /// the scalar filter-and-refine predicate per candidate against `data`.
-    ///
-    /// Compiled only for tests and under the `reference` feature, so release
-    /// binaries do not carry the dead oracle code.
-    #[cfg(any(test, feature = "reference"))]
-    pub fn range_scalar_reference(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
-        let probe = match self.placement {
-            GridPlacement::Center => query.inflate(self.max_half_extent),
-            GridPlacement::Replicate => *query,
-        };
-        let (lo, hi) = self.cell_range(&probe);
-        let mut out = Vec::new();
-        for z in lo[2]..=hi[2] {
-            for y in lo[1]..=hi[1] {
-                for x in lo[0]..=hi[0] {
-                    out.extend_from_slice(self.cell_view(self.cell_index([x, y, z])).ids());
-                }
-            }
-        }
-        stats::record_elements_scanned(out.len() as u64);
-        if self.placement == GridPlacement::Replicate {
-            out.sort_unstable();
-            out.dedup();
-        }
-        out.retain(|&id| simspatial_geom::predicates::element_in_range(&data[id as usize], query));
-        out
-    }
 }
 
 /// `n` spare slots at the end of `arena`.
@@ -1110,80 +1079,6 @@ impl KnnIndex for UniformGrid {
     }
 }
 
-#[cfg(any(test, feature = "reference"))]
-impl UniformGrid {
-    /// The seed implementation's expanding-shell kNN, kept as the reference
-    /// for differential tests (`tests/differential_batch.rs`): every candidate
-    /// in every visited cell is scored with the exact element-surface
-    /// distance, one at a time, with no batched lower-bound pass. Selects
-    /// under the same ascending `(distance, id)` order as the sink path.
-    ///
-    /// Compiled only for tests and under the `reference` feature.
-    pub fn knn_scalar_reference(
-        &self,
-        data: &[Element],
-        p: &Point3,
-        k: usize,
-    ) -> Vec<(ElementId, f32)> {
-        use crate::util::OrderedF32;
-        if k == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        let center = self.clamp_coord(p);
-        let max_ring = self.dims[0].max(self.dims[1]).max(self.dims[2]);
-        let mut best: std::collections::BinaryHeap<(OrderedF32, ElementId)> =
-            std::collections::BinaryHeap::new();
-        let mut seen = 0usize;
-        with_scratch(|scratch| {
-            let dedupe = self.placement == GridPlacement::Replicate;
-            if dedupe {
-                scratch.visited.begin(self.id_bound);
-            }
-            let visited = &mut scratch.visited;
-            for ring in 0..=max_ring {
-                if best.len() >= k {
-                    let kth = best.peek().unwrap().0 .0;
-                    let ring_min = (ring as f32 - 1.0) * self.cell - self.max_half_extent;
-                    if ring_min > kth {
-                        break;
-                    }
-                }
-                let mut any_cell = false;
-                self.for_ring(center, ring, |cell_idx| {
-                    any_cell = true;
-                    for &id in self.cell_view(cell_idx).ids() {
-                        if dedupe && !visited.mark(id) {
-                            continue;
-                        }
-                        seen += 1;
-                        let d =
-                            simspatial_geom::predicates::element_distance(&data[id as usize], p);
-                        let key = (OrderedF32(d), id);
-                        if best.len() < k {
-                            best.push(key);
-                        } else if key < *best.peek().unwrap() {
-                            best.pop();
-                            best.push(key);
-                        }
-                    }
-                });
-                if !any_cell && ring > 0 {
-                    if best.len() >= k {
-                        break;
-                    }
-                    if ring > self.dims[0] + self.dims[1] + self.dims[2] {
-                        break;
-                    }
-                }
-            }
-        });
-        stats::record_elements_scanned(seen as u64);
-        let mut out: Vec<(ElementId, f32)> = best.into_iter().map(|(d, id)| (id, d.0)).collect();
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out
-    }
-}
-
 impl UniformGrid {
     /// Visits every in-bounds cell at Chebyshev distance `ring` from `c`.
     fn for_ring(&self, c: [usize; 3], ring: usize, mut f: impl FnMut(usize)) {
@@ -1252,32 +1147,19 @@ mod tests {
 
     #[test]
     fn both_placements_match_scan() {
-        let data = scattered(3000, 0.6);
-        let scan = LinearScan::build(&data);
-        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
-            let g = UniformGrid::build(&data, GridConfig::with_cell_side(5.0, placement));
-            assert_eq!(g.len(), 3000);
-            for q in queries() {
-                let mut a = g.range(&data, &q);
-                let mut b = scan.range(&data, &q);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{placement:?} {q:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_path_matches_scalar_reference() {
-        let data = scattered(2500, 0.5);
-        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
-            let g = UniformGrid::build(&data, GridConfig::with_cell_side(4.0, placement));
-            for q in queries() {
-                let mut a = g.range(&data, &q);
-                let mut b = g.range_scalar_reference(&data, &q);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{placement:?} {q:?}");
+        for (n, r, side) in [(3000, 0.6, 5.0), (2500, 0.5, 4.0)] {
+            let data = scattered(n, r);
+            let scan = LinearScan::build(&data);
+            for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+                let g = UniformGrid::build(&data, GridConfig::with_cell_side(side, placement));
+                assert_eq!(g.len(), n as usize);
+                for q in queries() {
+                    let mut a = g.range(&data, &q);
+                    let mut b = scan.range(&data, &q);
+                    a.sort_unstable();
+                    b.sort_unstable();
+                    assert_eq!(a, b, "{n} {placement:?} {q:?}");
+                }
             }
         }
     }

@@ -119,25 +119,6 @@ impl MultiGrid {
     pub fn cell_sides(&self) -> &[f32] {
         &self.cell_sides
     }
-
-    /// The seed implementation's query path, kept as the reference for
-    /// differential tests (`tests/differential_batch.rs`): each level runs the
-    /// scalar grid path (raw cell dumps, sort + dedup, per-candidate
-    /// filter-and-refine) and the per-level vectors are concatenated.
-    ///
-    /// Compiled only for tests and under the `reference` feature.
-    #[cfg(any(test, feature = "reference"))]
-    pub fn range_seed_reference(
-        &self,
-        data: &[Element],
-        query: &Aabb,
-    ) -> Vec<simspatial_geom::ElementId> {
-        let mut out = Vec::new();
-        for level in &self.levels {
-            out.extend(level.range_scalar_reference(data, query));
-        }
-        out
-    }
 }
 
 impl SpatialIndex for MultiGrid {

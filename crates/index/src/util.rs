@@ -3,29 +3,6 @@
 use crate::traits::KnnSink;
 use simspatial_geom::ElementId;
 
-/// `f32` wrapper ordered by `total_cmp`, for use as a heap key in the
-/// retained seed kNN oracle (`UniformGrid::knn_scalar_reference`).
-#[cfg(any(test, feature = "reference"))]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrderedF32(pub f32);
-
-#[cfg(any(test, feature = "reference"))]
-mod ordered {
-    use super::OrderedF32;
-
-    impl Eq for OrderedF32 {}
-    impl PartialOrd for OrderedF32 {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for OrderedF32 {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0)
-        }
-    }
-}
-
 /// The kNN result total order: ascending `(distance, id)`. Every
 /// [`crate::KnnIndex`] implementation selects and emits under this order —
 /// and the shard merge sorts with it — which is what makes results
@@ -203,19 +180,6 @@ impl<'a> MinQueue<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn total_order_over_specials() {
-        let mut v = [
-            OrderedF32(f32::NAN),
-            OrderedF32(1.0),
-            OrderedF32(f32::NEG_INFINITY),
-            OrderedF32(-0.0),
-        ];
-        v.sort_unstable();
-        assert_eq!(v[0].0, f32::NEG_INFINITY);
-        assert!(v[3].0.is_nan());
-    }
 
     #[test]
     fn knn_heap_keeps_k_smallest_with_id_ties() {

@@ -10,19 +10,21 @@
 //! flushed into the index wholesale.
 
 use crate::strategy::{StepCost, UpdateStrategy};
-use simspatial_geom::{predicates, Aabb, Element, ElementId};
-use simspatial_index::{RTree, RTreeConfig};
-use std::collections::HashMap;
+use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch};
+use simspatial_index::{
+    KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, SpatialIndex,
+};
+use std::collections::BTreeMap;
 
 /// An R-Tree with an update buffer.
 #[derive(Debug)]
 pub struct BufferedRTree {
     tree: RTree,
-    /// Dirty elements: id → the stale box still indexed for them.
-    dirty: HashMap<ElementId, Aabb>,
+    /// Dirty elements: id → the stale box still indexed for them. Ordered,
+    /// so buffered hits and flushes go in ascending id order.
+    dirty: BTreeMap<ElementId, Aabb>,
     /// Flush once `dirty.len() > flush_fraction · n`.
     flush_fraction: f32,
-    len: usize,
 }
 
 impl BufferedRTree {
@@ -42,9 +44,8 @@ impl BufferedRTree {
         );
         Self {
             tree: RTree::bulk_load(elements, RTreeConfig::default()),
-            dirty: HashMap::new(),
+            dirty: BTreeMap::new(),
             flush_fraction,
-            len: elements.len(),
         }
     }
 
@@ -66,10 +67,6 @@ impl BufferedRTree {
 }
 
 impl UpdateStrategy for BufferedRTree {
-    fn name(&self) -> &'static str {
-        "RTree/buffered"
-    }
-
     fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost {
         let mut cost = StepCost::default();
         for (o, n) in old.iter().zip(new.iter()) {
@@ -83,35 +80,65 @@ impl UpdateStrategy for BufferedRTree {
             self.dirty.entry(o.id).or_insert(ob);
             cost.absorbed += 1;
         }
-        let threshold = (self.flush_fraction * self.len as f32).ceil() as usize;
+        let threshold = (self.flush_fraction * self.tree.len() as f32).ceil() as usize;
         if self.dirty.len() > threshold {
             cost.structural_updates += self.flush(new);
         }
         cost
     }
+}
 
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
+impl SpatialIndex for BufferedRTree {
+    fn name(&self) -> &'static str {
+        "RTree/buffered"
+    }
+
+    fn len(&self) -> usize {
+        self.tree.len()
+    }
+
+    fn range_into(
+        &self,
+        data: &[Element],
+        query: &Aabb,
+        _scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
+    ) {
         // Index side: candidates by (possibly stale) stored boxes. Dirty
         // hits are dropped here — their stale position is meaningless.
-        let mut out: Vec<ElementId> = self
-            .tree
-            .range_bbox(query)
-            .into_iter()
-            .filter(|id| !self.dirty.contains_key(id))
-            .filter(|&id| predicates::element_in_range(&data[id as usize], query))
-            .collect();
+        for id in self.tree.range_bbox(query) {
+            if !self.dirty.contains_key(&id)
+                && predicates::element_in_range(&data[id as usize], query)
+            {
+                sink.push(id);
+            }
+        }
         // Buffer side: every dirty element is tested against live geometry.
         for &id in self.dirty.keys() {
             if predicates::element_in_range(&data[id as usize], query) {
-                out.push(id);
+                sink.push(id);
             }
         }
-        out
     }
 
     fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
             + self.dirty.len() * (std::mem::size_of::<ElementId>() + std::mem::size_of::<Aabb>())
+    }
+}
+
+/// kNN ignores the tree: stale entries make its pruning unsound, so probes
+/// scan the live geometry.
+impl KnnIndex for BufferedRTree {
+    fn knn_into(
+        &self,
+        data: &[Element],
+        p: &Point3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
+    ) {
+        LinearScan::build(data).knn_into(data, p, k, scratch, sink);
     }
 }
 

@@ -11,8 +11,10 @@
 //! `structural_updates` shows the ratio directly.
 
 use crate::strategy::{StepCost, UpdateStrategy};
-use simspatial_geom::{Aabb, Element, ElementId, Shape};
-use simspatial_index::{GridConfig, GridPlacement, SpatialIndex, UniformGrid};
+use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
+use simspatial_index::{
+    GridConfig, GridPlacement, KnnIndex, KnnSink, RangeSink, SpatialIndex, UniformGrid,
+};
 
 /// A persistent uniform grid maintained by cell migration.
 #[derive(Debug)]
@@ -45,10 +47,6 @@ impl GridMigrate {
 }
 
 impl UpdateStrategy for GridMigrate {
-    fn name(&self) -> &'static str {
-        "Grid/migrate"
-    }
-
     fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost {
         // The whole step goes to the grid in one call, which applies the
         // per-pair migrations and counts switches vs absorptions inline.
@@ -72,30 +70,25 @@ impl UpdateStrategy for GridMigrate {
             ..Default::default()
         }
     }
+}
 
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
-        self.grid.range(data, query)
+impl SpatialIndex for GridMigrate {
+    fn name(&self) -> &'static str {
+        "Grid/migrate"
+    }
+
+    fn len(&self) -> usize {
+        self.grid.len()
     }
 
     fn range_into(
         &self,
         data: &[Element],
         query: &Aabb,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::RangeSink,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
     ) {
         self.grid.range_into(data, query, scratch, sink);
-    }
-
-    fn knn_into(
-        &self,
-        data: &[Element],
-        p: &simspatial_geom::Point3,
-        k: usize,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::KnnSink,
-    ) {
-        simspatial_index::KnnIndex::knn_into(&self.grid, data, p, k, scratch, sink);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -104,6 +97,19 @@ impl UpdateStrategy for GridMigrate {
 
     fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
         self.grid.splice(removed, remap, inserted)
+    }
+}
+
+impl KnnIndex for GridMigrate {
+    fn knn_into(
+        &self,
+        data: &[Element],
+        p: &Point3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
+    ) {
+        self.grid.knn_into(data, p, k, scratch, sink);
     }
 }
 

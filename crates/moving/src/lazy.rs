@@ -13,8 +13,10 @@
 //! with the window, while `StepCost::absorbed` shows the saved maintenance.
 
 use crate::strategy::{StepCost, UpdateStrategy};
-use simspatial_geom::{predicates, Aabb, Element, ElementId};
-use simspatial_index::{RTree, RTreeConfig};
+use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch};
+use simspatial_index::{
+    KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, SpatialIndex,
+};
 
 /// An R-Tree whose entries carry grace windows.
 #[derive(Debug)]
@@ -64,10 +66,6 @@ impl LazyGraceWindow {
 }
 
 impl UpdateStrategy for LazyGraceWindow {
-    fn name(&self) -> &'static str {
-        "RTree/grace-window"
-    }
-
     fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> StepCost {
         let mut cost = StepCost::default();
         for e in new {
@@ -85,19 +83,49 @@ impl UpdateStrategy for LazyGraceWindow {
         }
         cost
     }
+}
 
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
+impl SpatialIndex for LazyGraceWindow {
+    fn name(&self) -> &'static str {
+        "RTree/grace-window"
+    }
+
+    fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    fn range_into(
+        &self,
+        data: &[Element],
+        query: &Aabb,
+        _scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
+    ) {
         // Grace boxes are supersets of true boxes ⇒ the candidate set is
         // complete; every candidate needs the exact test (the query burden).
-        self.tree
-            .range_bbox(query)
-            .into_iter()
-            .filter(|&id| predicates::element_in_range(&data[id as usize], query))
-            .collect()
+        for id in self.tree.range_bbox(query) {
+            if predicates::element_in_range(&data[id as usize], query) {
+                sink.push(id);
+            }
+        }
     }
 
     fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes() + self.windows.capacity() * std::mem::size_of::<Aabb>()
+    }
+}
+
+/// kNN scans the live geometry; the grace tree serves range queries only.
+impl KnnIndex for LazyGraceWindow {
+    fn knn_into(
+        &self,
+        data: &[Element],
+        p: &Point3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
+    ) {
+        LinearScan::build(data).knn_into(data, p, k, scratch, sink);
     }
 }
 

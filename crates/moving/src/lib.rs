@@ -12,11 +12,14 @@
 //! §4.3 proposes grids, whose per-step cost is only the handful of cell
 //! switches the tiny movements cause.
 //!
-//! Every contender implements [`UpdateStrategy`]: the simulation moves the
-//! dataset, hands the strategy the before/after element slices, and then
-//! runs its monitoring queries — so maintenance cost and query cost are
-//! separately measurable, which is precisely the trade-off the paper says
-//! these schemes hide.
+//! Every contender implements [`UpdateStrategy`], an index
+//! (`SpatialIndex + KnnIndex`) that also absorbs movement: the simulation
+//! moves the dataset, hands the strategy the before/after element slices,
+//! and then runs its monitoring queries through the index traits — so
+//! maintenance cost and query cost are separately measurable, which is
+//! precisely the trade-off the paper says these schemes hide. Being an
+//! index, a boxed strategy also serves as a shard of the sharded engine
+//! ([`sharded_strategy_engine`]).
 //!
 //! | Kind | §4 reference | Maintenance | Query burden |
 //! |------|--------------|-------------|--------------|
@@ -46,8 +49,8 @@ mod throwaway;
 pub use buffered::BufferedRTree;
 pub use grid_migrate::GridMigrate;
 pub use lazy::LazyGraceWindow;
-pub use rtree_strategies::{RTreeBottomUp, RTreeRebuild, RTreeReinsert};
+pub use rtree_strategies::{RTreeDiscipline, RTreeStrategy};
 pub use scan::NoIndexScan;
-pub use service::{sharded_strategy_engine, strategy_backend, ShardWriteMode, StrategyIndex};
+pub use service::{sharded_strategy_engine, strategy_backend};
 pub use strategy::{StepCost, UpdateStrategy, UpdateStrategyKind};
 pub use throwaway::ThrowawayGrid;

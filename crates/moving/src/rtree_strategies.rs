@@ -1,31 +1,49 @@
-//! The three plain R-Tree maintenance disciplines of §4.1.
+//! The three plain R-Tree maintenance disciplines of §4.1, one type.
 
 use crate::strategy::{StepCost, UpdateStrategy};
-use simspatial_geom::{Aabb, Element, ElementId};
-use simspatial_index::{RTree, RTreeConfig};
+use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
+use simspatial_index::{KnnIndex, KnnSink, RTree, RTreeConfig, RangeSink, SpatialIndex};
 
-/// Delete + reinsert every moved entry — the strategy the paper measured at
-/// 130 s/step on its neural-plasticity run.
-#[derive(Debug)]
-pub struct RTreeReinsert {
-    tree: RTree,
+/// How an [`RTreeStrategy`] absorbs a step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RTreeDiscipline {
+    /// Delete + reinsert every moved entry — the strategy the paper
+    /// measured at 130 s/step on its neural-plasticity run.
+    Reinsert,
+    /// Bottom-up updates \[26\]: entries whose new box still fits the leaf
+    /// MBR are patched in place.
+    BottomUp,
+    /// Full STR rebuild each step — the paper's 48 s alternative, which
+    /// wins once more than ~38 % of the dataset moves.
+    Rebuild,
 }
 
-impl RTreeReinsert {
+/// An R-Tree maintained by one plain [`RTreeDiscipline`].
+#[derive(Debug)]
+pub struct RTreeStrategy {
+    tree: RTree,
+    discipline: RTreeDiscipline,
+}
+
+impl RTreeStrategy {
     /// Bulk-loads the initial tree.
-    pub fn build(elements: &[Element]) -> Self {
+    pub fn build(elements: &[Element], discipline: RTreeDiscipline) -> Self {
         Self {
             tree: RTree::bulk_load(elements, RTreeConfig::default()),
+            discipline,
         }
     }
 }
 
-impl UpdateStrategy for RTreeReinsert {
-    fn name(&self) -> &'static str {
-        "RTree/reinsert"
-    }
-
+impl UpdateStrategy for RTreeStrategy {
     fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost {
+        if self.discipline == RTreeDiscipline::Rebuild {
+            self.tree.rebuild(new);
+            return StepCost {
+                rebuilds: 1,
+                ..Default::default()
+            };
+        }
         let mut cost = StepCost::default();
         for (o, n) in old.iter().zip(new.iter()) {
             debug_assert_eq!(o.id, n.id);
@@ -34,102 +52,39 @@ impl UpdateStrategy for RTreeReinsert {
                 cost.absorbed += 1;
                 continue;
             }
-            let updated = self.tree.update(o.id, &ob, nb);
+            let updated = if self.discipline == RTreeDiscipline::BottomUp {
+                self.tree.update_bottom_up(o.id, &ob, nb)
+            } else {
+                self.tree.update(o.id, &ob, nb)
+            };
             debug_assert!(updated, "entry {} missing from tree", o.id);
             cost.structural_updates += 1;
         }
         cost
     }
-
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
-        self.tree.range_exact(data, query)
-    }
-
-    fn range_into(
-        &self,
-        data: &[Element],
-        query: &Aabb,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::RangeSink,
-    ) {
-        self.tree.range_exact_into(data, query, scratch, sink);
-    }
-
-    fn knn_into(
-        &self,
-        data: &[Element],
-        p: &simspatial_geom::Point3,
-        k: usize,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::KnnSink,
-    ) {
-        simspatial_index::KnnIndex::knn_into(&self.tree, data, p, k, scratch, sink);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes()
-    }
 }
 
-/// Bottom-up updates \[26\]: entries whose new box still fits the leaf MBR
-/// are patched in place.
-#[derive(Debug)]
-pub struct RTreeBottomUp {
-    tree: RTree,
-}
-
-impl RTreeBottomUp {
-    /// Bulk-loads the initial tree.
-    pub fn build(elements: &[Element]) -> Self {
-        Self {
-            tree: RTree::bulk_load(elements, RTreeConfig::default()),
-        }
-    }
-}
-
-impl UpdateStrategy for RTreeBottomUp {
+impl SpatialIndex for RTreeStrategy {
     fn name(&self) -> &'static str {
-        "RTree/bottom-up"
-    }
-
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost {
-        let mut cost = StepCost::default();
-        for (o, n) in old.iter().zip(new.iter()) {
-            let (ob, nb) = (o.aabb(), n.aabb());
-            if ob == nb {
-                cost.absorbed += 1;
-                continue;
-            }
-            let updated = self.tree.update_bottom_up(o.id, &ob, nb);
-            debug_assert!(updated, "entry {} missing from tree", o.id);
-            cost.structural_updates += 1;
+        match self.discipline {
+            RTreeDiscipline::Reinsert => "RTree/reinsert",
+            RTreeDiscipline::BottomUp => "RTree/bottom-up",
+            RTreeDiscipline::Rebuild => "RTree/rebuild",
         }
-        cost
     }
 
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
-        self.tree.range_exact(data, query)
+    fn len(&self) -> usize {
+        self.tree.len()
     }
 
     fn range_into(
         &self,
         data: &[Element],
         query: &Aabb,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::RangeSink,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
     ) {
         self.tree.range_exact_into(data, query, scratch, sink);
-    }
-
-    fn knn_into(
-        &self,
-        data: &[Element],
-        p: &simspatial_geom::Point3,
-        k: usize,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::KnnSink,
-    ) {
-        simspatial_index::KnnIndex::knn_into(&self.tree, data, p, k, scratch, sink);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -137,62 +92,16 @@ impl UpdateStrategy for RTreeBottomUp {
     }
 }
 
-/// Full STR rebuild each step — the paper's 48 s alternative, which wins
-/// once more than ~38 % of the dataset moves.
-#[derive(Debug)]
-pub struct RTreeRebuild {
-    tree: RTree,
-}
-
-impl RTreeRebuild {
-    /// Bulk-loads the initial tree.
-    pub fn build(elements: &[Element]) -> Self {
-        Self {
-            tree: RTree::bulk_load(elements, RTreeConfig::default()),
-        }
-    }
-}
-
-impl UpdateStrategy for RTreeRebuild {
-    fn name(&self) -> &'static str {
-        "RTree/rebuild"
-    }
-
-    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> StepCost {
-        self.tree.rebuild(new);
-        StepCost {
-            rebuilds: 1,
-            ..Default::default()
-        }
-    }
-
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
-        self.tree.range_exact(data, query)
-    }
-
-    fn range_into(
-        &self,
-        data: &[Element],
-        query: &Aabb,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::RangeSink,
-    ) {
-        self.tree.range_exact_into(data, query, scratch, sink);
-    }
-
+impl KnnIndex for RTreeStrategy {
     fn knn_into(
         &self,
         data: &[Element],
-        p: &simspatial_geom::Point3,
+        p: &Point3,
         k: usize,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::KnnSink,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
     ) {
-        simspatial_index::KnnIndex::knn_into(&self.tree, data, p, k, scratch, sink);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes()
+        self.tree.knn_into(data, p, k, scratch, sink);
     }
 }
 
@@ -231,12 +140,12 @@ mod tests {
         for (id, d) in moves.iter().enumerate() {
             moved.displace(id as u32, *d);
         }
-        let mut re = RTreeReinsert::build(data.elements());
+        let mut re = RTreeStrategy::build(data.elements(), RTreeDiscipline::Reinsert);
         let c = re.apply_step(data.elements(), moved.elements());
         assert_eq!(c.structural_updates + c.absorbed, 200);
         assert_eq!(c.rebuilds, 0);
 
-        let mut rb = RTreeRebuild::build(data.elements());
+        let mut rb = RTreeStrategy::build(data.elements(), RTreeDiscipline::Rebuild);
         let c = rb.apply_step(data.elements(), moved.elements());
         assert_eq!(c.rebuilds, 1);
         assert_eq!(c.structural_updates, 0);

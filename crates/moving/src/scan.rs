@@ -5,8 +5,8 @@
 //! finds that crossover.
 
 use crate::strategy::{StepCost, UpdateStrategy};
-use simspatial_geom::{Aabb, Element, ElementId};
-use simspatial_index::{LinearScan, SpatialIndex};
+use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
+use simspatial_index::{KnnIndex, KnnSink, LinearScan, RangeSink, SpatialIndex};
 
 /// Zero-maintenance linear scan.
 #[derive(Debug)]
@@ -24,10 +24,6 @@ impl NoIndexScan {
 }
 
 impl UpdateStrategy for NoIndexScan {
-    fn name(&self) -> &'static str {
-        "LinearScan"
-    }
-
     fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> StepCost {
         self.scan = LinearScan::build(new);
         StepCost {
@@ -35,34 +31,42 @@ impl UpdateStrategy for NoIndexScan {
             ..Default::default()
         }
     }
+}
 
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
-        self.scan.range(data, query)
+impl SpatialIndex for NoIndexScan {
+    fn name(&self) -> &'static str {
+        "LinearScan"
+    }
+
+    fn len(&self) -> usize {
+        self.scan.len()
     }
 
     fn range_into(
         &self,
         data: &[Element],
         query: &Aabb,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::RangeSink,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
     ) {
         self.scan.range_into(data, query, scratch, sink);
     }
 
+    fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+    }
+}
+
+impl KnnIndex for NoIndexScan {
     fn knn_into(
         &self,
         data: &[Element],
-        p: &simspatial_geom::Point3,
+        p: &Point3,
         k: usize,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::KnnSink,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
     ) {
-        simspatial_index::KnnIndex::knn_into(&self.scan, data, p, k, scratch, sink);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        self.scan.knn_into(data, p, k, scratch, sink);
     }
 }
 

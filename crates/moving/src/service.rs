@@ -1,23 +1,19 @@
-//! Strategy adapters into the concurrent service's write path.
+//! Strategy-backed serving: the concurrent service's write path.
 //!
 //! Every serving layer executes queries through `SpatialIndex`/`KnnIndex`
 //! and absorbs writes through one contract: a rebuild function, optionally
 //! an in-place apply function, and `SpatialIndex::splice`. An
-//! [`UpdateStrategy`] is *all of it at once* — it answers range/kNN
-//! queries against its maintained structure and knows how to absorb
-//! movement — so this module adapts any strategy into those slots:
+//! [`UpdateStrategy`] is an index that also absorbs movement, so a
+//! `Box<dyn UpdateStrategy>` fills every slot:
 //!
-//! * [`StrategyIndex`] wraps a boxed strategy as a `SpatialIndex +
-//!   KnnIndex`, forwarding the sink-based query paths and `splice`.
 //! * [`sharded_strategy_engine`] serves it from a [`ShardedEngine`] that
-//!   rebuilds with [`StrategyIndex::build`] and — in
-//!   [`ShardWriteMode::Incremental`] — applies write batches in place
-//!   through [`UpdateStrategy::update_batch`];
-//!   [`strategy_backend`] is its one-shard incremental engine behind a
-//!   writable [`ShardedBackend`]. So a simulation's maintenance
-//!   strategy (grid migration, bottom-up R-Tree updates, buffering, …)
-//!   serves concurrent clients directly — the paper's alternating
-//!   update/query workload through one admission path.
+//!   rebuilds with [`UpdateStrategyKind::create`] and applies write
+//!   batches in place through [`UpdateStrategy::update_batch`];
+//!   [`strategy_backend`] is its one-shard engine behind a writable
+//!   [`ShardedBackend`]. So a simulation's maintenance strategy (grid
+//!   migration, bottom-up R-Tree updates, buffering, …) serves concurrent
+//!   clients directly — the paper's alternating update/query workload
+//!   through one admission path.
 //!
 //! ```
 //! use simspatial_datagen::ElementSoupBuilder;
@@ -46,149 +42,56 @@
 //! ```
 
 use crate::strategy::{UpdateStrategy, UpdateStrategyKind};
-use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
-use simspatial_index::{KnnIndex, KnnSink, RangeSink, ShardApplyCost, ShardedEngine, SpatialIndex};
+use simspatial_geom::Element;
+use simspatial_index::{ShardApplyCost, ShardedEngine};
 use simspatial_service::ShardedBackend;
 
-/// An [`UpdateStrategy`] adapted to the index traits, so strategy-backed
-/// structures run everywhere an index does — in particular inside the
-/// shards of a [`ShardedEngine`]. Queries forward to the strategy's sink-based
-/// paths; the element count is tracked by the wrapper (strategies never own
-/// the dataset).
-pub struct StrategyIndex {
-    strategy: Box<dyn UpdateStrategy>,
-    len: usize,
-}
-
-impl StrategyIndex {
-    /// Builds the strategy `kind` over `elements` and wraps it.
-    pub fn build(kind: UpdateStrategyKind, elements: &[Element]) -> Self {
-        Self {
-            strategy: kind.create(elements),
-            len: elements.len(),
-        }
-    }
-}
-
-impl SpatialIndex for StrategyIndex {
-    fn name(&self) -> &'static str {
-        self.strategy.name()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn range_into(
-        &self,
-        data: &[Element],
-        query: &Aabb,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn RangeSink,
-    ) {
-        self.strategy.range_into(data, query, scratch, sink);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.strategy.memory_bytes()
-    }
-
-    fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
-        let spliced = self.strategy.splice(removed, remap, inserted);
-        if spliced {
-            self.len = self.len - removed.len() + inserted.len();
-        }
-        spliced
-    }
-}
-
-impl KnnIndex for StrategyIndex {
-    fn knn_into(
-        &self,
-        data: &[Element],
-        p: &Point3,
-        k: usize,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn KnnSink,
-    ) {
-        self.strategy.knn_into(data, p, k, scratch, sink);
-    }
-}
-
-/// The in-place write path of a strategy-backed index, the apply function
-/// [`sharded_strategy_engine`] attaches in incremental mode: the batch goes
-/// through [`UpdateStrategy::update_batch`] — grid migration absorbs cell
-/// switches, buffered strategies park the moves, rebuild strategies
-/// rebuild.
-fn apply_strategy(
-    index: &mut StrategyIndex,
-    data: &mut [Element],
-    updates: &[(ElementId, Shape)],
-) -> ShardApplyCost {
-    let cost = index.strategy.update_batch(data, updates);
-    ShardApplyCost {
-        structural: cost.structural_updates,
-        absorbed: cost.absorbed,
-        rebuilds: cost.rebuilds,
-    }
-}
-
 /// A writable service backend over the update strategy `kind`: a one-shard
-/// incremental [`sharded_strategy_engine`], whose lanes run on the
-/// dispatcher. Queries run through the strategy's structure, write batches
-/// through its maintenance path; a panic mid-write restarts the shard by
-/// recreating the strategy from the planner's element store, which already
-/// holds the write. `data` must follow the dataset convention
-/// (`element.id == position`).
+/// [`sharded_strategy_engine`], whose lanes run on the dispatcher. Queries
+/// run through the strategy's structure, write batches through its
+/// maintenance path; a panic mid-write restarts the shard by recreating
+/// the strategy from the planner's element store, which already holds the
+/// write. `data` must follow the dataset convention (`element.id ==
+/// position`).
 pub fn strategy_backend(data: Vec<Element>, kind: UpdateStrategyKind) -> ShardedBackend {
-    ShardedBackend::spawn(sharded_strategy_engine(
-        &data,
-        1,
-        kind,
-        ShardWriteMode::Incremental,
-    ))
-}
-
-/// The in-shard write mode of a strategy-backed sharded engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardWriteMode {
-    /// Every write lane rebuilds the shard's strategy structure from its
-    /// (updated) element clone — the differential oracle, and the only
-    /// mode that handles membership changes inside the lane itself.
-    Rebuild,
-    /// Lanes whose ids agree with the shard are applied in place:
-    /// geometry through [`UpdateStrategy::update_batch`], touching only
-    /// the dirty cells/nodes, and — for a strategy that implements
-    /// [`UpdateStrategy::splice`] (grid migration) — migrations, inserts
-    /// and removals spliced into the structure. Other strategies' membership
-    /// lanes, bulk membership changes and supervised restarts fall back to
-    /// the rebuild path.
-    Incremental,
+    ShardedBackend::spawn(sharded_strategy_engine(&data, 1, kind))
 }
 
 /// A strategy-backed [`ShardedEngine`]: each shard holds its own instance
-/// of the update strategy `kind` over the shard's element clone, and write
-/// lanes are applied per `mode`. `data` must follow the dataset convention
-/// (`element.id == position`); shard-local re-identification restores that
-/// convention inside every shard, which is what lets position-addressed
-/// strategies run there.
+/// of the update strategy `kind` over the shard's element clone.
+///
+/// Lanes whose ids agree with the shard are applied in place: geometry
+/// through [`UpdateStrategy::update_batch`] — grid migration absorbs cell
+/// switches, buffered strategies park the moves, rebuild strategies
+/// rebuild — and, for a strategy that splices (grid migration),
+/// migrations, inserts and removals through
+/// [`SpatialIndex::splice`](simspatial_index::SpatialIndex::splice). Other
+/// strategies' membership lanes, bulk membership changes and supervised
+/// restarts rebuild with [`UpdateStrategyKind::create`]. `data` must
+/// follow the dataset convention (`element.id == position`); shard-local
+/// re-identification restores that convention inside every shard, which
+/// is what lets position-addressed strategies run there.
 pub fn sharded_strategy_engine(
     data: &[Element],
     shards: usize,
     kind: UpdateStrategyKind,
-    mode: ShardWriteMode,
-) -> ShardedEngine<StrategyIndex> {
-    let engine = ShardedEngine::build(data, shards, move |els| StrategyIndex::build(kind, els))
-        .with_rebuild(move |els| StrategyIndex::build(kind, els));
-    match mode {
-        ShardWriteMode::Rebuild => engine,
-        ShardWriteMode::Incremental => engine.with_apply(apply_strategy),
-    }
+) -> ShardedEngine<Box<dyn UpdateStrategy>> {
+    ShardedEngine::build(data, shards, |els| kind.create(els))
+        .with_rebuild(move |els| kind.create(els))
+        .with_apply(|strategy, data, updates| {
+            let cost = strategy.update_batch(data, updates);
+            ShardApplyCost {
+                structural: cost.structural_updates,
+                absorbed: cost.absorbed,
+                rebuilds: cost.rebuilds,
+            }
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simspatial_geom::{Aabb, Point3, Shape};
     use simspatial_index::{LinearScan, QueryEngine};
     use simspatial_service::{Request, ServiceConfig, SpatialService};
 

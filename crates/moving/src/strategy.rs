@@ -1,7 +1,8 @@
 //! The update-strategy trait and factory.
 
-use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
-use simspatial_index::{KnnIndex, KnnSink, LinearScan, RangeSink};
+use crate::RTreeDiscipline;
+use simspatial_geom::{Element, ElementId, Shape};
+use simspatial_index::{KnnIndex, SpatialIndex};
 
 /// Cost accounting of one maintenance step (wall-clock is measured by the
 /// caller around [`UpdateStrategy::apply_step`]).
@@ -18,19 +19,26 @@ pub struct StepCost {
     pub absorbed: u64,
 }
 
-/// An index-maintenance strategy over a moving dataset.
+/// An index-maintenance strategy over a moving dataset — an index that
+/// also knows how to absorb movement.
 ///
-/// Contract: after `apply_step(old, new)` the strategy answers `range`
-/// queries *exactly* against the `new` element geometry (every strategy
-/// here preserves correctness; what varies is where the time goes).
+/// Contract: after `apply_step(old, new)` the strategy answers every
+/// [`SpatialIndex`] / [`KnnIndex`] query *exactly* against the `new`
+/// element geometry, and its [`SpatialIndex::len`] is the dataset size
+/// (every strategy here preserves correctness; what varies is where the
+/// time goes). So a `Box<dyn UpdateStrategy>` serves wherever an index
+/// does, a [`ShardedEngine`](simspatial_index::ShardedEngine) shard
+/// included.
+///
+/// Maintenance must be a pure function of the strategy's state and its
+/// arguments — no clocks, random numbers or hash-seeded iteration — so two
+/// strategies fed the same steps answer byte for byte, emission order
+/// included (the sharded engine's `ShardApply` contract).
 ///
 /// `Send` so a strategy can serve as a concurrent service's write path
 /// (see [`UpdateStrategy::update_batch`] and the `service` module) — every
 /// strategy here is plain owned data.
-pub trait UpdateStrategy: Send {
-    /// Display name for the harness.
-    fn name(&self) -> &'static str;
-
+pub trait UpdateStrategy: SpatialIndex + KnnIndex + Send {
     /// Reacts to one simulation step. `old` and `new` are the full element
     /// slices before and after the step (same ids, same order).
     fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost;
@@ -56,59 +64,6 @@ pub trait UpdateStrategy: Send {
             }
         }
         self.apply_step(&old, data)
-    }
-
-    /// Range query against current geometry.
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId>;
-
-    /// Sink-based range query against current geometry — the batch path
-    /// query harnesses drive with a reused scratch. The default adapts
-    /// [`UpdateStrategy::range`]; strategies backed by a sink-capable index
-    /// override it to skip the intermediate vector.
-    fn range_into(
-        &self,
-        data: &[Element],
-        query: &Aabb,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn RangeSink,
-    ) {
-        let _ = scratch;
-        for id in self.range(data, query) {
-            sink.push(id);
-        }
-    }
-
-    /// Sink-based kNN against current geometry: emits the `k` nearest
-    /// elements to `p` in ascending `(distance, id)` order.
-    ///
-    /// The default computes the exact answer with a linear scan over the
-    /// live `data` slice — correct for *every* strategy, since the scan
-    /// needs no maintained structure. Strategies backed by a kNN-capable
-    /// index (grids, R-Trees) override it to forward, riding their
-    /// structure's pruning instead.
-    fn knn_into(
-        &self,
-        data: &[Element],
-        p: &Point3,
-        k: usize,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn KnnSink,
-    ) {
-        LinearScan::build(data).knn_into(data, p, k, scratch, sink);
-    }
-
-    /// Approximate bytes held by the strategy's structures.
-    fn memory_bytes(&self) -> usize;
-
-    /// Applies a membership change in place — the strategy-side mirror of
-    /// [`SpatialIndex::splice`](simspatial_index::SpatialIndex::splice),
-    /// same arguments and contract: drop `removed` (old ids), renumber the
-    /// rest through the monotone `remap`, add `inserted` (new ids). The
-    /// default declines (`false`, structure untouched), and the caller
-    /// rebuilds the strategy over the new dataset instead.
-    fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
-        let _ = (removed, remap, inserted);
-        false
     }
 }
 
@@ -166,10 +121,11 @@ impl UpdateStrategyKind {
 
     /// Builds the strategy over the initial dataset.
     pub fn create(&self, elements: &[Element]) -> Box<dyn UpdateStrategy> {
+        let rtree = |discipline| Box::new(crate::RTreeStrategy::build(elements, discipline));
         match self {
-            UpdateStrategyKind::RTreeReinsert => Box::new(crate::RTreeReinsert::build(elements)),
-            UpdateStrategyKind::RTreeBottomUp => Box::new(crate::RTreeBottomUp::build(elements)),
-            UpdateStrategyKind::RTreeRebuild => Box::new(crate::RTreeRebuild::build(elements)),
+            UpdateStrategyKind::RTreeReinsert => rtree(RTreeDiscipline::Reinsert),
+            UpdateStrategyKind::RTreeBottomUp => rtree(RTreeDiscipline::BottomUp),
+            UpdateStrategyKind::RTreeRebuild => rtree(RTreeDiscipline::Rebuild),
             UpdateStrategyKind::LazyGraceWindow => {
                 Box::new(crate::LazyGraceWindow::build(elements))
             }

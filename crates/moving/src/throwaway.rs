@@ -8,8 +8,8 @@
 //! memory (O(n) build, no tree).
 
 use crate::strategy::{StepCost, UpdateStrategy};
-use simspatial_geom::{Aabb, Element, ElementId};
-use simspatial_index::{GridConfig, SpatialIndex, UniformGrid};
+use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
+use simspatial_index::{GridConfig, KnnIndex, KnnSink, RangeSink, SpatialIndex, UniformGrid};
 
 /// A uniform grid rebuilt from scratch on every step.
 #[derive(Debug)]
@@ -27,10 +27,6 @@ impl ThrowawayGrid {
 }
 
 impl UpdateStrategy for ThrowawayGrid {
-    fn name(&self) -> &'static str {
-        "Grid/throwaway"
-    }
-
     fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> StepCost {
         self.grid = UniformGrid::build(new, GridConfig::auto(new));
         StepCost {
@@ -38,34 +34,42 @@ impl UpdateStrategy for ThrowawayGrid {
             ..Default::default()
         }
     }
+}
 
-    fn range(&self, data: &[Element], query: &Aabb) -> Vec<ElementId> {
-        self.grid.range(data, query)
+impl SpatialIndex for ThrowawayGrid {
+    fn name(&self) -> &'static str {
+        "Grid/throwaway"
+    }
+
+    fn len(&self) -> usize {
+        self.grid.len()
     }
 
     fn range_into(
         &self,
         data: &[Element],
         query: &Aabb,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::RangeSink,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
     ) {
         self.grid.range_into(data, query, scratch, sink);
     }
 
+    fn memory_bytes(&self) -> usize {
+        self.grid.memory_bytes()
+    }
+}
+
+impl KnnIndex for ThrowawayGrid {
     fn knn_into(
         &self,
         data: &[Element],
-        p: &simspatial_geom::Point3,
+        p: &Point3,
         k: usize,
-        scratch: &mut simspatial_geom::QueryScratch,
-        sink: &mut dyn simspatial_index::KnnSink,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
     ) {
-        simspatial_index::KnnIndex::knn_into(&self.grid, data, p, k, scratch, sink);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.grid.memory_bytes()
+        self.grid.knn_into(data, p, k, scratch, sink);
     }
 }
 

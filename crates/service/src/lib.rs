@@ -43,7 +43,8 @@
 //!   contract every layer shares: a rebuild function
 //!   (`ShardedEngine::with_rebuild`), optionally an in-place apply
 //!   function (`ShardedEngine::with_apply`, e.g.
-//!   `simspatial_moving::strategy_backend`). [`ShardedBackend`] parks each
+//!   `simspatial_moving::strategy_backend`, whose shard index is a boxed
+//!   update strategy). [`ShardedBackend`] parks each
 //!   shard in an executor slot and scatters routed lanes onto a
 //!   work-stealing pool of `min(SIMSPATIAL_THREADS, shards)` workers,
 //!   merging through the engine layer's deduplicating sinks —

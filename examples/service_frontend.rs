@@ -282,7 +282,6 @@ fn main() {
         dataset.elements(),
         2,
         UpdateStrategyKind::GridMigrate,
-        ShardWriteMode::Incremental,
     ));
     drive(
         "GridMigrate · 2-shard incremental backend (delta ticks, in-place writes)",

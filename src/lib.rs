@@ -100,8 +100,7 @@ pub mod prelude {
     pub use simspatial_join::{join_pair, self_join, JoinAlgorithm, JoinConfig, PairAlgorithm};
     pub use simspatial_mesh::{MeshWalker, TetMesh, WalkStrategy};
     pub use simspatial_moving::{
-        sharded_strategy_engine, strategy_backend, ShardWriteMode, StepCost, StrategyIndex,
-        UpdateStrategy, UpdateStrategyKind,
+        sharded_strategy_engine, strategy_backend, StepCost, UpdateStrategy, UpdateStrategyKind,
     };
     pub use simspatial_net::{CallOutcome, NetClient, NetConfig, NetServer, TenantSpec};
     pub use simspatial_service::{

@@ -113,6 +113,19 @@ impl<I: SpatialIndex + KnnIndex, F: Fn(&[Element]) -> I> SerialOracle for Rebuil
     }
 }
 
+/// The rebuild-mode twin of `sharded_strategy_engine`: the same shards and
+/// rebuild function without the in-place apply, so every write lane
+/// rebuilds its shard's strategy — the differential oracle for the
+/// incremental write path.
+pub fn rebuild_strategy_engine(
+    data: &[Element],
+    shards: usize,
+    kind: UpdateStrategyKind,
+) -> ShardedEngine<Box<dyn UpdateStrategy>> {
+    ShardedEngine::build(data, shards, |els| kind.create(els))
+        .with_rebuild(move |els| kind.create(els))
+}
+
 /// A strategy-backed oracle: one strategy over the whole dataset, fed each
 /// write batch as submitted (duplicates included, in admission order).
 /// `simspatial_moving::strategy_backend` applies each id's last write once,

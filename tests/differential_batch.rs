@@ -1,13 +1,15 @@
 //! Differential tests for the indexes migrated onto the SoA batch kernel:
-//! the batched/sink paths must return id-sets identical to the seed scalar
-//! reference paths on random *and* degenerate datasets.
+//! the batched/sink paths must answer exactly what the ground truth answers
+//! on random *and* degenerate datasets.
 //!
-//! Reference paths under test:
-//! * `MultiGrid::range_seed_reference` — per-level scalar grid path
-//!   (raw cell dumps, sort + dedup, per-candidate filter-and-refine);
-//! * `CrTree::range_scalar_reference` — per-child dequantize + scalar test;
-//! * `Lsh::knn_scalar_reference` — exact-score-every-candidate;
-//! * `UniformGrid::knn_scalar_reference` — unbatched expanding-ring scoring;
+//! Paths under test:
+//! * `MultiGrid` and `CrTree` range queries against the `LinearScan` id
+//!   sets;
+//! * `UniformGrid` kNN against `LinearScan::knn`, list for list (kNN is a
+//!   total `(distance, id)` order);
+//! * `Lsh` deferred scoring against `Lsh::knn_scalar_reference`
+//!   (exact-score-every-candidate; LSH is approximate, so the scan cannot
+//!   stand in for it);
 //! * KD-Tree / linear scan sink paths against the scan ground truth.
 
 use simspatial::prelude::*;
@@ -85,24 +87,26 @@ fn all_datasets() -> Vec<Vec<Element>> {
 }
 
 #[test]
-fn multigrid_batched_equals_seed_reference() {
+fn multigrid_batched_equals_scan() {
     for data in all_datasets() {
         let mg = MultiGrid::build(&data, MultiGridConfig::auto(&data));
+        let scan = LinearScan::build(&data);
         for q in queries() {
             let a = sorted(mg.range(&data, &q));
-            let b = sorted(mg.range_seed_reference(&data, &q));
+            let b = sorted(scan.range(&data, &q));
             assert_eq!(a, b, "multigrid diverged on {q:?} (n={})", data.len());
         }
     }
 }
 
 #[test]
-fn crtree_batched_equals_seed_reference() {
+fn crtree_batched_equals_scan() {
     for data in all_datasets() {
         let cr = CrTree::build(&data, CrTreeConfig::default());
+        let scan = LinearScan::build(&data);
         for q in queries() {
             let a = sorted(cr.range(&data, &q));
-            let b = sorted(cr.range_scalar_reference(&data, &q));
+            let b = sorted(scan.range(&data, &q));
             assert_eq!(a, b, "crtree diverged on {q:?} (n={})", data.len());
         }
     }
@@ -124,8 +128,9 @@ fn lsh_deferred_scoring_equals_seed_reference() {
 }
 
 #[test]
-fn grid_batched_knn_equals_seed_reference() {
+fn grid_batched_knn_equals_scan() {
     for data in all_datasets() {
+        let scan = LinearScan::build(&data);
         for placement in [GridPlacement::Center, GridPlacement::Replicate] {
             let cfg = GridConfig::with_cell_side(GridConfig::auto(&data).cell_side, placement);
             let grid = UniformGrid::build(&data, cfg);
@@ -133,7 +138,7 @@ fn grid_batched_knn_equals_seed_reference() {
                 let p = Point3::new((i * 13) as f32, (i * 11) as f32, (i * 7) as f32);
                 for k in [1usize, 6] {
                     let a = grid.knn(&data, &p, k);
-                    let b = grid.knn_scalar_reference(&data, &p, k);
+                    let b = scan.knn(&data, &p, k);
                     assert_eq!(
                         a,
                         b,

@@ -17,6 +17,9 @@
 //! (membership lanes always rebuild), writes to dead ids (skipped, not
 //! resurrected), and the k=0 / empty-region / shrink-to-empty edge cases.
 
+mod common;
+
+use common::rebuild_strategy_engine;
 use simspatial::prelude::*;
 
 fn mix(h: u32) -> u32 {
@@ -170,8 +173,8 @@ fn probe_points() -> Vec<Point3> {
 /// probe identically — ranges as id sets, kNN lists byte-for-byte (the
 /// merge's global `(distance, id)` order must match the single engine's).
 fn check(
-    inc: &mut ShardedEngine<StrategyIndex>,
-    reb: &mut ShardedEngine<StrategyIndex>,
+    inc: &mut ShardedEngine<Box<dyn UpdateStrategy>>,
+    reb: &mut ShardedEngine<Box<dyn UpdateStrategy>>,
     oracle: &mut Oracle,
     label: &str,
 ) {
@@ -248,8 +251,8 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
     let seed = 0xD1FF ^ shards as u32;
     let data = soup(n, seed);
     let label = format!("{kind:?}/{shards}-shard");
-    let mut inc = sharded_strategy_engine(&data, shards, kind, ShardWriteMode::Incremental);
-    let mut reb = sharded_strategy_engine(&data, shards, kind, ShardWriteMode::Rebuild);
+    let mut inc = sharded_strategy_engine(&data, shards, kind);
+    let mut reb = rebuild_strategy_engine(&data, shards, kind);
     assert!(inc.is_incremental());
     assert!(!reb.is_incremental());
     let mut oracle = Oracle::new(data);
@@ -366,6 +369,83 @@ fn incremental_rebuild_and_unsharded_stay_identical() {
     }
 }
 
+/// Asserts that two engines answer every probe byte for byte — range lists
+/// in emission order (unsorted), kNN lists in `(distance, id)` order.
+fn twins_agree(
+    a: &mut ShardedEngine<Box<dyn UpdateStrategy>>,
+    b: &mut ShardedEngine<Box<dyn UpdateStrategy>>,
+    label: &str,
+) {
+    let qs = probe_boxes();
+    let (mut got_a, mut got_b) = (BatchResults::new(), BatchResults::new());
+    a.range_collect(&qs, &mut got_a);
+    b.range_collect(&qs, &mut got_b);
+    for qi in 0..qs.len() {
+        assert_eq!(
+            got_a.query_results(qi),
+            got_b.query_results(qi),
+            "{label}: range query {qi}"
+        );
+    }
+    let points = probe_points();
+    for k in [1usize, 7, 40] {
+        let (mut got_a, mut got_b) = (KnnBatchResults::new(), KnnBatchResults::new());
+        a.knn_collect(&points, k, &mut got_a);
+        b.knn_collect(&points, k, &mut got_b);
+        for qi in 0..points.len() {
+            assert_eq!(
+                got_a.query_results(qi),
+                got_b.query_results(qi),
+                "{label}: knn k={k} probe {qi}"
+            );
+        }
+    }
+}
+
+/// A served strategy is a pure function of its inputs: two identically
+/// built engines fed the same batches — jitter below and above the
+/// buffered strategy's flush threshold (10 % of a shard), teleports,
+/// inserts and removes — answer every probe byte for byte, unsorted. A
+/// strategy that iterates hash-seeded state (a `HashMap` buffer) lists its
+/// hits in a per-instance order and fails here.
+#[test]
+fn twin_strategy_engines_answer_byte_for_byte() {
+    let n = 600u32;
+    for kind in UpdateStrategyKind::ALL {
+        for shards in [1usize, 3] {
+            let seed = 0x7F1D ^ shards as u32;
+            let data = soup(n, seed);
+            let label = format!("{kind:?}/{shards}-shard");
+            let mut a = sharded_strategy_engine(&data, shards, kind);
+            let mut b = sharded_strategy_engine(&data, shards, kind);
+            twins_agree(&mut a, &mut b, &format!("{label}/seed"));
+            for (stage, count) in [("jitter below flush", 20u32), ("jitter above flush", 200)] {
+                let updates = jitter(n, seed ^ count, count);
+                a.update_batch(&updates);
+                b.update_batch(&updates);
+                twins_agree(&mut a, &mut b, &format!("{label}/{stage}"));
+            }
+            let updates = teleport(n, seed, 60);
+            a.update_batch(&updates);
+            b.update_batch(&updates);
+            twins_agree(&mut a, &mut b, &format!("{label}/teleport"));
+            let shapes: Vec<Shape> = (0..12u32)
+                .map(|j| {
+                    let g = mix(j ^ seed ^ 0x1A5);
+                    let p = Point3::new((g % 900) as f32 / 10.0, 50.0, 50.0);
+                    Shape::Sphere(Sphere::new(p, 0.6))
+                })
+                .collect();
+            assert_eq!(a.insert_batch(&shapes).0, b.insert_batch(&shapes).0);
+            twins_agree(&mut a, &mut b, &format!("{label}/insert"));
+            let dead = [5u32, 64, 301, n + 2];
+            a.remove_batch(&dead);
+            b.remove_batch(&dead);
+            twins_agree(&mut a, &mut b, &format!("{label}/remove"));
+        }
+    }
+}
+
 /// The incremental fast path actually runs — and is observable in the
 /// write-amplification counters: on a single shard a geometry-only batch
 /// avoids the rebuild, touches fewer elements than a rebuild would, and
@@ -374,18 +454,8 @@ fn incremental_rebuild_and_unsharded_stay_identical() {
 fn incremental_mode_avoids_rebuilds_on_jitter() {
     let n = 600u32;
     let data = soup(n, 0xACC);
-    let mut inc = sharded_strategy_engine(
-        &data,
-        1,
-        UpdateStrategyKind::GridMigrate,
-        ShardWriteMode::Incremental,
-    );
-    let mut reb = sharded_strategy_engine(
-        &data,
-        1,
-        UpdateStrategyKind::GridMigrate,
-        ShardWriteMode::Rebuild,
-    );
+    let mut inc = sharded_strategy_engine(&data, 1, UpdateStrategyKind::GridMigrate);
+    let mut reb = rebuild_strategy_engine(&data, 1, UpdateStrategyKind::GridMigrate);
     let updates = jitter(n, 0xACC, 30);
     let s_inc = inc.update_batch(&updates);
     let s_reb = reb.update_batch(&updates);
@@ -429,12 +499,7 @@ fn range_merge_is_first_seen_order_for_one_and_many_shard_queries() {
     let n = 1500u32;
     let seed = 0x3E26;
     let data = soup(n, seed);
-    let mut engine = sharded_strategy_engine(
-        &data,
-        4,
-        UpdateStrategyKind::GridMigrate,
-        ShardWriteMode::Incremental,
-    );
+    let mut engine = sharded_strategy_engine(&data, 4, UpdateStrategyKind::GridMigrate);
     assert!(engine.update_batch(&teleport(n, seed, 120)).migrations > 0);
     let (mut planner, mut executors) = engine.into_parts();
 
@@ -515,18 +580,8 @@ fn range_merge_is_first_seen_order_for_one_and_many_shard_queries() {
 fn shrink_to_empty_then_regrow() {
     let n = 40u32;
     let data = soup(n, 0x5E5E);
-    let mut inc = sharded_strategy_engine(
-        &data,
-        2,
-        UpdateStrategyKind::GridMigrate,
-        ShardWriteMode::Incremental,
-    );
-    let mut reb = sharded_strategy_engine(
-        &data,
-        2,
-        UpdateStrategyKind::GridMigrate,
-        ShardWriteMode::Rebuild,
-    );
+    let mut inc = sharded_strategy_engine(&data, 2, UpdateStrategyKind::GridMigrate);
+    let mut reb = rebuild_strategy_engine(&data, 2, UpdateStrategyKind::GridMigrate);
     let mut oracle = Oracle::new(data);
 
     let all: Vec<u32> = (0..n).collect();

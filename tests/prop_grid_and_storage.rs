@@ -45,12 +45,7 @@ proptest! {
         let mut b = scan.range(&elements, &qbox);
         a.sort_unstable();
         b.sort_unstable();
-        prop_assert_eq!(&a, &b);
-        // The batched SoA path must also agree with the seed's scalar
-        // reference path on the same structure.
-        let mut c = grid.range_scalar_reference(&elements, &qbox);
-        c.sort_unstable();
-        prop_assert_eq!(a, c);
+        prop_assert_eq!(a, b);
     }
 
     #[test]

@@ -28,7 +28,10 @@
 
 mod common;
 
-use common::{expected, mix, soup, RebuildOracle, SerialOracle, ShardedOracle, StrategyOracle};
+use common::{
+    expected, mix, rebuild_strategy_engine, soup, RebuildOracle, SerialOracle, ShardedOracle,
+    StrategyOracle,
+};
 use simspatial::prelude::*;
 use simspatial_service::{
     QueryRun, QueryRunReport, QueryRunResults, RecvError, ServiceBackend, UpdateReport,
@@ -460,19 +463,13 @@ fn post_restart_writes_stay_barrier_ordered() {
 fn incremental_executor_mid_write_panic_restarts_exactly_once() {
     quiet_panics();
     let data = soup(2000, 0x17C5);
-    let engine = sharded_strategy_engine(
-        &data,
-        4,
-        UpdateStrategyKind::GridMigrate,
-        ShardWriteMode::Incremental,
-    );
+    let engine = sharded_strategy_engine(&data, 4, UpdateStrategyKind::GridMigrate);
     // The oracle runs the *rebuild* mode: the two write modes must be
     // indistinguishable through queries, panic or no panic.
-    let mut oracle = ShardedOracle(sharded_strategy_engine(
+    let mut oracle = ShardedOracle(rebuild_strategy_engine(
         &data,
         4,
         UpdateStrategyKind::GridMigrate,
-        ShardWriteMode::Rebuild,
     ));
     // A sparse jitter tick: a handful of elements nudged slightly from
     // where the *last full step* (h = 0xB2) left them — the lanes stay

@@ -640,7 +640,7 @@ fn replayed_snapshots_match_incremental_oracle_4_shards() {
 fn every_strategy_serves_snapshots_that_match_barrier_reads() {
     let data = soup(800, 0x57A7);
     for kind in UpdateStrategyKind::ALL {
-        let engine = sharded_strategy_engine(&data, 2, kind, ShardWriteMode::Incremental);
+        let engine = sharded_strategy_engine(&data, 2, kind);
         let service = SpatialService::spawn(
             ShardedBackend::spawn_snapshot(engine),
             ServiceConfig::default().no_coalesce(),

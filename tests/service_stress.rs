@@ -577,12 +577,7 @@ fn write_barrier_matches_serial_on_strategy_backend() {
     let kind = UpdateStrategyKind::GridMigrate;
     let backend = strategy_backend(data.clone(), kind);
     let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
-    let mut oracle = ShardedOracle(sharded_strategy_engine(
-        &data,
-        1,
-        kind,
-        ShardWriteMode::Incremental,
-    ));
+    let mut oracle = ShardedOracle(sharded_strategy_engine(&data, 1, kind));
     drive_barrier_and_verify(service, &mut oracle, false, "engine/grid-migrate strategy");
 }
 
@@ -615,12 +610,7 @@ fn strategy_apply_behaves_the_same_behind_both_backends() {
         ServiceConfig::default().no_coalesce(),
     );
     let handle = service.handle();
-    let mut oracle = ShardedOracle(sharded_strategy_engine(
-        &data,
-        1,
-        kind,
-        ShardWriteMode::Incremental,
-    ));
+    let mut oracle = ShardedOracle(sharded_strategy_engine(&data, 1, kind));
     for (i, request) in requests.iter().enumerate() {
         let got = handle.submit(request.clone()).unwrap().recv().unwrap();
         let want = match request {
