@@ -407,42 +407,17 @@ impl<I> ShardExecutor<I> {
         self.rebuild.is_some()
     }
 
-    /// A clone of the attached index (re)build function, if any — lets a
-    /// supervisor capture the rebuild recipe before moving the executor
-    /// onto a worker thread, so a crashed shard can be reconstructed later
-    /// via [`ShardExecutor::from_planner`].
-    pub fn rebuild_fn(&self) -> Option<ShardRebuild<I>> {
-        self.rebuild.clone()
-    }
-
-    /// True when this executor applies geometry-only lanes incrementally
-    /// (an in-shard apply function is attached, see
-    /// [`ShardedEngine::with_apply`]).
-    pub fn is_incremental(&self) -> bool {
-        self.apply.is_some()
-    }
-
-    /// A clone of the attached incremental apply function, if any — the
-    /// supervisor captures it alongside [`ShardExecutor::rebuild_fn`] so a
-    /// restarted shard comes back in the same write mode.
-    pub fn apply_fn(&self) -> Option<ShardApply<I>> {
-        self.apply.clone()
-    }
-
-    /// Reconstructs shard `shard`'s executor from the planner's element
-    /// store: the exact element clone [`ShardPlanner::shard_elements`]
-    /// reproduces, re-identified with dense local ids, indexed by
-    /// `rebuild`, with both write hooks attached (`apply` restores the
-    /// write mode the lost executor ran in). Because the store advances in
-    /// lockstep with routed updates, the reconstruction is byte-identical
-    /// to the executor the shard would hold had it never been lost — the
-    /// supervisor's shard-restart path.
-    pub fn from_planner(
-        planner: &ShardPlanner,
-        shard: usize,
-        rebuild: ShardRebuild<I>,
-        apply: Option<ShardApply<I>>,
-    ) -> Self {
+    /// Shard `shard`'s executor rebuilt from the planner's element store
+    /// with this executor's own recipe: the exact element clone
+    /// [`ShardPlanner::shard_elements`] reproduces, re-identified with dense
+    /// local ids, indexed by this executor's rebuild function, with its
+    /// apply function attached (the rebuilt shard keeps the write mode this
+    /// one ran in). Because the store advances in lockstep with routed
+    /// updates, the result is byte-identical to the executor the shard
+    /// would hold had it never been lost — the supervisor's shard-restart
+    /// path. `None` when no rebuild function is attached.
+    pub fn rebuilt_from(&self, planner: &ShardPlanner, shard: usize) -> Option<Self> {
+        let rebuild = self.rebuild.clone()?;
         let pairs = planner.shard_elements(shard);
         let mut data = Vec::with_capacity(pairs.len());
         let mut global = Vec::with_capacity(pairs.len());
@@ -451,15 +426,15 @@ impl<I> ShardExecutor<I> {
             global.push(gid);
         }
         let index = rebuild(&data);
-        Self {
+        Some(Self {
             region: planner.router().region(shard),
             data,
             global,
             index,
             engine: QueryEngine::new(),
             rebuild: Some(rebuild),
-            apply,
-        }
+            apply: self.apply.clone(),
+        })
     }
 
     /// Bytes of the shard's replicated element clone, id map and engine
@@ -606,7 +581,7 @@ impl<I: SpatialIndex> ShardExecutor<I> {
     /// global id) hold after every lane. Then:
     ///
     /// * **In place** — when an apply function is attached
-    ///   ([`ShardExecutor::is_incremental`]), the membership change is at
+    ///   ([`ShardedEngine::with_apply`]), the membership change is at
     ///   most a quarter of the shard and the index accepted it (asked before
     ///   anything is shifted): the apply function moves the resident updates
     ///   under their post-splice local ids, in ascending id order — which
@@ -1221,7 +1196,7 @@ impl ShardPlanner {
     /// only the shards of the element's old and new envelope, and
     /// [`ShardPlanner::shard_elements`] can reproduce any shard's exact
     /// element clone at any time, enabling shard rebuilds after an
-    /// executor is lost ([`ShardExecutor::from_planner`]).
+    /// executor is lost ([`ShardExecutor::rebuilt_from`]).
     ///
     /// Panics when `router` has more than 255 shards (the route table
     /// stores each element's shard range in two bytes).
@@ -1834,7 +1809,7 @@ impl<I> ShardedEngine<I> {
     /// True when every shard applies geometry-only lanes incrementally
     /// (see [`ShardedEngine::with_apply`]).
     pub fn is_incremental(&self) -> bool {
-        self.executors.iter().all(ShardExecutor::is_incremental)
+        self.executors.iter().all(|exec| exec.apply.is_some())
     }
 
     /// The routing function in force.
@@ -2893,8 +2868,9 @@ mod tests {
 
         let (planner, executors) = sharded.into_parts();
         for (s, exec) in executors.iter().enumerate() {
-            let rebuild = exec.rebuild_fn().expect("with_rebuild attached");
-            let twin = ShardExecutor::from_planner(&planner, s, rebuild, exec.apply_fn());
+            let twin = exec
+                .rebuilt_from(&planner, s)
+                .expect("with_rebuild attached");
             assert_eq!(twin.global_ids(), exec.global_ids(), "restart of shard {s}");
         }
         assert_routes_match_store(&planner, "restart");
@@ -3002,8 +2978,9 @@ mod tests {
         let probes: Vec<(Point3, usize)> = points.iter().map(|&p| (p, 5)).collect();
         let (planner, mut executors) = sharded.into_parts();
         for (s, exec) in executors.iter_mut().enumerate() {
-            let rebuild = exec.rebuild_fn().expect("with_rebuild attached");
-            let mut twin = ShardExecutor::from_planner(&planner, s, rebuild, exec.apply_fn());
+            let mut twin = exec
+                .rebuilt_from(&planner, s)
+                .expect("with_rebuild attached");
             assert_eq!(twin.global_ids(), exec.global_ids(), "shard {s} id map");
             assert_eq!(twin.region(), exec.region());
             assert!(twin.is_updatable());
@@ -3024,6 +3001,11 @@ mod tests {
                     "shard {s} probe {qi}"
                 );
             }
+        }
+        // Without a rebuild function there is no recipe to restart from.
+        let (planner, executors) = ShardedEngine::build(&data, 4, build).into_parts();
+        for (s, exec) in executors.iter().enumerate() {
+            assert!(exec.rebuilt_from(&planner, s).is_none(), "shard {s}");
         }
     }
 }

@@ -10,9 +10,10 @@
 //! * [`ShardedBackend`] — a [`ShardedEngine`] split into its
 //!   [`ShardPlanner`] and per-shard
 //!   [`ShardExecutor`](simspatial_index::ShardExecutor)s, executed on a
-//!   **work-stealing worker pool**. Each executor sits in one slot that
-//!   reads and writes alike run against. Snapshot runs need no copy of
-//!   it: the scheduler runs one only while live state *is* the last
+//!   **work-stealing worker pool**. Each shard has one slot in the pool —
+//!   its executor, its job clock and its scheduled faults — that reads and
+//!   writes alike run against. Snapshot runs need no copy of the
+//!   executor: the scheduler runs one only while live state *is* the last
 //!   published epoch, ahead of every write of its dispatch. The dispatcher
 //!   routes a run into per-shard lanes and
 //!   scatters them as stealable jobs: each pool worker owns a local deque
@@ -42,7 +43,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -334,23 +335,16 @@ enum Job {
     Update(UpdateLane),
 }
 
-/// What a pool worker sends back per job: which shard it ran on, the lane
-/// (results filled on success, torn on panic — the gather never uses a
-/// panicked lane's contents) and whether
-/// the job panicked. A worker always reports, even for a job it failed —
-/// that is the no-hang guarantee: the gather's `recv` is matched by
-/// exactly one `WorkerDone` per job scattered.
-struct WorkerDone {
-    shard: usize,
-    job: Job,
-    panicked: bool,
-}
-
-/// A job travelling through the worker pool: the shard whose executor must
-/// run it and the lane itself.
+/// A job travelling through the worker pool and back: the shard whose
+/// executor must run it, the lane (results filled on success, torn on
+/// panic — the gather never uses a panicked lane's contents) and whether
+/// the job panicked. A worker always sends the job back, even one it
+/// failed — that is the no-hang guarantee: the gather's `recv` is matched
+/// by exactly one returned job per job scattered.
 struct PoolJob {
     shard: usize,
     job: Job,
+    panicked: bool,
 }
 
 /// The type-erased per-shard execution core a pool worker calls: runs any
@@ -361,6 +355,12 @@ trait RunnerCore: Send {
     fn run(&mut self, job: &mut Job);
     /// Bytes held by the executor (the shard-memory gauge after a restart).
     fn memory_bytes(&self) -> usize;
+    /// Elements held by the executor (the shard-size gauge after a restart).
+    fn len(&self) -> usize;
+    /// Replaces the executor by shard `shard`'s rebuild from the planner's
+    /// element store, with its own recipe
+    /// ([`ShardExecutor::rebuilt_from`]). `false` when it has no recipe.
+    fn restart(&mut self, planner: &ShardPlanner, shard: usize) -> bool;
 }
 
 /// A boxed [`RunnerCore`] — what executor slots hold.
@@ -378,20 +378,37 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> RunnerCore for ShardExecutor<I
     fn memory_bytes(&self) -> usize {
         ShardExecutor::memory_bytes(self)
     }
+
+    fn len(&self) -> usize {
+        ShardExecutor::len(self)
+    }
+
+    fn restart(&mut self, planner: &ShardPlanner, shard: usize) -> bool {
+        self.rebuilt_from(planner, shard)
+            .map(|exec| *self = exec)
+            .is_some()
+    }
 }
 
-/// The per-shard executor slots, shared between the backend (supervision:
-/// rebuild, declare dead) and the pool workers (execution). `None` marks a
-/// torn executor — a job panicked inside it and only a supervisor rebuild
-/// from the planner's retained element store may bring the shard back.
-/// The slot mutex also serialises same-shard jobs when a scatter put more
-/// than one in flight (the range and the kNN lane of one query run).
-type RunnerSlots = Arc<Vec<Mutex<Option<ShardRunner>>>>;
-
-fn lock_slot(slot: &Mutex<Option<ShardRunner>>) -> std::sync::MutexGuard<'_, Option<ShardRunner>> {
-    // A panic can never unwind while the guard is held (job panics are
-    // caught inside), but stay robust against poisoning anyway.
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
+/// One shard's home in the pool: everything a shard job reads or writes,
+/// shared between the backend (supervision: restart, declare dead) and
+/// whoever runs the shard's jobs. The slot mutex also serialises same-shard
+/// jobs when a scatter put more than one in flight (the range and the kNN
+/// lane of one query run).
+struct Slot {
+    /// The shard's executor; `None` only once the shard is dead.
+    runner: Option<ShardRunner>,
+    /// A job panicked inside `runner`, which may be torn mid-update: later
+    /// jobs report `panicked` without running until the supervisor
+    /// restarts the shard from the planner's retained element store.
+    torn: bool,
+    /// The fault plan's per-shard job clock. **Every** pool job of the
+    /// shard draws one number — write lanes, live reads and snapshot reads
+    /// alike — and the clock spans restarts, so a fault schedule spans
+    /// executor incarnations deterministically.
+    jobs: u64,
+    /// Scheduled worker-level faults `(job number, kind)`.
+    faults: Vec<(u64, FaultKind)>,
 }
 
 /// The deque state of the worker pool, under one mutex: cheap to lock
@@ -414,19 +431,21 @@ struct PoolShared {
     steals: AtomicU64,
     /// Per-worker cumulative busy nanoseconds (time executing jobs).
     busy_ns: Vec<AtomicU64>,
-    /// Per-shard job sequence counters and scheduled worker-level faults
-    /// `(job sequence, kind)` — installed by the backend, looked up by the
-    /// workers. Both live outside the executor slots, so a fault schedule
-    /// spans executor incarnations deterministically. **Every** pool job
-    /// of a shard draws one number: write lanes, live reads and snapshot
-    /// reads alike.
-    seqs: Vec<AtomicU64>,
-    faults: Vec<Mutex<Vec<(u64, FaultKind)>>>,
+    /// One slot per shard.
+    slots: Vec<Mutex<Slot>>,
 }
 
 impl PoolShared {
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, PoolState> {
+    fn lock_state(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_slot(&self, shard: usize) -> MutexGuard<'_, Slot> {
+        // A panic can never unwind while the guard is held (job panics are
+        // caught inside), but stay robust against poisoning anyway.
+        self.slots[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -440,28 +459,24 @@ struct WorkerPool {
     workers: Workers,
 }
 
-/// Where a pool's jobs run. Whoever runs them holds a clone of the
-/// executor slots.
+/// Where a pool's jobs run.
 enum Workers {
     /// Two or more pool threads; completions come back over the channel.
     Threads {
-        done_rx: mpsc::Receiver<WorkerDone>,
+        done_rx: mpsc::Receiver<PoolJob>,
         handles: Vec<JoinHandle<()>>,
     },
     /// No thread: `submit` ran each job on the calling thread, and its
     /// completion waits here for `recv_done`.
-    Inline {
-        slots: RunnerSlots,
-        done: VecDeque<WorkerDone>,
-    },
+    Inline { done: VecDeque<PoolJob> },
 }
 
 impl WorkerPool {
-    /// Spawns the pool: `min(parallel::num_threads(), shards)` workers
-    /// (at least one), each holding a clone of the executor slots — or no
-    /// thread at all when that is one worker.
-    fn spawn(shards: usize, slots: &RunnerSlots) -> Self {
-        let workers = parallel::num_threads().min(shards.max(1)).max(1);
+    /// Spawns the pool over one slot per runner:
+    /// `min(parallel::num_threads(), shards)` workers (at least one) — or
+    /// no thread at all when that is one worker.
+    fn spawn(runners: Vec<ShardRunner>) -> Self {
+        let workers = parallel::num_threads().min(runners.len().max(1)).max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 queues: (0..workers).map(|_| VecDeque::new()).collect(),
@@ -470,24 +485,31 @@ impl WorkerPool {
             work_available: Condvar::new(),
             steals: AtomicU64::new(0),
             busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            seqs: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            faults: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            slots: runners
+                .into_iter()
+                .map(|runner| {
+                    Mutex::new(Slot {
+                        runner: Some(runner),
+                        torn: false,
+                        jobs: 0,
+                        faults: Vec::new(),
+                    })
+                })
+                .collect(),
         });
         let workers = if workers == 1 {
             Workers::Inline {
-                slots: Arc::clone(slots),
                 done: VecDeque::new(),
             }
         } else {
-            let (done_tx, done_rx) = mpsc::channel::<WorkerDone>();
+            let (done_tx, done_rx) = mpsc::channel::<PoolJob>();
             let handles = (0..workers)
                 .map(|w| {
                     let shared = Arc::clone(&shared);
-                    let slots = Arc::clone(slots);
                     let done_tx = done_tx.clone();
                     std::thread::Builder::new()
                         .name(format!("simspatial-pool-{w}"))
-                        .spawn(move || pool_worker_loop(w, &shared, &slots, &done_tx))
+                        .spawn(move || pool_worker_loop(w, &shared, &done_tx))
                         .expect("spawn pool worker thread")
                 })
                 .collect();
@@ -505,9 +527,13 @@ impl WorkerPool {
     /// Enqueues one job onto its shard's owner queue and wakes a worker —
     /// or, in a one-worker pool, runs it right here as worker 0.
     fn submit(&mut self, shard: usize, job: Job) {
-        let job = PoolJob { shard, job };
+        let job = PoolJob {
+            shard,
+            job,
+            panicked: false,
+        };
         match &mut self.workers {
-            Workers::Inline { slots, done } => done.push_back(run_job(&self.shared, slots, 0, job)),
+            Workers::Inline { done } => done.push_back(run_job(&self.shared, 0, job)),
             Workers::Threads { .. } => {
                 let mut state = self.shared.lock_state();
                 assert!(!state.shutdown, "backend already shut down");
@@ -522,9 +548,9 @@ impl WorkerPool {
     /// Receives one completion. Every scattered job produces exactly one
     /// (panicked jobs included), so a gather of `in_flight` `recv_done`
     /// calls never hangs.
-    fn recv_done(&mut self) -> WorkerDone {
+    fn recv_done(&mut self) -> PoolJob {
         match &mut self.workers {
-            Workers::Inline { done, .. } => done.pop_front().expect("one completion per job"),
+            Workers::Inline { done } => done.pop_front().expect("one completion per job"),
             Workers::Threads { done_rx, .. } => {
                 done_rx.recv().expect("pool workers outlive in-flight jobs")
             }
@@ -546,12 +572,7 @@ impl WorkerPool {
 /// One pool worker: pop the front of the own queue, steal the back of a
 /// sibling's otherwise, sleep on the condvar when everything is empty, and
 /// run each job through [`run_job`].
-fn pool_worker_loop(
-    worker: usize,
-    shared: &PoolShared,
-    slots: &RunnerSlots,
-    done_tx: &mpsc::Sender<WorkerDone>,
-) {
+fn pool_worker_loop(worker: usize, shared: &PoolShared, done_tx: &mpsc::Sender<PoolJob>) {
     loop {
         let (pool_job, stolen) = {
             let mut state = shared.lock_state();
@@ -579,39 +600,36 @@ fn pool_worker_loop(
         if stolen {
             shared.steals.fetch_add(1, Ordering::Relaxed);
         }
-        if done_tx
-            .send(run_job(shared, slots, worker, pool_job))
-            .is_err()
-        {
+        if done_tx.send(run_job(shared, worker, pool_job)).is_err() {
             return; // the backend is gone; nothing left to report to
         }
     }
 }
 
 /// Runs one pool job as `worker`, on a pool thread or inline: the lane
-/// runs on its shard's executor slot under the shard's next job number
-/// (see `PoolShared::seqs`), firing the fault a plan scheduled there, and
-/// its time is charged to `worker`.
+/// runs on its shard's slot under the shard's next job number (see
+/// [`Slot::jobs`]), firing the fault a plan scheduled there, and its time
+/// is charged to `worker`.
 ///
 /// The lane runs under `catch_unwind` (over an `AssertUnwindSafe` closure
 /// — the executor never crosses the boundary again after a panic): a
-/// panicking job clears the shard's executor slot (the executor may be
-/// torn mid-update, so the only safe continuation is a supervisor rebuild)
-/// and still produces a `WorkerDone { panicked: true }` report.
-fn run_job(shared: &PoolShared, slots: &RunnerSlots, worker: usize, job: PoolJob) -> WorkerDone {
-    let PoolJob { shard, mut job } = job;
+/// panicking job marks the slot torn (the executor may be torn
+/// mid-update, so the only safe continuation is a supervisor rebuild) and
+/// still comes back, with `panicked` set.
+fn run_job(shared: &PoolShared, worker: usize, job: PoolJob) -> PoolJob {
+    let PoolJob { shard, mut job, .. } = job;
     let started = Instant::now();
-    let mut slot = lock_slot(&slots[shard]);
-    let seq = shared.seqs[shard].fetch_add(1, Ordering::Relaxed);
-    let fault = shared.faults[shard]
-        .lock()
-        .ok()
-        .and_then(|f| f.iter().find(|&&(at, _)| at == seq).map(|&(_, k)| k));
-    let panicked = match slot.as_mut() {
-        // Torn since the scatter (an earlier in-flight job panicked):
-        // report as panicked without running — the supervisor decides.
-        None => true,
-        Some(runner) => catch_unwind(AssertUnwindSafe(|| {
+    let mut slot = shared.lock_slot(shard);
+    let seq = slot.jobs;
+    slot.jobs += 1;
+    let fault = slot
+        .faults
+        .iter()
+        .find(|&&(at, _)| at == seq)
+        .map(|&(_, k)| k);
+    let Slot { runner, torn, .. } = &mut *slot;
+    let panicked = match runner {
+        Some(runner) if !*torn => catch_unwind(AssertUnwindSafe(|| {
             match fault {
                 Some(FaultKind::Panic) => {
                     panic!("chaos: injected fault on shard {shard}, job {seq}")
@@ -622,32 +640,27 @@ fn run_job(shared: &PoolShared, slots: &RunnerSlots, worker: usize, job: PoolJob
             runner.run(&mut job)
         }))
         .is_err(),
+        // Torn since the scatter (an earlier in-flight job panicked), or
+        // dead: report as panicked without running — the supervisor decides.
+        _ => true,
     };
-    if panicked {
-        *slot = None;
-    }
+    *torn |= panicked;
     drop(slot);
     shared.busy_ns[worker].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    WorkerDone {
+    PoolJob {
         shard,
         job,
         panicked,
     }
 }
 
-/// The type-erased shard-restart recipe a [`ShardedBackend`] stores at
-/// spawn: rebuilds shard `i`'s executor from the planner's element store
-/// and wraps it into a fresh pool runner, returning the runner plus the
-/// rebuilt shard's element count. `Err` when the rebuild itself panicked
-/// (the supervisor backs off and retries).
-type RespawnFn = Box<dyn Fn(&ShardPlanner, usize) -> Result<(ShardRunner, usize), ()> + Send>;
-
 /// A region-sharded backend executing on a **work-stealing worker pool**.
 /// Built by splitting a [`ShardedEngine`] into planner + executors
-/// ([`ShardedEngine::into_parts`]) and parking each executor in a shared
-/// slot the pool workers run jobs against; the scheduler-side half routes,
-/// scatters lanes as stealable jobs, gathers, and merges. A one-worker
-/// pool runs the lanes on the scheduler thread itself.
+/// ([`ShardedEngine::into_parts`]) and parking each executor in its
+/// shard's pool slot, which the pool workers run jobs against; the
+/// scheduler-side half routes, scatters lanes as stealable jobs, gathers,
+/// and merges. A one-worker pool runs the lanes on the scheduler thread
+/// itself.
 ///
 /// Results are byte-identical to running the same `ShardedEngine`
 /// serially: routing, execution plans and the deduplicating merge are the
@@ -655,11 +668,6 @@ type RespawnFn = Box<dyn Fn(&ShardPlanner, usize) -> Result<(ShardRunner, usize)
 pub struct ShardedBackend {
     planner: ShardPlanner,
     pool: WorkerPool,
-    /// Per-shard executor slots, shared with the pool workers. `None`
-    /// marks a torn executor between a panic and the supervisor's verdict
-    /// (rebuilt or dead); outside `handle_panics` every live shard is
-    /// `Some` and every dead shard is `None`.
-    slots: RunnerSlots,
     sizes: Vec<usize>,
     /// Per-shard structure bytes, captured at spawn and refreshed from the
     /// [`UpdateLane`] reports after every write batch — so post-migration
@@ -675,10 +683,6 @@ pub struct ShardedBackend {
     /// rebuild path). Dead shards never resurrect.
     dead: Vec<bool>,
     telemetry: BackendTelemetry,
-    /// Rebuilds a shard's executor from the planner's element store and
-    /// wraps it into a fresh pool runner. `None` when the engine was built
-    /// without a rebuild function — then any panic kills its shard.
-    factory: Option<RespawnFn>,
     range_lanes: Vec<RangeLane>,
     knn_home: Vec<KnnLane>,
     knn_fan: Vec<KnnLane>,
@@ -709,47 +713,15 @@ impl ShardedBackend {
         engine: ShardedEngine<I>,
         policy: SupervisorPolicy,
     ) -> Self {
-        let wrap = |exec: ShardExecutor<I>| Box::new(exec) as ShardRunner;
         let sizes = engine.shard_sizes();
         let updatable = engine.is_updatable();
         let (planner, executors) = engine.into_parts();
         let shard_memory: Vec<usize> = executors.iter().map(ShardExecutor::memory_bytes).collect();
-        // Every executor of one engine shares the same rebuild function, so
-        // the first one's copy serves as the restart recipe for all shards.
-        // Likewise the incremental apply function: the supervisor restores
-        // it after a planner-store rebuild, so a restarted shard comes back
-        // in the same write mode it crashed in.
-        let rebuild = executors.first().and_then(ShardExecutor::rebuild_fn);
-        let apply = executors.first().and_then(ShardExecutor::apply_fn);
         let n = executors.len();
-        let slots: RunnerSlots = Arc::new(
-            executors
-                .into_iter()
-                .map(|exec| Mutex::new(Some(wrap(exec))))
-                .collect(),
-        );
-        let pool = WorkerPool::spawn(n, &slots);
-        let factory: Option<RespawnFn> = rebuild.map(|rb| {
-            Box::new(move |planner: &ShardPlanner, shard: usize| {
-                let rb = rb.clone();
-                let ap = apply.clone();
-                // The rebuild closure is user code: a panic inside it
-                // must not take down the supervisor.
-                catch_unwind(AssertUnwindSafe(move || {
-                    // Restart rebuilds from the planner store (writes
-                    // already folded in), in the write mode the shard
-                    // crashed in.
-                    let exec = ShardExecutor::from_planner(planner, shard, rb, ap);
-                    let len = exec.len();
-                    (wrap(exec), len)
-                }))
-                .map_err(|_| ())
-            }) as RespawnFn
-        });
+        let runners = executors.into_iter().map(|exec| Box::new(exec) as _);
         Self {
             planner,
-            pool,
-            slots,
+            pool: WorkerPool::spawn(runners.collect()),
             sizes,
             shard_memory,
             updatable,
@@ -757,7 +729,6 @@ impl ShardedBackend {
             policy,
             dead: vec![false; n],
             telemetry: BackendTelemetry::default(),
-            factory,
             range_lanes: Vec::new(),
             knn_home: Vec::new(),
             knn_fan: Vec::new(),
@@ -777,7 +748,7 @@ impl ShardedBackend {
 
     /// Number of shards (live, quarantined, or dead).
     pub fn shard_count(&self) -> usize {
-        self.slots.len()
+        self.dead.len()
     }
 
     /// Number of pool workers executing shard jobs; a one-worker pool runs
@@ -797,12 +768,13 @@ impl ShardedBackend {
     }
 
     /// Quarantine → restart → dead transition for every shard in
-    /// `panicked`: attempts a rebuild from the planner's element store
-    /// under the restart budget, with exponential backoff between
-    /// consecutive failing attempts. A shard that cannot be restarted
-    /// (budget exhausted, rebuild itself panicking, or no rebuild path at
-    /// all) is declared dead. Runs strictly after a gather completed, so
-    /// no job of these shards is in flight while the slot is rebuilt.
+    /// `panicked`: rebuilds the torn executor in place from the planner's
+    /// element store with its own recipe, under the restart budget, with
+    /// exponential backoff between consecutive failing attempts. A shard
+    /// that cannot be restarted (budget exhausted, rebuild itself
+    /// panicking, or no rebuild recipe at all) is declared dead and drops
+    /// its executor. Runs strictly after a gather completed, so no job of
+    /// these shards is in flight while the slot is rebuilt.
     fn handle_panics(&mut self, panicked: &[usize]) {
         // One supervision verdict per shard: `panicked` arrives deduplicated
         // (`gather` folds the several in-flight jobs of one torn shard).
@@ -811,9 +783,8 @@ impl ShardedBackend {
                 continue;
             }
             self.telemetry.panics_caught += 1;
-            // The panicking worker already cleared the slot; clear it
-            // anyway to cover every report path.
-            *lock_slot(&self.slots[i]) = None;
+            let mut slot = self.pool.shared.lock_slot(i);
+            let runner = slot.runner.as_mut().expect("a live shard has a runner");
             let mut restarted = false;
             let mut attempt = 0u32;
             while self.restarts_left[i] > 0 {
@@ -825,22 +796,23 @@ impl ShardedBackend {
                     std::thread::sleep(backoff);
                 }
                 attempt += 1;
-                let Some(factory) = self.factory.as_ref() else {
-                    break;
-                };
-                match factory(&self.planner, i) {
-                    Ok((runner, len)) => {
+                // The rebuild recipe is user code: a panic inside it must
+                // not take down the supervisor.
+                match catch_unwind(AssertUnwindSafe(|| runner.restart(&self.planner, i))) {
+                    Ok(true) => {
                         self.shard_memory[i] = runner.memory_bytes();
-                        *lock_slot(&self.slots[i]) = Some(runner);
-                        self.sizes[i] = len;
+                        self.sizes[i] = runner.len();
                         self.telemetry.shard_restarts += 1;
                         restarted = true;
                         break;
                     }
-                    Err(()) => continue,
+                    Ok(false) => break,
+                    Err(_) => continue,
                 }
             }
+            slot.torn = !restarted;
             if !restarted {
+                slot.runner = None;
                 self.dead[i] = true;
                 self.telemetry.shards_dead += 1;
                 self.sizes[i] = 0;
@@ -849,21 +821,22 @@ impl ShardedBackend {
         }
     }
 
-    /// Gathers the `in_flight` completions of a read wave from the pool,
+    /// Gathers the `in_flight` completions of a wave from the pool,
     /// routing each lane back to its shard's scratch slot: range lanes to
-    /// `range_lanes`, kNN lanes to `knn_home` or (`fan_phase`) `knn_fan`.
-    /// Returns the panicked shards, sorted and deduplicated.
+    /// `range_lanes`, update lanes to `update_lanes`, kNN lanes to
+    /// `knn_home` or (`fan_phase`) `knn_fan`. Returns the panicked shards,
+    /// sorted and deduplicated.
     fn gather(&mut self, in_flight: usize, fan_phase: bool) -> Vec<usize> {
         let mut panicked = Vec::new();
         for _ in 0..in_flight {
-            let WorkerDone {
+            let PoolJob {
                 shard,
                 job,
                 panicked: p,
             } = self.pool.recv_done();
             match job {
                 Job::Range(lane) => self.range_lanes[shard] = lane,
-                Job::Update(..) => unreachable!("the write path gathers its own lanes"),
+                Job::Update(lane) => self.update_lanes[shard] = lane,
                 Job::Knn(lane) if fan_phase => self.knn_fan[shard] = lane,
                 Job::Knn(lane) => self.knn_home[shard] = lane,
             }
@@ -915,23 +888,16 @@ impl ShardedBackend {
             self.pool.submit(i, Job::Update(std::mem::take(lane)));
             in_flight += 1;
         }
-        let mut panicked = Vec::new();
-        for _ in 0..in_flight {
-            let done = self.pool.recv_done();
-            let (shard, Job::Update(lane)) = (done.shard, done.job) else {
-                unreachable!("a write wave runs update lanes only");
-            };
-            if done.panicked {
-                panicked.push(shard);
-            } else {
-                let report = lane.report();
-                self.sizes[shard] = report.len_after;
-                self.shard_memory[shard] = report.memory_bytes;
-                report.fold_into(&mut stats);
+        let panicked = self.gather(in_flight, false);
+        for (i, lane) in self.update_lanes.iter().enumerate() {
+            if lane.is_empty() || panicked.binary_search(&i).is_ok() {
+                continue;
             }
-            self.update_lanes[shard] = lane;
+            let report = lane.report();
+            self.sizes[i] = report.len_after;
+            self.shard_memory[i] = report.memory_bytes;
+            report.fold_into(&mut stats);
         }
-        panicked.sort_unstable();
         self.handle_panics(&panicked);
         let failed = panicked.iter().copied().find(|&i| self.dead[i]);
         stats.elapsed_s = start.elapsed().as_secs_f64();
@@ -1131,10 +1097,8 @@ impl ServiceBackend for ShardedBackend {
 
     fn install_worker_faults(&mut self, faults: &[(usize, u64, FaultKind)]) {
         for &(shard, op, kind) in faults {
-            if let Some(list) = self.pool.shared.faults.get(shard) {
-                if let Ok(mut l) = list.lock() {
-                    l.push((op, kind));
-                }
+            if shard < self.shard_count() {
+                self.pool.shared.lock_slot(shard).faults.push((op, kind));
             }
         }
     }

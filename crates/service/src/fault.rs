@@ -22,10 +22,11 @@
 //!   [`ShardedBackend`](crate::ShardedBackend)'s shard jobs via
 //!   [`ServiceBackend::install_worker_faults`] and fire on whichever thread
 //!   runs the lane — a pool thread, or the dispatcher in a one-worker pool
-//!   — keyed by that shard's **job sequence number** (which survives
-//!   shard restarts) — a crashing or slow shard. Only [`FaultKind::Panic`]
-//!   and [`FaultKind::Delay`] make sense there ([`FaultKind::DropResponse`]
-//!   is a dispatcher-level fault: a response that never arrives).
+//!   — keyed by that shard's **job sequence number**, which the shard's
+//!   pool slot keeps and which survives shard restarts — a crashing or
+//!   slow shard. Only [`FaultKind::Panic`] and [`FaultKind::Delay`] make
+//!   sense there ([`FaultKind::DropResponse`] is a dispatcher-level fault:
+//!   a response that never arrives).
 
 use crate::backend::{
     BackendTelemetry, Capabilities, QueryRun, QueryRunReport, QueryRunResults, ServiceBackend,

@@ -16,9 +16,10 @@
 //!   applied (the oracle skips them and later reads still agree).
 //! * **Supervision**: a panicked shard worker is quarantined and
 //!   restarted from the planner's element store (telemetry counters match
-//!   the plan); with the restart budget exhausted the shard dies, after
-//!   which range/count degrade to partial coverage
-//!   ([`Reply::shards_skipped`]) and kNN fails typed.
+//!   the plan; a shard's job clock spans its restarts); a rebuild that
+//!   itself panics is retried within the budget; with the restart budget
+//!   exhausted the shard dies, after which range/count degrade to partial
+//!   coverage ([`Reply::shards_skipped`]) and kNN fails typed.
 //! * **Deadlines & admission**: expiry at admission and at completion, a
 //!   nonblocking deadlined snapshot read bounced `Full` then shed once
 //!   admitted, and all four ticket-redemption flavours against a stalled
@@ -36,7 +37,8 @@ use simspatial::prelude::*;
 use simspatial_service::{
     QueryRun, QueryRunReport, QueryRunResults, RecvError, ServiceBackend, UpdateReport,
 };
-use std::sync::Once;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 /// Installs a panic hook that silences the *injected* panics (payloads
@@ -623,6 +625,145 @@ fn dead_shard_degrades_reads_and_fails_knn_typed() {
     assert_eq!(stats.shard_restarts, 0, "no budget, no restart");
     assert_eq!(stats.shards_dead, 1);
     assert!(stats.partial_responses >= 2, "range + count were partial");
+}
+
+/// A 4-shard grid backend whose rebuild recipe is `flaky`: it counts its
+/// calls in the returned counter and panics on every call `fails(n)`
+/// (`n` counts from 1) holds for. The shard indexes are built with a
+/// plain grid build, so the recipe runs only when the supervisor restarts
+/// a shard. Shard 1's job 1 panics, under a budget of three restarts with
+/// no backoff. Returns the service, the counter and a twin oracle.
+fn flaky_rebuild_service(
+    data: &[Element],
+    fails: fn(usize) -> bool,
+) -> (SpatialService, Arc<AtomicUsize>, ShardedOracle<UniformGrid>) {
+    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    let flaky = move |part: &[Element]| {
+        let n = counter.fetch_add(1, Ordering::SeqCst) + 1;
+        assert!(!fails(n), "chaos: rebuild recipe call {n} fails");
+        build(part)
+    };
+    let engine = ShardedEngine::build(data, 4, build).with_rebuild(flaky);
+    let oracle = ShardedOracle(ShardedEngine::build(data, 4, build).with_rebuild(build));
+    let policy = SupervisorPolicy {
+        max_restarts: 3,
+        backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+    };
+    let plan = FaultPlan::new().panic_on_shard(1, 1);
+    let backend = ChaosBackend::new(ShardedBackend::spawn_with(engine, policy), plan);
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    (service, calls, oracle)
+}
+
+/// A rebuild recipe that panics on every call spends the whole restart
+/// budget — each failed attempt is retried — and then the shard dies:
+/// range reads degrade to partial coverage and a kNN probe homed in the
+/// dead shard fails typed.
+#[test]
+fn rebuild_that_keeps_failing_kills_the_shard_after_its_budget() {
+    quiet_panics();
+    let data = soup(2000, 0xF1A1);
+    let (service, calls, oracle) = flaky_rebuild_service(&data, |_| true);
+    let handle = service.handle();
+    let range = || {
+        handle
+            .submit(Request::Range(vec![full_cover()]))
+            .unwrap()
+            .recv_reply()
+            .expect("range read completes")
+    };
+    assert_eq!(range().shards_skipped, 0, "job 0 runs on every shard");
+    range(); // job 1 kills shard 1
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        3,
+        "one call per budgeted attempt"
+    );
+    assert_eq!(range().shards_skipped, 1, "the dead shard is skipped");
+
+    let region = oracle.0.router().region(1);
+    let t = handle
+        .submit(Request::Knn(vec![(region.center(), 4)]))
+        .unwrap();
+    match recv_bounded(&t, "sharded/failing-rebuild", 3) {
+        Err(RecvError::WorkerFailed { shard }) => assert_eq!(shard, 1),
+        other => panic!("a kNN probe homed in a dead shard fails typed, got {other:?}"),
+    }
+
+    let stats = service.shutdown();
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        3,
+        "a dead shard is never rebuilt"
+    );
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.shard_restarts, 0);
+    assert_eq!(stats.shards_dead, 1);
+}
+
+/// A rebuild recipe that panics once is retried: the second attempt
+/// restarts the shard, and every reply matches the serial oracle.
+#[test]
+fn rebuild_that_fails_once_restarts_on_the_next_attempt() {
+    quiet_panics();
+    let data = soup(2000, 0xF1A2);
+    let (service, calls, mut oracle) = flaky_rebuild_service(&data, |n| n == 1);
+    let requests = vec![
+        Request::Range(vec![full_cover()]),
+        Request::Range(vec![full_cover()]), // shard 1 panics; one failed rebuild
+        Request::RangeCount(vec![full_cover()]),
+        Request::Knn(vec![(Point3::new(30.0, 40.0, 50.0), 6)]),
+        Request::Range(vec![full_cover()]),
+    ];
+    let stats = drive_differential(
+        service,
+        &mut oracle,
+        &FaultPlan::new(),
+        &requests,
+        "sharded/flaky-rebuild",
+    );
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        2,
+        "one failed and one good call"
+    );
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.shards_dead, 0);
+    assert_eq!(stats.failed_requests, 0);
+}
+
+/// A shard's job clock counts every job the shard ran, across its
+/// restarts: the fault at job 4 fires on the fourth request (job 1 panicked
+/// and was re-run as job 2). A clock restarted with the executor would
+/// instead fire job 1 again on the third request.
+#[test]
+fn shard_job_clock_spans_its_restarts() {
+    quiet_panics();
+    let data = soup(2000, 0xC10C);
+    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+    let engine = ShardedEngine::build(&data, 4, build).with_rebuild(build);
+    let mut oracle = ShardedOracle(ShardedEngine::build(&data, 4, build).with_rebuild(build));
+    let plan = FaultPlan::new().panic_on_shard(2, 1).panic_on_shard(2, 4);
+    let backend = ChaosBackend::new(ShardedBackend::spawn(engine), plan);
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let handle = service.handle();
+    let request = Request::Range(vec![full_cover()]);
+    let want = expected(&mut oracle, &request);
+    let mut restarts = Vec::new();
+    for op in 0..8 {
+        let t = handle.submit(request.clone()).unwrap();
+        let got = recv_bounded(&t, "sharded/job-clock", op).expect("range read");
+        assert_eq!(got, want, "op {op} diverged from the serial oracle");
+        restarts.push(handle.stats().shard_restarts);
+    }
+    assert_eq!(restarts, [0, 1, 1, 2, 2, 2, 2, 2]);
+    let stats = service.shutdown();
+    assert_eq!(stats.panics_caught, 2);
+    assert_eq!(stats.shards_dead, 0);
 }
 
 /// Randomized chaos differential: a seeded pseudo-random plan (fresh from
