@@ -61,11 +61,7 @@ pub fn measure(scale: Scale) -> Vec<StrategyRow> {
         let element_tests = stats::snapshot().element_tests as f64 / steps as f64;
         let maintain_s = reports.iter().map(|r| r.maintain_s).sum::<f64>() / steps as f64;
         let monitor_s = reports.iter().map(|r| r.monitor_s).sum::<f64>() / steps as f64;
-        let touched = reports
-            .iter()
-            .map(|r| r.cost.structural_updates)
-            .sum::<u64>() as f64
-            / steps as f64;
+        let touched = reports.iter().map(|r| r.cost.structural).sum::<u64>() as f64 / steps as f64;
         rows.push(StrategyRow {
             name: kind.name(),
             maintain_s,

@@ -93,7 +93,7 @@ pub fn measure(scale: Scale) -> Vec<ShiftRow> {
             }
             let (cost, t) = time(|| strategy.apply_step(&old, cur.elements()));
             maintain_acc += t;
-            structural_acc += cost.structural_updates;
+            structural_acc += cost.structural;
 
             stats::reset();
             let (_, tq) = time(|| {

@@ -87,13 +87,14 @@ use std::time::Instant;
 /// allocation; `Send + Sync` so executors can live on worker threads.
 pub type ShardRebuild<I> = Arc<dyn Fn(&[Element]) -> I + Send + Sync>;
 
-/// Cost report of one **incremental** in-shard apply (see [`ShardApply`]):
-/// how much index structure a lane of updates actually dirtied, versus how
-/// many moves were absorbed in place for free.
+/// Cost report of one write application — an **incremental** in-shard
+/// apply (see [`ShardApply`]) or an update strategy's maintenance step:
+/// how much index structure the writes actually dirtied, versus how many
+/// moves were absorbed in place for free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardApplyCost {
     /// Structural index modifications: grid cell switches, R-Tree
-    /// reinsertions/repairs — the nodes/cells the lane dirtied.
+    /// reinsertions/repairs — the nodes/cells the writes dirtied.
     pub structural: u64,
     /// Updates absorbed with no structural work (same cell, inside a
     /// buffered batch or grace window).

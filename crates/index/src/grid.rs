@@ -702,7 +702,7 @@ impl UniformGrid {
     /// a straight per-pair loop over [`UniformGrid::update`] (the step-level
     /// API exists so callers hand the grid the whole step; a genuinely
     /// vectorised migration pass can slot in behind it). Returns
-    /// `(structural_updates, absorbed)` — the §4.3 split between elements
+    /// `(structural, absorbed)` — the §4.3 split between elements
     /// that switched cells and elements whose movement the grid absorbed in
     /// place.
     pub fn update_batch(&mut self, old: &[Element], new: &[Element]) -> (usize, usize) {

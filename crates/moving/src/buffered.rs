@@ -9,10 +9,10 @@
 //! and scan the dirty set, and once the dirty set passes a threshold it is
 //! flushed into the index wholesale.
 
-use crate::strategy::{StepCost, UpdateStrategy};
+use crate::strategy::UpdateStrategy;
 use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch};
 use simspatial_index::{
-    KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, SpatialIndex,
+    KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
 };
 use std::collections::BTreeMap;
 
@@ -67,8 +67,8 @@ impl BufferedRTree {
 }
 
 impl UpdateStrategy for BufferedRTree {
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost {
-        let mut cost = StepCost::default();
+    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
+        let mut cost = ShardApplyCost::default();
         for (o, n) in old.iter().zip(new.iter()) {
             let (ob, nb) = (o.aabb(), n.aabb());
             if ob == nb {
@@ -82,7 +82,7 @@ impl UpdateStrategy for BufferedRTree {
         }
         let threshold = (self.flush_fraction * self.tree.len() as f32).ceil() as usize;
         if self.dirty.len() > threshold {
-            cost.structural_updates += self.flush(new);
+            cost.structural += self.flush(new);
         }
         cost
     }
@@ -170,7 +170,7 @@ mod tests {
             cur.displace(id as u32, *d);
         }
         let cost = s.apply_step(&old, cur.elements());
-        assert_eq!(cost.structural_updates, 200, "full flush expected");
+        assert_eq!(cost.structural, 200, "full flush expected");
         assert_eq!(s.buffered(), 0);
     }
 

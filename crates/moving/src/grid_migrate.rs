@@ -7,13 +7,14 @@
 //! A persistent center-placed [`UniformGrid`]: each step compares old and
 //! new cell coordinates per element and touches the structure only on a
 //! switch. With the paper's 0.04 µm steps and cells of a few µm, switches
-//! are a small fraction of the dataset — `StepCost::absorbed` vs
-//! `structural_updates` shows the ratio directly.
+//! are a small fraction of the dataset — `ShardApplyCost::{absorbed,
+//! structural}` shows the ratio directly.
 
-use crate::strategy::{StepCost, UpdateStrategy};
+use crate::strategy::UpdateStrategy;
 use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use simspatial_index::{
-    GridConfig, GridPlacement, KnnIndex, KnnSink, RangeSink, SpatialIndex, UniformGrid,
+    GridConfig, GridPlacement, KnnIndex, KnnSink, RangeSink, ShardApplyCost, SpatialIndex,
+    UniformGrid,
 };
 
 /// A persistent uniform grid maintained by cell migration.
@@ -47,12 +48,12 @@ impl GridMigrate {
 }
 
 impl UpdateStrategy for GridMigrate {
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost {
+    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
         // The whole step goes to the grid in one call, which applies the
         // per-pair migrations and counts switches vs absorptions inline.
         let (structural, absorbed) = self.grid.update_batch(old, new);
-        StepCost {
-            structural_updates: structural as u64,
+        ShardApplyCost {
+            structural: structural as u64,
             absorbed: absorbed as u64,
             ..Default::default()
         }
@@ -62,13 +63,12 @@ impl UpdateStrategy for GridMigrate {
     /// batch of K updates costs O(K) regardless of the dataset size — the
     /// trait default would snapshot and diff the whole slice. This is what
     /// makes grid-backed incremental shard executors cheap on delta ticks.
-    fn update_batch(&mut self, data: &mut [Element], updates: &[(ElementId, Shape)]) -> StepCost {
-        let cost = self.grid.update_sparse(data, updates);
-        StepCost {
-            structural_updates: cost.structural,
-            absorbed: cost.absorbed,
-            ..Default::default()
-        }
+    fn update_batch(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> ShardApplyCost {
+        self.grid.update_sparse(data, updates)
     }
 }
 
@@ -140,7 +140,7 @@ mod tests {
         }
         let cost = s.apply_step(&old, cur.elements());
         // Expected switch rate ≈ 3 · (mean step / cell) ≈ 6 %; allow slack.
-        let rate = cost.structural_updates as f64 / 2000.0;
+        let rate = cost.structural as f64 / 2000.0;
         assert!(rate < 0.15, "switch rate too high: {rate}");
         assert!(cost.absorbed > 1000);
     }
@@ -161,7 +161,7 @@ mod tests {
         }
         let cost = s.apply_step(&old, cur.elements());
         assert!(
-            cost.structural_updates as f64 / 500.0 > 0.5,
+            cost.structural as f64 / 500.0 > 0.5,
             "big steps should switch cells: {cost:?}"
         );
     }

@@ -10,12 +10,12 @@
 //! query."
 //!
 //! The shifted burden is directly measurable here: candidates per query grow
-//! with the window, while `StepCost::absorbed` shows the saved maintenance.
+//! with the window, while `ShardApplyCost::absorbed` shows the saved maintenance.
 
-use crate::strategy::{StepCost, UpdateStrategy};
+use crate::strategy::UpdateStrategy;
 use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch};
 use simspatial_index::{
-    KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, SpatialIndex,
+    KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
 };
 
 /// An R-Tree whose entries carry grace windows.
@@ -66,8 +66,8 @@ impl LazyGraceWindow {
 }
 
 impl UpdateStrategy for LazyGraceWindow {
-    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> StepCost {
-        let mut cost = StepCost::default();
+    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> ShardApplyCost {
+        let mut cost = ShardApplyCost::default();
         for e in new {
             let bbox = e.aabb();
             let window = self.windows[e.id as usize];
@@ -79,7 +79,7 @@ impl UpdateStrategy for LazyGraceWindow {
             let updated = self.tree.update(e.id, &window, fresh);
             debug_assert!(updated, "grace entry {} missing", e.id);
             self.windows[e.id as usize] = fresh;
-            cost.structural_updates += 1;
+            cost.structural += 1;
         }
         cost
     }
@@ -155,7 +155,7 @@ mod tests {
             moved.displace(id as u32, *d);
         }
         let cost = s.apply_step(data.elements(), moved.elements());
-        assert_eq!(cost.structural_updates, 0, "tiny steps must be absorbed");
+        assert_eq!(cost.structural, 0, "tiny steps must be absorbed");
         assert_eq!(cost.absorbed, 300);
     }
 
@@ -174,10 +174,7 @@ mod tests {
             moved.displace(id as u32, *d);
         }
         let cost = s.apply_step(data.elements(), moved.elements());
-        assert!(
-            cost.structural_updates > 50,
-            "large steps must escape: {cost:?}"
-        );
+        assert!(cost.structural > 50, "large steps must escape: {cost:?}");
     }
 
     #[test]

@@ -52,5 +52,5 @@ pub use lazy::LazyGraceWindow;
 pub use rtree_strategies::{RTreeDiscipline, RTreeStrategy};
 pub use scan::NoIndexScan;
 pub use service::{sharded_strategy_engine, strategy_backend};
-pub use strategy::{StepCost, UpdateStrategy, UpdateStrategyKind};
+pub use strategy::{UpdateStrategy, UpdateStrategyKind};
 pub use throwaway::ThrowawayGrid;

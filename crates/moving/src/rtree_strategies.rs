@@ -1,8 +1,10 @@
 //! The three plain R-Tree maintenance disciplines of §4.1, one type.
 
-use crate::strategy::{StepCost, UpdateStrategy};
+use crate::strategy::UpdateStrategy;
 use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
-use simspatial_index::{KnnIndex, KnnSink, RTree, RTreeConfig, RangeSink, SpatialIndex};
+use simspatial_index::{
+    KnnIndex, KnnSink, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
+};
 
 /// How an [`RTreeStrategy`] absorbs a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,15 +38,15 @@ impl RTreeStrategy {
 }
 
 impl UpdateStrategy for RTreeStrategy {
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost {
+    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
         if self.discipline == RTreeDiscipline::Rebuild {
             self.tree.rebuild(new);
-            return StepCost {
+            return ShardApplyCost {
                 rebuilds: 1,
                 ..Default::default()
             };
         }
-        let mut cost = StepCost::default();
+        let mut cost = ShardApplyCost::default();
         for (o, n) in old.iter().zip(new.iter()) {
             debug_assert_eq!(o.id, n.id);
             let (ob, nb) = (o.aabb(), n.aabb());
@@ -58,7 +60,7 @@ impl UpdateStrategy for RTreeStrategy {
                 self.tree.update(o.id, &ob, nb)
             };
             debug_assert!(updated, "entry {} missing from tree", o.id);
-            cost.structural_updates += 1;
+            cost.structural += 1;
         }
         cost
     }
@@ -142,12 +144,12 @@ mod tests {
         }
         let mut re = RTreeStrategy::build(data.elements(), RTreeDiscipline::Reinsert);
         let c = re.apply_step(data.elements(), moved.elements());
-        assert_eq!(c.structural_updates + c.absorbed, 200);
+        assert_eq!(c.structural + c.absorbed, 200);
         assert_eq!(c.rebuilds, 0);
 
         let mut rb = RTreeStrategy::build(data.elements(), RTreeDiscipline::Rebuild);
         let c = rb.apply_step(data.elements(), moved.elements());
         assert_eq!(c.rebuilds, 1);
-        assert_eq!(c.structural_updates, 0);
+        assert_eq!(c.structural, 0);
     }
 }

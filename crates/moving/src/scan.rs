@@ -4,9 +4,9 @@
 //! faster" when too few queries amortise the maintenance. Experiment E13
 //! finds that crossover.
 
-use crate::strategy::{StepCost, UpdateStrategy};
+use crate::strategy::UpdateStrategy;
 use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
-use simspatial_index::{KnnIndex, KnnSink, LinearScan, RangeSink, SpatialIndex};
+use simspatial_index::{KnnIndex, KnnSink, LinearScan, RangeSink, ShardApplyCost, SpatialIndex};
 
 /// Zero-maintenance linear scan.
 #[derive(Debug)]
@@ -24,9 +24,9 @@ impl NoIndexScan {
 }
 
 impl UpdateStrategy for NoIndexScan {
-    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> StepCost {
+    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> ShardApplyCost {
         self.scan = LinearScan::build(new);
-        StepCost {
+        ShardApplyCost {
             absorbed: new.len() as u64,
             ..Default::default()
         }

@@ -28,7 +28,7 @@
 //! let handle = service.handle();
 //! // Move element 4 into a known box, then range-query it back.
 //! let target = Aabb::new(Point3::new(2.0, 2.0, 2.0), Point3::new(3.0, 3.0, 3.0));
-//! handle.submit(Request::Update(vec![(4, target)])).unwrap().recv().unwrap();
+//! handle.submit(Request::StepDelta(vec![(4, target)])).unwrap().recv().unwrap();
 //! let hits = handle
 //!     .submit(Request::Range(vec![target]))
 //!     .unwrap()
@@ -43,7 +43,7 @@
 
 use crate::strategy::{UpdateStrategy, UpdateStrategyKind};
 use simspatial_geom::Element;
-use simspatial_index::{ShardApplyCost, ShardedEngine};
+use simspatial_index::ShardedEngine;
 use simspatial_service::ShardedBackend;
 
 /// A writable service backend over the update strategy `kind`: a one-shard
@@ -78,14 +78,7 @@ pub fn sharded_strategy_engine(
 ) -> ShardedEngine<Box<dyn UpdateStrategy>> {
     ShardedEngine::build(data, shards, |els| kind.create(els))
         .with_rebuild(move |els| kind.create(els))
-        .with_apply(|strategy, data, updates| {
-            let cost = strategy.update_batch(data, updates);
-            ShardApplyCost {
-                structural: cost.structural_updates,
-                absorbed: cost.absorbed,
-                rebuilds: cost.rebuilds,
-            }
-        })
+        .with_apply(|s, data, u| s.update_batch(data, u))
 }
 
 #[cfg(test)]
@@ -127,7 +120,7 @@ mod tests {
                 (13u32, probe),
             ];
             handle
-                .submit(Request::Update(updates.clone()))
+                .submit(Request::StepDelta(updates.clone()))
                 .unwrap()
                 .recv()
                 .unwrap();

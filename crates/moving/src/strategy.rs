@@ -2,22 +2,7 @@
 
 use crate::RTreeDiscipline;
 use simspatial_geom::{Element, ElementId, Shape};
-use simspatial_index::{KnnIndex, SpatialIndex};
-
-/// Cost accounting of one maintenance step (wall-clock is measured by the
-/// caller around [`UpdateStrategy::apply_step`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepCost {
-    /// Structural modifications performed (entries reinserted, cells
-    /// switched, nodes rebuilt — strategy-defined, 0 for a pure rebuild's
-    /// per-element count is reported as `rebuilds`).
-    pub structural_updates: u64,
-    /// Full rebuilds performed this step.
-    pub rebuilds: u64,
-    /// Updates absorbed without touching the structure (grace hits, same
-    /// cell, buffered).
-    pub absorbed: u64,
-}
+use simspatial_index::{KnnIndex, ShardApplyCost, SpatialIndex};
 
 /// An index-maintenance strategy over a moving dataset — an index that
 /// also knows how to absorb movement.
@@ -41,7 +26,7 @@ pub struct StepCost {
 pub trait UpdateStrategy: SpatialIndex + KnnIndex + Send {
     /// Reacts to one simulation step. `old` and `new` are the full element
     /// slices before and after the step (same ids, same order).
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> StepCost;
+    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost;
 
     /// Applies a sparse coalesced write batch: each `(id, shape)` entry
     /// replaces that element's geometry in `data` (the live slice, which
@@ -53,9 +38,13 @@ pub trait UpdateStrategy: SpatialIndex + KnnIndex + Send {
     /// [`UpdateStrategy::apply_step`], so every strategy supports the
     /// service's batched-update admission path unchanged; strategies with
     /// a cheaper sparse path can override.
-    fn update_batch(&mut self, data: &mut [Element], updates: &[(ElementId, Shape)]) -> StepCost {
+    fn update_batch(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> ShardApplyCost {
         if updates.is_empty() {
-            return StepCost::default();
+            return ShardApplyCost::default();
         }
         let old: Vec<Element> = data.to_vec();
         for &(id, shape) in updates {

@@ -7,9 +7,11 @@
 //! throw it away. A uniform grid is the natural throwaway structure in
 //! memory (O(n) build, no tree).
 
-use crate::strategy::{StepCost, UpdateStrategy};
+use crate::strategy::UpdateStrategy;
 use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
-use simspatial_index::{GridConfig, KnnIndex, KnnSink, RangeSink, SpatialIndex, UniformGrid};
+use simspatial_index::{
+    GridConfig, KnnIndex, KnnSink, RangeSink, ShardApplyCost, SpatialIndex, UniformGrid,
+};
 
 /// A uniform grid rebuilt from scratch on every step.
 #[derive(Debug)]
@@ -27,9 +29,9 @@ impl ThrowawayGrid {
 }
 
 impl UpdateStrategy for ThrowawayGrid {
-    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> StepCost {
+    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> ShardApplyCost {
         self.grid = UniformGrid::build(new, GridConfig::auto(new));
-        StepCost {
+        ShardApplyCost {
             rebuilds: 1,
             ..Default::default()
         }

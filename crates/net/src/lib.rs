@@ -9,8 +9,8 @@
 //!
 //! * **[`wire`]** — the versioned frame codec. Every
 //!   [`Request`](simspatial_service::Request) variant
-//!   (`Range`/`RangeCount`/`Knn`/`Update`/`Step`/`StepDelta`/`Insert`/
-//!   `Remove`), every response shape, and every typed failure
+//!   (`Range`/`RangeCount`/`Knn`/`StepDelta`/`Insert`/`Remove`), every
+//!   response shape, and every typed failure
 //!   (`ShutDown`, `WorkerFailed`, `DeadlineExceeded`, `ReadOnly`, plus
 //!   `shards_skipped` degradation flags) has a binary encoding; decode
 //!   is strict (max frame size, max items per request, exact-length

@@ -37,11 +37,17 @@
 //! | `0x85` | s→c | `StatsReply { corr, json }` |
 //! | `0x86` | s→c | `Fatal { code, message }` — connection-level, then close |
 //!
+//! A `Request` body is one tag byte and its items, one tag per
+//! [`Request`] variant: `1` `Range`, `2` `RangeCount`, `3` `Knn`, `6`
+//! `StepDelta` (the one geometry write), `7` `Insert`, `8` `Remove`. A
+//! `Reply` body reuses its request's tag. Version 3 retired tags `4`
+//! (`Update`) and `5` (`Step`); they decode as [`WireError::UnknownTag`].
+//!
 //! Correlation ids are chosen by the client; the server echoes them
 //! verbatim, so a client may pipeline any number of in-flight requests
 //! per connection and match responses in any arrival order.
 //!
-//! ## Consistency on the wire (version 2)
+//! ## Consistency on the wire (since version 2)
 //!
 //! Each `Request` frame carries one consistency byte after the
 //! correlation id — `0` defers to the tenant's configured default,
@@ -63,8 +69,11 @@ pub const MAGIC: u32 = 0x5353_504E;
 
 /// Protocol version this build speaks. A server rejects a `Hello` with a
 /// different major version with [`FatalCode::BadHandshake`]. Version 2
-/// added the per-request consistency byte and the per-reply epoch.
-pub const VERSION: u16 = 2;
+/// added the per-request consistency byte and the per-reply epoch;
+/// version 3 retired the `Update` and `Step` tags (4 and 5), leaving
+/// `StepDelta` as the one geometry write, so a version-2 peer fails at
+/// the handshake instead of mid-stream.
+pub const VERSION: u16 = 3;
 
 /// Payload opcodes (first byte of every frame payload).
 pub mod op {
@@ -100,13 +109,12 @@ mod consistency {
     pub const READ_YOUR_WRITES: u8 = 3;
 }
 
-/// Request-body tags (one per [`Request`] variant).
+/// Request-body tags (one per [`Request`] variant). 4 and 5 are retired,
+/// never to be reused.
 mod tag {
     pub const RANGE: u8 = 1;
     pub const RANGE_COUNT: u8 = 2;
     pub const KNN: u8 = 3;
-    pub const UPDATE: u8 = 4;
-    pub const STEP: u8 = 5;
     pub const STEP_DELTA: u8 = 6;
     pub const INSERT: u8 = 7;
     pub const REMOVE: u8 = 8;
@@ -626,24 +634,16 @@ pub fn encode_request(
                 put_u32(buf, *k as u32);
             }
         }
-        Request::Update(pairs) | Request::StepDelta(pairs) => {
-            buf.push(if matches!(request, Request::Update(_)) {
-                tag::UPDATE
-            } else {
-                tag::STEP_DELTA
-            });
+        Request::StepDelta(pairs) => {
+            buf.push(tag::STEP_DELTA);
             put_u32(buf, pairs.len() as u32);
             for (id, bb) in pairs {
                 put_u32(buf, *id);
                 put_aabb(buf, bb);
             }
         }
-        Request::Step(envs) | Request::Insert(envs) => {
-            buf.push(if matches!(request, Request::Step(_)) {
-                tag::STEP
-            } else {
-                tag::INSERT
-            });
+        Request::Insert(envs) => {
+            buf.push(tag::INSERT);
             put_u32(buf, envs.len() as u32);
             for bb in envs {
                 put_aabb(buf, bb);
@@ -717,7 +717,7 @@ const ID_SIZE: usize = 4;
 fn decode_request_body(c: &mut Cursor<'_>, limits: &DecodeLimits) -> Result<Request, WireError> {
     let t = c.u8()?;
     Ok(match t {
-        tag::RANGE | tag::RANGE_COUNT | tag::STEP | tag::INSERT => {
+        tag::RANGE | tag::RANGE_COUNT | tag::INSERT => {
             let n = c.count(limits.max_items, AABB_SIZE)?;
             let mut boxes = Vec::with_capacity(n);
             for _ in 0..n {
@@ -726,7 +726,6 @@ fn decode_request_body(c: &mut Cursor<'_>, limits: &DecodeLimits) -> Result<Requ
             match t {
                 tag::RANGE => Request::Range(boxes),
                 tag::RANGE_COUNT => Request::RangeCount(boxes),
-                tag::STEP => Request::Step(boxes),
                 _ => Request::Insert(boxes),
             }
         }
@@ -746,18 +745,14 @@ fn decode_request_body(c: &mut Cursor<'_>, limits: &DecodeLimits) -> Result<Requ
             }
             Request::Knn(probes)
         }
-        tag::UPDATE | tag::STEP_DELTA => {
+        tag::STEP_DELTA => {
             let n = c.count(limits.max_items, ID_AABB_SIZE)?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 let id: ElementId = c.u32()?;
                 pairs.push((id, c.aabb()?));
             }
-            if t == tag::UPDATE {
-                Request::Update(pairs)
-            } else {
-                Request::StepDelta(pairs)
-            }
+            Request::StepDelta(pairs)
         }
         tag::REMOVE => {
             let n = c.count(limits.max_items, ID_SIZE)?;
@@ -828,14 +823,6 @@ pub fn encode_reply(
                     put_f32(buf, *d);
                 }
             }
-        }
-        Response::Update(n) => {
-            buf.push(tag::UPDATE);
-            put_u64(buf, *n);
-        }
-        Response::Step(n) => {
-            buf.push(tag::STEP);
-            put_u64(buf, *n);
         }
         Response::StepDelta(n) => {
             buf.push(tag::STEP_DELTA);
@@ -1010,8 +997,6 @@ fn decode_response_body(c: &mut Cursor<'_>) -> Result<Response, WireError> {
             }
             Response::Knn(lists)
         }
-        tag::UPDATE => Response::Update(c.u64()?),
-        tag::STEP => Response::Step(c.u64()?),
         tag::STEP_DELTA => Response::StepDelta(c.u64()?),
         tag::INSERT => {
             let n = c.count(usize::MAX, ID_SIZE)?;
@@ -1067,8 +1052,6 @@ mod tests {
         roundtrip_request(Request::Range(vec![bb(0.0), bb(9.0)]));
         roundtrip_request(Request::RangeCount(vec![bb(1.0)]));
         roundtrip_request(Request::Knn(vec![(Point3::new(1.0, 2.0, 3.0), 7)]));
-        roundtrip_request(Request::Update(vec![(3, bb(2.0)), (9, bb(4.0))]));
-        roundtrip_request(Request::Step(vec![bb(5.0); 3]));
         roundtrip_request(Request::StepDelta(vec![(1, bb(6.0))]));
         roundtrip_request(Request::Insert(vec![bb(7.0)]));
         roundtrip_request(Request::Remove(vec![1, 2, 3]));
@@ -1099,8 +1082,6 @@ mod tests {
         roundtrip_response(Response::Range(vec![vec![1, 2, 3], vec![], vec![9]]));
         roundtrip_response(Response::RangeCount(vec![0, 5, u64::MAX]));
         roundtrip_response(Response::Knn(vec![vec![(4, 1.5), (2, 2.5)], vec![]]));
-        roundtrip_response(Response::Update(11));
-        roundtrip_response(Response::Step(12));
         roundtrip_response(Response::StepDelta(13));
         roundtrip_response(Response::Insert(vec![100, 101]));
         roundtrip_response(Response::Remove(2));
@@ -1248,6 +1229,38 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn retired_write_tags_fail_typed() {
+        let limits = DecodeLimits::default();
+        for retired in [4u8, 5] {
+            let mut request = vec![op::REQUEST];
+            request.extend_from_slice(&1u64.to_le_bytes());
+            request.push(0); // tenant-default consistency
+            request.push(retired);
+            request.extend_from_slice(&0u32.to_le_bytes());
+            assert_eq!(
+                decode_client_msg(&request, &limits),
+                Err(WireError::UnknownTag(retired))
+            );
+            let mut reply = Vec::new();
+            encode_reply(&mut reply, 7, 0, 33, &Response::StepDelta(2));
+            let at = reply.len() - 9; // the tag, before the u64 count
+            assert_eq!(reply[at], tag::STEP_DELTA);
+            reply[at] = retired;
+            assert_eq!(
+                decode_server_msg(&reply),
+                Err(WireError::UnknownTag(retired))
+            );
+        }
+        let mut hello = Vec::new();
+        encode_hello(&mut hello, "t");
+        hello[5..7].copy_from_slice(&2u16.to_le_bytes()); // after opcode + magic
+        assert_eq!(
+            decode_client_msg(&hello, &limits),
+            Err(WireError::BadVersion { got: 2 })
+        );
+    }
+
     /// SplitMix64: seeded inputs without a dev-dependency.
     fn splitmix64(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -1302,8 +1315,6 @@ mod tests {
                 (Point3::new(1.0, 2.0, 3.0), 7),
                 (Point3::new(-1.0, 0.5, 8.0), 1),
             ]),
-            Request::Update(vec![(3, bb(2.0)), (9, bb(4.0)), (11, bb(5.0))]),
-            Request::Step(vec![bb(5.0); 3]),
             Request::StepDelta(vec![(1, bb(6.0))]),
             Request::Insert(vec![bb(7.0), bb(8.0)]),
             Request::Remove(vec![1, 2, 3]),
@@ -1327,8 +1338,6 @@ mod tests {
             Response::Range(vec![vec![1, 2, 3], vec![], vec![9]]),
             Response::RangeCount(vec![0, 5, u64::MAX]),
             Response::Knn(vec![vec![(4, 1.5), (2, 2.5)], vec![]]),
-            Response::Update(11),
-            Response::Step(12),
             Response::StepDelta(13),
             Response::Insert(vec![100, 101]),
             Response::Remove(2),

@@ -131,7 +131,7 @@ pub struct BackendTelemetry {
 /// admission ([`SubmitError::ReadOnly`](crate::SubmitError)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Capabilities {
-    /// `update_batch` applies geometry writes (`Update`/`Step`/`StepDelta`).
+    /// `update_batch` applies geometry writes (`StepDelta`).
     pub updates: bool,
     /// `insert_batch` / `remove_batch` change membership (`Insert`/`Remove`).
     pub membership: bool,

@@ -30,8 +30,8 @@
 //!   per request in the exact order a serial engine run would produce.
 //! * **The write path** — the paper's workload is an *alternating* stream
 //!   of position updates and queries, so the service is read–write:
-//!   [`Request::Update`] carries sparse `(id, envelope)` changes,
-//!   [`Request::Step`] a whole simulation tick. Every write request is a
+//!   [`Request::StepDelta`] carries sparse `(id, envelope)` changes — a
+//!   simulation tick ships its movers as one. Every write request is a
 //!   **barrier** in the admission order (queries admitted before it see
 //!   pre-write state, queries after it see post-write state — exactly a
 //!   serial interleaving), and consecutive writes coalesce into one
@@ -81,7 +81,7 @@
 //!   publishes a monotonically increasing **epoch**; reads submitted at
 //!   [`Consistency::Snapshot`] (via [`ServiceHandle::submit_at`]) are
 //!   hoisted in front of a dispatch's pending write barriers and answered
-//!   at the last published epoch, so one slow `Step` no longer stalls the
+//!   at the last published epoch, so one slow tick no longer stalls the
 //!   read fleet. No copy is kept for them: a hoisted run executes before
 //!   any write of its dispatch, while live state *is* the last published
 //!   epoch. `ReadYourWrites { min_epoch }` floors
@@ -137,7 +137,7 @@
 //! assert!(handle.capabilities().updates);
 //! // Move element 42 — a write barrier: queries admitted after it see it.
 //! let target = Aabb::new(Point3::new(5.0, 5.0, 5.0), Point3::new(6.0, 6.0, 6.0));
-//! handle.submit(Request::Update(vec![(42, target)])).unwrap().recv().unwrap();
+//! handle.submit(Request::StepDelta(vec![(42, target)])).unwrap().recv().unwrap();
 //! let hits = handle
 //!     .submit(Request::Range(vec![target]))
 //!     .unwrap()

@@ -27,33 +27,19 @@ pub enum Request {
     /// probe in ascending `(distance, id)` order. Every probe of a query
     /// run, across concurrent requests, joins one kNN batch with its own `k`.
     Knn(Vec<(Point3, usize)>),
-    /// Sparse element updates: each `(id, aabb)` entry replaces that
+    /// A sparse geometry write: each `(id, aabb)` entry replaces that
     /// element's geometry with the box `aabb` (its new envelope — the
     /// paper's indexes approximate elements by bounding box, and the wire
-    /// vocabulary does the same). Duplicate ids — within one request or
-    /// across requests coalesced into the same application — resolve
-    /// last-write-wins in admission order. Requires a writable backend
-    /// ([`SubmitError::ReadOnly`] otherwise).
-    Update(Vec<(ElementId, Aabb)>),
-    /// One whole simulation tick: entry `i` is the new envelope of element
-    /// `i` (ids are implicit positions, matching the dataset convention).
-    /// The bulk mirror of [`Request::Update`] for stepping an entire
-    /// moving dataset through the same admission path as the queries that
-    /// monitor it. Requires a writable backend.
-    Step(Vec<Aabb>),
-    /// A **delta tick**: one simulation tick carrying only the elements
-    /// that actually moved, as explicit `(id, new envelope)` pairs. Same
-    /// write-barrier ordering and cross-shard migration semantics as
-    /// [`Request::Step`] — a delta tick followed by queries is
-    /// indistinguishable from the full tick it abbreviates — but the wire
-    /// payload and the backend write work scale with the *moved* count,
-    /// not the dataset size. Emitted by `ServedSimulation` when the moved
-    /// fraction falls below its delta threshold. Requires a writable
-    /// backend.
+    /// vocabulary does the same). A simulation tick ships its
+    /// movers as one such batch, so the wire payload and the backend write
+    /// work scale with the *moved* count, not the dataset size. Duplicate
+    /// ids — within one request or across requests coalesced into the same
+    /// application — resolve last-write-wins in admission order. Requires a
+    /// writable backend ([`SubmitError::ReadOnly`] otherwise).
     StepDelta(Vec<(ElementId, Aabb)>),
     /// Inserts new elements with the given envelopes. The backend
     /// allocates fresh ids (ascending, in input order) and returns them in
-    /// [`Response::Insert`]. A write barrier like `Update`. Requires a
+    /// [`Response::Insert`]. A write barrier like `StepDelta`. Requires a
     /// backend with membership support ([`SubmitError::ReadOnly`]
     /// otherwise — only the sharded backend's planner can allocate ids).
     Insert(Vec<Aabb>),
@@ -70,8 +56,7 @@ impl Request {
         match self {
             Request::Range(qs) | Request::RangeCount(qs) => qs.len(),
             Request::Knn(ps) => ps.len(),
-            Request::Update(us) => us.len(),
-            Request::Step(envs) | Request::Insert(envs) => envs.len(),
+            Request::Insert(envs) => envs.len(),
             Request::StepDelta(moves) => moves.len(),
             Request::Remove(ids) => ids.len(),
         }
@@ -82,17 +67,12 @@ impl Request {
         self.len() == 0
     }
 
-    /// True for the write-path variants
-    /// (`Update`/`Step`/`StepDelta`/`Insert`/`Remove`), which act as write
-    /// barriers in the admission order.
+    /// True for the write-path variants (`StepDelta`/`Insert`/`Remove`),
+    /// which act as write barriers in the admission order.
     pub fn is_write(&self) -> bool {
         matches!(
             self,
-            Request::Update(_)
-                | Request::Step(_)
-                | Request::StepDelta(_)
-                | Request::Insert(_)
-                | Request::Remove(_)
+            Request::StepDelta(_) | Request::Insert(_) | Request::Remove(_)
         )
     }
 
@@ -151,19 +131,12 @@ pub enum Response {
     RangeCount(Vec<u64>),
     /// Per-probe `(id, distance)` lists, parallel to `Request::Knn`.
     Knn(Vec<Vec<(ElementId, f32)>>),
-    /// Acknowledgement of a `Request::Update`: the write barrier has been
-    /// applied. Carries the number of update entries the request held —
+    /// Acknowledgement of a `Request::StepDelta`: the write barrier has
+    /// been applied. Carries the number of entries the request held —
     /// entries with unknown ids or superseded by later duplicates are
     /// included here but counted as skipped in the authoritative
     /// dataset-wide totals, [`ServiceStats`](crate::ServiceStats)
     /// `updates_applied`/`updates_skipped`.
-    Update(u64),
-    /// Acknowledgement of a `Request::Step`: the tick has been applied.
-    /// Carries the number of envelope entries the tick held (see
-    /// [`Response::Update`] for the carried-vs-applied distinction).
-    Step(u64),
-    /// Acknowledgement of a `Request::StepDelta`: the delta tick has been
-    /// applied. Carries the number of moved-element entries it held.
     StepDelta(u64),
     /// Acknowledgement of a `Request::Insert`: the ids the backend
     /// allocated, ascending, parallel to the request's envelopes.
@@ -199,15 +172,13 @@ impl Response {
         }
     }
 
-    /// The carried entry count, if this is an `Update` or `Step` write
-    /// acknowledgement (entries skipped as unknown/superseded are counted
-    /// in [`ServiceStats`](crate::ServiceStats), not here).
+    /// The carried entry count, if this is a write acknowledgement
+    /// (`StepDelta`, `Insert` or `Remove`; entries skipped as
+    /// unknown/superseded are counted in
+    /// [`ServiceStats`](crate::ServiceStats), not here).
     pub fn into_applied(self) -> Option<u64> {
         match self {
-            Response::Update(n)
-            | Response::Step(n)
-            | Response::StepDelta(n)
-            | Response::Remove(n) => Some(n),
+            Response::StepDelta(n) | Response::Remove(n) => Some(n),
             Response::Insert(ids) => Some(ids.len() as u64),
             _ => None,
         }
@@ -257,9 +228,10 @@ pub enum SubmitError {
         /// not a burst.
         high_water: usize,
     },
-    /// A write request (`Update`/`Step`) was submitted to a service whose
-    /// backend has no write path (no updater / no shard rebuild function).
-    /// Rejected at admission so no write ever reaches a read-only backend.
+    /// A write the backend cannot apply: a `StepDelta` to a backend with no
+    /// write path (no updater / no shard rebuild function), or an
+    /// `Insert`/`Remove` to one without membership support. Rejected at
+    /// admission so no write ever reaches a backend that cannot apply it.
     ReadOnly(Request),
 }
 

@@ -943,8 +943,8 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// stamped with the epoch it advanced to.
     fn run_update_batch(&mut self, idxs: &[usize], totals: &mut DispatchTotals) {
         // A write run executes as ordered **segments**: consecutive
-        // geometry writes (`Update`/`Step`/`StepDelta`) flatten into one
-        // coalesced backend application, while each membership request
+        // geometry writes (`StepDelta`) flatten into one coalesced
+        // backend application, while each membership request
         // (`Insert`/`Remove`) is its own backend call at its admission
         // position — so id allocation and tombstoning stay strictly
         // ordered against the geometry writes around them, and the write
@@ -958,22 +958,6 @@ impl<B: ServiceBackend> Scheduler<B> {
                           // later queries correctly see state without it
             }
             match &self.pending[i].request {
-                Request::Update(pairs) => {
-                    self.updates
-                        .extend(pairs.iter().map(|&(id, bb)| (id, Shape::Box(bb))));
-                    self.responses[i] = Some(Response::Update(pairs.len() as u64));
-                    continue;
-                }
-                Request::Step(envelopes) => {
-                    self.updates.extend(
-                        envelopes
-                            .iter()
-                            .enumerate()
-                            .map(|(id, &bb)| (id as ElementId, Shape::Box(bb))),
-                    );
-                    self.responses[i] = Some(Response::Step(envelopes.len() as u64));
-                    continue;
-                }
                 Request::StepDelta(moves) => {
                     self.updates
                         .extend(moves.iter().map(|&(id, bb)| (id, Shape::Box(bb))));

@@ -1,8 +1,9 @@
 //! The step loop: update → maintain → monitor.
 
 use simspatial_datagen::{Dataset, QueryWorkload};
-use simspatial_geom::Vec3;
-use simspatial_moving::{StepCost, UpdateStrategy, UpdateStrategyKind};
+use simspatial_geom::{Aabb, Element, Vec3};
+use simspatial_index::ShardApplyCost;
+use simspatial_moving::{UpdateStrategy, UpdateStrategyKind};
 use std::time::Instant;
 
 /// A simulation workload: computes the per-element displacement of one step.
@@ -56,7 +57,7 @@ pub struct StepReport {
     /// Seconds executing monitoring queries.
     pub monitor_s: f64,
     /// Index maintenance accounting.
-    pub cost: StepCost,
+    pub cost: ShardApplyCost,
     /// Total monitoring query results.
     pub monitor_results: u64,
 }
@@ -77,7 +78,7 @@ pub struct Simulation {
     config: SimulationConfig,
     step: usize,
     /// Scratch buffer holding the previous step's elements.
-    old: Vec<simspatial_geom::Element>,
+    old: Vec<Element>,
 }
 
 impl Simulation {
@@ -118,11 +119,21 @@ impl Simulation {
 
     /// Executes one step and reports its cost split.
     pub fn run_step(&mut self) -> StepReport {
-        let mut report = StepReport {
-            step: self.step,
-            ..Default::default()
-        };
+        let mut report = self.advance();
 
+        // --- monitor phase --------------------------------------------------
+        let t = Instant::now();
+        for q in self.monitor_boxes() {
+            report.monitor_results += self.strategy.range(self.data.elements(), &q).len() as u64;
+        }
+        report.monitor_s = t.elapsed().as_secs_f64();
+        report
+    }
+
+    /// Runs the next step's update and maintenance phases and counts the
+    /// step done. The report carries their timings and cost; its monitor
+    /// fields are zero.
+    pub(crate) fn advance(&mut self) -> StepReport {
         // --- update phase -------------------------------------------------
         let t = Instant::now();
         let moves = self
@@ -138,25 +149,31 @@ impl Simulation {
         for (id, d) in moves.iter().enumerate() {
             self.data.displace(id as u32, *d);
         }
-        report.update_s = t.elapsed().as_secs_f64();
+        let update_s = t.elapsed().as_secs_f64();
 
         // --- maintenance phase ---------------------------------------------
         let t = Instant::now();
-        report.cost = self.strategy.apply_step(&self.old, self.data.elements());
-        report.maintain_s = t.elapsed().as_secs_f64();
-
-        // --- monitor phase --------------------------------------------------
-        let t = Instant::now();
-        let mut results = 0u64;
-        for _ in 0..self.config.monitor_queries_per_step {
-            let q = self.queries.range_query(self.config.monitor_selectivity);
-            results += self.strategy.range(self.data.elements(), &q).len() as u64;
-        }
-        report.monitor_s = t.elapsed().as_secs_f64();
-        report.monitor_results = results;
-
+        let cost = self.strategy.apply_step(&self.old, self.data.elements());
         self.step += 1;
-        report
+        StepReport {
+            step: self.step - 1,
+            update_s,
+            maintain_s: t.elapsed().as_secs_f64(),
+            cost,
+            ..Default::default()
+        }
+    }
+
+    /// The elements as they were before the last step.
+    pub(crate) fn previous(&self) -> &[Element] {
+        &self.old
+    }
+
+    /// The monitoring query boxes of one step.
+    pub(crate) fn monitor_boxes(&mut self) -> Vec<Aabb> {
+        (0..self.config.monitor_queries_per_step)
+            .map(|_| self.queries.range_query(self.config.monitor_selectivity))
+            .collect()
     }
 
     /// Runs `n` steps, returning all reports.
@@ -170,7 +187,7 @@ mod tests {
     use super::*;
     use crate::PlasticityWorkload;
     use simspatial_datagen::ElementSoupBuilder;
-    use simspatial_geom::{Aabb, Point3};
+    use simspatial_geom::Point3;
     use simspatial_index::{LinearScan, SpatialIndex};
 
     fn small_sim(strategy: UpdateStrategyKind) -> Simulation {
@@ -200,7 +217,7 @@ mod tests {
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.step, i);
             assert!(r.total_s() >= 0.0);
-            assert_eq!(r.cost.structural_updates + r.cost.absorbed, 500);
+            assert_eq!(r.cost.structural + r.cost.absorbed, 500);
         }
     }
 

@@ -1,30 +1,29 @@
 //! Driving a simulation through the concurrent query service.
 //!
-//! The classic [`Simulation`](crate::Simulation) owns its index strategy
-//! and runs single-threaded: update → maintain → monitor. This module is
-//! the served variant of the same loop — Figure 1's alternating
-//! update/query workload pushed through one `simspatial-service` admission
-//! path, so simulation ticks and the (possibly many, possibly remote)
-//! monitoring clients share the scheduler, the write-barrier ordering and
-//! the stats:
+//! The classic [`Simulation`] owns its index strategy and runs
+//! single-threaded: update → maintain → monitor. This module is the served
+//! variant of the same loop — Figure 1's alternating update/query workload
+//! pushed through one `simspatial-service` admission path, so simulation
+//! ticks and the (possibly many, possibly remote) monitoring clients share
+//! the scheduler, the write-barrier ordering and the stats:
 //!
-//! 1. **update phase** (local): the [`Workload`] computes displacements
-//!    against the driver's own probe strategy, and the dataset moves.
-//! 2. **tick submission**: the full per-element envelope vector goes to
-//!    the service as one [`Request::Step`] — a write barrier: every query
-//!    admitted after it sees the post-step dataset.
+//! 1. **update phase** (local): a [`Simulation`] computes displacements
+//!    against its own probe strategy, and the dataset moves.
+//! 2. **tick submission**: the elements that moved go to the service as
+//!    one [`Request::StepDelta`] — a write barrier: every query admitted
+//!    after it sees the post-step dataset.
 //! 3. **monitor phase** (served): the in-situ analysis range queries are
 //!    submitted as ordinary requests and coalesce with everyone else's.
 //!
 //! The service stores tick geometry as envelope boxes (the wire vocabulary
-//! of [`Request::Step`]), so served monitor results are against bounding
-//! boxes rather than exact shapes — the approximation every index in the
-//! paper makes at its filter stage anyway.
+//! of [`Request::StepDelta`]), so served monitor results are against
+//! bounding boxes rather than exact shapes — the approximation every index
+//! in the paper makes at its filter stage anyway.
 
-use crate::engine::{SimulationConfig, Workload};
-use simspatial_datagen::{Dataset, QueryWorkload};
-use simspatial_geom::{Aabb, Element};
-use simspatial_moving::{StepCost, UpdateStrategy};
+use crate::engine::{Simulation, SimulationConfig, Workload};
+use simspatial_datagen::Dataset;
+use simspatial_geom::Aabb;
+use simspatial_index::ShardApplyCost;
 use simspatial_service::{Consistency, Reply, Request, ServiceHandle, SubmitError, Ticket};
 use std::time::Instant;
 
@@ -38,13 +37,14 @@ pub struct ServedStepReport {
     /// Seconds from submitting the tick to its acknowledgement (includes
     /// queueing behind other clients — that is the point).
     pub tick_s: f64,
-    /// Element envelope entries acknowledged by the tick: the dataset size
-    /// for a full `Step`, the moved-element count for a `StepDelta`.
+    /// Element envelope entries acknowledged by the tick: the moved count
+    /// (the dataset size when every element moves).
     pub applied: u64,
     /// Elements whose envelope actually changed this step.
     pub moved: u64,
-    /// Whether the tick was emitted as a [`Request::StepDelta`] carrying
-    /// only the moved elements (moved fraction below the delta threshold).
+    /// Always `true`: every tick ships as a [`Request::StepDelta`] of the
+    /// moved elements. Kept because the benchmark's `sim.step_us` probe
+    /// asserts it.
     pub delta: bool,
     /// Seconds executing the served monitoring queries.
     pub monitor_s: f64,
@@ -57,27 +57,21 @@ pub struct ServedStepReport {
     /// modes it names the published state the counts describe.
     pub monitor_epoch: u64,
     /// Local maintenance accounting of the driver's probe strategy.
-    pub probe_cost: StepCost,
+    pub probe_cost: ShardApplyCost,
 }
 
 /// A time-stepped simulation whose ticks and monitoring queries are served
 /// by a [`SpatialService`](simspatial_service::SpatialService).
 ///
-/// The driver keeps a local probe strategy (configured by
-/// [`SimulationConfig::strategy`]) as the workload's query surface during
-/// the update phase; the *served* dataset is maintained exclusively through
-/// [`Request::Step`] write barriers, so any number of concurrent clients
-/// can query the simulation mid-flight with serial semantics.
+/// The driver's local half is a [`Simulation`], whose strategy (configured
+/// by [`SimulationConfig::strategy`]) is the workload's query surface
+/// during the update phase; the *served* dataset is maintained exclusively
+/// through [`Request::StepDelta`] write barriers, so any number of
+/// concurrent clients can query the simulation mid-flight with serial
+/// semantics.
 pub struct ServedSimulation {
-    data: Dataset,
-    workload: Box<dyn Workload>,
-    probe: Box<dyn UpdateStrategy>,
-    queries: QueryWorkload,
+    sim: Simulation,
     handle: ServiceHandle,
-    config: SimulationConfig,
-    step: usize,
-    old: Vec<Element>,
-    delta_threshold: f64,
     monitor_consistency: Consistency,
     last_tick_epoch: u64,
 }
@@ -97,34 +91,12 @@ impl ServedSimulation {
             handle.capabilities().updates,
             "ServedSimulation needs a writable service backend"
         );
-        let probe = config.strategy.create(data.elements());
-        let universe = data.universe();
-        assert!(
-            !universe.is_empty(),
-            "simulation needs a non-empty universe"
-        );
         Self {
-            probe,
-            workload,
-            queries: QueryWorkload::new(universe, config.seed),
-            data,
+            sim: Simulation::new(data, workload, config),
             handle,
-            config,
-            step: 0,
-            old: Vec::new(),
-            delta_threshold: 0.25,
             monitor_consistency: Consistency::Barrier,
             last_tick_epoch: 0,
         }
-    }
-
-    /// Sets the moved-element fraction below which a tick is emitted as a
-    /// [`Request::StepDelta`] carrying only the moved elements instead of
-    /// a full [`Request::Step`]. `0.0` disables delta ticks, `1.0` makes
-    /// every tick a delta. Defaults to `0.25`.
-    pub fn with_delta_threshold(mut self, threshold: f64) -> Self {
-        self.delta_threshold = threshold.clamp(0.0, 1.0);
-        self
     }
 
     /// Sets the consistency mode for the monitoring queries. Defaults to
@@ -149,68 +121,47 @@ impl ServedSimulation {
 
     /// The live (driver-side) dataset.
     pub fn data(&self) -> &Dataset {
-        &self.data
+        self.sim.data()
     }
 
     /// Steps executed so far.
     pub fn steps_done(&self) -> usize {
-        self.step
+        self.sim.steps_done()
     }
 
-    /// Executes one step: local update phase, one [`Request::Step`] tick
-    /// through the service, then the monitoring queries through the
-    /// service. Returns the phase-split report.
+    /// Executes one step: local update phase, one [`Request::StepDelta`]
+    /// tick of the movers through the service, then the monitoring queries
+    /// through the service. Returns the phase-split report.
     ///
     /// # Errors
     ///
     /// Propagates [`SubmitError`] when the service shuts down mid-step
     /// (a tick acknowledged with an error also maps to `ShutDown`).
     pub fn run_step(&mut self) -> Result<ServedStepReport, SubmitError> {
+        let local = self.sim.advance();
         let mut report = ServedStepReport {
-            step: self.step,
+            step: local.step,
+            update_s: local.update_s,
+            delta: true,
+            probe_cost: local.cost,
             ..Default::default()
         };
 
-        // --- update phase (local) ---------------------------------------
-        let t = Instant::now();
-        let moves = self.workload.displacements(&self.data, self.probe.as_ref());
-        assert_eq!(
-            moves.len(),
-            self.data.len(),
-            "workload must move every element"
-        );
-        self.old.clear();
-        self.old.extend_from_slice(self.data.elements());
-        for (id, d) in moves.iter().enumerate() {
-            self.data.displace(id as u32, *d);
-        }
-        report.update_s = t.elapsed().as_secs_f64();
-        report.probe_cost = self.probe.apply_step(&self.old, self.data.elements());
-
         // --- tick through the service (write barrier) -------------------
-        // A sparse step ships only the moved elements as a `StepDelta`
-        // (same write-barrier and migration semantics as `Step`, a
-        // fraction of the wire and apply cost); dense steps ship the full
-        // envelope vector.
+        // Only the moved elements ship, so the wire payload and the apply
+        // cost scale with the moved count, not the dataset size.
         let t = Instant::now();
         let moved: Vec<(u32, Aabb)> = self
-            .data
+            .sim
+            .data()
             .elements()
             .iter()
-            .zip(&self.old)
+            .zip(self.sim.previous())
             .filter(|(new, old)| new.aabb() != old.aabb())
             .map(|(new, _)| (new.id, new.aabb()))
             .collect();
         report.moved = moved.len() as u64;
-        report.delta = (moved.len() as f64) < self.delta_threshold * self.data.len().max(1) as f64;
-        let request = if report.delta {
-            Request::StepDelta(moved)
-        } else {
-            let envelopes: Vec<Aabb> = self.data.elements().iter().map(Element::aabb).collect();
-            Request::Step(envelopes)
-        };
-        let ticket = self.handle.submit(request)?;
-        let ack = recv(ticket)?;
+        let ack = recv(self.handle.submit(Request::StepDelta(moved))?)?;
         report.applied = ack.response.into_applied().unwrap_or(0);
         report.tick_epoch = ack.epoch;
         self.last_tick_epoch = ack.epoch;
@@ -218,9 +169,7 @@ impl ServedSimulation {
 
         // --- monitor phase (served) -------------------------------------
         let t = Instant::now();
-        let boxes: Vec<Aabb> = (0..self.config.monitor_queries_per_step)
-            .map(|_| self.queries.range_query(self.config.monitor_selectivity))
-            .collect();
+        let boxes = self.sim.monitor_boxes();
         if !boxes.is_empty() {
             // Read-your-writes monitors floor on *this* step's tick: they
             // must observe the barrier they follow, nothing older.
@@ -239,7 +188,6 @@ impl ServedSimulation {
         }
         report.monitor_s = t.elapsed().as_secs_f64();
 
-        self.step += 1;
         Ok(report)
     }
 
@@ -263,7 +211,7 @@ mod tests {
     use super::*;
     use crate::PlasticityWorkload;
     use simspatial_datagen::ElementSoupBuilder;
-    use simspatial_geom::{Point3, Shape};
+    use simspatial_geom::{Element, Point3, Shape};
     use simspatial_index::{GridConfig, LinearScan, ShardedEngine, UniformGrid};
     use simspatial_moving::UpdateStrategyKind;
     use simspatial_service::{ServiceConfig, ShardedBackend, SpatialService};
@@ -382,7 +330,7 @@ mod tests {
         );
         let reports = sim.run(3).expect("service stays up");
         for r in &reports {
-            assert!(r.delta, "2.5% moved is far below the 25% threshold");
+            assert!(r.delta, "every tick ships as a delta");
             assert_eq!(r.moved, 10);
             assert_eq!(r.applied, 10, "a delta tick ships only the movers");
         }
@@ -411,15 +359,9 @@ mod tests {
         want.sort_unstable();
         assert_eq!(got, want);
 
-        // Dense mode still available: threshold 0 disables deltas.
-        let mut sim = sim.with_delta_threshold(0.0);
-        let r = sim.run_step().expect("service stays up");
-        assert!(!r.delta);
-        assert_eq!(r.applied, 400);
-
         let stats = service.shutdown();
-        assert_eq!(stats.updates_applied, 3 * 10 + 400);
-        assert_eq!(stats.updates_shipped, 3 * 10 + 400);
+        assert_eq!(stats.updates_applied, 3 * 10);
+        assert_eq!(stats.updates_shipped, 3 * 10);
     }
 
     /// Monitors running at read-your-writes consistency observe the tick

@@ -67,7 +67,7 @@ fn main() {
             z0 + slab,
             report.update_s * 1e3,
             report.maintain_s * 1e3,
-            report.cost.structural_updates,
+            report.cost.structural,
         );
         let ramp = [' ', '.', ':', '+', '*', '#', '@'];
         for gy in (0..GRID).rev() {

@@ -53,7 +53,7 @@ fn main() {
             up += r.update_s;
             mt += r.maintain_s;
             mo += r.monitor_s;
-            switched += r.cost.structural_updates;
+            switched += r.cost.structural;
             absorbed += r.cost.absorbed;
         }
         println!(

@@ -6,7 +6,7 @@
 //! shared spatial dataset, first through a one-shard grid backend,
 //! then through a 2-shard writable grid backend with per-shard worker
 //! threads where one producer doubles as the *simulation*, interleaving
-//! `Request::Update` write barriers with everyone else's queries — watch
+//! `Request::StepDelta` write barriers with everyone else's queries — watch
 //! the `writes:` line of the stats. Clients submit nonblocking, so a
 //! saturated intake queue sheds load instead of blocking the arrival
 //! process — watch the `rejected` counter.
@@ -71,16 +71,11 @@ fn request(universe: &Aabb, h: u32) -> Request {
     }
 }
 
-/// Moved-element fraction below which producer 0's ticks ship as
-/// [`Request::StepDelta`] instead of a dense write.
-const DELTA_THRESHOLD: f32 = 0.25;
-
 /// A small update burst: producer 0's simulation tick — a handful of
-/// elements displaced slightly along x (the massive-yet-minimal profile).
-/// With only 8 of `n_elements` moving, far below [`DELTA_THRESHOLD`], the
-/// tick ships as a delta carrying just the movers — same write-barrier
-/// and cross-shard migration semantics as a full `Step`, a fraction of
-/// the wire and apply cost. Movers come from a small active set whose
+/// elements displaced slightly along x (the massive-yet-minimal profile),
+/// shipped as one [`Request::StepDelta`] carrying just the 8 movers, so
+/// the wire and apply cost scale with the moved count, not the dataset
+/// size. Movers come from a small active set whose
 /// positions are stable per id, so after each member's first move (a
 /// one-time teleport to its hash position, which may migrate shards and
 /// rebuild) later ticks jitter in place — the resident-lane profile an
@@ -89,7 +84,7 @@ const ACTIVE_SET: u32 = 64;
 
 fn tick_request(universe: &Aabb, n_elements: u32, h: u32) -> Request {
     let step = universe.extent().x * 0.01;
-    let moves: Vec<(u32, Aabb)> = (0..8u32)
+    let moves = (0..8u32)
         .map(|j| {
             let id = mix(h ^ j) % n_elements.min(ACTIVE_SET);
             let d = (mix(h ^ (j << 8)) % 3) as f32 * step - step;
@@ -104,11 +99,7 @@ fn tick_request(universe: &Aabb, n_elements: u32, h: u32) -> Request {
             )
         })
         .collect();
-    if (moves.len() as f32) < DELTA_THRESHOLD * n_elements as f32 {
-        Request::StepDelta(moves)
-    } else {
-        Request::Update(moves)
-    }
+    Request::StepDelta(moves)
 }
 
 /// Drives the open-loop workload against `service` and reports its stats.

@@ -175,21 +175,6 @@ pub fn expected(oracle: &mut dyn SerialOracle, request: &Request) -> Response {
         Request::Knn(probes) => {
             Response::Knn(probes.iter().map(|(p, k)| oracle.knn(p, *k)).collect())
         }
-        Request::Update(pairs) => {
-            let updates: Vec<(ElementId, Shape)> =
-                pairs.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
-            oracle.apply(&updates);
-            Response::Update(pairs.len() as u64)
-        }
-        Request::Step(envs) => {
-            let updates: Vec<(ElementId, Shape)> = envs
-                .iter()
-                .enumerate()
-                .map(|(id, &bb)| (id as ElementId, Shape::Box(bb)))
-                .collect();
-            oracle.apply(&updates);
-            Response::Step(envs.len() as u64)
-        }
         Request::StepDelta(moves) => {
             let updates: Vec<(ElementId, Shape)> =
                 moves.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();

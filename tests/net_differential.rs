@@ -4,10 +4,9 @@
 //!
 //! * Single pipelined connection against the single-engine backend
 //!   (read-only script) and the sharded writable backend (script with
-//!   `Update`/`Step`/`StepDelta`/`Insert`/`Remove` write barriers
-//!   interleaved) — the oracle encodes its in-process replies with the
-//!   same codec and corr ids, and the raw reply frames must match byte
-//!   for byte.
+//!   `StepDelta`/`Insert`/`Remove` write barriers interleaved) — the
+//!   oracle encodes its in-process replies with the same codec and corr
+//!   ids, and the raw reply frames must match byte for byte.
 //! * Two concurrent connections: a lock-stepped writer/reader pair whose
 //!   interleaving is serialized by the replies themselves, diffed
 //!   against the equivalent serial in-process run — write barriers hold
@@ -52,15 +51,15 @@ fn hash_box(h: u32, span: f32) -> Aabb {
 }
 
 /// Deterministic request script. Read-only scripts mix the three query
-/// families; writable scripts interleave all five write families as
-/// barriers (including one full `Step` tick).
+/// families; writable scripts interleave every write family as barriers
+/// (including one full-dataset `StepDelta` tick).
 fn script(writable: bool, n_elements: u32, count: u32) -> Vec<Request> {
     (0..count)
         .map(|i| {
             let h = mix(i.wrapping_mul(7919));
             if writable && i % 5 == 4 {
                 return match h % 5 {
-                    0 => Request::Update(
+                    0 => Request::StepDelta(
                         (0..6)
                             .map(|j| (mix(h ^ j) % n_elements, hash_box(mix(h ^ (j << 9)), 1.2)))
                             .collect(),
@@ -70,9 +69,9 @@ fn script(writable: bool, n_elements: u32, count: u32) -> Vec<Request> {
                             .map(|j| (mix(h ^ j) % n_elements, hash_box(mix(h ^ (j << 7)), 0.9)))
                             .collect(),
                     ),
-                    2 if i == 44 => Request::Step(
+                    2 if i == 44 => Request::StepDelta(
                         (0..n_elements)
-                            .map(|e| hash_box(mix(e ^ 0xC0DE), 0.8))
+                            .map(|e| (e, hash_box(mix(e ^ 0xC0DE), 0.8)))
                             .collect(),
                     ),
                     2 | 3 => Request::Insert((0..3).map(|j| hash_box(mix(h ^ j), 1.0)).collect()),
@@ -270,7 +269,7 @@ fn write_barriers_hold_across_two_connections() {
     for i in 0..rounds {
         let h = mix(i.wrapping_mul(31));
         let target = hash_box(h, 1.5);
-        serial.push(Request::Update(vec![(mix(h) % 800, target)]));
+        serial.push(Request::StepDelta(vec![(mix(h) % 800, target)]));
         serial.push(Request::Range(vec![target]));
     }
     let oracle: Vec<Response> = {
@@ -294,7 +293,7 @@ fn write_barriers_hold_across_two_connections() {
         let target = hash_box(h, 1.5);
         let id = mix(h) % 800;
         // Writer connection commits the barrier…
-        match sim.call(&Request::Update(vec![(id, target)])).unwrap() {
+        match sim.call(&Request::StepDelta(vec![(id, target)])).unwrap() {
             CallOutcome::Reply { response, .. } => {
                 assert_eq!(response, oracle[i as usize * 2], "write ack differs");
             }

@@ -253,7 +253,7 @@ fn writes_to_read_only_backend_fail_typed_over_the_wire() {
     let server = NetServer::bind(tiny_service(), "127.0.0.1:0", NetConfig::default()).unwrap();
     let mut client = NetClient::connect(server.local_addr(), "t").unwrap();
     let target = Aabb::new(Point3::new(1.0, 1.0, 1.0), Point3::new(2.0, 2.0, 2.0));
-    match client.call(&Request::Update(vec![(5, target)])).unwrap() {
+    match client.call(&Request::StepDelta(vec![(5, target)])).unwrap() {
         CallOutcome::Rejected(RequestError::ReadOnly) => {}
         other => panic!("expected typed ReadOnly rejection, got {other:?}"),
     }
@@ -286,7 +286,7 @@ fn mid_request_connection_drop_leaks_nothing() {
                     &mut buf,
                     corr + 1,
                     None,
-                    &Request::Update(vec![(
+                    &Request::StepDelta(vec![(
                         (round * 20 + corr as u32) % 200,
                         Aabb::new(Point3::new(1.0, 1.0, 1.0), Point3::new(2.0, 2.0, 2.0)),
                     )]),

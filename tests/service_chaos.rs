@@ -79,14 +79,17 @@ fn full_cover() -> Aabb {
 /// A full simulation tick: every element gets a fresh envelope derived from
 /// `h` — the bulk write that makes every shard's update lane non-empty and
 /// forces cross-shard migrations.
-fn step_envelopes(data_len: u32, h: u32) -> Vec<Aabb> {
+fn step_envelopes(data_len: u32, h: u32) -> Vec<(ElementId, Aabb)> {
     (0..data_len)
         .map(|id| {
             let g = mix(id ^ h);
             let x = (g % 900) as f32 / 10.0;
             let y = ((g >> 8) % 900) as f32 / 10.0;
             let z = ((g >> 16) % 900) as f32 / 10.0;
-            Aabb::new(Point3::new(x, y, z), Point3::new(x + 1.0, y + 1.0, z + 1.0))
+            (
+                id,
+                Aabb::new(Point3::new(x, y, z), Point3::new(x + 1.0, y + 1.0, z + 1.0)),
+            )
         })
         .collect()
 }
@@ -127,7 +130,7 @@ fn chaos_requests(count: u32, data_len: u32, writable: bool, seed: u32) -> Vec<R
                             .collect(),
                     )
                 }
-                3 => Request::Update(
+                3 => Request::StepDelta(
                     (0..(h % 4 + 1))
                         .map(|q| {
                             let id = h.wrapping_add(q * 77) % data_len;
@@ -142,7 +145,7 @@ fn chaos_requests(count: u32, data_len: u32, writable: bool, seed: u32) -> Vec<R
                         })
                         .collect(),
                 ),
-                _ => Request::Step(step_envelopes(data_len, h)),
+                _ => Request::StepDelta(step_envelopes(data_len, h)),
             }
         })
         .collect()
@@ -208,15 +211,15 @@ fn dispatcher_faults_fail_typed_and_survivors_match(
     let t1 = Aabb::new(Point3::new(2.0, 2.0, 2.0), Point3::new(3.5, 3.5, 3.5));
     let t4 = Aabb::new(Point3::new(95.0, 95.0, 95.0), Point3::new(96.5, 96.5, 96.5));
     let requests = vec![
-        Request::Range(vec![full_cover(), t1]),  // op 0: panics
-        Request::Update(vec![(3, t1), (5, t1)]), // op 1: response lost
-        Request::Range(vec![t1]),                // op 2: must NOT see op 1
+        Request::Range(vec![full_cover(), t1]),     // op 0: panics
+        Request::StepDelta(vec![(3, t1), (5, t1)]), // op 1: response lost
+        Request::Range(vec![t1]),                   // op 2: must NOT see op 1
         Request::Knn(vec![(Point3::new(40.0, 40.0, 40.0), 4)]), // op 3: delayed
-        Request::Update(vec![(7, t1)]),          // op 4: panics
-        Request::Range(vec![t1]),                // op 5: response lost
-        Request::RangeCount(vec![full_cover()]), // op 6
-        Request::Update(vec![(9, t4)]),          // op 7: applies
-        Request::Range(vec![t4]),                // op 8: must see op 7
+        Request::StepDelta(vec![(7, t1)]),          // op 4: panics
+        Request::Range(vec![t1]),                   // op 5: response lost
+        Request::RangeCount(vec![full_cover()]),    // op 6
+        Request::StepDelta(vec![(9, t4)]),          // op 7: applies
+        Request::Range(vec![t4]),                   // op 8: must see op 7
     ];
     let plan = FaultPlan::new()
         .panic_at(0)
@@ -340,10 +343,10 @@ fn inline_apply_panic_restarts_the_shard_and_acks_the_write() {
         ServiceConfig::default().no_coalesce(),
     );
     let handle = service.handle();
-    let torn = Request::Update(vec![(3, t1), (BOMB, t1), (5, t1)]);
+    let torn = Request::StepDelta(vec![(3, t1), (BOMB, t1), (5, t1)]);
     assert_eq!(
         recv_bounded(&handle.submit(torn).unwrap(), "inline/apply-panic", 0).ok(),
-        Some(Response::Update(3)),
+        Some(Response::StepDelta(3)),
         "the restart applied the torn write in full, so it is acked"
     );
     // The planner store took the whole write before the shard ran it, so
@@ -357,7 +360,7 @@ fn inline_apply_panic_restarts_the_shard_and_acks_the_write() {
     let later = [
         Request::Range(vec![t1, full_cover()]),
         Request::Knn(vec![(Point3::new(2.5, 2.5, 2.5), 5)]),
-        Request::Update(vec![(9, t4)]),
+        Request::StepDelta(vec![(9, t4)]),
         Request::Range(vec![t4]),
     ];
     for (op, req) in later.iter().enumerate() {
@@ -395,7 +398,7 @@ fn sharded_worker_panic_restarts_and_matches_oracle() {
         Request::Range(vec![full_cover()]),
         Request::Range(vec![full_cover()]), // shard 2 panics mid-read here
         Request::RangeCount(vec![full_cover()]),
-        Request::Step(step_envelopes(2000, 0x7E11)),
+        Request::StepDelta(step_envelopes(2000, 0x7E11)),
         Request::Range(vec![full_cover()]),
     ];
     let plan = FaultPlan::new().panic_on_shard(2, 1);
@@ -431,9 +434,9 @@ fn post_restart_writes_stay_barrier_ordered() {
     let mut oracle = ShardedOracle(ShardedEngine::build(&data, 4, build).with_rebuild(build));
     let requests = vec![
         Request::Range(vec![full_cover()]),
-        Request::Step(step_envelopes(2000, 0xAA01)),
+        Request::StepDelta(step_envelopes(2000, 0xAA01)),
         Request::Range(vec![full_cover()]),
-        Request::Step(step_envelopes(2000, 0xAA02)), // shard 2 panics mid-write
+        Request::StepDelta(step_envelopes(2000, 0xAA02)), // shard 2 panics mid-write
         Request::Range(vec![full_cover()]),
     ];
     let plan = FaultPlan::new().panic_on_shard(2, 3);
@@ -491,12 +494,12 @@ fn incremental_executor_mid_write_panic_restarts_exactly_once() {
         })
         .collect();
     let requests = vec![
-        Request::Range(vec![full_cover()]),        // job 0 on every shard
-        Request::Step(step_envelopes(2000, 0xB1)), // job 1
-        Request::Range(vec![full_cover()]),        // job 2
-        Request::Step(step_envelopes(2000, 0xB2)), // job 3: shard 2 panics mid-write
-        Request::Range(vec![full_cover()]),        // restarted shard serves reads
-        Request::StepDelta(delta),                 // back on the in-place path
+        Request::Range(vec![full_cover()]), // job 0 on every shard
+        Request::StepDelta(step_envelopes(2000, 0xB1)), // job 1
+        Request::Range(vec![full_cover()]), // job 2
+        Request::StepDelta(step_envelopes(2000, 0xB2)), // job 3: shard 2 panics mid-write
+        Request::Range(vec![full_cover()]), // restarted shard serves reads
+        Request::StepDelta(delta),          // back on the in-place path
         Request::Range(vec![full_cover()]),
     ];
     let plan = FaultPlan::new().panic_on_shard(2, 3);
@@ -601,7 +604,9 @@ fn dead_shard_degrades_reads_and_fails_knn_typed() {
     // Writes keep flowing: moving an element into a live shard's region
     // makes it queryable again through that shard.
     let target = Aabb::new(Point3::new(0.5, 0.5, 0.5), Point3::new(1.5, 1.5, 1.5));
-    let t = handle.submit(Request::Update(vec![(42, target)])).unwrap();
+    let t = handle
+        .submit(Request::StepDelta(vec![(42, target)]))
+        .unwrap();
     assert!(
         recv_bounded(&t, label, 4).is_ok(),
         "write through a degraded backend"
@@ -1088,7 +1093,9 @@ fn unrecovered_write_panic_poisons_the_service() {
     // panics, recovery refuses, and the queued read fails fast instead of
     // touching a possibly-torn backend.
     let target = Aabb::new(Point3::new(1.0, 1.0, 1.0), Point3::new(2.0, 2.0, 2.0));
-    let w = handle.submit(Request::Update(vec![(3, target)])).unwrap();
+    let w = handle
+        .submit(Request::StepDelta(vec![(3, target)]))
+        .unwrap();
     let r = handle.submit(Request::Range(vec![full_cover()])).unwrap();
     match recv_bounded(&w, "poison", 0) {
         Err(RecvError::WorkerFailed { .. }) => {}
@@ -1136,7 +1143,7 @@ fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
     assert_eq!(r0.response, expected(&mut oracle, &probe));
     assert_eq!(r0.epoch, 0, "barrier read before any write is at epoch 0");
 
-    let step = Request::Step(step_envelopes(2000, 0x31AB));
+    let step = Request::StepDelta(step_envelopes(2000, 0x31AB));
     let ack = handle.submit(step.clone()).unwrap().recv_reply().unwrap();
     assert_eq!(ack.response, expected(&mut oracle, &step));
     assert_eq!(ack.epoch, 1, "restart must not skip or repeat the epoch");
@@ -1154,7 +1161,7 @@ fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
     );
 
     // Another full round proves the restarted shard keeps serving.
-    let step2 = Request::Step(step_envelopes(2000, 0x31AC));
+    let step2 = Request::StepDelta(step_envelopes(2000, 0x31AC));
     let ack2 = handle.submit(step2.clone()).unwrap().recv_reply().unwrap();
     assert_eq!(ack2.response, expected(&mut oracle, &step2));
     assert_eq!(ack2.epoch, 2);

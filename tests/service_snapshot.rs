@@ -217,7 +217,7 @@ fn snapshot_replies_match_barrier_oracle_at_reported_epoch() {
     // epoch — that is what makes the precomputed table indexable by epoch.
     for e in 1..=WRITES {
         let ticket = handle
-            .submit(Request::Update(write_batch(e, data.len() as u32)))
+            .submit(Request::StepDelta(write_batch(e, data.len() as u32)))
             .expect("write submit");
         let ack = ticket.recv_reply().expect("write failed");
         assert_eq!(
@@ -389,7 +389,7 @@ fn replay_stream(data: &[Element], router: &ShardRouter, epochs: u64) -> Vec<(Re
                     let dest = unit_box(far(h), 0.6);
                     cur[id as usize] = dest;
                     batch.push((id, dest));
-                    (Request::Update(batch), Tick::Spliced)
+                    (Request::StepDelta(batch), Tick::Spliced)
                 }
                 5 => {
                     let boxes = (0..3).map(|q| unit_box(far(mix(h ^ q)), 0.7)).collect();
@@ -401,7 +401,10 @@ fn replay_stream(data: &[Element], router: &ShardRouter, epochs: u64) -> Vec<(Re
                         .collect();
                     (Request::Remove(ids), Tick::Spliced)
                 }
-                _ => (Request::Update(resident_tick(e, &mut cur)), Tick::Resident),
+                _ => (
+                    Request::StepDelta(resident_tick(e, &mut cur)),
+                    Tick::Resident,
+                ),
             }
         })
         .collect()
@@ -416,11 +419,11 @@ fn oracle_write(
     write: &Request,
 ) -> (Response, UpdateStats) {
     match write {
-        Request::Update(batch) => {
+        Request::StepDelta(batch) => {
             let updates: Vec<(ElementId, Shape)> =
                 batch.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
             let stats = engine.update_batch(&updates);
-            (Response::Update(batch.len() as u64), stats)
+            (Response::StepDelta(batch.len() as u64), stats)
         }
         Request::Insert(boxes) => {
             let shapes: Vec<Shape> = boxes.iter().map(|&bb| Shape::Box(bb)).collect();
@@ -775,7 +778,7 @@ fn read_your_writes_observes_own_acked_writes_under_contention() {
                     let dest =
                         Aabb::new(Point3::new(x, y, z), Point3::new(x + 0.8, y + 0.8, z + 0.8));
                     let ack = handle
-                        .submit(Request::Update(vec![(id, dest)]))
+                        .submit(Request::StepDelta(vec![(id, dest)]))
                         .expect("write submit")
                         .recv_reply()
                         .expect("write failed");
@@ -861,7 +864,7 @@ fn hoisted_snapshot_read_replies_before_the_write_behind_it() {
             Point3::new(0.0, 0.0, 0.0),
             Point3::new(99.0, 99.0, 99.0),
         )]);
-        let write = || Request::Update(write_batch(1, data.len() as u32));
+        let write = || Request::StepDelta(write_batch(1, data.len() as u32));
 
         // Write first, snapshot read second: the read is hoisted over it.
         let service = spawn(0);
@@ -969,7 +972,7 @@ fn replies_are_counted_before_they_are_sent() {
 
     for e in 1..=WRITES {
         let ack = handle
-            .submit(Request::Update(write_batch(e, data.len() as u32)))
+            .submit(Request::StepDelta(write_batch(e, data.len() as u32)))
             .expect("write submit")
             .recv_reply()
             .expect("write");

@@ -433,7 +433,7 @@ fn beacon_target(slot: u32) -> Aabb {
 
 /// Deterministic interleaved read/write request stream: ranges, sparse
 /// updates (with cross-request last-write-wins collisions), kNN probes,
-/// counts and full-tick `Step`s.
+/// counts and full-dataset `StepDelta` ticks.
 fn barrier_requests(count: u32) -> Vec<Request> {
     (0..count)
         .map(|i| {
@@ -450,7 +450,7 @@ fn barrier_requests(count: u32) -> Vec<Request> {
                     // exercise last-write-wins at the barriers.
                     let a = h % WRITE_SOUP;
                     let b = (h >> 7) % WRITE_SOUP;
-                    Request::Update(vec![(a, beacon_target(i)), (b, beacon_target(i + 500))])
+                    Request::StepDelta(vec![(a, beacon_target(i)), (b, beacon_target(i + 500))])
                 }
                 2 => Request::Knn(vec![
                     (Point3::new(160.0, 160.0, 151.0), 5),
@@ -460,7 +460,7 @@ fn barrier_requests(count: u32) -> Vec<Request> {
                     if i % 8 == 3 {
                         // A whole simulation tick: every element re-placed at
                         // a deterministic position inside the universe.
-                        Request::Step(
+                        Request::StepDelta(
                             (0..WRITE_SOUP)
                                 .map(|id| {
                                     let g = mix(id.wrapping_mul(31) ^ i);
@@ -469,7 +469,10 @@ fn barrier_requests(count: u32) -> Vec<Request> {
                                         ((g >> 10) % 997) as f32 / 10.0,
                                         ((g >> 20) % 997) as f32 / 10.0,
                                     );
-                                    Aabb::new(p, Point3::new(p.x + 0.6, p.y + 0.6, p.z + 0.6))
+                                    (
+                                        id,
+                                        Aabb::new(p, Point3::new(p.x + 0.6, p.y + 0.6, p.z + 0.6)),
+                                    )
                                 })
                                 .collect(),
                         )
@@ -590,7 +593,7 @@ fn strategy_apply_behaves_the_same_behind_both_backends() {
     let data = soup(WRITE_SOUP, 0xD1CE);
     let kind = UpdateStrategyKind::GridMigrate;
     let mut requests = barrier_requests(48);
-    requests.push(Request::Update(vec![
+    requests.push(Request::StepDelta(vec![
         (17, beacon_target(900)),             // superseded two entries on
         (WRITE_SOUP + 5, beacon_target(901)), // unknown id
         (17, beacon_target(902)),
@@ -642,7 +645,7 @@ fn read_only_backend_rejects_writes_at_admission() {
     );
     let handle = service.handle();
     assert!(!handle.capabilities().updates);
-    match handle.submit(Request::Update(vec![(0, beacon_target(0))])) {
+    match handle.submit(Request::StepDelta(vec![(0, beacon_target(0))])) {
         Err(SubmitError::ReadOnly(req)) => assert_eq!(req.len(), 1),
         other => panic!("write into read-only backend must be rejected, got {other:?}"),
     }
@@ -650,7 +653,7 @@ fn read_only_backend_rejects_writes_at_admission() {
         nonblocking: true,
         ..SubmitOptions::default()
     };
-    match handle.submit_with(Request::Step(vec![beacon_target(1)]), nonblocking) {
+    match handle.submit_with(Request::StepDelta(vec![(0, beacon_target(1))]), nonblocking) {
         Err(SubmitError::ReadOnly(_)) => {}
         other => panic!("nonblocking write must be rejected, got {other:?}"),
     }
@@ -704,7 +707,7 @@ fn drive_mixed_and_verify(service: SpatialService, oracle_at: &mut OracleAt, lab
                         let t: Ticket = inflight.pop_front().unwrap();
                         t.recv().expect("update completes");
                     }
-                    inflight.push_back(h.submit(Request::Update(vec![(id, bb)])).unwrap());
+                    inflight.push_back(h.submit(Request::StepDelta(vec![(id, bb)])).unwrap());
                 }
                 for t in inflight {
                     t.recv().expect("update completes");
@@ -855,7 +858,7 @@ fn sharded_service_reflects_post_migration_sizes() {
     let before = handle.stats();
     let updates: Vec<(ElementId, Aabb)> = (0..1000u32).map(|id| (id, beacon_target(id))).collect();
     handle
-        .submit(Request::Update(updates))
+        .submit(Request::StepDelta(updates))
         .unwrap()
         .recv()
         .unwrap();
