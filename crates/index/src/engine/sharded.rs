@@ -41,11 +41,11 @@
 //! only the shards of the old and new envelope and every lane agrees with
 //! its shard), executors apply their lane ([`UpdateLane::run`]: cross-shard
 //! **migrations** are spliced into the element clone and id map at their
-//! sorted positions, then the index absorbs the lane **in place** when an
-//! apply function is attached ([`ShardedEngine::with_apply`]) and the index
-//! can splice the membership change ([`SpatialIndex::splice`]), so a tick
-//! pays per mover, not per element — otherwise it is rebuilt by the
-//! function attached with [`ShardedEngine::with_rebuild`]), and the
+//! sorted positions, then the index absorbs the lane **in place** when it
+//! can splice the membership change ([`SpatialIndex::splice`]) and move the
+//! resident elements ([`SpatialIndex::update_in_place`]), so a tick pays
+//! per mover, not per element — otherwise it is rebuilt by the function
+//! attached with [`ShardedEngine::with_rebuild`]), and the
 //! [`UpdateLaneReport`]s carry post-migration shard sizes and memory back
 //! for accounting. [`ShardedEngine::update_batch`] composes the round trip
 //! inline; the service layer ships the same lanes to its per-shard
@@ -75,7 +75,10 @@
 //! engine's scratch high-water mark, the router and the merge scratch.
 
 use crate::engine::{BatchResults, KnnBatchResults, QueryEngine};
-use crate::traits::{KnnIndex, KnnSink, QueryStats, RangeSink, SpatialIndex, UpdateStats};
+use crate::grid::UniformGrid;
+use crate::traits::{
+    KnnIndex, KnnSink, QueryStats, RangeSink, ShardApplyCost, SpatialIndex, UpdateStats,
+};
 use simspatial_geom::{parallel, stats, Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use std::ops::Range;
 use std::sync::Arc;
@@ -86,48 +89,6 @@ use std::time::Instant;
 /// mutates them. Shared (`Arc`) so every shard and every rebuild reuses one
 /// allocation; `Send + Sync` so executors can live on worker threads.
 pub type ShardRebuild<I> = Arc<dyn Fn(&[Element]) -> I + Send + Sync>;
-
-/// Cost report of one write application — an **incremental** in-shard
-/// apply (see [`ShardApply`]) or an update strategy's maintenance step:
-/// how much index structure the writes actually dirtied, versus how many
-/// moves were absorbed in place for free.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardApplyCost {
-    /// Structural index modifications: grid cell switches, R-Tree
-    /// reinsertions/repairs — the nodes/cells the writes dirtied.
-    pub structural: u64,
-    /// Updates absorbed with no structural work (same cell, inside a
-    /// buffered batch or grace window).
-    pub absorbed: u64,
-    /// Full rebuilds the *strategy itself* chose to perform (a buffered
-    /// strategy flushing, a rebuild strategy) — distinct from the
-    /// executor-level fallback rebuild, which this path avoids.
-    pub rebuilds: u64,
-}
-
-/// The pluggable **incremental** in-shard write mode: an updatable executor
-/// holding one of these applies a lane's geometry updates by mutating its
-/// index in place instead of rebuilding it ([`UpdateLane::run`]).
-///
-/// Called with the shard's index, its re-identified local element clone,
-/// and the lane's updates translated to **local dense ids** — the executor
-/// guarantees every id resolves. The closure only ever moves resident
-/// elements: a lane's arrivals and departures are spliced in by the
-/// executor first ([`SpatialIndex::splice`]), and the ids it is handed are
-/// the post-splice ones; lanes the executor cannot splice take the rebuild
-/// path, which stays attached as the fallback, the differential oracle and
-/// the restart recipe. The closure must leave `data[id].shape` equal to
-/// the new geometry, exactly as a rebuild-path apply would.
-///
-/// **Determinism contract**: the closure must be a pure function of
-/// `(index, data, updates)` — the same index and element state given the
-/// same lane end in the same state, cell order and all (no clocks, random
-/// numbers or state captured outside its arguments). The incremental
-/// differential suites lean on it: a service's shards and a serial engine
-/// fed the same lanes must answer byte for byte — range emission order and
-/// kNN ties included.
-pub type ShardApply<I> =
-    Arc<dyn Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost + Send + Sync>;
 
 /// How a [`ShardRouter`] places its K-1 interior cuts along the split axis.
 #[derive(Debug, Clone)]
@@ -368,9 +329,6 @@ pub struct ShardExecutor<I> {
     /// Index (re)build function for the write path; `None` for read-only
     /// engines (see [`ShardedEngine::with_rebuild`]).
     rebuild: Option<ShardRebuild<I>>,
-    /// Incremental in-shard write mode; `None` means every lane rebuilds
-    /// (see [`ShardedEngine::with_apply`]).
-    apply: Option<ShardApply<I>>,
 }
 
 impl<I> ShardExecutor<I> {
@@ -411,12 +369,12 @@ impl<I> ShardExecutor<I> {
     /// Shard `shard`'s executor rebuilt from the planner's element store
     /// with this executor's own recipe: the exact element clone
     /// [`ShardPlanner::shard_elements`] reproduces, re-identified with dense
-    /// local ids, indexed by this executor's rebuild function, with its
-    /// apply function attached (the rebuilt shard keeps the write mode this
-    /// one ran in). Because the store advances in lockstep with routed
-    /// updates, the result is byte-identical to the executor the shard
-    /// would hold had it never been lost — the supervisor's shard-restart
-    /// path. `None` when no rebuild function is attached.
+    /// local ids, indexed by this executor's rebuild function. Because the
+    /// store advances in lockstep with routed updates, the result holds
+    /// exactly the elements the shard would hold had it never been lost
+    /// (an index written in place may list a cell's entries in another
+    /// order) — the supervisor's shard-restart path. `None` when no rebuild
+    /// function is attached.
     pub fn rebuilt_from(&self, planner: &ShardPlanner, shard: usize) -> Option<Self> {
         let rebuild = self.rebuild.clone()?;
         let pairs = planner.shard_elements(shard);
@@ -434,7 +392,6 @@ impl<I> ShardExecutor<I> {
             index,
             engine: QueryEngine::new(),
             rebuild: Some(rebuild),
-            apply: self.apply.clone(),
         })
     }
 
@@ -568,8 +525,8 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         self.index.memory_bytes() + self.base_memory_bytes()
     }
 
-    /// Applies one routed write sub-batch — one membership path for both
-    /// write modes, which then differ only in how the index absorbs it.
+    /// Applies one routed write sub-batch — one membership path, then the
+    /// index absorbs the lane in place or is rebuilt.
     ///
     /// The updates are translated to local ids by one forward galloping
     /// walk over the id map (the lane ascends by global id, see
@@ -581,20 +538,22 @@ impl<I: SpatialIndex> ShardExecutor<I> {
     /// positions, so the shard's two invariants (dense local ids, sorted by
     /// global id) hold after every lane. Then:
     ///
-    /// * **In place** — when an apply function is attached
-    ///   ([`ShardedEngine::with_apply`]), the membership change is at
-    ///   most a quarter of the shard and the index accepted it (asked before
-    ///   anything is shifted): the apply function moves the resident updates
-    ///   under their post-splice local ids, in ascending id order — which
-    ///   walks the element clone, the index's slot directory and its cells
-    ///   front to back. K movers cost O(K) plus, when membership changed,
-    ///   one renumbering pass.
-    /// * **Rebuild** — otherwise: the new geometry is written into the clone
-    ///   and the attached rebuild function rebuilds the index over it, which
-    ///   also re-fits the index to where the elements now are.
+    /// * **In place** — when the membership change is at most a quarter of
+    ///   the shard and the index accepted it (asked before anything is
+    ///   shifted), the index moves the resident updates under their
+    ///   post-splice local ids, in ascending id order
+    ///   ([`SpatialIndex::update_in_place`]) — which walks the element
+    ///   clone, the index's slot directory and its cells front to back. K
+    ///   movers cost O(K) plus, when membership changed, one renumbering
+    ///   pass.
+    /// * **Rebuild** — otherwise, or when the index declines the write
+    ///   (`None`): the new geometry is written into the clone and the
+    ///   attached rebuild function rebuilds the index over it, which also
+    ///   re-fits the index to where the elements now are. A declined write
+    ///   after an accepted splice is still correct: the clone is spliced.
     ///
     /// Every step is a pure function of the executor's state and the lane
-    /// (the [`ShardApply`] determinism contract).
+    /// (the determinism contract of [`SpatialIndex::update_in_place`]).
     ///
     /// Returns the lane report with the executor-level counters filled
     /// ([`UpdateLane::run`] adds the post-apply gauges). Panics when no
@@ -620,11 +579,10 @@ impl<I: SpatialIndex> ShardExecutor<I> {
             next = li + 1;
         }
         let changed = inserts.len() + removals.len();
-        let mut in_place = self.apply.is_some();
+        let mut in_place = true;
         if changed > 0 {
             self.plan_splice(inserts, removals, scratch);
-            in_place = in_place
-                && changed * SPLICE_MAX_FRACTION <= self.data.len()
+            in_place = changed * SPLICE_MAX_FRACTION <= self.data.len()
                 && self
                     .index
                     .splice(&scratch.removed, &scratch.remap, &scratch.inserted);
@@ -656,18 +614,20 @@ impl<I: SpatialIndex> ShardExecutor<I> {
             migrated_out: removals.len() as u64,
             ..UpdateLaneReport::default()
         };
-        match &self.apply {
-            Some(apply) if in_place => {
-                let cost = apply(&mut self.index, &mut self.data, &scratch.local);
-                UpdateLaneReport {
-                    structural: cost.structural + changed as u64,
-                    absorbed: cost.absorbed,
-                    rebuilds: cost.rebuilds,
-                    rebuilds_avoided: 1,
-                    ..report
-                }
-            }
-            _ => {
+        let cost = if in_place {
+            self.index.update_in_place(&mut self.data, &scratch.local)
+        } else {
+            None
+        };
+        match cost {
+            Some(cost) => UpdateLaneReport {
+                structural: cost.structural + changed as u64,
+                absorbed: cost.absorbed,
+                rebuilds: cost.rebuilds,
+                rebuilds_avoided: 1,
+                ..report
+            },
+            None => {
                 for &(li, shape) in &scratch.local {
                     self.data[li as usize].shape = shape;
                 }
@@ -1058,10 +1018,10 @@ impl UpdateLane {
 
     /// Applies the lane's write sub-batch to `exec` — membership spliced
     /// into the shard's element clone and id map, then geometry applied in
-    /// place through the executor's apply function where it can, by index
-    /// rebuild otherwise — and records the post-apply report. The report
-    /// reads the index's memory gauge, so the call ends in O(1) for an
-    /// index that keeps a running count ([`crate::UniformGrid`]).
+    /// place by the index where it can ([`SpatialIndex::update_in_place`]),
+    /// by index rebuild otherwise — and records the post-apply report. The
+    /// report reads the index's memory gauge, so the call ends in O(1) for
+    /// an index that keeps a running count ([`crate::UniformGrid`]).
     ///
     /// Panics when `exec` has no rebuild function attached
     /// ([`ShardedEngine::with_rebuild`]).
@@ -1721,7 +1681,6 @@ impl<I> ShardedEngine<I> {
                 global,
                 engine: QueryEngine::new(),
                 rebuild: None,
-                apply: None,
             })
             .collect();
         Self {
@@ -1738,7 +1697,8 @@ impl<I> ShardedEngine<I> {
     /// Attaches an index (re)build function to every shard, enabling the
     /// write path ([`ShardedEngine::update_batch`] and the service layer's
     /// update lanes). Called with a shard's re-identified local elements
-    /// whenever a write batch mutates them.
+    /// whenever the index declines to absorb a write batch in place
+    /// ([`SpatialIndex::update_in_place`]), and to restart a lost shard.
     ///
     /// Separate from the build closure so the read-only constructors keep
     /// accepting short-lived borrows; pass the same function to both for
@@ -1768,49 +1728,10 @@ impl<I> ShardedEngine<I> {
         self
     }
 
-    /// Switches every shard into the **incremental** write mode: an update
-    /// lane is applied in place — geometry through `apply` (index mutated
-    /// cell-by-cell / node-by-node), migrations in or out, inserts and
-    /// removals through the index's [`SpatialIndex::splice`] — instead of
-    /// rebuilding the shard index. Membership changes past a quarter of the
-    /// shard and indexes that cannot splice still take the rebuild path, so
-    /// a rebuild function must already be attached
-    /// ([`ShardedEngine::with_rebuild`]).
-    ///
-    /// `apply` receives the shard index, the shard's re-identified local
-    /// element clone, and the lane translated to local dense ids; it must
-    /// leave `data[id].shape` equal to the new geometry, exactly as a
-    /// rebuild would (that equivalence is what the differential suite
-    /// checks, with rebuild mode as the oracle), and it must be
-    /// deterministic in its arguments (see [`ShardApply`]).
-    pub fn with_apply(
-        mut self,
-        apply: impl Fn(&mut I, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        assert!(
-            self.is_updatable(),
-            "incremental write mode needs the rebuild fallback — call with_rebuild first"
-        );
-        let apply: ShardApply<I> = Arc::new(apply);
-        for exec in &mut self.executors {
-            exec.apply = Some(Arc::clone(&apply));
-        }
-        self
-    }
-
     /// True when every shard can apply write batches (a rebuild function is
     /// attached, see [`ShardedEngine::with_rebuild`]).
     pub fn is_updatable(&self) -> bool {
         self.executors.iter().all(ShardExecutor::is_updatable)
-    }
-
-    /// True when every shard applies geometry-only lanes incrementally
-    /// (see [`ShardedEngine::with_apply`]).
-    pub fn is_incremental(&self) -> bool {
-        self.executors.iter().all(|exec| exec.apply.is_some())
     }
 
     /// The routing function in force.
@@ -1841,6 +1762,25 @@ impl<I> ShardedEngine<I> {
     /// lanes wherever the caller puts them.
     pub fn into_parts(self) -> (ShardPlanner, Vec<ShardExecutor<I>>) {
         (self.planner, self.executors)
+    }
+}
+
+impl ShardedEngine<UniformGrid> {
+    /// Kept only so the benchmark crate still builds. The argument is
+    /// ignored: its one caller passes `migrate_in_place`, the same
+    /// per-element [`UniformGrid::update`] loop as the grid's own write
+    /// ([`SpatialIndex::update_in_place`]).
+    #[deprecated(note = "a grid shard writes in place through `SpatialIndex::update_in_place`")]
+    #[doc(hidden)]
+    pub fn with_apply(
+        self,
+        _: impl Fn(&mut UniformGrid, &mut [Element], &[(ElementId, Shape)]) -> ShardApplyCost,
+    ) -> Self {
+        assert!(
+            self.is_updatable(),
+            "incremental write mode needs the rebuild fallback — call with_rebuild first"
+        );
+        self
     }
 }
 
@@ -2497,9 +2437,7 @@ mod tests {
     fn membership_lanes_splice_in_place_and_bulk_changes_rebuild() {
         let mut data = soup(2000);
         let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
-        let mut sharded = ShardedEngine::build(&data, 4, build)
-            .with_rebuild(build)
-            .with_apply(UniformGrid::update_sparse);
+        let mut sharded = ShardedEngine::build(&data, 4, build).with_rebuild(build);
 
         // A few cross-shard moves beside resident jitter: every touched
         // lane runs in place, membership changes included.
@@ -2581,9 +2519,7 @@ mod tests {
         // what is kept stays within a sixteenth of the length.
         let data = soup(2000);
         let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
-        let mut sharded = ShardedEngine::build(&data, 4, build)
-            .with_rebuild(build)
-            .with_apply(UniformGrid::update_sparse);
+        let mut sharded = ShardedEngine::build(&data, 4, build).with_rebuild(build);
         let blocks = |sharded: &ShardedEngine<UniformGrid>| -> Vec<_> {
             sharded
                 .executors
@@ -2625,20 +2561,67 @@ mod tests {
         assert!(touched > 0);
     }
 
+    /// A linear scan that writes geometry in place but keeps the default
+    /// `splice`: an index that absorbs moves and declines membership
+    /// changes.
+    struct InPlaceScan(LinearScan);
+
+    impl SpatialIndex for InPlaceScan {
+        fn name(&self) -> &'static str {
+            "InPlaceScan"
+        }
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn range_into(
+            &self,
+            data: &[Element],
+            query: &Aabb,
+            scratch: &mut QueryScratch,
+            sink: &mut dyn RangeSink,
+        ) {
+            self.0.range_into(data, query, scratch, sink);
+        }
+
+        fn memory_bytes(&self) -> usize {
+            self.0.memory_bytes()
+        }
+
+        fn update_in_place(
+            &mut self,
+            data: &mut [Element],
+            updates: &[(ElementId, Shape)],
+        ) -> Option<ShardApplyCost> {
+            for &(id, shape) in updates {
+                data[id as usize].shape = shape;
+            }
+            Some(ShardApplyCost::default())
+        }
+    }
+
+    impl KnnIndex for InPlaceScan {
+        fn knn_into(
+            &self,
+            data: &[Element],
+            p: &Point3,
+            k: usize,
+            scratch: &mut QueryScratch,
+            sink: &mut dyn KnnSink,
+        ) {
+            self.0.knn_into(data, p, k, scratch, sink);
+        }
+    }
+
     #[test]
     fn index_that_declines_to_splice_rebuilds_untouched() {
-        // `LinearScan` keeps the default `splice`: a membership lane on an
-        // incremental engine over it takes the rebuild path, and the apply
-        // function never sees the lane.
+        // A membership lane on an index that writes in place but keeps the
+        // default `splice` takes the rebuild path, and the index's write
+        // never sees the lane.
         let data = soup(600);
-        let mut sharded = ShardedEngine::build(&data, 2, LinearScan::build)
-            .with_rebuild(LinearScan::build)
-            .with_apply(|_, data, updates| {
-                for &(id, shape) in updates {
-                    data[id as usize].shape = shape;
-                }
-                ShardApplyCost::default()
-            });
+        let build = |part: &[Element]| InPlaceScan(LinearScan::build(part));
+        let mut sharded = ShardedEngine::build(&data, 2, build).with_rebuild(build);
         let resident = sharded.update_batch(&[(3, data[3].shape)]);
         assert_eq!((resident.rebuilds, resident.rebuilds_avoided), (0, 1));
         let target = if data[7].aabb().center().x < 50.0 {
@@ -2703,26 +2686,23 @@ mod tests {
 
     #[test]
     fn both_write_modes_leave_identical_executor_state() {
+        // The rebuild twin is a `LinearScan` engine, which never writes in
+        // place: the two compare executor state, not index layout.
         let data = soup(2000);
         let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
-        let mut reb = ShardedEngine::build(&data, 4, build).with_rebuild(build);
-        let mut inc = ShardedEngine::build(&data, 4, build)
-            .with_rebuild(build)
-            .with_apply(UniformGrid::update_sparse);
-        let shapes = |e: &ShardExecutor<UniformGrid>| -> Vec<Shape> {
-            e.data.iter().map(|e| e.shape).collect()
-        };
-        let check = |reb: &ShardedEngine<UniformGrid>, inc: &ShardedEngine<UniformGrid>, step| {
+        let mut reb =
+            ShardedEngine::build(&data, 4, LinearScan::build).with_rebuild(LinearScan::build);
+        let mut inc = ShardedEngine::build(&data, 4, build).with_rebuild(build);
+        let check = |reb: &ShardedEngine<LinearScan>, inc: &ShardedEngine<UniformGrid>, step| {
             for (s, (a, b)) in reb.executors.iter().zip(&inc.executors).enumerate() {
                 assert_eq!(a.global, b.global, "{step}: shard {s} id map");
-                assert_eq!(shapes(a), shapes(b), "{step}: shard {s} shapes");
-                for e in [a, b] {
-                    assert!(
-                        e.data.iter().enumerate().all(|(i, e)| e.id as usize == i),
-                        "{step}: shard {s} dense local ids"
-                    );
-                    assert_eq!(e.index().len(), e.len(), "{step}: shard {s} index size");
-                }
+                assert_eq!(a.data, b.data, "{step}: shard {s} elements");
+                assert!(
+                    b.data.iter().enumerate().all(|(i, e)| e.id as usize == i),
+                    "{step}: shard {s} dense local ids"
+                );
+                assert_eq!(a.index().len(), a.len(), "{step}: shard {s} index size");
+                assert_eq!(b.index().len(), b.len(), "{step}: shard {s} index size");
             }
         };
         let jitter: Vec<(ElementId, Shape)> = (0..60u32)
@@ -2830,9 +2810,7 @@ mod tests {
     fn route_table_tracks_every_write() {
         let data = soup(1200);
         let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
-        let mut sharded = ShardedEngine::build(&data, 4, build)
-            .with_rebuild(build)
-            .with_apply(UniformGrid::update_sparse);
+        let mut sharded = ShardedEngine::build(&data, 4, build).with_rebuild(build);
         assert_routes_match_store(&sharded.planner, "build");
 
         // Sweep elements across the split axis.

@@ -67,8 +67,7 @@
 //! [`simspatial_geom::QueryScratch`], so the repeat query path is
 //! allocation-free (no per-query `HashSet`, no candidate vector churn).
 
-use crate::engine::sharded::ShardApplyCost;
-use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
+use crate::traits::{KnnIndex, KnnSink, RangeSink, ShardApplyCost, SpatialIndex};
 use crate::util::KnnHeap;
 use simspatial_geom::scratch::{with_scratch, QueryScratch, VisitedTable};
 use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, Shape, SoaAabbs, SoaView};
@@ -701,50 +700,19 @@ impl UniformGrid {
     /// and `new[i]` must describe the same element before/after. Currently
     /// a straight per-pair loop over [`UniformGrid::update`] (the step-level
     /// API exists so callers hand the grid the whole step; a genuinely
-    /// vectorised migration pass can slot in behind it). Returns
-    /// `(structural, absorbed)` — the §4.3 split between elements
-    /// that switched cells and elements whose movement the grid absorbed in
-    /// place.
-    pub fn update_batch(&mut self, old: &[Element], new: &[Element]) -> (usize, usize) {
+    /// vectorised migration pass can slot in behind it). Returns the §4.3
+    /// split between elements that switched cells (`structural`) and
+    /// elements whose movement the grid absorbed in place (`absorbed`).
+    pub fn update_batch(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
         assert_eq!(
             old.len(),
             new.len(),
             "update_batch needs before/after pairs"
         );
-        let mut structural = 0usize;
-        let mut absorbed = 0usize;
+        let mut cost = ShardApplyCost::default();
         for (o, n) in old.iter().zip(new.iter()) {
             debug_assert_eq!(o.id, n.id);
             if self.update(o, n) {
-                structural += 1;
-            } else {
-                absorbed += 1;
-            }
-        }
-        (structural, absorbed)
-    }
-
-    /// The sparse sibling of [`UniformGrid::update_batch`]: each
-    /// `(id, shape)` entry replaces `data[id]`'s geometry (`data` follows
-    /// the `id == position` convention; out-of-range ids are skipped) and
-    /// migrates that element, so K updates cost O(K) whatever the dataset
-    /// size. Duplicate ids resolve last-write-wins, because each migration
-    /// starts from the element's current (already updated) cell. A pure
-    /// function of `(self, data, updates)`, with the signature of a shard
-    /// apply function ([`crate::ShardedEngine::with_apply`]).
-    pub fn update_sparse(
-        &mut self,
-        data: &mut [Element],
-        updates: &[(ElementId, Shape)],
-    ) -> ShardApplyCost {
-        let mut cost = ShardApplyCost::default();
-        for &(id, shape) in updates {
-            let Some(e) = data.get_mut(id as usize) else {
-                continue;
-            };
-            let old = e.clone();
-            e.shape = shape;
-            if self.update(&old, e) {
                 cost.structural += 1;
             } else {
                 cost.absorbed += 1;
@@ -900,6 +868,31 @@ impl SpatialIndex for UniformGrid {
     fn memory_bytes(&self) -> usize {
         debug_assert_eq!(self.bytes, self.walk_bytes(), "running byte count drifted");
         self.bytes
+    }
+
+    /// Migrates each updated element on its own, so K updates cost O(K)
+    /// whatever the dataset size. Duplicate ids resolve last-write-wins,
+    /// because each migration starts from the element's current (already
+    /// updated) cell. Always succeeds.
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        let mut cost = ShardApplyCost::default();
+        for &(id, shape) in updates {
+            let Some(e) = data.get_mut(id as usize) else {
+                continue;
+            };
+            let old = e.clone();
+            e.shape = shape;
+            if self.update(&old, e) {
+                cost.structural += 1;
+            } else {
+                cost.absorbed += 1;
+            }
+        }
+        Some(cost)
     }
 
     /// Removes the departing entries (center placement finds them through
@@ -1285,10 +1278,10 @@ mod tests {
             .collect();
         let config = GridConfig::with_cell_side(3.0, GridPlacement::Center);
         let mut batched = UniformGrid::build(&data, config);
-        let (structural, absorbed) = batched.update_batch(&data, &moved);
-        assert_eq!(structural + absorbed, data.len());
-        assert!(structural > 0, "some large moves must switch cells");
-        assert!(absorbed > 0, "small moves must be absorbed");
+        let cost = batched.update_batch(&data, &moved);
+        assert_eq!(cost.structural + cost.absorbed, data.len() as u64);
+        assert!(cost.structural > 0, "some large moves must switch cells");
+        assert!(cost.absorbed > 0, "small moves must be absorbed");
 
         let mut sequential = UniformGrid::build(&data, config);
         let mut seq_structural = 0;
@@ -1297,7 +1290,7 @@ mod tests {
                 seq_structural += 1;
             }
         }
-        assert_eq!(structural, seq_structural);
+        assert_eq!(cost.structural, seq_structural);
         let q = Aabb::new(Point3::new(10.0, 10.0, 10.0), Point3::new(60.0, 60.0, 60.0));
         let mut a = batched.range(&moved, &q);
         let mut b = sequential.range(&moved, &q);
@@ -1589,14 +1582,14 @@ mod tests {
                                 })
                                 .collect();
                             let mut grid_data = data.clone();
-                            g.update_sparse(&mut grid_data, &updates);
+                            g.update_in_place(&mut grid_data, &updates);
                             for &(id, shape) in &updates {
                                 let new = Element::new(id, shape);
                                 model.update(&g, &data[id as usize], &new);
                                 data[id as usize] = new;
                             }
                             assert_eq!(grid_data, data);
-                            "update_sparse"
+                            "update_in_place"
                         }
                         8 => {
                             assert!(g.remove(id as ElementId, &data[id]));
@@ -1686,8 +1679,8 @@ mod tests {
             let mut g = UniformGrid::build(&data, GridConfig::with_cell_side(4.0, placement));
             let mut level = 0;
             for cycle in 1..=64 {
-                let there = g.update_sparse(&mut data, &away);
-                let again = g.update_sparse(&mut data, &back);
+                let there = g.update_in_place(&mut data, &away).unwrap();
+                let again = g.update_in_place(&mut data, &back).unwrap();
                 if cycle == 1 {
                     assert!(
                         there.structural > 0 && again.structural > 0,

@@ -105,8 +105,8 @@ mod util;
 
 pub use crtree::{CrTree, CrTreeConfig};
 pub use engine::sharded::{
-    KnnLane, RangeLane, ShardApply, ShardApplyCost, ShardExecutor, ShardPlanner, ShardRebuild,
-    ShardRouter, ShardedEngine, UpdateLane, UpdateLaneReport,
+    KnnLane, RangeLane, ShardExecutor, ShardPlanner, ShardRebuild, ShardRouter, ShardedEngine,
+    UpdateLane, UpdateLaneReport,
 };
 pub use engine::{BatchResults, CountSink, KnnBatchResults, QueryEngine};
 pub use flat::{Flat, FlatConfig};
@@ -119,5 +119,6 @@ pub use octree::{Octree, OctreeConfig};
 pub use rtree::disk::DiskRTree;
 pub use rtree::{Curve, RTree, RTreeConfig, SplitStrategy};
 pub use traits::{
-    measure_range, KnnIndex, KnnSink, QueryStats, RangeSink, SpatialIndex, UpdateStats,
+    measure_range, KnnIndex, KnnSink, QueryStats, RangeSink, ShardApplyCost, SpatialIndex,
+    UpdateStats,
 };

@@ -221,13 +221,11 @@ impl Lsh {
         }
     }
 
-    /// The seed implementation's scoring path, kept as the reference for
-    /// differential tests (`tests/differential_batch.rs`): every surfaced
-    /// candidate pays the exact element-surface distance; results are the
-    /// `k` best by `(distance, id)`.
-    ///
-    /// Compiled only for tests and under the `reference` feature.
-    #[cfg(any(test, feature = "reference"))]
+    /// The seed implementation's scoring path, kept as the reference the
+    /// deferred scoring is tested against: every surfaced candidate pays the
+    /// exact element-surface distance; results are the `k` best by
+    /// `(distance, id)`.
+    #[cfg(test)]
     pub fn knn_scalar_reference(
         &self,
         data: &[Element],
@@ -396,5 +394,54 @@ mod tests {
         let lsh = Lsh::build(&[], LshConfig::default());
         assert!(lsh.is_empty());
         assert!(lsh.knn(&[], &Point3::ORIGIN, 3).is_empty());
+    }
+
+    /// Mixed-size random soup: mostly small spheres plus some large ones.
+    fn mixed(n: u32, seed: u32) -> Vec<Element> {
+        (0..n)
+            .map(|i| {
+                let h = (i ^ seed).wrapping_mul(2654435761);
+                let x = (h % 997) as f32 / 10.0;
+                let y = ((h >> 10) % 997) as f32 / 10.0;
+                let z = ((h >> 20) % 997) as f32 / 10.0;
+                let r = if i % 31 == 0 { 5.0 } else { 0.3 };
+                Element::new(i, Shape::Sphere(Sphere::new(Point3::new(x, y, z), r)))
+            })
+            .collect()
+    }
+
+    /// Two mixed soups and the degenerate sets: empty, a single point, all
+    /// elements coincident, and a line of touching spheres.
+    fn all_datasets() -> Vec<Vec<Element>> {
+        let sphere = |c: Point3, r: f32| Shape::Sphere(Sphere::new(c, r));
+        let coincident = (0..64)
+            .map(|i| Element::new(i, sphere(Point3::new(5.0, 5.0, 5.0), 0.25)))
+            .collect();
+        let line = (0..40)
+            .map(|i| Element::new(i, sphere(Point3::new(i as f32 * 0.5, 0.0, 0.0), 0.25)))
+            .collect();
+        vec![
+            Vec::new(),
+            vec![Element::new(0, sphere(Point3::ORIGIN, 0.0))],
+            coincident,
+            line,
+            mixed(2500, 0),
+            mixed(900, 0xBEEF),
+        ]
+    }
+
+    #[test]
+    fn deferred_scoring_equals_seed_reference() {
+        for data in all_datasets() {
+            let lsh = Lsh::build(&data, LshConfig::auto(&data));
+            for i in 0..10 {
+                let p = Point3::new((i * 11) as f32, (i * 9) as f32, (i * 7) as f32);
+                for k in [1usize, 5, 17] {
+                    let a = lsh.knn(&data, &p, k);
+                    let b = lsh.knn_scalar_reference(&data, &p, k);
+                    assert_eq!(a, b, "lsh diverged at {p:?} k={k} (n={})", data.len());
+                }
+            }
+        }
     }
 }

@@ -11,8 +11,9 @@
 //! re-derive centres from 28-byte entries per probe, slab/row sorts and
 //! leaf packing run data-parallel over scoped threads (see
 //! [`simspatial_geom::parallel`]), and packed leaves land directly in
-//! structure-of-arrays form. [`RTree::bulk_load_entries_reference`] keeps
-//! the seed implementation alive for differential tests.
+//! structure-of-arrays form. The seed implementation stays in test builds
+//! (`bulk_load_entries_reference`) as the reference the loader's own test
+//! compares tile structure against.
 
 use super::{Node, RTree, RTreeConfig, NIL};
 use simspatial_geom::parallel::{
@@ -113,9 +114,7 @@ impl RTree {
     /// The seed implementation's bulk load (comparator-closure sorts, AoS
     /// leaves filled sequentially), kept verbatim as the reference for
     /// differential tests. Produces an identical tree shape.
-    ///
-    /// Compiled only for tests and under the `reference` feature.
-    #[cfg(any(test, feature = "reference"))]
+    #[cfg(test)]
     pub fn bulk_load_entries_reference(
         mut entries: Vec<(Aabb, ElementId)>,
         config: RTreeConfig,
@@ -213,10 +212,10 @@ pub(crate) fn str_tile<T: Copy + Send + Sync>(
 }
 
 /// The seed implementation's tiling: in-place comparator sorts that
-/// re-derive the centre key on every comparison. Kept for the bulk-load
-/// before/after benchmark; produces the same tile structure as
+/// re-derive the centre key on every comparison. Kept as the reference the
+/// loader's test compares against; produces the same tile structure as
 /// [`str_tile`].
-#[cfg(any(test, feature = "reference"))]
+#[cfg(test)]
 pub(crate) fn str_tile_reference<T>(
     items: &mut [T],
     cap: usize,

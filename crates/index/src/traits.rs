@@ -11,7 +11,7 @@
 //! scratch, wall-clock and predicate-counter accounting.
 
 use simspatial_geom::scratch::with_scratch;
-use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, QueryScratch};
+use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 
 /// A consumer of range-query results.
 ///
@@ -144,6 +144,29 @@ pub trait SpatialIndex {
         let _ = (removed, remap, inserted);
         false
     }
+
+    /// Applies a **geometry write** in place: each `(id, shape)` entry
+    /// replaces `data[id]`'s geometry (`id == position`; out-of-range ids
+    /// are skipped, duplicates resolve last-write-wins) and the index
+    /// absorbs the move. The sharded engine passes a shard's element clone
+    /// and the lane under its post-[`SpatialIndex::splice`] local ids.
+    ///
+    /// Returns `None`, **touching neither the index nor `data`**, when the
+    /// structure cannot do this (the default); the caller then writes the
+    /// shapes and rebuilds. An implementation that returns `Some` must
+    /// answer every later query as a fresh build over the written `data`
+    /// would, and must be a pure function of `(self, data, updates)` —
+    /// entry order included, no clocks, random numbers or hash-seeded
+    /// iteration: a service's shards and a serial engine fed the same lanes
+    /// must answer byte for byte, range emission order and kNN ties too.
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        let _ = (data, updates);
+        None
+    }
 }
 
 /// A consumer of k-nearest-neighbour results — the kNN mirror of
@@ -252,6 +275,14 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
     fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
         (**self).splice(removed, remap, inserted)
     }
+
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        (**self).update_in_place(data, updates)
+    }
 }
 
 impl<T: KnnIndex + ?Sized> KnnIndex for Box<T> {
@@ -289,6 +320,24 @@ impl QueryStats {
             self.counts.tree_tests as f64 / total as f64
         }
     }
+}
+
+/// Cost report of one in-place write ([`SpatialIndex::update_in_place`])
+/// or an update strategy's maintenance step: how much index structure the
+/// writes actually dirtied, versus how many moves were absorbed in place
+/// for free.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardApplyCost {
+    /// Structural index modifications: grid cell switches, R-Tree
+    /// reinsertions/repairs — the nodes/cells the writes dirtied.
+    pub structural: u64,
+    /// Updates absorbed with no structural work (same cell, inside a
+    /// buffered batch or grace window).
+    pub absorbed: u64,
+    /// Full rebuilds the *strategy itself* chose to perform (a buffered
+    /// strategy flushing, a rebuild strategy) — distinct from the
+    /// executor-level fallback rebuild, which this path avoids.
+    pub rebuilds: u64,
 }
 
 /// Instrumented result of applying one coalesced write batch — the update

@@ -9,7 +9,7 @@
 //! and scan the dirty set, and once the dirty set passes a threshold it is
 //! flushed into the index wholesale.
 
-use crate::strategy::UpdateStrategy;
+use crate::strategy::{update_in_place_by_step, UpdateStrategy};
 use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch};
 use simspatial_index::{
     KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
@@ -125,6 +125,8 @@ impl SpatialIndex for BufferedRTree {
         self.tree.memory_bytes()
             + self.dirty.len() * (std::mem::size_of::<ElementId>() + std::mem::size_of::<Aabb>())
     }
+
+    update_in_place_by_step!();
 }
 
 /// kNN ignores the tree: stale entries make its pruning unsound, so probes

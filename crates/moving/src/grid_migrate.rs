@@ -51,24 +51,7 @@ impl UpdateStrategy for GridMigrate {
     fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
         // The whole step goes to the grid in one call, which applies the
         // per-pair migrations and counts switches vs absorptions inline.
-        let (structural, absorbed) = self.grid.update_batch(old, new);
-        ShardApplyCost {
-            structural: structural as u64,
-            absorbed: absorbed as u64,
-            ..Default::default()
-        }
-    }
-
-    /// Sparse write path: each updated element migrates individually, so a
-    /// batch of K updates costs O(K) regardless of the dataset size — the
-    /// trait default would snapshot and diff the whole slice. This is what
-    /// makes grid-backed incremental shard executors cheap on delta ticks.
-    fn update_batch(
-        &mut self,
-        data: &mut [Element],
-        updates: &[(ElementId, Shape)],
-    ) -> ShardApplyCost {
-        self.grid.update_sparse(data, updates)
+        self.grid.update_batch(old, new)
     }
 }
 
@@ -97,6 +80,17 @@ impl SpatialIndex for GridMigrate {
 
     fn splice(&mut self, removed: &[Element], remap: &[ElementId], inserted: &[Element]) -> bool {
         self.grid.splice(removed, remap, inserted)
+    }
+
+    /// Sparse write path: each updated element migrates individually, so a
+    /// batch of K updates costs O(K) regardless of the dataset size — what
+    /// makes grid-backed shards cheap on delta ticks.
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        self.grid.update_in_place(data, updates)
     }
 }
 

@@ -12,7 +12,7 @@
 //! The shifted burden is directly measurable here: candidates per query grow
 //! with the window, while `ShardApplyCost::absorbed` shows the saved maintenance.
 
-use crate::strategy::UpdateStrategy;
+use crate::strategy::{update_in_place_by_step, UpdateStrategy};
 use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch};
 use simspatial_index::{
     KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
@@ -113,6 +113,8 @@ impl SpatialIndex for LazyGraceWindow {
     fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes() + self.windows.capacity() * std::mem::size_of::<Aabb>()
     }
+
+    update_in_place_by_step!();
 }
 
 /// kNN scans the live geometry; the grace tree serves range queries only.

@@ -1,6 +1,6 @@
 //! The three plain R-Tree maintenance disciplines of §4.1, one type.
 
-use crate::strategy::UpdateStrategy;
+use crate::strategy::{update_in_place_by_step, UpdateStrategy};
 use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
 use simspatial_index::{
     KnnIndex, KnnSink, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
@@ -92,6 +92,8 @@ impl SpatialIndex for RTreeStrategy {
     fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
     }
+
+    update_in_place_by_step!();
 }
 
 impl KnnIndex for RTreeStrategy {

@@ -4,7 +4,7 @@
 //! faster" when too few queries amortise the maintenance. Experiment E13
 //! finds that crossover.
 
-use crate::strategy::UpdateStrategy;
+use crate::strategy::{update_in_place_by_step, UpdateStrategy};
 use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
 use simspatial_index::{KnnIndex, KnnSink, LinearScan, RangeSink, ShardApplyCost, SpatialIndex};
 
@@ -55,6 +55,8 @@ impl SpatialIndex for NoIndexScan {
     fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
     }
+
+    update_in_place_by_step!();
 }
 
 impl KnnIndex for NoIndexScan {

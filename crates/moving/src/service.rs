@@ -1,14 +1,14 @@
 //! Strategy-backed serving: the concurrent service's write path.
 //!
 //! Every serving layer executes queries through `SpatialIndex`/`KnnIndex`
-//! and absorbs writes through one contract: a rebuild function, optionally
-//! an in-place apply function, and `SpatialIndex::splice`. An
-//! [`UpdateStrategy`] is an index that also absorbs movement, so a
-//! `Box<dyn UpdateStrategy>` fills every slot:
+//! and absorbs writes through one contract: a rebuild function,
+//! `SpatialIndex::splice` for membership and `SpatialIndex::update_in_place`
+//! for geometry. An [`UpdateStrategy`] is an index that also absorbs
+//! movement, so a `Box<dyn UpdateStrategy>` fills every slot:
 //!
 //! * [`sharded_strategy_engine`] serves it from a [`ShardedEngine`] that
 //!   rebuilds with [`UpdateStrategyKind::create`] and applies write
-//!   batches in place through [`UpdateStrategy::update_batch`];
+//!   batches in place through the strategy's own `update_in_place`;
 //!   [`strategy_backend`] is its one-shard engine behind a writable
 //!   [`ShardedBackend`]. So a simulation's maintenance strategy (grid
 //!   migration, bottom-up R-Tree updates, buffering, …) serves concurrent
@@ -61,10 +61,11 @@ pub fn strategy_backend(data: Vec<Element>, kind: UpdateStrategyKind) -> Sharded
 /// of the update strategy `kind` over the shard's element clone.
 ///
 /// Lanes whose ids agree with the shard are applied in place: geometry
-/// through [`UpdateStrategy::update_batch`] — grid migration absorbs cell
-/// switches, buffered strategies park the moves, rebuild strategies
-/// rebuild — and, for a strategy that splices (grid migration),
-/// migrations, inserts and removals through
+/// through the strategy's
+/// [`update_in_place`](simspatial_index::SpatialIndex::update_in_place) —
+/// grid migration absorbs cell switches, buffered strategies park the
+/// moves, rebuild strategies rebuild — and, for a strategy that splices
+/// (grid migration), migrations, inserts and removals through
 /// [`SpatialIndex::splice`](simspatial_index::SpatialIndex::splice). Other
 /// strategies' membership lanes, bulk membership changes and supervised
 /// restarts rebuild with [`UpdateStrategyKind::create`]. `data` must
@@ -78,14 +79,13 @@ pub fn sharded_strategy_engine(
 ) -> ShardedEngine<Box<dyn UpdateStrategy>> {
     ShardedEngine::build(data, shards, |els| kind.create(els))
         .with_rebuild(move |els| kind.create(els))
-        .with_apply(|s, data, u| s.update_batch(data, u))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simspatial_geom::{Aabb, Point3, Shape};
-    use simspatial_index::{LinearScan, QueryEngine};
+    use simspatial_index::{LinearScan, QueryEngine, SpatialIndex};
     use simspatial_service::{Request, ServiceConfig, SpatialService};
 
     fn soup(n: u32) -> Vec<Element> {
@@ -154,14 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn update_batch_default_skips_unknown_ids() {
+    fn update_by_step_skips_unknown_ids() {
         let mut data = soup(50);
         let mut strategy = UpdateStrategyKind::NoIndexScan.create(&data);
-        let cost = strategy.update_batch(
+        let cost = strategy.update_in_place(
             &mut data,
             &[(999, Shape::Box(Aabb::new(Point3::ORIGIN, Point3::ORIGIN)))],
         );
-        let _ = cost;
+        assert!(cost.is_some());
         assert_eq!(data.len(), 50);
     }
 }

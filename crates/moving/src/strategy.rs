@@ -18,43 +18,52 @@ use simspatial_index::{KnnIndex, ShardApplyCost, SpatialIndex};
 /// Maintenance must be a pure function of the strategy's state and its
 /// arguments — no clocks, random numbers or hash-seeded iteration — so two
 /// strategies fed the same steps answer byte for byte, emission order
-/// included (the sharded engine's `ShardApply` contract).
+/// included (the [`SpatialIndex::update_in_place`] contract, which is how a
+/// served strategy takes write batches).
 ///
 /// `Send` so a strategy can serve as a concurrent service's write path
-/// (see [`UpdateStrategy::update_batch`] and the `service` module) — every
-/// strategy here is plain owned data.
+/// (see the `service` module) — every strategy here is plain owned data.
 pub trait UpdateStrategy: SpatialIndex + KnnIndex + Send {
     /// Reacts to one simulation step. `old` and `new` are the full element
     /// slices before and after the step (same ids, same order).
     fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost;
-
-    /// Applies a sparse coalesced write batch: each `(id, shape)` entry
-    /// replaces that element's geometry in `data` (the live slice, which
-    /// follows the `id == position` convention; out-of-range ids are
-    /// skipped), then brings the maintained structure in sync. Duplicate
-    /// ids resolve last-write-wins, matching sequential application.
-    ///
-    /// The default snapshots the old geometry and reuses
-    /// [`UpdateStrategy::apply_step`], so every strategy supports the
-    /// service's batched-update admission path unchanged; strategies with
-    /// a cheaper sparse path can override.
-    fn update_batch(
-        &mut self,
-        data: &mut [Element],
-        updates: &[(ElementId, Shape)],
-    ) -> ShardApplyCost {
-        if updates.is_empty() {
-            return ShardApplyCost::default();
-        }
-        let old: Vec<Element> = data.to_vec();
-        for &(id, shape) in updates {
-            if let Some(e) = data.get_mut(id as usize) {
-                e.shape = shape;
-            }
-        }
-        self.apply_step(&old, data)
-    }
 }
+
+/// The in-place write of a strategy with no sparse path of its own: the
+/// updates are written into `data` (out-of-range ids skipped), then the
+/// whole step — old snapshot against the written slice — goes through
+/// [`UpdateStrategy::apply_step`]. O(slice) per batch, whatever its size.
+pub(crate) fn update_by_step(
+    strategy: &mut impl UpdateStrategy,
+    data: &mut [Element],
+    updates: &[(ElementId, Shape)],
+) -> ShardApplyCost {
+    if updates.is_empty() {
+        return ShardApplyCost::default();
+    }
+    let old: Vec<Element> = data.to_vec();
+    for &(id, shape) in updates {
+        if let Some(e) = data.get_mut(id as usize) {
+            e.shape = shape;
+        }
+    }
+    strategy.apply_step(&old, data)
+}
+
+/// Implements [`SpatialIndex::update_in_place`] as `Some` of
+/// [`update_by_step`], inside a strategy's `SpatialIndex` impl.
+macro_rules! update_in_place_by_step {
+    () => {
+        fn update_in_place(
+            &mut self,
+            data: &mut [simspatial_geom::Element],
+            updates: &[(simspatial_geom::ElementId, simspatial_geom::Shape)],
+        ) -> Option<simspatial_index::ShardApplyCost> {
+            Some(crate::strategy::update_by_step(self, data, updates))
+        }
+    };
+}
+pub(crate) use update_in_place_by_step;
 
 /// Factory enumeration of every strategy in the crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

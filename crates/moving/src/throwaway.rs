@@ -7,7 +7,7 @@
 //! throw it away. A uniform grid is the natural throwaway structure in
 //! memory (O(n) build, no tree).
 
-use crate::strategy::UpdateStrategy;
+use crate::strategy::{update_in_place_by_step, UpdateStrategy};
 use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
 use simspatial_index::{
     GridConfig, KnnIndex, KnnSink, RangeSink, ShardApplyCost, SpatialIndex, UniformGrid,
@@ -60,6 +60,8 @@ impl SpatialIndex for ThrowawayGrid {
     fn memory_bytes(&self) -> usize {
         self.grid.memory_bytes()
     }
+
+    update_in_place_by_step!();
 }
 
 impl KnnIndex for ThrowawayGrid {

@@ -41,11 +41,12 @@
 //! * **Backends** ([`ServiceBackend`]) — one way to run a `ShardedEngine`
 //!   over any `SpatialIndex + KnnIndex`, writable through the write
 //!   contract every layer shares: a rebuild function
-//!   (`ShardedEngine::with_rebuild`), optionally an in-place apply
-//!   function (`ShardedEngine::with_apply`, e.g.
+//!   (`ShardedEngine::with_rebuild`), `SpatialIndex::splice` for
+//!   membership and `SpatialIndex::update_in_place` for geometry, which an
+//!   index writes in place or declines, and is then rebuilt (e.g.
 //!   `simspatial_moving::strategy_backend`, whose shard index is a boxed
-//!   update strategy). [`ShardedBackend`] parks each
-//!   shard in an executor slot and scatters routed lanes onto a
+//!   update strategy with its own in-place write). [`ShardedBackend`]
+//!   parks each shard in an executor slot and scatters routed lanes onto a
 //!   work-stealing pool of `min(SIMSPATIAL_THREADS, shards)` workers,
 //!   merging through the engine layer's deduplicating sinks —
 //!   byte-identical results to serial execution, with per-shard

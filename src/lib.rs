@@ -93,9 +93,9 @@ pub mod prelude {
         measure_range, BatchResults, CountSink, CrTree, CrTreeConfig, Curve, DiskRTree, Flat,
         FlatConfig, GridConfig, GridPlacement, KdTree, KnnBatchResults, KnnIndex, KnnLane, KnnSink,
         LinearScan, Lsh, LshConfig, MultiGrid, MultiGridConfig, Octree, OctreeConfig, QueryEngine,
-        QueryStats, RTree, RTreeConfig, RangeLane, RangeSink, ShardApply, ShardApplyCost,
-        ShardExecutor, ShardPlanner, ShardRouter, ShardedEngine, SpatialIndex, UniformGrid,
-        UpdateLane, UpdateLaneReport, UpdateStats,
+        QueryStats, RTree, RTreeConfig, RangeLane, RangeSink, ShardApplyCost, ShardExecutor,
+        ShardPlanner, ShardRouter, ShardedEngine, SpatialIndex, UniformGrid, UpdateLane,
+        UpdateLaneReport, UpdateStats,
     };
     pub use simspatial_join::{join_pair, self_join, JoinAlgorithm, JoinConfig, PairAlgorithm};
     pub use simspatial_mesh::{MeshWalker, TetMesh, WalkStrategy};

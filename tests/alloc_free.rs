@@ -208,7 +208,8 @@ fn grid_rtree_knn_batches_are_allocation_free() {
 
 /// The grid's write path: once a warm-up cycle has grown every cell's span
 /// to its peak occupancy, absorbed moves and cell switches back into cells
-/// with spare capacity must not allocate.
+/// with spare capacity must not allocate — called directly, and through a
+/// boxed grid-migration strategy, the way a strategy-served shard writes.
 #[test]
 fn grid_write_path_is_allocation_free_in_steady_state() {
     let home = soup(4000);
@@ -231,32 +232,49 @@ fn grid_write_path_is_allocation_free_in_steady_state() {
         .map(|&(id, _)| (id, home[id as usize].shape))
         .collect();
     for placement in [GridPlacement::Center, GridPlacement::Replicate] {
-        let mut data = home.clone();
-        let mut grid = UniformGrid::build(&data, GridConfig::with_cell_side(cell_side, placement));
-        // Warm-up: the first cycle relocates the spans that overflow.
-        grid.update_sparse(&mut data, &away);
-        grid.update_sparse(&mut data, &back);
-        let level = grid.memory_bytes();
-        let before = allocations_after_warm_up();
-        let (mut switched, mut absorbed) = (0, 0);
-        for _ in 0..10 {
-            for tick in [&away, &back] {
-                let cost = grid.update_sparse(&mut data, tick);
-                switched += cost.structural;
-                absorbed += cost.absorbed;
-            }
-        }
-        let after = allocations();
-        assert!(
-            switched > 0 && absorbed > 0,
-            "{placement:?}: {switched} switched, {absorbed} absorbed"
-        );
-        assert_eq!(
-            after - before,
-            0,
-            "{placement:?}: steady-state grid writes must not allocate"
-        );
-        assert_eq!(grid.memory_bytes(), level, "{placement:?}");
-        assert_eq!(data, home);
+        let mut grid = UniformGrid::build(&home, GridConfig::with_cell_side(cell_side, placement));
+        assert_writes_alloc_free(&format!("{placement:?}"), &mut grid, &home, [&away, &back]);
     }
+    let mut strategy = UpdateStrategyKind::GridMigrate.create(&home);
+    assert_writes_alloc_free("GridMigrate", &mut strategy, &home, [&away, &back]);
+}
+
+/// Warms `index` up with one away-and-back cycle of `ticks`, then asserts
+/// that ten more cycles switch and absorb moves without allocating or
+/// growing the index, and bring the data back home.
+fn assert_writes_alloc_free<I: SpatialIndex>(
+    label: &str,
+    index: &mut I,
+    home: &[Element],
+    ticks: [&[(ElementId, Shape)]; 2],
+) {
+    let mut data = home.to_vec();
+    // Warm-up: the first cycle relocates the spans that overflow.
+    for tick in ticks {
+        index.update_in_place(&mut data, tick);
+    }
+    let level = index.memory_bytes();
+    let before = allocations_after_warm_up();
+    let (mut switched, mut absorbed) = (0, 0);
+    for _ in 0..10 {
+        for tick in ticks {
+            let cost = index
+                .update_in_place(&mut data, tick)
+                .expect("a grid writes in place");
+            switched += cost.structural;
+            absorbed += cost.absorbed;
+        }
+    }
+    let after = allocations();
+    assert!(
+        switched > 0 && absorbed > 0,
+        "{label}: {switched} switched, {absorbed} absorbed"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "{label}: steady-state grid writes must not allocate"
+    );
+    assert_eq!(index.memory_bytes(), level, "{label}");
+    assert_eq!(data, home);
 }

@@ -113,8 +113,75 @@ impl<I: SpatialIndex + KnnIndex, F: Fn(&[Element]) -> I> SerialOracle for Rebuil
     }
 }
 
+/// An index that answers like `I` but never writes in place: it keeps the
+/// default `splice` and `update_in_place`, so every write lane of an engine
+/// over it rebuilds its shard — the differential oracle for the in-place
+/// write path.
+pub struct RebuildOnly<I>(pub I);
+
+impl<I: SpatialIndex> SpatialIndex for RebuildOnly<I> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn range_into(
+        &self,
+        data: &[Element],
+        query: &Aabb,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
+    ) {
+        self.0.range_into(data, query, scratch, sink);
+    }
+
+    fn range_batch(
+        &self,
+        data: &[Element],
+        queries: &[Aabb],
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
+    ) {
+        self.0.range_batch(data, queries, scratch, sink);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.0.memory_bytes()
+    }
+}
+
+impl<I: KnnIndex> KnnIndex for RebuildOnly<I> {
+    fn knn_into(
+        &self,
+        data: &[Element],
+        p: &Point3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
+    ) {
+        self.0.knn_into(data, p, k, scratch, sink);
+    }
+}
+
+impl UpdateStrategy for RebuildOnly<Box<dyn UpdateStrategy>> {
+    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
+        self.0.apply_step(old, new)
+    }
+}
+
+/// `build` with its index wrapped in [`RebuildOnly`]: an engine built and
+/// rebuilt with it writes the way a [`RebuildOracle`] over `build` does.
+pub fn rebuild_only<I>(
+    build: impl Fn(&[Element]) -> I + Copy + Send + Sync + 'static,
+) -> impl Fn(&[Element]) -> RebuildOnly<I> + Copy + Send + Sync + 'static {
+    move |d| RebuildOnly(build(d))
+}
+
 /// The rebuild-mode twin of `sharded_strategy_engine`: the same shards and
-/// rebuild function without the in-place apply, so every write lane
+/// rebuild function over [`RebuildOnly`] strategies, so every write lane
 /// rebuilds its shard's strategy — the differential oracle for the
 /// incremental write path.
 pub fn rebuild_strategy_engine(
@@ -122,8 +189,10 @@ pub fn rebuild_strategy_engine(
     shards: usize,
     kind: UpdateStrategyKind,
 ) -> ShardedEngine<Box<dyn UpdateStrategy>> {
-    ShardedEngine::build(data, shards, |els| kind.create(els))
-        .with_rebuild(move |els| kind.create(els))
+    let create = move |els: &[Element]| -> Box<dyn UpdateStrategy> {
+        Box::new(RebuildOnly(kind.create(els)))
+    };
+    ShardedEngine::build(data, shards, create).with_rebuild(create)
 }
 
 /// A strategy-backed oracle: one strategy over the whole dataset, fed each
@@ -158,7 +227,9 @@ impl SerialOracle for StrategyOracle {
     }
 
     fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        self.strategy.update_batch(&mut self.data, updates);
+        self.strategy
+            .update_in_place(&mut self.data, updates)
+            .expect("every strategy writes in place");
     }
 }
 

@@ -7,9 +7,6 @@
 //!   sets;
 //! * `UniformGrid` kNN against `LinearScan::knn`, list for list (kNN is a
 //!   total `(distance, id)` order);
-//! * `Lsh` deferred scoring against `Lsh::knn_scalar_reference`
-//!   (exact-score-every-candidate; LSH is approximate, so the scan cannot
-//!   stand in for it);
 //! * KD-Tree / linear scan sink paths against the scan ground truth.
 
 use simspatial::prelude::*;
@@ -108,21 +105,6 @@ fn crtree_batched_equals_scan() {
             let a = sorted(cr.range(&data, &q));
             let b = sorted(scan.range(&data, &q));
             assert_eq!(a, b, "crtree diverged on {q:?} (n={})", data.len());
-        }
-    }
-}
-
-#[test]
-fn lsh_deferred_scoring_equals_seed_reference() {
-    for data in all_datasets() {
-        let lsh = Lsh::build(&data, LshConfig::auto(&data));
-        for i in 0..10 {
-            let p = Point3::new((i * 11) as f32, (i * 9) as f32, (i * 7) as f32);
-            for k in [1usize, 5, 17] {
-                let a = lsh.knn(&data, &p, k);
-                let b = lsh.knn_scalar_reference(&data, &p, k);
-                assert_eq!(a, b, "lsh diverged at {p:?} k={k} (n={})", data.len());
-            }
         }
     }
 }

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::rebuild_strategy_engine;
+use common::{rebuild_only, rebuild_strategy_engine, RebuildOnly};
 use simspatial::prelude::*;
 
 fn mix(h: u32) -> u32 {
@@ -253,8 +253,15 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
     let label = format!("{kind:?}/{shards}-shard");
     let mut inc = sharded_strategy_engine(&data, shards, kind);
     let mut reb = rebuild_strategy_engine(&data, shards, kind);
-    assert!(inc.is_incremental());
-    assert!(!reb.is_incremental());
+    // The served strategy writes in place; its `RebuildOnly` twin declines.
+    let mut probe = data.clone();
+    assert!(kind
+        .create(&data)
+        .update_in_place(&mut probe, &[])
+        .is_some());
+    assert!(RebuildOnly(kind.create(&data))
+        .update_in_place(&mut probe, &[])
+        .is_none());
     let mut oracle = Oracle::new(data);
 
     check(&mut inc, &mut reb, &mut oracle, &format!("{label}/seed"));
@@ -486,6 +493,78 @@ fn incremental_mode_avoids_rebuilds_on_jitter() {
     // One shard means one possible route: every jitter update is resident.
     assert_eq!(s_inc.migrations, 0, "single-shard jitter migrates nothing");
     assert_eq!(s_reb.migrations, 0);
+}
+
+/// A plain grid engine writes in place with no opt-in: built with only a
+/// rebuild function, it applies a resident jitter tick without rebuilding
+/// (one avoided rebuild per touched shard) and answers like its
+/// `RebuildOnly` twin, which rebuilds every touched shard — range lists as
+/// id sets (a rebuilt cell lists its entries in id order, a written one in
+/// arrival order), kNN lists byte for byte. The default `update_in_place`
+/// declines the same tick and leaves the data untouched.
+#[test]
+fn plain_grid_engine_writes_in_place() {
+    let n = 1200u32;
+    let data = soup(n, 0x6A1D);
+    let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+    let mut grid = ShardedEngine::build(&data, 3, build).with_rebuild(build);
+    let mut twin =
+        ShardedEngine::build(&data, 3, rebuild_only(build)).with_rebuild(rebuild_only(build));
+    let router = grid.router().clone();
+    let updates: Vec<(u32, Shape)> = data
+        .iter()
+        .step_by(7)
+        .filter_map(|e| {
+            let mut moved = e.clone();
+            moved.translate(Vec3::new(0.05, -0.05, 0.05));
+            (router.route(&moved.aabb()) == router.route(&e.aabb())).then_some((e.id, moved.shape))
+        })
+        .collect();
+    let mut touched: Vec<usize> = updates
+        .iter()
+        .flat_map(|&(id, _)| router.route(&data[id as usize].aabb()))
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let touched = touched.len() as u64;
+    assert!(touched > 1, "the tick reaches several shards");
+
+    let s_grid = grid.update_batch(&updates);
+    let s_twin = twin.update_batch(&updates);
+    assert_eq!(s_grid.applied, updates.len() as u64);
+    assert_eq!(s_grid.migrations, 0, "the tick is resident");
+    assert_eq!((s_grid.rebuilds, s_grid.rebuilds_avoided), (0, touched));
+    assert_eq!((s_twin.rebuilds, s_twin.rebuilds_avoided), (touched, 0));
+
+    let qs = probe_boxes();
+    let (mut got, mut want) = (BatchResults::new(), BatchResults::new());
+    grid.range_collect(&qs, &mut got);
+    twin.range_collect(&qs, &mut want);
+    for qi in 0..qs.len() {
+        let mut a = got.query_results(qi).to_vec();
+        let mut b = want.query_results(qi).to_vec();
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "range query {qi}");
+    }
+    let points = probe_points();
+    for k in [1usize, 7, 40] {
+        let (mut got, mut want) = (KnnBatchResults::new(), KnnBatchResults::new());
+        grid.knn_collect(&points, k, &mut got);
+        twin.knn_collect(&points, k, &mut want);
+        for qi in 0..points.len() {
+            assert_eq!(
+                got.query_results(qi),
+                want.query_results(qi),
+                "knn k={k} probe {qi}"
+            );
+        }
+    }
+
+    let mut untouched = data.clone();
+    let mut declined = RebuildOnly(build(&data));
+    assert_eq!(declined.update_in_place(&mut untouched, &updates), None);
+    assert_eq!(untouched, data);
 }
 
 /// The range merge emits exactly the first-seen order — per query in batch

@@ -30,10 +30,11 @@
 mod common;
 
 use common::{
-    expected, mix, rebuild_strategy_engine, soup, RebuildOracle, SerialOracle, ShardedOracle,
-    StrategyOracle,
+    expected, mix, rebuild_only, rebuild_strategy_engine, soup, RebuildOracle, SerialOracle,
+    ShardedOracle, StrategyOracle,
 };
 use simspatial::prelude::*;
+use simspatial_geom::QueryScratch;
 use simspatial_service::{
     QueryRun, QueryRunReport, QueryRunResults, RecvError, ServiceBackend, UpdateReport,
 };
@@ -285,7 +286,9 @@ fn engine_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
     let data = soup(1500, 0xD15E);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     dispatcher_faults_fail_typed_and_survivors_match(
-        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build).with_rebuild(build)),
+        ShardedBackend::spawn(
+            ShardedEngine::build(&data, 1, rebuild_only(build)).with_rebuild(rebuild_only(build)),
+        ),
         &mut RebuildOracle::new(data, build),
         "engine/fixed-plan",
     );
@@ -308,7 +311,67 @@ fn strategy_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
     dispatcher_faults_fail_typed_and_survivors_match(backend, &mut oracle, "strategy/fixed-plan");
 }
 
-/// A panic *inside* the apply function of a one-shard backend, whose lane
+/// A grid whose in-place write panics at element [`BOMB`] after writing its
+/// geometry into the shard's data but not into the grid — the index torn,
+/// the data a step ahead of it.
+struct TornGrid(UniformGrid);
+
+const BOMB: ElementId = 7;
+
+impl SpatialIndex for TornGrid {
+    fn name(&self) -> &'static str {
+        "TornGrid"
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn range_into(
+        &self,
+        data: &[Element],
+        query: &Aabb,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
+    ) {
+        self.0.range_into(data, query, scratch, sink);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.0.memory_bytes()
+    }
+
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        let mut cost = ShardApplyCost::default();
+        for update in updates {
+            if update.0 == BOMB {
+                data[BOMB as usize].shape = update.1;
+                panic!("chaos: in-place write torn mid-batch");
+            }
+            cost.structural += self.0.update_in_place(data, &[*update])?.structural;
+        }
+        Some(cost)
+    }
+}
+
+impl KnnIndex for TornGrid {
+    fn knn_into(
+        &self,
+        data: &[Element],
+        p: &Point3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
+    ) {
+        self.0.knn_into(data, p, k, scratch, sink);
+    }
+}
+
+/// A panic *inside* the in-place write of a one-shard backend, whose lane
 /// runs inline on the dispatcher, with the index torn (the data a step
 /// ahead of it): the lane's panic is caught like any pool job's and the
 /// supervisor restarts shard 0 from the planner store, which already holds
@@ -318,26 +381,12 @@ fn strategy_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
 #[test]
 fn inline_apply_panic_restarts_the_shard_and_acks_the_write() {
     quiet_panics();
-    const BOMB: ElementId = 7;
     let data = soup(1500, 0xB0B);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+    let torn_grid = move |d: &[Element]| TornGrid(build(d));
     let t1 = Aabb::new(Point3::new(2.0, 2.0, 2.0), Point3::new(3.5, 3.5, 3.5));
     let t4 = Aabb::new(Point3::new(95.0, 95.0, 95.0), Point3::new(96.5, 96.5, 96.5));
-    let engine = ShardedEngine::build(&data, 1, build)
-        .with_rebuild(build)
-        .with_apply(
-            |grid: &mut UniformGrid, data: &mut [Element], updates: &[(ElementId, Shape)]| {
-                let mut cost = ShardApplyCost::default();
-                for update in updates {
-                    if update.0 == BOMB {
-                        data[BOMB as usize].shape = update.1;
-                        panic!("chaos: apply function torn mid-batch");
-                    }
-                    cost.structural += grid.update_sparse(data, &[*update]).structural;
-                }
-                cost
-            },
-        );
+    let engine = ShardedEngine::build(&data, 1, torn_grid).with_rebuild(torn_grid);
     let service = SpatialService::spawn(
         ShardedBackend::spawn(engine),
         ServiceConfig::default().no_coalesce(),
@@ -461,8 +510,8 @@ fn post_restart_writes_stay_barrier_ordered() {
 /// A worker panic *mid-write* on a backend running **incremental** shard
 /// executors: the shard restarts **exactly once**, the restart rebuilds
 /// from the planner's already-advanced element store (so the interrupted
-/// write is fully applied), the apply hook is re-attached, and later
-/// sparse writes go back to the in-place path — all byte-identical to a
+/// write is fully applied), and later sparse writes go back to the
+/// in-place path — all byte-identical to a
 /// rebuild-mode oracle over the same write stream.
 #[test]
 fn incremental_executor_mid_write_panic_restarts_exactly_once() {
@@ -801,7 +850,8 @@ fn randomized_chaos_differential_across_backends() {
             SpatialService::spawn(
                 ChaosBackend::new(
                     ShardedBackend::spawn(
-                        ShardedEngine::build(&data, 1, build).with_rebuild(build),
+                        ShardedEngine::build(&data, 1, rebuild_only(build))
+                            .with_rebuild(rebuild_only(build)),
                     ),
                     plan.clone(),
                 ),
@@ -829,6 +879,10 @@ fn randomized_chaos_differential_across_backends() {
         let dispatcher_panics = (0..u64::from(OPS))
             .filter(|&op| plan.dispatcher_fault(op) == Some(FaultKind::Panic))
             .count() as u64;
+        // A restarted shard is a fresh build from the planner store, so both
+        // sides rebuild on every write: an in-place write leaves a cell order
+        // (range emission order) that the restart does not reproduce.
+        let build = rebuild_only(build);
         for median in [false, true] {
             let engine = if median {
                 ShardedEngine::build_median(&data, 4, build).with_rebuild(build)
@@ -1195,9 +1249,7 @@ fn snapshot_backend_shard_restart_republishes_fresh_snapshot() {
 
 fn incremental_grid_engine(data: &[Element], shards: usize) -> ShardedEngine<UniformGrid> {
     let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
-    ShardedEngine::build(data, shards, build)
-        .with_rebuild(build)
-        .with_apply(UniformGrid::update_sparse)
+    ShardedEngine::build(data, shards, build).with_rebuild(build)
 }
 
 /// A **resident** delta tick: small elements nudged without leaving (or

@@ -22,7 +22,7 @@
 
 mod common;
 
-use common::soup;
+use common::{soup, RebuildOnly};
 use simspatial::prelude::*;
 use simspatial_geom::parallel;
 use simspatial_service::{BatchReport, QueryRun, QueryRunResults, SupervisorPolicy};
@@ -194,7 +194,7 @@ fn lane_threads(shards: usize) -> Vec<std::thread::ThreadId> {
             if spawned.load(Ordering::SeqCst) {
                 seen.lock().unwrap().push(std::thread::current().id());
             }
-            UniformGrid::build(part, GridConfig::auto(part))
+            RebuildOnly(UniformGrid::build(part, GridConfig::auto(part)))
         }
     };
     let data = soup(4000, 7);

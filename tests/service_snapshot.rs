@@ -275,9 +275,7 @@ fn snapshot_replies_match_barrier_oracle_at_reported_epoch() {
 }
 
 fn incremental_engine(data: &[Element], shards: usize) -> ShardedEngine<UniformGrid> {
-    ShardedEngine::build(data, shards, build)
-        .with_rebuild(build)
-        .with_apply(UniformGrid::update_sparse)
+    ShardedEngine::build(data, shards, build).with_rebuild(build)
 }
 
 /// The soup with every 40th element duplicated onto its successor: the two

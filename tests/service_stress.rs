@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{expected, mix, soup, RebuildOracle, SerialOracle, ShardedOracle};
+use common::{expected, mix, rebuild_only, soup, RebuildOracle, SerialOracle, ShardedOracle};
 use simspatial::prelude::*;
 use simspatial_service::{
     QueryRun, QueryRunReport, QueryRunResults, RecvError, ServiceBackend, UpdateReport,
@@ -531,8 +531,9 @@ fn write_barrier_matches_serial_on_engine_backend() {
     let data = soup(WRITE_SOUP, 0xF00D);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     for pipelined in [false, true] {
-        let backend =
-            ShardedBackend::spawn(ShardedEngine::build(&data, 1, build).with_rebuild(build));
+        let backend = ShardedBackend::spawn(
+            ShardedEngine::build(&data, 1, rebuild_only(build)).with_rebuild(rebuild_only(build)),
+        );
         let service = SpatialService::spawn(backend, ServiceConfig::default());
         assert!(service.handle().capabilities().updates);
         let mut oracle = RebuildOracle::new(data.clone(), build);
@@ -584,7 +585,7 @@ fn write_barrier_matches_serial_on_strategy_backend() {
     drive_barrier_and_verify(service, &mut oracle, false, "engine/grid-migrate strategy");
 }
 
-/// One apply function behind the service and the serial engine: the
+/// One in-place write behind the service and the serial engine: the
 /// request stream served by `strategy_backend` replies byte for byte like a
 /// serial one-shard incremental `sharded_strategy_engine` — superseded
 /// duplicates, unknown ids, inserts and removals included.
@@ -631,8 +632,8 @@ fn strategy_apply_behaves_the_same_behind_both_backends() {
     }
     let stats = service.shutdown();
     assert!(stats.updates_applied > 0 && stats.updates_skipped >= 2);
-    // Every sparse write ran in place on the shard — the apply function,
-    // not the rebuild fallback, is what the comparison exercised.
+    // Every sparse write ran in place on the shard — the strategy's own
+    // write, not the rebuild fallback, is what the comparison exercised.
     assert!(stats.rebuilds_avoided > 0);
 }
 
@@ -794,7 +795,9 @@ fn mixed_producers_match_serial_on_engine_backend() {
     let data = soup(WRITE_SOUP, 0xAB1E);
     let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
     let service = SpatialService::spawn(
-        ShardedBackend::spawn(ShardedEngine::build(&data, 1, build).with_rebuild(build)),
+        ShardedBackend::spawn(
+            ShardedEngine::build(&data, 1, rebuild_only(build)).with_rebuild(rebuild_only(build)),
+        ),
         ServiceConfig::default(),
     );
     let mut oracle_at = |applied: &[(ElementId, Aabb)]| {
@@ -816,9 +819,11 @@ fn mixed_producers_match_serial_on_sharded_backends() {
     for median in [false, true] {
         let make = || {
             if median {
-                ShardedEngine::build_median(&data, 4, build).with_rebuild(build)
+                ShardedEngine::build_median(&data, 4, rebuild_only(build))
+                    .with_rebuild(rebuild_only(build))
             } else {
-                ShardedEngine::build(&data, 3, build).with_rebuild(build)
+                ShardedEngine::build(&data, 3, rebuild_only(build))
+                    .with_rebuild(rebuild_only(build))
             }
         };
         let service =
