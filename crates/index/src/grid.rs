@@ -164,7 +164,7 @@ pub struct UniformGrid {
     placement: GridPlacement,
     len: usize,
     /// Largest half-extent over indexed elements (query inflation bound for
-    /// center placement; also the kNN termination slack).
+    /// center placement; also the kNN ring and cell-skip slack).
     max_half_extent: f32,
     /// Upper bound on stored ids (sizes the dedupe table).
     id_bound: usize,
@@ -222,9 +222,6 @@ impl Clone for UniformGrid {
 
 /// Absent-entry marker in the center-placement slot directory.
 const NO_SLOT: (u32, u32) = (u32::MAX, u32::MAX);
-
-/// Smallest span for which the kNN batched lower-bound pass is worthwhile.
-const MIN_KNN_BATCH: usize = 8;
 
 /// Capacity a span relocates to when its first arrival finds it empty.
 const MIN_SPAN_CAP: u32 = 4;
@@ -954,11 +951,14 @@ impl SpatialIndex for UniformGrid {
 
 impl UniformGrid {
     /// The expanding-shell kNN search core, filling a caller-owned best-k
-    /// heap: each visited cell first runs the batched `MINDIST` kernel
-    /// ([`SoaView::min_dist2_into`]) over its stored boxes; a candidate
-    /// pays the exact element-surface distance only when its box lower
-    /// bound can still beat the current k-th best. Rings expand outward in
-    /// Chebyshev shells and stop once no unvisited ring can improve.
+    /// heap; rings expand in Chebyshev shells until none can improve. Once
+    /// the heap is full it prunes twice (`MINDIST` pruning, Roussopoulos et
+    /// al., SIGMOD 1995): a cell whose slab, less `max_half_extent` per
+    /// axis, lies beyond the k-th best is skipped unread, and every other
+    /// span runs the batched kernel ([`SoaView::min_dist2_into`]), so an
+    /// entry pays the exact distance only if its box may beat or tie the
+    /// k-th best. Boundary cells are open to ±∞ on their outer faces:
+    /// `clamp_coord` files a centre moved past the build region there.
     ///
     /// Shared with [`crate::MultiGrid`], which runs every level's search
     /// against **one** heap so earlier levels' k-th best prunes later
@@ -983,6 +983,11 @@ impl UniformGrid {
         if dedupe {
             visited.begin(self.id_bound);
         }
+        // Both prunes compare against the k-th best plus a few ulps of the
+        // coordinates' magnitude: a bound and the exact distance it bounds
+        // round differently, and a tie lost to rounding changes the reply.
+        let reach = p.distance(&Point3::ORIGIN) + self.origin.distance(&Point3::ORIGIN) + self.cell;
+        let limit2 = |w: f32| (w + (reach + w) * 8.0 * f32::EPSILON).powi(2);
         let mut seen = 0usize;
         for ring in 0..=max_ring {
             // Termination: the closest possible element in ring r is at
@@ -996,16 +1001,17 @@ impl UniformGrid {
                 }
             }
             let mut any_cell = false;
-            self.for_ring(center, ring, |cell_idx| {
+            self.for_ring(center, ring, |c, cell_idx| {
                 any_cell = true;
+                let bounded = best.is_full();
+                // Strictly beyond: a tie with a smaller id may still get in.
+                if bounded && self.slab_gap2(p, c) > limit2(best.worst()) {
+                    return;
+                }
                 let entries = self.cell_view(cell_idx);
                 if entries.is_empty() {
                     return;
                 }
-                // Batched lower bounds pay off only once there is a
-                // k-th best to prune against and the span is big enough
-                // to amortise the kernel pass; otherwise score direct.
-                let bounded = best.is_full() && entries.len() >= MIN_KNN_BATCH;
                 if bounded {
                     entries.min_dist2_into(p, dists);
                     stats::record_lower_bound_evals(entries.len() as u64);
@@ -1015,14 +1021,10 @@ impl UniformGrid {
                         continue;
                     }
                     seen += 1;
-                    if bounded && best.is_full() {
-                        let kth = best.worst();
-                        // The stored box contains the element surface,
-                        // so lb ≤ exact; a bound beyond the k-th best
-                        // cannot improve the result.
-                        if dists[i] > kth * kth {
-                            continue;
-                        }
+                    // lb ≤ exact (the stored box contains the surface): a
+                    // bound beyond the k-th best cannot improve the result.
+                    if bounded && dists[i] > limit2(best.worst()) {
+                        continue;
                     }
                     let d = simspatial_geom::predicates::element_distance(&data[id as usize], p);
                     best.consider(id, d);
@@ -1041,6 +1043,19 @@ impl UniformGrid {
             }
         }
         stats::record_elements_scanned(seen as u64);
+    }
+
+    /// Squared distance from `p` to cell `c`'s slab, less `max_half_extent`
+    /// per axis; boundary cells are open outward.
+    fn slab_gap2(&self, p: &Point3, c: [usize; 3]) -> f32 {
+        (0..3).fold(0.0, |sum, d| {
+            let (x, lo) = (p.axis(d) - self.origin.axis(d), c[d] as f32 * self.cell);
+            let below = if c[d] > 0 { lo - x } else { 0.0 };
+            let outer = c[d] + 1 == self.dims[d];
+            let above = if outer { 0.0 } else { x - lo - self.cell };
+            let gap = (below.max(above) - self.max_half_extent).max(0.0);
+            sum + gap * gap
+        })
     }
 }
 
@@ -1073,8 +1088,9 @@ impl KnnIndex for UniformGrid {
 }
 
 impl UniformGrid {
-    /// Visits every in-bounds cell at Chebyshev distance `ring` from `c`.
-    fn for_ring(&self, c: [usize; 3], ring: usize, mut f: impl FnMut(usize)) {
+    /// Hands `f` the coordinates and index of every in-bounds cell at
+    /// Chebyshev distance `ring` from `c`.
+    fn for_ring(&self, c: [usize; 3], ring: usize, mut f: impl FnMut([usize; 3], usize)) {
         let lo = [
             c[0] as isize - ring as isize,
             c[1] as isize - ring as isize,
@@ -1103,7 +1119,8 @@ impl UniformGrid {
                         || (y == lo[1] || y == hi[1])
                         || (x == lo[0] || x == hi[0]);
                     if ring == 0 || on_face {
-                        f(self.cell_index([x as usize, y as usize, z as usize]));
+                        let cell = [x as usize, y as usize, z as usize];
+                        f(cell, self.cell_index(cell));
                     }
                 }
             }

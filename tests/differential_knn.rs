@@ -338,3 +338,126 @@ fn sharded_range_handles_flat() {
         }
     }
 }
+
+/// Elements moved up to 150 units past a grid's build region are filed in
+/// its boundary cells (`UniformGrid::update` keeps the region as built), so
+/// a kNN search that skips cells by their boxes must treat a boundary
+/// cell as open on its outer faces. Probes at, around and between the
+/// moved elements, outside the region and inside it, must match the scan.
+#[test]
+fn elements_moved_past_the_region_match_scan() {
+    let data = mixed(2000, 0x5EED);
+    let offsets = [150.0f32, -150.0, 120.0, -90.0];
+    let updates: Vec<(ElementId, Shape)> = (0..40u32)
+        .map(|i| {
+            let id = i * 47 % 2000;
+            let Shape::Sphere(s) = data[id as usize].shape else {
+                unreachable!("mixed() builds spheres")
+            };
+            let mut c = s.center;
+            *c.axis_mut(i as usize % 3) += offsets[i as usize % 4];
+            (id, Shape::Sphere(Sphere::new(c, s.radius)))
+        })
+        .collect();
+    let auto = GridConfig::auto(&data).cell_side;
+    let mut center = UniformGrid::build(
+        &data,
+        GridConfig::with_cell_side(auto, GridPlacement::Center),
+    );
+    let mut replicate = UniformGrid::build(
+        &data,
+        GridConfig::with_cell_side(auto, GridPlacement::Replicate),
+    );
+    let mut moved = data.clone();
+    assert!(center.update_in_place(&mut moved, &updates).is_some());
+    for &(id, shape) in &updates {
+        let old = &data[id as usize];
+        replicate.update(old, &Element::new(id, shape));
+    }
+    let multi = MultiGrid::build(&moved, MultiGridConfig::auto(&moved));
+    let scan = LinearScan::build(&moved);
+
+    let mut probes = Vec::new();
+    for &(id, _) in &updates {
+        let c = moved[id as usize].aabb().center();
+        for d in [-4.0f32, 0.0, 4.0] {
+            probes.push(Point3::new(c.x + d, c.y - d, c.z + d * 0.5));
+        }
+        // Halfway back towards the region, and the region-side start.
+        let home = data[id as usize].aabb().center();
+        probes.push(c.lerp(&home, 0.5));
+        probes.push(home);
+    }
+    for p in &probes {
+        for k in [1usize, 6, 20] {
+            let truth = scan.knn(&moved, p, k);
+            assert_eq!(
+                center.knn(&moved, p, k),
+                truth,
+                "center grid at {p:?} k={k}"
+            );
+            assert_eq!(
+                replicate.knn(&moved, p, k),
+                truth,
+                "replicate grid at {p:?} k={k}"
+            );
+            assert_eq!(multi.knn(&moved, p, k), truth, "multigrid at {p:?} k={k}");
+        }
+    }
+}
+
+/// The grid's kNN pays for what it returns: on a fixed neuron soup at the
+/// benchmark's density (≈ 0.05 elements/µm³), the exact surface distances
+/// a k = 8 batch runs stay within 5 per result (3.07 with both pruning
+/// levels, 15.5 when only spans of 8 or more entries were bounded).
+/// Deterministic counters only, no timing.
+#[test]
+fn grid_knn_exact_distances_per_result_stay_bounded() {
+    let neurons = 40;
+    let n = neurons * 501;
+    let dataset = NeuronDatasetBuilder::new()
+        .neurons(neurons)
+        .segments_per_neuron(500)
+        .universe_side((n as f32 / 0.05).cbrt())
+        .seed(7)
+        .build();
+    let data = dataset.elements();
+    let grid = UniformGrid::build(data, GridConfig::auto(data));
+    let probes = QueryWorkload::new(dataset.universe(), 7).knn_points(256);
+    let mut out = KnnBatchResults::new();
+    let stats = QueryEngine::new().knn_collect(&grid, data, &probes, 8, &mut out);
+    assert_eq!(stats.results, 8 * 256);
+    let ratio = stats.counts.exact_dists as f64 / stats.results as f64;
+    assert!(ratio <= 5.0, "{ratio:.2} exact distances per kNN result");
+}
+
+/// Two points at the same f32 distance 1.0 from the probe: B straight
+/// along x (squared distance exactly 1), A off-axis with a squared
+/// distance one ulp above 1 that still rounds to distance 1. B (id 1) is
+/// found first, in the probe's cell; A (id 0) sits in the next cell with
+/// seven farther points, so its span runs the batched lower bound. A
+/// prune against the bare k-th best squared drops A; the tie must go to
+/// A, the smaller id, as in the scan.
+#[test]
+fn a_tie_lost_to_rounding_still_wins_by_id() {
+    let p = Point3::new(2.3, 0.5, 0.5);
+    let mut points = vec![
+        Point3::new(3.299_997_8, 0.5021, 0.5),
+        Point3::new(1.3, 0.5, 0.5),
+        Point3::new(-10.0, -10.0, -10.0),
+        Point3::new(10.0, 10.0, 10.0),
+    ];
+    points.extend((0..7).map(|i| Point3::new(4.5, 0.5 + 0.2 * i as f32, 0.5)));
+    let data: Vec<Element> = (0..)
+        .zip(points)
+        .map(|(i, c)| Element::new(i, Shape::Sphere(Sphere::new(c, 0.0))))
+        .collect();
+    let truth = LinearScan::build(&data).knn(&data, &p, 1);
+    assert_eq!(truth, vec![(0, 1.0)]);
+    for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+        let grid = UniformGrid::build(&data, GridConfig::with_cell_side(2.5, placement));
+        assert_eq!(grid.knn(&data, &p, 1), truth, "{placement:?}");
+    }
+    let multi = MultiGrid::build(&data, MultiGridConfig::auto(&data));
+    assert_eq!(multi.knn(&data, &p, 1), truth);
+}
