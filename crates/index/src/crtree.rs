@@ -33,8 +33,8 @@
 
 use crate::rtree::bulk::str_tile;
 use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
-use crate::util::{KnnHeap, MinQueue};
-use simspatial_geom::{predicates, stats, Aabb, Element, Point3, QueryScratch};
+use crate::util::{knn_reach, KnnHeap, MinQueue};
+use simspatial_geom::{predicates, stats, Aabb, Element, ElementId, Point3, QueryScratch};
 
 /// Configuration of a [`CrTree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -419,7 +419,7 @@ impl KnnIndex for CrTree {
     /// over its child window — dequantization is conservative, so the
     /// resulting bounds never exceed the true distances. Internal children
     /// enqueue on their bound; leaf children pay the exact element-surface
-    /// distance only when their bound can still beat the current k-th best.
+    /// distance only when the heap admits their bound (`KnnHeap::may_admit`).
     fn knn_into(
         &self,
         data: &[Element],
@@ -431,44 +431,30 @@ impl KnnIndex for CrTree {
         if k == 0 || self.len == 0 {
             return;
         }
-        let QueryScratch {
-            dists,
-            knn_best,
-            knn_queue,
-            ..
-        } = scratch;
-        let mut best = KnnHeap::new(knn_best, k);
-        let mut queue = MinQueue::new(knn_queue);
+        let envelope = self.nodes[self.root].mbr;
+        let mut best = KnnHeap::with_reach(&mut scratch.knn_best, k, knn_reach(p, &envelope));
+        let mut queue = MinQueue::new(&mut scratch.knn_queue);
+        let dists = &mut scratch.dists;
         queue.push(0.0, self.root as u32);
-        while let Some((d, node)) = queue.pop() {
-            if best.is_full() && d > best.worst() {
-                break;
-            }
+        let exact = |id: ElementId| predicates::element_distance(&data[id as usize], p);
+        while let Some(node) = queue.pop_admitted(&best) {
             let n = &self.nodes[node as usize];
             let (start, count) = (n.child_start as usize, n.child_count as usize);
             if count == 0 {
                 continue;
             }
+            let children = &self.slab.payload[start..start + count];
             self.slab.min_dist2_into(start, count, &n.mbr, p, dists);
             stats::record_lower_bound_evals(count as u64);
             if n.level == 0 {
                 stats::record_element_tests(count as u64);
-                for (j, &lb2) in dists.iter().enumerate() {
-                    let w = best.worst();
-                    if best.is_full() && lb2 > w * w {
-                        continue;
-                    }
-                    let id = self.slab.payload[start + j];
-                    let exact = predicates::element_distance(&data[id as usize], p);
-                    best.consider(id, exact);
-                }
+                best.refine(dists, children, exact);
             } else {
                 stats::record_node_visit();
                 stats::record_tree_tests(count as u64);
-                for (j, &lb2) in dists.iter().enumerate() {
-                    let md = lb2.sqrt();
-                    if !(best.is_full() && md > best.worst()) {
-                        queue.push(md, self.slab.payload[start + j]);
+                for (&lb2, &c) in dists.iter().zip(children) {
+                    if best.may_admit(lb2) {
+                        queue.push(lb2, c);
                     }
                 }
             }

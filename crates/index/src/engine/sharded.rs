@@ -79,6 +79,7 @@ use crate::grid::UniformGrid;
 use crate::traits::{
     KnnIndex, KnnSink, QueryStats, RangeSink, ShardApplyCost, SpatialIndex, UpdateStats,
 };
+use crate::util::{admit_limit2, knn_reach};
 use simspatial_geom::{parallel, stats, Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use std::ops::Range;
 use std::sync::Arc;
@@ -1500,14 +1501,14 @@ impl ShardPlanner {
         for (qi, probe) in probes.iter().enumerate() {
             let p = &probe.0;
             let home_shard = self.router.home(p);
-            let b = bounds[qi];
+            // The indexes' bound rule: a tie with a smaller id must still
+            // be able to displace the home k-th best, rounding included.
+            let limit2 = admit_limit2(bounds[qi], knn_reach(p, &self.router.bounds));
             for (s, lane) in fan.iter_mut().enumerate() {
                 if s == home_shard {
                     continue;
                 }
-                // Inclusive bound: a tie at distance b with a smaller id
-                // must still be able to displace the home k-th best.
-                if self.fan_regions[s].min_distance2(p) <= b * b {
+                if self.fan_regions[s].min_distance2(p) <= limit2 {
                     lane.routed.push(qi as u32);
                     lane.probes.push(*probe);
                 }

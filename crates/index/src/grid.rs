@@ -68,7 +68,7 @@
 //! allocation-free (no per-query `HashSet`, no candidate vector churn).
 
 use crate::traits::{KnnIndex, KnnSink, RangeSink, ShardApplyCost, SpatialIndex};
-use crate::util::KnnHeap;
+use crate::util::{mean_spacing, KnnHeap};
 use simspatial_geom::scratch::{with_scratch, QueryScratch, VisitedTable};
 use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, Shape, SoaAabbs, SoaView};
 
@@ -108,7 +108,8 @@ impl GridConfig {
     /// of (a) the mean element diameter — so replication stays bounded and
     /// center-placement inflation stays tight — and (b) 1.5× the mean
     /// inter-element spacing `(V/n)^⅓` — targeting a small constant number
-    /// of elements per occupied cell.
+    /// of elements per occupied cell. `V` counts an axis thinner than the
+    /// longest extent over `n` as that thick.
     pub fn auto(elements: &[Element]) -> Self {
         let placement = GridPlacement::Center;
         if elements.is_empty() {
@@ -117,7 +118,6 @@ impl GridConfig {
                 placement,
             };
         }
-        let bounds = Aabb::union_all(elements.iter().map(Element::aabb));
         let n = elements.len() as f32;
         let mean_extent = elements
             .iter()
@@ -127,8 +127,7 @@ impl GridConfig {
             })
             .sum::<f32>()
             / n;
-        let spacing = (bounds.volume().max(f32::MIN_POSITIVE) / n).cbrt();
-        let cell_side = (1.5 * spacing).max(mean_extent).max(1e-6);
+        let cell_side = (1.5 * mean_spacing(elements)).max(mean_extent).max(1e-6);
         Self {
             cell_side,
             placement,
@@ -950,20 +949,43 @@ impl SpatialIndex for UniformGrid {
 }
 
 impl UniformGrid {
+    /// kNN over grids that partition the elements — one grid, or the
+    /// levels of a [`crate::MultiGrid`] — against **one** best-k heap, so
+    /// earlier levels' k-th best prunes later levels. The heap's reach is
+    /// the largest level's: the probe's magnitude plus the origin's and one
+    /// cell's, the coordinates the slab bounds start from.
+    pub(crate) fn knn_levels(
+        levels: &[UniformGrid],
+        data: &[Element],
+        p: &Point3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
+    ) {
+        if k == 0 {
+            return;
+        }
+        let o = Point3::ORIGIN;
+        let reach = |g: &UniformGrid| p.distance(&o) + g.origin.distance(&o) + g.cell;
+        let reach = levels.iter().map(reach).fold(0.0, f32::max);
+        let mut best = KnnHeap::with_reach(&mut scratch.knn_best, k, reach);
+        for level in levels {
+            level.knn_core(data, p, &mut scratch.dists, &mut scratch.visited, &mut best);
+        }
+        best.emit(sink);
+    }
+
     /// The expanding-shell kNN search core, filling a caller-owned best-k
     /// heap; rings expand in Chebyshev shells until none can improve. Once
     /// the heap is full it prunes twice (`MINDIST` pruning, Roussopoulos et
     /// al., SIGMOD 1995): a cell whose slab, less `max_half_extent` per
     /// axis, lies beyond the k-th best is skipped unread, and every other
     /// span runs the batched kernel ([`SoaView::min_dist2_into`]), so an
-    /// entry pays the exact distance only if its box may beat or tie the
-    /// k-th best. Boundary cells are open to ±∞ on their outer faces:
-    /// `clamp_coord` files a centre moved past the build region there.
-    ///
-    /// Shared with [`crate::MultiGrid`], which runs every level's search
-    /// against **one** heap so earlier levels' k-th best prunes later
-    /// levels.
-    pub(crate) fn knn_core(
+    /// entry pays the exact distance only if the heap admits its box
+    /// ([`KnnHeap::may_admit`]). Boundary cells are open to ±∞ on their
+    /// outer faces: `clamp_coord` files a centre moved past the build
+    /// region there.
+    fn knn_core(
         &self,
         data: &[Element],
         p: &Point3,
@@ -983,29 +1005,21 @@ impl UniformGrid {
         if dedupe {
             visited.begin(self.id_bound);
         }
-        // Both prunes compare against the k-th best plus a few ulps of the
-        // coordinates' magnitude: a bound and the exact distance it bounds
-        // round differently, and a tie lost to rounding changes the reply.
-        let reach = p.distance(&Point3::ORIGIN) + self.origin.distance(&Point3::ORIGIN) + self.cell;
-        let limit2 = |w: f32| (w + (reach + w) * 8.0 * f32::EPSILON).powi(2);
         let mut seen = 0usize;
         for ring in 0..=max_ring {
             // Termination: the closest possible element in ring r is at
             // least (r-1)·cell − max_half_extent away (the point may sit
             // at its cell's edge, and an element's surface may extend
             // beyond its centre's cell).
-            if best.is_full() {
-                let ring_min = (ring as f32 - 1.0) * self.cell - self.max_half_extent;
-                if ring_min > best.worst() {
-                    break;
-                }
+            let ring_min = (ring as f32 - 1.0) * self.cell - self.max_half_extent;
+            if ring_min > 0.0 && !best.may_admit(ring_min * ring_min) {
+                break;
             }
             let mut any_cell = false;
             self.for_ring(center, ring, |c, cell_idx| {
                 any_cell = true;
                 let bounded = best.is_full();
-                // Strictly beyond: a tie with a smaller id may still get in.
-                if bounded && self.slab_gap2(p, c) > limit2(best.worst()) {
+                if bounded && !best.may_admit(self.slab_gap2(p, c)) {
                     return;
                 }
                 let entries = self.cell_view(cell_idx);
@@ -1021,9 +1035,8 @@ impl UniformGrid {
                         continue;
                     }
                     seen += 1;
-                    // lb ≤ exact (the stored box contains the surface): a
-                    // bound beyond the k-th best cannot improve the result.
-                    if bounded && dists[i] > limit2(best.worst()) {
+                    // lb ≤ exact: the stored box contains the surface.
+                    if bounded && !best.may_admit(dists[i]) {
                         continue;
                     }
                     let d = simspatial_geom::predicates::element_distance(&data[id as usize], p);
@@ -1072,18 +1085,7 @@ impl KnnIndex for UniformGrid {
         scratch: &mut QueryScratch,
         sink: &mut dyn KnnSink,
     ) {
-        if k == 0 || self.len == 0 {
-            return;
-        }
-        let QueryScratch {
-            dists,
-            visited,
-            knn_best,
-            ..
-        } = scratch;
-        let mut best = KnnHeap::new(knn_best, k);
-        self.knn_core(data, p, dists, visited, &mut best);
-        best.emit(sink);
+        Self::knn_levels(std::slice::from_ref(self), data, p, k, scratch, sink);
     }
 }
 
@@ -1207,6 +1209,38 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
+        }
+    }
+
+    /// Points on a plane or a line have a zero bounds volume; the auto cell
+    /// sides of the grid and the multigrid must come from the axes with
+    /// extent, not fall to their 1e-6 floor and fill the cell budget (six
+    /// coplanar points took 89.8 MB either way, and a k = 1 multigrid
+    /// search over them 1.4 s).
+    #[test]
+    fn auto_config_on_flat_points_stays_small_and_exact() {
+        let plane = (0..6).map(|i| Point3::new(0.7 * (i % 3) as f32, 1.4 * (i / 3) as f32, 0.5));
+        let line = (0..40).map(|i| Point3::new(0.35 * i as f32, 0.7, 0.7));
+        for (name, centres) in [
+            ("plane", plane.collect::<Vec<_>>()),
+            ("line", line.collect()),
+        ] {
+            let data: Vec<Element> = (0..)
+                .zip(centres)
+                .map(|(i, c)| Element::new(i, Shape::Sphere(Sphere::new(c, 0.0))))
+                .collect();
+            let g = UniformGrid::build(&data, GridConfig::auto(&data));
+            let mg = crate::MultiGrid::build(&data, crate::MultiGridConfig::auto(&data));
+            for (what, bytes) in [("grid", g.memory_bytes()), ("multigrid", mg.memory_bytes())] {
+                assert!(bytes < 64 << 10, "{name} {what}: {bytes} B");
+            }
+            let scan = LinearScan::build(&data);
+            let k = data.len() + 2;
+            for p in [Point3::new(0.3, 0.2, 0.5), Point3::new(-1.0, 3.0, 2.0)] {
+                let want = scan.knn(&data, &p, k);
+                assert_eq!(g.knn(&data, &p, k), want, "{name} grid at {p:?}");
+                assert_eq!(mg.knn(&data, &p, k), want, "{name} multigrid at {p:?}");
+            }
         }
     }
 

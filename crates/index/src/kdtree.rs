@@ -9,7 +9,7 @@
 //! paper describes).
 
 use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
-use crate::util::KnnHeap;
+use crate::util::{knn_reach, KnnHeap};
 use simspatial_geom::{predicates, stats, Aabb, Element, ElementId, Point3, QueryScratch};
 
 const NIL: u32 = u32::MAX;
@@ -33,6 +33,8 @@ pub struct KdTree {
     nodes: Vec<KdNode>,
     root: u32,
     max_half_extent: f32,
+    /// Union of the element boxes, for the kNN heap's reach.
+    envelope: Aabb,
 }
 
 impl KdTree {
@@ -55,6 +57,7 @@ impl KdTree {
             nodes,
             root,
             max_half_extent,
+            envelope: Aabb::union_all(elements.iter().map(Element::aabb)),
         }
     }
 
@@ -134,9 +137,10 @@ impl KdTree {
             (n.right, n.left)
         };
         self.knn_rec(near, p, data, best);
-        // The far half-space can contain a closer element surface when the
-        // plane distance (minus the surface slack) beats the k-th best.
-        if stats::tree_test(|| delta.abs() - self.max_half_extent <= best.worst()) {
+        // The far half-space can hold a closer element surface when the
+        // heap admits the plane distance less the surface slack.
+        let gap = (delta.abs() - self.max_half_extent).max(0.0);
+        if stats::tree_test(|| best.may_admit(gap * gap)) {
             self.knn_rec(far, p, data, best);
         }
     }
@@ -179,7 +183,7 @@ impl KnnIndex for KdTree {
         if k == 0 || self.nodes.is_empty() {
             return;
         }
-        let mut best = KnnHeap::new(&mut scratch.knn_best, k);
+        let mut best = KnnHeap::with_reach(&mut scratch.knn_best, k, knn_reach(p, &self.envelope));
         self.knn_rec(self.root, p, data, &mut best);
         best.emit(sink);
     }

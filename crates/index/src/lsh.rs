@@ -18,7 +18,7 @@
 //! not guaranteed nearest; recall is a measured quantity (experiment E8).
 
 use crate::traits::{KnnIndex, KnnSink};
-use crate::util::KnnHeap;
+use crate::util::{knn_reach, mean_spacing, KnnHeap};
 use simspatial_geom::{
     predicates, stats, Aabb, Element, ElementId, Point3, QueryScratch, SoaAabbs, Vec3,
 };
@@ -56,9 +56,7 @@ impl LshConfig {
         if elements.is_empty() {
             return cfg;
         }
-        let bounds = Aabb::union_all(elements.iter().map(Element::aabb));
-        let spacing = (bounds.volume().max(f32::MIN_POSITIVE) / elements.len() as f32).cbrt();
-        cfg.width = (2.5 * spacing).max(1e-6);
+        cfg.width = (2.5 * mean_spacing(elements)).max(1e-6);
         cfg
     }
 
@@ -98,6 +96,8 @@ pub struct Lsh {
     /// Build-time element bounding boxes in id order: the SoA store the
     /// batched candidate-scoring kernel streams over.
     boxes: SoaAabbs,
+    /// Union of `boxes`, for the kNN heap's reach.
+    envelope: Aabb,
     len: usize,
 }
 
@@ -145,6 +145,7 @@ impl Lsh {
             config,
             fns,
             tables,
+            envelope: boxes.union_all(),
             boxes,
             len: elements.len(),
         }
@@ -290,18 +291,11 @@ impl KnnIndex for Lsh {
         } = scratch;
         self.boxes.min_dist2_gather_into(p, candidates, dists);
         stats::record_lower_bound_evals(candidates.len() as u64);
-        let mut best = KnnHeap::new(knn_best, k);
-        for (i, &id) in candidates.iter().enumerate() {
-            let w = best.worst();
-            // The build-time box contains the element surface, so
-            // lb ≤ exact distance: a bound past the k-th best
-            // cannot enter the result.
-            if best.is_full() && dists[i] > w * w {
-                continue;
-            }
-            let d = predicates::element_distance(&data[id as usize], p);
-            best.consider(id, d);
-        }
+        let mut best = KnnHeap::with_reach(knn_best, k, knn_reach(p, &self.envelope));
+        // The build-time box contains the element surface: lb ≤ exact.
+        best.refine(dists, candidates, |id| {
+            predicates::element_distance(&data[id as usize], p)
+        });
         best.emit(sink);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::grid::{GridConfig, GridPlacement, UniformGrid};
 use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
-use crate::util::KnnHeap;
+use crate::util::mean_spacing;
 use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
 
 /// Configuration of a [`MultiGrid`].
@@ -45,9 +45,7 @@ impl MultiGridConfig {
         let mid = extents.len() / 2;
         extents.select_nth_unstable_by(mid, f32::total_cmp);
         let median = extents[mid].max(1e-6);
-        let bounds = Aabb::union_all(elements.iter().map(Element::aabb));
-        let spacing = (bounds.volume().max(f32::MIN_POSITIVE) / elements.len() as f32).cbrt();
-        let finest_cell = median.max(spacing).max(1e-6);
+        let finest_cell = median.max(mean_spacing(elements)).max(1e-6);
         let max_extent = extents.iter().copied().fold(0.0f32, f32::max);
         let levels = ((max_extent / finest_cell).log2().ceil() as usize + 1).clamp(1, 8);
         Self {
@@ -165,20 +163,7 @@ impl KnnIndex for MultiGrid {
         scratch: &mut QueryScratch,
         sink: &mut dyn KnnSink,
     ) {
-        if k == 0 || self.len == 0 {
-            return;
-        }
-        let QueryScratch {
-            dists,
-            visited,
-            knn_best,
-            ..
-        } = scratch;
-        let mut best = KnnHeap::new(knn_best, k);
-        for level in &self.levels {
-            level.knn_core(data, p, dists, visited, &mut best);
-        }
-        best.emit(sink);
+        UniformGrid::knn_levels(&self.levels, data, p, k, scratch, sink);
     }
 }
 

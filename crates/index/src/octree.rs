@@ -10,7 +10,7 @@
 //! measurable through the instrumentation).
 
 use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
-use crate::util::{KnnHeap, MinQueue};
+use crate::util::{knn_reach, KnnHeap, MinQueue};
 use simspatial_geom::{
     predicates, stats, Aabb, Element, ElementId, Point3, QueryScratch, SoaAabbs, Vec3,
 };
@@ -318,8 +318,8 @@ impl KnnIndex for Octree {
     /// from a min-queue in ascending lower-bound order; each popped node's
     /// entry slab runs the batched `MINDIST` kernel
     /// ([`SoaAabbs::min_dist2_into`]) and only entries whose box lower bound
-    /// can still beat the current k-th best pay the exact element-surface
-    /// distance. Terminates when the nearest pending node cannot improve.
+    /// the heap admits (`KnnHeap::may_admit`) pay the exact element-surface
+    /// distance. Terminates when the heap rejects the nearest pending node.
     fn knn_into(
         &self,
         data: &[Element],
@@ -331,42 +331,26 @@ impl KnnIndex for Octree {
         if k == 0 || self.len == 0 {
             return;
         }
-        let QueryScratch {
-            dists,
-            knn_best,
-            knn_queue,
-            ..
-        } = scratch;
-        let mut best = KnnHeap::new(knn_best, k);
-        let mut queue = MinQueue::new(knn_queue);
+        let mut best = KnnHeap::with_reach(&mut scratch.knn_best, k, knn_reach(p, &self.loose(0)));
+        let mut queue = MinQueue::new(&mut scratch.knn_queue);
         queue.push(0.0, 0);
-        while let Some((d, node)) = queue.pop() {
-            if best.is_full() && d > best.worst() {
-                break;
-            }
+        let exact = |id: ElementId| predicates::element_distance(&data[id as usize], p);
+        while let Some(node) = queue.pop_admitted(&best) {
             let n = &self.nodes[node as usize];
             stats::record_node_visit();
             if !n.entries.is_empty() {
-                n.entries.min_dist2_into(p, dists);
+                n.entries.min_dist2_into(p, &mut scratch.dists);
                 stats::record_lower_bound_evals(n.entries.len() as u64);
                 // Element tests are charged per refined candidate inside
                 // `element_distance` — matching the seed octree's one test
                 // per entry, not slab + survivors.
-                for (i, &lb2) in dists.iter().enumerate() {
-                    let w = best.worst();
-                    if best.is_full() && lb2 > w * w {
-                        continue;
-                    }
-                    let id = n.entries.id_at(i);
-                    let exact = predicates::element_distance(&data[id as usize], p);
-                    best.consider(id, exact);
-                }
+                best.refine(&scratch.dists, n.entries.ids(), exact);
             }
             for &c in &n.children {
                 if c != NIL {
-                    let md = stats::tree_test(|| self.loose(c).min_distance2(p)).sqrt();
-                    if !(best.is_full() && md > best.worst()) {
-                        queue.push(md, c);
+                    let lb2 = stats::tree_test(|| self.loose(c).min_distance2(p));
+                    if best.may_admit(lb2) {
+                        queue.push(lb2, c);
                     }
                 }
             }

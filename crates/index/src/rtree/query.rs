@@ -7,7 +7,7 @@
 
 use super::RTree;
 use crate::traits::{KnnIndex, KnnSink, RangeSink, SpatialIndex};
-use crate::util::{KnnHeap, MinQueue};
+use crate::util::{knn_reach, KnnHeap, MinQueue};
 use simspatial_geom::scratch::with_scratch;
 use simspatial_geom::{predicates, stats, Aabb, Element, ElementId, Point3, QueryScratch};
 
@@ -135,9 +135,9 @@ impl KnnIndex for RTree {
     /// pop from a min-queue in ascending MBR-`MINDIST` order; a popped
     /// leaf's entries run the **batched** box `MINDIST` kernel
     /// ([`simspatial_geom::SoaAabbs::min_dist2_into`]) and only entries
-    /// whose lower bound can still beat the current k-th best pay the exact
-    /// surface-distance test. Search stops once the nearest pending node
-    /// cannot improve the result. Queue, heap and batched distances all
+    /// the heap admits (`KnnHeap::may_admit`) pay the exact
+    /// surface-distance test. Search stops once the heap rejects the
+    /// nearest pending node. Queue, heap and batched distances all
     /// live in the caller's scratch — no allocation per probe.
     fn knn_into(
         &self,
@@ -150,39 +150,23 @@ impl KnnIndex for RTree {
         if k == 0 || self.is_empty() {
             return;
         }
-        let QueryScratch {
-            dists,
-            knn_best,
-            knn_queue,
-            ..
-        } = scratch;
-        let mut best = KnnHeap::new(knn_best, k);
-        let mut queue = MinQueue::new(knn_queue);
+        let mut best = KnnHeap::with_reach(&mut scratch.knn_best, k, knn_reach(p, &self.bounds()));
+        let mut queue = MinQueue::new(&mut scratch.knn_queue);
         queue.push(0.0, self.root as u32);
-        while let Some((d, node)) = queue.pop() {
-            if best.is_full() && d > best.worst() {
-                break;
-            }
+        let exact = |id: ElementId| predicates::element_distance(&data[id as usize], p);
+        while let Some(node) = queue.pop_admitted(&best) {
             let n = &self.nodes[node as usize];
             if n.is_leaf() {
                 stats::record_element_tests(n.entries.len() as u64);
                 stats::record_lower_bound_evals(n.entries.len() as u64);
-                n.entries.min_dist2_into(p, dists);
-                for (i, &lb2) in dists.iter().enumerate() {
-                    let w = best.worst();
-                    if best.is_full() && lb2 > w * w {
-                        continue;
-                    }
-                    let id = n.entries.id_at(i);
-                    let exact = predicates::element_distance(&data[id as usize], p);
-                    best.consider(id, exact);
-                }
+                n.entries.min_dist2_into(p, &mut scratch.dists);
+                best.refine(&scratch.dists, n.entries.ids(), exact);
             } else {
                 stats::record_node_visit();
                 for &c in &n.children {
-                    let md = stats::tree_test(|| self.nodes[c].mbr.min_distance2(p)).sqrt();
-                    if !(best.is_full() && md > best.worst()) {
-                        queue.push(md, c as u32);
+                    let lb2 = stats::tree_test(|| self.nodes[c].mbr.min_distance2(p));
+                    if best.may_admit(lb2) {
+                        queue.push(lb2, c as u32);
                     }
                 }
             }

@@ -209,7 +209,9 @@ impl KnnSink for Vec<(ElementId, f32)> {
 /// queues, batched lower-bound distances) — no allocation per probe once
 /// the buffers have grown. Results are selected and emitted under the total
 /// order *ascending `(distance, id)`*, which makes ties deterministic and
-/// shard merges byte-identical to single-engine execution. There is no
+/// shard merges byte-identical to single-engine execution — ties included,
+/// because every exact index prunes by one bound rule that allows for the
+/// rounding a lower bound and its exact distance differ by. There is no
 /// batched kNN plan: [`crate::engine::QueryEngine`] drives a batch as one
 /// `knn_into` per probe over one shared scratch, each probe with its own `k`.
 pub trait KnnIndex {

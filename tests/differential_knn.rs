@@ -4,9 +4,11 @@
 //! * Every exact [`KnnIndex`] implementation must return results identical
 //!   to [`LinearScan`]'s ground truth — selected and ordered under the
 //!   ascending `(distance, id)` contract — on random and degenerate
-//!   inputs (duplicate points, `k = 0`, `k > n`, empty dataset). LSH is
-//!   approximate and is diffed against its own seed oracle in
-//!   `differential_batch.rs` instead.
+//!   inputs (duplicate points, `k = 0`, `k > n`, empty dataset), and on
+//!   lattice soups whose distances tie in real arithmetic and differ by an
+//!   ulp in f32. LSH is approximate and is diffed against its own seed
+//!   oracle in `crates/index/src/lsh.rs`
+//!   (`lsh::tests::deferred_scoring_equals_seed_reference`) instead.
 //! * `knn_batch_into` ≡ looped `knn_into` ≡ legacy `knn()` for every
 //!   implementation.
 //! * [`ShardedEngine`] with K ∈ {1, 2, 4} shards must return result sets
@@ -15,6 +17,7 @@
 
 use simspatial::prelude::*;
 use simspatial_geom::QueryScratch;
+use std::collections::BTreeMap;
 
 /// Mixed-size random soup: mostly small spheres plus some large ones.
 fn mixed(n: u32, seed: u32) -> Vec<Element> {
@@ -460,4 +463,115 @@ fn a_tie_lost_to_rounding_still_wins_by_id() {
     }
     let multi = MultiGrid::build(&data, MultiGridConfig::auto(&data));
     assert_eq!(multi.knn(&data, &p, 1), truth);
+}
+
+/// A 64-bit LCG (MMIX constants): seeded soups without a dependency.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: u32) -> u32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % u64::from(n)) as u32
+    }
+
+    /// A random site of the `sites`³ lattice of pitch `pitch` at the origin.
+    fn site(&mut self, pitch: f32, sites: u32) -> Point3 {
+        let mut c = || self.below(sites) as f32 * pitch;
+        Point3::new(c(), c(), c())
+    }
+}
+
+/// One reply list per probe from a sharded engine.
+fn sharded_replies<I: SpatialIndex + KnnIndex + Send>(
+    mut engine: ShardedEngine<I>,
+    probes: &[Point3],
+    k: usize,
+) -> Vec<Vec<(ElementId, f32)>> {
+    let mut out = KnnBatchResults::new();
+    engine.knn_collect(probes, k, &mut out);
+    (0..probes.len())
+        .map(|qi| out.query_results(qi).to_vec())
+        .collect()
+}
+
+/// Enough soups that a prune without a rounding allowance fails for the
+/// R-Tree, the CR-Tree and the Octree alike.
+const LATTICE_SOUPS: usize = 240;
+
+/// Soups of 20–79 points or r = 0.35 spheres on a 6³ lattice of pitch 0.7,
+/// probed from a lattice of pitch 0.35: many distances tie in real
+/// arithmetic, and a lower bound and the exact distance it bounds then
+/// round an ulp apart. Every exact index, and the sharded fan-out at
+/// K ∈ {1, 2, 4} over the grid, the R-Tree and the served R-Tree strategy,
+/// must return the scan's reply byte for byte, ties included. Counts the
+/// differing replies per index and reports the first of each.
+#[test]
+fn lattice_soup_ties_match_scan() {
+    let mut rng = Lcg(7);
+    let mut diffs: BTreeMap<String, (usize, String)> = BTreeMap::new();
+    for soup in 0..LATTICE_SOUPS {
+        let r = if rng.below(2) == 0 { 0.0 } else { 0.35 };
+        let n = 20 + rng.below(60);
+        let data: Vec<Element> = (0..n)
+            .map(|i| Element::new(i, Shape::Sphere(Sphere::new(rng.site(0.7, 6), r))))
+            .collect();
+        let probes: Vec<Point3> = (0..8).map(|_| rng.site(0.35, 12)).collect();
+        let k = 1 + rng.below(8) as usize;
+        let replies = |index: &dyn KnnIndex| -> Vec<Vec<(ElementId, f32)>> {
+            probes.iter().map(|p| index.knn(&data, p, k)).collect()
+        };
+        let truth = replies(&LinearScan::build(&data));
+        let mut check = |name: String, got: Vec<Vec<(ElementId, f32)>>| {
+            for (qi, (got, want)) in got.iter().zip(&truth).enumerate() {
+                if got != want {
+                    let p = probes[qi];
+                    let first = || format!("soup {soup} at {p:?} k={k}: {got:?}, scan {want:?}");
+                    diffs.entry(name.clone()).or_insert_with(|| (0, first())).0 += 1;
+                }
+            }
+        };
+        let auto = GridConfig::auto(&data).cell_side;
+        check("KD-Tree".into(), replies(&KdTree::build(&data)));
+        let octree = Octree::build(&data, OctreeConfig::default());
+        check("Octree".into(), replies(&octree));
+        let rtree = RTree::bulk_load(&data, RTreeConfig::default());
+        check("R-Tree".into(), replies(&rtree));
+        let crtree = CrTree::build(&data, CrTreeConfig::default());
+        check("CR-Tree".into(), replies(&crtree));
+        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+            let grid = UniformGrid::build(&data, GridConfig::with_cell_side(auto, placement));
+            check(format!("Grid/{placement:?}"), replies(&grid));
+        }
+        let multi = MultiGrid::build(&data, MultiGridConfig::auto(&data));
+        check("MultiGrid".into(), replies(&multi));
+        for shards in [1usize, 2, 4] {
+            let grid = ShardedEngine::build(&data, shards, |part| {
+                UniformGrid::build(part, GridConfig::auto(part))
+            });
+            check(
+                format!("sharded Grid K={shards}"),
+                sharded_replies(grid, &probes, k),
+            );
+            let rtree = ShardedEngine::build(&data, shards, |part| {
+                RTree::bulk_load(part, RTreeConfig::default())
+            });
+            check(
+                format!("sharded R-Tree K={shards}"),
+                sharded_replies(rtree, &probes, k),
+            );
+            let strategy =
+                sharded_strategy_engine(&data, shards, UpdateStrategyKind::RTreeBottomUp);
+            check(
+                format!("sharded RTreeBottomUp K={shards}"),
+                sharded_replies(strategy, &probes, k),
+            );
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "replies that differ from the scan, (count, first) per index: {diffs:#?}"
+    );
 }
