@@ -8,7 +8,10 @@
 //!
 //! Reproduction: plasticity-displace a fraction f of the neuron dataset,
 //! time (a) delete+reinsert of the moved entries against (b) a full STR
-//! rebuild, sweep f, and interpolate the crossover.
+//! rebuild, sweep f, and interpolate the crossover. Each timing is taken
+//! [`SAMPLES`] times, each on a fresh clone of the bulk-loaded tree; the
+//! verdicts and the crossover compare medians, and a fraction whose update
+//! samples overlap the rebuild samples reads "within noise".
 
 use crate::datasets::neuron_dataset;
 use crate::experiments::time;
@@ -18,13 +21,18 @@ use simspatial_datagen::PlasticityModel;
 use simspatial_geom::{stats, Element};
 use simspatial_index::{RTree, RTreeConfig};
 
+/// Timings taken per measurement.
+pub const SAMPLES: usize = 5;
+
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepPoint {
     /// Fraction of the dataset updated.
     pub fraction: f64,
-    /// Seconds spent updating that fraction (delete + reinsert).
+    /// Median seconds spent updating that fraction (delete + reinsert).
     pub update_s: f64,
+    /// Fastest and slowest of the update samples.
+    pub update_range: (f64, f64),
     /// Inner nodes those updates descended through (one pointer chase
     /// each, finding the old entry and choosing the new leaf).
     pub nodes_visited: u64,
@@ -35,12 +43,48 @@ pub struct SweepPoint {
 pub struct UpdateVsRebuild {
     /// Sweep points at increasing fractions.
     pub points: Vec<SweepPoint>,
-    /// Seconds of one full STR rebuild.
+    /// Median seconds of one full STR rebuild.
     pub rebuild_s: f64,
+    /// Fastest and slowest of the rebuild samples.
+    pub rebuild_range: (f64, f64),
     /// Nodes that rebuild wrote (each once, no descent).
     pub rebuild_nodes: u64,
     /// Interpolated fraction where updating stops paying off.
     pub crossover: Option<f64>,
+}
+
+impl UpdateVsRebuild {
+    /// The verdict for one sweep point: "within noise" when its update
+    /// samples overlap the rebuild samples, else the side with the faster
+    /// median.
+    pub fn verdict(&self, p: &SweepPoint) -> &'static str {
+        let (lo, hi) = self.rebuild_range;
+        if p.update_range.0 <= hi && lo <= p.update_range.1 {
+            "within noise"
+        } else if p.update_s < self.rebuild_s {
+            "update wins"
+        } else {
+            "rebuild wins"
+        }
+    }
+}
+
+/// Runs `work` on [`SAMPLES`] fresh clones of `base`, timing each run.
+/// Returns the last run's result, the median seconds and the fastest and
+/// slowest run.
+fn sample<R>(base: &RTree, mut work: impl FnMut(&mut RTree) -> R) -> (R, f64, (f64, f64)) {
+    let mut result = None;
+    let mut secs: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let mut tree = base.clone();
+            let (r, t) = time(|| work(&mut tree));
+            result = Some(r);
+            t
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    let result = result.expect("SAMPLES > 0");
+    (result, secs[SAMPLES / 2], (secs[0], secs[SAMPLES - 1]))
 }
 
 /// Runs the measurement.
@@ -60,23 +104,18 @@ pub fn measure(scale: Scale) -> UpdateVsRebuild {
         m.elements().to_vec()
     };
 
-    let (rebuild_nodes, rebuild_s) = {
-        let mut t = base.clone();
-        let moved_ref = &moved;
-        time(move || {
-            t.rebuild(moved_ref);
-            t.node_count() as u64
-        })
-    };
+    let (rebuild_nodes, rebuild_s, rebuild_range) = sample(&base, |t| {
+        t.rebuild(&moved);
+        t.node_count() as u64
+    });
 
     let fractions = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0];
     let mut points = Vec::new();
     for &f in &fractions {
         let k = ((n as f64) * f) as usize;
-        let mut tree = base.clone();
         let old = data.elements();
-        stats::reset();
-        let (_, update_s) = time(|| {
+        let (nodes_visited, update_s, update_range) = sample(&base, |tree| {
+            stats::reset();
             for i in 0..k {
                 let ob = old[i].aabb();
                 let nb = moved[i].aabb();
@@ -84,11 +123,13 @@ pub fn measure(scale: Scale) -> UpdateVsRebuild {
                     tree.update(old[i].id, &ob, nb);
                 }
             }
+            stats::snapshot().nodes_visited
         });
         points.push(SweepPoint {
             fraction: f,
             update_s,
-            nodes_visited: stats::snapshot().nodes_visited,
+            update_range,
+            nodes_visited,
         });
     }
 
@@ -108,6 +149,7 @@ pub fn measure(scale: Scale) -> UpdateVsRebuild {
     UpdateVsRebuild {
         points,
         rebuild_s,
+        rebuild_range,
         rebuild_nodes,
         crossover,
     }
@@ -120,15 +162,11 @@ pub fn run(scale: Scale) -> String {
     r.paper("update all: 130 s/step; STR rebuild: 48 s; update wins iff < 38 % change");
     r.measured(&format!("full STR rebuild: {}", fmt_time(o.rebuild_s)));
     for p in &o.points {
-        let marker = if p.update_s < o.rebuild_s {
-            "update wins"
-        } else {
-            "rebuild wins"
-        };
         r.row(&format!(
-            "f = {:>5.0} %: update {} ({marker})",
+            "f = {:>5.0} %: update {} ({})",
             p.fraction * 100.0,
-            fmt_time(p.update_s)
+            fmt_time(p.update_s),
+            o.verdict(p)
         ));
     }
     match o.crossover {

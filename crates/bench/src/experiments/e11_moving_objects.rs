@@ -18,6 +18,7 @@ use crate::Scale;
 use simspatial_datagen::PlasticityModel;
 use simspatial_datagen::QueryWorkload;
 use simspatial_geom::stats;
+use simspatial_index::SpatialIndex;
 use simspatial_moving::{
     BufferedRTree, LazyGraceWindow, RTreeDiscipline, RTreeStrategy, UpdateStrategy,
 };
@@ -87,11 +88,9 @@ pub fn measure(scale: Scale) -> Vec<ShiftRow> {
         let mut query_acc = 0.0;
         let mut tests_acc = 0u64;
         for _ in 0..steps {
-            let old = cur.elements().to_vec();
-            for (id, d) in model.sample_step(cur.len()).iter().enumerate() {
-                cur.displace(id as u32, *d);
-            }
-            let (cost, t) = time(|| strategy.apply_step(&old, cur.elements()));
+            let batch = cur.displaced_batch(&model.sample_step(cur.len()));
+            let (cost, t) = time(|| strategy.update_in_place(cur.elements_mut(), &batch));
+            let cost = cost.expect("every strategy writes in place");
             maintain_acc += t;
             structural_acc += cost.structural;
 

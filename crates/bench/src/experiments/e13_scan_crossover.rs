@@ -15,7 +15,9 @@ use crate::report::{fmt_time, Report};
 use crate::Scale;
 use simspatial_datagen::{PlasticityModel, QueryWorkload};
 use simspatial_geom::QueryScratch;
-use simspatial_index::{CountSink, GridConfig, RangeSink, ShardedEngine, UniformGrid};
+use simspatial_index::{
+    CountSink, GridConfig, RangeSink, ShardedEngine, SpatialIndex, UniformGrid,
+};
 use simspatial_moving::{UpdateStrategy, UpdateStrategyKind};
 
 /// Per-step totals for one (strategy, queries-per-step) cell.
@@ -57,11 +59,8 @@ pub fn measure(scale: Scale, shards: usize) -> Vec<CrossoverCell> {
             let mut queries = QueryWorkload::new(data.universe(), 0xE13);
             let mut acc = 0.0;
             for _ in 0..steps {
-                let old = cur.elements().to_vec();
-                for (id, d) in model.sample_step(cur.len()).iter().enumerate() {
-                    cur.displace(id as u32, *d);
-                }
-                let (_, tm) = time(|| strategy.apply_step(&old, cur.elements()));
+                let batch = cur.displaced_batch(&model.sample_step(cur.len()));
+                let (_, tm) = time(|| strategy.update_in_place(cur.elements_mut(), &batch));
                 sink.reset();
                 let (_, tq) = time(|| {
                     for qi in 0..qps {

@@ -1,6 +1,6 @@
 //! The in-memory dataset: the simulation state every index is built over.
 
-use simspatial_geom::{Aabb, Element, ElementId, Point3, Vec3};
+use simspatial_geom::{Aabb, Element, ElementId, Point3, Shape, Vec3};
 
 /// A spatial dataset: the elements of a simulation model plus the universe
 /// they live in.
@@ -87,13 +87,29 @@ impl Dataset {
         Aabb::union_all(self.elements.iter().map(Element::aabb))
     }
 
-    /// Moves element `id` by `d`, reflecting at the universe boundary so the
-    /// density regime is preserved across simulation steps.
+    /// The shape element `id` takes when moved by `d`, reflecting at the
+    /// universe boundary so the density regime is preserved across
+    /// simulation steps. Writes nothing: a step builds its `(id, shape)`
+    /// write batch from these.
+    pub fn displaced(&self, id: ElementId, d: Vec3) -> Shape {
+        let mut shape = self.elements[id as usize].shape;
+        let c = shape.center();
+        shape.translate(clamp_reflect(c + d, c, &self.universe) - c);
+        shape
+    }
+
+    /// One step's dense write batch: every element, in id order, with the
+    /// shape `moves[id]` displaces it to ([`Dataset::displaced`]).
+    pub fn displaced_batch(&self, moves: &[Vec3]) -> Vec<(ElementId, Shape)> {
+        (0..)
+            .zip(moves)
+            .map(|(id, d)| (id, self.displaced(id, *d)))
+            .collect()
+    }
+
+    /// Moves element `id` by `d` (see [`Dataset::displaced`]).
     pub fn displace(&mut self, id: ElementId, d: Vec3) {
-        let e = &mut self.elements[id as usize];
-        let c = e.center();
-        let target = clamp_reflect(c + d, c, &self.universe);
-        e.translate(target - c);
+        self.elements[id as usize].shape = self.displaced(id, d);
     }
 }
 

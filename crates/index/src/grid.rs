@@ -692,31 +692,6 @@ impl UniformGrid {
         }
     }
 
-    /// Applies a whole simulation step of movements in one call: `old[i]`
-    /// and `new[i]` must describe the same element before/after. Currently
-    /// a straight per-pair loop over [`UniformGrid::update`] (the step-level
-    /// API exists so callers hand the grid the whole step; a genuinely
-    /// vectorised migration pass can slot in behind it). Returns the §4.3
-    /// split between elements that switched cells (`structural`) and
-    /// elements whose movement the grid absorbed in place (`absorbed`).
-    pub fn update_batch(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
-        assert_eq!(
-            old.len(),
-            new.len(),
-            "update_batch needs before/after pairs"
-        );
-        let mut cost = ShardApplyCost::default();
-        for (o, n) in old.iter().zip(new.iter()) {
-            debug_assert_eq!(o.id, n.id);
-            if self.update(o, n) {
-                cost.structural += 1;
-            } else {
-                cost.absorbed += 1;
-            }
-        }
-        cost
-    }
-
     /// Candidate ids whose **stored** bounding boxes intersect `probe`
     /// (deduplicated under replication), **without** exact refinement.
     /// Under center placement the cell walk is additionally inflated by the
@@ -1310,7 +1285,7 @@ mod tests {
     }
 
     #[test]
-    fn update_batch_matches_sequential_updates() {
+    fn update_in_place_matches_sequential_updates() {
         let data = scattered(800, 0.3);
         let moved: Vec<Element> = data
             .iter()
@@ -1329,7 +1304,8 @@ mod tests {
             .collect();
         let config = GridConfig::with_cell_side(3.0, GridPlacement::Center);
         let mut batched = UniformGrid::build(&data, config);
-        let cost = batched.update_batch(&data, &moved);
+        let batch: Vec<(ElementId, Shape)> = moved.iter().map(|e| (e.id, e.shape)).collect();
+        let cost = batched.update_in_place(&mut data.clone(), &batch).unwrap();
         assert_eq!(cost.structural + cost.absorbed, data.len() as u64);
         assert!(cost.structural > 0, "some large moves must switch cells");
         assert!(cost.absorbed > 0, "small moves must be absorbed");

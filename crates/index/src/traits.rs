@@ -324,10 +324,10 @@ impl QueryStats {
     }
 }
 
-/// Cost report of one in-place write ([`SpatialIndex::update_in_place`])
-/// or an update strategy's maintenance step: how much index structure the
-/// writes actually dirtied, versus how many moves were absorbed in place
-/// for free.
+/// Cost report of one in-place write ([`SpatialIndex::update_in_place`],
+/// which is also how an update strategy maintains itself): how much index
+/// structure the batch's writes actually dirtied, versus how many of them
+/// were absorbed in place for free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardApplyCost {
     /// Structural index modifications: grid cell switches, R-Tree

@@ -9,8 +9,8 @@
 //! and scan the dirty set, and once the dirty set passes a threshold it is
 //! flushed into the index wholesale.
 
-use crate::strategy::{update_in_place_by_step, UpdateStrategy};
-use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch};
+use crate::strategy::write_each;
+use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use simspatial_index::{
     KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
 };
@@ -66,28 +66,6 @@ impl BufferedRTree {
     }
 }
 
-impl UpdateStrategy for BufferedRTree {
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
-        let mut cost = ShardApplyCost::default();
-        for (o, n) in old.iter().zip(new.iter()) {
-            let (ob, nb) = (o.aabb(), n.aabb());
-            if ob == nb {
-                cost.absorbed += 1;
-                continue;
-            }
-            // First move records the box the index still holds; subsequent
-            // moves keep that original stale box.
-            self.dirty.entry(o.id).or_insert(ob);
-            cost.absorbed += 1;
-        }
-        let threshold = (self.flush_fraction * self.tree.len() as f32).ceil() as usize;
-        if self.dirty.len() > threshold {
-            cost.structural += self.flush(new);
-        }
-        cost
-    }
-}
-
 impl SpatialIndex for BufferedRTree {
     fn name(&self) -> &'static str {
         "RTree/buffered"
@@ -126,7 +104,29 @@ impl SpatialIndex for BufferedRTree {
             + self.dirty.len() * (std::mem::size_of::<ElementId>() + std::mem::size_of::<Aabb>())
     }
 
-    update_in_place_by_step!();
+    /// Parks each updated element whose box changed in the buffer (every
+    /// update is absorbed), then flushes the whole buffer into the tree
+    /// once it passes the threshold.
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        let mut cost = ShardApplyCost::default();
+        write_each(data, updates, |id, ob, e| {
+            // First move records the box the index still holds; subsequent
+            // moves keep that original stale box.
+            if ob != e.aabb() {
+                self.dirty.entry(id).or_insert(ob);
+            }
+            cost.absorbed += 1;
+        });
+        let threshold = (self.flush_fraction * self.tree.len() as f32).ceil() as usize;
+        if self.dirty.len() > threshold {
+            cost.structural += self.flush(data);
+        }
+        Some(cost)
+    }
 }
 
 /// kNN ignores the tree: stale entries make its pruning unsound, so probes
@@ -167,11 +167,8 @@ mod tests {
         let mut model = PlasticityModel::with_sigma(0.05, 6);
 
         // Step 1: every element moves → buffer holds all, above 50 % → flush.
-        let old = cur.elements().to_vec();
-        for (id, d) in model.sample_step(cur.len()).iter().enumerate() {
-            cur.displace(id as u32, *d);
-        }
-        let cost = s.apply_step(&old, cur.elements());
+        let batch = cur.displaced_batch(&model.sample_step(cur.len()));
+        let cost = s.update_in_place(cur.elements_mut(), &batch).unwrap();
         assert_eq!(cost.structural, 200, "full flush expected");
         assert_eq!(s.buffered(), 0);
     }
@@ -188,8 +185,11 @@ mod tests {
         let mut cur = data.clone();
         let old = cur.elements().to_vec();
         // Teleport element 0 far away.
-        cur.displace(0, simspatial_geom::Vec3::new(15.0, 0.0, 0.0));
-        s.apply_step(&old, cur.elements());
+        let teleport = [(
+            0,
+            cur.displaced(0, simspatial_geom::Vec3::new(15.0, 0.0, 0.0)),
+        )];
+        s.update_in_place(cur.elements_mut(), &teleport);
         assert!(s.buffered() >= 1);
         // Query at the new location must see it; at the old location not.
         let new_box = cur.elements()[0].aabb().inflate(0.01);

@@ -10,7 +10,6 @@
 //! are a small fraction of the dataset — `ShardApplyCost::{absorbed,
 //! structural}` shows the ratio directly.
 
-use crate::strategy::UpdateStrategy;
 use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use simspatial_index::{
     GridConfig, GridPlacement, KnnIndex, KnnSink, RangeSink, ShardApplyCost, SpatialIndex,
@@ -44,14 +43,6 @@ impl GridMigrate {
     /// The realised cell side.
     pub fn cell_side(&self) -> f32 {
         self.grid.cell_side()
-    }
-}
-
-impl UpdateStrategy for GridMigrate {
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
-        // The whole step goes to the grid in one call, which applies the
-        // per-pair migrations and counts switches vs absorptions inline.
-        self.grid.update_batch(old, new)
     }
 }
 
@@ -128,11 +119,8 @@ mod tests {
         let mut s = GridMigrate::with_cell_side(data.elements(), 2.0);
         let mut cur = data.clone();
         let mut model = PlasticityModel::paper_calibrated(7); // 0.04 steps
-        let old = cur.elements().to_vec();
-        for (id, d) in model.sample_step(cur.len()).iter().enumerate() {
-            cur.displace(id as u32, *d);
-        }
-        let cost = s.apply_step(&old, cur.elements());
+        let batch = cur.displaced_batch(&model.sample_step(cur.len()));
+        let cost = s.update_in_place(cur.elements_mut(), &batch).unwrap();
         // Expected switch rate ≈ 3 · (mean step / cell) ≈ 6 %; allow slack.
         let rate = cost.structural as f64 / 2000.0;
         assert!(rate < 0.15, "switch rate too high: {rate}");
@@ -149,11 +137,8 @@ mod tests {
         let mut s = GridMigrate::with_cell_side(data.elements(), 0.5);
         let mut cur = data.clone();
         let mut model = PlasticityModel::with_sigma(2.0, 8);
-        let old = cur.elements().to_vec();
-        for (id, d) in model.sample_step(cur.len()).iter().enumerate() {
-            cur.displace(id as u32, *d);
-        }
-        let cost = s.apply_step(&old, cur.elements());
+        let batch = cur.displaced_batch(&model.sample_step(cur.len()));
+        let cost = s.update_in_place(cur.elements_mut(), &batch).unwrap();
         assert!(
             cost.structural as f64 / 500.0 > 0.5,
             "big steps should switch cells: {cost:?}"

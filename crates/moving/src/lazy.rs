@@ -12,8 +12,8 @@
 //! The shifted burden is directly measurable here: candidates per query grow
 //! with the window, while `ShardApplyCost::absorbed` shows the saved maintenance.
 
-use crate::strategy::{update_in_place_by_step, UpdateStrategy};
-use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch};
+use crate::strategy::write_each;
+use simspatial_geom::{predicates, Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use simspatial_index::{
     KnnIndex, KnnSink, LinearScan, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
 };
@@ -65,26 +65,6 @@ impl LazyGraceWindow {
     }
 }
 
-impl UpdateStrategy for LazyGraceWindow {
-    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> ShardApplyCost {
-        let mut cost = ShardApplyCost::default();
-        for e in new {
-            let bbox = e.aabb();
-            let window = self.windows[e.id as usize];
-            if window.contains(&bbox) {
-                cost.absorbed += 1; // still inside the grace window
-                continue;
-            }
-            let fresh = bbox.inflate(self.margin);
-            let updated = self.tree.update(e.id, &window, fresh);
-            debug_assert!(updated, "grace entry {} missing", e.id);
-            self.windows[e.id as usize] = fresh;
-            cost.structural += 1;
-        }
-        cost
-    }
-}
-
 impl SpatialIndex for LazyGraceWindow {
     fn name(&self) -> &'static str {
         "RTree/grace-window"
@@ -114,7 +94,29 @@ impl SpatialIndex for LazyGraceWindow {
         self.tree.memory_bytes() + self.windows.capacity() * std::mem::size_of::<Aabb>()
     }
 
-    update_in_place_by_step!();
+    /// Reinserts only the updated elements that escaped their grace
+    /// window, under a fresh window; the rest are absorbed.
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        let mut cost = ShardApplyCost::default();
+        write_each(data, updates, |id, _, e| {
+            let bbox = e.aabb();
+            let window = self.windows[id as usize];
+            if window.contains(&bbox) {
+                cost.absorbed += 1; // still inside the grace window
+                return;
+            }
+            let fresh = bbox.inflate(self.margin);
+            let updated = self.tree.update(id, &window, fresh);
+            debug_assert!(updated, "grace entry {id} missing");
+            self.windows[id as usize] = fresh;
+            cost.structural += 1;
+        });
+        Some(cost)
+    }
 }
 
 /// kNN scans the live geometry; the grace tree serves range queries only.
@@ -150,13 +152,11 @@ mod tests {
             .seed(8)
             .build();
         let mut s = LazyGraceWindow::with_margin(data.elements(), 0.5);
-        let mut moved = data.clone();
         let mut model = PlasticityModel::with_sigma(0.01, 2); // tiny steps
-        let moves = model.sample_step(moved.len());
-        for (id, d) in moves.iter().enumerate() {
-            moved.displace(id as u32, *d);
-        }
-        let cost = s.apply_step(data.elements(), moved.elements());
+        let batch = data.displaced_batch(&model.sample_step(data.len()));
+        let cost = s
+            .update_in_place(data.clone().elements_mut(), &batch)
+            .unwrap();
         assert_eq!(cost.structural, 0, "tiny steps must be absorbed");
         assert_eq!(cost.absorbed, 300);
     }
@@ -169,13 +169,11 @@ mod tests {
             .seed(9)
             .build();
         let mut s = LazyGraceWindow::with_margin(data.elements(), 0.1);
-        let mut moved = data.clone();
         let mut model = PlasticityModel::with_sigma(2.0, 3); // huge steps
-        let moves = model.sample_step(moved.len());
-        for (id, d) in moves.iter().enumerate() {
-            moved.displace(id as u32, *d);
-        }
-        let cost = s.apply_step(data.elements(), moved.elements());
+        let batch = data.displaced_batch(&model.sample_step(data.len()));
+        let cost = s
+            .update_in_place(data.clone().elements_mut(), &batch)
+            .unwrap();
         assert!(cost.structural > 50, "large steps must escape: {cost:?}");
     }
 

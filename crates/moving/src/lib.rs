@@ -12,14 +12,17 @@
 //! §4.3 proposes grids, whose per-step cost is only the handful of cell
 //! switches the tiny movements cause.
 //!
-//! Every contender implements [`UpdateStrategy`], an index
-//! (`SpatialIndex + KnnIndex`) that also absorbs movement: the simulation
-//! moves the dataset, hands the strategy the before/after element slices,
-//! and then runs its monitoring queries through the index traits — so
-//! maintenance cost and query cost are separately measurable, which is
-//! precisely the trade-off the paper says these schemes hide. Being an
-//! index, a boxed strategy also serves as a shard of the sharded engine
-//! ([`sharded_strategy_engine`]).
+//! Every contender is an [`UpdateStrategy`], an index
+//! (`SpatialIndex + KnnIndex`) that absorbs movement through its one write
+//! method, `SpatialIndex::update_in_place`: the simulation hands it the
+//! step's `(id, shape)` batch, the strategy writes the dataset and
+//! maintains itself at a cost that counts the batch, and the monitoring
+//! queries then run through the index traits — so maintenance cost and
+//! query cost are separately measurable, which is precisely the trade-off
+//! the paper says these schemes hide. Being an index, a boxed strategy
+//! also serves as a shard of the sharded engine
+//! ([`sharded_strategy_engine`]), taking a K-element write in O(K) (the
+//! rebuild kinds excepted).
 //!
 //! | Kind | §4 reference | Maintenance | Query burden |
 //! |------|--------------|-------------|--------------|

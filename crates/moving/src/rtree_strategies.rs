@@ -1,7 +1,7 @@
 //! The three plain R-Tree maintenance disciplines of §4.1, one type.
 
-use crate::strategy::{update_in_place_by_step, UpdateStrategy};
-use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
+use crate::strategy::write_each;
+use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use simspatial_index::{
     KnnIndex, KnnSink, RTree, RTreeConfig, RangeSink, ShardApplyCost, SpatialIndex,
 };
@@ -37,35 +37,6 @@ impl RTreeStrategy {
     }
 }
 
-impl UpdateStrategy for RTreeStrategy {
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
-        if self.discipline == RTreeDiscipline::Rebuild {
-            self.tree.rebuild(new);
-            return ShardApplyCost {
-                rebuilds: 1,
-                ..Default::default()
-            };
-        }
-        let mut cost = ShardApplyCost::default();
-        for (o, n) in old.iter().zip(new.iter()) {
-            debug_assert_eq!(o.id, n.id);
-            let (ob, nb) = (o.aabb(), n.aabb());
-            if ob == nb {
-                cost.absorbed += 1;
-                continue;
-            }
-            let updated = if self.discipline == RTreeDiscipline::BottomUp {
-                self.tree.update_bottom_up(o.id, &ob, nb)
-            } else {
-                self.tree.update(o.id, &ob, nb)
-            };
-            debug_assert!(updated, "entry {} missing from tree", o.id);
-            cost.structural += 1;
-        }
-        cost
-    }
-}
-
 impl SpatialIndex for RTreeStrategy {
     fn name(&self) -> &'static str {
         match self.discipline {
@@ -93,7 +64,39 @@ impl SpatialIndex for RTreeStrategy {
         self.tree.memory_bytes()
     }
 
-    update_in_place_by_step!();
+    /// `Rebuild` writes the batch and STR-rebuilds over `data`; the other
+    /// disciplines move each entry whose box changed, O(K) for K updates.
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        let mut cost = ShardApplyCost::default();
+        if self.discipline == RTreeDiscipline::Rebuild {
+            if !updates.is_empty() {
+                write_each(data, updates, |_, _, _| {});
+                self.tree.rebuild(data);
+                cost.rebuilds = 1;
+            }
+            return Some(cost);
+        }
+        let bottom_up = self.discipline == RTreeDiscipline::BottomUp;
+        write_each(data, updates, |id, ob, e| {
+            let nb = e.aabb();
+            if ob == nb {
+                cost.absorbed += 1;
+                return;
+            }
+            let updated = if bottom_up {
+                self.tree.update_bottom_up(id, &ob, nb)
+            } else {
+                self.tree.update(id, &ob, nb)
+            };
+            debug_assert!(updated, "entry {id} missing from tree");
+            cost.structural += 1;
+        });
+        Some(cost)
+    }
 }
 
 impl KnnIndex for RTreeStrategy {
@@ -138,19 +141,19 @@ mod tests {
             .universe_side(20.0)
             .seed(3)
             .build();
-        let mut moved = data.clone();
         let mut model = PlasticityModel::with_sigma(0.02, 5);
-        let moves = model.sample_step(moved.len());
-        for (id, d) in moves.iter().enumerate() {
-            moved.displace(id as u32, *d);
-        }
+        let batch = data.displaced_batch(&model.sample_step(data.len()));
         let mut re = RTreeStrategy::build(data.elements(), RTreeDiscipline::Reinsert);
-        let c = re.apply_step(data.elements(), moved.elements());
+        let c = re
+            .update_in_place(data.clone().elements_mut(), &batch)
+            .unwrap();
         assert_eq!(c.structural + c.absorbed, 200);
         assert_eq!(c.rebuilds, 0);
 
         let mut rb = RTreeStrategy::build(data.elements(), RTreeDiscipline::Rebuild);
-        let c = rb.apply_step(data.elements(), moved.elements());
+        let c = rb
+            .update_in_place(data.clone().elements_mut(), &batch)
+            .unwrap();
         assert_eq!(c.rebuilds, 1);
         assert_eq!(c.structural, 0);
     }

@@ -4,8 +4,8 @@
 //! faster" when too few queries amortise the maintenance. Experiment E13
 //! finds that crossover.
 
-use crate::strategy::{update_in_place_by_step, UpdateStrategy};
-use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
+use crate::strategy::write_each;
+use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use simspatial_index::{KnnIndex, KnnSink, LinearScan, RangeSink, ShardApplyCost, SpatialIndex};
 
 /// Zero-maintenance linear scan.
@@ -19,16 +19,6 @@ impl NoIndexScan {
     pub fn build(elements: &[Element]) -> Self {
         Self {
             scan: LinearScan::build(elements),
-        }
-    }
-}
-
-impl UpdateStrategy for NoIndexScan {
-    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> ShardApplyCost {
-        self.scan = LinearScan::build(new);
-        ShardApplyCost {
-            absorbed: new.len() as u64,
-            ..Default::default()
         }
     }
 }
@@ -56,7 +46,17 @@ impl SpatialIndex for NoIndexScan {
         std::mem::size_of::<Self>()
     }
 
-    update_in_place_by_step!();
+    /// Writes the batch; there is nothing to maintain, so every update
+    /// is absorbed.
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        let mut cost = ShardApplyCost::default();
+        write_each(data, updates, |_, _, _| cost.absorbed += 1);
+        Some(cost)
+    }
 }
 
 impl KnnIndex for NoIndexScan {

@@ -154,14 +154,43 @@ mod tests {
     }
 
     #[test]
-    fn update_by_step_skips_unknown_ids() {
-        let mut data = soup(50);
-        let mut strategy = UpdateStrategyKind::NoIndexScan.create(&data);
-        let cost = strategy.update_in_place(
-            &mut data,
-            &[(999, Shape::Box(Aabb::new(Point3::ORIGIN, Point3::ORIGIN)))],
-        );
-        assert!(cost.is_some());
-        assert_eq!(data.len(), 50);
+    fn update_in_place_skips_unknown_ids() {
+        let data = soup(50);
+        let far = Shape::Box(Aabb::new(Point3::ORIGIN, Point3::ORIGIN));
+        let q = Aabb::new(Point3::ORIGIN, Point3::new(30.0, 30.0, 30.0));
+        let mut want = LinearScan::build(&data).range(&data, &q);
+        want.sort_unstable();
+        for kind in UpdateStrategyKind::ALL {
+            let mut written = data.clone();
+            let mut strategy = kind.create(&written);
+            let cost = strategy
+                .update_in_place(&mut written, &[(999, far), (50, far)])
+                .expect("every strategy writes in place");
+            assert_eq!(cost.structural + cost.absorbed, 0, "{kind:?}");
+            assert_eq!(written, data, "{kind:?}");
+            assert_eq!(strategy.len(), 50, "{kind:?}");
+            let mut got = strategy.range(&written, &q);
+            got.sort_unstable();
+            assert_eq!(got, want, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn update_in_place_applies_duplicates_in_batch_order() {
+        let data = soup(50);
+        let at = |x: f32| Shape::Box(Aabb::new(Point3::new(x, x, x), Point3::new(x, x, x)));
+        let batch = [(7, at(60.0)), (8, at(61.0)), (7, at(62.0))];
+        let q = Aabb::new(Point3::new(59.0, 59.0, 59.0), Point3::new(63.0, 63.0, 63.0));
+        for kind in UpdateStrategyKind::ALL {
+            let mut written = data.clone();
+            let mut strategy = kind.create(&written);
+            strategy.update_in_place(&mut written, &batch).unwrap();
+            assert_eq!(written[7].shape, at(62.0), "{kind:?}: last write wins");
+            let mut got = strategy.range(&written, &q);
+            got.sort_unstable();
+            assert_eq!(got, vec![7, 8], "{kind:?}");
+            let away = Aabb::new(Point3::new(59.5, 59.5, 59.5), Point3::new(60.5, 60.5, 60.5));
+            assert!(strategy.range(&written, &away).is_empty(), "{kind:?}");
+        }
     }
 }

@@ -1,69 +1,46 @@
 //! The update-strategy trait and factory.
 
 use crate::RTreeDiscipline;
-use simspatial_geom::{Element, ElementId, Shape};
-use simspatial_index::{KnnIndex, ShardApplyCost, SpatialIndex};
+use simspatial_geom::{Aabb, Element, ElementId, Shape};
+use simspatial_index::{KnnIndex, SpatialIndex};
 
-/// An index-maintenance strategy over a moving dataset — an index that
-/// also knows how to absorb movement.
-///
-/// Contract: after `apply_step(old, new)` the strategy answers every
-/// [`SpatialIndex`] / [`KnnIndex`] query *exactly* against the `new`
-/// element geometry, and its [`SpatialIndex::len`] is the dataset size
-/// (every strategy here preserves correctness; what varies is where the
-/// time goes). So a `Box<dyn UpdateStrategy>` serves wherever an index
-/// does, a [`ShardedEngine`](simspatial_index::ShardedEngine) shard
-/// included.
+/// An index-maintenance strategy over a moving dataset: an index that
+/// absorbs movement through its one write method,
+/// [`SpatialIndex::update_in_place`], which every strategy here implements
+/// and never declines. After a write the strategy answers every query
+/// exactly against the written `data` (what varies is where the time
+/// goes), and the reported cost counts the batch, not the dataset. So a
+/// `Box<dyn UpdateStrategy>` serves wherever an index does, a
+/// [`ShardedEngine`](simspatial_index::ShardedEngine) shard included.
 ///
 /// Maintenance must be a pure function of the strategy's state and its
 /// arguments — no clocks, random numbers or hash-seeded iteration — so two
-/// strategies fed the same steps answer byte for byte, emission order
-/// included (the [`SpatialIndex::update_in_place`] contract, which is how a
-/// served strategy takes write batches).
+/// strategies fed the same batches answer byte for byte, emission order
+/// included (the [`SpatialIndex::update_in_place`] contract).
 ///
-/// `Send` so a strategy can serve as a concurrent service's write path
-/// (see the `service` module) — every strategy here is plain owned data.
-pub trait UpdateStrategy: SpatialIndex + KnnIndex + Send {
-    /// Reacts to one simulation step. `old` and `new` are the full element
-    /// slices before and after the step (same ids, same order).
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost;
-}
+/// A method-free name for `SpatialIndex + KnnIndex + Send`, which every
+/// such type has. `Send` so a strategy can serve as a concurrent service's
+/// write path (see the `service` module).
+pub trait UpdateStrategy: SpatialIndex + KnnIndex + Send {}
 
-/// The in-place write of a strategy with no sparse path of its own: the
-/// updates are written into `data` (out-of-range ids skipped), then the
-/// whole step — old snapshot against the written slice — goes through
-/// [`UpdateStrategy::apply_step`]. O(slice) per batch, whatever its size.
-pub(crate) fn update_by_step(
-    strategy: &mut impl UpdateStrategy,
+impl<T: SpatialIndex + KnnIndex + Send + ?Sized> UpdateStrategy for T {}
+
+/// Writes each update into `data` in batch order, skipping out-of-range
+/// ids, and hands `moved` the id, the element's box before the write and
+/// the written element: the loop every strategy's `update_in_place` runs.
+pub(crate) fn write_each(
     data: &mut [Element],
     updates: &[(ElementId, Shape)],
-) -> ShardApplyCost {
-    if updates.is_empty() {
-        return ShardApplyCost::default();
-    }
-    let old: Vec<Element> = data.to_vec();
+    mut moved: impl FnMut(ElementId, Aabb, &Element),
+) {
     for &(id, shape) in updates {
         if let Some(e) = data.get_mut(id as usize) {
+            let old = e.aabb();
             e.shape = shape;
+            moved(id, old, e);
         }
     }
-    strategy.apply_step(&old, data)
 }
-
-/// Implements [`SpatialIndex::update_in_place`] as `Some` of
-/// [`update_by_step`], inside a strategy's `SpatialIndex` impl.
-macro_rules! update_in_place_by_step {
-    () => {
-        fn update_in_place(
-            &mut self,
-            data: &mut [simspatial_geom::Element],
-            updates: &[(simspatial_geom::ElementId, simspatial_geom::Shape)],
-        ) -> Option<simspatial_index::ShardApplyCost> {
-            Some(crate::strategy::update_by_step(self, data, updates))
-        }
-    };
-}
-pub(crate) use update_in_place_by_step;
 
 /// Factory enumeration of every strategy in the crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -22,12 +22,10 @@ pub(crate) fn check_strategy_correctness(kind: UpdateStrategyKind) {
     let mut model = PlasticityModel::with_sigma(0.05, 99);
     let mut engine = QueryEngine::new();
     for step in 0..6u32 {
-        let old = data.elements().to_vec();
-        let moves = model.sample_step(data.len());
-        for (id, d) in moves.iter().enumerate() {
-            data.displace(id as u32, *d);
-        }
-        strategy.apply_step(&old, data.elements());
+        let batch = data.displaced_batch(&model.sample_step(data.len()));
+        strategy
+            .update_in_place(data.elements_mut(), &batch)
+            .expect("every strategy writes in place");
         let name = strategy.name();
         assert_eq!(strategy.len(), data.len(), "{name} step {step} len");
 

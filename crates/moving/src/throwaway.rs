@@ -7,8 +7,8 @@
 //! throw it away. A uniform grid is the natural throwaway structure in
 //! memory (O(n) build, no tree).
 
-use crate::strategy::{update_in_place_by_step, UpdateStrategy};
-use simspatial_geom::{Aabb, Element, Point3, QueryScratch};
+use crate::strategy::write_each;
+use simspatial_geom::{Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use simspatial_index::{
     GridConfig, KnnIndex, KnnSink, RangeSink, ShardApplyCost, SpatialIndex, UniformGrid,
 };
@@ -24,16 +24,6 @@ impl ThrowawayGrid {
     pub fn build(elements: &[Element]) -> Self {
         Self {
             grid: UniformGrid::build(elements, GridConfig::auto(elements)),
-        }
-    }
-}
-
-impl UpdateStrategy for ThrowawayGrid {
-    fn apply_step(&mut self, _old: &[Element], new: &[Element]) -> ShardApplyCost {
-        self.grid = UniformGrid::build(new, GridConfig::auto(new));
-        ShardApplyCost {
-            rebuilds: 1,
-            ..Default::default()
         }
     }
 }
@@ -61,7 +51,23 @@ impl SpatialIndex for ThrowawayGrid {
         self.grid.memory_bytes()
     }
 
-    update_in_place_by_step!();
+    /// Writes the batch and throws the grid away for a fresh one over
+    /// `data` (an empty batch changes nothing, so it keeps the grid).
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        if updates.is_empty() {
+            return Some(ShardApplyCost::default());
+        }
+        write_each(data, updates, |_, _, _| {});
+        self.grid = UniformGrid::build(data, GridConfig::auto(data));
+        Some(ShardApplyCost {
+            rebuilds: 1,
+            ..Default::default()
+        })
+    }
 }
 
 impl KnnIndex for ThrowawayGrid {

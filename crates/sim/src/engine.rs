@@ -1,8 +1,8 @@
 //! The step loop: update → maintain → monitor.
 
 use simspatial_datagen::{Dataset, QueryWorkload};
-use simspatial_geom::{Aabb, Element, Vec3};
-use simspatial_index::ShardApplyCost;
+use simspatial_geom::{Aabb, ElementId, Vec3};
+use simspatial_index::{ShardApplyCost, SpatialIndex};
 use simspatial_moving::{UpdateStrategy, UpdateStrategyKind};
 use std::time::Instant;
 
@@ -77,8 +77,6 @@ pub struct Simulation {
     queries: QueryWorkload,
     config: SimulationConfig,
     step: usize,
-    /// Scratch buffer holding the previous step's elements.
-    old: Vec<Element>,
 }
 
 impl Simulation {
@@ -98,7 +96,6 @@ impl Simulation {
             data,
             config,
             step: 0,
-            old: Vec::new(),
         }
     }
 
@@ -119,7 +116,7 @@ impl Simulation {
 
     /// Executes one step and reports its cost split.
     pub fn run_step(&mut self) -> StepReport {
-        let mut report = self.advance();
+        let (mut report, _) = self.advance();
 
         // --- monitor phase --------------------------------------------------
         let t = Instant::now();
@@ -131,9 +128,12 @@ impl Simulation {
     }
 
     /// Runs the next step's update and maintenance phases and counts the
-    /// step done. The report carries their timings and cost; its monitor
-    /// fields are zero.
-    pub(crate) fn advance(&mut self) -> StepReport {
+    /// step done. The update phase turns the displacements into one dense
+    /// `(id, shape)` write batch in id order, which the strategy writes in
+    /// place. Returns the report — its monitor fields zero — and the
+    /// movers: `(id, new envelope)` of each element whose envelope changed,
+    /// in id order.
+    pub(crate) fn advance(&mut self) -> (StepReport, Vec<(ElementId, Aabb)>) {
         // --- update phase -------------------------------------------------
         let t = Instant::now();
         let moves = self
@@ -144,29 +144,29 @@ impl Simulation {
             self.data.len(),
             "workload must move every element"
         );
-        self.old.clear();
-        self.old.extend_from_slice(self.data.elements());
-        for (id, d) in moves.iter().enumerate() {
-            self.data.displace(id as u32, *d);
-        }
+        let batch = self.data.displaced_batch(&moves);
+        let movers = batch
+            .iter()
+            .map(|&(id, shape)| (id, shape.aabb()))
+            .filter(|&(id, envelope)| envelope != self.data.get(id).aabb())
+            .collect();
         let update_s = t.elapsed().as_secs_f64();
 
         // --- maintenance phase ---------------------------------------------
         let t = Instant::now();
-        let cost = self.strategy.apply_step(&self.old, self.data.elements());
+        let cost = self
+            .strategy
+            .update_in_place(self.data.elements_mut(), &batch)
+            .expect("every update strategy writes in place");
         self.step += 1;
-        StepReport {
+        let report = StepReport {
             step: self.step - 1,
             update_s,
             maintain_s: t.elapsed().as_secs_f64(),
             cost,
             ..Default::default()
-        }
-    }
-
-    /// The elements as they were before the last step.
-    pub(crate) fn previous(&self) -> &[Element] {
-        &self.old
+        };
+        (report, movers)
     }
 
     /// The monitoring query boxes of one step.

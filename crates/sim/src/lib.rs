@@ -6,10 +6,12 @@
 //!
 //! 1. an **update phase** — the workload computes every element's
 //!    displacement (possibly issuing spatial queries itself, as n-body and
-//!    material-deformation solvers do),
+//!    material-deformation solvers do), which becomes one `(id, shape)`
+//!    write batch in id order,
 //! 2. **index maintenance** — the configured
-//!    [`UpdateStrategy`](simspatial_moving::UpdateStrategy) reacts to the
-//!    movement, and
+//!    [`UpdateStrategy`](simspatial_moving::UpdateStrategy) writes that
+//!    batch into the dataset in place (`SpatialIndex::update_in_place`),
+//!    with no copy of the previous state, and
 //! 3. a **monitor phase** — in-situ analysis/visualisation range queries
 //!    execute against the fresh state ("thousands of range queries need to
 //!    be executed between two simulation steps at locations that cannot be

@@ -22,7 +22,6 @@
 
 use crate::engine::{Simulation, SimulationConfig, Workload};
 use simspatial_datagen::Dataset;
-use simspatial_geom::Aabb;
 use simspatial_index::ShardApplyCost;
 use simspatial_service::{Consistency, Reply, Request, ServiceHandle, SubmitError, Ticket};
 use std::time::Instant;
@@ -138,7 +137,7 @@ impl ServedSimulation {
     /// Propagates [`SubmitError`] when the service shuts down mid-step
     /// (a tick acknowledged with an error also maps to `ShutDown`).
     pub fn run_step(&mut self) -> Result<ServedStepReport, SubmitError> {
-        let local = self.sim.advance();
+        let (local, moved) = self.sim.advance();
         let mut report = ServedStepReport {
             step: local.step,
             update_s: local.update_s,
@@ -148,18 +147,9 @@ impl ServedSimulation {
         };
 
         // --- tick through the service (write barrier) -------------------
-        // Only the moved elements ship, so the wire payload and the apply
-        // cost scale with the moved count, not the dataset size.
+        // Only the movers `advance` recorded ship, so the wire payload and
+        // the apply cost scale with the moved count, not the dataset size.
         let t = Instant::now();
-        let moved: Vec<(u32, Aabb)> = self
-            .sim
-            .data()
-            .elements()
-            .iter()
-            .zip(self.sim.previous())
-            .filter(|(new, old)| new.aabb() != old.aabb())
-            .map(|(new, _)| (new.id, new.aabb()))
-            .collect();
         report.moved = moved.len() as u64;
         let ack = recv(self.handle.submit(Request::StepDelta(moved))?)?;
         report.applied = ack.response.into_applied().unwrap_or(0);
@@ -211,7 +201,7 @@ mod tests {
     use super::*;
     use crate::PlasticityWorkload;
     use simspatial_datagen::ElementSoupBuilder;
-    use simspatial_geom::{Element, Point3, Shape};
+    use simspatial_geom::{Aabb, Element, Point3, Shape};
     use simspatial_index::{GridConfig, LinearScan, ShardedEngine, UniformGrid};
     use simspatial_moving::UpdateStrategyKind;
     use simspatial_service::{ServiceConfig, ShardedBackend, SpatialService};

@@ -166,12 +166,6 @@ impl<I: KnnIndex> KnnIndex for RebuildOnly<I> {
     }
 }
 
-impl UpdateStrategy for RebuildOnly<Box<dyn UpdateStrategy>> {
-    fn apply_step(&mut self, old: &[Element], new: &[Element]) -> ShardApplyCost {
-        self.0.apply_step(old, new)
-    }
-}
-
 /// `build` with its index wrapped in [`RebuildOnly`]: an engine built and
 /// rebuilt with it writes the way a [`RebuildOracle`] over `build` does.
 pub fn rebuild_only<I>(

@@ -495,6 +495,38 @@ fn incremental_mode_avoids_rebuilds_on_jitter() {
     assert_eq!(s_reb.migrations, 0);
 }
 
+/// Every strategy's in-place write costs what the lane carries, not the
+/// shard: a 30-element resident jitter on a one-shard, 600-element engine
+/// touches or absorbs at most one entry per shipped update, whatever the
+/// kind, and an empty batch costs nothing and writes nothing.
+#[test]
+fn every_strategy_bounds_lane_work_by_the_lane() {
+    let n = 600u32;
+    let data = soup(n, 0xACC);
+    let updates = jitter(n, 0xACC, 30);
+    for kind in UpdateStrategyKind::ALL {
+        let mut engine = sharded_strategy_engine(&data, 1, kind);
+        let stats = engine.update_batch(&updates);
+        assert_eq!(stats.rebuilds_avoided, 1, "{kind:?}: one lane, in place");
+        assert!(
+            stats.structural + stats.absorbed <= stats.shipped,
+            "{kind:?}: lane work {} + {} exceeds the {} shipped updates",
+            stats.structural,
+            stats.absorbed,
+            stats.shipped
+        );
+
+        let mut strategy = kind.create(&data);
+        let mut written = data.clone();
+        assert_eq!(
+            strategy.update_in_place(&mut written, &[]),
+            Some(ShardApplyCost::default()),
+            "{kind:?}: an empty batch costs nothing"
+        );
+        assert_eq!(written, data, "{kind:?}: an empty batch writes nothing");
+    }
+}
+
 /// A plain grid engine writes in place with no opt-in: built with only a
 /// rebuild function, it applies a resident jitter tick without rebuilding
 /// (one avoided rebuild per touched shard) and answers like its
