@@ -5,9 +5,7 @@
 //! work, so a shard layer only has to decide *which* shard executes *which*
 //! queries and how per-shard emissions merge back into one sink.
 //!
-//! Since the service layer landed, that decision is split into three
-//! separately addressable pieces, so per-shard execution no longer needs
-//! `&mut ShardedEngine` for the whole fan-out:
+//! That decision is split into three separately addressable pieces:
 //!
 //! * [`ShardExecutor`] — one shard's execution state: a compact clone of
 //!   its elements (re-identified with dense local ids so any index type,
@@ -28,11 +26,14 @@
 //!   copied through untouched; per-shard kNN top-k lists merge under the
 //!   global ascending `(distance, id)` order).
 //!
-//! [`ShardedEngine`] composes the three inline (per-shard worker threads
-//! when `SIMSPATIAL_THREADS > 1`), and [`ShardedEngine::into_parts`] hands
-//! the planner and executors to callers — such as
-//! `simspatial_service::ShardedBackend` — that schedule the executors on
-//! their own workers (there, a work-stealing pool).
+//! A [`ShardSet`] holds the three and writes the sharded sequence once:
+//! [`ShardSet::read`] routes, runs a wave of lanes, routes the kNN fan-out,
+//! runs that wave and merges; [`ShardSet::write`] routes, runs one wave
+//! and folds the lane reports. A *runner* closure decides only where a
+//! wave's lanes execute. [`ShardedEngine`] is a shard set over its own
+//! executors that runs every lane in shard order on the calling thread —
+//! the serial reference; `simspatial_service::ShardedBackend` holds one
+//! over its work-stealing pool.
 //!
 //! **The write path** mirrors the query path lane for lane: a coalesced
 //! `(id, new geometry)` batch routes through
@@ -47,9 +48,7 @@
 //! per mover, not per element — otherwise it is rebuilt by the function
 //! attached with [`ShardedEngine::with_rebuild`]), and the
 //! [`UpdateLaneReport`]s carry post-migration shard sizes and memory back
-//! for accounting. [`ShardedEngine::update_batch`] composes the round trip
-//! inline; the service layer ships the same lanes to its per-shard
-//! workers. After any batch, executors hold their elements sorted by
+//! for accounting. After any batch, executors hold their elements sorted by
 //! global id — the invariant that keeps per-shard top-k tie-breaking, and
 //! therefore post-update query results, byte-identical to an unsharded
 //! engine over the same updated data.
@@ -66,10 +65,10 @@
 //! running the same exact index unsharded (approximate structures like LSH
 //! hash differently per shard and are exempt from that guarantee).
 //!
-//! **Accounting** — per-shard [`QueryStats`] predicate-counter deltas are
-//! summed (they are captured on the executing thread, so the totals are
-//! correct under threading); elapsed time is the overall wall clock and
-//! `results` counts post-merge (deduplicated) emissions.
+//! **Accounting** — per-shard [`QueryStats`] predicate-counter deltas
+//! travel in their lanes and are summed at the merge, wherever the lanes
+//! ran; elapsed time is the overall wall clock and `results` counts
+//! post-merge (deduplicated) emissions.
 //! [`ShardedEngine::memory_bytes`] counts the full sharded structure:
 //! per-shard indexes, the replicated element clones and id maps, every
 //! engine's scratch high-water mark, the router and the merge scratch.
@@ -80,7 +79,7 @@ use crate::traits::{
     KnnIndex, KnnSink, QueryStats, RangeSink, ShardApplyCost, SpatialIndex, UpdateStats,
 };
 use crate::util::{admit_limit2, knn_reach};
-use simspatial_geom::{parallel, stats, Aabb, Element, ElementId, Point3, QueryScratch, Shape};
+use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, QueryScratch, Shape};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -552,6 +551,9 @@ impl<I: SpatialIndex> ShardExecutor<I> {
     ///   attached rebuild function rebuilds the index over it, which also
     ///   re-fits the index to where the elements now are. A declined write
     ///   after an accepted splice is still correct: the clone is spliced.
+    ///   An index that rebuilt itself inside the write (its cost reports
+    ///   `rebuilds > 0`) counts the same way: every element's entry was
+    ///   rewritten, and no rebuild was avoided.
     ///
     /// Every step is a pure function of the executor's state and the lane
     /// (the determinism contract of [`SpatialIndex::update_in_place`]).
@@ -620,14 +622,18 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         } else {
             None
         };
-        match cost {
-            Some(cost) => UpdateLaneReport {
-                structural: cost.structural + changed as u64,
-                absorbed: cost.absorbed,
-                rebuilds: cost.rebuilds,
-                rebuilds_avoided: 1,
-                ..report
-            },
+        let rebuilds = match cost {
+            Some(cost) if cost.rebuilds == 0 => {
+                return UpdateLaneReport {
+                    structural: cost.structural + changed as u64,
+                    absorbed: cost.absorbed,
+                    rebuilds_avoided: 1,
+                    ..report
+                }
+            }
+            // The index rebuilt itself inside the write (a rebuild
+            // strategy): the lane counts as a rebuild, not as one avoided.
+            Some(cost) => cost.rebuilds,
             None => {
                 for &(li, shape) in &scratch.local {
                     self.data[li as usize].shape = shape;
@@ -635,14 +641,15 @@ impl<I: SpatialIndex> ShardExecutor<I> {
                 self.data.shrink_to_fit();
                 self.global.shrink_to_fit();
                 self.index = rebuild(&self.data);
-                UpdateLaneReport {
-                    // A rebuild touches every element's index entry — the
-                    // write amplification the in-place path exists to avoid.
-                    structural: self.data.len() as u64,
-                    rebuilds: 1,
-                    ..report
-                }
+                1
             }
+        };
+        UpdateLaneReport {
+            // A rebuild touches every element's index entry — the write
+            // amplification the in-place path exists to avoid.
+            structural: self.data.len() as u64,
+            rebuilds,
+            ..report
         }
     }
 
@@ -929,11 +936,10 @@ pub struct UpdateLaneReport {
     /// Updates absorbed in place with no structural work.
     pub absorbed: u64,
     /// Full index rebuilds this lane performed (the executor fallback, or
-    /// a strategy-internal rebuild on the incremental path).
+    /// a rebuild the index performed inside its in-place write).
     pub rebuilds: u64,
-    /// 1 when the lane ran in place — geometry and, if it carried any,
-    /// membership changes (the mandatory rebuild of rebuild mode was
-    /// skipped), 0 otherwise.
+    /// 1 when the lane ran in place with no rebuild — geometry and, if it
+    /// carried any, membership changes — 0 otherwise.
     pub rebuilds_avoided: u64,
 }
 
@@ -1022,11 +1028,15 @@ impl UpdateLane {
     /// place by the index where it can ([`SpatialIndex::update_in_place`]),
     /// by index rebuild otherwise — and records the post-apply report. The
     /// report reads the index's memory gauge, so the call ends in O(1) for
-    /// an index that keeps a running count ([`crate::UniformGrid`]).
+    /// an index that keeps a running count ([`crate::UniformGrid`]). An
+    /// empty lane does nothing and keeps its empty report.
     ///
     /// Panics when `exec` has no rebuild function attached
     /// ([`ShardedEngine::with_rebuild`]).
     pub fn run<I: SpatialIndex>(&mut self, exec: &mut ShardExecutor<I>) {
+        if self.is_empty() {
+            return;
+        }
         let mut report = exec.apply_updates(
             &self.updates,
             &self.inserts,
@@ -1062,8 +1072,9 @@ fn size_lanes<L: Default>(lanes: &mut Vec<L>, n: usize, clear: impl FnMut(&mut L
 /// range ids; kNN top-k under ascending `(distance, id)`).
 ///
 /// A planner never touches shard indexes, so callers are free to run the
-/// lanes wherever they like — inline, via [`ShardedEngine`]'s scoped
-/// threads, or on the service layer's work-stealing shard pool.
+/// lanes wherever they like — through a [`ShardSet`] runner (inline for
+/// [`ShardedEngine`], on the service layer's work-stealing shard pool) or
+/// by hand.
 pub struct ShardPlanner {
     router: ShardRouter,
     /// Per-shard kNN fan-out pruning regions, hoisted out of the hot loops.
@@ -1571,29 +1582,186 @@ impl ShardPlanner {
     }
 }
 
-/// Runs `f` over every (executor, lane) pair — on worker threads via the
-/// shared `simspatial_geom::parallel` helpers (one pair per chunk) when
-/// they have threads to spend, inline otherwise.
-fn run_pairs<A: Send, B: Send>(a: &mut [A], b: &mut [B], f: impl Fn(&mut A, &mut B) + Sync) {
-    debug_assert_eq!(a.len(), b.len());
-    if parallel::num_threads() <= 1 || a.len() <= 1 {
-        for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-            f(x, y);
+/// One wave of routed lanes, one slot per shard: lanes that do not
+/// depend on each other, so a runner may run them in any order, on any
+/// thread. A kind the wave does not carry is an empty slice.
+pub struct Wave<'a> {
+    /// Range lanes (a read's first wave).
+    pub range: &'a mut [RangeLane],
+    /// kNN home lanes (a read's first wave) or fan-out lanes (its second).
+    pub knn: &'a mut [KnnLane],
+    /// Write lanes (a write's one wave).
+    pub update: &'a mut [UpdateLane],
+}
+
+/// The one sharded execution path: a [`ShardPlanner`], the shard
+/// executors `E` and the lanes between them. [`ShardSet::read`] and
+/// [`ShardSet::write`] are the route → wave → merge sequences; a
+/// **runner** — a closure given the planner, the executors and one
+/// [`Wave`] — decides only where the wave's lanes execute, and answers
+/// whether the wave came back whole. [`ShardedEngine`] runs its own
+/// executors inline; `simspatial_service::ShardedBackend` runs a pool.
+pub struct ShardSet<E> {
+    planner: ShardPlanner,
+    executors: E,
+    range_lanes: Vec<RangeLane>,
+    knn_home: Vec<KnnLane>,
+    knn_fan: Vec<KnnLane>,
+    update_lanes: Vec<UpdateLane>,
+    /// The `(point, k)` probes of the batch in flight of
+    /// [`ShardedEngine::knn_batch_into`], which gets points and one `k`.
+    probes: Vec<(Point3, usize)>,
+}
+
+impl<E> ShardSet<E> {
+    /// A shard set over `planner` and its shards' executors.
+    pub fn from_parts(planner: ShardPlanner, executors: E) -> Self {
+        Self {
+            planner,
+            executors,
+            range_lanes: Vec::new(),
+            knn_home: Vec::new(),
+            knn_fan: Vec::new(),
+            update_lanes: Vec::new(),
+            probes: Vec::new(),
         }
-        return;
     }
-    let mut pairs: Vec<(&mut A, &mut B)> = a.iter_mut().zip(b.iter_mut()).collect();
-    let cuts: Vec<usize> = (1..pairs.len()).collect();
-    parallel::par_for_each_slice(parallel::split_at_many(&mut pairs, &cuts), |chunk| {
-        for pair in chunk.iter_mut() {
-            f(pair.0, pair.1);
+
+    /// Splits the set into its planner and executors, for callers that
+    /// route, run and merge lanes by hand.
+    pub fn into_parts(self) -> (ShardPlanner, E) {
+        (self.planner, self.executors)
+    }
+
+    /// The shard executors.
+    pub fn executors(&self) -> &E {
+        &self.executors
+    }
+
+    /// The shard executors, mutably.
+    pub fn executors_mut(&mut self) -> &mut E {
+        &mut self.executors
+    }
+
+    /// The routing function in force.
+    pub fn router(&self) -> &ShardRouter {
+        self.planner.router()
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.planner.shard_count()
+    }
+
+    /// Bytes of the planner and of every lane's buffers: the footprint of
+    /// the set outside its executors.
+    pub fn plan_memory_bytes(&self) -> usize {
+        self.planner.memory_bytes()
+            + self
+                .range_lanes
+                .iter()
+                .map(RangeLane::memory_bytes)
+                .sum::<usize>()
+            + self
+                .knn_home
+                .iter()
+                .chain(&self.knn_fan)
+                .map(KnnLane::memory_bytes)
+                .sum::<usize>()
+            + self
+                .update_lanes
+                .iter()
+                .map(UpdateLane::memory_bytes)
+                .sum::<usize>()
+    }
+
+    /// The read sequence: route `boxes` and the kNN home lanes of `probes`,
+    /// run that wave; route the fan-out from the executed home lanes, run
+    /// that wave; merge into `range_sink` and `knn_sink`. A wave that
+    /// comes back not whole re-routes the read from scratch. Returns the
+    /// range and kNN accounting (`elapsed_s` is the caller's to fill).
+    pub fn read(
+        &mut self,
+        boxes: &[Aabb],
+        probes: &[(Point3, usize)],
+        range_sink: &mut dyn RangeSink,
+        knn_sink: &mut dyn KnnSink,
+        mut run: impl FnMut(&ShardPlanner, &mut E, Wave<'_>) -> bool,
+    ) -> (QueryStats, QueryStats) {
+        loop {
+            self.planner.route_range(boxes, &mut self.range_lanes);
+            self.planner.route_knn_home(probes, &mut self.knn_home);
+            let first = Wave {
+                range: &mut self.range_lanes,
+                knn: &mut self.knn_home,
+                update: &mut [],
+            };
+            if !run(&self.planner, &mut self.executors, first) {
+                continue;
+            }
+            self.planner
+                .route_knn_fanout(probes, &self.knn_home, &mut self.knn_fan);
+            let fan_out = Wave {
+                range: &mut [],
+                knn: &mut self.knn_fan,
+                update: &mut [],
+            };
+            if run(&self.planner, &mut self.executors, fan_out) {
+                break;
+            }
         }
-    });
+        let planner = &mut self.planner;
+        (
+            planner.merge_range(boxes.len(), &mut self.range_lanes, range_sink),
+            planner.merge_knn(probes, &mut self.knn_home, &mut self.knn_fan, knn_sink),
+        )
+    }
+
+    /// The write sequence: `route` advances the planner and fills the
+    /// update lanes, `run` executes them as one wave, and each lane's
+    /// [`UpdateLaneReport`] folds into the batch's [`UpdateStats`]. A
+    /// runner empties a lane it could not run. `run`'s answer is not
+    /// consulted: routing advanced the planner's element store, which a
+    /// restarted shard is rebuilt from, so a write never re-routes.
+    pub fn write<T>(
+        &mut self,
+        route: impl FnOnce(&mut ShardPlanner, &mut Vec<UpdateLane>) -> (T, UpdateStats),
+        run: impl FnOnce(&ShardPlanner, &mut E, Wave<'_>) -> bool,
+    ) -> (T, UpdateStats) {
+        let start = Instant::now();
+        let (value, mut stats) = route(&mut self.planner, &mut self.update_lanes);
+        let wave = Wave {
+            range: &mut [],
+            knn: &mut [],
+            update: &mut self.update_lanes,
+        };
+        run(&self.planner, &mut self.executors, wave);
+        for lane in &self.update_lanes {
+            lane.report().fold_into(&mut stats);
+        }
+        stats.elapsed_s = start.elapsed().as_secs_f64();
+        (value, stats)
+    }
+}
+
+/// The engine's runner for one lane kind: each lane runs on its shard's
+/// executor, in shard order, on the calling thread.
+fn run_serial<I, L>(
+    executors: &mut [ShardExecutor<I>],
+    lanes: &mut [L],
+    run: impl Fn(&mut L, &mut ShardExecutor<I>),
+) -> bool {
+    for (exec, lane) in executors.iter_mut().zip(lanes) {
+        run(lane, exec);
+    }
+    true
 }
 
 /// A region-sharded query engine: K shards, each owning a [`QueryEngine`]
 /// and its own index over its slice of the dataset, behind the same sink
-/// contracts as a single engine. See the module docs for the architecture.
+/// contracts as a single engine. Every lane runs on the calling thread in
+/// shard order — the serial reference the service's pool is checked
+/// against. See the module docs for the architecture.
 ///
 /// ```
 /// use simspatial_datagen::ElementSoupBuilder;
@@ -1609,17 +1777,7 @@ fn run_pairs<A: Send, B: Send>(a: &mut [A], b: &mut [B], f: impl Fn(&mut A, &mut
 /// let stats = sharded.range_collect(&queries, &mut results);
 /// assert_eq!(stats.results as usize, results.total());
 /// ```
-pub struct ShardedEngine<I> {
-    planner: ShardPlanner,
-    executors: Vec<ShardExecutor<I>>,
-    range_lanes: Vec<RangeLane>,
-    knn_home: Vec<KnnLane>,
-    knn_fan: Vec<KnnLane>,
-    /// The `(point, k)` probes of the kNN batch in flight, refilled by
-    /// every [`ShardedEngine::knn_batch_into`].
-    probes: Vec<(Point3, usize)>,
-    update_lanes: Vec<UpdateLane>,
-}
+pub type ShardedEngine<I> = ShardSet<Vec<ShardExecutor<I>>>;
 
 impl<I> ShardedEngine<I> {
     /// Partitions `data` into `shards` uniform region shards and builds one
@@ -1684,15 +1842,7 @@ impl<I> ShardedEngine<I> {
                 rebuild: None,
             })
             .collect();
-        Self {
-            planner,
-            executors,
-            range_lanes: Vec::new(),
-            knn_home: Vec::new(),
-            knn_fan: Vec::new(),
-            probes: Vec::new(),
-            update_lanes: Vec::new(),
-        }
+        Self::from_parts(planner, executors)
     }
 
     /// Attaches an index (re)build function to every shard, enabling the
@@ -1735,16 +1885,6 @@ impl<I> ShardedEngine<I> {
         self.executors.iter().all(ShardExecutor::is_updatable)
     }
 
-    /// The routing function in force.
-    pub fn router(&self) -> &ShardRouter {
-        self.planner.router()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.executors.len()
-    }
-
     /// Elements stored per shard (replicas counted once per shard they
     /// land in — diagnostics for the replication factor and for split-mode
     /// balance comparisons).
@@ -1757,12 +1897,12 @@ impl<I> ShardedEngine<I> {
         self.executors[i].region()
     }
 
-    /// Splits the engine into its planner and per-shard executors, for
-    /// callers that schedule the executors themselves (the service layer's
-    /// work-stealing pool). The planner routes and merges; executors run
-    /// lanes wherever the caller puts them.
-    pub fn into_parts(self) -> (ShardPlanner, Vec<ShardExecutor<I>>) {
-        (self.planner, self.executors)
+    /// Panics before the planner advances when a shard cannot write.
+    fn assert_updatable(&self, what: &str) {
+        assert!(
+            self.is_updatable(),
+            "{what} on a read-only sharded engine — attach a rebuild function with with_rebuild"
+        );
     }
 }
 
@@ -1791,47 +1931,28 @@ impl<I: SpatialIndex> ShardedEngine<I> {
     /// router and the merge/lane scratch. Replication makes this larger
     /// than an unsharded index over the same data.
     pub fn memory_bytes(&self) -> usize {
-        self.planner.memory_bytes()
+        self.plan_memory_bytes()
             + self
                 .executors
                 .iter()
                 .map(ShardExecutor::memory_bytes)
                 .sum::<usize>()
-            + self
-                .range_lanes
-                .iter()
-                .map(RangeLane::memory_bytes)
-                .sum::<usize>()
-            + self
-                .knn_home
-                .iter()
-                .chain(self.knn_fan.iter())
-                .map(KnnLane::memory_bytes)
-                .sum::<usize>()
             + self.probes.capacity() * std::mem::size_of::<(Point3, usize)>()
-            + self
-                .update_lanes
-                .iter()
-                .map(UpdateLane::memory_bytes)
-                .sum::<usize>()
     }
 }
 
 impl<I: SpatialIndex + Send> ShardedEngine<I> {
-    /// Runs a range batch across the shards: each query fans out to the
-    /// shards its box overlaps, every shard executes its sub-batch through
-    /// its own engine (threaded when `SIMSPATIAL_THREADS > 1`), and the
-    /// merge pass streams deduplicated global ids into `sink` grouped by
-    /// query in batch order. Returns the aggregated accounting.
+    /// Runs a range batch across the shards — a [`ShardSet::read`] with no
+    /// probes: each query fans out to the shards its box overlaps, every
+    /// shard executes its sub-batch through its own engine, and the merge
+    /// pass streams deduplicated global ids into `sink` grouped by query in
+    /// batch order. Returns the aggregated accounting.
     pub fn range_batch(&mut self, queries: &[Aabb], sink: &mut dyn RangeSink) -> QueryStats {
         let start = Instant::now();
-        self.planner.route_range(queries, &mut self.range_lanes);
-        run_pairs(&mut self.executors, &mut self.range_lanes, |exec, lane| {
-            lane.run(exec)
+        let no_probes = &mut KnnBatchResults::new();
+        let (mut stats, _) = self.read(queries, &[], sink, no_probes, |_, execs, wave| {
+            run_serial(execs, wave.range, RangeLane::run)
         });
-        let mut stats = self
-            .planner
-            .merge_range(queries.len(), &mut self.range_lanes, sink);
         stats.elapsed_s = start.elapsed().as_secs_f64();
         stats
     }
@@ -1850,16 +1971,17 @@ impl<I: SpatialIndex + Send> ShardedEngine<I> {
     /// inserted into entered ones — keeping replicas and id maps exactly
     /// consistent with envelope overlap; every touched shard then applies
     /// its lane in place or rebuilds its index over its post-batch local
-    /// elements (see [`UpdateLane::run`]; threaded when
-    /// `SIMSPATIAL_THREADS > 1`). After the batch, query results are
-    /// byte-identical to a single engine over the same updated dataset.
+    /// elements (see [`UpdateLane::run`]). After the batch, query results
+    /// are byte-identical to a single engine over the same updated dataset.
     ///
     /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
     /// panics on an engine without one.
     pub fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateStats {
-        self.apply_routed("write batch", |planner, lanes| {
-            ((), planner.route_updates(updates, lanes))
-        })
+        self.assert_updatable("write batch");
+        self.write(
+            |planner, lanes| ((), planner.route_updates(updates, lanes)),
+            |_, executors, wave| run_serial(executors, wave.update, UpdateLane::run),
+        )
         .1
     }
 
@@ -1872,9 +1994,11 @@ impl<I: SpatialIndex + Send> ShardedEngine<I> {
     /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
     /// panics on an engine without one.
     pub fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateStats) {
-        self.apply_routed("insert", |planner, lanes| {
-            planner.route_inserts(shapes, lanes)
-        })
+        self.assert_updatable("insert");
+        self.write(
+            |planner, lanes| planner.route_inserts(shapes, lanes),
+            |_, executors, wave| run_serial(executors, wave.update, UpdateLane::run),
+        )
     }
 
     /// Removes elements by global id: each live id leaves every shard its
@@ -1886,45 +2010,19 @@ impl<I: SpatialIndex + Send> ShardedEngine<I> {
     /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
     /// panics on an engine without one.
     pub fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateStats {
-        self.apply_routed("remove", |planner, lanes| {
-            ((), planner.route_removals(ids, lanes))
-        })
+        self.assert_updatable("remove");
+        self.write(
+            |planner, lanes| ((), planner.route_removals(ids, lanes)),
+            |_, executors, wave| run_serial(executors, wave.update, UpdateLane::run),
+        )
         .1
-    }
-
-    /// The shared body of the three write methods: `route` advances the
-    /// planner and fills the update lanes, every non-empty lane runs on its
-    /// shard (threaded when `SIMSPATIAL_THREADS > 1`), and the executed
-    /// lanes' [`UpdateLaneReport`]s fold into the batch-level
-    /// [`UpdateStats`] — the write-amplification counters travel up exactly
-    /// once per batch.
-    fn apply_routed<T>(
-        &mut self,
-        what: &str,
-        route: impl FnOnce(&mut ShardPlanner, &mut Vec<UpdateLane>) -> (T, UpdateStats),
-    ) -> (T, UpdateStats) {
-        assert!(
-            self.is_updatable(),
-            "{what} on a read-only sharded engine — attach a rebuild function with with_rebuild"
-        );
-        let start = Instant::now();
-        let (value, mut stats) = route(&mut self.planner, &mut self.update_lanes);
-        run_pairs(&mut self.executors, &mut self.update_lanes, |exec, lane| {
-            if !lane.is_empty() {
-                lane.run(exec);
-            }
-        });
-        for lane in &self.update_lanes {
-            lane.report().fold_into(&mut stats);
-        }
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        (value, stats)
     }
 }
 
 impl<I: KnnIndex + Send> ShardedEngine<I> {
-    /// Runs a kNN batch across the shards in **two bounded phases**, so far
-    /// shards never pay an unbounded search:
+    /// Runs a kNN batch across the shards — a [`ShardSet::read`] with no
+    /// boxes — in **two bounded phases**, so far shards never pay an
+    /// unbounded search:
     ///
     /// 1. Every probe executes on its *home* shard (the slab its point
     ///    falls in), yielding a candidate k-th-best distance per probe.
@@ -1933,11 +2031,11 @@ impl<I: KnnIndex + Send> ShardedEngine<I> {
     ///    any element within distance `d` of the probe lives in a shard
     ///    whose region `MINDIST ≤ d`, so the bounded fan-out is exact.
     ///
-    /// Both phases run shard-major through each shard's engine (threaded
-    /// when `SIMSPATIAL_THREADS > 1`). The merge pass unions per-shard
-    /// best-k lists under the global ascending `(distance, id)` order —
-    /// dropping replicated boundary elements, which surface from several
-    /// shards at the same distance — and emits the `k` best per probe.
+    /// Both phases run shard-major through each shard's engine. The merge
+    /// pass unions per-shard best-k lists under the global ascending
+    /// `(distance, id)` order — dropping replicated boundary elements,
+    /// which surface from several shards at the same distance — and emits
+    /// the `k` best per probe.
     pub fn knn_batch_into(
         &mut self,
         points: &[Point3],
@@ -1945,21 +2043,14 @@ impl<I: KnnIndex + Send> ShardedEngine<I> {
         sink: &mut dyn KnnSink,
     ) -> QueryStats {
         let start = Instant::now();
-        self.probes.clear();
-        self.probes.extend(points.iter().map(|&p| (p, k)));
-        self.planner
-            .route_knn_home(&self.probes, &mut self.knn_home);
-        run_pairs(&mut self.executors, &mut self.knn_home, |exec, lane| {
-            lane.run(exec)
+        let mut probes = std::mem::take(&mut self.probes);
+        probes.clear();
+        probes.extend(points.iter().map(|&p| (p, k)));
+        let no_boxes = &mut BatchResults::new();
+        let (_, mut stats) = self.read(&[], &probes, no_boxes, sink, |_, execs, wave| {
+            run_serial(execs, wave.knn, KnnLane::run)
         });
-        self.planner
-            .route_knn_fanout(&self.probes, &self.knn_home, &mut self.knn_fan);
-        run_pairs(&mut self.executors, &mut self.knn_fan, |exec, lane| {
-            lane.run(exec)
-        });
-        let mut stats =
-            self.planner
-                .merge_knn(&self.probes, &mut self.knn_home, &mut self.knn_fan, sink);
+        self.probes = probes;
         stats.elapsed_s = start.elapsed().as_secs_f64();
         stats
     }

@@ -69,9 +69,8 @@
 //!    batched plans, e.g. the linear scan's one-pass envelope plan) and
 //!    one [`KnnIndex::knn_into`] per `(point, k)` probe, centralises
 //!    wall-clock/result/predicate-counter accounting into [`QueryStats`] —
-//!    including the kNN lower-bound vs exact-distance evaluation split —
-//!    and can fan a batch across threads via `simspatial_geom::parallel`
-//!    (`SIMSPATIAL_THREADS`-gated).
+//!    including the kNN lower-bound vs exact-distance evaluation split.
+//!    It runs a batch on the calling thread.
 //! 4. **Shards** ([`engine::sharded::ShardedEngine`]). A [`ShardRouter`]
 //!    splits the dataset envelope into K region slabs; each shard owns a
 //!    re-identified clone of its elements (replicated where bounding boxes
@@ -81,7 +80,9 @@
 //!    (home shard first, then only shards whose region `MINDIST` can still
 //!    improve) and merge per-shard heaps under the `(distance, id)` order
 //!    — byte-identical to unsharded execution for exact indexes. Per-shard
-//!    [`QueryStats`] are aggregated.
+//!    [`QueryStats`] are aggregated. The route → wave → merge sequence is
+//!    written once, in [`ShardSet`]; the engine runs its lanes serially on
+//!    the calling thread, and the service's pool runs the same sequence.
 //!
 //! The allocating [`SpatialIndex::range`] and [`KnnIndex::knn`] remain as
 //! thin compatibility wrappers over the sink paths. Nothing above this
@@ -105,8 +106,8 @@ mod util;
 
 pub use crtree::{CrTree, CrTreeConfig};
 pub use engine::sharded::{
-    KnnLane, RangeLane, ShardExecutor, ShardPlanner, ShardRebuild, ShardRouter, ShardedEngine,
-    UpdateLane, UpdateLaneReport,
+    KnnLane, RangeLane, ShardExecutor, ShardPlanner, ShardRebuild, ShardRouter, ShardSet,
+    ShardedEngine, UpdateLane, UpdateLaneReport, Wave,
 };
 pub use engine::{BatchResults, CountSink, KnnBatchResults, QueryEngine};
 pub use flat::{Flat, FlatConfig};

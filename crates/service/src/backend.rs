@@ -14,16 +14,15 @@
 //!   its executor, its job clock and its scheduled faults — that reads and
 //!   writes alike run against. Snapshot runs need no copy of the
 //!   executor: the scheduler runs one only while live state *is* the last
-//!   published epoch, ahead of every write of its dispatch. The dispatcher
-//!   routes a run into per-shard lanes and
-//!   scatters them as stealable jobs: each pool worker owns a local deque
-//!   (a shard's jobs land on its owner's queue) and steals the oldest job
-//!   from a sibling when its own queue drains, so an uneven shard split
-//!   does not leave workers idle. There is one scatter/gather/supervise/
-//!   merge loop, and every `query_run`, live or snapshot, goes through
-//!   it. Results stay byte-identical to a serial [`ShardedEngine`] run:
-//!   routing, execution plans and the deduplicating merges are the exact
-//!   same code — only *where* each shard's sub-batch runs changes.
+//!   published epoch, ahead of every write of its dispatch. Reads and
+//!   writes run the engine's own route → wave → merge sequence
+//!   ([`ShardSet`]); the backend's runner scatters each wave's lanes as
+//!   stealable jobs: each pool worker owns a local deque (a shard's jobs
+//!   land on its owner's queue) and steals the oldest job from a sibling
+//!   when its own queue drains, so an uneven shard split does not leave
+//!   workers idle. Results are byte-identical to a [`ShardedEngine`] run
+//!   because they are one code path — only *where* each shard's
+//!   sub-batch runs differs.
 //!
 //! The pool is sized `min(parallel::num_threads(), shard count)` at spawn,
 //! so a backend never spawns more threads than it has shards to run. A
@@ -37,7 +36,7 @@ use crate::fault::FaultKind;
 use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3, Shape};
 use simspatial_index::{
     BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryStats, RangeLane, ShardExecutor,
-    ShardPlanner, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats,
+    ShardPlanner, ShardSet, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats, Wave,
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -67,16 +66,6 @@ pub struct BatchReport {
     /// is correct over the surviving shards, and the skip count travels to
     /// the client as partial-coverage metadata.
     pub partial: Vec<(u32, u32)>,
-}
-
-impl From<QueryStats> for BatchReport {
-    fn from(stats: QueryStats) -> Self {
-        Self {
-            stats,
-            failed: Vec::new(),
-            partial: Vec::new(),
-        }
-    }
 }
 
 /// The report of one applied write batch: accounting plus the shard (if
@@ -654,28 +643,30 @@ fn run_job(shared: &PoolShared, worker: usize, job: PoolJob) -> PoolJob {
     }
 }
 
-/// A region-sharded backend executing on a **work-stealing worker pool**.
-/// Built by splitting a [`ShardedEngine`] into planner + executors
-/// ([`ShardedEngine::into_parts`]) and parking each executor in its
-/// shard's pool slot, which the pool workers run jobs against; the
-/// scheduler-side half routes, scatters lanes as stealable jobs, gathers,
-/// and merges. A one-worker pool runs the lanes on the scheduler thread
-/// itself.
-///
-/// Results are byte-identical to running the same `ShardedEngine`
-/// serially: routing, execution plans and the deduplicating merge are the
-/// exact same code — only *where* each shard's sub-batch runs changes.
+/// A region-sharded backend executing on a **work-stealing worker pool**:
+/// a [`ShardedEngine`]'s executors parked in the pool's slots, behind a
+/// [`ShardSet`] whose runner scatters each wave's lanes as stealable jobs,
+/// gathers and supervises them. A one-worker pool runs the lanes on the
+/// scheduler thread itself. Results are byte-identical to running the
+/// same `ShardedEngine`: reads and writes are the engine's own
+/// [`ShardSet::read`] and [`ShardSet::write`] — only *where* each shard's
+/// sub-batch runs differs.
 pub struct ShardedBackend {
-    planner: ShardPlanner,
+    shards: ShardSet<Supervised>,
+    /// Whether every executor had a rebuild function attached
+    /// (`ShardedEngine::with_rebuild`) — the write path needs it.
+    updatable: bool,
+}
+
+/// The executors of a [`ShardedBackend`]: parked in the worker pool's
+/// slots under supervision, with the per-shard gauges it reports.
+struct Supervised {
     pool: WorkerPool,
     sizes: Vec<usize>,
     /// Per-shard structure bytes, captured at spawn and refreshed from the
     /// [`UpdateLane`] reports after every write batch — so post-migration
     /// shrink is reflected even though the executors live in the slots.
     shard_memory: Vec<usize>,
-    /// Whether every executor had a rebuild function attached
-    /// (`ShardedEngine::with_rebuild`) — the write path needs it.
-    updatable: bool,
     policy: SupervisorPolicy,
     /// Remaining lifetime restart budget per shard.
     restarts_left: Vec<u32>,
@@ -683,10 +674,6 @@ pub struct ShardedBackend {
     /// rebuild path). Dead shards never resurrect.
     dead: Vec<bool>,
     telemetry: BackendTelemetry,
-    range_lanes: Vec<RangeLane>,
-    knn_home: Vec<KnnLane>,
-    knn_fan: Vec<KnnLane>,
-    update_lanes: Vec<UpdateLane>,
 }
 
 impl ShardedBackend {
@@ -719,20 +706,18 @@ impl ShardedBackend {
         let shard_memory: Vec<usize> = executors.iter().map(ShardExecutor::memory_bytes).collect();
         let n = executors.len();
         let runners = executors.into_iter().map(|exec| Box::new(exec) as _);
-        Self {
-            planner,
+        let supervised = Supervised {
             pool: WorkerPool::spawn(runners.collect()),
             sizes,
             shard_memory,
-            updatable,
             restarts_left: vec![policy.max_restarts; n],
             policy,
             dead: vec![false; n],
             telemetry: BackendTelemetry::default(),
-            range_lanes: Vec::new(),
-            knn_home: Vec::new(),
-            knn_fan: Vec::new(),
-            update_lanes: Vec::new(),
+        };
+        Self {
+            shards: ShardSet::from_parts(planner, supervised),
+            updatable,
         }
     }
 
@@ -748,23 +733,110 @@ impl ShardedBackend {
 
     /// Number of shards (live, quarantined, or dead).
     pub fn shard_count(&self) -> usize {
-        self.dead.len()
+        self.shards.shard_count()
     }
 
     /// Number of pool workers executing shard jobs; a one-worker pool runs
     /// them on the thread that calls the backend.
     pub fn pool_workers(&self) -> usize {
-        self.pool.workers()
+        self.shards.executors().pool.workers()
     }
 
     /// Indices of shards declared dead by the supervisor.
     pub fn dead_shards(&self) -> Vec<usize> {
-        self.dead
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| i)
-            .collect()
+        let dead = &self.shards.executors().dead;
+        (0..dead.len()).filter(|&i| dead[i]).collect()
+    }
+
+    /// The one write path (updates, inserts, removals): [`ShardSet::write`]
+    /// on the pool. [`UpdateReport::failed`] names the first shard that
+    /// ended **dead**, if any — the typed write failure. A lane aimed at an
+    /// already-dead shard is dropped without failing the batch: coverage is
+    /// already degraded and the planner store stays authoritative.
+    fn write<T>(
+        &mut self,
+        what: &str,
+        route: impl FnOnce(&mut ShardPlanner, &mut Vec<UpdateLane>) -> (T, UpdateStats),
+    ) -> (T, UpdateReport) {
+        // Fail on the calling thread, before the planner advances: the
+        // service never routes writes here when read-only, but the trait
+        // is public.
+        assert!(
+            self.updatable,
+            "{what} on a read-only sharded backend — build the engine with_rebuild"
+        );
+        let mut failed = None;
+        let (value, stats) = self.shards.write(route, |planner, shards, wave| {
+            let panicked = shards.run_wave(planner, wave);
+            failed = panicked.iter().copied().find(|&i| shards.dead[i]);
+            panicked.is_empty()
+        });
+        (value, UpdateReport { stats, failed })
+    }
+}
+
+impl Supervised {
+    /// The backend's runner: drops the lanes aimed at dead shards,
+    /// scatters the rest as stealable jobs (empty lanes skip the round
+    /// trip), gathers each back into its slot of `wave` — a panicked lane
+    /// comes back emptied — refreshes the gauges from the write reports
+    /// and supervises the shards that panicked, which it returns sorted.
+    fn run_wave(&mut self, planner: &ShardPlanner, wave: Wave<'_>) -> Vec<usize> {
+        let Wave { range, knn, update } = wave;
+        let mut in_flight = 0usize;
+        for (i, lane) in range.iter_mut().enumerate() {
+            if self.dead[i] {
+                lane.clear();
+            } else if !lane.is_empty() {
+                self.pool.submit(i, Job::Range(std::mem::take(lane)));
+                in_flight += 1;
+            }
+        }
+        for (i, lane) in knn.iter_mut().enumerate() {
+            if self.dead[i] {
+                lane.clear();
+            } else if !lane.is_empty() {
+                self.pool.submit(i, Job::Knn(std::mem::take(lane)));
+                in_flight += 1;
+            }
+        }
+        for (i, lane) in update.iter_mut().enumerate() {
+            if self.dead[i] {
+                lane.clear();
+            } else if !lane.is_empty() {
+                self.pool.submit(i, Job::Update(std::mem::take(lane)));
+                in_flight += 1;
+            }
+        }
+        let mut panicked = Vec::new();
+        for _ in 0..in_flight {
+            let PoolJob {
+                shard,
+                job,
+                panicked: p,
+            } = self.pool.recv_done();
+            if p {
+                // The slot keeps the empty lane `take` left there: a torn
+                // lane's contents are never used.
+                panicked.push(shard);
+                continue;
+            }
+            match job {
+                Job::Range(lane) => range[shard] = lane,
+                Job::Knn(lane) => knn[shard] = lane,
+                Job::Update(lane) => update[shard] = lane,
+            }
+        }
+        for (i, lane) in update.iter().enumerate().filter(|(_, l)| !l.is_empty()) {
+            self.sizes[i] = lane.report().len_after;
+            self.shard_memory[i] = lane.report().memory_bytes;
+        }
+        // One supervision verdict per shard: a torn shard's several
+        // in-flight jobs fold into one entry.
+        panicked.sort_unstable();
+        panicked.dedup();
+        self.handle_panics(planner, &panicked);
+        panicked
     }
 
     /// Quarantine → restart → dead transition for every shard in
@@ -775,9 +847,7 @@ impl ShardedBackend {
     /// panicking, or no rebuild recipe at all) is declared dead and drops
     /// its executor. Runs strictly after a gather completed, so no job of
     /// these shards is in flight while the slot is rebuilt.
-    fn handle_panics(&mut self, panicked: &[usize]) {
-        // One supervision verdict per shard: `panicked` arrives deduplicated
-        // (`gather` folds the several in-flight jobs of one torn shard).
+    fn handle_panics(&mut self, planner: &ShardPlanner, panicked: &[usize]) {
         for &i in panicked {
             if self.dead[i] {
                 continue;
@@ -798,7 +868,7 @@ impl ShardedBackend {
                 attempt += 1;
                 // The rebuild recipe is user code: a panic inside it must
                 // not take down the supervisor.
-                match catch_unwind(AssertUnwindSafe(|| runner.restart(&self.planner, i))) {
+                match catch_unwind(AssertUnwindSafe(|| runner.restart(planner, i))) {
                     Ok(true) => {
                         self.shard_memory[i] = runner.memory_bytes();
                         self.sizes[i] = runner.len();
@@ -820,135 +890,6 @@ impl ShardedBackend {
             }
         }
     }
-
-    /// Gathers the `in_flight` completions of a wave from the pool,
-    /// routing each lane back to its shard's scratch slot: range lanes to
-    /// `range_lanes`, update lanes to `update_lanes`, kNN lanes to
-    /// `knn_home` or (`fan_phase`) `knn_fan`. Returns the panicked shards,
-    /// sorted and deduplicated.
-    fn gather(&mut self, in_flight: usize, fan_phase: bool) -> Vec<usize> {
-        let mut panicked = Vec::new();
-        for _ in 0..in_flight {
-            let PoolJob {
-                shard,
-                job,
-                panicked: p,
-            } = self.pool.recv_done();
-            match job {
-                Job::Range(lane) => self.range_lanes[shard] = lane,
-                Job::Update(lane) => self.update_lanes[shard] = lane,
-                Job::Knn(lane) if fan_phase => self.knn_fan[shard] = lane,
-                Job::Knn(lane) => self.knn_home[shard] = lane,
-            }
-            if p {
-                panicked.push(shard);
-            }
-        }
-        panicked.sort_unstable();
-        panicked.dedup();
-        panicked
-    }
-
-    /// The one write path (updates, inserts, removals): `route` advances
-    /// the planner and fills the update lanes, which then scatter, are
-    /// supervised, and fold their write-amplification counters into the
-    /// report. [`UpdateReport::failed`] names the first shard that ended
-    /// **dead**, if any — the typed write failure.
-    fn apply_routed<T>(
-        &mut self,
-        what: &str,
-        route: impl FnOnce(&mut ShardPlanner, &mut Vec<UpdateLane>) -> (T, UpdateStats),
-    ) -> (T, UpdateReport) {
-        // Fail on the calling thread with a clear message (the service
-        // never routes writes here when read-only, but the trait is
-        // public): without this, the panic would surface on a detached
-        // worker thread after the planner already advanced its envelopes.
-        assert!(
-            self.updatable,
-            "{what} on a read-only sharded backend — build the engine with_rebuild"
-        );
-        let start = Instant::now();
-        // Single pass, no retry: routing advances the planner's element
-        // store (new geometry, allocated ids, tombstones), which is
-        // authoritative. A shard that panics mid-write and restarts is
-        // rebuilt *from that advanced store*, so the write is fully applied
-        // on it — only a shard that ends dead loses data, and that is
-        // surfaced as a typed failure.
-        let (value, mut stats) = route(&mut self.planner, &mut self.update_lanes);
-        let mut in_flight = 0usize;
-        for (i, lane) in self.update_lanes.iter_mut().enumerate() {
-            if self.dead[i] {
-                // Coverage is already degraded and the planner store stays
-                // authoritative, so the batch does not fail.
-                lane.clear();
-            }
-            if lane.is_empty() {
-                continue;
-            }
-            self.pool.submit(i, Job::Update(std::mem::take(lane)));
-            in_flight += 1;
-        }
-        let panicked = self.gather(in_flight, false);
-        for (i, lane) in self.update_lanes.iter().enumerate() {
-            if lane.is_empty() || panicked.binary_search(&i).is_ok() {
-                continue;
-            }
-            let report = lane.report();
-            self.sizes[i] = report.len_after;
-            self.shard_memory[i] = report.memory_bytes;
-            report.fold_into(&mut stats);
-        }
-        self.handle_panics(&panicked);
-        let failed = panicked.iter().copied().find(|&i| self.dead[i]);
-        stats.elapsed_s = start.elapsed().as_secs_f64();
-        (value, UpdateReport { stats, failed })
-    }
-
-    /// Scatters one wave of the routed run onto the pool — wave 1
-    /// (`fan_phase == false`): every non-empty range lane, then the kNN
-    /// home lanes; wave 2: the kNN fan-out lanes — and waits for all of it
-    /// to come back (empty lanes skip the round trip). One shard's jobs
-    /// serialise on its executor slot;
-    /// independent shards (and stolen jobs) overlap. Returns `true` when a
-    /// job panicked: the shard was quarantined and restarted (or declared
-    /// dead), its lanes carry torn results, and the run must be re-routed
-    /// against the post-supervision shard set.
-    fn scatter_wave(&mut self, fan_phase: bool) -> bool {
-        let mut in_flight = 0usize;
-        if !fan_phase {
-            for (i, lane) in self.range_lanes.iter_mut().enumerate() {
-                if !lane.is_empty() {
-                    self.pool.submit(i, Job::Range(std::mem::take(lane)));
-                    in_flight += 1;
-                }
-            }
-        }
-        let knn = if fan_phase {
-            &mut self.knn_fan
-        } else {
-            &mut self.knn_home
-        };
-        for (i, lane) in knn.iter_mut().enumerate() {
-            if !lane.is_empty() {
-                self.pool.submit(i, Job::Knn(std::mem::take(lane)));
-                in_flight += 1;
-            }
-        }
-        let panicked = self.gather(in_flight, fan_phase);
-        self.handle_panics(&panicked);
-        !panicked.is_empty()
-    }
-}
-
-/// Drops the kNN lanes aimed at blocked shards, recording every probe they
-/// carried as failed on that shard.
-fn fail_blocked(blocked: &[bool], lanes: &mut [KnnLane], failed: &mut Vec<(u32, usize)>) {
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        if blocked[i] {
-            failed.extend(lane.routed().iter().map(|&qi| (qi, i)));
-            lane.clear();
-        }
-    }
 }
 
 impl ServiceBackend for ShardedBackend {
@@ -959,14 +900,11 @@ impl ServiceBackend for ShardedBackend {
         }
     }
 
-    /// The one read path. The whole run — range batch plus kNN batch —
-    /// scatters onto the worker pool as **one wave** of shard jobs, so the
-    /// two sub-batches overlap across cores instead of executing
-    /// back-to-back. kNN fan-out (which needs the home results as seeds)
-    /// forms a second wave. The merges run on the backend thread
-    /// afterwards and are the same deterministic code a serial
-    /// [`ShardedEngine`] runs, so results are byte-identical to it. A
-    /// snapshot run executes like a live one: the scheduler runs it only
+    /// The one read path: [`ShardSet::read`] on the pool, so the range and
+    /// the kNN home lanes of a run overlap in **one wave**. Lanes aimed at
+    /// dead shards are dropped: partial coverage for range, a typed
+    /// failure for kNN, where partial neighbours would be silently wrong.
+    /// A snapshot run executes like a live one: the scheduler runs it only
     /// while live state is the last published epoch.
     fn query_run(
         &mut self,
@@ -976,53 +914,42 @@ impl ServiceBackend for ShardedBackend {
     ) -> QueryRunReport {
         let start = Instant::now();
         let (range, knn) = (&run.range, &run.knn);
-        // Reads are idempotent, so supervision is a retry loop over the
-        // whole run: any panic is supervised inside `scatter_wave` and the
-        // run re-routes from scratch.
-        let mut partial = vec![0u32; range.len()];
-        let mut failed = Vec::new();
-        loop {
-            // ---- Wave 1: the range lanes plus the kNN home lanes, minus
-            // lanes aimed at blocked shards — partial coverage for range;
-            // typed failure for kNN, where partial neighbours would be
-            // silently wrong.
-            let blocked = self.dead.clone();
-            self.planner.route_range(range, &mut self.range_lanes);
-            partial.iter_mut().for_each(|n| *n = 0);
-            for (i, lane) in self.range_lanes.iter_mut().enumerate() {
-                if blocked[i] {
-                    for &qi in lane.routed() {
-                        partial[qi as usize] += 1;
-                    }
-                    lane.clear();
-                }
-            }
-            failed.clear();
-            self.planner.route_knn_home(knn, &mut self.knn_home);
-            fail_blocked(&blocked, &mut self.knn_home, &mut failed);
-            if self.scatter_wave(false) {
-                continue;
-            }
-            // ---- Wave 2: the kNN fan-out lanes, seeded by the home
-            // results (a clean wave 1 supervised nothing, so `blocked`
-            // still holds).
-            self.planner
-                .route_knn_fanout(knn, &self.knn_home, &mut self.knn_fan);
-            fail_blocked(&blocked, &mut self.knn_fan, &mut failed);
-            if self.scatter_wave(true) {
-                continue;
-            }
-            break;
-        }
-        // ---- Deterministic merges, one per non-empty sub-batch.
-        let mut report = QueryRunReport::default();
         if !range.is_empty() {
             out.range.reset();
-            let stats =
-                self.planner
-                    .merge_range(range.len(), &mut self.range_lanes, &mut out.range);
+        }
+        if !knn.is_empty() {
+            out.knn.reset();
+        }
+        let mut partial = vec![0u32; range.len()];
+        let mut failed = Vec::new();
+        let runner = |planner: &ShardPlanner, shards: &mut Supervised, wave: Wave<'_>| {
+            for (i, lane) in wave.range.iter().enumerate() {
+                if shards.dead[i] {
+                    lane.routed()
+                        .iter()
+                        .for_each(|&qi| partial[qi as usize] += 1);
+                }
+            }
+            for (i, lane) in wave.knn.iter().enumerate() {
+                if shards.dead[i] {
+                    failed.extend(lane.routed().iter().map(|&qi| (qi, i)));
+                }
+            }
+            let whole = shards.run_wave(planner, wave).is_empty();
+            if !whole {
+                // The read re-routes from scratch.
+                partial.fill(0);
+                failed.clear();
+            }
+            whole
+        };
+        let (range_stats, knn_stats) =
+            self.shards
+                .read(range, knn, &mut out.range, &mut out.knn, runner);
+        let mut report = QueryRunReport::default();
+        if !range.is_empty() {
             report.range = Some(BatchReport {
-                stats,
+                stats: range_stats,
                 failed: Vec::new(),
                 partial: partial
                     .iter()
@@ -1033,14 +960,10 @@ impl ServiceBackend for ShardedBackend {
             });
         }
         if !knn.is_empty() {
-            out.knn.reset();
-            let stats =
-                self.planner
-                    .merge_knn(knn, &mut self.knn_home, &mut self.knn_fan, &mut out.knn);
             failed.sort_unstable();
             failed.dedup_by_key(|&mut (q, _)| q);
             report.knn = Some(BatchReport {
-                stats,
+                stats: knn_stats,
                 failed,
                 partial: Vec::new(),
             });
@@ -1056,20 +979,20 @@ impl ServiceBackend for ShardedBackend {
     }
 
     fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
-        self.apply_routed("write batch", |planner, lanes| {
+        self.write("write batch", |planner, lanes| {
             ((), planner.route_updates(updates, lanes))
         })
         .1
     }
 
     fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
-        self.apply_routed("insert batch", |planner, lanes| {
+        self.write("insert batch", |planner, lanes| {
             planner.route_inserts(shapes, lanes)
         })
     }
 
     fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
-        self.apply_routed("remove batch", |planner, lanes| {
+        self.write("remove batch", |planner, lanes| {
             ((), planner.route_removals(ids, lanes))
         })
         .1
@@ -1083,9 +1006,10 @@ impl ServiceBackend for ShardedBackend {
     // backend must poison.
 
     fn telemetry(&self) -> BackendTelemetry {
-        let mut t = self.telemetry.clone();
-        t.worker_steals = self.pool.shared.steals.load(Ordering::Relaxed);
-        t.worker_busy_ns = self
+        let shards = self.shards.executors();
+        let mut t = shards.telemetry.clone();
+        t.worker_steals = shards.pool.shared.steals.load(Ordering::Relaxed);
+        t.worker_busy_ns = shards
             .pool
             .shared
             .busy_ns
@@ -1096,40 +1020,24 @@ impl ServiceBackend for ShardedBackend {
     }
 
     fn install_worker_faults(&mut self, faults: &[(usize, u64, FaultKind)]) {
+        let pool = &self.shards.executors().pool;
         for &(shard, op, kind) in faults {
             if shard < self.shard_count() {
-                self.pool.shared.lock_slot(shard).faults.push((op, kind));
+                pool.shared.lock_slot(shard).faults.push((op, kind));
             }
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        self.planner.memory_bytes()
-            + self.shard_memory.iter().sum::<usize>()
-            + self
-                .range_lanes
-                .iter()
-                .map(RangeLane::memory_bytes)
-                .sum::<usize>()
-            + self
-                .knn_home
-                .iter()
-                .chain(self.knn_fan.iter())
-                .map(KnnLane::memory_bytes)
-                .sum::<usize>()
-            + self
-                .update_lanes
-                .iter()
-                .map(UpdateLane::memory_bytes)
-                .sum::<usize>()
+        self.shards.plan_memory_bytes() + self.shards.executors().shard_memory.iter().sum::<usize>()
     }
 
     fn shard_sizes(&self) -> Vec<usize> {
-        self.sizes.clone()
+        self.shards.executors().sizes.clone()
     }
 
     fn shutdown(&mut self) {
-        self.pool.stop();
+        self.shards.executors_mut().pool.stop();
     }
 }
 

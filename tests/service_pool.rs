@@ -16,6 +16,9 @@
 //!   `worker_steals`) flow through `ServiceStats` and its `summary()`.
 //! * **Inline pool**: a one-worker pool (one shard, or one thread) spawns
 //!   no thread, so its lanes run on the thread that calls the backend.
+//! * **Serial reference**: a 4-shard `ShardedEngine` runs every write,
+//!   range and kNN lane on the thread that calls it, even with 4 threads
+//!   to spend.
 //! * **Zero-length requests**: a `Range`, `RangeCount` or `Knn` request
 //!   with nothing in it gets an empty reply, alone or coalesced, on one
 //!   shard and on four, and fails nothing.
@@ -24,7 +27,7 @@ mod common;
 
 use common::{soup, RebuildOnly};
 use simspatial::prelude::*;
-use simspatial_geom::parallel;
+use simspatial_geom::{parallel, QueryScratch};
 use simspatial_service::{BatchReport, QueryRun, QueryRunResults, SupervisorPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -225,6 +228,118 @@ fn lanes_run_on_the_caller_when_one_worker_serves() {
             "{shards} shards at {threads} threads: lanes ran on {seen:?}, caller {caller:?}"
         );
     }
+    parallel::set_num_threads(old);
+}
+
+/// A grid that records the thread of every range and kNN probe it serves.
+/// It declines in-place writes, so each write lane rebuilds its shard.
+struct ThreadRecorder {
+    grid: UniformGrid,
+    seen: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+}
+
+impl ThreadRecorder {
+    fn record(&self) {
+        self.seen.lock().unwrap().push(std::thread::current().id());
+    }
+}
+
+impl SpatialIndex for ThreadRecorder {
+    fn name(&self) -> &'static str {
+        "thread recorder"
+    }
+
+    fn len(&self) -> usize {
+        self.grid.len()
+    }
+
+    fn range_into(
+        &self,
+        data: &[Element],
+        query: &Aabb,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
+    ) {
+        self.record();
+        self.grid.range_into(data, query, scratch, sink);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.grid.memory_bytes()
+    }
+}
+
+impl KnnIndex for ThreadRecorder {
+    fn knn_into(
+        &self,
+        data: &[Element],
+        p: &Point3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
+    ) {
+        self.record();
+        self.grid.knn_into(data, p, k, scratch, sink);
+    }
+}
+
+/// The serial reference spawns no thread: with 4 threads to spend, a
+/// 4-shard `ShardedEngine` runs every lane of a write batch (each rebuilds
+/// its shard through the rebuild function, which records its thread), of
+/// a range batch and of a kNN batch on the thread that calls it.
+#[test]
+fn sharded_engine_runs_every_lane_on_the_caller() {
+    let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let old = parallel::num_threads();
+    parallel::set_num_threads(4);
+    let caller = std::thread::current().id();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let build = {
+        let seen = Arc::clone(&seen);
+        move |part: &[Element]| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            ThreadRecorder {
+                grid: UniformGrid::build(part, GridConfig::auto(part)),
+                seen: Arc::clone(&seen),
+            }
+        }
+    };
+    let data = soup(4000, 7);
+    let mut engine = ShardedEngine::build(&data, 4, &build).with_rebuild(build);
+    let ran_on = |what: &str, lanes: usize| {
+        let threads = std::mem::take(&mut *seen.lock().unwrap());
+        assert!(threads.len() >= lanes, "{what}: {threads:?}");
+        assert!(
+            threads.iter().all(|&t| t == caller),
+            "{what}: lanes ran on {threads:?}, caller {caller:?}"
+        );
+    };
+    ran_on("build", 4);
+
+    let nudge = Vec3::new(0.01, 0.01, 0.01);
+    let updates: Vec<(ElementId, Shape)> = data
+        .iter()
+        .map(|e| (e.id, Shape::Box(e.aabb().translate(nudge))))
+        .collect();
+    assert_eq!(engine.update_batch(&updates).rebuilds, 4);
+    ran_on("write batch", 4);
+
+    let everything = Aabb::union_all(data.iter().map(Element::aabb));
+    let queries: Vec<Aabb> = (0..8)
+        .map(|i| {
+            let lo = Point3::new(i as f32 * 12.0, 0.0, 0.0);
+            Aabb::new(lo, Point3::new(lo.x + 15.0, 100.0, 100.0))
+        })
+        .chain([everything])
+        .collect();
+    engine.range_collect(&queries, &mut BatchResults::new());
+    ran_on("range batch", 4);
+
+    let points: Vec<Point3> = (0..8)
+        .map(|i| Point3::new(i as f32 * 12.5, 50.0, 50.0))
+        .collect();
+    engine.knn_collect(&points, 5, &mut KnnBatchResults::new());
+    ran_on("kNN batch", points.len());
     parallel::set_num_threads(old);
 }
 
