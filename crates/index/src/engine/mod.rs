@@ -189,6 +189,11 @@ impl RangeSink for TallySink<'_> {
         self.results += 1;
         self.inner.push(id);
     }
+
+    fn push_all(&mut self, ids: &[ElementId]) {
+        self.results += ids.len() as u64;
+        self.inner.push_all(ids);
+    }
 }
 
 /// Executes query batches against any index, owning the scratch buffers

@@ -280,6 +280,18 @@ impl RangeSink for GlobalRangeSink<'_> {
     fn push(&mut self, id: ElementId) {
         self.inner.push(self.global[id as usize]);
     }
+
+    /// Translates through a stack buffer, so a shard's per-query hit list
+    /// reaches `inner` in a few [`RangeSink::push_all`] calls.
+    fn push_all(&mut self, ids: &[ElementId]) {
+        let mut buf = [0; 64];
+        for chunk in ids.chunks(buf.len()) {
+            for (out, &id) in buf.iter_mut().zip(chunk) {
+                *out = self.global[id as usize];
+            }
+            self.inner.push_all(&buf[..chunk.len()]);
+        }
+    }
 }
 
 /// Forwarding kNN sink that translates local ids to global ids.

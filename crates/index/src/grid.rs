@@ -28,17 +28,24 @@
 //! entries per cell, prefix-sums the counts into exact-fit spans and
 //! scatters the entries in input order, so each cell lists its elements in
 //! insertion order and neighbouring cells sit next to each other in
-//! memory. A range query walks the overlapped cells and runs the **batched
-//! bbox filter** over each cell's span ([`SoaAabbs::view`]) — a streaming
-//! pass over flat `f32` arrays instead of a per-candidate gather through
-//! `data[id]`. The filter sorts its survivors into **inside** (the stored
-//! box lies within the query) and **crossing** (it straddles the query's
-//! boundary). A stored box bounds its element's geometry, so an inside
-//! survivor is a sure hit and goes to the sink without reading its
-//! element; only crossing survivors touch `data` for the exact test — the
-//! "progressive approximation" step of multi-step filter-and-refine. On
-//! the benchmark's neuron data about three survivors in four are inside.
-//! Hits leave in walk order, so a reply is the filter-then-refine reply,
+//! memory. A range query walks the overlapped cells row by row, and the
+//! **batched bbox filter** ([`SoaAabbs::view`]) streams over flat `f32`
+//! arrays instead of gathering through `data[id]`, once per **row run**:
+//! the spans of a (y, z) row that sit back to back in the arena, so a
+//! built or compacted grid makes one kernel call per row, not one per
+//! cell (a relocated span splits its row). Runs cross the spare slots
+//! past a span's `len`, so each holds the padding entry
+//! `(Aabb::empty(), ElementId::MAX)`, whose id the walk skips (an
+//! unbounded query box matches the empty box). The filter sorts its
+//! survivors into **inside** (the stored box lies within the query) and
+//! **crossing** (it straddles the query's boundary). A stored box bounds
+//! its element's geometry, so an inside survivor is a sure hit that never
+//! reads its element; only crossing survivors touch `data` for the exact
+//! test — the "progressive approximation" step of multi-step
+//! filter-and-refine. On the benchmark's neuron data about three survivors
+//! in four are inside. That refine runs after the walk, so the crossing
+//! survivors' `data[id]` loads overlap, and the hits leave in one
+//! [`RangeSink::push_all`] in walk order: the filter-then-refine reply,
 //! order included. This is §3.3's scan-friendly-grid argument applied at
 //! the memory-layout level; `tests/prop_grid_and_storage.rs` diffs it
 //! against the retained scalar path and `tests/differential_batch.rs`
@@ -373,7 +380,8 @@ impl UniformGrid {
 
     /// Swap-removes entry `pos` of a cell's span — `Vec::swap_remove`
     /// within the span — patching the directory entries of both the
-    /// removed id and the entry swapped into its place.
+    /// removed id and the entry swapped into its place, and clearing the
+    /// vacated last slot to padding.
     #[inline]
     fn cell_swap_remove(&mut self, cell: usize, pos: usize) {
         let span = &mut self.spans[cell];
@@ -384,6 +392,7 @@ impl UniformGrid {
         if let Some((bbox, id)) = moved {
             self.arena_set(at, bbox, id);
         }
+        self.arena_set(last, Aabb::empty(), ElementId::MAX);
         if self.placement == GridPlacement::Center {
             self.slots[removed as usize] = NO_SLOT;
             if let Some((_, id)) = moved {
@@ -716,15 +725,17 @@ impl UniformGrid {
         self.for_each_survivor(probe, &mut scratch.visited, |id, _, _| candidates.push(id));
     }
 
-    /// The grid's one cell walk: runs the batched bbox filter over the span
-    /// of every cell `probe` reaches and calls `emit(id, inside, at)` for
-    /// each stored box that intersects `probe`, in walk order — cells in
-    /// z, y, x order, entries in span order, and under replication only
-    /// the first replica of each id (deduplicated through `visited`, which
-    /// this claims for a new epoch). `inside` says the stored box lies
-    /// within `probe`; `at` is its arena position. Under center placement
-    /// the cell walk is inflated by the recorded maximum half-extent so
-    /// every overlapping cell is visited.
+    /// The grid's one cell walk: runs the batched bbox filter over the
+    /// entries of every cell `probe` reaches and calls `emit(id, inside,
+    /// at)` for each stored box that intersects `probe`, in walk order —
+    /// cells in z, y, x order, entries in span order, and under
+    /// replication only the first replica of each id (deduplicated through
+    /// `visited`, which this claims for a new epoch). `inside` says the
+    /// stored box lies within `probe`; `at` is its arena position. Under
+    /// center placement the cell walk is inflated by the recorded maximum
+    /// half-extent so every overlapping cell is visited. The filter runs
+    /// once per row run (see the module doc), from its first span's start
+    /// to its last non-empty span's live end.
     fn for_each_survivor(
         &self,
         probe: &Aabb,
@@ -740,25 +751,38 @@ impl UniformGrid {
         if dedupe {
             visited.begin(self.id_bound);
         }
+        let mut scan = |run: std::ops::Range<usize>| {
+            let base = run.start;
+            self.arena
+                .view(run)
+                .for_each_intersecting(0, probe, |i, id, inside| {
+                    // A replica cell visited earlier already produced this
+                    // id (generation-stamped, no hashing).
+                    if id != ElementId::MAX && (!dedupe || visited.mark(id)) {
+                        emit(id, inside, base + i as usize);
+                    }
+                });
+        };
         let mut scanned = 0u64;
+        // An inverted probe has `lo > hi` on some axis: its rows are empty.
+        let row_len = (hi[0] + 1).saturating_sub(lo[0]);
         for z in lo[2]..=hi[2] {
             for y in lo[1]..=hi[1] {
-                for x in lo[0]..=hi[0] {
-                    let span = self.spans[self.cell_index([x, y, z])];
-                    if span.len == 0 {
-                        continue;
-                    }
+                let row = self.cell_index([lo[0], y, z]);
+                // `cap_end`: where the run's last span's capacity ends.
+                let (mut run, mut cap_end) = (0..0, usize::MAX);
+                for span in &self.spans[row..row + row_len] {
                     scanned += u64::from(span.len);
-                    let base = span.start as usize;
-                    let entries = self.arena.view(span.live());
-                    entries.for_each_intersecting(0, probe, |i, id, inside| {
-                        // A replica cell visited earlier already produced
-                        // this id (generation-stamped, no hashing).
-                        if !dedupe || visited.mark(id) {
-                            emit(id, inside, base + i as usize);
-                        }
-                    });
+                    let start = span.start as usize;
+                    if start != cap_end {
+                        scan(std::mem::replace(&mut run, start..start));
+                    }
+                    cap_end = start + span.cap as usize;
+                    if span.len > 0 {
+                        run.end = span.live().end;
+                    }
                 }
+                scan(run);
             }
         }
         // Counter semantics: one element-level test per span *lane* — the
@@ -795,12 +819,12 @@ impl SpatialIndex for UniformGrid {
         self.len
     }
 
-    /// Batched filter + scalar refine in one walk: the bbox filter streams
-    /// over each cell's span of the SoA arena and sorts its survivors into
-    /// *inside* (stored box within `query`) and *crossing*. An inside
-    /// survivor is a sure hit and goes straight to the sink without reading
-    /// `data`; only a crossing one is refined against its exact geometry.
-    /// Hits arrive in walk order, the order the filter-then-refine reply
+    /// Filter, then refine, then emit once: the walk collects the query's
+    /// survivors in walk order into `scratch.candidates`, flagging the
+    /// *crossing* ones (stored box not within `query`) in the bits of
+    /// `scratch.mask`; a second pass refines only those against `data`
+    /// and compacts the hits in place, and the sink receives them in one
+    /// [`RangeSink::push_all`], in the order the filter-then-refine reply
     /// always had.
     ///
     /// The skip needs every stored box to contain its element's geometry
@@ -816,22 +840,41 @@ impl SpatialIndex for UniformGrid {
         scratch: &mut QueryScratch,
         sink: &mut dyn RangeSink,
     ) {
-        let mut refined = 0u64;
+        let (candidates, mask) = (&mut scratch.candidates, &mut scratch.mask);
+        candidates.clear();
+        mask.clear();
         self.for_each_survivor(query, &mut scratch.visited, |id, inside, at| {
-            if inside {
-                debug_assert!(
-                    self.arena.box_at(at).contains(&data[id as usize].aabb()),
-                    "stored box of element {id} no longer bounds its geometry"
-                );
-                sink.push(id);
-            } else {
-                refined += 1;
+            debug_assert!(
+                !inside || self.arena.box_at(at).contains(&data[id as usize].aabb()),
+                "stored box of element {id} no longer bounds its geometry"
+            );
+            let n = candidates.len();
+            mask.resize(n / 64 + 1, 0);
+            mask[n / 64] |= u64::from(!inside) << (n % 64);
+            candidates.push(id);
+        });
+        // A set bit marks a crossing survivor; refining clears the bit of
+        // each hit, so afterwards the set bits mark exactly the misses.
+        let mut refined = 0u64;
+        for (w, word) in mask.iter_mut().enumerate() {
+            let mut crossing = *word;
+            refined += u64::from(crossing.count_ones());
+            while crossing != 0 {
+                let bit = crossing.trailing_zeros();
+                crossing &= crossing - 1;
+                let id = candidates[w * 64 + bit as usize];
                 if data[id as usize].shape.intersects_aabb(query) {
-                    sink.push(id);
+                    *word &= !(1 << bit);
                 }
             }
-        });
+        }
+        let mut hits = 0;
+        for i in 0..candidates.len() {
+            candidates[hits] = candidates[i];
+            hits += usize::from(mask[i / 64] >> (i % 64) & 1 == 0);
+        }
         stats::record_element_tests(refined);
+        sink.push_all(&candidates[..hits]);
     }
 
     /// O(1): the running count (checked against the cell walk in debug
@@ -1560,85 +1603,226 @@ mod tests {
         moved
     }
 
+    /// Drives a seeded write history — inserts, hops, `update_in_place`
+    /// batches, remove-and-reinsert and splices, which swap-remove,
+    /// relocate spans and compact the arena — over a built (odd seed) or
+    /// incrementally filled (even seed) grid, mirrored in a [`CellModel`].
+    /// `check` sees the grid, the data and the model after every step.
+    fn write_history(
+        placement: GridPlacement,
+        seed: u64,
+        mut check: impl FnMut(&UniformGrid, &[Element], &CellModel, &str),
+    ) {
+        let what = |step: usize, op: &str| format!("{placement:?} seed {seed} step {step} {op}");
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut data: Vec<Element> = (0..300).map(|i| random_element(&mut rng, i)).collect();
+        let config = GridConfig::with_cell_side(4.0, placement);
+        let mut g = if seed % 2 == 1 {
+            UniformGrid::build(&data, config)
+        } else {
+            let bounds = Aabb::union_all(data.iter().map(Element::aabb));
+            let mut g = UniformGrid::empty_over(bounds, config, data.len());
+            for e in &data {
+                g.insert(e);
+            }
+            g
+        };
+        let mut model = CellModel::of(&g);
+        // Ids stay dense: a removed element is inserted again, and only
+        // `splice` lets ids depart, renumbering the survivors.
+        for step in 0..400 {
+            let id = rng.below(data.len());
+            let op = match rng.below(10) {
+                0 => {
+                    let e = random_element(&mut rng, data.len() as ElementId);
+                    g.insert(&e);
+                    model.insert(&g, &e);
+                    data.push(e);
+                    "insert"
+                }
+                1..=4 => {
+                    let new = hopped(&mut rng, &data[id]);
+                    g.update(&data[id], &new);
+                    model.update(&g, &data[id], &new);
+                    data[id] = new;
+                    "update"
+                }
+                5..=7 => {
+                    // Duplicates included: last write wins.
+                    let updates: Vec<(ElementId, Shape)> = (0..1 + rng.below(12))
+                        .map(|_| {
+                            let id = rng.below(data.len());
+                            (id as ElementId, hopped(&mut rng, &data[id]).shape)
+                        })
+                        .collect();
+                    let mut grid_data = data.clone();
+                    g.update_in_place(&mut grid_data, &updates);
+                    for &(id, shape) in &updates {
+                        let new = Element::new(id, shape);
+                        model.update(&g, &data[id as usize], &new);
+                        data[id as usize] = new;
+                    }
+                    assert_eq!(grid_data, data);
+                    "update_in_place"
+                }
+                8 => {
+                    assert!(g.remove(id as ElementId, &data[id]));
+                    model.remove(&g, &data[id]);
+                    g.insert(&data[id]);
+                    model.insert(&g, &data[id]);
+                    "remove"
+                }
+                _ => {
+                    let (new, removed, remap, inserted) = random_change(&mut rng, &data);
+                    assert!(g.splice(&removed, &remap, &inserted));
+                    model.splice(&g, &removed, &remap);
+                    for e in &inserted {
+                        model.insert(&g, e);
+                    }
+                    data = new;
+                    "splice"
+                }
+            };
+            check(&g, &data, &model, &what(step, op));
+        }
+    }
+
+    /// The per-cell walk the row runs replaced: one filter call per
+    /// non-empty cell over its live entries, returning each emitted
+    /// `(id, inside, at)` in walk order.
+    fn per_cell_walk(g: &UniformGrid, probe: &Aabb) -> Vec<(ElementId, bool, usize)> {
+        let walk = match g.placement {
+            GridPlacement::Center => probe.inflate(g.max_half_extent),
+            GridPlacement::Replicate => *probe,
+        };
+        let (lo, hi) = g.cell_range(&walk);
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for z in lo[2]..=hi[2] {
+            for y in lo[1]..=hi[1] {
+                for x in lo[0]..=hi[0] {
+                    let span = g.spans[g.cell_index([x, y, z])];
+                    let base = span.start as usize;
+                    g.arena
+                        .view(span.live())
+                        .for_each_intersecting(0, probe, |i, id, inside| {
+                            if g.placement == GridPlacement::Center || seen.insert(id) {
+                                out.push((id, inside, base + i as usize));
+                            }
+                        });
+                }
+            }
+        }
+        out
+    }
+
+    /// Random boxes plus the edge cases of the cell range: inverted,
+    /// unbounded, half-unbounded, clamped past the region and outside it.
+    fn walk_probes() -> Vec<Aabb> {
+        let mut rng = Rng(0x5EED);
+        let mut probes: Vec<Aabb> = (0..12)
+            .map(|_| {
+                let c = Point3::new(
+                    rng.unit() * 50.0 - 5.0,
+                    rng.unit() * 50.0 - 5.0,
+                    rng.unit() * 50.0 - 5.0,
+                );
+                let side = 1.0 + rng.unit() * 14.0;
+                Aabb::new(
+                    c,
+                    Point3::new(c.x + side, c.y + side * 0.7, c.z + side * 1.3),
+                )
+            })
+            .collect();
+        let (inf, big) = (f32::INFINITY, Point3::new(1e3, 1e3, 1e3));
+        probes.extend([
+            Aabb {
+                min: Point3::new(30.0, 10.0, 10.0),
+                max: Point3::new(10.0, 30.0, 30.0),
+            },
+            Aabb {
+                min: Point3::new(20.0, 20.0, 20.0),
+                max: Point3::new(21.0, 21.0, 19.0),
+            },
+            Aabb::new(Point3::new(-inf, -inf, -inf), Point3::new(inf, inf, inf)),
+            Aabb::new(Point3::new(-inf, 10.0, -inf), Point3::new(15.0, inf, 25.0)),
+            Aabb::new(Point3::new(30.0, 30.0, 30.0), big),
+            Aabb::new(Point3::new(-1e3, -1e3, -1e3), Point3::new(2.0, 3.0, 4.0)),
+            Aabb::new(
+                Point3::new(100.0, 100.0, 100.0),
+                Point3::new(120.0, 120.0, 120.0),
+            ),
+            Aabb::from_point(Point3::new(20.0, 20.0, 20.0)),
+        ]);
+        probes
+    }
+
     #[test]
     fn arena_writes_match_a_per_cell_vec_model() {
+        let probes = walk_probes();
         for placement in [GridPlacement::Center, GridPlacement::Replicate] {
             for seed in 1..=4u64 {
-                let what =
-                    |step: usize, op: &str| format!("{placement:?} seed {seed} step {step} {op}");
-                let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let mut data: Vec<Element> =
-                    (0..300).map(|i| random_element(&mut rng, i)).collect();
-                let config = GridConfig::with_cell_side(4.0, placement);
-                let mut g = if seed % 2 == 1 {
-                    UniformGrid::build(&data, config)
-                } else {
-                    let bounds = Aabb::union_all(data.iter().map(Element::aabb));
-                    let mut g = UniformGrid::empty_over(bounds, config, data.len());
-                    for e in &data {
-                        g.insert(e);
+                write_history(placement, seed, |g, data, model, what| {
+                    assert_eq!(g.len(), data.len(), "{what}");
+                    model.check(g, what);
+                    // The row-run walk emits what the per-cell walk emits,
+                    // order and arena positions included, and the reply is
+                    // that walk's filter-then-refine list.
+                    let mut visited = VisitedTable::default();
+                    for (q, probe) in probes.iter().enumerate() {
+                        let expected = per_cell_walk(g, probe);
+                        let mut walked = Vec::new();
+                        g.for_each_survivor(probe, &mut visited, |id, inside, at| {
+                            walked.push((id, inside, at));
+                        });
+                        assert_eq!(walked, expected, "{what}: probe {q} walk");
+                        let refined: Vec<ElementId> = expected
+                            .iter()
+                            .filter(|&&(id, inside, _)| {
+                                inside || data[id as usize].shape.intersects_aabb(probe)
+                            })
+                            .map(|&(id, ..)| id)
+                            .collect();
+                        assert_eq!(g.range(data, probe), refined, "{what}: probe {q} reply");
                     }
-                    g
-                };
-                let mut model = CellModel::of(&g);
-                // Ids stay dense: a removed element is inserted again, and
-                // only `splice` lets ids depart, renumbering the survivors.
-                for step in 0..400 {
-                    let id = rng.below(data.len());
-                    let op = match rng.below(10) {
-                        0 => {
-                            let e = random_element(&mut rng, data.len() as ElementId);
-                            g.insert(&e);
-                            model.insert(&g, &e);
-                            data.push(e);
-                            "insert"
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn padding_slots_stay_empty() {
+        // Row runs filter across the spare slots of the spans they chain,
+        // so every slot past a span's `len` must hold the padding entry;
+        // a stale copy left by a swap-remove would be emitted twice.
+        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+            for seed in 1..=4u64 {
+                let (mut relocated, mut compacted) = (false, false);
+                let mut before: Option<(usize, Vec<Span>)> = None;
+                write_history(placement, seed, |g, _, _, what| {
+                    // A compaction makes a new arena; a relocation moves a
+                    // span within the same one.
+                    if let Some((capacity, spans)) = &before {
+                        let moved = spans.iter().zip(&g.spans).any(|(a, b)| a.start != b.start);
+                        let fresh = *capacity != g.arena.capacity();
+                        compacted |= fresh;
+                        relocated |= moved && !fresh;
+                    }
+                    before = Some((g.arena.capacity(), g.spans.clone()));
+                    for (cell, span) in g.spans.iter().enumerate() {
+                        for at in span.live().end..(span.start + span.cap) as usize {
+                            assert_eq!(
+                                g.arena.get(at),
+                                (Aabb::empty(), ElementId::MAX),
+                                "{what}: cell {cell} slot {at}"
+                            );
                         }
-                        1..=4 => {
-                            let new = hopped(&mut rng, &data[id]);
-                            g.update(&data[id], &new);
-                            model.update(&g, &data[id], &new);
-                            data[id] = new;
-                            "update"
-                        }
-                        5..=7 => {
-                            // Duplicates included: last write wins.
-                            let updates: Vec<(ElementId, Shape)> = (0..1 + rng.below(12))
-                                .map(|_| {
-                                    let id = rng.below(data.len());
-                                    (id as ElementId, hopped(&mut rng, &data[id]).shape)
-                                })
-                                .collect();
-                            let mut grid_data = data.clone();
-                            g.update_in_place(&mut grid_data, &updates);
-                            for &(id, shape) in &updates {
-                                let new = Element::new(id, shape);
-                                model.update(&g, &data[id as usize], &new);
-                                data[id as usize] = new;
-                            }
-                            assert_eq!(grid_data, data);
-                            "update_in_place"
-                        }
-                        8 => {
-                            assert!(g.remove(id as ElementId, &data[id]));
-                            model.remove(&g, &data[id]);
-                            g.insert(&data[id]);
-                            model.insert(&g, &data[id]);
-                            "remove"
-                        }
-                        _ => {
-                            let (new, removed, remap, inserted) = random_change(&mut rng, &data);
-                            assert!(g.splice(&removed, &remap, &inserted));
-                            model.splice(&g, &removed, &remap);
-                            for e in &inserted {
-                                model.insert(&g, e);
-                            }
-                            data = new;
-                            "splice"
-                        }
-                    };
-                    assert_eq!(g.len(), data.len(), "{}", what(step, op));
-                    model.check(&g, &what(step, op));
-                }
+                    }
+                });
+                assert!(
+                    relocated && compacted,
+                    "{placement:?} seed {seed}: {relocated} {compacted}"
+                );
             }
         }
     }

@@ -32,8 +32,9 @@ pub trait RangeSink {
     fn push(&mut self, id: ElementId);
 
     /// Emits a run of result ids for the current query, in order — one
-    /// call for a whole list a shard merge copies through. Defaults to one
-    /// [`RangeSink::push`] per id.
+    /// call for a whole list: an index's per-query hit list (the grid
+    /// hands over each query's hits at once) or a list a shard merge
+    /// copies through. Defaults to one [`RangeSink::push`] per id.
     fn push_all(&mut self, ids: &[ElementId]) {
         for &id in ids {
             self.push(id);

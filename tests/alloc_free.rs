@@ -5,7 +5,7 @@
 //! R-Tree kNN paths (best-k heaps, traversal queues and batched
 //! lower-bound buffers all live in the reused scratch). The grid's write
 //! path is allocation-free too, once its cells have grown to their peak
-//! occupancy.
+//! occupancy, and so are range batches over the written grid.
 //!
 //! A counting global allocator (this test binary only) tallies every
 //! allocation **per thread**. After warm-up batches grow the scratch and
@@ -210,6 +210,8 @@ fn grid_rtree_knn_batches_are_allocation_free() {
 /// to its peak occupancy, absorbed moves and cell switches back into cells
 /// with spare capacity must not allocate — called directly, and through a
 /// boxed grid-migration strategy, the way a strategy-served shard writes.
+/// Range batches over the written grid, whose relocated spans split its
+/// rows into several runs, must not allocate either.
 #[test]
 fn grid_write_path_is_allocation_free_in_steady_state() {
     let home = soup(4000);
@@ -241,7 +243,8 @@ fn grid_write_path_is_allocation_free_in_steady_state() {
 
 /// Warms `index` up with one away-and-back cycle of `ticks`, then asserts
 /// that ten more cycles switch and absorb moves without allocating or
-/// growing the index, and bring the data back home.
+/// growing the index, and bring the data back home; then that range
+/// batches over the written index do not allocate.
 fn assert_writes_alloc_free<I: SpatialIndex>(
     label: &str,
     index: &mut I,
@@ -277,4 +280,5 @@ fn assert_writes_alloc_free<I: SpatialIndex>(
     );
     assert_eq!(index.memory_bytes(), level, "{label}");
     assert_eq!(data, home);
+    assert_steady_state_alloc_free(&format!("{label} written"), &*index, &data);
 }
