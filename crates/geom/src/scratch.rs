@@ -15,7 +15,7 @@
 //! The scratch pool is re-entrant: nested `with_scratch` calls (e.g. FLAT
 //! querying its seed grid) each pop a distinct instance.
 
-use crate::ElementId;
+use crate::{ElementId, Shape};
 use std::cell::RefCell;
 
 /// A generation-stamped membership table over dense ids.
@@ -75,6 +75,10 @@ pub struct QueryScratch {
     pub frontier: Vec<ElementId>,
     /// Bitmask words from the mask kernels.
     pub mask: Vec<u64>,
+    /// Exact geometry gathered for a refine pass: the grid's range query
+    /// copies its crossing survivors' shapes here in one pass, so their
+    /// independent `data[id]` loads overlap, then tests them.
+    pub shapes: Vec<Shape>,
     /// Batched distances (kNN).
     pub dists: Vec<f32>,
     /// Best-k heap storage for the kNN sink paths: `(distance, id)` pairs
@@ -96,6 +100,7 @@ impl QueryScratch {
         self.candidates.capacity() * size_of::<ElementId>()
             + self.frontier.capacity() * size_of::<ElementId>()
             + self.mask.capacity() * size_of::<u64>()
+            + self.shapes.capacity() * size_of::<Shape>()
             + self.dists.capacity() * size_of::<f32>()
             + self.knn_best.capacity() * size_of::<(f32, ElementId)>()
             + self.knn_queue.capacity() * size_of::<(f32, ElementId)>()
@@ -108,6 +113,7 @@ impl QueryScratch {
         self.candidates.clear();
         self.frontier.clear();
         self.mask.clear();
+        self.shapes.clear();
         self.dists.clear();
         self.knn_best.clear();
         self.knn_queue.clear();

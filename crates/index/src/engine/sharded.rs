@@ -1920,9 +1920,9 @@ impl<I> ShardedEngine<I> {
 
 impl ShardedEngine<UniformGrid> {
     /// Kept only so the benchmark crate still builds. The argument is
-    /// ignored: its one caller passes `migrate_in_place`, the same
-    /// per-element [`UniformGrid::update`] loop as the grid's own write
-    /// ([`SpatialIndex::update_in_place`]).
+    /// ignored: its one caller passes `migrate_in_place`, a per-element
+    /// [`UniformGrid::update`] loop, which makes the same per-entry moves
+    /// as the grid's own write ([`SpatialIndex::update_in_place`]).
     #[deprecated(note = "a grid shard writes in place through `SpatialIndex::update_in_place`")]
     #[doc(hidden)]
     pub fn with_apply(

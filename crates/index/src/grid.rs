@@ -40,13 +40,14 @@
 //! survivors into **inside** (the stored box lies within the query) and
 //! **crossing** (it straddles the query's boundary). A stored box bounds
 //! its element's geometry, so an inside survivor is a sure hit that never
-//! reads its element; only crossing survivors touch `data` for the exact
-//! test — the "progressive approximation" step of multi-step
+//! reads its element; only crossing survivors are gathered, then tested
+//! exactly — the "progressive approximation" step of multi-step
 //! filter-and-refine. On the benchmark's neuron data about three survivors
-//! in four are inside. That refine runs after the walk, so the crossing
-//! survivors' `data[id]` loads overlap, and the hits leave in one
-//! [`RangeSink::push_all`] in walk order: the filter-then-refine reply,
-//! order included. This is §3.3's scan-friendly-grid argument applied at
+//! in four are inside. After the walk one branch-free pass copies the
+//! crossing survivors' shapes into scratch, so their `data[id]` loads
+//! overlap instead of each stalling its test, and a second pass tests the
+//! copies; the hits leave in one [`RangeSink::push_all`] in walk order:
+//! the filter-then-refine reply, order included. This is §3.3's scan-friendly-grid argument applied at
 //! the memory-layout level; `tests/prop_grid_and_storage.rs` diffs it
 //! against the retained scalar path and `tests/differential_batch.rs`
 //! against filter-then-refine in order; `geom.scan_ns_per_elem` in
@@ -54,7 +55,8 @@
 //!
 //! Writes keep each span behaving like a `Vec` of its own: a departure is a
 //! swap-remove inside the span, an arrival fills the span's next spare
-//! slot. An arrival into a full span **relocates** it to the arena's tail
+//! slot. Under center placement a move finds the entry through the slot
+//! directory, so the write never reads the element's old geometry. An arrival into a full span **relocates** it to the arena's tail
 //! with doubled capacity (at least four slots); the slots it leaves are
 //! dead. When the tail has no room for a relocation, the arena is
 //! **compacted**: every span is copied, in cell order and with its
@@ -647,35 +649,18 @@ impl UniformGrid {
     /// the §4.3 argument for grids under massive minimal movement. Returns
     /// `true` when the element actually changed cells (the stored bounding
     /// box is refreshed either way, keeping the stored boxes exact).
+    /// The old cell comes from the slot directory under center placement
+    /// (debug builds check it is `old`'s centre's), from `old`'s box under
+    /// replication.
     pub fn update(&mut self, old: &Element, new: &Element) -> bool {
         debug_assert_eq!(old.id, new.id);
-        let new_bbox = new.aabb();
         match self.placement {
             GridPlacement::Center => {
-                let co = self.clamp_coord(&old.center());
-                let cn = self.clamp_coord(&new.center());
-                if co == cn {
-                    // Absorbed move: O(1) directory lookup, box rewrite in
-                    // place so the stored-box filter keeps seeing live
-                    // geometry.
-                    if let Some((cell, pos)) = self.slot_of(old.id) {
-                        let at = self.spans[cell].start as usize + pos;
-                        self.arena.set_box(at, new_bbox);
-                        self.note_element(new.id, &new_bbox);
-                    }
-                    return false;
-                }
-                if let Some((cell, pos)) = self.slot_of(old.id) {
-                    self.cell_swap_remove(cell, pos);
-                    let ic = self.cell_index(cn);
-                    self.cell_push(ic, new_bbox, new.id);
-                    self.note_element(new.id, &new_bbox);
-                    true
-                } else {
-                    false
-                }
+                self.debug_assert_filed(old.id, &old.shape);
+                self.move_centered(new.id, &new.shape)
             }
             GridPlacement::Replicate => {
+                let new_bbox = new.aabb();
                 let (olo, ohi) = self.cell_range(&old.aabb());
                 let (nlo, nhi) = self.cell_range(&new_bbox);
                 if (olo, ohi) == (nlo, nhi) {
@@ -699,6 +684,37 @@ impl UniformGrid {
                 true
             }
         }
+    }
+
+    /// Debug builds: the directory files `id` in the cell of `old`'s centre.
+    #[inline]
+    fn debug_assert_filed(&self, id: ElementId, old: &Shape) {
+        debug_assert!(
+            self.slot_of(id)
+                .is_none_or(|(cell, _)| cell == self.cell_index(self.clamp_coord(&old.center()))),
+            "slot directory files element {id} away from its old centre's cell"
+        );
+    }
+
+    /// The one per-entry move under center placement: takes `id`'s entry
+    /// from the slot directory and rewrites its box in place (absorbed) or
+    /// swap-removes and pushes it onto `shape`'s centre's cell. Returns
+    /// whether it changed cells; an id the directory lacks is left alone.
+    fn move_centered(&mut self, id: ElementId, shape: &Shape) -> bool {
+        let Some((cell, pos)) = self.slot_of(id) else {
+            return false;
+        };
+        let bbox = shape.aabb();
+        let to = self.cell_index(self.clamp_coord(&shape.center()));
+        if to == cell {
+            self.arena
+                .set_box(self.spans[cell].start as usize + pos, bbox);
+        } else {
+            self.cell_swap_remove(cell, pos);
+            self.cell_push(to, bbox, id);
+        }
+        self.note_element(id, &bbox);
+        to != cell
     }
 
     /// Candidate ids whose **stored** bounding boxes intersect `probe`
@@ -822,10 +838,11 @@ impl SpatialIndex for UniformGrid {
     /// Filter, then refine, then emit once: the walk collects the query's
     /// survivors in walk order into `scratch.candidates`, flagging the
     /// *crossing* ones (stored box not within `query`) in the bits of
-    /// `scratch.mask`; a second pass refines only those against `data`
-    /// and compacts the hits in place, and the sink receives them in one
-    /// [`RangeSink::push_all`], in the order the filter-then-refine reply
-    /// always had.
+    /// `scratch.mask`. One pass gathers the crossing survivors' shapes
+    /// from `data` into `scratch.shapes`, a second tests them in the same
+    /// bit order, and the hits are compacted in place; the sink receives
+    /// them in one [`RangeSink::push_all`], in the order the
+    /// filter-then-refine reply always had.
     ///
     /// The skip needs every stored box to contain its element's geometry
     /// — the same invariant the filter relies on for completeness — and
@@ -853,17 +870,26 @@ impl SpatialIndex for UniformGrid {
             mask[n / 64] |= u64::from(!inside) << (n % 64);
             candidates.push(id);
         });
-        // A set bit marks a crossing survivor; refining clears the bit of
-        // each hit, so afterwards the set bits mark exactly the misses.
-        let mut refined = 0u64;
-        for (w, word) in mask.iter_mut().enumerate() {
+        // A set bit marks a crossing survivor. The gather has no
+        // data-dependent branch, so its `data[id]` loads overlap; the test
+        // clears each hit's bit, leaving set exactly the misses.
+        let shapes = &mut scratch.shapes;
+        shapes.clear();
+        for (w, &word) in mask.iter().enumerate() {
+            let mut crossing = word;
+            while crossing != 0 {
+                let id = candidates[w * 64 + crossing.trailing_zeros() as usize];
+                shapes.push(data[id as usize].shape);
+                crossing &= crossing - 1;
+            }
+        }
+        let mut gathered = shapes.iter();
+        for word in mask.iter_mut() {
             let mut crossing = *word;
-            refined += u64::from(crossing.count_ones());
             while crossing != 0 {
                 let bit = crossing.trailing_zeros();
                 crossing &= crossing - 1;
-                let id = candidates[w * 64 + bit as usize];
-                if data[id as usize].shape.intersects_aabb(query) {
+                if gathered.next().is_some_and(|s| s.intersects_aabb(query)) {
                     *word &= !(1 << bit);
                 }
             }
@@ -873,7 +899,7 @@ impl SpatialIndex for UniformGrid {
             candidates[hits] = candidates[i];
             hits += usize::from(mask[i / 64] >> (i % 64) & 1 == 0);
         }
-        stats::record_element_tests(refined);
+        stats::record_element_tests(shapes.len() as u64);
         sink.push_all(&candidates[..hits]);
     }
 
@@ -885,9 +911,11 @@ impl SpatialIndex for UniformGrid {
     }
 
     /// Migrates each updated element on its own, so K updates cost O(K)
-    /// whatever the dataset size. Duplicate ids resolve last-write-wins,
-    /// because each migration starts from the element's current (already
-    /// updated) cell. Always succeeds.
+    /// whatever the dataset size. Under center placement the old geometry
+    /// is never read: the move takes the old cell from the slot directory;
+    /// replication reads the old box. Duplicate ids resolve last-write-wins,
+    /// because each migration starts from the entry's current (already
+    /// updated) place. Always succeeds.
     fn update_in_place(
         &mut self,
         data: &mut [Element],
@@ -898,9 +926,16 @@ impl SpatialIndex for UniformGrid {
             let Some(e) = data.get_mut(id as usize) else {
                 continue;
             };
-            let old = e.clone();
-            e.shape = shape;
-            if self.update(&old, e) {
+            let moved = if self.placement == GridPlacement::Center {
+                self.debug_assert_filed(id, &e.shape);
+                e.shape = shape;
+                self.move_centered(id, &shape)
+            } else {
+                let old = e.clone();
+                e.shape = shape;
+                self.update(&old, e)
+            };
+            if moved {
                 cost.structural += 1;
             } else {
                 cost.absorbed += 1;
@@ -1367,6 +1402,94 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn update_in_place_equals_sequential_update_byte_for_byte() {
+        // Every batch holds duplicate ids (last write wins), an unknown id,
+        // a mover pushed past the build region (clamped into a boundary
+        // cell) and a mover whose box outgrows the recorded largest
+        // half-extent, which only the move's `note_element` makes the
+        // center-placement walk reach: the probe on its surface checks it.
+        for placement in [GridPlacement::Center, GridPlacement::Replicate] {
+            let mut rng = Rng(0xB17E);
+            let mut data: Vec<Element> = (0..400).map(|i| random_element(&mut rng, i)).collect();
+            let config = GridConfig::with_cell_side(4.0, placement);
+            let mut batched = UniformGrid::build(&data, config);
+            let mut twin = batched.clone();
+            let mut twin_data = data.clone();
+            for round in 0..24 {
+                let what = format!("{placement:?} round {round}");
+                let n = data.len();
+                let mut updates: Vec<(ElementId, Shape)> = (0..1 + rng.below(24))
+                    .map(|_| {
+                        let id = rng.below(n);
+                        (id as ElementId, hopped(&mut rng, &data[id]).shape)
+                    })
+                    .collect();
+                let (again, far, grown) = (updates[0].0, rng.below(n), rng.below(n));
+                let mut out = data[far].clone();
+                out.translate(Vec3::new(-30.0, 70.0, 15.0));
+                let radius = 2.5 + round as f32 * 0.25;
+                let bulge = Sphere::new(data[grown].center(), radius);
+                updates.extend([
+                    (again, hopped(&mut rng, &data[again as usize]).shape),
+                    (n as ElementId + 3, out.shape),
+                    (far as ElementId, out.shape),
+                    (grown as ElementId, Shape::Sphere(bulge)),
+                    (again, hopped(&mut rng, &data[again as usize]).shape),
+                ]);
+                let cost = batched.update_in_place(&mut data, &updates).unwrap();
+                let mut twin_cost = ShardApplyCost::default();
+                for &(id, shape) in &updates {
+                    let Some(old) = twin_data.get(id as usize).cloned() else {
+                        continue;
+                    };
+                    let new = Element::new(id, shape);
+                    if twin.update(&old, &new) {
+                        twin_cost.structural += 1;
+                    } else {
+                        twin_cost.absorbed += 1;
+                    }
+                    twin_data[id as usize] = new;
+                }
+                assert_eq!(data, twin_data, "{what}: data");
+                assert_eq!(
+                    (cost.structural, cost.absorbed),
+                    (twin_cost.structural, twin_cost.absorbed),
+                    "{what}: cost"
+                );
+                assert_eq!(batched.arena, twin.arena, "{what}: arena");
+                assert_eq!(batched.spans, twin.spans, "{what}: spans");
+                assert_eq!(batched.slots, twin.slots, "{what}: slot directory");
+                assert_eq!(
+                    (batched.len, batched.dead, batched.id_bound, batched.bytes),
+                    (twin.len, twin.dead, twin.id_bound, twin.bytes),
+                    "{what}: counts"
+                );
+                assert_eq!(
+                    batched.max_half_extent.to_bits(),
+                    twin.max_half_extent.to_bits(),
+                    "{what}: largest half-extent"
+                );
+                let scan = LinearScan::build(&data);
+                let surface = bulge.center + Vec3::new(0.95 * radius, 0.0, 0.0);
+                let mut probes = walk_probes();
+                probes.push(Aabb::from_point(surface));
+                for (q, probe) in probes.iter().enumerate() {
+                    let reply = batched.range(&data, probe);
+                    assert_eq!(reply, twin.range(&data, probe), "{what}: probe {q}");
+                    let (mut got, mut want) = (reply, scan.range(&data, probe));
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "{what}: probe {q} against the scan");
+                }
+                for p in [surface, out.center(), Point3::new(20.0, 20.0, 20.0)] {
+                    let knn = batched.knn(&data, &p, 8);
+                    assert_eq!(knn, twin.knn(&data, &p, 8), "{what}: kNN at {p:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 
 use super::{Node, RTree, RTreeConfig, NIL};
 use simspatial_geom::parallel::{
-    par_map_chunks, par_sort_by_cached_key, sort_by_cached_key_serial, split_at_many,
+    par_for_each_slice, par_map_chunks, par_sort_by_cached_key, sort_by_cached_key_serial,
+    split_at_many,
 };
 use simspatial_geom::{Aabb, Element, ElementId, SoaAabbs};
 
@@ -67,7 +68,8 @@ impl RTree {
         // chunk-of-leaves; parallelize over groups of whole leaves.
         let leaf_count = n.div_ceil(cap);
         let leaf_chunks: Vec<&[(Aabb, ElementId)]> = entries.chunks(cap).collect();
-        let built: Vec<Vec<Node>> = par_map_chunks(&leaf_chunks, 256, |_, chunks| {
+        let min_leaves = PARALLEL_MIN / cap;
+        let built: Vec<Vec<Node>> = par_map_chunks(&leaf_chunks, min_leaves, |_, chunks| {
             chunks
                 .iter()
                 .map(|chunk| {
@@ -177,13 +179,22 @@ fn slab_len(n: usize, cap: usize) -> usize {
     n.div_ceil(s)
 }
 
+/// Fewest entries for which an STR load fans out to worker threads: the
+/// x sort, the per-slab y/z sorts and the leaf fills. Below it each of
+/// those costs less than starting the threads, so a small tree, and every
+/// level above the leaves of a large one, loads on the calling thread. On
+/// a 2-vCPU host two threads lost to one at 20 000 entries and won from
+/// 50 000.
+const PARALLEL_MIN: usize = 1 << 15;
+
 /// Sort-Tile-Recursive ordering: after this call, consecutive chunks of
 /// `cap` items form spatially coherent tiles. Generic over the item type so
 /// the same routine packs leaf entries and internal node references.
 ///
 /// Sorts run over cached `(f32, u32)` permutation keys (one key derivation
-/// per item per level instead of two per comparison), and the independent
-/// per-slab y/z sorts run in parallel.
+/// per item per level instead of two per comparison), and from
+/// [`PARALLEL_MIN`] items the x sort and the independent per-slab y/z
+/// sorts run in parallel.
 pub(crate) fn str_tile<T: Copy + Send + Sync>(
     items: &mut [T],
     cap: usize,
@@ -196,19 +207,29 @@ pub(crate) fn str_tile<T: Copy + Send + Sync>(
     let slab_len = slab_len(n, cap);
 
     // S vertical slabs along x.
-    par_sort_by_cached_key(items, |t| center(t).x);
+    let parallel = n >= PARALLEL_MIN;
+    if parallel {
+        par_sort_by_cached_key(items, |t| center(t).x);
+    } else {
+        sort_by_cached_key_serial(items, |t| center(t).x);
+    }
 
     // Independent slabs: sort each by y, then rows within it by z.
     let cuts: Vec<usize> = (1..n.div_ceil(slab_len)).map(|i| i * slab_len).collect();
     let slabs = split_at_many(items, &cuts);
-    simspatial_geom::parallel::par_for_each_slice(slabs, |slab| {
+    let sort_slab = |slab: &mut [T]| {
         sort_by_cached_key_serial(slab, |t| center(t).y);
         let rows = (slab.len() as f64 / cap as f64).sqrt().ceil() as usize;
         let row_len = slab.len().div_ceil(rows.max(1));
         for row in slab.chunks_mut(row_len) {
             sort_by_cached_key_serial(row, |t| center(t).z);
         }
-    });
+    };
+    if parallel {
+        par_for_each_slice(slabs, sort_slab);
+    } else {
+        slabs.into_iter().for_each(sort_slab);
+    }
 }
 
 /// The seed implementation's tiling: in-place comparator sorts that
@@ -295,12 +316,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_key_tiling_matches_reference() {
-        // The throughput-tuned loader and the seed reference must produce
-        // equally valid trees with identical query answers (tile structure
-        // may order ties differently; the answer sets may not).
-        let data = scattered(4000);
+    /// The throughput-tuned loader and the seed reference must produce
+    /// equally valid trees with identical query answers over `n` entries
+    /// (tile structure may order ties differently; the answer sets may
+    /// not).
+    fn assert_tiling_matches_reference(n: u32) {
+        let data = scattered(n);
         let entries: Vec<(Aabb, ElementId)> = data.iter().map(|e| (e.aabb(), e.id)).collect();
         let fast = RTree::bulk_load_entries(entries.clone(), RTreeConfig::default());
         let reference = RTree::bulk_load_entries_reference(entries, RTreeConfig::default());
@@ -314,8 +335,20 @@ mod tests {
             let mut b = reference.range_bbox(&q);
             a.sort_unstable();
             b.sort_unstable();
-            assert_eq!(a, b, "query {i}");
+            assert_eq!(a, b, "{n} entries, query {i}");
         }
+    }
+
+    #[test]
+    fn cached_key_tiling_matches_reference() {
+        assert_tiling_matches_reference(4000);
+    }
+
+    #[test]
+    fn parallel_tiling_matches_reference() {
+        // Above `PARALLEL_MIN` (40 960 entries) the load fans out to
+        // worker threads whenever more than one is configured.
+        assert_tiling_matches_reference(PARALLEL_MIN as u32 * 5 / 4);
     }
 
     #[test]
