@@ -7,12 +7,15 @@
 //! change in a time step."
 //!
 //! Reproduction: plasticity-displace a fraction f of the neuron dataset,
-//! time (a) delete+reinsert of the moved entries against (b) a full STR
-//! rebuild, sweep f, and interpolate the crossover. Each timing is taken
-//! [`SAMPLES`] times, each on a fresh clone of the bulk-loaded tree; the
-//! verdicts and the crossover compare medians, and a fraction whose median
-//! lies within [`NOISE_MARGIN`] of the rebuild median, or whose update
-//! samples overlap the rebuild samples, reads "within noise".
+//! run (a) delete+reinsert of the moved entries against (b) a full STR
+//! rebuild, sweep f, and find the crossover. The verdicts and the crossover
+//! are **counted**: the inner nodes the updates descend through
+//! (`nodes_visited`, one pointer chase each) against the nodes the rebuild
+//! writes (each once, no descent), so they read the same on every run.
+//! Each timing is the median of [`SAMPLES`] runs, each on a fresh clone of
+//! the bulk-loaded tree, and is printed beside the counts, with the
+//! crossover it implies, ungated: a few timed samples do not outlast a
+//! shared host's drift.
 
 use crate::datasets::neuron_dataset;
 use crate::experiments::time;
@@ -25,12 +28,6 @@ use simspatial_index::{RTree, RTreeConfig};
 /// Timings taken per measurement.
 pub const SAMPLES: usize = 5;
 
-/// Gap between the update and rebuild medians, as a fraction of the
-/// rebuild median, below which a sweep point reads "within noise" even
-/// when its sample ranges happen not to overlap: five samples a few
-/// percent apart overlap in some runs and not in others.
-pub const NOISE_MARGIN: f64 = 0.10;
-
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepPoint {
@@ -38,8 +35,6 @@ pub struct SweepPoint {
     pub fraction: f64,
     /// Median seconds spent updating that fraction (delete + reinsert).
     pub update_s: f64,
-    /// Fastest and slowest of the update samples.
-    pub update_range: (f64, f64),
     /// Inner nodes those updates descended through (one pointer chase
     /// each, finding the old entry and choosing the new leaf).
     pub nodes_visited: u64,
@@ -52,24 +47,20 @@ pub struct UpdateVsRebuild {
     pub points: Vec<SweepPoint>,
     /// Median seconds of one full STR rebuild.
     pub rebuild_s: f64,
-    /// Fastest and slowest of the rebuild samples.
-    pub rebuild_range: (f64, f64),
     /// Nodes that rebuild wrote (each once, no descent).
     pub rebuild_nodes: u64,
-    /// Interpolated fraction where updating stops paying off.
+    /// Interpolated fraction where the updates' node visits reach the
+    /// rebuild's node writes.
     pub crossover: Option<f64>,
+    /// The same on the median timings — printed, never gated on.
+    pub timed_crossover: Option<f64>,
 }
 
 impl UpdateVsRebuild {
-    /// The verdict for one sweep point: "within noise" when its median is
-    /// within [`NOISE_MARGIN`] of the rebuild median or its update samples
-    /// overlap the rebuild samples, else the side with the faster median.
+    /// The verdict for one sweep point, on the counters: "update wins"
+    /// while its updates visit fewer nodes than the rebuild writes.
     pub fn verdict(&self, p: &SweepPoint) -> &'static str {
-        let (lo, hi) = self.rebuild_range;
-        let overlap = p.update_range.0 <= hi && lo <= p.update_range.1;
-        if overlap || (p.update_s - self.rebuild_s).abs() < NOISE_MARGIN * self.rebuild_s {
-            "within noise"
-        } else if p.update_s < self.rebuild_s {
+        if p.nodes_visited < self.rebuild_nodes {
             "update wins"
         } else {
             "rebuild wins"
@@ -77,10 +68,29 @@ impl UpdateVsRebuild {
     }
 }
 
+/// The first fraction where `cost` reaches `rebuild`, linearly
+/// interpolated from the sweep point below it (from the origin before the
+/// first: changing nothing costs nothing); `None` when the sweep never
+/// gets there.
+fn crossover(
+    points: &[SweepPoint],
+    rebuild: f64,
+    cost: impl Fn(&SweepPoint) -> f64,
+) -> Option<f64> {
+    let mut below = (0.0, 0.0);
+    for p in points {
+        let at = (p.fraction, cost(p));
+        if at.1 >= rebuild {
+            return Some(below.0 + (rebuild - below.1) / (at.1 - below.1) * (at.0 - below.0));
+        }
+        below = at;
+    }
+    None
+}
+
 /// Runs `work` on [`SAMPLES`] fresh clones of `base`, timing each run.
-/// Returns the last run's result, the median seconds and the fastest and
-/// slowest run.
-fn sample<R>(base: &RTree, mut work: impl FnMut(&mut RTree) -> R) -> (R, f64, (f64, f64)) {
+/// Returns the last run's result and the median seconds.
+fn sample<R>(base: &RTree, mut work: impl FnMut(&mut RTree) -> R) -> (R, f64) {
     let mut result = None;
     let mut secs: Vec<f64> = (0..SAMPLES)
         .map(|_| {
@@ -91,8 +101,7 @@ fn sample<R>(base: &RTree, mut work: impl FnMut(&mut RTree) -> R) -> (R, f64, (f
         })
         .collect();
     secs.sort_by(f64::total_cmp);
-    let result = result.expect("SAMPLES > 0");
-    (result, secs[SAMPLES / 2], (secs[0], secs[SAMPLES - 1]))
+    (result.expect("SAMPLES > 0"), secs[SAMPLES / 2])
 }
 
 /// Runs the measurement.
@@ -112,7 +121,7 @@ pub fn measure(scale: Scale) -> UpdateVsRebuild {
         m.elements().to_vec()
     };
 
-    let (rebuild_nodes, rebuild_s, rebuild_range) = sample(&base, |t| {
+    let (rebuild_nodes, rebuild_s) = sample(&base, |t| {
         t.rebuild(&moved);
         t.node_count() as u64
     });
@@ -122,7 +131,7 @@ pub fn measure(scale: Scale) -> UpdateVsRebuild {
     for &f in &fractions {
         let k = ((n as f64) * f) as usize;
         let old = data.elements();
-        let (nodes_visited, update_s, update_range) = sample(&base, |tree| {
+        let (nodes_visited, update_s) = sample(&base, |tree| {
             stats::reset();
             for i in 0..k {
                 let ob = old[i].aabb();
@@ -136,30 +145,16 @@ pub fn measure(scale: Scale) -> UpdateVsRebuild {
         points.push(SweepPoint {
             fraction: f,
             update_s,
-            update_range,
             nodes_visited,
         });
     }
 
-    // Crossover: first f where update_s >= rebuild_s, linearly interpolated.
-    let mut crossover = None;
-    for w in points.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        if a.update_s < rebuild_s && b.update_s >= rebuild_s {
-            let t = (rebuild_s - a.update_s) / (b.update_s - a.update_s);
-            crossover = Some(a.fraction + t * (b.fraction - a.fraction));
-            break;
-        }
-    }
-    if crossover.is_none() && points.first().is_some_and(|p| p.update_s >= rebuild_s) {
-        crossover = Some(points[0].fraction);
-    }
     UpdateVsRebuild {
+        crossover: crossover(&points, rebuild_nodes as f64, |p| p.nodes_visited as f64),
+        timed_crossover: crossover(&points, rebuild_s, |p| p.update_s),
         points,
         rebuild_s,
-        rebuild_range,
         rebuild_nodes,
-        crossover,
     }
 }
 
@@ -168,22 +163,29 @@ pub fn run(scale: Scale) -> String {
     let o = measure(scale);
     let mut r = Report::new("E4", "§4.1 — update vs rebuild crossover");
     r.paper("update all: 130 s/step; STR rebuild: 48 s; update wins iff < 38 % change");
-    r.measured(&format!("full STR rebuild: {}", fmt_time(o.rebuild_s)));
+    r.measured(&format!(
+        "full STR rebuild: writes {} nodes, {}",
+        o.rebuild_nodes,
+        fmt_time(o.rebuild_s)
+    ));
     for p in &o.points {
         r.row(&format!(
-            "f = {:>5.0} %: update {} ({})",
+            "f = {:>5.0} %: update visits {} nodes ({}), {}",
             p.fraction * 100.0,
-            fmt_time(p.update_s),
-            o.verdict(p)
+            p.nodes_visited,
+            o.verdict(p),
+            fmt_time(p.update_s)
         ));
     }
-    match o.crossover {
-        Some(c) => r.measured(&format!(
-            "crossover at ≈ {:.0} % changed (paper: 38 %)",
-            c * 100.0
-        )),
-        None => r.measured("no crossover in sweep range (updates always cheaper here)"),
+    let at = |c: Option<f64>| match c {
+        Some(c) => format!("≈ {:.1} % changed", c * 100.0),
+        None => "none in the sweep range".into(),
     };
+    r.measured(&format!(
+        "crossover on node counts: {} (paper: 38 %); on time: {}",
+        at(o.crossover),
+        at(o.timed_crossover)
+    ));
     let all = o.points.last().map(|p| p.update_s).unwrap_or(0.0);
     r.measured(&format!(
         "update-all / rebuild ratio: {:.1}× (paper: 130/48 ≈ 2.7×)",
@@ -197,28 +199,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn verdict_calls_small_gaps_and_overlaps_noise() {
-        let o = UpdateVsRebuild {
-            points: Vec::new(),
-            rebuild_s: 1.0,
-            rebuild_range: (0.99, 1.01),
-            rebuild_nodes: 0,
-            crossover: None,
+    fn verdicts_and_crossover_repeat_run_to_run() {
+        let (a, b) = (measure(Scale::Small), measure(Scale::Small));
+        let verdicts = |o: &UpdateVsRebuild| -> Vec<&'static str> {
+            o.points.iter().map(|p| o.verdict(p)).collect()
         };
-        let point = |update_s, update_range| SweepPoint {
-            fraction: 0.05,
-            update_s,
-            update_range,
-            nodes_visited: 0,
-        };
-        // Overlapping samples, whatever the medians.
-        assert_eq!(o.verdict(&point(1.3, (1.0, 1.4))), "within noise");
-        // A 4 % gap whose samples do not overlap.
-        assert_eq!(o.verdict(&point(0.96, (0.955, 0.965))), "within noise");
-        assert_eq!(o.verdict(&point(1.04, (1.035, 1.045))), "within noise");
-        // A 30 % gap either way.
-        assert_eq!(o.verdict(&point(0.7, (0.69, 0.71))), "update wins");
-        assert_eq!(o.verdict(&point(1.3, (1.29, 1.31))), "rebuild wins");
+        assert_eq!(verdicts(&a), verdicts(&b));
+        assert_eq!(a.crossover, b.crossover);
     }
 
     #[test]

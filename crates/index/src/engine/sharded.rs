@@ -35,23 +35,26 @@
 //! the serial reference; `simspatial_service::ShardedBackend` holds one
 //! over its work-stealing pool.
 //!
-//! **The write path** mirrors the query path lane for lane: a coalesced
-//! `(id, new geometry)` batch routes through
-//! [`ShardPlanner::route_updates`] into per-shard [`UpdateLane`]s (the
-//! planner is the authoritative copy of the dataset, so each write touches
-//! only the shards of the old and new envelope and every lane agrees with
-//! its shard), executors apply their lane ([`UpdateLane::run`]: cross-shard
-//! **migrations** are spliced into the element clone and id map at their
-//! sorted positions, then the index absorbs the lane **in place** when it
-//! can splice the membership change ([`SpatialIndex::splice`]) and move the
-//! resident elements ([`SpatialIndex::update_in_place`]), so a tick pays
-//! per mover, not per element — otherwise it is rebuilt by the function
-//! attached with [`ShardedEngine::with_rebuild`]), and the
+//! **The write path** mirrors the query path lane for lane, and has one
+//! entry at every layer: an ordered batch of [`WriteOp`]s (`Set`, `Insert`,
+//! `Remove`) routes through [`ShardPlanner::route_writes`] into per-shard
+//! [`UpdateLane`]s (the planner is the authoritative copy of the dataset:
+//! it allocates insert ids, resolves each id's ops in batch order, and
+//! each write touches only the shards of the old and new envelope, so
+//! every lane agrees with its shard), executors apply their lane
+//! ([`UpdateLane::run`]: membership changes — cross-shard **migrations**,
+//! inserts, removals — are spliced into the element clone and id map at
+//! their sorted positions, then the index absorbs the lane **in place**
+//! when it can splice the membership change ([`SpatialIndex::splice`]) and
+//! move the resident elements ([`SpatialIndex::update_in_place`]), so a
+//! tick pays per mover, not per element — otherwise it is rebuilt by the
+//! function attached with [`ShardedEngine::with_rebuild`]), and the
 //! [`UpdateLaneReport`]s carry post-migration shard sizes and memory back
-//! for accounting. After any batch, executors hold their elements sorted by
-//! global id — the invariant that keeps per-shard top-k tie-breaking, and
-//! therefore post-update query results, byte-identical to an unsharded
-//! engine over the same updated data.
+//! for accounting. [`ShardedEngine::write_batch`] and the service's
+//! backend both run it through [`ShardSet::write`]. After any batch,
+//! executors hold their elements sorted by global id — the invariant that
+//! keeps per-shard top-k tie-breaking, and therefore post-write query
+//! results, byte-identical to an unsharded engine over the same data.
 //!
 //! **Partitioning** — the [`ShardRouter`] splits the dataset envelope into
 //! K slabs along its longest axis: equal-width by default
@@ -973,9 +976,32 @@ impl UpdateLaneReport {
     }
 }
 
+/// One operation of a write batch — the one write vocabulary every layer
+/// carries, from the service's write run down to
+/// [`ShardPlanner::route_writes`], which resolves a batch of them in order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WriteOp {
+    /// Replace live element `id`'s geometry.
+    Set(ElementId, Shape),
+    /// Add an element; the planner allocates its id.
+    Insert(Shape),
+    /// Remove element `id`: its id is tombstoned and never comes back.
+    Remove(ElementId),
+}
+
+impl WriteOp {
+    /// The geometry the op leaves its element with — `None` for a removal.
+    pub fn shape(&self) -> Option<Shape> {
+        match *self {
+            WriteOp::Set(_, shape) | WriteOp::Insert(shape) => Some(shape),
+            WriteOp::Remove(_) => None,
+        }
+    }
+}
+
 /// The routed write sub-batch for one shard — the write-path mirror of
 /// [`RangeLane`]/[`KnnLane`]: a [`ShardPlanner`] fills it
-/// ([`ShardPlanner::route_updates`]), a [`ShardExecutor`] applies it
+/// ([`ShardPlanner::route_writes`]), a [`ShardExecutor`] applies it
 /// ([`UpdateLane::run`]), and the post-apply [`UpdateLaneReport`] travels
 /// back for accounting. Owned data (`Send`), so lanes ship over channels to
 /// per-shard workers; reused lanes keep their allocations.
@@ -1115,9 +1141,9 @@ pub struct ShardPlanner {
     /// exactly where `shapes` holds a tombstone; a live element always
     /// routes somewhere (an empty-box one to every shard).
     routes: Vec<(u8, u8)>,
-    /// `(id, batch position)` pairs of the last routed write or removal
-    /// batch, sorted — the buffer of the write path's last-write-wins
-    /// dedupe ([`keep_last_writes`]), reused across batches.
+    /// `(id, batch position)` pairs of the last routed write batch, sorted
+    /// by id, then cut to each written id's deciding op — the buffer of
+    /// [`ShardPlanner::route_writes`], reused across batches.
     order: Vec<(ElementId, u32)>,
     /// Merge-phase scratch: the visited table dedupes replicated hits;
     /// `knn_queue` stages kNN merge candidates; `dists` holds the per-probe
@@ -1141,33 +1167,6 @@ fn pack(route: Range<usize>) -> (u8, u8) {
 /// The shard range a route-table entry holds.
 fn unpack((start, end): (u8, u8)) -> Range<usize> {
     start as usize..end as usize
-}
-
-/// Fills `order` with the `(id, batch position)` pairs of a batch's ids,
-/// sorts it by id and drops every entry a later entry of the same id
-/// supersedes: one entry per distinct id is left, ascending by id, each
-/// holding the position of that id's last write. Returns how many entries
-/// were dropped.
-fn keep_last_writes(
-    order: &mut Vec<(ElementId, u32)>,
-    ids: impl Iterator<Item = ElementId>,
-) -> u64 {
-    order.clear();
-    order.extend(ids.zip(0..));
-    // Stable, so each id's run keeps batch order and ends at its last
-    // write; sorting on the id alone is also faster than on whole pairs.
-    order.sort_by_key(|&(id, _)| id);
-    let before = order.len();
-    // `dedup_by` passes the later entry first: copying it over the kept
-    // one leaves each run's last position.
-    order.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        if same {
-            *kept = *later;
-        }
-        same
-    });
-    (before - order.len()) as u64
 }
 
 // The tombstone costs no space: `None` takes a spare tag value of `Shape`,
@@ -1261,7 +1260,7 @@ impl ShardPlanner {
     }
 
     /// Heap bytes held by the router, the element store and its 2 B per
-    /// element route table, the write path's dedupe buffer, the fan-out
+    /// element route table, the write path's sort buffer, the fan-out
     /// regions and the merge scratch.
     pub fn memory_bytes(&self) -> usize {
         self.router.memory_bytes()
@@ -1335,153 +1334,138 @@ impl ShardPlanner {
         }
     }
 
-    /// Routes a write batch into per-shard [`UpdateLane`]s and advances the
-    /// planner's element store. `lanes` is resized to the shard count and
-    /// fully reset (allocations kept); the returned [`UpdateStats`] carries
-    /// the plan-level accounting (`elapsed_s` is zero — the orchestrator
-    /// owns the wall clock).
+    /// Routes one ordered write batch into per-shard [`UpdateLane`]s and
+    /// advances the planner's element store. `lanes` is resized to the
+    /// shard count and fully reset (allocations kept). Returns the ids the
+    /// batch's [`WriteOp::Insert`]s allocated — ascending, contiguous from
+    /// the previous id bound, in batch order — and the plan-level
+    /// accounting (`elapsed_s` is zero: the orchestrator owns the wall
+    /// clock).
     ///
-    /// Semantics per `(id, shape)` entry: the element's geometry becomes
-    /// `shape`. Duplicate ids within one batch coalesce **last-write-wins**
-    /// (equivalent to applying them in order, since each entry overwrites
-    /// the whole geometry); superseded duplicates and unknown ids count as
-    /// `skipped`. An element whose new envelope overlaps a different shard
-    /// set than its old one is migrated: removed from departed shards,
-    /// inserted into entered ones, updated in place where it stays — so
+    /// Ids are allocated first, in batch order, by the authoritative copy
+    /// of the dataset; the executors splice the arrivals in under them.
+    /// The batch's `(id, position)` pairs are then sorted once by id, and
+    /// each id's run resolves in batch order the way a serial run would:
+    /// a `Set` or `Remove` on an unknown or dead id (removed earlier, or
+    /// placed before the `Insert` that allocates it) is `skipped`, a `Set`
+    /// that a later `Set` or `Remove` to the same id overrides is
+    /// `skipped`, and an id inserted and removed in one batch is allocated,
+    /// tombstoned and shipped nowhere. An element that ends the batch live
+    /// lands in every shard its final envelope overlaps: removed from
+    /// departed shards, inserted into entered ones (a **migration**, when
+    /// it was live before too), updated in place where it stays — so
     /// boundary replicas remain exactly the set of shards the envelope
-    /// overlaps, which is what keeps post-update query fan-out and the
-    /// byte-identical merge guarantee intact.
+    /// overlaps, which is what keeps post-write query fan-out and the
+    /// byte-identical merge guarantee intact. A removed element leaves
+    /// every shard; its store entry becomes the **tombstone**
+    /// ([`ShardPlanner::shard_elements`] skips it, and no later write
+    /// resurrects it).
     ///
-    /// The batch's `(id, position)` pairs are sorted once and each id run
-    /// keeps its last entry, so the winners are routed in ascending id
-    /// order and every lane list comes out sorted by global id (the
-    /// [`UpdateLane`] contract). A winner's old shard set is read from the
-    /// route table, and its new route and shape are written without
-    /// reading the old shape: the work is the sort plus, per mover, one
-    /// routing of the new envelope and two table writes.
-    pub fn route_updates(
+    /// Resolved ids are routed in ascending order, so every lane list
+    /// comes out sorted by global id (the [`UpdateLane`] contract). An
+    /// id's old shard set is read from the route table, and its new route
+    /// and shape are written without reading the old shape: the work is
+    /// the sort plus, per written id, one routing of the final envelope
+    /// and two table writes.
+    pub fn route_writes(
         &mut self,
-        updates: &[(ElementId, Shape)],
+        ops: &[WriteOp],
         lanes: &mut Vec<UpdateLane>,
-    ) -> UpdateStats {
+    ) -> (Vec<ElementId>, UpdateStats) {
         size_lanes(lanes, self.shard_count(), UpdateLane::clear);
+        let first_new = self.id_bound as ElementId;
         let Self {
             router,
+            id_bound,
             shapes,
             routes,
             order,
             ..
         } = self;
-        let mut stats = UpdateStats {
-            skipped: keep_last_writes(order, updates.iter().map(|&(id, _)| id)),
-            ..UpdateStats::default()
-        };
-        order.retain(|&(id, pos)| {
-            // Updates to ids that never existed or were removed
-            // ([`ShardPlanner::route_removals`]) are skipped, not
-            // resurrected.
-            let Some(route) = routes.get_mut(id as usize).filter(|r| r.0 != r.1) else {
-                stats.skipped += 1;
-                return false;
+        order.clear();
+        order.extend(ops.iter().zip(0..).map(|(op, pos)| match *op {
+            WriteOp::Set(id, _) | WriteOp::Remove(id) => (id, pos),
+            WriteOp::Insert(_) => {
+                *id_bound += 1;
+                (*id_bound as ElementId - 1, pos)
+            }
+        }));
+        // An id allocated here starts dead: ops placed before its insert
+        // find no element, as they would in a serial run.
+        shapes.resize(*id_bound, None);
+        routes.resize(*id_bound, DEAD);
+        // Stable, so each id's run keeps batch order; sorting on the id
+        // alone is also faster than on whole pairs.
+        order.sort_by_key(|&(id, _)| id);
+        let mut stats = UpdateStats::default();
+        let (mut next, mut kept) = (0, 0);
+        while next < order.len() {
+            let id = order[next].0;
+            let run = next;
+            next += 1;
+            while order.get(next).is_some_and(|&(other, _)| other == id) {
+                next += 1;
+            }
+            let Some(route) = routes.get_mut(id as usize) else {
+                stats.skipped += (next - run) as u64;
+                continue;
             };
-            let shape = updates[pos as usize].1;
             let old_route = unpack(*route);
-            let new_route = router.route(&shape.aabb());
+            let (mut live, mut set, mut last) = (!old_route.is_empty(), false, None);
+            for &(_, pos) in &order[run..next] {
+                match ops[pos as usize] {
+                    WriteOp::Insert(_) => {
+                        live = true;
+                        stats.inserted += 1;
+                    }
+                    WriteOp::Set(..) if live => {
+                        stats.skipped += set as u64;
+                        set = true;
+                    }
+                    WriteOp::Remove(_) if live => {
+                        stats.skipped += set as u64;
+                        (live, set) = (false, false);
+                        stats.removed += 1;
+                    }
+                    _ => {
+                        stats.skipped += 1;
+                        continue;
+                    }
+                }
+                last = Some(pos);
+            }
+            let Some(pos) = last else { continue };
+            stats.applied += set as u64;
+            let shape = ops[pos as usize].shape();
+            let new_route = shape.map_or(0..0, |shape| router.route(&shape.aabb()));
             *route = pack(new_route.clone());
-            if old_route != new_route {
+            if !old_route.is_empty() && !new_route.is_empty() && old_route != new_route {
                 stats.migrations += 1;
             }
             let span = old_route.start.min(new_route.start)..old_route.end.max(new_route.end);
             for (s, lane) in lanes.iter_mut().enumerate().take(span.end).skip(span.start) {
-                match (old_route.contains(&s), new_route.contains(&s)) {
-                    (true, true) => lane.updates.push((id, shape)),
-                    (true, false) => lane.removals.push(id),
-                    (false, true) => lane.inserts.push((id, shape)),
-                    (false, false) => {}
+                match (
+                    old_route.contains(&s),
+                    shape.filter(|_| new_route.contains(&s)),
+                ) {
+                    (true, Some(shape)) => lane.updates.push((id, shape)),
+                    (true, None) => lane.removals.push(id),
+                    (false, Some(shape)) => lane.inserts.push((id, shape)),
+                    (false, None) => {}
                 }
             }
-            stats.applied += 1;
-            true
-        });
+            order[kept] = (id, pos);
+            kept += 1;
+        }
+        order.truncate(kept);
         // The store's entries lie scattered over the whole dataset: their
         // cache misses overlap in a loop of their own, where between the
         // lane pushes above they stalled each mover (8 000 movers over
         // 400 k elements route ≈ 30 % slower with the write in that loop).
         for &(id, pos) in order.iter() {
-            shapes[id as usize] = Some(updates[pos as usize].1);
+            shapes[id as usize] = ops[pos as usize].shape();
         }
-        stats
-    }
-
-    /// Allocates fresh global ids for `shapes` and routes each new element
-    /// into the lanes of every shard its envelope overlaps — ids are
-    /// allocated here, by the authoritative copy of the dataset, and the
-    /// executors splice the arrivals in under them. Returns the allocated
-    /// ids (ascending, contiguous from the previous id bound) and the
-    /// plan-level accounting.
-    ///
-    /// The id bound and the element store grow in lockstep, so shard
-    /// restarts ([`ShardPlanner::shard_elements`]) and the merge-time
-    /// dedupe tables see the new elements immediately. `lanes` is resized
-    /// to the shard count and fully reset (allocations kept).
-    pub fn route_inserts(
-        &mut self,
-        shapes: &[Shape],
-        lanes: &mut Vec<UpdateLane>,
-    ) -> (Vec<ElementId>, UpdateStats) {
-        size_lanes(lanes, self.shard_count(), UpdateLane::clear);
-        let mut stats = UpdateStats::default();
-        let mut ids = Vec::with_capacity(shapes.len());
-        for &shape in shapes {
-            let id = self.id_bound as ElementId;
-            let route = self.router.route(&shape.aabb());
-            self.id_bound += 1;
-            self.shapes.push(Some(shape));
-            self.routes.push(pack(route.clone()));
-            for lane in &mut lanes[route] {
-                lane.inserts.push((id, shape));
-            }
-            ids.push(id);
-            stats.inserted += 1;
-        }
-        (ids, stats)
-    }
-
-    /// Routes a removal batch: each live id is removed from every shard
-    /// its current envelope overlaps, and its element-store entry becomes
-    /// dead — the **tombstone**: [`ShardPlanner::shard_elements`] skips it
-    /// (restarted shards exclude it) and [`ShardPlanner::route_updates`]
-    /// refuses to resurrect it. Unknown, duplicate and already-removed ids
-    /// count as `skipped`; duplicates are dropped by the same sorted dedupe
-    /// as [`ShardPlanner::route_updates`], so the removals reach each lane
-    /// in ascending id order. `lanes` is resized to the shard count and
-    /// fully reset (allocations kept).
-    pub fn route_removals(
-        &mut self,
-        ids: &[ElementId],
-        lanes: &mut Vec<UpdateLane>,
-    ) -> UpdateStats {
-        size_lanes(lanes, self.shard_count(), UpdateLane::clear);
-        let mut stats = UpdateStats {
-            skipped: keep_last_writes(&mut self.order, ids.iter().copied()),
-            ..UpdateStats::default()
-        };
-        for &(id, _) in &self.order {
-            let route = self
-                .routes
-                .get_mut(id as usize)
-                .map_or(0..0, |r| unpack(std::mem::replace(r, DEAD)));
-            if route.is_empty() {
-                stats.skipped += 1;
-                continue;
-            }
-            self.shapes[id as usize] = None;
-            for lane in &mut lanes[route] {
-                lane.removals.push(id);
-            }
-            stats.removed += 1;
-        }
-        stats
+        ((first_new..*id_bound as ElementId).collect(), stats)
     }
 
     /// Routes kNN phase 1: every `(point, k)` probe lands in the lane of
@@ -1729,19 +1713,21 @@ impl<E> ShardSet<E> {
         )
     }
 
-    /// The write sequence: `route` advances the planner and fills the
-    /// update lanes, `run` executes them as one wave, and each lane's
-    /// [`UpdateLaneReport`] folds into the batch's [`UpdateStats`]. A
-    /// runner empties a lane it could not run. `run`'s answer is not
-    /// consulted: routing advanced the planner's element store, which a
-    /// restarted shard is rebuilt from, so a write never re-routes.
-    pub fn write<T>(
+    /// The write sequence: [`ShardPlanner::route_writes`] advances the
+    /// planner and fills the update lanes, `run` executes them as one
+    /// wave, and each lane's [`UpdateLaneReport`] folds into the batch's
+    /// [`UpdateStats`]. Returns the ids the batch's inserts allocated and
+    /// the accounting. A runner empties a lane it could not run. `run`'s
+    /// answer is not consulted: routing advanced the planner's element
+    /// store, which a restarted shard is rebuilt from, so a write never
+    /// re-routes.
+    pub fn write(
         &mut self,
-        route: impl FnOnce(&mut ShardPlanner, &mut Vec<UpdateLane>) -> (T, UpdateStats),
+        ops: &[WriteOp],
         run: impl FnOnce(&ShardPlanner, &mut E, Wave<'_>) -> bool,
-    ) -> (T, UpdateStats) {
+    ) -> (Vec<ElementId>, UpdateStats) {
         let start = Instant::now();
-        let (value, mut stats) = route(&mut self.planner, &mut self.update_lanes);
+        let (ids, mut stats) = self.planner.route_writes(ops, &mut self.update_lanes);
         let wave = Wave {
             range: &mut [],
             knn: &mut [],
@@ -1752,7 +1738,7 @@ impl<E> ShardSet<E> {
             lane.report().fold_into(&mut stats);
         }
         stats.elapsed_s = start.elapsed().as_secs_f64();
-        (value, stats)
+        (ids, stats)
     }
 }
 
@@ -1858,7 +1844,7 @@ impl<I> ShardedEngine<I> {
     }
 
     /// Attaches an index (re)build function to every shard, enabling the
-    /// write path ([`ShardedEngine::update_batch`] and the service layer's
+    /// write path ([`ShardedEngine::write_batch`] and the service layer's
     /// update lanes). Called with a shard's re-identified local elements
     /// whenever the index declines to absorb a write batch in place
     /// ([`SpatialIndex::update_in_place`]), and to restart a lost shard.
@@ -1870,14 +1856,14 @@ impl<I> ShardedEngine<I> {
     /// ```
     /// use simspatial_datagen::ElementSoupBuilder;
     /// use simspatial_geom::{Aabb, Point3, Shape};
-    /// use simspatial_index::{BatchResults, LinearScan, ShardedEngine};
+    /// use simspatial_index::{BatchResults, LinearScan, ShardedEngine, WriteOp};
     ///
     /// let data = ElementSoupBuilder::new().count(500).seed(3).build();
     /// let mut sharded =
     ///     ShardedEngine::build(data.elements(), 2, LinearScan::build).with_rebuild(LinearScan::build);
     /// // Move element 7 to a new envelope (its geometry becomes the box).
     /// let target = Aabb::new(Point3::new(1.0, 1.0, 1.0), Point3::new(2.0, 2.0, 2.0));
-    /// let stats = sharded.update_batch(&[(7, Shape::Box(target))]);
+    /// let (_, stats) = sharded.write_batch(&[WriteOp::Set(7, Shape::Box(target))]);
     /// assert_eq!(stats.applied, 1);
     /// let mut out = BatchResults::new();
     /// sharded.range_collect(&[target], &mut out);
@@ -1907,14 +1893,6 @@ impl<I> ShardedEngine<I> {
     /// The routing region of shard `i`.
     pub fn shard_region(&self, i: usize) -> Aabb {
         self.executors[i].region()
-    }
-
-    /// Panics before the planner advances when a shard cannot write.
-    fn assert_updatable(&self, what: &str) {
-        assert!(
-            self.is_updatable(),
-            "{what} on a read-only sharded engine — attach a rebuild function with with_rebuild"
-        );
     }
 }
 
@@ -1976,58 +1954,29 @@ impl<I: SpatialIndex + Send> ShardedEngine<I> {
         self.range_batch(queries, out)
     }
 
-    /// Applies one coalesced write batch across the shards: each
-    /// `(id, shape)` entry replaces that element's geometry (duplicate ids
-    /// coalesce last-write-wins). Elements whose new envelope overlaps a
-    /// different shard set are **migrated** — removed from departed shards,
-    /// inserted into entered ones — keeping replicas and id maps exactly
-    /// consistent with envelope overlap; every touched shard then applies
-    /// its lane in place or rebuilds its index over its post-batch local
-    /// elements (see [`UpdateLane::run`]). After the batch, query results
-    /// are byte-identical to a single engine over the same updated dataset.
+    /// Applies one ordered write batch across the shards
+    /// ([`ShardSet::write`]): `Set`s replace geometry, `Insert`s get fresh
+    /// global ids, `Remove`s tombstone theirs, each id resolved in batch
+    /// order ([`ShardPlanner::route_writes`]). Elements whose envelope
+    /// overlaps a different shard set afterwards are **migrated** —
+    /// removed from departed shards, inserted into entered ones — keeping
+    /// replicas and id maps exactly consistent with envelope overlap;
+    /// every touched shard then applies its lane in place or rebuilds its
+    /// index over its post-batch local elements (see [`UpdateLane::run`]).
+    /// After the batch, query results are byte-identical to a single
+    /// engine over the same written dataset. Returns the allocated ids
+    /// (ascending, in batch order) and the accounting.
     ///
     /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
-    /// panics on an engine without one.
-    pub fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateStats {
-        self.assert_updatable("write batch");
-        self.write(
-            |planner, lanes| ((), planner.route_updates(updates, lanes)),
-            |_, executors, wave| run_serial(executors, wave.update, UpdateLane::run),
-        )
-        .1
-    }
-
-    /// Inserts new elements: the planner allocates fresh global ids
-    /// ([`ShardPlanner::route_inserts`]), every shard whose region the new
-    /// envelope overlaps receives the element, and post-insert query
-    /// results are byte-identical to a single engine over the grown
-    /// dataset. Returns the allocated ids (ascending) and the accounting.
-    ///
-    /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
-    /// panics on an engine without one.
-    pub fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateStats) {
-        self.assert_updatable("insert");
-        self.write(
-            |planner, lanes| planner.route_inserts(shapes, lanes),
-            |_, executors, wave| run_serial(executors, wave.update, UpdateLane::run),
-        )
-    }
-
-    /// Removes elements by global id: each live id leaves every shard its
-    /// envelope overlaps and its planner entry becomes a tombstone
-    /// ([`ShardPlanner::route_removals`] — later updates to the id are
-    /// skipped, restarts exclude it). Post-removal query results are
-    /// byte-identical to a single engine over the shrunk dataset.
-    ///
-    /// Requires a rebuild function ([`ShardedEngine::with_rebuild`]);
-    /// panics on an engine without one.
-    pub fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateStats {
-        self.assert_updatable("remove");
-        self.write(
-            |planner, lanes| ((), planner.route_removals(ids, lanes)),
-            |_, executors, wave| run_serial(executors, wave.update, UpdateLane::run),
-        )
-        .1
+    /// panics on an engine without one, before the planner advances.
+    pub fn write_batch(&mut self, ops: &[WriteOp]) -> (Vec<ElementId>, UpdateStats) {
+        assert!(
+            self.is_updatable(),
+            "write batch on a read-only sharded engine — attach a rebuild function with with_rebuild"
+        );
+        self.write(ops, |_, executors, wave| {
+            run_serial(executors, wave.update, UpdateLane::run)
+        })
     }
 }
 
@@ -2085,6 +2034,7 @@ mod tests {
     use super::*;
     use crate::{GridConfig, LinearScan, UniformGrid};
     use simspatial_geom::{Shape, Sphere};
+    use std::collections::BTreeSet;
 
     fn soup(n: u32) -> Vec<Element> {
         (0..n)
@@ -2356,6 +2306,24 @@ mod tests {
         ))
     }
 
+    /// `updates` as `Set` ops.
+    fn sets(updates: &[(ElementId, Shape)]) -> Vec<WriteOp> {
+        updates
+            .iter()
+            .map(|&(id, shape)| WriteOp::Set(id, shape))
+            .collect()
+    }
+
+    /// `shapes` as `Insert` ops.
+    fn inserts(shapes: &[Shape]) -> Vec<WriteOp> {
+        shapes.iter().map(|&shape| WriteOp::Insert(shape)).collect()
+    }
+
+    /// `ids` as `Remove` ops.
+    fn removes(ids: &[ElementId]) -> Vec<WriteOp> {
+        ids.iter().map(|&id| WriteOp::Remove(id)).collect()
+    }
+
     #[test]
     fn update_batch_migrates_and_matches_single_engine() {
         let data = soup(1500);
@@ -2380,7 +2348,7 @@ mod tests {
             }
             updates.push((3, box_at(250.0, 250.0, 250.0, 1.0))); // escapes the envelope
             updates.push((9, box_at(50.0, 50.0, 50.0, 30.0))); // straddles many shards
-            let stats = sharded.update_batch(&updates);
+            let stats = sharded.write_batch(&sets(&updates)).1;
             assert_eq!(stats.applied, 122);
             assert!(stats.migrations > 0, "sweep must cross shard boundaries");
 
@@ -2458,7 +2426,7 @@ mod tests {
             (9999u32, final_box),                  // unknown id
             (5u32, final_box),                     // wins
         ];
-        let stats = sharded.update_batch(&updates);
+        let stats = sharded.write_batch(&sets(&updates)).1;
         assert_eq!(stats.applied, 1);
         assert_eq!(stats.skipped, 2);
         let mut out = KnnBatchResults::new();
@@ -2480,7 +2448,7 @@ mod tests {
                 .filter(|i| i % 4 == round)
                 .map(|i| (i, box_at(95.0, 95.0, 95.0, 0.2)))
                 .collect();
-            sharded.update_batch(&updates);
+            sharded.write_batch(&sets(&updates));
         }
         let sizes_after = sharded.shard_sizes();
         let last = sharded.shard_count() - 1;
@@ -2554,7 +2522,7 @@ mod tests {
         for i in 0..12u32 {
             updates.push((1000 + i, box_at(8.0 * i as f32 + 2.0, 40.0, 40.0, 0.4)));
         }
-        let stats = sharded.update_batch(&updates);
+        let stats = sharded.write_batch(&sets(&updates)).1;
         apply_serially(&mut data, &updates);
         assert!(stats.migrations > 0);
         assert_eq!(
@@ -2581,10 +2549,10 @@ mod tests {
         assert_matches_single(&mut sharded, &data);
 
         // Inserts and removals splice too.
-        let (ids, stats) = sharded.insert_batch(&[box_at(30.0, 30.0, 30.0, 0.5)]);
+        let (ids, stats) = sharded.write_batch(&inserts(&[box_at(30.0, 30.0, 30.0, 0.5)]));
         data.push(Element::new(ids[0], box_at(30.0, 30.0, 30.0, 0.5)));
         assert_eq!((stats.rebuilds, stats.spliced), (0, 1));
-        let stats = sharded.remove_batch(&[5, 6]);
+        let stats = sharded.write_batch(&removes(&[5, 6])).1;
         for id in [5usize, 6] {
             data[id].shape = Shape::Box(Aabb::empty());
         }
@@ -2611,7 +2579,7 @@ mod tests {
             .take(sizes[0] / 2)
             .map(|&g| (g, box_at(95.0, 50.0, 50.0, 0.3)))
             .collect();
-        let stats = sharded.update_batch(&bulk);
+        let stats = sharded.write_batch(&sets(&bulk)).1;
         assert!(stats.rebuilds >= 1, "a bulk membership change rebuilds");
     }
 
@@ -2639,10 +2607,10 @@ mod tests {
         let built = blocks(&sharded);
         let mut settled = None;
         for cycle in 0..6 {
-            let (ids, stats) = sharded.insert_batch(&[box_at(30.0, 30.0, 30.0, 0.5)]);
+            let (ids, stats) = sharded.write_batch(&inserts(&[box_at(30.0, 30.0, 30.0, 0.5)]));
             assert_eq!((stats.rebuilds, stats.spliced), (0, 1));
             let joined = blocks(&sharded);
-            let stats = sharded.remove_batch(&ids);
+            let stats = sharded.write_batch(&removes(&ids)).1;
             assert_eq!((stats.rebuilds, stats.spliced), (0, 1));
             if cycle >= 1 {
                 let settled = settled.get_or_insert(joined.clone());
@@ -2726,14 +2694,16 @@ mod tests {
         let data = soup(600);
         let build = |part: &[Element]| InPlaceScan(LinearScan::build(part));
         let mut sharded = ShardedEngine::build(&data, 2, build).with_rebuild(build);
-        let resident = sharded.update_batch(&[(3, data[3].shape)]);
+        let resident = sharded.write_batch(&sets(&[(3, data[3].shape)])).1;
         assert_eq!((resident.rebuilds, resident.rebuilds_avoided), (0, 1));
         let target = if data[7].aabb().center().x < 50.0 {
             95.0
         } else {
             4.0
         };
-        let stats = sharded.update_batch(&[(7, box_at(target, 50.0, 50.0, 0.3))]);
+        let stats = sharded
+            .write_batch(&sets(&[(7, box_at(target, 50.0, 50.0, 0.3))]))
+            .1;
         assert_eq!(stats.migrations, 1);
         assert_eq!(
             (stats.rebuilds, stats.rebuilds_avoided, stats.spliced),
@@ -2762,7 +2732,7 @@ mod tests {
         let empty = Shape::Box(Aabb::empty());
         let real = box_at(42.0, 42.0, 42.0, 0.5);
         for shape in [empty, real] {
-            let stats = sharded.update_batch(&[(7, shape)]);
+            let stats = sharded.write_batch(&sets(&[(7, shape)])).1;
             assert_eq!((stats.applied, stats.skipped), (1, 0));
             apply_serially(&mut data, &[(7, shape)]);
             assert_matches_single(&mut sharded, &data);
@@ -2774,12 +2744,12 @@ mod tests {
 
         // Back to the empty box (replicated into every shard), then removed:
         // it leaves every shard.
-        sharded.update_batch(&[(7, empty)]);
+        sharded.write_batch(&sets(&[(7, empty)]));
         assert!(sharded
             .executors
             .iter()
             .all(|e| e.global_ids().contains(&7)));
-        let stats = sharded.remove_batch(&[7]);
+        let stats = sharded.write_batch(&removes(&[7])).1;
         assert_eq!((stats.removed, stats.skipped), (1, 0));
         assert!(sharded
             .executors
@@ -2819,16 +2789,19 @@ mod tests {
             .map(|i| (1000 + i, box_at(8.0 * i as f32 + 2.0, 40.0, 40.0, 0.4)))
             .collect();
         for (step, batch) in [("jitter", &jitter), ("migrations", &migrations)] {
-            reb.update_batch(batch);
-            let stats = inc.update_batch(batch);
+            reb.write_batch(&sets(batch));
+            let stats = inc.write_batch(&sets(batch)).1;
             assert_eq!(stats.rebuilds, 0, "{step} runs in place");
             check(&reb, &inc, step);
         }
         let shape = box_at(30.0, 30.0, 30.0, 0.5);
-        assert_eq!(reb.insert_batch(&[shape]).0, inc.insert_batch(&[shape]).0);
+        assert_eq!(
+            reb.write_batch(&inserts(&[shape])).0,
+            inc.write_batch(&inserts(&[shape])).0
+        );
         check(&reb, &inc, "insert");
-        reb.remove_batch(&[5, 6]);
-        inc.remove_batch(&[5, 6]);
+        reb.write_batch(&removes(&[5, 6]));
+        inc.write_batch(&removes(&[5, 6]));
         check(&reb, &inc, "remove");
         let quarter = reb.shard_sizes()[0] / 4 + 1;
         let bulk: Vec<(ElementId, Shape)> = reb.executors[0]
@@ -2837,15 +2810,15 @@ mod tests {
             .take(quarter)
             .map(|&g| (g, box_at(95.0, 50.0, 50.0, 0.3)))
             .collect();
-        reb.update_batch(&bulk);
+        reb.write_batch(&sets(&bulk));
         assert!(
-            inc.update_batch(&bulk).rebuilds >= 1,
+            inc.write_batch(&sets(&bulk)).1.rebuilds >= 1,
             "bulk change rebuilds"
         );
         check(&reb, &inc, "bulk");
         let empty = [(11, Shape::Box(Aabb::empty()))];
-        reb.update_batch(&empty);
-        inc.update_batch(&empty);
+        reb.write_batch(&sets(&empty));
+        inc.write_batch(&sets(&empty));
         check(&reb, &inc, "empty box");
     }
 
@@ -2855,7 +2828,7 @@ mod tests {
         let data = soup(50);
         let mut sharded = ShardedEngine::build(&data, 2, LinearScan::build);
         assert!(!sharded.is_updatable());
-        sharded.update_batch(&[(0, box_at(1.0, 1.0, 1.0, 0.5))]);
+        sharded.write_batch(&sets(&[(0, box_at(1.0, 1.0, 1.0, 0.5))]));
     }
 
     #[test]
@@ -2921,11 +2894,11 @@ mod tests {
         let migrations: Vec<(ElementId, Shape)> = (0..60u32)
             .map(|i| (i * 17, box_at(8.0 * (i % 12) as f32 + 2.0, 40.0, 40.0, 0.4)))
             .collect();
-        assert!(sharded.update_batch(&migrations).migrations > 0);
+        assert!(sharded.write_batch(&sets(&migrations)).1.migrations > 0);
         assert_routes_match_store(&sharded.planner, "migration tick");
 
         let empty = Shape::Box(Aabb::empty());
-        sharded.update_batch(&[(11, empty)]);
+        sharded.write_batch(&sets(&[(11, empty)]));
         assert_eq!(
             sharded.planner.route_of(11),
             0..4,
@@ -2933,13 +2906,15 @@ mod tests {
         );
         assert_routes_match_store(&sharded.planner, "empty-box write");
 
-        let (ids, _) = sharded.insert_batch(&[box_at(30.0, 30.0, 30.0, 0.5), empty]);
+        let (ids, _) = sharded.write_batch(&inserts(&[box_at(30.0, 30.0, 30.0, 0.5), empty]));
         assert_routes_match_store(&sharded.planner, "insert");
-        let stats = sharded.remove_batch(&[5, ids[1], 11]);
+        let stats = sharded.write_batch(&removes(&[5, ids[1], 11])).1;
         assert_eq!(stats.removed, 3);
         assert_routes_match_store(&sharded.planner, "remove");
 
-        let stats = sharded.update_batch(&[(5, box_at(50.0, 50.0, 50.0, 0.5))]);
+        let stats = sharded
+            .write_batch(&sets(&[(5, box_at(50.0, 50.0, 50.0, 0.5))]))
+            .1;
         assert_eq!(
             (stats.applied, stats.skipped),
             (0, 1),
@@ -2966,11 +2941,11 @@ mod tests {
     }
 
     #[test]
-    fn route_updates_fills_id_sorted_lanes_with_last_writes() {
+    fn route_writes_fills_id_sorted_lanes_with_last_writes() {
         let data = soup(900);
         let (mut planner, _) = ShardedEngine::build(&data, 4, LinearScan::build).into_parts();
         let mut lanes = Vec::new();
-        planner.route_removals(&[40, 41], &mut lanes);
+        planner.route_writes(&removes(&[40, 41]), &mut lanes);
         // Every third id written three times over, plus unknown and removed
         // ids, in a shuffled order: the last write of each id is its third.
         let mut batch: Vec<(ElementId, Shape)> = Vec::new();
@@ -3002,7 +2977,8 @@ mod tests {
             .filter(|&id| (id as usize) < data.len() && id != 40 && id != 41)
             .collect();
 
-        let stats = planner.route_updates(&batch, &mut lanes);
+        let (ids, stats) = planner.route_writes(&sets(&batch), &mut lanes);
+        assert!(ids.is_empty());
         assert_eq!(stats.applied, live.len() as u64);
         assert_eq!(stats.skipped, (batch.len() - live.len()) as u64);
         let ascends = |ids: &mut dyn Iterator<Item = ElementId>| {
@@ -3037,6 +3013,168 @@ mod tests {
         }
     }
 
+    /// Seeded random mixed batches on a 4-shard planner, checked after
+    /// each batch against an op-by-op model of the element store: the
+    /// store, the route table, every shard's membership, each lane's three
+    /// lists and the counters. The batches name ids already named in the
+    /// batch, unknown ids and the id the next insert allocates, so every
+    /// per-id pattern occurs.
+    #[test]
+    fn route_writes_matches_an_op_by_op_model() {
+        let data = soup(300);
+        let (mut planner, _) = ShardedEngine::build(&data, 4, LinearScan::build).into_parts();
+        let router = planner.router().clone();
+        let route = |shape: Option<Shape>| shape.map_or(0..0, |s| router.route(&s.aabb()));
+        let mut model: Vec<Option<Shape>> = data.iter().map(|e| Some(e.shape)).collect();
+        let mut lanes = Vec::new();
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Occurrences of: duplicate set, unknown id, insert→set, set→remove,
+        // remove→set, insert→remove, set before its insert.
+        let mut seen = [0u32; 7];
+        for batch in 0..40 {
+            let bound = model.len() as ElementId;
+            let mut ops = Vec::new();
+            let mut named: Vec<ElementId> = Vec::new();
+            let mut next_new = bound;
+            for _ in 0..1 + next() % 40 {
+                let r = next();
+                let shape = box_at(
+                    (r % 97) as f32,
+                    ((r >> 8) % 89) as f32,
+                    ((r >> 16) % 83) as f32,
+                    0.2 + ((r >> 24) % 4) as f32,
+                );
+                let kind = (r >> 32) % 10;
+                if kind < 3 {
+                    ops.push(WriteOp::Insert(shape));
+                    named.push(next_new);
+                    next_new += 1;
+                    continue;
+                }
+                let pick = (r >> 48) as u32;
+                let id = match (r >> 40) % 6 {
+                    0 | 1 if !named.is_empty() => named[pick as usize % named.len()],
+                    2 => next_new,
+                    3 => bound + 1000 + pick % 5,
+                    _ => pick % bound,
+                };
+                named.push(id);
+                ops.push(if kind < 8 {
+                    WriteOp::Set(id, shape)
+                } else {
+                    WriteOp::Remove(id)
+                });
+            }
+            let final_bound = next_new;
+
+            // The op-by-op model.
+            let before = model.clone();
+            let mut want = UpdateStats::default();
+            let mut want_ids = Vec::new();
+            let (mut pending, mut touched) = (BTreeSet::new(), BTreeSet::new());
+            let (mut born, mut removed) = (BTreeSet::new(), BTreeSet::new());
+            for &op in &ops {
+                let id = match op {
+                    WriteOp::Insert(shape) => {
+                        let id = model.len() as ElementId;
+                        model.push(Some(shape));
+                        want_ids.push(id);
+                        born.insert(id);
+                        touched.insert(id);
+                        want.inserted += 1;
+                        continue;
+                    }
+                    WriteOp::Set(id, _) | WriteOp::Remove(id) => id,
+                };
+                if model.get(id as usize).copied().flatten().is_none() {
+                    want.skipped += 1;
+                    let set = matches!(op, WriteOp::Set(..));
+                    if id >= final_bound {
+                        seen[1] += 1;
+                    } else if set && removed.contains(&id) {
+                        seen[4] += 1;
+                    } else if set && id >= model.len() as ElementId {
+                        seen[6] += 1;
+                    }
+                    continue;
+                }
+                touched.insert(id);
+                model[id as usize] = op.shape();
+                if let WriteOp::Set(..) = op {
+                    seen[2] += born.contains(&id) as u32;
+                    if !pending.insert(id) {
+                        want.skipped += 1;
+                        seen[0] += 1;
+                    }
+                    continue;
+                }
+                if pending.remove(&id) {
+                    want.skipped += 1;
+                    seen[3] += 1;
+                }
+                seen[5] += born.contains(&id) as u32;
+                removed.insert(id);
+                want.removed += 1;
+            }
+            want.applied = pending.len() as u64;
+            let old_shape = |id: ElementId| before.get(id as usize).copied().flatten();
+            want.migrations = touched
+                .iter()
+                .filter(|&&id| {
+                    let (old, new) = (route(old_shape(id)), route(model[id as usize]));
+                    !old.is_empty() && !new.is_empty() && old != new
+                })
+                .count() as u64;
+
+            let (ids, stats) = planner.route_writes(&ops, &mut lanes);
+            let step = format!("batch {batch}");
+            assert_eq!(ids, want_ids, "{step}: allocated ids");
+            assert_eq!(
+                (stats.applied, stats.skipped, stats.migrations),
+                (want.applied, want.skipped, want.migrations),
+                "{step}: applied, skipped, migrations"
+            );
+            assert_eq!(
+                (stats.inserted, stats.removed),
+                (want.inserted, want.removed),
+                "{step}"
+            );
+            assert_eq!(planner.shapes, model, "{step}: element store");
+            assert_routes_match_store(&planner, &step);
+            for (s, lane) in lanes.iter().enumerate() {
+                let members: Vec<(ElementId, Shape)> = (0..model.len() as ElementId)
+                    .filter_map(|id| model[id as usize].map(|shape| (id, shape)))
+                    .filter(|&(_, shape)| route(Some(shape)).contains(&s))
+                    .collect();
+                assert_eq!(planner.shard_elements(s), members, "{step}: shard {s}");
+                let (mut updates, mut inserts, mut removals) = (Vec::new(), Vec::new(), Vec::new());
+                for &id in &touched {
+                    let new = model[id as usize];
+                    match (route(old_shape(id)).contains(&s), route(new).contains(&s)) {
+                        (true, true) => updates.push((id, new.unwrap())),
+                        (false, true) => inserts.push((id, new.unwrap())),
+                        (true, false) => removals.push(id),
+                        (false, false) => {}
+                    }
+                }
+                let ascends = |ids: Vec<ElementId>| ids.windows(2).all(|w| w[0] < w[1]);
+                assert!(ascends(lane.updates.iter().map(|e| e.0).collect()));
+                assert!(ascends(lane.inserts.iter().map(|e| e.0).collect()));
+                assert!(ascends(lane.removals.clone()));
+                assert_eq!(lane.updates, updates, "{step}: shard {s} updates");
+                assert_eq!(lane.inserts, inserts, "{step}: shard {s} inserts");
+                assert_eq!(lane.removals, removals, "{step}: shard {s} removals");
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "patterns seen: {seen:?}");
+    }
+
     #[test]
     fn executor_rebuilt_from_planner_is_byte_identical_after_updates() {
         let data = soup(1000);
@@ -3053,7 +3191,7 @@ mod tests {
                 )
             })
             .collect();
-        sharded.update_batch(&updates);
+        sharded.write_batch(&sets(&updates));
         let qs = queries();
         let points: Vec<Point3> = (0..6)
             .map(|i| Point3::new((i * 17) as f32, (i * 3) as f32, (i * 8) as f32))

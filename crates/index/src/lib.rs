@@ -107,7 +107,7 @@ mod util;
 pub use crtree::{CrTree, CrTreeConfig};
 pub use engine::sharded::{
     KnnLane, RangeLane, ShardExecutor, ShardPlanner, ShardRebuild, ShardRouter, ShardSet,
-    ShardedEngine, UpdateLane, UpdateLaneReport, Wave,
+    ShardedEngine, UpdateLane, UpdateLaneReport, Wave, WriteOp,
 };
 pub use engine::{BatchResults, CountSink, KnnBatchResults, QueryEngine};
 pub use flat::{Flat, FlatConfig};

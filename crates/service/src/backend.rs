@@ -33,10 +33,10 @@
 //! is the serial engine the differential suites compare the pool against.
 
 use crate::fault::FaultKind;
-use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3, Shape};
+use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3};
 use simspatial_index::{
     BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryStats, RangeLane, ShardExecutor,
-    ShardPlanner, ShardSet, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats, Wave,
+    ShardPlanner, ShardSet, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats, Wave, WriteOp,
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -120,10 +120,9 @@ pub struct BackendTelemetry {
 /// admission ([`SubmitError::ReadOnly`](crate::SubmitError)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Capabilities {
-    /// `update_batch` applies geometry writes (`StepDelta`).
+    /// [`ServiceBackend::write_batch`] applies writes (`StepDelta`,
+    /// `Insert`, `Remove`).
     pub updates: bool,
-    /// `insert_batch` / `remove_batch` change membership (`Insert`/`Remove`).
-    pub membership: bool,
 }
 
 /// Restart discipline for supervised shard workers: how many times a shard
@@ -224,55 +223,30 @@ pub trait ServiceBackend: Send + 'static {
         out: &mut QueryRunResults,
     ) -> QueryRunReport;
 
-    /// Applies one coalesced write batch: each `(id, shape)` entry replaces
-    /// that element's geometry (duplicate ids resolve last-write-wins).
-    /// Called by the scheduler between query runs so the write-barrier
-    /// ordering holds. The default (read-only backend) applies nothing and
-    /// reports every entry skipped — unreachable through the service,
-    /// which rejects writes at admission unless
+    /// Applies one write run as one ordered batch of [`WriteOp`]s: `Set`s
+    /// replace geometry, `Insert`s get fresh element ids (id allocation is
+    /// the backend's job — for the sharded backend, the planner's),
+    /// `Remove`s tombstone theirs (the ids never come back, and later
+    /// writes to them are skipped). Each id's ops resolve in batch order
+    /// ([`ShardPlanner::route_writes`]). Returns the allocated ids in batch
+    /// order. Called by the scheduler between query runs so the
+    /// write-barrier ordering holds. The default (read-only backend)
+    /// applies nothing and reports every op skipped — unreachable through
+    /// the service, which rejects writes at admission unless
     /// [`Capabilities::updates`] is set.
-    fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
-        UpdateStats {
-            skipped: updates.len() as u64,
+    fn write_batch(&mut self, ops: &[WriteOp]) -> (Vec<ElementId>, UpdateReport) {
+        let stats = UpdateStats {
+            skipped: ops.len() as u64,
             ..UpdateStats::default()
-        }
-        .into()
+        };
+        (Vec::new(), stats.into())
     }
 
-    /// Inserts new elements, allocating fresh element ids (id allocation
-    /// is the backend's job — for the sharded backend, the planner's).
-    /// Returns the allocated ids in input order. The default (no
-    /// membership support) allocates nothing and reports every entry
-    /// skipped — unreachable through the service, which rejects
-    /// [`Request::Insert`](crate::Request::Insert) at admission unless
-    /// [`Capabilities::membership`] is set.
-    fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
-        (
-            Vec::new(),
-            UpdateStats {
-                skipped: shapes.len() as u64,
-                ..UpdateStats::default()
-            }
-            .into(),
-        )
-    }
-
-    /// Removes elements by id (tombstoned: the ids never come back, and
-    /// later updates to them are skipped). Same default/admission contract
-    /// as [`ServiceBackend::insert_batch`].
-    fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
-        UpdateStats {
-            skipped: ids.len() as u64,
-            ..UpdateStats::default()
-        }
-        .into()
-    }
-
-    /// Called by the scheduler after a panic unwound out of a write call
-    /// (`update_batch`, `insert_batch`, `remove_batch`) on the dispatcher
-    /// thread. Returns `true` when the backend restored a consistent state
-    /// and can keep serving; `false` poisons the service — every subsequent
-    /// request completes with
+    /// Called by the scheduler after a panic unwound out of
+    /// [`ServiceBackend::write_batch`] on the dispatcher thread. Returns
+    /// `true` when the backend restored a consistent state and can keep
+    /// serving; `false` poisons the service — every subsequent request
+    /// completes with
     /// [`RecvError::WorkerFailed`](crate::RecvError::WorkerFailed) instead
     /// of touching a possibly-corrupt backend. A read panic needs no
     /// recovery: reads mutate no durable state.
@@ -747,32 +721,6 @@ impl ShardedBackend {
         let dead = &self.shards.executors().dead;
         (0..dead.len()).filter(|&i| dead[i]).collect()
     }
-
-    /// The one write path (updates, inserts, removals): [`ShardSet::write`]
-    /// on the pool. [`UpdateReport::failed`] names the first shard that
-    /// ended **dead**, if any — the typed write failure. A lane aimed at an
-    /// already-dead shard is dropped without failing the batch: coverage is
-    /// already degraded and the planner store stays authoritative.
-    fn write<T>(
-        &mut self,
-        what: &str,
-        route: impl FnOnce(&mut ShardPlanner, &mut Vec<UpdateLane>) -> (T, UpdateStats),
-    ) -> (T, UpdateReport) {
-        // Fail on the calling thread, before the planner advances: the
-        // service never routes writes here when read-only, but the trait
-        // is public.
-        assert!(
-            self.updatable,
-            "{what} on a read-only sharded backend — build the engine with_rebuild"
-        );
-        let mut failed = None;
-        let (value, stats) = self.shards.write(route, |planner, shards, wave| {
-            let panicked = shards.run_wave(planner, wave);
-            failed = panicked.iter().copied().find(|&i| shards.dead[i]);
-            panicked.is_empty()
-        });
-        (value, UpdateReport { stats, failed })
-    }
 }
 
 impl Supervised {
@@ -896,7 +844,6 @@ impl ServiceBackend for ShardedBackend {
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             updates: self.updatable,
-            membership: self.updatable,
         }
     }
 
@@ -978,24 +925,26 @@ impl ServiceBackend for ShardedBackend {
         report
     }
 
-    fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
-        self.write("write batch", |planner, lanes| {
-            ((), planner.route_updates(updates, lanes))
-        })
-        .1
-    }
-
-    fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
-        self.write("insert batch", |planner, lanes| {
-            planner.route_inserts(shapes, lanes)
-        })
-    }
-
-    fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
-        self.write("remove batch", |planner, lanes| {
-            ((), planner.route_removals(ids, lanes))
-        })
-        .1
+    /// The one write path: [`ShardSet::write`] on the pool.
+    /// [`UpdateReport::failed`] names the first shard that ended **dead**,
+    /// if any — the typed write failure. A lane aimed at an already-dead
+    /// shard is dropped without failing the batch: coverage is already
+    /// degraded and the planner store stays authoritative.
+    fn write_batch(&mut self, ops: &[WriteOp]) -> (Vec<ElementId>, UpdateReport) {
+        // Fail on the calling thread, before the planner advances: the
+        // service never routes writes here when read-only, but the trait
+        // is public.
+        assert!(
+            self.updatable,
+            "write batch on a read-only sharded backend — build the engine with_rebuild"
+        );
+        let mut failed = None;
+        let (ids, stats) = self.shards.write(ops, |planner, shards, wave| {
+            let panicked = shards.run_wave(planner, wave);
+            failed = panicked.iter().copied().find(|&i| shards.dead[i]);
+            panicked.is_empty()
+        });
+        (ids, UpdateReport { stats, failed })
     }
 
     // `recover` stays at the trait default. Lane panics never unwind out

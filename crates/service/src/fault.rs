@@ -12,12 +12,13 @@
 //! * **Dispatcher-level faults** (`shard: None`) fire inside the chaos
 //!   wrapper on the scheduler thread, *before* the inner backend is
 //!   touched — a panicking/unresponsive backend call. Each live
-//!   `query_run` and each `update_batch` is one op, and a fault applies to
-//!   the whole call: every request the call carries fails together, and
-//!   none of another call's. Because the inner backend is never reached,
-//!   an injected failure is a clean no-op on the dataset, which is what
-//!   lets differential chaos tests compare the surviving responses
-//!   byte-for-byte against a serial oracle.
+//!   `query_run` and each `write_batch` is one op, whatever it carries —
+//!   a write run's `StepDelta`s, `Insert`s and `Remove`s alike — and a
+//!   fault applies to the whole call: every request the call carries
+//!   fails together, and none of another call's. Because the inner
+//!   backend is never reached, an injected failure is a clean no-op on the
+//!   dataset, which is what lets differential chaos tests compare the
+//!   surviving responses byte-for-byte against a serial oracle.
 //! * **Worker-level faults** (`shard: Some(s)`) are installed into a
 //!   [`ShardedBackend`](crate::ShardedBackend)'s shard jobs via
 //!   [`ServiceBackend::install_worker_faults`] and fire on whichever thread
@@ -32,8 +33,8 @@ use crate::backend::{
     BackendTelemetry, Capabilities, QueryRun, QueryRunReport, QueryRunResults, ServiceBackend,
     UpdateReport,
 };
-use simspatial_geom::{ElementId, Shape};
-use simspatial_index::UpdateStats;
+use simspatial_geom::ElementId;
+use simspatial_index::{UpdateStats, WriteOp};
 use std::time::Duration;
 
 /// One kind of injected failure.
@@ -69,7 +70,7 @@ pub struct ScheduledFault {
 
 /// A deterministic, seeded schedule of injected faults. A dispatcher-level
 /// fault's `op` counts the backend calls that consume one: live query runs
-/// and geometry write batches (see [`ChaosBackend`]).
+/// and write runs, whatever requests they carry (see [`ChaosBackend`]).
 ///
 /// Build one explicitly with the `*_at`/`*_on_shard` methods, generate one
 /// pseudo-randomly with [`FaultPlan::random`], or pick the seed up from the
@@ -222,6 +223,11 @@ impl FaultPlan {
 /// faults fire here (keyed by a backend-call counter), worker-level faults
 /// are installed into the inner backend's shard workers at construction.
 ///
+/// **One call, one op:** each live query run and each write run is one
+/// backend call, so it consumes one op index whatever it carries — kNN
+/// probes with several `k`s, or `StepDelta`s, `Insert`s and `Remove`s
+/// coalesced into one ordered write batch. A snapshot run consumes none.
+///
 /// Injected dispatcher panics fire **before** the inner backend is called,
 /// so the inner state is untouched and [`ChaosBackend::recover`] can
 /// truthfully report the backend consistent — the service keeps serving.
@@ -231,16 +237,15 @@ impl FaultPlan {
 pub struct ChaosBackend<B> {
     inner: B,
     plan: FaultPlan,
-    /// Backend-call index: every live `query_run` and every
-    /// `update_batch` consumes one, whatever it carries and panicking
-    /// calls included — the op sequence only depends on the call sequence,
-    /// never on fault outcomes.
+    /// Backend-call index: every live `query_run` and every `write_batch`
+    /// consumes one, whatever it carries and panicking calls included —
+    /// the op sequence only depends on the call sequence, never on fault
+    /// outcomes.
     op: u64,
-    /// Whether the latest backend call was an injected panic, so
+    /// Whether the latest op was an injected panic, so
     /// [`ChaosBackend::recover`] knows the inner backend was never reached.
-    /// Every op sets it from its own fault, and membership calls (which
-    /// consume no op) clear it: a stale flag would vouch for a real inner
-    /// write panic.
+    /// Every op sets it from its own fault, and every write is an op, so
+    /// the flag a write panic leaves is that write's own.
     injected_panic: bool,
 }
 
@@ -292,8 +297,8 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
     /// inner backend (queries are side-effect free either way) — the out
     /// buffers come back empty with no reports, so every non-empty
     /// sub-batch has an arity mismatch. A snapshot run forwards and
-    /// consumes no op — like membership, epoch machinery joining a plan
-    /// must not shift an op-keyed schedule.
+    /// consumes no op: epoch machinery joining a plan must not shift an
+    /// op-keyed schedule.
     fn query_run(
         &mut self,
         run: &QueryRun,
@@ -317,42 +322,27 @@ impl<B: ServiceBackend> ServiceBackend for ChaosBackend<B> {
         }
     }
 
-    fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
+    /// A write run is one op, whatever it carries. A dropped one is lost
+    /// before reaching the inner backend: a clean no-op on the dataset
+    /// (no id allocated), reported as a failure so the write requests
+    /// complete with a typed error (the serial oracle must skip the same
+    /// write).
+    fn write_batch(&mut self, ops: &[WriteOp]) -> (Vec<ElementId>, UpdateReport) {
         match self.next_op() {
             Some(FaultKind::DropResponse) => {
-                // The write is lost before reaching the backend: a clean
-                // no-op on the dataset, reported as a failure so the write
-                // requests complete with a typed error (the serial oracle
-                // must skip the same write).
-                UpdateReport {
-                    stats: UpdateStats {
-                        skipped: updates.len() as u64,
-                        ..UpdateStats::default()
-                    },
-                    failed: Some(0),
-                }
+                let stats = UpdateStats {
+                    skipped: ops.len() as u64,
+                    ..UpdateStats::default()
+                };
+                let failed = Some(0);
+                (Vec::new(), UpdateReport { stats, failed })
             }
             Some(FaultKind::Delay(d)) => {
                 std::thread::sleep(d);
-                self.inner.update_batch(updates)
+                self.inner.write_batch(ops)
             }
-            _ => self.inner.update_batch(updates),
+            _ => self.inner.write_batch(ops),
         }
-    }
-
-    // Membership batches forward directly without consuming a fault-plan
-    // op: fault schedules are keyed by (dispatcher) backend-call index over
-    // the query/update call sequence, and membership ops joining a plan
-    // must not shift existing schedules. Worker-level faults installed via
-    // `install_worker_faults` still fire inside membership lanes.
-    fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
-        self.injected_panic = false;
-        self.inner.insert_batch(shapes)
-    }
-
-    fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
-        self.injected_panic = false;
-        self.inner.remove_batch(ids)
     }
 
     /// An injected panic fired before the inner backend was called: the
@@ -437,10 +427,7 @@ mod tests {
 
     impl ServiceBackend for TornWrites {
         fn capabilities(&self) -> Capabilities {
-            Capabilities {
-                updates: true,
-                ..Capabilities::default()
-            }
+            Capabilities { updates: true }
         }
 
         fn query_run(
@@ -452,7 +439,7 @@ mod tests {
             QueryRunReport::default()
         }
 
-        fn update_batch(&mut self, _updates: &[(ElementId, Shape)]) -> UpdateReport {
+        fn write_batch(&mut self, _ops: &[WriteOp]) -> (Vec<ElementId>, UpdateReport) {
             panic!("torn write");
         }
 
@@ -477,7 +464,7 @@ mod tests {
             chaos.query_run(&run, false, &mut QueryRunResults::default())
         }));
         assert!(read.is_err(), "op 0 is the injected read panic");
-        let write = catch_unwind(AssertUnwindSafe(|| chaos.update_batch(&[])));
+        let write = catch_unwind(AssertUnwindSafe(|| chaos.write_batch(&[])));
         assert!(
             write.is_err(),
             "op 1 is the inner backend's own write panic"

@@ -31,11 +31,14 @@
 //! * **The write path** — the paper's workload is an *alternating* stream
 //!   of position updates and queries, so the service is read–write:
 //!   [`Request::StepDelta`] carries sparse `(id, envelope)` changes — a
-//!   simulation tick ships its movers as one. Every write request is a
+//!   simulation tick ships its movers as one — and [`Request::Insert`] /
+//!   [`Request::Remove`] change membership. Every write request is a
 //!   **barrier** in the admission order (queries admitted before it see
 //!   pre-write state, queries after it see post-write state — exactly a
-//!   serial interleaving), and consecutive writes coalesce into one
-//!   backend `update_batch` application per dispatch. Requests a backend's
+//!   serial interleaving), and consecutive writes of every kind coalesce
+//!   into one ordered batch of [`WriteOp`](simspatial_index::WriteOp)s and
+//!   one [`ServiceBackend::write_batch`] call, which publishes one epoch;
+//!   a write run with nothing in it makes no call. Writes a backend's
 //!   [`Capabilities`] exclude are rejected at admission with
 //!   [`SubmitError::ReadOnly`].
 //! * **Backends** ([`ServiceBackend`]) — one way to run a `ShardedEngine`
@@ -52,9 +55,10 @@
 //!   byte-identical results to serial execution, with per-shard
 //!   parallelism inside a dispatch. A one-worker pool (one shard, or one
 //!   thread) spawns no thread and runs its lanes on the dispatcher. Reads
-//!   have one path (`query_run`, live or snapshot); the write path routes
-//!   update lanes to the same pool, **migrating** elements whose new
-//!   envelope crosses shard boundaries (replicas and id maps stay consistent).
+//!   have one path (`query_run`, live or snapshot), and so do writes
+//!   (`write_batch`): the planner routes update lanes to the same pool,
+//!   **migrating** elements whose new envelope crosses shard boundaries
+//!   (replicas and id maps stay consistent).
 //! * **[`ServiceStats`]** — queue depth and high-water mark, admission /
 //!   rejection counters, batch-size histogram (is coalescing working?),
 //!   per-request latency percentiles, aggregated predicate counters,
@@ -77,8 +81,9 @@
 //!   rejection is safe to resubmit (its doc says why admitted writes are
 //!   never blindly retried). The whole failure
 //!   matrix is exercised deterministically in ordinary tests through
-//!   [`FaultPlan`] and [`ChaosBackend`].
-//! * **Epoch-published snapshot reads** — every applied write barrier
+//!   [`FaultPlan`] and [`ChaosBackend`], whose schedule spends one op per
+//!   backend call: a live query run or a write run, whatever it carries.
+//! * **Epoch-published snapshot reads** — every applied write run
 //!   publishes a monotonically increasing **epoch**; reads submitted at
 //!   [`Consistency::Snapshot`] (via [`ServiceHandle::submit_at`]) are
 //!   hoisted in front of a dispatch's pending write barriers and answered

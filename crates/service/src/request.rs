@@ -39,14 +39,19 @@ pub enum Request {
     StepDelta(Vec<(ElementId, Aabb)>),
     /// Inserts new elements with the given envelopes. The backend
     /// allocates fresh ids (ascending, in input order) and returns them in
-    /// [`Response::Insert`]. A write barrier like `StepDelta`. Requires a
-    /// backend with membership support ([`SubmitError::ReadOnly`]
-    /// otherwise — only the sharded backend's planner can allocate ids).
+    /// [`Response::Insert`]. A write barrier like `StepDelta`, and part of
+    /// the same write run: writes admitted back to back reach the backend
+    /// as one ordered batch, each id's writes resolved in admission order
+    /// (a `StepDelta` entry for an id placed before the insert that
+    /// allocates it is skipped). Requires a writable backend
+    /// ([`SubmitError::ReadOnly`] otherwise).
     Insert(Vec<Aabb>),
     /// Removes elements by id. Removed ids are tombstoned: they never come
-    /// back, later updates to them are skipped, and queries no longer see
-    /// them. Unknown/duplicate ids are counted skipped. A write barrier.
-    /// Requires a backend with membership support.
+    /// back, later writes to them are skipped, and queries no longer see
+    /// them. Unknown/duplicate ids are counted skipped, and a `StepDelta`
+    /// entry the removal overrides in the same write run is too. A write
+    /// barrier in the same write run as the writes around it. Requires a
+    /// writable backend.
     Remove(Vec<ElementId>),
 }
 
@@ -75,21 +80,14 @@ impl Request {
             Request::StepDelta(_) | Request::Insert(_) | Request::Remove(_)
         )
     }
-
-    /// True for the membership-changing variants (`Insert`/`Remove`),
-    /// which need a backend that can allocate and tombstone ids
-    /// ([`Capabilities::membership`](crate::Capabilities::membership)).
-    pub fn is_membership(&self) -> bool {
-        matches!(self, Request::Insert(_) | Request::Remove(_))
-    }
 }
 
 /// How strongly a request's answer must be ordered against the write
 /// barriers in flight around it.
 ///
 /// Writes ignore this field — every write is always a barrier in the
-/// admission order and publishes a new epoch when applied. For reads it
-/// selects which dataset version answers:
+/// admission order, and each write run that reaches the backend publishes
+/// one new epoch. For reads it selects which dataset version answers:
 ///
 /// * [`Consistency::Barrier`] (the default) is the pre-epoch semantics
 ///   and the differential oracle: the read runs in strict admission order
@@ -228,10 +226,9 @@ pub enum SubmitError {
         /// not a burst.
         high_water: usize,
     },
-    /// A write the backend cannot apply: a `StepDelta` to a backend with no
-    /// write path (no updater / no shard rebuild function), or an
-    /// `Insert`/`Remove` to one without membership support. Rejected at
-    /// admission so no write ever reaches a backend that cannot apply it.
+    /// A write (`StepDelta`, `Insert` or `Remove`) to a backend with no
+    /// write path (no shard rebuild function). Rejected at admission so no
+    /// write ever reaches a backend that cannot apply it.
     ReadOnly(Request),
 }
 

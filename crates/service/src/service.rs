@@ -25,14 +25,12 @@
 //! dropped. (Only a submission that races the flag *and* loses its
 //! dispatcher sees its ticket error with `RecvError::ShutDown`.)
 
-use crate::backend::{
-    BatchReport, Capabilities, QueryRun, QueryRunResults, ServiceBackend, UpdateReport,
-};
+use crate::backend::{BatchReport, Capabilities, QueryRun, QueryRunResults, ServiceBackend};
 use crate::request::{Completion, Consistency, RecvError, Request, Response, SubmitError, Ticket};
 use crate::stats::{ServiceStats, BATCH_BUCKETS};
 use simspatial_geom::stats::PredicateCounts;
-use simspatial_geom::{ElementId, Shape};
-use simspatial_index::UpdateStats;
+use simspatial_geom::Shape;
+use simspatial_index::{UpdateStats, WriteOp};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -294,7 +292,7 @@ impl ServiceHandle {
             return Err(SubmitError::ShutDown(request));
         }
         let caps = self.shared.caps;
-        if (request.is_write() && !caps.updates) || (request.is_membership() && !caps.membership) {
+        if request.is_write() && !caps.updates {
             return Err(SubmitError::ReadOnly(request));
         }
         let (reply, rx) = mpsc::channel();
@@ -410,8 +408,8 @@ struct Scheduler<B: ServiceBackend> {
     range_req: Vec<(usize, usize, usize)>,
     /// `(pending idx, first probe, probe count)` per kNN request.
     knn_req: Vec<(usize, usize, usize)>,
-    /// Flattened `(id, geometry)` write batch of the current update run.
-    updates: Vec<(ElementId, Shape)>,
+    /// The ordered write batch of the current write run.
+    ops: Vec<WriteOp>,
     /// Per-pending-request failure slot for the current dispatch: a
     /// request with a failure set is excluded from backend batches and
     /// completes with that error.
@@ -540,7 +538,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             run_out: QueryRunResults::default(),
             range_req: Vec::new(),
             knn_req: Vec::new(),
-            updates: Vec::new(),
+            ops: Vec::new(),
             failures: Vec::new(),
             skipped: Vec::new(),
             epochs: Vec::new(),
@@ -617,8 +615,8 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// Executes one coalesced dispatch. The pending requests are processed
     /// as consecutive **runs** in admission order: maximal runs of query
     /// requests coalesce into one backend query run each, and maximal runs
-    /// of write requests into ordered write segments (see
-    /// [`Scheduler::run_update_batch`]). Runs execute strictly in order, so
+    /// of write requests into one ordered backend write each (see
+    /// [`Scheduler::run_write_batch`]). Runs execute strictly in order, so
     /// every write request is a barrier: queries admitted before it see
     /// pre-write state, queries admitted after it see post-write state —
     /// the dispatch is observationally identical to a serial run of the
@@ -720,7 +718,7 @@ impl<B: ServiceBackend> Scheduler<B> {
             }
             let idxs = &barrier_idx[lo..hi];
             if write {
-                self.run_update_batch(idxs, &mut totals);
+                self.run_write_batch(idxs, &mut totals);
             } else {
                 // Barrier reads run against the live dataset, whose state
                 // is exactly the last published epoch at this point.
@@ -935,52 +933,100 @@ impl<B: ServiceBackend> Scheduler<B> {
         }
     }
 
-    /// Executes one write run (`pending[idxs]`, all writes): flattens the
-    /// geometry writes between membership barriers — in admission order,
-    /// so duplicate ids resolve last-write-wins across requests exactly as
-    /// a serial run would — into ONE backend `update_batch` application
-    /// each, and completes every segment right after its application,
-    /// stamped with the epoch it advanced to.
-    fn run_update_batch(&mut self, idxs: &[usize], totals: &mut DispatchTotals) {
-        // A write run executes as ordered **segments**: consecutive
-        // geometry writes (`StepDelta`) flatten into one coalesced
-        // backend application, while each membership request
-        // (`Insert`/`Remove`) is its own backend call at its admission
-        // position — so id allocation and tombstoning stay strictly
-        // ordered against the geometry writes around them, and the write
-        // barrier an observer sees is identical to serial execution in
-        // admission order.
-        self.updates.clear();
-        let mut seg = 0usize;
-        for (pos, &i) in idxs.iter().enumerate() {
+    /// Executes one write run (`pending[idxs]`, all writes) as ONE backend
+    /// [`ServiceBackend::write_batch`] call: every surviving request's
+    /// writes flatten into one ordered op list in admission order, so each
+    /// id's writes resolve across requests exactly as a serial run would,
+    /// and each `Insert` reply takes its slice of the allocated ids. A run
+    /// with no ops makes no call and publishes nothing: its acks carry the
+    /// current epoch.
+    ///
+    /// On a shard death the run's requests fail with the typed error — the
+    /// write *may* be partially applied (it is applied on every surviving
+    /// shard); which requests' entries landed on the dead shard is not
+    /// attributable after coalescing, so the whole run fails. So does a
+    /// reply that lost ids. A panic that unwound out of the write fails
+    /// the run typed and is only survivable if [`ServiceBackend::recover`]
+    /// restores a consistent state; otherwise the service **poisons**:
+    /// admission closes and everything still in flight or queued fails
+    /// fast (the `dead` flag makes racing stragglers classify as
+    /// [`RecvError::WorkerFailed`] rather than a clean shutdown). Every
+    /// applied (even partially applied) write run **publishes the next
+    /// epoch** — a counter bump, since the backend's live state now is
+    /// that epoch — and stamps it on the run's surviving requests: the ack
+    /// a client receives carries the epoch that made its write visible to
+    /// snapshot readers.
+    fn run_write_batch(&mut self, idxs: &[usize], totals: &mut DispatchTotals) {
+        let mut ops = std::mem::take(&mut self.ops);
+        ops.clear();
+        let mut inserts = 0;
+        for &i in idxs {
             if self.failures[i].is_some() {
                 continue; // shed at admission: the write never happens, so
                           // later queries correctly see state without it
             }
-            match &self.pending[i].request {
+            let response = match &self.pending[i].request {
                 Request::StepDelta(moves) => {
-                    self.updates
-                        .extend(moves.iter().map(|&(id, bb)| (id, Shape::Box(bb))));
-                    self.responses[i] = Some(Response::StepDelta(moves.len() as u64));
-                    continue;
+                    ops.extend(
+                        moves
+                            .iter()
+                            .map(|&(id, bb)| WriteOp::Set(id, Shape::Box(bb))),
+                    );
+                    Response::StepDelta(moves.len() as u64)
                 }
-                Request::Insert(_) | Request::Remove(_) => {}
-                _ => unreachable!("update runs only hold write requests"),
-            }
-            // Membership barrier: flush the geometry segment admitted
-            // before it, then run the membership call itself.
-            self.flush_geometry(&idxs[seg..pos], totals);
-            if !self.poisoned {
-                self.run_membership(i, totals);
-            }
-            if self.poisoned {
-                self.fail_rest(&idxs[pos..], 0);
-                self.complete_run(&idxs[pos..], totals);
-                return;
-            }
-            seg = pos + 1;
+                Request::Insert(envelopes) => {
+                    ops.extend(envelopes.iter().map(|&bb| WriteOp::Insert(Shape::Box(bb))));
+                    inserts += envelopes.len();
+                    continue; // replied with its ids after the call
+                }
+                Request::Remove(ids) => {
+                    ops.extend(ids.iter().map(|&id| WriteOp::Remove(id)));
+                    Response::Remove(ids.len() as u64)
+                }
+                _ => unreachable!("write runs only hold write requests"),
+            };
+            self.responses[i] = Some(response);
         }
-        self.flush_geometry(&idxs[seg..], totals);
+        let mut ids = Vec::new();
+        if !ops.is_empty() {
+            totals.wrote = true;
+            let backend = &mut self.backend;
+            let failed = match catch_unwind(AssertUnwindSafe(|| backend.write_batch(&ops))) {
+                Ok((allocated, report)) => {
+                    totals.exec_elapsed_s += report.stats.elapsed_s;
+                    totals.update.add(&report.stats);
+                    totals.update_runs.push(ops.len());
+                    ids = allocated;
+                    report.failed.or((ids.len() != inserts).then_some(0))
+                }
+                Err(_) => {
+                    totals.sched_panics += 1;
+                    if !self.backend.recover() {
+                        self.poisoned = true;
+                        self.shared.dead.store(true, Ordering::Release);
+                        self.shared.open.store(false, Ordering::Release);
+                    }
+                    Some(0)
+                }
+            };
+            if let Some(shard) = failed {
+                self.fail_rest(idxs, shard);
+            }
+            if !self.poisoned {
+                self.epoch += 1;
+            }
+        }
+        self.ops = ops;
+        let mut rest = ids.as_slice();
+        for &i in idxs.iter().filter(|&&i| self.failures[i].is_none()) {
+            self.epochs[i] = self.epoch;
+            if let Request::Insert(envelopes) = &self.pending[i].request {
+                let (own, tail) = rest.split_at(envelopes.len());
+                self.responses[i] = Some(Response::Insert(own.to_vec()));
+                rest = tail;
+            }
+        }
+        self.complete_run(idxs, totals);
     }
 
     /// Fails every request of `idxs` not yet completed and not already
@@ -993,107 +1039,6 @@ impl<B: ServiceBackend> Scheduler<B> {
                 self.failures[i] = Some(RecvError::WorkerFailed { shard });
             }
         }
-    }
-
-    /// The shared tail of every backend write application: runs `call`
-    /// (carrying `size` element updates on behalf of the write requests
-    /// `seg`) under `catch_unwind` and accounts it. On a shard death the
-    /// segment's surviving requests fail with the typed error — the write
-    /// *may* be partially applied (it is applied on every surviving
-    /// shard); which requests' entries landed on the dead shard is not
-    /// attributable after coalescing, so the whole segment fails. A panic
-    /// that unwound out of the write fails the segment typed and is only
-    /// survivable if [`ServiceBackend::recover`] restores a consistent
-    /// state; otherwise the service **poisons**: admission closes and
-    /// everything still in flight or queued fails fast (the `dead` flag
-    /// makes racing stragglers classify as [`RecvError::WorkerFailed`]
-    /// rather than a clean shutdown). Every applied
-    /// (even partially applied) write **publishes the next epoch** — a
-    /// counter bump, since the backend's live state now is that epoch — and
-    /// stamps it on the segment's surviving requests — the ack a client
-    /// receives carries the epoch that made its write visible to snapshot
-    /// readers. Returns `call`'s value when the write fully succeeded.
-    fn apply_write<R>(
-        &mut self,
-        seg: &[usize],
-        size: usize,
-        totals: &mut DispatchTotals,
-        call: impl FnOnce(&mut B) -> (R, UpdateReport),
-    ) -> Option<R> {
-        totals.wrote = true;
-        let backend = &mut self.backend;
-        let value = match catch_unwind(AssertUnwindSafe(|| call(backend))) {
-            Ok((value, report)) => {
-                totals.exec_elapsed_s += report.stats.elapsed_s;
-                totals.update.add(&report.stats);
-                totals.update_runs.push(size);
-                match report.failed {
-                    Some(shard) => {
-                        self.fail_rest(seg, shard);
-                        None
-                    }
-                    None => Some(value),
-                }
-            }
-            Err(_) => {
-                totals.sched_panics += 1;
-                self.fail_rest(seg, 0);
-                if !self.backend.recover() {
-                    self.poisoned = true;
-                    self.shared.dead.store(true, Ordering::Release);
-                    self.shared.open.store(false, Ordering::Release);
-                }
-                None
-            }
-        };
-        if !self.poisoned {
-            self.epoch += 1;
-        }
-        for &i in seg {
-            if self.failures[i].is_none() {
-                self.epochs[i] = self.epoch;
-            }
-        }
-        value
-    }
-
-    /// Applies the flattened geometry writes of the requests in `seg` as
-    /// one coalesced backend application (see [`Scheduler::apply_write`]),
-    /// then completes the segment.
-    fn flush_geometry(&mut self, seg: &[usize], totals: &mut DispatchTotals) {
-        if !self.updates.is_empty() {
-            let updates = std::mem::take(&mut self.updates);
-            self.apply_write(seg, updates.len(), totals, |backend| {
-                ((), backend.update_batch(&updates))
-            });
-            self.updates = updates;
-            self.updates.clear();
-        }
-        self.complete_run(seg, totals);
-    }
-
-    /// Runs the membership request at pending index `i` (`Insert` or
-    /// `Remove`) as its own backend call — a write barrier like any other,
-    /// with [`Scheduler::apply_write`]'s failure discipline scoped to this
-    /// single request, since the backend call carries nothing else — and
-    /// completes it.
-    fn run_membership(&mut self, i: usize, totals: &mut DispatchTotals) {
-        let request = std::mem::replace(&mut self.pending[i].request, Request::Range(Vec::new()));
-        let response = self.apply_write(&[i], request.len(), totals, |backend| match &request {
-            Request::Insert(envelopes) => {
-                let shapes: Vec<Shape> = envelopes.iter().map(|&bb| Shape::Box(bb)).collect();
-                let (ids, report) = backend.insert_batch(&shapes);
-                (Response::Insert(ids), report)
-            }
-            Request::Remove(ids) => (
-                Response::Remove(ids.len() as u64),
-                backend.remove_batch(ids),
-            ),
-            _ => unreachable!("run_membership called on a non-membership request"),
-        });
-        self.pending[i].request = request;
-        self.responses[i] = response;
-        self.complete_run(&[i], totals);
     }
 }
 

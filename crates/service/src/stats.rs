@@ -226,11 +226,11 @@ stats_table! {
         /// Requests completed with `RecvError::WorkerFailed`.
         pub failed_requests: u64 => "failures" "failed",
         /// The last published epoch (see [`Consistency`](crate::Consistency)).
-        /// Epoch 0 publishes at service start; every applied write barrier
+        /// Epoch 0 publishes at service start; every applied write run
         /// publishes the next.
         pub current_epoch: u64 => "epochs" "current",
         /// Epochs published over the service lifetime: `current_epoch + 1` by
-        /// construction (the startup epoch plus one per write barrier).
+        /// construction (the startup epoch plus one per applied write run).
         pub epochs_published: u64 => "epochs" "published",
         /// Reads served at `Consistency::Snapshot`/`ReadYourWrites` at the last
         /// published epoch instead of on the barrier path.

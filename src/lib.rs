@@ -95,7 +95,7 @@ pub mod prelude {
         LinearScan, Lsh, LshConfig, MultiGrid, MultiGridConfig, Octree, OctreeConfig, QueryEngine,
         QueryStats, RTree, RTreeConfig, RangeLane, RangeSink, ShardApplyCost, ShardExecutor,
         ShardPlanner, ShardRouter, ShardedEngine, SpatialIndex, UniformGrid, UpdateLane,
-        UpdateLaneReport, UpdateStats,
+        UpdateLaneReport, UpdateStats, WriteOp,
     };
     pub use simspatial_join::{join_pair, self_join, JoinAlgorithm, JoinConfig, PairAlgorithm};
     pub use simspatial_mesh::{MeshWalker, TetMesh, WalkStrategy};

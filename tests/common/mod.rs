@@ -29,15 +29,45 @@ pub fn mix(h: u32) -> u32 {
 }
 
 /// The serial oracle: one request at a time through a caller-owned engine.
-/// Writable oracles additionally apply write batches with the same
-/// semantics as the service (geometry replaced, last write wins).
+/// Writable oracles additionally apply ordered write batches with the same
+/// semantics as the service (geometry replaced, last write wins), and
+/// return the ids the batch's inserts allocated.
 pub trait SerialOracle {
     fn range(&mut self, qs: &[Aabb]) -> Vec<Vec<ElementId>>;
     fn knn(&mut self, p: &Point3, k: usize) -> Vec<(ElementId, f32)>;
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        let _ = updates;
+    fn apply(&mut self, ops: &[WriteOp]) -> Vec<ElementId> {
+        let _ = ops;
         panic!("read-only oracle received a write");
     }
+}
+
+/// `updates` as `Set` ops.
+pub fn sets(updates: &[(ElementId, Shape)]) -> Vec<WriteOp> {
+    updates
+        .iter()
+        .map(|&(id, shape)| WriteOp::Set(id, shape))
+        .collect()
+}
+
+/// `shapes` as `Insert` ops.
+pub fn inserts(shapes: &[Shape]) -> Vec<WriteOp> {
+    shapes.iter().map(|&shape| WriteOp::Insert(shape)).collect()
+}
+
+/// `ids` as `Remove` ops.
+pub fn removes(ids: &[ElementId]) -> Vec<WriteOp> {
+    ids.iter().map(|&id| WriteOp::Remove(id)).collect()
+}
+
+/// The `(id, geometry)` pairs of a batch of `Set`s, for the oracles whose
+/// dataset has no id allocator: membership needs a [`ShardedOracle`].
+fn set_pairs(ops: &[WriteOp]) -> Vec<(ElementId, Shape)> {
+    ops.iter()
+        .map(|op| match *op {
+            WriteOp::Set(id, shape) => (id, shape),
+            _ => panic!("only a ShardedOracle allocates and tombstones ids"),
+        })
+        .collect()
 }
 
 /// Serial mirror of a sharded backend: the same `ShardedEngine`, driven one
@@ -59,8 +89,8 @@ impl<I: SpatialIndex + KnnIndex + Send> SerialOracle for ShardedOracle<I> {
         out.query_results(0).to_vec()
     }
 
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        self.0.update_batch(updates);
+    fn apply(&mut self, ops: &[WriteOp]) -> Vec<ElementId> {
+        self.0.write_batch(ops).0
     }
 }
 
@@ -103,13 +133,14 @@ impl<I: SpatialIndex + KnnIndex, F: Fn(&[Element]) -> I> SerialOracle for Rebuil
         out.query_results(0).to_vec()
     }
 
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
-        for &(id, shape) in updates {
+    fn apply(&mut self, ops: &[WriteOp]) -> Vec<ElementId> {
+        for (id, shape) in set_pairs(ops) {
             if let Some(e) = self.data.get_mut(id as usize) {
                 e.shape = shape;
             }
         }
         self.index = (self.build)(&self.data);
+        Vec::new()
     }
 }
 
@@ -220,10 +251,11 @@ impl SerialOracle for StrategyOracle {
         out
     }
 
-    fn apply(&mut self, updates: &[(ElementId, Shape)]) {
+    fn apply(&mut self, ops: &[WriteOp]) -> Vec<ElementId> {
         self.strategy
-            .update_in_place(&mut self.data, updates)
+            .update_in_place(&mut self.data, &set_pairs(ops))
             .expect("every strategy writes in place");
+        Vec::new()
     }
 }
 
@@ -241,13 +273,20 @@ pub fn expected(oracle: &mut dyn SerialOracle, request: &Request) -> Response {
             Response::Knn(probes.iter().map(|(p, k)| oracle.knn(p, *k)).collect())
         }
         Request::StepDelta(moves) => {
-            let updates: Vec<(ElementId, Shape)> =
-                moves.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
-            oracle.apply(&updates);
+            let ops: Vec<WriteOp> = moves
+                .iter()
+                .map(|&(id, bb)| WriteOp::Set(id, Shape::Box(bb)))
+                .collect();
+            oracle.apply(&ops);
             Response::StepDelta(moves.len() as u64)
         }
-        Request::Insert(_) | Request::Remove(_) => {
-            unimplemented!("membership requests are exercised by tests/incremental_differential.rs")
+        Request::Insert(envelopes) => {
+            let shapes: Vec<Shape> = envelopes.iter().map(|&bb| Shape::Box(bb)).collect();
+            Response::Insert(oracle.apply(&inserts(&shapes)))
+        }
+        Request::Remove(ids) => {
+            oracle.apply(&removes(ids));
+            Response::Remove(ids.len() as u64)
         }
     }
 }

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{rebuild_only, rebuild_strategy_engine, RebuildOnly};
+use common::{inserts, rebuild_only, rebuild_strategy_engine, removes, sets, RebuildOnly};
 use simspatial::prelude::*;
 
 fn mix(h: u32) -> u32 {
@@ -52,7 +52,7 @@ fn soup(n: u32, seed: u32) -> Vec<Element> {
 /// queried through a freshly built [`LinearScan`]. Removals tombstone the
 /// slot with an empty box instead of compacting, mirroring the planner's
 /// id discipline; updates to tombstoned or out-of-range ids are skipped,
-/// mirroring [`ShardPlanner::route_updates`].
+/// mirroring [`ShardPlanner::route_writes`].
 struct Oracle {
     data: Vec<Element>,
     engine: QueryEngine,
@@ -268,8 +268,8 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
 
     // 1. Incremental-eligible jitter.
     let updates = jitter(n, seed, 80);
-    let s_inc = inc.update_batch(&updates);
-    let s_reb = reb.update_batch(&updates);
+    let s_inc = inc.write_batch(&sets(&updates)).1;
+    let s_reb = reb.write_batch(&sets(&updates)).1;
     oracle.update(&updates);
     check(&mut inc, &mut reb, &mut oracle, &format!("{label}/jitter"));
     assert_eq!(
@@ -288,8 +288,8 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
     // 2. Cross-shard teleports: migrations force the rebuild fallback, and
     //    results must not care.
     let updates = teleport(n, seed, 60);
-    let s_inc = inc.update_batch(&updates);
-    let s_reb = reb.update_batch(&updates);
+    let s_inc = inc.write_batch(&sets(&updates)).1;
+    let s_reb = reb.write_batch(&sets(&updates)).1;
     oracle.update(&updates);
     check(
         &mut inc,
@@ -319,8 +319,8 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
             Shape::Box(Aabb::new(p, Point3::new(x + 1.2, y + 1.2, z + 1.2)))
         })
         .collect();
-    let (ids_inc, s_inc) = inc.insert_batch(&new_shapes);
-    let (ids_reb, _) = reb.insert_batch(&new_shapes);
+    let (ids_inc, s_inc) = inc.write_batch(&inserts(&new_shapes));
+    let (ids_reb, _) = reb.write_batch(&inserts(&new_shapes));
     let ids_oracle = oracle.insert(&new_shapes);
     assert_eq!(ids_inc, ids_oracle, "{label}: planner id allocation");
     assert_eq!(ids_reb, ids_oracle, "{label}: planner id allocation");
@@ -330,8 +330,8 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
     // 4. Removes: original ids, one freshly inserted id, a duplicate in
     //    the same batch, and an out-of-range id (skipped).
     let dead = vec![3u32, 77, 150, ids_oracle[0], 77, n + 1000];
-    let s_inc = inc.remove_batch(&dead);
-    reb.remove_batch(&dead);
+    let s_inc = inc.write_batch(&removes(&dead)).1;
+    reb.write_batch(&removes(&dead));
     oracle.remove(&[3, 77, 150, ids_oracle[0]]);
     assert_eq!(s_inc.removed, 4, "{label}: distinct live ids removed");
     assert!(
@@ -347,8 +347,8 @@ fn drive(kind: UpdateStrategyKind, shards: usize) {
         (3, Shape::Box(probe)), // dead: must stay invisible
         (9, Shape::Box(probe)), // live: must show up
     ];
-    let s_inc = inc.update_batch(&updates);
-    reb.update_batch(&updates);
+    let s_inc = inc.write_batch(&sets(&updates)).1;
+    reb.write_batch(&sets(&updates));
     oracle.update(&updates);
     assert_eq!(s_inc.applied, 1, "{label}: only the live id applies");
     assert_eq!(s_inc.skipped, 1, "{label}: the dead id is skipped");
@@ -428,13 +428,13 @@ fn twin_strategy_engines_answer_byte_for_byte() {
             twins_agree(&mut a, &mut b, &format!("{label}/seed"));
             for (stage, count) in [("jitter below flush", 20u32), ("jitter above flush", 200)] {
                 let updates = jitter(n, seed ^ count, count);
-                a.update_batch(&updates);
-                b.update_batch(&updates);
+                a.write_batch(&sets(&updates));
+                b.write_batch(&sets(&updates));
                 twins_agree(&mut a, &mut b, &format!("{label}/{stage}"));
             }
             let updates = teleport(n, seed, 60);
-            a.update_batch(&updates);
-            b.update_batch(&updates);
+            a.write_batch(&sets(&updates));
+            b.write_batch(&sets(&updates));
             twins_agree(&mut a, &mut b, &format!("{label}/teleport"));
             let shapes: Vec<Shape> = (0..12u32)
                 .map(|j| {
@@ -443,11 +443,14 @@ fn twin_strategy_engines_answer_byte_for_byte() {
                     Shape::Sphere(Sphere::new(p, 0.6))
                 })
                 .collect();
-            assert_eq!(a.insert_batch(&shapes).0, b.insert_batch(&shapes).0);
+            assert_eq!(
+                a.write_batch(&inserts(&shapes)).0,
+                b.write_batch(&inserts(&shapes)).0
+            );
             twins_agree(&mut a, &mut b, &format!("{label}/insert"));
             let dead = [5u32, 64, 301, n + 2];
-            a.remove_batch(&dead);
-            b.remove_batch(&dead);
+            a.write_batch(&removes(&dead));
+            b.write_batch(&removes(&dead));
             twins_agree(&mut a, &mut b, &format!("{label}/remove"));
         }
     }
@@ -464,8 +467,8 @@ fn incremental_mode_avoids_rebuilds_on_jitter() {
     let mut inc = sharded_strategy_engine(&data, 1, UpdateStrategyKind::GridMigrate);
     let mut reb = rebuild_strategy_engine(&data, 1, UpdateStrategyKind::GridMigrate);
     let updates = jitter(n, 0xACC, 30);
-    let s_inc = inc.update_batch(&updates);
-    let s_reb = reb.update_batch(&updates);
+    let s_inc = inc.write_batch(&sets(&updates)).1;
+    let s_reb = reb.write_batch(&sets(&updates)).1;
     assert_eq!(
         s_inc.rebuilds_avoided, 1,
         "single shard, one lane, in place"
@@ -508,7 +511,7 @@ fn every_strategy_bounds_lane_work_by_the_lane() {
     let updates = jitter(n, 0xACC, 30);
     for kind in UpdateStrategyKind::ALL {
         let mut engine = sharded_strategy_engine(&data, 1, kind);
-        let stats = engine.update_batch(&updates);
+        let stats = engine.write_batch(&sets(&updates)).1;
         if matches!(
             kind,
             UpdateStrategyKind::RTreeRebuild | UpdateStrategyKind::ThrowawayGrid
@@ -574,8 +577,8 @@ fn plain_grid_engine_writes_in_place() {
     let touched = touched.len() as u64;
     assert!(touched > 1, "the tick reaches several shards");
 
-    let s_grid = grid.update_batch(&updates);
-    let s_twin = twin.update_batch(&updates);
+    let s_grid = grid.write_batch(&sets(&updates)).1;
+    let s_twin = twin.write_batch(&sets(&updates)).1;
     assert_eq!(s_grid.applied, updates.len() as u64);
     assert_eq!(s_grid.migrations, 0, "the tick is resident");
     assert_eq!((s_grid.rebuilds, s_grid.rebuilds_avoided), (0, touched));
@@ -624,7 +627,13 @@ fn range_merge_is_first_seen_order_for_one_and_many_shard_queries() {
     let seed = 0x3E26;
     let data = soup(n, seed);
     let mut engine = sharded_strategy_engine(&data, 4, UpdateStrategyKind::GridMigrate);
-    assert!(engine.update_batch(&teleport(n, seed, 120)).migrations > 0);
+    assert!(
+        engine
+            .write_batch(&sets(&teleport(n, seed, 120)))
+            .1
+            .migrations
+            > 0
+    );
     let (mut planner, mut executors) = engine.into_parts();
 
     // Small cubes along the diagonal (some inside one slab, some across a
@@ -709,8 +718,8 @@ fn shrink_to_empty_then_regrow() {
     let mut oracle = Oracle::new(data);
 
     let all: Vec<u32> = (0..n).collect();
-    inc.remove_batch(&all);
-    reb.remove_batch(&all);
+    inc.write_batch(&removes(&all));
+    reb.write_batch(&removes(&all));
     oracle.remove(&all);
     assert_eq!(oracle.live(), 0);
     check(&mut inc, &mut reb, &mut oracle, "empty");
@@ -722,8 +731,8 @@ fn shrink_to_empty_then_regrow() {
             Point3::new(82.0, 82.0, 82.0),
         )),
     ];
-    let (ids, _) = inc.insert_batch(&shapes);
-    let (ids_r, _) = reb.insert_batch(&shapes);
+    let (ids, _) = inc.write_batch(&inserts(&shapes));
+    let (ids_r, _) = reb.write_batch(&inserts(&shapes));
     let ids_o = oracle.insert(&shapes);
     assert_eq!(ids, vec![n, n + 1], "ids continue past the tombstones");
     assert_eq!(ids_r, ids_o);

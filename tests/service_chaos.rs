@@ -280,6 +280,33 @@ fn one_backend_call_is_one_fault_op_whatever_its_ks() {
     );
 }
 
+/// A write call is one fault op whatever it carries, an `Insert` included:
+/// on a 4-shard writable grid backend, `drop_at(1)` over `[Range, Insert,
+/// Knn, Range]` loses the `Insert` — it fails typed and allocates no id, so
+/// the last range, which covers its envelope, does not see it — and
+/// requests 0, 2 and 3 match the oracle.
+#[test]
+fn one_write_call_is_one_fault_op_whatever_it_carries() {
+    let data = soup(1500, 0x1D5);
+    let build = |d: &[Element]| UniformGrid::build(d, GridConfig::auto(d));
+    let make = || ShardedEngine::build(&data, 4, build).with_rebuild(build);
+    let arrival = Aabb::new(Point3::new(40.0, 40.0, 40.0), Point3::new(41.0, 41.0, 41.0));
+    let requests = vec![
+        Request::Range(vec![arrival, full_cover()]), // op 0
+        Request::Insert(vec![arrival]),              // op 1: lost
+        Request::Knn(vec![(Point3::new(40.5, 40.5, 40.5), 4)]), // op 2
+        Request::Range(vec![arrival]),               // op 3
+    ];
+    let plan = FaultPlan::new().drop_at(1);
+    let backend = ChaosBackend::new(ShardedBackend::spawn(make()), plan.clone());
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let label = "4 shards, dropped insert";
+    let stats = drive_differential(service, &mut ShardedOracle(make()), &plan, &requests, label);
+    assert_eq!(stats.failed_requests, 1, "{label}: the insert");
+    assert_eq!(stats.elements_inserted, 0, "{label}: no id allocated");
+    assert_eq!(stats.completed, requests.len() as u64, "{label}");
+}
+
 /// Dispatcher-level faults on the single-engine backend (rebuild writes).
 #[test]
 fn engine_dispatcher_faults_fail_typed_and_survivors_match_oracle() {
@@ -402,9 +429,9 @@ fn inline_apply_panic_restarts_the_shard_and_acks_the_write() {
     // the restarted shard holds every entry of it.
     let mut oracle = RebuildOracle::new(data, build);
     oracle.apply(&[
-        (3, Shape::Box(t1)),
-        (BOMB, Shape::Box(t1)),
-        (5, Shape::Box(t1)),
+        WriteOp::Set(3, Shape::Box(t1)),
+        WriteOp::Set(BOMB, Shape::Box(t1)),
+        WriteOp::Set(5, Shape::Box(t1)),
     ]);
     let later = [
         Request::Range(vec![t1, full_cover()]),
@@ -1101,10 +1128,7 @@ struct TornWriteBackend {
 
 impl ServiceBackend for TornWriteBackend {
     fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            updates: true,
-            ..Capabilities::default()
-        }
+        Capabilities { updates: true }
     }
 
     fn query_run(
@@ -1116,7 +1140,7 @@ impl ServiceBackend for TornWriteBackend {
         self.inner.query_run(run, snapshot, out)
     }
 
-    fn update_batch(&mut self, _updates: &[(ElementId, Shape)]) -> UpdateReport {
+    fn write_batch(&mut self, _ops: &[WriteOp]) -> (Vec<ElementId>, UpdateReport) {
         panic!("chaos: torn write without a recovery path");
     }
 

@@ -21,11 +21,13 @@
 //!   to spend.
 //! * **Zero-length requests**: a `Range`, `RangeCount` or `Knn` request
 //!   with nothing in it gets an empty reply, alone or coalesced, on one
-//!   shard and on four, and fails nothing.
+//!   shard and on four, and fails nothing. A `StepDelta`, `Insert` or
+//!   `Remove` with nothing in it reaches no backend and publishes no
+//!   epoch: its ack carries the epoch before it.
 
 mod common;
 
-use common::{soup, RebuildOnly};
+use common::{sets, soup, RebuildOnly};
 use simspatial::prelude::*;
 use simspatial_geom::{parallel, QueryScratch};
 use simspatial_service::{BatchReport, QueryRun, QueryRunResults, SupervisorPolicy};
@@ -184,7 +186,7 @@ fn idle_worker_steals_from_wedged_owner_queue() {
     parallel::set_num_threads(old);
 }
 
-/// Which threads ran the write lanes of one `update_batch` that moves every
+/// Which threads ran the write lanes of one `write_batch` that moves every
 /// element, called directly from this thread: each lane rebuilds its shard
 /// through the rebuild function, which records its thread (calls made
 /// while the backend is built do not count).
@@ -209,7 +211,7 @@ fn lane_threads(shards: usize) -> Vec<std::thread::ThreadId> {
         .iter()
         .map(|e| (e.id, Shape::Box(e.aabb().translate(nudge))))
         .collect();
-    assert!(backend.update_batch(&updates).failed.is_none());
+    assert!(backend.write_batch(&sets(&updates)).1.failed.is_none());
     let seen = seen.lock().unwrap().clone();
     assert_eq!(seen.len(), shards, "one rebuilding lane per shard");
     seen
@@ -321,7 +323,7 @@ fn sharded_engine_runs_every_lane_on_the_caller() {
         .iter()
         .map(|e| (e.id, Shape::Box(e.aabb().translate(nudge))))
         .collect();
-    assert_eq!(engine.update_batch(&updates).rebuilds, 4);
+    assert_eq!(engine.write_batch(&sets(&updates)).1.rebuilds, 4);
     ran_on("write batch", 4);
 
     let everything = Aabb::union_all(data.iter().map(Element::aabb));
@@ -474,5 +476,78 @@ fn zero_length_requests_get_empty_replies() {
         assert_eq!(again, expected, "{shards} shards");
         let stats = service.shutdown();
         assert_eq!(stats.failed_requests, 0, "{shards} shards");
+    }
+}
+
+/// A write with nothing in it publishes nothing. Served alone, an empty
+/// `StepDelta`, `Insert` or `Remove` is acked with the current epoch and
+/// leaves `epochs_published` as it was. Submitted back to back with
+/// non-empty writes and reads, each empty write is acked with the epoch of
+/// the non-empty write before it, however the dispatches split the stream,
+/// and only the non-empty writes publish. On one writable shard and on
+/// four.
+#[test]
+fn zero_length_writes_publish_no_epoch() {
+    let data = soup(4000, 7);
+    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+    let at = |x: f32| Aabb::new(Point3::new(x, 5.0, 5.0), Point3::new(x + 1.0, 6.0, 6.0));
+    let empty = [
+        Request::StepDelta(vec![]),
+        Request::Insert(vec![]),
+        Request::Remove(vec![]),
+    ];
+    let read = Request::Range(vec![at(10.0)]);
+    for shards in [1, 4] {
+        let engine = ShardedEngine::build(&data, shards, build).with_rebuild(build);
+        let service =
+            SpatialService::spawn(ShardedBackend::spawn(engine), ServiceConfig::default());
+        let handle = service.handle();
+        let submit = |request: &Request| handle.submit(request.clone()).unwrap();
+        let published = || service.stats().epochs_published;
+        // Alone: each is its dispatch's only request.
+        for request in &empty {
+            let ack = submit(request).recv_reply().unwrap();
+            assert_eq!(ack.epoch, 0, "{shards} shards: {request:?}");
+            assert_eq!(ack.response.into_applied(), Some(0));
+            assert_eq!(
+                published(),
+                1,
+                "{shards} shards: {request:?} after the startup epoch"
+            );
+        }
+        // Back to back: `Some(w)` marks the w-th non-empty write, `None`
+        // an empty write or a read.
+        let stream = [
+            (Request::StepDelta(vec![(3, at(20.0))]), Some(1)),
+            (empty[0].clone(), None),
+            (empty[1].clone(), None),
+            (empty[2].clone(), None),
+            (read.clone(), None),
+            (empty[1].clone(), None),
+            (read.clone(), None),
+            (Request::Insert(vec![at(30.0)]), Some(2)),
+            (empty[2].clone(), None),
+            (empty[0].clone(), None),
+            (read.clone(), None),
+            (empty[2].clone(), None),
+        ];
+        let tickets: Vec<_> = stream.iter().map(|(r, _)| submit(r)).collect();
+        let mut last_write = 0;
+        for (i, (ticket, (request, write))) in tickets.into_iter().zip(&stream).enumerate() {
+            let reply = ticket.recv_reply().unwrap();
+            let label = format!("{shards} shards: request {i} {request:?}");
+            match *write {
+                Some(w) => {
+                    assert_eq!(reply.epoch, w, "{label}");
+                    last_write = w;
+                }
+                None if request.is_write() => assert_eq!(reply.epoch, last_write, "{label}"),
+                None => {}
+            }
+        }
+        assert_eq!(published(), 3, "{shards} shards: the two non-empty writes");
+        let stats = service.shutdown();
+        assert_eq!(stats.failed_requests, 0, "{shards} shards");
+        assert_eq!(stats.elements_inserted, 1, "{shards} shards");
     }
 }

@@ -39,7 +39,7 @@
 
 mod common;
 
-use common::{mix, soup};
+use common::{inserts, mix, removes, sets, soup};
 use simspatial::prelude::*;
 use simspatial_service::ServiceBackend;
 use std::sync::Arc;
@@ -101,9 +101,11 @@ impl Oracle {
     }
 
     fn apply(&mut self, batch: &[(ElementId, Aabb)]) {
-        let updates: Vec<(ElementId, Shape)> =
-            batch.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
-        self.0.update_batch(&updates);
+        let ops: Vec<WriteOp> = batch
+            .iter()
+            .map(|&(id, bb)| WriteOp::Set(id, Shape::Box(bb)))
+            .collect();
+        self.0.write_batch(&ops);
     }
 
     fn answer(&mut self, request: &Request) -> Response {
@@ -420,16 +422,16 @@ fn oracle_write(
         Request::StepDelta(batch) => {
             let updates: Vec<(ElementId, Shape)> =
                 batch.iter().map(|&(id, bb)| (id, Shape::Box(bb))).collect();
-            let stats = engine.update_batch(&updates);
+            let stats = engine.write_batch(&sets(&updates)).1;
             (Response::StepDelta(batch.len() as u64), stats)
         }
         Request::Insert(boxes) => {
             let shapes: Vec<Shape> = boxes.iter().map(|&bb| Shape::Box(bb)).collect();
-            let (ids, stats) = engine.insert_batch(&shapes);
+            let (ids, stats) = engine.write_batch(&inserts(&shapes));
             (Response::Insert(ids), stats)
         }
         Request::Remove(ids) => {
-            let stats = engine.remove_batch(ids);
+            let stats = engine.write_batch(&removes(ids)).1;
             (Response::Remove(ids.len() as u64), stats)
         }
         other => panic!("not a write of the replay stream: {other:?}"),
@@ -723,7 +725,7 @@ fn migration_cycles_hold_memory_level() {
     let mut after_round_2 = 0usize;
     for round in 1..=ROUNDS {
         for away in [true, false] {
-            let report = backend.update_batch(&tick(away));
+            let report = backend.write_batch(&sets(&tick(away))).1;
             assert_eq!(report.failed, None);
             assert_eq!(
                 report.stats.rebuilds, 0,
@@ -921,7 +923,7 @@ fn hoisted_snapshot_read_replies_before_the_write_behind_it() {
 /// A client holding a reply finds it counted in `stats()`: the scheduler
 /// flushes a run's counters before it completes the run's tickets. One
 /// thread streams serial writes while another streams snapshot reads, on a
-/// coalescing service, so dispatches mix hoisted reads with write segments
+/// coalescing service, so dispatches mix hoisted reads with write runs
 /// and every reply is checked against a stats sample taken after it
 /// arrived.
 #[test]

@@ -16,6 +16,10 @@
 //!   byte-identical to a serial interleaving honoring the write barrier,
 //!   on the single-engine backend and on sharded backends (uniform and
 //!   median-cut) including cross-shard migrations.
+//! * **One write run, one backend write**: `StepDelta`, `Insert`,
+//!   `StepDelta`, `Remove` held in one dispatch reach the backend as one
+//!   call, are acked with one epoch, and leave the dataset a serial engine
+//!   fed the four requests one by one holds.
 
 mod common;
 
@@ -24,7 +28,8 @@ use simspatial::prelude::*;
 use simspatial_service::{
     QueryRun, QueryRunReport, QueryRunResults, RecvError, ServiceBackend, UpdateReport,
 };
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Deterministic request stream for producer `tid`: a mix of `Range`,
@@ -244,19 +249,9 @@ impl<B: ServiceBackend> ServiceBackend for GatedBackend<B> {
         self.inner.query_run(run, snapshot, out)
     }
 
-    fn update_batch(&mut self, updates: &[(ElementId, Shape)]) -> UpdateReport {
+    fn write_batch(&mut self, ops: &[WriteOp]) -> (Vec<ElementId>, UpdateReport) {
         self.wait_gate();
-        self.inner.update_batch(updates)
-    }
-
-    fn insert_batch(&mut self, shapes: &[Shape]) -> (Vec<ElementId>, UpdateReport) {
-        self.wait_gate();
-        self.inner.insert_batch(shapes)
-    }
-
-    fn remove_batch(&mut self, ids: &[ElementId]) -> UpdateReport {
-        self.wait_gate();
-        self.inner.remove_batch(ids)
+        self.inner.write_batch(ops)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -576,7 +571,7 @@ fn write_barrier_matches_serial_on_strategy_backend() {
     // Strategy structures are history-dependent (a migrated grid's cell
     // lists differ from a rebuilt one's), so the oracle must see the same
     // update groupings: disable coalescing and run strictly sequentially —
-    // one dispatch, one `update_batch`, per request, both sides.
+    // one dispatch, one `write_batch`, per request, both sides.
     let data = soup(WRITE_SOUP, 0xD1CE);
     let kind = UpdateStrategyKind::GridMigrate;
     let backend = strategy_backend(data.clone(), kind);
@@ -617,17 +612,7 @@ fn strategy_apply_behaves_the_same_behind_both_backends() {
     let mut oracle = ShardedOracle(sharded_strategy_engine(&data, 1, kind));
     for (i, request) in requests.iter().enumerate() {
         let got = handle.submit(request.clone()).unwrap().recv().unwrap();
-        let want = match request {
-            Request::Insert(envelopes) => {
-                let shapes: Vec<Shape> = envelopes.iter().map(|&bb| Shape::Box(bb)).collect();
-                Response::Insert(oracle.0.insert_batch(&shapes).0)
-            }
-            Request::Remove(ids) => {
-                oracle.0.remove_batch(ids);
-                Response::Remove(ids.len() as u64)
-            }
-            _ => expected(&mut oracle, request),
-        };
+        let want = expected(&mut oracle, request);
         assert_eq!(got, want, "request {i} diverged from the serial engine");
     }
     let stats = service.shutdown();
@@ -635,6 +620,161 @@ fn strategy_apply_behaves_the_same_behind_both_backends() {
     // Every sparse write ran in place on the shard — the strategy's own
     // write, not the rebuild fallback, is what the comparison exercised.
     assert!(stats.rebuilds_avoided > 0);
+}
+
+/// Counts the backend write calls, and signals the first read call as it
+/// enters — before the (gated) backend answers it.
+struct CountingBackend<B: ServiceBackend> {
+    inner: B,
+    writes: Arc<AtomicUsize>,
+    entered: Option<mpsc::Sender<()>>,
+}
+
+impl<B: ServiceBackend> ServiceBackend for CountingBackend<B> {
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
+    }
+
+    fn query_run(
+        &mut self,
+        run: &QueryRun,
+        snapshot: bool,
+        out: &mut QueryRunResults,
+    ) -> QueryRunReport {
+        if let Some(entered) = self.entered.take() {
+            let _ = entered.send(());
+        }
+        self.inner.query_run(run, snapshot, out)
+    }
+
+    fn write_batch(&mut self, ops: &[WriteOp]) -> (Vec<ElementId>, UpdateReport) {
+        self.writes.fetch_add(1, Ordering::SeqCst);
+        self.inner.write_batch(ops)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
+    }
+
+    fn shard_sizes(&self) -> Vec<usize> {
+        self.inner.shard_sizes()
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown();
+    }
+}
+
+/// One write run is one backend write, whatever it carries: `StepDelta`,
+/// `Insert`, `StepDelta`, `Remove` queued behind a gated read drain as one
+/// dispatch, reach the backend in one call and are acked with one epoch.
+/// The acks — the `Insert` ids among them — and the kNN replies after the
+/// run equal those of a serial engine fed the four requests one by one;
+/// the range replies equal its id sets (a grid shard's emission order
+/// depends on how its writes were batched). The writes name ids the way a
+/// serial run resolves: a duplicate set, a set on an id the run inserted,
+/// a set then a removal, an insert then a removal, an unknown removal.
+#[test]
+fn mixed_write_run_is_one_backend_write() {
+    let data = soup(WRITE_SOUP, 0x1417);
+    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+    let at = |x: f32, y: f32, z: f32| {
+        Aabb::new(Point3::new(x, y, z), Point3::new(x + 0.8, y + 0.8, z + 0.8))
+    };
+    let n = WRITE_SOUP;
+    let writes = [
+        Request::StepDelta(vec![
+            (17, at(10.0, 40.0, 40.0)),
+            (18, at(90.0, 40.0, 40.0)),
+            (19, at(50.0, 50.0, 50.0)),
+        ]),
+        Request::Insert(vec![at(30.0, 30.0, 30.0), at(70.0, 70.0, 70.0)]),
+        Request::StepDelta(vec![
+            (n, at(60.0, 60.0, 60.0)),
+            (17, at(80.0, 20.0, 20.0)),
+            (21, at(25.0, 75.0, 25.0)),
+        ]),
+        Request::Remove(vec![18, n + 1, 22, 17, n + 9]),
+    ];
+    let slab =
+        |lo: f32, hi: f32| Aabb::new(Point3::new(lo, -10.0, -10.0), Point3::new(hi, 110.0, 110.0));
+    let reads = [
+        Request::Range(vec![slab(-10.0, 45.0), slab(40.0, 110.0), slab(20.0, 80.0)]),
+        Request::Knn(
+            [
+                (10.0, 40.0),
+                (30.0, 30.0),
+                (60.0, 60.0),
+                (80.0, 20.0),
+                (25.0, 75.0),
+            ]
+            .iter()
+            .enumerate()
+            .map(|(k, &(x, y))| (Point3::new(x, y, x), k + 2))
+            .collect(),
+        ),
+        Request::RangeCount(vec![slab(-10.0, 110.0)]),
+    ];
+    for shards in [1, 4] {
+        let make = || ShardedEngine::build(&data, shards, build).with_rebuild(build);
+        let (gated, gate) = GatedBackend::new(ShardedBackend::spawn(make()));
+        let (entered_tx, entered) = mpsc::channel();
+        let writes_made = Arc::new(AtomicUsize::new(0));
+        let backend = CountingBackend {
+            inner: gated,
+            writes: Arc::clone(&writes_made),
+            entered: Some(entered_tx),
+        };
+        let config = ServiceConfig::default().with_batching(16, Duration::from_millis(20));
+        let service = SpatialService::spawn(backend, config);
+        let handle = service.handle();
+        // The read holds the dispatcher in the gated backend call; the
+        // writes queue behind it, so the next dispatch drains all four.
+        let held = handle.submit(one_box()).unwrap();
+        entered.recv().unwrap();
+        let tickets: Vec<Ticket> = writes
+            .iter()
+            .map(|w| handle.submit(w.clone()).unwrap())
+            .collect();
+        gate.send(()).unwrap();
+        held.recv().unwrap();
+        let acks: Vec<Reply> = tickets
+            .into_iter()
+            .map(|t| t.recv_reply().unwrap())
+            .collect();
+        let label = format!("{shards} shards");
+        assert_eq!(
+            writes_made.load(Ordering::SeqCst),
+            1,
+            "{label}: write calls"
+        );
+        assert!(acks.iter().all(|a| a.epoch == 1), "{label}: one epoch");
+        let mut oracle = ShardedOracle(make());
+        for (i, (write, ack)) in writes.iter().zip(acks).enumerate() {
+            let want = expected(&mut oracle, write);
+            assert_eq!(ack.response, want, "{label}: write {i}");
+        }
+        for (i, read) in reads.iter().enumerate() {
+            let got = handle.submit(read.clone()).unwrap().recv().unwrap();
+            match (got, expected(&mut oracle, read)) {
+                (Response::Range(got), Response::Range(want)) => {
+                    for (q, (mut got, mut want)) in got.into_iter().zip(want).enumerate() {
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "{label}: read {i} box {q}");
+                    }
+                }
+                (got, want) => assert_eq!(got, want, "{label}: read {i}"),
+            }
+        }
+        let stats = service.shutdown();
+        assert_eq!(
+            (stats.elements_inserted, stats.elements_removed),
+            (2, 4),
+            "{label}"
+        );
+        assert_eq!(stats.epochs_published, 2, "{label}");
+    }
 }
 
 #[test]
@@ -802,9 +942,9 @@ fn mixed_producers_match_serial_on_engine_backend() {
     );
     let mut oracle_at = |applied: &[(ElementId, Aabb)]| {
         let mut oracle = RebuildOracle::new(data.clone(), build);
-        let updates: Vec<(ElementId, Shape)> = applied
+        let updates: Vec<WriteOp> = applied
             .iter()
-            .map(|&(id, bb)| (id, Shape::Box(bb)))
+            .map(|&(id, bb)| WriteOp::Set(id, Shape::Box(bb)))
             .collect();
         oracle.apply(&updates);
         Box::new(oracle) as Box<dyn SerialOracle>
@@ -831,9 +971,9 @@ fn mixed_producers_match_serial_on_sharded_backends() {
         let handle = service.handle();
         let mut oracle_at = |applied: &[(ElementId, Aabb)]| {
             let mut oracle = ShardedOracle(make());
-            let updates: Vec<(ElementId, Shape)> = applied
+            let updates: Vec<WriteOp> = applied
                 .iter()
-                .map(|&(id, bb)| (id, Shape::Box(bb)))
+                .map(|&(id, bb)| WriteOp::Set(id, Shape::Box(bb)))
                 .collect();
             oracle.apply(&updates);
             Box::new(oracle) as Box<dyn SerialOracle>
