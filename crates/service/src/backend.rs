@@ -24,13 +24,15 @@
 //!   because they are one code path — only *where* each shard's
 //!   sub-batch runs differs.
 //!
-//! The pool is sized `min(parallel::num_threads(), shard count)` at spawn,
-//! so a backend never spawns more threads than it has shards to run. A
-//! one-worker pool — one shard, `SIMSPATIAL_THREADS=1` or a single-core
-//! host — spawns no thread at all: each lane runs inline on the thread
-//! that scatters it (the dispatcher), through the same job, fault and
-//! supervision code, without cross-thread ping-pong. A one-shard backend
-//! is the serial engine the differential suites compare the pool against.
+//! The pool is sized `K = min(parallel::num_threads(), shard count)`
+//! workers at spawn, and worker 0 is the thread that scatters a wave (the
+//! dispatcher, or whoever calls the backend directly): it runs lanes from
+//! the queues until the wave is gathered, so the pool spawns only K − 1
+//! threads. A one-worker pool — one shard, `SIMSPATIAL_THREADS=1` or a
+//! single-core host — is the same code with no thread at all: the caller
+//! runs every lane in its gather, through the same job, fault and
+//! supervision code. A one-shard backend is the serial engine the
+//! differential suites compare the pool against.
 
 use crate::fault::FaultKind;
 use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3};
@@ -96,8 +98,8 @@ impl From<UpdateStats> for UpdateReport {
 /// worker-pool utilisation gauges that make load imbalance observable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BackendTelemetry {
-    /// Panics caught in shard jobs, on a pool thread or (one-worker pool)
-    /// on the dispatcher.
+    /// Panics caught in shard jobs, on a pool thread or on the thread that
+    /// gathers the wave.
     pub panics_caught: u64,
     /// Shard executors successfully rebuilt from the planner's retained
     /// element store after a panic.
@@ -107,11 +109,14 @@ pub struct BackendTelemetry {
     /// to partial coverage; kNN fails typed) and never resurrect.
     pub shards_dead: u64,
     /// Pool jobs executed by a worker other than the owner of the queue
-    /// they were scattered to — the work-stealing rebalance counter.
+    /// they were scattered to — the work-stealing rebalance counter. The
+    /// gathering thread (worker 0) counts the jobs it takes from a pool
+    /// thread's queue.
     pub worker_steals: u64,
     /// Per-pool-worker cumulative busy time (nanoseconds spent executing
-    /// shard jobs). A one-worker pool runs its jobs on the dispatcher and
-    /// charges them to worker 0. Empty for backends that run no shard jobs.
+    /// shard jobs). Entry 0 is the thread that gathers each wave (the
+    /// dispatcher, behind a service), entries 1.. the pool threads. Empty
+    /// for backends that run no shard jobs.
     pub worker_busy_ns: Vec<u64>,
 }
 
@@ -386,6 +391,20 @@ struct PoolState {
     shutdown: bool,
 }
 
+impl PoolState {
+    /// `worker`'s next job: the front of its own queue, else the back of
+    /// the first non-empty sibling queue — `true` marks that steal.
+    fn take(&mut self, worker: usize) -> Option<(PoolJob, bool)> {
+        if let Some(job) = self.queues[worker].pop_front() {
+            return Some((job, false));
+        }
+        let n = self.queues.len();
+        (1..n)
+            .find_map(|d| self.queues[(worker + d) % n].pop_back())
+            .map(|job| (job, true))
+    }
+}
+
 /// Everything the pool workers share with the backend.
 struct PoolShared {
     state: Mutex<PoolState>,
@@ -412,32 +431,23 @@ impl PoolShared {
     }
 }
 
-/// The work-stealing worker pool of a [`ShardedBackend`]: `min(threads,
-/// shards)` persistent workers executing shard jobs from per-worker local
-/// deques, with idle workers stealing across queues. A one-worker pool
-/// spawns no thread: the caller runs each job as worker 0 when it submits
-/// it.
+/// The work-stealing worker pool of a [`ShardedBackend`]: `K = min(threads,
+/// shards)` workers executing shard jobs from per-worker local deques,
+/// with idle workers stealing across queues. Worker 0 is the thread that
+/// scatters a wave: it runs jobs while it gathers them
+/// ([`WorkerPool::recv_done`]), so the pool spawns only the K − 1 threads
+/// `simspatial-pool-1..K-1` — and a one-worker pool none.
 struct WorkerPool {
     shared: Arc<PoolShared>,
-    workers: Workers,
-}
-
-/// Where a pool's jobs run.
-enum Workers {
-    /// Two or more pool threads; completions come back over the channel.
-    Threads {
-        done_rx: mpsc::Receiver<PoolJob>,
-        handles: Vec<JoinHandle<()>>,
-    },
-    /// No thread: `submit` ran each job on the calling thread, and its
-    /// completion waits here for `recv_done`.
-    Inline { done: VecDeque<PoolJob> },
+    /// Completions sent back by the pool threads.
+    done_rx: mpsc::Receiver<PoolJob>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Spawns the pool over one slot per runner:
-    /// `min(parallel::num_threads(), shards)` workers (at least one) — or
-    /// no thread at all when that is one worker.
+    /// `min(parallel::num_threads(), shards)` workers (at least one), of
+    /// which all but worker 0 get a thread.
     fn spawn(runners: Vec<ShardRunner>) -> Self {
         let workers = parallel::num_threads().min(runners.len().max(1)).max(1);
         let shared = Arc::new(PoolShared {
@@ -460,96 +470,85 @@ impl WorkerPool {
                 })
                 .collect(),
         });
-        let workers = if workers == 1 {
-            Workers::Inline {
-                done: VecDeque::new(),
-            }
-        } else {
-            let (done_tx, done_rx) = mpsc::channel::<PoolJob>();
-            let handles = (0..workers)
-                .map(|w| {
-                    let shared = Arc::clone(&shared);
-                    let done_tx = done_tx.clone();
-                    std::thread::Builder::new()
-                        .name(format!("simspatial-pool-{w}"))
-                        .spawn(move || pool_worker_loop(w, &shared, &done_tx))
-                        .expect("spawn pool worker thread")
-                })
-                .collect();
-            Workers::Threads { done_rx, handles }
-        };
-        Self { shared, workers }
+        let (done_tx, done_rx) = mpsc::channel::<PoolJob>();
+        let handles = (1..workers)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                let done_tx = done_tx.clone();
+                std::thread::Builder::new()
+                    .name(format!("simspatial-pool-{w}"))
+                    .spawn(move || pool_worker_loop(w, &shared, &done_tx))
+                    .expect("spawn pool worker thread")
+            })
+            .collect();
+        Self {
+            shared,
+            done_rx,
+            handles,
+        }
     }
 
-    /// Number of pool workers (one per busy-time gauge, so the count
-    /// survives `stop`).
+    /// Number of pool workers, the gathering thread included (one per
+    /// busy-time gauge, so the count survives `stop`).
     fn workers(&self) -> usize {
         self.shared.busy_ns.len()
     }
 
-    /// Enqueues one job onto its shard's owner queue and wakes a worker —
-    /// or, in a one-worker pool, runs it right here as worker 0.
+    /// Enqueues one job onto its shard's owner queue and wakes a worker.
     fn submit(&mut self, shard: usize, job: Job) {
-        let job = PoolJob {
+        let mut state = self.shared.lock_state();
+        assert!(!state.shutdown, "backend already shut down");
+        let owner = shard % state.queues.len();
+        state.queues[owner].push_back(PoolJob {
             shard,
             job,
             panicked: false,
-        };
-        match &mut self.workers {
-            Workers::Inline { done } => done.push_back(run_job(&self.shared, 0, job)),
-            Workers::Threads { .. } => {
-                let mut state = self.shared.lock_state();
-                assert!(!state.shutdown, "backend already shut down");
-                let owner = shard % state.queues.len();
-                state.queues[owner].push_back(job);
-                drop(state);
-                self.shared.work_available.notify_one();
-            }
-        }
+        });
+        drop(state);
+        self.shared.work_available.notify_one();
     }
 
-    /// Receives one completion. Every scattered job produces exactly one
-    /// (panicked jobs included), so a gather of `in_flight` `recv_done`
-    /// calls never hangs.
+    /// Receives one completion, working as worker 0 until one is there: a
+    /// completion a pool thread already sent comes first; otherwise the
+    /// caller takes worker 0's next job (the front of queue 0, else a
+    /// steal) and runs it. It blocks only once every queue is empty, when
+    /// the jobs still in flight are running on pool threads. Every
+    /// scattered job produces exactly one completion (panicked jobs
+    /// included), so a gather of `in_flight` `recv_done` calls never hangs.
     fn recv_done(&mut self) -> PoolJob {
-        match &mut self.workers {
-            Workers::Inline { done } => done.pop_front().expect("one completion per job"),
-            Workers::Threads { done_rx, .. } => {
-                done_rx.recv().expect("pool workers outlive in-flight jobs")
-            }
+        if let Ok(done) = self.done_rx.try_recv() {
+            return done;
+        }
+        let next = self.shared.lock_state().take(0);
+        match next {
+            Some((job, stolen)) => run_job(&self.shared, 0, job, stolen),
+            None => self
+                .done_rx
+                .recv()
+                .expect("pool threads outlive in-flight jobs"),
         }
     }
 
-    /// Stops and joins every worker. Idempotent.
+    /// Stops and joins every pool thread. Idempotent.
     fn stop(&mut self) {
         self.shared.lock_state().shutdown = true;
         self.shared.work_available.notify_all();
-        if let Workers::Threads { handles, .. } = &mut self.workers {
-            for t in handles.drain(..) {
-                let _ = t.join();
-            }
+        for t in self.handles.drain(..) {
+            let _ = t.join();
         }
     }
 }
 
-/// One pool worker: pop the front of the own queue, steal the back of a
-/// sibling's otherwise, sleep on the condvar when everything is empty, and
-/// run each job through [`run_job`].
+/// One pool thread: take its next job ([`PoolState::take`]), sleep on the
+/// condvar when every queue is empty, and run each job through
+/// [`run_job`].
 fn pool_worker_loop(worker: usize, shared: &PoolShared, done_tx: &mpsc::Sender<PoolJob>) {
     loop {
-        let (pool_job, stolen) = {
+        let (job, stolen) = {
             let mut state = shared.lock_state();
             loop {
-                if let Some(job) = state.queues[worker].pop_front() {
-                    break (job, false);
-                }
-                let n = state.queues.len();
-                let victim = (1..n)
-                    .map(|d| (worker + d) % n)
-                    .find(|&v| !state.queues[v].is_empty());
-                if let Some(v) = victim {
-                    let job = state.queues[v].pop_back().expect("victim queue non-empty");
-                    break (job, true);
+                if let Some(next) = state.take(worker) {
+                    break next;
                 }
                 if state.shutdown {
                     return;
@@ -560,27 +559,28 @@ fn pool_worker_loop(worker: usize, shared: &PoolShared, done_tx: &mpsc::Sender<P
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        if stolen {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        if done_tx.send(run_job(shared, worker, pool_job)).is_err() {
+        if done_tx.send(run_job(shared, worker, job, stolen)).is_err() {
             return; // the backend is gone; nothing left to report to
         }
     }
 }
 
-/// Runs one pool job as `worker`, on a pool thread or inline: the lane
-/// runs on its shard's slot under the shard's next job number (see
-/// [`Slot::jobs`]), firing the fault a plan scheduled there, and its time
-/// is charged to `worker`.
+/// Runs one pool job as `worker` — a pool thread, or the gathering thread
+/// as worker 0: the lane runs on its shard's slot under the shard's next
+/// job number (see [`Slot::jobs`]), firing the fault a plan scheduled
+/// there, its time is charged to `worker`, and a `stolen` job counts as a
+/// steal.
 ///
 /// The lane runs under `catch_unwind` (over an `AssertUnwindSafe` closure
 /// — the executor never crosses the boundary again after a panic): a
 /// panicking job marks the slot torn (the executor may be torn
 /// mid-update, so the only safe continuation is a supervisor rebuild) and
 /// still comes back, with `panicked` set.
-fn run_job(shared: &PoolShared, worker: usize, job: PoolJob) -> PoolJob {
+fn run_job(shared: &PoolShared, worker: usize, job: PoolJob, stolen: bool) -> PoolJob {
     let PoolJob { shard, mut job, .. } = job;
+    if stolen {
+        shared.steals.fetch_add(1, Ordering::Relaxed);
+    }
     let started = Instant::now();
     let mut slot = shared.lock_slot(shard);
     let seq = slot.jobs;
@@ -620,8 +620,8 @@ fn run_job(shared: &PoolShared, worker: usize, job: PoolJob) -> PoolJob {
 /// A region-sharded backend executing on a **work-stealing worker pool**:
 /// a [`ShardedEngine`]'s executors parked in the pool's slots, behind a
 /// [`ShardSet`] whose runner scatters each wave's lanes as stealable jobs,
-/// gathers and supervises them. A one-worker pool runs the lanes on the
-/// scheduler thread itself. Results are byte-identical to running the
+/// gathers and supervises them; the gathering thread runs lanes as pool
+/// worker 0 while it waits. Results are byte-identical to running the
 /// same `ShardedEngine`: reads and writes are the engine's own
 /// [`ShardSet::read`] and [`ShardSet::write`] — only *where* each shard's
 /// sub-batch runs differs.
@@ -710,8 +710,9 @@ impl ShardedBackend {
         self.shards.shard_count()
     }
 
-    /// Number of pool workers executing shard jobs; a one-worker pool runs
-    /// them on the thread that calls the backend.
+    /// Number of pool workers executing shard jobs, the thread that calls
+    /// the backend (worker 0) included: the pool runs `pool_workers() - 1`
+    /// threads.
     pub fn pool_workers(&self) -> usize {
         self.shards.executors().pool.workers()
     }
@@ -948,9 +949,9 @@ impl ServiceBackend for ShardedBackend {
     }
 
     // `recover` stays at the trait default. Lane panics never unwind out
-    // of the backend — `run_job` catches them, inline or on a pool thread,
-    // and they are supervised internally — so a write panic that does
-    // cross this boundary happened in routing code on the dispatcher
+    // of the backend — `run_job` catches them on whichever worker runs the
+    // lane, and they are supervised internally — so a write panic that
+    // does cross this boundary happened in routing code on the dispatcher
     // thread and may have torn the planner's element store mid-route: the
     // backend must poison.
 

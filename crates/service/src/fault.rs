@@ -22,8 +22,8 @@
 //! * **Worker-level faults** (`shard: Some(s)`) are installed into a
 //!   [`ShardedBackend`](crate::ShardedBackend)'s shard jobs via
 //!   [`ServiceBackend::install_worker_faults`] and fire on whichever thread
-//!   runs the lane — a pool thread, or the dispatcher in a one-worker pool
-//!   — keyed by that shard's **job sequence number**, which the shard's
+//!   runs the lane — a pool thread, or the dispatcher as pool worker 0 —
+//!   keyed by that shard's **job sequence number**, which the shard's
 //!   pool slot keeps and which survives shard restarts — a crashing or
 //!   slow shard. Only [`FaultKind::Panic`] and [`FaultKind::Delay`] make
 //!   sense there ([`FaultKind::DropResponse`] is a dispatcher-level fault:

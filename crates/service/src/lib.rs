@@ -50,11 +50,12 @@
 //!   `simspatial_moving::strategy_backend`, whose shard index is a boxed
 //!   update strategy with its own in-place write). [`ShardedBackend`]
 //!   parks each shard in an executor slot and scatters routed lanes onto a
-//!   work-stealing pool of `min(SIMSPATIAL_THREADS, shards)` workers,
+//!   work-stealing pool of `K = min(SIMSPATIAL_THREADS, shards)` workers,
 //!   merging through the engine layer's deduplicating sinks —
 //!   byte-identical results to serial execution, with per-shard
-//!   parallelism inside a dispatch. A one-worker pool (one shard, or one
-//!   thread) spawns no thread and runs its lanes on the dispatcher. Reads
+//!   parallelism inside a dispatch. The dispatcher is worker 0: it runs
+//!   lanes until its wave is gathered, so the pool spawns K − 1 threads
+//!   (none for one shard or one thread). Reads
 //!   have one path (`query_run`, live or snapshot), and so do writes
 //!   (`write_batch`): the planner routes update lanes to the same pool,
 //!   **migrating** elements whose new envelope crosses shard boundaries

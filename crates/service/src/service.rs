@@ -1091,6 +1091,8 @@ impl SpatialService {
                 stats: ServiceStats {
                     memory_bytes: backend.memory_bytes(),
                     shard_sizes: backend.shard_sizes(),
+                    // Epoch 0 is published before the first request.
+                    epochs_published: 1,
                     ..ServiceStats::default()
                 },
                 sched_panics: 0,

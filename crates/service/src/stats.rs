@@ -276,13 +276,15 @@ stats_table! {
         fn mean_update_batch => "writes" "mean update batch",
         /// Backend pool jobs executed by a worker other than the owner of the
         /// queue they were scattered to — how often work-stealing rebalanced
-        /// an uneven shard split. Zero for a one-worker pool, which has no
-        /// sibling to steal from.
+        /// an uneven shard split, counting the jobs the dispatcher (worker 0)
+        /// took from a pool thread's queue. Zero for a one-worker pool, which
+        /// has no sibling to steal from.
         pub worker_steals: u64 => "steals" "pool jobs",
         /// Per-pool-worker cumulative busy time (nanoseconds executing shard
-        /// jobs). The spread across entries shows load imbalance; a one-worker
-        /// pool runs its jobs on the dispatcher and reports one entry. Empty
-        /// for backends that run no shard jobs.
+        /// jobs). The spread across entries shows load imbalance. Entry 0 is
+        /// the dispatcher, which runs lanes while it gathers a wave; entries
+        /// 1.. are the pool threads, so a one-worker pool reports one entry.
+        /// Empty for backends that run no shard jobs.
         pub worker_busy_ns: Vec<u64> => "pool" "workers, busy ns",
         /// Dispatches by coalesced request count: bucket `i` counts dispatches
         /// that drained `[2^i, 2^(i+1))` requests.

@@ -3,7 +3,9 @@
 //! * **Work stealing**: with 2 pool workers and shard 0 wedged by an
 //!   injected delay, the idle worker must steal shard 2's job from the
 //!   wedged owner's queue — observable in `worker_steals` — and the batch
-//!   still returns complete results.
+//!   still returns complete results. With shard 1 wedged on the pool
+//!   thread instead, the gathering thread (worker 0) steals shard 3's job,
+//!   and its steal and busy time are counted.
 //! * **Thread-count differential**: a coalesced mixed range/kNN run (one
 //!   range batch, one kNN batch of mixed `k`) through
 //!   `ShardedBackend::query_run` returns byte-identical results at 1, 2
@@ -14,8 +16,10 @@
 //!   what else its run carries.
 //! * **Observability**: the pool gauges (`worker_busy_ns`,
 //!   `worker_steals`) flow through `ServiceStats` and its `summary()`.
-//! * **Inline pool**: a one-worker pool (one shard, or one thread) spawns
-//!   no thread, so its lanes run on the thread that calls the backend.
+//! * **Thread topology**: the thread that calls the backend is pool worker
+//!   0, so a K-worker pool runs its lanes on at most K threads, at most
+//!   K − 1 of them pool threads; a one-worker pool (one shard, or one
+//!   thread) spawns no thread and runs every lane on the caller.
 //! * **Serial reference**: a 4-shard `ShardedEngine` runs every write,
 //!   range and kNN lane on the thread that calls it, even with 4 threads
 //!   to spend.
@@ -23,7 +27,8 @@
 //!   with nothing in it gets an empty reply, alone or coalesced, on one
 //!   shard and on four, and fails nothing. A `StepDelta`, `Insert` or
 //!   `Remove` with nothing in it reaches no backend and publishes no
-//!   epoch: its ack carries the epoch before it.
+//!   epoch: its ack carries the epoch before it. A fresh service counts
+//!   its startup epoch as published before any request.
 
 mod common;
 
@@ -31,6 +36,7 @@ use common::{sets, soup, RebuildOnly};
 use simspatial::prelude::*;
 use simspatial_geom::{parallel, QueryScratch};
 use simspatial_service::{BatchReport, QueryRun, QueryRunResults, SupervisorPolicy};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -152,17 +158,17 @@ fn mixed_run() -> QueryRun {
     run
 }
 
-#[test]
-fn idle_worker_steals_from_wedged_owner_queue() {
+/// A 4-shard backend on a pool of 2 whose shard `wedged` has its first job
+/// delayed by 80 ms, after one range query over everything, which must
+/// come back complete. Shards 0 and 2 land on worker 0's queue (the
+/// calling thread's), shards 1 and 3 on pool thread 1's.
+fn backend_after_wedged_run(wedged: usize) -> ShardedBackend {
     let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let old = parallel::num_threads();
     parallel::set_num_threads(2);
     let mut backend = sharded_backend(4);
     assert_eq!(backend.pool_workers(), 2);
-    // Shards 0 and 2 land on worker 0's queue, shards 1 and 3 on worker
-    // 1's. Wedging shard 0's first job forces worker 1 (done with its own
-    // queue long before the delay elapses) to steal shard 2's job.
-    backend.install_worker_faults(&[(0, 0, FaultKind::Delay(Duration::from_millis(80)))]);
+    backend.install_worker_faults(&[(wedged, 0, FaultKind::Delay(Duration::from_millis(80)))]);
     let everything = Aabb::new(Point3::new(-1e6, -1e6, -1e6), Point3::new(1e6, 1e6, 1e6));
     let run = QueryRun {
         range: vec![everything],
@@ -173,6 +179,15 @@ fn idle_worker_steals_from_wedged_owner_queue() {
     let report = ran(report.range.as_ref());
     assert!(report.failed.is_empty() && report.partial.is_empty());
     assert_eq!(out.range.query_results(0).len(), 4000);
+    parallel::set_num_threads(old);
+    backend
+}
+
+/// Wedging shard 0's first job forces the pool thread (done with its own
+/// queue long before the delay elapses) to steal shard 2's job.
+#[test]
+fn idle_worker_steals_from_wedged_owner_queue() {
+    let mut backend = backend_after_wedged_run(0);
     let t = backend.telemetry();
     assert!(t.worker_steals >= 1, "expected a steal, telemetry: {t:?}");
     assert_eq!(t.worker_busy_ns.len(), 2);
@@ -183,21 +198,37 @@ fn idle_worker_steals_from_wedged_owner_queue() {
         2,
         "the worker count survives shutdown"
     );
-    parallel::set_num_threads(old);
+}
+
+/// With shard 1's first job wedged on pool thread 1, the gathering thread
+/// runs its own queue while it gathers and then steals shard 3's job: it
+/// counts the steal and charges its time to worker 0.
+#[test]
+fn gathering_thread_steals_from_wedged_pool_thread_queue() {
+    let t = backend_after_wedged_run(1).telemetry();
+    assert!(t.worker_steals >= 1, "expected a steal, telemetry: {t:?}");
+    assert_eq!(t.worker_busy_ns.len(), 2);
+    assert!(
+        t.worker_busy_ns[0] > 0,
+        "the gathering thread ran no lane, telemetry: {t:?}"
+    );
 }
 
 /// Which threads ran the write lanes of one `write_batch` that moves every
 /// element, called directly from this thread: each lane rebuilds its shard
-/// through the rebuild function, which records its thread (calls made
-/// while the backend is built do not count).
-fn lane_threads(shards: usize) -> Vec<std::thread::ThreadId> {
+/// through the rebuild function, which records its thread's id and name
+/// (calls made while the backend is built do not count).
+fn lane_threads(shards: usize) -> Vec<(std::thread::ThreadId, Option<String>)> {
     let seen = Arc::new(Mutex::new(Vec::new()));
     let spawned = Arc::new(AtomicBool::new(false));
     let build = {
         let (seen, spawned) = (Arc::clone(&seen), Arc::clone(&spawned));
         move |part: &[Element]| {
             if spawned.load(Ordering::SeqCst) {
-                seen.lock().unwrap().push(std::thread::current().id());
+                let me = std::thread::current();
+                seen.lock()
+                    .unwrap()
+                    .push((me.id(), me.name().map(str::to_owned)));
             }
             RebuildOnly(UniformGrid::build(part, GridConfig::auto(part)))
         }
@@ -217,18 +248,43 @@ fn lane_threads(shards: usize) -> Vec<std::thread::ThreadId> {
     seen
 }
 
+/// The caller of the backend is pool worker 0. A one-worker pool spawns no
+/// thread, so every lane runs on the caller; a K-worker pool spawns the
+/// K − 1 threads `simspatial-pool-1..K-1`, so its lanes run on at most K
+/// threads, the caller and pool threads. Which worker takes which lane is
+/// left to timing, so nothing here depends on it.
 #[test]
 fn lanes_run_on_the_caller_when_one_worker_serves() {
     let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let old = parallel::num_threads();
     let caller = std::thread::current().id();
-    for (shards, threads, inline) in [(1, 2, true), (4, 1, true), (4, 2, false)] {
+    for (shards, threads) in [(1, 2), (4, 1)] {
         parallel::set_num_threads(threads);
         let seen = lane_threads(shards);
         assert!(
-            seen.iter().all(|&t| (t == caller) == inline),
+            seen.iter().all(|(t, _)| *t == caller),
             "{shards} shards at {threads} threads: lanes ran on {seen:?}, caller {caller:?}"
         );
+    }
+    for k in [2usize, 4] {
+        parallel::set_num_threads(k);
+        let seen = lane_threads(4);
+        let distinct: HashSet<_> = seen.iter().map(|(t, _)| *t).collect();
+        let pool_threads = distinct.iter().filter(|&&t| t != caller).count();
+        assert!(
+            distinct.len() <= k && pool_threads < k,
+            "K = {k}: lanes ran on {seen:?}, caller {caller:?}"
+        );
+        for (_, name) in seen.iter().filter(|(t, _)| *t != caller) {
+            let w = name
+                .as_deref()
+                .and_then(|n| n.strip_prefix("simspatial-pool-"))
+                .and_then(|w| w.parse::<usize>().ok());
+            assert!(
+                w.is_some_and(|w| (1..k).contains(&w)),
+                "K = {k}: a lane ran on {name:?}, not on a pool thread 1..{k}"
+            );
+        }
     }
     parallel::set_num_threads(old);
 }
@@ -477,6 +533,17 @@ fn zero_length_requests_get_empty_replies() {
         let stats = service.shutdown();
         assert_eq!(stats.failed_requests, 0, "{shards} shards");
     }
+}
+
+/// Epoch 0 is published when the service starts, so a fresh service
+/// reports it before any request reaches the dispatcher.
+#[test]
+fn fresh_service_counts_the_startup_epoch() {
+    let service = SpatialService::spawn(sharded_backend(4), ServiceConfig::default());
+    let stats = service.stats();
+    assert_eq!(stats.current_epoch, 0);
+    assert_eq!(stats.epochs_published, 1);
+    assert_eq!(service.shutdown().epochs_published, 1);
 }
 
 /// A write with nothing in it publishes nothing. Served alone, an empty
