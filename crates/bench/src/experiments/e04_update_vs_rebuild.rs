@@ -10,12 +10,13 @@
 //! run (a) delete+reinsert of the moved entries against (b) a full STR
 //! rebuild, sweep f, and find the crossover. The verdicts and the crossover
 //! are **counted**: the inner nodes the updates descend through
-//! (`nodes_visited`, one pointer chase each) against the nodes the rebuild
-//! writes (each once, no descent), so they read the same on every run.
-//! Each timing is the median of [`SAMPLES`] runs, each on a fresh clone of
-//! the bulk-loaded tree, and is printed beside the counts, with the
-//! crossover it implies, ungated: a few timed samples do not outlast a
-//! shared host's drift.
+//! (`nodes_visited`, one pointer chase each) plus the entry each update
+//! rewrites, against the nodes the rebuild writes (each once, no descent)
+//! plus the entry it places for every element, so they read the same on
+//! every run. Each timing is the median of [`SAMPLES`] runs, each on a
+//! fresh clone of the bulk-loaded tree, and is printed beside the counts,
+//! with the crossover it implies, ungated: a few timed samples do not
+//! outlast a shared host's drift.
 
 use crate::datasets::neuron_dataset;
 use crate::experiments::time;
@@ -38,6 +39,15 @@ pub struct SweepPoint {
     /// Inner nodes those updates descended through (one pointer chase
     /// each, finding the old entry and choosing the new leaf).
     pub nodes_visited: u64,
+    /// Entries those updates rewrote: one per element whose box changed.
+    pub entries_rewritten: u64,
+}
+
+impl SweepPoint {
+    /// The counted cost of the updates: node visits plus entry rewrites.
+    pub fn cost(&self) -> u64 {
+        self.nodes_visited + self.entries_rewritten
+    }
 }
 
 /// Full outcome of the sweep.
@@ -49,18 +59,25 @@ pub struct UpdateVsRebuild {
     pub rebuild_s: f64,
     /// Nodes that rebuild wrote (each once, no descent).
     pub rebuild_nodes: u64,
-    /// Interpolated fraction where the updates' node visits reach the
-    /// rebuild's node writes.
+    /// Entries that rebuild placed: one per element.
+    pub rebuild_entries: u64,
+    /// Interpolated fraction where the updates' counted cost reaches the
+    /// rebuild's ([`SweepPoint::cost`], [`UpdateVsRebuild::rebuild_cost`]).
     pub crossover: Option<f64>,
     /// The same on the median timings — printed, never gated on.
     pub timed_crossover: Option<f64>,
 }
 
 impl UpdateVsRebuild {
+    /// The counted cost of the rebuild: node writes plus entry placements.
+    pub fn rebuild_cost(&self) -> u64 {
+        self.rebuild_nodes + self.rebuild_entries
+    }
+
     /// The verdict for one sweep point, on the counters: "update wins"
-    /// while its updates visit fewer nodes than the rebuild writes.
+    /// while its updates cost less than the rebuild.
     pub fn verdict(&self, p: &SweepPoint) -> &'static str {
-        if p.nodes_visited < self.rebuild_nodes {
+        if p.cost() < self.rebuild_cost() {
             "update wins"
         } else {
             "rebuild wins"
@@ -131,30 +148,37 @@ pub fn measure(scale: Scale) -> UpdateVsRebuild {
     for &f in &fractions {
         let k = ((n as f64) * f) as usize;
         let old = data.elements();
-        let (nodes_visited, update_s) = sample(&base, |tree| {
+        let ((nodes_visited, entries_rewritten), update_s) = sample(&base, |tree| {
             stats::reset();
+            let mut rewritten = 0;
             for i in 0..k {
                 let ob = old[i].aabb();
                 let nb = moved[i].aabb();
                 if ob != nb {
                     tree.update(old[i].id, &ob, nb);
+                    rewritten += 1;
                 }
             }
-            stats::snapshot().nodes_visited
+            (stats::snapshot().nodes_visited, rewritten)
         });
         points.push(SweepPoint {
             fraction: f,
             update_s,
             nodes_visited,
+            entries_rewritten,
         });
     }
 
+    let rebuild_entries = moved.len() as u64;
     UpdateVsRebuild {
-        crossover: crossover(&points, rebuild_nodes as f64, |p| p.nodes_visited as f64),
+        crossover: crossover(&points, (rebuild_nodes + rebuild_entries) as f64, |p| {
+            p.cost() as f64
+        }),
         timed_crossover: crossover(&points, rebuild_s, |p| p.update_s),
         points,
         rebuild_s,
         rebuild_nodes,
+        rebuild_entries,
     }
 }
 
@@ -164,15 +188,19 @@ pub fn run(scale: Scale) -> String {
     let mut r = Report::new("E4", "§4.1 — update vs rebuild crossover");
     r.paper("update all: 130 s/step; STR rebuild: 48 s; update wins iff < 38 % change");
     r.measured(&format!(
-        "full STR rebuild: writes {} nodes, {}",
+        "full STR rebuild: writes {} nodes + places {} entries = {} counted, {}",
         o.rebuild_nodes,
+        o.rebuild_entries,
+        o.rebuild_cost(),
         fmt_time(o.rebuild_s)
     ));
     for p in &o.points {
         r.row(&format!(
-            "f = {:>5.0} %: update visits {} nodes ({}), {}",
+            "f = {:>5.0} %: update visits {} nodes + rewrites {} entries = {} counted ({}), {}",
             p.fraction * 100.0,
             p.nodes_visited,
+            p.entries_rewritten,
+            p.cost(),
             o.verdict(p),
             fmt_time(p.update_s)
         ));
@@ -182,7 +210,7 @@ pub fn run(scale: Scale) -> String {
         None => "none in the sweep range".into(),
     };
     r.measured(&format!(
-        "crossover on node counts: {} (paper: 38 %); on time: {}",
+        "crossover counted: {}, timed: {} (paper: 38 %)",
         at(o.crossover),
         at(o.timed_crossover)
     ));
@@ -220,6 +248,12 @@ mod tests {
             "update-all chases {} node pointers, the rebuild writes {} nodes",
             all.nodes_visited,
             o.rebuild_nodes
+        );
+        assert!(
+            all.cost() > o.rebuild_cost(),
+            "update-all costs {}, the rebuild {}",
+            all.cost(),
+            o.rebuild_cost()
         );
         if let Some(c) = o.crossover {
             assert!(c > 0.0 && c <= 1.0, "crossover {c}");

@@ -38,9 +38,10 @@
 //! **The write path** mirrors the query path lane for lane, and has one
 //! entry at every layer: an ordered batch of [`WriteOp`]s (`Set`, `Insert`,
 //! `Remove`) routes through [`ShardPlanner::route_writes`] into per-shard
-//! [`UpdateLane`]s (the planner is the authoritative copy of the dataset:
-//! it allocates insert ids, resolves each id's ops in batch order, and
-//! each write touches only the shards of the old and new envelope, so
+//! [`UpdateLane`]s (the planner keeps each element's *route*, not its
+//! geometry: it allocates insert ids, resolves each id's ops in batch
+//! order, and reads each written id's old shard set from its route table,
+//! so each write touches only the shards of the old and new envelope and
 //! every lane agrees with its shard), executors apply their lane
 //! ([`UpdateLane::run`]: membership changes — cross-shard **migrations**,
 //! inserts, removals — are spliced into the element clone and id map at
@@ -55,6 +56,15 @@
 //! executors hold their elements sorted by global id — the invariant that
 //! keeps per-shard top-k tie-breaking, and therefore post-write query
 //! results, byte-identical to an unsharded engine over the same data.
+//!
+//! **One copy of the geometry** — an element's shape lives only in the
+//! clones of the shards it routes to. A shard torn by a panic keeps its
+//! clone, and [`ShardExecutor::restart`] brings it back from there: it
+//! replays the torn lane's membership change if the clone does not show it
+//! yet, rewrites the lane's shapes, checks the clone against the planner's
+//! route table and rebuilds the index. A clone the route table disagrees
+//! with cannot be repaired from anywhere else, so it is reported
+//! ([`RestartError::Diverged`]) and never served.
 //!
 //! **Partitioning** — the [`ShardRouter`] splits the dataset envelope into
 //! K slabs along its longest axis: equal-width by default
@@ -72,9 +82,10 @@
 //! travel in their lanes and are summed at the merge, wherever the lanes
 //! ran; elapsed time is the overall wall clock and `results` counts
 //! post-merge (deduplicated) emissions.
-//! [`ShardedEngine::memory_bytes`] counts the full sharded structure:
-//! per-shard indexes, the replicated element clones and id maps, every
-//! engine's scratch high-water mark, the router and the merge scratch.
+//! [`ShardedEngine::memory_bytes`] counts the full sharded structure, and
+//! [`ShardedEngine::memory_parts`] itemises it ([`MemoryParts`]): the
+//! planner's route table, its merge scratch, the lanes, and per shard the
+//! replicated element clone, id map, index and engine scratch.
 
 use crate::engine::{BatchResults, KnnBatchResults, QueryEngine};
 use crate::grid::UniformGrid;
@@ -329,6 +340,10 @@ impl KnnSink for GlobalKnnSink<'_> {
 /// service layer moves each one onto a persistent worker thread and drives
 /// it with [`RangeLane`]/[`KnnLane`] jobs. Batch results are emitted with
 /// **global** element ids, so merging never needs shard-local state.
+///
+/// The clone is the only copy of its elements' geometry: the planner keeps
+/// routes, not shapes. An executor torn by a panic restarts from its own
+/// clone ([`ShardExecutor::restart`]).
 pub struct ShardExecutor<I> {
     region: Aabb,
     /// Local elements, re-identified with dense ids `0..n`. Kept sorted by
@@ -380,43 +395,18 @@ impl<I> ShardExecutor<I> {
     pub fn is_updatable(&self) -> bool {
         self.rebuild.is_some()
     }
+}
 
-    /// Shard `shard`'s executor rebuilt from the planner's element store
-    /// with this executor's own recipe: the exact element clone
-    /// [`ShardPlanner::shard_elements`] reproduces, re-identified with dense
-    /// local ids, indexed by this executor's rebuild function. Because the
-    /// store advances in lockstep with routed updates, the result holds
-    /// exactly the elements the shard would hold had it never been lost
-    /// (an index written in place may list a cell's entries in another
-    /// order) — the supervisor's shard-restart path. `None` when no rebuild
-    /// function is attached.
-    pub fn rebuilt_from(&self, planner: &ShardPlanner, shard: usize) -> Option<Self> {
-        let rebuild = self.rebuild.clone()?;
-        let pairs = planner.shard_elements(shard);
-        let mut data = Vec::with_capacity(pairs.len());
-        let mut global = Vec::with_capacity(pairs.len());
-        for (li, &(gid, shape)) in pairs.iter().enumerate() {
-            data.push(Element::new(li as ElementId, shape));
-            global.push(gid);
-        }
-        let index = rebuild(&data);
-        Some(Self {
-            region: planner.router().region(shard),
-            data,
-            global,
-            index,
-            engine: QueryEngine::new(),
-            rebuild: Some(rebuild),
-        })
-    }
-
-    /// Bytes of the shard's replicated element clone, id map and engine
-    /// scratch (everything but the index structure itself).
-    fn base_memory_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<Element>()
-            + self.global.capacity() * std::mem::size_of::<ElementId>()
-            + self.engine.memory_bytes()
-    }
+/// Why [`ShardExecutor::restart`] could not bring a torn shard back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestartError {
+    /// No rebuild function is attached ([`ShardedEngine::with_rebuild`]).
+    NoRecipe,
+    /// The clone shows the torn lane's membership change only in part, or
+    /// disagrees with the planner's route table. The clone is the only
+    /// copy of its elements' geometry, so there is nothing to repair it
+    /// from.
+    Diverged,
 }
 
 /// A lane changes a shard's membership in place only while the arrivals
@@ -424,11 +414,11 @@ impl<I> ShardExecutor<I> {
 /// rebuilds, which also re-fits the index to where the elements now are.
 const SPLICE_MAX_FRACTION: usize = 4;
 
-/// The invariant every write lane rests on. The planner that routed it is
-/// the authoritative copy of the dataset and advances in lockstep with the
-/// executors, so a lane cannot disagree with its shard; one that does means
-/// the executor is corrupt, and panicking hands it to supervision (the
-/// service restarts the shard from the planner store).
+/// The invariant every write lane rests on. The planner that routed it
+/// reads each id's old shard set from its route table, which advances in
+/// lockstep with the executors, so a lane cannot disagree with its shard;
+/// one that does means the executor is corrupt, and panicking hands it to
+/// supervision (a restart finds the clone diverged and the shard dies).
 const LANE_AGREES: &str = "update lane disagrees with its shard: every update and removal id \
      must be resident, no insert id may be, and each list must strictly ascend by global id";
 
@@ -537,7 +527,95 @@ impl<I: SpatialIndex> ShardExecutor<I> {
     /// Bytes held by this shard: index structure, replicated element clone,
     /// id map and engine scratch.
     pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.base_memory_bytes()
+        self.memory_parts().total()
+    }
+
+    /// [`ShardExecutor::memory_bytes`] by part: the shard fills `clones`,
+    /// `id_maps`, `indexes` and `engine_scratch`.
+    pub fn memory_parts(&self) -> MemoryParts {
+        MemoryParts {
+            clones: self.data.capacity() * std::mem::size_of::<Element>(),
+            id_maps: self.global.capacity() * std::mem::size_of::<ElementId>(),
+            indexes: self.index.memory_bytes(),
+            engine_scratch: self.engine.memory_bytes(),
+            ..MemoryParts::default()
+        }
+    }
+
+    /// Brings a shard torn by a panic back from its own element clone —
+    /// the only copy of its elements' geometry — and rebuilds its index
+    /// with the shard's own recipe. `torn` is the write lane the shard was
+    /// running when it panicked, if any. The panic may have struck anywhere
+    /// in [`UpdateLane::run`]; since the clone's splice calls no code that
+    /// can panic, the clone shows the lane's membership change whole or
+    /// not at all, and any subset of its shapes. The restart brings the
+    /// clone to its post-lane state exactly once:
+    ///
+    /// 1. it applies the membership change only if the clone does not
+    ///    already show it (arrivals present, departures absent);
+    /// 2. it writes every update's and arrival's shape, which is
+    ///    idempotent;
+    /// 3. it checks the clone against the planner's route table: the
+    ///    shard holds exactly the ids routed to it, each with geometry that
+    ///    routes where the table says;
+    /// 4. it rebuilds the index over the clone, local ids made dense again.
+    ///
+    /// A restart that panics in the recipe leaves a clone the next attempt
+    /// accepts at step 1. A read lane changes no clone, so a shard torn by
+    /// one restarts with `torn` set to `None`.
+    pub fn restart(
+        &mut self,
+        planner: &ShardPlanner,
+        shard: usize,
+        torn: Option<&mut UpdateLane>,
+    ) -> Result<(), RestartError> {
+        let rebuild = self.rebuild.clone().ok_or(RestartError::NoRecipe)?;
+        if self.data.len() != self.global.len() {
+            return Err(RestartError::Diverged);
+        }
+        if let Some(lane) = torn {
+            self.replay(lane)?;
+        }
+        for (li, e) in self.data.iter_mut().enumerate() {
+            e.id = li as ElementId;
+        }
+        if !planner.agrees_with(shard, &self.global, &self.data) {
+            return Err(RestartError::Diverged);
+        }
+        self.data.shrink_to_fit();
+        self.global.shrink_to_fit();
+        self.engine = QueryEngine::new();
+        self.index = rebuild(&self.data);
+        Ok(())
+    }
+
+    /// Steps 1 and 2 of [`ShardExecutor::restart`] for the torn `lane`.
+    fn replay(&mut self, lane: &mut UpdateLane) -> Result<(), RestartError> {
+        let UpdateLane {
+            updates,
+            inserts,
+            removals,
+            scratch,
+            ..
+        } = lane;
+        let resident = |gid: &ElementId| self.global.binary_search(gid).is_ok();
+        let arrived = inserts.iter().filter(|(gid, _)| resident(gid)).count();
+        let departed = removals.iter().filter(|gid| !resident(gid)).count();
+        if arrived < inserts.len() || departed < removals.len() {
+            if arrived > 0 || departed > 0 {
+                return Err(RestartError::Diverged);
+            }
+            self.plan_splice(inserts, removals, scratch);
+            self.splice_clone(scratch);
+        }
+        for &(gid, shape) in updates.iter().chain(inserts.iter()) {
+            let li = self
+                .global
+                .binary_search(&gid)
+                .map_err(|_| RestartError::Diverged)?;
+            self.data[li].shape = shape;
+        }
+        Ok(())
     }
 
     /// Applies one routed write sub-batch — one membership path, then the
@@ -604,21 +682,7 @@ impl<I: SpatialIndex> ShardExecutor<I> {
                 && self
                     .index
                     .splice(&scratch.removed, &scratch.remap, &scratch.inserted);
-            let (removed, inserted) = (&scratch.removed, &scratch.inserted);
-            let first = removed
-                .first()
-                .into_iter()
-                .chain(inserted.first())
-                .map(|e| e.id as usize)
-                .min()
-                .unwrap_or(0);
-            splice_sorted(&mut self.global, removed, inserted, |j| {
-                scratch.inserted_global[j]
-            });
-            splice_sorted(&mut self.data, removed, inserted, |j| inserted[j].clone());
-            for (li, e) in self.data.iter_mut().enumerate().skip(first) {
-                e.id = li as ElementId;
-            }
+            self.splice_clone(scratch);
             if in_place {
                 trim_slack(&mut self.data);
                 trim_slack(&mut self.global);
@@ -727,6 +791,27 @@ impl<I: SpatialIndex> ShardExecutor<I> {
         for e in arrivals {
             inserted_global.push(std::mem::replace(&mut e.id, next));
             next += 1;
+        }
+    }
+
+    /// Shifts the membership change [`ShardExecutor::plan_splice`]
+    /// resolved into the id map and the element clone, and renumbers the
+    /// shifted elements' local ids.
+    fn splice_clone(&mut self, scratch: &LaneScratch) {
+        let (removed, inserted) = (&scratch.removed, &scratch.inserted);
+        let first = removed
+            .first()
+            .into_iter()
+            .chain(inserted.first())
+            .map(|e| e.id as usize)
+            .min()
+            .unwrap_or(0);
+        splice_sorted(&mut self.global, removed, inserted, |j| {
+            scratch.inserted_global[j]
+        });
+        splice_sorted(&mut self.data, removed, inserted, |j| inserted[j].clone());
+        for (li, e) in self.data.iter_mut().enumerate().skip(first) {
+            e.id = li as ElementId;
         }
     }
 
@@ -936,11 +1021,11 @@ pub struct UpdateLaneReport {
     pub migrated_out: u64,
     /// Elements resident in the shard after the batch (replicas included).
     pub len_after: usize,
-    /// Shard bytes (index + clone + id map + engine scratch) after the
-    /// batch — reflects post-migration sizes: a rebuild leaves the clone
-    /// and id map exact-fit, an in-place membership change within a
+    /// Shard bytes by part (clone, id map, index, engine scratch) after
+    /// the batch — reflects post-migration sizes: a rebuild leaves the
+    /// clone and id map exact-fit, an in-place membership change within a
     /// sixteenth of it (the index keeps whatever capacity its cells grew).
-    pub memory_bytes: usize,
+    pub memory: MemoryParts,
     /// Write operations shipped to this shard (updates + inserts +
     /// removals) — the lane's share of the write-amplification numerator.
     pub shipped: u64,
@@ -1052,8 +1137,8 @@ impl UpdateLane {
 
     /// Empties the lane (allocations kept): the planner clears every lane
     /// before routing into it, and an orchestrator drops a routed write
-    /// sub-batch aimed at a dead shard this way (the planner's element
-    /// store already advanced; there is no executor left to apply to).
+    /// sub-batch aimed at a dead shard this way (the route table already
+    /// advanced; there is no executor left to apply to).
     pub fn clear(&mut self) {
         self.updates.clear();
         self.inserts.clear();
@@ -1082,7 +1167,7 @@ impl UpdateLane {
             &mut self.scratch,
         );
         report.len_after = exec.len();
-        report.memory_bytes = exec.memory_bytes();
+        report.memory = exec.memory_parts();
         report.shipped = self.len() as u64;
         self.report = report;
     }
@@ -1104,6 +1189,66 @@ fn size_lanes<L: Default>(lanes: &mut Vec<L>, n: usize, clear: impl FnMut(&mut L
     lanes.iter_mut().for_each(clear);
 }
 
+/// The bytes of a sharded structure by part. [`MemoryParts::total`] is
+/// its `memory_bytes`: [`ShardedEngine::memory_parts`] fills every part,
+/// [`ShardExecutor::memory_parts`] the four per-shard ones,
+/// [`ShardSet::plan_memory_parts`] the three outside the executors.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoryParts {
+    /// The planner's routing state: the 2 B per element route table, the
+    /// router and the kNN fan-out regions.
+    pub route_table: usize,
+    /// The planner's scratch: the merge's visited table and kNN staging,
+    /// and the write path's id-order buffer.
+    pub merge_scratch: usize,
+    /// Every lane's buffers, the write path's per-lane scratch and the
+    /// engine's staged kNN probes included.
+    pub lanes: usize,
+    /// The shards' element clones, replicas included.
+    pub clones: usize,
+    /// The shards' local → global id maps.
+    pub id_maps: usize,
+    /// The shards' index structures.
+    pub indexes: usize,
+    /// The shard engines' scratch high-water marks.
+    pub engine_scratch: usize,
+}
+
+impl MemoryParts {
+    /// The sum of every part.
+    pub fn total(&self) -> usize {
+        self.route_table
+            + self.merge_scratch
+            + self.lanes
+            + self.clones
+            + self.id_maps
+            + self.indexes
+            + self.engine_scratch
+    }
+}
+
+impl std::ops::Add for MemoryParts {
+    type Output = Self;
+
+    fn add(self, o: Self) -> Self {
+        Self {
+            route_table: self.route_table + o.route_table,
+            merge_scratch: self.merge_scratch + o.merge_scratch,
+            lanes: self.lanes + o.lanes,
+            clones: self.clones + o.clones,
+            id_maps: self.id_maps + o.id_maps,
+            indexes: self.indexes + o.indexes,
+            engine_scratch: self.engine_scratch + o.engine_scratch,
+        }
+    }
+}
+
+impl std::iter::Sum for MemoryParts {
+    fn sum<It: Iterator<Item = Self>>(parts: It) -> Self {
+        parts.fold(Self::default(), std::ops::Add::add)
+    }
+}
+
 /// The routing + merging half of sharded execution: fans query batches out
 /// into per-shard [`RangeLane`]s/[`KnnLane`]s and merges executed lanes back
 /// into one sink under the single-engine result contract (deduplicated
@@ -1112,7 +1257,9 @@ fn size_lanes<L: Default>(lanes: &mut Vec<L>, n: usize, clear: impl FnMut(&mut L
 /// A planner never touches shard indexes, so callers are free to run the
 /// lanes wherever they like — through a [`ShardSet`] runner (inline for
 /// [`ShardedEngine`], on the service layer's work-stealing shard pool) or
-/// by hand.
+/// by hand. It holds no geometry: each element's shape lives only in the
+/// clones of the shards it routes to, and the planner keeps where each
+/// element routes.
 pub struct ShardPlanner {
     router: ShardRouter,
     /// Per-shard kNN fan-out pruning regions, hoisted out of the hot loops.
@@ -1124,26 +1271,16 @@ pub struct ShardPlanner {
     fan_regions: Vec<Aabb>,
     /// Upper bound on global ids (sizes the merge-time dedupe table).
     id_bound: usize,
-    /// Global id → current exact geometry (`id_bound` entries), `None` for
-    /// a removed (or never-existing) id — the **tombstone** lives here,
-    /// apart from the geometry, so an element whose geometry is the empty
-    /// box is as live as any other. This is the planner's **element
-    /// store**, the authoritative copy of the dataset: with the route
-    /// table it is enough to reconstruct any shard's exact element clone
-    /// ([`ShardPlanner::shard_elements`]), which is what lets a supervisor
-    /// rebuild a crashed shard executor without reaching the (lost)
-    /// executor state. Writes only ever overwrite an entry; routing never
-    /// reads it.
-    shapes: Vec<Option<Shape>>,
     /// Global id → the shard range its current envelope routes to, as
-    /// `(start, end)` — 2 B per element, so a write reads its *old* shard
-    /// set from here instead of from a 32 B shape. The range is empty
-    /// exactly where `shapes` holds a tombstone; a live element always
-    /// routes somewhere (an empty-box one to every shard).
+    /// `(start, end)` (`id_bound` entries, 2 B each), so a write reads its
+    /// *old* shard set from here. The range is empty exactly for a
+    /// removed (or never-existing) id — the **tombstone**, kept apart
+    /// from the geometry, so an element whose geometry is the empty box is
+    /// as live as any other (it routes to every shard).
     routes: Vec<(u8, u8)>,
     /// `(id, batch position)` pairs of the last routed write batch, sorted
-    /// by id, then cut to each written id's deciding op — the buffer of
-    /// [`ShardPlanner::route_writes`], reused across batches.
+    /// by id — the buffer of [`ShardPlanner::route_writes`], reused across
+    /// batches.
     order: Vec<(ElementId, u32)>,
     /// Merge-phase scratch: the visited table dedupes replicated hits;
     /// `knn_queue` stages kNN merge candidates; `dists` holds the per-probe
@@ -1169,18 +1306,11 @@ fn unpack((start, end): (u8, u8)) -> Range<usize> {
     start as usize..end as usize
 }
 
-// The tombstone costs no space: `None` takes a spare tag value of `Shape`,
-// so the element store is exactly as large as a plain shape table.
-const _: () = assert!(std::mem::size_of::<Option<Shape>>() == std::mem::size_of::<Shape>());
-
 impl ShardPlanner {
-    /// A planner over `router` holding the exact geometry of every element
-    /// of `data` (dataset convention: `element.id == position`). The
-    /// planner is the authoritative copy of the dataset: each write touches
-    /// only the shards of the element's old and new envelope, and
-    /// [`ShardPlanner::shard_elements`] can reproduce any shard's exact
-    /// element clone at any time, enabling shard rebuilds after an
-    /// executor is lost ([`ShardExecutor::rebuilt_from`]).
+    /// A planner over `router` holding the route of every element of
+    /// `data` (dataset convention: `element.id == position`), so that each
+    /// write touches only the shards of the element's old and new
+    /// envelope.
     ///
     /// Panics when `router` has more than 255 shards (the route table
     /// stores each element's shard range in two bytes).
@@ -1191,10 +1321,8 @@ impl ShardPlanner {
             "a shard planner routes at most {MAX_SHARDS} shards, not {shards}"
         );
         let id_bound = data.iter().map(|e| e.id as usize + 1).max().unwrap_or(0);
-        let mut shapes = vec![None; id_bound];
         let mut routes = vec![DEAD; id_bound];
         for e in data {
-            shapes[e.id as usize] = Some(e.shape);
             routes[e.id as usize] = pack(router.route(&e.aabb()));
         }
         let axis = router.axis();
@@ -1221,7 +1349,6 @@ impl ShardPlanner {
             router,
             fan_regions,
             id_bound,
-            shapes,
             routes,
             order: Vec::new(),
             scratch: QueryScratch::default(),
@@ -1234,19 +1361,19 @@ impl ShardPlanner {
         unpack(self.routes[id as usize])
     }
 
-    /// Reconstructs shard `shard`'s element membership from the element
-    /// store: every live element whose current envelope overlaps the
-    /// shard's region, as `(global id, exact geometry)` pairs in ascending
-    /// global-id order — exactly the clone a freshly built (or freshly
-    /// updated) [`ShardExecutor`] for that shard holds, replicas included.
-    pub fn shard_elements(&self, shard: usize) -> Vec<(ElementId, Shape)> {
-        let mut out = Vec::new();
-        for (id, shape) in self.shapes.iter().enumerate() {
-            if let Some(shape) = shape.filter(|_| self.route_of(id as ElementId).contains(&shard)) {
-                out.push((id as ElementId, shape));
-            }
-        }
-        out
+    /// True when `global` (ascending) and the parallel `data` are exactly
+    /// shard `shard`'s membership under the route table — every id whose
+    /// route holds the shard, and no other — and each element's geometry
+    /// routes where the table says. What [`ShardExecutor::restart`] checks
+    /// a clone against; O(id bound).
+    fn agrees_with(&self, shard: usize, global: &[ElementId], data: &[Element]) -> bool {
+        let members =
+            (0..self.routes.len() as ElementId).filter(|&id| self.route_of(id).contains(&shard));
+        members.eq(global.iter().copied())
+            && global
+                .iter()
+                .zip(data)
+                .all(|(&gid, e)| self.router.route(&e.aabb()) == self.route_of(gid))
     }
 
     /// The routing function in force.
@@ -1259,16 +1386,24 @@ impl ShardPlanner {
         self.router.shards()
     }
 
-    /// Heap bytes held by the router, the element store and its 2 B per
-    /// element route table, the write path's sort buffer, the fan-out
-    /// regions and the merge scratch.
+    /// Bytes held by the router, the 2 B per element route table, the
+    /// fan-out regions, the write path's order buffer and the merge
+    /// scratch.
     pub fn memory_bytes(&self) -> usize {
-        self.router.memory_bytes()
-            + self.scratch.memory_bytes()
-            + self.shapes.capacity() * std::mem::size_of::<Option<Shape>>()
-            + self.routes.capacity() * std::mem::size_of::<(u8, u8)>()
-            + self.order.capacity() * std::mem::size_of::<(ElementId, u32)>()
-            + self.fan_regions.capacity() * std::mem::size_of::<Aabb>()
+        self.memory_parts().total()
+    }
+
+    /// [`ShardPlanner::memory_bytes`] by part: the planner fills
+    /// `route_table` and `merge_scratch`.
+    pub fn memory_parts(&self) -> MemoryParts {
+        MemoryParts {
+            route_table: self.router.memory_bytes()
+                + self.routes.capacity() * std::mem::size_of::<(u8, u8)>()
+                + self.fan_regions.capacity() * std::mem::size_of::<Aabb>(),
+            merge_scratch: self.scratch.memory_bytes()
+                + self.order.capacity() * std::mem::size_of::<(ElementId, u32)>(),
+            ..MemoryParts::default()
+        }
     }
 
     /// Routes a range batch: each query lands in every lane whose shard
@@ -1335,15 +1470,15 @@ impl ShardPlanner {
     }
 
     /// Routes one ordered write batch into per-shard [`UpdateLane`]s and
-    /// advances the planner's element store. `lanes` is resized to the
+    /// advances the planner's route table. `lanes` is resized to the
     /// shard count and fully reset (allocations kept). Returns the ids the
     /// batch's [`WriteOp::Insert`]s allocated — ascending, contiguous from
     /// the previous id bound, in batch order — and the plan-level
     /// accounting (`elapsed_s` is zero: the orchestrator owns the wall
     /// clock).
     ///
-    /// Ids are allocated first, in batch order, by the authoritative copy
-    /// of the dataset; the executors splice the arrivals in under them.
+    /// Ids are allocated first, in batch order, by the planner; the
+    /// executors splice the arrivals in under them.
     /// The batch's `(id, position)` pairs are then sorted once by id, and
     /// each id's run resolves in batch order the way a serial run would:
     /// a `Set` or `Remove` on an unknown or dead id (removed earlier, or
@@ -1357,16 +1492,16 @@ impl ShardPlanner {
     /// boundary replicas remain exactly the set of shards the envelope
     /// overlaps, which is what keeps post-write query fan-out and the
     /// byte-identical merge guarantee intact. A removed element leaves
-    /// every shard; its store entry becomes the **tombstone**
-    /// ([`ShardPlanner::shard_elements`] skips it, and no later write
-    /// resurrects it).
+    /// every shard; its route-table entry becomes the **tombstone** (an
+    /// empty range, which no later write resurrects).
     ///
     /// Resolved ids are routed in ascending order, so every lane list
     /// comes out sorted by global id (the [`UpdateLane`] contract). An
-    /// id's old shard set is read from the route table, and its new route
-    /// and shape are written without reading the old shape: the work is
-    /// the sort plus, per written id, one routing of the final envelope
-    /// and two table writes.
+    /// id's old shard set is read from the route table and its new route
+    /// written back; no shape is read or stored — the lanes carry the
+    /// geometry to the shard clones, its only copy. The work is the sort
+    /// plus, per written id, one routing of the final envelope and one
+    /// table write.
     pub fn route_writes(
         &mut self,
         ops: &[WriteOp],
@@ -1377,7 +1512,6 @@ impl ShardPlanner {
         let Self {
             router,
             id_bound,
-            shapes,
             routes,
             order,
             ..
@@ -1392,13 +1526,12 @@ impl ShardPlanner {
         }));
         // An id allocated here starts dead: ops placed before its insert
         // find no element, as they would in a serial run.
-        shapes.resize(*id_bound, None);
         routes.resize(*id_bound, DEAD);
         // Stable, so each id's run keeps batch order; sorting on the id
         // alone is also faster than on whole pairs.
         order.sort_by_key(|&(id, _)| id);
         let mut stats = UpdateStats::default();
-        let (mut next, mut kept) = (0, 0);
+        let mut next = 0;
         while next < order.len() {
             let id = order[next].0;
             let run = next;
@@ -1454,16 +1587,6 @@ impl ShardPlanner {
                     (false, None) => {}
                 }
             }
-            order[kept] = (id, pos);
-            kept += 1;
-        }
-        order.truncate(kept);
-        // The store's entries lie scattered over the whole dataset: their
-        // cache misses overlap in a loop of their own, where between the
-        // lane pushes above they stalled each mover (8 000 movers over
-        // 400 k elements route ≈ 30 % slower with the write in that loop).
-        for &(id, pos) in order.iter() {
-            shapes[id as usize] = ops[pos as usize].shape();
         }
         ((first_new..*id_bound as ElementId).collect(), stats)
     }
@@ -1649,26 +1772,27 @@ impl<E> ShardSet<E> {
         self.planner.shard_count()
     }
 
-    /// Bytes of the planner and of every lane's buffers: the footprint of
-    /// the set outside its executors.
-    pub fn plan_memory_bytes(&self) -> usize {
-        self.planner.memory_bytes()
-            + self
-                .range_lanes
-                .iter()
-                .map(RangeLane::memory_bytes)
-                .sum::<usize>()
-            + self
-                .knn_home
-                .iter()
-                .chain(&self.knn_fan)
-                .map(KnnLane::memory_bytes)
-                .sum::<usize>()
-            + self
-                .update_lanes
-                .iter()
-                .map(UpdateLane::memory_bytes)
-                .sum::<usize>()
+    /// Bytes of the planner and of every lane's buffers — the footprint of
+    /// the set outside its executors — by part: `route_table`,
+    /// `merge_scratch` and `lanes`.
+    pub fn plan_memory_parts(&self) -> MemoryParts {
+        let lanes = self
+            .range_lanes
+            .iter()
+            .map(RangeLane::memory_bytes)
+            .chain(
+                self.knn_home
+                    .iter()
+                    .chain(&self.knn_fan)
+                    .map(KnnLane::memory_bytes),
+            )
+            .chain(self.update_lanes.iter().map(UpdateLane::memory_bytes))
+            .sum::<usize>()
+            + self.probes.capacity() * std::mem::size_of::<(Point3, usize)>();
+        MemoryParts {
+            lanes,
+            ..self.planner.memory_parts()
+        }
     }
 
     /// The read sequence: route `boxes` and the kNN home lanes of `probes`,
@@ -1714,13 +1838,15 @@ impl<E> ShardSet<E> {
     }
 
     /// The write sequence: [`ShardPlanner::route_writes`] advances the
-    /// planner and fills the update lanes, `run` executes them as one
-    /// wave, and each lane's [`UpdateLaneReport`] folds into the batch's
-    /// [`UpdateStats`]. Returns the ids the batch's inserts allocated and
-    /// the accounting. A runner empties a lane it could not run. `run`'s
-    /// answer is not consulted: routing advanced the planner's element
-    /// store, which a restarted shard is rebuilt from, so a write never
-    /// re-routes.
+    /// planner's route table and fills the update lanes, `run` executes
+    /// them as one wave, and each lane's [`UpdateLaneReport`] folds into
+    /// the batch's [`UpdateStats`]. Returns the ids the batch's inserts
+    /// allocated and the accounting. A runner empties a lane aimed at a
+    /// dead shard. `run`'s answer is not consulted, and a write never
+    /// re-routes: the route table has advanced, so a runner whose lane
+    /// tore a shard hands that lane to the shard's restart
+    /// ([`ShardExecutor::restart`]), which replays it on the shard's own
+    /// clone, or declares the shard dead.
     pub fn write(
         &mut self,
         ops: &[WriteOp],
@@ -1811,11 +1937,9 @@ impl<I> ShardedEngine<I> {
         router: ShardRouter,
         build: impl Fn(&[Element]) -> I,
     ) -> Self {
-        // The planner retains the full element store (every exact shape)
-        // and routes every element once into its route table: precise
-        // update routing, plus the ability to reconstruct any shard from
-        // planner state alone (the service layer's shard-restart path).
-        // The partition below reads that table instead of routing again.
+        // The planner routes every element once into its route table,
+        // which precise update routing and restart checks read; the
+        // partition below reads that table instead of routing again.
         let planner = ShardPlanner::with_elements(router, data);
         let shards = planner.shard_count();
         let mut parts: Vec<Vec<Element>> = (0..shards).map(|_| Vec::new()).collect();
@@ -1847,7 +1971,8 @@ impl<I> ShardedEngine<I> {
     /// write path ([`ShardedEngine::write_batch`] and the service layer's
     /// update lanes). Called with a shard's re-identified local elements
     /// whenever the index declines to absorb a write batch in place
-    /// ([`SpatialIndex::update_in_place`]), and to restart a lost shard.
+    /// ([`SpatialIndex::update_in_place`]), and to restart a torn shard
+    /// ([`ShardExecutor::restart`]).
     ///
     /// Separate from the build closure so the read-only constructors keep
     /// accepting short-lived borrows; pass the same function to both for
@@ -1918,16 +2043,20 @@ impl ShardedEngine<UniformGrid> {
 impl<I: SpatialIndex> ShardedEngine<I> {
     /// Total bytes of the sharded structure: per-shard indexes, replicated
     /// element clones and id maps, engine scratch high-water marks, the
-    /// router and the merge/lane scratch. Replication makes this larger
-    /// than an unsharded index over the same data.
+    /// router, the route table and the merge/lane scratch. Replication
+    /// makes this larger than an unsharded index over the same data.
     pub fn memory_bytes(&self) -> usize {
-        self.plan_memory_bytes()
+        self.memory_parts().total()
+    }
+
+    /// [`ShardedEngine::memory_bytes`] by part.
+    pub fn memory_parts(&self) -> MemoryParts {
+        self.plan_memory_parts()
             + self
                 .executors
                 .iter()
-                .map(ShardExecutor::memory_bytes)
-                .sum::<usize>()
-            + self.probes.capacity() * std::mem::size_of::<(Point3, usize)>()
+                .map(ShardExecutor::memory_parts)
+                .sum::<MemoryParts>()
     }
 }
 
@@ -2714,13 +2843,39 @@ mod tests {
         assert_eq!(out.query_results(0)[0].0, 7);
     }
 
-    /// Every shard's executor holds exactly the ids the planner store
-    /// reproduces for it.
-    fn assert_store_matches_shards(sharded: &ShardedEngine<UniformGrid>) {
-        for (s, exec) in sharded.executors.iter().enumerate() {
-            let pairs = sharded.planner.shard_elements(s);
-            let gids: Vec<ElementId> = pairs.iter().map(|&(g, _)| g).collect();
-            assert_eq!(gids, exec.global_ids(), "shard {s} membership");
+    /// The route table agrees with the shards' clones: each id's entry is
+    /// exactly the shards that hold it — empty for a tombstone — every
+    /// holder's geometry routes there, and the replicas' geometry agrees.
+    fn assert_routes_match_clones<I>(
+        planner: &ShardPlanner,
+        executors: &[ShardExecutor<I>],
+        step: &str,
+    ) {
+        assert_eq!(planner.routes.len(), planner.id_bound, "{step}");
+        for id in 0..planner.id_bound as ElementId {
+            let route = planner.route_of(id);
+            let held: Vec<(usize, Shape)> = executors
+                .iter()
+                .enumerate()
+                .filter_map(|(s, exec)| {
+                    let li = exec.global.binary_search(&id).ok()?;
+                    Some((s, exec.data[li].shape))
+                })
+                .collect();
+            let holders: Vec<usize> = held.iter().map(|&(s, _)| s).collect();
+            assert_eq!(
+                holders,
+                route.clone().collect::<Vec<_>>(),
+                "{step}: id {id}"
+            );
+            for &(s, shape) in &held {
+                assert_eq!(
+                    planner.router.route(&shape.aabb()),
+                    route,
+                    "{step}: id {id} in shard {s}"
+                );
+                assert_eq!(shape, held[0].1, "{step}: id {id} replicas");
+            }
         }
     }
 
@@ -2736,7 +2891,7 @@ mod tests {
             assert_eq!((stats.applied, stats.skipped), (1, 0));
             apply_serially(&mut data, &[(7, shape)]);
             assert_matches_single(&mut sharded, &data);
-            assert_store_matches_shards(&sharded);
+            assert_routes_match_clones(&sharded.planner, &sharded.executors, "set");
         }
         let mut out = BatchResults::new();
         sharded.range_collect(&[real.aabb()], &mut out);
@@ -2755,7 +2910,7 @@ mod tests {
             .executors
             .iter()
             .all(|e| !e.global_ids().contains(&7)));
-        assert_store_matches_shards(&sharded);
+        assert_routes_match_clones(&sharded.planner, &sharded.executors, "remove");
     }
 
     #[test]
@@ -2846,41 +3001,28 @@ mod tests {
     }
 
     #[test]
-    fn planner_element_store_reproduces_build_time_shards() {
+    fn build_time_shards_match_the_route_table() {
         let mut data = soup(900);
         // An empty box routes to every shard and is as live as any shape.
         data.push(Element::new(900, Shape::Box(Aabb::empty())));
         let sharded = ShardedEngine::build(&data, 3, LinearScan::build);
         let (planner, executors) = sharded.into_parts();
         for (s, exec) in executors.iter().enumerate() {
-            let pairs = planner.shard_elements(s);
-            let gids: Vec<ElementId> = pairs.iter().map(|&(g, _)| g).collect();
-            assert_eq!(gids, exec.global_ids(), "shard {s} membership");
-            for (&(g, shape), e) in pairs.iter().zip(&exec.data) {
-                assert_eq!(shape.aabb(), e.aabb(), "shard {s} element {g}");
-            }
+            let want: Vec<(ElementId, Shape)> = data
+                .iter()
+                .filter(|e| planner.router().route(&e.aabb()).contains(&s))
+                .map(|e| (e.id, e.shape))
+                .collect();
+            let got: Vec<(ElementId, Shape)> = exec
+                .global_ids()
+                .iter()
+                .zip(&exec.data)
+                .map(|(&g, e)| (g, e.shape))
+                .collect();
+            assert_eq!(got, want, "shard {s} elements");
         }
-    }
-
-    /// The route table agrees with the element store: a live id's entry is
-    /// the router's range for its current envelope, and the range is empty
-    /// exactly for tombstones.
-    fn assert_routes_match_store(planner: &ShardPlanner, step: &str) {
-        assert_eq!(planner.routes.len(), planner.shapes.len(), "{step}");
-        for (id, shape) in planner.shapes.iter().enumerate() {
-            let route = planner.route_of(id as ElementId);
-            match shape {
-                Some(shape) => {
-                    assert_eq!(
-                        route,
-                        planner.router.route(&shape.aabb()),
-                        "{step}: id {id}"
-                    );
-                    assert!(!route.is_empty(), "{step}: live id {id}");
-                }
-                None => assert!(route.is_empty(), "{step}: tombstone {id}"),
-            }
-        }
+        assert_eq!(planner.route_of(900), 0..3, "the empty box is live");
+        assert_routes_match_clones(&planner, &executors, "build");
     }
 
     #[test]
@@ -2888,14 +3030,17 @@ mod tests {
         let data = soup(1200);
         let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
         let mut sharded = ShardedEngine::build(&data, 4, build).with_rebuild(build);
-        assert_routes_match_store(&sharded.planner, "build");
+        let check = |sharded: &ShardedEngine<UniformGrid>, step| {
+            assert_routes_match_clones(&sharded.planner, &sharded.executors, step)
+        };
+        check(&sharded, "build");
 
         // Sweep elements across the split axis.
         let migrations: Vec<(ElementId, Shape)> = (0..60u32)
             .map(|i| (i * 17, box_at(8.0 * (i % 12) as f32 + 2.0, 40.0, 40.0, 0.4)))
             .collect();
         assert!(sharded.write_batch(&sets(&migrations)).1.migrations > 0);
-        assert_routes_match_store(&sharded.planner, "migration tick");
+        check(&sharded, "migration tick");
 
         let empty = Shape::Box(Aabb::empty());
         sharded.write_batch(&sets(&[(11, empty)]));
@@ -2904,13 +3049,13 @@ mod tests {
             0..4,
             "an empty box routes everywhere"
         );
-        assert_routes_match_store(&sharded.planner, "empty-box write");
+        check(&sharded, "empty-box write");
 
         let (ids, _) = sharded.write_batch(&inserts(&[box_at(30.0, 30.0, 30.0, 0.5), empty]));
-        assert_routes_match_store(&sharded.planner, "insert");
+        check(&sharded, "insert");
         let stats = sharded.write_batch(&removes(&[5, ids[1], 11])).1;
         assert_eq!(stats.removed, 3);
-        assert_routes_match_store(&sharded.planner, "remove");
+        check(&sharded, "remove");
 
         let stats = sharded
             .write_batch(&sets(&[(5, box_at(50.0, 50.0, 50.0, 0.5))]))
@@ -2921,17 +3066,15 @@ mod tests {
             "removed id stays dead"
         );
         assert!(sharded.planner.route_of(5).is_empty());
-        assert_routes_match_store(&sharded.planner, "write to a removed id");
-        assert_store_matches_shards(&sharded);
+        check(&sharded, "write to a removed id");
 
-        let (planner, executors) = sharded.into_parts();
-        for (s, exec) in executors.iter().enumerate() {
-            let twin = exec
-                .rebuilt_from(&planner, s)
-                .expect("with_rebuild attached");
-            assert_eq!(twin.global_ids(), exec.global_ids(), "restart of shard {s}");
+        let (planner, mut executors) = sharded.into_parts();
+        for (s, exec) in executors.iter_mut().enumerate() {
+            let ids = exec.global_ids().to_vec();
+            assert_eq!(exec.restart(&planner, s, None), Ok(()), "shard {s}");
+            assert_eq!(exec.global_ids(), ids, "restart of shard {s}");
         }
-        assert_routes_match_store(&planner, "restart");
+        check(&ShardSet::from_parts(planner, executors), "restart");
     }
 
     #[test]
@@ -2943,9 +3086,17 @@ mod tests {
     #[test]
     fn route_writes_fills_id_sorted_lanes_with_last_writes() {
         let data = soup(900);
-        let (mut planner, _) = ShardedEngine::build(&data, 4, LinearScan::build).into_parts();
+        let (mut planner, mut executors) = ShardedEngine::build(&data, 4, LinearScan::build)
+            .with_rebuild(LinearScan::build)
+            .into_parts();
         let mut lanes = Vec::new();
+        let run = |executors: &mut [ShardExecutor<LinearScan>], lanes: &mut [UpdateLane]| {
+            for (exec, lane) in executors.iter_mut().zip(lanes) {
+                lane.run(exec);
+            }
+        };
         planner.route_writes(&removes(&[40, 41]), &mut lanes);
+        run(&mut executors, &mut lanes);
         // Every third id written three times over, plus unknown and removed
         // ids, in a shuffled order: the last write of each id is its third.
         let mut batch: Vec<(ElementId, Shape)> = Vec::new();
@@ -3008,21 +3159,35 @@ mod tests {
             }
         }
         assert_eq!(routed.into_iter().collect::<Vec<_>>(), live);
+        run(&mut executors, &mut lanes);
         for &id in &live {
-            assert_eq!(planner.shapes[id as usize], Some(last[&id]));
+            let route = planner.router().route(&last[&id].aabb());
+            assert_eq!(planner.route_of(id), route, "id {id} route");
+            for (s, exec) in executors.iter().enumerate() {
+                let held = exec
+                    .global
+                    .binary_search(&id)
+                    .ok()
+                    .map(|li| exec.data[li].shape);
+                let want = route.contains(&s).then_some(last[&id]);
+                assert_eq!(held, want, "shard {s}: id {id} carries its last write");
+            }
         }
+        assert_routes_match_clones(&planner, &executors, "last writes");
     }
 
-    /// Seeded random mixed batches on a 4-shard planner, checked after
-    /// each batch against an op-by-op model of the element store: the
-    /// store, the route table, every shard's membership, each lane's three
+    /// Seeded random mixed batches on a 4-shard set, checked after each
+    /// batch against an op-by-op model of the dataset: the route table,
+    /// every shard clone's `(global id, shape)` pairs, each lane's three
     /// lists and the counters. The batches name ids already named in the
     /// batch, unknown ids and the id the next insert allocates, so every
     /// per-id pattern occurs.
     #[test]
     fn route_writes_matches_an_op_by_op_model() {
         let data = soup(300);
-        let (mut planner, _) = ShardedEngine::build(&data, 4, LinearScan::build).into_parts();
+        let (mut planner, mut executors) = ShardedEngine::build(&data, 4, LinearScan::build)
+            .with_rebuild(LinearScan::build)
+            .into_parts();
         let router = planner.router().clone();
         let route = |shape: Option<Shape>| shape.map_or(0..0, |s| router.route(&s.aabb()));
         let mut model: Vec<Option<Shape>> = data.iter().map(|e| Some(e.shape)).collect();
@@ -3145,14 +3310,24 @@ mod tests {
                 (want.inserted, want.removed),
                 "{step}"
             );
-            assert_eq!(planner.shapes, model, "{step}: element store");
-            assert_routes_match_store(&planner, &step);
-            for (s, lane) in lanes.iter().enumerate() {
+            assert_eq!(planner.routes.len(), model.len(), "{step}: route table");
+            for (id, &shape) in model.iter().enumerate() {
+                let got = planner.route_of(id as ElementId);
+                assert_eq!(got, route(shape), "{step}: route of {id}");
+            }
+            for (s, (exec, lane)) in executors.iter_mut().zip(lanes.iter_mut()).enumerate() {
+                lane.run(exec);
                 let members: Vec<(ElementId, Shape)> = (0..model.len() as ElementId)
                     .filter_map(|id| model[id as usize].map(|shape| (id, shape)))
                     .filter(|&(_, shape)| route(Some(shape)).contains(&s))
                     .collect();
-                assert_eq!(planner.shard_elements(s), members, "{step}: shard {s}");
+                let clone: Vec<(ElementId, Shape)> = exec
+                    .global
+                    .iter()
+                    .zip(&exec.data)
+                    .map(|(&g, e)| (g, e.shape))
+                    .collect();
+                assert_eq!(clone, members, "{step}: shard {s}");
                 let (mut updates, mut inserts, mut removals) = (Vec::new(), Vec::new(), Vec::new());
                 for &id in &touched {
                     let new = model[id as usize];
@@ -3175,47 +3350,186 @@ mod tests {
         assert!(seen.iter().all(|&n| n > 0), "patterns seen: {seen:?}");
     }
 
+    /// A grid that splices membership changes in place but panics inside
+    /// its in-place write after moving the first half of the lane's
+    /// entries: the shard's clone is spliced and holds some of the new
+    /// shapes, the grid is torn.
+    struct TornAfterSplice(UniformGrid);
+
+    impl SpatialIndex for TornAfterSplice {
+        fn name(&self) -> &'static str {
+            "TornAfterSplice"
+        }
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn range_into(
+            &self,
+            data: &[Element],
+            query: &Aabb,
+            scratch: &mut QueryScratch,
+            sink: &mut dyn RangeSink,
+        ) {
+            self.0.range_into(data, query, scratch, sink);
+        }
+
+        fn memory_bytes(&self) -> usize {
+            self.0.memory_bytes()
+        }
+
+        fn splice(
+            &mut self,
+            removed: &[Element],
+            remap: &[ElementId],
+            inserted: &[Element],
+        ) -> bool {
+            self.0.splice(removed, remap, inserted)
+        }
+
+        fn update_in_place(
+            &mut self,
+            data: &mut [Element],
+            updates: &[(ElementId, Shape)],
+        ) -> Option<ShardApplyCost> {
+            self.0.update_in_place(data, &updates[..updates.len() / 2]);
+            panic!("in-place write torn after the splice");
+        }
+    }
+
+    impl KnnIndex for TornAfterSplice {
+        fn knn_into(
+            &self,
+            data: &[Element],
+            p: &Point3,
+            k: usize,
+            scratch: &mut QueryScratch,
+            sink: &mut dyn KnnSink,
+        ) {
+            self.0.knn_into(data, p, k, scratch, sink);
+        }
+    }
+
+    /// A write of every kind over `data`: in-place moves, migrations
+    /// across the slab cuts, an insert and a removal. Returns the ops and
+    /// the model dataset after them (`None` for the removed id).
+    fn mixed_write(data: &[Element]) -> (Vec<WriteOp>, Vec<Option<Shape>>) {
+        let mut ops: Vec<WriteOp> = (0..40u32)
+            .map(|i| {
+                let c = data[(i * 13) as usize].aabb().center();
+                WriteOp::Set(i * 13, box_at(c.x + 0.1, c.y, c.z, 0.3))
+            })
+            .collect();
+        ops.extend(
+            (0..12u32)
+                .map(|i| WriteOp::Set(1000 + i, box_at(8.0 * i as f32 + 2.0, 40.0, 40.0, 0.4))),
+        );
+        ops.push(WriteOp::Insert(box_at(30.0, 30.0, 30.0, 0.5)));
+        ops.push(WriteOp::Remove(5));
+        let mut model: Vec<Option<Shape>> = data.iter().map(|e| Some(e.shape)).collect();
+        for op in &ops {
+            match *op {
+                WriteOp::Set(id, shape) => model[id as usize] = Some(shape),
+                WriteOp::Insert(shape) => model.push(Some(shape)),
+                WriteOp::Remove(id) => model[id as usize] = None,
+            }
+        }
+        (ops, model)
+    }
+
+    /// Shard `shard`'s executor built fresh over `model`: the clone, id map
+    /// and index a shard holds that never saw a write.
+    fn fresh_executor(
+        model: &[Option<Shape>],
+        router: &ShardRouter,
+        shard: usize,
+        build: impl Fn(&[Element]) -> UniformGrid,
+    ) -> ShardExecutor<UniformGrid> {
+        let (data, global): (Vec<Element>, Vec<ElementId>) = model
+            .iter()
+            .enumerate()
+            .filter_map(|(id, shape)| Some((id as ElementId, (*shape)?)))
+            .filter(|(_, shape)| router.route(&shape.aabb()).contains(&shard))
+            .enumerate()
+            .map(|(li, (gid, shape))| (Element::new(li as ElementId, shape), gid))
+            .unzip();
+        ShardExecutor {
+            region: router.region(shard),
+            index: build(&data),
+            data,
+            global,
+            engine: QueryEngine::new(),
+            rebuild: None,
+        }
+    }
+
     #[test]
-    fn executor_rebuilt_from_planner_is_byte_identical_after_updates() {
-        let data = soup(1000);
+    fn executor_torn_in_update_in_place_restarts_byte_identical() {
+        let data = soup(2000);
         let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
-        let mut sharded = ShardedEngine::build(&data, 4, build).with_rebuild(build);
-        // Move a third of the elements (some across shard boundaries) so the
-        // store must have tracked migrations, not just the initial layout.
-        let updates: Vec<(ElementId, Shape)> = (0..1000u32)
-            .filter(|i| i % 3 == 0)
+        let torn = move |part: &[Element]| TornAfterSplice(build(part));
+        let (mut planner, mut executors) = ShardedEngine::build(&data, 4, torn)
+            .with_rebuild(torn)
+            .into_parts();
+        let router = planner.router().clone();
+        let (ops, model) = mixed_write(&data);
+        let mut lanes = Vec::new();
+        planner.route_writes(&ops, &mut lanes);
+        let qs = queries();
+        let probes: Vec<(Point3, usize)> = (0..6)
             .map(|i| {
                 (
-                    i,
-                    box_at((i % 97) as f32, (i % 89) as f32, (i % 83) as f32, 0.3),
+                    Point3::new((i * 17) as f32, (i * 3) as f32, (i * 8) as f32),
+                    5,
                 )
             })
             .collect();
-        sharded.write_batch(&sets(&updates));
-        let qs = queries();
-        let points: Vec<Point3> = (0..6)
-            .map(|i| Point3::new((i * 17) as f32, (i * 3) as f32, (i * 8) as f32))
-            .collect();
-        let probes: Vec<(Point3, usize)> = points.iter().map(|&p| (p, 5)).collect();
-        let (planner, mut executors) = sharded.into_parts();
-        for (s, exec) in executors.iter_mut().enumerate() {
-            let mut twin = exec
-                .rebuilt_from(&planner, s)
-                .expect("with_rebuild attached");
-            assert_eq!(twin.global_ids(), exec.global_ids(), "shard {s} id map");
-            assert_eq!(twin.region(), exec.region());
-            assert!(twin.is_updatable());
-            // Same results, byte for byte, from the reconstructed twin.
+        let mut spliced = 0;
+        for (s, (exec, lane)) in executors.iter_mut().zip(lanes.iter_mut()).enumerate() {
+            assert!(
+                !lane.updates.is_empty(),
+                "shard {s} moves elements in place"
+            );
+            let changes = lane.inserts.len() + lane.removals.len();
+            let mut fresh = fresh_executor(&model, &router, s, build);
+            let tore = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lane.run(exec)));
+            assert!(tore.is_err(), "shard {s}: the in-place write tears");
+            assert_eq!(exec.global, fresh.global, "shard {s}: the splice ran");
+            assert_ne!(
+                exec.data, fresh.data,
+                "shard {s}: the moves did not all land"
+            );
+            spliced += usize::from(changes > 0);
+            // A second restart over the same lane finds the clone at its
+            // post-lane state and leaves it there.
+            for attempt in 0..2 {
+                assert_eq!(
+                    exec.restart(&planner, s, Some(&mut *lane)),
+                    Ok(()),
+                    "shard {s}"
+                );
+                assert_eq!(
+                    exec.global, fresh.global,
+                    "shard {s}, restart {attempt}: id map"
+                );
+                assert_eq!(exec.data, fresh.data, "shard {s}, restart {attempt}: clone");
+                assert_eq!(
+                    format!("{:?}", exec.index().0),
+                    format!("{:?}", fresh.index),
+                    "shard {s}, restart {attempt}: index"
+                );
+            }
             let (mut a, mut b) = (BatchResults::new(), BatchResults::new());
             exec.range_batch(&qs, &mut a);
-            twin.range_batch(&qs, &mut b);
+            fresh.range_batch(&qs, &mut b);
             for qi in 0..qs.len() {
                 assert_eq!(a.query_results(qi), b.query_results(qi), "shard {s} q{qi}");
             }
             let (mut ka, mut kb) = (KnnBatchResults::new(), KnnBatchResults::new());
             exec.knn_batch(&probes, &mut ka);
-            twin.knn_batch(&probes, &mut kb);
-            for qi in 0..points.len() {
+            fresh.knn_batch(&probes, &mut kb);
+            for qi in 0..probes.len() {
                 assert_eq!(
                     ka.query_results(qi),
                     kb.query_results(qi),
@@ -3223,10 +3537,83 @@ mod tests {
                 );
             }
         }
-        // Without a rebuild function there is no recipe to restart from.
-        let (planner, executors) = ShardedEngine::build(&data, 4, build).into_parts();
-        for (s, exec) in executors.iter().enumerate() {
-            assert!(exec.rebuilt_from(&planner, s).is_none(), "shard {s}");
+        assert!(
+            spliced >= 2,
+            "the write changes membership in {spliced} shards"
+        );
+        // Without a rebuild function there is no recipe to restart with.
+        let (planner, mut executors) = ShardedEngine::build(&data, 4, build).into_parts();
+        for (s, exec) in executors.iter_mut().enumerate() {
+            assert_eq!(
+                exec.restart(&planner, s, None),
+                Err(RestartError::NoRecipe),
+                "shard {s}"
+            );
         }
+    }
+
+    #[test]
+    fn clone_that_disagrees_with_the_route_table_is_diverged_on_restart() {
+        let data = soup(1200);
+        let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+        let set = || {
+            ShardedEngine::build(&data, 4, build)
+                .with_rebuild(build)
+                .into_parts()
+        };
+        // Each corruption of shard 1's clone, on a fresh set.
+        type Corruption = fn(&mut ShardExecutor<UniformGrid>);
+        let corruptions: [(&str, Corruption); 4] = [
+            ("an element dropped", |e| {
+                e.data.remove(3);
+                e.global.remove(3);
+            }),
+            ("a stray id", |e| {
+                let stray = (0..).find(|g| e.global.binary_search(g).is_err()).unwrap();
+                let at = e.global.binary_search(&stray).unwrap_err();
+                e.global.insert(at, stray);
+                e.data.insert(at, e.data[3].clone());
+            }),
+            ("a shape that routes elsewhere", |e| {
+                e.data[3].shape = box_at(95.0, 95.0, 95.0, 0.3)
+            }),
+            ("an id map longer than the clone", |e| {
+                e.global.push(ElementId::MAX)
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let (planner, mut executors) = set();
+            assert_ne!(planner.route_of(executors[1].global[3]), 3..4);
+            corrupt(&mut executors[1]);
+            assert_eq!(
+                executors[1].restart(&planner, 1, None),
+                Err(RestartError::Diverged),
+                "{what}"
+            );
+            assert_eq!(
+                executors[2].restart(&planner, 2, None),
+                Ok(()),
+                "{what}: shard 2"
+            );
+        }
+
+        // A torn lane whose clone shows one of its arrivals but not the
+        // other: no single replay brings it to the post-lane state.
+        let (mut planner, mut executors) = set();
+        let (ops, _) = mixed_write(&data);
+        let mut lanes = Vec::new();
+        planner.route_writes(&ops, &mut lanes);
+        let s = (0..4)
+            .find(|&s| lanes[s].inserts.len() >= 2)
+            .expect("a shard with two arrivals");
+        let (gid, shape) = lanes[s].inserts[0];
+        let exec = &mut executors[s];
+        let at = exec.global.binary_search(&gid).unwrap_err();
+        exec.global.insert(at, gid);
+        exec.data.insert(at, Element::new(at as ElementId, shape));
+        assert_eq!(
+            exec.restart(&planner, s, Some(&mut lanes[s])),
+            Err(RestartError::Diverged)
+        );
     }
 }

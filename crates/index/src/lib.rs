@@ -106,8 +106,8 @@ mod util;
 
 pub use crtree::{CrTree, CrTreeConfig};
 pub use engine::sharded::{
-    KnnLane, RangeLane, ShardExecutor, ShardPlanner, ShardRebuild, ShardRouter, ShardSet,
-    ShardedEngine, UpdateLane, UpdateLaneReport, Wave, WriteOp,
+    KnnLane, MemoryParts, RangeLane, RestartError, ShardExecutor, ShardPlanner, ShardRebuild,
+    ShardRouter, ShardSet, ShardedEngine, UpdateLane, UpdateLaneReport, Wave, WriteOp,
 };
 pub use engine::{BatchResults, CountSink, KnnBatchResults, QueryEngine};
 pub use flat::{Flat, FlatConfig};

@@ -50,8 +50,8 @@ use simspatial_service::ShardedBackend;
 /// [`sharded_strategy_engine`], whose lanes run on the dispatcher. Queries
 /// run through the strategy's structure, write batches through its
 /// maintenance path; a panic mid-write restarts the shard by recreating
-/// the strategy from the planner's element store, which already holds the
-/// write. `data` must follow the dataset convention (`element.id ==
+/// the strategy over the shard's own element clone, once the torn write
+/// has been replayed on it. `data` must follow the dataset convention (`element.id ==
 /// position`).
 pub fn strategy_backend(data: Vec<Element>, kind: UpdateStrategyKind) -> ShardedBackend {
     ShardedBackend::spawn(sharded_strategy_engine(&data, 1, kind))

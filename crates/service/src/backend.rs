@@ -37,8 +37,9 @@
 use crate::fault::FaultKind;
 use simspatial_geom::{parallel, Aabb, Element, ElementId, Point3};
 use simspatial_index::{
-    BatchResults, KnnBatchResults, KnnIndex, KnnLane, QueryStats, RangeLane, ShardExecutor,
-    ShardPlanner, ShardSet, ShardedEngine, SpatialIndex, UpdateLane, UpdateStats, Wave, WriteOp,
+    BatchResults, KnnBatchResults, KnnIndex, KnnLane, MemoryParts, QueryStats, RangeLane,
+    RestartError, ShardExecutor, ShardPlanner, ShardSet, ShardedEngine, SpatialIndex, UpdateLane,
+    UpdateStats, Wave, WriteOp,
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -101,12 +102,13 @@ pub struct BackendTelemetry {
     /// Panics caught in shard jobs, on a pool thread or on the thread that
     /// gathers the wave.
     pub panics_caught: u64,
-    /// Shard executors successfully rebuilt from the planner's retained
-    /// element store after a panic.
+    /// Shard executors successfully restarted from their own element
+    /// clones after a panic.
     pub shard_restarts: u64,
-    /// Shards declared dead: restart budget exhausted, or no rebuild path
-    /// available. Dead shards are skipped by queries (range/count degrade
-    /// to partial coverage; kNN fails typed) and never resurrect.
+    /// Shards declared dead: restart budget exhausted, no rebuild path
+    /// available, or a clone that disagrees with the route table. Dead
+    /// shards are skipped by queries (range/count degrade to partial
+    /// coverage; kNN fails typed) and never resurrect.
     pub shards_dead: u64,
     /// Pool jobs executed by a worker other than the owner of the queue
     /// they were scattered to — the work-stealing rebalance counter. The
@@ -321,14 +323,20 @@ struct PoolJob {
 trait RunnerCore: Send {
     /// Runs one routed lane against the executor.
     fn run(&mut self, job: &mut Job);
-    /// Bytes held by the executor (the shard-memory gauge after a restart).
-    fn memory_bytes(&self) -> usize;
+    /// Bytes held by the executor, by part (the shard-memory gauge after
+    /// a restart).
+    fn memory_parts(&self) -> MemoryParts;
     /// Elements held by the executor (the shard-size gauge after a restart).
     fn len(&self) -> usize;
-    /// Replaces the executor by shard `shard`'s rebuild from the planner's
-    /// element store, with its own recipe
-    /// ([`ShardExecutor::rebuilt_from`]). `false` when it has no recipe.
-    fn restart(&mut self, planner: &ShardPlanner, shard: usize) -> bool;
+    /// Restarts the torn executor of shard `shard` from its own element
+    /// clone, replaying `torn`, the write lane it panicked in, if any
+    /// ([`ShardExecutor::restart`]).
+    fn restart(
+        &mut self,
+        planner: &ShardPlanner,
+        shard: usize,
+        torn: Option<&mut UpdateLane>,
+    ) -> Result<(), RestartError>;
 }
 
 /// A boxed [`RunnerCore`] — what executor slots hold.
@@ -343,18 +351,21 @@ impl<I: SpatialIndex + KnnIndex + Send + 'static> RunnerCore for ShardExecutor<I
         }
     }
 
-    fn memory_bytes(&self) -> usize {
-        ShardExecutor::memory_bytes(self)
+    fn memory_parts(&self) -> MemoryParts {
+        ShardExecutor::memory_parts(self)
     }
 
     fn len(&self) -> usize {
         ShardExecutor::len(self)
     }
 
-    fn restart(&mut self, planner: &ShardPlanner, shard: usize) -> bool {
-        self.rebuilt_from(planner, shard)
-            .map(|exec| *self = exec)
-            .is_some()
+    fn restart(
+        &mut self,
+        planner: &ShardPlanner,
+        shard: usize,
+        torn: Option<&mut UpdateLane>,
+    ) -> Result<(), RestartError> {
+        ShardExecutor::restart(self, planner, shard, torn)
     }
 }
 
@@ -368,7 +379,7 @@ struct Slot {
     runner: Option<ShardRunner>,
     /// A job panicked inside `runner`, which may be torn mid-update: later
     /// jobs report `panicked` without running until the supervisor
-    /// restarts the shard from the planner's retained element store.
+    /// restarts the shard from its own element clone.
     torn: bool,
     /// The fault plan's per-shard job clock. **Every** pool job of the
     /// shard draws one number — write lanes, live reads and snapshot reads
@@ -637,10 +648,11 @@ pub struct ShardedBackend {
 struct Supervised {
     pool: WorkerPool,
     sizes: Vec<usize>,
-    /// Per-shard structure bytes, captured at spawn and refreshed from the
-    /// [`UpdateLane`] reports after every write batch — so post-migration
-    /// shrink is reflected even though the executors live in the slots.
-    shard_memory: Vec<usize>,
+    /// Per-shard structure bytes by part, captured at spawn and refreshed
+    /// from the [`UpdateLane`] reports after every write batch — so
+    /// post-migration shrink is reflected even though the executors live
+    /// in the slots.
+    shard_memory: Vec<MemoryParts>,
     policy: SupervisorPolicy,
     /// Remaining lifetime restart budget per shard.
     restarts_left: Vec<u32>,
@@ -677,7 +689,7 @@ impl ShardedBackend {
         let sizes = engine.shard_sizes();
         let updatable = engine.is_updatable();
         let (planner, executors) = engine.into_parts();
-        let shard_memory: Vec<usize> = executors.iter().map(ShardExecutor::memory_bytes).collect();
+        let shard_memory = executors.iter().map(ShardExecutor::memory_parts).collect();
         let n = executors.len();
         let runners = executors.into_iter().map(|exec| Box::new(exec) as _);
         let supervised = Supervised {
@@ -717,6 +729,21 @@ impl ShardedBackend {
         self.shards.executors().pool.workers()
     }
 
+    /// [`ServiceBackend::memory_bytes`] by part: the planner's route table
+    /// and merge scratch, the lanes, and the shards' element clones, id
+    /// maps, indexes and engine scratch. The shard parts are the gauges
+    /// the last write reports and restarts left.
+    pub fn memory_parts(&self) -> MemoryParts {
+        self.shards.plan_memory_parts()
+            + self
+                .shards
+                .executors()
+                .shard_memory
+                .iter()
+                .copied()
+                .sum::<MemoryParts>()
+    }
+
     /// Indices of shards declared dead by the supervisor.
     pub fn dead_shards(&self) -> Vec<usize> {
         let dead = &self.shards.executors().dead;
@@ -728,8 +755,10 @@ impl Supervised {
     /// The backend's runner: drops the lanes aimed at dead shards,
     /// scatters the rest as stealable jobs (empty lanes skip the round
     /// trip), gathers each back into its slot of `wave` — a panicked lane
-    /// comes back emptied — refreshes the gauges from the write reports
-    /// and supervises the shards that panicked, which it returns sorted.
+    /// too, torn results and all: a torn read is re-routed, and a torn
+    /// write lane is what the shard's restart replays — refreshes the
+    /// gauges from the write reports and supervises the shards that
+    /// panicked, which it returns sorted.
     fn run_wave(&mut self, planner: &ShardPlanner, wave: Wave<'_>) -> Vec<usize> {
         let Wave { range, knn, update } = wave;
         let mut in_flight = 0usize;
@@ -765,10 +794,7 @@ impl Supervised {
                 panicked: p,
             } = self.pool.recv_done();
             if p {
-                // The slot keeps the empty lane `take` left there: a torn
-                // lane's contents are never used.
                 panicked.push(shard);
-                continue;
             }
             match job {
                 Job::Range(lane) => range[shard] = lane,
@@ -776,27 +802,35 @@ impl Supervised {
                 Job::Update(lane) => update[shard] = lane,
             }
         }
+        // A torn lane's report is the empty one routing left; supervision
+        // below sets a torn shard's gauges.
         for (i, lane) in update.iter().enumerate().filter(|(_, l)| !l.is_empty()) {
             self.sizes[i] = lane.report().len_after;
-            self.shard_memory[i] = lane.report().memory_bytes;
+            self.shard_memory[i] = lane.report().memory;
         }
         // One supervision verdict per shard: a torn shard's several
         // in-flight jobs fold into one entry.
         panicked.sort_unstable();
         panicked.dedup();
-        self.handle_panics(planner, &panicked);
+        self.handle_panics(planner, &panicked, update);
         panicked
     }
 
     /// Quarantine → restart → dead transition for every shard in
-    /// `panicked`: rebuilds the torn executor in place from the planner's
-    /// element store with its own recipe, under the restart budget, with
+    /// `panicked`: restarts the torn executor from its own element clone
+    /// ([`ShardExecutor::restart`]), replaying the shard's write lane from
+    /// `update` when the wave carried one, under the restart budget, with
     /// exponential backoff between consecutive failing attempts. A shard
-    /// that cannot be restarted (budget exhausted, rebuild itself
-    /// panicking, or no rebuild recipe at all) is declared dead and drops
-    /// its executor. Runs strictly after a gather completed, so no job of
-    /// these shards is in flight while the slot is rebuilt.
-    fn handle_panics(&mut self, planner: &ShardPlanner, panicked: &[usize]) {
+    /// that cannot be restarted (budget exhausted, no rebuild recipe, or a
+    /// clone that disagrees with the route table) is declared dead and
+    /// drops its executor. Runs strictly after a gather completed, so no
+    /// job of these shards is in flight while the slot is rebuilt.
+    fn handle_panics(
+        &mut self,
+        planner: &ShardPlanner,
+        panicked: &[usize],
+        update: &mut [UpdateLane],
+    ) {
         for &i in panicked {
             if self.dead[i] {
                 continue;
@@ -804,6 +838,7 @@ impl Supervised {
             self.telemetry.panics_caught += 1;
             let mut slot = self.pool.shared.lock_slot(i);
             let runner = slot.runner.as_mut().expect("a live shard has a runner");
+            let mut torn = update.get_mut(i);
             let mut restarted = false;
             let mut attempt = 0u32;
             while self.restarts_left[i] > 0 {
@@ -816,16 +851,19 @@ impl Supervised {
                 }
                 attempt += 1;
                 // The rebuild recipe is user code: a panic inside it must
-                // not take down the supervisor.
-                match catch_unwind(AssertUnwindSafe(|| runner.restart(planner, i))) {
-                    Ok(true) => {
-                        self.shard_memory[i] = runner.memory_bytes();
+                // not take down the supervisor, and the next attempt finds
+                // the clone where this one left it.
+                let lane = torn.as_deref_mut();
+                match catch_unwind(AssertUnwindSafe(|| runner.restart(planner, i, lane))) {
+                    Ok(Ok(())) => {
+                        self.shard_memory[i] = runner.memory_parts();
                         self.sizes[i] = runner.len();
                         self.telemetry.shard_restarts += 1;
                         restarted = true;
                         break;
                     }
-                    Ok(false) => break,
+                    // No recipe, or a clone with nothing to repair it from.
+                    Ok(Err(_)) => break,
                     Err(_) => continue,
                 }
             }
@@ -835,7 +873,7 @@ impl Supervised {
                 self.dead[i] = true;
                 self.telemetry.shards_dead += 1;
                 self.sizes[i] = 0;
-                self.shard_memory[i] = 0;
+                self.shard_memory[i] = MemoryParts::default();
             }
         }
     }
@@ -930,7 +968,7 @@ impl ServiceBackend for ShardedBackend {
     /// [`UpdateReport::failed`] names the first shard that ended **dead**,
     /// if any — the typed write failure. A lane aimed at an already-dead
     /// shard is dropped without failing the batch: coverage is already
-    /// degraded and the planner store stays authoritative.
+    /// degraded, and the route table has advanced all the same.
     fn write_batch(&mut self, ops: &[WriteOp]) -> (Vec<ElementId>, UpdateReport) {
         // Fail on the calling thread, before the planner advances: the
         // service never routes writes here when read-only, but the trait
@@ -952,7 +990,7 @@ impl ServiceBackend for ShardedBackend {
     // of the backend — `run_job` catches them on whichever worker runs the
     // lane, and they are supervised internally — so a write panic that
     // does cross this boundary happened in routing code on the dispatcher
-    // thread and may have torn the planner's element store mid-route: the
+    // thread and may have torn the planner's route table mid-route: the
     // backend must poison.
 
     fn telemetry(&self) -> BackendTelemetry {
@@ -979,7 +1017,7 @@ impl ServiceBackend for ShardedBackend {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.shards.plan_memory_bytes() + self.shards.executors().shard_memory.iter().sum::<usize>()
+        self.memory_parts().total()
     }
 
     fn shard_sizes(&self) -> Vec<usize> {

@@ -71,8 +71,9 @@
 //! * **Fault tolerance** — the serving path survives panics by
 //!   construction: every shard-worker job and every dispatcher-inline
 //!   backend call runs under `catch_unwind`. A panicked shard is
-//!   quarantined, restarted from the planner's retained element store
-//!   (bounded attempts with exponential backoff, see
+//!   quarantined, restarted from its own element clone (the torn write
+//!   lane replayed on it, the clone checked against the planner's route
+//!   table; bounded attempts with exponential backoff, see
 //!   [`SupervisorPolicy`]), and finally declared dead — after which
 //!   range/count queries **degrade** (skip it and report partial coverage
 //!   via [`Reply::shards_skipped`]) while kNN queries touching it **fail

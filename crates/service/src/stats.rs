@@ -212,7 +212,7 @@ stats_table! {
         /// supervised inside the backend plus backend panics that unwound to
         /// the dispatcher and were absorbed there.
         pub panics_caught: u64 => "failures" "panics caught",
-        /// Shards successfully rebuilt from the planner's element store after
+        /// Shards successfully restarted from their own element clones after
         /// a panic.
         pub shard_restarts: u64 => "failures" "shard restarts",
         /// Shards declared dead (restart budget exhausted / no rebuild path).

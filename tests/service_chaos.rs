@@ -15,11 +15,13 @@
 //!   ([`RecvError::WorkerFailed`]) and their writes are provably not
 //!   applied (the oracle skips them and later reads still agree).
 //! * **Supervision**: a panicked shard worker is quarantined and
-//!   restarted from the planner's element store (telemetry counters match
-//!   the plan; a shard's job clock spans its restarts); a rebuild that
-//!   itself panics is retried within the budget; with the restart budget
-//!   exhausted the shard dies, after which range/count degrade to partial
-//!   coverage ([`Reply::shards_skipped`]) and kNN fails typed.
+//!   restarted from its own element clone, the torn write lane replayed
+//!   on it exactly once (telemetry counters match the plan; a shard's job
+//!   clock spans its restarts); a rebuild that itself panics is retried
+//!   within the budget; with the restart budget exhausted, or a clone
+//!   that disagrees with the planner's route table, the shard dies, after
+//!   which range/count degrade to partial coverage
+//!   ([`Reply::shards_skipped`]) and kNN fails typed.
 //! * **Deadlines & admission**: expiry at admission and at completion, a
 //!   nonblocking deadlined snapshot read bounced `Full` then shed once
 //!   admitted, and all four ticket-redemption flavours against a stalled
@@ -401,8 +403,8 @@ impl KnnIndex for TornGrid {
 /// A panic *inside* the in-place write of a one-shard backend, whose lane
 /// runs inline on the dispatcher, with the index torn (the data a step
 /// ahead of it): the lane's panic is caught like any pool job's and the
-/// supervisor restarts shard 0 from the planner store, which already holds
-/// the whole write — so the write is applied in full and acked, the
+/// supervisor restarts shard 0 from its own clone, replaying the torn
+/// lane on it — so the write is applied in full and acked, the
 /// service keeps serving, and later reads match an oracle that applied
 /// the write byte for byte.
 #[test]
@@ -425,7 +427,7 @@ fn inline_apply_panic_restarts_the_shard_and_acks_the_write() {
         Some(Response::StepDelta(3)),
         "the restart applied the torn write in full, so it is acked"
     );
-    // The planner store took the whole write before the shard ran it, so
+    // The restart replayed the whole torn lane on the shard's clone, so
     // the restarted shard holds every entry of it.
     let mut oracle = RebuildOracle::new(data, build);
     oracle.apply(&[
@@ -457,8 +459,8 @@ fn inline_apply_panic_restarts_the_shard_and_acks_the_write() {
     );
 }
 
-/// A panicking shard worker is quarantined, restarted from the planner's
-/// element store, and the interrupted read batch is re-run: every response
+/// A panicking shard worker is quarantined, restarted from its own element
+/// clone, and the interrupted read batch is re-run: every response
 /// — including the one whose first attempt panicked — is byte-identical to
 /// the serial oracle, and the telemetry counters equal the plan's.
 #[test]
@@ -498,7 +500,7 @@ fn sharded_worker_panic_restarts_and_matches_oracle() {
 }
 
 /// A worker panic *mid-write* with restart budget left: the shard is
-/// rebuilt from the planner's already-advanced element store, so the
+/// rebuilt from its own clone with the torn lane replayed on it, so the
 /// interrupted write is fully applied and every query admitted after it
 /// sees it — the write barrier holds across a restart.
 #[test]
@@ -536,8 +538,8 @@ fn post_restart_writes_stay_barrier_ordered() {
 
 /// A worker panic *mid-write* on a backend running **incremental** shard
 /// executors: the shard restarts **exactly once**, the restart rebuilds
-/// from the planner's already-advanced element store (so the interrupted
-/// write is fully applied), and later sparse writes go back to the
+/// from its own clone with the torn lane replayed on it (so the
+/// interrupted write is fully applied), and later sparse writes go back to the
 /// in-place path — all byte-identical to a
 /// rebuild-mode oracle over the same write stream.
 #[test]
@@ -906,7 +908,7 @@ fn randomized_chaos_differential_across_backends() {
         let dispatcher_panics = (0..u64::from(OPS))
             .filter(|&op| plan.dispatcher_fault(op) == Some(FaultKind::Panic))
             .count() as u64;
-        // A restarted shard is a fresh build from the planner store, so both
+        // A restarted shard is a fresh build over its own clone, so both
         // sides rebuild on every write: an in-place write leaves a cell order
         // (range emission order) that the restart does not reproduce.
         let build = rebuild_only(build);
@@ -1198,8 +1200,8 @@ fn unrecovered_write_panic_poisons_the_service() {
 }
 
 /// A shard worker panic **mid-write** on a snapshot-publishing backend:
-/// the restart rebuilds the shard's live state from the planner's
-/// already-advanced store, the epoch still publishes exactly once, and
+/// the restart rebuilds the shard's live state from its own clone with the
+/// torn lane replayed on it, the epoch still publishes exactly once, and
 /// snapshot reads at the new epoch serve the rebuilt shard — byte-identical
 /// to the oracle.
 #[test]
@@ -1323,7 +1325,7 @@ fn snapshot_read(handle: &ServiceHandle, probe: &Request) -> Reply {
 }
 
 /// A mid-write worker panic restarts one shard of an incremental engine
-/// from the planner store, and snapshot reads at the write's epoch serve
+/// from its own clone, and snapshot reads at the write's epoch serve
 /// the rebuilt shard, on this tick and the next. The restarted shard was
 /// rebuilt, not updated in place, so its ids come back in a different cell
 /// order than the serial engine's — replies are compared to the oracle as
@@ -1441,9 +1443,9 @@ fn migrating_delta(cur: &mut [Aabb], router: &ShardRouter, h: u32) -> (Request, 
 
 /// A worker panic in the middle of a **splicing** lane (a migration tick:
 /// shards 1 and 2 change membership in place): the torn shard restarts from
-/// the planner store exactly once — the store already holds the whole
-/// write, arrivals and departures included, so the write is visible in
-/// full to snapshot reads — while its three siblings, the other splicing
+/// its own clone exactly once — the restart replays the whole lane on it,
+/// arrivals and departures included, so the write is visible in full to
+/// snapshot reads — while its three siblings, the other splicing
 /// shard among them, apply their lanes in place. The next migration tick
 /// splices on all four again.
 #[test]
@@ -1522,4 +1524,243 @@ fn splicing_lane_panic_restarts_once_and_snapshots_match_live() {
         stats.spliced > 0,
         "the surviving lanes changed membership in place"
     );
+}
+
+/// A panic on a write lane that carries arrivals, departures and in-place
+/// moves (shard 1 of a migration tick), under a rebuild recipe that fails
+/// on its first call: the torn shard restarts from its own clone, and the
+/// first attempt — which replays the lane's splice before the recipe
+/// panics — leaves a clone the second attempt only finishes. The shard
+/// restarts once and holds each arrival once and no departure (its size
+/// and replies read as a serial twin whose shard 1 replayed the same lane
+/// once), and every reply is byte-identical to that twin.
+#[test]
+fn torn_write_lane_replays_once_under_a_recipe_that_fails_once() {
+    quiet_panics();
+    let data = soup(2000, 0x2E71A7);
+    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    let flaky = move |part: &[Element]| {
+        let n = counter.fetch_add(1, Ordering::SeqCst) + 1;
+        assert!(n != 1, "chaos: rebuild recipe call {n} fails");
+        build(part)
+    };
+    let policy = SupervisorPolicy {
+        max_restarts: 3,
+        backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+    };
+    // Per shard: job 0 = the barrier read, job 1 = the write lane — where
+    // shard 1 panics with arrivals, departures and moves in hand.
+    let plan = FaultPlan::new().panic_on_shard(1, 1);
+    let engine = ShardedEngine::build(&data, 4, build).with_rebuild(flaky);
+    let backend = ChaosBackend::new(ShardedBackend::spawn_with(engine, policy), plan);
+    let service = SpatialService::spawn(backend, ServiceConfig::default().no_coalesce());
+    let handle = service.handle();
+    let mut twin = ShardedOracle(incremental_grid_engine(&data, 4));
+    let router = twin.0.router().clone();
+    let mut cur: Vec<Aabb> = data.iter().map(Element::aabb).collect();
+    let axis = router.axis();
+    let mut inside = router.region(1);
+    *inside.min.axis_mut(axis) += 0.01;
+    *inside.max.axis_mut(axis) -= 0.01;
+    let check = |twin: &mut ShardedOracle<UniformGrid>, landed: Point3, label: &str| {
+        let reads = [
+            Request::Range(vec![full_cover()]),
+            // Routed to shard 1 alone, so its list is copied through
+            // unmerged: an arrival held twice would show twice.
+            Request::Range(vec![inside]),
+            Request::RangeCount(vec![inside]),
+            Request::Knn(vec![(landed, 6), (router.region(1).center(), 4)]),
+        ];
+        for (i, req) in reads.iter().enumerate() {
+            let got = recv_bounded(&handle.submit(req.clone()).unwrap(), label, i);
+            assert_eq!(got.ok(), Some(expected(twin, req)), "{label}: read {i}");
+        }
+        assert_eq!(handle.stats().shard_sizes, twin.0.shard_sizes(), "{label}");
+    };
+
+    let probe = Request::Range(vec![full_cover()]);
+    let r0 = handle.submit(probe.clone()).unwrap();
+    assert_eq!(
+        recv_bounded(&r0, "torn-lane", 0).ok(),
+        Some(expected(&mut twin, &probe))
+    );
+    let (tick, landed) = migrating_delta(&mut cur, &router, 0xE1);
+    let ack = recv_bounded(&handle.submit(tick.clone()).unwrap(), "torn-lane", 1);
+    let Request::StepDelta(moves) = &tick else {
+        unreachable!("migrating_delta builds a StepDelta")
+    };
+    assert_eq!(ack.ok(), Some(Response::StepDelta(moves.len() as u64)));
+    let ops: Vec<WriteOp> = moves
+        .iter()
+        .map(|&(id, bb)| WriteOp::Set(id, Shape::Box(bb)))
+        .collect();
+    let (mut arrivals, mut departures) = (0, 0);
+    twin.0.write(&ops, |planner, executors, wave| {
+        for (s, (exec, lane)) in executors.iter_mut().zip(wave.update).enumerate() {
+            if s == 1 {
+                exec.restart(planner, s, Some(lane))
+                    .expect("the twin replays shard 1's lane");
+            } else {
+                lane.run(exec);
+                // Crossers swap between shards 1 and 2: shard 2's
+                // departures are shard 1's arrivals.
+                if s == 2 {
+                    (arrivals, departures) =
+                        (lane.report().migrated_out, lane.report().migrated_in);
+                }
+            }
+        }
+        true
+    });
+    assert!(
+        arrivals > 0 && departures > 0,
+        "shard 1's lane carries {arrivals} arrivals and {departures} departures"
+    );
+    assert_eq!(calls.load(Ordering::SeqCst), 2, "one failed, one good call");
+    check(&mut twin, landed, "after the torn tick");
+
+    // The next migration tick runs every lane, shard 1's included.
+    let (tick2, landed2) = migrating_delta(&mut cur, &router, 0xE2);
+    let ack2 = recv_bounded(&handle.submit(tick2.clone()).unwrap(), "torn-lane", 2);
+    assert_eq!(ack2.ok(), Some(expected(&mut twin, &tick2)));
+    check(&mut twin, landed2, "after the next tick");
+
+    let stats = service.shutdown();
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.shard_restarts, 1, "exactly one restart");
+    assert_eq!(stats.shards_dead, 0);
+    assert_eq!(stats.failed_requests, 0);
+}
+
+/// A grid whose in-place write, on a lane that moves an element to
+/// `mark`, corrupts the shard's clone — it stretches one element the lane
+/// does not move over the whole soup — and then panics. The clone now
+/// disagrees with the route table, and no lane replay repairs it.
+struct CorruptingGrid {
+    grid: UniformGrid,
+    mark: Aabb,
+}
+
+impl SpatialIndex for CorruptingGrid {
+    fn name(&self) -> &'static str {
+        "CorruptingGrid"
+    }
+
+    fn len(&self) -> usize {
+        self.grid.len()
+    }
+
+    fn range_into(
+        &self,
+        data: &[Element],
+        query: &Aabb,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn RangeSink,
+    ) {
+        self.grid.range_into(data, query, scratch, sink);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.grid.memory_bytes()
+    }
+
+    fn update_in_place(
+        &mut self,
+        data: &mut [Element],
+        updates: &[(ElementId, Shape)],
+    ) -> Option<ShardApplyCost> {
+        if !updates.iter().any(|u| u.1 == Shape::Box(self.mark)) {
+            return self.grid.update_in_place(data, updates);
+        }
+        let unmoved = (0..data.len() as ElementId)
+            .find(|li| updates.binary_search_by_key(li, |u| u.0).is_err())
+            .expect("the shard holds an element the lane does not move");
+        data[unmoved as usize].shape = Shape::Box(full_cover());
+        panic!("chaos: the in-place write corrupts the clone");
+    }
+}
+
+impl KnnIndex for CorruptingGrid {
+    fn knn_into(
+        &self,
+        data: &[Element],
+        p: &Point3,
+        k: usize,
+        scratch: &mut QueryScratch,
+        sink: &mut dyn KnnSink,
+    ) {
+        self.grid.knn_into(data, p, k, scratch, sink);
+    }
+}
+
+/// A shard whose clone disagrees with the route table after a panic is
+/// declared dead on restart, never rebuilt, and fails typed: the write
+/// that tore it fails with `WorkerFailed`, range reads skip it, and a kNN
+/// probe homed in it fails typed — it never answers from the wrong
+/// membership.
+#[test]
+fn clone_that_disagrees_with_the_route_table_kills_the_shard_typed() {
+    quiet_panics();
+    let data = soup(2000, 0xD1FF);
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    let router = ShardRouter::new(Aabb::union_all(data.iter().map(Element::aabb)), 4);
+    let region = router.region(0);
+    let c = region.center();
+    let mark = Aabb::new(c, Point3::new(c.x + 0.5, c.y + 0.5, c.z + 0.5));
+    assert_eq!(router.route(&mark), 0..1, "the mark lies inside shard 0");
+    let build = move |part: &[Element]| CorruptingGrid {
+        grid: UniformGrid::build(part, GridConfig::auto(part)),
+        mark,
+    };
+    let counted = move |part: &[Element]| {
+        counter.fetch_add(1, Ordering::SeqCst);
+        build(part)
+    };
+    let engine =
+        ShardedEngine::build_with_router(&data, router.clone(), build).with_rebuild(counted);
+    let mover = data
+        .iter()
+        .find(|e| router.route(&e.aabb()) == (0..1))
+        .expect("an element of shard 0 alone")
+        .id;
+    let service = SpatialService::spawn(
+        ShardedBackend::spawn(engine),
+        ServiceConfig::default().no_coalesce(),
+    );
+    let handle = service.handle();
+
+    let write = handle
+        .submit(Request::StepDelta(vec![(mover, mark)]))
+        .unwrap();
+    match recv_bounded(&write, "diverged-clone", 0) {
+        Err(RecvError::WorkerFailed { shard }) => assert_eq!(shard, 0),
+        other => panic!("the write that tore a diverged shard fails typed, got {other:?}"),
+    }
+    let reply = handle
+        .submit(Request::Range(vec![full_cover()]))
+        .unwrap()
+        .recv_reply()
+        .expect("range reads degrade");
+    assert_eq!(reply.shards_skipped, 1, "the dead shard is skipped");
+    let knn = handle
+        .submit(Request::Knn(vec![(region.center(), 4)]))
+        .unwrap();
+    match recv_bounded(&knn, "diverged-clone", 2) {
+        Err(RecvError::WorkerFailed { shard }) => assert_eq!(shard, 0),
+        other => panic!("a kNN probe homed in a dead shard fails typed, got {other:?}"),
+    }
+
+    let stats = service.shutdown();
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        0,
+        "a diverged clone is never rebuilt"
+    );
+    assert_eq!(stats.panics_caught, 1);
+    assert_eq!(stats.shard_restarts, 0);
+    assert_eq!(stats.shards_dead, 1);
 }

@@ -1033,6 +1033,59 @@ fn sharded_service_reflects_post_migration_sizes() {
     service.shutdown();
 }
 
+/// The sharded backend's memory gauge, itemised: the parts sum to
+/// `memory_bytes()` on 1- and 4-shard grid backends, fresh and after a
+/// migration write, and the planner's part is its 2 B per element route
+/// table — it holds no geometry.
+#[test]
+fn sharded_backend_memory_parts_sum_to_memory_bytes() {
+    let data = soup(1000, 0x3E3);
+    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+    for shards in [1, 4] {
+        let mut backend =
+            ShardedBackend::spawn(ShardedEngine::build(&data, shards, build).with_rebuild(build));
+        let check = |backend: &ShardedBackend, step: &str| {
+            let parts = backend.memory_parts();
+            assert_eq!(
+                parts.total(),
+                backend.memory_bytes(),
+                "{shards} shards, {step}"
+            );
+            let elems = data.len();
+            assert!(
+                parts.clones >= elems * std::mem::size_of::<Element>(),
+                "{step}"
+            );
+            assert!(
+                parts.id_maps >= elems * std::mem::size_of::<ElementId>(),
+                "{step}"
+            );
+            assert!(parts.indexes > 0, "{step}");
+            assert!(
+                (2 * elems..3 * elems).contains(&parts.route_table),
+                "{shards} shards, {step}: route table {} B for {elems} elements",
+                parts.route_table
+            );
+        };
+        check(&backend, "fresh");
+        let ops: Vec<WriteOp> = (0..1000u32)
+            .step_by(3)
+            .map(|id| WriteOp::Set(id, Shape::Box(beacon_target(id))))
+            .collect();
+        let (_, report) = backend.write_batch(&ops);
+        assert!(
+            shards == 1 || report.stats.migrations > 0,
+            "the write migrates"
+        );
+        assert!(
+            backend.memory_parts().lanes > 0,
+            "the write's lanes are counted"
+        );
+        check(&backend, "after a migration write");
+        backend.shutdown();
+    }
+}
+
 #[test]
 fn coalescing_forms_multi_request_batches() {
     // With a wedged first dispatch and pipelined submissions, the second
