@@ -20,11 +20,11 @@
 //!   for merging; reused lanes keep their allocations.
 //! * [`ShardPlanner`] — the routing and merging half: a [`ShardRouter`]
 //!   fans queries out into lanes, and the merge passes stream deduplicated
-//!   results into the caller's sink in batch order (range hits of
-//!   boundary-straddling replicated elements are deduplicated with the
-//!   generation-stamped visited table, and a query one shard answered is
-//!   copied through untouched; per-shard kNN top-k lists merge under the
-//!   global ascending `(distance, id)` order).
+//!   results into the caller's sink in batch order, dropping replicas of
+//!   boundary-straddling elements by facts the planner already keeps (a
+//!   range hit comes from the first lane its route and its query share;
+//!   per-shard kNN top-k lists merge under the global ascending
+//!   `(distance, id)` order, where an element's replicas sit side by side).
 //!
 //! A [`ShardSet`] holds the three and writes the sharded sequence once:
 //! [`ShardSet::read`] routes, runs a wave of lanes, routes the kNN fan-out,
@@ -50,8 +50,8 @@
 //! move the resident elements ([`SpatialIndex::update_in_place`]), so a
 //! tick pays per mover, not per element — otherwise it is rebuilt by the
 //! function attached with [`ShardedEngine::with_rebuild`]), and the
-//! [`UpdateLaneReport`]s carry post-migration shard sizes and memory back
-//! for accounting. [`ShardedEngine::write_batch`] and the service's
+//! [`UpdateLaneReport`]s carry the write counters back for accounting.
+//! [`ShardedEngine::write_batch`] and the service's
 //! backend both run it through [`ShardSet::write`]. After any batch,
 //! executors hold their elements sorted by global id — the invariant that
 //! keeps per-shard top-k tie-breaking, and therefore post-write query
@@ -93,7 +93,7 @@ use crate::traits::{
     KnnIndex, KnnSink, QueryStats, RangeSink, ShardApplyCost, SpatialIndex, UpdateStats,
 };
 use crate::util::{admit_limit2, knn_reach};
-use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, QueryScratch, Shape};
+use simspatial_geom::{stats, Aabb, Element, ElementId, Point3, Shape};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -652,7 +652,7 @@ impl<I: SpatialIndex> ShardExecutor<I> {
     /// (the determinism contract of [`SpatialIndex::update_in_place`]).
     ///
     /// Returns the lane report with the executor-level counters filled
-    /// ([`UpdateLane::run`] adds the post-apply gauges). Panics when no
+    /// ([`UpdateLane::run`] adds `shipped`). Panics when no
     /// rebuild function is attached ([`ShardExecutor::is_updatable`] is
     /// false), and when the lane disagrees with the shard ([`LANE_AGREES`]).
     fn apply_updates(
@@ -1008,24 +1008,16 @@ impl KnnLane {
     }
 }
 
-/// Per-shard accounting of one executed [`UpdateLane`], filled by
-/// [`UpdateLane::run`]. `len_after`/`memory_bytes` let orchestrators that
-/// moved their executors onto worker threads (the service's sharded
-/// backend) keep shard-size and memory gauges current without another
-/// round trip.
+/// Per-shard write counters of one executed [`UpdateLane`], filled by
+/// [`UpdateLane::run`] and folded into the batch's [`UpdateStats`]. The
+/// shard's size and memory are not copied here: they are read from the
+/// executor ([`ShardExecutor::len`], [`ShardExecutor::memory_parts`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateLaneReport {
     /// Elements migrated *into* the shard by this batch.
     pub migrated_in: u64,
     /// Elements migrated *out of* the shard by this batch.
     pub migrated_out: u64,
-    /// Elements resident in the shard after the batch (replicas included).
-    pub len_after: usize,
-    /// Shard bytes by part (clone, id map, index, engine scratch) after
-    /// the batch — reflects post-migration sizes: a rebuild leaves the
-    /// clone and id map exact-fit, an in-place membership change within a
-    /// sixteenth of it (the index keeps whatever capacity its cells grew).
-    pub memory: MemoryParts,
     /// Write operations shipped to this shard (updates + inserts +
     /// removals) — the lane's share of the write-amplification numerator.
     pub shipped: u64,
@@ -1149,10 +1141,10 @@ impl UpdateLane {
     /// Applies the lane's write sub-batch to `exec` — membership spliced
     /// into the shard's element clone and id map, then geometry applied in
     /// place by the index where it can ([`SpatialIndex::update_in_place`]),
-    /// by index rebuild otherwise — and records the post-apply report. The
-    /// report reads the index's memory gauge, so the call ends in O(1) for
-    /// an index that keeps a running count ([`crate::UniformGrid`]). An
-    /// empty lane does nothing and keeps its empty report.
+    /// by index rebuild otherwise — and records the lane's write counters
+    /// in its report. The shard's post-apply size and memory stay on the
+    /// executor, where whoever reports them reads them. An empty lane does
+    /// nothing and keeps its empty report.
     ///
     /// Panics when `exec` has no rebuild function attached
     /// ([`ShardedEngine::with_rebuild`]).
@@ -1160,16 +1152,15 @@ impl UpdateLane {
         if self.is_empty() {
             return;
         }
-        let mut report = exec.apply_updates(
-            &self.updates,
-            &self.inserts,
-            &self.removals,
-            &mut self.scratch,
-        );
-        report.len_after = exec.len();
-        report.memory = exec.memory_parts();
-        report.shipped = self.len() as u64;
-        self.report = report;
+        self.report = UpdateLaneReport {
+            shipped: self.len() as u64,
+            ..exec.apply_updates(
+                &self.updates,
+                &self.inserts,
+                &self.removals,
+                &mut self.scratch,
+            )
+        };
     }
 
     /// Heap bytes held by the lane's buffers, the write path's scratch
@@ -1198,8 +1189,9 @@ pub struct MemoryParts {
     /// The planner's routing state: the 2 B per element route table, the
     /// router and the kNN fan-out regions.
     pub route_table: usize,
-    /// The planner's scratch: the merge's visited table and kNN staging,
-    /// and the write path's id-order buffer.
+    /// The planner's scratch, sized by a batch, not by the id bound: the
+    /// kNN merge's staging and fan-out bounds, and the write path's
+    /// id-order buffer.
     pub merge_scratch: usize,
     /// Every lane's buffers, the write path's per-lane scratch and the
     /// engine's staged kNN probes included.
@@ -1269,23 +1261,22 @@ pub struct ShardPlanner {
     /// envelope (routing clamps such elements into the nearest slab; the
     /// extended region of that slab still covers them).
     fan_regions: Vec<Aabb>,
-    /// Upper bound on global ids (sizes the merge-time dedupe table).
-    id_bound: usize,
     /// Global id → the shard range its current envelope routes to, as
-    /// `(start, end)` (`id_bound` entries, 2 B each), so a write reads its
-    /// *old* shard set from here. The range is empty exactly for a
-    /// removed (or never-existing) id — the **tombstone**, kept apart
-    /// from the geometry, so an element whose geometry is the empty box is
-    /// as live as any other (it routes to every shard).
+    /// `(start, end)` (2 B per id; its length is the id bound), read by a
+    /// write for its *old* shard set and by the range merge. The range is
+    /// empty exactly for a removed (or never-existing) id — the
+    /// **tombstone**, kept apart from the geometry, so an element whose
+    /// geometry is the empty box is as live as any other (it routes to
+    /// every shard).
     routes: Vec<(u8, u8)>,
     /// `(id, batch position)` pairs of the last routed write batch, sorted
     /// by id — the buffer of [`ShardPlanner::route_writes`], reused across
     /// batches.
     order: Vec<(ElementId, u32)>,
-    /// Merge-phase scratch: the visited table dedupes replicated hits;
-    /// `knn_queue` stages kNN merge candidates; `dists` holds the per-probe
-    /// phase-2 pruning bounds.
-    scratch: QueryScratch,
+    /// One probe's kNN merge candidates, `(distance, id)`.
+    knn_queue: Vec<(f32, ElementId)>,
+    /// Per-probe kNN fan-out pruning bounds of the batch in flight.
+    bounds: Vec<f32>,
 }
 
 /// Most shards a [`ShardPlanner`] routes: its route table stores each
@@ -1320,8 +1311,8 @@ impl ShardPlanner {
             shards <= MAX_SHARDS,
             "a shard planner routes at most {MAX_SHARDS} shards, not {shards}"
         );
-        let id_bound = data.iter().map(|e| e.id as usize + 1).max().unwrap_or(0);
-        let mut routes = vec![DEAD; id_bound];
+        let ids = data.iter().map(|e| e.id as usize + 1).max().unwrap_or(0);
+        let mut routes = vec![DEAD; ids];
         for e in data {
             routes[e.id as usize] = pack(router.route(&e.aabb()));
         }
@@ -1348,10 +1339,10 @@ impl ShardPlanner {
         Self {
             router,
             fan_regions,
-            id_bound,
             routes,
             order: Vec::new(),
-            scratch: QueryScratch::default(),
+            knn_queue: Vec::new(),
+            bounds: Vec::new(),
         }
     }
 
@@ -1400,7 +1391,8 @@ impl ShardPlanner {
             route_table: self.router.memory_bytes()
                 + self.routes.capacity() * std::mem::size_of::<(u8, u8)>()
                 + self.fan_regions.capacity() * std::mem::size_of::<Aabb>(),
-            merge_scratch: self.scratch.memory_bytes()
+            merge_scratch: self.knn_queue.capacity() * std::mem::size_of::<(f32, ElementId)>()
+                + self.bounds.capacity() * std::mem::size_of::<f32>()
                 + self.order.capacity() * std::mem::size_of::<(ElementId, u32)>(),
             ..MemoryParts::default()
         }
@@ -1420,13 +1412,16 @@ impl ShardPlanner {
     }
 
     /// Merges executed range lanes into `sink`: per query in batch order,
-    /// lanes in shard order, each id at its first emission. A query that
-    /// exactly one lane holds cannot repeat an id (a shard emits each hit
-    /// once), so its list is copied straight through; only a query spread
-    /// over several lanes marks the visited table to drop the replicated
-    /// hits of boundary-straddling elements. Returns the post-merge result
-    /// count and the summed per-shard predicate counters (`elapsed_s` is
-    /// zero — the orchestrator owns the wall clock).
+    /// lanes in shard order, each id at its first emission. The first lane
+    /// holding a query is copied straight through; a later holding lane's
+    /// hit is emitted only when its route starts after the previous
+    /// holding lane. That is exact because routes are contiguous shard
+    /// ranges and every served index answers a range query exactly, so an
+    /// earlier holding lane in the route emitted the hit — and a dead
+    /// shard's cleared lane holds nothing and counts for nothing. Returns
+    /// the post-merge result count and the summed per-shard predicate
+    /// counters (`elapsed_s` is zero — the orchestrator owns the wall
+    /// clock).
     pub fn merge_range(
         &mut self,
         n_queries: usize,
@@ -1441,25 +1436,24 @@ impl ShardPlanner {
         let mut results = 0u64;
         for qi in 0..n_queries as u32 {
             sink.begin_query(qi);
-            let holds = |lane: &RangeLane| lane.routed.get(lane.cursor) == Some(&qi);
-            let spread = lanes.iter().filter(|lane| holds(lane)).count() > 1;
-            if spread {
-                self.scratch.visited.begin(self.id_bound);
-            }
-            for lane in lanes.iter_mut().filter(|lane| holds(lane)) {
+            let mut previous = None;
+            for (s, lane) in lanes.iter_mut().enumerate() {
+                if lane.routed.get(lane.cursor) != Some(&qi) {
+                    continue;
+                }
                 let list = lane.results.query_results(lane.cursor);
-                if spread {
-                    for &global in list {
-                        if self.scratch.visited.mark(global) {
-                            sink.push(global);
-                            results += 1;
-                        }
-                    }
-                } else {
+                lane.cursor += 1;
+                let Some(prev) = previous.replace(s) else {
                     sink.push_all(list);
                     results += list.len() as u64;
+                    continue;
+                };
+                for &global in list {
+                    if self.routes[global as usize].0 as usize > prev {
+                        sink.push(global);
+                        results += 1;
+                    }
                 }
-                lane.cursor += 1;
             }
         }
         QueryStats {
@@ -1508,25 +1502,25 @@ impl ShardPlanner {
         lanes: &mut Vec<UpdateLane>,
     ) -> (Vec<ElementId>, UpdateStats) {
         size_lanes(lanes, self.shard_count(), UpdateLane::clear);
-        let first_new = self.id_bound as ElementId;
         let Self {
             router,
-            id_bound,
             routes,
             order,
             ..
         } = self;
+        let first_new = routes.len() as ElementId;
+        let mut next_new = first_new;
         order.clear();
         order.extend(ops.iter().zip(0..).map(|(op, pos)| match *op {
             WriteOp::Set(id, _) | WriteOp::Remove(id) => (id, pos),
             WriteOp::Insert(_) => {
-                *id_bound += 1;
-                (*id_bound as ElementId - 1, pos)
+                next_new += 1;
+                (next_new - 1, pos)
             }
         }));
         // An id allocated here starts dead: ops placed before its insert
         // find no element, as they would in a serial run.
-        routes.resize(*id_bound, DEAD);
+        routes.resize(next_new as usize, DEAD);
         // Stable, so each id's run keeps batch order; sorting on the id
         // alone is also faster than on whole pairs.
         order.sort_by_key(|&(id, _)| id);
@@ -1588,7 +1582,7 @@ impl ShardPlanner {
                 }
             }
         }
-        ((first_new..*id_bound as ElementId).collect(), stats)
+        ((first_new..next_new).collect(), stats)
     }
 
     /// Routes kNN phase 1: every `(point, k)` probe lands in the lane of
@@ -1617,7 +1611,7 @@ impl ShardPlanner {
         size_lanes(fan, self.shard_count(), KnnLane::clear);
         // Per-probe pruning bound: the home shard's k-th best distance
         // (+∞ when the home shard held fewer than k elements).
-        let bounds = &mut self.scratch.dists;
+        let bounds = &mut self.bounds;
         bounds.clear();
         bounds.resize(probes.len(), f32::INFINITY);
         for lane in home {
@@ -1649,8 +1643,11 @@ impl ShardPlanner {
     /// Merges executed home + fan-out kNN lanes of `probes` into `sink`:
     /// per probe, the union of per-shard top-k lists sorted under ascending
     /// `(distance, global id)`, replicas dropped, and the probe's k best
-    /// emitted. Returns the post-merge result count and summed predicate
-    /// counters.
+    /// emitted. The sort puts an element's replicas side by side — every
+    /// index reports [`simspatial_geom::predicates::element_distance`] of
+    /// the same cloned shape, so they carry bit-equal distances — and a
+    /// candidate repeating the id kept last is dropped. Returns the
+    /// post-merge result count and summed predicate counters.
     pub fn merge_knn(
         &mut self,
         probes: &[(Point3, usize)],
@@ -1663,11 +1660,8 @@ impl ShardPlanner {
             lane.cursor = 0;
             counts.add(&lane.stats.counts);
         }
-        let Self {
-            id_bound, scratch, ..
-        } = self;
         let mut results = 0u64;
-        let merge = &mut scratch.knn_queue;
+        let merge = &mut self.knn_queue;
         for (qi, &(_, k)) in probes.iter().enumerate() {
             sink.begin_query(qi as u32);
             merge.clear();
@@ -1680,18 +1674,16 @@ impl ShardPlanner {
                 }
             }
             merge.sort_unstable_by(crate::util::knn_key_cmp);
-            scratch.visited.begin(*id_bound);
-            let mut taken = 0usize;
-            for &(d, global) in merge.iter() {
-                if taken == k {
-                    break;
-                }
-                if scratch.visited.mark(global) {
-                    sink.push(global, d);
-                    taken += 1;
-                    results += 1;
-                }
+            merge.dedup_by_key(|&mut (_, global)| global);
+            let emitted = &merge[..merge.len().min(k)];
+            debug_assert!(
+                (1..emitted.len()).all(|i| emitted[..i].iter().all(|c| c.1 != emitted[i].1)),
+                "kNN merge emits an id twice: its replicas reported unequal distances"
+            );
+            for &(d, global) in emitted {
+                sink.push(global, d);
             }
+            results += emitted.len() as u64;
         }
         QueryStats {
             elapsed_s: 0.0,
@@ -2162,7 +2154,7 @@ impl<I: KnnIndex + Send> ShardedEngine<I> {
 mod tests {
     use super::*;
     use crate::{GridConfig, LinearScan, UniformGrid};
-    use simspatial_geom::{Shape, Sphere};
+    use simspatial_geom::{QueryScratch, Shape, Sphere};
     use std::collections::BTreeSet;
 
     fn soup(n: u32) -> Vec<Element> {
@@ -2851,8 +2843,7 @@ mod tests {
         executors: &[ShardExecutor<I>],
         step: &str,
     ) {
-        assert_eq!(planner.routes.len(), planner.id_bound, "{step}");
-        for id in 0..planner.id_bound as ElementId {
+        for id in 0..planner.routes.len() as ElementId {
             let route = planner.route_of(id);
             let held: Vec<(usize, Shape)> = executors
                 .iter()

@@ -277,13 +277,13 @@ pub trait ServiceBackend: Send + 'static {
     /// crashes and stalls. Backends that run no shard jobs ignore it.
     fn install_worker_faults(&mut self, _faults: &[(usize, u64, FaultKind)]) {}
 
-    /// Structure bytes the backend holds (surfaced through `ServiceStats`;
-    /// refreshed after every update application, so post-migration shrink
-    /// is visible).
+    /// Structure bytes the backend holds now, read scratch included
+    /// (surfaced through `ServiceStats`, where the scheduler reads it at
+    /// the end of every run, read or write).
     fn memory_bytes(&self) -> usize;
 
-    /// Elements per shard (one entry for a one-shard backend); refreshed
-    /// after every update application.
+    /// Elements per shard now (one entry for a one-shard backend); read
+    /// by the scheduler at the end of every run.
     fn shard_sizes(&self) -> Vec<usize>;
 
     /// Stops any worker threads. Called once by the scheduler on orderly
@@ -323,10 +323,9 @@ struct PoolJob {
 trait RunnerCore: Send {
     /// Runs one routed lane against the executor.
     fn run(&mut self, job: &mut Job);
-    /// Bytes held by the executor, by part (the shard-memory gauge after
-    /// a restart).
+    /// Bytes held by the executor, by part (the shard-memory gauge).
     fn memory_parts(&self) -> MemoryParts;
-    /// Elements held by the executor (the shard-size gauge after a restart).
+    /// Elements held by the executor (the shard-size gauge).
     fn len(&self) -> usize;
     /// Restarts the torn executor of shard `shard` from its own element
     /// clone, replaying `torn`, the write lane it panicked in, if any
@@ -644,15 +643,9 @@ pub struct ShardedBackend {
 }
 
 /// The executors of a [`ShardedBackend`]: parked in the worker pool's
-/// slots under supervision, with the per-shard gauges it reports.
+/// slots under supervision.
 struct Supervised {
     pool: WorkerPool,
-    sizes: Vec<usize>,
-    /// Per-shard structure bytes by part, captured at spawn and refreshed
-    /// from the [`UpdateLane`] reports after every write batch — so
-    /// post-migration shrink is reflected even though the executors live
-    /// in the slots.
-    shard_memory: Vec<MemoryParts>,
     policy: SupervisorPolicy,
     /// Remaining lifetime restart budget per shard.
     restarts_left: Vec<u32>,
@@ -686,16 +679,12 @@ impl ShardedBackend {
         engine: ShardedEngine<I>,
         policy: SupervisorPolicy,
     ) -> Self {
-        let sizes = engine.shard_sizes();
         let updatable = engine.is_updatable();
         let (planner, executors) = engine.into_parts();
-        let shard_memory = executors.iter().map(ShardExecutor::memory_parts).collect();
         let n = executors.len();
         let runners = executors.into_iter().map(|exec| Box::new(exec) as _);
         let supervised = Supervised {
             pool: WorkerPool::spawn(runners.collect()),
-            sizes,
-            shard_memory,
             restarts_left: vec![policy.max_restarts; n],
             policy,
             dead: vec![false; n],
@@ -731,16 +720,16 @@ impl ShardedBackend {
 
     /// [`ServiceBackend::memory_bytes`] by part: the planner's route table
     /// and merge scratch, the lanes, and the shards' element clones, id
-    /// maps, indexes and engine scratch. The shard parts are the gauges
-    /// the last write reports and restarts left.
+    /// maps, indexes and engine scratch. The shard parts are read from
+    /// each live executor under its slot lock; a dead shard holds nothing.
     pub fn memory_parts(&self) -> MemoryParts {
         self.shards.plan_memory_parts()
             + self
                 .shards
                 .executors()
-                .shard_memory
-                .iter()
-                .copied()
+                .read_runners(|runner| {
+                    runner.map_or_else(MemoryParts::default, |r| r.memory_parts())
+                })
                 .sum::<MemoryParts>()
     }
 
@@ -752,13 +741,23 @@ impl ShardedBackend {
 }
 
 impl Supervised {
+    /// `read` applied to each shard's runner (`None` once dead), in shard
+    /// order, each under its slot lock. Called between waves, when no job
+    /// holds a slot.
+    fn read_runners<'a, T: 'a>(
+        &'a self,
+        read: impl Fn(Option<&dyn RunnerCore>) -> T + 'a,
+    ) -> impl Iterator<Item = T> + 'a {
+        (0..self.pool.shared.slots.len())
+            .map(move |i| read(self.pool.shared.lock_slot(i).runner.as_deref()))
+    }
+
     /// The backend's runner: drops the lanes aimed at dead shards,
     /// scatters the rest as stealable jobs (empty lanes skip the round
     /// trip), gathers each back into its slot of `wave` — a panicked lane
     /// too, torn results and all: a torn read is re-routed, and a torn
-    /// write lane is what the shard's restart replays — refreshes the
-    /// gauges from the write reports and supervises the shards that
-    /// panicked, which it returns sorted.
+    /// write lane is what the shard's restart replays — and supervises the
+    /// shards that panicked, which it returns sorted.
     fn run_wave(&mut self, planner: &ShardPlanner, wave: Wave<'_>) -> Vec<usize> {
         let Wave { range, knn, update } = wave;
         let mut in_flight = 0usize;
@@ -801,12 +800,6 @@ impl Supervised {
                 Job::Knn(lane) => knn[shard] = lane,
                 Job::Update(lane) => update[shard] = lane,
             }
-        }
-        // A torn lane's report is the empty one routing left; supervision
-        // below sets a torn shard's gauges.
-        for (i, lane) in update.iter().enumerate().filter(|(_, l)| !l.is_empty()) {
-            self.sizes[i] = lane.report().len_after;
-            self.shard_memory[i] = lane.report().memory;
         }
         // One supervision verdict per shard: a torn shard's several
         // in-flight jobs fold into one entry.
@@ -856,8 +849,6 @@ impl Supervised {
                 let lane = torn.as_deref_mut();
                 match catch_unwind(AssertUnwindSafe(|| runner.restart(planner, i, lane))) {
                     Ok(Ok(())) => {
-                        self.shard_memory[i] = runner.memory_parts();
-                        self.sizes[i] = runner.len();
                         self.telemetry.shard_restarts += 1;
                         restarted = true;
                         break;
@@ -872,8 +863,6 @@ impl Supervised {
                 slot.runner = None;
                 self.dead[i] = true;
                 self.telemetry.shards_dead += 1;
-                self.sizes[i] = 0;
-                self.shard_memory[i] = MemoryParts::default();
             }
         }
     }
@@ -1021,7 +1010,10 @@ impl ServiceBackend for ShardedBackend {
     }
 
     fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.executors().sizes.clone()
+        self.shards
+            .executors()
+            .read_runners(|runner| runner.map_or(0, |r| r.len()))
+            .collect()
     }
 
     fn shutdown(&mut self) {

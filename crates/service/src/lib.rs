@@ -66,8 +66,8 @@
 //!   write counters (updates applied, shard migrations, coalesced update
 //!   batch sizes), failure telemetry (panics caught, shard restarts and
 //!   deaths, deadline expiries, partial-coverage responses), and the
-//!   backend's memory/shard-size accounting (refreshed
-//!   after every write, so migrations show up).
+//!   backend's memory/shard-size gauges (read from the backend at the
+//!   end of every run, so read scratch and migrations both show up).
 //! * **Fault tolerance** — the serving path survives panics by
 //!   construction: every shard-worker job and every dispatcher-inline
 //!   backend call runs under `catch_unwind`. A panicked shard is

@@ -440,9 +440,6 @@ struct DispatchTotals {
     /// Requests coalesced into the dispatch; nonzero only until the
     /// dispatch's first flush, which counts the dispatch itself.
     requests: usize,
-    /// A write reached the backend: the flush refreshes the memory/shard
-    /// gauges.
-    wrote: bool,
     exec_elapsed_s: f64,
     results: u64,
     counts: PredicateCounts,
@@ -739,7 +736,8 @@ impl<B: ServiceBackend> Scheduler<B> {
     /// partial coverage), then flushes, under ONE stats-lock acquisition,
     /// everything a client holding one of these replies could observe: the
     /// request counters and latencies, the accounting `totals` accrued
-    /// since the last flush, the epoch counters and the backend telemetry.
+    /// since the last flush, the epoch counters, the backend telemetry and
+    /// the backend's memory and shard-size gauges, read before the lock.
     /// Tickets complete only after the lock is released, so a reply is
     /// always counted in `stats()` before its client holds it, and
     /// producer submits never wait behind the reply sends. The drop-guard
@@ -774,6 +772,10 @@ impl<B: ServiceBackend> Scheduler<B> {
         }
         let totals = std::mem::take(totals);
         let telemetry = self.backend.telemetry();
+        // Read after every run: a read can grow scratch, as a write can
+        // move elements between shards.
+        let memory_bytes = self.backend.memory_bytes();
+        let shard_sizes = self.backend.shard_sizes();
         {
             let mut inner = self.shared.stats.lock().expect("stats lock");
             inner.sched_panics += totals.sched_panics;
@@ -804,12 +806,8 @@ impl<B: ServiceBackend> Scheduler<B> {
                 let b = (usize::BITS - 1 - sz.max(1).leading_zeros()) as usize;
                 stats.update_hist[b.min(BATCH_BUCKETS - 1)] += 1;
             }
-            if totals.wrote {
-                // Migrations moved elements between shards: refresh the
-                // memory/shard gauges from the backend.
-                stats.memory_bytes = self.backend.memory_bytes();
-                stats.shard_sizes = self.backend.shard_sizes();
-            }
+            stats.memory_bytes = memory_bytes;
+            stats.shard_sizes = shard_sizes;
             stats.deadline_expired += deadline_expired;
             stats.failed_requests += failed_requests;
             stats.partial_responses += partial_responses;
@@ -989,7 +987,6 @@ impl<B: ServiceBackend> Scheduler<B> {
         }
         let mut ids = Vec::new();
         if !ops.is_empty() {
-            totals.wrote = true;
             let backend = &mut self.backend;
             let failed = match catch_unwind(AssertUnwindSafe(|| backend.write_batch(&ops))) {
                 Ok((allocated, report)) => {

@@ -246,11 +246,12 @@ stats_table! {
         /// the benchmark still reads it.
         pub snapshot_clone_bytes: u64 => "epochs" "snapshot clone bytes",
         /// Backend structure bytes (index + replicas + scratch + router),
-        /// captured at service start and refreshed after every update
-        /// application (so post-migration shrink is visible).
+        /// captured at service start and read from the backend again at the
+        /// end of every run, read or write (so read scratch growth and
+        /// post-migration shrink are both visible).
         pub memory_bytes: usize => "backend" "bytes",
         /// Elements per backend shard (one entry for a one-shard backend);
-        /// refreshed after every update application.
+        /// read from the backend at the end of every run.
         pub shard_sizes: Vec<usize> => "backend" "shards, sizes",
         /// Per-tenant admission accounting, populated by multi-tenant front
         /// ends (empty for in-process services — see [`TenantStats`]).

@@ -11,9 +11,11 @@
 //!   (`lsh::tests::deferred_scoring_equals_seed_reference`) instead.
 //! * `knn_batch_into` ≡ looped `knn_into` ≡ legacy `knn()` for every
 //!   implementation.
-//! * [`ShardedEngine`] with K ∈ {1, 2, 4} shards must return result sets
-//!   byte-identical (after sort) to a single [`QueryEngine`] over the same
-//!   index type, for both `range_batch` and `knn_batch_into`.
+//! * [`ShardedEngine`] with K ∈ {1, 2, 4, 8} shards must return result
+//!   sets byte-identical (after sort) to a single [`QueryEngine`] over the
+//!   same index type, for both `range_batch` and `knn_batch_into` — kNN
+//!   probes on the shard cut planes included, whose nearest neighbours are
+//!   replicas.
 
 use simspatial::prelude::*;
 use simspatial_geom::QueryScratch;
@@ -190,10 +192,28 @@ fn queries() -> Vec<Aabb> {
     qs
 }
 
-/// Sharded K ∈ {1, 2, 4} vs a single engine over the same index type:
-/// byte-identical range result sets (after sort) and kNN lists. Runs with
-/// either split mode — uniform slabs or median cuts — since the merge
-/// contract is identical for both.
+/// Probes on each interior cut plane of `router`: the elements nearest to
+/// them straddle the cut, so every shard beside it answers with replicas.
+fn cut_plane_probes(router: &ShardRouter) -> Vec<Point3> {
+    let axis = router.axis();
+    (1..router.shards())
+        .map(|i| router.region(i).min.axis(axis))
+        .filter(|c| c.is_finite())
+        .flat_map(|c| {
+            [(25.0, 25.0, 25.0), (50.0, 50.0, 50.0), (75.0, 40.0, 60.0)].map(|(x, y, z)| {
+                let mut p = Point3::new(x, y, z);
+                *p.axis_mut(axis) = c;
+                p
+            })
+        })
+        .collect()
+}
+
+/// Sharded K ∈ {1, 2, 4, 8} vs a single engine over the same index type:
+/// byte-identical range result sets (after sort) and kNN lists, over the
+/// probe points and the shard cut planes. Runs with either split mode —
+/// uniform slabs or median cuts — since the merge contract is identical
+/// for both.
 fn check_sharded_split<I, B>(name: &str, data: &[Element], build: B, median: bool)
 where
     I: SpatialIndex + KnnIndex + Send,
@@ -202,15 +222,16 @@ where
     let single = build(data);
     let mut engine = QueryEngine::new();
     let qs = queries();
-    let points = probe_points();
     let mut want_range = BatchResults::new();
     engine.range_collect(&single, data, &qs, &mut want_range);
-    for shards in [1usize, 2, 4] {
+    for shards in [1usize, 2, 4, 8] {
         let mut sharded = if median {
             ShardedEngine::build_median(data, shards, &build)
         } else {
             ShardedEngine::build(data, shards, &build)
         };
+        let mut points = probe_points();
+        points.extend(cut_plane_probes(sharded.router()));
         let mut got_range = BatchResults::new();
         let stats = sharded.range_collect(&qs, &mut got_range);
         assert_eq!(stats.results as usize, got_range.total());

@@ -618,9 +618,13 @@ fn plain_grid_engine_writes_in_place() {
 /// The range merge emits exactly the first-seen order — per query in batch
 /// order, lanes in shard order, each id at its first emission — whether a
 /// query was answered by one shard (copied through) or by several (deduped
-/// over boundary replicas), after a migration tick, and with one lane
-/// cleared the way a dead shard's lane is. Compared unsorted, byte for byte,
-/// against a reference merge written here over the executors' own answers.
+/// over boundary replicas), after a migration tick, with every lane live
+/// and with each lane in turn cleared the way a dead shard's lane is.
+/// Compared unsorted, byte for byte, against a reference merge written here
+/// over the executors' own answers. For a dead lane with a successor, some
+/// query must emit from that successor a replica the dead lane also held:
+/// the hit a merge that keeps only a lane's own route start (or the query's
+/// first lane) would drop.
 #[test]
 fn range_merge_is_first_seen_order_for_one_and_many_shard_queries() {
     let n = 1500u32;
@@ -653,56 +657,78 @@ fn range_merge_is_first_seen_order_for_one_and_many_shard_queries() {
     ));
     queries.extend(probe_boxes());
 
-    let mut lanes = Vec::new();
-    planner.route_range(&queries, &mut lanes);
-    let dead = 2;
-    lanes[dead].clear();
-    let mut answers: Vec<Vec<Vec<u32>>> = Vec::new();
-    for (exec, lane) in executors.iter_mut().zip(lanes.iter_mut()) {
-        let mut out = BatchResults::new();
-        exec.range_batch(lane.queries(), &mut out);
-        answers.push(
-            (0..lane.len())
-                .map(|j| out.query_results(j).to_vec())
-                .collect(),
-        );
-        lane.run(exec);
-    }
+    let shards = executors.len();
+    for dead in std::iter::once(None).chain((0..shards).map(Some)) {
+        let mut lanes = Vec::new();
+        planner.route_range(&queries, &mut lanes);
+        if let Some(d) = dead {
+            lanes[d].clear();
+        }
+        let mut answers: Vec<Vec<Vec<u32>>> = Vec::new();
+        for (exec, lane) in executors.iter_mut().zip(lanes.iter_mut()) {
+            let mut out = BatchResults::new();
+            exec.range_batch(lane.queries(), &mut out);
+            answers.push(
+                (0..lane.len())
+                    .map(|j| out.query_results(j).to_vec())
+                    .collect(),
+            );
+            lane.run(exec);
+        }
 
-    // Reference first-seen merge.
-    let mut want: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
-    let mut holders = vec![0usize; queries.len()];
-    let mut emitted = 0usize;
-    for (lane, lists) in lanes.iter().zip(&answers) {
-        for (&qi, list) in lane.routed().iter().zip(lists) {
-            let merged = &mut want[qi as usize];
-            holders[qi as usize] += 1;
-            emitted += list.len();
-            for &id in list {
-                if !merged.contains(&id) {
-                    merged.push(id);
+        // Reference first-seen merge, noting which lane emitted each id.
+        let mut want: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
+        let mut holders = vec![0usize; queries.len()];
+        let mut emitted = 0usize;
+        let mut first_from: Vec<(u32, usize)> = Vec::new();
+        for (s, (lane, lists)) in lanes.iter().zip(&answers).enumerate() {
+            for (&qi, list) in lane.routed().iter().zip(lists) {
+                let merged = &mut want[qi as usize];
+                holders[qi as usize] += 1;
+                emitted += list.len();
+                for &id in list {
+                    if !merged.contains(&id) {
+                        merged.push(id);
+                        first_from.push((id, s));
+                    }
                 }
             }
         }
-    }
-    let answered_by =
-        |n: fn(usize) -> bool| (0..queries.len()).any(|q| n(holders[q]) && !want[q].is_empty());
-    assert!(answered_by(|h| h == 1), "some query one shard answered");
-    assert!(answered_by(|h| h > 1), "some query several shards answered");
-    let total: usize = want.iter().map(Vec::len).sum();
-    assert!(total < emitted, "replicas were deduplicated");
-
-    let mut got = BatchResults::new();
-    let stats = planner.merge_range(queries.len(), &mut lanes, &mut got);
-    assert_eq!(stats.results as usize, total);
-    assert_eq!(got.len(), queries.len());
-    for (qi, want) in want.iter().enumerate() {
-        assert_eq!(
-            got.query_results(qi),
-            &want[..],
-            "query {qi} ({} lanes)",
-            holders[qi]
+        let answered_by =
+            |n: fn(usize) -> bool| (0..queries.len()).any(|q| n(holders[q]) && !want[q].is_empty());
+        assert!(
+            answered_by(|h| h == 1),
+            "{dead:?}: some query one shard answered"
         );
+        assert!(
+            answered_by(|h| h > 1),
+            "{dead:?}: some query several shards answered"
+        );
+        let total: usize = want.iter().map(Vec::len).sum();
+        assert!(total < emitted, "{dead:?}: replicas were deduplicated");
+        if let Some(d) = dead.filter(|&d| d + 1 < shards) {
+            let held_by_dead = |id: &u32| executors[d].global_ids().binary_search(id).is_ok();
+            assert!(
+                first_from
+                    .iter()
+                    .any(|(id, s)| *s == d + 1 && held_by_dead(id)),
+                "lane {d} dead: some query emits from lane {} a replica lane {d} held",
+                d + 1
+            );
+        }
+
+        let mut got = BatchResults::new();
+        let stats = planner.merge_range(queries.len(), &mut lanes, &mut got);
+        assert_eq!(stats.results as usize, total, "{dead:?}");
+        assert_eq!(got.len(), queries.len());
+        for (qi, want) in want.iter().enumerate() {
+            assert_eq!(
+                got.query_results(qi),
+                &want[..],
+                "dead lane {dead:?}, query {qi} ({} lanes)",
+                holders[qi]
+            );
+        }
     }
 }
 

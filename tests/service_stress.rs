@@ -1086,6 +1086,71 @@ fn sharded_backend_memory_parts_sum_to_memory_bytes() {
     }
 }
 
+/// A read-only service's memory gauge is the backend's footprint after
+/// every run, read scratch included: after a range request whose boxes
+/// straddle the shard cuts, and again after a kNN request, it rises above
+/// its spawn value and equals a twin backend that ran the same query runs
+/// directly. The merges keep no table that grows with the id bound.
+#[test]
+fn read_only_service_gauges_include_read_scratch() {
+    let data = soup(20_000, 0x6A7);
+    let build = |part: &[Element]| UniformGrid::build(part, GridConfig::auto(part));
+    let service = SpatialService::spawn(
+        ShardedBackend::spawn(ShardedEngine::build(&data, 4, build)),
+        ServiceConfig::default().no_coalesce(),
+    );
+    let mut twin = ShardedBackend::spawn(ShardedEngine::build(&data, 4, build));
+    let handle = service.handle();
+    let spawned = handle.stats().memory_bytes;
+    assert_eq!(spawned, twin.memory_bytes(), "spawn-time gauge");
+    let straddling = vec![
+        Aabb::new(Point3::new(20.0, 20.0, 20.0), Point3::new(80.0, 80.0, 80.0)),
+        Aabb::new(Point3::new(0.0, 45.0, 45.0), Point3::new(100.0, 55.0, 55.0)),
+        Aabb::new(Point3::new(45.0, 0.0, 45.0), Point3::new(55.0, 100.0, 55.0)),
+        Aabb::new(Point3::new(45.0, 45.0, 0.0), Point3::new(55.0, 55.0, 100.0)),
+    ];
+    let probes = vec![
+        (Point3::new(25.0, 25.0, 25.0), 8),
+        (Point3::new(50.0, 50.0, 50.0), 8),
+        (Point3::new(75.0, 10.0, 90.0), 8),
+    ];
+    let runs = [
+        (
+            Request::Range(straddling.clone()),
+            QueryRun {
+                range: straddling,
+                knn: Vec::new(),
+            },
+        ),
+        (
+            Request::Knn(probes.clone()),
+            QueryRun {
+                range: Vec::new(),
+                knn: probes,
+            },
+        ),
+    ];
+    let mut out = QueryRunResults::default();
+    for (request, run) in runs {
+        handle.submit(request).unwrap().recv().unwrap();
+        twin.query_run(&run, false, &mut out);
+        let gauge = handle.stats().memory_bytes;
+        assert!(
+            gauge > spawned,
+            "{gauge} B after a read, {spawned} B at spawn"
+        );
+        assert_eq!(gauge, twin.memory_bytes(), "gauge vs the twin backend");
+        let merge_scratch = twin.memory_parts().merge_scratch;
+        assert!(
+            merge_scratch * 10 < data.len(),
+            "merge scratch {merge_scratch} B for {} elements",
+            data.len()
+        );
+    }
+    service.shutdown();
+    twin.shutdown();
+}
+
 #[test]
 fn coalescing_forms_multi_request_batches() {
     // With a wedged first dispatch and pipelined submissions, the second
